@@ -639,7 +639,7 @@ func measurePerf(h *harness.Harness) (*perfFile, error) {
 			}
 			n := 0
 			for _, s := range sets {
-				n += len(s.Cands)
+				n += s.Len()
 			}
 			return n, nil
 		}},

@@ -1,6 +1,6 @@
 // Per-generation candidate cache: a bounded, sharded LRU over *pruned*
-// per-path candidate sets. The expensive prefix of every query — posting
-// decode in ix.Lookup plus context pruning — is a pure function of
+// per-path candidate sets. The expensive prefix of every query — the posting
+// scan (ix.Scan) fused with context pruning — is a pure function of
 // (immutable reader, query structure, path node sequence, α), so repeated
 // query shapes can skip both stages entirely. Ownership follows the
 // plan/result caches: a Cache belongs to exactly one served generation and
@@ -68,14 +68,14 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	key        string
-	cands      []Candidate
+	rows       Rows
 	initial    int
 	prev, next *cacheEntry
 }
 
 type candFlight struct {
 	done    chan struct{}
-	cands   []Candidate
+	rows    Rows
 	initial int
 	err     error
 }
@@ -130,8 +130,9 @@ func (c *Cache) shardFor(key string) *cacheShard {
 // miss. Concurrent callers with the same key share one computation; a
 // failed computation is not cached, and waiters retry (one of them becomes
 // the next leader), so a transient error never poisons the key. The
-// returned slice is shared — callers must treat it as immutable.
-func (c *Cache) do(ctx context.Context, key string, compute func() ([]Candidate, int, error)) (cands []Candidate, initial int, hit bool, err error) {
+// returned arenas are shared with the entry, and through it with every other
+// request that hits it — callers must treat them as immutable.
+func (c *Cache) do(ctx context.Context, key string, compute func() (Rows, int, error)) (rows Rows, initial int, hit bool, err error) {
 	s := c.shardFor(key)
 	for {
 		s.mu.Lock()
@@ -139,18 +140,18 @@ func (c *Cache) do(ctx context.Context, key string, compute func() ([]Candidate,
 			s.touch(e)
 			s.mu.Unlock()
 			c.hits.Add(1)
-			return e.cands, e.initial, true, nil
+			return e.rows, e.initial, true, nil
 		}
 		if f, ok := s.flights[key]; ok {
 			s.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, 0, false, ctx.Err()
+				return Rows{}, 0, false, ctx.Err()
 			}
 			if f.err == nil {
 				c.hits.Add(1)
-				return f.cands, f.initial, true, nil
+				return f.rows, f.initial, true, nil
 			}
 			continue // leader failed; retry (maybe as leader)
 		}
@@ -159,15 +160,15 @@ func (c *Cache) do(ctx context.Context, key string, compute func() ([]Candidate,
 		s.mu.Unlock()
 
 		c.misses.Add(1)
-		f.cands, f.initial, f.err = compute()
+		f.rows, f.initial, f.err = compute()
 		s.mu.Lock()
 		delete(s.flights, key)
 		if f.err == nil {
-			s.insert(key, f.cands, f.initial, c.perShard)
+			s.insert(key, f.rows, f.initial, c.perShard)
 		}
 		s.mu.Unlock()
 		close(f.done)
-		return f.cands, f.initial, false, f.err
+		return f.rows, f.initial, false, f.err
 	}
 }
 
@@ -211,30 +212,27 @@ func (s *cacheShard) push(e *cacheEntry) {
 // back under budget. An entry heavier than the whole shard budget is still
 // admitted alone (weight-capped caches must not refuse the working set's
 // largest member — it would recompute forever). Caller holds s.mu.
-func (s *cacheShard) insert(key string, cands []Candidate, initial, budget int) {
+func (s *cacheShard) insert(key string, rows Rows, initial, budget int) {
 	if _, ok := s.entries[key]; ok {
 		return // raced with another leader after a failed flight; keep first
 	}
-	e := &cacheEntry{key: key, cands: cands, initial: initial}
+	e := &cacheEntry{key: key, rows: rows, initial: initial}
 	s.entries[key] = e
 	s.push(e)
-	s.weight += entryWeight(cands)
+	s.weight += entryWeight(rows)
 	for s.weight > budget && s.tail != nil && s.tail != e {
 		victim := s.tail
 		s.unlink(victim)
 		delete(s.entries, victim.key)
-		s.weight -= entryWeight(victim.cands)
+		s.weight -= entryWeight(victim.rows)
 		s.evicted++
 	}
 }
 
 // entryWeight counts an empty pruned set as 1 so α-filtered-to-nothing
 // paths still occupy (and age out of) the LRU.
-func entryWeight(cands []Candidate) int {
-	if len(cands) == 0 {
-		return 1
-	}
-	return len(cands)
+func entryWeight(rows Rows) int {
+	return max(rows.Len(), 1)
 }
 
 // queryFingerprint serializes the query structure that pruning depends on:

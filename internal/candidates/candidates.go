@@ -18,22 +18,34 @@ import (
 	"repro/internal/query"
 )
 
-// Candidate is one surviving path match: entity nodes aligned with the query
-// path's positions, plus the stored probability components.
-type Candidate struct {
+// Rows holds the surviving matches of one path in flat arenas: row i is
+// Nodes[i*w:(i+1)*w] — entity nodes aligned with the positions of the
+// path's w query nodes — with the stored probability components Prle[i] and
+// Prn[i] (the path's total probability is their product). Find fills the arenas on one goroutine and never
+// touches them again; from then on they are immutable and shared without
+// copying — by the Set handed to the caller, by the candidate cache (hence
+// across requests), and by the k-partite graph built over the Set.
+type Rows struct {
 	Nodes []entity.ID
-	Prle  float64
-	Prn   float64
+	Prle  []float64
+	Prn   []float64
 }
 
-// Pr returns the candidate's total path probability.
-func (c Candidate) Pr() float64 { return c.Prle * c.Prn }
+// Len returns the number of rows.
+func (r *Rows) Len() int { return len(r.Prn) }
 
 // Set is the candidate list cn(P) for one decomposition path.
 type Set struct {
-	Path    *decompose.Path
-	Cands   []Candidate
+	Path *decompose.Path
+	Rows
 	Initial int // |PIndex(lQ(V_P), α)| before pruning
+}
+
+// Row returns the entity nodes of candidate i, aligned with the path's
+// positions: a view into the arena.
+func (s *Set) Row(i int) []entity.ID {
+	w := len(s.Path.Nodes)
+	return s.Nodes[i*w : (i+1)*w : (i+1)*w]
 }
 
 // Stats reports the search-space progression of Figure 7(e) plus the
@@ -135,12 +147,16 @@ func (nc *NodeChecker) check(v entity.ID, n query.NodeID) bool {
 	return true
 }
 
-// Find runs the candidate generation stage for every decomposition path.
-// Paths are independent units (posting lookup fused with context pruning),
-// so with workers > 1 they are fanned out across the pool; results land in
-// deterministic per-path slots and the Stats products are accumulated in
-// path order afterwards, so the output — float bits included — is
-// identical to the sequential walk at any worker count.
+// Find runs the candidate generation stage for every decomposition path:
+// the path's posting scan (or on-demand enumeration, when α < β) streams
+// through the context tests and only survivors are copied, into the path's
+// own arenas — so a path allocates in proportion to what it keeps, not to
+// what the index returns. Paths are independent units, so with workers > 1
+// they are fanned out across the pool (one goroutine per path; a path is
+// never split); results land in deterministic per-path slots and the Stats
+// products are accumulated in path order afterwards, so the output — float
+// bits and buffer sizes included — is identical to the sequential walk at
+// any worker count.
 //
 // cache may be nil. A non-nil cache serves pruned per-path sets keyed by
 // (query structure, path node sequence, α) and is only sound against the
@@ -179,34 +195,15 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 	if pathWorkers > n {
 		pathWorkers = n
 	}
-	// Prune width per path: splitting the pool across concurrent paths
-	// keeps total goroutine count ~= workers; the chunk concatenation in
-	// prune is order-preserving at any width, so this is a pure scheduling
-	// choice.
-	pruneWorkers := 1
-	if pathWorkers > 0 {
-		pruneWorkers = workers / pathWorkers
-		if pruneWorkers < 1 {
-			pruneWorkers = 1
-		}
-	}
 
 	hits := make([]bool, n)
 	findPath := func(i int) error {
 		p := &dec.Paths[i]
-		compute := func() ([]Candidate, int, error) {
-			matches, err := ix.Lookup(p.Labels, alpha)
-			if err != nil {
-				return nil, 0, err
-			}
-			kept, err := prune(ctx, g, nc, p, matches, alpha, pruneWorkers)
-			if err != nil {
-				return nil, 0, err
-			}
-			return kept, len(matches), nil
+		compute := func() (Rows, int, error) {
+			return scanPath(ctx, ix, nc, p, alpha)
 		}
 		var (
-			kept    []Candidate
+			kept    Rows
 			initial int
 			err     error
 		)
@@ -218,9 +215,9 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 		if err != nil {
 			return err
 		}
-		sets[i] = Set{Path: p, Cands: kept, Initial: initial}
+		sets[i] = Set{Path: p, Rows: kept, Initial: initial}
 		stats.Initial[i] = initial
-		stats.Kept[i] = len(kept)
+		stats.Kept[i] = kept.Len()
 		return nil
 	}
 
@@ -279,87 +276,55 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 	return sets, stats, nil
 }
 
-// cancelCheckEvery matches the join stage's polling convention: each prune
-// worker consults ctx once per this many candidates, so a single huge
-// path's prune is cancellable mid-flight.
+// cancelCheckEvery matches the join stage's polling convention: a path's
+// scan consults ctx once per this many records, so a single huge path is
+// cancellable mid-flight.
 const cancelCheckEvery = 1024
 
-func prune(ctx context.Context, g *entity.Graph, nc *NodeChecker, p *decompose.Path, matches []pathindex.PathMatch, alpha float64, workers int) ([]Candidate, error) {
-	if len(matches) == 0 {
-		return nil, nil
-	}
-	if workers > len(matches) {
-		workers = len(matches)
-	}
-	if workers <= 1 {
-		var out []Candidate
-		for j, m := range matches {
-			if j%cancelCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if keepCandidate(g, nc, p, m, alpha) {
-				out = append(out, Candidate{Nodes: m.Nodes, Prle: m.Prle, Prn: m.Prn})
+// scanPath streams PIndex(lQ(V_P), α) through the context tests, copying
+// the survivors into fresh arenas. The arenas grow by append on this
+// goroutine only, so their final capacity depends on the survivor count and
+// nothing else. initial counts every record scanned.
+func scanPath(ctx context.Context, ix pathindex.Reader, nc *NodeChecker, p *decompose.Path, alpha float64) (kept Rows, initial int, err error) {
+	g := ix.Graph()
+	var ctxErr error
+	err = ix.Scan(p.Labels, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+		if initial%cancelCheckEvery == 0 {
+			if ctxErr = ctx.Err(); ctxErr != nil {
+				return false
 			}
 		}
-		return out, nil
-	}
-	results := make([][]Candidate, workers)
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	chunk := (len(matches) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(matches) {
-			hi = len(matches)
+		initial++
+		if keepCandidate(g, nc, p, nodes, prle, prn, alpha) {
+			kept.Nodes = append(kept.Nodes, nodes...)
+			kept.Prle = append(kept.Prle, prle)
+			kept.Prn = append(kept.Prn, prn)
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var out []Candidate
-			for j, m := range matches[lo:hi] {
-				if j%cancelCheckEvery == 0 && ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				if keepCandidate(g, nc, p, m, alpha) {
-					out = append(out, Candidate{Nodes: m.Nodes, Prle: m.Prle, Prn: m.Prn})
-				}
-			}
-			results[w] = out
-		}(w, lo, hi)
+		return true
+	})
+	if err == nil {
+		err = ctxErr
 	}
-	wg.Wait()
-	if canceled.Load() {
-		return nil, ctx.Err()
+	if err != nil {
+		return Rows{}, 0, err
 	}
-	// Chunks concatenate in worker order — identical to the sequential
-	// scan order regardless of width.
-	var kept []Candidate
-	for _, r := range results {
-		kept = append(kept, r...)
-	}
-	return kept, nil
+	return kept, initial, nil
 }
 
 // keepCandidate applies the two path-level tests of Section 5.2.2.
-func keepCandidate(g *entity.Graph, nc *NodeChecker, p *decompose.Path, m pathindex.PathMatch, alpha float64) bool {
+func keepCandidate(g *entity.Graph, nc *NodeChecker, p *decompose.Path, nodes []entity.ID, prle, prn, alpha float64) bool {
 	// (1) every node must be a node-level candidate for its query node.
-	for pos, v := range m.Nodes {
+	for pos, v := range nodes {
 		if !nc.OK(v, p.Nodes[pos]) {
 			return false
 		}
 	}
 	// (2) (Prle·Prn) · pu · cpr ≥ α.
-	bound := m.Prle * m.Prn
+	bound := prle * prn
 	if bound+1e-12 < alpha {
 		return false
 	}
-	cpr := pathCyclesProb(g, nc.q, p, m)
+	cpr := pathCyclesProb(g, nc.q, p, nodes)
 	if cpr == 0 {
 		return false
 	}
@@ -367,17 +332,17 @@ func keepCandidate(g *entity.Graph, nc *NodeChecker, p *decompose.Path, m pathin
 	if bound+1e-12 < alpha {
 		return false
 	}
-	bound *= neighborhoodUpperbound(nc, p, m)
+	bound *= neighborhoodUpperbound(nc, p, nodes)
 	return bound+1e-12 >= alpha
 }
 
 // pathCyclesProb is cpr(Pu): the product of existence probabilities of the
 // query chords instantiated on the candidate path. A missing GU edge yields
 // zero (the structural part of the test).
-func pathCyclesProb(g *entity.Graph, q *query.Query, p *decompose.Path, m pathindex.PathMatch) float64 {
+func pathCyclesProb(g *entity.Graph, q *query.Query, p *decompose.Path, nodes []entity.ID) float64 {
 	pr := 1.0
 	for _, cyc := range p.Info.Cycles {
-		u, v := m.Nodes[cyc[0]], m.Nodes[cyc[1]]
+		u, v := nodes[cyc[0]], nodes[cyc[1]]
 		ep, ok := g.EdgeBetween(u, v)
 		if !ok {
 			return 0
@@ -393,19 +358,19 @@ func pathCyclesProb(g *entity.Graph, q *query.Query, p *decompose.Path, m pathin
 // neighborhoodUpperbound is pu(Pu): for every path neighbor m' ∈ Γ(P), the
 // tightest bound over its reverse path neighbors, combining one full
 // probability upperbound with partial upperbounds for the rest.
-func neighborhoodUpperbound(nc *NodeChecker, p *decompose.Path, m pathindex.PathMatch) float64 {
+func neighborhoodUpperbound(nc *NodeChecker, p *decompose.Path, nodes []entity.ID) float64 {
 	pu := 1.0
 	for _, nb := range p.Info.Neighbors {
 		sigma := nc.q.Label(nb)
 		rv := p.Info.Reverse[nb]
 		best := -1.0
 		for _, nPos := range rv {
-			val := nc.ctx.FPU(m.Nodes[nPos], sigma)
+			val := nc.ctx.FPU(nodes[nPos], sigma)
 			for _, oPos := range rv {
 				if oPos == nPos {
 					continue
 				}
-				val *= nc.ctx.PPU(m.Nodes[oPos], sigma)
+				val *= nc.ctx.PPU(nodes[oPos], sigma)
 			}
 			if best < 0 || val < best {
 				best = val

@@ -62,13 +62,14 @@ func TestFindMotivating(t *testing.T) {
 	}
 	total := 0
 	for _, s := range sets {
-		total += len(s.Cands)
-		for _, c := range s.Cands {
-			if c.Pr()+1e-9 < 0.2 {
-				t.Errorf("candidate below threshold: %v %v", c.Nodes, c.Pr())
+		total += s.Len()
+		for i := 0; i < s.Len(); i++ {
+			nodes, pr := s.Row(i), s.Prle[i]*s.Prn[i]
+			if pr+1e-9 < 0.2 {
+				t.Errorf("candidate below threshold: %v %v", nodes, pr)
 			}
-			if !g.NodesRefsDisjoint(c.Nodes) {
-				t.Errorf("candidate with shared refs: %v", c.Nodes)
+			if !g.NodesRefsDisjoint(nodes) {
+				t.Errorf("candidate with shared refs: %v", nodes)
 			}
 		}
 	}
@@ -179,8 +180,8 @@ func TestPathCyclePruning(t *testing.T) {
 	// Any 2-edge path in the decomposition has a chord; its (a,b,c)
 	// candidate must be pruned by cpr = 0.
 	for _, s := range sets {
-		if len(s.Path.Info.Cycles) > 0 && len(s.Cands) != 0 {
-			t.Errorf("chord-bearing path kept candidates: %+v", s.Cands)
+		if len(s.Path.Info.Cycles) > 0 && s.Len() != 0 {
+			t.Errorf("chord-bearing path kept candidates: %+v", s.Nodes)
 		}
 	}
 }

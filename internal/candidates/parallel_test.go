@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/entity"
 	"repro/internal/gen"
 	"repro/internal/pathindex"
+	"repro/internal/query"
 )
 
 func synthIx(t *testing.T, seed int64) (*entity.Graph, *pathindex.Index) {
@@ -45,33 +47,47 @@ func setsIdentical(t *testing.T, label string, want, got []Set) {
 		if w.Initial != g.Initial {
 			t.Fatalf("%s: set %d Initial = %d, want %d", label, i, g.Initial, w.Initial)
 		}
-		if len(w.Cands) != len(g.Cands) {
-			t.Fatalf("%s: set %d has %d candidates, want %d", label, i, len(g.Cands), len(w.Cands))
+		if w.Len() != g.Len() {
+			t.Fatalf("%s: set %d has %d candidates, want %d", label, i, g.Len(), w.Len())
 		}
-		for j := range w.Cands {
-			wc, gc := w.Cands[j], g.Cands[j]
-			if math.Float64bits(wc.Prle) != math.Float64bits(gc.Prle) ||
-				math.Float64bits(wc.Prn) != math.Float64bits(gc.Prn) {
-				t.Fatalf("%s: set %d cand %d probs (%v,%v), want (%v,%v)",
-					label, i, j, gc.Prle, gc.Prn, wc.Prle, wc.Prn)
-			}
-			if len(wc.Nodes) != len(gc.Nodes) {
-				t.Fatalf("%s: set %d cand %d node count differs", label, i, j)
-			}
-			for k := range wc.Nodes {
-				if wc.Nodes[k] != gc.Nodes[k] {
-					t.Fatalf("%s: set %d cand %d node %d = %d, want %d",
-						label, i, j, k, gc.Nodes[k], wc.Nodes[k])
-				}
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if !slices.Equal(w.Nodes, g.Nodes) || !slices.EqualFunc(w.Prle, g.Prle, sameBits) || !slices.EqualFunc(w.Prn, g.Prn, sameBits) {
+			t.Fatalf("%s: set %d arenas differ:\n got %v %v %v\nwant %v %v %v",
+				label, i, g.Nodes, g.Prle, g.Prn, w.Nodes, w.Prle, w.Prn)
+		}
+	}
+}
+
+// findBeforeScan is Find's per-path work as it stood before the streamed
+// scan, kept here only as the reference: materialize the whole posting list
+// with Lookup, then prune the materialized matches.
+func findBeforeScan(t *testing.T, ix pathindex.Reader, q *query.Query, dec *decompose.Decomposition, alpha float64) []Set {
+	t.Helper()
+	nc := NewNodeChecker(ix.Graph(), ix.Context(), q, alpha)
+	sets := make([]Set, len(dec.Paths))
+	for i := range dec.Paths {
+		p := &dec.Paths[i]
+		matches, err := ix.Lookup(p.Labels, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[i] = Set{Path: p, Initial: len(matches)}
+		for _, m := range matches {
+			if keepCandidate(ix.Graph(), nc, p, m.Nodes, m.Prle, m.Prn, alpha) {
+				sets[i].Nodes = append(sets[i].Nodes, m.Nodes...)
+				sets[i].Prle = append(sets[i].Prle, m.Prle)
+				sets[i].Prn = append(sets[i].Prn, m.Prn)
 			}
 		}
 	}
+	return sets
 }
 
 // TestFindParallelEquivalence is the pre-join determinism property: Find at
 // workers 2, 4, and 8 — with and without a candidate cache — produces
 // bitwise-identical sets and Stats to the sequential walk, across both
-// decomposition strategies.
+// decomposition strategies and α on both sides of β; and the sequential
+// walk's sets are bitwise those of materialize-then-prune.
 func TestFindParallelEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		g, ix := synthIx(t, seed)
@@ -82,32 +98,35 @@ func TestFindParallelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []decompose.Mode{decompose.ModeOptimized, decompose.ModeRandom} {
-				dec, err := decompose.Decompose(q, ix, decompose.Options{
-					MaxLen: 2, Alpha: 0.1, Mode: mode, Seed: seed,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("seed %d q%d mode %d", seed, qi, mode)
-				seq, seqStats, err := Find(context.Background(), ix, q, dec, 0.1, 1, nil)
-				if err != nil {
-					t.Fatalf("%s: sequential: %v", label, err)
-				}
-				for _, workers := range []int{2, 4, 8} {
-					for _, withCache := range []bool{false, true} {
-						var cache *Cache
-						if withCache {
-							cache = NewCache(0)
-						}
-						got, gotStats, err := Find(context.Background(), ix, q, dec, 0.1, workers, cache)
-						if err != nil {
-							t.Fatalf("%s w=%d: %v", label, workers, err)
-						}
-						setsIdentical(t, fmt.Sprintf("%s w=%d cache=%v", label, workers, withCache), seq, got)
-						if math.Float64bits(seqStats.SSPath) != math.Float64bits(gotStats.SSPath) ||
-							math.Float64bits(seqStats.SSContext) != math.Float64bits(gotStats.SSContext) {
-							t.Fatalf("%s w=%d: stats (%v,%v), want (%v,%v)", label, workers,
-								gotStats.SSPath, gotStats.SSContext, seqStats.SSPath, seqStats.SSContext)
+				for _, alpha := range []float64{0.02, 0.1} { // β = 0.05 lies between
+					dec, err := decompose.Decompose(q, ix, decompose.Options{
+						MaxLen: 2, Alpha: alpha, Mode: mode, Seed: seed,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("seed %d q%d mode %d α=%v", seed, qi, mode, alpha)
+					seq, seqStats, err := Find(context.Background(), ix, q, dec, alpha, 1, nil)
+					if err != nil {
+						t.Fatalf("%s: sequential: %v", label, err)
+					}
+					setsIdentical(t, label+" vs materialize-then-prune", findBeforeScan(t, ix, q, dec, alpha), seq)
+					for _, workers := range []int{2, 4, 8} {
+						for _, withCache := range []bool{false, true} {
+							var cache *Cache
+							if withCache {
+								cache = NewCache(0)
+							}
+							got, gotStats, err := Find(context.Background(), ix, q, dec, alpha, workers, cache)
+							if err != nil {
+								t.Fatalf("%s w=%d: %v", label, workers, err)
+							}
+							setsIdentical(t, fmt.Sprintf("%s w=%d cache=%v", label, workers, withCache), seq, got)
+							if math.Float64bits(seqStats.SSPath) != math.Float64bits(gotStats.SSPath) ||
+								math.Float64bits(seqStats.SSContext) != math.Float64bits(gotStats.SSContext) {
+								t.Fatalf("%s w=%d: stats (%v,%v), want (%v,%v)", label, workers,
+									gotStats.SSPath, gotStats.SSContext, seqStats.SSPath, seqStats.SSContext)
+							}
 						}
 					}
 				}
@@ -208,16 +227,18 @@ func TestFindBypassesDirtyReader(t *testing.T) {
 // end is evicted first and the eviction counter advances.
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(cacheShards * 4) // 4 candidates per shard
-	mk := func(n int) []Candidate {
-		cs := make([]Candidate, n)
-		for i := range cs {
-			cs[i] = Candidate{Nodes: []entity.ID{entity.ID(i)}, Prle: 1, Prn: 1}
+	mk := func(n int) Rows {
+		var r Rows
+		for i := 0; i < n; i++ {
+			r.Nodes = append(r.Nodes, entity.ID(i))
+			r.Prle = append(r.Prle, 1)
+			r.Prn = append(r.Prn, 1)
 		}
-		return cs
+		return r
 	}
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		_, _, hit, err := c.do(context.Background(), key, func() ([]Candidate, int, error) {
+		_, _, hit, err := c.do(context.Background(), key, func() (Rows, int, error) {
 			return mk(3), 3, nil
 		})
 		if err != nil || hit {
@@ -232,45 +253,45 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal("no evictions despite overflow")
 	}
 	// An entry heavier than a whole shard budget is still admitted alone.
-	_, _, _, err := c.do(context.Background(), "huge", func() ([]Candidate, int, error) {
+	_, _, _, err := c.do(context.Background(), "huge", func() (Rows, int, error) {
 		return mk(100), 100, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, hit, _ := c.do(context.Background(), "huge", func() ([]Candidate, int, error) {
+	if _, _, hit, _ := c.do(context.Background(), "huge", func() (Rows, int, error) {
 		t.Fatal("recomputed an admitted oversized entry")
-		return nil, 0, nil
+		return Rows{}, 0, nil
 	}); !hit {
 		t.Fatal("oversized entry was not retained")
 	}
 }
 
 // TestCacheSingleflight: concurrent misses on one key run compute once;
-// every caller gets the same slice.
+// every caller gets the same arenas.
 func TestCacheSingleflight(t *testing.T) {
 	c := NewCache(0)
 	var computes int32
 	var mu sync.Mutex
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	results := make([][]Candidate, 16)
+	results := make([]Rows, 16)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			cands, _, _, err := c.do(context.Background(), "k", func() ([]Candidate, int, error) {
+			rows, _, _, err := c.do(context.Background(), "k", func() (Rows, int, error) {
 				mu.Lock()
 				computes++
 				mu.Unlock()
 				time.Sleep(5 * time.Millisecond)
-				return []Candidate{{Nodes: []entity.ID{1}, Prle: 1, Prn: 1}}, 1, nil
+				return Rows{Nodes: []entity.ID{1}, Prle: []float64{1}, Prn: []float64{1}}, 1, nil
 			})
 			if err != nil {
 				t.Error(err)
 			}
-			results[i] = cands
+			results[i] = rows
 		}(i)
 	}
 	close(start)
@@ -279,14 +300,14 @@ func TestCacheSingleflight(t *testing.T) {
 		t.Fatalf("compute ran %d times, want 1", computes)
 	}
 	for i := 1; i < len(results); i++ {
-		if &results[i][0] != &results[0][0] {
-			t.Fatal("singleflight callers got different slices")
+		if &results[i].Nodes[0] != &results[0].Nodes[0] {
+			t.Fatal("singleflight callers got different arenas")
 		}
 	}
 }
 
 // countdownCtx reports Canceled after Err has been called n times — a
-// deterministic probe that the prune loop polls cancellation mid-path, not
+// deterministic probe that a path's scan polls cancellation mid-path, not
 // only between paths.
 type countdownCtx struct {
 	context.Context
@@ -308,8 +329,8 @@ func (c *countdownCtx) Done() <-chan struct{} { return nil }
 
 // TestFindCancelMidPrune: with a context that expires after the first few
 // polls, Find must return Canceled even though every per-path unit was
-// already dispatched — proving the prune workers themselves poll ctx (the
-// every-1024-candidates convention), not just the between-paths check.
+// already dispatched — proving the scan callback itself polls ctx (the
+// every-1024-records convention), not just the between-paths check.
 func TestFindCancelMidPrune(t *testing.T) {
 	g, ix := synthIx(t, 11)
 	rng := rand.New(rand.NewSource(11))
@@ -322,7 +343,7 @@ func TestFindCancelMidPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Allow exactly one successful poll: the entry check passes, then the
-	// first in-prune poll (j == 0 of the first path) observes cancellation.
+	// first in-scan poll (record 0 of the first path) observes cancellation.
 	ctx := &countdownCtx{Context: context.Background(), left: 1}
 	_, _, err = Find(ctx, ix, q, dec, 0.01, 1, nil)
 	if !errors.Is(err, context.Canceled) {

@@ -3,27 +3,32 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/candidates"
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/gen"
+	"repro/internal/kpartite"
+	"repro/internal/live"
+	"repro/internal/naive"
+	"repro/internal/pathindex"
+	"repro/internal/refgraph"
 )
 
-// TestPreJoinParallelEquivalence is the tentpole's end-to-end determinism
-// property: varying Workers (per-path candidate fan-out, parallel k-partite
-// build, parallel reduction) — with and without a candidate cache — leaves
-// the collected match set bitwise-identical (mapping, Prle, Prn, order) to
-// the all-sequential run, across both decomposition strategies.
-func TestPreJoinParallelEquivalence(t *testing.T) {
-	seeds := []int64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	strategies := []core.Strategy{core.StrategyOptimized, core.StrategyRandomDecomp}
-	for _, seed := range seeds {
+const prejoinBeta = 0.2
+
+// prejoinReaders returns the three kinds of reader the pre-join pipeline
+// streams from, over the same seeded PGD: a packed index, a B+-tree index,
+// and a live view whose overlay carries a few mutations (so its graph, and
+// the naive oracle's answers over it, differ from the static two).
+func prejoinReaders(t *testing.T, seed int64) map[string]pathindex.Reader {
+	t.Helper()
+	synth := func() *refgraph.PGD {
 		d, err := gen.Synthetic(gen.SynthOptions{
 			Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
 			Groups: 2, GroupSize: 3, PairsPerGroup: 2, Seed: seed,
@@ -31,47 +36,182 @@ func TestPreJoinParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := entity.Build(d, entity.BuildOptions{})
+		return d
+	}
+	g, err := entity.Build(synth(), entity.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := pathindex.Options{MaxLen: 2, Beta: prejoinBeta, Gamma: 0.1}
+	readers := map[string]pathindex.Reader{}
+	for name, f := range map[string]pathindex.Format{"packed": pathindex.FormatPacked, "btree": pathindex.FormatBTree} {
+		o := opt
+		o.Dir, o.Format = filepath.Join(t.TempDir(), "ix"), f
+		ix, err := pathindex.Build(context.Background(), g, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := buildIx(t, g, 2, 0.05)
+		t.Cleanup(func() { ix.Close() })
+		readers[name] = ix
+	}
 
-		rng := rand.New(rand.NewSource(seed * 727))
-		for qi := 0; qi < 3; qi++ {
-			q, err := gen.RandomQuery(rng, g.NumLabels(), 2+rng.Intn(2), 3)
-			if err != nil {
-				t.Fatal(err)
+	d := synth()
+	db, err := live.Create(context.Background(), t.TempDir(), d, live.Options{
+		Index: opt, CompactEvery: -1, CompactDirtyFrac: -1, // the overlay stays
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	rng := rand.New(rand.NewSource(seed * 53))
+	var ms []live.Mutation
+	for len(ms) < 6 {
+		a := refgraph.RefID(rng.Intn(d.NumRefs() - 1))
+		if len(ms)%3 == 2 {
+			ms = append(ms, live.Mutation{Op: live.OpSetLinkage, Members: []refgraph.RefID{a, a + 1}, P: 0.3 + 0.5*rng.Float64()})
+		} else if b := refgraph.RefID(rng.Intn(d.NumRefs())); b != a {
+			ms = append(ms, live.Mutation{Op: live.OpAddEdge, A: a, B: b, P: 0.5 + 0.5*rng.Float64()})
+		}
+	}
+	if _, err := db.Apply(ms); err != nil {
+		t.Fatal(err)
+	}
+	if db.View().DirtyEntities() == 0 {
+		t.Fatal("live view carries no overlay")
+	}
+	readers["live"] = db.View()
+	return readers
+}
+
+func sameSets(a, b []candidates.Set) error {
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Initial != y.Initial || !slices.Equal(x.Nodes, y.Nodes) ||
+			!slices.EqualFunc(x.Prle, y.Prle, sameBits) || !slices.EqualFunc(x.Prn, y.Prn, sameBits) {
+			return fmt.Errorf("path %d: initial %d kept %d, want initial %d kept %d (or rows differ)",
+				i, y.Initial, y.Len(), x.Initial, x.Len())
+		}
+	}
+	return nil
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameLinks(a, b *kpartite.Graph) error {
+	for p := 0; p < a.NumPartitions(); p++ {
+		if a.NumCandidates(p) != b.NumCandidates(p) {
+			return fmt.Errorf("partition %d: %d vertices, want %d", p, b.NumCandidates(p), a.NumCandidates(p))
+		}
+		for i := 0; i < a.NumCandidates(p); i++ {
+			for j := 0; j < a.NumPartitions(); j++ {
+				if !slices.Equal(a.Links(p, i, j), b.Links(p, i, j)) {
+					return fmt.Errorf("Links(%d,%d,%d) = %v, want %v", p, i, j, b.Links(p, i, j), a.Links(p, i, j))
+				}
 			}
-			for _, s := range strategies {
-				opts := func(w int, c *candidates.Cache) core.Options {
-					return core.Options{
-						Alpha:     0.1,
-						Strategy:  s,
-						Rand:      rand.New(rand.NewSource(seed ^ int64(qi))),
-						Workers:   w,
-						CandCache: c,
-					}
-				}
-				seq, err := core.Match(context.Background(), ix, q, opts(1, nil))
+		}
+	}
+	return nil
+}
+
+// TestPreJoinEquivalence is the pre-join pipeline's end-to-end property,
+// generator-driven over seeded gen.Synthetic PGDs × α on both sides of β ×
+// {packed index, B+-tree index, live view with a dirty overlay} × both
+// decomposition strategies. Per case:
+//
+//   - candidates.Find at workers 1, 2, 4, with and without a candidate
+//     cache, returns identical arenas, Initial, Kept, SSPath and SSContext;
+//   - kpartite.Build over those sets returns identical Links(p, i, j) rows
+//     at workers 1, 2, 4;
+//   - core.Match at every width and cache state returns identical matches,
+//     and those are bitwise the naive oracle's over the reader's graph.
+//
+// What the streamed stages are equal to *before* this pipeline existed is
+// held one layer down, where the references need package internals:
+// pathindex and live (Scan ≡ the materializing Lookup), candidates (Find ≡
+// materialize-then-prune), kpartite (links ≡ map-and-sort).
+func TestPreJoinEquivalence(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	ctx := context.Background()
+	kept, links, matched := 0, 0, 0
+	for _, seed := range seeds {
+		for kind, ix := range prejoinReaders(t, seed) {
+			g := ix.Graph()
+			rng := rand.New(rand.NewSource(seed * 727))
+			for qi := 0; qi < 3; qi++ {
+				q, err := gen.RandomQuery(rng, g.NumLabels(), 2+rng.Intn(2), 3)
 				if err != nil {
-					t.Fatalf("seed %d q%d %v: sequential: %v", seed, qi, s, err)
+					t.Fatal(err)
 				}
-				// One cache shared across worker widths: later runs hit
-				// entries written by earlier ones, so the equivalence also
-				// covers cache-served candidate sets feeding the join.
-				cache := candidates.NewCache(0)
-				for _, w := range []int{1, 2, 4, 8} {
-					for _, c := range []*candidates.Cache{nil, cache} {
-						res, err := core.Match(context.Background(), ix, q, opts(w, c))
-						if err != nil {
-							t.Fatalf("seed %d q%d %v W=%d: %v", seed, qi, s, w, err)
+				for _, alpha := range []float64{0.05, 0.3} {
+					want, err := naive.Matches(ctx, g, q, alpha)
+					if err != nil {
+						t.Fatal(err)
+					}
+					matched += len(want)
+					for _, s := range []core.Strategy{core.StrategyOptimized, core.StrategyRandomDecomp} {
+						label := fmt.Sprintf("seed %d %s q%d α=%v %v", seed, kind, qi, alpha, s)
+						opts := func(w int, c *candidates.Cache) core.Options {
+							return core.Options{
+								Alpha: alpha, Strategy: s, Workers: w, CandCache: c,
+								Rand: rand.New(rand.NewSource(seed ^ int64(qi))),
+							}
 						}
-						label := fmt.Sprintf("%s W=%d cached=%v", q.Format(g.Alphabet()), w, c != nil)
-						matchesIdentical(t, label, seq.Matches, res.Matches)
+						pl, err := core.Prepare(ctx, ix, q, opts(1, nil))
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						sets1, st1, err := candidates.Find(ctx, ix, q, pl.Dec, alpha, 1, nil)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						kg1, err := kpartite.Build(ctx, g, q, pl.Dec, sets1, alpha, 1)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						links += kg1.NumLinks()
+						for _, n := range st1.Kept {
+							kept += n
+						}
+						// One cache shared across widths: later runs are
+						// served the arenas earlier ones stored.
+						cache := candidates.NewCache(0)
+						for _, w := range []int{1, 2, 4} {
+							for _, c := range []*candidates.Cache{nil, cache} {
+								at := fmt.Sprintf("%s W=%d cached=%v", label, w, c != nil)
+								sets, st, err := candidates.Find(ctx, ix, q, pl.Dec, alpha, w, c)
+								if err != nil {
+									t.Fatalf("%s: %v", at, err)
+								}
+								if err := sameSets(sets1, sets); err != nil {
+									t.Fatalf("%s: %v", at, err)
+								}
+								if !slices.Equal(st.Initial, st1.Initial) || !slices.Equal(st.Kept, st1.Kept) ||
+									!sameBits(st.SSPath, st1.SSPath) || !sameBits(st.SSContext, st1.SSContext) {
+									t.Fatalf("%s: stats %+v, want %+v", at, st, st1)
+								}
+								kg, err := kpartite.Build(ctx, g, q, pl.Dec, sets, alpha, w)
+								if err != nil {
+									t.Fatalf("%s: %v", at, err)
+								}
+								if err := sameLinks(kg1, kg); err != nil {
+									t.Fatalf("%s: %v", at, err)
+								}
+								res, err := core.Match(ctx, ix, q, opts(w, c))
+								if err != nil {
+									t.Fatalf("%s: %v", at, err)
+								}
+								matchesIdentical(t, at+" vs naive", want, res.Matches)
+							}
+						}
 					}
 				}
 			}
 		}
+	}
+	if kept == 0 || links == 0 || matched == 0 {
+		t.Fatalf("vacuous: %d candidates kept, %d links, %d matches over all cases", kept, links, matched)
 	}
 }

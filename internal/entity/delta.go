@@ -94,6 +94,8 @@ func ApplyDelta(old *Graph, d *refgraph.PGD, dl Delta, opt BuildOptions) (*Graph
 		newEnts = append(newEnts, ID(len(ng.nodes)-1))
 	}
 
+	ng.maxRef = maxNodeRef(old.maxRef, ng.nodes[len(old.nodes):])
+
 	refToEnts := make([][]ID, d.NumRefs())
 	setEnt := make(map[refgraph.SetID]ID)
 	for i := range ng.nodes {

@@ -107,6 +107,9 @@ type Graph struct {
 	adj   [][]Neighbor
 	comps []*Component
 	sem   Semantics
+	// maxRef is the largest reference id of any node (-1 without nodes),
+	// recorded wherever nodes are created: Build, ApplyDelta, Load.
+	maxRef refgraph.RefID
 }
 
 // BuildOptions configures Build.
@@ -160,6 +163,8 @@ func Build(d *refgraph.PGD, opt BuildOptions) (*Graph, error) {
 		}
 	}
 
+	g.maxRef = maxNodeRef(-1, g.nodes)
+
 	if err := g.buildEdges(d, refToEnts, merge, nLabels); err != nil {
 		return nil, err
 	}
@@ -167,6 +172,19 @@ func Build(d *refgraph.PGD, opt BuildOptions) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// maxNodeRef returns the largest reference id among nodes, or floor when
+// none exceeds it.
+func maxNodeRef(floor refgraph.RefID, nodes []Node) refgraph.RefID {
+	for i := range nodes {
+		for _, r := range nodes[i].Refs {
+			if r > floor {
+				floor = r
+			}
+		}
+	}
+	return floor
 }
 
 // edgeAccum collects reference-edge contributions for one entity pair.

@@ -89,6 +89,10 @@ func (g *Graph) Node(v ID) *Node { return &g.nodes[v] }
 // Refs returns the member references of entity v.
 func (g *Graph) Refs(v ID) []refgraph.RefID { return g.nodes[v].Refs }
 
+// MaxRef returns the largest reference id any entity contains, -1 for an
+// empty graph: the size of a reference bitset over this graph.
+func (g *Graph) MaxRef() refgraph.RefID { return g.maxRef }
+
 // Labels returns L(v): the labels of v with non-zero probability.
 func (g *Graph) Labels(v ID) []prob.LabelID { return g.nodes[v].Label.Support() }
 
@@ -139,7 +143,10 @@ func (g *Graph) Semantics() Semantics { return g.sem }
 // Prn computes the identity-existence marginal Pr(V.n = T) for a set of
 // entity nodes (Eq. 12): nodes are grouped by component and the per-component
 // subset marginals are multiplied. Duplicate ids are harmless. Returns 0 when
-// two nodes share a reference (no legal world contains both).
+// two nodes share a reference (no legal world contains both). A component
+// contributing a single node multiplies that node's Exist — by construction
+// MarginalAll of its one-bit mask, bit for bit — without probing the
+// component's memo.
 func (g *Graph) Prn(nodes []ID) float64 {
 	switch len(nodes) {
 	case 0:
@@ -150,8 +157,9 @@ func (g *Graph) Prn(nodes []ID) float64 {
 	// Small-n path: accumulate per-component masks without allocation for
 	// the common case of short paths.
 	type cm struct {
-		comp int32
-		mask uint64
+		comp  int32
+		mask  uint64
+		exist float64 // Exist of the component's first node seen
 	}
 	var buf [8]cm
 	masks := buf[:0]
@@ -167,12 +175,16 @@ func (g *Graph) Prn(nodes []ID) float64 {
 			}
 		}
 		if !found {
-			masks = append(masks, cm{comp: nd.Comp, mask: bit})
+			masks = append(masks, cm{comp: nd.Comp, mask: bit, exist: nd.Exist})
 		}
 	}
 	p := 1.0
 	for _, m := range masks {
-		p *= g.comps[m.comp].MarginalAll(m.mask)
+		if m.mask&(m.mask-1) == 0 {
+			p *= m.exist
+		} else {
+			p *= g.comps[m.comp].MarginalAll(m.mask)
+		}
 		if p == 0 {
 			return 0
 		}
@@ -186,6 +198,9 @@ func (g *Graph) PrnPair(a, b ID) float64 {
 	na, nb := &g.nodes[a], &g.nodes[b]
 	if na.Comp != nb.Comp {
 		return na.Exist * nb.Exist
+	}
+	if a == b {
+		return na.Exist
 	}
 	mask := uint64(1)<<na.CompPos | uint64(1)<<nb.CompPos
 	return g.comps[na.Comp].MarginalAll(mask)

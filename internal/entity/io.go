@@ -148,6 +148,8 @@ func Load(r io.Reader) (*Graph, error) {
 		nd.Exist = br.F64()
 	}
 
+	g.maxRef = maxNodeRef(-1, g.nodes)
+
 	nComps := int(br.U32())
 	if br.Err() != nil || nComps < 0 || nComps > nNodes {
 		return nil, fmt.Errorf("entity: load components: %w", brErr(br))

@@ -104,21 +104,7 @@ func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *
 	for _, e := range q.Edges() {
 		p.qEdges = append(p.qEdges, stepEdge{qa: e[0], qb: e[1], la: q.Label(e[0]), lb: q.Label(e[1])})
 	}
-	// Size the reference bitset by the largest reference id appearing in any
-	// candidate row — the only entities an assignment can contain.
-	maxRef := refgraph.RefID(-1)
-	for part := 0; part < kg.NumPartitions(); part++ {
-		for i := 0; i < kg.NumCandidates(part); i++ {
-			for _, v := range kg.Row(part, i) {
-				for _, r := range g.Refs(v) {
-					if r > maxRef {
-						maxRef = r
-					}
-				}
-			}
-		}
-	}
-	p.refWords = int(maxRef)/64 + 1
+	p.refWords = int(g.MaxRef())/64 + 1
 	return p
 }
 

@@ -48,7 +48,7 @@ func NewExplicit(parts [][]VertexSpec, joined [][2]int, links []LinkSpec, alpha 
 	sets := make([]candidates.Set, k)
 	for p := 0; p < k; p++ {
 		n := len(parts[p])
-		sets[p] = candidates.Set{Path: &dec.Paths[p], Cands: make([]candidates.Candidate, n)}
+		sets[p] = candidates.Set{Path: &dec.Paths[p]}
 		part := &partition{
 			set:    &sets[p],
 			n:      n,
@@ -67,7 +67,7 @@ func NewExplicit(parts [][]VertexSpec, joined [][2]int, links []LinkSpec, alpha 
 		kg.links[p] = make([]linkSet, k)
 		kg.joined[p] = dec.Joined(p)
 	}
-	perPair := make(map[[2]int][][2]int32)
+	perPair := make(map[[2]int][][2]int32) // (ia, ib) per joined pair a < b
 	for _, l := range links {
 		if l.PartA < 0 || l.PartA >= k || l.PartB < 0 || l.PartB >= k {
 			return nil, fmt.Errorf("kpartite: bad link %+v", l)
@@ -84,7 +84,20 @@ func NewExplicit(parts [][]VertexSpec, joined [][2]int, links []LinkSpec, alpha 
 	}
 	for pair := range dec.Joins {
 		a, b := pair[0], pair[1]
-		kg.links[a][b], kg.links[b][a] = buildCSR(kg.parts[a].n, kg.parts[b].n, perPair[pair])
+		ls := perPair[pair]
+		// Group a's vertices by b in input order; transposing that sorts the
+		// a→b rows, and transposing once more gives b→a sorted as well.
+		ibs := make([]int32, len(ls))
+		for x, l := range ls {
+			ibs[x] = l[1]
+		}
+		byB := counting(kg.parts[b].n, ibs)
+		for _, l := range ls {
+			byB.put(l[1], l[0])
+		}
+		byB.rewind()
+		kg.links[a][b] = transpose(byB, kg.parts[a].n)
+		kg.links[b][a] = transpose(kg.links[a][b], kg.parts[b].n)
 	}
 	return kg, nil
 }

@@ -6,16 +6,19 @@
 //
 // The graph is stored in flat arena-backed arrays so the reduction and the
 // downstream join enumeration walk contiguous memory: candidate rows live in
-// one entity-id array per partition (row-major, path-length stride), links
-// are CSR adjacency (offsets into one shared int32 edge pool per partition
-// pair), and perception vectors are one flat float64 array per partition
-// with a double buffer for the bulk-synchronous message-passing rounds.
-// After Build/Reduce the graph is immutable and safe for any number of
-// concurrent readers.
+// one entity-id array per partition (row-major, path-length stride) — the
+// candidate set's own arena, shared not copied, and therefore read-only here
+// (the candidate cache hands the same arena to other requests) — links are
+// CSR adjacency (offsets into one int32 edge pool per partition pair and
+// direction), and perception vectors are one flat float64 array per
+// partition with a double buffer for the bulk-synchronous message-passing
+// rounds. After Build/Reduce the graph is immutable and safe for any number
+// of concurrent readers.
 package kpartite
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -66,7 +69,8 @@ type partition struct {
 	n    int // number of candidate vertices
 	plen int // nodes per candidate row
 	// nodes holds the candidate rows row-major: row i is
-	// nodes[i*plen : (i+1)*plen].
+	// nodes[i*plen : (i+1)*plen]. nodes and w2 are the candidate set's
+	// arenas (set.Nodes, set.Prn) and must not be written.
 	nodes  []entity.ID
 	alive  []bool
 	nAlive int
@@ -102,7 +106,8 @@ type Stats struct {
 // per-pair link construction fans out across a pool: each unordered pair
 // writes only its own two kg.links slots and each worker owns a private
 // buildEval scratch, and since per-pair output is independent of scheduling
-// the resulting CSR arenas are byte-identical at any worker count.
+// the resulting CSR arenas are byte-identical at any worker count. sets is
+// retained and only read: its arenas become the partitions' rows.
 func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.Decomposition, sets []candidates.Set, alpha float64, workers int) (*Graph, error) {
 	k := len(sets)
 	kg := &Graph{g: g, q: q, dec: dec, alpha: alpha}
@@ -110,20 +115,18 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 	kg.links = make([][]linkSet, k)
 	kg.joined = make([][]int, k)
 	for p := 0; p < k; p++ {
-		n := len(sets[p].Cands)
-		plen := len(sets[p].Path.Nodes)
+		n := sets[p].Len()
 		part := &partition{
 			set:    &sets[p],
 			n:      n,
-			plen:   plen,
-			nodes:  make([]entity.ID, n*plen),
+			plen:   len(sets[p].Path.Nodes),
+			nodes:  sets[p].Nodes,
 			alive:  make([]bool, n),
 			nAlive: n,
 			w1:     make([]float64, n),
-			w2:     make([]float64, n),
+			w2:     sets[p].Prn,
 		}
-		for i, c := range sets[p].Cands {
-			copy(part.nodes[i*plen:(i+1)*plen], c.Nodes)
+		for i := range part.alive {
 			part.alive[i] = true
 		}
 		kg.parts[p] = part
@@ -132,7 +135,7 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 	}
 	kg.computeWeights()
 
-	// Deterministic pair order (the map iteration order above would do for
+	// Deterministic pair order (the map iteration order would do for
 	// correctness — slots are disjoint — but a sorted work list keeps the
 	// sequential walk reproducible and the atomic hand-out stable).
 	pairs := make([][2]int, 0, len(dec.Joins))
@@ -153,7 +156,7 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 		workers = len(pairs)
 	}
 	if workers <= 1 {
-		be := newBuildEval(g, q, dec, alpha, maxRefID(g))
+		be := newBuildEval(g, q, dec, alpha)
 		for _, pair := range pairs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -163,16 +166,13 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 		return kg, nil
 	}
 
-	// maxRef needs a full graph scan — compute it once and share it across
-	// the per-worker scratch allocations.
-	maxRef := maxRefID(g)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			be := newBuildEval(g, q, dec, alpha, maxRef)
+			be := newBuildEval(g, q, dec, alpha)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(pairs) || ctx.Err() != nil {
@@ -189,16 +189,18 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 	return kg, nil
 }
 
-// computeWeights assigns w1 (the exclusive node/edge cover product) and w2
-// (the identity probability Prn) to every vertex.
+// computeWeights assigns w1 (the exclusive node/edge cover product) to every
+// vertex; w2 (the identity probability Prn) is the candidate set's own
+// column.
 func (kg *Graph) computeWeights() {
 	for p, part := range kg.parts {
 		path := part.set.Path
-		for i, c := range part.set.Cands {
+		for i := 0; i < part.n; i++ {
+			row := part.nodes[i*part.plen : (i+1)*part.plen]
 			w1 := 1.0
 			for pos, qn := range path.Nodes {
 				if kg.dec.CoverNode[qn] == p {
-					w1 *= kg.g.PrLabel(c.Nodes[pos], kg.q.Label(qn))
+					w1 *= kg.g.PrLabel(row[pos], kg.q.Label(qn))
 				}
 			}
 			for pos := 0; pos+1 < len(path.Nodes); pos++ {
@@ -207,7 +209,7 @@ func (kg *Graph) computeWeights() {
 				if kg.dec.CoverEdge[key] != p {
 					continue
 				}
-				ep, ok := kg.g.EdgeBetween(c.Nodes[pos], c.Nodes[pos+1])
+				ep, ok := kg.g.EdgeBetween(row[pos], row[pos+1])
 				if !ok {
 					w1 = 0
 					break
@@ -215,7 +217,6 @@ func (kg *Graph) computeWeights() {
 				w1 *= ep.Prob(kg.q.Label(a), kg.q.Label(b))
 			}
 			part.w1[i] = w1
-			part.w2[i] = c.Prn
 		}
 	}
 }
@@ -247,28 +248,13 @@ type buildEval struct {
 	unionEdges [][2]query.NodeID
 }
 
-// maxRefID scans the graph for the highest reference id, sizing the
-// joinability bitset. Hoisted out of newBuildEval so parallel Build pays
-// the scan once, not once per worker.
-func maxRefID(g *entity.Graph) refgraph.RefID {
-	maxRef := refgraph.RefID(-1)
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, r := range g.Refs(entity.ID(v)) {
-			if r > maxRef {
-				maxRef = r
-			}
-		}
-	}
-	return maxRef
-}
-
-func newBuildEval(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, alpha float64, maxRef refgraph.RefID) *buildEval {
+func newBuildEval(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, alpha float64) *buildEval {
 	be := &buildEval{g: g, q: q, dec: dec, alpha: alpha}
 	be.asn = make([]entity.ID, q.NumNodes())
 	for i := range be.asn {
 		be.asn[i] = -1
 	}
-	be.refWords = make([]uint64, int(maxRef)/64+1)
+	be.refWords = make([]uint64, int(g.MaxRef())/64+1)
 	return be
 }
 
@@ -379,91 +365,114 @@ func (be *buildEval) joinable(pa, pb *decompose.Path, rowA, rowB []entity.ID) bo
 }
 
 // linkPair builds the links between partitions a and b via a lookup table
-// T(b, a) keyed by b's join-position node tuples, packing the surviving
-// pairs into CSR adjacency for both directions.
+// T(b, a) over b's join-position node tuples. The table is a counting
+// layout, not a map: every row of b hashes its packed join key into one of
+// ≥ |b| buckets and group lays the row ids out bucket by bucket, ascending
+// within a bucket. Probing with a's rows in order therefore meets the
+// surviving (i, j) pairs already sorted, so the a→b CSR rows are written as
+// they are found and b→a is their counting transpose. Every buffer is sized
+// by |a|, |b| or the link count alone.
 func (kg *Graph) linkPair(be *buildEval, a, b int) {
 	preds := kg.dec.Preds(a, b)
 	pa, pb := kg.parts[a], kg.parts[b]
 	be.setPair(pa.set.Path, pb.set.Path)
 
-	// Table over partition b keyed by its join-position nodes.
-	table := make(map[string][]int32)
-	keyBuf := make([]byte, 0, len(preds)*4)
-	for j := 0; j < pb.n; j++ {
-		row := pb.nodes[j*pb.plen : (j+1)*pb.plen]
-		keyBuf = keyBuf[:0]
-		for _, pr := range preds {
-			keyBuf = appendID(keyBuf, row[pr.PosB])
-		}
-		table[string(keyBuf)] = append(table[string(keyBuf)], int32(j))
+	// The top bits of the spread key pick one of 2^(64-shift) buckets.
+	shift := 64
+	for n := 1; n < pb.n; n <<= 1 {
+		shift--
 	}
+	buckets := make([]int32, pb.n)
+	for j := range buckets {
+		row := pb.nodes[j*pb.plen : (j+1)*pb.plen]
+		buckets[j] = int32(joinHash(row, preds, false) >> shift)
+	}
+	table := group(1<<(64-shift), buckets)
 
-	var pairs [][2]int32
+	ab := linkSet{offs: make([]int32, pa.n+1)}
 	for i := 0; i < pa.n; i++ {
 		rowA := pa.nodes[i*pa.plen : (i+1)*pa.plen]
-		keyBuf = keyBuf[:0]
-		for _, pr := range preds {
-			keyBuf = appendID(keyBuf, rowA[pr.PosA])
-		}
-		for _, j := range table[string(keyBuf)] {
+	probe:
+		for _, j := range table.row(int(joinHash(rowA, preds, true) >> shift)) {
 			rowB := pb.nodes[int(j)*pb.plen : (int(j)+1)*pb.plen]
+			for _, pr := range preds {
+				if rowA[pr.PosA] != rowB[pr.PosB] {
+					continue probe // another key sharing the bucket
+				}
+			}
 			if be.joinable(pa.set.Path, pb.set.Path, rowA, rowB) {
-				pairs = append(pairs, [2]int32{int32(i), j})
+				ab.pool = append(ab.pool, j)
 			}
 		}
+		ab.offs[i+1] = int32(len(ab.pool))
 	}
-	kg.links[a][b], kg.links[b][a] = buildCSR(pa.n, pb.n, pairs)
+	kg.links[a][b], kg.links[b][a] = ab, transpose(ab, pb.n)
 }
 
-// buildCSR packs (i, j) link pairs into the two CSR directions with
-// ascending rows.
-func buildCSR(na, nb int, pairs [][2]int32) (ab, ba linkSet) {
-	ab = linkSet{offs: make([]int32, na+1), pool: make([]int32, len(pairs))}
-	ba = linkSet{offs: make([]int32, nb+1), pool: make([]int32, len(pairs))}
-	sort.Slice(pairs, func(x, y int) bool {
-		if pairs[x][0] != pairs[y][0] {
-			return pairs[x][0] < pairs[y][0]
+// joinHash packs the row's nodes at the predicates' positions (PosA when
+// sideA, else PosB) into one integer — exactly for up to two predicates,
+// folded beyond — and spreads it over all 64 bits (Fibonacci hashing).
+func joinHash(row []entity.ID, preds []decompose.JoinPred, sideA bool) uint64 {
+	var key uint64
+	for _, pr := range preds {
+		pos := pr.PosB
+		if sideA {
+			pos = pr.PosA
 		}
-		return pairs[x][1] < pairs[y][1]
-	})
-	for _, pr := range pairs {
-		ab.offs[pr[0]+1]++
-		ba.offs[pr[1]+1]++
+		key = bits.RotateLeft64(key, 32) ^ uint64(uint32(row[pos]))
 	}
-	for i := 0; i < na; i++ {
-		ab.offs[i+1] += ab.offs[i]
-	}
-	for j := 0; j < nb; j++ {
-		ba.offs[j+1] += ba.offs[j]
-	}
-	for _, pr := range pairs { // i-major, j ascending → ab rows in order
-		ab.pool[ab.offs[pr[0]]] = pr[1]
-		ab.offs[pr[0]]++
-	}
-	// Restore ab offsets (they were advanced while filling).
-	for i := na; i > 0; i-- {
-		ab.offs[i] = ab.offs[i-1]
-	}
-	ab.offs[0] = 0
-	sort.Slice(pairs, func(x, y int) bool {
-		if pairs[x][1] != pairs[y][1] {
-			return pairs[x][1] < pairs[y][1]
-		}
-		return pairs[x][0] < pairs[y][0]
-	})
-	for _, pr := range pairs {
-		ba.pool[ba.offs[pr[1]]] = pr[0]
-		ba.offs[pr[1]]++
-	}
-	for j := nb; j > 0; j-- {
-		ba.offs[j] = ba.offs[j-1]
-	}
-	ba.offs[0] = 0
-	return ab, ba
+	return key * 0x9E3779B97F4A7C15
 }
 
-func appendID(b []byte, id entity.ID) []byte {
-	return append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+// counting starts a CSR of n rows whose row k will receive one entry per
+// occurrence of k in keys: offsets are counted and prefix-summed here, put
+// fills, rewind finishes.
+func counting(n int, keys []int32) linkSet {
+	ls := linkSet{offs: make([]int32, n+1), pool: make([]int32, len(keys))}
+	for _, k := range keys {
+		ls.offs[k+1]++
+	}
+	for k := 0; k < n; k++ {
+		ls.offs[k+1] += ls.offs[k]
+	}
+	return ls
+}
+
+// put appends v to row k, advancing the row's offset as a cursor.
+func (ls *linkSet) put(k, v int32) {
+	ls.pool[ls.offs[k]] = v
+	ls.offs[k]++
+}
+
+// rewind restores the offsets put advanced: each row's cursor ended where
+// the next row starts.
+func (ls *linkSet) rewind() {
+	copy(ls.offs[1:], ls.offs)
+	ls.offs[0] = 0
+}
+
+// group returns the CSR of n rows whose row k lists, ascending, every index
+// i with keys[i] == k.
+func group(n int, keys []int32) linkSet {
+	ls := counting(n, keys)
+	for i, k := range keys {
+		ls.put(k, int32(i))
+	}
+	ls.rewind()
+	return ls
+}
+
+// transpose returns the reverse direction of ls over n target vertices: row
+// j lists, ascending, every row of ls that contains j.
+func transpose(ls linkSet, n int) linkSet {
+	t := counting(n, ls.pool)
+	for i := 0; i+1 < len(ls.offs); i++ {
+		for _, j := range ls.row(i) {
+			t.put(j, int32(i))
+		}
+	}
+	t.rewind()
+	return t
 }
 
 // NumPartitions returns k.
@@ -478,9 +487,6 @@ func (kg *Graph) AliveCount(p int) int { return kg.parts[p].nAlive }
 
 // Alive reports whether vertex i of partition p survives.
 func (kg *Graph) Alive(p, i int) bool { return kg.parts[p].alive[i] }
-
-// Candidate returns candidate i of partition p.
-func (kg *Graph) Candidate(p, i int) candidates.Candidate { return kg.parts[p].set.Cands[i] }
 
 // Row returns the entity nodes of candidate i of partition p, aligned with
 // the partition path's positions — a view into the flat candidate arena

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/candidates"
@@ -62,10 +64,72 @@ func graphsIdentical(t *testing.T, label string, want, got *Graph) {
 	}
 }
 
+// linkPairBeforeCounting is linkPair as it stood before the counting layout,
+// kept here only as the reference the new construction is held to: a
+// string-keyed map over b's join-position tuples, the surviving (i, j) pairs
+// collected in a slice, and one sort per CSR direction.
+func linkPairBeforeCounting(kg *Graph, be *buildEval, a, b int) (ab, ba linkSet) {
+	preds := kg.dec.Preds(a, b)
+	pa, pb := kg.parts[a], kg.parts[b]
+	be.setPair(pa.set.Path, pb.set.Path)
+	key := func(row []entity.ID, sideA bool) string {
+		var buf []byte
+		for _, pr := range preds {
+			pos := pr.PosB
+			if sideA {
+				pos = pr.PosA
+			}
+			id := row[pos]
+			buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+		}
+		return string(buf)
+	}
+	table := make(map[string][]int32)
+	for j := 0; j < pb.n; j++ {
+		k := key(pb.nodes[j*pb.plen:(j+1)*pb.plen], false)
+		table[k] = append(table[k], int32(j))
+	}
+	var pairs [][2]int32
+	for i := 0; i < pa.n; i++ {
+		rowA := pa.nodes[i*pa.plen : (i+1)*pa.plen]
+		for _, j := range table[key(rowA, true)] {
+			if be.joinable(pa.set.Path, pb.set.Path, rowA, pb.nodes[int(j)*pb.plen:(int(j)+1)*pb.plen]) {
+				pairs = append(pairs, [2]int32{int32(i), j})
+			}
+		}
+	}
+	csr := func(n, from, to int) linkSet {
+		sort.Slice(pairs, func(x, y int) bool {
+			if pairs[x][from] != pairs[y][from] {
+				return pairs[x][from] < pairs[y][from]
+			}
+			return pairs[x][to] < pairs[y][to]
+		})
+		ls := linkSet{offs: make([]int32, n+1), pool: make([]int32, len(pairs))}
+		for x, pr := range pairs {
+			ls.offs[pr[from]+1]++
+			ls.pool[x] = pr[to]
+		}
+		for i := 0; i < n; i++ {
+			ls.offs[i+1] += ls.offs[i]
+		}
+		return ls
+	}
+	return csr(pa.n, 0, 1), csr(pb.n, 1, 0)
+}
+
 // TestBuildParallelEquivalence: the k-partite arenas built at workers 2, 4,
 // and 8 are byte-identical to the single-threaded build, across both
-// decomposition strategies on seeded synthetic graphs.
+// decomposition strategies and α on both sides of β on seeded synthetic
+// graphs — and the single-threaded build's link sets are byte-identical to
+// the pre-change map-and-sort construction.
 func TestBuildParallelEquivalence(t *testing.T) {
+	links := 0
+	defer func() {
+		if links == 0 {
+			t.Error("no query produced a link; the comparison was vacuous")
+		}
+	}()
 	for _, seed := range []int64{1, 2, 3} {
 		d, err := gen.Synthetic(gen.SynthOptions{
 			Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
@@ -93,26 +157,39 @@ func TestBuildParallelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []decompose.Mode{decompose.ModeOptimized, decompose.ModeRandom} {
-				dec, err := decompose.Decompose(q, ix, decompose.Options{
-					MaxLen: 2, Alpha: 0.1, Mode: mode, Seed: seed,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sets, _, err := candidates.Find(context.Background(), ix, q, dec, 0.1, 1, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seq, err := Build(context.Background(), g, q, dec, sets, 0.1, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{2, 4, 8} {
-					got, err := Build(context.Background(), g, q, dec, sets, 0.1, workers)
+				for _, alpha := range []float64{0.02, 0.1} { // β = 0.05 lies between
+					dec, err := decompose.Decompose(q, ix, decompose.Options{
+						MaxLen: 2, Alpha: alpha, Mode: mode, Seed: seed,
+					})
 					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
+						t.Fatal(err)
 					}
-					graphsIdentical(t, fmt.Sprintf("seed %d q%d mode %d w=%d", seed, qi, mode, workers), seq, got)
+					sets, _, err := candidates.Find(context.Background(), ix, q, dec, alpha, 1, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					seq, err := Build(context.Background(), g, q, dec, sets, alpha, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("seed %d q%d mode %d α=%v", seed, qi, mode, alpha)
+					be := newBuildEval(g, q, dec, alpha)
+					for pair := range dec.Joins {
+						a, b := pair[0], pair[1]
+						ab, ba := linkPairBeforeCounting(seq, be, a, b)
+						if !slices.Equal(ab.offs, seq.links[a][b].offs) || !slices.Equal(ab.pool, seq.links[a][b].pool) ||
+							!slices.Equal(ba.offs, seq.links[b][a].offs) || !slices.Equal(ba.pool, seq.links[b][a].pool) {
+							t.Fatalf("%s: links of pair (%d,%d) differ from the map-and-sort construction", label, a, b)
+						}
+						links += len(ab.pool)
+					}
+					for _, workers := range []int{2, 4, 8} {
+						got, err := Build(context.Background(), g, q, dec, sets, alpha, workers)
+						if err != nil {
+							t.Fatalf("workers=%d: %v", workers, err)
+						}
+						graphsIdentical(t, fmt.Sprintf("%s w=%d", label, workers), seq, got)
+					}
 				}
 			}
 		}

@@ -83,48 +83,42 @@ func (ov *overlay) store(nodes []entity.ID, labels []prob.LabelID, prle, prn flo
 	ov.count++
 }
 
-// lookup returns the overlay's share of PIndex(X, α): dirty-touching paths
-// labeled X with probability ≥ α, oriented along X. Below β the stored set
-// is insufficient and the paths are enumerated on demand (mirroring the base
-// index's footnote-1 fallback), still anchored at dirty nodes.
-func (ov *overlay) lookup(X []prob.LabelID, alpha float64) []pathindex.PathMatch {
+// scan streams the overlay's share of PIndex(X, α) into fn: dirty-touching
+// paths labeled X with probability ≥ α, oriented along X. Below β the stored
+// set is insufficient and the paths are enumerated on demand (mirroring the
+// base index's footnote-1 fallback), still anchored at dirty nodes. The
+// nodes handed to fn alias the overlay's storage or the walk's scratch.
+func (ov *overlay) scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) {
 	if len(X) == 0 || len(X) > ov.maxLen+1 {
-		return nil
+		return
 	}
-	if alpha < ov.beta {
-		return ov.onDemand(X, alpha)
-	}
-	var out []pathindex.PathMatch
-	for _, m := range ov.entries[seqKey(X)] {
-		if m.Pr()+eps >= alpha {
-			out = append(out, m)
+	if alpha >= ov.beta {
+		for _, m := range ov.entries[seqKey(X)] {
+			if m.Pr()+eps >= alpha && !fn(m.Nodes, m.Prle, m.Prn) {
+				return
+			}
 		}
+		return
 	}
-	return out
-}
-
-// onDemand enumerates dirty-touching paths labeled X with probability ≥
-// alpha directly from the graph.
-func (ov *overlay) onDemand(X []prob.LabelID, alpha float64) []pathindex.PathMatch {
-	var out []pathindex.PathMatch
+	more := true // the walk has no early exit; a stopped fn is just not called again
 	w := &walk{
 		g:      ov.g,
 		dirty:  ov.dirty,
 		thresh: alpha,
 		max:    len(X),
 		guide:  X,
-		emit: func(nodes []entity.ID, labels []prob.LabelID, prle, prn float64) {
-			out = append(out, pathindex.PathMatch{
-				Nodes: append([]entity.ID(nil), nodes...), Prle: prle, Prn: prn,
-			})
+		emit: func(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) {
+			more = more && fn(nodes, prle, prn)
 		},
 	}
 	for v, d := range ov.dirty {
+		if !more {
+			return
+		}
 		if d {
 			w.anchor(entity.ID(v))
 		}
 	}
-	return out
 }
 
 // cardinality counts stored entries for X with probability ≥ alpha (exact,

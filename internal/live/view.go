@@ -25,29 +25,35 @@ type View struct {
 
 var _ pathindex.Reader = (*View)(nil)
 
-// Lookup merges PIndex(X, α) from both layers: base entries that avoid
-// every dirty entity are still exact, and the overlay contributes exactly
-// the dirty-touching paths of the current graph — together they equal a
-// from-scratch index over the mutated graph.
-func (v *View) Lookup(X []prob.LabelID, alpha float64) ([]pathindex.PathMatch, error) {
-	bm, err := v.base.Lookup(X, alpha)
-	if err != nil || v.ov == nil {
-		return bm, err
+// Scan merges PIndex(X, α) from both layers: base entries that avoid every
+// dirty entity are still exact, and the overlay contributes exactly the
+// dirty-touching paths of the current graph — together they equal a
+// from-scratch index over the mutated graph. Base paths stream first, then
+// the overlay's.
+func (v *View) Scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) error {
+	if v.ov == nil {
+		return v.base.Scan(X, alpha, fn)
 	}
-	out := bm[:0]
-	for _, m := range bm {
-		clean := true
-		for _, n := range m.Nodes {
+	stopped := false
+	err := v.base.Scan(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+		for _, n := range nodes {
 			if v.dirty[n] {
-				clean = false
-				break
+				return true
 			}
 		}
-		if clean {
-			out = append(out, m)
-		}
+		stopped = !fn(nodes, prle, prn)
+		return !stopped
+	})
+	if err != nil || stopped {
+		return err
 	}
-	return append(out, v.ov.lookup(X, alpha)...), nil
+	v.ov.scan(X, alpha, fn)
+	return nil
+}
+
+// Lookup returns PIndex(X, α) as caller-owned memory.
+func (v *View) Lookup(X []prob.LabelID, alpha float64) ([]pathindex.PathMatch, error) {
+	return pathindex.Collect(v, X, alpha)
 }
 
 // Cardinality estimates |PIndex(X, α)| as the base histogram estimate plus

@@ -74,7 +74,7 @@ type BuildStats struct {
 }
 
 // Index is an opened path index. Once built or opened, the index is
-// read-only and every read method — Lookup, Cardinality, Context, Stats —
+// read-only and every read method — Scan, Lookup, Cardinality, Context, Stats —
 // is safe for many concurrent callers without shared locking: B+ tree scans
 // ride on the pager's sharded buffer pool, and the dictionary, histograms,
 // and context tables are immutable after construction. Build itself is
@@ -98,7 +98,7 @@ type Index struct {
 
 	recno uint32 // next record number during build
 
-	probes atomic.Uint64                 // Lookup calls answered
+	probes atomic.Uint64                 // Scan calls answered
 	obs    atomic.Pointer[func(float64)] // posting-decode observer (µs)
 }
 
@@ -266,7 +266,7 @@ func openBTree(dir string, g *entity.Graph) (*Index, error) {
 }
 
 // Close releases the on-disk resources. For a packed index this unmaps the
-// file: zero-copy views handed out earlier (Context tables, Lookup results
+// file: zero-copy views handed out earlier (Context tables; Lookup results
 // are NOT among them — those are copied into caller-owned memory) must not
 // be dereferenced afterwards, the same drain-then-close discipline the
 // serving tier already applies before retiring a generation.
@@ -513,61 +513,80 @@ func (ix *Index) storeLevel(level []opath, l int) error {
 	return nil
 }
 
-// Lookup returns PIndex(X, α): all paths whose label assignment is X with
-// probability ≥ α. When α < β the index is insufficient and the paths are
-// enumerated on demand from the graph (the paper's footnote 1).
-func (ix *Index) Lookup(X []prob.LabelID, alpha float64) ([]PathMatch, error) {
+// Scan streams PIndex(X, α): all paths whose label assignment is X with
+// probability ≥ α, oriented along X, in storage order. When α < β the index
+// is insufficient — it only stores paths of probability ≥ β — and is
+// bypassed entirely: the paths are enumerated on demand from the graph (the
+// paper's footnote 1). See ScanFunc for the aliasing contract.
+func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 	if len(X) == 0 || len(X) > maxNodes {
-		return nil, fmt.Errorf("pathindex: label sequence length %d out of range", len(X))
+		return fmt.Errorf("pathindex: label sequence length %d out of range", len(X))
 	}
 	if len(X)-1 > ix.opt.MaxLen {
-		return nil, fmt.Errorf("pathindex: sequence of %d labels exceeds indexed length L=%d", len(X), ix.opt.MaxLen)
+		return fmt.Errorf("pathindex: sequence of %d labels exceeds indexed length L=%d", len(X), ix.opt.MaxLen)
 	}
 	ix.probes.Add(1)
 	if alpha < ix.opt.Beta {
-		return ix.onDemand(X, alpha)
+		ix.onDemand(X, alpha, fn)
+		return nil
 	}
 	if ix.packed != nil {
-		return ix.lookupPacked(X, alpha)
+		return ix.scanPacked(X, alpha, fn)
 	}
+	return ix.scanTree(X, alpha, fn)
+}
+
+// Lookup returns PIndex(X, α) as caller-owned memory.
+func (ix *Index) Lookup(X []prob.LabelID, alpha float64) ([]PathMatch, error) {
+	return Collect(ix, X, alpha)
+}
+
+// scanTree is the v1 arm of Scan: one B+ tree range scan over the
+// sequence's buckets ≥ bucket(α), decoded into scratch.
+func (ix *Index) scanTree(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 	canon, reversed, palin := canonicalSeq(X)
 	seqID, ok := ix.dict.Lookup(seqBytes(canon))
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	lo := encodeKey(seqID, bucketOf(alpha, ix.opt.Beta, ix.opt.Gamma), 0)
 	hi := encodeKey(seqID+1, 0, 0)
-	var out []PathMatch
+	var buf [maxNodes]entity.ID
 	var scanErr error
 	err := ix.tree.Scan(lo, hi, func(k, v []byte) bool {
-		m, err := decodeRecord(v)
+		nodes, prle, prn, err := decodeRecord(v, buf[:])
 		if err != nil {
 			scanErr = err
 			return false
 		}
-		if m.Pr()+1e-12 < alpha {
+		if prle*prn+1e-12 < alpha {
 			return true // bucket floor below α: filter exactly
 		}
-		switch {
-		case palin && len(m.Nodes) > 1:
-			// Both orientations match a palindromic sequence.
-			rev := reverseNodes(m.Nodes)
-			out = append(out, m, PathMatch{Nodes: rev, Prle: m.Prle, Prn: m.Prn})
-		case reversed:
-			m.Nodes = reverseNodes(m.Nodes)
-			out = append(out, m)
-		default:
-			out = append(out, m)
-		}
-		return true
+		return emitOriented(nodes, prle, prn, reversed, palin, fn)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if scanErr != nil {
-		return nil, scanErr
+	return scanErr
+}
+
+// emitOriented hands one stored record (canonical orientation, in scratch
+// the caller owns) to fn oriented along the scanned sequence: reversed when
+// the sequence is the reverse of its canonical form, both ways round when it
+// is palindromic.
+func emitOriented(nodes []entity.ID, prle, prn float64, reversed, palin bool, fn ScanFunc) bool {
+	if palin && len(nodes) > 1 {
+		if !fn(nodes, prle, prn) {
+			return false
+		}
+		reversed = true
 	}
-	return out, nil
+	if reversed {
+		for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
+			nodes[i], nodes[j] = nodes[j], nodes[i]
+		}
+	}
+	return fn(nodes, prle, prn)
 }
 
 // Cardinality estimates |PIndex(X, α)| via the histograms (palindromic

@@ -8,7 +8,7 @@ type IndexMetrics struct {
 	// MappedBytes is the size of the mmap'd region for a packed index, 0
 	// for the v1 pager-backed layout (which owns a heap cache instead).
 	MappedBytes int64
-	// Probes counts Lookup calls answered since open.
+	// Probes counts Scan calls (Lookup included) answered since open.
 	Probes uint64
 }
 
@@ -17,9 +17,11 @@ type IndexMetrics struct {
 type MetricsSource interface {
 	IndexMetrics() IndexMetrics
 	// SetPostingObserver installs fn to receive the wall-clock microseconds
-	// of each posting-blob decode (packed format only; the v1 read path has
-	// no distinct decode phase). fn must be cheap and safe for concurrent
-	// calls; nil uninstalls.
+	// of each posting-blob scan (packed format, α ≥ β only; the v1 read path
+	// has no distinct decode phase and on-demand enumeration reads no
+	// postings). Decode is streamed, so the time includes what the scan's
+	// callback does per record — for a query, the context tests. fn must be
+	// cheap and safe for concurrent calls; nil uninstalls.
 	SetPostingObserver(fn func(micros float64))
 }
 

@@ -8,10 +8,11 @@ import (
 // onDemand enumerates paths matching the label sequence X with probability
 // ≥ alpha directly from the graph, used when alpha is below the index
 // construction threshold β (footnote 1 of the paper). It performs a DFS over
-// GU guided by the label sequence, pruning by partial probability.
-func (ix *Index) onDemand(X []prob.LabelID, alpha float64) ([]PathMatch, error) {
+// GU guided by the label sequence, pruning by partial probability. The walk
+// pushes and pops nodes on one in-place path, so the records handed to fn
+// alias that path and nothing is allocated per edge or per match.
+func (ix *Index) onDemand(X []prob.LabelID, alpha float64, fn ScanFunc) {
 	g := ix.g
-	var out []PathMatch
 	var cur opath
 	n := g.NumNodes()
 	for v := 0; v < n; v++ {
@@ -26,23 +27,22 @@ func (ix *Index) onDemand(X []prob.LabelID, alpha float64) ([]PathMatch, error) 
 		}
 		cur.n = 1
 		cur.nodes[0] = id
-		cur.labels[0] = X[0]
-		cur.prle = lp
-		cur.prn = exist
-		out = ix.onDemandExtend(&cur, X, alpha, out)
+		if !ix.onDemandExtend(&cur, X, alpha, lp, exist, fn) {
+			return
+		}
 	}
-	return out, nil
 }
 
-func (ix *Index) onDemandExtend(p *opath, X []prob.LabelID, alpha float64, out []PathMatch) []PathMatch {
+// onDemandExtend grows p — whose probability components so far are prle0 and
+// prn0 — by one node along X, depth first; p.n is restored before returning.
+// It reports false once fn asked to stop.
+func (ix *Index) onDemandExtend(p *opath, X []prob.LabelID, alpha, prle0, prn0 float64, fn ScanFunc) bool {
 	if int(p.n) == len(X) {
-		m := PathMatch{Nodes: make([]entity.ID, p.n), Prle: p.prle, Prn: p.prn}
-		copy(m.Nodes, p.nodes[:p.n])
-		return append(out, m)
+		return fn(p.nodes[:p.n], prle0, prn0)
 	}
 	g := ix.g
 	tail := p.nodes[p.n-1]
-	next := X[p.n]
+	tailLabel, next := X[p.n-1], X[p.n]
 	for _, nb := range g.Neighbors(tail) {
 		if p.contains(nb.To) {
 			continue
@@ -62,24 +62,21 @@ func (ix *Index) onDemandExtend(p *opath, X []prob.LabelID, alpha float64, out [
 		if conflict {
 			continue
 		}
-		var scratch [maxNodes]entity.ID
-		ext := append(scratch[:0], p.nodes[:p.n]...)
-		ext = append(ext, nb.To)
-		prn := g.Prn(ext)
+		p.nodes[p.n] = nb.To
+		prn := g.Prn(p.nodes[:p.n+1])
 		if prn == 0 {
 			continue
 		}
-		prle := p.prle * nb.E.Prob(p.labels[p.n-1], next) * lp
+		prle := prle0 * nb.E.Prob(tailLabel, next) * lp
 		if prle*prn+1e-12 < alpha {
 			continue
 		}
-		np := *p
-		np.nodes[np.n] = nb.To
-		np.labels[np.n] = next
-		np.n++
-		np.prle = prle
-		np.prn = prn
-		out = ix.onDemandExtend(&np, X, alpha, out)
+		p.n++
+		more := ix.onDemandExtend(p, X, alpha, prle, prn, fn)
+		p.n--
+		if !more {
+			return false
+		}
 	}
-	return out
+	return true
 }

@@ -147,10 +147,11 @@ func (ix *Index) storePacked(canon []prob.LabelID, nodes []entity.ID, prle, prn 
 	return ix.pw.Add(lbl[:len(canon)], int(b), nds[:len(nodes)], prle, prn)
 }
 
-// lookupPacked answers PIndex(X, α) from the mapping. All result memory is
-// two allocations: one entity.ID arena sized from the exact bucket counts
-// and one PathMatch slice — no per-record node slices, no decoded cache.
-func (ix *Index) lookupPacked(X []prob.LabelID, alpha float64) ([]PathMatch, error) {
+// scanPacked is the v2 arm of Scan: the sequence's postings for buckets
+// ≥ bucket(α) are decoded straight from the mapping into one scratch row, so
+// a scan allocates nothing per record and nothing proportional to the
+// posting list — no arena, no decoded cache.
+func (ix *Index) scanPacked(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 	canon, reversed, palin := canonicalSeq(X)
 	var lbl [maxNodes]uint16
 	for i, l := range canon {
@@ -158,66 +159,29 @@ func (ix *Index) lookupPacked(X []prob.LabelID, alpha float64) ([]PathMatch, err
 	}
 	s, ok := ix.packed.FindSeq(lbl[:len(canon)])
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	from := int(bucketOf(alpha, ix.opt.Beta, ix.opt.Gamma))
-	nb := ix.packed.Meta().NBuckets
-	total := 0
-	for b := from; b < nb; b++ {
-		total += int(s.Count(b))
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	mult := 1
-	if palin && len(X) > 1 {
-		mult = 2
-	}
-	// The α filter only removes records, so these capacities are upper
-	// bounds: the arena never reallocates and sub-slices stay valid.
-	arena := make([]entity.ID, 0, total*len(X)*mult)
-	out := make([]PathMatch, 0, total*mult)
 	obs := ix.obs.Load()
 	var t0 time.Time
 	if obs != nil {
 		t0 = time.Now()
 	}
+	var buf [maxNodes]entity.ID
 	err := s.Decode(from, func(_ int, nodes []uint32, prle, prn float64) bool {
 		if prle*prn+1e-12 < alpha {
 			return true // bucket floor below α: filter exactly
 		}
-		base := len(arena)
-		for _, n := range nodes {
-			arena = append(arena, entity.ID(n))
+		row := buf[:len(nodes)]
+		for i, n := range nodes {
+			row[i] = entity.ID(n)
 		}
-		ns := arena[base:len(arena):len(arena)]
-		switch {
-		case palin && len(nodes) > 1:
-			// Both orientations match a palindromic sequence.
-			rbase := len(arena)
-			for i := len(nodes) - 1; i >= 0; i-- {
-				arena = append(arena, entity.ID(nodes[i]))
-			}
-			rev := arena[rbase:len(arena):len(arena)]
-			out = append(out, PathMatch{Nodes: ns, Prle: prle, Prn: prn},
-				PathMatch{Nodes: rev, Prle: prle, Prn: prn})
-		case reversed:
-			for i, j := 0, len(ns)-1; i < j; i, j = i+1, j-1 {
-				ns[i], ns[j] = ns[j], ns[i]
-			}
-			out = append(out, PathMatch{Nodes: ns, Prle: prle, Prn: prn})
-		default:
-			out = append(out, PathMatch{Nodes: ns, Prle: prle, Prn: prn})
-		}
-		return true
+		return emitOriented(row, prle, prn, reversed, palin, fn)
 	})
 	if obs != nil {
 		(*obs)(float64(time.Since(t0).Nanoseconds()) / 1e3)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return err
 }
 
 // estimateCurve is the exponential curve fit of Section 5.2.1, shared by
@@ -324,6 +288,8 @@ func Repack(dir string, g *entity.Graph) (BuildStats, error) {
 	start := time.Now()
 	var scanErr error
 	labels := map[uint64][]uint16{}
+	var idBuf [maxNodes]entity.ID
+	var nodeBuf [maxNodes]uint32
 	err = ix.tree.Scan(make([]byte, keyLen), nil, func(k, v []byte) bool {
 		if len(k) != keyLen {
 			scanErr = fmt.Errorf("pathindex: repack: %d-byte key", len(k))
@@ -344,16 +310,16 @@ func Repack(dir string, g *entity.Graph) (BuildStats, error) {
 			}
 			labels[seqID] = lbl
 		}
-		m, err := decodeRecord(v)
+		ids, prle, prn, err := decodeRecord(v, idBuf[:])
 		if err != nil {
 			scanErr = err
 			return false
 		}
-		nodes := make([]uint32, len(m.Nodes))
-		for i, n := range m.Nodes {
+		nodes := nodeBuf[:len(ids)]
+		for i, n := range ids {
 			nodes[i] = uint32(n)
 		}
-		if err := w.Add(lbl, int(bucket), nodes, m.Prle, m.Prn); err != nil {
+		if err := w.Add(lbl, int(bucket), nodes, prle, prn); err != nil {
 			scanErr = err
 			return false
 		}

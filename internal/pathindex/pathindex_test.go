@@ -111,7 +111,10 @@ func TestLookupReversedSequence(t *testing.T) {
 		fwdSet[pathKey(m.Nodes)] = m.Pr()
 	}
 	for _, m := range rev {
-		revNodes := reverseNodes(m.Nodes)
+		revNodes := make([]entity.ID, len(m.Nodes))
+		for i, n := range m.Nodes {
+			revNodes[len(m.Nodes)-1-i] = n
+		}
 		p, ok := fwdSet[pathKey(revNodes)]
 		if !ok {
 			t.Errorf("reverse lookup path %v has no forward counterpart", m.Nodes)
@@ -488,10 +491,11 @@ func TestLookupAgainstBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ix.onDemand(seq, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var want []PathMatch
+			ix.onDemand(seq, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+				want = append(want, PathMatch{Nodes: append([]entity.ID(nil), nodes...), Prle: prle, Prn: prn})
+				return true
+			})
 			sortMatches(got)
 			sortMatches(want)
 			if len(got) != len(want) {

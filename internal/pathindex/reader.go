@@ -5,14 +5,25 @@ import (
 	"repro/internal/prob"
 )
 
+// ScanFunc receives one path of a Scan: the node sequence oriented along the
+// scanned label sequence, and its two probability components. nodes aliases
+// scratch owned by the scan — it is valid only until fn returns and must be
+// copied to be kept (never modified). Returning false stops the scan.
+type ScanFunc func(nodes []entity.ID, prle, prn float64) bool
+
 // Reader is the query-time surface of a path index: everything the online
 // phase (decomposition, candidate generation, the server) needs from the
 // offline artifact. *Index implements it directly; internal/live implements
 // it as an immutable base index merged with an in-memory delta overlay, so
 // core.MatchStream sees one logical index either way.
 type Reader interface {
-	// Lookup returns PIndex(X, α): all paths whose label assignment is X
-	// with probability ≥ α, oriented along X.
+	// Scan streams PIndex(X, α) — all paths whose label assignment is X
+	// with probability ≥ α, oriented along X — into fn without
+	// materializing them; see ScanFunc for the aliasing contract. It
+	// returns nil when fn stopped the scan.
+	Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error
+	// Lookup returns the same paths, in the same order, as caller-owned
+	// memory: Collect over Scan.
 	Lookup(X []prob.LabelID, alpha float64) ([]PathMatch, error)
 	// Cardinality estimates |PIndex(X, α)| for query decomposition.
 	Cardinality(X []prob.LabelID, alpha float64) float64
@@ -30,3 +41,29 @@ type Reader interface {
 }
 
 var _ Reader = (*Index)(nil)
+
+// Collect materializes r.Scan(X, α) into caller-owned matches: the one
+// implementation of Lookup, shared by every Reader. All node slices view a
+// single arena; it and the match slice are sized up front from the
+// reader's cardinality estimate (exact for an indexed α on a bucket edge, a
+// floor for an on-demand one) and grow from there.
+func Collect(r Reader, X []prob.LabelID, alpha float64) ([]PathMatch, error) {
+	hint := int(r.Cardinality(X, alpha))
+	arena := make([]entity.ID, 0, hint*len(X))
+	out := make([]PathMatch, 0, hint)
+	err := r.Scan(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+		arena = append(arena, nodes...)
+		out = append(out, PathMatch{Prle: prle, Prn: prn})
+		return true
+	})
+	if err != nil || len(out) == 0 {
+		return nil, err
+	}
+	// Every path of one scan has len(X) nodes; slice the arena only now that
+	// it has stopped growing.
+	w := len(X)
+	for i := range out {
+		out[i].Nodes = arena[i*w : (i+1)*w : (i+1)*w]
+	}
+	return out, nil
+}

@@ -147,30 +147,23 @@ func encodeRecord(nodes []entity.ID, prle, prn float64) []byte {
 	return v
 }
 
-func decodeRecord(v []byte) (PathMatch, error) {
+// decodeRecord decodes a record into dst (at least maxNodes long); the
+// returned nodes alias dst.
+func decodeRecord(v []byte, dst []entity.ID) (nodes []entity.ID, prle, prn float64, err error) {
 	if len(v) < 1 {
-		return PathMatch{}, fmt.Errorf("pathindex: empty record")
+		return nil, 0, 0, fmt.Errorf("pathindex: empty record")
 	}
 	n := int(v[0])
 	if n == 0 || n > maxNodes || len(v) != 1+4*n+16 {
-		return PathMatch{}, fmt.Errorf("pathindex: corrupt record (%d nodes, %d bytes)", n, len(v))
+		return nil, 0, 0, fmt.Errorf("pathindex: corrupt record (%d nodes, %d bytes)", n, len(v))
 	}
-	m := PathMatch{Nodes: make([]entity.ID, n)}
+	nodes = dst[:n]
 	off := 1
-	for i := 0; i < n; i++ {
-		m.Nodes[i] = entity.ID(binary.LittleEndian.Uint32(v[off:]))
+	for i := range nodes {
+		nodes[i] = entity.ID(binary.LittleEndian.Uint32(v[off:]))
 		off += 4
 	}
-	m.Prle = math.Float64frombits(binary.LittleEndian.Uint64(v[off:]))
-	m.Prn = math.Float64frombits(binary.LittleEndian.Uint64(v[off+8:]))
-	return m, nil
-}
-
-// reverseNodes returns a reversed copy of a node sequence.
-func reverseNodes(nodes []entity.ID) []entity.ID {
-	out := make([]entity.ID, len(nodes))
-	for i, n := range nodes {
-		out[len(nodes)-1-i] = n
-	}
-	return out
+	prle = math.Float64frombits(binary.LittleEndian.Uint64(v[off:]))
+	prn = math.Float64frombits(binary.LittleEndian.Uint64(v[off+8:]))
+	return nodes, prle, prn, nil
 }

@@ -287,14 +287,24 @@ func (s *Server) DrainObsolete() {
 		}
 	}
 	s.mu.Lock()
+	s.pruneRetired()
+	s.mu.Unlock()
+}
+
+// pruneRetired drops every fully released generation from the retired list
+// and clears the slots past the new length, so a dropped generation (a live
+// view carries megabytes of overlay) is not kept reachable by the list's
+// backing array. Caller holds s.mu for writing, which excludes acquireIndex:
+// refs.Load() == 0 is then a stable "nobody can pin it anymore" fact.
+func (s *Server) pruneRetired() {
 	kept := s.retired[:0]
 	for _, si := range s.retired {
 		if si.refs.Load() > 0 {
 			kept = append(kept, si)
 		}
 	}
+	clear(s.retired[len(kept):])
 	s.retired = kept
-	s.mu.Unlock()
 }
 
 func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
@@ -335,16 +345,8 @@ func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
 	// Prune fully released generations right away: with live ingest every
 	// batch publishes, and without pruning the retired list would pin one
 	// whole view (context tables, overlay, graph delta) per batch until the
-	// next compaction drains. Holding the write lock here excludes
-	// acquireIndex, so refs.Load() == 0 is a stable "nobody can pin it
-	// anymore" fact.
-	kept := s.retired[:0]
-	for _, si := range s.retired {
-		if si.refs.Load() > 0 {
-			kept = append(kept, si)
-		}
-	}
-	s.retired = kept
+	// next compaction drains.
+	s.pruneRetired()
 	if old != nil {
 		s.retired = append(s.retired, old)
 	}
