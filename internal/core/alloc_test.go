@@ -74,3 +74,65 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		t.Errorf("%d bytes per run, ceiling %d", hi, ceiling)
 	}
 }
+
+// TestCollectAllocationIsACount pins what a retained run allocates, which is
+// a count too: one prepared acyclic plan with some 30 000 matches, collected
+// by core.MatchPlan at Parallelism 1 and 2. The join workers copy each match
+// once into fixed-size store chunks and the merge allocates one permutation
+// per store and one exact-size result, so after warm-up 20 runs' heap bytes
+// must agree to 2 % (at Parallelism 2 how the matches split between the two
+// stores moves at most a chunk or two) and a run must make fewer mallocs
+// than a tenth of its matches — a reintroduced per-match allocation (an
+// owned mapping, a boxed heap entry, a growing slice) fails here, not in the
+// benchmark.
+func TestCollectAllocationIsACount(t *testing.T) {
+	d, err := gen.Synthetic(gen.SynthOptions{Refs: 4000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := entity.Build(d, entity.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := buildIx(t, g, 2, 0.5)
+	q, err := gen.RandomQuery(rand.New(rand.NewSource(6)), g.NumLabels(), 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, par := range []int{1, 2} {
+		opt := core.Options{Alpha: 0.3, Workers: 2, Parallelism: par}
+		pl, err := core.Prepare(ctx, ix, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() (bytes, mallocs uint64, matches int) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := core.MatchPlan(ctx, ix, pl, opt)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, len(res.Matches)
+		}
+		for i := 0; i < 3; i++ {
+			run() // warm-up: component marginal memos, lazily built tables
+		}
+		lo, hi, most, matches := ^uint64(0), uint64(0), uint64(0), 0
+		for i := 0; i < 20; i++ {
+			b, m, n := run()
+			lo, hi, most, matches = min(lo, b), max(hi, b), max(most, m), n
+		}
+		t.Logf("P=%d: %d matches, bytes per run min %d max %d, mallocs per run ≤ %d", par, matches, lo, hi, most)
+		if matches < 20_000 {
+			t.Fatalf("P=%d: plan has %d matches; too few to pin anything", par, matches)
+		}
+		if float64(hi) > 1.02*float64(lo) {
+			t.Errorf("P=%d: allocation does not repeat: %d..%d bytes per run (max/min %.4f > 1.02)", par, lo, hi, float64(hi)/float64(lo))
+		}
+		if most >= uint64(matches/10) {
+			t.Errorf("P=%d: %d mallocs in a run of %d matches: something allocates per match", par, most, matches)
+		}
+	}
+}

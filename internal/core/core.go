@@ -131,15 +131,17 @@ type Options struct {
 	Limit int
 	// Order selects the emission order (OrderEmit or OrderByProb).
 	Order ResultOrder
-	// Parallelism is the number of join-enumeration workers for the final
-	// match generation stage (Section 5.2.5): 0 = GOMAXPROCS, 1 = the
-	// sequential depth-first path. The first join level is split into
-	// morsels consumed by the workers, each with its own allocation-free
-	// scratch state. The match set is always exactly the sequential set;
-	// Match (collect) output and OrderByProb streams are deterministic
-	// regardless of Parallelism, while an OrderEmit stream's emission order
-	// (and, with Limit, which matches are kept) depends on worker
-	// scheduling when Parallelism > 1.
+	// Parallelism is the number of join-enumeration workers of a retained
+	// run — Match/MatchPlan, and any OrderByProb stream — in the final match
+	// generation stage (Section 5.2.5): 0 or 1 = sequential on the calling
+	// goroutine, the same default the server applies. With more, the first
+	// join level is split into morsels consumed by the workers, each with
+	// its own allocation-free scratch state and its own store of what it
+	// found; the answer is bitwise the same at every value, and the time
+	// saved depends on the cores free when the query runs. An OrderEmit
+	// stream, and an OrderEmit Limit, always enumerate on one worker
+	// whatever Parallelism says: emission order, and which matches a Limit
+	// keeps, are deterministic.
 	Parallelism int
 	// Calibration, when set, corrects the planner's cardinality estimates
 	// with feedback from earlier executions against the same index and
@@ -254,61 +256,35 @@ func Explain(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Optio
 
 // Match answers a probabilistic subgraph pattern matching query
 // (Definition 5) over the graph behind the given index: all matches M with
-// Pr(M) ≥ α, together with per-stage statistics. It is a thin collect-all
-// adapter over MatchStream; with Order == OrderEmit the collected matches
-// are sorted by mapping (then probability) for deterministic output, with
-// OrderByProb the probability-descending stream order is preserved.
+// Pr(M) ≥ α, together with per-stage statistics. With Order == OrderEmit the
+// matches come sorted by mapping (then probability), with OrderByProb in
+// decreasing probability — the same answer at any Parallelism. It is
+// Prepare followed by MatchPlan.
 func Match(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Options) (*Result, error) {
-	var col matchCollector
-	st, err := MatchStream(ctx, ix, q, opt, col.add)
+	start := time.Now()
+	pl, err := Prepare(ctx, ix, q, opt)
 	if err != nil {
 		return nil, err
 	}
-	return col.result(st, opt.Order), nil
+	res, err := MatchPlan(ctx, ix, pl, opt)
+	if err != nil {
+		return nil, err
+	}
+	billPlanning(&res.Stats, pl, start)
+	return res, nil
 }
 
-// matchCollector accumulates streamed matches in exponentially growing
-// chunks spliced once at the end: append-growing one big slice reallocates
-// several times the final footprint at typical result sizes (the runtime
-// grows large slices by ~1.25×, so the abandoned backing arrays sum to ~5×
-// the result), and that churn dominated match-collect's bytes/op. Both
-// collect adapters — Match and MatchPlan — share it, so the cached-plan
-// path gets the same allocation profile as the planning path.
-type matchCollector struct {
-	chunks [][]join.Match
-	cur    []join.Match
-	total  int
-}
-
-func (c *matchCollector) add(m join.Match) bool {
-	if len(c.cur) == cap(c.cur) {
-		n := 2 * cap(c.cur)
-		if n == 0 {
-			n = 512
-		}
-		if len(c.cur) > 0 {
-			c.chunks = append(c.chunks, c.cur)
-		}
-		c.cur = make([]join.Match, 0, n)
-	}
-	c.cur = append(c.cur, m)
-	c.total++
-	return true
-}
-
-func (c *matchCollector) result(st Stats, order ResultOrder) *Result {
-	if c.total == 0 {
-		return &Result{Stats: st}
-	}
-	ms := make([]join.Match, 0, c.total)
-	for _, chunk := range c.chunks {
-		ms = append(ms, chunk...)
-	}
-	ms = append(ms, c.cur...)
-	if order == OrderEmit {
-		plan.SortMatches(ms)
-	}
-	return &Result{Matches: ms, Stats: st}
+// billPlanning adds the planning that ran in this call to the run's stats;
+// a cached-plan execution (MatchPlan, MatchStreamPlan directly) reports
+// zero there.
+func billPlanning(st *Stats, pl *plan.Plan, start time.Time) {
+	st.PlanTime = pl.PlanTime
+	st.DecomposeTime = pl.DecomposeTime
+	st.Stages = append([]plan.StageStats{{
+		Name:   "plan",
+		Micros: plan.Micros(pl.PlanTime),
+	}}, st.Stages...)
+	st.Total = time.Since(start)
 }
 
 // MatchStream answers the same query as Match but drives a per-match yield
@@ -329,15 +305,7 @@ func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt O
 	if err != nil {
 		return st, err
 	}
-	// Planning ran in this call, so its cost belongs to this run's stats; a
-	// cached-plan execution (MatchStreamPlan directly) reports zero here.
-	st.PlanTime = pl.PlanTime
-	st.DecomposeTime = pl.DecomposeTime
-	st.Stages = append([]plan.StageStats{{
-		Name:   "plan",
-		Micros: plan.Micros(pl.PlanTime),
-	}}, st.Stages...)
-	st.Total = time.Since(start)
+	billPlanning(&st, pl, start)
 	return st, nil
 }
 
@@ -349,28 +317,40 @@ func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt O
 // rather than silently ignored — a plan prepared at α=0.25 cannot be
 // mistaken for a run at α=0.9.
 func MatchStreamPlan(ctx context.Context, ix pathindex.Reader, pl *plan.Plan, opt Options, yield func(join.Match) bool) (Stats, error) {
-	if err := opt.Validate(); err != nil {
+	if err := opt.fits(pl); err != nil {
 		return Stats{}, err
 	}
-	if opt.Alpha != pl.Alpha {
-		return Stats{}, &OptionsError{Field: "Alpha", Reason: fmt.Sprintf("%v differs from the prepared plan's %v", opt.Alpha, pl.Alpha)}
-	}
-	if pl.Tree != nil && opt.Strategy.Name() != pl.Tree.Strategy {
-		return Stats{}, &OptionsError{Field: "Strategy", Reason: fmt.Sprintf("%s differs from the prepared plan's %s", opt.Strategy.Name(), pl.Tree.Strategy)}
-	}
-	exec := plan.NewExecutor(ix, opt.Calibration)
-	return exec.Run(ctx, pl, opt.exec(), yield)
+	return plan.NewExecutor(ix, opt.Calibration).Run(ctx, pl, opt.exec(), yield)
 }
 
-// MatchPlan is the collect-all adapter over MatchStreamPlan, mirroring
-// Match over MatchStream.
+// fits validates the options and checks them against a prepared plan.
+func (o Options) fits(pl *plan.Plan) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	if o.Alpha != pl.Alpha {
+		return &OptionsError{Field: "Alpha", Reason: fmt.Sprintf("%v differs from the prepared plan's %v", o.Alpha, pl.Alpha)}
+	}
+	if pl.Tree != nil && o.Strategy.Name() != pl.Tree.Strategy {
+		return &OptionsError{Field: "Strategy", Reason: fmt.Sprintf("%s differs from the prepared plan's %s", o.Strategy.Name(), pl.Tree.Strategy)}
+	}
+	return nil
+}
+
+// MatchPlan executes a previously prepared plan and returns the whole
+// answer, in Match's order, under MatchStreamPlan's rules for opt. The join
+// workers retain their matches in per-worker stores the executor merges
+// (plan.Executor.Collect), so nothing is streamed, re-copied or sorted
+// here.
 func MatchPlan(ctx context.Context, ix pathindex.Reader, pl *plan.Plan, opt Options) (*Result, error) {
-	var col matchCollector
-	st, err := MatchStreamPlan(ctx, ix, pl, opt, col.add)
+	if err := opt.fits(pl); err != nil {
+		return nil, err
+	}
+	ms, st, err := plan.NewExecutor(ix, opt.Calibration).Collect(ctx, pl, opt.exec())
 	if err != nil {
 		return nil, err
 	}
-	return col.result(st, opt.Order), nil
+	return &Result{Matches: ms, Stats: st}, nil
 }
 
 // ReductionStats isolates the joint search-space reduction for the Figure

@@ -3,20 +3,27 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/gen"
 	"repro/internal/join"
+	"repro/internal/naive"
+	"repro/internal/pathindex"
+	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 // matchesIdentical demands exact equality — mapping, Prle, Prn (bitwise),
-// and order — between two collected result sets. The parallel join must be
-// indistinguishable from the sequential one after the deterministic sort,
-// not merely equal within a tolerance: every match's probability components
-// are computed by the same fixed-order finalize in both paths.
+// and order — between two result sets. A run at any worker count must be
+// indistinguishable from the oracle, not merely equal within a tolerance:
+// every match's probability components are multiplied in the same fixed
+// order whichever worker and join order found it.
 func matchesIdentical(t *testing.T, label string, want, got []join.Match) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -32,126 +39,256 @@ func matchesIdentical(t *testing.T, label string, want, got []join.Match) {
 				t.Fatalf("%s: match %d mapping[%d] = %d, want %d", label, i, k, g.Mapping[k], w.Mapping[k])
 			}
 		}
-		if w.Prle != g.Prle || w.Prn != g.Prn {
+		if !sameBits(w.Prle, g.Prle) || !sameBits(w.Prn, g.Prn) {
 			t.Fatalf("%s: match %d probabilities (%v, %v), want (%v, %v)",
 				label, i, g.Prle, g.Prn, w.Prle, w.Prn)
 		}
 	}
 }
 
-// TestParallelCollectEquivalence is the parallel-correctness property: on
-// seeded random synthetic PGDs, collect-mode results at Parallelism 2, 4,
-// and 8 are exactly equal (mapping, Prle, Prn, order) to the sequential run,
-// across both decomposition strategies.
+// byProbOracle orders the naive oracle's matches (sorted by mapping) the
+// way OrderByProb must: decreasing Pr, ties by mapping — a stable sort on
+// Pr alone, independent of the executor's comparator.
+func byProbOracle(ms []join.Match) []join.Match {
+	out := slices.Clone(ms)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Pr() > out[j].Pr() })
+	return out
+}
+
+// equivalencePGD is the seeded synthetic corpus of the parallel-equivalence
+// properties: 30 references, a handful of matches per query.
+func equivalencePGD(t *testing.T, seed int64) (*entity.Graph, pathindex.Reader) {
+	t.Helper()
+	return buildPGD(t, gen.SynthOptions{
+		Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
+		Groups: 2, GroupSize: 3, PairsPerGroup: 2, Seed: seed,
+	})
+}
+
+// richPGD is a corpus whose 4-node queries have thousands of matches, so a
+// store spans many chunks, a bounded one evicts, and every worker of 8 finds
+// some; richQuery is one such query (7 700 matches at α = 0.05).
+func richPGD(t *testing.T) (*entity.Graph, pathindex.Reader) {
+	t.Helper()
+	return buildPGD(t, gen.SynthOptions{Refs: 300, Labels: 3, Seed: 5})
+}
+
+func richQuery(t *testing.T, g *entity.Graph) *query.Query {
+	t.Helper()
+	q, err := gen.RandomQuery(rand.New(rand.NewSource(94)), g.NumLabels(), 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+func buildPGD(t *testing.T, opt gen.SynthOptions) (*entity.Graph, pathindex.Reader) {
+	t.Helper()
+	d, err := gen.Synthetic(opt)
+	if err != nil {
+		t.Fatalf("seed %d: Synthetic: %v", opt.Seed, err)
+	}
+	g, err := entity.Build(d, entity.BuildOptions{})
+	if err != nil {
+		t.Fatalf("seed %d: Build: %v", opt.Seed, err)
+	}
+	return g, buildIx(t, g, 2, 0.05)
+}
+
+// TestParallelCollectEquivalence is the retained-run correctness property:
+// on seeded random synthetic PGDs — small ones with a handful of matches and
+// one with thousands (K = 300) — core.Match at Parallelism 1, 2, 3 and 8 ×
+// Limit 0, 1 and K × both orders × both decomposition strategies is bitwise
+// (mapping, Float64bits of Prle and Prn, order) what internal/naive says it
+// must be: the whole set by mapping, or the best Limit by probability. An
+// emit-order Limit keeps whichever matches the sequential enumeration finds
+// first, so there the answer must be the same at every Parallelism and a
+// mapping-sorted part of the oracle's. The collect order is also held to
+// plan.SortMatches' on a shuffled copy.
 func TestParallelCollectEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	strategies := []core.Strategy{core.StrategyOptimized, core.StrategyRandomDecomp}
+	checked, cut := 0, 0
 	for _, seed := range seeds {
-		d, err := gen.Synthetic(gen.SynthOptions{
-			Refs:          30,
-			EdgeFactor:    2,
-			Labels:        4,
-			UncertainFrac: 0.4,
-			Groups:        2,
-			GroupSize:     3,
-			PairsPerGroup: 2,
-			Seed:          seed,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: Synthetic: %v", seed, err)
-		}
-		g, err := entity.Build(d, entity.BuildOptions{})
-		if err != nil {
-			t.Fatalf("seed %d: Build: %v", seed, err)
-		}
-		ix := buildIx(t, g, 2, 0.05)
-
+		g, ix := equivalencePGD(t, seed)
 		rng := rand.New(rand.NewSource(seed * 313))
 		for qi := 0; qi < 3; qi++ {
 			q, err := gen.RandomQuery(rng, g.NumLabels(), 2+rng.Intn(2), 3)
 			if err != nil {
 				t.Fatalf("seed %d: RandomQuery: %v", seed, err)
 			}
-			for _, s := range strategies {
-				opts := func(par int) core.Options {
-					return core.Options{
-						Alpha:       0.1,
-						Strategy:    s,
-						Rand:        rand.New(rand.NewSource(seed ^ int64(qi))),
-						Parallelism: par,
-					}
-				}
-				seq, err := core.Match(context.Background(), ix, q, opts(1))
-				if err != nil {
-					t.Fatalf("seed %d q%d %v: sequential: %v", seed, qi, s, err)
-				}
-				for _, par := range []int{2, 4, 8} {
-					res, err := core.Match(context.Background(), ix, q, opts(par))
-					if err != nil {
-						t.Fatalf("seed %d q%d %v P=%d: %v", seed, qi, s, par, err)
-					}
-					matchesIdentical(t, q.Format(g.Alphabet()), seq.Matches, res.Matches)
-					if res.Stats.Matched != seq.Stats.Matched {
-						t.Fatalf("seed %d q%d %v P=%d: Matched %d, want %d",
-							seed, qi, s, par, res.Stats.Matched, seq.Stats.Matched)
-					}
-				}
-			}
+			n, c := checkCollect(t, fmt.Sprintf("seed %d q%d", seed, qi), ix, q, 0.1, 5, seed^int64(qi))
+			checked, cut = checked+n, cut+c
 		}
+	}
+	if checked == 0 || cut == 0 {
+		t.Fatalf("vacuous: %d oracle matches, %d kept by an emit-order Limit", checked, cut)
+	}
+	g, ix := richPGD(t)
+	if n, _ := checkCollect(t, "rich", ix, richQuery(t, g), 0.05, 300, 1); n < 5000 {
+		t.Fatalf("rich corpus has %d matches: too few to fill a store's chunks on every worker", n)
 	}
 }
 
-// TestParallelTopKEquivalence: OrderByProb output is deterministic under
-// parallelism — the merged per-worker heaps must reproduce the sequential
-// top-K stream byte for byte, including the Truncated flag.
+// checkCollect holds core.Match over one query to the oracle at every
+// Parallelism × Limit {0, 1, K} × order × strategy, and returns the
+// oracle's match count and how many matches emit-order Limits kept.
+func checkCollect(t *testing.T, name string, ix pathindex.Reader, q *query.Query, alpha float64, K int, randSeed int64) (checked, cut int) {
+	t.Helper()
+	ctx := context.Background()
+	want, err := naive.Matches(ctx, ix.Graph(), q, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantByProb := byProbOracle(want)
+	rng := rand.New(rand.NewSource(randSeed))
+	for _, s := range []core.Strategy{core.StrategyOptimized, core.StrategyRandomDecomp} {
+		for _, limit := range []int{0, 1, K} {
+			var emitCut []join.Match // the emit-order Limit answer at Parallelism 1
+			for _, par := range []int{1, 2, 3, 8} {
+				label := fmt.Sprintf("%s %v limit %d P=%d", name, s, limit, par)
+				run := func(order core.ResultOrder) *core.Result {
+					res, err := core.Match(ctx, ix, q, core.Options{
+						Alpha: alpha, Strategy: s, Limit: limit, Order: order, Parallelism: par,
+						Rand: rand.New(rand.NewSource(randSeed)),
+					})
+					if err != nil {
+						t.Fatalf("%s %v: %v", label, order, err)
+					}
+					if res.Stats.Matched != len(res.Matches) {
+						t.Fatalf("%s %v: Matched %d, %d matches", label, order, res.Stats.Matched, len(res.Matches))
+					}
+					return res
+				}
+
+				top := run(core.OrderByProb)
+				n := len(want)
+				if limit > 0 {
+					n = min(n, limit)
+				}
+				matchesIdentical(t, label+" prob vs naive", wantByProb[:n], top.Matches)
+				if wantTrunc := limit > 0 && len(want) > limit; top.Stats.Truncated != wantTrunc {
+					t.Fatalf("%s prob: Truncated %v, want %v", label, top.Stats.Truncated, wantTrunc)
+				}
+
+				all := run(core.OrderEmit)
+				if limit == 0 {
+					matchesIdentical(t, label+" emit vs naive", want, all.Matches)
+					shuffled := slices.Clone(all.Matches)
+					rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+					plan.SortMatches(shuffled)
+					matchesIdentical(t, label+" vs SortMatches", shuffled, all.Matches)
+					if all.Stats.Truncated {
+						t.Fatalf("%s emit: unlimited run flagged Truncated", label)
+					}
+					continue
+				}
+				if par == 1 {
+					emitCut = all.Matches
+					if len(emitCut) != n || all.Stats.Truncated != (len(want) >= limit) {
+						t.Fatalf("%s emit: %d matches Truncated %v, oracle has %d", label, len(emitCut), all.Stats.Truncated, len(want))
+					}
+					at := 0 // emitCut is a mapping-sorted subsequence of want
+					for _, m := range emitCut {
+						for at < len(want) && !slices.Equal(want[at].Mapping, m.Mapping) {
+							at++
+						}
+						if at == len(want) {
+							t.Fatalf("%s emit: %v is not in the oracle's answer, or out of order", label, m.Mapping)
+						}
+						matchesIdentical(t, label+" emit cut vs naive", want[at:at+1], []join.Match{m})
+					}
+					cut += len(emitCut)
+				}
+				matchesIdentical(t, label+" emit cut vs P=1", emitCut, all.Matches)
+			}
+		}
+	}
+	return len(want), cut
+}
+
+// TestParallelTopKEquivalence: an OrderByProb stream is deterministic under
+// parallelism — the merged per-worker stores reproduce, at Parallelism 1,
+// 2, 3 and 8 and Limit 0, 1 and K, the naive oracle's matches in decreasing
+// probability byte for byte, including the Truncated flag, and every yielded
+// match keeps its mapping after the run.
 func TestParallelTopKEquivalence(t *testing.T) {
-	d, err := gen.Synthetic(gen.SynthOptions{
-		Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
-		Groups: 2, GroupSize: 3, PairsPerGroup: 2, Seed: 5,
-	})
+	const alpha, K = 0.05, 300
+	g, ix := richPGD(t)
+	q := richQuery(t, g)
+	oracle, err := naive.Matches(context.Background(), g, q, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := entity.Build(d, entity.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if len(oracle) <= K {
+		t.Fatalf("workload too sparse: %d matches, K = %d", len(oracle), K)
 	}
-	ix := buildIx(t, g, 2, 0.05)
-	rng := rand.New(rand.NewSource(99))
-	q, err := gen.RandomQuery(rng, g.NumLabels(), 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int{0, 1, 5} {
-		run := func(par int) ([]join.Match, core.Stats) {
-			var ms []join.Match
+	want := byProbOracle(oracle)
+	for _, limit := range []int{0, 1, K} {
+		n := len(want)
+		if limit > 0 {
+			n = limit
+		}
+		for _, par := range []int{1, 2, 3, 8} {
+			var got []join.Match
 			st, err := core.MatchStream(context.Background(), ix, q, core.Options{
-				Alpha: 0.05, Limit: limit, Order: core.OrderByProb, Parallelism: par,
+				Alpha: alpha, Limit: limit, Order: core.OrderByProb, Parallelism: par,
 			}, func(m join.Match) bool {
-				ms = append(ms, m)
+				got = append(got, m)
 				return true
 			})
 			if err != nil {
 				t.Fatalf("limit %d P=%d: %v", limit, par, err)
 			}
-			return ms, st
-		}
-		seq, seqSt := run(1)
-		for _, par := range []int{2, 4, 8} {
-			got, gotSt := run(par)
-			matchesIdentical(t, "topk", seq, got)
-			if gotSt.Truncated != seqSt.Truncated {
-				t.Fatalf("limit %d P=%d: Truncated %v, want %v", limit, par, gotSt.Truncated, seqSt.Truncated)
+			matchesIdentical(t, fmt.Sprintf("topk limit %d P=%d", limit, par), want[:n], got)
+			if st.Truncated != (limit > 0) || st.Matched != n {
+				t.Fatalf("limit %d P=%d: Truncated %v Matched %d, want %v %d", limit, par, st.Truncated, st.Matched, limit > 0, n)
 			}
 		}
 	}
 }
 
+// TestEmitLimitIsDeterministic: an emit-order Limit used to keep whichever
+// match a worker pushed through the fan-in first. Emit-order runs now
+// enumerate on one worker whatever Parallelism says, so Limit 1 at
+// Parallelism 4 returns the same match every time, streamed or collected.
+func TestEmitLimitIsDeterministic(t *testing.T) {
+	_, ix := equivalencePGD(t, 7)
+	q, err := gen.RandomQuery(rand.New(rand.NewSource(17)), ix.Graph().NumLabels(), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opt := core.Options{Alpha: 0.05, Limit: 1, Parallelism: 4}
+	seq, err := core.Match(ctx, ix, q, core.Options{Alpha: 0.05, Limit: 1, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq.Matches) != 1 {
+		t.Fatalf("sequential Limit 1 returned %d matches", len(seq.Matches))
+	}
+	for i := 0; i < 50; i++ {
+		var streamed []join.Match
+		if _, err := core.MatchStream(ctx, ix, q, opt, func(m join.Match) bool {
+			streamed = append(streamed, m)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		matchesIdentical(t, fmt.Sprintf("repeat %d streamed", i), seq.Matches, streamed)
+		res, err := core.Match(ctx, ix, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchesIdentical(t, fmt.Sprintf("repeat %d collected", i), seq.Matches, res.Matches)
+	}
+}
+
 // TestParallelLimitStops: an OrderEmit stream with a Limit stops the
-// parallel enumeration after exactly Limit yields and flags truncation.
+// enumeration after exactly Limit yields and flags truncation, whatever
+// Parallelism asks for (emit-order streams enumerate on one worker).
 func TestParallelLimitStops(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{
 		Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
@@ -191,12 +328,13 @@ func TestParallelLimitStops(t *testing.T) {
 		t.Fatalf("limit 1: yielded %d, Matched %d", seen, st.Matched)
 	}
 	if !st.Truncated {
-		t.Fatal("limit-stopped parallel run not flagged Truncated")
+		t.Fatal("limit-stopped run not flagged Truncated")
 	}
 }
 
 // TestParallelCancellationMidStream: cancelling the context from inside the
-// yield of a parallel stream aborts every worker and surfaces ctx.Err().
+// yield of a stream run with Parallelism 4 surfaces ctx.Err(). (Cancelling
+// a sink of the multi-worker enumerator itself is join.TestEnumerateStops.)
 func TestParallelCancellationMidStream(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{
 		Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
@@ -232,7 +370,7 @@ func TestParallelCancellationMidStream(t *testing.T) {
 			return true
 		})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel mid-stream cancel: err = %v, want context.Canceled", err)
+		t.Fatalf("mid-stream cancel: err = %v, want context.Canceled", err)
 	}
 	if seen == 0 {
 		t.Fatal("yield never ran before cancellation")

@@ -1,7 +1,6 @@
 package entity
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -112,12 +111,22 @@ func (g *Graph) Neighbors(v ID) []Neighbor { return g.adj[v] }
 // Degree returns the number of GU neighbors of v.
 func (g *Graph) Degree(v ID) int { return len(g.adj[v]) }
 
-// EdgeBetween returns the edge between a and b, if any.
+// EdgeBetween returns the edge between a and b, if any: a binary search of
+// a's sorted adjacency, written out so the join's hottest look-up pays no
+// closure call per probe.
 func (g *Graph) EdgeBetween(a, b ID) (*EdgeProb, bool) {
 	nbs := g.adj[a]
-	i := sort.Search(len(nbs), func(i int) bool { return nbs[i].To >= b })
-	if i < len(nbs) && nbs[i].To == b {
-		return nbs[i].E, true
+	lo, hi := 0, len(nbs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if nbs[mid].To < b {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(nbs) && nbs[lo].To == b {
+		return nbs[lo].E, true
 	}
 	return nil, false
 }

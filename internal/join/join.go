@@ -4,20 +4,18 @@
 // and reference-disjointness checks.
 //
 // The enumeration is depth-first over a precomputed per-run plan with all
-// mutable state in a reusable per-worker scratch (see scratch.go), so the
-// steady-state hot path allocates nothing: a match's mapping is copied out
-// of the scratch only at yield time. FindMatchesFunc runs one worker;
-// FindMatchesParallel (see parallel.go) splits the first partition's
-// candidates into morsels consumed by a worker pool.
+// mutable state in a reusable per-worker scratch (see scratch.go), so it
+// allocates nothing per match: Enumerate (see enumerate.go) hands its sink a
+// match whose mapping is the scratch's own assignment array, and whoever
+// keeps a match copies it. The first partition's candidates are split into
+// morsels consumed by one or more workers.
 package join
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/decompose"
 	"repro/internal/entity"
-	"repro/internal/kpartite"
 	"repro/internal/query"
 )
 
@@ -125,46 +123,4 @@ func OrderWithCards(dec *decompose.Decomposition, mode OrderMode, cards []float6
 		}
 	}
 	return order
-}
-
-// joined names an earlier ordered path that shares a join predicate with the
-// partition being extended, together with its position in the order.
-type joined struct{ part, pos int }
-
-// FindMatchesFunc enumerates full matches with Pr(M) ≥ alpha from the
-// (possibly reduced) k-partite graph, invoking yield once per match as it is
-// found. Enumeration is depth-first, so the first match is produced without
-// materializing the full result set. Returning false from yield stops the
-// enumeration immediately (FindMatchesFunc then returns nil); a context
-// cancellation mid-enumeration returns ctx.Err(), checked once per seed
-// candidate, every 1024 extension attempts, and once after the enumeration
-// completes.
-func FindMatchesFunc(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *kpartite.Graph, order []int, alpha float64, yield func(Match) bool) error {
-	if len(order) == 0 {
-		return nil
-	}
-	p := newPlan(g, q, dec, kg, order, alpha)
-	s := newScratch(p, ctx, yield)
-	// Seed with the first partition's alive vertices; each seed is driven
-	// depth-first through the rest of the order before the next one starts.
-	first := order[0]
-	n := kg.NumCandidates(first)
-	for ci := 0; ci < n; ci++ {
-		if s.stopped {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !kg.Alive(first, ci) {
-			continue
-		}
-		if err := s.runSeed(ci); err != nil {
-			return err
-		}
-	}
-	if s.stopped {
-		return nil
-	}
-	return ctx.Err()
 }

@@ -2,6 +2,8 @@ package join
 
 import (
 	"context"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/decompose"
 	"repro/internal/entity"
@@ -20,6 +22,10 @@ import (
 // covers depend only on the join order — never on the candidates — so they
 // are precomputed once into the plan.
 
+// joined names an earlier ordered path that shares a join predicate with the
+// partition being extended, together with its position in the order.
+type joined struct{ part, pos int }
+
 // stepAssign is one path position whose query node is first assigned at this
 // step.
 type stepAssign struct {
@@ -36,8 +42,10 @@ type stepCheck struct {
 }
 
 // stepEdge is one query edge (qa < qb) whose probability is first multiplied
-// into the prefix at this step.
+// into the prefix at this step. idx is its position in q.Edges(), the order
+// the final Prle multiplies edge factors in.
 type stepEdge struct {
+	idx    int32
 	qa, qb query.NodeID
 	la, lb prob.LabelID
 }
@@ -54,22 +62,28 @@ type stepPlan struct {
 // plan is the immutable shared state of one enumeration run.
 type plan struct {
 	g     *entity.Graph
-	q     *query.Query
-	dec   *decompose.Decomposition
 	kg    *kpartite.Graph
 	order []int
 	alpha float64
 
 	steps    []stepPlan
-	qEdges   []stepEdge // all query edges, for the exact finalize
+	loose    []stepEdge // query edges no step covers: looked up at emit
+	covers   bool       // every query node is assigned by some step
 	numQ     int
+	numE     int
 	refWords int // words in the reference bitset
 }
 
 func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *kpartite.Graph, order []int, alpha float64) *plan {
-	p := &plan{g: g, q: q, dec: dec, kg: kg, order: order, alpha: alpha, numQ: q.NumNodes()}
+	p := &plan{g: g, kg: kg, order: order, alpha: alpha, numQ: q.NumNodes(), numE: q.NumEdges()}
+	qEdges := make([]stepEdge, 0, p.numE)
+	edgeIdx := make(map[[2]query.NodeID]int32, p.numE)
+	for i, e := range q.Edges() {
+		qEdges = append(qEdges, stepEdge{idx: int32(i), qa: e[0], qb: e[1], la: q.Label(e[0]), lb: q.Label(e[1])})
+		edgeIdx[e] = int32(i)
+	}
 	covered := make([]bool, p.numQ)
-	coveredEdge := make(map[[2]query.NodeID]bool, q.NumEdges())
+	coveredEdge := make([]bool, p.numE)
 	p.steps = make([]stepPlan, len(order))
 	for s, b := range order {
 		sp := &p.steps[s]
@@ -93,31 +107,37 @@ func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *
 			if a > b2 {
 				a, b2 = b2, a
 			}
-			key := [2]query.NodeID{a, b2}
-			if coveredEdge[key] {
+			i, ok := edgeIdx[[2]query.NodeID{a, b2}]
+			if !ok || coveredEdge[i] {
 				continue
 			}
-			coveredEdge[key] = true
-			sp.edges = append(sp.edges, stepEdge{qa: a, qb: b2, la: q.Label(a), lb: q.Label(b2)})
+			coveredEdge[i] = true
+			sp.edges = append(sp.edges, qEdges[i])
 		}
 	}
-	for _, e := range q.Edges() {
-		p.qEdges = append(p.qEdges, stepEdge{qa: e[0], qb: e[1], la: q.Label(e[0]), lb: q.Label(e[1])})
+	for i, c := range coveredEdge {
+		if !c {
+			p.loose = append(p.loose, qEdges[i])
+		}
 	}
+	p.covers = !slices.Contains(covered, false)
 	p.refWords = int(g.MaxRef())/64 + 1
 	return p
 }
 
 // scratch is the reusable per-worker state of the depth-first enumeration.
-// All buffers are allocated once; the inner extend/undo loop allocates
-// nothing, and a match's mapping is copied out of the scratch only at yield
-// time.
+// All buffers are allocated once; extending, undoing and emitting allocate
+// nothing — the sink is handed asn itself as the match's mapping.
 type scratch struct {
-	p     *plan
-	ctx   context.Context
-	yield func(Match) bool
+	p      *plan
+	ctx    context.Context
+	worker int
+	sink   func(worker int, m Match) bool
+	stop   *atomic.Bool // shared by the run's workers
 
 	asn      []entity.ID // per query node; -1 = unassigned
+	nodeF    []float64   // label factor of asn[n], recorded when n is assigned
+	edgeF    []float64   // factor of query edge i, recorded when it is covered
 	verts    []int32     // chosen vertex per ordered step
 	prleAt   []float64   // prleAt[s] = label/edge prefix product before step s
 	nodes    []entity.ID // assigned entities, assignment order (for Prn)
@@ -125,25 +145,26 @@ type scratch struct {
 	refUndo  []refgraph.RefID
 	refMark  []int32   // refUndo length before each step
 	isect    [][]int32 // per-step link-intersection buffers
-	mapping  []entity.ID
 
-	ops     int // per-worker extension counter for ctx-cancellation checks
-	stopped bool
+	ops int // per-worker extension counter for ctx-cancellation checks
 }
 
-func newScratch(p *plan, ctx context.Context, yield func(Match) bool) *scratch {
+func newScratch(p *plan, ctx context.Context, worker int, sink func(int, Match) bool, stop *atomic.Bool) *scratch {
 	s := &scratch{
 		p:        p,
 		ctx:      ctx,
-		yield:    yield,
+		worker:   worker,
+		sink:     sink,
+		stop:     stop,
 		asn:      make([]entity.ID, p.numQ),
+		nodeF:    make([]float64, p.numQ),
+		edgeF:    make([]float64, p.numE),
 		verts:    make([]int32, len(p.order)),
 		prleAt:   make([]float64, len(p.order)+1),
 		nodes:    make([]entity.ID, 0, p.numQ),
 		refWords: make([]uint64, p.refWords),
 		refMark:  make([]int32, len(p.order)),
 		isect:    make([][]int32, len(p.order)),
-		mapping:  make([]entity.ID, p.numQ),
 	}
 	for i := range s.asn {
 		s.asn[i] = -1
@@ -152,10 +173,33 @@ func newScratch(p *plan, ctx context.Context, yield func(Match) bool) *scratch {
 	return s
 }
 
-// runSeed drives one first-partition candidate depth-first through the whole
-// join order.
-func (s *scratch) runSeed(ci int) error {
-	return s.tryCandidate(0, s.p.order[0], ci)
+// drain claims morsels of the first partition's total candidates until none
+// are left or the run is stopped, driving each alive seed depth-first
+// through the whole join order. An error stops the other workers too.
+func (s *scratch) drain(next *atomic.Int64, morsel, total int) error {
+	first := s.p.order[0]
+	for !s.stop.Load() {
+		lo := int(next.Add(1)-1) * morsel
+		if lo >= total {
+			break
+		}
+		// Cancellation is also checked on every morsel pickup so the latency
+		// bound does not depend on the per-extension counter.
+		if err := s.ctx.Err(); err != nil {
+			s.stop.Store(true)
+			return err
+		}
+		for ci := lo; ci < min(lo+morsel, total) && !s.stop.Load(); ci++ {
+			if !s.p.kg.Alive(first, ci) {
+				continue
+			}
+			if err := s.tryCandidate(0, first, ci); err != nil {
+				s.stop.Store(true)
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // tryCandidate extends the current partial with candidate ci of partition b
@@ -179,7 +223,8 @@ func (s *scratch) tryCandidate(step, b, ci int) error {
 // apply installs candidate ci of partition b into the scratch: consistency
 // checks on already-assigned query nodes, reference-disjointness bits for
 // newly assigned ones, and the incremental label/edge prefix with the
-// partial-probability α prune (Section 5.2.5). On failure every partial
+// partial-probability α prune (Section 5.2.5). Each factor is also recorded
+// under its query node or query edge for emit. On failure every partial
 // effect is rolled back and false is returned.
 func (s *scratch) apply(step, b, ci int) bool {
 	p := s.p
@@ -209,7 +254,9 @@ assign:
 		s.asn[a.qn] = v
 		s.nodes = append(s.nodes, v)
 		nAsn++
-		pr *= p.g.PrLabel(v, a.label)
+		f := p.g.PrLabel(v, a.label)
+		s.nodeF[a.qn] = f
+		pr *= f
 	}
 	if ok && pr == 0 {
 		ok = false
@@ -221,7 +268,9 @@ assign:
 				ok = false
 				break
 			}
-			pr *= ep.Prob(e.la, e.lb)
+			f := ep.Prob(e.la, e.lb)
+			s.edgeF[e.idx] = f
+			pr *= f
 			if pr == 0 {
 				ok = false
 				break
@@ -276,7 +325,7 @@ func (s *scratch) descend(step int) error {
 	if len(sp.joins) == 0 {
 		n := p.kg.NumCandidates(b)
 		for ci := 0; ci < n; ci++ {
-			if s.stopped {
+			if s.stop.Load() {
 				return nil
 			}
 			if !p.kg.Alive(b, ci) {
@@ -300,7 +349,7 @@ func (s *scratch) descend(step int) error {
 		s.isect[step] = cands[:0]
 	}
 	for _, ci := range cands {
-		if s.stopped {
+		if s.stop.Load() {
 			return nil
 		}
 		if !p.kg.Alive(b, int(ci)) {
@@ -313,43 +362,42 @@ func (s *scratch) descend(step int) error {
 	return nil
 }
 
-// emit finalizes the complete assignment: the exact Pr(M) is recomputed over
-// every query node and edge in fixed query-node order — identical for the
-// sequential and every parallel execution — and the mapping is copied out of
-// the scratch only if the match clears α and is yielded.
+// emit finalizes the complete assignment. The exact Prle multiplies the
+// factors apply recorded — every query node's label factor in node order,
+// then every query edge's in q.Edges() order, the order Graph.Prle uses — so
+// it is the same product whatever the join order or worker, without looking
+// any factor up again; only a query edge no path step covers is looked up
+// here. Prn is recomputed over the mapping in node order. A match that
+// clears α is handed to the sink with the scratch's assignment array as its
+// mapping.
 func (s *scratch) emit() {
 	p := s.p
-	for n := 0; n < p.numQ; n++ {
-		v := s.asn[n]
-		if v < 0 {
-			return // uncovered query node (cannot happen with a covering decomposition)
-		}
-		s.mapping[n] = v
-	}
-	prle := 1.0
-	for n := 0; n < p.numQ; n++ {
-		prle *= p.g.PrLabel(s.mapping[n], p.q.Label(query.NodeID(n)))
-		if prle == 0 {
-			return
-		}
-	}
-	for _, e := range p.qEdges {
-		ep, ok := p.g.EdgeBetween(s.mapping[e.qa], s.mapping[e.qb])
+	for _, e := range p.loose {
+		ep, ok := p.g.EdgeBetween(s.asn[e.qa], s.asn[e.qb])
 		if !ok {
 			return
 		}
-		prle *= ep.Prob(e.la, e.lb)
+		s.edgeF[e.idx] = ep.Prob(e.la, e.lb)
+	}
+	prle := 1.0
+	for _, f := range s.nodeF {
+		prle *= f
 		if prle == 0 {
 			return
 		}
 	}
-	prn := p.g.Prn(s.mapping)
+	for _, f := range s.edgeF {
+		prle *= f
+		if prle == 0 {
+			return
+		}
+	}
+	prn := p.g.Prn(s.asn)
 	if prle*prn+1e-12 < p.alpha {
 		return
 	}
-	m := Match{Mapping: append([]entity.ID(nil), s.mapping...), Prle: prle, Prn: prn}
-	if !s.yield(m) {
-		s.stopped = true
+	if !s.sink(s.worker, Match{Mapping: s.asn, Prle: prle, Prn: prn}) {
+		s.stop.Store(true)
 	}
 }
 

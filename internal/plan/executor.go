@@ -1,10 +1,8 @@
 package plan
 
 import (
-	"container/heap"
 	"context"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/candidates"
@@ -24,8 +22,13 @@ type Exec struct {
 	Limit int
 	// Order selects the emission order (OrderEmit or OrderByProb).
 	Order ResultOrder
-	// Parallelism is the number of join-enumeration workers
-	// (0 = GOMAXPROCS, 1 = sequential).
+	// Parallelism is the number of join-enumeration workers of a retained
+	// run — Collect, and Run under OrderByProb — each filling a store of its
+	// own (0 or 1 = sequential, on the calling goroutine). More than one is
+	// opt-in: the answer is the same, but how much faster it arrives depends
+	// on how many cores are free at that moment. Emit-order runs that
+	// stream, or that stop at Limit, always enumerate on one worker, so what
+	// they emit is deterministic.
 	Parallelism int
 	// CandCache, when non-nil, serves pruned per-path candidate sets for
 	// repeated query shapes. It must only be shared between executions over
@@ -49,16 +52,85 @@ func NewExecutor(ix pathindex.Reader, calib *Calibration) *Executor {
 }
 
 // Run executes the plan in stages — candidate retrieval → k-partite build →
-// joint reduction → join — streaming matches into yield. Per-stage timings,
-// estimated vs. observed cardinalities, and prune counts land in Stats;
-// observed/estimated candidate ratios are fed back into the calibration.
-// Before the join the executor re-orders the partitions using the observed
-// alive counts instead of the plan's histogram estimates: the match set is
-// invariant under join order, so this changes cost only (PlannedOrder and
-// ExecOrder record both sides). Returning false from yield stops the
-// enumeration (not an error); the semantics of Limit, Order, Parallelism,
-// and cancellation are exactly core.MatchStream's.
+// joint reduction → join — streaming matches into yield, each with a
+// Mapping of its own. Per-stage timings, estimated vs. observed
+// cardinalities, and prune counts land in Stats; observed/estimated
+// candidate ratios are fed back into the calibration. Before the join the
+// executor re-orders the partitions using the observed alive counts instead
+// of the plan's histogram estimates: the match set is invariant under join
+// order, so this changes cost only (PlannedOrder and ExecOrder record both
+// sides). Returning false from yield stops the enumeration (not an error);
+// the semantics of Limit, Order, Parallelism, and cancellation are exactly
+// core.MatchStream's.
 func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.Match) bool) (Stats, error) {
+	jr, st, err := e.preJoin(ctx, pl, opt)
+	if err != nil {
+		return st, err
+	}
+	if opt.Order == OrderByProb {
+		// The join must finish before the best match is known: retain, then
+		// emit in decreasing probability.
+		var ms []join.Match
+		if ms, err = jr.retain(ctx, opt, &st); err == nil {
+			for i, m := range ms {
+				if !yield(m) {
+					st.Matched, st.Truncated = i+1, true
+					break
+				}
+			}
+		}
+	} else {
+		// Emit order is discovery order, which only one worker defines: the
+		// enumeration itself stops at Limit or when the consumer does.
+		err = jr.enumerate(ctx, 1, func(_ int, m join.Match) bool {
+			st.Matched++
+			if !yield(m.Clone()) || (opt.Limit > 0 && st.Matched >= opt.Limit) {
+				st.Truncated = true
+				return false
+			}
+			return true
+		})
+	}
+	if err != nil {
+		return st, err
+	}
+	jr.finish(&st)
+	return st, nil
+}
+
+// Collect executes the plan like Run and returns the whole answer instead
+// of streaming it: in decreasing probability, cut to the best Limit, under
+// OrderByProb; sorted by mapping (SortMatches' order) under OrderEmit, where
+// a Limit keeps the first Limit matches the sequential enumeration finds.
+// The matches are copied once, out of the join workers' scratch into
+// per-worker stores (see store.go), and the returned Mapping slices alias
+// those stores.
+func (e *Executor) Collect(ctx context.Context, pl *Plan, opt Exec) ([]join.Match, Stats, error) {
+	jr, st, err := e.preJoin(ctx, pl, opt)
+	if err != nil {
+		return nil, st, err
+	}
+	ms, err := jr.retain(ctx, opt, &st)
+	if err != nil {
+		return nil, st, err
+	}
+	jr.finish(&st)
+	return ms, st, nil
+}
+
+// joinRun is one execution past its pre-join stages: the reduced k-partite
+// graph and the adaptive join order, ready to enumerate.
+type joinRun struct {
+	g     *entity.Graph
+	pl    *Plan
+	kg    *kpartite.Graph
+	order []int
+	start time.Time // of the execution
+	t0    time.Time // of the join stage
+}
+
+// preJoin runs every stage before the join and opens the join stage.
+func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, Stats, error) {
 	start := time.Now()
 	st := Stats{
 		Plan:         pl.Tree,
@@ -77,7 +149,7 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 	t0 := time.Now()
 	sets, cstats, err := candidates.Find(ctx, e.ix, q, pl.Dec, pl.Alpha, workers, opt.CandCache)
 	if err != nil {
-		return st, err
+		return nil, st, err
 	}
 	st.SSPath = cstats.SSPath
 	st.SSContext = cstats.SSContext
@@ -106,7 +178,7 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 	t0 = time.Now()
 	kg, err := kpartite.Build(ctx, g, q, pl.Dec, sets, pl.Alpha, workers)
 	if err != nil {
-		return st, err
+		return nil, st, err
 	}
 	st.BuildTime = time.Since(t0)
 	st.Stages = append(st.Stages, StageStats{
@@ -124,7 +196,7 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 	if pl.Reduce {
 		rst, err := kg.Reduce(ctx, workers)
 		if err != nil {
-			return st, err
+			return nil, st, err
 		}
 		st.SSAfterStructure = rst.SSAfterStructure
 		st.SSFinal = rst.SSAfterUpperbound
@@ -154,241 +226,58 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 	order := join.OrderWithCards(pl.Dec, pl.OrderMode, obsCards)
 	st.ExecOrder = order
 
-	// Final match generation (Section 5.2.5), streamed.
-	t0 = time.Now()
-	par := opt.Parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case opt.Order == OrderByProb && par > 1:
-		err = e.streamTopKParallel(ctx, g, kg, pl, order, opt, par, yield, &st)
-	case opt.Order == OrderByProb:
-		err = e.streamTopK(ctx, g, kg, pl, order, opt, yield, &st)
-	case par > 1:
-		err = e.streamEmitParallel(ctx, g, kg, pl, order, opt, par, yield, &st)
-	default:
-		err = e.streamEmit(ctx, g, kg, pl, order, opt, yield, &st)
-	}
-	if err != nil {
-		return st, err
-	}
-	st.JoinTime = time.Since(t0)
+	return &joinRun{g: g, pl: pl, kg: kg, order: order, start: start, t0: time.Now()}, st, nil
+}
+
+// enumerate is the final match generation (Section 5.2.5).
+func (r *joinRun) enumerate(ctx context.Context, workers int, sink func(worker int, m join.Match) bool) error {
+	return join.Enumerate(ctx, r.g, r.pl.Query, r.pl.Dec, r.kg, r.order, r.pl.Alpha, workers, sink)
+}
+
+// finish closes the join stage and the execution.
+func (r *joinRun) finish(st *Stats) {
+	st.JoinTime = time.Since(r.t0)
 	st.Stages = append(st.Stages, StageStats{
-		Name: "join", Micros: Micros(st.JoinTime), StartMicros: Micros(t0.Sub(start)),
+		Name: "join", Micros: Micros(st.JoinTime), StartMicros: Micros(r.t0.Sub(r.start)),
 		EstRows: st.SSFinal, ObsRows: float64(st.Matched),
 	})
-	st.Total = time.Since(start)
-	return st, nil
+	st.Total = time.Since(r.start)
 }
 
-// streamEmit drives the join enumeration straight into yield, stopping the
-// enumeration (not just the emission) when Limit is reached or the consumer
-// returns false.
-func (e *Executor) streamEmit(ctx context.Context, g *entity.Graph, kg *kpartite.Graph, pl *Plan, order []int, opt Exec, yield func(join.Match) bool, st *Stats) error {
-	return join.FindMatchesFunc(ctx, g, pl.Query, pl.Dec, kg, order, pl.Alpha, func(m join.Match) bool {
-		st.Matched++
-		if !yield(m) {
-			st.Truncated = true
-			return false
-		}
-		if opt.Limit > 0 && st.Matched >= opt.Limit {
-			st.Truncated = true
-			return false
-		}
-		return true
-	})
-}
-
-// streamTopK runs the join to completion, retaining the Limit best matches
-// under probability order in a bounded min-heap, then emits them in
-// decreasing probability. With Limit == 0 every match is retained and
-// sorted.
-func (e *Executor) streamTopK(ctx context.Context, g *entity.Graph, kg *kpartite.Graph, pl *Plan, order []int, opt Exec, yield func(join.Match) bool, st *Stats) error {
-	top := newTopK(opt.Limit)
-	err := join.FindMatchesFunc(ctx, g, pl.Query, pl.Dec, kg, order, pl.Alpha, func(m join.Match) bool {
-		top.offer(m)
-		return true
+// retain runs the join with every worker copying the matches it is lent
+// into a store of its own — no channel, lock or per-match allocation — then
+// has each store sort its rows and merges them into the answer. Under
+// OrderByProb with a Limit the stores are bounded heaps, so the run holds
+// O(workers × Limit) rows however many matches there are; because the
+// enumeration is exhaustive and the order total, the answer is the same at
+// any worker count. An emit-order Limit instead stops the enumeration, on
+// one worker so that which matches it keeps does not depend on scheduling.
+func (r *joinRun) retain(ctx context.Context, opt Exec, st *Stats) ([]join.Match, error) {
+	workers := max(1, opt.Parallelism)
+	keep, stopAt := 0, 0
+	switch {
+	case opt.Order == OrderByProb:
+		keep = opt.Limit
+	case opt.Limit > 0:
+		workers, stopAt = 1, opt.Limit
+	}
+	stores := make([]store, workers)
+	for i := range stores {
+		stores[i].width, stores[i].limit = r.pl.Query.NumNodes(), keep
+	}
+	err := r.enumerate(ctx, workers, func(w int, m join.Match) bool {
+		stores[w].offer(m)
+		return stopAt == 0 || stores[w].n < stopAt
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	st.Truncated = top.dropped > 0
-	for _, m := range top.sorted() {
-		st.Matched++
-		if !yield(m) {
-			st.Truncated = true
-			break
-		}
-	}
-	return nil
-}
-
-// streamEmitParallel fans the per-worker match streams into one channel so
-// the caller's yield keeps its serial contract: the morsel workers enumerate
-// concurrently, the consumer (this goroutine) emits. Limit or a false yield
-// closes the stop channel, which unblocks every producer send and stops all
-// workers promptly.
-func (e *Executor) streamEmitParallel(ctx context.Context, g *entity.Graph, kg *kpartite.Graph, pl *Plan, order []int, opt Exec, par int, yield func(join.Match) bool, st *Stats) error {
-	ch := make(chan join.Match, 4*par)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	var jerr error
-	go func() {
-		defer close(done)
-		jerr = join.FindMatchesParallel(ctx, g, pl.Query, pl.Dec, kg, order, pl.Alpha, par, func(_ int, m join.Match) bool {
-			select {
-			case ch <- m:
-				return true
-			case <-stop:
-				return false
-			}
-		})
-		close(ch)
-	}()
-	stopped := false
-	for m := range ch {
-		st.Matched++
-		keep := yield(m)
-		if !keep || (opt.Limit > 0 && st.Matched >= opt.Limit) {
-			st.Truncated = true
-			stopped = true
-			close(stop)
-			break
-		}
-	}
-	<-done
-	if stopped {
-		return nil
-	}
-	// The producers may have finished (and reported no error) before a
-	// cancellation that raced with the last buffered matches being drained;
-	// re-check so a cancel-from-yield surfaces as ctx.Err() exactly like the
-	// sequential path's tail check.
-	if jerr == nil {
-		jerr = ctx.Err()
-	}
-	return jerr
-}
-
-// streamTopKParallel runs the parallel join to completion with one bounded
-// min-heap per worker — no cross-worker synchronization on the hot path —
-// then merges the per-worker heaps and emits the global top-Limit in
-// decreasing probability. Because the enumeration is exhaustive and
-// betterMatch is a total order, the output is byte-identical to the
-// sequential OrderByProb stream.
-func (e *Executor) streamTopKParallel(ctx context.Context, g *entity.Graph, kg *kpartite.Graph, pl *Plan, order []int, opt Exec, par int, yield func(join.Match) bool, st *Stats) error {
-	tops := make([]*topK, par)
-	for i := range tops {
-		tops[i] = newTopK(opt.Limit)
-	}
-	err := join.FindMatchesParallel(ctx, g, pl.Query, pl.Dec, kg, order, pl.Alpha, par, func(w int, m join.Match) bool {
-		tops[w].offer(m)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	merged := newTopK(opt.Limit)
 	offered := 0
-	for _, t := range tops {
-		offered += len(t.heap) + t.dropped
-		for _, m := range t.heap {
-			merged.offer(m)
-		}
+	for i := range stores {
+		offered += stores[i].offered
 	}
-	st.Truncated = opt.Limit > 0 && offered > opt.Limit
-	for _, m := range merged.sorted() {
-		st.Matched++
-		if !yield(m) {
-			st.Truncated = true
-			break
-		}
-	}
-	return nil
-}
-
-// betterMatch is the probability total order used by OrderByProb: higher
-// Pr first, equal probabilities broken by mapping so the ranking — and in
-// particular the top-K cut — is fully deterministic.
-func betterMatch(a, b join.Match) bool {
-	pa, pb := a.Pr(), b.Pr()
-	if pa != pb {
-		return pa > pb
-	}
-	return mappingLess(a.Mapping, b.Mapping)
-}
-
-func mappingLess(a, b []entity.ID) bool {
-	for k := range a {
-		if k >= len(b) {
-			return false
-		}
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
-}
-
-// topK retains the best matches under betterMatch. With limit > 0 it is a
-// bounded min-heap whose root is the worst retained match (O(limit) memory,
-// O(log limit) per offer); with limit == 0 it keeps everything.
-type topK struct {
-	limit   int
-	heap    matchHeap
-	dropped int
-}
-
-func newTopK(limit int) *topK { return &topK{limit: limit} }
-
-// offer considers one match for the retained set.
-func (t *topK) offer(m join.Match) {
-	if t.limit <= 0 {
-		t.heap = append(t.heap, m)
-		return
-	}
-	if len(t.heap) < t.limit {
-		heap.Push(&t.heap, m)
-		return
-	}
-	if betterMatch(m, t.heap[0]) {
-		t.heap[0] = m
-		heap.Fix(&t.heap, 0)
-	}
-	t.dropped++
-}
-
-// sorted consumes the retained set, returning it best-first.
-func (t *topK) sorted() []join.Match {
-	ms := []join.Match(t.heap)
-	t.heap = nil
-	sort.Slice(ms, func(i, j int) bool { return betterMatch(ms[i], ms[j]) })
-	return ms
-}
-
-// matchHeap is a min-heap under betterMatch: the root is the worst retained
-// match, which a better offer evicts.
-type matchHeap []join.Match
-
-func (h matchHeap) Len() int           { return len(h) }
-func (h matchHeap) Less(i, j int) bool { return betterMatch(h[j], h[i]) }
-func (h matchHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *matchHeap) Push(x any)        { *h = append(*h, x.(join.Match)) }
-func (h *matchHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// SortMatches orders matches by mapping for deterministic output, with a
-// final probability tie-break so even elementwise-equal mappings (which
-// would otherwise fall through to unstable slice order) sort the same way
-// across runs.
-func SortMatches(ms []join.Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		for k := range a.Mapping {
-			if a.Mapping[k] != b.Mapping[k] {
-				return a.Mapping[k] < b.Mapping[k]
-			}
-		}
-		return a.Pr() > b.Pr()
-	})
+	ms := mergeStores(stores, opt.Order, keep)
+	st.Matched = len(ms)
+	st.Truncated = (keep > 0 && offered > keep) || (stopAt > 0 && offered >= stopAt)
+	return ms, nil
 }

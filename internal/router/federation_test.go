@@ -43,15 +43,15 @@ func TestMetricsCluster(t *testing.T) {
 	}
 	page := string(raw)
 	for _, want := range []string{
-		"peg_router_requests_total",                            // the router's own families lead
+		"peg_router_requests_total", // the router's own families lead
 		`peg_cluster_scrape_up{shard="0",replica="` + backends[0].URL + `"} 1`,
 		`peg_cluster_scrape_up{shard="1",replica="` + backends[1].URL + `"} 1`,
 		`peg_requests_total{shard="0",replica="` + backends[0].URL + `",endpoint="match",outcome="ok"} 1`,
 		`peg_requests_total{shard="1",replica="` + backends[1].URL + `",endpoint="match",outcome="ok"} 1`,
-		`peg_index_entries{shard="0"`,                          // gauges federate too
-		"# TYPE peg_request_duration_seconds histogram",        // type survives the round trip
+		`peg_index_entries{shard="0"`,                            // gauges federate too
+		"# TYPE peg_request_duration_seconds histogram",          // type survives the round trip
 		`peg_request_duration_seconds_bucket{shard="0",replica=`, // histogram series re-labeled
-		"peg_trace_spans_recorded_total 0",                     // router's trace families render zeros untraced
+		"peg_trace_spans_recorded_total 0",                       // router's trace families render zeros untraced
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("federated page missing %q", want)

@@ -36,9 +36,9 @@ func checkAccounting(t *testing.T, s *Server) {
 // server-side view of a client that disconnected mid-stream.
 type failWriter struct{ h http.Header }
 
-func (f *failWriter) Header() http.Header         { return f.h }
-func (f *failWriter) Write([]byte) (int, error)   { return 0, errors.New("broken pipe") }
-func (f *failWriter) WriteHeader(statusCode int)  {}
+func (f *failWriter) Header() http.Header        { return f.h }
+func (f *failWriter) Write([]byte) (int, error)  { return 0, errors.New("broken pipe") }
+func (f *failWriter) WriteHeader(statusCode int) {}
 
 // TestStreamDisconnectCountsCanceled is the regression test for the billing
 // bug: a client that vanishes mid-stream used to be counted as a server

@@ -21,16 +21,16 @@ func TestDeadlineHeaderFolds(t *testing.T) {
 	s, _ := testServer(t, Options{Workers: 2, RequestTimeout: 30 * time.Second})
 
 	for _, tc := range []struct {
-		header  string
-		bodyMS  int64
-		want    time.Duration
+		header string
+		bodyMS int64
+		want   time.Duration
 	}{
-		{"", 0, 30 * time.Second},          // neither: the server cap
-		{"50", 0, 50 * time.Millisecond},   // header lowers
-		{"50", 20, 20 * time.Millisecond},  // tighter body wins
-		{"20", 50, 20 * time.Millisecond},  // tighter header wins
-		{"60000000", 0, 30 * time.Second},  // header cannot raise past the cap
-		{"0", 0, 30 * time.Second},         // non-positive ignored
+		{"", 0, 30 * time.Second},         // neither: the server cap
+		{"50", 0, 50 * time.Millisecond},  // header lowers
+		{"50", 20, 20 * time.Millisecond}, // tighter body wins
+		{"20", 50, 20 * time.Millisecond}, // tighter header wins
+		{"60000000", 0, 30 * time.Second}, // header cannot raise past the cap
+		{"0", 0, 30 * time.Second},        // non-positive ignored
 		{"-5", 0, 30 * time.Second},
 		{"junk", 0, 30 * time.Second},
 	} {

@@ -42,11 +42,15 @@
 //		use(m)
 //	}
 //
-// The join enumeration itself is morsel-parallel: MatchOptions.Parallelism
-// (default 0 = GOMAXPROCS) fans the search out over worker goroutines with
-// allocation-free per-worker scratch state, and Match / OrderByProb results
-// are exactly the sequential ones at any parallelism. Set Parallelism: 1
-// when serving many concurrent queries (the server does this by default).
+// A run that retains its answer — Match, MatchPlan and any OrderByProb
+// stream — can enumerate morsel-parallel: MatchOptions.Parallelism is the
+// number of join workers (0 or 1 = sequential, the default here and in the
+// server), each with allocation-free scratch state and a store of its own
+// for what it finds, and the answer is bitwise the same at every value. An
+// emit-order stream (and an emit-order Limit) always enumerates on one
+// worker, so what it emits is deterministic. Raise Parallelism for a single
+// result-heavy query on otherwise idle cores; leave it when serving many
+// concurrent queries.
 //
 // # Live ingest
 //
@@ -159,9 +163,10 @@ type (
 	// (mapping ψ plus Prle and Prn).
 	MatchRecord = join.Match
 	// MatchOptions configures a match run: threshold, strategy, the
-	// streaming knobs Limit and Order, and Parallelism (morsel-parallel
-	// join execution; 0 = GOMAXPROCS, 1 = sequential — results are
-	// identical either way for Match and OrderByProb streams).
+	// streaming knobs Limit and Order, and Parallelism (the join worker
+	// count of runs that retain their answer — Match, OrderByProb; 0 or 1 =
+	// sequential — with identical results at any value; emit-order streams
+	// always enumerate on one worker).
 	MatchOptions = core.Options
 	// MatchResult bundles matches with per-stage statistics.
 	MatchResult = core.Result
