@@ -72,7 +72,9 @@ type Stats struct {
 }
 
 // NodeChecker memoizes the node-level candidacy test cn(n) of Section
-// 5.2.2. Safe for concurrent use.
+// 5.2.2. Safe for concurrent use without a lock: the memo holds two bits
+// (known, ok) per (query node, entity), and since the test is a pure
+// function of the pair, goroutines racing on one entry OR in the same bits.
 type NodeChecker struct {
 	g     *entity.Graph
 	ctx   *pathindex.Context
@@ -81,9 +83,14 @@ type NodeChecker struct {
 	// counts[n] = c(n,·) dense by label.
 	counts [][]int
 
-	mu   sync.Mutex
-	memo []map[entity.ID]bool
+	numEnt int
+	memo   []atomic.Uint64 // 32 two-bit entries a word, entry n*numEnt+v
 }
+
+const (
+	memoKnown = 1 << iota
+	memoOK
+)
 
 // NewNodeChecker prepares the per-query-node statistics.
 func NewNodeChecker(g *entity.Graph, ctxInfo *pathindex.Context, q *query.Query, alpha float64) *NodeChecker {
@@ -93,27 +100,28 @@ func NewNodeChecker(g *entity.Graph, ctxInfo *pathindex.Context, q *query.Query,
 		q:      q,
 		alpha:  alpha,
 		counts: make([][]int, q.NumNodes()),
-		memo:   make([]map[entity.ID]bool, q.NumNodes()),
+		numEnt: g.NumNodes(),
 	}
 	for n := 0; n < q.NumNodes(); n++ {
 		nc.counts[n] = q.NeighborLabelCounts(query.NodeID(n), g.NumLabels())
-		nc.memo[n] = make(map[entity.ID]bool)
 	}
+	nc.memo = make([]atomic.Uint64, (q.NumNodes()*nc.numEnt+31)/32)
 	return nc
 }
 
 // OK reports whether entity v is a node-level candidate for query node n.
 func (nc *NodeChecker) OK(v entity.ID, n query.NodeID) bool {
-	nc.mu.Lock()
-	res, ok := nc.memo[n][v]
-	nc.mu.Unlock()
-	if ok {
-		return res
+	e := int(n)*nc.numEnt + int(v)
+	word, shift := &nc.memo[e>>5], uint(e&31)*2
+	if bits := word.Load() >> shift; bits&memoKnown != 0 {
+		return bits&memoOK != 0
 	}
-	res = nc.check(v, n)
-	nc.mu.Lock()
-	nc.memo[n][v] = res
-	nc.mu.Unlock()
+	res := nc.check(v, n)
+	bits := uint64(memoKnown)
+	if res {
+		bits |= memoOK
+	}
+	word.Or(bits << shift)
 	return res
 }
 
@@ -167,8 +175,11 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	g := ix.Graph()
-	nc := NewNodeChecker(g, ix.Context(), q, alpha)
+	// The node-level memo is built by the first path that has to scan: a
+	// request served entirely from the candidate cache never pays for it.
+	checker := sync.OnceValue(func() *NodeChecker {
+		return NewNodeChecker(ix.Graph(), ix.Context(), q, alpha)
+	})
 
 	n := len(dec.Paths)
 	sets := make([]Set, n)
@@ -200,7 +211,7 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 	findPath := func(i int) error {
 		p := &dec.Paths[i]
 		compute := func() (Rows, int, error) {
-			return scanPath(ctx, ix, nc, p, alpha)
+			return scanPath(ctx, ix, checker(), p, alpha)
 		}
 		var (
 			kept    Rows

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -356,5 +357,92 @@ func TestFindCancelMidPrune(t *testing.T) {
 func TestPruneCancelGranularity(t *testing.T) {
 	if cancelCheckEvery != 1024 {
 		t.Fatalf("cancelCheckEvery = %d, want 1024", cancelCheckEvery)
+	}
+}
+
+// TestNodeCheckerConcurrent hammers one NodeChecker from 8 goroutines, each
+// asking every (entity, query node) in its own rotation so that first writes
+// to a memo word collide: every answer — computed, raced or read back from
+// the two-bit memo — equals the pure test. Run under -race in CI.
+func TestNodeCheckerConcurrent(t *testing.T) {
+	g, ix := synthIx(t, 5)
+	q, err := gen.RandomQuery(rand.New(rand.NewSource(5)), g.NumLabels(), 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := NewNodeChecker(g, ix.Context(), q, 0.05)
+	pairs := g.NumNodes() * q.NumNodes()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ { // the second round is all memo hits
+				for i := 0; i < pairs; i++ {
+					e := (i + w*pairs/8) % pairs
+					v, n := entity.ID(e/q.NumNodes()), query.NodeID(e%q.NumNodes())
+					if got, want := nc.OK(v, n), nc.check(v, n); got != want {
+						t.Errorf("worker %d: OK(%d, %d) = %v, check says %v", w, v, n, got, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// contextCounter counts how often Find asks the reader for its context
+// statistics, which only building a NodeChecker does.
+type contextCounter struct {
+	pathindex.Reader
+	calls atomic.Int32
+}
+
+func (c *contextCounter) Context() *pathindex.Context {
+	c.calls.Add(1)
+	return c.Reader.Context()
+}
+
+// TestFindAllHitsBuildNoChecker: the node-level memo is built by the first
+// path that scans, once, and not at all by a request whose every path is a
+// candidate-cache hit (the server's stream path on a repeated shape).
+func TestFindAllHitsBuildNoChecker(t *testing.T) {
+	g, base := synthIx(t, 7)
+	ix := &contextCounter{Reader: base}
+	q, err := gen.RandomQuery(rand.New(rand.NewSource(7)), g.NumLabels(), 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decompose.Decompose(q, ix, decompose.Options{MaxLen: 2, Alpha: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec.Paths) < 2 {
+		t.Fatalf("decomposition has %d paths; want several misses sharing one checker", len(dec.Paths))
+	}
+	ctx := context.Background()
+	cache := NewCache(0)
+	if _, st, err := Find(ctx, ix, q, dec, 0.1, 1, cache); err != nil || st.CacheMisses != len(dec.Paths) {
+		t.Fatalf("cold Find: misses %d err %v", st.CacheMisses, err)
+	}
+	if n := ix.calls.Load(); n != 1 {
+		t.Fatalf("cold Find built %d checkers, want 1", n)
+	}
+	hit := testing.AllocsPerRun(50, func() {
+		if _, st, err := Find(ctx, ix, q, dec, 0.1, 1, cache); err != nil || st.CacheHits != len(dec.Paths) {
+			t.Fatalf("warm Find: hits %d err %v", st.CacheHits, err)
+		}
+	})
+	if n := ix.calls.Load(); n != 1 {
+		t.Errorf("all-hit Finds built %d more checkers", n-1)
+	}
+	// What an all-hit Find allocates is its result slots, the key prefix and
+	// two allocations per path for the key: 16 + 2·paths today. A NodeChecker
+	// is 3 + NumNodes more (itself, the per-node label counts, the memo), so
+	// the allowance has no room for one.
+	checker := testing.AllocsPerRun(50, func() { NewNodeChecker(g, base.Context(), q, 0.1) })
+	if allowance := float64(16 + 2*len(dec.Paths)); hit > allowance {
+		t.Errorf("all-hit Find makes %v allocations, allowance %v (a NodeChecker is %v)", hit, allowance, checker)
 	}
 }

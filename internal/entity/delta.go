@@ -95,6 +95,7 @@ func ApplyDelta(old *Graph, d *refgraph.PGD, dl Delta, opt BuildOptions) (*Graph
 	}
 
 	ng.maxRef = maxNodeRef(old.maxRef, ng.nodes[len(old.nodes):])
+	ng.indexLabels()
 
 	refToEnts := make([][]ID, d.NumRefs())
 	setEnt := make(map[refgraph.SetID]ID)

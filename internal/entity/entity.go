@@ -110,6 +110,10 @@ type Graph struct {
 	// maxRef is the largest reference id of any node (-1 without nodes),
 	// recorded wherever nodes are created: Build, ApplyDelta, Load.
 	maxRef refgraph.RefID
+	// labelBits is one entity bitset per label, labelWords words each (see
+	// HasLabel), built by indexLabels in the same three places.
+	labelBits  []uint64
+	labelWords int
 }
 
 // BuildOptions configures Build.
@@ -164,6 +168,7 @@ func Build(d *refgraph.PGD, opt BuildOptions) (*Graph, error) {
 	}
 
 	g.maxRef = maxNodeRef(-1, g.nodes)
+	g.indexLabels()
 
 	if err := g.buildEdges(d, refToEnts, merge, nLabels); err != nil {
 		return nil, err

@@ -98,8 +98,27 @@ func (g *Graph) Labels(v ID) []prob.LabelID { return g.nodes[v].Label.Support() 
 // PrLabel returns Pr(v.l = l), the node label factor of Eq. 2.
 func (g *Graph) PrLabel(v ID, l prob.LabelID) float64 { return g.nodes[v].Label.P(l) }
 
-// HasLabel reports whether l ∈ L(v).
-func (g *Graph) HasLabel(v ID, l prob.LabelID) bool { return g.nodes[v].Label.P(l) > 0 }
+// HasLabel reports whether l ∈ L(v), i.e. PrLabel(v, l) > 0: one bit of the
+// per-label entity bitset, so a traversal can reject a neighbour without
+// touching its node record.
+func (g *Graph) HasLabel(v ID, l prob.LabelID) bool {
+	return g.labelBits[int(l)*g.labelWords+int(v)>>6]>>(uint(v)&63)&1 != 0
+}
+
+// indexLabels builds the HasLabel bitset from the nodes' label
+// distributions: n·|Σ|/8 bytes.
+func (g *Graph) indexLabels() {
+	g.labelWords = (len(g.nodes) + 63) / 64
+	g.labelBits = make([]uint64, g.alpha.Len()*g.labelWords)
+	for l := 0; l < g.alpha.Len(); l++ {
+		bits := g.labelBits[l*g.labelWords : (l+1)*g.labelWords]
+		for v := range g.nodes {
+			if g.nodes[v].Label.P(prob.LabelID(l)) > 0 {
+				bits[v>>6] |= 1 << (uint(v) & 63)
+			}
+		}
+	}
+}
 
 // Exist returns the marginal existence probability Pr(v.n = T).
 func (g *Graph) Exist(v ID) float64 { return g.nodes[v].Exist }
@@ -199,6 +218,23 @@ func (g *Graph) Prn(nodes []ID) float64 {
 		}
 	}
 	return p
+}
+
+// PrnExtend returns Prn(nodes ∪ {v}) given prn0 = Prn(nodes), for a walk that
+// grows a node list one entity at a time. When v's identity component holds
+// none of nodes, Prn would append that component's one-bit mask last and
+// multiply the running product — prn0 — by Exist(v), so that product is
+// returned directly, the same floats in the same order; otherwise v changes
+// an earlier component's mask and Prn is evaluated over the extended list.
+func (g *Graph) PrnExtend(nodes []ID, prn0 float64, v ID) float64 {
+	nv := &g.nodes[v]
+	for _, u := range nodes {
+		if g.nodes[u].Comp == nv.Comp {
+			var buf [16]ID
+			return g.Prn(append(append(buf[:0], nodes...), v))
+		}
+	}
+	return prn0 * nv.Exist
 }
 
 // PrnPair is Prn for exactly two nodes, avoiding slice allocation on the

@@ -149,6 +149,7 @@ func Load(r io.Reader) (*Graph, error) {
 	}
 
 	g.maxRef = maxNodeRef(-1, g.nodes)
+	g.indexLabels()
 
 	nComps := int(br.U32())
 	if br.Err() != nil || nComps < 0 || nComps > nNodes {

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/prob"
 	"repro/internal/refgraph"
 )
 
@@ -37,39 +39,49 @@ func prnByMemo(g *Graph, nodes []ID) float64 {
 	return p
 }
 
+// constructionPaths returns one seeded synthetic graph as each of the three
+// places that create nodes leaves it: built, incrementally maintained
+// (components shared with the old graph, entities appended) and reloaded from
+// a snapshot (Exist read back, not recomputed). appended reports how many
+// entities the delta added.
+func constructionPaths(t *testing.T, seed int64, rng *rand.Rand, opt BuildOptions) (graphs map[string]*Graph, appended int) {
+	t.Helper()
+	d, err := gen.Synthetic(gen.SynthOptions{
+		Refs: 40, EdgeFactor: 2, Labels: 3, UncertainFrac: 0.5,
+		Groups: 4, GroupSize: 4, PairsPerGroup: 3, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, _, err := ApplyDelta(built, d, applyRandomDelta(t, rng, d), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := delta.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := Load(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Graph{"built": built, "delta": delta, "reloaded": reloaded}, delta.NumNodes() - built.NumNodes()
+}
+
 // TestPrnExistShortcutBitwise: Prn and PrnPair equal the all-memo path bit
 // for bit on random node sets — drawn so that components are often shared
 // between several nodes of a set, and with duplicates — over graphs that
-// were built, incrementally maintained (components shared with the old
-// graph), and reloaded from a snapshot (Exist read back, not recomputed).
+// were built, incrementally maintained, and reloaded from a snapshot.
 // Also pins MaxRef on every one of those construction paths.
 func TestPrnExistShortcutBitwise(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed * 17))
-		d, err := gen.Synthetic(gen.SynthOptions{
-			Refs: 40, EdgeFactor: 2, Labels: 3, UncertainFrac: 0.5,
-			Groups: 4, GroupSize: 4, PairsPerGroup: 3, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		built, err := Build(d, BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		delta, _, err := ApplyDelta(built, d, applyRandomDelta(t, rng, d), BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap bytes.Buffer
-		if err := delta.Save(&snap); err != nil {
-			t.Fatal(err)
-		}
-		reloaded, err := Load(&snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, g := range map[string]*Graph{"built": built, "delta": delta, "reloaded": reloaded} {
+		graphs, _ := constructionPaths(t, seed, rng, BuildOptions{})
+		for name, g := range graphs {
 			label := fmt.Sprintf("seed %d %s", seed, name)
 			wantMax := refgraph.RefID(-1)
 			for v := 0; v < g.NumNodes(); v++ {
@@ -102,6 +114,83 @@ func TestPrnExistShortcutBitwise(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestHasLabelBitset: the per-label entity bitset answers HasLabel exactly as
+// the label distribution does, for every (entity, label), on every
+// construction path — the delta's appended entities (fresh references and
+// merged sets, whose support is the union of their members') included.
+func TestHasLabelBitset(t *testing.T) {
+	appended := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		graphs, n := constructionPaths(t, seed, rand.New(rand.NewSource(seed*17)), BuildOptions{})
+		appended += n
+		for name, g := range graphs {
+			for v := 0; v < g.NumNodes(); v++ {
+				for l := 0; l < g.NumLabels(); l++ {
+					want := g.Node(ID(v)).Label.P(prob.LabelID(l)) > 0
+					if got := g.HasLabel(ID(v), prob.LabelID(l)); got != want {
+						t.Fatalf("seed %d %s: HasLabel(%d, %d) = %v, distribution says %v", seed, name, v, l, got, want)
+					}
+				}
+			}
+		}
+	}
+	if appended == 0 {
+		t.Error("no delta appended an entity; that path was not exercised")
+	}
+}
+
+// TestPrnExtendEqualsPrn: growing a node list one entity at a time,
+// PrnExtend(prefix, Prn(prefix), v) is Prn(prefix+v) bit for bit — for every
+// simple GU path prefix of up to four nodes extended by every neighbour of
+// its tail (the on-demand DFS's call) and by every member of every prefix
+// node's identity component (so extensions that change an earlier mask are
+// certain to occur), under both identity semantics and on every construction
+// path.
+func TestPrnExtendEqualsPrn(t *testing.T) {
+	for _, sem := range []Semantics{SemanticsExample, SemanticsFactor} {
+		fresh, sameComp := 0, 0
+		for seed := int64(1); seed <= 2; seed++ {
+			graphs, _ := constructionPaths(t, seed, rand.New(rand.NewSource(seed*17)), BuildOptions{Semantics: sem})
+			for name, g := range graphs {
+				check := func(prefix []ID, prn0 float64, v ID) float64 {
+					want := g.Prn(append(prefix[:len(prefix):len(prefix)], v))
+					if got := g.PrnExtend(prefix, prn0, v); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("semantics %d seed %d %s: PrnExtend(%v, %v, %d) = %v, Prn %v", sem, seed, name, prefix, prn0, v, got, want)
+					}
+					return want
+				}
+				var walk func(prefix []ID, prn0 float64)
+				walk = func(prefix []ID, prn0 float64) {
+					for _, u := range prefix {
+						for _, m := range g.ComponentOf(u).Members {
+							check(prefix, prn0, m)
+							sameComp++
+						}
+					}
+					if len(prefix) == 4 {
+						return
+					}
+					for _, nb := range g.Neighbors(prefix[len(prefix)-1]) {
+						if slices.Contains(prefix, nb.To) {
+							continue
+						}
+						if prn := check(prefix, prn0, nb.To); prn != 0 {
+							fresh++
+							walk(append(prefix, nb.To), prn)
+						}
+					}
+				}
+				for v := 0; v < g.NumNodes(); v++ {
+					walk([]ID{ID(v)}, g.Exist(ID(v)))
+				}
+			}
+		}
+		if fresh == 0 || sameComp == 0 {
+			t.Errorf("semantics %d: %d neighbour and %d same-component extensions; one kind was never exercised", sem, fresh, sameComp)
 		}
 	}
 }

@@ -29,9 +29,8 @@ type joined struct{ part, pos int }
 // stepAssign is one path position whose query node is first assigned at this
 // step.
 type stepAssign struct {
-	pos   int32
-	qn    query.NodeID
-	label prob.LabelID
+	pos int32
+	qn  query.NodeID
 }
 
 // stepCheck is one path position whose query node was assigned by an earlier
@@ -43,9 +42,11 @@ type stepCheck struct {
 
 // stepEdge is one query edge (qa < qb) whose probability is first multiplied
 // into the prefix at this step. idx is its position in q.Edges(), the order
-// the final Prle multiplies edge factors in.
+// the final Prle multiplies edge factors in; pos is its position along the
+// step's path (that of its first node), unset for an edge no step covers.
 type stepEdge struct {
 	idx    int32
+	pos    int32
 	qa, qb query.NodeID
 	la, lb prob.LabelID
 }
@@ -99,7 +100,7 @@ func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *
 				sp.check = append(sp.check, stepCheck{pos: int32(pos), qn: qn})
 			} else {
 				covered[qn] = true
-				sp.assign = append(sp.assign, stepAssign{pos: int32(pos), qn: qn, label: q.Label(qn)})
+				sp.assign = append(sp.assign, stepAssign{pos: int32(pos), qn: qn})
 			}
 		}
 		for pos := 0; pos+1 < len(path.Nodes); pos++ {
@@ -112,7 +113,9 @@ func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *
 				continue
 			}
 			coveredEdge[i] = true
-			sp.edges = append(sp.edges, qEdges[i])
+			e := qEdges[i]
+			e.pos = int32(pos)
+			sp.edges = append(sp.edges, e)
 		}
 	}
 	for i, c := range coveredEdge {
@@ -223,13 +226,15 @@ func (s *scratch) tryCandidate(step, b, ci int) error {
 // apply installs candidate ci of partition b into the scratch: consistency
 // checks on already-assigned query nodes, reference-disjointness bits for
 // newly assigned ones, and the incremental label/edge prefix with the
-// partial-probability α prune (Section 5.2.5). Each factor is also recorded
-// under its query node or query edge for emit. On failure every partial
-// effect is rolled back and false is returned.
+// partial-probability α prune (Section 5.2.5). The factors are the ones the
+// k-partite build looked up for the row (an absent GU edge reads 0 and fails
+// the step); each is also recorded under its query node or query edge for
+// emit. On failure every partial effect is rolled back and false is returned.
 func (s *scratch) apply(step, b, ci int) bool {
 	p := s.p
 	sp := &p.steps[step]
 	row := p.kg.Row(b, ci)
+	lab, edge := p.kg.Factors(b, ci)
 	for _, c := range sp.check {
 		if s.asn[c.qn] != row[c.pos] {
 			return false
@@ -254,7 +259,7 @@ assign:
 		s.asn[a.qn] = v
 		s.nodes = append(s.nodes, v)
 		nAsn++
-		f := p.g.PrLabel(v, a.label)
+		f := lab[a.pos]
 		s.nodeF[a.qn] = f
 		pr *= f
 	}
@@ -263,12 +268,7 @@ assign:
 	}
 	if ok {
 		for _, e := range sp.edges {
-			ep, found := p.g.EdgeBetween(s.asn[e.qa], s.asn[e.qb])
-			if !found {
-				ok = false
-				break
-			}
-			f := ep.Prob(e.la, e.lb)
+			f := edge[e.pos]
 			s.edgeF[e.idx] = f
 			pr *= f
 			if pr == 0 {

@@ -20,6 +20,7 @@ import (
 	"context"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/decompose"
 	"repro/internal/entity"
+	"repro/internal/prob"
 	"repro/internal/query"
 	"repro/internal/refgraph"
 )
@@ -68,6 +70,7 @@ type partition struct {
 	set  *candidates.Set
 	n    int // number of candidate vertices
 	plen int // nodes per candidate row
+	elen int // edges per candidate row: plen-1
 	// nodes holds the candidate rows row-major: row i is
 	// nodes[i*plen : (i+1)*plen]. nodes and w2 are the candidate set's
 	// arenas (set.Nodes, set.Prn) and must not be written.
@@ -76,6 +79,14 @@ type partition struct {
 	nAlive int
 	w1     []float64
 	w2     []float64
+	// lab and edge are the row factor columns computeWeights fills, the only
+	// place a candidate row's probabilities are looked up:
+	// lab[i*plen+pos] = PrLabel(row i's node at pos, label of path.Nodes[pos])
+	// and edge[i*elen+pos] = the probability of the GU edge between row
+	// i's nodes at pos and pos+1 given the two query labels in edgeKey
+	// orientation, 0 when GU has no such edge.
+	lab  []float64
+	edge []float64
 	// vec / nextVec are the flat perception vectors (n rows of k entries,
 	// row-major); nextVec is the write buffer of the current BSP round and
 	// the two are swapped at each round barrier. vecSet[i] records whether
@@ -105,26 +116,35 @@ type Stats struct {
 // combined probability, and reference disjointness. With workers > 1 the
 // per-pair link construction fans out across a pool: each unordered pair
 // writes only its own two kg.links slots and each worker owns a private
-// buildEval scratch, and since per-pair output is independent of scheduling
-// the resulting CSR arenas are byte-identical at any worker count. sets is
-// retained and only read: its arenas become the partitions' rows.
+// buildEval scratch, sized before the hand-out starts, and since per-pair
+// output is independent of scheduling the resulting CSR arenas are
+// byte-identical at any worker count. sets is retained and only read: its
+// arenas become the partitions' rows.
 func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.Decomposition, sets []candidates.Set, alpha float64, workers int) (*Graph, error) {
 	k := len(sets)
 	kg := &Graph{g: g, q: q, dec: dec, alpha: alpha}
 	kg.parts = make([]*partition, k)
 	kg.links = make([][]linkSet, k)
 	kg.joined = make([][]int, k)
+	maxN := 0
 	for p := 0; p < k; p++ {
 		n := sets[p].Len()
+		plen := len(sets[p].Path.Nodes)
+		elen := max(plen-1, 0)
+		// One arena for the three float columns Build computes.
+		cols := make([]float64, n*(1+plen+elen))
 		part := &partition{
 			set:    &sets[p],
 			n:      n,
-			plen:   len(sets[p].Path.Nodes),
+			plen:   plen,
+			elen:   elen,
 			nodes:  sets[p].Nodes,
 			alive:  make([]bool, n),
 			nAlive: n,
-			w1:     make([]float64, n),
+			w1:     cols[:n:n],
 			w2:     sets[p].Prn,
+			lab:    cols[n : n+n*plen : n+n*plen],
+			edge:   cols[n+n*plen:],
 		}
 		for i := range part.alive {
 			part.alive[i] = true
@@ -132,6 +152,7 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 		kg.parts[p] = part
 		kg.links[p] = make([]linkSet, k)
 		kg.joined[p] = dec.Joined(p)
+		maxN = max(maxN, n)
 	}
 	kg.computeWeights()
 
@@ -156,7 +177,7 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 		workers = len(pairs)
 	}
 	if workers <= 1 {
-		be := newBuildEval(g, q, dec, alpha)
+		be := newBuildEval(g, alpha, maxN)
 		for _, pair := range pairs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -166,13 +187,19 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 		return kg, nil
 	}
 
+	// Every worker's scratch exists before the first pair is handed out, so
+	// what Build allocates depends on the worker count and the input, never
+	// on which worker happened to claim which pair.
+	evals := make([]*buildEval, workers)
+	for w := range evals {
+		evals[w] = newBuildEval(g, alpha, maxN)
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, be := range evals {
 		wg.Add(1)
-		go func() {
+		go func(be *buildEval) {
 			defer wg.Done()
-			be := newBuildEval(g, q, dec, alpha)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(pairs) || ctx.Err() != nil {
@@ -180,7 +207,7 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 				}
 				kg.linkPair(be, pairs[i][0], pairs[i][1])
 			}
-		}()
+		}(be)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -189,32 +216,51 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 	return kg, nil
 }
 
-// computeWeights assigns w1 (the exclusive node/edge cover product) to every
-// vertex; w2 (the identity probability Prn) is the candidate set's own
-// column.
+// computeWeights looks every row's probability factors up, once, into the
+// lab and edge columns, and multiplies w1 (the exclusive node/edge cover
+// product: the covered label factors in position order, then the covered
+// edge factors) from them; w2 (the identity probability Prn) is the
+// candidate set's own column. A row with a missing GU edge gets factor 0
+// there, hence w1 = 0 when this partition covers that edge.
 func (kg *Graph) computeWeights() {
 	for p, part := range kg.parts {
 		path := part.set.Path
+		plen, elen := part.plen, part.elen
+		// What a position contributes depends on the path alone.
+		labels := make([]prob.LabelID, plen)
+		coverNode := make([]bool, plen)
+		edgeLabels := make([][2]prob.LabelID, elen)
+		coverEdge := make([]bool, elen)
+		for pos, qn := range path.Nodes {
+			labels[pos] = kg.q.Label(qn)
+			coverNode[pos] = kg.dec.CoverNode[qn] == p
+		}
+		for pos := range edgeLabels {
+			key := edgeKey(path.Nodes[pos], path.Nodes[pos+1])
+			edgeLabels[pos] = [2]prob.LabelID{kg.q.Label(key[0]), kg.q.Label(key[1])}
+			coverEdge[pos] = kg.dec.CoverEdge[key] == p
+		}
 		for i := 0; i < part.n; i++ {
-			row := part.nodes[i*part.plen : (i+1)*part.plen]
+			row := part.nodes[i*plen : (i+1)*plen]
+			lab := part.lab[i*plen : (i+1)*plen]
+			edge := part.edge[i*elen : (i+1)*elen]
 			w1 := 1.0
-			for pos, qn := range path.Nodes {
-				if kg.dec.CoverNode[qn] == p {
-					w1 *= kg.g.PrLabel(row[pos], kg.q.Label(qn))
+			for pos, v := range row {
+				f := kg.g.PrLabel(v, labels[pos])
+				lab[pos] = f
+				if coverNode[pos] {
+					w1 *= f
 				}
 			}
-			for pos := 0; pos+1 < len(path.Nodes); pos++ {
-				a, b := path.Nodes[pos], path.Nodes[pos+1]
-				key := edgeKey(a, b)
-				if kg.dec.CoverEdge[key] != p {
-					continue
+			for pos := range edge {
+				f := 0.0
+				if ep, ok := kg.g.EdgeBetween(row[pos], row[pos+1]); ok {
+					f = ep.Prob(edgeLabels[pos][0], edgeLabels[pos][1])
 				}
-				ep, ok := kg.g.EdgeBetween(row[pos], row[pos+1])
-				if !ok {
-					w1 = 0
-					break
+				edge[pos] = f
+				if coverEdge[pos] {
+					w1 *= f
 				}
-				w1 *= ep.Prob(kg.q.Label(a), kg.q.Label(b))
 			}
 			part.w1[i] = w1
 		}
@@ -228,140 +274,150 @@ func edgeKey(a, b query.NodeID) [2]query.NodeID {
 	return [2]query.NodeID{a, b}
 }
 
-// buildEval is the reusable scratch state for the per-pair joinability test:
-// a flat union assignment keyed by query node, a reference bitset with an
-// undo list, and the per-pair union node/edge shapes, so evaluating one
-// candidate pair allocates nothing.
+// buildEval is one worker's reusable scratch for link construction: the
+// reference bitset with its undo list and the union entity list of the
+// joinability test, the shape of the pair being linked (which positions of
+// which side supply the union's nodes and edges), and the bucket keys and
+// lookup table of linkPair, sized for the largest partition — so linking a
+// pair allocates its two CSR outputs and nothing else.
 type buildEval struct {
 	g     *entity.Graph
-	q     *query.Query
-	dec   *decompose.Decomposition
 	alpha float64
 
-	asn      []entity.ID // per query node; -1 = unassigned
 	refWords []uint64
 	refUndo  []refgraph.RefID
 	nodesBuf []entity.ID
 
-	// Per-pair shape, rebuilt by setPair.
-	unionNodes []query.NodeID
-	unionEdges [][2]query.NodeID
+	// Per-pair shape, rebuilt by setPair. The union of the two paths is all
+	// of pa's nodes then pb's at newB, and pa's edges at edgesA then pb's at
+	// edgesB (an edge position is that of its first node); shared lists the
+	// (posA, posB) holding the same query node.
+	pa, pb         *partition
+	shared         [][2]int32
+	newB           []int32
+	edgesA, edgesB []int32
+	edgeKeys       [][2]query.NodeID // setPair's dedup list
+
+	// linkPair's scratch: each side's bucket per row, and T(b, a).
+	keysA, keysB []int32
+	table        linkSet
 }
 
-func newBuildEval(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, alpha float64) *buildEval {
-	be := &buildEval{g: g, q: q, dec: dec, alpha: alpha}
-	be.asn = make([]entity.ID, q.NumNodes())
-	for i := range be.asn {
-		be.asn[i] = -1
+// newBuildEval sizes the scratch for partitions of up to maxN rows: a table
+// over n rows has fewer than 2n buckets (at least one).
+func newBuildEval(g *entity.Graph, alpha float64, maxN int) *buildEval {
+	return &buildEval{
+		g:        g,
+		alpha:    alpha,
+		refWords: make([]uint64, int(g.MaxRef())/64+1),
+		keysA:    make([]int32, maxN),
+		keysB:    make([]int32, maxN),
+		table:    linkSet{offs: make([]int32, 2*maxN+2), pool: make([]int32, maxN)},
 	}
-	be.refWords = make([]uint64, int(g.MaxRef())/64+1)
-	return be
 }
 
-// setPair precomputes the union query-node list and the deduplicated union
-// edge list of paths pa and pb — these depend only on the pair, not on the
-// candidates.
-func (be *buildEval) setPair(pa, pb *decompose.Path) {
-	be.unionNodes = be.unionNodes[:0]
-	be.unionEdges = be.unionEdges[:0]
-	for _, qn := range pa.Nodes {
-		be.unionNodes = append(be.unionNodes, qn)
-	}
-	for _, qn := range pb.Nodes {
+// setPair precomputes which side and position supplies every node and every
+// deduplicated edge of the union of pa's and pb's paths — these depend only
+// on the pair, not on the candidates.
+func (be *buildEval) setPair(pa, pb *partition) {
+	be.pa, be.pb = pa, pb
+	be.shared, be.newB = be.shared[:0], be.newB[:0]
+	be.edgesA, be.edgesB = be.edgesA[:0], be.edgesB[:0]
+	be.edgeKeys = be.edgeKeys[:0]
+	na, nb := pa.set.Path.Nodes, pb.set.Path.Nodes
+	for posB, qn := range nb {
 		dup := false
-		for _, on := range pa.Nodes {
+		for posA, on := range na {
 			if on == qn {
+				be.shared = append(be.shared, [2]int32{int32(posA), int32(posB)})
 				dup = true
-				break
 			}
 		}
 		if !dup {
-			be.unionNodes = append(be.unionNodes, qn)
+			be.newB = append(be.newB, int32(posB))
 		}
 	}
-	addEdges := func(p *decompose.Path) {
-		for pos := 0; pos+1 < len(p.Nodes); pos++ {
-			key := edgeKey(p.Nodes[pos], p.Nodes[pos+1])
-			dup := false
-			for _, e := range be.unionEdges {
-				if e == key {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				be.unionEdges = append(be.unionEdges, key)
+	addEdges := func(nodes []query.NodeID, dst []int32) []int32 {
+		for pos := 0; pos+1 < len(nodes); pos++ {
+			key := edgeKey(nodes[pos], nodes[pos+1])
+			if !slices.Contains(be.edgeKeys, key) {
+				be.edgeKeys = append(be.edgeKeys, key)
+				dst = append(dst, int32(pos))
 			}
 		}
+		return dst
 	}
-	addEdges(pa)
-	addEdges(pb)
+	be.edgesA = addEdges(na, be.edgesA)
+	be.edgesB = addEdges(nb, be.edgesB)
 }
 
-// joinable applies the probabilistic and reference-disjointness filters of
-// cn(P1, Pu1, P2): Pr(Pu1 ∘ Pu2) ≥ α and refs(V_Pu1) ∩ refs(V_Pu2) = ∅
-// (shared join nodes excepted). rowA and rowB are the candidate node rows;
-// setPair must have been called for the pair's paths.
-func (be *buildEval) joinable(pa, pb *decompose.Path, rowA, rowB []entity.ID) bool {
-	for pos, qn := range pa.Nodes {
-		be.asn[qn] = rowA[pos]
+// mark sets v's reference bits, reporting false on one already set: v shares
+// a reference with an entity marked before it (or is that entity).
+func (be *buildEval) mark(v entity.ID) bool {
+	for _, r := range be.g.Refs(v) {
+		w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
+		if be.refWords[w]&bit != 0 {
+			return false
+		}
+		be.refWords[w] |= bit
+		be.refUndo = append(be.refUndo, r)
 	}
-	consistent := true
-	for pos, qn := range pb.Nodes {
-		if v := be.asn[qn]; v >= 0 && v != rowB[pos] {
-			consistent = false // join predicate violated (defensive; table guarantees it)
+	return true
+}
+
+// joinable applies the filters of cn(P1, Pu1, P2) to row i of pa and row j of
+// pb (setPair must have been called for the pair): the join predicates,
+// refs(V_Pu1) ∩ refs(V_Pu2) = ∅ (shared join nodes excepted), and
+// Pr(Pu1 ∘ Pu2) ≥ α. The probability is the product of the rows' cached
+// factors in a fixed order — pa's label factors, pb's new ones, pa's edge
+// factors, pb's new ones — times one Prn over the union, which is the order
+// and therefore the float bits of evaluating the union assignment by look-up.
+func (be *buildEval) joinable(i, j int) bool {
+	pa, pb := be.pa, be.pb
+	rowA := pa.nodes[i*pa.plen : (i+1)*pa.plen]
+	rowB := pb.nodes[j*pb.plen : (j+1)*pb.plen]
+	for _, s := range be.shared {
+		if rowA[s[0]] != rowB[s[1]] {
+			return false // another key sharing the bucket
+		}
+	}
+	union := append(be.nodesBuf[:0], rowA...)
+	for _, pos := range be.newB {
+		union = append(union, rowB[pos])
+	}
+	be.nodesBuf = union
+	// Reference disjointness over the union assignment; also rejects two
+	// query nodes mapped to the same entity (an entity shares references
+	// with itself), enforcing injectivity.
+	ok := true
+	for _, v := range union {
+		if ok = be.mark(v); !ok {
 			break
 		}
-		be.asn[qn] = rowB[pos]
 	}
-	ok := consistent
-	prle := 1.0
-	be.nodesBuf = be.nodesBuf[:0]
 	if ok {
-		// Reference disjointness over the union assignment; also rejects two
-		// query nodes mapped to the same entity (an entity shares references
-		// with itself), enforcing injectivity.
-		for _, qn := range be.unionNodes {
-			v := be.asn[qn]
-			for _, r := range be.g.Refs(v) {
-				w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
-				if be.refWords[w]&bit != 0 {
-					ok = false
-					break
-				}
-				be.refWords[w] |= bit
-				be.refUndo = append(be.refUndo, r)
-			}
-			if !ok {
-				break
-			}
-			be.nodesBuf = append(be.nodesBuf, v)
-			prle *= be.g.PrLabel(v, be.q.Label(qn))
+		prle := 1.0
+		for _, f := range pa.lab[i*pa.plen : (i+1)*pa.plen] {
+			prle *= f
 		}
-	}
-	if ok && prle > 0 {
-		for _, key := range be.unionEdges {
-			ep, found := be.g.EdgeBetween(be.asn[key[0]], be.asn[key[1]])
-			if !found {
-				prle = 0
-				break
-			}
-			prle *= ep.Prob(be.q.Label(key[0]), be.q.Label(key[1]))
-			if prle == 0 {
-				break
-			}
+		labB := pb.lab[j*pb.plen:]
+		for _, pos := range be.newB {
+			prle *= labB[pos]
 		}
-	}
-	res := ok && prle*be.g.Prn(be.nodesBuf)+1e-12 >= be.alpha
-	// Undo: reset assignment and reference bits.
-	for _, qn := range be.unionNodes {
-		be.asn[qn] = -1
+		edgeA, edgeB := pa.edge[i*pa.elen:], pb.edge[j*pb.elen:]
+		for _, pos := range be.edgesA {
+			prle *= edgeA[pos]
+		}
+		for _, pos := range be.edgesB {
+			prle *= edgeB[pos]
+		}
+		ok = prle*be.g.Prn(union)+1e-12 >= be.alpha
 	}
 	for _, r := range be.refUndo {
 		be.refWords[uint(r)>>6] &^= 1 << (uint(r) & 63)
 	}
 	be.refUndo = be.refUndo[:0]
-	return res
+	return ok
 }
 
 // linkPair builds the links between partitions a and b via a lookup table
@@ -370,37 +426,38 @@ func (be *buildEval) joinable(pa, pb *decompose.Path, rowA, rowB []entity.ID) bo
 // ≥ |b| buckets and group lays the row ids out bucket by bucket, ascending
 // within a bucket. Probing with a's rows in order therefore meets the
 // surviving (i, j) pairs already sorted, so the a→b CSR rows are written as
-// they are found and b→a is their counting transpose. Every buffer is sized
-// by |a|, |b| or the link count alone.
+// they are found and b→a is their counting transpose. Keys and table live in
+// the worker's scratch; the a→b pool is allocated once, for the number of
+// (i, j) the table pairs up — a count of the input, at least the link count.
 func (kg *Graph) linkPair(be *buildEval, a, b int) {
 	preds := kg.dec.Preds(a, b)
 	pa, pb := kg.parts[a], kg.parts[b]
-	be.setPair(pa.set.Path, pb.set.Path)
+	be.setPair(pa, pb)
 
 	// The top bits of the spread key pick one of 2^(64-shift) buckets.
 	shift := 64
 	for n := 1; n < pb.n; n <<= 1 {
 		shift--
 	}
-	buckets := make([]int32, pb.n)
-	for j := range buckets {
+	keysB := be.keysB[:pb.n]
+	for j := range keysB {
 		row := pb.nodes[j*pb.plen : (j+1)*pb.plen]
-		buckets[j] = int32(joinHash(row, preds, false) >> shift)
+		keysB[j] = int32(joinHash(row, preds, false) >> shift)
 	}
-	table := group(1<<(64-shift), buckets)
+	table := &be.table
+	table.group(1<<(64-shift), keysB)
 
-	ab := linkSet{offs: make([]int32, pa.n+1)}
-	for i := 0; i < pa.n; i++ {
-		rowA := pa.nodes[i*pa.plen : (i+1)*pa.plen]
-	probe:
-		for _, j := range table.row(int(joinHash(rowA, preds, true) >> shift)) {
-			rowB := pb.nodes[int(j)*pb.plen : (int(j)+1)*pb.plen]
-			for _, pr := range preds {
-				if rowA[pr.PosA] != rowB[pr.PosB] {
-					continue probe // another key sharing the bucket
-				}
-			}
-			if be.joinable(pa.set.Path, pb.set.Path, rowA, rowB) {
+	keysA := be.keysA[:pa.n]
+	paired := 0
+	for i := range keysA {
+		row := pa.nodes[i*pa.plen : (i+1)*pa.plen]
+		keysA[i] = int32(joinHash(row, preds, true) >> shift)
+		paired += len(table.row(int(keysA[i])))
+	}
+	ab := linkSet{offs: make([]int32, pa.n+1), pool: make([]int32, 0, paired)}
+	for i, key := range keysA {
+		for _, j := range table.row(int(key)) {
+			if be.joinable(i, int(j)) {
 				ab.pool = append(ab.pool, j)
 			}
 		}
@@ -429,13 +486,18 @@ func joinHash(row []entity.ID, preds []decompose.JoinPred, sideA bool) uint64 {
 // fills, rewind finishes.
 func counting(n int, keys []int32) linkSet {
 	ls := linkSet{offs: make([]int32, n+1), pool: make([]int32, len(keys))}
+	ls.count(keys)
+	return ls
+}
+
+// count is counting over ls's own zeroed offsets.
+func (ls *linkSet) count(keys []int32) {
 	for _, k := range keys {
 		ls.offs[k+1]++
 	}
-	for k := 0; k < n; k++ {
+	for k := 0; k+1 < len(ls.offs); k++ {
 		ls.offs[k+1] += ls.offs[k]
 	}
-	return ls
 }
 
 // put appends v to row k, advancing the row's offset as a cursor.
@@ -451,15 +513,16 @@ func (ls *linkSet) rewind() {
 	ls.offs[0] = 0
 }
 
-// group returns the CSR of n rows whose row k lists, ascending, every index
-// i with keys[i] == k.
-func group(n int, keys []int32) linkSet {
-	ls := counting(n, keys)
+// group lays ls out, within the capacity it already has, as the CSR of n
+// rows whose row k lists, ascending, every index i with keys[i] == k.
+func (ls *linkSet) group(n int, keys []int32) {
+	ls.offs, ls.pool = ls.offs[:n+1], ls.pool[:len(keys)]
+	clear(ls.offs)
+	ls.count(keys)
 	for i, k := range keys {
 		ls.put(k, int32(i))
 	}
 	ls.rewind()
-	return ls
 }
 
 // transpose returns the reverse direction of ls over n target vertices: row
@@ -494,6 +557,16 @@ func (kg *Graph) Alive(p, i int) bool { return kg.parts[p].alive[i] }
 func (kg *Graph) Row(p, i int) []entity.ID {
 	part := kg.parts[p]
 	return part.nodes[i*part.plen : (i+1)*part.plen]
+}
+
+// Factors returns the probability factors Build looked up for candidate i of
+// partition p, aligned with Row: lab[pos] is the label probability of the
+// node at pos under its query node's label, edge[pos] the probability of the
+// edge between the nodes at pos and pos+1 under the query labels (0 when GU
+// has no such edge). Views into the partition's columns; not to be modified.
+func (kg *Graph) Factors(p, i int) (lab, edge []float64) {
+	part := kg.parts[p]
+	return part.lab[i*part.plen : (i+1)*part.plen], part.edge[i*part.elen : (i+1)*part.elen]
 }
 
 // Links returns the vertices of partition j linked to vertex i of partition
@@ -567,7 +640,7 @@ func (kg *Graph) Reduce(ctx context.Context, workers int) (Stats, error) {
 	}
 	st := Stats{SSBefore: kg.SearchSpace()}
 	kg.vecReady = false
-	kg.reduceStructure()
+	work := kg.reduceStructure(nil)
 	st.SSAfterStructure = kg.SearchSpace()
 
 	kg.initVectors()
@@ -580,7 +653,7 @@ func (kg *Graph) Reduce(ctx context.Context, workers int) (Stats, error) {
 		changed := kg.passUpperbounds(workers, changedBuf)
 		killed := kg.pruneByBound()
 		if killed > 0 {
-			kg.reduceStructure()
+			work = kg.reduceStructure(work)
 		}
 		if !changed && killed == 0 {
 			break
@@ -605,49 +678,58 @@ func (kg *Graph) Reduce(ctx context.Context, workers int) (Stats, error) {
 // Figure 7(f) ablation).
 func (kg *Graph) ReduceStructureOnly() Stats {
 	st := Stats{SSBefore: kg.SearchSpace()}
-	kg.reduceStructure()
+	kg.reduceStructure(nil)
 	st.SSAfterStructure = kg.SearchSpace()
 	st.SSAfterUpperbound = st.SSAfterStructure
 	return st
 }
 
 // reduceStructure kills vertices lacking a link into some required partition
-// until fixpoint, propagating removals with a worklist.
-func (kg *Graph) reduceStructure() {
-	type vref struct{ p, i int }
-	var work []vref
+// until fixpoint, propagating removals with a worklist of (partition,
+// vertex) pairs. A vertex enters the list when it dies, so a list sized from
+// the alive total never grows: pass nil to have it allocated, and the
+// returned (empty) list to the later rounds of the same reduction.
+func (kg *Graph) reduceStructure(work [][2]int32) [][2]int32 {
+	if work == nil {
+		total := 0
+		for _, part := range kg.parts {
+			total += part.nAlive
+		}
+		work = make([][2]int32, 0, total)
+	}
 	for p, part := range kg.parts {
 		req := kg.joined[p]
 		for i := range part.alive {
 			if part.alive[i] && !kg.hasAllLinks(p, i, req) {
 				part.alive[i] = false
 				part.nAlive--
-				work = append(work, vref{p, i})
+				work = append(work, [2]int32{int32(p), int32(i)})
 			}
 		}
 	}
 	for len(work) > 0 {
-		v := work[len(work)-1]
+		p, i := int(work[len(work)-1][0]), int(work[len(work)-1][1])
 		work = work[:len(work)-1]
 		// Neighbors of the dead vertex may have lost their last link.
-		for j := range kg.links[v.p] {
-			lj := &kg.links[v.p][j]
+		for j := range kg.links[p] {
+			lj := &kg.links[p][j]
 			if lj.offs == nil {
 				continue
 			}
 			reqJ := kg.joined[j]
-			for _, u := range lj.row(v.i) {
+			for _, u := range lj.row(i) {
 				if !kg.parts[j].alive[u] {
 					continue
 				}
 				if !kg.hasAllLinks(j, int(u), reqJ) {
 					kg.parts[j].alive[u] = false
 					kg.parts[j].nAlive--
-					work = append(work, vref{j, int(u)})
+					work = append(work, [2]int32{int32(j), u})
 				}
 			}
 		}
 	}
+	return work
 }
 
 func (kg *Graph) hasAllLinks(p, i int, req []int) bool {
@@ -693,24 +775,31 @@ func (kg *Graph) initVectors() {
 }
 
 // passUpperbounds performs one bulk-synchronous message-passing round with
-// one worker per partition (bounded by workers), reporting whether any
+// one worker per partition (bounded by workers; inline, with no goroutine,
+// when there is one worker or one partition), reporting whether any
 // perception entry decreased. Workers read every partition's live vector
 // buffer and write only their own partition's back buffer; the buffers are
 // swapped at the barrier.
 func (kg *Graph) passUpperbounds(workers int, changed []bool) bool {
 	k := len(kg.parts)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for p := 0; p < k; p++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p int) {
-			defer wg.Done()
-			defer func() { <-sem }()
+	if workers <= 1 || k <= 1 {
+		for p := 0; p < k; p++ {
 			changed[p] = kg.updatePartition(p)
-		}(p)
+		}
+	} else {
+		sem := make(chan struct{}, workers)
+		var wg sync.WaitGroup
+		for p := 0; p < k; p++ {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(p int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				changed[p] = kg.updatePartition(p)
+			}(p)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	any := false
 	for p := 0; p < k; p++ {
 		if changed[p] {

@@ -15,11 +15,12 @@ import (
 	"repro/internal/entity"
 	"repro/internal/gen"
 	"repro/internal/pathindex"
+	"repro/internal/query"
 )
 
 // graphsIdentical compares the built k-partite graphs arena by arena: the
-// row-major candidate node arrays, the float bits of w1/w2, and every CSR
-// link set's offs and pool. Byte-identical arenas are the determinism
+// row-major candidate node arrays, the float bits of w1/w2 and of the two
+// factor columns, and every CSR link set's offs and pool. Byte-identical arenas are the determinism
 // contract of the parallel pair fan-out.
 func graphsIdentical(t *testing.T, label string, want, got *Graph) {
 	t.Helper()
@@ -40,6 +41,16 @@ func graphsIdentical(t *testing.T, label string, want, got *Graph) {
 			if math.Float64bits(wp.w1[i]) != math.Float64bits(gp.w1[i]) ||
 				math.Float64bits(wp.w2[i]) != math.Float64bits(gp.w2[i]) {
 				t.Fatalf("%s: partition %d weights[%d] differ", label, p, i)
+			}
+		}
+		for _, col := range [][2][]float64{{wp.lab, gp.lab}, {wp.edge, gp.edge}} {
+			if len(col[0]) != len(col[1]) {
+				t.Fatalf("%s: partition %d factor column has %d entries, want %d", label, p, len(col[1]), len(col[0]))
+			}
+			for i := range col[0] {
+				if math.Float64bits(col[0][i]) != math.Float64bits(col[1][i]) {
+					t.Fatalf("%s: partition %d factor column entry %d differs", label, p, i)
+				}
 			}
 		}
 	}
@@ -64,14 +75,102 @@ func graphsIdentical(t *testing.T, label string, want, got *Graph) {
 	}
 }
 
-// linkPairBeforeCounting is linkPair as it stood before the counting layout,
-// kept here only as the reference the new construction is held to: a
-// string-keyed map over b's join-position tuples, the surviving (i, j) pairs
-// collected in a slice, and one sort per CSR direction.
-func linkPairBeforeCounting(kg *Graph, be *buildEval, a, b int) (ab, ba linkSet) {
+// lookupRef is the reference the factor-column build is held to, kept only
+// here: the joinability test, the links and the weights as they were computed
+// before any factor was cached or any layout counted — every label and edge
+// probability looked up from the entity graph at the point of use, the union
+// assignment in a per-query-node array, a string-keyed map over b's
+// join-position tuples, the surviving (i, j) pairs collected in a slice and
+// sorted once per CSR direction.
+type lookupRef struct {
+	kg       *Graph
+	asn      []entity.ID // per query node; -1 = unassigned
+	refWords []uint64
+}
+
+func newLookupRef(kg *Graph) *lookupRef {
+	ref := &lookupRef{
+		kg:       kg,
+		asn:      make([]entity.ID, kg.q.NumNodes()),
+		refWords: make([]uint64, int(kg.g.MaxRef())/64+1),
+	}
+	for i := range ref.asn {
+		ref.asn[i] = -1
+	}
+	return ref
+}
+
+// joinable evaluates Pr(Pu1 ∘ Pu2) ≥ α and reference disjointness over the
+// union assignment of rowA (on path pa) and rowB (on pb) by look-up.
+func (ref *lookupRef) joinable(pa, pb *decompose.Path, rowA, rowB []entity.ID) bool {
+	g, q := ref.kg.g, ref.kg.q
+	var unionNodes []query.NodeID
+	var unionEdges [][2]query.NodeID
+	unionNodes = append(unionNodes, pa.Nodes...)
+	for _, qn := range pb.Nodes {
+		if !slices.Contains(pa.Nodes, qn) {
+			unionNodes = append(unionNodes, qn)
+		}
+	}
+	for _, p := range []*decompose.Path{pa, pb} {
+		for pos := 0; pos+1 < len(p.Nodes); pos++ {
+			if key := edgeKey(p.Nodes[pos], p.Nodes[pos+1]); !slices.Contains(unionEdges, key) {
+				unionEdges = append(unionEdges, key)
+			}
+		}
+	}
+	defer func() {
+		for _, qn := range unionNodes {
+			ref.asn[qn] = -1
+		}
+		clear(ref.refWords)
+	}()
+
+	for pos, qn := range pa.Nodes {
+		ref.asn[qn] = rowA[pos]
+	}
+	for pos, qn := range pb.Nodes {
+		if v := ref.asn[qn]; v >= 0 && v != rowB[pos] {
+			return false // join predicate violated
+		}
+		ref.asn[qn] = rowB[pos]
+	}
+	prle := 1.0
+	var nodes []entity.ID
+	for _, qn := range unionNodes {
+		v := ref.asn[qn]
+		for _, r := range g.Refs(v) {
+			w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
+			if ref.refWords[w]&bit != 0 {
+				return false
+			}
+			ref.refWords[w] |= bit
+		}
+		nodes = append(nodes, v)
+		prle *= g.PrLabel(v, q.Label(qn))
+	}
+	if prle > 0 {
+		for _, key := range unionEdges {
+			ep, found := g.EdgeBetween(ref.asn[key[0]], ref.asn[key[1]])
+			if !found {
+				prle = 0
+				break
+			}
+			prle *= ep.Prob(q.Label(key[0]), q.Label(key[1]))
+			if prle == 0 {
+				break
+			}
+		}
+	}
+	return prle*g.Prn(nodes)+1e-12 >= ref.kg.alpha
+}
+
+// links is the map-and-sort construction of both CSR directions of pair
+// (a, b).
+func (ref *lookupRef) links(a, b int) (ab, ba linkSet) {
+	kg := ref.kg
 	preds := kg.dec.Preds(a, b)
 	pa, pb := kg.parts[a], kg.parts[b]
-	be.setPair(pa.set.Path, pb.set.Path)
 	key := func(row []entity.ID, sideA bool) string {
 		var buf []byte
 		for _, pr := range preds {
@@ -93,7 +192,7 @@ func linkPairBeforeCounting(kg *Graph, be *buildEval, a, b int) (ab, ba linkSet)
 	for i := 0; i < pa.n; i++ {
 		rowA := pa.nodes[i*pa.plen : (i+1)*pa.plen]
 		for _, j := range table[key(rowA, true)] {
-			if be.joinable(pa.set.Path, pb.set.Path, rowA, pb.nodes[int(j)*pb.plen:(int(j)+1)*pb.plen]) {
+			if ref.joinable(pa.set.Path, pb.set.Path, rowA, pb.nodes[int(j)*pb.plen:(int(j)+1)*pb.plen]) {
 				pairs = append(pairs, [2]int32{int32(i), j})
 			}
 		}
@@ -118,11 +217,82 @@ func linkPairBeforeCounting(kg *Graph, be *buildEval, a, b int) (ab, ba linkSet)
 	return csr(pa.n, 0, 1), csr(pb.n, 1, 0)
 }
 
+// weights looks up row i of partition p's label factors, edge factors and w1
+// — w1 as the cover product was written before the columns existed: covered
+// labels in position order, then covered edges with their labels in path
+// orientation, 0 at the first missing edge.
+func (ref *lookupRef) weights(p, i int) (w1 float64, lab, edge []float64) {
+	kg := ref.kg
+	g, q, path, row := kg.g, kg.q, kg.parts[p].set.Path, kg.Row(p, i)
+	w1 = 1.0
+	for pos, qn := range path.Nodes {
+		lab = append(lab, g.PrLabel(row[pos], q.Label(qn)))
+		if kg.dec.CoverNode[qn] == p {
+			w1 *= g.PrLabel(row[pos], q.Label(qn))
+		}
+	}
+	for pos := 0; pos+1 < len(path.Nodes); pos++ {
+		key := edgeKey(path.Nodes[pos], path.Nodes[pos+1])
+		f := 0.0
+		if ep, ok := g.EdgeBetween(row[pos], row[pos+1]); ok {
+			f = ep.Prob(q.Label(key[0]), q.Label(key[1]))
+		}
+		edge = append(edge, f)
+	}
+	for pos := 0; pos+1 < len(path.Nodes); pos++ {
+		a, b := path.Nodes[pos], path.Nodes[pos+1]
+		if kg.dec.CoverEdge[edgeKey(a, b)] != p {
+			continue
+		}
+		ep, ok := g.EdgeBetween(row[pos], row[pos+1])
+		if !ok {
+			w1 = 0
+			break
+		}
+		w1 *= ep.Prob(q.Label(a), q.Label(b))
+	}
+	return w1, lab, edge
+}
+
+// matchesLookup holds the sequential build to the reference: every link set
+// and every float column, bit for bit. It returns the number of links
+// compared.
+func matchesLookup(t *testing.T, label string, kg *Graph) int {
+	t.Helper()
+	ref := newLookupRef(kg)
+	links := 0
+	for pair := range kg.dec.Joins {
+		a, b := pair[0], pair[1]
+		ab, ba := ref.links(a, b)
+		if !slices.Equal(ab.offs, kg.links[a][b].offs) || !slices.Equal(ab.pool, kg.links[a][b].pool) ||
+			!slices.Equal(ba.offs, kg.links[b][a].offs) || !slices.Equal(ba.pool, kg.links[b][a].pool) {
+			t.Fatalf("%s: links of pair (%d,%d) differ from the look-up, map-and-sort construction", label, a, b)
+		}
+		links += len(ab.pool)
+	}
+	sameBits := func(want, got []float64) bool {
+		return slices.EqualFunc(want, got, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for p, part := range kg.parts {
+		elen := part.elen
+		for i := 0; i < part.n; i++ {
+			w1, lab, edge := ref.weights(p, i)
+			if math.Float64bits(w1) != math.Float64bits(part.w1[i]) {
+				t.Fatalf("%s: partition %d w1[%d] = %v, looked up %v", label, p, i, part.w1[i], w1)
+			}
+			if !sameBits(lab, part.lab[i*part.plen:(i+1)*part.plen]) || !sameBits(edge, part.edge[i*elen:(i+1)*elen]) {
+				t.Fatalf("%s: partition %d row %d factor columns differ from the looked-up factors", label, p, i)
+			}
+		}
+	}
+	return links
+}
+
 // TestBuildParallelEquivalence: the k-partite arenas built at workers 2, 4,
 // and 8 are byte-identical to the single-threaded build, across both
 // decomposition strategies and α on both sides of β on seeded synthetic
-// graphs — and the single-threaded build's link sets are byte-identical to
-// the pre-change map-and-sort construction.
+// graphs — and the single-threaded build's link sets, w1 and factor columns
+// are byte-identical to lookupRef's.
 func TestBuildParallelEquivalence(t *testing.T) {
 	links := 0
 	defer func() {
@@ -173,16 +343,7 @@ func TestBuildParallelEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					label := fmt.Sprintf("seed %d q%d mode %d α=%v", seed, qi, mode, alpha)
-					be := newBuildEval(g, q, dec, alpha)
-					for pair := range dec.Joins {
-						a, b := pair[0], pair[1]
-						ab, ba := linkPairBeforeCounting(seq, be, a, b)
-						if !slices.Equal(ab.offs, seq.links[a][b].offs) || !slices.Equal(ab.pool, seq.links[a][b].pool) ||
-							!slices.Equal(ba.offs, seq.links[b][a].offs) || !slices.Equal(ba.pool, seq.links[b][a].pool) {
-							t.Fatalf("%s: links of pair (%d,%d) differ from the map-and-sort construction", label, a, b)
-						}
-						links += len(ab.pool)
-					}
+					links += matchesLookup(t, label, seq)
 					for _, workers := range []int{2, 4, 8} {
 						got, err := Build(context.Background(), g, q, dec, sets, alpha, workers)
 						if err != nil {

@@ -17,10 +17,10 @@ func (ix *Index) onDemand(X []prob.LabelID, alpha float64, fn ScanFunc) {
 	n := g.NumNodes()
 	for v := 0; v < n; v++ {
 		id := entity.ID(v)
-		lp := g.PrLabel(id, X[0])
-		if lp == 0 {
+		if !g.HasLabel(id, X[0]) {
 			continue
 		}
+		lp := g.PrLabel(id, X[0])
 		exist := g.Exist(id)
 		if lp*exist+1e-12 < alpha {
 			continue
@@ -44,13 +44,11 @@ func (ix *Index) onDemandExtend(p *opath, X []prob.LabelID, alpha, prle0, prn0 f
 	tail := p.nodes[p.n-1]
 	tailLabel, next := X[p.n-1], X[p.n]
 	for _, nb := range g.Neighbors(tail) {
-		if p.contains(nb.To) {
+		// One bit decides most neighbours before their node record is read.
+		if !g.HasLabel(nb.To, next) || p.contains(nb.To) {
 			continue
 		}
 		lp := g.PrLabel(nb.To, next)
-		if lp == 0 {
-			continue
-		}
 		conflict := false
 		for i := uint8(0); i < p.n; i++ {
 			u := p.nodes[i]
@@ -62,8 +60,7 @@ func (ix *Index) onDemandExtend(p *opath, X []prob.LabelID, alpha, prle0, prn0 f
 		if conflict {
 			continue
 		}
-		p.nodes[p.n] = nb.To
-		prn := g.Prn(p.nodes[:p.n+1])
+		prn := g.PrnExtend(p.nodes[:p.n], prn0, nb.To)
 		if prn == 0 {
 			continue
 		}
@@ -71,6 +68,7 @@ func (ix *Index) onDemandExtend(p *opath, X []prob.LabelID, alpha, prle0, prn0 f
 		if prle*prn+1e-12 < alpha {
 			continue
 		}
+		p.nodes[p.n] = nb.To
 		p.n++
 		more := ix.onDemandExtend(p, X, alpha, prle, prn, fn)
 		p.n--

@@ -71,11 +71,17 @@ func Point(label LabelID) Dist {
 // IsZero reports whether d is the zero (unset) distribution.
 func (d Dist) IsZero() bool { return len(d.entries) == 0 }
 
-// P returns the probability of the given label (zero if absent).
+// P returns the probability of the given label (zero if absent): a linear
+// scan of the sorted entries, of which there are at most |Σ| and typically
+// two or three — fewer steps than a binary search's closure calls.
 func (d Dist) P(label LabelID) float64 {
-	i := sort.Search(len(d.entries), func(i int) bool { return d.entries[i].Label >= label })
-	if i < len(d.entries) && d.entries[i].Label == label {
-		return d.entries[i].P
+	for _, e := range d.entries {
+		if e.Label >= label {
+			if e.Label == label {
+				return e.P
+			}
+			break
+		}
 	}
 	return 0
 }

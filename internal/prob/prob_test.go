@@ -3,6 +3,7 @@ package prob
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +105,37 @@ func TestPoint(t *testing.T) {
 	}
 	if !(Dist{}).IsZero() {
 		t.Error("zero dist not reported zero")
+	}
+}
+
+// TestDistPLinearScan holds the linear P to the binary search it replaced,
+// kept here as the reference, for labels present, absent between entries,
+// below the first entry and above the last, and on the empty Dist.
+func TestDistPLinearScan(t *testing.T) {
+	bySearch := func(d Dist, label LabelID) float64 {
+		i := sort.Search(len(d.entries), func(i int) bool { return d.entries[i].Label >= label })
+		if i < len(d.entries) && d.entries[i].Label == label {
+			return d.entries[i].P
+		}
+		return 0
+	}
+	for _, tc := range []struct {
+		name   string
+		d      Dist
+		labels []LabelID
+	}{
+		{"empty", Dist{}, []LabelID{0, 1, 7}},
+		{"point", Point(3), []LabelID{3, 0, 2, 4, 9}},
+		{"sparse", MustDist(LabelProb{2, 0.25}, LabelProb{5, 0.5}, LabelProb{9, 0.25}),
+			[]LabelID{2, 5, 9 /* present */, 3, 4, 6, 8 /* between */, 0, 1 /* below */, 10, 1 << 20 /* above */}},
+		{"dense", MustDist(LabelProb{0, 0.125}, LabelProb{1, 0.125}, LabelProb{2, 0.25}, LabelProb{3, 0.5}),
+			[]LabelID{0, 1, 2, 3, 4}},
+	} {
+		for _, l := range tc.labels {
+			if got, want := tc.d.P(l), bySearch(tc.d, l); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: P(%d) = %v, binary search %v", tc.name, l, got, want)
+			}
+		}
 	}
 }
 
