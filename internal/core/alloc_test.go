@@ -96,13 +96,19 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 // TestCollectAllocationIsACount pins what a retained run allocates, which is
 // a count too: one prepared acyclic plan with some 30 000 matches, collected
 // by core.MatchPlan at Parallelism 1 and 2. The join workers copy each match
-// once into fixed-size store chunks and the merge allocates one permutation
-// per store and one exact-size result, so after warm-up 20 runs' heap bytes
-// must agree to 2 % (at Parallelism 2 how the matches split between the two
-// stores moves at most a chunk or two) and a run must make fewer mallocs
-// than a tenth of its matches — a reintroduced per-match allocation (an
-// owned mapping, a boxed heap entry, a growing slice) fails here, not in the
-// benchmark.
+// once into fixed-size store chunks and the merge allocates one list link
+// per row, one bucket table per store and one exact-size result, so after
+// warm-up 20 runs' heap bytes must agree to 2 % (at Parallelism 2 how the
+// matches split between the two stores moves a chunk or two and, when one
+// store gets nearly all of them, a bucket table) and a run must make fewer
+// mallocs than a tenth of its matches — a reintroduced per-match allocation
+// (an owned mapping, a boxed heap entry, a growing slice) fails here, not in
+// the benchmark. The bytes also have a ceiling 2 % above what a run
+// allocates today, and at Parallelism 1 one per match: above what the same
+// plan allocates to stream its first match (everything before the join), a
+// match of this 5-node plan costs 20 + 16 bytes of row, 40 of join.Match and
+// 4 of list link, so 84 leaves room for the bucket table and the last
+// chunk's spare rows and none for a second per-row buffer.
 func TestCollectAllocationIsACount(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 4000, Seed: 7})
 	if err != nil {
@@ -118,21 +124,47 @@ func TestCollectAllocationIsACount(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, par := range []int{1, 2} {
+	for _, tc := range []struct {
+		par     int
+		ceiling uint64 // bytes per run; see above
+	}{
+		{1, 3_521_000},
+		{2, 3_568_000},
+	} {
+		par := tc.par
 		opt := core.Options{Alpha: 0.3, Workers: 2, Parallelism: par}
 		pl, err := core.Prepare(ctx, ix, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func() (bytes, mallocs uint64, matches int) {
+		allocated := func(f func() error) (bytes, mallocs uint64) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			res, err := core.MatchPlan(ctx, ix, pl, opt)
+			err := f()
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, len(res.Matches)
+			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+		}
+		run := func() (bytes, mallocs uint64, matches int) {
+			bytes, mallocs = allocated(func() error {
+				res, err := core.MatchPlan(ctx, ix, pl, opt)
+				if err == nil {
+					matches = len(res.Matches)
+				}
+				return err
+			})
+			return bytes, mallocs, matches
+		}
+		first := opt
+		first.Limit = 1
+		preJoin := func() uint64 {
+			bytes, _ := allocated(func() error {
+				_, err := core.MatchStreamPlan(ctx, ix, pl, first, func(join.Match) bool { return true })
+				return err
+			})
+			return bytes
 		}
 		for i := 0; i < 3; i++ {
 			run() // warm-up: component marginal memos, lazily built tables
@@ -142,12 +174,19 @@ func TestCollectAllocationIsACount(t *testing.T) {
 			b, m, n := run()
 			lo, hi, most, matches = min(lo, b), max(hi, b), max(most, m), n
 		}
-		t.Logf("P=%d: %d matches, bytes per run min %d max %d, mallocs per run ≤ %d", par, matches, lo, hi, most)
+		before := preJoin()
+		t.Logf("P=%d: %d matches, bytes per run min %d max %d (%d before the join), mallocs per run ≤ %d", par, matches, lo, hi, before, most)
 		if matches < 20_000 {
 			t.Fatalf("P=%d: plan has %d matches; too few to pin anything", par, matches)
 		}
 		if float64(hi) > 1.02*float64(lo) {
 			t.Errorf("P=%d: allocation does not repeat: %d..%d bytes per run (max/min %.4f > 1.02)", par, lo, hi, float64(hi)/float64(lo))
+		}
+		if hi > tc.ceiling {
+			t.Errorf("P=%d: %d bytes per run, ceiling %d", par, hi, tc.ceiling)
+		}
+		if perMatch := (float64(hi) - float64(before)) / float64(matches); par == 1 && perMatch > 84 {
+			t.Errorf("P=1: %.1f bytes per match above the %d allocated before the join, ceiling 84: something is kept per row that was not", perMatch, before)
 		}
 		if most >= uint64(matches/10) {
 			t.Errorf("P=%d: %d mallocs in a run of %d matches: something allocates per match", par, most, matches)

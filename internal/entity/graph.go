@@ -170,26 +170,41 @@ func (g *Graph) Semantics() Semantics { return g.sem }
 
 // Prn computes the identity-existence marginal Pr(V.n = T) for a set of
 // entity nodes (Eq. 12): nodes are grouped by component and the per-component
-// subset marginals are multiplied. Duplicate ids are harmless. Returns 0 when
-// two nodes share a reference (no legal world contains both). A component
-// contributing a single node multiplies that node's Exist — by construction
-// MarginalAll of its one-bit mask, bit for bit — without probing the
-// component's memo.
+// subset marginals are multiplied, in the order the components are first
+// seen. Duplicate ids are harmless. Returns 0 when two nodes share a
+// reference (no legal world contains both). A component contributing a
+// single node multiplies that node's Exist — by construction MarginalAll of
+// its one-bit mask, bit for bit — without probing the component's memo; so
+// while every node is found alone in its component the product is taken as
+// the nodes are read, and they are grouped only once two share one.
 func (g *Graph) Prn(nodes []ID) float64 {
-	switch len(nodes) {
-	case 0:
-		return 1
-	case 1:
-		return g.nodes[nodes[0]].Exist
+	p := 1.0
+	for i, v := range nodes {
+		nd := &g.nodes[v]
+		for _, u := range nodes[:i] {
+			if g.nodes[u].Comp == nd.Comp {
+				return g.prnGrouped(nodes)
+			}
+		}
+		p *= nd.Exist
+		if p == 0 {
+			return 0
+		}
 	}
-	// Small-n path: accumulate per-component masks without allocation for
-	// the common case of short paths.
+	return p
+}
+
+// prnGrouped is Prn for a node list in which some component holds several
+// nodes. Lists spanning up to 16 components are grouped on the stack: an
+// entry names its component's first node seen rather than carrying its
+// Exist, 16 bytes each.
+func (g *Graph) prnGrouped(nodes []ID) float64 {
 	type cm struct {
 		comp  int32
+		first ID
 		mask  uint64
-		exist float64 // Exist of the component's first node seen
 	}
-	var buf [8]cm
+	var buf [16]cm
 	masks := buf[:0]
 	for _, v := range nodes {
 		nd := &g.nodes[v]
@@ -203,13 +218,13 @@ func (g *Graph) Prn(nodes []ID) float64 {
 			}
 		}
 		if !found {
-			masks = append(masks, cm{comp: nd.Comp, mask: bit, exist: nd.Exist})
+			masks = append(masks, cm{comp: nd.Comp, first: v, mask: bit})
 		}
 	}
 	p := 1.0
 	for _, m := range masks {
 		if m.mask&(m.mask-1) == 0 {
-			p *= m.exist
+			p *= g.nodes[m.first].Exist
 		} else {
 			p *= g.comps[m.comp].MarginalAll(m.mask)
 		}

@@ -194,3 +194,49 @@ func TestPrnExtendEqualsPrn(t *testing.T) {
 		}
 	}
 }
+
+// TestPrnWideNodeListsStayOnTheStack: a node list spanning up to 16 identity
+// components — a 9-, 12- or 16-node query's mapping, which the join hands to
+// Prn per accepted prefix and per match whenever two of its nodes share a
+// component — costs no heap allocation, whether every node is alone in its
+// component or one component holds two and the list is grouped; and a list
+// spanning more components still gets the memo path's answer bit for bit.
+func TestPrnWideNodeListsStayOnTheStack(t *testing.T) {
+	d, err := gen.Synthetic(gen.SynthOptions{Refs: 200, Groups: 8, UncertainFrac: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Build(d, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alone, linked []ID // one member of every single-entity component; two of a larger one
+	for c := 0; c < g.NumComponents(); c++ {
+		switch ms := g.Component(c).Members; {
+		case len(ms) == 1:
+			alone = append(alone, ms[0])
+		case linked == nil:
+			linked = ms[:2]
+		}
+	}
+	if len(alone) < 20 || linked == nil {
+		t.Fatalf("graph has %d single-entity components and linked entities %v; too few", len(alone), linked)
+	}
+	for _, n := range []int{9, 12, 16, 20} {
+		distinct := alone[:n]
+		shared := append(append([]ID{linked[0]}, alone[:n-1]...), linked[1]) // n components, the first holding two nodes
+		for name, nodes := range map[string][]ID{"distinct": distinct, "shared": shared} {
+			if got, want := g.Prn(nodes), prnByMemo(g, nodes); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d components, %s: Prn = %v, memo path %v", n, name, got, want)
+			}
+			if n > 16 {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(100, func() { sinkPrn = g.Prn(nodes) }); allocs != 0 {
+				t.Errorf("%d components, %s: Prn makes %v allocations per call, want 0", n, name, allocs)
+			}
+		}
+	}
+}
+
+var sinkPrn float64

@@ -16,11 +16,11 @@ import (
 // The enumeration is split into an immutable per-run plan shared by every
 // worker and a per-worker scratch holding all mutable state, so extending a
 // partial match allocates nothing: assignments live in a flat per-query-node
-// array, reference disjointness in a bitset with an undo stack, and the
-// running probability prefix in a per-step array. Which query nodes a step
-// newly assigns, which it merely re-checks, and which query edges it newly
-// covers depend only on the join order — never on the candidates — so they
-// are precomputed once into the plan.
+// array, reference disjointness and the identity components in use in
+// bitsets with undo stacks, and the running probability prefixes in per-step
+// arrays. Which query nodes a step newly assigns, which it merely re-checks,
+// and which query edges it newly covers depend only on the join order — never
+// on the candidates — so they are precomputed once into the plan.
 
 // joined names an earlier ordered path that shares a join predicate with the
 // partition being extended, together with its position in the order.
@@ -67,12 +67,13 @@ type plan struct {
 	order []int
 	alpha float64
 
-	steps    []stepPlan
-	loose    []stepEdge // query edges no step covers: looked up at emit
-	covers   bool       // every query node is assigned by some step
-	numQ     int
-	numE     int
-	refWords int // words in the reference bitset
+	steps     []stepPlan
+	loose     []stepEdge // query edges no step covers: looked up at emit
+	covers    bool       // every query node is assigned by some step
+	numQ      int
+	numE      int
+	refWords  int // words in the reference bitset
+	compWords int // words in the identity-component bitset
 }
 
 func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *kpartite.Graph, order []int, alpha float64) *plan {
@@ -125,6 +126,7 @@ func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *
 	}
 	p.covers = !slices.Contains(covered, false)
 	p.refWords = int(g.MaxRef())/64 + 1
+	p.compWords = (g.NumComponents() + 63) / 64
 	return p
 }
 
@@ -140,14 +142,27 @@ type scratch struct {
 
 	asn      []entity.ID // per query node; -1 = unassigned
 	nodeF    []float64   // label factor of asn[n], recorded when n is assigned
+	existF   []float64   // Exist of asn[n], recorded when n is assigned
 	edgeF    []float64   // factor of query edge i, recorded when it is covered
 	verts    []int32     // chosen vertex per ordered step
 	prleAt   []float64   // prleAt[s] = label/edge prefix product before step s
+	prnAt    []float64   // prnAt[s] = Prn(nodes) before step s
 	nodes    []entity.ID // assigned entities, assignment order (for Prn)
 	refWords []uint64    // reference-disjointness bitset
 	refUndo  []refgraph.RefID
-	refMark  []int32   // refUndo length before each step
-	isect    [][]int32 // per-step link-intersection buffers
+	refMark  []int32 // refUndo length before each step
+
+	// The identity components of the assigned entities, with refWords' undo
+	// discipline. sharedAt[s] counts the entities assigned before step s
+	// whose component an earlier one had already marked: while it is 0 every
+	// component holds one assigned entity and Prn is the product of their
+	// Exist, which prnAt carries forward one factor per assignment.
+	compWords []uint64
+	compUndo  []int32
+	compMark  []int32 // compUndo length before each step
+	sharedAt  []int32
+
+	isect [][]int32 // per-step link-intersection buffers
 
 	ops int // per-worker extension counter for ctx-cancellation checks
 }
@@ -161,18 +176,26 @@ func newScratch(p *plan, ctx context.Context, worker int, sink func(int, Match) 
 		stop:     stop,
 		asn:      make([]entity.ID, p.numQ),
 		nodeF:    make([]float64, p.numQ),
+		existF:   make([]float64, p.numQ),
 		edgeF:    make([]float64, p.numE),
 		verts:    make([]int32, len(p.order)),
 		prleAt:   make([]float64, len(p.order)+1),
+		prnAt:    make([]float64, len(p.order)+1),
 		nodes:    make([]entity.ID, 0, p.numQ),
 		refWords: make([]uint64, p.refWords),
 		refMark:  make([]int32, len(p.order)),
-		isect:    make([][]int32, len(p.order)),
+
+		compWords: make([]uint64, p.compWords),
+		compUndo:  make([]int32, 0, p.numQ),
+		compMark:  make([]int32, len(p.order)),
+		sharedAt:  make([]int32, len(p.order)+1),
+
+		isect: make([][]int32, len(p.order)),
 	}
 	for i := range s.asn {
 		s.asn[i] = -1
 	}
-	s.prleAt[0] = 1
+	s.prleAt[0], s.prnAt[0] = 1, 1
 	return s
 }
 
@@ -224,12 +247,17 @@ func (s *scratch) tryCandidate(step, b, ci int) error {
 }
 
 // apply installs candidate ci of partition b into the scratch: consistency
-// checks on already-assigned query nodes, reference-disjointness bits for
-// newly assigned ones, and the incremental label/edge prefix with the
-// partial-probability α prune (Section 5.2.5). The factors are the ones the
-// k-partite build looked up for the row (an absent GU edge reads 0 and fails
-// the step); each is also recorded under its query node or query edge for
-// emit. On failure every partial effect is rolled back and false is returned.
+// checks on already-assigned query nodes, reference-disjointness and
+// component bits for newly assigned ones, and the incremental label/edge and
+// identity prefixes with the partial-probability α prune (Section 5.2.5). The
+// factors are the ones the k-partite build looked up for the row (an absent
+// GU edge reads 0 and fails the step); each is also recorded under its query
+// node or query edge for emit. The identity prefix is multiplied by Exist(v)
+// per newly assigned node: Graph.Prn over entities in distinct components
+// multiplies 1.0 by exactly those factors in that order, so while no two
+// assigned entities share a component the prefix is Prn(s.nodes) bit for bit
+// and Prn is called only otherwise. On failure every partial effect is rolled
+// back and false is returned.
 func (s *scratch) apply(step, b, ci int) bool {
 	p := s.p
 	sp := &p.steps[step]
@@ -241,13 +269,14 @@ func (s *scratch) apply(step, b, ci int) bool {
 		}
 	}
 	nAsn := 0
-	refMark := len(s.refUndo)
-	pr := s.prleAt[step]
+	refMark, compMark := len(s.refUndo), len(s.compUndo)
+	pr, prn, shared := s.prleAt[step], s.prnAt[step], s.sharedAt[step]
 	ok := true
 assign:
 	for _, a := range sp.assign {
 		v := row[a.pos]
-		for _, r := range p.g.Refs(v) {
+		nd := p.g.Node(v)
+		for _, r := range nd.Refs {
 			w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
 			if s.refWords[w]&bit != 0 {
 				ok = false
@@ -256,12 +285,20 @@ assign:
 			s.refWords[w] |= bit
 			s.refUndo = append(s.refUndo, r)
 		}
+		if w, bit := uint(nd.Comp)>>6, uint64(1)<<(uint(nd.Comp)&63); s.compWords[w]&bit != 0 {
+			shared++
+		} else {
+			s.compWords[w] |= bit
+			s.compUndo = append(s.compUndo, nd.Comp)
+		}
 		s.asn[a.qn] = v
 		s.nodes = append(s.nodes, v)
 		nAsn++
 		f := lab[a.pos]
 		s.nodeF[a.qn] = f
 		pr *= f
+		s.existF[a.qn] = nd.Exist
+		prn *= nd.Exist
 	}
 	if ok && pr == 0 {
 		ok = false
@@ -279,22 +316,27 @@ assign:
 	}
 	// Partial probability upper-bounds the final match probability: prune
 	// extensions already below α.
-	if ok && pr*p.g.Prn(s.nodes)+1e-12 < p.alpha {
-		ok = false
+	if ok {
+		if shared > 0 {
+			prn = p.g.Prn(s.nodes)
+		}
+		if pr*prn+1e-12 < p.alpha {
+			ok = false
+		}
 	}
 	if !ok {
-		s.unwind(sp, nAsn, refMark)
+		s.unwind(sp, nAsn, refMark, compMark)
 		return false
 	}
-	s.refMark[step] = int32(refMark)
-	s.prleAt[step+1] = pr
+	s.refMark[step], s.compMark[step] = int32(refMark), int32(compMark)
+	s.prleAt[step+1], s.prnAt[step+1], s.sharedAt[step+1] = pr, prn, shared
 	s.verts[step] = int32(ci)
 	return true
 }
 
 // unwind rolls back the first nAsn assignments of a step and the reference
-// bits set since refMark.
-func (s *scratch) unwind(sp *stepPlan, nAsn, refMark int) {
+// and component bits set since refMark and compMark.
+func (s *scratch) unwind(sp *stepPlan, nAsn, refMark, compMark int) {
 	for _, a := range sp.assign[:nAsn] {
 		s.asn[a.qn] = -1
 	}
@@ -303,12 +345,16 @@ func (s *scratch) unwind(sp *stepPlan, nAsn, refMark int) {
 		s.refWords[uint(r)>>6] &^= 1 << (uint(r) & 63)
 	}
 	s.refUndo = s.refUndo[:refMark]
+	for _, c := range s.compUndo[compMark:] {
+		s.compWords[uint(c)>>6] &^= 1 << (uint(c) & 63)
+	}
+	s.compUndo = s.compUndo[:compMark]
 }
 
 // undo reverses a successful apply of the given step.
 func (s *scratch) undo(step int) {
 	sp := &s.p.steps[step]
-	s.unwind(sp, len(sp.assign), int(s.refMark[step]))
+	s.unwind(sp, len(sp.assign), int(s.refMark[step]), int(s.compMark[step]))
 }
 
 // descend enumerates the candidates of the given step against the current
@@ -367,9 +413,11 @@ func (s *scratch) descend(step int) error {
 // then every query edge's in q.Edges() order, the order Graph.Prle uses — so
 // it is the same product whatever the join order or worker, without looking
 // any factor up again; only a query edge no path step covers is looked up
-// here. Prn is recomputed over the mapping in node order. A match that
-// clears α is handed to the sink with the scratch's assignment array as its
-// mapping.
+// here. Prn is Graph.Prn over the mapping in node order: when no two mapped
+// entities share a component that is 1.0 times every node's Exist in node
+// order, multiplied here from the factors apply recorded; otherwise Prn is
+// called. A match that clears α is handed to the sink with the scratch's
+// assignment array as its mapping.
 func (s *scratch) emit() {
 	p := s.p
 	for _, e := range p.loose {
@@ -392,7 +440,14 @@ func (s *scratch) emit() {
 			return
 		}
 	}
-	prn := p.g.Prn(s.asn)
+	prn := 1.0
+	if s.sharedAt[len(p.order)] == 0 {
+		for _, f := range s.existF {
+			prn *= f
+		}
+	} else {
+		prn = p.g.Prn(s.asn)
+	}
 	if prle*prn+1e-12 < p.alpha {
 		return
 	}

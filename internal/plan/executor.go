@@ -263,7 +263,7 @@ func (r *joinRun) retain(ctx context.Context, opt Exec, st *Stats) ([]join.Match
 	}
 	stores := make([]store, workers)
 	for i := range stores {
-		stores[i].width, stores[i].limit = r.pl.Query.NumNodes(), keep
+		stores[i].init(r.pl.Query.NumNodes(), keep)
 	}
 	err := r.enumerate(ctx, workers, func(w int, m join.Match) bool {
 		stores[w].offer(m)

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -26,8 +28,9 @@ type store struct {
 	width   int
 	limit   int
 	chunks  []storeChunk
-	n       int     // rows in use
-	heap    []int32 // limit > 0: row ids, worst retained match at the root
+	n       int       // rows in use
+	lo, hi  entity.ID // least and greatest id copied in: the radix's key range
+	heap    []int32   // limit > 0: row ids, worst retained match at the root
 	offered int
 
 	_ [64]byte // stores of one run sit in one slice; keep workers' counters off each other's cache lines
@@ -36,6 +39,12 @@ type store struct {
 type storeChunk struct {
 	ids       []entity.ID
 	prle, prn []float64
+}
+
+// init readies a zero store for rows of the given width.
+func (s *store) init(width, limit int) {
+	s.width, s.limit = width, limit
+	s.lo, s.hi = math.MaxInt32, math.MinInt32
 }
 
 // row locates row r: its chunk and its index there.
@@ -61,20 +70,13 @@ func (s *store) at(r int32) join.Match {
 	return join.Match{Mapping: s.ids(r), Prle: c.prle[i], Prn: c.prn[i]}
 }
 
-// compare is compareMatches(o, s.at(a), s.at(b)) without building either
-// match and without reading a probability the order does not get to: it is
-// the comparison a sort of 50 000 rows makes a million times.
-func (s *store) compare(o ResultOrder, a, b int32) int {
-	if o == OrderByProb {
-		if c := comparePr(s.pr(a), s.pr(b)); c != 0 {
-			return c
-		}
-		return slices.Compare(s.ids(a), s.ids(b))
-	}
-	if c := slices.Compare(s.ids(a), s.ids(b)); c != 0 {
+// compare is compareMatches(OrderByProb, s.at(a), s.at(b)) without building
+// either match: what the bounded heap and the probability sort compare by.
+func (s *store) compare(a, b int32) int {
+	if c := comparePr(s.pr(a), s.pr(b)); c != 0 {
 		return c
 	}
-	return comparePr(s.pr(a), s.pr(b))
+	return slices.Compare(s.ids(a), s.ids(b))
 }
 
 // put copies a borrowed match into row r, the next unused row or one in use.
@@ -89,7 +91,10 @@ func (s *store) put(r int32, m join.Match) {
 		})
 	}
 	c, i := s.row(r)
-	copy(s.ids(r), m.Mapping)
+	for k, v := range m.Mapping {
+		c.ids[i*s.width+k] = v
+		s.lo, s.hi = min(s.lo, v), max(s.hi, v)
+	}
 	c.prle[i], c.prn[i] = m.Prle, m.Prn
 }
 
@@ -112,7 +117,7 @@ func (s *store) offer(m join.Match) {
 }
 
 // worse reports whether heap entry i ranks after entry j.
-func (s *store) worse(i, j int) bool { return s.compare(OrderByProb, s.heap[i], s.heap[j]) > 0 }
+func (s *store) worse(i, j int) bool { return s.compare(s.heap[i], s.heap[j]) > 0 }
 
 func (s *store) up(i int) {
 	for i > 0 {
@@ -142,9 +147,10 @@ func (s *store) down(i int) {
 	}
 }
 
-// sorted returns the retained rows' ids in order o. Rows are not moved:
-// the sort permutes 4-byte ids.
-func (s *store) sorted(o ResultOrder) []int32 {
+// byProb returns the retained rows' ids in OrderByProb's order. Rows are not
+// moved: the sort permutes 4-byte ids — the heap's K of them, or every row's
+// when a probability-ordered run asked for no limit.
+func (s *store) byProb() []int32 {
 	perm := s.heap
 	if s.limit == 0 {
 		perm = make([]int32, s.n)
@@ -152,31 +158,174 @@ func (s *store) sorted(o ResultOrder) []int32 {
 			perm[i] = int32(i)
 		}
 	}
-	slices.SortFunc(perm, func(a, b int32) int { return s.compare(o, a, b) })
+	slices.SortFunc(perm, s.compare)
 	return perm
+}
+
+// push appends row r to digit d's list in a radix pass. A list is circular
+// — the row after its last is its first — so a bucket is one word, the last
+// row's id plus one, and a zeroed table is a table of empty buckets.
+func push(tails, next []int32, d uint32, r int32) {
+	if t := tails[d]; t == 0 {
+		next[r] = r
+	} else {
+		next[r], next[t-1] = next[t-1], r
+	}
+	tails[d] = r + 1
+}
+
+// byMapping orders a keep-all store's rows by mapping without comparing or
+// moving them: it returns the first row of a linked list and the list,
+// next[r] being the row after r and -1 ending it. The list is built by an
+// LSD radix sort over the id columns, last column first, whose every pass
+// walks the current list (the first pass the chunks, in row order), appends
+// each row to its digit's bucket and chains the non-empty buckets back into
+// one list — stable, so equal mappings stay in row order, with no histogram
+// and nothing per row but next. A column's key is id − lo, so only the span
+// of the ids the store actually holds is sorted on; it is cut into equal
+// digits of at most log₂ n bits — a bucket table never longer than the rows
+// it sorts, and as few passes as that allows — and at least 4.
+func (s *store) byMapping() (first int32, next []int32) {
+	if s.n == 0 {
+		return -1, nil
+	}
+	lo := uint32(s.lo)
+	spanBits := max(1, bits.Len32(uint32(s.hi)-lo))
+	widest := max(4, bits.Len(uint(s.n))-1) // ⌊log₂ n⌋, but 4 for a handful of rows
+	digits := (spanBits + widest - 1) / widest
+	digitBits := (spanBits + digits - 1) / digits
+	mask := uint32(1)<<digitBits - 1
+
+	next = make([]int32, s.n)
+	tails := make([]int32, 1<<digitBits)
+	threaded := false
+	for col := s.width - 1; col >= 0; col-- {
+		for shift := 0; shift < spanBits; shift += digitBits {
+			if !threaded {
+				threaded = true
+				for r := int32(0); int(r) < s.n; r++ {
+					c, i := s.row(r)
+					push(tails, next, (uint32(c.ids[i*s.width+col])-lo)>>shift&mask, r)
+				}
+			} else {
+				for r := first; r >= 0; {
+					c, i := s.row(r)
+					after := next[r]
+					push(tails, next, (uint32(c.ids[i*s.width+col])-lo)>>shift&mask, r)
+					r = after
+				}
+			}
+			last := int32(-1)
+			for d, t := range tails {
+				if t == 0 {
+					continue
+				}
+				if head := next[t-1]; last < 0 {
+					first = head
+				} else {
+					next[last] = head
+				}
+				last, tails[d] = t-1, 0
+			}
+			next[last] = -1
+		}
+	}
+	return first, next
+}
+
+// cursor walks one store's rows in a result order: down the list byMapping
+// threaded, or along the slice byProb sorted.
+type cursor struct {
+	s    *store
+	next []int32    // mapping order: the list
+	perm []int32    // probability order: the rows after r
+	r    int32      // the current row; -1 once past the last
+	head join.Match // s.at(r)
+	tied int        // mapping order: rows after r already ordered by settle
+}
+
+// open sorts the store's rows in order o and puts a cursor on the first.
+func (s *store) open(o ResultOrder) cursor {
+	c := cursor{s: s}
+	if o == OrderByProb {
+		c.perm = s.byProb()
+		c.advance()
+		return c
+	}
+	c.r, c.next = s.byMapping()
+	c.settle()
+	if c.r >= 0 {
+		c.head = s.at(c.r)
+	}
+	return c
+}
+
+// advance moves the cursor to the next row in its order.
+func (c *cursor) advance() {
+	switch {
+	case c.next != nil:
+		c.r = c.next[c.r]
+		if c.tied > 0 {
+			c.tied--
+		} else {
+			c.settle()
+		}
+	case len(c.perm) > 0:
+		c.r, c.perm = c.perm[0], c.perm[1:]
+	default:
+		c.r = -1
+	}
+	if c.r >= 0 {
+		c.head = c.s.at(c.r)
+	}
+}
+
+// settle finishes the mapping order where the radix left it open: when the
+// rows after r map as r does — no real answer has two, a mapping occurs once
+// — the run is put in decreasing probability, compareMatches' tie-break, and
+// relinked in place with r its first row.
+func (c *cursor) settle() {
+	if c.r < 0 {
+		return
+	}
+	s, ids := c.s, c.s.ids(c.r)
+	after := c.next[c.r]
+	if after < 0 || !slices.Equal(ids, s.ids(after)) {
+		return
+	}
+	run := []int32{c.r}
+	for ; after >= 0 && slices.Equal(ids, s.ids(after)); after = c.next[after] {
+		run = append(run, after)
+	}
+	slices.SortStableFunc(run, func(a, b int32) int { return comparePr(s.pr(a), s.pr(b)) })
+	for i, r := range run[1:] {
+		c.next[run[i]] = r
+	}
+	c.next[run[len(run)-1]] = after
+	c.r, c.tied = run[0], len(run)-1
 }
 
 // mergeStores sorts every store's rows in order o, each on its own
 // goroutine, and merges them into one exact-size slice of the first limit
 // matches (limit 0: all of them). The order is total over distinct matches
 // and no match is in two stores, so the result does not depend on which
-// worker found what.
+// worker found what. With one store the merge is a walk of its order.
 func mergeStores(stores []store, o ResultOrder, limit int) []join.Match {
-	perms := make([][]int32, len(stores))
+	cursors := make([]cursor, len(stores))
 	var wg sync.WaitGroup
 	for i := 1; i < len(stores); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			perms[i] = stores[i].sorted(o)
+			cursors[i] = stores[i].open(o)
 		}()
 	}
-	perms[0] = stores[0].sorted(o)
+	cursors[0] = stores[0].open(o)
 	wg.Wait()
 
 	total := 0
-	for _, p := range perms {
-		total += len(p)
+	for i := range stores {
+		total += stores[i].n
 	}
 	if limit > 0 {
 		total = min(total, limit)
@@ -185,23 +334,15 @@ func mergeStores(stores []store, o ResultOrder, limit int) []join.Match {
 		return nil
 	}
 	out := make([]join.Match, total)
-	heads := make([]join.Match, len(stores)) // each store's next row, while it has one
-	for i, p := range perms {
-		if len(p) > 0 {
-			heads[i] = stores[i].at(p[0])
-		}
-	}
 	for k := range out {
-		best := -1
-		for i, p := range perms {
-			if len(p) > 0 && (best < 0 || compareMatches(o, heads[i], heads[best]) < 0) {
-				best = i
+		best := &cursors[0]
+		for i := 1; i < len(cursors); i++ {
+			if c := &cursors[i]; c.r >= 0 && (best.r < 0 || compareMatches(o, c.head, best.head) < 0) {
+				best = c
 			}
 		}
-		out[k] = heads[best]
-		if perms[best] = perms[best][1:]; len(perms[best]) > 0 {
-			heads[best] = stores[best].at(perms[best][0])
-		}
+		out[k] = best.head
+		best.advance()
 	}
 	return out
 }

@@ -46,15 +46,28 @@ func randomMatches(rng *rand.Rand, n, width int) []join.Match {
 	for math.Pow(float64(ids), float64(width)) < float64(4*n) {
 		ids++
 	}
+	return randomMatchesIn(rng, n, width, 0, entity.ID(ids-1))
+}
+
+// randomMatchesIn is randomMatches over the ids lo..hi, however few or many
+// those are: where they leave room for fewer than 4n mappings the
+// probabilities are drawn finer instead, so n matches distinct in
+// (mapping, Pr) still exist and most of them share a mapping.
+func randomMatchesIn(rng *rand.Rand, n, width int, lo, hi entity.ID) []join.Match {
+	span := int64(hi) - int64(lo) + 1
+	prs := 8
+	for room := math.Pow(float64(span), float64(width)); room*float64(prs) < float64(4*n); {
+		prs *= 2
+	}
 	ms := make([]join.Match, 0, n)
 	seen := map[string]bool{}
 	for len(ms) < n {
-		m := join.Match{Mapping: make([]entity.ID, width), Prle: float64(1+rng.Intn(8)) / 8, Prn: float64(1+rng.Intn(4)) / 4}
+		m := join.Match{Mapping: make([]entity.ID, width), Prle: float64(1+rng.Intn(prs)) / float64(prs), Prn: float64(1+rng.Intn(4)) / 4}
 		if len(ms) > 0 && rng.Intn(4) == 0 {
 			copy(m.Mapping, ms[rng.Intn(len(ms))].Mapping)
 		} else {
 			for k := range m.Mapping {
-				m.Mapping[k] = entity.ID(rng.Intn(ids))
+				m.Mapping[k] = entity.ID(int64(lo) + rng.Int63n(span))
 			}
 		}
 		// Distinct in (mapping, Pr): both orders are total, as they are over
@@ -97,50 +110,75 @@ func TestSortMatchesKeepsItsOrder(t *testing.T) {
 // (bounded stores: the heaps evict into reused rows and still hold every
 // global top-limit match) — whatever the deal was. The rows are borrowed
 // the way the join lends them: through one buffer overwritten per offer.
+//
+// The mapping order is a radix sort held here to the comparison sort it
+// replaced, bit for bit: over every row count around a chunk boundary and
+// one large enough for wide digits, every width up to 8, and id ranges of
+// one bit, exactly and just over one 12-bit digit, two digits, the top of
+// the int32 range (the key is id − lo, not id) and one that includes −1
+// (no sign case) — each with runs of equal mappings that only the
+// probability tie-break orders.
 func TestStoresMergeToTheSortedAnswer(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 40; round++ {
 		width := 1 + rng.Intn(5)
 		ms := randomMatches(rng, 1+rng.Intn(3*storeChunkRows), width)
-		byMap, byPr := slices.Clone(ms), slices.Clone(ms)
-		sortMatchesBySlice(byMap)
-		betterBySlice(byPr)
-		for _, tc := range []struct {
-			name  string
-			order ResultOrder
-			limit int
-			want  []join.Match
-		}{
-			{"collect", OrderEmit, 0, byMap},
-			{"prob all", OrderByProb, 0, byPr},
-			{"top 1", OrderByProb, 1, byPr[:1]},
-			{"top K", OrderByProb, 1 + rng.Intn(len(ms)), nil},
-			{"top beyond", OrderByProb, len(ms) + 7, byPr},
-		} {
-			if tc.want == nil {
-				tc.want = byPr[:tc.limit]
+		checkMerge(t, rng, fmt.Sprintf("round %d", round), ms, width)
+	}
+	width := 0
+	for _, ids := range [][2]entity.ID{
+		{0, 1}, {0, 4095}, {0, 4096}, {0, 70_000}, {math.MaxInt32 - 70_000, math.MaxInt32}, {-1, 300}, {math.MinInt32, math.MaxInt32},
+	} {
+		for _, n := range []int{0, 1, 2, 255, 256, 257, 769, 20_000} {
+			width = width%8 + 1
+			ms := randomMatchesIn(rng, n, width, ids[0], ids[1])
+			checkMerge(t, rng, fmt.Sprintf("ids %d..%d, width %d", ids[0], ids[1], width), ms, width)
+		}
+	}
+}
+
+// checkMerge deals ms to stores and holds every kind of merged answer to the
+// comparison-sorted one.
+func checkMerge(t *testing.T, rng *rand.Rand, label string, ms []join.Match, width int) {
+	t.Helper()
+	byMap, byPr := slices.Clone(ms), slices.Clone(ms)
+	sortMatchesBySlice(byMap)
+	betterBySlice(byPr)
+	for _, tc := range []struct {
+		name  string
+		order ResultOrder
+		limit int
+		want  []join.Match
+	}{
+		{"collect", OrderEmit, 0, byMap},
+		{"prob all", OrderByProb, 0, byPr},
+		{"top 1", OrderByProb, 1, byPr[:min(1, len(ms))]},
+		{"top K", OrderByProb, 1 + rng.Intn(len(ms)+1), nil},
+		{"top beyond", OrderByProb, len(ms) + 7, byPr},
+	} {
+		if tc.want == nil {
+			tc.want = byPr[:min(tc.limit, len(ms))]
+		}
+		stores := make([]store, 1+rng.Intn(8))
+		for i := range stores {
+			stores[i].init(width, tc.limit)
+		}
+		lent := make([]entity.ID, width)
+		for _, m := range ms {
+			copy(lent, m.Mapping)
+			stores[rng.Intn(len(stores))].offer(join.Match{Mapping: lent, Prle: m.Prle, Prn: m.Prn})
+		}
+		offered := 0
+		for i := range stores {
+			offered += stores[i].offered
+			if tc.limit > 0 && stores[i].n > tc.limit {
+				t.Fatalf("%s, %s: a store bounded at %d holds %d rows", label, tc.name, tc.limit, stores[i].n)
 			}
-			stores := make([]store, 1+rng.Intn(8))
-			for i := range stores {
-				stores[i].width, stores[i].limit = width, tc.limit
-			}
-			lent := make([]entity.ID, width)
-			for _, m := range ms {
-				copy(lent, m.Mapping)
-				stores[rng.Intn(len(stores))].offer(join.Match{Mapping: lent, Prle: m.Prle, Prn: m.Prn})
-			}
-			offered := 0
-			for i := range stores {
-				offered += stores[i].offered
-				if tc.limit > 0 && stores[i].n > tc.limit {
-					t.Fatalf("round %d %s: a store bounded at %d holds %d rows", round, tc.name, tc.limit, stores[i].n)
-				}
-			}
-			got := mergeStores(stores, tc.order, tc.limit)
-			if offered != len(ms) || !equalMatches(tc.want, got) {
-				t.Fatalf("round %d %s: %d stores, %d matches, limit %d: merged answer differs from the sorted one (%d vs %d matches)",
-					round, tc.name, len(stores), len(ms), tc.limit, len(got), len(tc.want))
-			}
+		}
+		got := mergeStores(stores, tc.order, tc.limit)
+		if offered != len(ms) || !equalMatches(tc.want, got) {
+			t.Fatalf("%s, %s: %d stores, %d matches, limit %d: merged answer differs from the sorted one (%d vs %d matches)",
+				label, tc.name, len(stores), len(ms), tc.limit, len(got), len(tc.want))
 		}
 	}
 }
