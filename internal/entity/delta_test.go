@@ -153,9 +153,9 @@ func compareGraphs(t *testing.T, label string, got, want *Graph) {
 		for u := v + 1; u < got.NumNodes(); u++ {
 			gu := ID(u)
 			wu := wantBy[nodeKey(got, gu)]
-			if diff := got.PrnPair(gv, gu) - want.PrnPair(wv, wu); diff > 1e-12 || diff < -1e-12 {
-				t.Errorf("%s: PrnPair(%v,%v) = %v, want %v",
-					label, got.Refs(gv), got.Refs(gu), got.PrnPair(gv, gu), want.PrnPair(wv, wu))
+			gp, wp := got.Prn([]ID{gv, gu}), want.Prn([]ID{wv, wu})
+			if diff := gp - wp; diff > 1e-12 || diff < -1e-12 {
+				t.Errorf("%s: Prn(%v,%v) = %v, want %v", label, got.Refs(gv), got.Refs(gu), gp, wp)
 			}
 		}
 	}

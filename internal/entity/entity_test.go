@@ -86,11 +86,8 @@ func TestMotivatingExampleExistence(t *testing.T) {
 	if p := g.Prn([]entity.ID{fixtures.S3, fixtures.S34}); p != 0 {
 		t.Errorf("Prn(s3, s34) = %v, want 0 (share r3)", p)
 	}
-	if p := g.PrnPair(fixtures.S3, fixtures.S4); !approx(p, 0.2) {
-		t.Errorf("PrnPair(s3, s4) = %v, want 0.2", p)
-	}
-	if p := g.PrnPair(fixtures.S1, fixtures.S34); !approx(p, 0.8) {
-		t.Errorf("PrnPair(s1, s34) = %v, want 0.8", p)
+	if p := g.Prn([]entity.ID{fixtures.S1, fixtures.S34}); !approx(p, 0.8) {
+		t.Errorf("Prn(s1, s34) = %v, want 0.8", p)
 	}
 }
 

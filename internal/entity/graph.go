@@ -252,20 +252,6 @@ func (g *Graph) PrnExtend(nodes []ID, prn0 float64, v ID) float64 {
 	return prn0 * nv.Exist
 }
 
-// PrnPair is Prn for exactly two nodes, avoiding slice allocation on the
-// hottest candidate-pruning path.
-func (g *Graph) PrnPair(a, b ID) float64 {
-	na, nb := &g.nodes[a], &g.nodes[b]
-	if na.Comp != nb.Comp {
-		return na.Exist * nb.Exist
-	}
-	if a == b {
-		return na.Exist
-	}
-	mask := uint64(1)<<na.CompPos | uint64(1)<<nb.CompPos
-	return g.comps[na.Comp].MarginalAll(mask)
-}
-
 // Assignment is a labeled subgraph over GU: nodes with assigned labels plus
 // edges, as used for Prle (Eq. 13).
 type Assignment struct {

@@ -72,10 +72,10 @@ func constructionPaths(t *testing.T, seed int64, rng *rand.Rand, opt BuildOption
 	return map[string]*Graph{"built": built, "delta": delta, "reloaded": reloaded}, delta.NumNodes() - built.NumNodes()
 }
 
-// TestPrnExistShortcutBitwise: Prn and PrnPair equal the all-memo path bit
-// for bit on random node sets — drawn so that components are often shared
-// between several nodes of a set, and with duplicates — over graphs that
-// were built, incrementally maintained, and reloaded from a snapshot.
+// TestPrnExistShortcutBitwise: Prn equals the all-memo path bit for bit on
+// random node sets — drawn so that components are often shared between
+// several nodes of a set, and with duplicates — over graphs that were built,
+// incrementally maintained, and reloaded from a snapshot.
 // Also pins MaxRef on every one of those construction paths.
 func TestPrnExistShortcutBitwise(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -106,12 +106,6 @@ func TestPrnExistShortcutBitwise(t *testing.T) {
 				}
 				if got, want := g.Prn(nodes), prnByMemo(g, nodes); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s: Prn(%v) = %v, memo path %v", label, nodes, got, want)
-				}
-				if len(nodes) >= 2 {
-					pair := nodes[:2]
-					if got, want := g.PrnPair(pair[0], pair[1]), prnByMemo(g, pair); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s: PrnPair(%v) = %v, memo path %v", label, pair, got, want)
-					}
 				}
 			}
 		}

@@ -97,6 +97,12 @@ type Status struct {
 	Entities      int    `json:"entities"`
 	Compacting    bool   `json:"compacting"`
 	Compactions   uint64 `json:"compactions"`
+	// OverlayPaths is the number of paths the delta overlay stores.
+	OverlayPaths uint64 `json:"overlay_paths"`
+	// LastApplyNanos is the wall clock of the most recent accepted batch,
+	// validation to published view (WAL append included, time queued behind
+	// other writers excluded); zero before the first one.
+	LastApplyNanos int64 `json:"last_apply_ns,omitempty"`
 	// LastCompactionNanos is the wall clock of the most recent successful
 	// compaction (snapshot → fresh generation installed); zero before the
 	// first one. TotalCompactionNanos accumulates across all of them.
@@ -125,8 +131,9 @@ type DB struct {
 	closed      bool
 	compacting  bool
 	compactions uint64
-	// Wall clock of the most recent / all successful compactions, for the
-	// serving tier's metrics export.
+	// Wall clock of the most recent accepted batch and of the most recent /
+	// all successful compactions, for the serving tier's metrics export.
+	lastApplyNanos    int64
 	lastCompactNanos  int64
 	totalCompactNanos int64
 	// Mutations applied while a compaction snapshot is building, replayed
@@ -408,6 +415,8 @@ func (db *DB) Status() Status {
 		Entities:             v.g.NumNodes(),
 		Compacting:           db.compacting,
 		Compactions:          db.compactions,
+		OverlayPaths:         v.OverlayPaths(),
+		LastApplyNanos:       db.lastApplyNanos,
 		LastCompactionNanos:  db.lastCompactNanos,
 		TotalCompactionNanos: db.totalCompactNanos,
 	}
@@ -438,6 +447,7 @@ func (db *DB) Apply(ms []Mutation) (ApplyResult, error) {
 // applyLocked is Apply without locking and auto-compaction; logToWAL is
 // false during WAL replay (the records are already on disk).
 func (db *DB) applyLocked(ms []Mutation, logToWAL bool) (ApplyResult, error) {
+	started := time.Now()
 	var res ApplyResult
 	invalid := func(i int, err error) error {
 		return fmt.Errorf("%w %d: %v", ErrInvalidMutation, i, err)
@@ -553,19 +563,12 @@ func (db *DB) applyLocked(ms []Mutation, logToWAL bool) (ApplyResult, error) {
 		}
 	}
 
-	// Install: cumulative dirty set, fresh overlay, patched context tables.
-	dirty := make([]bool, ng.NumNodes())
-	copy(dirty, cur.dirty)
-	for _, e := range dirtyNew {
-		dirty[e] = true
-	}
-	ov := buildOverlay(ng, dirty, db.baseIx.Beta(), db.baseIx.MaxLen())
+	// Install: the overlay extended by this batch's dirty entities, patched
+	// context tables.
+	ov := extend(cur.ov, ng, dirtyNew, db.baseIx.Beta(), db.baseIx.MaxLen())
 	ctxTables := cur.ctx.Patch(ng, dirtyNew)
 	db.muts += uint64(len(ms))
-	view := &View{
-		base: db.baseIx, g: ng, ctx: ctxTables, ov: ov, dirty: dirty,
-		gen: db.gen, muts: db.muts,
-	}
+	view := &View{base: db.baseIx, g: ng, ctx: ctxTables, ov: ov, gen: db.gen, muts: db.muts}
 	db.view.Store(view)
 	db.publishLocked()
 	if db.compacting {
@@ -576,6 +579,7 @@ func (db *DB) applyLocked(ms []Mutation, logToWAL bool) (ApplyResult, error) {
 	res.Generation = db.gen
 	res.Mutations = db.muts
 	res.DirtyEntities = view.DirtyEntities()
+	db.lastApplyNanos = time.Since(started).Nanoseconds()
 	return res, nil
 }
 
@@ -692,10 +696,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 
 	newGraph := g2
 	ctxTables := ix2.Context()
-	var (
-		dirty []bool
-		ov    *overlay
-	)
+	var ov *overlay
 	if !pendDelta.Empty() {
 		ng, dirtyNew, aerr := entity.ApplyDelta(g2, db.pgd, pendDelta, db.opt.Build)
 		if aerr != nil {
@@ -704,11 +705,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 			return aerr
 		}
 		newGraph = ng
-		dirty = make([]bool, ng.NumNodes())
-		for _, e := range dirtyNew {
-			dirty[e] = true
-		}
-		ov = buildOverlay(newGraph, dirty, ix2.Beta(), ix2.MaxLen())
+		ov = extend(nil, newGraph, dirtyNew, ix2.Beta(), ix2.MaxLen())
 		ctxTables = ix2.Context().Patch(newGraph, dirtyNew)
 	}
 	newWAL, werr := writeWAL(db.walPath(gen), pending)
@@ -726,10 +723,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 	oldWAL, oldGenDir, oldBase := db.wal, db.genDir(db.gen), db.baseIx
 	db.wal, db.gen, db.baseIx = newWAL, gen, ix2
 	db.muts = uint64(len(pending))
-	view := &View{
-		base: ix2, g: newGraph, ctx: ctxTables, ov: ov, dirty: dirty,
-		gen: gen, muts: db.muts,
-	}
+	view := &View{base: ix2, g: newGraph, ctx: ctxTables, ov: ov, gen: gen, muts: db.muts}
 	db.view.Store(view)
 	db.publishLocked()
 	db.compacting = false

@@ -97,10 +97,11 @@ func randomMutation(rng *rand.Rand, d *refgraph.PGD) Mutation {
 }
 
 // rebuildIndex builds a fresh index over the mutated PGD, the oracle the
-// live view must match exactly.
-func rebuildIndex(t testing.TB, d *refgraph.PGD) *pathindex.Index {
+// live view must match exactly, under the given entity build options
+// (default when omitted).
+func rebuildIndex(t testing.TB, d *refgraph.PGD, build ...entity.BuildOptions) *pathindex.Index {
 	t.Helper()
-	g, err := entity.Build(d, entity.BuildOptions{})
+	g, err := entity.Build(d, append(build, entity.BuildOptions{})[0])
 	if err != nil {
 		t.Fatalf("rebuild entity.Build: %v", err)
 	}
@@ -205,7 +206,7 @@ func TestOverlayEquivalence(t *testing.T) {
 							totalMatches += len(gotRes.Matches)
 							for _, m := range gotRes.Matches {
 								for _, v := range m.Mapping {
-									if view.dirty != nil && view.dirty[v] {
+									if view.ov != nil && view.ov.dirty[v] {
 										dirtyMatches++
 										break
 									}

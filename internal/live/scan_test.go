@@ -25,7 +25,7 @@ func lookupBeforeScan(v *View, X []prob.LabelID, alpha float64) ([]pathindex.Pat
 	for _, m := range bm {
 		clean := true
 		for _, n := range m.Nodes {
-			if v.dirty[n] {
+			if v.ov.dirty[n] {
 				clean = false
 				break
 			}
@@ -39,15 +39,17 @@ func lookupBeforeScan(v *View, X []prob.LabelID, alpha float64) ([]pathindex.Pat
 		return out, nil
 	}
 	if alpha >= ov.beta {
-		for _, m := range ov.entries[seqKey(X)] {
-			if m.Pr()+eps >= alpha {
-				out = append(out, m)
+		if r := ov.entries[makeKey(X)]; r != nil {
+			for i := 0; i < r.len(); i++ {
+				if m := (pathindex.PathMatch{Nodes: r.row(i), Prle: r.prle[i], Prn: r.prn[i]}); !r.isDead(i) && m.Pr()+eps >= alpha {
+					out = append(out, m)
+				}
 			}
 		}
 		return out, nil
 	}
 	w := &walk{
-		g: ov.g, dirty: ov.dirty, thresh: alpha, max: len(X), guide: X,
+		g: ov.g, anchorSet: ov.dirty, dirty: ov.dirty, thresh: alpha, max: len(X), guide: X,
 		emit: func(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) {
 			out = append(out, pathindex.PathMatch{Nodes: append([]entity.ID(nil), nodes...), Prle: prle, Prn: prn})
 		},
@@ -121,7 +123,7 @@ func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
 						for _, m := range want {
 							touchesDirty := false
 							for _, n := range m.Nodes {
-								touchesDirty = touchesDirty || v.dirty[n]
+								touchesDirty = touchesDirty || v.ov.dirty[n]
 							}
 							if touchesDirty {
 								fromOverlay++

@@ -14,13 +14,12 @@ import (
 // one View for its whole run and is never affected by concurrent mutations;
 // each mutation batch publishes a fresh View.
 type View struct {
-	base  *pathindex.Index
-	g     *entity.Graph      // current entity graph (base graph + delta)
-	ctx   *pathindex.Context // context tables valid for g
-	ov    *overlay           // nil when no mutations since the base build
-	dirty []bool             // by entity id; nil when clean
-	gen   uint64             // base generation number
-	muts  uint64             // mutations folded in since the base build
+	base *pathindex.Index
+	g    *entity.Graph      // current entity graph (base graph + delta)
+	ctx  *pathindex.Context // context tables valid for g
+	ov   *overlay           // nil when no mutations since the base build
+	gen  uint64             // base generation number
+	muts uint64             // mutations folded in since the base build
 }
 
 var _ pathindex.Reader = (*View)(nil)
@@ -34,10 +33,10 @@ func (v *View) Scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) erro
 	if v.ov == nil {
 		return v.base.Scan(X, alpha, fn)
 	}
-	stopped := false
+	stopped, dirty := false, v.ov.dirty
 	err := v.base.Scan(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
 		for _, n := range nodes {
-			if v.dirty[n] {
+			if dirty[n] {
 				return true
 			}
 		}
@@ -84,9 +83,7 @@ func (v *View) Beta() float64 { return v.base.Beta() }
 // folded into Entries.
 func (v *View) Stats() pathindex.BuildStats {
 	st := v.base.Stats()
-	if v.ov != nil {
-		st.Entries += v.ov.count
-	}
+	st.Entries += v.OverlayPaths()
 	return st
 }
 
@@ -107,11 +104,16 @@ func (v *View) Mutations() uint64 { return v.muts }
 
 // DirtyEntities returns how many entities the overlay tracks as dirty.
 func (v *View) DirtyEntities() int {
-	n := 0
-	for _, d := range v.dirty {
-		if d {
-			n++
-		}
+	if v.ov == nil {
+		return 0
 	}
-	return n
+	return len(v.ov.dirtyIDs)
+}
+
+// OverlayPaths returns how many paths the overlay stores.
+func (v *View) OverlayPaths() uint64 {
+	if v.ov == nil {
+		return 0
+	}
+	return v.ov.count
 }

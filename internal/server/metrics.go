@@ -40,6 +40,7 @@ type serverMetrics struct {
 	indexInfo     *metrics.InfoGauge // peg_index_info{index}
 	indexFormat   *metrics.InfoGauge // peg_index_format_info{format}
 	postingDecode *metrics.Histogram // peg_index_posting_decode_micros
+	liveApply     *metrics.Histogram // peg_live_apply_seconds
 }
 
 func newServerMetrics(s *Server) *serverMetrics {
@@ -65,6 +66,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		postingDecode: metrics.NewHistogram("peg_index_posting_decode_micros",
 			"Wall-clock microseconds decoding one posting blob on the packed read path.",
 			metrics.ExpBuckets(1, 4, 10)),
+		// 100µs .. ~26s per accepted /ingest batch.
+		liveApply: metrics.NewHistogram("peg_live_apply_seconds",
+			"Wall clock of live.DB.Apply per accepted /ingest batch, time queued behind other writers included.",
+			metrics.ExpBuckets(1e-4, 4, 10)),
 	}
 	// indexMetrics snapshots the served reader's read-path counters at
 	// scrape time; zero-valued when the server is unready or the reader
@@ -83,7 +88,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.reg.MustRegister(
 		m.requests, m.latency, m.stages, m.planCost, m.indexInfo,
-		m.indexFormat, m.postingDecode,
+		m.indexFormat, m.postingDecode, m.liveApply,
 
 		metrics.NewGaugeFunc("peg_index_mapped_bytes",
 			"Bytes of the packed index file mapped into the process (0 for the v1 layout).",
@@ -222,8 +227,8 @@ func (m *serverMetrics) observeStages(st *MatchStats) {
 }
 
 // liveCollector renders the live-database families from one Status() call
-// per scrape (Status takes the DB mutex; eight separate gauge closures would
-// take it eight times). Nothing is emitted when the server runs read-only.
+// per scrape (Status takes the DB mutex; a gauge closure per family would
+// take it once per family). Nothing is emitted when the server runs read-only.
 type liveCollector struct{ s *Server }
 
 func (c *liveCollector) Name() string { return "peg_live" }
@@ -247,6 +252,7 @@ func (c *liveCollector) Collect(w io.Writer) {
 		{"peg_live_generation", "Current live view generation.", "gauge", float64(st.Generation)},
 		{"peg_live_mutation_lag", "Mutations in the delta overlay not yet compacted into the base index.", "gauge", float64(st.Mutations)},
 		{"peg_live_dirty_entities", "Entities whose index entries live in the delta overlay.", "gauge", float64(st.DirtyEntities)},
+		{"peg_live_overlay_paths", "Paths stored in the delta overlay.", "gauge", float64(st.OverlayPaths)},
 		{"peg_live_entities", "Entities in the live graph.", "gauge", float64(st.Entities)},
 		{"peg_live_compacting", "1 while a background compaction is running.", "gauge", b(st.Compacting)},
 		{"peg_live_compactions_total", "Completed background compactions.", "counter", float64(st.Compactions)},

@@ -250,7 +250,10 @@ func testServerWithTrace(t *testing.T, w *bytes.Buffer) (*Server, *httptest.Serv
 // every sample line must be "name{labels} value" with a float value and a
 // preceding # TYPE declaration, and the core families must be present.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	_, _, ts := liveServer(t)
+	s, db, ts := liveServer(t)
+	if st := db.Status(); st.OverlayPaths != 0 || st.LastApplyNanos != 0 || s.met.liveApply.Count() != 0 {
+		t.Fatalf("before any /ingest: overlay paths %d, last apply %d ns, %d applies observed", st.OverlayPaths, st.LastApplyNanos, s.met.liveApply.Count())
+	}
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
 	for i := 0; i < 4; i++ {
@@ -258,13 +261,18 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 8; j++ {
-				mut := fmt.Sprintf(`{"op":"add-edge","a":%d,"b":%d,"p":0.7}`, j%4, 4+(i+j)%4)
+				// The motivating PGD has references 0..3.
+				mut := fmt.Sprintf(`{"op":"add-edge","a":%d,"b":%d,"p":0.7}`, j%4, (j+1+i%3)%4)
 				resp, err := http.Post(ts.URL+"/ingest", "application/json", strings.NewReader(mut))
 				if err != nil {
 					errc <- err
 					return
 				}
 				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errc <- fmt.Errorf("/ingest %s: status %d", mut, resp.StatusCode)
+					return
+				}
 				body, _ := json.Marshal(&MatchRequest{Query: motivatingQuerySrc, Alpha: 0.05})
 				if resp, err = http.Post(ts.URL+"/match", "application/json", bytes.NewReader(body)); err != nil {
 					errc <- err
@@ -361,6 +369,16 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	}
 	if values["peg_index_probes_total"] <= 0 {
 		t.Errorf("peg_index_probes_total = %v, want > 0 after serving matches", values["peg_index_probes_total"])
+	}
+	// "Why was this ingest slow?": the overlay's size and the apply clock
+	// moved with the ingests above, on /metrics and in the status /stats
+	// embeds.
+	if values["peg_live_overlay_paths"] <= 0 || values["peg_live_apply_seconds_count"] != 32 {
+		t.Errorf("after 32 /ingest batches: peg_live_overlay_paths = %v, peg_live_apply_seconds_count = %v",
+			values["peg_live_overlay_paths"], values["peg_live_apply_seconds_count"])
+	}
+	if st := db.Status(); float64(st.OverlayPaths) != values["peg_live_overlay_paths"] || st.LastApplyNanos <= 0 {
+		t.Errorf("live status: overlay paths %d (scraped %v), last apply %d ns", st.OverlayPaths, values["peg_live_overlay_paths"], st.LastApplyNanos)
 	}
 	if values["peg_index_posting_decode_micros_count"] <= 0 {
 		t.Errorf("peg_index_posting_decode_micros_count = %v, want > 0 after serving matches", values["peg_index_posting_decode_micros_count"])

@@ -778,6 +778,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("empty ingest batch"))
 		return
 	}
+	started := time.Now()
 	res, err := db.Apply(batch)
 	if err != nil {
 		s.ingestFailed.Add(1)
@@ -793,6 +794,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	s.met.liveApply.Observe(time.Since(started).Seconds())
 	s.ingested.Add(uint64(res.Applied))
 	writeJSON(w, http.StatusOK, &res)
 }
