@@ -110,8 +110,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("entity graph: %d nodes, %d edges, %d identity components\n",
-		g.NumNodes(), g.NumEdges(), g.NumComponents())
+	fmt.Printf("entity graph: %d nodes, %d edges, %d identity components, %d bytes resident\n",
+		g.NumNodes(), g.NumEdges(), g.NumComponents(), g.Bytes())
 
 	ix, err := peg.BuildIndex(ctx, g, peg.IndexOptions{
 		MaxLen: *maxLen, Beta: *beta, Gamma: *gamma, Dir: *dir, Workers: *workers, Format: ixFormat,

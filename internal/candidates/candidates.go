@@ -358,7 +358,7 @@ func pathCyclesProb(g *entity.Graph, q *query.Query, p *decompose.Path, nodes []
 		if !ok {
 			return 0
 		}
-		pr *= ep.Prob(q.Label(p.Nodes[cyc[0]]), q.Label(p.Nodes[cyc[1]]))
+		pr *= g.PrEdge(ep, q.Label(p.Nodes[cyc[0]]), q.Label(p.Nodes[cyc[1]]))
 		if pr == 0 {
 			return 0
 		}

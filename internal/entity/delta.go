@@ -2,7 +2,7 @@ package entity
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/prob"
 	"repro/internal/refgraph"
@@ -54,9 +54,10 @@ func (dl Delta) Merge(other Delta) Delta {
 // are stable), entity edges are recomputed only for pairs whose contributing
 // reference edges changed, and identity components are re-enumerated only
 // where the mutation touched them — the incremental counterpart of the
-// offline "component probabilities" step of Section 5.1. Untouched
-// components (including their marginal memos) and adjacency rows are shared
-// with the old graph, which stays fully usable for concurrent readers.
+// offline "component probabilities" step of Section 5.1. Columns the batch
+// does not touch, untouched components (including their marginal memos) and
+// every unchanged adjacency row are shared with the old graph, which stays
+// fully usable for concurrent readers.
 //
 // The second result lists the dirty entities: every entity whose label/edge
 // surroundings or identity marginals may differ from the old graph, plus all
@@ -66,343 +67,269 @@ func ApplyDelta(old *Graph, d *refgraph.PGD, dl Delta, opt BuildOptions) (*Graph
 	if old.alpha != d.Alphabet() {
 		return nil, nil, fmt.Errorf("entity: delta PGD has a different alphabet")
 	}
-	merge := d.Merge()
-	nLabels := old.alpha.Len()
-
-	ng := &Graph{alpha: old.alpha, sem: old.sem}
-	ng.nodes = make([]Node, len(old.nodes), len(old.nodes)+len(dl.NewRefs)+len(dl.NewSets))
-	copy(ng.nodes, old.nodes)
-
-	var newEnts []ID
 	for _, r := range dl.NewRefs {
 		if r < 0 || int(r) >= d.NumRefs() {
 			return nil, nil, fmt.Errorf("entity: delta references unknown reference %d", r)
 		}
-		ng.nodes = append(ng.nodes, Node{Refs: []refgraph.RefID{r}, Label: d.RefLabel(r), Set: -1})
-		newEnts = append(newEnts, ID(len(ng.nodes)-1))
 	}
 	for _, sid := range dl.NewSets {
 		if sid < 0 || int(sid) >= d.NumSets() {
 			return nil, nil, fmt.Errorf("entity: delta references unknown set %d", sid)
 		}
-		s := d.Set(sid)
-		dists := make([]prob.Dist, len(s.Members))
-		for j, m := range s.Members {
-			dists[j] = d.RefLabel(m)
+	}
+	if len(old.entRow) > d.NumRefs() {
+		return nil, nil, fmt.Errorf("entity: graph knows %d references, delta PGD has %d", len(old.entRow), d.NumRefs())
+	}
+	merge := d.Merge()
+	ng := old.derive()
+	// New entities take the ids from nOld on.
+	nOld, nNew := old.NumNodes(), len(dl.NewRefs)+len(dl.NewSets)
+
+	if nNew > 0 || len(dl.SetProbs) > 0 {
+		ng.exist = append(make([]float64, 0, nOld+nNew), old.exist...)
+		ng.comp = append(make([]int32, 0, nOld+nNew), old.comp...)
+		ng.compPos = append(make([]uint8, 0, nOld+nNew), old.compPos...)
+	}
+	if nNew > 0 {
+		ng.adjRow = append(make([]span, 0, nOld+nNew), old.adjRow...)
+		ng.entRow = append(make([]span, 0, d.NumRefs()), old.entRow...)[:d.NumRefs()]
+		for _, r := range dl.NewRefs {
+			ng.linkEntity(ng.addEntity([]refgraph.RefID{r}, d.RefLabel(r), -1))
 		}
-		ng.nodes = append(ng.nodes, Node{Refs: s.Members, Label: merge.Labels(dists), Set: sid})
-		newEnts = append(newEnts, ID(len(ng.nodes)-1))
+		for _, sid := range dl.NewSets {
+			ng.linkEntity(ng.addEntity(setEntity(d, merge, sid)))
+		}
+		ng.indexLabels(ID(nOld))
 	}
 
-	ng.maxRef = maxNodeRef(old.maxRef, ng.nodes[len(old.nodes):])
-	ng.indexLabels()
-
-	refToEnts := make([][]ID, d.NumRefs())
-	setEnt := make(map[refgraph.SetID]ID)
-	for i := range ng.nodes {
-		for _, r := range ng.nodes[i].Refs {
-			if r < 0 || int(r) >= d.NumRefs() {
-				return nil, nil, fmt.Errorf("entity: node %d references unknown reference %d", i, r)
-			}
-			refToEnts[r] = append(refToEnts[r], ID(i))
-		}
-		if s := ng.nodes[i].Set; s >= 0 {
-			setEnt[s] = ID(i)
-		}
+	changed := ng.changedPairs(d, dl, ID(nOld))
+	if nNew == 0 && len(changed) > 0 {
+		ng.adjRow = slices.Clone(old.adjRow)
 	}
+	ng.rewriteRows(d, merge, changed)
 
-	changed := changedPairs(ng, d, dl, refToEnts, newEnts)
-	ng.adj = make([][]Neighbor, len(ng.nodes))
-	copy(ng.adj, old.adj)
-	cloned := make(map[ID]bool, 2*len(changed))
-	for p := range changed {
-		ep := computePairEdge(d, merge, &ng.nodes[p.a], &ng.nodes[p.b], nLabels)
-		setNeighbor(ng, cloned, p.a, p.b, ep)
-		setNeighbor(ng, cloned, p.b, p.a, ep)
-	}
-
-	dirtyComps, err := recomputeComponents(old, ng, d, dl, refToEnts, setEnt, newEnts, opt)
+	dirty, err := ng.recomputeComponents(old, d, dl, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	dirty := make(map[ID]bool, len(newEnts)+2*len(changed))
-	for _, e := range newEnts {
-		dirty[e] = true
+	for _, p := range changed {
+		dirty = append(dirty, p.a, p.b)
 	}
-	for p := range changed {
-		dirty[p.a] = true
-		dirty[p.b] = true
-	}
-	for _, e := range dirtyComps {
-		dirty[e] = true
-	}
-	out := make([]ID, 0, len(dirty))
-	for e := range dirty {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return ng, out, nil
+	slices.Sort(dirty)
+	return ng, slices.Compact(dirty), nil
 }
 
-// entPair is an unordered entity pair (a < b).
-type entPair struct{ a, b ID }
+// tail returns col as the head of a column a derived graph appends to: as it
+// is when the caller owns the spare capacity behind it, otherwise clipped so
+// that an append — by this graph or by one derived from it — copies.
+func tail[T any](col []T, own bool) []T {
+	if own {
+		return col
+	}
+	return slices.Clip(col)
+}
 
-// changedPairs collects the entity pairs whose merged edge distribution may
-// have changed: pairs spanning a mutated reference edge, plus every pair a
-// new entity forms through the PGD edges incident to its member references.
-func changedPairs(ng *Graph, d *refgraph.PGD, dl Delta, refToEnts [][]ID, newEnts []ID) map[entPair]bool {
-	changed := make(map[entPair]bool)
-	add := func(a, b ID) {
-		if a == b || ng.refsOverlapSlices(ng.nodes[a].Refs, ng.nodes[b].Refs) {
+// derive returns a graph that shares every column with old. Only the first
+// graph derived from old may write behind the pooled columns' ends, where no
+// reader of old looks; a second one (a batch retried after its first result
+// was dropped, two branches off one base) gets clipped columns and copies on
+// its first append.
+func (old *Graph) derive() *Graph {
+	own := old.derived.CompareAndSwap(false, true)
+	return &Graph{
+		alpha: old.alpha, sem: old.sem, nl: old.nl,
+		adjRow: old.adjRow, adj: tail(old.adj, own), cpts: tail(old.cpts, own),
+		labelP: tail(old.labelP, own), labelBits: old.labelBits,
+		refOff: tail(old.refOff, own), refs: tail(old.refs, own), set: tail(old.set, own), maxRef: old.maxRef,
+		entRow: old.entRow, ents: tail(old.ents, own),
+		exist: old.exist, comp: old.comp, compPos: old.compPos, compHead: old.compHead, multi: old.multi,
+	}
+}
+
+// linkEntity adds entity e — the newest — to the reference → entities rows
+// of its member references, each rewritten behind the end of ents.
+func (g *Graph) linkEntity(e ID) {
+	for _, r := range g.Refs(e) {
+		lo := int32(len(g.ents))
+		g.ents = append(append(g.ents, g.entsOf(r)...), e)
+		g.entRow[r] = span{lo, int32(len(g.ents))}
+	}
+}
+
+// changedPairs collects, in (a, b) order, the entity pairs whose merged edge
+// distribution may have changed: pairs spanning a mutated reference edge,
+// plus every pair a new entity forms through the PGD edges incident to its
+// member references.
+func (g *Graph) changedPairs(d *refgraph.PGD, dl Delta, nOld ID) []entPair {
+	var changed []entPair
+	// cross pairs a's entities from id `from` on with all of b's.
+	cross := func(a, b refgraph.RefID, from ID) {
+		if a < 0 || b < 0 || int(a) >= len(g.entRow) || int(b) >= len(g.entRow) {
 			return
 		}
-		if a > b {
-			a, b = b, a
-		}
-		changed[entPair{a, b}] = true
-	}
-	for _, ek := range dl.Edges {
-		if int(ek.A) >= len(refToEnts) || int(ek.B) >= len(refToEnts) || ek.A < 0 || ek.B < 0 {
-			continue
-		}
-		for _, ea := range refToEnts[ek.A] {
-			for _, eb := range refToEnts[ek.B] {
-				add(ea, eb)
+		for _, ea := range g.entsOf(a) {
+			if ea < from {
+				continue
+			}
+			for _, eb := range g.entsOf(b) {
+				if ea != eb && !g.RefsOverlap(ea, eb) {
+					changed = append(changed, entPair{min(ea, eb), max(ea, eb)})
+				}
 			}
 		}
+	}
+	for _, ek := range dl.Edges {
+		cross(ek.A, ek.B, 0)
 	}
 	// Only new set-entities can connect through pre-existing PGD edges (a
 	// brand-new reference has none, and edges added in this batch are in
 	// dl.Edges above), so the full edge scan is gated on them.
 	if len(dl.NewSets) > 0 {
-		inNew := make(map[refgraph.RefID][]ID)
-		for _, e := range newEnts {
-			for _, r := range ng.nodes[e].Refs {
-				inNew[r] = append(inNew[r], e)
-			}
-		}
 		d.Edges(func(k refgraph.EdgeKey, _ refgraph.EdgeDist) bool {
-			for _, e := range inNew[k.A] {
-				for _, o := range refToEnts[k.B] {
-					add(e, o)
-				}
-			}
-			for _, e := range inNew[k.B] {
-				for _, o := range refToEnts[k.A] {
-					add(e, o)
-				}
-			}
+			cross(k.A, k.B, nOld)
+			cross(k.B, k.A, nOld)
 			return true
 		})
 	}
-	return changed
+	slices.SortFunc(changed, comparePairs)
+	return slices.Compact(changed)
 }
 
-// computePairEdge merges the existence distributions of every PGD edge
-// between the two entities' reference sets, mirroring buildEdges for one
-// pair. Returns nil when no reference edge contributes or the merged maximum
-// is zero (no GU edge).
-func computePairEdge(d *refgraph.PGD, merge prob.MergeFuncs, n1, n2 *Node, nLabels int) *EdgeProb {
+// rewriteRows recomputes the merged edge of every changed pair — every PGD
+// edge between the two entities' reference sets, in reference order — and
+// writes each adjacency row that gains, loses or updates an entry behind the
+// end of adj, leaving the rows the old graph reads untouched.
+func (g *Graph) rewriteRows(d *refgraph.PGD, merge prob.MergeFuncs, changed []entPair) {
+	type edit struct {
+		v    ID
+		nb   Neighbor
+		keep bool // false: the pair has no GU edge (any more)
+	}
+	edits := make([]edit, 0, 2*len(changed))
 	var dists []refgraph.EdgeDist
-	anyCPT := false
-	for _, r1 := range n1.Refs {
-		for _, r2 := range n2.Refs {
-			if e, ok := d.Edge(r1, r2); ok {
-				dists = append(dists, e)
-				if e.CPT != nil {
-					anyCPT = true
+	for _, p := range changed {
+		dists = dists[:0]
+		for _, r1 := range g.Refs(p.a) {
+			for _, r2 := range g.Refs(p.b) {
+				if e, ok := d.Edge(r1, r2); ok {
+					dists = append(dists, e)
 				}
 			}
 		}
+		var nb Neighbor
+		keep := false
+		if len(dists) > 0 {
+			nb, keep = g.mergeEdge(merge, dists)
+		}
+		nb.To = p.b
+		edits = append(edits, edit{p.a, nb, keep})
+		nb.To = p.a
+		edits = append(edits, edit{p.b, nb, keep})
 	}
-	if len(dists) == 0 {
-		return nil
-	}
-	ep := &EdgeProb{stride: int32(nLabels)}
-	ps := make([]float64, len(dists))
-	for i, ed := range dists {
-		ps[i] = ed.P
-	}
-	ep.base = merge.Edges(ps)
-	if anyCPT {
-		ep.cpt = make([]float64, nLabels*nLabels)
-		cell := make([]float64, len(dists))
-		for l1 := 0; l1 < nLabels; l1++ {
-			for l2 := 0; l2 < nLabels; l2++ {
-				for i, ed := range dists {
-					cell[i] = ed.Prob(prob.LabelID(l1), prob.LabelID(l2), nLabels)
-				}
-				ep.cpt[l1*nLabels+l2] = merge.Edges(cell)
+	slices.SortFunc(edits, func(x, y edit) int { return comparePairs(entPair{x.v, x.nb.To}, entPair{y.v, y.nb.To}) })
+	for len(edits) > 0 {
+		v := edits[0].v
+		row := g.Neighbors(v)
+		lo := int32(len(g.adj))
+		for len(edits) > 0 && edits[0].v == v {
+			e := edits[0]
+			edits = edits[1:]
+			for len(row) > 0 && row[0].To < e.nb.To {
+				g.adj = append(g.adj, row[0])
+				row = row[1:]
+			}
+			if len(row) > 0 && row[0].To == e.nb.To {
+				row = row[1:]
+			}
+			if e.keep {
+				g.adj = append(g.adj, e.nb)
 			}
 		}
-	}
-	ep.max = ep.base
-	for _, v := range ep.cpt {
-		if v > ep.max {
-			ep.max = v
-		}
-	}
-	if ep.max <= 0 {
-		return nil
-	}
-	return ep
-}
-
-// setNeighbor installs (or removes, when ep is nil) the edge v→to in ng's
-// adjacency, cloning the row copy-on-write so the old graph's rows stay
-// untouched.
-func setNeighbor(ng *Graph, cloned map[ID]bool, v, to ID, ep *EdgeProb) {
-	if !cloned[v] {
-		ng.adj[v] = append([]Neighbor(nil), ng.adj[v]...)
-		cloned[v] = true
-	}
-	row := ng.adj[v]
-	i := sort.Search(len(row), func(i int) bool { return row[i].To >= to })
-	present := i < len(row) && row[i].To == to
-	switch {
-	case ep == nil && present:
-		ng.adj[v] = append(row[:i], row[i+1:]...)
-	case ep == nil:
-		// nothing to remove
-	case present:
-		row[i].E = ep
-	default:
-		row = append(row, Neighbor{})
-		copy(row[i+1:], row[i:])
-		row[i] = Neighbor{To: to, E: ep}
-		ng.adj[v] = row
+		g.adj = append(g.adj, row...)
+		g.adjRow[v] = span{lo, int32(len(g.adj))}
 	}
 }
 
 // recomputeComponents dissolves every identity component the delta touches,
 // regroups the affected entities by shared references, and re-enumerates the
 // legal configurations of only those groups. Untouched components are shared
-// with the old graph (keeping their memoized marginals); component indices
-// are renumbered on the new graph's copied nodes. Returns the entities whose
+// with the old graph (keeping their memoized marginals) and renumbered in
+// their old order, the regrouped ones follow. Returns the entities whose
 // identity marginals were recomputed.
-func recomputeComponents(old, ng *Graph, d *refgraph.PGD, dl Delta, refToEnts [][]ID, setEnt map[refgraph.SetID]ID, newEnts []ID, opt BuildOptions) ([]ID, error) {
-	dissolve := make(map[int32]bool)
-	affected := make(map[ID]bool)
-	for _, e := range newEnts {
-		affected[e] = true
-	}
+func (ng *Graph) recomputeComponents(old *Graph, d *refgraph.PGD, dl Delta, opt BuildOptions) ([]ID, error) {
+	nOld, n := ID(old.NumNodes()), ID(ng.NumNodes())
+	var dissolve []int32
 	for _, sid := range dl.SetProbs {
-		e, ok := setEnt[sid]
+		e, ok := ng.entityOfSet(d, sid)
 		if !ok {
 			return nil, fmt.Errorf("entity: delta updates set %d with no entity", sid)
 		}
-		if int(e) < len(old.nodes) {
-			dissolve[old.nodes[e].Comp] = true
+		if e < nOld {
+			dissolve = append(dissolve, old.comp[e])
 		}
 	}
 	// A new entity drags every old entity it shares a reference with — and
 	// transitively that entity's whole component — into the recompute set.
-	for _, e := range newEnts {
-		for _, r := range ng.nodes[e].Refs {
-			for _, o := range refToEnts[r] {
-				if o != e && int(o) < len(old.nodes) {
-					dissolve[old.nodes[o].Comp] = true
+	for e := nOld; e < n; e++ {
+		for _, r := range ng.Refs(e) {
+			for _, o := range ng.entsOf(r) {
+				if o < nOld {
+					dissolve = append(dissolve, old.comp[o])
 				}
 			}
 		}
 	}
-	for ci := range dissolve {
-		for _, m := range old.comps[ci].Members {
-			affected[m] = true
-		}
-	}
-
-	// Keep every untouched component, sharing the pointer (and its memo).
-	ng.comps = make([]*Component, 0, len(old.comps)+len(newEnts))
-	for ci, c := range old.comps {
-		if !dissolve[int32(ci)] {
-			ng.comps = append(ng.comps, c)
-		}
-	}
-	for ci, c := range ng.comps {
-		for pos, m := range c.Members {
-			ng.nodes[m].Comp = int32(ci)
-			ng.nodes[m].CompPos = uint8(pos)
-		}
-	}
-	if len(affected) == 0 {
+	if len(dissolve) == 0 && n == nOld {
 		return nil, nil
 	}
+	slices.Sort(dissolve)
+	dissolve = slices.Compact(dissolve)
 
-	// Regroup the affected entities by shared references (union-find).
-	members := make([]ID, 0, len(affected))
-	for e := range affected {
-		members = append(members, e)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	idx := make(map[ID]int32, len(members))
-	for i, e := range members {
-		idx[e] = int32(i)
-	}
-	parent := make([]int32, len(members))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	// Keep every untouched component, sharing the pointer (and its memo).
+	var affected []ID
+	ng.compHead = make([]int32, 0, len(old.compHead)+int(n-nOld))
+	ng.multi = make([]*Component, 0, len(old.multi))
+	for ci, h := range old.compHead {
+		var c *Component
+		one := [1]ID{ID(h)}
+		members := one[:]
+		if h < 0 {
+			c = old.multi[^h]
+			members = c.Members
 		}
-		return x
+		if len(dissolve) > 0 && dissolve[0] == int32(ci) {
+			dissolve = dissolve[1:]
+			affected = append(affected, members...)
+			continue
+		}
+		for _, m := range members {
+			ng.comp[m] = int32(len(ng.compHead))
+		}
+		if c != nil {
+			h = ^int32(len(ng.multi))
+			ng.multi = append(ng.multi, c)
+		}
+		ng.compHead = append(ng.compHead, h)
 	}
-	byRef := make(map[refgraph.RefID]int32)
-	for i, e := range members {
-		for _, r := range ng.nodes[e].Refs {
-			if j, ok := byRef[r]; ok {
-				ra, rb := find(int32(i)), find(j)
-				if ra != rb {
-					parent[ra] = rb
-				}
-			} else {
-				byRef[r] = int32(i)
+	slices.Sort(affected)
+	for e := nOld; e < n; e++ {
+		affected = append(affected, e)
+	}
+	return affected, ng.addComponents(d, affected, opt)
+}
+
+// entityOfSet finds the entity of PGD set sid among those containing the
+// set's first member.
+func (g *Graph) entityOfSet(d *refgraph.PGD, sid refgraph.SetID) (ID, bool) {
+	if sid < 0 || int(sid) >= d.NumSets() {
+		return 0, false
+	}
+	if r := d.Set(sid).Members[0]; int(r) < len(g.entRow) {
+		for _, e := range g.entsOf(r) {
+			if g.set[e] == sid {
+				return e, true
 			}
 		}
 	}
-	groups := make(map[int32][]ID)
-	for i, e := range members {
-		r := find(int32(i))
-		groups[r] = append(groups[r], e)
-	}
-	roots := make([]int32, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return groups[roots[i]][0] < groups[roots[j]][0] })
-
-	var recomputed []ID
-	for _, root := range roots {
-		ms := groups[root]
-		if len(ms) > 64 {
-			return nil, fmt.Errorf("entity: identity component with %d entities exceeds the 64-entity limit", len(ms))
-		}
-		ci := int32(len(ng.comps))
-		comp := &Component{Members: ms}
-		for pos, m := range ms {
-			ng.nodes[m].Comp = ci
-			ng.nodes[m].CompPos = uint8(pos)
-		}
-		if len(ms) == 1 {
-			comp.Configs = []Config{{Mask: 1, P: 1}}
-		} else {
-			cfgs, err := ng.enumerateComponent(d, ms, opt)
-			if err != nil {
-				return nil, err
-			}
-			comp.Configs = cfgs
-		}
-		ng.comps = append(ng.comps, comp)
-		for _, m := range ms {
-			nd := &ng.nodes[m]
-			nd.Exist = comp.MarginalAll(uint64(1) << nd.CompPos)
-			recomputed = append(recomputed, m)
-		}
-	}
-	return recomputed, nil
+	return 0, false
 }

@@ -9,17 +9,17 @@ import (
 
 // edgeBetweenBySearch is EdgeBetween as it was before the binary search was
 // written out: sort.Search with a closure over the adjacency list.
-func edgeBetweenBySearch(g *Graph, a, b ID) (*EdgeProb, bool) {
-	nbs := g.adj[a]
+func edgeBetweenBySearch(g *Graph, a, b ID) (Neighbor, bool) {
+	nbs := g.Neighbors(a)
 	i := sort.Search(len(nbs), func(i int) bool { return nbs[i].To >= b })
 	if i < len(nbs) && nbs[i].To == b {
-		return nbs[i].E, true
+		return nbs[i], true
 	}
-	return nil, false
+	return Neighbor{}, false
 }
 
 // TestEdgeBetweenMatchesSortSearch: on a built graph, the written-out
-// search returns the same edge (pointer and found flag) as the sort.Search
+// search returns the same adjacency entry and found flag as the sort.Search
 // form for every ordered pair of entities — neighbours, non-neighbours, ids
 // below the first and above the last neighbour, one-entry lists, a == b.
 func TestEdgeBetweenMatchesSortSearch(t *testing.T) {
@@ -41,7 +41,7 @@ func TestEdgeBetweenMatchesSortSearch(t *testing.T) {
 			want, wantOK := edgeBetweenBySearch(g, a, b)
 			got, gotOK := g.EdgeBetween(a, b)
 			if got != want || gotOK != wantOK {
-				t.Fatalf("EdgeBetween(%d, %d) = (%p, %v), want (%p, %v)", a, b, got, gotOK, want, wantOK)
+				t.Fatalf("EdgeBetween(%d, %d) = (%v, %v), want (%v, %v)", a, b, got, gotOK, want, wantOK)
 			}
 			if gotOK {
 				found++

@@ -16,7 +16,9 @@ package entity
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/pgm"
 	"repro/internal/prob"
@@ -44,52 +46,23 @@ const (
 	SemanticsFactor
 )
 
-// EdgeProb is the merged existence distribution of an entity edge: the edge
-// existence factor of Eq. 3, or its label-conditioned form of Eq. 9 when the
-// underlying reference edges carry CPTs.
-type EdgeProb struct {
-	base   float64
-	cpt    []float64 // nil when unconditional; else |Σ|² row-major
-	max    float64
-	stride int32
+// Neighbor is one adjacency entry of GU, 16 bytes: the neighbour and the
+// merged existence distribution of the edge to it — the edge existence factor
+// of Eq. 3 inline, or, when the underlying reference edges carry CPTs, the
+// index of its label-conditioned form (Eq. 9) in the graph's CPT table, which
+// Graph.PrEdge reads.
+type Neighbor struct {
+	To   ID
+	cpt  int32 // CPT index; -1 when unconditional
+	base float64
 }
 
-// Prob returns the existence probability given the endpoint labels.
-// For unconditional edges the labels are ignored.
-func (e *EdgeProb) Prob(l1, l2 prob.LabelID) float64 {
-	if e.cpt == nil {
-		return e.base
-	}
-	return e.cpt[l1*prob.LabelID(e.stride)+l2]
-}
-
-// Max returns the largest existence probability over all label pairs. It is
-// the bound used by GU edge inclusion and by the Section 5.3 variants of
-// ppu/fpu.
-func (e *EdgeProb) Max() float64 { return e.max }
+// Base returns the unconditional (base) probability.
+func (nb Neighbor) Base() float64 { return nb.base }
 
 // Conditional reports whether the edge probability depends on endpoint
 // labels (Section 5.3 correlations).
-func (e *EdgeProb) Conditional() bool { return e.cpt != nil }
-
-// Base returns the unconditional (base) probability.
-func (e *EdgeProb) Base() float64 { return e.base }
-
-// Neighbor is one adjacency entry of GU.
-type Neighbor struct {
-	To ID
-	E  *EdgeProb
-}
-
-// Node is one entity node: a reference set with merged label distribution.
-type Node struct {
-	Refs    []refgraph.RefID // sorted member references
-	Label   prob.Dist        // merged label distribution (node label factor)
-	Set     refgraph.SetID   // originating PGD set id; -1 for singletons
-	Comp    int32            // identity component index
-	CompPos uint8            // bit position within the component
-	Exist   float64          // marginal existence probability Pr(v.n = T)
-}
+func (nb Neighbor) Conditional() bool { return nb.cpt >= 0 }
 
 // Config is one legal configuration of an identity component: Mask has bit
 // i set iff the component's i-th member entity exists.
@@ -98,22 +71,59 @@ type Config struct {
 	P    float64
 }
 
+// span is the half-open range of one row in a pooled column.
+type span struct{ lo, hi int32 }
+
 // Graph is the probabilistic entity graph (both the PEG and its certain
-// skeleton GU). It is immutable after Build, so all read methods are safe
-// for concurrent use; marginal memoization is internally synchronized.
+// skeleton GU), stored as columns indexed by entity id: no entity, edge or
+// single-member component is a heap object of its own (DESIGN.md, "PEG
+// memory layout"). It is immutable once returned, so all read methods are
+// safe for concurrent use; marginal memoization is internally synchronized.
 type Graph struct {
 	alpha *prob.Alphabet
-	nodes []Node
-	adj   [][]Neighbor
-	comps []*Component
 	sem   Semantics
-	// maxRef is the largest reference id of any node (-1 without nodes),
-	// recorded wherever nodes are created: Build, ApplyDelta, Load.
+	nl    int // |Σ|: the row length of labelP and the side of a CPT
+
+	// Adjacency: row v is adj[adjRow[v].lo:adjRow[v].hi], sorted by
+	// neighbour id. Build and Load lay the rows out back to back in id
+	// order; ApplyDelta writes each row it changes past the end of adj and
+	// repoints adjRow, so graphs along a delta chain share one adj array.
+	// cpts holds nl×nl probabilities per conditional edge, row-major,
+	// shared by the edge's two directions.
+	adjRow []span
+	adj    []Neighbor
+	cpts   []float64
+
+	// labelP[v·nl+l] = Pr(v.l = l), the node label factor of Eq. 2; bit
+	// v&63 of labelBits[(v>>6)·nl+l] is set iff that probability is positive.
+	labelP    []float64
+	labelBits []uint64
+
+	// Entity v's member references are refs[refOff[v]:refOff[v+1]], sorted;
+	// set[v] is its PGD set id, -1 for a singleton; maxRef the largest
+	// reference id of any entity (-1 without entities). entRow/ents is the
+	// inverse: the entities containing reference r, ascending, laid out
+	// like the adjacency.
+	refOff []int32
+	refs   []refgraph.RefID
+	set    []refgraph.SetID
 	maxRef refgraph.RefID
-	// labelBits is one entity bitset per label, labelWords words each (see
-	// HasLabel), built by indexLabels in the same three places.
-	labelBits  []uint64
-	labelWords int
+	entRow []span
+	ents   []ID
+
+	// Identity: comp[v] is v's component, compPos[v] its bit within it and
+	// exist[v] = Pr(v.n = T). compHead[c] ≥ 0 names the only member of a
+	// component whose single configuration is "it exists"; otherwise
+	// ^compHead[c] indexes multi, the table of all other components.
+	exist    []float64
+	comp     []int32
+	compPos  []uint8
+	compHead []int32
+	multi    []*Component
+
+	// derived is set by the first ApplyDelta from this graph: that one may
+	// append to the shared columns in place, a later one copies them.
+	derived atomic.Bool
 }
 
 // BuildOptions configures Build.
@@ -130,76 +140,172 @@ func Build(d *refgraph.PGD, opt BuildOptions) (*Graph, error) {
 		return nil, err
 	}
 	merge := d.Merge()
-	nRefs := d.NumRefs()
-	nSets := d.NumSets()
-	nLabels := d.Alphabet().Len()
-
-	g := &Graph{
-		alpha: d.Alphabet(),
-		nodes: make([]Node, 0, nRefs+nSets),
-		sem:   opt.Semantics,
-	}
+	nRefs, nSets := d.NumRefs(), d.NumSets()
+	g := newGraph(d.Alphabet(), opt.Semantics, nRefs+nSets)
 
 	// Entities: singleton per reference first, then one per explicit set.
-	refToEnts := make([][]ID, nRefs)
 	for r := 0; r < nRefs; r++ {
-		g.nodes = append(g.nodes, Node{
-			Refs:  []refgraph.RefID{refgraph.RefID(r)},
-			Label: d.RefLabel(refgraph.RefID(r)),
-			Set:   -1,
-		})
-		refToEnts[r] = append(refToEnts[r], ID(r))
+		g.addEntity([]refgraph.RefID{refgraph.RefID(r)}, d.RefLabel(refgraph.RefID(r)), -1)
 	}
 	for i := 0; i < nSets; i++ {
-		s := d.Set(refgraph.SetID(i))
-		dists := make([]prob.Dist, len(s.Members))
-		for j, m := range s.Members {
-			dists[j] = d.RefLabel(m)
-		}
-		id := ID(len(g.nodes))
-		g.nodes = append(g.nodes, Node{
-			Refs:  s.Members,
-			Label: merge.Labels(dists),
-			Set:   refgraph.SetID(i),
-		})
-		for _, m := range s.Members {
-			refToEnts[m] = append(refToEnts[m], id)
-		}
+		g.addEntity(setEntity(d, merge, refgraph.SetID(i)))
 	}
+	g.indexLabels(0)
+	g.indexRefs(nRefs)
 
-	g.maxRef = maxNodeRef(-1, g.nodes)
-	g.indexLabels()
-
-	if err := g.buildEdges(d, refToEnts, merge, nLabels); err != nil {
-		return nil, err
+	g.buildEdges(d, merge)
+	all := make([]ID, g.NumNodes())
+	for i := range all {
+		all[i] = ID(i)
 	}
-	if err := g.buildComponents(d, refToEnts, opt); err != nil {
+	g.compHead = make([]int32, 0, len(all))
+	if err := g.addComponents(d, all, opt); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// maxNodeRef returns the largest reference id among nodes, or floor when
-// none exceeds it.
-func maxNodeRef(floor refgraph.RefID, nodes []Node) refgraph.RefID {
-	for i := range nodes {
-		for _, r := range nodes[i].Refs {
-			if r > floor {
-				floor = r
+// newGraph returns an empty graph with room for n entities.
+func newGraph(alpha *prob.Alphabet, sem Semantics, n int) *Graph {
+	nl := alpha.Len()
+	return &Graph{
+		alpha: alpha, sem: sem, nl: nl, maxRef: -1,
+		adjRow:  make([]span, 0, n),
+		labelP:  make([]float64, 0, n*nl),
+		refOff:  append(make([]int32, 0, n+1), 0),
+		refs:    make([]refgraph.RefID, 0, n),
+		set:     make([]refgraph.SetID, 0, n),
+		exist:   make([]float64, 0, n),
+		comp:    make([]int32, 0, n),
+		compPos: make([]uint8, 0, n),
+	}
+}
+
+// setEntity returns the member references, merged label distribution and id
+// of PGD set sid: addEntity's arguments.
+func setEntity(d *refgraph.PGD, merge prob.MergeFuncs, sid refgraph.SetID) ([]refgraph.RefID, prob.Dist, refgraph.SetID) {
+	s := d.Set(sid)
+	dists := make([]prob.Dist, len(s.Members))
+	for j, m := range s.Members {
+		dists[j] = d.RefLabel(m)
+	}
+	return s.Members, merge.Labels(dists), sid
+}
+
+// addEntity appends one row to every per-entity column: an entity without
+// edges whose identity columns addComponents fills in.
+func (g *Graph) addEntity(refs []refgraph.RefID, label prob.Dist, set refgraph.SetID) ID {
+	id := ID(len(g.set))
+	for l := 0; l < g.nl; l++ {
+		g.labelP = append(g.labelP, label.P(prob.LabelID(l)))
+	}
+	g.refs = append(g.refs, refs...)
+	g.refOff = append(g.refOff, int32(len(g.refs)))
+	g.maxRef = max(g.maxRef, refs[len(refs)-1])
+	g.set = append(g.set, set)
+	g.adjRow = append(g.adjRow, span{})
+	g.exist = append(g.exist, 0)
+	g.comp = append(g.comp, 0)
+	g.compPos = append(g.compPos, 0)
+	return id
+}
+
+// indexLabels extends the HasLabel bitset — one word per 64 entities and
+// label, n·|Σ|/8 bytes — to the entities from id `from` on; the words before
+// them are copied.
+func (g *Graph) indexLabels(from ID) {
+	n := g.NumNodes()
+	bits := make([]uint64, (n+63)/64*g.nl)
+	copy(bits, g.labelBits)
+	for v := int(from); v < n; v++ {
+		for l, p := range g.LabelRow(ID(v)) {
+			if p > 0 {
+				bits[(v>>6)*g.nl+l] |= 1 << (uint(v) & 63)
 			}
 		}
 	}
-	return floor
+	g.labelBits = bits
 }
 
-// edgeAccum collects reference-edge contributions for one entity pair.
-type edgeAccum struct {
-	dists  []refgraph.EdgeDist
-	anyCPT bool
+// indexRefs builds the reference → entities table over nRefs references from
+// the entities' reference lists, rows back to back.
+func (g *Graph) indexRefs(nRefs int) {
+	g.entRow = make([]span, nRefs)
+	for _, r := range g.refs {
+		g.entRow[r].hi++
+	}
+	g.ents = make([]ID, layOut(g.entRow))
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, r := range g.Refs(ID(v)) {
+			g.ents[g.entRow[r].hi] = ID(v)
+			g.entRow[r].hi++
+		}
+	}
 }
 
-func (g *Graph) buildEdges(d *refgraph.PGD, refToEnts [][]ID, merge prob.MergeFuncs, nLabels int) error {
-	type pair struct{ a, b ID }
+// layOut turns rows whose hi holds a row length into empty spans laid back to
+// back, each to be filled by advancing its hi, and returns the total length.
+func layOut(rows []span) int32 {
+	at := int32(0)
+	for i := range rows {
+		n := rows[i].hi
+		rows[i] = span{at, at}
+		at += n
+	}
+	return at
+}
+
+// entsOf returns the entities containing reference r, ascending.
+func (g *Graph) entsOf(r refgraph.RefID) []ID { return g.ents[g.entRow[r].lo:g.entRow[r].hi] }
+
+// entPair is an unordered entity pair (a < b).
+type entPair struct{ a, b ID }
+
+func comparePairs(p, q entPair) int {
+	if p.a != q.a {
+		return int(p.a - q.a)
+	}
+	return int(p.b - q.b)
+}
+
+// mergeEdge merges the existence distributions of the reference edges
+// between one entity pair into an adjacency entry, appending the merged CPT
+// to g.cpts when any contribution is conditional. ok is false when the merged
+// maximum is zero: Pr((s1,s2).e = T) = 0 is not a GU edge.
+func (g *Graph) mergeEdge(merge prob.MergeFuncs, dists []refgraph.EdgeDist) (nb Neighbor, ok bool) {
+	ps := make([]float64, len(dists))
+	anyCPT := false
+	for i, ed := range dists {
+		ps[i] = ed.P
+		anyCPT = anyCPT || ed.CPT != nil
+	}
+	nb = Neighbor{cpt: -1, base: merge.Edges(ps)}
+	if !anyCPT {
+		return nb, nb.base > 0
+	}
+	at := len(g.cpts)
+	top := nb.base
+	for l1 := 0; l1 < g.nl; l1++ {
+		for l2 := 0; l2 < g.nl; l2++ {
+			for i, ed := range dists {
+				ps[i] = ed.Prob(prob.LabelID(l1), prob.LabelID(l2), g.nl)
+			}
+			p := merge.Edges(ps)
+			g.cpts = append(g.cpts, p)
+			if p > top {
+				top = p
+			}
+		}
+	}
+	if top <= 0 {
+		g.cpts = g.cpts[:at]
+		return nb, false
+	}
+	nb.cpt = int32(at / (g.nl * g.nl))
+	return nb, true
+}
+
+func (g *Graph) buildEdges(d *refgraph.PGD, merge prob.MergeFuncs) {
 	// Iterate reference edges in canonical key order, not map order: when
 	// several reference edges contribute to one entity pair, the merge
 	// function sees them in a fixed sequence, so two PGDs holding the same
@@ -221,136 +327,126 @@ func (g *Graph) buildEdges(d *refgraph.PGD, refToEnts [][]ID, merge prob.MergeFu
 		}
 		return edges[i].k.B < edges[j].k.B
 	})
-	acc := make(map[pair]*edgeAccum)
+	acc := make(map[entPair][]refgraph.EdgeDist, len(edges))
 	for _, ke := range edges {
-		k, e := ke.k, ke.e
-		for _, ea := range refToEnts[k.A] {
-			for _, eb := range refToEnts[k.B] {
-				if ea == eb {
-					continue // would be a self loop on a merged entity
+		for _, ea := range g.entsOf(ke.k.A) {
+			for _, eb := range g.entsOf(ke.k.B) {
+				// ea == eb would be a self loop on a merged entity, and two
+				// entities sharing a reference can never coexist.
+				if ea == eb || g.RefsOverlap(ea, eb) {
+					continue
 				}
-				if g.refsOverlapSlices(g.nodes[ea].Refs, g.nodes[eb].Refs) {
-					continue // the two entities can never coexist
-				}
-				p := pair{ea, eb}
-				if p.a > p.b {
-					p.a, p.b = p.b, p.a
-				}
-				a := acc[p]
-				if a == nil {
-					a = &edgeAccum{}
-					acc[p] = a
-				}
-				a.dists = append(a.dists, e)
-				if e.CPT != nil {
-					a.anyCPT = true
-				}
+				p := entPair{min(ea, eb), max(ea, eb)}
+				acc[p] = append(acc[p], ke.e)
 			}
 		}
 	}
 
-	g.adj = make([][]Neighbor, len(g.nodes))
-	ps := make([]float64, 0, 8)
-	for p, a := range acc {
-		ep := &EdgeProb{stride: int32(nLabels)}
-		ps = ps[:0]
-		for _, ed := range a.dists {
-			ps = append(ps, ed.P)
-		}
-		ep.base = merge.Edges(ps)
-		if a.anyCPT {
-			ep.cpt = make([]float64, nLabels*nLabels)
-			cell := make([]float64, len(a.dists))
-			for l1 := 0; l1 < nLabels; l1++ {
-				for l2 := 0; l2 < nLabels; l2++ {
-					for i, ed := range a.dists {
-						cell[i] = ed.Prob(prob.LabelID(l1), prob.LabelID(l2), nLabels)
-					}
-					ep.cpt[l1*nLabels+l2] = merge.Edges(cell)
-				}
-			}
-		}
-		ep.max = ep.base
-		for _, v := range ep.cpt {
-			if v > ep.max {
-				ep.max = v
-			}
-		}
-		if ep.max <= 0 {
-			continue // Pr((s1,s2).e = T) = 0: not a GU edge
-		}
-		g.adj[p.a] = append(g.adj[p.a], Neighbor{To: p.b, E: ep})
-		g.adj[p.b] = append(g.adj[p.b], Neighbor{To: p.a, E: ep})
+	pairs := make([]entPair, 0, len(acc))
+	for p := range acc {
+		pairs = append(pairs, p)
 	}
-	for _, nbs := range g.adj {
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].To < nbs[j].To })
+	slices.SortFunc(pairs, comparePairs)
+	nbs := make([]Neighbor, len(pairs))
+	for i, p := range pairs {
+		nb, ok := g.mergeEdge(merge, acc[p])
+		if !ok {
+			pairs[i].a = -1
+			continue
+		}
+		nbs[i] = nb
+		g.adjRow[p.a].hi++
+		g.adjRow[p.b].hi++
+	}
+	g.fillAdjacency(pairs, nbs)
+}
+
+// fillAdjacency lays the adjacency rows out back to back, adjRow[v].hi
+// holding v's degree on entry: pair i, unless its a is negative, becomes
+// entry nbs[i] of both its rows. Pairs must come in (a, b) order, which puts
+// every row's entries in neighbour order: row v first receives its
+// neighbours below v, ascending, from the pairs (·, v), then those above it
+// from the pairs (v, ·).
+func (g *Graph) fillAdjacency(pairs []entPair, nbs []Neighbor) {
+	g.adj = make([]Neighbor, layOut(g.adjRow))
+	put := func(v, to ID, nb Neighbor) {
+		nb.To = to
+		g.adj[g.adjRow[v].hi] = nb
+		g.adjRow[v].hi++
+	}
+	for i, p := range pairs {
+		if p.a >= 0 {
+			put(p.a, p.b, nbs[i])
+			put(p.b, p.a, nbs[i])
+		}
+	}
+}
+
+// addComponents groups ents — sorted, and closed under sharing a reference —
+// into identity components, appends them to the component columns in order
+// of first member and fills in their members' comp, compPos and exist.
+func (g *Graph) addComponents(d *refgraph.PGD, ents []ID, opt BuildOptions) error {
+	for _, members := range g.groupByRefs(ents) {
+		ci := int32(len(g.compHead))
+		if len(members) == 1 {
+			// Trivial component: the singleton of a reference that belongs
+			// to no explicit set always exists.
+			m := members[0]
+			g.compHead = append(g.compHead, int32(m))
+			g.comp[m], g.compPos[m], g.exist[m] = ci, 0, 1
+			continue
+		}
+		if len(members) > 64 {
+			return fmt.Errorf("entity: identity component with %d entities exceeds the 64-entity limit", len(members))
+		}
+		cfgs, err := g.enumerateComponent(d, members, opt)
+		if err != nil {
+			return err
+		}
+		c := &Component{Members: members, Configs: cfgs}
+		g.compHead = append(g.compHead, ^int32(len(g.multi)))
+		g.multi = append(g.multi, c)
+		for pos, m := range members {
+			g.comp[m], g.compPos[m], g.exist[m] = ci, uint8(pos), c.marginal(uint64(1)<<pos)
+		}
 	}
 	return nil
 }
 
-func (g *Graph) buildComponents(d *refgraph.PGD, refToEnts [][]ID, opt BuildOptions) error {
-	n := len(g.nodes)
-	parent := make([]int32, n)
+// groupByRefs partitions ents (sorted, closed under sharing a reference)
+// into the classes of "shares a reference with", transitively: groups in
+// order of first member, members ascending.
+func (g *Graph) groupByRefs(ents []ID) [][]ID {
+	parent := make([]int32, len(ents))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for _, ents := range refToEnts {
-		for i := 1; i < len(ents); i++ {
-			ra, rb := find(int32(ents[0])), find(int32(ents[i]))
-			if ra != rb {
+	for i, e := range ents {
+		for _, r := range g.Refs(e) {
+			first, _ := slices.BinarySearch(ents, g.entsOf(r)[0])
+			if ra, rb := find(int32(i)), find(int32(first)); ra != rb {
 				parent[ra] = rb
 			}
 		}
 	}
-	groups := make(map[int32][]ID)
-	for i := 0; i < n; i++ {
+	group := make([]int32, len(ents)) // by root: 1 + its class's index in out
+	var out [][]ID
+	for i, e := range ents {
 		r := find(int32(i))
-		groups[r] = append(groups[r], ID(i))
-	}
-	roots := make([]int32, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return groups[roots[i]][0] < groups[roots[j]][0] })
-
-	g.comps = make([]*Component, 0, len(groups))
-	for _, root := range roots {
-		members := groups[root]
-		ci := int32(len(g.comps))
-		if len(members) > 64 {
-			return fmt.Errorf("entity: identity component with %d entities exceeds the 64-entity limit", len(members))
+		if group[r] == 0 {
+			out = append(out, nil)
+			group[r] = int32(len(out))
 		}
-		comp := &Component{Members: members}
-		for pos, m := range members {
-			g.nodes[m].Comp = ci
-			g.nodes[m].CompPos = uint8(pos)
-		}
-		if len(members) == 1 {
-			// Trivial component: the singleton of a reference that belongs
-			// to no explicit set always exists.
-			comp.Configs = []Config{{Mask: 1, P: 1}}
-		} else {
-			cfgs, err := g.enumerateComponent(d, members, opt)
-			if err != nil {
-				return err
-			}
-			comp.Configs = cfgs
-		}
-		g.comps = append(g.comps, comp)
+		out[group[r]-1] = append(out[group[r]-1], e)
 	}
-	for i := range g.nodes {
-		nd := &g.nodes[i]
-		nd.Exist = g.comps[nd.Comp].MarginalAll(uint64(1) << nd.CompPos)
-	}
-	return nil
+	return out
 }
 
 // enumerateComponent scores the legal configurations of one identity
@@ -364,24 +460,20 @@ func (g *Graph) enumerateComponent(d *refgraph.PGD, members []ID, opt BuildOptio
 	if err != nil {
 		return nil, err
 	}
-	pos := make(map[ID]int, len(members))
-	for i, m := range members {
-		pos[m] = i
-	}
 
 	// Collect the references appearing in the component and, per reference,
 	// the member variables of the entities containing it.
 	refVars := make(map[refgraph.RefID][]pgm.Var)
-	for _, m := range members {
-		for _, r := range g.nodes[m].Refs {
-			refVars[r] = append(refVars[r], pgm.Var(pos[m]))
+	for pos, m := range members {
+		for _, r := range g.Refs(m) {
+			refVars[r] = append(refVars[r], pgm.Var(pos))
 		}
 	}
 	refIDs := make([]refgraph.RefID, 0, len(refVars))
 	for r := range refVars {
 		refIDs = append(refIDs, r)
 	}
-	sort.Slice(refIDs, func(i, j int) bool { return refIDs[i] < refIDs[j] })
+	slices.Sort(refIDs)
 
 	switch g.sem {
 	case SemanticsExample:
@@ -393,13 +485,12 @@ func (g *Graph) enumerateComponent(d *refgraph.PGD, members []ID, opt BuildOptio
 			}
 		}
 		// Prior factor per non-singleton member: p if exists, 1-p if not.
-		for _, m := range members {
-			if len(g.nodes[m].Refs) < 2 {
+		for pos, m := range members {
+			if g.set[m] < 0 {
 				continue
 			}
-			p := g.setProb(d, m)
-			v := pgm.Var(pos[m])
-			if err := model.AddFactor(pgm.Factor{Vars: []pgm.Var{v}, Fn: bernoulli(p)}); err != nil {
+			p := d.Set(g.set[m]).P
+			if err := model.AddFactor(pgm.Factor{Vars: []pgm.Var{pgm.Var(pos)}, Fn: bernoulli(p)}); err != nil {
 				return nil, err
 			}
 		}
@@ -410,30 +501,27 @@ func (g *Graph) enumerateComponent(d *refgraph.PGD, members []ID, opt BuildOptio
 			vars := refVars[r]
 			probs := make([]float64, len(vars))
 			for i, v := range vars {
-				m := members[v]
-				if len(g.nodes[m].Refs) < 2 {
-					probs[i] = d.SingletonPrior(g.nodes[m].Refs[0])
+				if m := members[v]; g.set[m] < 0 {
+					probs[i] = d.SingletonPrior(g.Refs(m)[0])
 				} else {
-					probs[i] = g.setProb(d, m)
+					probs[i] = d.Set(g.set[m]).P
 				}
 			}
-			fn := func(probs []float64) func([]int) float64 {
-				return func(vals []int) float64 {
-					chosen := -1
-					for i, v := range vals {
-						if v == 1 {
-							if chosen >= 0 {
-								return 0
-							}
-							chosen = i
+			fn := func(vals []int) float64 {
+				chosen := -1
+				for i, v := range vals {
+					if v == 1 {
+						if chosen >= 0 {
+							return 0
 						}
+						chosen = i
 					}
-					if chosen < 0 {
-						return 0
-					}
-					return probs[chosen]
 				}
-			}(probs)
+				if chosen < 0 {
+					return 0
+				}
+				return probs[chosen]
+			}
 			if err := model.AddFactor(pgm.Factor{Vars: vars, Fn: fn}); err != nil {
 				return nil, err
 			}
@@ -464,14 +552,6 @@ func (g *Graph) enumerateComponent(d *refgraph.PGD, members []ID, opt BuildOptio
 	return cfgs, nil
 }
 
-// setProb returns the PGD merge probability of the non-singleton entity m
-// via the set id recorded at node creation (stable under incremental
-// maintenance, where entity ids no longer follow the singletons-then-sets
-// layout of Build).
-func (g *Graph) setProb(d *refgraph.PGD, m ID) float64 {
-	return d.Set(g.nodes[m].Set).P
-}
-
 func exactlyOne(vals []int) float64 {
 	n := 0
 	for _, v := range vals {
@@ -490,19 +570,4 @@ func bernoulli(p float64) func([]int) float64 {
 		}
 		return 1 - p
 	}
-}
-
-func (g *Graph) refsOverlapSlices(a, b []refgraph.RefID) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
 }

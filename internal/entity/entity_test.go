@@ -47,7 +47,7 @@ func TestMotivatingExampleStructure(t *testing.T) {
 	if !ok {
 		t.Fatal("edge s34–s2 missing")
 	}
-	if p := ep.Prob(r, a); !approx(p, 0.75) {
+	if p := g.PrEdge(ep, r, a); !approx(p, 0.75) {
 		t.Errorf("Pr(s34–s2) = %v, want 0.75", p)
 	}
 
@@ -259,16 +259,16 @@ func TestMergedEdgeWithCPT(t *testing.T) {
 		t.Fatal("merged edge lost its CPT")
 	}
 	// Cell (x,y): average(cpt[0][1]=0.4, base 0.6) = 0.5.
-	if p := ep.Prob(0, 1); !approx(p, 0.5) {
+	if p := g.PrEdge(ep, 0, 1); !approx(p, 0.5) {
 		t.Errorf("merged CPT cell (x,y) = %v, want 0.5", p)
 	}
 	// Symmetry.
-	if p := ep.Prob(1, 0); !approx(p, 0.5) {
+	if p := g.PrEdge(ep, 1, 0); !approx(p, 0.5) {
 		t.Errorf("merged CPT cell (y,x) = %v, want 0.5", p)
 	}
-	if m := ep.Max(); !approx(m, 0.7) {
-		// Max over cells: (x,x): avg(0.8, 0.6)=0.7 is the largest.
-		t.Errorf("merged edge Max = %v, want 0.7", m)
+	// The largest cell: (x,x) = avg(0.8, 0.6).
+	if p := g.PrEdge(ep, 0, 0); !approx(p, 0.7) {
+		t.Errorf("merged CPT cell (x,x) = %v, want 0.7", p)
 	}
 }
 

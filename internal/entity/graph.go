@@ -38,12 +38,7 @@ func (c *Component) MarginalAll(mask uint64) float64 {
 			return p
 		}
 	}
-	p := 0.0
-	for _, cfg := range c.Configs {
-		if cfg.Mask&mask == mask {
-			p += cfg.P
-		}
-	}
+	p := c.marginal(mask)
 	c.mu.Lock()
 	cur := c.memo.Load()
 	var next map[uint64]float64
@@ -64,77 +59,100 @@ func (c *Component) MarginalAll(mask uint64) float64 {
 	return p
 }
 
+// marginal is MarginalAll without the memo.
+func (c *Component) marginal(mask uint64) float64 {
+	p := 0.0
+	for _, cfg := range c.Configs {
+		if cfg.Mask&mask == mask {
+			p += cfg.P
+		}
+	}
+	return p
+}
+
 // Alphabet returns the label alphabet of the graph.
 func (g *Graph) Alphabet() *prob.Alphabet { return g.alpha }
 
 // NumLabels returns |Σ|.
-func (g *Graph) NumLabels() int { return g.alpha.Len() }
+func (g *Graph) NumLabels() int { return g.nl }
 
 // NumNodes returns the number of entity nodes.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return len(g.set) }
 
 // NumEdges returns the number of (undirected) GU edges.
 func (g *Graph) NumEdges() int {
 	n := 0
-	for _, nbs := range g.adj {
-		n += len(nbs)
+	for _, r := range g.adjRow {
+		n += int(r.hi - r.lo)
 	}
 	return n / 2
 }
 
-// Node returns the entity node v.
-func (g *Graph) Node(v ID) *Node { return &g.nodes[v] }
+// Bytes returns the resident size of the graph: every column's length times
+// its element size, plus the members and configurations of the component
+// table.
+func (g *Graph) Bytes() int64 {
+	n := 8*(len(g.adjRow)+len(g.entRow)+len(g.cpts)+len(g.labelP)+len(g.labelBits)+len(g.exist)) +
+		16*len(g.adj) +
+		4*(len(g.refOff)+len(g.refs)+len(g.set)+len(g.ents)+len(g.comp)+len(g.compHead)) +
+		len(g.compPos) + 8*len(g.multi)
+	for _, c := range g.multi {
+		n += 4*len(c.Members) + 16*len(c.Configs)
+	}
+	return int64(n)
+}
 
-// Refs returns the member references of entity v.
-func (g *Graph) Refs(v ID) []refgraph.RefID { return g.nodes[v].Refs }
+// Refs returns the member references of entity v, sorted. The returned
+// slice must not be modified.
+func (g *Graph) Refs(v ID) []refgraph.RefID { return g.refs[g.refOff[v]:g.refOff[v+1]] }
 
 // MaxRef returns the largest reference id any entity contains, -1 for an
 // empty graph: the size of a reference bitset over this graph.
 func (g *Graph) MaxRef() refgraph.RefID { return g.maxRef }
 
+// LabelRow returns v's label distribution in place: element l is
+// Pr(v.l = l), zero outside L(v). The returned slice must not be modified.
+func (g *Graph) LabelRow(v ID) []float64 { return g.labelP[int(v)*g.nl : (int(v)+1)*g.nl] }
+
 // Labels returns L(v): the labels of v with non-zero probability.
-func (g *Graph) Labels(v ID) []prob.LabelID { return g.nodes[v].Label.Support() }
-
-// PrLabel returns Pr(v.l = l), the node label factor of Eq. 2.
-func (g *Graph) PrLabel(v ID, l prob.LabelID) float64 { return g.nodes[v].Label.P(l) }
-
-// HasLabel reports whether l ∈ L(v), i.e. PrLabel(v, l) > 0: one bit of the
-// per-label entity bitset, so a traversal can reject a neighbour without
-// touching its node record.
-func (g *Graph) HasLabel(v ID, l prob.LabelID) bool {
-	return g.labelBits[int(l)*g.labelWords+int(v)>>6]>>(uint(v)&63)&1 != 0
-}
-
-// indexLabels builds the HasLabel bitset from the nodes' label
-// distributions: n·|Σ|/8 bytes.
-func (g *Graph) indexLabels() {
-	g.labelWords = (len(g.nodes) + 63) / 64
-	g.labelBits = make([]uint64, g.alpha.Len()*g.labelWords)
-	for l := 0; l < g.alpha.Len(); l++ {
-		bits := g.labelBits[l*g.labelWords : (l+1)*g.labelWords]
-		for v := range g.nodes {
-			if g.nodes[v].Label.P(prob.LabelID(l)) > 0 {
-				bits[v>>6] |= 1 << (uint(v) & 63)
-			}
+func (g *Graph) Labels(v ID) []prob.LabelID {
+	var out []prob.LabelID
+	for l, p := range g.LabelRow(v) {
+		if p > 0 {
+			out = append(out, prob.LabelID(l))
 		}
 	}
+	return out
+}
+
+// PrLabel returns Pr(v.l = l), the node label factor of Eq. 2.
+func (g *Graph) PrLabel(v ID, l prob.LabelID) float64 { return g.labelP[int(v)*g.nl+int(l)] }
+
+// HasLabel reports whether l ∈ L(v), i.e. PrLabel(v, l) > 0: one bit of the
+// label bitset, so a traversal can reject a neighbour without touching its
+// label row.
+func (g *Graph) HasLabel(v ID, l prob.LabelID) bool {
+	return g.labelBits[(int(v)>>6)*g.nl+int(l)]>>(uint(v)&63)&1 != 0
 }
 
 // Exist returns the marginal existence probability Pr(v.n = T).
-func (g *Graph) Exist(v ID) float64 { return g.nodes[v].Exist }
+func (g *Graph) Exist(v ID) float64 { return g.exist[v] }
+
+// Comp returns the index of v's identity component.
+func (g *Graph) Comp(v ID) int32 { return g.comp[v] }
 
 // Neighbors returns the adjacency list of v, sorted by neighbor id. The
 // returned slice must not be modified.
-func (g *Graph) Neighbors(v ID) []Neighbor { return g.adj[v] }
+func (g *Graph) Neighbors(v ID) []Neighbor { return g.adj[g.adjRow[v].lo:g.adjRow[v].hi] }
 
 // Degree returns the number of GU neighbors of v.
-func (g *Graph) Degree(v ID) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v ID) int { return int(g.adjRow[v].hi - g.adjRow[v].lo) }
 
-// EdgeBetween returns the edge between a and b, if any: a binary search of
-// a's sorted adjacency, written out so the join's hottest look-up pays no
-// closure call per probe.
-func (g *Graph) EdgeBetween(a, b ID) (*EdgeProb, bool) {
-	nbs := g.adj[a]
+// EdgeBetween returns a's adjacency entry for b, if the edge exists: a
+// binary search of a's sorted adjacency, written out so the join's hottest
+// look-up pays no closure call per probe.
+func (g *Graph) EdgeBetween(a, b ID) (Neighbor, bool) {
+	nbs := g.Neighbors(a)
 	lo, hi := 0, len(nbs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -145,25 +163,54 @@ func (g *Graph) EdgeBetween(a, b ID) (*EdgeProb, bool) {
 		}
 	}
 	if lo < len(nbs) && nbs[lo].To == b {
-		return nbs[lo].E, true
+		return nbs[lo], true
 	}
-	return nil, false
+	return Neighbor{}, false
+}
+
+// PrEdge returns the existence probability of the edge behind adjacency
+// entry nb given its endpoints' labels, in either orientation (a CPT is
+// symmetric). For unconditional edges the labels are ignored.
+func (g *Graph) PrEdge(nb Neighbor, l1, l2 prob.LabelID) float64 {
+	if nb.cpt < 0 {
+		return nb.base
+	}
+	return g.cpts[(int(nb.cpt)*g.nl+int(l1))*g.nl+int(l2)]
 }
 
 // RefsOverlap reports whether entities a and b share a reference, in which
 // case they can never coexist in a legal possible world.
 func (g *Graph) RefsOverlap(a, b ID) bool {
-	return g.refsOverlapSlices(g.nodes[a].Refs, g.nodes[b].Refs)
+	ra, rb := g.Refs(a), g.Refs(b)
+	i, j := 0, 0
+	for i < len(ra) && j < len(rb) {
+		switch {
+		case ra[i] < rb[j]:
+			i++
+		case ra[i] > rb[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // NumComponents returns the number of identity components.
-func (g *Graph) NumComponents() int { return len(g.comps) }
+func (g *Graph) NumComponents() int { return len(g.compHead) }
 
 // ComponentOf returns the identity component containing v.
-func (g *Graph) ComponentOf(v ID) *Component { return g.comps[g.nodes[v].Comp] }
+func (g *Graph) ComponentOf(v ID) *Component { return g.Component(int(g.comp[v])) }
 
-// Component returns the i-th identity component.
-func (g *Graph) Component(i int) *Component { return g.comps[i] }
+// Component returns the i-th identity component. One whose only member
+// always exists is not stored: a fresh value is made up for the caller.
+func (g *Graph) Component(i int) *Component {
+	h := g.compHead[i]
+	if h < 0 {
+		return g.multi[^h]
+	}
+	return &Component{Members: []ID{ID(h)}, Configs: []Config{{Mask: 1, P: 1}}}
+}
 
 // Semantics returns the identity semantics the graph was built with.
 func (g *Graph) Semantics() Semantics { return g.sem }
@@ -180,13 +227,13 @@ func (g *Graph) Semantics() Semantics { return g.sem }
 func (g *Graph) Prn(nodes []ID) float64 {
 	p := 1.0
 	for i, v := range nodes {
-		nd := &g.nodes[v]
+		c := g.comp[v]
 		for _, u := range nodes[:i] {
-			if g.nodes[u].Comp == nd.Comp {
+			if g.comp[u] == c {
 				return g.prnGrouped(nodes)
 			}
 		}
-		p *= nd.Exist
+		p *= g.exist[v]
 		if p == 0 {
 			return 0
 		}
@@ -207,26 +254,25 @@ func (g *Graph) prnGrouped(nodes []ID) float64 {
 	var buf [16]cm
 	masks := buf[:0]
 	for _, v := range nodes {
-		nd := &g.nodes[v]
-		bit := uint64(1) << nd.CompPos
+		c, bit := g.comp[v], uint64(1)<<g.compPos[v]
 		found := false
 		for i := range masks {
-			if masks[i].comp == nd.Comp {
+			if masks[i].comp == c {
 				masks[i].mask |= bit
 				found = true
 				break
 			}
 		}
 		if !found {
-			masks = append(masks, cm{comp: nd.Comp, first: v, mask: bit})
+			masks = append(masks, cm{comp: c, first: v, mask: bit})
 		}
 	}
 	p := 1.0
 	for _, m := range masks {
 		if m.mask&(m.mask-1) == 0 {
-			p *= g.nodes[m.first].Exist
+			p *= g.exist[m.first]
 		} else {
-			p *= g.comps[m.comp].MarginalAll(m.mask)
+			p *= g.multi[^g.compHead[m.comp]].MarginalAll(m.mask)
 		}
 		if p == 0 {
 			return 0
@@ -242,14 +288,14 @@ func (g *Graph) prnGrouped(nodes []ID) float64 {
 // returned directly, the same floats in the same order; otherwise v changes
 // an earlier component's mask and Prn is evaluated over the extended list.
 func (g *Graph) PrnExtend(nodes []ID, prn0 float64, v ID) float64 {
-	nv := &g.nodes[v]
+	c := g.comp[v]
 	for _, u := range nodes {
-		if g.nodes[u].Comp == nv.Comp {
+		if g.comp[u] == c {
 			var buf [16]ID
 			return g.Prn(append(append(buf[:0], nodes...), v))
 		}
 	}
-	return prn0 * nv.Exist
+	return prn0 * g.exist[v]
 }
 
 // Assignment is a labeled subgraph over GU: nodes with assigned labels plus
@@ -278,7 +324,7 @@ func (g *Graph) Prle(a Assignment) float64 {
 		if !ok {
 			return 0
 		}
-		p *= ep.Prob(a.Labels[e[0]], a.Labels[e[1]])
+		p *= g.PrEdge(ep, a.Labels[e[0]], a.Labels[e[1]])
 		if p == 0 {
 			return 0
 		}
@@ -300,7 +346,7 @@ func (g *Graph) PrMatch(a Assignment) float64 {
 func (g *Graph) NodesRefsDisjoint(nodes []ID) bool {
 	seen := make(map[refgraph.RefID]struct{}, len(nodes)*2)
 	for _, v := range nodes {
-		for _, r := range g.nodes[v].Refs {
+		for _, r := range g.Refs(v) {
 			if _, dup := seen[r]; dup {
 				return false
 			}

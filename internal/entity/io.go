@@ -1,8 +1,10 @@
 package entity
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/prob"
 	"repro/internal/refgraph"
@@ -18,6 +20,15 @@ const (
 	snapVersion = 1
 )
 
+// ErrCorrupt is the base error for every snapshot Load refuses because its
+// bytes do not describe a graph: test with errors.Is(err, ErrCorrupt). A
+// snapshot that merely ends early surfaces the reader's error instead.
+var ErrCorrupt = errors.New("entity: corrupt snapshot")
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
 // Save writes the graph (nodes, merged distributions, components with their
 // legal-configuration distributions, and edges) as a versioned snapshot.
 func (g *Graph) Save(w io.Writer) error {
@@ -32,26 +43,35 @@ func (g *Graph) Save(w io.Writer) error {
 		bw.Str(n)
 	}
 
-	bw.U32(uint32(len(g.nodes)))
-	for i := range g.nodes {
-		nd := &g.nodes[i]
-		bw.U32(uint32(len(nd.Refs)))
-		for _, r := range nd.Refs {
+	bw.U32(uint32(g.NumNodes()))
+	for v := ID(0); int(v) < g.NumNodes(); v++ {
+		refs := g.Refs(v)
+		bw.U32(uint32(len(refs)))
+		for _, r := range refs {
 			bw.U32(uint32(r))
 		}
-		es := nd.Label.Entries()
-		bw.U32(uint32(len(es)))
-		for _, e := range es {
-			bw.U32(uint32(e.Label))
-			bw.F64(e.P)
+		row := g.LabelRow(v)
+		support := 0
+		for _, p := range row {
+			if p > 0 {
+				support++
+			}
 		}
-		bw.U32(uint32(nd.Comp))
-		bw.U8(nd.CompPos)
-		bw.F64(nd.Exist)
+		bw.U32(uint32(support))
+		for l, p := range row {
+			if p > 0 {
+				bw.U32(uint32(l))
+				bw.F64(p)
+			}
+		}
+		bw.U32(uint32(g.comp[v]))
+		bw.U8(g.compPos[v])
+		bw.F64(g.exist[v])
 	}
 
-	bw.U32(uint32(len(g.comps)))
-	for _, c := range g.comps {
+	bw.U32(uint32(g.NumComponents()))
+	for i := 0; i < g.NumComponents(); i++ {
+		c := g.Component(i)
 		bw.U32(uint32(len(c.Members)))
 		for _, m := range c.Members {
 			bw.U32(uint32(m))
@@ -64,19 +84,18 @@ func (g *Graph) Save(w io.Writer) error {
 	}
 
 	// Edges once per pair (a < b).
-	nEdges := g.NumEdges()
-	bw.U32(uint32(nEdges))
-	for a := range g.adj {
-		for _, nb := range g.adj[a] {
-			if nb.To <= ID(a) {
+	bw.U32(uint32(g.NumEdges()))
+	for a := ID(0); int(a) < g.NumNodes(); a++ {
+		for _, nb := range g.Neighbors(a) {
+			if nb.To <= a {
 				continue
 			}
 			bw.U32(uint32(a))
 			bw.U32(uint32(nb.To))
-			bw.F64(nb.E.base)
-			if nb.E.cpt != nil {
+			bw.F64(nb.base)
+			if nb.cpt >= 0 {
 				bw.U8(1)
-				for _, p := range nb.E.cpt {
+				for _, p := range g.cpts[int(nb.cpt)*g.nl*g.nl:][:g.nl*g.nl] {
 					bw.F64(p)
 				}
 			} else {
@@ -90,138 +109,199 @@ func (g *Graph) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a snapshot written by Save.
+// isProb reports whether p is a probability; NaN is not.
+func isProb(p float64) bool { return p >= 0 && p <= 1 }
+
+// Load reads a snapshot written by Save. The bytes are not trusted: every id
+// is checked against its range before it indexes a column, every probability
+// must lie in [0, 1], adjacency must arrive sorted, node and component
+// records must agree with each other, and no allocation is sized by a count
+// the input has not yet backed with data. What Save did not write — set ids,
+// the reference → entities table, the label bitset — is rebuilt.
 func Load(r io.Reader) (*Graph, error) {
 	br := binio.NewReader(r)
 	if m := br.Str(); br.Err() == nil && m != snapMagic {
-		return nil, fmt.Errorf("entity: bad magic %q", m)
+		return nil, corrupt("bad magic %q", m)
 	}
 	if v := br.U8(); br.Err() == nil && v != snapVersion {
-		return nil, fmt.Errorf("entity: unsupported version %d", v)
+		return nil, corrupt("unsupported version %d", v)
 	}
-	g := &Graph{sem: Semantics(br.U8())}
+	sem := Semantics(br.U8())
 
-	nLabels := int(br.U32())
-	if br.Err() != nil || nLabels <= 0 || nLabels > 1<<16 {
-		return nil, fmt.Errorf("entity: load alphabet: %w", brErr(br))
+	nl := int(br.U32())
+	if br.Err() == nil && (nl <= 0 || nl > 1<<16) {
+		return nil, corrupt("%d labels", nl)
 	}
-	names := make([]string, nLabels)
-	for i := range names {
-		names[i] = br.Str()
+	var names []string
+	for i := 0; i < nl && br.Err() == nil; i++ {
+		names = append(names, br.Str())
+	}
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("entity: load alphabet: %w", err)
 	}
 	alpha, err := prob.NewAlphabet(names...)
 	if err != nil {
-		return nil, fmt.Errorf("entity: load alphabet: %w", err)
+		return nil, corrupt("alphabet: %v", err)
 	}
-	g.alpha = alpha
 
-	nNodes := int(br.U32())
-	if br.Err() != nil || nNodes < 0 || nNodes > 1<<28 {
-		return nil, fmt.Errorf("entity: load nodes: %w", brErr(br))
+	n := int(br.U32())
+	if br.Err() == nil && n > 1<<28 {
+		return nil, corrupt("%d nodes", n)
 	}
-	g.nodes = make([]Node, nNodes)
-	for i := 0; i < nNodes && br.Err() == nil; i++ {
-		nd := &g.nodes[i]
+	g := newGraph(alpha, sem, 0)
+	for v := 0; v < n && br.Err() == nil; v++ {
 		nRefs := int(br.U32())
-		if nRefs < 0 || nRefs > 1<<20 {
-			return nil, fmt.Errorf("entity: node %d has %d refs", i, nRefs)
+		if nRefs < 1 || nRefs > n {
+			br.Fail(corrupt("node %d has %d refs", v, nRefs))
 		}
-		nd.Refs = make([]refgraph.RefID, nRefs)
-		for j := range nd.Refs {
-			nd.Refs[j] = refgraph.RefID(br.U32())
-		}
-		nEnt := int(br.U32())
-		entries := make([]prob.LabelProb, nEnt)
-		for j := range entries {
-			entries[j].Label = prob.LabelID(br.U32())
-			entries[j].P = br.F64()
-		}
-		if br.Err() == nil {
-			d, err := prob.NewDist(entries...)
-			if err != nil {
-				return nil, fmt.Errorf("entity: node %d label dist: %w", i, err)
+		for j := 0; j < nRefs && br.Err() == nil; j++ {
+			// Every reference has its singleton entity, so ids stay below n.
+			ref := br.U32()
+			if ref >= uint32(n) || (j > 0 && refgraph.RefID(ref) <= g.refs[len(g.refs)-1]) || len(g.refs) == math.MaxInt32 {
+				br.Fail(corrupt("node %d: reference %d out of range or order", v, ref))
 			}
-			nd.Label = d
+			g.refs = append(g.refs, refgraph.RefID(ref))
 		}
-		nd.Comp = int32(br.U32())
-		nd.CompPos = br.U8()
-		nd.Exist = br.F64()
-	}
+		g.refOff = append(g.refOff, int32(len(g.refs)))
 
-	g.maxRef = maxNodeRef(-1, g.nodes)
-	g.indexLabels()
+		g.labelP = append(g.labelP, make([]float64, nl)...)
+		row, sum := g.labelP[v*nl:], 0.0
+		support := int(br.U32())
+		for j := 0; j < support && br.Err() == nil; j++ {
+			l, p := br.U32(), br.F64()
+			if l >= uint32(nl) || !isProb(p) || row[l] != 0 {
+				br.Fail(corrupt("node %d: label entry (%d, %v)", v, l, p))
+				break
+			}
+			row[l] = p
+			sum += p
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			br.Fail(corrupt("node %d: label distribution sums to %v", v, sum))
+		}
+
+		g.comp = append(g.comp, int32(br.U32()))
+		g.compPos = append(g.compPos, br.U8())
+		g.exist = append(g.exist, br.F64())
+		if !isProb(g.exist[v]) {
+			br.Fail(corrupt("node %d: existence probability %v", v, g.exist[v]))
+		}
+	}
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("entity: load nodes: %w", err)
+	}
 
 	nComps := int(br.U32())
-	if br.Err() != nil || nComps < 0 || nComps > nNodes {
-		return nil, fmt.Errorf("entity: load components: %w", brErr(br))
+	if br.Err() == nil && nComps > n {
+		return nil, corrupt("%d components over %d nodes", nComps, n)
 	}
-	g.comps = make([]*Component, nComps)
+	placed := 0
 	for i := 0; i < nComps && br.Err() == nil; i++ {
 		nm := int(br.U32())
-		if nm < 0 || nm > 64 {
-			return nil, fmt.Errorf("entity: component %d has %d members", i, nm)
+		if nm < 1 || nm > 64 {
+			br.Fail(corrupt("component %d has %d members", i, nm))
 		}
-		c := &Component{Members: make([]ID, nm)}
-		for j := range c.Members {
-			c.Members[j] = ID(br.U32())
+		c := &Component{}
+		for j := 0; j < nm && br.Err() == nil; j++ {
+			m := br.U32()
+			if m >= uint32(n) || g.comp[m] != int32(i) || int(g.compPos[m]) != j {
+				br.Fail(corrupt("component %d: member %d disagrees with its node record", i, m))
+			}
+			c.Members = append(c.Members, ID(m))
 		}
-		nc := int(br.U32())
-		if nc < 0 || nc > 1<<20 {
-			return nil, fmt.Errorf("entity: component %d has %d configs", i, nc)
+		placed += nm
+		nc, sum := int(br.U32()), 0.0
+		for j := 0; j < nc && br.Err() == nil; j++ {
+			cfg := Config{Mask: br.U64(), P: br.F64()}
+			if (nm < 64 && cfg.Mask>>nm != 0) || !isProb(cfg.P) || (j > 0 && cfg.Mask <= c.Configs[j-1].Mask) {
+				br.Fail(corrupt("component %d: configuration (%#x, %v)", i, cfg.Mask, cfg.P))
+			}
+			c.Configs = append(c.Configs, cfg)
+			sum += cfg.P
 		}
-		c.Configs = make([]Config, nc)
-		for j := range c.Configs {
-			c.Configs[j].Mask = br.U64()
-			c.Configs[j].P = br.F64()
+		if br.Err() != nil {
+			break
 		}
-		g.comps[i] = c
+		if math.Abs(sum-1) > 1e-6 {
+			br.Fail(corrupt("component %d: configurations sum to %v", i, sum))
+		}
+		// Prn multiplies exist where MarginalAll would be asked for a
+		// one-bit mask, so the two must be the same float.
+		for pos, m := range c.Members {
+			if g.exist[m] != c.marginal(uint64(1)<<pos) {
+				br.Fail(corrupt("component %d: member %d exists with %v, its configurations say otherwise", i, m, g.exist[m]))
+			}
+		}
+		if nm == 1 && nc == 1 && c.Configs[0] == (Config{Mask: 1, P: 1}) {
+			g.compHead = append(g.compHead, int32(c.Members[0]))
+		} else {
+			g.compHead = append(g.compHead, ^int32(len(g.multi)))
+			g.multi = append(g.multi, c)
+		}
+	}
+	if br.Err() == nil && placed != n {
+		br.Fail(corrupt("components hold %d of %d nodes", placed, n))
+	}
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("entity: load components: %w", err)
 	}
 
-	g.adj = make([][]Neighbor, nNodes)
+	// Edges arrive once per pair in (a, b) order, which fills every row in
+	// neighbour order (see buildEdges).
+	g.adjRow = make([]span, n)
 	nEdges := int(br.U32())
-	cptLen := nLabels * nLabels
+	if br.Err() == nil && nEdges > math.MaxInt32/2 {
+		return nil, corrupt("%d edges", nEdges)
+	}
+	var pairs []entPair
+	var nbs []Neighbor
 	for i := 0; i < nEdges && br.Err() == nil; i++ {
-		a := ID(br.U32())
-		b := ID(br.U32())
-		if int(a) >= nNodes || int(b) >= nNodes {
-			return nil, fmt.Errorf("entity: edge references node out of range")
+		p := entPair{ID(br.U32()), ID(br.U32())}
+		nb := Neighbor{cpt: -1, base: br.F64()}
+		if br.Err() != nil {
+			break
 		}
-		ep := &EdgeProb{base: br.F64(), stride: int32(nLabels)}
-		if br.U8() == 1 {
-			ep.cpt = make([]float64, cptLen)
-			for j := range ep.cpt {
-				ep.cpt[j] = br.F64()
+		if p.a < 0 || p.a >= p.b || int(p.b) >= n || (i > 0 && comparePairs(pairs[i-1], p) >= 0) {
+			br.Fail(corrupt("edge %d–%d out of range or order", p.a, p.b))
+			break
+		}
+		switch flag := br.U8(); flag {
+		case 0:
+		case 1:
+			nb.cpt = int32(len(g.cpts) / (nl * nl))
+			for j := 0; j < nl*nl && br.Err() == nil; j++ {
+				g.cpts = append(g.cpts, br.F64())
+				if !isProb(g.cpts[len(g.cpts)-1]) {
+					br.Fail(corrupt("edge %d–%d: conditional probability out of range", p.a, p.b))
+				}
 			}
+		default:
+			br.Fail(corrupt("edge %d–%d: CPT flag %d", p.a, p.b, flag))
 		}
-		ep.max = ep.base
-		for _, v := range ep.cpt {
-			if v > ep.max {
-				ep.max = v
-			}
+		if !isProb(nb.base) {
+			br.Fail(corrupt("edge %d–%d: probability %v", p.a, p.b, nb.base))
 		}
-		g.adj[a] = append(g.adj[a], Neighbor{To: b, E: ep})
-		g.adj[b] = append(g.adj[b], Neighbor{To: a, E: ep})
+		pairs, nbs = append(pairs, p), append(nbs, nb)
+		g.adjRow[p.a].hi++
+		g.adjRow[p.b].hi++
 	}
 	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("entity: load: %w", err)
+		return nil, fmt.Errorf("entity: load edges: %w", err)
 	}
-	for _, nbs := range g.adj {
-		sortNeighbors(nbs)
+	g.fillAdjacency(pairs, nbs)
+
+	// Set entities are created in set-id order, at Build and by every delta.
+	sets := refgraph.SetID(0)
+	for v := ID(0); int(v) < n; v++ {
+		g.maxRef = max(g.maxRef, g.Refs(v)[len(g.Refs(v))-1])
+		if len(g.Refs(v)) == 1 {
+			g.set = append(g.set, -1)
+		} else {
+			g.set = append(g.set, sets)
+			sets++
+		}
 	}
+	g.indexLabels(0)
+	g.indexRefs(int(g.maxRef) + 1)
 	return g, nil
-}
-
-func sortNeighbors(nbs []Neighbor) {
-	for i := 1; i < len(nbs); i++ {
-		for j := i; j > 0 && nbs[j].To < nbs[j-1].To; j-- {
-			nbs[j], nbs[j-1] = nbs[j-1], nbs[j]
-		}
-	}
-}
-
-func brErr(br *binio.Reader) error {
-	if err := br.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("corrupt header field")
 }

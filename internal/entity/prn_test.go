@@ -23,11 +23,11 @@ func prnByMemo(g *Graph, nodes []ID) float64 {
 	var comps []int32
 	masks := map[int32]uint64{}
 	for _, v := range nodes {
-		nd := g.Node(v)
-		if _, ok := masks[nd.Comp]; !ok {
-			comps = append(comps, nd.Comp)
+		c := g.Comp(v)
+		if _, ok := masks[c]; !ok {
+			comps = append(comps, c)
 		}
-		masks[nd.Comp] |= uint64(1) << nd.CompPos
+		masks[c] |= uint64(1) << g.compPos[v]
 	}
 	p := 1.0
 	for _, c := range comps {
@@ -124,7 +124,7 @@ func TestHasLabelBitset(t *testing.T) {
 		for name, g := range graphs {
 			for v := 0; v < g.NumNodes(); v++ {
 				for l := 0; l < g.NumLabels(); l++ {
-					want := g.Node(ID(v)).Label.P(prob.LabelID(l)) > 0
+					want := g.PrLabel(ID(v), prob.LabelID(l)) > 0
 					if got := g.HasLabel(ID(v), prob.LabelID(l)); got != want {
 						t.Fatalf("seed %d %s: HasLabel(%d, %d) = %v, distribution says %v", seed, name, v, l, got, want)
 					}

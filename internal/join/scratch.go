@@ -275,8 +275,7 @@ func (s *scratch) apply(step, b, ci int) bool {
 assign:
 	for _, a := range sp.assign {
 		v := row[a.pos]
-		nd := p.g.Node(v)
-		for _, r := range nd.Refs {
+		for _, r := range p.g.Refs(v) {
 			w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
 			if s.refWords[w]&bit != 0 {
 				ok = false
@@ -285,11 +284,11 @@ assign:
 			s.refWords[w] |= bit
 			s.refUndo = append(s.refUndo, r)
 		}
-		if w, bit := uint(nd.Comp)>>6, uint64(1)<<(uint(nd.Comp)&63); s.compWords[w]&bit != 0 {
+		if c := p.g.Comp(v); s.compWords[uint(c)>>6]&(1<<(uint(c)&63)) != 0 {
 			shared++
 		} else {
-			s.compWords[w] |= bit
-			s.compUndo = append(s.compUndo, nd.Comp)
+			s.compWords[uint(c)>>6] |= 1 << (uint(c) & 63)
+			s.compUndo = append(s.compUndo, c)
 		}
 		s.asn[a.qn] = v
 		s.nodes = append(s.nodes, v)
@@ -297,8 +296,9 @@ assign:
 		f := lab[a.pos]
 		s.nodeF[a.qn] = f
 		pr *= f
-		s.existF[a.qn] = nd.Exist
-		prn *= nd.Exist
+		exist := p.g.Exist(v)
+		s.existF[a.qn] = exist
+		prn *= exist
 	}
 	if ok && pr == 0 {
 		ok = false
@@ -425,7 +425,7 @@ func (s *scratch) emit() {
 		if !ok {
 			return
 		}
-		s.edgeF[e.idx] = ep.Prob(e.la, e.lb)
+		s.edgeF[e.idx] = p.g.PrEdge(ep, e.la, e.lb)
 	}
 	prle := 1.0
 	for _, f := range s.nodeF {

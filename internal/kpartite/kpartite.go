@@ -255,7 +255,7 @@ func (kg *Graph) computeWeights() {
 			for pos := range edge {
 				f := 0.0
 				if ep, ok := kg.g.EdgeBetween(row[pos], row[pos+1]); ok {
-					f = ep.Prob(edgeLabels[pos][0], edgeLabels[pos][1])
+					f = kg.g.PrEdge(ep, edgeLabels[pos][0], edgeLabels[pos][1])
 				}
 				edge[pos] = f
 				if coverEdge[pos] {
@@ -365,36 +365,58 @@ func (be *buildEval) mark(v entity.ID) bool {
 	return true
 }
 
-// joinable applies the filters of cn(P1, Pu1, P2) to row i of pa and row j of
-// pb (setPair must have been called for the pair): the join predicates,
-// refs(V_Pu1) ∩ refs(V_Pu2) = ∅ (shared join nodes excepted), and
-// Pr(Pu1 ∘ Pu2) ≥ α. The probability is the product of the rows' cached
-// factors in a fixed order — pa's label factors, pb's new ones, pa's edge
-// factors, pb's new ones — times one Prn over the union, which is the order
-// and therefore the float bits of evaluating the union assignment by look-up.
+// unmark clears every reference bit set since refUndo was n long.
+func (be *buildEval) unmark(n int) {
+	for _, r := range be.refUndo[n:] {
+		be.refWords[uint(r)>>6] &^= 1 << (uint(r) & 63)
+	}
+	be.refUndo = be.refUndo[:n]
+}
+
+// probe marks the references of row i of pa, once for every row of pb it is
+// then tried against with joinable; the marks stay until unmark(0). It
+// reports false when two of the row's own entities share a reference: such a
+// row is joinable with nothing.
+func (be *buildEval) probe(i int) bool {
+	pa := be.pa
+	be.nodesBuf = append(be.nodesBuf[:0], pa.nodes[i*pa.plen:(i+1)*pa.plen]...)
+	for _, v := range be.nodesBuf {
+		if !be.mark(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// joinable applies the filters of cn(P1, Pu1, P2) to row i of pa, which
+// probe has marked, and row j of pb (setPair must have been called for the
+// pair): the join predicates, refs(V_Pu1) ∩ refs(V_Pu2) = ∅ (shared join
+// nodes excepted), and Pr(Pu1 ∘ Pu2) ≥ α. The probability is the product of
+// the rows' cached factors in a fixed order — pa's label factors, pb's new
+// ones, pa's edge factors, pb's new ones — times one Prn over the union,
+// which is the order and therefore the float bits of evaluating the union
+// assignment by look-up.
 func (be *buildEval) joinable(i, j int) bool {
 	pa, pb := be.pa, be.pb
-	rowA := pa.nodes[i*pa.plen : (i+1)*pa.plen]
+	rowA := be.nodesBuf[:pa.plen]
 	rowB := pb.nodes[j*pb.plen : (j+1)*pb.plen]
 	for _, s := range be.shared {
 		if rowA[s[0]] != rowB[s[1]] {
 			return false // another key sharing the bucket
 		}
 	}
-	union := append(be.nodesBuf[:0], rowA...)
-	for _, pos := range be.newB {
-		union = append(union, rowB[pos])
-	}
-	be.nodesBuf = union
 	// Reference disjointness over the union assignment; also rejects two
 	// query nodes mapped to the same entity (an entity shares references
-	// with itself), enforcing injectivity.
-	ok := true
-	for _, v := range union {
-		if ok = be.mark(v); !ok {
+	// with itself), enforcing injectivity. Row i's marks stand; only pb's
+	// new nodes are marked, and unmarked again, per j.
+	union, marked, ok := rowA, len(be.refUndo), true
+	for _, pos := range be.newB {
+		union = append(union, rowB[pos])
+		if ok = be.mark(rowB[pos]); !ok {
 			break
 		}
 	}
+	be.nodesBuf = union
 	if ok {
 		prle := 1.0
 		for _, f := range pa.lab[i*pa.plen : (i+1)*pa.plen] {
@@ -413,10 +435,7 @@ func (be *buildEval) joinable(i, j int) bool {
 		}
 		ok = prle*be.g.Prn(union)+1e-12 >= be.alpha
 	}
-	for _, r := range be.refUndo {
-		be.refWords[uint(r)>>6] &^= 1 << (uint(r) & 63)
-	}
-	be.refUndo = be.refUndo[:0]
+	be.unmark(marked)
 	return ok
 }
 
@@ -456,11 +475,14 @@ func (kg *Graph) linkPair(be *buildEval, a, b int) {
 	}
 	ab := linkSet{offs: make([]int32, pa.n+1), pool: make([]int32, 0, paired)}
 	for i, key := range keysA {
-		for _, j := range table.row(int(key)) {
-			if be.joinable(i, int(j)) {
-				ab.pool = append(ab.pool, j)
+		if row := table.row(int(key)); len(row) > 0 && be.probe(i) {
+			for _, j := range row {
+				if be.joinable(i, int(j)) {
+					ab.pool = append(ab.pool, j)
+				}
 			}
 		}
+		be.unmark(0)
 		ab.offs[i+1] = int32(len(ab.pool))
 	}
 	kg.links[a][b], kg.links[b][a] = ab, transpose(ab, pb.n)

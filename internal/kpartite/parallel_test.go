@@ -156,7 +156,7 @@ func (ref *lookupRef) joinable(pa, pb *decompose.Path, rowA, rowB []entity.ID) b
 				prle = 0
 				break
 			}
-			prle *= ep.Prob(q.Label(key[0]), q.Label(key[1]))
+			prle *= g.PrEdge(ep, q.Label(key[0]), q.Label(key[1]))
 			if prle == 0 {
 				break
 			}
@@ -235,7 +235,7 @@ func (ref *lookupRef) weights(p, i int) (w1 float64, lab, edge []float64) {
 		key := edgeKey(path.Nodes[pos], path.Nodes[pos+1])
 		f := 0.0
 		if ep, ok := g.EdgeBetween(row[pos], row[pos+1]); ok {
-			f = ep.Prob(q.Label(key[0]), q.Label(key[1]))
+			f = g.PrEdge(ep, q.Label(key[0]), q.Label(key[1]))
 		}
 		edge = append(edge, f)
 	}
@@ -249,7 +249,7 @@ func (ref *lookupRef) weights(p, i int) (w1 float64, lab, edge []float64) {
 			w1 = 0
 			break
 		}
-		w1 *= ep.Prob(q.Label(a), q.Label(b))
+		w1 *= g.PrEdge(ep, q.Label(a), q.Label(b))
 	}
 	return w1, lab, edge
 }

@@ -388,12 +388,12 @@ func TestWalkScoresInDiscoveryOrder(t *testing.T) {
 						wantPrle := g.PrLabel(nodes[at], X[at])
 						for i := at - 1; i >= 0; i-- {
 							e, _ := g.EdgeBetween(nodes[i], nodes[i+1])
-							wantPrle = wantPrle * e.Prob(X[i], X[i+1]) * g.PrLabel(nodes[i], X[i])
+							wantPrle = wantPrle * g.PrEdge(e, X[i], X[i+1]) * g.PrLabel(nodes[i], X[i])
 							order = append(order, nodes[i])
 						}
 						for i := at + 1; i < len(nodes); i++ {
 							e, _ := g.EdgeBetween(nodes[i-1], nodes[i])
-							wantPrle = wantPrle * e.Prob(X[i-1], X[i]) * g.PrLabel(nodes[i], X[i])
+							wantPrle = wantPrle * g.PrEdge(e, X[i-1], X[i]) * g.PrLabel(nodes[i], X[i])
 							order = append(order, nodes[i])
 						}
 						if wantPrn := g.Prn(order); math.Float64bits(prn) != math.Float64bits(wantPrn) || math.Float64bits(prle) != math.Float64bits(wantPrle) {

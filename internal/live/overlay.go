@@ -355,13 +355,12 @@ func (w *walk) anchor(u entity.ID) {
 		}
 		return
 	}
-	for dist, i := w.g.Node(u).Label, 0; i < dist.Len(); i++ {
-		e := dist.At(i)
-		if e.P*exist+eps < w.thresh {
+	for l, lp := range w.g.LabelRow(u) {
+		if lp == 0 || lp*exist+eps < w.thresh {
 			continue
 		}
-		w.labels[0] = e.Label
-		w.left(e.P, exist, w.max-1)
+		w.labels[0] = prob.LabelID(l)
+		w.left(lp, exist, w.max-1)
 	}
 }
 
@@ -388,12 +387,13 @@ func (w *walk) left(prle, prn float64, leftBudget int) {
 		}
 		if w.guide != nil {
 			l := w.guide[leftBudget-1]
-			w.pushLeft(v, l, prle*nb.E.Prob(l, headLabel)*w.g.PrLabel(v, l), prn2, leftBudget-1)
+			w.pushLeft(v, l, prle*w.g.PrEdge(nb, l, headLabel)*w.g.PrLabel(v, l), prn2, leftBudget-1)
 			continue
 		}
-		for dist, i := w.g.Node(v).Label, 0; i < dist.Len(); i++ {
-			e := dist.At(i)
-			w.pushLeft(v, e.Label, prle*nb.E.Prob(e.Label, headLabel)*e.P, prn2, leftBudget-1)
+		for l, lp := range w.g.LabelRow(v) {
+			if lp > 0 {
+				w.pushLeft(v, prob.LabelID(l), prle*w.g.PrEdge(nb, prob.LabelID(l), headLabel)*lp, prn2, leftBudget-1)
+			}
 		}
 	}
 }
@@ -437,12 +437,13 @@ func (w *walk) right(prle, prn float64) {
 		}
 		if w.guide != nil {
 			l := w.guide[w.n]
-			w.pushRight(v, l, prle*nb.E.Prob(tailLabel, l)*w.g.PrLabel(v, l), prn2)
+			w.pushRight(v, l, prle*w.g.PrEdge(nb, tailLabel, l)*w.g.PrLabel(v, l), prn2)
 			continue
 		}
-		for dist, i := w.g.Node(v).Label, 0; i < dist.Len(); i++ {
-			e := dist.At(i)
-			w.pushRight(v, e.Label, prle*nb.E.Prob(tailLabel, e.Label)*e.P, prn2)
+		for l, lp := range w.g.LabelRow(v) {
+			if lp > 0 {
+				w.pushRight(v, prob.LabelID(l), prle*w.g.PrEdge(nb, tailLabel, prob.LabelID(l))*lp, prn2)
+			}
 		}
 	}
 }
@@ -481,13 +482,13 @@ func (w *walk) scoreFrom(d int) (prle, prn float64) {
 	prle = g.PrLabel(w.nodes[d], w.labels[d])
 	for i := d - 1; i >= 0; i-- {
 		e, _ := g.EdgeBetween(w.nodes[i+1], w.nodes[i])
-		prle = prle * e.Prob(w.labels[i], w.labels[i+1]) * g.PrLabel(w.nodes[i], w.labels[i])
+		prle = prle * g.PrEdge(e, w.labels[i], w.labels[i+1]) * g.PrLabel(w.nodes[i], w.labels[i])
 		order[k] = w.nodes[i]
 		k++
 	}
 	for i := d + 1; i < w.n; i++ {
 		e, _ := g.EdgeBetween(w.nodes[i-1], w.nodes[i])
-		prle = prle * e.Prob(w.labels[i-1], w.labels[i]) * g.PrLabel(w.nodes[i], w.labels[i])
+		prle = prle * g.PrEdge(e, w.labels[i-1], w.labels[i]) * g.PrLabel(w.nodes[i], w.labels[i])
 		order[k] = w.nodes[i]
 		k++
 	}

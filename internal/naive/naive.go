@@ -267,9 +267,11 @@ func enumLabels(g *entity.Graph, v int, p float64, w *World, stop *bool, fn func
 		enumLabels(g, v+1, p, w, stop, fn)
 		return
 	}
-	for _, e := range g.Node(entity.ID(v)).Label.Entries() {
-		w.Labels[v] = e.Label
-		enumLabels(g, v+1, p*e.P, w, stop, fn)
+	for l, lp := range g.LabelRow(entity.ID(v)) {
+		if lp > 0 {
+			w.Labels[v] = prob.LabelID(l)
+			enumLabels(g, v+1, p*lp, w, stop, fn)
+		}
 	}
 }
 
@@ -301,7 +303,7 @@ func enumEdges(g *entity.Graph, edges [][2]entity.ID, i int, p float64, w *World
 	}
 	e := edges[i]
 	ep, _ := g.EdgeBetween(e[0], e[1])
-	pe := ep.Prob(w.Labels[e[0]], w.Labels[e[1]])
+	pe := g.PrEdge(ep, w.Labels[e[0]], w.Labels[e[1]])
 	if pe > 0 {
 		w.Edges[e] = true
 		enumEdges(g, edges, i+1, p*pe, w, stop, fn)

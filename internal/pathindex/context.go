@@ -73,14 +73,17 @@ func (c *Context) computeNode(g *entity.Graph, v entity.ID) {
 	for _, nb := range g.Neighbors(v) {
 		// Edge probability with v's own label unknown: max over v's labels.
 		// For unconditional edges this is just the base probability.
-		for _, sigma := range g.Labels(nb.To) {
-			idx := base + int(sigma)
+		for sigma, lp := range g.LabelRow(nb.To) {
+			if lp == 0 {
+				continue
+			}
+			idx := base + sigma
 			c.card[idx]++
-			ep := maxEdgeProbGivenNeighbor(g, v, nb, sigma)
+			ep := maxEdgeProbGivenNeighbor(g, v, nb, prob.LabelID(sigma))
 			if ep > c.ppu[idx] {
 				c.ppu[idx] = ep
 			}
-			f := g.PrLabel(nb.To, sigma) * ep
+			f := lp * ep
 			if f > c.fpu[idx] {
 				c.fpu[idx] = f
 			}
@@ -91,12 +94,15 @@ func (c *Context) computeNode(g *entity.Graph, v entity.ID) {
 // maxEdgeProbGivenNeighbor bounds Pr((v,v').e = T | v'.l = sigma) when v's
 // label is unknown: the Section 5.3 max-over-labels modification.
 func maxEdgeProbGivenNeighbor(g *entity.Graph, v entity.ID, nb entity.Neighbor, sigma prob.LabelID) float64 {
-	if !nb.E.Conditional() {
-		return nb.E.Base()
+	if !nb.Conditional() {
+		return nb.Base()
 	}
 	m := 0.0
-	for _, lv := range g.Labels(v) {
-		if p := nb.E.Prob(lv, sigma); p > m {
+	for lv, lp := range g.LabelRow(v) {
+		if lp == 0 {
+			continue
+		}
+		if p := g.PrEdge(nb, prob.LabelID(lv), sigma); p > m {
 			m = p
 		}
 	}

@@ -342,13 +342,13 @@ func (ix *Index) buildPaths(ctx context.Context) error {
 			return err
 		}
 		exist := ix.g.Exist(entity.ID(v))
-		for _, e := range ix.g.Node(entity.ID(v)).Label.Entries() {
-			if e.P*exist+1e-12 < ix.opt.Beta {
+		for l, lp := range ix.g.LabelRow(entity.ID(v)) {
+			if lp == 0 || lp*exist+1e-12 < ix.opt.Beta {
 				continue
 			}
-			p := opath{n: 1, prle: e.P, prn: exist}
+			p := opath{n: 1, prle: lp, prn: exist}
 			p.nodes[0] = entity.ID(v)
-			p.labels[0] = e.Label
+			p.labels[0] = prob.LabelID(l)
 			level = append(level, p)
 		}
 	}
@@ -455,15 +455,18 @@ func (ix *Index) extendOne(p *opath, out []opath) []opath {
 		if prn == 0 {
 			continue
 		}
-		for _, le := range g.Node(nb.To).Label.Entries() {
-			edgeP := nb.E.Prob(tailLabel, le.Label)
-			prle := p.prle * edgeP * le.P
+		for l, lp := range g.LabelRow(nb.To) {
+			if lp == 0 {
+				continue
+			}
+			edgeP := g.PrEdge(nb, tailLabel, prob.LabelID(l))
+			prle := p.prle * edgeP * lp
 			if prle*prn+1e-12 < ix.opt.Beta {
 				continue
 			}
 			np := *p
 			np.nodes[np.n] = nb.To
-			np.labels[np.n] = le.Label
+			np.labels[np.n] = prob.LabelID(l)
 			np.n++
 			np.prle = prle
 			np.prn = prn

@@ -44,7 +44,7 @@ func (ix *Index) onDemandExtend(p *opath, X []prob.LabelID, alpha, prle0, prn0 f
 	tail := p.nodes[p.n-1]
 	tailLabel, next := X[p.n-1], X[p.n]
 	for _, nb := range g.Neighbors(tail) {
-		// One bit decides most neighbours before their node record is read.
+		// One bit decides most neighbours before their label row is read.
 		if !g.HasLabel(nb.To, next) || p.contains(nb.To) {
 			continue
 		}
@@ -64,7 +64,7 @@ func (ix *Index) onDemandExtend(p *opath, X []prob.LabelID, alpha, prle0, prn0 f
 		if prn == 0 {
 			continue
 		}
-		prle := prle0 * nb.E.Prob(tailLabel, next) * lp
+		prle := prle0 * g.PrEdge(nb, tailLabel, next) * lp
 		if prle*prn+1e-12 < alpha {
 			continue
 		}

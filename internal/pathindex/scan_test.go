@@ -76,7 +76,7 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 				if prn == 0 {
 					continue
 				}
-				prle := p.prle * nb.E.Prob(p.labels[p.n-1], next) * lp
+				prle := p.prle * g.PrEdge(nb, p.labels[p.n-1], next) * lp
 				if prle*prn+1e-12 < alpha {
 					continue
 				}

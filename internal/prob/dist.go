@@ -96,14 +96,6 @@ func (d Dist) Support() []LabelID {
 	return out
 }
 
-// Len returns the number of labels with non-zero probability and At the i-th
-// of them in LabelID order: the entries without the copy Entries makes, for
-// traversals that read a distribution per visited neighbour.
-func (d Dist) Len() int { return len(d.entries) }
-
-// At returns the i-th (label, probability) pair in LabelID order.
-func (d Dist) At(i int) LabelProb { return d.entries[i] }
-
 // Entries returns a copy of the (label, probability) pairs in LabelID order.
 func (d Dist) Entries() []LabelProb {
 	out := make([]LabelProb, len(d.entries))

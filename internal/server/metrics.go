@@ -106,6 +106,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 				}
 				return float64(si.ix.Stats().Entries)
 			}),
+		metrics.NewGaugeFunc("peg_graph_bytes",
+			"Resident bytes of the served generation's entity graph (column lengths × element sizes).", func() float64 {
+				si, release := s.acquireIndex()
+				defer release()
+				if si == nil { // scrape of an unready server
+					return 0
+				}
+				return float64(si.graphBytes)
+			}),
 		metrics.NewMultiGaugeFunc("peg_calibration_factor",
 			"Learned cardinality correction per path length for the served generation (1 = histograms accurate).",
 			"path_len", func(emit func(string, float64)) {

@@ -352,7 +352,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		"peg_plan_cache_hits_total", "peg_workers", "peg_index_info", "peg_calibration_factor",
 		"peg_live_mutation_lag", "peg_live_compactions_total", "peg_ingested_mutations_total",
 		"peg_index_format_info", "peg_index_mapped_bytes", "peg_index_probes_total",
-		"peg_index_posting_decode_micros",
+		"peg_index_posting_decode_micros", "peg_graph_bytes",
 	} {
 		if !declared[fam] {
 			t.Errorf("/metrics missing family %s", fam)
@@ -379,6 +379,15 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	}
 	if st := db.Status(); float64(st.OverlayPaths) != values["peg_live_overlay_paths"] || st.LastApplyNanos <= 0 {
 		t.Errorf("live status: overlay paths %d (scraped %v), last apply %d ns", st.OverlayPaths, values["peg_live_overlay_paths"], st.LastApplyNanos)
+	}
+	// The served PEG's size is that of the generation published last, on
+	// /metrics and on /stats alike.
+	var stats StatsResponse
+	if _, body := getRaw(t, ts.URL+"/stats"); json.Unmarshal(body, &stats) != nil {
+		t.Fatalf("/stats does not parse: %s", body)
+	}
+	if want := db.Graph().Bytes(); want <= 0 || values["peg_graph_bytes"] != float64(want) || stats.GraphBytes != want {
+		t.Errorf("peg_graph_bytes = %v, /stats graph_bytes = %d, the served graph holds %d", values["peg_graph_bytes"], stats.GraphBytes, want)
 	}
 	if values["peg_index_posting_decode_micros_count"] <= 0 {
 		t.Errorf("peg_index_posting_decode_micros_count = %v, want > 0 after serving matches", values["peg_index_posting_decode_micros_count"])

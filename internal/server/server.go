@@ -179,7 +179,10 @@ type servedIndex struct {
 	// never outlives the generation: a swap retires it wholesale, and its
 	// final counters are folded into the server's monotonic bases.
 	cands *candidates.Cache
-	refs  atomic.Int64
+	// graphBytes is the resident size of the generation's PEG, taken once
+	// at install.
+	graphBytes int64
+	refs       atomic.Int64
 }
 
 // Server serves match queries over one opened index. Safe for concurrent
@@ -330,6 +333,8 @@ func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
 		id:    fmt.Sprintf("gen%d#%d", s.gen.Add(1), ix.Stats().Entries),
 		calib: plan.NewCalibration(),
 		cands: s.newCandCache(),
+
+		graphBytes: ix.Graph().Bytes(),
 	}
 	s.met.indexInfo.SetLabelValue(s.cur.id)
 	// Stamp the storage layout and route posting-decode timings from the new
@@ -558,6 +563,8 @@ type StatsResponse struct {
 	CandCacheEntries  int    `json:"cand_cache_entries"`
 	Workers           int    `json:"workers"`
 	IndexEntries      uint64 `json:"index_entries"`
+	// GraphBytes is the resident size of the served generation's PEG.
+	GraphBytes int64 `json:"graph_bytes"`
 	// Live ingest counters (zero when the write path is disabled).
 	Ingested     uint64       `json:"ingested,omitempty"`
 	IngestFailed uint64       `json:"ingest_failed,omitempty"`
@@ -1161,8 +1168,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	si, release := s.acquireIndex()
 	defer release()
 	var indexEntries uint64
+	var graphBytes int64
 	if si != nil {
-		indexEntries = si.ix.Stats().Entries
+		indexEntries, graphBytes = si.ix.Stats().Entries, si.graphBytes
 	}
 	resp := &StatsResponse{
 		Requests:          s.requests.Load(),
@@ -1183,6 +1191,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CandCacheEntries:  cst.Entries,
 		Workers:           s.opt.Workers,
 		IndexEntries:      indexEntries,
+		GraphBytes:        graphBytes,
 		Ingested:          s.ingested.Load(),
 		IngestFailed:      s.ingestFailed.Load(),
 	}

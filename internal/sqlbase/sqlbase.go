@@ -137,7 +137,7 @@ func (db *DB) finalRow(q *query.Query, mapping []entity.ID, alpha float64) (join
 		if !ok {
 			return join.Match{}, false
 		}
-		prle *= ep.Prob(q.Label(e[0]), q.Label(e[1]))
+		prle *= db.g.PrEdge(ep, q.Label(e[0]), q.Label(e[1]))
 		if prle == 0 {
 			return join.Match{}, false
 		}
