@@ -68,8 +68,12 @@ func TestFindMotivating(t *testing.T) {
 			if pr+1e-9 < 0.2 {
 				t.Errorf("candidate below threshold: %v %v", nodes, pr)
 			}
-			if !g.NodesRefsDisjoint(nodes) {
-				t.Errorf("candidate with shared refs: %v", nodes)
+			for x, u := range nodes {
+				for _, v := range nodes[:x] {
+					if g.RefsOverlap(u, v) {
+						t.Errorf("candidate with shared refs: %v", nodes)
+					}
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/gen"
@@ -15,19 +16,21 @@ import (
 
 // TestPreJoinAllocationIsACount pins the pre-join pipeline's allocation,
 // which is a count and so either repeats or is wrong: a prepared cyclic
-// plan, first match only (the join is idle, everything allocated is posting
-// scan, context prune and k-partite build), α below β so the scan is the
-// on-demand enumeration, Workers 2 so paths and pairs run on two
-// goroutines. After warm-up, 30 runs' heap bytes must agree to 1 % — a
-// buffer whose size depends on scheduling, or recycled scratch whose hit
-// rate depends on GC timing, breaks that — and stay under a ceiling 10 %
-// above what the plan allocates today, so a reintroduced per-record or
-// per-pair allocation fails here, not in the benchmark. Two plans: the
-// 4-cycle, where the candidate arenas and factor columns dominate (0.63 MB;
-// the materializing pipeline with its map-and-sort link table took 2.70 MB),
-// and a denser 6-node, 7-edge query (7 paths, 13 000 links) whose many
-// partition pairs make the link pools and the per-worker link scratch the
-// larger part (0.90 MB).
+// plan, first match only by a declared Limit 1 (the join is idle and the
+// reduction skipped, everything allocated is posting scan, context prune and
+// k-partite build), α below β so the scan is the on-demand enumeration,
+// Workers 2 so paths and pairs run on two goroutines. After warm-up, 30 runs'
+// heap bytes must agree to 1 % — a buffer whose size depends on scheduling,
+// or recycled scratch whose hit rate depends on GC timing, breaks that — and
+// stay under a ceiling 2 % above what the plan allocates today, so a
+// reintroduced per-record or per-pair allocation fails here, not in the
+// benchmark. Two plans: the 4-cycle, where the candidate arenas and factor
+// columns dominate (0.63 MB; the materializing pipeline with its map-and-sort
+// link table took 2.70 MB), and a denser 6-node, 7-edge query (7 paths,
+// 13 000 links) whose many partition pairs make the link pools and the
+// per-worker link scratch the larger part (0.51 MB). A third arm runs the
+// dense plan without a limit and stops it by its yield, so the reduction runs
+// and its perception vectors and per-round scratch are pinned too (0.90 MB).
 func TestPreJoinAllocationIsACount(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 4000, Seed: 7})
 	if err != nil {
@@ -47,16 +50,18 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	opt := core.Options{Alpha: 0.3, Workers: 2, Parallelism: 1, Limit: 1}
 	for _, tc := range []struct {
 		name    string
 		q       *query.Query
+		limit   int    // 0: undeclared, the yield stops the run after one match
 		ceiling uint64 // bytes per run; see above
 	}{
-		{"4-cycle", cycle, 690_000},
-		{"6-node-7-edge", dense, 995_000},
+		{"4-cycle", cycle, 1, 639_000},
+		{"6-node-7-edge", dense, 1, 523_000},
+		{"6-node-7-edge-reduced", dense, 0, 920_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			opt := core.Options{Alpha: 0.3, Workers: 2, Parallelism: 1, Limit: tc.limit}
 			pl, err := core.Prepare(ctx, ix, tc.q, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -64,10 +69,13 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 			run := func() uint64 {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				st, err := core.MatchStreamPlan(ctx, ix, pl, opt, func(join.Match) bool { return true })
+				st, err := core.MatchStreamPlan(ctx, ix, pl, opt, func(join.Match) bool { return tc.limit > 0 })
 				runtime.ReadMemStats(&after)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if reduced := st.ReductionRounds > 0; reduced != (tc.limit == 0) {
+					t.Fatalf("limit %d: %d reduction rounds", tc.limit, st.ReductionRounds)
 				}
 				if st.SSPath < 1000 {
 					t.Fatalf("plan looks at %v candidate combinations; too small to pin anything", st.SSPath)
@@ -105,8 +113,9 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 // (an owned mapping, a boxed heap entry, a growing slice) fails here, not in
 // the benchmark. The bytes also have a ceiling 2 % above what a run
 // allocates today, and at Parallelism 1 one per match: above what the same
-// plan allocates to stream its first match (everything before the join), a
-// match of this 5-node plan costs 20 + 16 bytes of row, 40 of join.Match and
+// plan allocates to stream its first match when the stream does not declare
+// a limit (everything before the join, the reduction included), a match of
+// this 5-node plan costs 20 + 16 bytes of row, 40 of join.Match and
 // 4 of list link, so 84 leaves room for the bucket table and the last
 // chunk's spare rows and none for a second per-row buffer.
 func TestCollectAllocationIsACount(t *testing.T) {
@@ -157,14 +166,19 @@ func TestCollectAllocationIsACount(t *testing.T) {
 			})
 			return bytes, mallocs, matches
 		}
-		first := opt
-		first.Limit = 1
-		preJoin := func() uint64 {
-			bytes, _ := allocated(func() error {
-				_, err := core.MatchStreamPlan(ctx, ix, pl, first, func(join.Match) bool { return true })
+		// Everything before the join, reduction included: a stream that does
+		// not say it will stop, stopped by its yield at the first match. One
+		// that declares Limit 1 skips the reduction and with it the two
+		// perception-vector buffers (8 bytes × partitions per vertex each).
+		preJoin := func(limit int) (uint64, core.Stats) {
+			first := opt
+			first.Limit = limit
+			var st core.Stats
+			bytes, _ := allocated(func() (err error) {
+				st, err = core.MatchStreamPlan(ctx, ix, pl, first, func(join.Match) bool { return false })
 				return err
 			})
-			return bytes
+			return bytes, st
 		}
 		for i := 0; i < 3; i++ {
 			run() // warm-up: component marginal memos, lazily built tables
@@ -174,7 +188,20 @@ func TestCollectAllocationIsACount(t *testing.T) {
 			b, m, n := run()
 			lo, hi, most, matches = min(lo, b), max(hi, b), max(most, m), n
 		}
-		before := preJoin()
+		before, _ := preJoin(0)
+		limited, lst := preJoin(1)
+		sets, _, err := candidates.Find(ctx, ix, q, pl.Dec, opt.Alpha, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vectors := uint64(0)
+		for i := range sets {
+			vectors += uint64(2 * 8 * len(sets) * sets[i].Len())
+		}
+		if lst.ReductionRounds != 0 || limited+vectors > before {
+			t.Errorf("P=%d: a Limit 1 stream ran %d reduction rounds and allocated %d bytes, a stream stopped by its yield %d: the %d bytes of perception vectors are not saved",
+				par, lst.ReductionRounds, limited, before, vectors)
+		}
 		t.Logf("P=%d: %d matches, bytes per run min %d max %d (%d before the join), mallocs per run ≤ %d", par, matches, lo, hi, before, most)
 		if matches < 20_000 {
 			t.Fatalf("P=%d: plan has %d matches; too few to pin anything", par, matches)

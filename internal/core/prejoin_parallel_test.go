@@ -22,17 +22,27 @@ import (
 
 const prejoinBeta = 0.2
 
+// prejoinArms are the corpora TestPreJoinEquivalence runs over: gen's usual
+// handful of linked references, and linkage dense enough that matches with
+// two entities of one identity component are common.
+var prejoinArms = []struct {
+	name  string
+	opt   gen.SynthOptions
+	dense bool
+}{
+	{"default-linkage", gen.SynthOptions{Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4, Groups: 2, GroupSize: 3, PairsPerGroup: 2}, false},
+	{"dense-linkage", gen.SynthOptions{Refs: 40, EdgeFactor: 4, Labels: 2, UncertainFrac: 0.5, Groups: 8, GroupSize: 4, PairsPerGroup: 3}, true},
+}
+
 // prejoinReaders returns the three kinds of reader the pre-join pipeline
 // streams from, over the same seeded PGD: a packed index, a B+-tree index,
 // and a live view whose overlay carries a few mutations (so its graph, and
 // the naive oracle's answers over it, differ from the static two).
-func prejoinReaders(t *testing.T, seed int64) map[string]pathindex.Reader {
+func prejoinReaders(t *testing.T, synthOpt gen.SynthOptions) map[string]pathindex.Reader {
 	t.Helper()
+	seed := synthOpt.Seed
 	synth := func() *refgraph.PGD {
-		d, err := gen.Synthetic(gen.SynthOptions{
-			Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
-			Groups: 2, GroupSize: 3, PairsPerGroup: 2, Seed: seed,
-		})
+		d, err := gen.Synthetic(synthOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,20 +135,35 @@ func sameLinks(a, b *kpartite.Graph) error {
 //   - core.Match at every width and cache state returns identical matches,
 //     and those are bitwise the naive oracle's over the reader's graph.
 //
+// The dense-linkage arm must put ≥ 15 % of the entities into multi-member
+// identity components and answer with both kinds of match: some mapping two
+// entities of one component (Prn evaluated over the set), some none (one
+// Exist per node carried forward).
+//
 // What the streamed stages are equal to *before* this pipeline existed is
 // held one layer down, where the references need package internals:
 // pathindex and live (Scan ≡ the materializing Lookup), candidates (Find ≡
 // materialize-then-prune), kpartite (links ≡ map-and-sort).
 func TestPreJoinEquivalence(t *testing.T) {
+	for _, arm := range prejoinArms {
+		t.Run(arm.name, func(t *testing.T) { testPreJoinEquivalence(t, arm.opt, arm.dense) })
+	}
+}
+
+func testPreJoinEquivalence(t *testing.T, synthOpt gen.SynthOptions, dense bool) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	ctx := context.Background()
-	kept, links, matched := 0, 0, 0
+	kept, links, matched, shared := 0, 0, 0, 0
 	for _, seed := range seeds {
-		for kind, ix := range prejoinReaders(t, seed) {
+		synthOpt.Seed = seed
+		for kind, ix := range prejoinReaders(t, synthOpt) {
 			g := ix.Graph()
+			if linked := linkedShare(g); dense && linked < 0.15 {
+				t.Fatalf("seed %d %s: %.0f%% of entities sit in multi-member components, want ≥ 15%%", seed, kind, 100*linked)
+			}
 			rng := rand.New(rand.NewSource(seed * 727))
 			for qi := 0; qi < 3; qi++ {
 				q, err := gen.RandomQuery(rng, g.NumLabels(), 2+rng.Intn(2), 3)
@@ -151,6 +176,11 @@ func TestPreJoinEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					matched += len(want)
+					for _, m := range want {
+						if sharesComponent(g, m.Mapping) {
+							shared++
+						}
+					}
 					for _, s := range []core.Strategy{core.StrategyOptimized, core.StrategyRandomDecomp} {
 						label := fmt.Sprintf("seed %d %s q%d α=%v %v", seed, kind, qi, alpha, s)
 						opts := func(w int, c *candidates.Cache) core.Options {
@@ -214,4 +244,30 @@ func TestPreJoinEquivalence(t *testing.T) {
 	if kept == 0 || links == 0 || matched == 0 {
 		t.Fatalf("vacuous: %d candidates kept, %d links, %d matches over all cases", kept, links, matched)
 	}
+	if dense && (shared == 0 || shared == matched) {
+		t.Fatalf("%d of %d matches map two entities of one component: one way to a match's Prn was never taken", shared, matched)
+	}
+}
+
+// linkedShare is the share of g's entities whose identity component has
+// other members.
+func linkedShare(g *entity.Graph) float64 {
+	linked := 0
+	for v := 0; v < g.NumNodes(); v++ {
+		if len(g.ComponentOf(entity.ID(v)).Members) > 1 {
+			linked++
+		}
+	}
+	return float64(linked) / float64(g.NumNodes())
+}
+
+func sharesComponent(g *entity.Graph, mapping []entity.ID) bool {
+	for i, v := range mapping {
+		for _, u := range mapping[:i] {
+			if g.Comp(u) == g.Comp(v) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -140,7 +140,7 @@ func (old *Graph) derive() *Graph {
 		alpha: old.alpha, sem: old.sem, nl: old.nl,
 		adjRow: old.adjRow, adj: tail(old.adj, own), cpts: tail(old.cpts, own),
 		labelP: tail(old.labelP, own), labelBits: old.labelBits,
-		refOff: tail(old.refOff, own), refs: tail(old.refs, own), set: tail(old.set, own), maxRef: old.maxRef,
+		refOff: tail(old.refOff, own), refs: tail(old.refs, own), set: tail(old.set, own),
 		entRow: old.entRow, ents: tail(old.ents, own),
 		exist: old.exist, comp: old.comp, compPos: old.compPos, compHead: old.compHead, multi: old.multi,
 	}

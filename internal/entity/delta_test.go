@@ -253,9 +253,6 @@ func compareGraphs(t *testing.T, label string, got, want *Graph) {
 		t.Fatalf("%s: %d nodes, %d edges, %d components; want %d, %d, %d", label,
 			got.NumNodes(), got.NumEdges(), got.NumComponents(), want.NumNodes(), want.NumEdges(), want.NumComponents())
 	}
-	if got.MaxRef() != want.MaxRef() {
-		t.Errorf("%s: MaxRef %d, want %d", label, got.MaxRef(), want.MaxRef())
-	}
 	wantBy := make(map[string]ID, want.NumNodes())
 	for v := 0; v < want.NumNodes(); v++ {
 		wantBy[refsKey(want, ID(v))] = ID(v)

@@ -100,14 +100,12 @@ type Graph struct {
 	labelBits []uint64
 
 	// Entity v's member references are refs[refOff[v]:refOff[v+1]], sorted;
-	// set[v] is its PGD set id, -1 for a singleton; maxRef the largest
-	// reference id of any entity (-1 without entities). entRow/ents is the
+	// set[v] is its PGD set id, -1 for a singleton. entRow/ents is the
 	// inverse: the entities containing reference r, ascending, laid out
 	// like the adjacency.
 	refOff []int32
 	refs   []refgraph.RefID
 	set    []refgraph.SetID
-	maxRef refgraph.RefID
 	entRow []span
 	ents   []ID
 
@@ -169,7 +167,7 @@ func Build(d *refgraph.PGD, opt BuildOptions) (*Graph, error) {
 func newGraph(alpha *prob.Alphabet, sem Semantics, n int) *Graph {
 	nl := alpha.Len()
 	return &Graph{
-		alpha: alpha, sem: sem, nl: nl, maxRef: -1,
+		alpha: alpha, sem: sem, nl: nl,
 		adjRow:  make([]span, 0, n),
 		labelP:  make([]float64, 0, n*nl),
 		refOff:  append(make([]int32, 0, n+1), 0),
@@ -201,7 +199,6 @@ func (g *Graph) addEntity(refs []refgraph.RefID, label prob.Dist, set refgraph.S
 	}
 	g.refs = append(g.refs, refs...)
 	g.refOff = append(g.refOff, int32(len(g.refs)))
-	g.maxRef = max(g.maxRef, refs[len(refs)-1])
 	g.set = append(g.set, set)
 	g.adjRow = append(g.adjRow, span{})
 	g.exist = append(g.exist, 0)

@@ -289,16 +289,6 @@ func TestZeroProbEdgeExcluded(t *testing.T) {
 	}
 }
 
-func TestNodesRefsDisjoint(t *testing.T) {
-	g := buildMotivating(t)
-	if !g.NodesRefsDisjoint([]entity.ID{fixtures.S1, fixtures.S2, fixtures.S34}) {
-		t.Error("disjoint nodes reported overlapping")
-	}
-	if g.NodesRefsDisjoint([]entity.ID{fixtures.S3, fixtures.S2, fixtures.S34}) {
-		t.Error("overlapping nodes reported disjoint")
-	}
-}
-
 func TestGraphAccessors(t *testing.T) {
 	g := buildMotivating(t)
 	if g.NumEdges() != 4 {

@@ -106,10 +106,6 @@ func (g *Graph) Bytes() int64 {
 // slice must not be modified.
 func (g *Graph) Refs(v ID) []refgraph.RefID { return g.refs[g.refOff[v]:g.refOff[v+1]] }
 
-// MaxRef returns the largest reference id any entity contains, -1 for an
-// empty graph: the size of a reference bitset over this graph.
-func (g *Graph) MaxRef() refgraph.RefID { return g.maxRef }
-
 // LabelRow returns v's label distribution in place: element l is
 // Pr(v.l = l), zero outside L(v). The returned slice must not be modified.
 func (g *Graph) LabelRow(v ID) []float64 { return g.labelP[int(v)*g.nl : (int(v)+1)*g.nl] }
@@ -219,7 +215,8 @@ func (g *Graph) Semantics() Semantics { return g.sem }
 // entity nodes (Eq. 12): nodes are grouped by component and the per-component
 // subset marginals are multiplied, in the order the components are first
 // seen. Duplicate ids are harmless. Returns 0 when two nodes share a
-// reference (no legal world contains both). A component contributing a
+// reference (they lie in one component, no configuration of which holds
+// both): the query stages' only overlap test, so Load checks it too. A component contributing a
 // single node multiplies that node's Exist — by construction MarginalAll of
 // its one-bit mask, bit for bit — without probing the component's memo; so
 // while every node is found alone in its component the product is taken as
@@ -339,19 +336,4 @@ func (g *Graph) PrMatch(a Assignment) float64 {
 		return 0
 	}
 	return le * g.Prn(a.Nodes)
-}
-
-// NodesRefsDisjoint reports whether all nodes have pairwise disjoint
-// reference sets (the legality requirement of Definition 4).
-func (g *Graph) NodesRefsDisjoint(nodes []ID) bool {
-	seen := make(map[refgraph.RefID]struct{}, len(nodes)*2)
-	for _, v := range nodes {
-		for _, r := range g.Refs(v) {
-			if _, dup := seen[r]; dup {
-				return false
-			}
-			seen[r] = struct{}{}
-		}
-	}
-	return true
 }

@@ -291,9 +291,9 @@ func Load(r io.Reader) (*Graph, error) {
 	g.fillAdjacency(pairs, nbs)
 
 	// Set entities are created in set-id order, at Build and by every delta.
-	sets := refgraph.SetID(0)
+	sets, maxRef := refgraph.SetID(0), refgraph.RefID(-1)
 	for v := ID(0); int(v) < n; v++ {
-		g.maxRef = max(g.maxRef, g.Refs(v)[len(g.Refs(v))-1])
+		maxRef = max(maxRef, g.Refs(v)[len(g.Refs(v))-1])
 		if len(g.Refs(v)) == 1 {
 			g.set = append(g.set, -1)
 		} else {
@@ -302,6 +302,19 @@ func Load(r io.Reader) (*Graph, error) {
 		}
 	}
 	g.indexLabels(0)
-	g.indexRefs(int(g.maxRef) + 1)
+	g.indexRefs(int(maxRef) + 1)
+
+	// The query stages tell that two entities share a reference from Prn
+	// alone: it must be 0 over any such pair.
+	for r := range g.entRow {
+		ents := g.entsOf(refgraph.RefID(r))
+		for i, a := range ents {
+			for _, b := range ents[:i] {
+				if g.comp[a] != g.comp[b] || g.ComponentOf(a).marginal(uint64(1)<<g.compPos[a]|uint64(1)<<g.compPos[b]) != 0 {
+					return nil, corrupt("entities %d and %d share reference %d but not a component, or a configuration holds both", b, a, r)
+				}
+			}
+		}
+	}
 	return g, nil
 }

@@ -153,10 +153,21 @@ func TestLoadRejects(t *testing.T) {
 	n0, s3, s34 := lay.node[0], lay.node[fixtures.S3], lay.node[fixtures.S34]
 	c0, c2, e0 := lay.comp[0], lay.comp[2], lay.edge[0]
 
-	for name, patch := range map[string]struct {
+	type patch struct {
 		at int
 		to []byte
-	}{
+	}
+	rejected := func(name string, patches ...patch) {
+		t.Helper()
+		bad := bytes.Clone(raw)
+		for _, p := range patches {
+			copy(bad[p.at:], p.to)
+		}
+		if _, err := entity.Load(bytes.NewReader(bad)); !errors.Is(err, entity.ErrCorrupt) {
+			t.Errorf("%s: Load returned %v, want ErrCorrupt", name, err)
+		}
+	}
+	for name, p := range map[string]patch{
 		"reference id beyond the entity count": {n0.ref, u32(5)},
 		"references out of order":              {s34.ref + 4, u32(2)},
 		"entity without references":            {n0.nRefs, u32(0)},
@@ -185,12 +196,16 @@ func TestLoadRejects(t *testing.T) {
 		"more components than entities":        {lay.comps, u32(6)},
 		"more labels than the format allows":   {lay.labels, u32(1 << 20)},
 	} {
-		bad := bytes.Clone(raw)
-		copy(bad[patch.at:], patch.to)
-		if _, err := entity.Load(bytes.NewReader(bad)); !errors.Is(err, entity.ErrCorrupt) {
-			t.Errorf("%s: Load returned %v, want ErrCorrupt", name, err)
-		}
+		rejected(name, p)
 	}
+	// Query stages decide reference overlap by a zero Prn alone. s34 = {r2, r3}
+	// moved onto {r0, r3} shares r0 with s1, which another component holds;
+	// and the configuration {s34} widened to {s3, s34} — with the existence
+	// probabilities its marginals then give — lets two holders of r2 coexist.
+	rejected("shared reference across components", patch{s34.ref, u32(0)})
+	p3, p34 := 0.0+0.19999999999999996+0.8, 0.8
+	rejected("shared reference inside a configuration",
+		patch{c2.config + 16, []byte{5}}, patch{s3.exist, f64(p3)}, patch{s34.exist, f64(p34)})
 	if _, err := entity.Load(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("unpatched snapshot: %v", err)
 	}
@@ -233,8 +248,14 @@ func FuzzLoadGraph(f *testing.F) {
 				p *= g.PrEdge(nb, 0, 0) * g.PrLabel(nb.To, 0)
 				p *= g.Prn([]entity.ID{v, nb.To})
 			}
-			if math.IsNaN(p) || !slices.Contains(g.ComponentOf(v).Members, v) || g.MaxRef() < g.Refs(v)[0] {
+			if math.IsNaN(p) || !slices.Contains(g.ComponentOf(v).Members, v) {
 				t.Fatalf("entity %d: probability %v, component %v, references %v", v, p, g.ComponentOf(v).Members, g.Refs(v))
+			}
+			// Prn is the query stages' only reference-overlap test.
+			for u := entity.ID(0); u < v; u++ {
+				if g.RefsOverlap(u, v) && (g.Comp(u) != g.Comp(v) || g.Prn([]entity.ID{u, v}) != 0) {
+					t.Fatalf("entities %d and %d share a reference: components %d and %d, Prn %v", u, v, g.Comp(u), g.Comp(v), g.Prn([]entity.ID{u, v}))
+				}
 			}
 		}
 	})

@@ -10,17 +10,16 @@ import (
 	"repro/internal/kpartite"
 	"repro/internal/prob"
 	"repro/internal/query"
-	"repro/internal/refgraph"
 )
 
 // The enumeration is split into an immutable per-run plan shared by every
 // worker and a per-worker scratch holding all mutable state, so extending a
 // partial match allocates nothing: assignments live in a flat per-query-node
-// array, reference disjointness and the identity components in use in
-// bitsets with undo stacks, and the running probability prefixes in per-step
-// arrays. Which query nodes a step newly assigns, which it merely re-checks,
-// and which query edges it newly covers depend only on the join order — never
-// on the candidates — so they are precomputed once into the plan.
+// array, the identity components in use in a bitset with an undo stack, and
+// the running probability prefixes in per-step arrays. Which query nodes a
+// step newly assigns, which it merely re-checks, and which query edges it
+// newly covers depend only on the join order — never on the candidates — so
+// they are precomputed once into the plan.
 
 // joined names an earlier ordered path that shares a join predicate with the
 // partition being extended, together with its position in the order.
@@ -72,7 +71,6 @@ type plan struct {
 	covers    bool       // every query node is assigned by some step
 	numQ      int
 	numE      int
-	refWords  int // words in the reference bitset
 	compWords int // words in the identity-component bitset
 }
 
@@ -125,7 +123,6 @@ func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *
 		}
 	}
 	p.covers = !slices.Contains(covered, false)
-	p.refWords = int(g.MaxRef())/64 + 1
 	p.compWords = (g.NumComponents() + 63) / 64
 	return p
 }
@@ -140,23 +137,21 @@ type scratch struct {
 	sink   func(worker int, m Match) bool
 	stop   *atomic.Bool // shared by the run's workers
 
-	asn      []entity.ID // per query node; -1 = unassigned
-	nodeF    []float64   // label factor of asn[n], recorded when n is assigned
-	existF   []float64   // Exist of asn[n], recorded when n is assigned
-	edgeF    []float64   // factor of query edge i, recorded when it is covered
-	verts    []int32     // chosen vertex per ordered step
-	prleAt   []float64   // prleAt[s] = label/edge prefix product before step s
-	prnAt    []float64   // prnAt[s] = Prn(nodes) before step s
-	nodes    []entity.ID // assigned entities, assignment order (for Prn)
-	refWords []uint64    // reference-disjointness bitset
-	refUndo  []refgraph.RefID
-	refMark  []int32 // refUndo length before each step
+	asn    []entity.ID // per query node; -1 = unassigned
+	nodeF  []float64   // label factor of asn[n], recorded when n is assigned
+	existF []float64   // Exist of asn[n], recorded when n is assigned
+	edgeF  []float64   // factor of query edge i, recorded when it is covered
+	verts  []int32     // chosen vertex per ordered step
+	prleAt []float64   // prleAt[s] = label/edge prefix product before step s
+	prnAt  []float64   // prnAt[s] = Prn(nodes) before step s
+	nodes  []entity.ID // assigned entities, assignment order (for Prn)
 
-	// The identity components of the assigned entities, with refWords' undo
-	// discipline. sharedAt[s] counts the entities assigned before step s
-	// whose component an earlier one had already marked: while it is 0 every
-	// component holds one assigned entity and Prn is the product of their
-	// Exist, which prnAt carries forward one factor per assignment.
+	// The identity components of the assigned entities, set by apply and
+	// cleared through compUndo. sharedAt[s] counts the entities assigned
+	// before step s whose component an earlier one had already marked: while
+	// it is 0 every component holds one assigned entity — no two are the same
+	// or share a reference — and Prn is the product of their Exist, which
+	// prnAt carries forward one factor per assignment.
 	compWords []uint64
 	compUndo  []int32
 	compMark  []int32 // compUndo length before each step
@@ -169,21 +164,19 @@ type scratch struct {
 
 func newScratch(p *plan, ctx context.Context, worker int, sink func(int, Match) bool, stop *atomic.Bool) *scratch {
 	s := &scratch{
-		p:        p,
-		ctx:      ctx,
-		worker:   worker,
-		sink:     sink,
-		stop:     stop,
-		asn:      make([]entity.ID, p.numQ),
-		nodeF:    make([]float64, p.numQ),
-		existF:   make([]float64, p.numQ),
-		edgeF:    make([]float64, p.numE),
-		verts:    make([]int32, len(p.order)),
-		prleAt:   make([]float64, len(p.order)+1),
-		prnAt:    make([]float64, len(p.order)+1),
-		nodes:    make([]entity.ID, 0, p.numQ),
-		refWords: make([]uint64, p.refWords),
-		refMark:  make([]int32, len(p.order)),
+		p:      p,
+		ctx:    ctx,
+		worker: worker,
+		sink:   sink,
+		stop:   stop,
+		asn:    make([]entity.ID, p.numQ),
+		nodeF:  make([]float64, p.numQ),
+		existF: make([]float64, p.numQ),
+		edgeF:  make([]float64, p.numE),
+		verts:  make([]int32, len(p.order)),
+		prleAt: make([]float64, len(p.order)+1),
+		prnAt:  make([]float64, len(p.order)+1),
+		nodes:  make([]entity.ID, 0, p.numQ),
 
 		compWords: make([]uint64, p.compWords),
 		compUndo:  make([]int32, 0, p.numQ),
@@ -247,17 +240,19 @@ func (s *scratch) tryCandidate(step, b, ci int) error {
 }
 
 // apply installs candidate ci of partition b into the scratch: consistency
-// checks on already-assigned query nodes, reference-disjointness and
-// component bits for newly assigned ones, and the incremental label/edge and
-// identity prefixes with the partial-probability α prune (Section 5.2.5). The
+// checks on already-assigned query nodes, injectivity and component bits for
+// newly assigned ones, and the incremental label/edge and identity prefixes
+// with the partial-probability α prune (Section 5.2.5). The
 // factors are the ones the k-partite build looked up for the row (an absent
 // GU edge reads 0 and fails the step); each is also recorded under its query
 // node or query edge for emit. The identity prefix is multiplied by Exist(v)
 // per newly assigned node: Graph.Prn over entities in distinct components
 // multiplies 1.0 by exactly those factors in that order, so while no two
 // assigned entities share a component the prefix is Prn(s.nodes) bit for bit
-// and Prn is called only otherwise. On failure every partial effect is rolled
-// back and false is returned.
+// and Prn is called only otherwise — which is also the only case in which two
+// of them can share a reference, and Prn is then 0: a zero marginal fails the
+// step whatever α. On failure every partial effect is rolled back and false
+// is returned.
 func (s *scratch) apply(step, b, ci int) bool {
 	p := s.p
 	sp := &p.steps[step]
@@ -269,22 +264,17 @@ func (s *scratch) apply(step, b, ci int) bool {
 		}
 	}
 	nAsn := 0
-	refMark, compMark := len(s.refUndo), len(s.compUndo)
+	compMark := len(s.compUndo)
 	pr, prn, shared := s.prleAt[step], s.prnAt[step], s.sharedAt[step]
 	ok := true
 assign:
 	for _, a := range sp.assign {
 		v := row[a.pos]
-		for _, r := range p.g.Refs(v) {
-			w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
-			if s.refWords[w]&bit != 0 {
-				ok = false
+		if c := p.g.Comp(v); s.compWords[uint(c)>>6]&(1<<(uint(c)&63)) != 0 {
+			if slices.Contains(s.nodes, v) {
+				ok = false // two query nodes on one entity
 				break assign
 			}
-			s.refWords[w] |= bit
-			s.refUndo = append(s.refUndo, r)
-		}
-		if c := p.g.Comp(v); s.compWords[uint(c)>>6]&(1<<(uint(c)&63)) != 0 {
 			shared++
 		} else {
 			s.compWords[uint(c)>>6] |= 1 << (uint(c) & 63)
@@ -320,31 +310,27 @@ assign:
 		if shared > 0 {
 			prn = p.g.Prn(s.nodes)
 		}
-		if pr*prn+1e-12 < p.alpha {
+		if prn == 0 || pr*prn+1e-12 < p.alpha {
 			ok = false
 		}
 	}
 	if !ok {
-		s.unwind(sp, nAsn, refMark, compMark)
+		s.unwind(sp, nAsn, compMark)
 		return false
 	}
-	s.refMark[step], s.compMark[step] = int32(refMark), int32(compMark)
+	s.compMark[step] = int32(compMark)
 	s.prleAt[step+1], s.prnAt[step+1], s.sharedAt[step+1] = pr, prn, shared
 	s.verts[step] = int32(ci)
 	return true
 }
 
-// unwind rolls back the first nAsn assignments of a step and the reference
-// and component bits set since refMark and compMark.
-func (s *scratch) unwind(sp *stepPlan, nAsn, refMark, compMark int) {
+// unwind rolls back the first nAsn assignments of a step and the component
+// bits set since compMark.
+func (s *scratch) unwind(sp *stepPlan, nAsn, compMark int) {
 	for _, a := range sp.assign[:nAsn] {
 		s.asn[a.qn] = -1
 	}
 	s.nodes = s.nodes[:len(s.nodes)-nAsn]
-	for _, r := range s.refUndo[refMark:] {
-		s.refWords[uint(r)>>6] &^= 1 << (uint(r) & 63)
-	}
-	s.refUndo = s.refUndo[:refMark]
 	for _, c := range s.compUndo[compMark:] {
 		s.compWords[uint(c)>>6] &^= 1 << (uint(c) & 63)
 	}
@@ -354,7 +340,7 @@ func (s *scratch) unwind(sp *stepPlan, nAsn, refMark, compMark int) {
 // undo reverses a successful apply of the given step.
 func (s *scratch) undo(step int) {
 	sp := &s.p.steps[step]
-	s.unwind(sp, len(sp.assign), int(s.refMark[step]), int(s.compMark[step]))
+	s.unwind(sp, len(sp.assign), int(s.compMark[step]))
 }
 
 // descend enumerates the candidates of the given step against the current
@@ -448,7 +434,7 @@ func (s *scratch) emit() {
 	} else {
 		prn = p.g.Prn(s.asn)
 	}
-	if prle*prn+1e-12 < p.alpha {
+	if prn == 0 || prle*prn+1e-12 < p.alpha {
 		return
 	}
 	if !s.sink(s.worker, Match{Mapping: s.asn, Prle: prle, Prn: prn}) {

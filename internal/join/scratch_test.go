@@ -42,18 +42,13 @@ func linkNeighbours(t *testing.T, rng *rand.Rand, d *refgraph.PGD) entity.Delta 
 // bit apply set and every undo entry it pushed has been taken back.
 func assertClean(t *testing.T, s *scratch, when string) {
 	t.Helper()
-	for _, w := range s.refWords {
-		if w != 0 {
-			t.Fatalf("%s: reference bitset not empty", when)
-		}
-	}
 	for _, w := range s.compWords {
 		if w != 0 {
 			t.Fatalf("%s: component bitset not empty", when)
 		}
 	}
-	if len(s.refUndo) != 0 || len(s.compUndo) != 0 || len(s.nodes) != 0 {
-		t.Fatalf("%s: %d reference undos, %d component undos, %d nodes left", when, len(s.refUndo), len(s.compUndo), len(s.nodes))
+	if len(s.compUndo) != 0 || len(s.nodes) != 0 {
+		t.Fatalf("%s: %d component undos, %d nodes left", when, len(s.compUndo), len(s.nodes))
 	}
 	for qn, v := range s.asn {
 		if v != -1 {

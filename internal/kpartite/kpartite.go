@@ -30,7 +30,6 @@ import (
 	"repro/internal/entity"
 	"repro/internal/prob"
 	"repro/internal/query"
-	"repro/internal/refgraph"
 )
 
 // Graph is the candidate k-partite graph.
@@ -107,8 +106,6 @@ type Stats struct {
 	SSAfterUpperbound float64
 	// Rounds counts the interleaved reduction iterations.
 	Rounds int
-	// LinksBuilt counts the join-candidate links constructed.
-	LinksBuilt int
 }
 
 // Build constructs the k-partite graph: join-candidate links are found with
@@ -275,18 +272,23 @@ func edgeKey(a, b query.NodeID) [2]query.NodeID {
 }
 
 // buildEval is one worker's reusable scratch for link construction: the
-// reference bitset with its undo list and the union entity list of the
-// joinability test, the shape of the pair being linked (which positions of
-// which side supply the union's nodes and edges), and the bucket keys and
-// lookup table of linkPair, sized for the largest partition — so linking a
-// pair allocates its two CSR outputs and nothing else.
+// union entity list of the joinability test with each entity's identity
+// component, what probe computed for the row of pa in hand, the shape of the
+// pair being linked (which positions of which side supply the union's nodes
+// and edges), and the bucket keys and lookup table of linkPair, sized for
+// the largest partition — so linking a pair allocates its two CSR outputs
+// and nothing else.
 type buildEval struct {
 	g     *entity.Graph
 	alpha float64
 
-	refWords []uint64
-	refUndo  []refgraph.RefID
 	nodesBuf []entity.ID
+	compBuf  []int32 // compBuf[x] = Comp(nodesBuf[x])
+
+	// Row i of pa as probe left it: its label factor product, its Prn, and
+	// whether two of its entities share an identity component.
+	prleA, prnA float64
+	sharedA     bool
 
 	// Per-pair shape, rebuilt by setPair. The union of the two paths is all
 	// of pa's nodes then pb's at newB, and pa's edges at edgesA then pb's at
@@ -307,12 +309,11 @@ type buildEval struct {
 // over n rows has fewer than 2n buckets (at least one).
 func newBuildEval(g *entity.Graph, alpha float64, maxN int) *buildEval {
 	return &buildEval{
-		g:        g,
-		alpha:    alpha,
-		refWords: make([]uint64, int(g.MaxRef())/64+1),
-		keysA:    make([]int32, maxN),
-		keysB:    make([]int32, maxN),
-		table:    linkSet{offs: make([]int32, 2*maxN+2), pool: make([]int32, maxN)},
+		g:     g,
+		alpha: alpha,
+		keysA: make([]int32, maxN),
+		keysB: make([]int32, maxN),
+		table: linkSet{offs: make([]int32, 2*maxN+2), pool: make([]int32, maxN)},
 	}
 }
 
@@ -351,92 +352,91 @@ func (be *buildEval) setPair(pa, pb *partition) {
 	be.edgesB = addEdges(nb, be.edgesB)
 }
 
-// mark sets v's reference bits, reporting false on one already set: v shares
-// a reference with an entity marked before it (or is that entity).
-func (be *buildEval) mark(v entity.ID) bool {
-	for _, r := range be.g.Refs(v) {
-		w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
-		if be.refWords[w]&bit != 0 {
-			return false
+// extend appends v to the union entity list and folds it into the list's Prn
+// the way Graph.Prn would: times Exist(v) while every identity component is
+// new; once one is not, *shared is set and Prn has to be evaluated over the
+// list — where it is 0 if v shares a reference with an entity on it, which
+// shares its component. It reports false when v is already on the list.
+func (be *buildEval) extend(v entity.ID, prn *float64, shared *bool) bool {
+	c := be.g.Comp(v)
+	for x, cu := range be.compBuf {
+		if cu == c {
+			if be.nodesBuf[x] == v {
+				return false
+			}
+			*shared = true
 		}
-		be.refWords[w] |= bit
-		be.refUndo = append(be.refUndo, r)
 	}
+	be.nodesBuf, be.compBuf = append(be.nodesBuf, v), append(be.compBuf, c)
+	*prn *= be.g.Exist(v)
 	return true
 }
 
-// unmark clears every reference bit set since refUndo was n long.
-func (be *buildEval) unmark(n int) {
-	for _, r := range be.refUndo[n:] {
-		be.refWords[uint(r)>>6] &^= 1 << (uint(r) & 63)
-	}
-	be.refUndo = be.refUndo[:n]
-}
-
-// probe marks the references of row i of pa, once for every row of pb it is
-// then tried against with joinable; the marks stay until unmark(0). It
-// reports false when two of the row's own entities share a reference: such a
-// row is joinable with nothing.
+// probe loads row i of pa, once for every row of pb it is then tried against
+// with joinable, and computes what it contributes to each of those tests: its
+// label factor product and its Prn. It reports false when that Prn is 0 or an
+// entity occurs twice: such a row is joinable with nothing.
 func (be *buildEval) probe(i int) bool {
 	pa := be.pa
-	be.nodesBuf = append(be.nodesBuf[:0], pa.nodes[i*pa.plen:(i+1)*pa.plen]...)
-	for _, v := range be.nodesBuf {
-		if !be.mark(v) {
+	be.nodesBuf, be.compBuf = be.nodesBuf[:0], be.compBuf[:0]
+	be.prleA, be.prnA, be.sharedA = 1, 1, false
+	for pos, v := range pa.nodes[i*pa.plen : (i+1)*pa.plen] {
+		if !be.extend(v, &be.prnA, &be.sharedA) {
 			return false
 		}
+		be.prleA *= pa.lab[i*pa.plen+pos]
 	}
-	return true
+	if be.sharedA {
+		be.prnA = be.g.Prn(be.nodesBuf)
+	}
+	return be.prnA != 0
 }
 
 // joinable applies the filters of cn(P1, Pu1, P2) to row i of pa, which
-// probe has marked, and row j of pb (setPair must have been called for the
-// pair): the join predicates, refs(V_Pu1) ∩ refs(V_Pu2) = ∅ (shared join
-// nodes excepted), and Pr(Pu1 ∘ Pu2) ≥ α. The probability is the product of
-// the rows' cached factors in a fixed order — pa's label factors, pb's new
-// ones, pa's edge factors, pb's new ones — times one Prn over the union,
-// which is the order and therefore the float bits of evaluating the union
-// assignment by look-up.
+// probe has loaded, and row j of pb (setPair must have been called for the
+// pair): the join predicates, injectivity, refs(V_Pu1) ∩ refs(V_Pu2) = ∅
+// (shared join nodes excepted) and Pr(Pu1 ∘ Pu2) ≥ α. Identity is one test:
+// the union's Prn, carried forward from probe's, is 0 exactly when two of its
+// entities share a reference, and a zero marginal is rejected whatever α. The
+// probability is the product of the rows' cached factors in a fixed order —
+// pa's label factors, pb's new ones, pa's edge factors, pb's new ones — times
+// that Prn, which is the order and therefore the float bits of evaluating
+// the union assignment by look-up.
 func (be *buildEval) joinable(i, j int) bool {
 	pa, pb := be.pa, be.pb
-	rowA := be.nodesBuf[:pa.plen]
 	rowB := pb.nodes[j*pb.plen : (j+1)*pb.plen]
 	for _, s := range be.shared {
-		if rowA[s[0]] != rowB[s[1]] {
+		if be.nodesBuf[s[0]] != rowB[s[1]] {
 			return false // another key sharing the bucket
 		}
 	}
-	// Reference disjointness over the union assignment; also rejects two
-	// query nodes mapped to the same entity (an entity shares references
-	// with itself), enforcing injectivity. Row i's marks stand; only pb's
-	// new nodes are marked, and unmarked again, per j.
-	union, marked, ok := rowA, len(be.refUndo), true
+	// Back to row i alone: the previous j's new nodes go.
+	be.nodesBuf, be.compBuf = be.nodesBuf[:pa.plen], be.compBuf[:pa.plen]
+	prn, shared := be.prnA, be.sharedA
 	for _, pos := range be.newB {
-		union = append(union, rowB[pos])
-		if ok = be.mark(rowB[pos]); !ok {
-			break
+		if !be.extend(rowB[pos], &prn, &shared) {
+			return false
 		}
 	}
-	be.nodesBuf = union
-	if ok {
-		prle := 1.0
-		for _, f := range pa.lab[i*pa.plen : (i+1)*pa.plen] {
-			prle *= f
-		}
-		labB := pb.lab[j*pb.plen:]
-		for _, pos := range be.newB {
-			prle *= labB[pos]
-		}
-		edgeA, edgeB := pa.edge[i*pa.elen:], pb.edge[j*pb.elen:]
-		for _, pos := range be.edgesA {
-			prle *= edgeA[pos]
-		}
-		for _, pos := range be.edgesB {
-			prle *= edgeB[pos]
-		}
-		ok = prle*be.g.Prn(union)+1e-12 >= be.alpha
+	if shared {
+		prn = be.g.Prn(be.nodesBuf)
 	}
-	be.unmark(marked)
-	return ok
+	if prn == 0 {
+		return false
+	}
+	prle := be.prleA
+	labB := pb.lab[j*pb.plen:]
+	for _, pos := range be.newB {
+		prle *= labB[pos]
+	}
+	edgeA, edgeB := pa.edge[i*pa.elen:], pb.edge[j*pb.elen:]
+	for _, pos := range be.edgesA {
+		prle *= edgeA[pos]
+	}
+	for _, pos := range be.edgesB {
+		prle *= edgeB[pos]
+	}
+	return prle*prn+1e-12 >= be.alpha
 }
 
 // linkPair builds the links between partitions a and b via a lookup table
@@ -482,7 +482,6 @@ func (kg *Graph) linkPair(be *buildEval, a, b int) {
 				}
 			}
 		}
-		be.unmark(0)
 		ab.offs[i+1] = int32(len(ab.pool))
 	}
 	kg.links[a][b], kg.links[b][a] = ab, transpose(ab, pb.n)
@@ -685,14 +684,6 @@ func (kg *Graph) Reduce(ctx context.Context, workers int) (Stats, error) {
 		}
 	}
 	st.SSAfterUpperbound = kg.SearchSpace()
-	for p := range kg.parts {
-		for j := range kg.links[p] {
-			if kg.links[p][j].offs != nil {
-				st.LinksBuilt += len(kg.links[p][j].pool)
-			}
-		}
-	}
-	st.LinksBuilt /= 2
 	return st, nil
 }
 

@@ -81,7 +81,8 @@ func graphsIdentical(t *testing.T, label string, want, got *Graph) {
 // probability looked up from the entity graph at the point of use, the union
 // assignment in a per-query-node array, a string-keyed map over b's
 // join-position tuples, the surviving (i, j) pairs collected in a slice and
-// sorted once per CSR direction.
+// sorted once per CSR direction. Identity is tested independently too: a
+// reference bitset decides overlap, where the build reads it off Prn.
 type lookupRef struct {
 	kg       *Graph
 	asn      []entity.ID // per query node; -1 = unassigned
@@ -89,10 +90,16 @@ type lookupRef struct {
 }
 
 func newLookupRef(kg *Graph) *lookupRef {
+	maxRef := 0
+	for v := 0; v < kg.g.NumNodes(); v++ {
+		for _, r := range kg.g.Refs(entity.ID(v)) {
+			maxRef = max(maxRef, int(r))
+		}
+	}
 	ref := &lookupRef{
 		kg:       kg,
 		asn:      make([]entity.ID, kg.q.NumNodes()),
-		refWords: make([]uint64, int(kg.g.MaxRef())/64+1),
+		refWords: make([]uint64, maxRef/64+1),
 	}
 	for i := range ref.asn {
 		ref.asn[i] = -1
@@ -256,11 +263,13 @@ func (ref *lookupRef) weights(p, i int) (w1 float64, lab, edge []float64) {
 
 // matchesLookup holds the sequential build to the reference: every link set
 // and every float column, bit for bit. It returns the number of links
-// compared.
-func matchesLookup(t *testing.T, label string, kg *Graph) int {
+// compared, split by how joinable had to come by the union's Prn: shared
+// counts the links whose two rows put two entities into one identity
+// component (Prn evaluated over the union), fresh the others (one Exist per
+// node carried forward).
+func matchesLookup(t *testing.T, label string, kg *Graph) (shared, fresh int) {
 	t.Helper()
 	ref := newLookupRef(kg)
-	links := 0
 	for pair := range kg.dec.Joins {
 		a, b := pair[0], pair[1]
 		ab, ba := ref.links(a, b)
@@ -268,7 +277,23 @@ func matchesLookup(t *testing.T, label string, kg *Graph) int {
 			!slices.Equal(ba.offs, kg.links[b][a].offs) || !slices.Equal(ba.pool, kg.links[b][a].pool) {
 			t.Fatalf("%s: links of pair (%d,%d) differ from the look-up, map-and-sort construction", label, a, b)
 		}
-		links += len(ab.pool)
+		for i := 0; i < kg.parts[a].n; i++ {
+			for _, j := range ab.row(i) {
+				comps := map[int32]entity.ID{}
+				twice := false
+				for _, v := range append(slices.Clone(kg.Row(a, i)), kg.Row(b, int(j))...) {
+					if u, seen := comps[kg.g.Comp(v)]; seen && u != v {
+						twice = true
+					}
+					comps[kg.g.Comp(v)] = v
+				}
+				if twice {
+					shared++
+				} else {
+					fresh++
+				}
+			}
+		}
 	}
 	sameBits := func(want, got []float64) bool {
 		return slices.EqualFunc(want, got, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
@@ -285,74 +310,103 @@ func matchesLookup(t *testing.T, label string, kg *Graph) int {
 			}
 		}
 	}
-	return links
+	return shared, fresh
 }
 
 // TestBuildParallelEquivalence: the k-partite arenas built at workers 2, 4,
 // and 8 are byte-identical to the single-threaded build, across both
 // decomposition strategies and α on both sides of β on seeded synthetic
 // graphs — and the single-threaded build's link sets, w1 and factor columns
-// are byte-identical to lookupRef's.
+// are byte-identical to lookupRef's. The dense arm links enough references
+// that joinable's two ways to the union's Prn are both taken, and both must
+// have produced links.
 func TestBuildParallelEquivalence(t *testing.T) {
-	links := 0
-	defer func() {
-		if links == 0 {
-			t.Error("no query produced a link; the comparison was vacuous")
-		}
-	}()
-	for _, seed := range []int64{1, 2, 3} {
-		d, err := gen.Synthetic(gen.SynthOptions{
-			Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
-			Groups: 2, GroupSize: 3, PairsPerGroup: 2, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := entity.Build(d, entity.BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := pathindex.Build(context.Background(), g, pathindex.Options{
-			MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: filepath.Join(t.TempDir(), "ix"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ix.Close() })
+	for _, arm := range []struct {
+		name  string
+		opt   gen.SynthOptions
+		dense bool
+	}{
+		{"default-linkage", gen.SynthOptions{Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4, Groups: 2, GroupSize: 3, PairsPerGroup: 2}, false},
+		{"dense-linkage", gen.SynthOptions{Refs: 60, EdgeFactor: 4, Labels: 2, UncertainFrac: 0.5, Groups: 12, GroupSize: 4, PairsPerGroup: 3}, true},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			shared, fresh := 0, 0
+			for _, seed := range []int64{1, 2, 3} {
+				arm.opt.Seed = seed
+				d, err := gen.Synthetic(arm.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := entity.Build(d, entity.BuildOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if linked := linkedShare(g); arm.dense && linked < 0.15 {
+					t.Fatalf("seed %d: %.0f%% of entities sit in multi-member components, want ≥ 15%%", seed, 100*linked)
+				}
+				ix, err := pathindex.Build(context.Background(), g, pathindex.Options{
+					MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: filepath.Join(t.TempDir(), "ix"),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ix.Close() })
 
-		rng := rand.New(rand.NewSource(seed * 977))
-		for qi := 0; qi < 3; qi++ {
-			q, err := gen.RandomQuery(rng, g.NumLabels(), 2+rng.Intn(2), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []decompose.Mode{decompose.ModeOptimized, decompose.ModeRandom} {
-				for _, alpha := range []float64{0.02, 0.1} { // β = 0.05 lies between
-					dec, err := decompose.Decompose(q, ix, decompose.Options{
-						MaxLen: 2, Alpha: alpha, Mode: mode, Seed: seed,
-					})
+				rng := rand.New(rand.NewSource(seed * 977))
+				for qi := 0; qi < 3; qi++ {
+					q, err := gen.RandomQuery(rng, g.NumLabels(), 2+rng.Intn(2), 3)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sets, _, err := candidates.Find(context.Background(), ix, q, dec, alpha, 1, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					seq, err := Build(context.Background(), g, q, dec, sets, alpha, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("seed %d q%d mode %d α=%v", seed, qi, mode, alpha)
-					links += matchesLookup(t, label, seq)
-					for _, workers := range []int{2, 4, 8} {
-						got, err := Build(context.Background(), g, q, dec, sets, alpha, workers)
-						if err != nil {
-							t.Fatalf("workers=%d: %v", workers, err)
+					for _, mode := range []decompose.Mode{decompose.ModeOptimized, decompose.ModeRandom} {
+						for _, alpha := range []float64{0.02, 0.1} { // β = 0.05 lies between
+							dec, err := decompose.Decompose(q, ix, decompose.Options{
+								MaxLen: 2, Alpha: alpha, Mode: mode, Seed: seed,
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							sets, _, err := candidates.Find(context.Background(), ix, q, dec, alpha, 1, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							seq, err := Build(context.Background(), g, q, dec, sets, alpha, 1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							label := fmt.Sprintf("seed %d q%d mode %d α=%v", seed, qi, mode, alpha)
+							sh, fr := matchesLookup(t, label, seq)
+							shared, fresh = shared+sh, fresh+fr
+							for _, workers := range []int{2, 4, 8} {
+								got, err := Build(context.Background(), g, q, dec, sets, alpha, workers)
+								if err != nil {
+									t.Fatalf("workers=%d: %v", workers, err)
+								}
+								graphsIdentical(t, fmt.Sprintf("%s w=%d", label, workers), seq, got)
+							}
 						}
-						graphsIdentical(t, fmt.Sprintf("%s w=%d", label, workers), seq, got)
 					}
 				}
 			}
+			t.Logf("%d links over a shared component, %d over new components only", shared, fresh)
+			if shared+fresh == 0 {
+				t.Error("no query produced a link; the comparison was vacuous")
+			}
+			if arm.dense && (shared == 0 || fresh == 0) {
+				t.Errorf("%d links over a shared component and %d over new components only: one way to the union's Prn was never taken", shared, fresh)
+			}
+		})
+	}
+}
+
+// linkedShare is the share of g's entities whose identity component has
+// other members.
+func linkedShare(g *entity.Graph) float64 {
+	linked := 0
+	for v := 0; v < g.NumNodes(); v++ {
+		if len(g.ComponentOf(entity.ID(v)).Members) > 1 {
+			linked++
 		}
 	}
+	return float64(linked) / float64(g.NumNodes())
 }

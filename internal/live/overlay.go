@@ -377,8 +377,7 @@ func (w *walk) left(prle, prn float64, leftBudget int) {
 	head, headLabel := w.nodes[0], w.labels[0]
 	for _, nb := range w.g.Neighbors(head) {
 		v := nb.To
-		if w.anchorSet[v] || (w.guide != nil && !w.g.HasLabel(v, w.guide[leftBudget-1])) ||
-			w.contains(v) || w.conflicts(v, head) {
+		if w.anchorSet[v] || (w.guide != nil && !w.g.HasLabel(v, w.guide[leftBudget-1])) || w.contains(v) {
 			continue
 		}
 		prn2 := w.g.PrnExtend(w.found[:w.n], prn, v)
@@ -428,7 +427,7 @@ func (w *walk) right(prle, prn float64) {
 	tail, tailLabel := w.nodes[w.n-1], w.labels[w.n-1]
 	for _, nb := range w.g.Neighbors(tail) {
 		v := nb.To
-		if (w.guide != nil && !w.g.HasLabel(v, w.guide[w.n])) || w.contains(v) || w.conflicts(v, tail) {
+		if (w.guide != nil && !w.g.HasLabel(v, w.guide[w.n])) || w.contains(v) {
 			continue
 		}
 		prn2 := w.g.PrnExtend(w.found[:w.n], prn, v)
@@ -498,18 +497,6 @@ func (w *walk) scoreFrom(d int) (prle, prn float64) {
 func (w *walk) contains(v entity.ID) bool {
 	for i := 0; i < w.n; i++ {
 		if w.nodes[i] == v {
-			return true
-		}
-	}
-	return false
-}
-
-// conflicts reports a reference overlap between v and any path node other
-// than the attachment point (whose disjointness the GU edge already
-// guarantees).
-func (w *walk) conflicts(v, attach entity.ID) bool {
-	for i := 0; i < w.n; i++ {
-		if u := w.nodes[i]; u != attach && w.g.RefsOverlap(u, v) {
 			return true
 		}
 	}

@@ -432,26 +432,13 @@ func (ix *Index) extendOne(p *opath, out []opath) []opath {
 	g := ix.g
 	tail := p.nodes[p.n-1]
 	tailLabel := p.labels[p.n-1]
-	nodesSoFar := p.nodes[:p.n]
 	for _, nb := range g.Neighbors(tail) {
 		if p.contains(nb.To) {
 			continue
 		}
-		conflict := false
-		for _, u := range nodesSoFar {
-			if u != tail && g.RefsOverlap(u, nb.To) {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			continue
-		}
-		// Prn of the extended node set.
-		var scratch [maxNodes]entity.ID
-		ext := append(scratch[:0], nodesSoFar...)
-		ext = append(ext, nb.To)
-		prn := g.Prn(ext)
+		// Prn of the extended node set: 0 when nb.To shares a reference with
+		// a node of the path.
+		prn := g.PrnExtend(p.nodes[:p.n], p.prn, nb.To)
 		if prn == 0 {
 			continue
 		}

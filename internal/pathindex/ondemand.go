@@ -22,7 +22,7 @@ func (ix *Index) onDemand(X []prob.LabelID, alpha float64, fn ScanFunc) {
 		}
 		lp := g.PrLabel(id, X[0])
 		exist := g.Exist(id)
-		if lp*exist+1e-12 < alpha {
+		if exist == 0 || lp*exist+1e-12 < alpha {
 			continue
 		}
 		cur.n = 1
@@ -48,23 +48,13 @@ func (ix *Index) onDemandExtend(p *opath, X []prob.LabelID, alpha, prle0, prn0 f
 		if !g.HasLabel(nb.To, next) || p.contains(nb.To) {
 			continue
 		}
-		lp := g.PrLabel(nb.To, next)
-		conflict := false
-		for i := uint8(0); i < p.n; i++ {
-			u := p.nodes[i]
-			if u != tail && g.RefsOverlap(u, nb.To) {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			continue
-		}
+		// A neighbour sharing a reference with a path node shares its
+		// component, and the marginal over both is 0: rejected whatever α.
 		prn := g.PrnExtend(p.nodes[:p.n], prn0, nb.To)
 		if prn == 0 {
 			continue
 		}
-		prle := prle0 * g.PrEdge(nb, tailLabel, next) * lp
+		prle := prle0 * g.PrEdge(nb, tailLabel, next) * g.PrLabel(nb.To, next)
 		if prle*prn+1e-12 < alpha {
 			continue
 		}

@@ -186,14 +186,13 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 		ObsRows: float64(kg.NumLinks()), Workers: workers,
 	})
 
-	// Joint search space reduction (Section 5.2.4), when the plan says so.
+	// Joint search space reduction (Section 5.2.4), when the plan says so
+	// and the run has not declared that it stops early.
 	t0 = time.Now()
 	ssBefore := kg.SearchSpace()
-	before := 0
-	for p := 0; p < kg.NumPartitions(); p++ {
-		before += kg.AliveCount(p)
-	}
-	if pl.Reduce {
+	before := aliveTotal(kg)
+	skipped := pl.ReduceSkipped(opt.Order, opt.Limit)
+	if pl.Reduce && skipped == "" {
 		rst, err := kg.Reduce(ctx, workers)
 		if err != nil {
 			return nil, st, err
@@ -202,17 +201,12 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 		st.SSFinal = rst.SSAfterUpperbound
 		st.ReductionRounds = rst.Rounds
 	} else {
-		st.SSAfterStructure = kg.SearchSpace()
-		st.SSFinal = st.SSAfterStructure
-	}
-	after := 0
-	for p := 0; p < kg.NumPartitions(); p++ {
-		after += kg.AliveCount(p)
+		st.SSAfterStructure, st.SSFinal = ssBefore, ssBefore
 	}
 	st.ReduceTime = time.Since(t0)
 	st.Stages = append(st.Stages, StageStats{
 		Name: "reduce", Micros: Micros(st.ReduceTime), StartMicros: Micros(t0.Sub(start)),
-		EstRows: ssBefore, ObsRows: st.SSFinal, Pruned: int64(before - after),
+		EstRows: ssBefore, ObsRows: st.SSFinal, Pruned: int64(before - aliveTotal(kg)), Skipped: skipped,
 	})
 
 	// Adaptive join reorder: rerun the plan's order heuristic with the
@@ -227,6 +221,26 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	st.ExecOrder = order
 
 	return &joinRun{g: g, pl: pl, kg: kg, order: order, start: start, t0: time.Now()}, st, nil
+}
+
+// ReduceSkipped says why a run of pl in the given order and limit leaves out
+// the reduction the plan asks for ("" when it runs, or the plan has none):
+// "limit" for an emit-order run that stops after limit matches. The reduction
+// is priced for an exhaustive enumeration — rounds over every link, to shrink
+// a join that such a run abandons after a few rows.
+func (pl *Plan) ReduceSkipped(order ResultOrder, limit int) string {
+	if pl.Reduce && order == OrderEmit && limit > 0 {
+		return "limit"
+	}
+	return ""
+}
+
+func aliveTotal(kg *kpartite.Graph) int {
+	n := 0
+	for p := 0; p < kg.NumPartitions(); p++ {
+		n += kg.AliveCount(p)
+	}
+	return n
 }
 
 // enumerate is the final match generation (Section 5.2.5).

@@ -1,0 +1,174 @@
+package plan
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/decompose"
+	"repro/internal/entity"
+	"repro/internal/gen"
+	"repro/internal/join"
+	"repro/internal/pathindex"
+)
+
+// reduceStage returns the run's reduce row.
+func reduceStage(t *testing.T, st Stats) StageStats {
+	t.Helper()
+	for _, sg := range st.Stages {
+		if sg.Name == "reduce" {
+			return sg
+		}
+	}
+	t.Fatalf("no reduce stage in %v", st.Stages)
+	return StageStats{}
+}
+
+func matchKey(m join.Match) string {
+	return fmt.Sprint(m.Mapping, math.Float64bits(m.Prle), math.Float64bits(m.Prn))
+}
+
+// TestLimitedRunSkipsReduction: an emit-order run that declares it stops
+// after Limit matches skips the plan's reduction — the reduce row says so,
+// with zero rounds and the unreduced search space — and every match it emits
+// is one of the full answer's with the same probability bits. A run that
+// enumerates everything (Limit 0, OrderByProb with a limit) reduces as the
+// plan says; one whose plan has no reduction reports no skip.
+func TestLimitedRunSkipsReduction(t *testing.T) {
+	ctx := context.Background()
+	d, err := gen.Synthetic(gen.SynthOptions{Refs: 300, EdgeFactor: 4, Labels: 3, UncertainFrac: 0.4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := entity.Build(d, entity.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := pathindex.Build(ctx, g, pathindex.Options{MaxLen: 2, Beta: 0.3, Gamma: 0.1, Dir: filepath.Join(t.TempDir(), "ix")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	const alpha = 0.1
+	reducing := Space{Modes: []decompose.Mode{decompose.ModeOptimized}, Reduce: []bool{true}, Orders: []join.OrderMode{join.OrderHeuristic}}
+	plain := reducing
+	plain.Reduce = []bool{false}
+	ex := NewExecutor(ix, nil)
+	stream := func(pl *Plan, opt Exec) ([]join.Match, Stats) {
+		t.Helper()
+		var ms []join.Match
+		st, err := ex.Run(ctx, pl, opt, func(m join.Match) bool { ms = append(ms, m); return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms, st
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	limited := 0
+	for qi := 0; qi < 12; qi++ {
+		q, err := gen.RandomQuery(rng, g.NumLabels(), 4, 4+qi%2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := NewPlanner(ix, nil).Plan(ctx, q, Options{Alpha: alpha, Space: reducing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, fst, err := ex.Collect(ctx, pl, Exec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full) < 6 || len(pl.Dec.Paths) < 2 {
+			continue
+		}
+		label := fmt.Sprintf("query %d (%d matches)", qi, len(full))
+		if sg := reduceStage(t, fst); sg.Skipped != "" || fst.ReductionRounds == 0 {
+			t.Fatalf("%s: unlimited collect: reduce row %+v, %d rounds", label, sg, fst.ReductionRounds)
+		}
+		in := make(map[string]bool, len(full))
+		for _, m := range full {
+			in[matchKey(m)] = true
+		}
+		unreduced := reduceStage(t, fst).EstRows // the search space entering the reduction
+
+		// Emit-order limits: streamed and collected.
+		for _, limit := range []int{1, 5} {
+			ms, st := stream(pl, Exec{Limit: limit})
+			cs, cst, err := ex.Collect(ctx, pl, Exec{Limit: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, run := range map[string]struct {
+				ms []join.Match
+				st Stats
+			}{"stream": {ms, st}, "collect": {cs, cst}} {
+				at := fmt.Sprintf("%s: %s limit %d", label, name, limit)
+				if len(run.ms) != limit || !run.st.Truncated {
+					t.Fatalf("%s: %d matches, truncated %v", at, len(run.ms), run.st.Truncated)
+				}
+				for _, m := range run.ms {
+					if !in[matchKey(m)] {
+						t.Fatalf("%s: %v (%v, %v) is not in the full answer", at, m.Mapping, m.Prle, m.Prn)
+					}
+				}
+				limited++
+				sg := reduceStage(t, run.st)
+				if sg.Skipped != "limit" || run.st.ReductionRounds != 0 || sg.Pruned != 0 ||
+					sg.ObsRows != unreduced || run.st.SSFinal != unreduced {
+					t.Fatalf("%s: skipped reduce row %+v, %d rounds, SSFinal %v, unreduced search space %v",
+						at, sg, run.st.ReductionRounds, run.st.SSFinal, unreduced)
+				}
+			}
+		}
+
+		// Runs that enumerate everything reduce as the plan says.
+		for name, opt := range map[string]Exec{
+			"unlimited stream":   {},
+			"top-3 by prob":      {Order: OrderByProb, Limit: 3},
+			"stopped by yield":   {},
+			"limit above answer": {Limit: len(full) + 1},
+		} {
+			var ms []join.Match
+			st, err := ex.Run(ctx, pl, opt, func(m join.Match) bool {
+				ms = append(ms, m)
+				return name != "stopped by yield"
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sg := reduceStage(t, st)
+			if name == "limit above answer" {
+				// Declared, so unreduced — but nothing is cut: the whole
+				// answer arrives all the same.
+				if sg.Skipped != "limit" || len(ms) != len(full) || st.Truncated {
+					t.Fatalf("%s: %s: reduce row %+v, %d of %d matches, truncated %v", label, name, sg, len(ms), len(full), st.Truncated)
+				}
+			} else if sg.Skipped != "" || st.ReductionRounds != fst.ReductionRounds || st.SSFinal != fst.SSFinal {
+				t.Fatalf("%s: %s: reduce row %+v, %d rounds, SSFinal %v; the unlimited collect ran %d rounds to %v",
+					label, name, sg, st.ReductionRounds, st.SSFinal, fst.ReductionRounds, fst.SSFinal)
+			}
+			for _, m := range ms {
+				if !in[matchKey(m)] {
+					t.Fatalf("%s: %s: %v is not in the full answer", label, name, m.Mapping)
+				}
+			}
+		}
+
+		// A plan without the reduction has nothing to skip.
+		npl, err := NewPlanner(ix, nil).Plan(ctx, q, Options{Alpha: alpha, Space: plain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, st := stream(npl, Exec{Limit: 1})
+		if sg := reduceStage(t, st); sg.Skipped != "" || st.ReductionRounds != 0 || len(ms) != 1 || !in[matchKey(ms[0])] {
+			t.Fatalf("%s: no-reduction plan: reduce row %+v, %d rounds, matches %v", label, sg, st.ReductionRounds, ms)
+		}
+	}
+	if limited == 0 {
+		t.Fatal("no query had enough matches to run limited")
+	}
+}

@@ -173,6 +173,10 @@ type StageStats struct {
 	ObsRows float64 `json:"obs_rows,omitempty"`
 	// Pruned counts rows the stage discarded.
 	Pruned int64 `json:"pruned,omitempty"`
+	// Skipped, on the reduce row, says why a reduction the plan asked for
+	// did not run: "limit" for an emit-order run that stops after Limit
+	// matches (Plan.ReduceSkipped).
+	Skipped string `json:"skipped,omitempty"`
 	// Workers is the parallelism the stage actually ran with (omitted for
 	// inherently sequential stages).
 	Workers int `json:"workers,omitempty"`

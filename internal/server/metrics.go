@@ -36,6 +36,7 @@ type serverMetrics struct {
 	latency  *metrics.HistogramVec // peg_request_duration_seconds{endpoint}
 	stages   *metrics.HistogramVec // peg_stage_duration_seconds{stage}
 	planCost *metrics.Histogram    // peg_plan_cost
+	skipped  *metrics.Counter      // peg_reduce_skipped_total
 
 	indexInfo     *metrics.InfoGauge // peg_index_info{index}
 	indexFormat   *metrics.InfoGauge // peg_index_format_info{format}
@@ -58,6 +59,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		planCost: metrics.NewHistogram("peg_plan_cost",
 			"Calibrated planner cost estimate of admitted-or-rejected executions (cost-model units).",
 			metrics.ExpBuckets(1, 8, 12)),
+		skipped: metrics.NewCounter("peg_reduce_skipped_total",
+			"Executions that skipped the reduction their plan asked for: emit-order limit runs it could not pay for."),
 		indexInfo: metrics.NewInfoGauge("peg_index_info",
 			"Identity of the served index generation.", "index"),
 		indexFormat: metrics.NewInfoGauge("peg_index_format_info",
@@ -87,7 +90,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		return src.IndexMetrics()
 	}
 	m.reg.MustRegister(
-		m.requests, m.latency, m.stages, m.planCost, m.indexInfo,
+		m.requests, m.latency, m.stages, m.planCost, m.skipped, m.indexInfo,
 		m.indexFormat, m.postingDecode, m.liveApply,
 
 		metrics.NewGaugeFunc("peg_index_mapped_bytes",
@@ -233,6 +236,11 @@ func (m *serverMetrics) observeStages(st *MatchStats) {
 	m.stages.WithLabelValue("reduce").Observe(st.ReduceMicros / 1e6)
 	m.stages.WithLabelValue("join").Observe(st.JoinMicros / 1e6)
 	m.stages.WithLabelValue("total").Observe(st.TotalMicros / 1e6)
+	for i := range st.Stages {
+		if st.Stages[i].Skipped != "" {
+			m.skipped.Inc()
+		}
+	}
 }
 
 // liveCollector renders the live-database families from one Status() call

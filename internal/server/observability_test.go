@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fixtures"
+	"repro/internal/trace"
 )
 
 // checkAccounting asserts the request-accounting invariant: every request
@@ -279,6 +280,13 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 					return
 				}
 				resp.Body.Close()
+				// A first-match stream over a plan that reduces.
+				body, _ = json.Marshal(&MatchRequest{Query: motivatingQuerySrc, Alpha: 0.05, Limit: 1, Strategy: "random-decomp"})
+				if resp, err = http.Post(ts.URL+"/match/stream", "application/json", bytes.NewReader(body)); err != nil {
+					errc <- err
+					return
+				}
+				resp.Body.Close()
 				if resp, err = http.Get(ts.URL + "/metrics"); err != nil {
 					errc <- err
 					return
@@ -352,7 +360,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		"peg_plan_cache_hits_total", "peg_workers", "peg_index_info", "peg_calibration_factor",
 		"peg_live_mutation_lag", "peg_live_compactions_total", "peg_ingested_mutations_total",
 		"peg_index_format_info", "peg_index_mapped_bytes", "peg_index_probes_total",
-		"peg_index_posting_decode_micros", "peg_graph_bytes",
+		"peg_index_posting_decode_micros", "peg_graph_bytes", "peg_reduce_skipped_total",
 	} {
 		if !declared[fam] {
 			t.Errorf("/metrics missing family %s", fam)
@@ -369,6 +377,9 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	}
 	if values["peg_index_probes_total"] <= 0 {
 		t.Errorf("peg_index_probes_total = %v, want > 0 after serving matches", values["peg_index_probes_total"])
+	}
+	if values["peg_reduce_skipped_total"] <= 0 {
+		t.Errorf("peg_reduce_skipped_total = %v after 32 limit-1 streams over a reducing plan", values["peg_reduce_skipped_total"])
 	}
 	// "Why was this ingest slow?": the overlay's size and the apply clock
 	// moved with the ingests above, on /metrics and in the status /stats
@@ -391,5 +402,84 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	}
 	if values["peg_index_posting_decode_micros_count"] <= 0 {
 		t.Errorf("peg_index_posting_decode_micros_count = %v, want > 0 after serving matches", values["peg_index_posting_decode_micros_count"])
+	}
+}
+
+// TestLimitedStreamReportsSkippedReduction: when an emit-order limit makes the
+// executor skip its plan's reduction, every surface of the run says so — the
+// reduce row of the stream's stats, the stage.reduce span, the request's
+// root span and /metrics — and /explain says it of the same request, and not
+// of one that enumerates everything.
+func TestLimitedStreamReportsSkippedReduction(t *testing.T) {
+	s, ts := testServer(t, Options{
+		Workers: 2,
+		Tracer:  trace.New(trace.Config{Service: "pegserve-test", Sample: 1}),
+	})
+	const tid = "00112233445566778899aabbccddeeff"
+	limited := MatchRequest{Query: motivatingQueryDSL, Alpha: 0.05, Limit: 1, Strategy: "random-decomp"}
+	body, _ := json.Marshal(&limited)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/match/stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(trace.Header, "00-"+tid+"-0011223344556677-01")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var done *StreamDone
+	for dec := json.NewDecoder(resp.Body); ; {
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err != nil {
+			break
+		}
+		if ev.Done != nil {
+			done = ev.Done
+		}
+	}
+	if done == nil || done.NumMatches != 1 || done.Stats == nil {
+		t.Fatalf("stream ended with %+v, want one match and its stats", done)
+	}
+	for _, sg := range done.Stats.Stages {
+		if want := map[string]string{"reduce": "limit"}[sg.Name]; sg.Skipped != want {
+			t.Errorf("stage %s of the stream's stats: skipped %q, want %q", sg.Name, sg.Skipped, want)
+		}
+	}
+	if got := s.met.skipped.Value(); got != 1 {
+		t.Errorf("peg_reduce_skipped_total = %d, want 1", got)
+	}
+
+	_, raw := getRaw(t, ts.URL+"/debug/trace/"+tid)
+	var tr TraceResponse
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]string{}
+	for _, sp := range tr.Spans {
+		seen[sp.Name] = sp.Attrs["skipped"] + sp.Attrs["reduce_skipped"]
+	}
+	if seen["serve.stream"] != "limit" || seen["stage.reduce"] != "limit" || seen["stage.join"] != "" {
+		t.Errorf("span attributes %v: want the skip on serve.stream and stage.reduce only", seen)
+	}
+
+	byProb, unlimited := limited, limited
+	byProb.Order, unlimited.Limit = "prob", 0
+	for _, c := range []struct {
+		req  MatchRequest
+		want string
+	}{{limited, "limit"}, {byProb, ""}, {unlimited, ""}} {
+		var ex ExplainResponse
+		_, raw := postJSON(t, ts.URL+"/explain", &c.req)
+		if err := json.Unmarshal(raw, &ex); err != nil {
+			t.Fatal(err)
+		}
+		if ex.ReduceSkipped != c.want || !ex.Plan.Reduce {
+			t.Errorf("/explain order %q limit %d: reduce_skipped %q on a plan with reduce=%v, want %q on a reducing plan",
+				c.req.Order, c.req.Limit, ex.ReduceSkipped, ex.Plan.Reduce, c.want)
+		}
+	}
+	if got := s.met.skipped.Value(); got != 1 {
+		t.Errorf("peg_reduce_skipped_total = %d after explaining, want 1: /explain runs nothing", got)
 	}
 }
