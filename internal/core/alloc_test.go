@@ -11,6 +11,7 @@ import (
 	"repro/internal/entity"
 	"repro/internal/gen"
 	"repro/internal/join"
+	"repro/internal/kpartite"
 	"repro/internal/query"
 )
 
@@ -25,12 +26,14 @@ import (
 // stay under a ceiling 2 % above what the plan allocates today, so a
 // reintroduced per-record or per-pair allocation fails here, not in the
 // benchmark. Two plans: the 4-cycle, where the candidate arenas and factor
-// columns dominate (0.63 MB; the materializing pipeline with its map-and-sort
+// columns dominate (0.57 MB; the materializing pipeline with its map-and-sort
 // link table took 2.70 MB), and a denser 6-node, 7-edge query (7 paths,
-// 13 000 links) whose many partition pairs make the link pools and the
-// per-worker link scratch the larger part (0.51 MB). A third arm runs the
-// dense plan without a limit and stops it by its yield, so the reduction runs
-// and its perception vectors and per-round scratch are pinned too (0.90 MB).
+// 13 000 links) whose many partition pairs make the per-pair key tables the
+// larger part (0.44 MB: a declared limit links by join key only). A third arm
+// runs the dense plan without a limit and stops it by its yield, so the eager
+// link pools, the per-worker link scratch, the reduction's perception vectors
+// and its per-round scratch are pinned too (0.90 MB) — and must exceed the
+// declared run by at least the vectors and the pools.
 func TestPreJoinAllocationIsACount(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 4000, Seed: 7})
 	if err != nil {
@@ -50,14 +53,15 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	most, least := map[string]uint64{}, map[string]uint64{} // bytes per run, by arm
 	for _, tc := range []struct {
 		name    string
 		q       *query.Query
 		limit   int    // 0: undeclared, the yield stops the run after one match
 		ceiling uint64 // bytes per run; see above
 	}{
-		{"4-cycle", cycle, 1, 639_000},
-		{"6-node-7-edge", dense, 1, 523_000},
+		{"4-cycle", cycle, 1, 586_000},
+		{"6-node-7-edge", dense, 1, 453_000},
 		{"6-node-7-edge-reduced", dense, 0, 920_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,7 +101,37 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 			if hi > tc.ceiling {
 				t.Errorf("%d bytes per run, ceiling %d", hi, tc.ceiling)
 			}
+			most[tc.name], least[tc.name] = hi, lo
 		})
+	}
+
+	// What declaring the limit saves the dense plan, against stopping the
+	// same stream by its yield: the reduction's two perception-vector buffers
+	// (8 bytes × partitions per vertex each) and, since the declared run links
+	// by join key only, the two CSR pools of every joined pair — a→b with
+	// room for every key-matched pair, b→a one entry per link.
+	pl, err := core.Prepare(ctx, ix, dense, core.Options{Alpha: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, _, err := candidates.Find(ctx, ix, dense, pl.Dec, 0.3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := kpartite.Build(ctx, g, dense, pl.Dec, sets, 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools := uint64(4 * (kpartite.BuildKeyed(g, pl.Dec, sets, 0.3).NumLinks() + eager.NumLinks()))
+	vectors := uint64(0)
+	for i := range sets {
+		vectors += uint64(2 * 8 * len(sets) * sets[i].Len())
+	}
+	declared, stopped := most["6-node-7-edge"], least["6-node-7-edge-reduced"]
+	t.Logf("declared Limit 1: %d bytes; stopped by the yield: %d; perception vectors %d, link pools %d", declared, stopped, vectors, pools)
+	if declared+vectors+pools > stopped {
+		t.Errorf("a declared Limit 1 run allocates %d bytes, one stopped by its yield %d: the %d bytes of perception vectors and %d of link pools are not both saved",
+			declared, stopped, vectors, pools)
 	}
 }
 

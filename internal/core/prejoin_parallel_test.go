@@ -13,10 +13,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/gen"
+	"repro/internal/join"
 	"repro/internal/kpartite"
 	"repro/internal/live"
 	"repro/internal/naive"
 	"repro/internal/pathindex"
+	"repro/internal/plan"
 	"repro/internal/refgraph"
 )
 
@@ -133,7 +135,10 @@ func sameLinks(a, b *kpartite.Graph) error {
 //   - kpartite.Build over those sets returns identical Links(p, i, j) rows
 //     at workers 1, 2, 4;
 //   - core.Match at every width and cache state returns identical matches,
-//     and those are bitwise the naive oracle's over the reader's graph.
+//     and those are bitwise the naive oracle's over the reader's graph;
+//   - a run that declares an emit-order Limit K, and so links by join key
+//     only, streams the first K matches of the enumeration over the eager
+//     links and collects those K, at every K (declaredLimitsArePrefixes).
 //
 // The dense-linkage arm must put ≥ 15 % of the entities into multi-member
 // identity components and answer with both kinds of match: some mapping two
@@ -156,7 +161,7 @@ func testPreJoinEquivalence(t *testing.T, synthOpt gen.SynthOptions, dense bool)
 		seeds = seeds[:1]
 	}
 	ctx := context.Background()
-	kept, links, matched, shared := 0, 0, 0, 0
+	kept, links, matched, shared, prefixes := 0, 0, 0, 0, 0
 	for _, seed := range seeds {
 		synthOpt.Seed = seed
 		for kind, ix := range prejoinReaders(t, synthOpt) {
@@ -205,6 +210,7 @@ func testPreJoinEquivalence(t *testing.T, synthOpt gen.SynthOptions, dense bool)
 						for _, n := range st1.Kept {
 							kept += n
 						}
+						prefixes += declaredLimitsArePrefixes(t, label, ix, pl, opts(1, nil), kg1, want)
 						// One cache shared across widths: later runs are
 						// served the arenas earlier ones stored.
 						cache := candidates.NewCache(0)
@@ -241,12 +247,71 @@ func testPreJoinEquivalence(t *testing.T, synthOpt gen.SynthOptions, dense bool)
 			}
 		}
 	}
-	if kept == 0 || links == 0 || matched == 0 {
-		t.Fatalf("vacuous: %d candidates kept, %d links, %d matches over all cases", kept, links, matched)
+	t.Logf("%d candidates kept, %d links, %d matches (%d over a shared component), %d declared-limit prefixes", kept, links, matched, shared, prefixes)
+	if kept == 0 || links == 0 || matched == 0 || prefixes == 0 {
+		t.Fatalf("vacuous: %d candidates kept, %d links, %d matches, %d declared-limit prefixes over all cases", kept, links, matched, prefixes)
 	}
 	if dense && (shared == 0 || shared == matched) {
 		t.Fatalf("%d of %d matches map two entities of one component: one way to a match's Prn was never taken", shared, matched)
 	}
+}
+
+// declaredLimitsArePrefixes holds the runs that link by join key only to the
+// eager links: eager is kpartite.Build's graph over the plan's candidates,
+// unreduced, and enumerating it in the executor's order over those counts is
+// the emission order of a stream that declares nothing — as a set, the oracle's
+// answer. For every K from 1 to one past that answer (sampled past 32 when it
+// is long), the stream that declares Limit K must emit its first K matches bit for bit and say it built keyed
+// links, and the collect with Limit K must return those K sorted. It returns
+// the number of prefixes compared.
+func declaredLimitsArePrefixes(t *testing.T, label string, ix pathindex.Reader, pl *plan.Plan, opt core.Options, eager *kpartite.Graph, want []join.Match) int {
+	t.Helper()
+	ctx := context.Background()
+	cards := make([]float64, eager.NumPartitions())
+	for p := range cards {
+		cards[p] = float64(eager.NumCandidates(p))
+	}
+	var emitted []join.Match
+	err := join.Enumerate(ctx, ix.Graph(), pl.Query, pl.Dec, eager, join.OrderWithCards(pl.Dec, pl.OrderMode, cards), pl.Alpha, 1,
+		func(_ int, m join.Match) bool { emitted = append(emitted, m.Clone()); return true })
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	sorted := slices.Clone(emitted)
+	plan.SortMatches(sorted)
+	matchesIdentical(t, label+" eager, unreduced vs naive", want, sorted)
+	opt.CandCache = candidates.NewCache(0) // the candidates are the same at every K
+	compared := 0
+	for k := 1; k <= len(emitted)+1; k++ {
+		// Every K of a short answer; of a long one the first 32, one in
+		// len/32 after them, and the last two and one past.
+		if stride := len(emitted) / 32; k > 32 && k < len(emitted)-1 && stride > 1 && k%stride != 0 {
+			continue
+		}
+		compared++
+		at := fmt.Sprintf("%s limit %d of %d", label, k, len(emitted))
+		first := emitted[:min(k, len(emitted))]
+		opt.Limit = k
+		var got []join.Match
+		st, err := core.MatchStreamPlan(ctx, ix, pl, opt, func(m join.Match) bool { got = append(got, m); return true })
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		matchesIdentical(t, at+" streamed", first, got)
+		for _, sg := range st.Stages {
+			if sg.Name == "build" && (sg.Links != "keyed" || sg.ObsRows < float64(eager.NumLinks())) {
+				t.Fatalf("%s: build row %+v over %d eager links", at, sg, eager.NumLinks())
+			}
+		}
+		res, err := core.MatchPlan(ctx, ix, pl, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		sorted := slices.Clone(first)
+		plan.SortMatches(sorted)
+		matchesIdentical(t, at+" collected", sorted, res.Matches)
+	}
+	return compared
 }
 
 // linkedShare is the share of g's entities whose identity component has

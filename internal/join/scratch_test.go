@@ -192,3 +192,79 @@ func TestIncrementalPrnEqualsPrn(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedJoinExhausts: over keyed links (kpartite.BuildKeyed) a join that
+// has nothing to find ends having emitted nothing, with its scratch clean,
+// and what the unfiltered links cost it is bounded: every candidate the eager
+// build's joinable would have filtered fails apply on the spot, so the keyed
+// join makes at most the eager join's extension attempts divided by the share
+// of key-matched pairs that are links. Queries are taken at thresholds above
+// their best match; the ones whose partitions are still linked count.
+func TestKeyedJoinExhausts(t *testing.T) {
+	ctx := context.Background()
+	d, err := gen.Synthetic(gen.SynthOptions{Refs: 300, EdgeFactor: 4, Labels: 3, UncertainFrac: 0.4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := entity.Build(d, entity.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := pathindex.Build(ctx, g, pathindex.Options{MaxLen: 2, Beta: 0.3, Gamma: 0.1, Dir: filepath.Join(t.TempDir(), "ix")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	attempts := func(p *plan) (ops, emitted int) {
+		var stop atomic.Bool
+		var next atomic.Int64
+		s := newScratch(p, ctx, 0, func(int, Match) bool { emitted++; return true }, &stop)
+		if err := s.drain(&next, 8, p.kg.NumCandidates(p.order[0])); err != nil {
+			t.Fatal(err)
+		}
+		assertClean(t, s, "after the drain")
+		return s.ops, emitted
+	}
+	rng := rand.New(rand.NewSource(11))
+	linked := 0
+	for qi := 0; qi < 12; qi++ {
+		q, err := gen.RandomQuery(rng, g.NumLabels(), 4, 4+qi%2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alpha := range []float64{0.2, 0.4, 0.6} {
+			dec, err := decompose.Decompose(q, ix, decompose.Options{MaxLen: 2, Alpha: alpha})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets, _, err := candidates.Find(ctx, ix, q, dec, alpha, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eager, err := kpartite.Build(ctx, g, q, dec, sets, alpha, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyed := kpartite.BuildKeyed(g, dec, sets, alpha)
+			order := Order(dec, OrderHeuristic)
+			eagerOps, found := attempts(newPlan(g, q, dec, eager, order, alpha))
+			if found > 0 || eager.NumLinks() == 0 {
+				continue
+			}
+			linked++
+			keyedOps, found := attempts(newPlan(g, q, dec, keyed, order, alpha))
+			if found != 0 {
+				t.Fatalf("query %d α=%v: %d matches over keyed links, none over eager ones", qi, alpha, found)
+			}
+			// keyedOps ≤ eagerOps ÷ (links ÷ key-matched pairs), in integers.
+			if keyedOps*eager.NumLinks() > eagerOps*keyed.NumLinks() {
+				t.Errorf("query %d α=%v: %d extension attempts over keyed links, %d over eager ones, with %d of %d key-matched pairs linked",
+					qi, alpha, keyedOps, eagerOps, eager.NumLinks(), keyed.NumLinks())
+			}
+			t.Logf("query %d α=%v: %d attempts keyed, %d eager, %d of %d pairs linked", qi, alpha, keyedOps, eagerOps, eager.NumLinks(), keyed.NumLinks())
+		}
+	}
+	if linked == 0 {
+		t.Fatal("no query was matchless over linked partitions")
+	}
+}

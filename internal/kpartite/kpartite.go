@@ -13,7 +13,7 @@
 // direction), and perception vectors are one flat float64 array per
 // partition with a double buffer for the bulk-synchronous message-passing
 // rounds. After Build/Reduce the graph is immutable and safe for any number
-// of concurrent readers.
+// of concurrent readers; a BuildKeyed graph is the exception (FillFactors).
 package kpartite
 
 import (
@@ -28,14 +28,12 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/decompose"
 	"repro/internal/entity"
-	"repro/internal/prob"
 	"repro/internal/query"
 )
 
 // Graph is the candidate k-partite graph.
 type Graph struct {
 	g     *entity.Graph
-	q     *query.Query
 	dec   *decompose.Decomposition
 	alpha float64
 
@@ -48,14 +46,18 @@ type Graph struct {
 	joined [][]int
 	// vecReady reports that perception vectors were initialized by Reduce.
 	vecReady bool
+	// keyed reports that links are by join key only (BuildKeyed).
+	keyed bool
 }
 
 // linkSet is one direction of a partition pair's links in CSR form: the
 // vertices of the target partition linked to vertex i are
-// pool[offs[i]:offs[i+1]], ascending.
+// pool[offs[i]:offs[i+1]], ascending. A keyed set (BuildKeyed) has one CSR row
+// per join-key bucket instead, and vertex i's bucket is keys[i].
 type linkSet struct {
 	offs []int32
 	pool []int32
+	keys []int32
 }
 
 func (ls *linkSet) row(i int) []int32 {
@@ -78,14 +80,16 @@ type partition struct {
 	nAlive int
 	w1     []float64
 	w2     []float64
-	// lab and edge are the row factor columns computeWeights fills, the only
-	// place a candidate row's probabilities are looked up:
+	// lab and edge are the row factor columns fill fills, the only place a
+	// candidate row's probabilities are looked up:
 	// lab[i*plen+pos] = PrLabel(row i's node at pos, label of path.Nodes[pos])
 	// and edge[i*elen+pos] = the probability of the GU edge between row
 	// i's nodes at pos and pos+1 given the two query labels in edgeKey
 	// orientation, 0 when GU has no such edge.
 	lab  []float64
 	edge []float64
+	// filled, on a keyed graph, marks the rows FillFactors has looked up.
+	filled []bool
 	// vec / nextVec are the flat perception vectors (n rows of k entries,
 	// row-major); nextVec is the write buffer of the current BSP round and
 	// the two are swapped at each round barrier. vecSet[i] records whether
@@ -116,57 +120,10 @@ type Stats struct {
 // buildEval scratch, sized before the hand-out starts, and since per-pair
 // output is independent of scheduling the resulting CSR arenas are
 // byte-identical at any worker count. sets is retained and only read: its
-// arenas become the partitions' rows.
+// arenas become the partitions' rows. q is not read: dec's paths carry their
+// labels.
 func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.Decomposition, sets []candidates.Set, alpha float64, workers int) (*Graph, error) {
-	k := len(sets)
-	kg := &Graph{g: g, q: q, dec: dec, alpha: alpha}
-	kg.parts = make([]*partition, k)
-	kg.links = make([][]linkSet, k)
-	kg.joined = make([][]int, k)
-	maxN := 0
-	for p := 0; p < k; p++ {
-		n := sets[p].Len()
-		plen := len(sets[p].Path.Nodes)
-		elen := max(plen-1, 0)
-		// One arena for the three float columns Build computes.
-		cols := make([]float64, n*(1+plen+elen))
-		part := &partition{
-			set:    &sets[p],
-			n:      n,
-			plen:   plen,
-			elen:   elen,
-			nodes:  sets[p].Nodes,
-			alive:  make([]bool, n),
-			nAlive: n,
-			w1:     cols[:n:n],
-			w2:     sets[p].Prn,
-			lab:    cols[n : n+n*plen : n+n*plen],
-			edge:   cols[n+n*plen:],
-		}
-		for i := range part.alive {
-			part.alive[i] = true
-		}
-		kg.parts[p] = part
-		kg.links[p] = make([]linkSet, k)
-		kg.joined[p] = dec.Joined(p)
-		maxN = max(maxN, n)
-	}
-	kg.computeWeights()
-
-	// Deterministic pair order (the map iteration order would do for
-	// correctness — slots are disjoint — but a sorted work list keeps the
-	// sequential walk reproducible and the atomic hand-out stable).
-	pairs := make([][2]int, 0, len(dec.Joins))
-	for pair := range dec.Joins {
-		pairs = append(pairs, pair)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-
+	kg, pairs, maxN := newGraph(g, dec, sets, alpha, false)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -213,10 +170,96 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 	return kg, nil
 }
 
+// BuildKeyed is Build for a run that neither reduces nor enumerates
+// exhaustively — an emit-order join that stops at a declared limit. Links are
+// by join key only: per joined pair both sides' join-position tuples hash into
+// one bucket space and each side is grouped by bucket once, O(|a| + |b|), so
+// Links(a, i, b) is every row of b under row i's key, ascending — the rows
+// Build links and the ones joinable filters, which the join's own prefix tests
+// reject again. No factor is looked up (FillFactors), and Reduce panics.
+func BuildKeyed(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, alpha float64) *Graph {
+	kg, pairs, _ := newGraph(g, dec, sets, alpha, true)
+	for _, pair := range pairs {
+		a, b := pair[0], pair[1]
+		preds := dec.Preds(a, b)
+		pa, pb := kg.parts[a], kg.parts[b]
+		shift := 64
+		for n := 1; n < max(pa.n, pb.n); n <<= 1 {
+			shift--
+		}
+		buckets := 1 << (64 - shift)
+		keysA := pa.joinKeys(make([]int32, pa.n), preds, true, shift)
+		keysB := pb.joinKeys(make([]int32, pb.n), preds, false, shift)
+		kg.links[a][b], kg.links[b][a] = grouped(buckets, keysA, keysB), grouped(buckets, keysB, keysA)
+	}
+	return kg
+}
+
+// newGraph lays out the partitions over the candidate sets' arenas, with
+// their weights unless keyed, and lists the joined pairs in linking order.
+func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, alpha float64, keyed bool) (kg *Graph, pairs [][2]int, maxN int) {
+	k := len(sets)
+	kg = &Graph{g: g, dec: dec, alpha: alpha, keyed: keyed}
+	kg.parts = make([]*partition, k)
+	kg.links = make([][]linkSet, k)
+	kg.joined = make([][]int, k)
+	for p := 0; p < k; p++ {
+		n := sets[p].Len()
+		plen := len(sets[p].Path.Nodes)
+		elen := max(plen-1, 0)
+		// One arena for the three float columns Build computes; a keyed
+		// graph, never reduced, has no w1 and marks the rows it fills.
+		nw, filled := n, []bool(nil)
+		if keyed {
+			nw, filled = 0, make([]bool, n)
+		}
+		cols := make([]float64, nw+n*(plen+elen))
+		part := &partition{
+			set:    &sets[p],
+			n:      n,
+			plen:   plen,
+			elen:   elen,
+			nodes:  sets[p].Nodes,
+			alive:  make([]bool, n),
+			nAlive: n,
+			w1:     cols[:nw:nw],
+			w2:     sets[p].Prn,
+			lab:    cols[nw : nw+n*plen : nw+n*plen],
+			edge:   cols[nw+n*plen:],
+			filled: filled,
+		}
+		for i := range part.alive {
+			part.alive[i] = true
+		}
+		kg.parts[p] = part
+		kg.links[p] = make([]linkSet, k)
+		kg.joined[p] = dec.Joined(p)
+		maxN = max(maxN, n)
+	}
+	if !keyed {
+		kg.computeWeights()
+	}
+
+	// Deterministic pair order (the map iteration order would do for
+	// correctness — slots are disjoint — but a sorted work list keeps the
+	// sequential walk reproducible and the atomic hand-out stable).
+	pairs = make([][2]int, 0, len(dec.Joins))
+	for pair := range dec.Joins {
+		pairs = append(pairs, pair)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i][0] != pairs[j][0] {
+			return pairs[i][0] < pairs[j][0]
+		}
+		return pairs[i][1] < pairs[j][1]
+	})
+	return kg, pairs, maxN
+}
+
 // computeWeights looks every row's probability factors up, once, into the
-// lab and edge columns, and multiplies w1 (the exclusive node/edge cover
-// product: the covered label factors in position order, then the covered
-// edge factors) from them; w2 (the identity probability Prn) is the
+// lab and edge columns (fill), and multiplies w1 (the exclusive node/edge
+// cover product: the covered label factors in position order, then the
+// covered edge factors) from them; w2 (the identity probability Prn) is the
 // candidate set's own column. A row with a missing GU edge gets factor 0
 // there, hence w1 = 0 when this partition covers that edge.
 func (kg *Graph) computeWeights() {
@@ -224,37 +267,23 @@ func (kg *Graph) computeWeights() {
 		path := part.set.Path
 		plen, elen := part.plen, part.elen
 		// What a position contributes depends on the path alone.
-		labels := make([]prob.LabelID, plen)
 		coverNode := make([]bool, plen)
-		edgeLabels := make([][2]prob.LabelID, elen)
 		coverEdge := make([]bool, elen)
 		for pos, qn := range path.Nodes {
-			labels[pos] = kg.q.Label(qn)
 			coverNode[pos] = kg.dec.CoverNode[qn] == p
 		}
-		for pos := range edgeLabels {
-			key := edgeKey(path.Nodes[pos], path.Nodes[pos+1])
-			edgeLabels[pos] = [2]prob.LabelID{kg.q.Label(key[0]), kg.q.Label(key[1])}
-			coverEdge[pos] = kg.dec.CoverEdge[key] == p
+		for pos := range coverEdge {
+			coverEdge[pos] = kg.dec.CoverEdge[edgeKey(path.Nodes[pos], path.Nodes[pos+1])] == p
 		}
 		for i := 0; i < part.n; i++ {
-			row := part.nodes[i*plen : (i+1)*plen]
-			lab := part.lab[i*plen : (i+1)*plen]
-			edge := part.edge[i*elen : (i+1)*elen]
+			kg.fill(part, i)
 			w1 := 1.0
-			for pos, v := range row {
-				f := kg.g.PrLabel(v, labels[pos])
-				lab[pos] = f
+			for pos, f := range part.lab[i*plen : (i+1)*plen] {
 				if coverNode[pos] {
 					w1 *= f
 				}
 			}
-			for pos := range edge {
-				f := 0.0
-				if ep, ok := kg.g.EdgeBetween(row[pos], row[pos+1]); ok {
-					f = kg.g.PrEdge(ep, edgeLabels[pos][0], edgeLabels[pos][1])
-				}
-				edge[pos] = f
+			for pos, f := range part.edge[i*elen : (i+1)*elen] {
 				if coverEdge[pos] {
 					w1 *= f
 				}
@@ -263,6 +292,40 @@ func (kg *Graph) computeWeights() {
 		}
 	}
 }
+
+// fill looks the factors of row i of part up into its lab and edge rows.
+func (kg *Graph) fill(part *partition, i int) {
+	path := part.set.Path
+	row := part.nodes[i*part.plen : (i+1)*part.plen]
+	for pos, v := range row {
+		part.lab[i*part.plen+pos] = kg.g.PrLabel(v, path.Labels[pos])
+	}
+	for pos := 0; pos < part.elen; pos++ {
+		f := 0.0
+		if ep, ok := kg.g.EdgeBetween(row[pos], row[pos+1]); ok {
+			la, lb := path.Labels[pos], path.Labels[pos+1]
+			if path.Nodes[pos] > path.Nodes[pos+1] { // edgeKey orientation
+				la, lb = lb, la
+			}
+			f = kg.g.PrEdge(ep, la, lb)
+		}
+		part.edge[i*part.elen+pos] = f
+	}
+}
+
+// FillFactors makes Factors(p, i) valid on a keyed graph, which looks a row
+// up when the join first visits it: a join that stops at its limit reads a few
+// of thousands. It writes, so a keyed graph serves one enumerating goroutine.
+func (kg *Graph) FillFactors(p, i int) {
+	if part := kg.parts[p]; !part.filled[i] {
+		part.filled[i] = true
+		kg.fill(part, i)
+	}
+}
+
+// Keyed reports whether kg came from BuildKeyed: Links are by join key only
+// and FillFactors must precede Factors.
+func (kg *Graph) Keyed() bool { return kg.keyed }
 
 func edgeKey(a, b query.NodeID) [2]query.NodeID {
 	if a > b {
@@ -458,11 +521,7 @@ func (kg *Graph) linkPair(be *buildEval, a, b int) {
 	for n := 1; n < pb.n; n <<= 1 {
 		shift--
 	}
-	keysB := be.keysB[:pb.n]
-	for j := range keysB {
-		row := pb.nodes[j*pb.plen : (j+1)*pb.plen]
-		keysB[j] = int32(joinHash(row, preds, false) >> shift)
-	}
+	keysB := pb.joinKeys(be.keysB[:pb.n], preds, false, shift)
 	table := &be.table
 	table.group(1<<(64-shift), keysB)
 
@@ -500,6 +559,22 @@ func joinHash(row []entity.ID, preds []decompose.JoinPred, sideA bool) uint64 {
 		key = bits.RotateLeft64(key, 32) ^ uint64(uint32(row[pos]))
 	}
 	return key * 0x9E3779B97F4A7C15
+}
+
+// joinKeys sets keys[i] to row i's bucket, the top bits of its spread join key.
+func (part *partition) joinKeys(keys []int32, preds []decompose.JoinPred, sideA bool, shift int) []int32 {
+	for i := range keys {
+		keys[i] = int32(joinHash(part.nodes[i*part.plen:(i+1)*part.plen], preds, sideA) >> shift)
+	}
+	return keys
+}
+
+// grouped returns the keyed links of a side whose rows have the buckets in
+// keys into the side whose rows have those in target.
+func grouped(buckets int, keys, target []int32) linkSet {
+	ls := linkSet{offs: make([]int32, buckets+1), pool: make([]int32, len(target)), keys: keys}
+	ls.group(buckets, target)
+	return ls
 }
 
 // counting starts a CSR of n rows whose row k will receive one entry per
@@ -592,51 +667,31 @@ func (kg *Graph) Factors(p, i int) (lab, edge []float64) {
 
 // Links returns the vertices of partition j linked to vertex i of partition
 // p (including dead ones; filter with Alive), ascending. Nil when j ∉ J(p).
+// On a keyed graph these are the vertices under vertex i's join key.
 // The returned slice is a view into the shared edge pool and must not be
 // modified.
 func (kg *Graph) Links(p, i, j int) []int32 {
-	return kg.links[p][j].row(i)
-}
-
-// VertexExists reports whether partition p has a vertex i (alive or dead).
-func (kg *Graph) VertexExists(p, i int) bool {
-	return i >= 0 && i < kg.parts[p].n
-}
-
-// AliveVertices returns the indices of all surviving vertices in partition
-// p, ascending.
-func (kg *Graph) AliveVertices(p int) []int32 {
-	part := kg.parts[p]
-	out := make([]int32, 0, part.nAlive)
-	for i, a := range part.alive {
-		if a {
-			out = append(out, int32(i))
-		}
+	ls := &kg.links[p][j]
+	if ls.keys != nil {
+		i = int(ls.keys[i])
 	}
-	return out
-}
-
-// LinkedAlive returns the alive vertices of partition j linked to vertex i
-// of partition p, ascending.
-func (kg *Graph) LinkedAlive(p, i, j int) []int32 {
-	links := kg.Links(p, i, j)
-	out := make([]int32, 0, len(links))
-	for _, u := range links {
-		if kg.parts[j].alive[u] {
-			out = append(out, u)
-		}
-	}
-	return out
+	return ls.row(i)
 }
 
 // NumLinks returns the number of join-candidate links stored (each linked
-// pair counted once) — the executor's observed size for the build stage.
+// pair counted once) — the executor's observed size for the build stage. On
+// a keyed graph that is the key-matched row pairs, which Build would filter.
 func (kg *Graph) NumLinks() int {
 	total := 0
 	for p := range kg.links {
 		for j := range kg.links[p] {
-			if kg.links[p][j].offs != nil {
-				total += len(kg.links[p][j].pool)
+			ls, back := &kg.links[p][j], &kg.links[j][p]
+			if ls.keys == nil {
+				total += len(ls.pool)
+				continue
+			}
+			for k := 0; p < j && k+1 < len(ls.offs); k++ { // both directions at once
+				total += 2 * int(ls.offs[k+1]-ls.offs[k]) * int(back.offs[k+1]-back.offs[k])
 			}
 		}
 	}
@@ -703,6 +758,9 @@ func (kg *Graph) ReduceStructureOnly() Stats {
 // the alive total never grows: pass nil to have it allocated, and the
 // returned (empty) list to the later rounds of the same reduction.
 func (kg *Graph) reduceStructure(work [][2]int32) [][2]int32 {
+	if kg.keyed {
+		panic("kpartite: reduction over keyed links")
+	}
 	if work == nil {
 		total := 0
 		for _, part := range kg.parts {

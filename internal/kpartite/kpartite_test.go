@@ -192,19 +192,8 @@ func TestAccessors(t *testing.T) {
 	if kg.AliveCount(0) != 2 {
 		t.Errorf("AliveCount(0) = %d", kg.AliveCount(0))
 	}
-	if !kg.VertexExists(0, 1) || kg.VertexExists(0, 2) {
-		t.Error("VertexExists wrong")
-	}
-	av := kg.AliveVertices(2)
-	if len(av) != 2 || av[0] != 0 || av[1] != 1 {
-		t.Errorf("AliveVertices = %v", av)
-	}
 	links := kg.Links(1, 0, 2)
 	if len(links) != 2 {
 		t.Errorf("Links(1,0,2) = %v", links)
-	}
-	la := kg.LinkedAlive(1, 0, 2)
-	if len(la) != 2 {
-		t.Errorf("LinkedAlive = %v", la)
 	}
 }

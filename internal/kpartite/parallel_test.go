@@ -85,11 +85,12 @@ func graphsIdentical(t *testing.T, label string, want, got *Graph) {
 // reference bitset decides overlap, where the build reads it off Prn.
 type lookupRef struct {
 	kg       *Graph
+	q        *query.Query
 	asn      []entity.ID // per query node; -1 = unassigned
 	refWords []uint64
 }
 
-func newLookupRef(kg *Graph) *lookupRef {
+func newLookupRef(kg *Graph, q *query.Query) *lookupRef {
 	maxRef := 0
 	for v := 0; v < kg.g.NumNodes(); v++ {
 		for _, r := range kg.g.Refs(entity.ID(v)) {
@@ -98,7 +99,8 @@ func newLookupRef(kg *Graph) *lookupRef {
 	}
 	ref := &lookupRef{
 		kg:       kg,
-		asn:      make([]entity.ID, kg.q.NumNodes()),
+		q:        q,
+		asn:      make([]entity.ID, q.NumNodes()),
 		refWords: make([]uint64, maxRef/64+1),
 	}
 	for i := range ref.asn {
@@ -110,7 +112,7 @@ func newLookupRef(kg *Graph) *lookupRef {
 // joinable evaluates Pr(Pu1 ∘ Pu2) ≥ α and reference disjointness over the
 // union assignment of rowA (on path pa) and rowB (on pb) by look-up.
 func (ref *lookupRef) joinable(pa, pb *decompose.Path, rowA, rowB []entity.ID) bool {
-	g, q := ref.kg.g, ref.kg.q
+	g, q := ref.kg.g, ref.q
 	var unionNodes []query.NodeID
 	var unionEdges [][2]query.NodeID
 	unionNodes = append(unionNodes, pa.Nodes...)
@@ -230,7 +232,7 @@ func (ref *lookupRef) links(a, b int) (ab, ba linkSet) {
 // orientation, 0 at the first missing edge.
 func (ref *lookupRef) weights(p, i int) (w1 float64, lab, edge []float64) {
 	kg := ref.kg
-	g, q, path, row := kg.g, kg.q, kg.parts[p].set.Path, kg.Row(p, i)
+	g, q, path, row := kg.g, ref.q, kg.parts[p].set.Path, kg.Row(p, i)
 	w1 = 1.0
 	for pos, qn := range path.Nodes {
 		lab = append(lab, g.PrLabel(row[pos], q.Label(qn)))
@@ -267,9 +269,9 @@ func (ref *lookupRef) weights(p, i int) (w1 float64, lab, edge []float64) {
 // counts the links whose two rows put two entities into one identity
 // component (Prn evaluated over the union), fresh the others (one Exist per
 // node carried forward).
-func matchesLookup(t *testing.T, label string, kg *Graph) (shared, fresh int) {
+func matchesLookup(t *testing.T, label string, kg *Graph, q *query.Query) (shared, fresh int) {
 	t.Helper()
-	ref := newLookupRef(kg)
+	ref := newLookupRef(kg, q)
 	for pair := range kg.dec.Joins {
 		a, b := pair[0], pair[1]
 		ab, ba := ref.links(a, b)
@@ -295,9 +297,6 @@ func matchesLookup(t *testing.T, label string, kg *Graph) (shared, fresh int) {
 			}
 		}
 	}
-	sameBits := func(want, got []float64) bool {
-		return slices.EqualFunc(want, got, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-	}
 	for p, part := range kg.parts {
 		elen := part.elen
 		for i := 0; i < part.n; i++ {
@@ -305,7 +304,7 @@ func matchesLookup(t *testing.T, label string, kg *Graph) (shared, fresh int) {
 			if math.Float64bits(w1) != math.Float64bits(part.w1[i]) {
 				t.Fatalf("%s: partition %d w1[%d] = %v, looked up %v", label, p, i, part.w1[i], w1)
 			}
-			if !sameBits(lab, part.lab[i*part.plen:(i+1)*part.plen]) || !sameBits(edge, part.edge[i*elen:(i+1)*elen]) {
+			if !slices.EqualFunc(lab, part.lab[i*part.plen:(i+1)*part.plen], sameBits) || !slices.EqualFunc(edge, part.edge[i*elen:(i+1)*elen], sameBits) {
 				t.Fatalf("%s: partition %d row %d factor columns differ from the looked-up factors", label, p, i)
 			}
 		}
@@ -313,13 +312,82 @@ func matchesLookup(t *testing.T, label string, kg *Graph) (shared, fresh int) {
 	return shared, fresh
 }
 
+// keyedMatchesLookup holds BuildKeyed to the same reference through the eager
+// graph matchesLookup has just checked: in both directions of every joined
+// pair, a row's keyed links are strictly ascending and, filtered by the
+// look-up joinable (which also rejects a hash collision's differing join
+// node), exactly its eager links — a superset in the join's visiting order;
+// NumLinks counts them; a row's factors, filled on demand and again, are the
+// eager columns bit for bit; and the reduction refuses the graph. It returns
+// how many keyed links the eager build filters.
+func keyedMatchesLookup(t *testing.T, label string, eager, keyed *Graph, ref *lookupRef) (extra int) {
+	t.Helper()
+	if eager.Keyed() || !keyed.Keyed() {
+		t.Fatalf("%s: Keyed() = %v on the eager graph, %v on the keyed one", label, eager.Keyed(), keyed.Keyed())
+	}
+	paired := 0
+	for pair := range eager.dec.Joins {
+		for _, dir := range [][2]int{{pair[0], pair[1]}, {pair[1], pair[0]}} {
+			a, b := dir[0], dir[1]
+			for i := 0; i < eager.parts[a].n; i++ {
+				bucket := keyed.Links(a, i, b)
+				var kept []int32
+				for x, j := range bucket {
+					if x > 0 && bucket[x-1] >= j {
+						t.Fatalf("%s: keyed Links(%d,%d,%d) = %v is not strictly ascending", label, a, i, b, bucket)
+					}
+					if ref.joinable(eager.parts[a].set.Path, eager.parts[b].set.Path, eager.Row(a, i), eager.Row(b, int(j))) {
+						kept = append(kept, j)
+					}
+				}
+				if !slices.Equal(kept, eager.Links(a, i, b)) {
+					t.Fatalf("%s: keyed Links(%d,%d,%d) = %v keeps %v under joinable, the eager links are %v", label, a, i, b, bucket, kept, eager.Links(a, i, b))
+				}
+				paired += len(bucket)
+				extra += len(bucket) - len(kept)
+			}
+		}
+	}
+	if got := keyed.NumLinks(); got != paired/2 || got < eager.NumLinks() {
+		t.Fatalf("%s: keyed NumLinks = %d, want the %d key-matched pairs (eager links: %d)", label, got, paired/2, eager.NumLinks())
+	}
+	for p, part := range keyed.parts {
+		if len(part.w1) != 0 {
+			t.Fatalf("%s: keyed partition %d carries %d w1 weights nothing reads", label, p, len(part.w1))
+		}
+		for i := 0; i < part.n; i++ {
+			for pass := 0; pass < 2; pass++ {
+				keyed.FillFactors(p, i)
+				lab, edge := keyed.Factors(p, i)
+				wantLab, wantEdge := eager.Factors(p, i)
+				if !slices.EqualFunc(lab, wantLab, sameBits) || !slices.EqualFunc(edge, wantEdge, sameBits) {
+					t.Fatalf("%s: partition %d row %d filled on demand (pass %d): factors (%v, %v), Build's (%v, %v)", label, p, i, pass, lab, edge, wantLab, wantEdge)
+				}
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: the reduction ran over keyed links", label)
+			}
+		}()
+		keyed.ReduceStructureOnly()
+	}()
+	return extra
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
 // TestBuildParallelEquivalence: the k-partite arenas built at workers 2, 4,
 // and 8 are byte-identical to the single-threaded build, across both
 // decomposition strategies and α on both sides of β on seeded synthetic
 // graphs — and the single-threaded build's link sets, w1 and factor columns
 // are byte-identical to lookupRef's. The dense arm links enough references
 // that joinable's two ways to the union's Prn are both taken, and both must
-// have produced links.
+// have produced links. BuildKeyed over the same sets is held to the same
+// reference (keyedMatchesLookup), and must have linked rows the eager build
+// filters.
 func TestBuildParallelEquivalence(t *testing.T) {
 	for _, arm := range []struct {
 		name  string
@@ -330,7 +398,7 @@ func TestBuildParallelEquivalence(t *testing.T) {
 		{"dense-linkage", gen.SynthOptions{Refs: 60, EdgeFactor: 4, Labels: 2, UncertainFrac: 0.5, Groups: 12, GroupSize: 4, PairsPerGroup: 3}, true},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			shared, fresh := 0, 0
+			shared, fresh, extra := 0, 0, 0
 			for _, seed := range []int64{1, 2, 3} {
 				arm.opt.Seed = seed
 				d, err := gen.Synthetic(arm.opt)
@@ -375,8 +443,9 @@ func TestBuildParallelEquivalence(t *testing.T) {
 								t.Fatal(err)
 							}
 							label := fmt.Sprintf("seed %d q%d mode %d α=%v", seed, qi, mode, alpha)
-							sh, fr := matchesLookup(t, label, seq)
+							sh, fr := matchesLookup(t, label, seq, q)
 							shared, fresh = shared+sh, fresh+fr
+							extra += keyedMatchesLookup(t, label, seq, BuildKeyed(g, dec, sets, alpha), newLookupRef(seq, q))
 							for _, workers := range []int{2, 4, 8} {
 								got, err := Build(context.Background(), g, q, dec, sets, alpha, workers)
 								if err != nil {
@@ -388,9 +457,9 @@ func TestBuildParallelEquivalence(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d links over a shared component, %d over new components only", shared, fresh)
-			if shared+fresh == 0 {
-				t.Error("no query produced a link; the comparison was vacuous")
+			t.Logf("%d links over a shared component, %d over new components only, %d more by key alone", shared, fresh, extra)
+			if shared+fresh == 0 || extra == 0 {
+				t.Error("no query produced a link, or none the eager build filters; the comparison was vacuous")
 			}
 			if arm.dense && (shared == 0 || fresh == 0) {
 				t.Errorf("%d links over a shared component and %d over new components only: one way to the union's Prn was never taken", shared, fresh)

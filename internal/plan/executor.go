@@ -174,16 +174,19 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	})
 
 	// Join-candidates / k-partite graph (Section 5.2.3), pairs fanned out
-	// across the same pool.
+	// across the same pool — or by key only, for a run that stops early.
 	t0 = time.Now()
-	kg, err := kpartite.Build(ctx, g, q, pl.Dec, sets, pl.Alpha, workers)
-	if err != nil {
+	links := Links(opt.Order, opt.Limit)
+	var kg *kpartite.Graph
+	if links == "keyed" {
+		kg, workers = kpartite.BuildKeyed(g, pl.Dec, sets, pl.Alpha), 1 // O(rows), on this goroutine
+	} else if kg, err = kpartite.Build(ctx, g, q, pl.Dec, sets, pl.Alpha, workers); err != nil {
 		return nil, st, err
 	}
 	st.BuildTime = time.Since(t0)
 	st.Stages = append(st.Stages, StageStats{
 		Name: "build", Micros: Micros(st.BuildTime), StartMicros: Micros(t0.Sub(start)),
-		ObsRows: float64(kg.NumLinks()), Workers: workers,
+		ObsRows: float64(kg.NumLinks()), Workers: workers, Links: links,
 	})
 
 	// Joint search space reduction (Section 5.2.4), when the plan says so
@@ -223,13 +226,25 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	return &joinRun{g: g, pl: pl, kg: kg, order: order, start: start, t0: time.Now()}, st, nil
 }
 
+// Links says which join-candidate links a run in the given order and limit
+// builds: "keyed" (kpartite.BuildKeyed) for an emit-order run that stops after
+// limit matches, "" — kpartite.Build's filtered CSR — for one that enumerates
+// exhaustively. The one rule for what a declared limit changes before the
+// join: such a run neither filters its links nor reduces (ReduceSkipped).
+func Links(order ResultOrder, limit int) string {
+	if order == OrderEmit && limit > 0 {
+		return "keyed"
+	}
+	return ""
+}
+
 // ReduceSkipped says why a run of pl in the given order and limit leaves out
 // the reduction the plan asks for ("" when it runs, or the plan has none):
 // "limit" for an emit-order run that stops after limit matches. The reduction
 // is priced for an exhaustive enumeration — rounds over every link, to shrink
 // a join that such a run abandons after a few rows.
 func (pl *Plan) ReduceSkipped(order ResultOrder, limit int) string {
-	if pl.Reduce && order == OrderEmit && limit > 0 {
+	if pl.Reduce && Links(order, limit) == "keyed" {
 		return "limit"
 	}
 	return ""

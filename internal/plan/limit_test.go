@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/decompose"
 	"repro/internal/entity"
 	"repro/internal/gen"
@@ -15,16 +16,33 @@ import (
 	"repro/internal/pathindex"
 )
 
-// reduceStage returns the run's reduce row.
-func reduceStage(t *testing.T, st Stats) StageStats {
+// stage returns the run's row of that name.
+func stage(t *testing.T, st Stats, name string) StageStats {
 	t.Helper()
 	for _, sg := range st.Stages {
-		if sg.Name == "reduce" {
+		if sg.Name == name {
 			return sg
 		}
 	}
-	t.Fatalf("no reduce stage in %v", st.Stages)
+	t.Fatalf("no %s stage in %v", name, st.Stages)
 	return StageStats{}
+}
+
+func reduceStage(t *testing.T, st Stats) StageStats { return stage(t, st, "reduce") }
+
+// sameSequence fails unless got is want match for match: mapping and the
+// bits of both probabilities.
+func sameSequence(t *testing.T, at string, want, got []join.Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, want %d", at, len(got), len(want))
+	}
+	for i := range want {
+		if matchKey(got[i]) != matchKey(want[i]) {
+			t.Fatalf("%s: match %d is %v (%v, %v), want %v (%v, %v)", at, i,
+				got[i].Mapping, got[i].Prle, got[i].Prn, want[i].Mapping, want[i].Prle, want[i].Prn)
+		}
+	}
 }
 
 func matchKey(m join.Match) string {
@@ -37,6 +55,15 @@ func matchKey(m join.Match) string {
 // is one of the full answer's with the same probability bits. A run that
 // enumerates everything (Limit 0, OrderByProb with a limit) reduces as the
 // plan says; one whose plan has no reduction reports no skip.
+//
+// Such a run also links by join key only (the build row says "keyed", and
+// counts at least the eager build's links), whether or not its plan reduces:
+// at every K from 1 to one past the answer (sampled past 32 when the answer
+// is long), what it streams is the first K
+// matches, bit for bit, of the stream that declares nothing over a plan that
+// does not reduce — eager links, the same unreduced join order — and what it
+// collects is those K sorted. With nothing to find it exhausts and returns
+// nothing, untruncated.
 func TestLimitedRunSkipsReduction(t *testing.T) {
 	ctx := context.Background()
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 300, EdgeFactor: 4, Labels: 3, UncertainFrac: 0.4, Seed: 5})
@@ -68,7 +95,7 @@ func TestLimitedRunSkipsReduction(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(11))
-	limited := 0
+	limited, prefixes, matchless := 0, 0, 0
 	for qi := 0; qi < 12; qi++ {
 		q, err := gen.RandomQuery(rng, g.NumLabels(), 4, 4+qi%2)
 		if err != nil {
@@ -167,8 +194,59 @@ func TestLimitedRunSkipsReduction(t *testing.T) {
 		if sg := reduceStage(t, st); sg.Skipped != "" || st.ReductionRounds != 0 || len(ms) != 1 || !in[matchKey(ms[0])] {
 			t.Fatalf("%s: no-reduction plan: reduce row %+v, %d rounds, matches %v", label, sg, st.ReductionRounds, ms)
 		}
+
+		// Keyed links: every declared K is a prefix of the undeclared,
+		// unreduced stream over eager links.
+		emitted, est := stream(npl, Exec{})
+		eager := stage(t, est, "build")
+		if eager.Links != "" || len(emitted) != len(full) {
+			t.Fatalf("%s: undeclared stream: build row %+v, %d of %d matches", label, eager, len(emitted), len(full))
+		}
+		cache := candidates.NewCache(0) // the candidates are the same at every K
+		for k := 1; k <= len(emitted)+1; k++ {
+			// Every K of a short answer; of a long one the first 32, one in
+			// len/32 after them, and the last two and one past.
+			if stride := len(emitted) / 32; k > 32 && k < len(emitted)-1 && stride > 1 && k%stride != 0 {
+				continue
+			}
+			want := emitted[:min(k, len(emitted))]
+			for name, p := range map[string]*Plan{"reducing": pl, "plain": npl} {
+				at := fmt.Sprintf("%s: %s plan, limit %d", label, name, k)
+				ms, st := stream(p, Exec{Limit: k, CandCache: cache})
+				sameSequence(t, at+" streamed", want, ms)
+				if sg := stage(t, st, "build"); sg.Links != "keyed" || sg.ObsRows < eager.ObsRows || st.Truncated != (k <= len(emitted)) {
+					t.Fatalf("%s: build row %+v (eager links: %v), truncated %v", at, sg, eager.ObsRows, st.Truncated)
+				}
+				cs, _, err := ex.Collect(ctx, p, Exec{Limit: k, CandCache: cache})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sorted := append([]join.Match(nil), want...)
+				SortMatches(sorted)
+				sameSequence(t, at+" collected", sorted, cs)
+				prefixes++
+			}
+		}
+
+		// Above the best match's probability there is nothing to find.
+		best := 0.0
+		for _, m := range full {
+			best = max(best, m.Prle*m.Prn)
+		}
+		if best > 0.99 {
+			continue
+		}
+		hpl, err := NewPlanner(ix, nil).Plan(ctx, q, Options{Alpha: (1 + best) / 2, Space: reducing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms, st := stream(hpl, Exec{Limit: 1}); len(ms) != 0 || st.Truncated || stage(t, st, "build").Links != "keyed" {
+			t.Fatalf("%s: α = %v, limit 1: %d matches, truncated %v, build row %+v", label, hpl.Alpha, len(ms), st.Truncated, stage(t, st, "build"))
+		}
+		matchless++
 	}
-	if limited == 0 {
-		t.Fatal("no query had enough matches to run limited")
+	t.Logf("%d limited runs, %d declared-limit prefixes, %d matchless runs", limited, prefixes, matchless)
+	if limited == 0 || prefixes == 0 || matchless == 0 {
+		t.Fatalf("%d limited runs, %d prefixes, %d matchless runs: one part of the test never ran", limited, prefixes, matchless)
 	}
 }

@@ -177,6 +177,9 @@ type StageStats struct {
 	// did not run: "limit" for an emit-order run that stops after Limit
 	// matches (Plan.ReduceSkipped).
 	Skipped string `json:"skipped,omitempty"`
+	// Links, on the build row, is "keyed" when the run linked by join key
+	// only (Links); ObsRows then counts key-matched pairs.
+	Links string `json:"links,omitempty"`
 	// Workers is the parallelism the stage actually ran with (omitted for
 	// inherently sequential stages).
 	Workers int `json:"workers,omitempty"`

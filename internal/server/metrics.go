@@ -237,7 +237,7 @@ func (m *serverMetrics) observeStages(st *MatchStats) {
 	m.stages.WithLabelValue("join").Observe(st.JoinMicros / 1e6)
 	m.stages.WithLabelValue("total").Observe(st.TotalMicros / 1e6)
 	for i := range st.Stages {
-		if st.Stages[i].Skipped != "" {
+		if st.Stages[i].Name == "reduce" && st.Stages[i].Skipped != "" {
 			m.skipped.Inc()
 		}
 	}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fixtures"
+	"repro/internal/plan"
 	"repro/internal/trace"
 )
 
@@ -406,10 +407,11 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 }
 
 // TestLimitedStreamReportsSkippedReduction: when an emit-order limit makes the
-// executor skip its plan's reduction, every surface of the run says so — the
-// reduce row of the stream's stats, the stage.reduce span, the request's
-// root span and /metrics — and /explain says it of the same request, and not
-// of one that enumerates everything.
+// executor skip its plan's reduction and link by join key only, every surface
+// of the run says so — the reduce and build rows of the stream's stats, the
+// stage.reduce and stage.build spans, the request's root span and /metrics —
+// and /explain says it of the same request, and not of one that enumerates
+// everything. peg_reduce_skipped_total counts reduce rows only.
 func TestLimitedStreamReportsSkippedReduction(t *testing.T) {
 	s, ts := testServer(t, Options{
 		Workers: 2,
@@ -445,6 +447,9 @@ func TestLimitedStreamReportsSkippedReduction(t *testing.T) {
 		if want := map[string]string{"reduce": "limit"}[sg.Name]; sg.Skipped != want {
 			t.Errorf("stage %s of the stream's stats: skipped %q, want %q", sg.Name, sg.Skipped, want)
 		}
+		if want := map[string]string{"build": "keyed"}[sg.Name]; sg.Links != want {
+			t.Errorf("stage %s of the stream's stats: links %q, want %q", sg.Name, sg.Links, want)
+		}
 	}
 	if got := s.met.skipped.Value(); got != 1 {
 		t.Errorf("peg_reduce_skipped_total = %d, want 1", got)
@@ -457,29 +462,43 @@ func TestLimitedStreamReportsSkippedReduction(t *testing.T) {
 	}
 	seen := map[string]string{}
 	for _, sp := range tr.Spans {
-		seen[sp.Name] = sp.Attrs["skipped"] + sp.Attrs["reduce_skipped"]
+		seen[sp.Name] = sp.Attrs["skipped"] + sp.Attrs["reduce_skipped"] + sp.Attrs["links"]
 	}
-	if seen["serve.stream"] != "limit" || seen["stage.reduce"] != "limit" || seen["stage.join"] != "" {
-		t.Errorf("span attributes %v: want the skip on serve.stream and stage.reduce only", seen)
+	if seen["serve.stream"] != "limit" || seen["stage.reduce"] != "limit" || seen["stage.build"] != "keyed" || seen["stage.join"] != "" {
+		t.Errorf("span attributes %v: want the skip on serve.stream and stage.reduce only, and keyed links on stage.build", seen)
 	}
 
 	byProb, unlimited := limited, limited
 	byProb.Order, unlimited.Limit = "prob", 0
 	for _, c := range []struct {
-		req  MatchRequest
-		want string
-	}{{limited, "limit"}, {byProb, ""}, {unlimited, ""}} {
+		req   MatchRequest
+		want  string
+		links string
+	}{{limited, "limit", "keyed"}, {byProb, "", ""}, {unlimited, "", ""}} {
 		var ex ExplainResponse
 		_, raw := postJSON(t, ts.URL+"/explain", &c.req)
 		if err := json.Unmarshal(raw, &ex); err != nil {
 			t.Fatal(err)
 		}
-		if ex.ReduceSkipped != c.want || !ex.Plan.Reduce {
-			t.Errorf("/explain order %q limit %d: reduce_skipped %q on a plan with reduce=%v, want %q on a reducing plan",
-				c.req.Order, c.req.Limit, ex.ReduceSkipped, ex.Plan.Reduce, c.want)
+		if ex.ReduceSkipped != c.want || ex.Links != c.links || !ex.Plan.Reduce {
+			t.Errorf("/explain order %q limit %d: reduce_skipped %q, links %q on a plan with reduce=%v, want %q and %q on a reducing plan",
+				c.req.Order, c.req.Limit, ex.ReduceSkipped, ex.Links, ex.Plan.Reduce, c.want, c.links)
 		}
 	}
 	if got := s.met.skipped.Value(); got != 1 {
 		t.Errorf("peg_reduce_skipped_total = %d after explaining, want 1: /explain runs nothing", got)
+	}
+
+	// The counter is the reduce row's: an annotation on another row — the
+	// build row's links today, anything tomorrow — must not move it.
+	s.met.observeStages(&MatchStats{Stages: []plan.StageStats{
+		{Name: "build", Links: "keyed", Skipped: "annotated"}, {Name: "reduce"}, {Name: "join", Skipped: "annotated"},
+	}})
+	if got := s.met.skipped.Value(); got != 1 {
+		t.Errorf("peg_reduce_skipped_total = %d after observing rows other than reduce marked skipped, want 1", got)
+	}
+	s.met.observeStages(&MatchStats{Stages: []plan.StageStats{{Name: "build"}, {Name: "reduce", Skipped: "limit"}}})
+	if got := s.met.skipped.Value(); got != 2 {
+		t.Errorf("peg_reduce_skipped_total = %d after observing a skipped reduce row, want 2", got)
 	}
 }

@@ -952,12 +952,15 @@ type ExplainResponse struct {
 	// ReduceSkipped is the reduce row's "skipped" of a run of this request:
 	// "limit" when its order and limit leave out the plan's reduction.
 	ReduceSkipped string `json:"reduce_skipped,omitempty"`
+	// Links is the build row's "links" of a run of this request: "keyed"
+	// when its order and limit make the build link by join key only.
+	Links string `json:"links,omitempty"`
 }
 
 // handleExplain plans a match request without executing it. The request
 // body is a MatchRequest; limit/order/timeout fields are run-time knobs that
 // do not change the plan — order and limit only decide whether a run of it
-// skips the reduction, which the response reports.
+// skips the reduction and links by key, which the response reports.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
@@ -1008,7 +1011,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	s.finishRequest("explain", start, &req, nil, nil)
 	endRequestSpan(sp, nil, nil)
-	writeJSON(w, http.StatusOK, &ExplainResponse{Plan: pl.Tree, Cached: cached, ReduceSkipped: pl.ReduceSkipped(p.order, p.limit)})
+	writeJSON(w, http.StatusOK, &ExplainResponse{Plan: pl.Tree, Cached: cached, ReduceSkipped: pl.ReduceSkipped(p.order, p.limit), Links: plan.Links(p.order, p.limit)})
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
@@ -1323,6 +1326,9 @@ func (s *Server) stageSpans(ctx context.Context, execStart time.Time, stages []p
 		if sg.Skipped != "" { // on the stage and, for whoever reads one span, the request
 			attrs["skipped"] = sg.Skipped
 			trace.SpanFromContext(ctx).SetAttr(sg.Name+"_skipped", sg.Skipped)
+		}
+		if sg.Links != "" {
+			attrs["links"] = sg.Links
 		}
 		s.opt.Tracer.RecordSpan(ctx, "stage."+sg.Name,
 			execStart.Add(time.Duration(sg.StartMicros*1e3)),
