@@ -68,7 +68,7 @@ func BenchmarkMatchParallel(b *testing.B) {
 
 // BenchmarkMatchGlobalLock is the fully-serialized bound: identical
 // workload, one global mutex around each evaluation. The seed's index mutex
-// serialized only the B+-tree probes inside a match (see the pathindex
+// serialized only the index probes inside a match (see the pathindex
 // package's BenchmarkLookupGlobalLock for that exact before/after); this
 // bench brackets it from above, so together they bound the old behavior.
 func BenchmarkMatchGlobalLock(b *testing.B) {

@@ -31,7 +31,7 @@ func TestConcurrentMatchSharedIndex(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "ix")
 	built, err := pathindex.Build(context.Background(), g, pathindex.Options{
-		MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir, CachePages: 16,
+		MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,10 +36,10 @@ var prejoinArms = []struct {
 	{"dense-linkage", gen.SynthOptions{Refs: 40, EdgeFactor: 4, Labels: 2, UncertainFrac: 0.5, Groups: 8, GroupSize: 4, PairsPerGroup: 3}, true},
 }
 
-// prejoinReaders returns the three kinds of reader the pre-join pipeline
-// streams from, over the same seeded PGD: a packed index, a B+-tree index,
-// and a live view whose overlay carries a few mutations (so its graph, and
-// the naive oracle's answers over it, differ from the static two).
+// prejoinReaders returns the two kinds of reader the pre-join pipeline
+// streams from, over the same seeded PGD: a packed index, and a live view
+// whose overlay carries a few mutations (so its graph, and the naive
+// oracle's answers over it, differ from the static index's).
 func prejoinReaders(t *testing.T, synthOpt gen.SynthOptions) map[string]pathindex.Reader {
 	t.Helper()
 	seed := synthOpt.Seed
@@ -55,17 +55,14 @@ func prejoinReaders(t *testing.T, synthOpt gen.SynthOptions) map[string]pathinde
 		t.Fatal(err)
 	}
 	opt := pathindex.Options{MaxLen: 2, Beta: prejoinBeta, Gamma: 0.1}
-	readers := map[string]pathindex.Reader{}
-	for name, f := range map[string]pathindex.Format{"packed": pathindex.FormatPacked, "btree": pathindex.FormatBTree} {
-		o := opt
-		o.Dir, o.Format = filepath.Join(t.TempDir(), "ix"), f
-		ix, err := pathindex.Build(context.Background(), g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ix.Close() })
-		readers[name] = ix
+	ixOpt := opt
+	ixOpt.Dir = filepath.Join(t.TempDir(), "ix")
+	ix, err := pathindex.Build(context.Background(), g, ixOpt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { ix.Close() })
+	readers := map[string]pathindex.Reader{"packed": ix}
 
 	d := synth()
 	db, err := live.Create(context.Background(), t.TempDir(), d, live.Options{
@@ -127,8 +124,8 @@ func sameLinks(a, b *kpartite.Graph) error {
 
 // TestPreJoinEquivalence is the pre-join pipeline's end-to-end property,
 // generator-driven over seeded gen.Synthetic PGDs × α on both sides of β ×
-// {packed index, B+-tree index, live view with a dirty overlay} × both
-// decomposition strategies. Per case:
+// {packed index, live view with a dirty overlay} × both decomposition
+// strategies. Per case:
 //
 //   - candidates.Find at workers 1, 2, 4, with and without a candidate
 //     cache, returns identical arenas, Initial, Kept, SSPath and SSContext;

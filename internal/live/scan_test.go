@@ -63,96 +63,92 @@ func lookupBeforeScan(v *View, X []prob.LabelID, alpha float64) ([]pathindex.Pat
 }
 
 // TestViewScanEqualsLookupBeforeScan is the live half of the pre-join
-// equivalence property: on views carrying a dirty overlay, over both base
-// formats and α on both sides of β, View.Scan's record stream and
-// View.Lookup equal the pre-change Lookup in order, nodes and float bits —
-// and a scan stopped inside the base half never reaches the overlay.
+// equivalence property: on views carrying a dirty overlay, with α on both
+// sides of β, View.Scan's record stream and View.Lookup equal the
+// pre-change Lookup in order, nodes and float bits — and a scan stopped
+// inside the base half never reaches the overlay.
 func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
-	for _, format := range []pathindex.Format{pathindex.FormatPacked, pathindex.FormatBTree} {
-		for _, seed := range []int64{6, 7} {
-			opt := testOptions()
-			opt.Index.Format = format
-			db := createDB(t, basePGD(t, seed), opt)
-			rng := rand.New(rand.NewSource(seed * 29))
-			for applied := 0; applied < 2; {
-				var ms []Mutation
-				for len(ms) < 5 {
-					ms = append(ms, randomMutation(rng, db.PGDSnapshot()))
-				}
-				if _, err := db.Apply(ms); err == nil {
-					applied++
-				}
+	for _, seed := range []int64{6, 7} {
+		db := createDB(t, basePGD(t, seed), testOptions())
+		rng := rand.New(rand.NewSource(seed * 29))
+		for applied := 0; applied < 2; {
+			var ms []Mutation
+			for len(ms) < 5 {
+				ms = append(ms, randomMutation(rng, db.PGDSnapshot()))
 			}
-			v := db.View()
-			if v.ov == nil || v.DirtyEntities() == 0 {
-				t.Fatalf("seed %d: view carries no overlay", seed)
+			if _, err := db.Apply(ms); err == nil {
+				applied++
 			}
-			fromBase, fromOverlay := 0, 0
-			var probe func(X []prob.LabelID)
-			probe = func(X []prob.LabelID) {
-				if len(X) > 0 {
-					for _, alpha := range []float64{0.02, testBeta - 1e-9, testBeta, 0.3, 0.7} {
-						label := fmt.Sprintf("seed %d %v X=%v α=%v", seed, format, X, alpha)
-						want, err := lookupBeforeScan(v, X, alpha)
-						if err != nil {
-							t.Fatalf("%s: reference: %v", label, err)
+		}
+		v := db.View()
+		if v.ov == nil || v.DirtyEntities() == 0 {
+			t.Fatalf("seed %d: view carries no overlay", seed)
+		}
+		fromBase, fromOverlay := 0, 0
+		var probe func(X []prob.LabelID)
+		probe = func(X []prob.LabelID) {
+			if len(X) > 0 {
+				for _, alpha := range []float64{0.02, testBeta - 1e-9, testBeta, 0.3, 0.7} {
+					label := fmt.Sprintf("seed %d X=%v α=%v", seed, X, alpha)
+					want, err := lookupBeforeScan(v, X, alpha)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", label, err)
+					}
+					var stream []pathindex.PathMatch
+					if err := v.Scan(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+						stream = append(stream, pathindex.PathMatch{Nodes: append([]entity.ID(nil), nodes...), Prle: prle, Prn: prn})
+						return true
+					}); err != nil {
+						t.Fatalf("%s: Scan: %v", label, err)
+					}
+					got, err := v.Lookup(X, alpha)
+					if err != nil {
+						t.Fatalf("%s: Lookup: %v", label, err)
+					}
+					for name, ms := range map[string][]pathindex.PathMatch{"Scan": stream, "Lookup": got} {
+						if len(ms) != len(want) {
+							t.Fatalf("%s: %s has %d records, want %d", label, name, len(ms), len(want))
 						}
-						var stream []pathindex.PathMatch
-						if err := v.Scan(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
-							stream = append(stream, pathindex.PathMatch{Nodes: append([]entity.ID(nil), nodes...), Prle: prle, Prn: prn})
-							return true
-						}); err != nil {
-							t.Fatalf("%s: Scan: %v", label, err)
-						}
-						got, err := v.Lookup(X, alpha)
-						if err != nil {
-							t.Fatalf("%s: Lookup: %v", label, err)
-						}
-						for name, ms := range map[string][]pathindex.PathMatch{"Scan": stream, "Lookup": got} {
-							if len(ms) != len(want) {
-								t.Fatalf("%s: %s has %d records, want %d", label, name, len(ms), len(want))
-							}
-							for i := range ms {
-								if !reflect.DeepEqual(ms[i].Nodes, want[i].Nodes) ||
-									math.Float64bits(ms[i].Prle) != math.Float64bits(want[i].Prle) ||
-									math.Float64bits(ms[i].Prn) != math.Float64bits(want[i].Prn) {
-									t.Fatalf("%s: %s record %d: %+v, want %+v", label, name, i, ms[i], want[i])
-								}
-							}
-						}
-						for _, m := range want {
-							touchesDirty := false
-							for _, n := range m.Nodes {
-								touchesDirty = touchesDirty || v.ov.dirty[n]
-							}
-							if touchesDirty {
-								fromOverlay++
-							} else {
-								fromBase++
-							}
-						}
-						if len(want) > 1 {
-							calls := 0
-							if err := v.Scan(X, alpha, func([]entity.ID, float64, float64) bool {
-								calls++
-								return false
-							}); err != nil || calls != 1 {
-								t.Fatalf("%s: stopped scan made %d calls, err %v", label, calls, err)
+						for i := range ms {
+							if !reflect.DeepEqual(ms[i].Nodes, want[i].Nodes) ||
+								math.Float64bits(ms[i].Prle) != math.Float64bits(want[i].Prle) ||
+								math.Float64bits(ms[i].Prn) != math.Float64bits(want[i].Prn) {
+								t.Fatalf("%s: %s record %d: %+v, want %+v", label, name, i, ms[i], want[i])
 							}
 						}
 					}
-				}
-				if len(X) == testMaxLen+1 {
-					return
-				}
-				for l := 0; l < v.Graph().NumLabels(); l++ {
-					probe(append(X[:len(X):len(X)], prob.LabelID(l)))
+					for _, m := range want {
+						touchesDirty := false
+						for _, n := range m.Nodes {
+							touchesDirty = touchesDirty || v.ov.dirty[n]
+						}
+						if touchesDirty {
+							fromOverlay++
+						} else {
+							fromBase++
+						}
+					}
+					if len(want) > 1 {
+						calls := 0
+						if err := v.Scan(X, alpha, func([]entity.ID, float64, float64) bool {
+							calls++
+							return false
+						}); err != nil || calls != 1 {
+							t.Fatalf("%s: stopped scan made %d calls, err %v", label, calls, err)
+						}
+					}
 				}
 			}
-			probe(nil)
-			if fromBase == 0 || fromOverlay == 0 {
-				t.Fatalf("seed %d %v: %d base and %d overlay records probed; need both", seed, format, fromBase, fromOverlay)
+			if len(X) == testMaxLen+1 {
+				return
 			}
+			for l := 0; l < v.Graph().NumLabels(); l++ {
+				probe(append(X[:len(X):len(X)], prob.LabelID(l)))
+			}
+		}
+		probe(nil)
+		if fromBase == 0 || fromOverlay == 0 {
+			t.Fatalf("seed %d: %d base and %d overlay records probed; need both", seed, fromBase, fromOverlay)
 		}
 	}
 }

@@ -7,9 +7,8 @@ import (
 	"os"
 )
 
-// The write-ahead log is an append-only record log with the same framing
-// idiom as storage/hashdict: a 4-byte magic, then per record
-// crc32(payload) ‖ len(payload) ‖ payload. One record carries one whole
+// The write-ahead log is an append-only record log with its own framing: a
+// 4-byte magic, then per record crc32(payload) ‖ len(payload) ‖ payload. One record carries one whole
 // mutation batch (a count followed by length-prefixed mutations), so the
 // unit of durability equals the unit of acknowledgment: replay loads
 // records until EOF or the first corrupt record and truncates the torn

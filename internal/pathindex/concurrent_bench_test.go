@@ -23,7 +23,7 @@ func benchLookupIndex(b *testing.B) (*Index, [][]prob.LabelID) {
 		b.Fatal(err)
 	}
 	ix, err := Build(context.Background(), g, Options{
-		MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: b.TempDir(), CachePages: 64,
+		MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: b.TempDir(),
 	})
 	if err != nil {
 		b.Fatal(err)

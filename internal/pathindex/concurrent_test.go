@@ -14,9 +14,8 @@ import (
 // TestConcurrentLookups hammers one shared index from many goroutines with
 // mixed Lookup (indexed and on-demand α) and Cardinality calls, asserting
 // every concurrent result equals the sequential baseline. Run under -race
-// this proves the de-serialized read path — sharded pager pool, B+ tree
-// scans, dictionary and histogram reads — is actually safe. The tiny page
-// cache forces constant eviction and re-admission churn through the shards.
+// this proves the lock-free read path — key-table searches, posting decodes
+// into per-call scratch, histogram reads off the mapping — is actually safe.
 func TestConcurrentLookups(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 80, EdgeFactor: 2, Labels: 4, Seed: 7})
 	if err != nil {
@@ -28,7 +27,7 @@ func TestConcurrentLookups(t *testing.T) {
 	}
 	dir := t.TempDir()
 	built, err := Build(context.Background(), g, Options{
-		MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir, CachePages: 8,
+		MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +123,7 @@ func pathMatchesEqual(a, b []PathMatch) bool {
 
 // TestConcurrentLookupDuringOnDemand specifically overlaps indexed scans
 // with the recursive on-demand enumeration (α < β), which walks the graph
-// instead of the tree — both must coexist without data races.
+// instead of the postings — both must coexist without data races.
 func TestConcurrentLookupDuringOnDemand(t *testing.T) {
 	g := motivating(t)
 	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.1, Gamma: 0.1})

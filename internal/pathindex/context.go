@@ -1,12 +1,6 @@
 package pathindex
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-	"os"
 	"runtime"
 	"sync"
 
@@ -149,93 +143,4 @@ func (c *Context) PPU(v entity.ID, sigma prob.LabelID) float64 {
 // FPU returns fpu(v,σ).
 func (c *Context) FPU(v entity.ID, sigma prob.LabelID) float64 {
 	return c.fpu[int(v)*c.nLabels+int(sigma)]
-}
-
-const ctxMagic = "PEGC"
-
-// Save writes the context tables to a file.
-func (c *Context) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("pathindex: save context: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	var hdr [12]byte
-	copy(hdr[:4], ctxMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(c.nLabels))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(c.card)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		f.Close()
-		return err
-	}
-	var buf [8]byte
-	for _, v := range c.card {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-		if _, err := w.Write(buf[:4]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	for _, v := range c.ppu {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		if _, err := w.Write(buf[:]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	for _, v := range c.fpu {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		if _, err := w.Write(buf[:]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadContext reads context tables written by Save.
-func LoadContext(path string) (*Context, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("pathindex: load context: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("pathindex: load context: %w", err)
-	}
-	if string(hdr[:4]) != ctxMagic {
-		return nil, fmt.Errorf("pathindex: bad context magic %q", hdr[:4])
-	}
-	nl := int(binary.LittleEndian.Uint32(hdr[4:]))
-	n := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if nl <= 0 || n < 0 || n > 1<<30 {
-		return nil, fmt.Errorf("pathindex: corrupt context header (%d labels, %d cells)", nl, n)
-	}
-	c := &Context{nLabels: nl, card: make([]int32, n), ppu: make([]float64, n), fpu: make([]float64, n)}
-	var buf [8]byte
-	for i := range c.card {
-		if _, err := io.ReadFull(r, buf[:4]); err != nil {
-			return nil, fmt.Errorf("pathindex: load context card: %w", err)
-		}
-		c.card[i] = int32(binary.LittleEndian.Uint32(buf[:4]))
-	}
-	for i := range c.ppu {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, fmt.Errorf("pathindex: load context ppu: %w", err)
-		}
-		c.ppu[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-	}
-	for i := range c.fpu {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, fmt.Errorf("pathindex: load context fpu: %w", err)
-		}
-		c.fpu[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-	}
-	return c, nil
 }

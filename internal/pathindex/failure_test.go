@@ -4,71 +4,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// Failure injection: every artifact of the v1 index directory must be
-// validated on Open, and corruption must surface as an error rather than
-// bad query results. Pinned to FormatBTree: these are the v1 artifact
-// files (packed-format corruption is covered by TestOpenCorruptPacked and
-// packedix's own fuzz target).
-func TestOpenCorruptArtifacts(t *testing.T) {
-	g := motivating(t)
-	build := func(t *testing.T) string {
-		dir := filepath.Join(t.TempDir(), "ix")
-		ix, err := Build(context.Background(), g, Options{MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir, Format: FormatBTree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-
-	cases := []struct {
-		name    string
-		corrupt func(t *testing.T, dir string)
-	}{
-		{"missing-meta", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, fileMeta))
-		}},
-		{"garbage-meta", func(t *testing.T, dir string) {
-			os.WriteFile(filepath.Join(dir, fileMeta), []byte("{not json"), 0o644)
-		}},
-		{"missing-pages", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, filePages))
-		}},
-		{"truncated-pages", func(t *testing.T, dir string) {
-			os.Truncate(filepath.Join(dir, filePages), 10)
-		}},
-		{"missing-context", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, fileContext))
-		}},
-		{"garbage-context", func(t *testing.T, dir string) {
-			os.WriteFile(filepath.Join(dir, fileContext), []byte("XXXXXXXXXXXX"), 0o644)
-		}},
-		{"missing-hist", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, fileHist))
-		}},
-		{"garbage-dict", func(t *testing.T, dir string) {
-			os.WriteFile(filepath.Join(dir, fileDict), []byte("BAD!data"), 0o644)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := build(t)
-			tc.corrupt(t, dir)
-			if ix, err := Open(dir, g); err == nil {
-				ix.Close()
-				t.Error("corrupt index opened without error")
-			}
-		})
-	}
-}
-
-// TestOpenCorruptPacked is the v2 counterpart: a damaged packed.idx must
-// fail Open (or a later probe) with an error, never serve bad results.
+// TestOpenCorruptPacked: a damaged packed.idx must fail Open (or a later
+// probe) with an error, never serve bad results. packedix's own fuzz target
+// covers the decoder in depth.
 func TestOpenCorruptPacked(t *testing.T) {
 	g := motivating(t)
 	build := func(t *testing.T) string {
@@ -114,6 +56,27 @@ func TestOpenCorruptPacked(t *testing.T) {
 				t.Error("corrupt packed index opened without error")
 			}
 		})
+	}
+}
+
+// TestOpenV1DirectoryExplains: a directory from before the packed format
+// (meta.json, paths.pages, no packed.idx) fails Open with an error that says
+// to rebuild it.
+func TestOpenV1DirectoryExplains(t *testing.T) {
+	g := motivating(t)
+	dir := t.TempDir()
+	for _, name := range []string{"meta.json", "paths.pages", "seqs.dict", "context.bin", "hist.bin"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("v1"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := Open(dir, g)
+	if err == nil {
+		ix.Close()
+		t.Fatal("v1 directory opened")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "v1") || !strings.Contains(msg, "pegbuild") {
+		t.Fatalf("error does not explain the rebuild: %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package pathindex
 
 import (
-	"context"
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/entity"
 	"repro/internal/gen"
 	"repro/internal/prob"
+	"repro/internal/storage/packedix"
 )
 
 // assertReadersBitwiseEqual drives the full read surface of two indexes —
@@ -39,9 +40,7 @@ func assertReadersBitwiseEqual(t *testing.T, a, b *Index, g *entity.Graph) {
 				t.Fatalf("X=%v α=%v: %d vs %d matches", X, alpha, len(ma), len(mb))
 			}
 			for i := range ma {
-				if !reflect.DeepEqual(ma[i].Nodes, mb[i].Nodes) ||
-					math.Float64bits(ma[i].Prle) != math.Float64bits(mb[i].Prle) ||
-					math.Float64bits(ma[i].Prn) != math.Float64bits(mb[i].Prn) {
+				if !reflect.DeepEqual(ma[i].Nodes, mb[i].Nodes) || !sameBits(ma[i], mb[i]) {
 					t.Fatalf("X=%v α=%v match %d: %+v vs %+v", X, alpha, i, ma[i], mb[i])
 				}
 			}
@@ -56,14 +55,17 @@ func assertReadersBitwiseEqual(t *testing.T, a, b *Index, g *entity.Graph) {
 		probe(reverseLabels(X)) // the reversed orientation exercises canonicalization
 	}
 	probe([]prob.LabelID{0, 0}) // palindromic, possibly absent
+	assertContextsBitwiseEqual(t, a.Context(), b.Context(), g)
+}
 
-	nl := g.NumLabels()
+func assertContextsBitwiseEqual(t *testing.T, a, b *Context, g *entity.Graph) {
+	t.Helper()
 	for v := 0; v < g.NumNodes(); v++ {
-		for s := 0; s < nl; s++ {
+		for s := 0; s < g.NumLabels(); s++ {
 			id, sig := entity.ID(v), prob.LabelID(s)
-			if a.Context().Card(id, sig) != b.Context().Card(id, sig) ||
-				math.Float64bits(a.Context().PPU(id, sig)) != math.Float64bits(b.Context().PPU(id, sig)) ||
-				math.Float64bits(a.Context().FPU(id, sig)) != math.Float64bits(b.Context().FPU(id, sig)) {
+			if a.Card(id, sig) != b.Card(id, sig) ||
+				math.Float64bits(a.PPU(id, sig)) != math.Float64bits(b.PPU(id, sig)) ||
+				math.Float64bits(a.FPU(id, sig)) != math.Float64bits(b.FPU(id, sig)) {
 				t.Fatalf("context (%d,%d) differs", v, s)
 			}
 		}
@@ -86,120 +88,41 @@ func syntheticGraph(t *testing.T, seed int64) *entity.Graph {
 	return g
 }
 
-// TestFormatEquivalence is the cross-format property: a packed (v2) build
-// and a B+-tree (v1) build over the same graph and parameters are
-// indistinguishable through the Reader interface, bit for bit.
+// TestFormatEquivalence holds packed.idx to being the whole of the index:
+// the index a single-worker build hands back (context tables in memory) and
+// the file a seven-worker build writes, reopened from disk, are the same
+// bytes and indistinguishable through the Reader interface, bit for bit.
 func TestFormatEquivalence(t *testing.T) {
-	t.Run("motivating", func(t *testing.T) {
-		g := motivating(t)
-		opt := Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1}
-		packed := buildIndex(t, g, opt)
-		opt.Format = FormatBTree
-		tree := buildIndex(t, g, opt)
-		if packed.Format() != FormatPacked || tree.Format() != FormatBTree {
-			t.Fatalf("formats: %v / %v", packed.Format(), tree.Format())
+	check := func(t *testing.T, g *entity.Graph, opt Options) {
+		opt.Workers, opt.Dir = 1, t.TempDir()
+		built := buildIndex(t, g, opt)
+		other := opt
+		other.Workers, other.Dir = 7, t.TempDir()
+		buildIndex(t, g, other).Close()
+		a, err := os.ReadFile(filepath.Join(opt.Dir, packedix.FileName))
+		if err != nil {
+			t.Fatal(err)
 		}
-		assertReadersBitwiseEqual(t, tree, packed, g)
+		b, err := os.ReadFile(filepath.Join(other.Dir, packedix.FileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("packed.idx differs between Workers 1 (%d bytes) and 7 (%d bytes)", len(a), len(b))
+		}
+		reopened, err := Open(other.Dir, g)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		t.Cleanup(func() { reopened.Close() })
+		assertReadersBitwiseEqual(t, built, reopened, g)
+	}
+	t.Run("motivating", func(t *testing.T) {
+		check(t, motivating(t), Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1})
 	})
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run("synthetic", func(t *testing.T) {
-			g := syntheticGraph(t, seed)
-			opt := Options{MaxLen: 3, Beta: 0.05, Gamma: 0.1}
-			packed := buildIndex(t, g, opt)
-			opt.Format = FormatBTree
-			tree := buildIndex(t, g, opt)
-			assertReadersBitwiseEqual(t, tree, packed, g)
+			check(t, syntheticGraph(t, seed), Options{MaxLen: 3, Beta: 0.05, Gamma: 0.1})
 		})
-	}
-}
-
-// TestRepackRoundTrip migrates a v1 directory in place and asserts the
-// repacked index is bitwise-equivalent to the original — Lookup, Context,
-// and Cardinality all answer identically.
-func TestRepackRoundTrip(t *testing.T) {
-	g := syntheticGraph(t, 9)
-	dir := filepath.Join(t.TempDir(), "ix")
-	opt := Options{MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir, Format: FormatBTree}
-	v1, err := Build(context.Background(), g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { v1.Close() })
-
-	stats, err := Repack(dir, g)
-	if err != nil {
-		t.Fatalf("Repack: %v", err)
-	}
-	if stats.Entries != v1.Stats().Entries {
-		t.Fatalf("repack entries %d, v1 has %d", stats.Entries, v1.Stats().Entries)
-	}
-	if stats.Bytes == 0 {
-		t.Fatal("repack reported 0 bytes")
-	}
-
-	// Open now prefers the packed file it finds in the directory.
-	v2, err := Open(dir, g)
-	if err != nil {
-		t.Fatalf("Open repacked: %v", err)
-	}
-	t.Cleanup(func() { v2.Close() })
-	if v2.Format() != FormatPacked {
-		t.Fatalf("repacked dir opened as %v", v2.Format())
-	}
-	assertReadersBitwiseEqual(t, v1, v2, g)
-
-	// A second repack must refuse rather than clobber.
-	if _, err := Repack(dir, g); err == nil {
-		t.Fatal("second Repack succeeded")
-	}
-	// The v1 artifacts were left for rollback: removing packed.idx falls
-	// back to the B+-tree open path.
-	if err := os.Remove(filepath.Join(dir, "packed.idx")); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Open(dir, g)
-	if err != nil {
-		t.Fatalf("rollback open: %v", err)
-	}
-	defer back.Close()
-	if back.Format() != FormatBTree {
-		t.Fatalf("rollback opened as %v", back.Format())
-	}
-}
-
-// TestIndexMetrics covers the read-path counters both formats export.
-func TestIndexMetrics(t *testing.T) {
-	g := motivating(t)
-	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1})
-	var observed int
-	ix.SetPostingObserver(func(micros float64) {
-		if micros < 0 {
-			t.Errorf("negative decode time %v", micros)
-		}
-		observed++
-	})
-	alpha := g.Alphabet()
-	if _, err := ix.Lookup([]prob.LabelID{alpha.ID("r"), alpha.ID("a")}, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	m := ix.IndexMetrics()
-	if m.Format != "v2" {
-		t.Fatalf("format %q", m.Format)
-	}
-	if m.Probes != 1 {
-		t.Fatalf("probes %d", m.Probes)
-	}
-	if m.MappedBytes == 0 {
-		t.Fatal("mapped bytes 0")
-	}
-	if observed != 1 {
-		t.Fatalf("observer fired %d times", observed)
-	}
-	ix.SetPostingObserver(nil)
-	if _, err := ix.Lookup([]prob.LabelID{alpha.ID("r"), alpha.ID("a")}, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if observed != 1 {
-		t.Fatal("observer fired after uninstall")
 	}
 }

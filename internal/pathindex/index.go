@@ -2,8 +2,8 @@ package pathindex
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,10 +14,7 @@ import (
 
 	"repro/internal/entity"
 	"repro/internal/prob"
-	"repro/internal/storage/btree"
-	"repro/internal/storage/hashdict"
 	"repro/internal/storage/packedix"
-	"repro/internal/storage/pager"
 )
 
 // Options configures index construction.
@@ -33,23 +30,17 @@ type Options struct {
 	Workers int
 	// Dir is the artifact directory (created if missing).
 	Dir string
-	// CachePages sizes the pager buffer pool (0 = pager default; v1 format
-	// only — the packed format has no buffer pool to size).
-	CachePages int
-	// Format selects the on-disk layout. The zero value is FormatPacked
-	// (v2), so new builds — including compactions of v1-era databases —
-	// emit the packed format unless explicitly pinned to FormatBTree.
-	Format Format
 }
 
 func (o *Options) normalize() error {
 	if o.MaxLen < 1 || o.MaxLen > MaxSupportedLen {
 		return fmt.Errorf("pathindex: MaxLen %d out of range [1,%d]", o.MaxLen, MaxSupportedLen)
 	}
-	if o.Beta <= 0 || o.Beta > 1 {
+	// Written so NaN fails too: every comparison with NaN is false.
+	if !(o.Beta > 0 && o.Beta <= 1) {
 		return fmt.Errorf("pathindex: Beta %v out of range (0,1]", o.Beta)
 	}
-	if o.Gamma <= 0 || o.Gamma > 1 {
+	if !(o.Gamma > 0 && o.Gamma <= 1) {
 		return fmt.Errorf("pathindex: Gamma %v out of range (0,1]", o.Gamma)
 	}
 	if o.Workers <= 0 {
@@ -73,57 +64,28 @@ type BuildStats struct {
 	ContextTime   time.Duration // context information share
 }
 
-// Index is an opened path index. Once built or opened, the index is
-// read-only and every read method — Scan, Lookup, Cardinality, Context, Stats —
-// is safe for many concurrent callers without shared locking: B+ tree scans
-// ride on the pager's sharded buffer pool, and the dictionary, histograms,
-// and context tables are immutable after construction. Build itself is
-// single-writer (storeLevel runs on one goroutine).
+// Index is an opened path index: one packed.idx file (internal/storage/
+// packedix), mapped read-only. Once built or opened, every read method —
+// Scan, Lookup, Cardinality, Context, Stats — is safe for many concurrent
+// callers without locking: probes read the immutable mapping and write only
+// caller-owned scratch.
 type Index struct {
-	opt Options
-	g   *entity.Graph
-
-	// v1 B+-tree backend.
-	dict *hashdict.Dict
-	pg   *pager.Pager
-	tree *btree.Tree
-	hist *Histograms
-
-	// v2 packed backend.
+	opt    Options
+	g      *entity.Graph
 	packed *packedix.File
-	pw     *packedix.Writer // non-nil only during a packed build
-
-	ctx   *Context
-	stats BuildStats
-
-	recno uint32 // next record number during build
+	ctx    *Context
+	stats  BuildStats
 
 	probes atomic.Uint64                 // Scan calls answered
 	obs    atomic.Pointer[func(float64)] // posting-decode observer (µs)
 }
 
-type metaFile struct {
-	MaxLen  int     `json:"max_len"`
-	Beta    float64 `json:"beta"`
-	Gamma   float64 `json:"gamma"`
-	Nodes   int     `json:"nodes"`
-	Edges   int     `json:"edges"`
-	Entries uint64  `json:"entries"`
-}
-
-const (
-	fileMeta    = "meta.json"
-	filePages   = "paths.pages"
-	fileDict    = "seqs.dict"
-	fileContext = "context.bin"
-	fileHist    = "hist.bin"
-)
-
 // Build runs the offline phase of Section 5.1 over the entity graph:
 // component probabilities are already precomputed by entity.Build; this
-// computes context information and constructs the path index level by level
-// (single nodes first, then extensions), in parallel with a barrier between
-// lengths, buffering records in memory before writing them to the B+ tree.
+// computes context information and enumerates the indexed paths level by
+// level (single nodes first, then extensions), in parallel with a barrier
+// between lengths, buffering them in a packedix writer that emits
+// packed.idx in one write.
 func Build(ctx context.Context, g *entity.Graph, opt Options) (*Index, error) {
 	start := time.Now()
 	if err := opt.normalize(); err != nil {
@@ -132,165 +94,102 @@ func Build(ctx context.Context, g *entity.Graph, opt Options) (*Index, error) {
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pathindex: %w", err)
 	}
-	if opt.Format == FormatPacked {
-		return buildPacked(ctx, g, opt, start)
-	}
-	dict, err := hashdict.Open(filepath.Join(opt.Dir, fileDict))
+	w, err := packedix.NewWriter(packedix.Meta{
+		MaxLen:   opt.MaxLen,
+		NLabels:  g.NumLabels(),
+		NBuckets: numBuckets(opt.Beta, opt.Gamma),
+		Beta:     opt.Beta,
+		Gamma:    opt.Gamma,
+		Nodes:    g.NumNodes(),
+		Edges:    g.NumEdges(),
+	})
 	if err != nil {
 		return nil, err
 	}
-	pg, err := pager.Open(filepath.Join(opt.Dir, filePages), pager.Options{CachePages: opt.CachePages})
-	if err != nil {
-		dict.Close()
-		return nil, err
-	}
-	tree, err := btree.Create(pg)
-	if err != nil {
-		pg.Close()
-		dict.Close()
-		return nil, err
-	}
-	ix := &Index{
-		opt:  opt,
-		g:    g,
-		dict: dict,
-		pg:   pg,
-		tree: tree,
-		hist: NewHistograms(opt.Beta, opt.Gamma),
-	}
+	ix := &Index{opt: opt, g: g}
 
 	ctxStart := time.Now()
 	ix.ctx = ComputeContext(g, opt.Workers)
 	ix.stats.ContextTime = time.Since(ctxStart)
 
-	if err := ix.buildPaths(ctx); err != nil {
-		ix.Close()
+	if err := ix.buildPaths(ctx, w); err != nil {
 		return nil, err
 	}
-
-	if err := ix.ctx.Save(filepath.Join(opt.Dir, fileContext)); err != nil {
-		ix.Close()
+	if err := w.SetContext(ix.ctx.nLabels, ix.ctx.card, ix.ctx.ppu, ix.ctx.fpu); err != nil {
 		return nil, err
 	}
-	if err := ix.hist.Save(filepath.Join(opt.Dir, fileHist)); err != nil {
-		ix.Close()
+	path := filepath.Join(opt.Dir, packedix.FileName)
+	if _, err := w.WriteFile(path); err != nil {
 		return nil, err
 	}
-	ix.stats.Sequences = dict.Len()
-	meta := metaFile{
-		MaxLen: opt.MaxLen, Beta: opt.Beta, Gamma: opt.Gamma,
-		Nodes: g.NumNodes(), Edges: g.NumEdges(), Entries: ix.stats.Entries,
-	}
-	mb, err := json.MarshalIndent(meta, "", "  ")
+	f, err := packedix.Open(path)
 	if err != nil {
-		ix.Close()
 		return nil, err
 	}
-	if err := os.WriteFile(filepath.Join(opt.Dir, fileMeta), mb, 0o644); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	if err := tree.Sync(); err != nil {
-		ix.Close()
-		return nil, err
-	}
-	if err := dict.Sync(); err != nil {
-		ix.Close()
-		return nil, err
-	}
+	ix.packed = f
+	ix.stats.Sequences = f.NumSeqs()
 	ix.stats.Duration = time.Since(start)
 	ix.stats.Bytes = dirBytes(opt.Dir)
 	return ix, nil
 }
 
-// Open attaches to an index previously built in dir, validating it against
-// the given graph's parameters. The format is auto-detected: a packed.idx
-// file means the v2 packed layout, anything else the v1 B+-tree layout —
-// so v1 generations written before the format flip keep serving.
-func Open(dir string, g *entity.Graph) (*Index, error) {
-	if _, err := os.Stat(filepath.Join(dir, packedix.FileName)); err == nil {
-		return openPacked(dir, g)
-	}
-	return openBTree(dir, g)
-}
-
-func openBTree(dir string, g *entity.Graph) (*Index, error) {
-	mb, err := os.ReadFile(filepath.Join(dir, fileMeta))
+// Open attaches to the packed.idx in dir, validating it against g. The file
+// is mapped, not loaded: cold open touches the header and descriptor pages
+// only, and the context tables alias the mapping.
+func Open(dir string, g *entity.Graph) (_ *Index, err error) {
+	f, err := packedix.Open(filepath.Join(dir, packedix.FileName))
 	if err != nil {
-		return nil, fmt.Errorf("pathindex: open: %w", err)
+		return nil, fmt.Errorf("pathindex: open %s: %w (v1 B+-tree index directories are no longer read; rebuild the index with pegbuild)", dir, err)
 	}
-	var meta metaFile
-	if err := json.Unmarshal(mb, &meta); err != nil {
-		return nil, fmt.Errorf("pathindex: corrupt meta: %w", err)
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	m := f.Meta()
+	if m.Nodes != g.NumNodes() || m.Edges != g.NumEdges() || m.NLabels != g.NumLabels() {
+		return nil, fmt.Errorf("pathindex: index built for %d nodes/%d edges/%d labels, graph has %d/%d/%d",
+			m.Nodes, m.Edges, m.NLabels, g.NumNodes(), g.NumEdges(), g.NumLabels())
 	}
-	if meta.Nodes != g.NumNodes() || meta.Edges != g.NumEdges() {
-		return nil, fmt.Errorf("pathindex: index built for %d nodes/%d edges, graph has %d/%d",
-			meta.Nodes, meta.Edges, g.NumNodes(), g.NumEdges())
-	}
-	opt := Options{MaxLen: meta.MaxLen, Beta: meta.Beta, Gamma: meta.Gamma, Dir: dir, Format: FormatBTree}
+	opt := Options{MaxLen: m.MaxLen, Beta: m.Beta, Gamma: m.Gamma, Dir: dir}
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	dict, err := hashdict.Open(filepath.Join(dir, fileDict))
+	if nb := numBuckets(opt.Beta, opt.Gamma); m.NBuckets != nb {
+		return nil, fmt.Errorf("pathindex: index has %d buckets, β=%v γ=%v make %d", m.NBuckets, opt.Beta, opt.Gamma, nb)
+	}
+	nl, card, ppu, fpu, err := f.Context()
 	if err != nil {
 		return nil, err
 	}
-	pg, err := pager.Open(filepath.Join(dir, filePages), pager.Options{})
-	if err != nil {
-		dict.Close()
-		return nil, err
+	if nl != g.NumLabels() {
+		return nil, fmt.Errorf("pathindex: context tables hold %d labels, graph has %d", nl, g.NumLabels())
 	}
-	tree, err := btree.Open(pg)
-	if err != nil {
-		pg.Close()
-		dict.Close()
-		return nil, err
+	ix := &Index{
+		opt:    opt,
+		g:      g,
+		packed: f,
+		ctx:    &Context{nLabels: nl, card: card, ppu: ppu, fpu: fpu},
 	}
-	ctxInfo, err := LoadContext(filepath.Join(dir, fileContext))
-	if err != nil {
-		pg.Close()
-		dict.Close()
-		return nil, err
-	}
-	hist, err := LoadHistograms(filepath.Join(dir, fileHist))
-	if err != nil {
-		pg.Close()
-		dict.Close()
-		return nil, err
-	}
-	ix := &Index{opt: opt, g: g, dict: dict, pg: pg, tree: tree, ctx: ctxInfo, hist: hist}
-	ix.stats.Entries = meta.Entries
-	ix.stats.Sequences = dict.Len()
+	ix.stats.Entries = m.Entries
+	ix.stats.EntriesPerLen = m.EntriesPerLen
+	ix.stats.Sequences = f.NumSeqs()
 	ix.stats.Bytes = dirBytes(dir)
 	return ix, nil
 }
 
-// Close releases the on-disk resources. For a packed index this unmaps the
-// file: zero-copy views handed out earlier (Context tables; Lookup results
-// are NOT among them — those are copied into caller-owned memory) must not
-// be dereferenced afterwards, the same drain-then-close discipline the
-// serving tier already applies before retiring a generation.
+// Close unmaps the file: zero-copy views handed out earlier (Context
+// tables; Lookup results are NOT among them — those are copied into
+// caller-owned memory) must not be dereferenced afterwards, the same
+// drain-then-close discipline the serving tier already applies before
+// retiring a generation.
 func (ix *Index) Close() error {
-	var first error
-	if ix.packed != nil {
-		if err := ix.packed.Close(); err != nil {
-			first = err
-		}
-		ix.packed = nil
+	if ix.packed == nil {
+		return nil
 	}
-	if ix.pg != nil {
-		if err := ix.pg.Close(); err != nil && first == nil {
-			first = err
-		}
-		ix.pg = nil
-	}
-	if ix.dict != nil {
-		if err := ix.dict.Close(); err != nil && first == nil {
-			first = err
-		}
-		ix.dict = nil
-	}
-	return first
+	err := ix.packed.Close()
+	ix.packed = nil
+	return err
 }
 
 // Stats returns build/size statistics.
@@ -330,8 +229,8 @@ func (p *opath) contains(v entity.ID) bool {
 }
 
 // buildPaths enumerates oriented paths level by level with a barrier between
-// levels, storing the canonical orientation of each (Section 5.1).
-func (ix *Index) buildPaths(ctx context.Context) error {
+// levels, storing the canonical orientation of each (Section 5.1) in w.
+func (ix *Index) buildPaths(ctx context.Context, w *packedix.Writer) error {
 	ix.stats.EntriesPerLen = make([]uint64, ix.opt.MaxLen+1)
 
 	// Level 0: single nodes.
@@ -352,7 +251,7 @@ func (ix *Index) buildPaths(ctx context.Context) error {
 			level = append(level, p)
 		}
 	}
-	if err := ix.storeLevel(level, 0); err != nil {
+	if err := ix.storeLevel(w, level, 0); err != nil {
 		return err
 	}
 
@@ -361,7 +260,7 @@ func (ix *Index) buildPaths(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if err := ix.storeLevel(next, l); err != nil {
+		if err := ix.storeLevel(w, next, l); err != nil {
 			return err
 		}
 		level = next
@@ -463,9 +362,11 @@ func (ix *Index) extendOne(p *opath, out []opath) []opath {
 	return out
 }
 
-// storeLevel writes the canonical orientation of every oriented path to the
-// B+ tree and the histograms.
-func (ix *Index) storeLevel(level []opath, l int) error {
+// storeLevel adds the canonical orientation of every oriented path to w, in
+// enumeration order — the order a scan of one bucket decodes them in.
+func (ix *Index) storeLevel(w *packedix.Writer, level []opath, l int) error {
+	var lbl [maxNodes]uint16
+	var nds [maxNodes]uint32
 	for i := range level {
 		p := &level[i]
 		labels := p.labels[:p.n]
@@ -477,26 +378,16 @@ func (ix *Index) storeLevel(level []opath, l int) error {
 		if palin && p.n > 1 && nodes[0] > nodes[p.n-1] {
 			continue // palindromic sequences store node-canonical orientation
 		}
-		if ix.pw != nil {
-			if err := ix.storePacked(canon, nodes, p.prle, p.prn); err != nil {
-				return err
-			}
-			ix.stats.Entries++
-			ix.stats.EntriesPerLen[l]++
-			continue
+		for j, lb := range canon {
+			lbl[j] = uint16(lb)
 		}
-		seqID, _, err := ix.dict.Intern(seqBytes(canon))
-		if err != nil {
+		for j, n := range nodes {
+			nds[j] = uint32(n)
+		}
+		b := bucketOf(p.prle*p.prn, ix.opt.Beta, ix.opt.Gamma)
+		if err := w.Add(lbl[:p.n], int(b), nds[:p.n], p.prle, p.prn); err != nil {
 			return err
 		}
-		pr := p.prle * p.prn
-		b := bucketOf(pr, ix.opt.Beta, ix.opt.Gamma)
-		rec := ix.recno
-		ix.recno++
-		if err := ix.tree.Put(encodeKey(seqID, b, rec), encodeRecord(nodes, p.prle, p.prn)); err != nil {
-			return err
-		}
-		ix.hist.Add(seqID, b)
 		ix.stats.Entries++
 		ix.stats.EntriesPerLen[l]++
 	}
@@ -507,7 +398,10 @@ func (ix *Index) storeLevel(level []opath, l int) error {
 // probability ≥ α, oriented along X, in storage order. When α < β the index
 // is insufficient — it only stores paths of probability ≥ β — and is
 // bypassed entirely: the paths are enumerated on demand from the graph (the
-// paper's footnote 1). See ScanFunc for the aliasing contract.
+// paper's footnote 1). Otherwise the sequence's postings for buckets
+// ≥ bucket(α) are decoded straight from the mapping into one scratch row, so
+// a scan allocates nothing per record and nothing proportional to the
+// posting list. See ScanFunc for the aliasing contract.
 func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 	if len(X) == 0 || len(X) > maxNodes {
 		return fmt.Errorf("pathindex: label sequence length %d out of range", len(X))
@@ -520,44 +414,49 @@ func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 		ix.onDemand(X, alpha, fn)
 		return nil
 	}
-	if ix.packed != nil {
-		return ix.scanPacked(X, alpha, fn)
+	canon, reversed, palin := canonicalSeq(X)
+	s, ok := ix.findSeq(canon)
+	if !ok {
+		return nil
 	}
-	return ix.scanTree(X, alpha, fn)
+	from := int(bucketOf(alpha, ix.opt.Beta, ix.opt.Gamma))
+	obs := ix.obs.Load()
+	var t0 time.Time
+	if obs != nil {
+		t0 = time.Now()
+	}
+	var buf [maxNodes]entity.ID
+	err := s.Decode(from, func(_ int, nodes []uint32, prle, prn float64) bool {
+		if prle*prn+1e-12 < alpha {
+			return true // bucket floor below α: filter exactly
+		}
+		row := buf[:len(nodes)]
+		for i, n := range nodes {
+			row[i] = entity.ID(n)
+		}
+		return emitOriented(row, prle, prn, reversed, palin, fn)
+	})
+	if obs != nil {
+		(*obs)(float64(time.Since(t0).Nanoseconds()) / 1e3)
+	}
+	return err
+}
+
+// findSeq looks up a canonical label sequence's key-table entry.
+func (ix *Index) findSeq(canon []prob.LabelID) (packedix.Seq, bool) {
+	if len(canon) > maxNodes {
+		return packedix.Seq{}, false
+	}
+	var lbl [maxNodes]uint16
+	for i, l := range canon {
+		lbl[i] = uint16(l)
+	}
+	return ix.packed.FindSeq(lbl[:len(canon)])
 }
 
 // Lookup returns PIndex(X, α) as caller-owned memory.
 func (ix *Index) Lookup(X []prob.LabelID, alpha float64) ([]PathMatch, error) {
 	return Collect(ix, X, alpha)
-}
-
-// scanTree is the v1 arm of Scan: one B+ tree range scan over the
-// sequence's buckets ≥ bucket(α), decoded into scratch.
-func (ix *Index) scanTree(X []prob.LabelID, alpha float64, fn ScanFunc) error {
-	canon, reversed, palin := canonicalSeq(X)
-	seqID, ok := ix.dict.Lookup(seqBytes(canon))
-	if !ok {
-		return nil
-	}
-	lo := encodeKey(seqID, bucketOf(alpha, ix.opt.Beta, ix.opt.Gamma), 0)
-	hi := encodeKey(seqID+1, 0, 0)
-	var buf [maxNodes]entity.ID
-	var scanErr error
-	err := ix.tree.Scan(lo, hi, func(k, v []byte) bool {
-		nodes, prle, prn, err := decodeRecord(v, buf[:])
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if prle*prn+1e-12 < alpha {
-			return true // bucket floor below α: filter exactly
-		}
-		return emitOriented(nodes, prle, prn, reversed, palin, fn)
-	})
-	if err != nil {
-		return err
-	}
-	return scanErr
 }
 
 // emitOriented hands one stored record (canonical orientation, in scratch
@@ -579,22 +478,58 @@ func emitOriented(nodes []entity.ID, prle, prn float64, reversed, palin bool, fn
 	return fn(nodes, prle, prn)
 }
 
-// Cardinality estimates |PIndex(X, α)| via the histograms (palindromic
-// sequences count both orientations). Used by query decomposition.
+// Cardinality estimates |PIndex(X, α)| from the per-bucket posting counts
+// stored with every key — the offline histograms of Section 5.2.1
+// (palindromic sequences count both orientations). Used by query
+// decomposition.
 func (ix *Index) Cardinality(X []prob.LabelID, alpha float64) float64 {
-	if ix.packed != nil {
-		return ix.cardinalityPacked(X, alpha)
-	}
 	canon, _, palin := canonicalSeq(X)
-	seqID, ok := ix.dict.Lookup(seqBytes(canon))
+	s, ok := ix.findSeq(canon)
 	if !ok {
 		return 0
 	}
-	est := ix.hist.Estimate(seqID, alpha)
+	nb := ix.packed.Meta().NBuckets
+	cum := func(i int) uint32 {
+		var sum uint32
+		for j := i; j < nb; j++ {
+			sum += s.Count(j)
+		}
+		return sum
+	}
+	est := estimateCurve(ix.opt.Beta, ix.opt.Gamma, nb, cum, alpha)
 	if palin && len(X) > 1 {
 		est *= 2
 	}
 	return est
+}
+
+// estimateCurve is the exponential curve fit of Section 5.2.1: with N(αᵢ)
+// and N(αᵢ₊₁) known at the two surrounding grid points,
+// N(α) = N(αᵢ) · (N(αᵢ₊₁)/N(αᵢ))^((α−αᵢ)/γ). cum(i) must return the exact
+// stored-entry count with probability ≥ β+iγ.
+func estimateCurve(beta, gamma float64, nb int, cum func(i int) uint32, alpha float64) float64 {
+	if alpha <= beta {
+		return float64(cum(0))
+	}
+	if alpha >= 1 {
+		return float64(cum(nb - 1))
+	}
+	i := int((alpha - beta) / gamma)
+	if i >= nb-1 {
+		return float64(cum(nb - 1))
+	}
+	ni := float64(cum(i))
+	nj := float64(cum(i + 1))
+	if ni == 0 {
+		return 0
+	}
+	frac := (alpha - bucketFloor(uint16(i), beta, gamma)) / gamma
+	if nj == 0 {
+		// Exponential fit undefined; fall back to a linear ramp to zero,
+		// which preserves monotonicity.
+		return ni * (1 - frac)
+	}
+	return ni * math.Pow(nj/ni, frac)
 }
 
 func ctxErr(ctx context.Context) error {
@@ -620,22 +555,17 @@ func dirBytes(dir string) int64 {
 // Sequences returns all canonical label sequences present in the index, for
 // diagnostics and tests.
 func (ix *Index) Sequences() [][]prob.LabelID {
-	if ix.packed != nil {
-		out := ix.sequencesPacked()
-		sort.Slice(out, func(i, j int) bool { return compareLabels(out[i], out[j]) < 0 })
-		return out
-	}
 	var out [][]prob.LabelID
-	for id := uint64(0); ; id++ {
-		key, ok := ix.dict.Key(id)
-		if !ok {
-			break
+	var buf []uint16
+	for l := 0; l <= ix.opt.MaxLen; l++ {
+		for i := 0; i < ix.packed.SeqsAtLen(l); i++ {
+			buf = ix.packed.SeqAt(l, i).Labels(buf)
+			labels := make([]prob.LabelID, len(buf))
+			for j, v := range buf {
+				labels[j] = prob.LabelID(v)
+			}
+			out = append(out, labels)
 		}
-		labels := make([]prob.LabelID, len(key)/2)
-		for i := range labels {
-			labels[i] = prob.LabelID(uint16(key[2*i])<<8 | uint16(key[2*i+1]))
-		}
-		out = append(out, labels)
 	}
 	sort.Slice(out, func(i, j int) bool { return compareLabels(out[i], out[j]) < 0 })
 	return out

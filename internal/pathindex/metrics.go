@@ -3,10 +3,7 @@ package pathindex
 // IndexMetrics is a point-in-time snapshot of the read path's counters,
 // exported by the server as the peg_index_* metrics family.
 type IndexMetrics struct {
-	// Format is the on-disk layout serving probes ("v1" or "v2").
-	Format string
-	// MappedBytes is the size of the mmap'd region for a packed index, 0
-	// for the v1 pager-backed layout (which owns a heap cache instead).
+	// MappedBytes is the size of the mmap'd packed.idx region.
 	MappedBytes int64
 	// Probes counts Scan calls (Lookup included) answered since open.
 	Probes uint64
@@ -17,8 +14,7 @@ type IndexMetrics struct {
 type MetricsSource interface {
 	IndexMetrics() IndexMetrics
 	// SetPostingObserver installs fn to receive the wall-clock microseconds
-	// of each posting-blob scan (packed format, α ≥ β only; the v1 read path
-	// has no distinct decode phase and on-demand enumeration reads no
+	// of each posting-blob scan (α ≥ β only; on-demand enumeration reads no
 	// postings). Decode is streamed, so the time includes what the scan's
 	// callback does per record — for a query, the context tests. fn must be
 	// cheap and safe for concurrent calls; nil uninstalls.
@@ -27,7 +23,7 @@ type MetricsSource interface {
 
 // IndexMetrics implements MetricsSource.
 func (ix *Index) IndexMetrics() IndexMetrics {
-	m := IndexMetrics{Format: ix.Format().String(), Probes: ix.probes.Load()}
+	m := IndexMetrics{Probes: ix.probes.Load()}
 	if ix.packed != nil {
 		m.MappedBytes = ix.packed.MappedBytes()
 	}
@@ -41,12 +37,4 @@ func (ix *Index) SetPostingObserver(fn func(micros float64)) {
 		return
 	}
 	ix.obs.Store(&fn)
-}
-
-// Format reports the on-disk layout backing this index.
-func (ix *Index) Format() Format {
-	if ix.packed != nil || ix.pw != nil {
-		return FormatPacked
-	}
-	return FormatBTree
 }

@@ -2,9 +2,13 @@ package pathindex
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -12,6 +16,7 @@ import (
 	"repro/internal/fixtures"
 	"repro/internal/prob"
 	"repro/internal/refgraph"
+	"repro/internal/storage/packedix"
 )
 
 func buildIndex(t *testing.T, g *entity.Graph, opt Options) *Index {
@@ -221,12 +226,18 @@ func TestLookupValidation(t *testing.T) {
 
 func TestBuildOptionValidation(t *testing.T) {
 	g := motivating(t)
+	dir := t.TempDir()
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Options{
-		{MaxLen: 0, Beta: 0.5, Gamma: 0.1, Dir: "x"},
-		{MaxLen: 9, Beta: 0.5, Gamma: 0.1, Dir: "x"},
-		{MaxLen: 2, Beta: 0, Gamma: 0.1, Dir: "x"},
-		{MaxLen: 2, Beta: 0.5, Gamma: 0, Dir: "x"},
+		{MaxLen: 0, Beta: 0.5, Gamma: 0.1, Dir: dir},
+		{MaxLen: 9, Beta: 0.5, Gamma: 0.1, Dir: dir},
+		{MaxLen: 2, Beta: 0, Gamma: 0.1, Dir: dir},
+		{MaxLen: 2, Beta: 0.5, Gamma: 0, Dir: dir},
 		{MaxLen: 2, Beta: 0.5, Gamma: 0.1, Dir: ""},
+		{MaxLen: 2, Beta: nan, Gamma: 0.1, Dir: dir},
+		{MaxLen: 2, Beta: 0.5, Gamma: nan, Dir: dir},
+		{MaxLen: 2, Beta: inf, Gamma: 0.1, Dir: dir},
+		{MaxLen: 2, Beta: 0.5, Gamma: -inf, Dir: dir},
 	}
 	for i, opt := range bad {
 		if _, err := Build(context.Background(), g, opt); err == nil {
@@ -283,24 +294,66 @@ func TestPersistenceReopen(t *testing.T) {
 	}
 }
 
-func TestOpenWrongGraph(t *testing.T) {
-	g := motivating(t)
-	dir := t.TempDir()
-	ix := buildIndex(t, g, Options{MaxLen: 1, Beta: 0.1, Gamma: 0.1, Dir: dir})
-	ix.Close()
-
-	other := prob.MustAlphabet("z")
-	d := refgraph.New(other)
-	d.AddReference(prob.Point(0))
-	g2, err := entity.Build(d, entity.BuildOptions{})
+// chainGraph is n references in a path, each a point on label 0 of an
+// alphabet of the given labels: the node and edge counts do not depend on
+// the alphabet size.
+func chainGraph(t *testing.T, n int, labels ...string) *entity.Graph {
+	t.Helper()
+	d := refgraph.New(prob.MustAlphabet(labels...))
+	for i := 0; i < n; i++ {
+		d.AddReference(prob.Point(0))
+	}
+	for i := 1; i < n; i++ {
+		if err := d.AddEdge(refgraph.RefID(i-1), refgraph.RefID(i), refgraph.EdgeDist{P: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := entity.Build(d, entity.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, g2); err == nil {
-		t.Error("index opened against mismatched graph")
+	return g
+}
+
+func TestOpenWrongGraph(t *testing.T) {
+	g := motivating(t)
+	dir := t.TempDir()
+	buildIndex(t, g, Options{MaxLen: 1, Beta: 0.1, Gamma: 0.1, Dir: dir}).Close()
+	oneLabel := t.TempDir()
+	buildIndex(t, chainGraph(t, 4, "z"), Options{MaxLen: 1, Beta: 0.1, Gamma: 0.1, Dir: oneLabel}).Close()
+
+	// patched copies dir's packed.idx with the float64 header field at off
+	// overwritten: β lives at byte 24, γ at 32.
+	patched := func(off int, v float64) string {
+		b, err := os.ReadFile(filepath.Join(dir, packedix.FileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+		out := t.TempDir()
+		if err := os.WriteFile(filepath.Join(out, packedix.FileName), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if _, err := Open(filepath.Join(dir, "missing"), g); err == nil {
-		t.Error("missing dir opened")
+	for _, tc := range []struct {
+		name string
+		dir  string
+		g    *entity.Graph
+	}{
+		{"other-graph", dir, chainGraph(t, 1, "z")},
+		{"missing-dir", filepath.Join(dir, "missing"), g},
+		{"fewer-labels", oneLabel, chainGraph(t, 4, "x", "y", "z")},
+		{"buckets-vs-gamma", patched(32, 0.2), g},
+		{"nan-beta", patched(24, math.NaN()), g},
+		{"nan-gamma", patched(32, math.NaN()), g},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if ix, err := Open(tc.dir, tc.g); err == nil {
+				ix.Close()
+				t.Error("index opened against a mismatched graph or header")
+			}
+		})
 	}
 }
 
@@ -349,85 +402,107 @@ func TestContextFigure3(t *testing.T) {
 	}
 }
 
+// TestContextSaveLoad round-trips the context tables through packed.idx:
+// the tables a build computes in memory and the ones Open aliases from the
+// file's context section agree bit for bit.
 func TestContextSaveLoad(t *testing.T) {
 	g := motivating(t)
-	c := ComputeContext(g, 0)
-	path := filepath.Join(t.TempDir(), "ctx.bin")
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := LoadContext(path)
+	dir := t.TempDir()
+	ix := buildIndex(t, g, Options{MaxLen: 1, Beta: 0.1, Gamma: 0.1, Dir: dir})
+	ix2, err := Open(dir, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v < g.NumNodes(); v++ {
-		for l := 0; l < g.NumLabels(); l++ {
-			id, lid := entity.ID(v), prob.LabelID(l)
-			if c.Card(id, lid) != c2.Card(id, lid) ||
-				c.PPU(id, lid) != c2.PPU(id, lid) ||
-				c.FPU(id, lid) != c2.FPU(id, lid) {
-				t.Fatalf("context differs at (%d,%d)", v, l)
+	defer ix2.Close()
+	assertContextsBitwiseEqual(t, ix.Context(), ix2.Context(), g)
+}
+
+// TestHistogramSaveLoad checks the per-bucket posting counts an opened
+// packed.idx answers Cardinality from against a histogram rebuilt from the
+// stored records themselves: every estimate on an α grid is the bitwise
+// estimateCurve of those counts.
+func TestHistogramSaveLoad(t *testing.T) {
+	g := syntheticGraph(t, 4)
+	dir := t.TempDir()
+	const beta, gamma = 0.05, 0.1
+	buildIndex(t, g, Options{MaxLen: 2, Beta: beta, Gamma: gamma, Dir: dir}).Close()
+	ix, err := Open(dir, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	nb := numBuckets(beta, gamma)
+	seqs := ix.Sequences()
+	if len(seqs) == 0 {
+		t.Fatal("no stored sequences")
+	}
+	for _, X := range seqs {
+		ms, err := ix.Lookup(X, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, palin := canonicalSeq(X)
+		both := palin && len(X) > 1
+		counts := make([]uint32, nb)
+		for _, m := range ms {
+			if both && m.Nodes[0] > m.Nodes[len(m.Nodes)-1] {
+				continue // the stored record is the node-canonical orientation
+			}
+			counts[bucketOf(m.Prle*m.Prn, beta, gamma)]++
+		}
+		for _, alpha := range []float64{beta, 0.1, 0.15, 0.31, 0.5, 0.77, 0.99, 1.0} {
+			want := estimateCurve(beta, gamma, nb, cumOf(counts), alpha)
+			if both {
+				want *= 2
+			}
+			if got := ix.Cardinality(X, alpha); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("X=%v α=%v: Cardinality %v, histogram of stored records %v", X, alpha, got, want)
 			}
 		}
 	}
 }
 
+// cumOf returns estimateCurve's cum callback over per-bucket counts, the
+// way Cardinality sums a key's histogram cells.
+func cumOf(counts []uint32) func(int) uint32 {
+	return func(i int) uint32 {
+		var sum uint32
+		for _, c := range counts[i:] {
+			sum += c
+		}
+		return sum
+	}
+}
+
 func TestHistogramExactAtGridPoints(t *testing.T) {
-	h := NewHistograms(0.1, 0.1)
 	// 10 buckets: [0.1,0.2) ... [1.0, ...]
-	h.AddN(7, 0, 5) // 5 entries in [0.1,0.2)
-	h.AddN(7, 5, 3) // 3 entries in [0.6,0.7)
-	h.AddN(7, 9, 2) // 2 entries at 1.0
-	if got := h.CumulativeAt(7, 0); got != 10 {
-		t.Errorf("hist(X, 0.1) = %d, want 10", got)
+	counts := make([]uint32, numBuckets(0.1, 0.1))
+	counts[0] = 5 // 5 entries in [0.1,0.2)
+	counts[5] = 3 // 3 entries in [0.6,0.7)
+	counts[9] = 2 // 2 entries at 1.0
+	for _, tc := range []struct {
+		alpha float64
+		want  float64
+	}{{0.1, 10}, {0.6, 5}, {1.0, 2}} {
+		if got := estimateCurve(0.1, 0.1, len(counts), cumOf(counts), tc.alpha); got != tc.want {
+			t.Errorf("estimate at grid point α=%v = %v, want %v", tc.alpha, got, tc.want)
+		}
 	}
-	if got := h.CumulativeAt(7, 5); got != 5 {
-		t.Errorf("hist(X, 0.6) = %d, want 5", got)
-	}
-	if got := h.CumulativeAt(7, 9); got != 2 {
-		t.Errorf("hist(X, 1.0) = %d, want 2", got)
-	}
-	if got := h.Estimate(7, 0.1); got != 10 {
-		t.Errorf("Estimate(0.1) = %v", got)
-	}
-	if got := h.Estimate(99, 0.5); got != 0 {
-		t.Errorf("Estimate(unknown seq) = %v", got)
+	if got := estimateCurve(0.1, 0.1, len(counts), cumOf(make([]uint32, len(counts))), 0.5); got != 0 {
+		t.Errorf("estimate over empty histogram = %v", got)
 	}
 }
 
 func TestHistogramInterpolationMonotone(t *testing.T) {
-	h := NewHistograms(0.1, 0.1)
-	h.AddN(1, 0, 100)
-	h.AddN(1, 3, 50)
-	h.AddN(1, 6, 20)
-	h.AddN(1, 9, 5)
+	counts := make([]uint32, numBuckets(0.1, 0.1))
+	counts[0], counts[3], counts[6], counts[9] = 100, 50, 20, 5
 	prev := math.Inf(1)
 	for a := 0.1; a <= 1.0; a += 0.01 {
-		got := h.Estimate(1, a)
+		got := estimateCurve(0.1, 0.1, len(counts), cumOf(counts), a)
 		if got > prev+1e-9 {
 			t.Fatalf("estimate not monotone at α=%v: %v > %v", a, got, prev)
 		}
 		prev = got
-	}
-}
-
-func TestHistogramSaveLoad(t *testing.T) {
-	h := NewHistograms(0.3, 0.1)
-	h.AddN(0, 0, 7)
-	h.AddN(3, 2, 9)
-	path := filepath.Join(t.TempDir(), "hist.bin")
-	if err := h.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := LoadHistograms(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.CumulativeAt(0, 0) != 7 || h2.CumulativeAt(3, 0) != 9 {
-		t.Error("histogram counts lost")
-	}
-	if h2.NumSeqs() != 2 {
-		t.Errorf("NumSeqs = %d", h2.NumSeqs())
 	}
 }
 
@@ -446,11 +521,47 @@ func TestCardinalityMatchesLookup(t *testing.T) {
 	}
 }
 
-// Property: for random small graphs, Lookup(X, α) with α ≥ β equals the
-// on-demand (brute force) enumeration for every sampled sequence.
+// bruteForce is the reference every indexed probe is held to: the on-demand
+// DFS over the graph, which never reads the index file.
+func bruteForce(ix *Index, X []prob.LabelID, alpha float64) []PathMatch {
+	var out []PathMatch
+	ix.onDemand(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+		out = append(out, PathMatch{Nodes: append([]entity.ID(nil), nodes...), Prle: prle, Prn: prn})
+		return true
+	})
+	return out
+}
+
+func sameBits(a, b PathMatch) bool {
+	return math.Float64bits(a.Prle) == math.Float64bits(b.Prle) && math.Float64bits(a.Prn) == math.Float64bits(b.Prn)
+}
+
+func reversedNodes(nodes []entity.ID) []entity.ID {
+	out := make([]entity.ID, len(nodes))
+	for i, n := range nodes {
+		out[len(nodes)-1-i] = n
+	}
+	return out
+}
+
+// Property: over random small graphs, an opened index answers every label
+// sequence up to L+1 labels — so every stored sequence in both orientations —
+// on an α grid from β to 1 with exactly the paths of the brute-force DFS:
+//
+//   - a canonical, non-palindromic X: the same paths with Float64bits-equal
+//     Prle and Prn, because the build and the DFS multiply in the same order;
+//   - a reversed X: the canonical probe's records, in order, node-reversed,
+//     same bits;
+//   - a palindromic X: the stored (node-canonical) orientation bitwise, each
+//     followed by its reversal with the same bits;
+//   - Cardinality at α = β: the exact count.
+//
+// The opened context tables equal ComputeContext bit for bit.
 func TestLookupAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	alphabet := prob.MustAlphabet("a", "b", "c")
+	const beta = 0.05
+	alphas := []float64{beta, beta + 1e-9, 0.1, 0.15, 0.31, 0.5, 0.77, 0.99, 1.0}
 	for trial := 0; trial < 12; trial++ {
 		d := refgraph.New(alphabet)
 		n := rng.Intn(12) + 6
@@ -478,40 +589,90 @@ func TestLookupAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		beta := 0.05
-		ix := buildIndex(t, g, Options{MaxLen: 3, Beta: beta, Gamma: 0.1})
-		for q := 0; q < 10; q++ {
-			ln := rng.Intn(3) + 1
-			seq := make([]prob.LabelID, ln+1)
-			for i := range seq {
-				seq[i] = prob.LabelID(rng.Intn(3))
-			}
-			alpha := beta + rng.Float64()*(1-beta)
-			got, err := ix.Lookup(seq, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []PathMatch
-			ix.onDemand(seq, alpha, func(nodes []entity.ID, prle, prn float64) bool {
-				want = append(want, PathMatch{Nodes: append([]entity.ID(nil), nodes...), Prle: prle, Prn: prn})
-				return true
-			})
-			sortMatches(got)
-			sortMatches(want)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d seq %v α=%.3f: index %d paths, brute force %d",
-					trial, seq, alpha, len(got), len(want))
-			}
-			for i := range got {
-				if pathKey(got[i].Nodes) != pathKey(want[i].Nodes) {
-					t.Fatalf("trial %d: path sets differ at %d: %v vs %v",
-						trial, i, got[i].Nodes, want[i].Nodes)
-				}
-				if math.Abs(got[i].Pr()-want[i].Pr()) > 1e-9 {
-					t.Fatalf("trial %d: prob differs for %v: %v vs %v",
-						trial, got[i].Nodes, got[i].Pr(), want[i].Pr())
+		dir := t.TempDir()
+		buildIndex(t, g, Options{MaxLen: 3, Beta: beta, Gamma: 0.1, Dir: dir}).Close()
+		ix, err := Open(dir, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ix.Close() })
+
+		want := ComputeContext(g, 1)
+		for v := 0; v < g.NumNodes(); v++ {
+			for s := 0; s < g.NumLabels(); s++ {
+				id, sig := entity.ID(v), prob.LabelID(s)
+				if ix.Context().Card(id, sig) != want.Card(id, sig) ||
+					math.Float64bits(ix.Context().PPU(id, sig)) != math.Float64bits(want.PPU(id, sig)) ||
+					math.Float64bits(ix.Context().FPU(id, sig)) != math.Float64bits(want.FPU(id, sig)) {
+					t.Fatalf("trial %d: opened context (%d,%d) differs from ComputeContext", trial, v, s)
 				}
 			}
+		}
+
+		stored := 0
+		var probe func(X []prob.LabelID)
+		probe = func(X []prob.LabelID) {
+			if len(X) > 0 {
+				canon, reversed, palin := canonicalSeq(X)
+				for _, alpha := range alphas {
+					label := fmt.Sprintf("trial %d X=%v α=%v", trial, X, alpha)
+					got, err := ix.Lookup(X, alpha)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					ref := bruteForce(ix, X, alpha)
+					if len(got) != len(ref) {
+						t.Fatalf("%s: index %d paths, brute force %d", label, len(got), len(ref))
+					}
+					if alpha == beta {
+						if c := ix.Cardinality(X, alpha); c != float64(len(ref)) {
+							t.Fatalf("%s: Cardinality %v, exact %d", label, c, len(ref))
+						}
+						stored += len(got)
+					}
+					switch {
+					case reversed:
+						fwd, err := ix.Lookup(canon, alpha)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range got {
+							if !reflect.DeepEqual(got[i].Nodes, reversedNodes(fwd[i].Nodes)) || !sameBits(got[i], fwd[i]) {
+								t.Fatalf("%s: record %d %+v is not the reversal of canonical %+v", label, i, got[i], fwd[i])
+							}
+						}
+					case palin && len(X) > 1:
+						for i := 0; i < len(got); i += 2 {
+							if !reflect.DeepEqual(got[i+1].Nodes, reversedNodes(got[i].Nodes)) || !sameBits(got[i], got[i+1]) {
+								t.Fatalf("%s: records %d,%d are not one path both ways round", label, i, i+1)
+							}
+						}
+						fallthrough
+					default:
+						sortMatches(got)
+						sortMatches(ref)
+						for i := range got {
+							if pathKey(got[i].Nodes) != pathKey(ref[i].Nodes) {
+								t.Fatalf("%s: path sets differ at %d: %v vs %v", label, i, got[i].Nodes, ref[i].Nodes)
+							}
+							stor := !palin || len(X) == 1 || got[i].Nodes[0] < got[i].Nodes[len(X)-1]
+							if stor && !sameBits(got[i], ref[i]) || math.Abs(got[i].Pr()-ref[i].Pr()) > 1e-12 {
+								t.Fatalf("%s: %v index %+v, brute force %+v", label, got[i].Nodes, got[i], ref[i])
+							}
+						}
+					}
+				}
+			}
+			if len(X) == ix.MaxLen()+1 {
+				return
+			}
+			for l := 0; l < g.NumLabels(); l++ {
+				probe(append(X[:len(X):len(X)], prob.LabelID(l)))
+			}
+		}
+		probe(nil)
+		if stored == 0 {
+			t.Fatalf("trial %d: no probe returned a path", trial)
 		}
 	}
 }

@@ -5,15 +5,14 @@
 // information (c, ppu, fpu) and the cardinality histograms used for query
 // decomposition (Section 5.2.1).
 //
-// The first level interns canonical label sequences in a persistent hash
-// dictionary; the second level is a B+ tree whose composite keys
-// (seqID ‖ bucket ‖ recno) sort entries of one sequence by probability
-// bucket, enabling the α-threshold range scans of the online phase.
+// Both levels live in one packed.idx file (internal/storage/packedix): the
+// first level is a sorted key table per path length, binary-searched on the
+// canonical label sequence; the second is that sequence's postings grouped
+// by probability bucket, so an α-threshold scan starts at bucket(α). The
+// per-bucket posting counts stored with each key are the histograms.
 package pathindex
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 
 	"repro/internal/entity"
@@ -21,7 +20,7 @@ import (
 )
 
 // MaxSupportedLen is the largest supported path length L (edges per path).
-// The paper evaluates L ∈ {1, 2, 3}; the fixed-size record layout leaves
+// The paper evaluates L ∈ {1, 2, 3}; the fixed-size path scratch leaves
 // headroom.
 const MaxSupportedLen = 4
 
@@ -38,16 +37,6 @@ type PathMatch struct {
 
 // Pr returns the path's total probability Prle · Prn.
 func (m PathMatch) Pr() float64 { return m.Prle * m.Prn }
-
-// seqBytes encodes a label sequence as big-endian 16-bit labels, preserving
-// lexicographic order.
-func seqBytes(labels []prob.LabelID) []byte {
-	b := make([]byte, 2*len(labels))
-	for i, l := range labels {
-		binary.BigEndian.PutUint16(b[2*i:], uint16(l))
-	}
-	return b
-}
 
 // reverseLabels returns the reversed copy of a label sequence.
 func reverseLabels(labels []prob.LabelID) []prob.LabelID {
@@ -118,52 +107,4 @@ func numBuckets(beta, gamma float64) int {
 // bucketFloor returns the grid probability at the low edge of bucket b.
 func bucketFloor(b uint16, beta, gamma float64) float64 {
 	return beta + float64(b)*gamma
-}
-
-// Key layout: seqID (8B BE) ‖ bucket (2B BE) ‖ recno (4B BE). Big-endian
-// fields make byte order equal numeric order, so one range scan covers
-// "all entries of X with bucket ≥ b".
-const keyLen = 8 + 2 + 4
-
-func encodeKey(seqID uint64, bucket uint16, recno uint32) []byte {
-	k := make([]byte, keyLen)
-	binary.BigEndian.PutUint64(k[0:], seqID)
-	binary.BigEndian.PutUint16(k[8:], bucket)
-	binary.BigEndian.PutUint32(k[10:], recno)
-	return k
-}
-
-// Record layout: count (1B) ‖ nodes (4B each) ‖ Prle (8B) ‖ Prn (8B).
-func encodeRecord(nodes []entity.ID, prle, prn float64) []byte {
-	v := make([]byte, 1+4*len(nodes)+16)
-	v[0] = byte(len(nodes))
-	off := 1
-	for _, n := range nodes {
-		binary.LittleEndian.PutUint32(v[off:], uint32(n))
-		off += 4
-	}
-	binary.LittleEndian.PutUint64(v[off:], math.Float64bits(prle))
-	binary.LittleEndian.PutUint64(v[off+8:], math.Float64bits(prn))
-	return v
-}
-
-// decodeRecord decodes a record into dst (at least maxNodes long); the
-// returned nodes alias dst.
-func decodeRecord(v []byte, dst []entity.ID) (nodes []entity.ID, prle, prn float64, err error) {
-	if len(v) < 1 {
-		return nil, 0, 0, fmt.Errorf("pathindex: empty record")
-	}
-	n := int(v[0])
-	if n == 0 || n > maxNodes || len(v) != 1+4*n+16 {
-		return nil, 0, 0, fmt.Errorf("pathindex: corrupt record (%d nodes, %d bytes)", n, len(v))
-	}
-	nodes = dst[:n]
-	off := 1
-	for i := range nodes {
-		nodes[i] = entity.ID(binary.LittleEndian.Uint32(v[off:]))
-		off += 4
-	}
-	prle = math.Float64frombits(binary.LittleEndian.Uint64(v[off:]))
-	prn = math.Float64frombits(binary.LittleEndian.Uint64(v[off+8:]))
-	return nodes, prle, prn, nil
 }

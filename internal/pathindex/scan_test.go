@@ -14,8 +14,7 @@ import (
 // lookupBeforeScan is Index.Lookup as it stood before Scan existed, kept here
 // only as the reference the streamed read path is held to: on-demand
 // enumeration that copies the path at every edge and allocates every match,
-// the packed arm that decodes into an upper-bound-sized arena, and the v1
-// arm that allocates a node slice per record.
+// and the indexed arm that decodes into an upper-bound-sized arena.
 func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, error) {
 	if len(X) == 0 || len(X) > maxNodes {
 		return nil, fmt.Errorf("pathindex: label sequence length %d out of range", len(X))
@@ -23,21 +22,14 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 	if len(X)-1 > ix.opt.MaxLen {
 		return nil, fmt.Errorf("pathindex: sequence of %d labels exceeds indexed length L=%d", len(X), ix.opt.MaxLen)
 	}
-	reversed := func(nodes []entity.ID) []entity.ID {
-		out := make([]entity.ID, len(nodes))
-		for i, n := range nodes {
-			out[len(nodes)-1-i] = n
-		}
-		return out
-	}
 	canon, rev, palin := canonicalSeq(X)
 	var out []PathMatch
 	orient := func(m PathMatch) {
 		switch {
 		case palin && len(m.Nodes) > 1:
-			out = append(out, m, PathMatch{Nodes: reversed(m.Nodes), Prle: m.Prle, Prn: m.Prn})
+			out = append(out, m, PathMatch{Nodes: reversedNodes(m.Nodes), Prle: m.Prle, Prn: m.Prn})
 		case rev:
-			m.Nodes = reversed(m.Nodes)
+			m.Nodes = reversedNodes(m.Nodes)
 			out = append(out, m)
 		default:
 			out = append(out, m)
@@ -105,7 +97,7 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 			extend(&cur)
 		}
 		return out, nil
-	case ix.packed != nil:
+	default:
 		var lbl [maxNodes]uint16
 		for i, l := range canon {
 			lbl[i] = uint16(l)
@@ -125,30 +117,6 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 			orient(m)
 			return true
 		})
-		return out, err
-	default:
-		seqID, ok := ix.dict.Lookup(seqBytes(canon))
-		if !ok {
-			return nil, nil
-		}
-		lo := encodeKey(seqID, bucketOf(alpha, ix.opt.Beta, ix.opt.Gamma), 0)
-		hi := encodeKey(seqID+1, 0, 0)
-		var scanErr error
-		err := ix.tree.Scan(lo, hi, func(k, v []byte) bool {
-			nodes, prle, prn, err := decodeRecord(v, make([]entity.ID, maxNodes))
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if prle*prn+1e-12 < alpha {
-				return true
-			}
-			orient(PathMatch{Nodes: nodes, Prle: prle, Prn: prn})
-			return true
-		})
-		if err == nil {
-			err = scanErr
-		}
 		return out, err
 	}
 }
@@ -183,9 +151,9 @@ func sameStream(a, b []PathMatch) error {
 }
 
 // TestScanEqualsLookupBeforeScan is the read-path half of the pre-join
-// equivalence property: over seeded gen.Synthetic PGDs, both index formats,
-// every label sequence up to L+1 labels (both orientations and palindromes
-// fall out of the enumeration) and α on both sides of β, Scan's record
+// equivalence property: over seeded gen.Synthetic PGDs, every label
+// sequence up to L+1 labels (both orientations and palindromes fall out of
+// the enumeration) and α on both sides of β, Scan's record
 // stream and Lookup's result equal the pre-change Lookup — same order, same
 // nodes, same float bits. It also holds Scan to stopping when told to.
 func TestScanEqualsLookupBeforeScan(t *testing.T) {
@@ -202,51 +170,49 @@ func TestScanEqualsLookupBeforeScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, format := range []Format{FormatPacked, FormatBTree} {
-			ix := buildIndex(t, g, Options{MaxLen: 2, Beta: beta, Gamma: 0.1, Format: format})
-			records := 0
-			var probe func(X []prob.LabelID)
-			probe = func(X []prob.LabelID) {
-				if len(X) > 0 {
-					for _, alpha := range []float64{0.03, beta - 1e-9, beta, 0.35, 0.8} {
-						label := fmt.Sprintf("seed %d %v X=%v α=%v", seed, format, X, alpha)
-						want, err := lookupBeforeScan(ix, X, alpha)
-						if err != nil {
-							t.Fatalf("%s: reference: %v", label, err)
-						}
-						if err := sameStream(scanStream(t, ix, X, alpha), want); err != nil {
-							t.Fatalf("%s: Scan: %v", label, err)
-						}
-						got, err := ix.Lookup(X, alpha)
-						if err != nil {
-							t.Fatalf("%s: Lookup: %v", label, err)
-						}
-						if err := sameStream(got, want); err != nil {
-							t.Fatalf("%s: Lookup: %v", label, err)
-						}
-						records += len(want)
-						if len(want) > 1 {
-							calls := 0
-							if err := ix.Scan(X, alpha, func([]entity.ID, float64, float64) bool {
-								calls++
-								return false
-							}); err != nil || calls != 1 {
-								t.Fatalf("%s: stopped scan made %d calls, err %v", label, calls, err)
-							}
+		ix := buildIndex(t, g, Options{MaxLen: 2, Beta: beta, Gamma: 0.1})
+		records := 0
+		var probe func(X []prob.LabelID)
+		probe = func(X []prob.LabelID) {
+			if len(X) > 0 {
+				for _, alpha := range []float64{0.03, beta - 1e-9, beta, 0.35, 0.8} {
+					label := fmt.Sprintf("seed %d X=%v α=%v", seed, X, alpha)
+					want, err := lookupBeforeScan(ix, X, alpha)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", label, err)
+					}
+					if err := sameStream(scanStream(t, ix, X, alpha), want); err != nil {
+						t.Fatalf("%s: Scan: %v", label, err)
+					}
+					got, err := ix.Lookup(X, alpha)
+					if err != nil {
+						t.Fatalf("%s: Lookup: %v", label, err)
+					}
+					if err := sameStream(got, want); err != nil {
+						t.Fatalf("%s: Lookup: %v", label, err)
+					}
+					records += len(want)
+					if len(want) > 1 {
+						calls := 0
+						if err := ix.Scan(X, alpha, func([]entity.ID, float64, float64) bool {
+							calls++
+							return false
+						}); err != nil || calls != 1 {
+							t.Fatalf("%s: stopped scan made %d calls, err %v", label, calls, err)
 						}
 					}
 				}
-				if len(X) == 3 {
-					return
-				}
-				for l := 0; l < g.NumLabels(); l++ {
-					probe(append(X[:len(X):len(X)], prob.LabelID(l)))
-				}
 			}
-			probe(nil)
-			if records == 0 {
-				t.Fatalf("seed %d %v: no probe returned a record", seed, format)
+			if len(X) == 3 {
+				return
 			}
+			for l := 0; l < g.NumLabels(); l++ {
+				probe(append(X[:len(X):len(X)], prob.LabelID(l)))
+			}
+		}
+		probe(nil)
+		if records == 0 {
+			t.Fatalf("seed %d: no probe returned a record", seed)
 		}
 	}
 }

@@ -39,7 +39,6 @@ type serverMetrics struct {
 	skipped  *metrics.Counter      // peg_reduce_skipped_total
 
 	indexInfo     *metrics.InfoGauge // peg_index_info{index}
-	indexFormat   *metrics.InfoGauge // peg_index_format_info{format}
 	postingDecode *metrics.Histogram // peg_index_posting_decode_micros
 	liveApply     *metrics.Histogram // peg_live_apply_seconds
 }
@@ -63,9 +62,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Executions that skipped the reduction their plan asked for: emit-order limit runs it could not pay for."),
 		indexInfo: metrics.NewInfoGauge("peg_index_info",
 			"Identity of the served index generation.", "index"),
-		indexFormat: metrics.NewInfoGauge("peg_index_format_info",
-			"On-disk layout of the served index (v1 = B+ tree, v2 = packed mmap).", "format"),
-		// 1µs .. ~262ms per posting-blob decode (v2 read path only).
+		// 1µs .. ~262ms per posting-blob decode.
 		postingDecode: metrics.NewHistogram("peg_index_posting_decode_micros",
 			"Wall-clock microseconds decoding one posting blob on the packed read path.",
 			metrics.ExpBuckets(1, 4, 10)),
@@ -91,10 +88,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.reg.MustRegister(
 		m.requests, m.latency, m.stages, m.planCost, m.skipped, m.indexInfo,
-		m.indexFormat, m.postingDecode, m.liveApply,
+		m.postingDecode, m.liveApply,
 
 		metrics.NewGaugeFunc("peg_index_mapped_bytes",
-			"Bytes of the packed index file mapped into the process (0 for the v1 layout).",
+			"Bytes of the packed index file mapped into the process.",
 			func() float64 { return float64(indexMetrics().MappedBytes) }),
 		metrics.NewCounterFunc("peg_index_probes_total",
 			"Index Lookup probes answered by the served generation.",

@@ -337,15 +337,11 @@ func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
 		graphBytes: ix.Graph().Bytes(),
 	}
 	s.met.indexInfo.SetLabelValue(s.cur.id)
-	// Stamp the storage layout and route posting-decode timings from the new
-	// reader into the histogram. Live views forward both to the shared base
-	// index, so reinstalling per publish is idempotent; a reader without the
-	// metrics surface reads as "v1" (the layout every pre-v2 generation has).
+	// Route posting-decode timings from the new reader into the histogram.
+	// Live views forward the observer to the shared base index, so
+	// reinstalling per publish is idempotent.
 	if src, ok := ix.(pathindex.MetricsSource); ok {
-		s.met.indexFormat.SetLabelValue(src.IndexMetrics().Format)
 		src.SetPostingObserver(s.met.postingDecode.Observe)
-	} else {
-		s.met.indexFormat.SetLabelValue("v1")
 	}
 	// Prune fully released generations right away: with live ingest every
 	// batch publishes, and without pruning the retired list would pin one

@@ -48,12 +48,6 @@ type Entry struct {
 	// manifest directory.
 	PGD      string `json:"pgd"`
 	IndexDir string `json:"index_dir"`
-	// Format tags the index layout in IndexDir: "v1" (B+-tree directory),
-	// "v2" (packed single file), or "" for pre-tag manifests (treated as
-	// v1-era; pathindex.Open auto-detects either way, the tag exists so
-	// operators and tooling can see a fleet's migration state without
-	// probing index directories).
-	Format string `json:"format,omitempty"`
 	// Closures counts the linkage closures (identity-component groups,
 	// closed under reference edges) assigned to this shard.
 	Closures int `json:"closures"`
@@ -101,9 +95,6 @@ func (m *Manifest) validate() error {
 		}
 		if e.Generation == 0 {
 			return fmt.Errorf("shard %d has generation 0 (never published)", i)
-		}
-		if e.Format != "" && e.Format != "v1" && e.Format != "v2" {
-			return fmt.Errorf("shard %d has unknown index format %q", i, e.Format)
 		}
 		for j, r := range e.Refs {
 			if j > 0 && e.Refs[j-1] >= r {

@@ -297,7 +297,6 @@ func Build(ctx context.Context, d *refgraph.PGD, dir string, opt Options) (*Mani
 		genDir := filepath.Join(fmt.Sprintf("shard-%02d", s), fmt.Sprintf("gen-%06d", e.Generation))
 		e.PGD = filepath.Join(genDir, "pgd.snap")
 		e.IndexDir = filepath.Join(genDir, "index")
-		e.Format = opt.Index.Format.String()
 		if err := os.MkdirAll(filepath.Join(dir, genDir), 0o755); err != nil {
 			return nil, err
 		}

@@ -166,9 +166,6 @@ func TestBuildAndManifestRoundTrip(t *testing.T) {
 		t.Fatal("manifest round-trip mismatch")
 	}
 	for _, e := range loaded.Entries {
-		if e.Format != "v2" {
-			t.Fatalf("shard %d: manifest format tag %q, want v2 (the build default)", e.Shard, e.Format)
-		}
 		f, err := os.Open(filepath.Join(dir, e.PGD))
 		if err != nil {
 			t.Fatal(err)

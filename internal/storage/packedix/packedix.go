@@ -1,4 +1,4 @@
-// Package packedix implements the packed path-index format v2: one
+// Package packedix implements the packed path-index format: one
 // immutable file holding everything a query-time probe needs — a fixed
 // header with a section offset table, per-path-length sorted key tables,
 // delta+varint-compressed posting blobs, and the per-node context tables —
@@ -46,7 +46,7 @@
 //	    endOff u32   — byte offset past bucket b's records, relative to blobOff
 //
 //	Posting blob for one sequence: buckets ascending, records in insertion
-//	(recno) order within a bucket:
+//	order within a bucket:
 //	  flags u8             — bit0: prle == 1.0 elided, bit1: prn == 1.0 elided
 //	  zigzag-varint node deltas — node[0] vs the previous record's node[0]
 //	    (vs 0 at each bucket start), node[i] vs node[i-1] within the record
@@ -169,8 +169,7 @@ func labelBytes(dst []byte, labels []uint16) []byte {
 // Add records one posting: an oriented path of len(labels) nodes whose
 // canonical label sequence is labels, in probability bucket b. Postings of
 // one (sequence, bucket) are stored in arrival order, which the reader
-// preserves — arrival order is the record-number order of the B+ tree
-// format, so scans over both formats agree byte for byte.
+// preserves, so a scan's record order is the build's enumeration order.
 func (w *Writer) Add(labels []uint16, bucket int, nodes []uint32, prle, prn float64) error {
 	if len(labels) == 0 || len(labels)-1 > w.meta.MaxLen {
 		return fmt.Errorf("packedix: sequence of %d labels exceeds L=%d", len(labels), w.meta.MaxLen)

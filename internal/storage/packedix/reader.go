@@ -232,7 +232,7 @@ func (s Seq) end(b int) uint32 {
 }
 
 // Decode streams the sequence's records for buckets fromBucket..NBuckets-1
-// in storage order (bucket ascending, recno ascending within a bucket). The
+// in storage order (bucket ascending, insertion order within a bucket). The
 // nodes slice passed to fn aliases scratch owned by Decode and is only
 // valid during the call; fn returns false to stop early. Every offset and
 // varint is bounds-checked against the blob, so a corrupt file yields

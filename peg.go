@@ -129,9 +129,6 @@ type (
 	IndexOptions = pathindex.Options
 	// IndexStats reports offline phase metrics.
 	IndexStats = pathindex.BuildStats
-	// IndexFormat selects the index layout: IndexFormatPacked (v2, the
-	// default — one mmap'd file, zero-copy reads) or IndexFormatBTree (v1).
-	IndexFormat = pathindex.Format
 
 	// LiveDB is the writable database: a PGD plus serving state accepting
 	// mutations at query time, backed by a CRC-protected mutation log, an
@@ -306,24 +303,14 @@ func BuildGraph(d *PGD, opts ...BuildOptions) (*Graph, error) {
 
 // BuildIndex runs the offline phase: context information and the
 // context-aware path index over all paths of length ≤ MaxLen with
-// probability ≥ Beta, stored under Dir.
+// probability ≥ Beta, written to one packed.idx file under Dir.
 func BuildIndex(ctx context.Context, g *Graph, opt IndexOptions) (*Index, error) {
 	return pathindex.Build(ctx, g, opt)
 }
 
-// Index format constants; see IndexOptions.Format.
-const (
-	IndexFormatPacked = pathindex.FormatPacked
-	IndexFormatBTree  = pathindex.FormatBTree
-)
-
-// OpenIndex attaches to a previously built index directory. The layout is
-// auto-detected, so v1 and v2 directories open through the same call.
+// OpenIndex attaches to a previously built index directory: its packed.idx
+// is mapped read-only and checked against g.
 func OpenIndex(dir string, g *Graph) (*Index, error) { return pathindex.Open(dir, g) }
-
-// RepackIndex migrates a v1 index directory to the packed v2 format in
-// place, losslessly; the v1 artifacts are kept for rollback.
-func RepackIndex(dir string, g *Graph) (IndexStats, error) { return pathindex.Repack(dir, g) }
 
 // NewQuery creates an empty query graph.
 func NewQuery() *Query { return query.New() }
