@@ -4,9 +4,9 @@
 //	go test -bench=. -benchmem
 //
 // Scale: graphs are scaled down from the paper's 50k–1m references to run on
-// a small machine (see EXPERIMENTS.md for the mapping and recorded results);
-// the cmd/pegbench harness runs the same experiments at configurable scale
-// and prints paper-style tables.
+// a small machine (internal/harness documents the scale-down); the
+// cmd/pegbench harness runs the same experiments at configurable scale and
+// prints paper-style tables.
 package peg_test
 
 import (

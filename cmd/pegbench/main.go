@@ -1,6 +1,5 @@
 // Command pegbench reproduces the paper's evaluation (Section 6) at
-// configurable scale, printing one paper-style table per figure. See
-// EXPERIMENTS.md for recorded outputs and the paper-vs-measured comparison.
+// configurable scale, printing one paper-style table per figure.
 //
 // -perf instead runs the stream-vs-collect API microbenchmarks — plus the
 // planner rows: planner-overhead (cost of compiling a plan) and

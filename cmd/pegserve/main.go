@@ -1,7 +1,8 @@
 // Command pegserve serves the online phase over HTTP: it loads a PGD
 // snapshot, opens (or builds) the path index, and answers /match,
 // /match/stream, and /match/batch queries concurrently with a bounded worker
-// pool and an LRU result cache. /match accepts limit and order fields for
+// pool and per-generation result, plan and candidate caches (-cache,
+// -plan-cache, -cand-cache). /match accepts limit and order fields for
 // top-K retrieval; /match/stream emits NDJSON match lines incrementally as
 // the join enumeration finds them.
 //

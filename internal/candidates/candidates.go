@@ -192,14 +192,14 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 
 	if cache != nil {
 		if m, ok := ix.(mutating); ok && m.Mutations() > 0 {
-			cache.bypassed.Add(uint64(n))
+			cache.Bypass(n)
 			stats.CacheBypassed = n
 			cache = nil
 		}
 	}
-	var prefix []byte
+	var fp string
 	if cache != nil {
-		prefix = queryFingerprint(q, alpha)
+		fp = query.Fingerprint(q)
 	}
 
 	pathWorkers := workers
@@ -210,25 +210,25 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 	hits := make([]bool, n)
 	findPath := func(i int) error {
 		p := &dec.Paths[i]
-		compute := func() (Rows, int, error) {
-			return scanPath(ctx, ix, checker(), p, alpha)
+		compute := func() (pruned, error) {
+			rows, initial, err := scanPath(ctx, ix, checker(), p, alpha)
+			return pruned{rows, initial}, err
 		}
 		var (
-			kept    Rows
-			initial int
-			err     error
+			c   pruned
+			err error
 		)
 		if cache != nil {
-			kept, initial, hits[i], err = cache.do(ctx, pathKey(prefix, p), compute)
+			c, hits[i], err = cache.Do(ctx, pathKey(fp, alpha, p), compute)
 		} else {
-			kept, initial, err = compute()
+			c, err = compute()
 		}
 		if err != nil {
 			return err
 		}
-		sets[i] = Set{Path: p, Rows: kept, Initial: initial}
-		stats.Initial[i] = initial
-		stats.Kept[i] = kept.Len()
+		sets[i] = Set{Path: p, Rows: c.rows, Initial: c.initial}
+		stats.Initial[i] = c.initial
+		stats.Kept[i] = c.rows.Len()
 		return nil
 	}
 

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/decompose"
 	"repro/internal/entity"
@@ -168,7 +167,7 @@ func TestFindCached(t *testing.T) {
 	}
 	setsIdentical(t, "cached", cold, warm)
 	st := cache.Stats()
-	if st.Entries == 0 || st.Candidates == 0 {
+	if st.Entries == 0 || st.Weight == 0 {
 		t.Fatalf("cache empty after use: %+v", st)
 	}
 	// A different α must not share entries.
@@ -221,89 +220,6 @@ func TestFindBypassesDirtyReader(t *testing.T) {
 	}
 	if st.CacheMisses != len(dec.Paths) {
 		t.Fatalf("clean reader did not populate cache: %+v", st)
-	}
-}
-
-// TestCacheEviction: the weight budget bounds retained candidates; the LRU
-// end is evicted first and the eviction counter advances.
-func TestCacheEviction(t *testing.T) {
-	c := NewCache(cacheShards * 4) // 4 candidates per shard
-	mk := func(n int) Rows {
-		var r Rows
-		for i := 0; i < n; i++ {
-			r.Nodes = append(r.Nodes, entity.ID(i))
-			r.Prle = append(r.Prle, 1)
-			r.Prn = append(r.Prn, 1)
-		}
-		return r
-	}
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		_, _, hit, err := c.do(context.Background(), key, func() (Rows, int, error) {
-			return mk(3), 3, nil
-		})
-		if err != nil || hit {
-			t.Fatalf("insert %d: hit=%v err=%v", i, hit, err)
-		}
-	}
-	st := c.Stats()
-	if st.Candidates > cacheShards*4 {
-		t.Fatalf("budget exceeded: %d candidates retained", st.Candidates)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions despite overflow")
-	}
-	// An entry heavier than a whole shard budget is still admitted alone.
-	_, _, _, err := c.do(context.Background(), "huge", func() (Rows, int, error) {
-		return mk(100), 100, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, hit, _ := c.do(context.Background(), "huge", func() (Rows, int, error) {
-		t.Fatal("recomputed an admitted oversized entry")
-		return Rows{}, 0, nil
-	}); !hit {
-		t.Fatal("oversized entry was not retained")
-	}
-}
-
-// TestCacheSingleflight: concurrent misses on one key run compute once;
-// every caller gets the same arenas.
-func TestCacheSingleflight(t *testing.T) {
-	c := NewCache(0)
-	var computes int32
-	var mu sync.Mutex
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	results := make([]Rows, 16)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			rows, _, _, err := c.do(context.Background(), "k", func() (Rows, int, error) {
-				mu.Lock()
-				computes++
-				mu.Unlock()
-				time.Sleep(5 * time.Millisecond)
-				return Rows{Nodes: []entity.ID{1}, Prle: []float64{1}, Prn: []float64{1}}, 1, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = rows
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	if computes != 1 {
-		t.Fatalf("compute ran %d times, want 1", computes)
-	}
-	for i := 1; i < len(results); i++ {
-		if &results[i].Nodes[0] != &results[0].Nodes[0] {
-			t.Fatal("singleflight callers got different arenas")
-		}
 	}
 }
 
@@ -437,8 +353,8 @@ func TestFindAllHitsBuildNoChecker(t *testing.T) {
 	if n := ix.calls.Load(); n != 1 {
 		t.Errorf("all-hit Finds built %d more checkers", n-1)
 	}
-	// What an all-hit Find allocates is its result slots, the key prefix and
-	// two allocations per path for the key: 16 + 2·paths today. A NodeChecker
+	// What an all-hit Find allocates is its result slots, the query's
+	// fingerprint and two allocations per path for the key: 16 + 2·paths today. A NodeChecker
 	// is 3 + NumNodes more (itself, the per-node label counts, the memo), so
 	// the allowance has no room for one.
 	checker := testing.AllocsPerRun(50, func() { NewNodeChecker(g, base.Context(), q, 0.1) })

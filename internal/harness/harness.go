@@ -1,7 +1,6 @@
 // Package harness runs the paper's experiments (Section 6) at configurable
 // scale and prints paper-style tables. Every figure of the evaluation has a
-// runner; cmd/pegbench executes them all and EXPERIMENTS.md records the
-// outputs next to the paper's numbers.
+// runner, and cmd/pegbench executes them all.
 //
 // Scale note: the paper ran on an 8-core/117 GB EC2 instance with graphs of
 // 50k–1m references; the default configuration here scales the graphs down

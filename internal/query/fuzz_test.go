@@ -79,6 +79,10 @@ func FuzzParseString(f *testing.F) {
 				t.Fatalf("round trip changed shape: %d/%d nodes, %d/%d edges",
 					q.NumNodes(), q2.NumNodes(), q.NumEdges(), q2.NumEdges())
 			}
+			// The cache identity is the canonical text's identity.
+			if Fingerprint(q2) != Fingerprint(q) {
+				t.Fatalf("Fingerprint changed across Format/ParseString:\n%s", q.Format(alpha))
+			}
 		}
 	})
 }

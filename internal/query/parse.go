@@ -2,6 +2,7 @@ package query
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -94,6 +95,31 @@ func (q *Query) Format(a *prob.Alphabet) string {
 	})
 	for _, e := range edges {
 		fmt.Fprintf(&b, "edge n%d n%d\n", e[0], e[1])
+	}
+	return b.String()
+}
+
+// Fingerprint is the query's identity for caching: what Format renders —
+// the node labels in node order, then the sorted edges — as uvarints. Texts
+// that differ only in node names, layout, comments or edge order share it.
+// It is self-delimiting, so a key may append further fields to it.
+func Fingerprint(q *Query) string {
+	var b strings.Builder
+	b.Grow(2 + len(q.labels) + 2*q.nEdges) // exact while ids and labels are below 128
+	var tmp [binary.MaxVarintLen64]byte
+	put := func(v int) { b.Write(binary.AppendUvarint(tmp[:0], uint64(v))) }
+	put(len(q.labels))
+	for _, l := range q.labels {
+		put(int(l))
+	}
+	put(q.nEdges)
+	for a, nbs := range q.adj {
+		for _, n := range nbs {
+			if a < int(n) {
+				put(a)
+				put(int(n))
+			}
+		}
 	}
 	return b.String()
 }

@@ -244,3 +244,52 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprint: the cache identity is the canonical text's identity in
+// both directions — texts differing only in node names, whitespace,
+// comments or edge order share a fingerprint, and a changed label or edge
+// set changes it, exactly when Format's output changes.
+func TestFingerprint(t *testing.T) {
+	a := alpha3()
+	base := "node A a\nnode B b\nnode C c\nedge A B\nedge B C\n"
+	same := []string{
+		"node x a\nnode y b\nnode z c\nedge x y\nedge y z\n",
+		"# a comment\n\n  node A   a\n\tnode B b\nnode C c\n\nedge A B\n  edge B C  \n",
+		"node A a\nnode B b\nnode C c\nedge C B\nedge B A\n",
+	}
+	differ := []string{
+		"node A a\nnode B b\nnode C a\nedge A B\nedge B C\n",           // label
+		"node A a\nnode B b\nnode C c\nedge A B\nedge A C\n",           // edge set
+		"node A a\nnode B b\nnode C c\nedge A B\nedge B C\nedge A C\n", // one more edge
+		"node A a\nnode B b\nnode C c\nedge A B\n",                     // one less edge
+		"node A a\nnode B b\nedge A B\n",                               // one less node
+	}
+	parse := func(src string) *Query {
+		t.Helper()
+		q, err := ParseString(src, a)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		return q
+	}
+	want := Fingerprint(parse(base))
+	for _, src := range same {
+		if Fingerprint(parse(src)) != want {
+			t.Errorf("%q: fingerprint differs from %q", src, base)
+		}
+	}
+	for _, src := range differ {
+		if Fingerprint(parse(src)) == want {
+			t.Errorf("%q: fingerprint equals that of %q", src, base)
+		}
+	}
+	all := append(append([]string{base}, same...), differ...)
+	for _, x := range all {
+		for _, y := range all {
+			qx, qy := parse(x), parse(y)
+			if (Fingerprint(qx) == Fingerprint(qy)) != (qx.Format(a) == qy.Format(a)) {
+				t.Errorf("fingerprint and Format disagree on %q vs %q", x, y)
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/fixtures"
+	"repro/internal/lru"
 )
 
 func streamOnce(t *testing.T, url string) string {
@@ -54,7 +55,7 @@ func TestCandCacheServesRepeatShapes(t *testing.T) {
 	if !strings.Contains(first, `"match"`) {
 		t.Fatalf("stream matched nothing: %s", first)
 	}
-	cst := s.candCacheStats()
+	_, _, cst := s.cacheStats()
 	if cst.Hits == 0 {
 		t.Fatalf("no candidate-cache hits after a repeat shape: %+v", cst)
 	}
@@ -83,18 +84,17 @@ func TestCandCacheDisabled(t *testing.T) {
 	if streamOnce(t, ts.URL) != streamOnce(t, ts.URL) {
 		t.Fatal("repeat stream differs with cache disabled")
 	}
-	if cst := s.candCacheStats(); cst.Hits != 0 || cst.Misses != 0 || cst.Entries != 0 {
+	if _, _, cst := s.cacheStats(); cst.Hits != 0 || cst.Misses != 0 || cst.Entries != 0 {
 		t.Fatalf("disabled cache recorded activity: %+v", cst)
 	}
 }
 
-// TestCandCacheStressLiveSwap is the -race stress of the satellite: parallel
-// pre-join evaluations (MatchWorkers > 1) race live ingest batches, each of
-// which publishes a new generation — retiring the old candidate cache and
-// folding its counters into the monotonic bases — while dirty views bypass
-// caching entirely. The assertions are (1) no request ever fails, (2) the
-// final post-publish answer reflects the last write, and (3) the folded
-// cache counters never go backwards.
+// TestCandCacheStressLiveSwap: parallel pre-join evaluations
+// (MatchWorkers > 1) race live ingest batches, each of which publishes a new
+// generation — retiring the old candidate cache, whose counters are the
+// server's — while dirty views bypass caching entirely. The assertions are
+// (1) no request ever fails, (2) the final post-publish answer reflects the
+// last write, and (3) the cache counters never go backwards.
 func TestCandCacheStressLiveSwap(t *testing.T) {
 	s, _, ts := liveServer(t)
 
@@ -104,7 +104,7 @@ func TestCandCacheStressLiveSwap(t *testing.T) {
 		ingests      = 20
 	)
 	var wg sync.WaitGroup
-	errs := make(chan error, queryWorkers*queriesEach+ingests)
+	errs := make(chan error, queryWorkers*queriesEach+2*ingests)
 	for w := 0; w < queryWorkers; w++ {
 		wg.Add(1)
 		go func() {
@@ -126,6 +126,7 @@ func TestCandCacheStressLiveSwap(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var prev lru.Stats
 		for i := 0; i < ingests; i++ {
 			// Alternate the {r3,r4} linkage probability; every accepted batch
 			// publishes a fresh generation (new candidate cache).
@@ -143,6 +144,13 @@ func TestCandCacheStressLiveSwap(t *testing.T) {
 				errs <- fmt.Errorf("ingest status %d", resp.StatusCode)
 			}
 			resp.Body.Close()
+			// Every swap gives the served generation a fresh cache; the
+			// counters it reports are the server's and never go backwards.
+			_, _, st := s.cacheStats()
+			if st.Hits < prev.Hits || st.Misses < prev.Misses || st.Bypassed < prev.Bypassed {
+				errs <- fmt.Errorf("cache counters went backwards across a swap: %+v then %+v", prev, st)
+			}
+			prev = st
 		}
 	}()
 	wg.Wait()
@@ -151,9 +159,9 @@ func TestCandCacheStressLiveSwap(t *testing.T) {
 		t.Error(err)
 	}
 
-	cst := s.candCacheStats()
+	_, _, cst := s.cacheStats()
 	// Re-reading after the storm must never observe a counter reset.
-	if again := s.candCacheStats(); again.Hits < cst.Hits || again.Misses < cst.Misses {
+	if _, _, again := s.cacheStats(); again.Hits < cst.Hits || again.Misses < cst.Misses {
 		t.Fatalf("cache counters went backwards: %+v then %+v", cst, again)
 	}
 	// The final ingest set p=0.8 (i=19 odd): the original match probability

@@ -6,10 +6,12 @@
 // The design leans on the read path being lock-free for concurrent callers
 // (see pathindex.Index): requests never contend on the index itself, only on
 // the bounded worker pool that caps how many match evaluations run at once,
-// and on two LRU caches: the result cache that short-circuits repeated
-// queries entirely, and the plan cache that lets every evaluation of a
-// previously seen query (different limit/order, streaming, after a result
-// eviction) skip decomposition and planning.
+// and on the served generation's three caches — one mechanism (package lru),
+// keyed by one query identity (query.Fingerprint): the result cache that
+// short-circuits repeated queries entirely, the plan cache that lets every
+// evaluation of a previously seen query (different limit/order, streaming,
+// after a result eviction) skip decomposition and planning, and the
+// candidate cache under both that skips posting decode and context pruning.
 //
 // Endpoints:
 //
@@ -34,13 +36,14 @@
 //
 // The served index is any pathindex.Reader. With a live database attached
 // (SetLive + live.DB.SetPublisher), every ingested batch publishes a fresh
-// view through Publish — an atomic swap that invalidates stale cache
-// entries by index identity — and the compactor uses DrainObsolete to know
+// view through Publish — an atomic swap that drops the old generation's
+// caches with it — and the compactor uses DrainObsolete to know
 // when a retired generation's base index is safe to close.
 package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,6 +61,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/live"
+	"repro/internal/lru"
 	"repro/internal/pathindex"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -93,17 +97,15 @@ type Options struct {
 	// join workers are still bounded by Workers × MatchParallelism.
 	MatchParallelism int
 	// PlanCacheEntries sizes the LRU plan cache (0 = 256, negative
-	// disables). Cached plans are keyed by canonical query + α + strategy +
-	// index identity, so repeat queries — including /match/stream requests,
-	// which bypass the result cache — skip decomposition and planning.
+	// disables). Cached plans are keyed by query fingerprint + α +
+	// strategy, so repeat queries — including /match/stream requests, which
+	// bypass the result cache — skip decomposition and planning.
 	PlanCacheEntries int
-	// CandCacheSize bounds the per-generation candidate cache: the total
-	// number of pruned path candidates it may retain across entries
-	// (0 = candidates.DefaultCacheBudget, negative disables). Each served
-	// generation owns one cache — invalidation is by identity, exactly like
-	// the plan and result caches — so repeat query shapes skip posting
-	// decode and context pruning; live views with a dirty overlay bypass
-	// it until the next publish.
+	// CandCacheSize bounds the candidate cache: the total number of pruned
+	// path candidates it may retain across entries
+	// (0 = candidates.DefaultCacheBudget, negative disables). Repeat query
+	// shapes skip posting decode and context pruning; live views with a
+	// dirty overlay bypass it until the next publish.
 	CandCacheSize int
 	// MaxPlanCost is the cost-based admission budget: a query whose
 	// calibrated plan-cost estimate (plan.Tree.Cost.Total) exceeds it is
@@ -167,18 +169,18 @@ func (o *Options) normalize() {
 
 // servedIndex is one generation of the served index with its in-flight
 // reference count, so a swap can drain readers before the old index is
-// closed. Each generation carries its own planner calibration: the
-// observed/estimated cardinality feedback is only valid against the data it
-// was observed on, so a swap starts the correction fresh (stale plan-cache
-// and result-cache entries are likewise orphaned by the new id).
+// closed. Each generation carries its own planner calibration and caches:
+// the observed/estimated cardinality feedback and every cached result, plan
+// and candidate set are only valid against the data they came from, so a
+// swap starts them all fresh and cache keys carry no generation.
 type servedIndex struct {
 	ix    pathindex.Reader
 	id    string
 	calib *plan.Calibration
-	// cands is this generation's candidate cache (nil when disabled). It
-	// never outlives the generation: a swap retires it wholesale, and its
-	// final counters are folded into the server's monotonic bases.
-	cands *candidates.Cache
+	// The generation's caches; nil when disabled.
+	results *lru.Cache[*MatchResponse]
+	plans   *lru.Cache[*plan.Plan]
+	cands   *candidates.Cache
 	// graphBytes is the resident size of the generation's PEG, taken once
 	// at install.
 	graphBytes int64
@@ -207,9 +209,9 @@ type Server struct {
 
 	sem     chan struct{}
 	waiters atomic.Int64
-	cache   *lruCache[cacheKey, *MatchResponse]
-	plans   *lruCache[planKey, *plan.Plan]
-	flight  flightGroup
+	// The counters of the result, plan and candidate caches outlive the
+	// generations whose caches count into them, so they never go backwards.
+	resultCtrs, planCtrs, candCtrs lru.Counters
 
 	// Request accounting: every request counted in requests settles into
 	// exactly one of succeeded / failed / canceled / rejected / costRejected
@@ -222,13 +224,6 @@ type Server struct {
 	costRejected atomic.Uint64
 	ingested     atomic.Uint64
 	ingestFailed atomic.Uint64
-
-	// candBase accumulates the final candidate-cache counters of retired
-	// generations so the exported peg_candcache_* totals stay monotonic
-	// across swaps (a fresh generation starts its own counters at zero).
-	candBase struct {
-		hits, misses, bypassed, evictions atomic.Uint64
-	}
 
 	met     *serverMetrics
 	traceMu sync.Mutex // serializes NDJSON trace lines onto TraceWriter
@@ -244,8 +239,6 @@ func New(ix pathindex.Reader, opt Options) *Server {
 		opt:   opt,
 		start: time.Now(),
 		sem:   make(chan struct{}, opt.Workers),
-		cache: newLRUCache[cacheKey, *MatchResponse](opt.CacheEntries),
-		plans: newLRUCache[planKey, *plan.Plan](opt.PlanCacheEntries),
 	}
 	// Metrics before the first setIndex so the swap can stamp the index
 	// info gauge; the scrape-time closures only run once /metrics is hit.
@@ -259,8 +252,7 @@ func New(ix pathindex.Reader, opt Options) *Server {
 // SetIndex atomically replaces the served index (e.g. after an offline
 // rebuild), blocks until every in-flight request on the previous index has
 // finished, and returns that previous index — at which point it is safe to
-// Close. Cached results of the old index are keyed by its identity and
-// simply stop matching, aging out of the LRU.
+// Close. The old index's caches go with it.
 func (s *Server) SetIndex(ix pathindex.Reader) pathindex.Reader {
 	old := s.setIndex(ix)
 	if old == nil {
@@ -316,23 +308,16 @@ func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur
-	if old != nil && old.cands != nil {
-		// Fold the retiring generation's cache counters into the monotonic
-		// bases before the new generation starts its own at zero.
-		cst := old.cands.Stats()
-		s.candBase.hits.Add(cst.Hits)
-		s.candBase.misses.Add(cst.Misses)
-		s.candBase.bypassed.Add(cst.Bypassed)
-		s.candBase.evictions.Add(cst.Evictions)
-	}
 	// A monotonically increasing generation makes the id collision-free
 	// across swaps (a %p pointer could be reused after GC); the entry count
 	// is informational.
 	s.cur = &servedIndex{
-		ix:    ix,
-		id:    fmt.Sprintf("gen%d#%d", s.gen.Add(1), ix.Stats().Entries),
-		calib: plan.NewCalibration(),
-		cands: s.newCandCache(),
+		ix:      ix,
+		id:      fmt.Sprintf("gen%d#%d", s.gen.Add(1), ix.Stats().Entries),
+		calib:   plan.NewCalibration(),
+		results: lru.New[*MatchResponse](s.opt.CacheEntries, nil, &s.resultCtrs),
+		plans:   lru.New[*plan.Plan](s.opt.PlanCacheEntries, nil, &s.planCtrs),
+		cands:   candidates.NewSharedCache(s.opt.CandCacheSize, &s.candCtrs),
 
 		graphBytes: ix.Graph().Bytes(),
 	}
@@ -354,29 +339,15 @@ func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
 	return old
 }
 
-// newCandCache creates the candidate cache for a freshly installed
-// generation; nil when the knob disables caching.
-func (s *Server) newCandCache() *candidates.Cache {
-	if s.opt.CandCacheSize < 0 {
-		return nil
-	}
-	return candidates.NewCache(s.opt.CandCacheSize)
-}
-
-// candCacheStats reports the live totals: retired-generation bases plus the
-// current generation's counters, so scrapes never observe a reset.
-func (s *Server) candCacheStats() candidates.CacheStats {
+// cacheStats snapshots the result, plan and candidate caches: the
+// server's counters, with the served generation's residency.
+func (s *Server) cacheStats() (results, plans, cands lru.Stats) {
 	si, release := s.acquireIndex()
-	var cur candidates.CacheStats
+	defer release()
 	if si != nil {
-		cur = si.cands.Stats()
+		results, plans, cands = si.results.Stats(), si.plans.Stats(), si.cands.Stats()
 	}
-	release()
-	cur.Hits += s.candBase.hits.Load()
-	cur.Misses += s.candBase.misses.Load()
-	cur.Bypassed += s.candBase.bypassed.Load()
-	cur.Evictions += s.candBase.evictions.Load()
-	return cur
+	return results, plans, cands
 }
 
 // acquireIndex pins the current index generation; callers must call
@@ -1165,9 +1136,7 @@ func (s *Server) Ready() bool {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses, size := s.cache.stats()
-	phits, pmisses, psize := s.plans.stats()
-	cst := s.candCacheStats()
+	rst, pst, cst := s.cacheStats()
 	si, release := s.acquireIndex()
 	defer release()
 	var indexEntries uint64
@@ -1182,12 +1151,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Canceled:          s.canceled.Load(),
 		Rejected:          s.rejected.Load(),
 		CostRejected:      s.costRejected.Load(),
-		CacheHits:         hits,
-		CacheMisses:       misses,
-		CacheEntries:      size,
-		PlanCacheHits:     phits,
-		PlanCacheMisses:   pmisses,
-		PlanCacheEntries:  psize,
+		CacheHits:         rst.Hits,
+		CacheMisses:       rst.Misses,
+		CacheEntries:      rst.Entries,
+		PlanCacheHits:     pst.Hits,
+		PlanCacheMisses:   pst.Misses,
+		PlanCacheEntries:  pst.Entries,
 		CandCacheHits:     cst.Hits,
 		CandCacheMisses:   cst.Misses,
 		CandCacheBypassed: cst.Bypassed,
@@ -1208,8 +1177,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // matchParams is one parsed and validated match request, shared by the
 // buffered and streaming paths.
 type matchParams struct {
-	q         *query.Query
-	canonical string // canonicalized query text (parse → Format), cache key material
+	q *query.Query
+	// shape keys the plan cache: the query's fingerprint, α's bits and the
+	// strategy. The result key appends order and limit.
+	shape     string
 	alpha     float64
 	strat     core.Strategy
 	stratName string
@@ -1253,41 +1224,31 @@ func (s *Server) requestTimeout(req *MatchRequest) time.Duration {
 }
 
 // plannedFor returns the compiled plan for the request against one served
-// generation, consulting the plan cache first: a hit skips decomposition,
-// cover selection, and cost-model evaluation entirely. The boolean reports
-// whether the plan came from the cache. Concurrent identical cold requests
-// may each plan (no single-flight here, deliberately): planning is tens of
-// microseconds, idempotent, and already bounded by the worker pool, so
-// collapsing it would buy little at the cost of another synchronization
-// point — unlike match evaluation, which the flightGroup does collapse.
+// generation through its plan cache: a hit skips decomposition, cover
+// selection, and cost-model evaluation entirely. The boolean reports
+// whether the plan came from the cache (or from a concurrent identical
+// request's planning).
 func (s *Server) plannedFor(ctx context.Context, si *servedIndex, p *matchParams) (*plan.Plan, bool, error) {
-	key := planKey{
-		indexID:  si.id,
-		query:    p.canonical,
-		alpha:    math.Float64bits(p.alpha),
-		strategy: p.stratName,
-	}
 	traced := s.opt.Tracer != nil && trace.SpanFromContext(ctx).Sampled()
 	t0 := time.Now()
-	if pl, ok := s.plans.get(key); ok {
+	pl, hit, err := si.plans.Do(ctx, p.shape, func() (*plan.Plan, error) {
 		if traced {
-			s.opt.Tracer.RecordSpan(ctx, "plan-cache", t0, time.Since(t0), map[string]string{"result": "hit"})
+			s.opt.Tracer.RecordSpan(ctx, "plan-cache", t0, time.Since(t0), map[string]string{"result": "miss"})
 		}
-		return pl, true, nil
-	}
-	if traced {
-		s.opt.Tracer.RecordSpan(ctx, "plan-cache", t0, time.Since(t0), map[string]string{"result": "miss"})
-	}
-	t0 = time.Now()
-	pl, err := core.Prepare(ctx, si.ix, p.q, p.options(&s.opt, si))
-	if traced {
-		s.opt.Tracer.RecordSpan(ctx, "plan", t0, time.Since(t0), nil)
-	}
+		t1 := time.Now()
+		pl, err := core.Prepare(ctx, si.ix, p.q, p.options(&s.opt, si))
+		if traced {
+			s.opt.Tracer.RecordSpan(ctx, "plan", t1, time.Since(t1), nil)
+		}
+		return pl, err
+	})
 	if err != nil {
 		return nil, false, matchError(err)
 	}
-	s.plans.put(key, pl)
-	return pl, false, nil
+	if hit && traced {
+		s.opt.Tracer.RecordSpan(ctx, "plan-cache", t0, time.Since(t0), map[string]string{"result": "hit"})
+	}
+	return pl, hit, nil
 }
 
 // acquireTraced takes a worker slot like acquire, recording the wait as an
@@ -1357,88 +1318,49 @@ func (s *Server) parseParams(ix pathindex.Reader, req *MatchRequest) (*matchPara
 	if err := p.q.Validate(ix.Graph().Alphabet()); err != nil {
 		return nil, badRequest("%v", err)
 	}
-	p.canonical = p.q.Format(ix.Graph().Alphabet())
+	fp := query.Fingerprint(p.q)
+	shape := make([]byte, 0, len(fp)+9)
+	shape = binary.LittleEndian.AppendUint64(append(shape, fp...), math.Float64bits(p.alpha))
+	p.shape = string(append(shape, byte(p.strat)))
 	return p, nil
 }
 
-// evaluate runs one match request end to end: canonicalize, consult the
-// cache, acquire a worker slot, run core.Match under the request deadline.
+// evaluate runs one match request end to end: parse, then answer from the
+// generation's result cache, whose misses run compute.
 func (s *Server) evaluate(ctx context.Context, req *MatchRequest) (*MatchResponse, error) {
 	si, release := s.acquireIndex()
 	defer release()
 	if si == nil {
 		return nil, errNotReady
 	}
-	ix, indexID := si.ix, si.id
-	p, err := s.parseParams(ix, req)
+	p, err := s.parseParams(si.ix, req)
 	if err != nil {
 		return nil, err
 	}
-
-	key := cacheKey{
-		indexID:  indexID,
-		query:    p.canonical,
-		alpha:    math.Float64bits(p.alpha),
-		strategy: p.stratName,
-		order:    p.orderName,
-		limit:    p.limit,
-	}
-	if res, ok := s.cache.get(key); ok {
-		hit := *res
-		hit.Cached = true
-		return &hit, nil
-	}
-
 	// The deadline starts before the queue so RequestTimeout caps the whole
-	// wall clock — a request stuck behind a saturated pool times out rather
-	// than hanging for queue wait plus a full match budget.
+	// wall clock — a request stuck behind a saturated pool, or waiting on an
+	// identical in-flight request, times out rather than hanging for the
+	// wait plus a full match budget.
 	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req))
 	defer cancel()
-
-	// Collapse concurrent identical cold requests: one leader computes
-	// under a worker slot, followers wait on its result without consuming
-	// slots. A follower whose leader fails (that leader's timeout or
-	// disconnect must not speak for anyone else) retries and may become
-	// the next leader.
-	for {
-		call, leader := s.flight.join(key)
-		if leader {
-			// Recheck the cache: a previous leader may have finished (and
-			// cached) between our miss above and this join, and a second
-			// cold evaluation of the same key must not happen.
-			res, cached := s.cache.get(key)
-			var err error
-			if cached {
-				hit := *res
-				hit.Cached = true
-				res = &hit
-			} else {
-				res, err = s.compute(ctx, si, p, key)
-			}
-			call.res, call.err = res, err
-			s.flight.forget(key)
-			close(call.done)
-			return res, err
-		}
-		select {
-		case <-call.done:
-			if call.err == nil {
-				hit := *call.res
-				hit.Cached = true
-				return &hit, nil
-			}
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return nil, &httpError{status: http.StatusGatewayTimeout, msg: "timed out waiting for an identical in-flight query"}
-			}
-			return nil, &httpError{status: 499, msg: "client closed request"}
-		}
+	// Concurrent identical cold requests share one computation: the first
+	// computes under a worker slot and the rest wait without taking one.
+	key := string(binary.AppendUvarint(append([]byte(p.shape), byte(p.order)), uint64(p.limit)))
+	res, hit, err := si.results.Do(ctx, key, func() (*MatchResponse, error) { return s.compute(ctx, si, p) })
+	if err != nil {
+		return nil, matchError(err)
 	}
+	if hit {
+		cached := *res
+		cached.Cached = true
+		return &cached, nil
+	}
+	return res, nil
 }
 
-// compute runs one match evaluation under a worker-pool slot and caches the
-// response: plan (or reuse the cached plan), execute, convert.
-func (s *Server) compute(ctx context.Context, si *servedIndex, p *matchParams, key cacheKey) (*MatchResponse, error) {
+// compute runs one match evaluation under a worker-pool slot: plan (or
+// reuse the cached plan), execute, convert.
+func (s *Server) compute(ctx context.Context, si *servedIndex, p *matchParams) (*MatchResponse, error) {
 	if err := s.acquireTraced(ctx); err != nil {
 		return nil, err
 	}
@@ -1481,7 +1403,6 @@ func (s *Server) compute(ctx context.Context, si *servedIndex, p *matchParams, k
 	for i, m := range result.Matches {
 		res.Matches[i] = matchEntry(m)
 	}
-	s.cache.put(key, res)
 	return res, nil
 }
 

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -117,8 +118,7 @@ func TestResultCacheHit(t *testing.T) {
 	if r1.NumMatches != r2.NumMatches {
 		t.Errorf("cached result differs: %d vs %d matches", r1.NumMatches, r2.NumMatches)
 	}
-	hits, _, _ := s.cache.stats()
-	if hits == 0 {
+	if rst, _, _ := s.cacheStats(); rst.Hits == 0 {
 		t.Error("cache recorded no hits")
 	}
 	// A different alpha must not hit.
@@ -263,9 +263,10 @@ func TestBatchConcurrentClients(t *testing.T) {
 }
 
 // TestInflightDedup fires identical cold requests concurrently at a
-// single-worker server: the flight group must collapse them to one real
+// single-worker server: the result cache must collapse them to one real
 // evaluation (exactly one response with cached=false), with followers and
-// stragglers served from the in-flight call or the LRU.
+// stragglers served from the in-flight computation or the entry — and count
+// exactly that: one miss, and one hit for every other request.
 func TestInflightDedup(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1, QueueDepth: 64})
 	const clients = 12
@@ -295,6 +296,13 @@ func TestInflightDedup(t *testing.T) {
 	}
 	if cold != 1 {
 		t.Errorf("%d cold evaluations, want exactly 1 (dedup failed)", cold)
+	}
+	var st StatsResponse
+	if _, body := postJSON(t, ts.URL+"/stats", struct{}{}); json.Unmarshal(body, &st) != nil {
+		t.Fatalf("/stats does not parse: %s", body)
+	}
+	if st.CacheMisses != 1 || st.CacheHits != clients-1 {
+		t.Errorf("/stats cache_misses %d, cache_hits %d; want 1 and %d", st.CacheMisses, st.CacheHits, clients-1)
 	}
 }
 
@@ -415,20 +423,54 @@ func TestSetIndexInvalidatesCache(t *testing.T) {
 	}
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	c := newLRUCache[cacheKey, *MatchResponse](2)
-	k := func(i int) cacheKey { return cacheKey{query: fmt.Sprintf("q%d", i)} }
-	c.put(k(1), &MatchResponse{NumMatches: 1})
-	c.put(k(2), &MatchResponse{NumMatches: 2})
-	c.get(k(1)) // touch 1 so 2 is the LRU victim
-	c.put(k(3), &MatchResponse{NumMatches: 3})
-	if _, ok := c.get(k(2)); ok {
-		t.Error("LRU victim survived")
+// TestPublishDropsCaches: a swap drops the served generation's result, plan
+// and candidate caches together — every *_entries gauge reads 0 — while the
+// hit and miss counters, which belong to the server, carry on.
+func TestPublishDropsCaches(t *testing.T) {
+	s, ts := testServer(t, Options{})
+	req := MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha}
+	postJSON(t, ts.URL+"/match", req)
+	postJSON(t, ts.URL+"/match", req) // a result-cache hit
+	streamOnce(t, ts.URL)             // plan- and candidate-cache hits
+	scrape := func() map[string]float64 {
+		t.Helper()
+		_, body := getRaw(t, ts.URL+"/metrics")
+		values := map[string]float64{}
+		for _, line := range strings.Split(string(body), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+				v, err := strconv.ParseFloat(f[1], 64)
+				if err != nil {
+					t.Fatalf("sample %q: %v", line, err)
+				}
+				values[f[0]] = v
+			}
+		}
+		return values
 	}
-	if _, ok := c.get(k(1)); !ok {
-		t.Error("recently used entry evicted")
+	gauges := []string{"peg_result_cache_entries", "peg_plan_cache_entries", "peg_candcache_entries", "peg_candcache_candidates"}
+	var counters []string
+	for _, c := range []string{"peg_result_cache", "peg_plan_cache", "peg_candcache"} {
+		counters = append(counters, c+"_hits_total", c+"_misses_total")
 	}
-	if _, ok := c.get(k(3)); !ok {
-		t.Error("new entry missing")
+	before := scrape()
+	for _, name := range append(gauges, counters...) {
+		if before[name] == 0 {
+			t.Fatalf("warm-up left %s at 0", name)
+		}
+	}
+	si, release := s.acquireIndex()
+	ix := si.ix
+	release()
+	s.Publish(ix)
+	after := scrape()
+	for _, name := range gauges {
+		if after[name] != 0 {
+			t.Errorf("after Publish %s = %v, want 0", name, after[name])
+		}
+	}
+	for _, name := range counters {
+		if after[name] < before[name] {
+			t.Errorf("after Publish %s went %v -> %v", name, before[name], after[name])
+		}
 	}
 }
