@@ -1,8 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out beyond the
 // paper's own figures: the index resolution γ (accuracy vs lookup cost
-// trade-off named in Section 5.1), offline build parallelism (the paper's
-// multi-threaded construction), and the join-order heuristic of Section
-// 5.2.5 versus cardinality-only ordering.
+// trade-off named in Section 5.1), the offline build's Workers, and the
+// join-order heuristic of Section 5.2.5 versus cardinality-only ordering.
 package peg_test
 
 import (
@@ -41,7 +40,8 @@ func BenchmarkAblationGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWorkers sweeps offline build parallelism.
+// BenchmarkAblationWorkers sweeps the offline build's Workers, which bound
+// only the context-table computation: the path walk is sequential.
 func BenchmarkAblationWorkers(b *testing.B) {
 	g := benchGraph(b, benchMain, 0.2)
 	for _, workers := range []int{1, 2, 4} {

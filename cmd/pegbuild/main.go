@@ -40,7 +40,7 @@ func main() {
 		maxLen  = flag.Int("L", 3, "maximum indexed path length")
 		beta    = flag.Float64("beta", 0.1, "index construction threshold β")
 		gamma   = flag.Float64("gamma", 0.1, "index resolution γ")
-		workers = flag.Int("workers", 0, "build parallelism (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "goroutines computing the context tables (0 = GOMAXPROCS); the path walk is sequential")
 	)
 	flag.Parse()
 	cluster := *shards > 0

@@ -411,6 +411,33 @@ func TestOpenInheritsIndexParams(t *testing.T) {
 	}
 }
 
+// TestViewStatsBytesIsIndexFile holds a view's Bytes to the size of its
+// generation's packed.idx, not of the whole generation directory (which also
+// holds the PGD snapshot), before and after a compaction.
+func TestViewStatsBytesIsIndexFile(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Create(context.Background(), dir, basePGD(t, 3), testOptions())
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	defer db.Close()
+	check := func(gen string) {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, gen, "packed.idx"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.View().Stats().Bytes; got != fi.Size() {
+			t.Errorf("%s: View().Stats().Bytes = %d, packed.idx is %d bytes", gen, got, fi.Size())
+		}
+	}
+	check("gen-000001")
+	if err := db.Compact(context.Background()); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	check("gen-000002")
+}
+
 // TestCompaction folds the overlay into a new generation and checks the
 // published view still answers exactly like a rebuild, that the directory
 // rotated, and that post-compaction mutations keep working.

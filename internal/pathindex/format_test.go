@@ -58,6 +58,15 @@ func assertReadersBitwiseEqual(t *testing.T, a, b *Index, g *entity.Graph) {
 	assertContextsBitwiseEqual(t, a.Context(), b.Context(), g)
 }
 
+// reverseLabels returns the reversed copy of a label sequence.
+func reverseLabels(labels []prob.LabelID) []prob.LabelID {
+	out := make([]prob.LabelID, len(labels))
+	for i, l := range labels {
+		out[len(labels)-1-i] = l
+	}
+	return out
+}
+
 func assertContextsBitwiseEqual(t *testing.T, a, b *Context, g *entity.Graph) {
 	t.Helper()
 	for v := 0; v < g.NumNodes(); v++ {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +25,8 @@ type Options struct {
 	Beta float64
 	// Gamma is the index resolution γ: the probability bucket width.
 	Gamma float64
-	// Workers bounds build parallelism (0 = GOMAXPROCS).
+	// Workers bounds the goroutines computing the context tables
+	// (0 = GOMAXPROCS); the path walk runs on the calling goroutine.
 	Workers int
 	// Dir is the artifact directory (created if missing).
 	Dir string
@@ -58,7 +58,7 @@ type BuildStats struct {
 	Entries       uint64        // stored index entries
 	EntriesPerLen []uint64      // per path length 0..L
 	Sequences     int           // distinct canonical label sequences
-	Bytes         int64         // total artifact bytes on disk
+	Bytes         int64         // size of packed.idx
 	Duration      time.Duration // wall-clock build time
 	ComponentTime time.Duration // identity component precompute share
 	ContextTime   time.Duration // context information share
@@ -82,10 +82,9 @@ type Index struct {
 
 // Build runs the offline phase of Section 5.1 over the entity graph:
 // component probabilities are already precomputed by entity.Build; this
-// computes context information and enumerates the indexed paths level by
-// level (single nodes first, then extensions), in parallel with a barrier
-// between lengths, buffering them in a packedix writer that emits
-// packed.idx in one write.
+// computes context information and walks the indexed paths depth first,
+// encoding each posting into the packedix writer as the walk reaches it,
+// and then writes packed.idx in one pass.
 func Build(ctx context.Context, g *entity.Graph, opt Options) (*Index, error) {
 	start := time.Now()
 	if err := opt.normalize(); err != nil {
@@ -119,7 +118,7 @@ func Build(ctx context.Context, g *entity.Graph, opt Options) (*Index, error) {
 		return nil, err
 	}
 	path := filepath.Join(opt.Dir, packedix.FileName)
-	if _, err := w.WriteFile(path); err != nil {
+	if ix.stats.Bytes, err = w.WriteFile(path); err != nil {
 		return nil, err
 	}
 	f, err := packedix.Open(path)
@@ -129,7 +128,6 @@ func Build(ctx context.Context, g *entity.Graph, opt Options) (*Index, error) {
 	ix.packed = f
 	ix.stats.Sequences = f.NumSeqs()
 	ix.stats.Duration = time.Since(start)
-	ix.stats.Bytes = dirBytes(opt.Dir)
 	return ix, nil
 }
 
@@ -174,7 +172,7 @@ func Open(dir string, g *entity.Graph) (_ *Index, err error) {
 	ix.stats.Entries = m.Entries
 	ix.stats.EntriesPerLen = m.EntriesPerLen
 	ix.stats.Sequences = f.NumSeqs()
-	ix.stats.Bytes = dirBytes(dir)
+	ix.stats.Bytes = f.MappedBytes()
 	return ix, nil
 }
 
@@ -210,13 +208,12 @@ func (ix *Index) Gamma() float64 { return ix.opt.Gamma }
 // MaxLen returns the maximum indexed path length L.
 func (ix *Index) MaxLen() int { return ix.opt.MaxLen }
 
-// opath is an oriented in-construction path with its label assignment.
+// opath is an oriented path under construction: a stack of nodes and their
+// labels that the build's walk and the on-demand DFS push and pop in place.
 type opath struct {
 	n      uint8
 	nodes  [maxNodes]entity.ID
 	labels [maxNodes]prob.LabelID
-	prle   float64
-	prn    float64
 }
 
 func (p *opath) contains(v entity.ID) bool {
@@ -228,116 +225,57 @@ func (p *opath) contains(v entity.ID) bool {
 	return false
 }
 
-// buildPaths enumerates oriented paths level by level with a barrier between
-// levels, storing the canonical orientation of each (Section 5.1) in w.
+// buildPaths walks the oriented paths depth first from every (node, label)
+// pair that clears β, handing each path's canonical orientation to w as soon
+// as the walk reaches it (Section 5.1). A start's extensions are tried in
+// neighbour, then label order, so the paths of each length arrive in the
+// lexicographic order of their (node, label) pairs whatever L is: every
+// (sequence, bucket) receives its postings in that order, which fixes the
+// file's bytes.
 func (ix *Index) buildPaths(ctx context.Context, w *packedix.Writer) error {
 	ix.stats.EntriesPerLen = make([]uint64, ix.opt.MaxLen+1)
-
-	// Level 0: single nodes.
-	var level []opath
-	n := ix.g.NumNodes()
-	for v := 0; v < n; v++ {
-		if err := ctxErr(ctx); err != nil {
-			return err
+	g := ix.g
+	var p opath
+	for v := 0; v < g.NumNodes(); v++ {
+		if v%1024 == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
 		}
-		exist := ix.g.Exist(entity.ID(v))
-		for l, lp := range ix.g.LabelRow(entity.ID(v)) {
+		exist := g.Exist(entity.ID(v))
+		for l, lp := range g.LabelRow(entity.ID(v)) {
 			if lp == 0 || lp*exist+1e-12 < ix.opt.Beta {
 				continue
 			}
-			p := opath{n: 1, prle: lp, prn: exist}
-			p.nodes[0] = entity.ID(v)
-			p.labels[0] = prob.LabelID(l)
-			level = append(level, p)
-		}
-	}
-	if err := ix.storeLevel(w, level, 0); err != nil {
-		return err
-	}
-
-	for l := 1; l <= ix.opt.MaxLen; l++ {
-		next, err := ix.extendLevel(ctx, level)
-		if err != nil {
-			return err
-		}
-		if err := ix.storeLevel(w, next, l); err != nil {
-			return err
-		}
-		level = next
-		if len(level) == 0 {
-			break
+			p.n = 1
+			p.nodes[0], p.labels[0] = entity.ID(v), prob.LabelID(l)
+			if err := ix.walk(w, &p, lp, exist); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// extendLevel extends every oriented path by one edge at its tail, in
-// parallel chunks, applying the β cutoff and the reference-disjointness
-// constraint.
-func (ix *Index) extendLevel(ctx context.Context, level []opath) ([]opath, error) {
-	workers := ix.opt.Workers
-	if workers > len(level) {
-		workers = len(level)
+// walk stores p — whose probability components are prle0 and prn0 — and then
+// every extension of it by one edge at its tail that keeps the references
+// disjoint and clears β, depth first; p.n is restored before returning.
+func (ix *Index) walk(w *packedix.Writer, p *opath, prle0, prn0 float64) error {
+	if err := ix.store(w, p, prle0, prn0); err != nil {
+		return err
 	}
-	if workers == 0 {
-		return nil, nil
+	if int(p.n) > ix.opt.MaxLen {
+		return nil
 	}
-	results := make([][]opath, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(level) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(level) {
-			hi = len(level)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var out []opath
-			for i := lo; i < hi; i++ {
-				if i%1024 == 0 {
-					if err := ctxErr(ctx); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-				out = ix.extendOne(&level[i], out)
-			}
-			results[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	next := make([]opath, 0, total)
-	for _, r := range results {
-		next = append(next, r...)
-	}
-	return next, nil
-}
-
-func (ix *Index) extendOne(p *opath, out []opath) []opath {
 	g := ix.g
-	tail := p.nodes[p.n-1]
-	tailLabel := p.labels[p.n-1]
+	tail, tailLabel := p.nodes[p.n-1], p.labels[p.n-1]
 	for _, nb := range g.Neighbors(tail) {
 		if p.contains(nb.To) {
 			continue
 		}
 		// Prn of the extended node set: 0 when nb.To shares a reference with
 		// a node of the path.
-		prn := g.PrnExtend(p.nodes[:p.n], p.prn, nb.To)
+		prn := g.PrnExtend(p.nodes[:p.n], prn0, nb.To)
 		if prn == 0 {
 			continue
 		}
@@ -345,52 +283,42 @@ func (ix *Index) extendOne(p *opath, out []opath) []opath {
 			if lp == 0 {
 				continue
 			}
-			edgeP := g.PrEdge(nb, tailLabel, prob.LabelID(l))
-			prle := p.prle * edgeP * lp
+			prle := prle0 * g.PrEdge(nb, tailLabel, prob.LabelID(l)) * lp
 			if prle*prn+1e-12 < ix.opt.Beta {
 				continue
 			}
-			np := *p
-			np.nodes[np.n] = nb.To
-			np.labels[np.n] = prob.LabelID(l)
-			np.n++
-			np.prle = prle
-			np.prn = prn
-			out = append(out, np)
+			p.nodes[p.n], p.labels[p.n] = nb.To, prob.LabelID(l)
+			p.n++
+			err := ix.walk(w, p, prle, prn)
+			p.n--
+			if err != nil {
+				return err
+			}
 		}
 	}
-	return out
+	return nil
 }
 
-// storeLevel adds the canonical orientation of every oriented path to w, in
-// enumeration order — the order a scan of one bucket decodes them in.
-func (ix *Index) storeLevel(w *packedix.Writer, level []opath, l int) error {
+// store adds p to w if p is the canonical orientation of its path: the one
+// whose label sequence is the smaller of the two readings and, when they are
+// equal, whose first node is the smaller. The walk reaches both orientations
+// of every path of two or more nodes; only this one is stored.
+func (ix *Index) store(w *packedix.Writer, p *opath, prle, prn float64) error {
+	reversed, palin := orientation(p.labels[:p.n])
+	if reversed || palin && p.n > 1 && p.nodes[0] > p.nodes[p.n-1] {
+		return nil
+	}
 	var lbl [maxNodes]uint16
 	var nds [maxNodes]uint32
-	for i := range level {
-		p := &level[i]
-		labels := p.labels[:p.n]
-		nodes := p.nodes[:p.n]
-		canon, reversed, palin := canonicalSeq(labels)
-		if reversed {
-			continue // stored by the reversed oriented path
-		}
-		if palin && p.n > 1 && nodes[0] > nodes[p.n-1] {
-			continue // palindromic sequences store node-canonical orientation
-		}
-		for j, lb := range canon {
-			lbl[j] = uint16(lb)
-		}
-		for j, n := range nodes {
-			nds[j] = uint32(n)
-		}
-		b := bucketOf(p.prle*p.prn, ix.opt.Beta, ix.opt.Gamma)
-		if err := w.Add(lbl[:p.n], int(b), nds[:p.n], p.prle, p.prn); err != nil {
-			return err
-		}
-		ix.stats.Entries++
-		ix.stats.EntriesPerLen[l]++
+	for i := uint8(0); i < p.n; i++ {
+		lbl[i], nds[i] = uint16(p.labels[i]), uint32(p.nodes[i])
 	}
+	b := bucketOf(prle*prn, ix.opt.Beta, ix.opt.Gamma)
+	if err := w.Add(lbl[:p.n], int(b), nds[:p.n], prle, prn); err != nil {
+		return err
+	}
+	ix.stats.Entries++
+	ix.stats.EntriesPerLen[p.n-1]++
 	return nil
 }
 
@@ -414,8 +342,8 @@ func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 		ix.onDemand(X, alpha, fn)
 		return nil
 	}
-	canon, reversed, palin := canonicalSeq(X)
-	s, ok := ix.findSeq(canon)
+	reversed, palin := orientation(X)
+	s, ok := ix.findSeq(X, reversed)
 	if !ok {
 		return nil
 	}
@@ -442,16 +370,20 @@ func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 	return err
 }
 
-// findSeq looks up a canonical label sequence's key-table entry.
-func (ix *Index) findSeq(canon []prob.LabelID) (packedix.Seq, bool) {
-	if len(canon) > maxNodes {
+// findSeq looks up the key-table entry of X's canonical label sequence: X
+// itself, or X read backwards when reversed.
+func (ix *Index) findSeq(X []prob.LabelID, reversed bool) (packedix.Seq, bool) {
+	if len(X) > maxNodes {
 		return packedix.Seq{}, false
 	}
 	var lbl [maxNodes]uint16
-	for i, l := range canon {
+	for i, l := range X {
+		if reversed {
+			i = len(X) - 1 - i
+		}
 		lbl[i] = uint16(l)
 	}
-	return ix.packed.FindSeq(lbl[:len(canon)])
+	return ix.packed.FindSeq(lbl[:len(X)])
 }
 
 // Lookup returns PIndex(X, α) as caller-owned memory.
@@ -483,8 +415,8 @@ func emitOriented(nodes []entity.ID, prle, prn float64, reversed, palin bool, fn
 // (palindromic sequences count both orientations). Used by query
 // decomposition.
 func (ix *Index) Cardinality(X []prob.LabelID, alpha float64) float64 {
-	canon, _, palin := canonicalSeq(X)
-	s, ok := ix.findSeq(canon)
+	reversed, palin := orientation(X)
+	s, ok := ix.findSeq(X, reversed)
 	if !ok {
 		return 0
 	}
@@ -539,17 +471,6 @@ func ctxErr(ctx context.Context) error {
 	default:
 		return nil
 	}
-}
-
-func dirBytes(dir string) int64 {
-	var total int64
-	filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			total += info.Size()
-		}
-		return nil
-	})
-	return total
 }
 
 // Sequences returns all canonical label sequences present in the index, for

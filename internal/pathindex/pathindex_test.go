@@ -441,7 +441,7 @@ func TestHistogramSaveLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, palin := canonicalSeq(X)
+		_, palin := orientation(X)
 		both := palin && len(X) > 1
 		counts := make([]uint32, nb)
 		for _, m := range ms {
@@ -518,6 +518,24 @@ func TestCardinalityMatchesLookup(t *testing.T) {
 	est := ix.Cardinality(seq, 0.02)
 	if math.Abs(est-float64(len(ms))) > 1e-9 {
 		t.Errorf("Cardinality at β = %v, exact = %d", est, len(ms))
+	}
+}
+
+// TestCardinalityAllocatesNothing pins the planner's probe at zero
+// allocations for a canonical, a reversed and a palindromic sequence: the
+// orientation is decided in place and the key is built on the stack.
+func TestCardinalityAllocatesNothing(t *testing.T) {
+	g := motivating(t)
+	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.02, Gamma: 0.05})
+	a := g.Alphabet()
+	r, ai, i := a.ID("r"), a.ID("a"), a.ID("i")
+	if ix.Cardinality([]prob.LabelID{r, ai, i}, 0.1) == 0 {
+		t.Fatal("no stored (r,a,i) paths to estimate")
+	}
+	for _, X := range [][]prob.LabelID{{r, ai, i}, {i, ai, r}, {r, ai, r}} {
+		if n := testing.AllocsPerRun(100, func() { ix.Cardinality(X, 0.1) }); n != 0 {
+			t.Errorf("X=%v: Cardinality allocates %v times per call", X, n)
+		}
 	}
 }
 
@@ -613,7 +631,7 @@ func TestLookupAgainstBruteForce(t *testing.T) {
 		var probe func(X []prob.LabelID)
 		probe = func(X []prob.LabelID) {
 			if len(X) > 0 {
-				canon, reversed, palin := canonicalSeq(X)
+				reversed, palin := orientation(X)
 				for _, alpha := range alphas {
 					label := fmt.Sprintf("trial %d X=%v α=%v", trial, X, alpha)
 					got, err := ix.Lookup(X, alpha)
@@ -632,7 +650,7 @@ func TestLookupAgainstBruteForce(t *testing.T) {
 					}
 					switch {
 					case reversed:
-						fwd, err := ix.Lookup(canon, alpha)
+						fwd, err := ix.Lookup(reverseLabels(X), alpha)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -679,7 +697,24 @@ func TestLookupAgainstBruteForce(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	g := motivating(t)
-	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1})
+	dir := t.TempDir()
+	// An unrelated file beside packed.idx is not the index.
+	if err := os.WriteFile(filepath.Join(dir, "pgd.snap"), make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1, Dir: dir})
+	fi, err := os.Stat(filepath.Join(dir, packedix.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if ix.Stats().Bytes != fi.Size() || reopened.Stats().Bytes != fi.Size() {
+		t.Errorf("Bytes = %d built, %d opened; packed.idx is %d bytes", ix.Stats().Bytes, reopened.Stats().Bytes, fi.Size())
+	}
 	st := ix.Stats()
 	if st.Entries == 0 || st.Bytes == 0 || st.Duration == 0 {
 		t.Errorf("stats not populated: %+v", st)

@@ -38,15 +38,6 @@ type PathMatch struct {
 // Pr returns the path's total probability Prle · Prn.
 func (m PathMatch) Pr() float64 { return m.Prle * m.Prn }
 
-// reverseLabels returns the reversed copy of a label sequence.
-func reverseLabels(labels []prob.LabelID) []prob.LabelID {
-	out := make([]prob.LabelID, len(labels))
-	for i, l := range labels {
-		out[len(labels)-1-i] = l
-	}
-	return out
-}
-
 // compareLabels orders label sequences lexicographically, shorter sequences
 // first on ties.
 func compareLabels(a, b []prob.LabelID) int {
@@ -71,19 +62,17 @@ func compareLabels(a, b []prob.LabelID) int {
 	return 0
 }
 
-// canonicalSeq returns the canonical (stored) form of a label sequence:
-// min(X, reverse(X)) — the symmetry optimization of Section 5.1 — along with
-// whether the input had to be reversed and whether it is palindromic.
-func canonicalSeq(labels []prob.LabelID) (canon []prob.LabelID, reversed, palindrome bool) {
-	rev := reverseLabels(labels)
-	switch compareLabels(labels, rev) {
-	case 0:
-		return labels, false, true
-	case -1:
-		return labels, false, false
-	default:
-		return rev, true, false
+// orientation relates a label sequence X to its canonical (stored) form
+// min(X, reverse(X)) — the symmetry optimization of Section 5.1 — without
+// building the reverse: reversed when reverse(X) is the smaller, palindrome
+// when the two are equal.
+func orientation(labels []prob.LabelID) (reversed, palindrome bool) {
+	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
+		if labels[i] != labels[j] {
+			return labels[j] < labels[i], false
+		}
 	}
+	return false, true
 }
 
 // Bucketing: bucket i covers probabilities [β+iγ, β+(i+1)γ); probability 1

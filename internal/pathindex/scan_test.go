@@ -22,7 +22,11 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 	if len(X)-1 > ix.opt.MaxLen {
 		return nil, fmt.Errorf("pathindex: sequence of %d labels exceeds indexed length L=%d", len(X), ix.opt.MaxLen)
 	}
-	canon, rev, palin := canonicalSeq(X)
+	rev, palin := orientation(X)
+	canon := X
+	if rev {
+		canon = reverseLabels(X)
+	}
 	var out []PathMatch
 	orient := func(m PathMatch) {
 		switch {
@@ -38,10 +42,10 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 	switch {
 	case alpha < ix.opt.Beta:
 		g := ix.g
-		var extend func(p *opath)
-		extend = func(p *opath) {
+		var extend func(p *opath, prle0, prn0 float64)
+		extend = func(p *opath, prle0, prn0 float64) {
 			if int(p.n) == len(X) {
-				out = append(out, PathMatch{Nodes: append([]entity.ID(nil), p.nodes[:p.n]...), Prle: p.prle, Prn: p.prn})
+				out = append(out, PathMatch{Nodes: append([]entity.ID(nil), p.nodes[:p.n]...), Prle: prle0, Prn: prn0})
 				return
 			}
 			tail := p.nodes[p.n-1]
@@ -68,7 +72,7 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 				if prn == 0 {
 					continue
 				}
-				prle := p.prle * g.PrEdge(nb, p.labels[p.n-1], next) * lp
+				prle := prle0 * g.PrEdge(nb, p.labels[p.n-1], next) * lp
 				if prle*prn+1e-12 < alpha {
 					continue
 				}
@@ -76,9 +80,7 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 				np.nodes[np.n] = nb.To
 				np.labels[np.n] = next
 				np.n++
-				np.prle = prle
-				np.prn = prn
-				extend(&np)
+				extend(&np, prle, prn)
 			}
 		}
 		for v := 0; v < g.NumNodes(); v++ {
@@ -91,10 +93,10 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 			if lp*exist+1e-12 < alpha {
 				continue
 			}
-			cur := opath{n: 1, prle: lp, prn: exist}
+			cur := opath{n: 1}
 			cur.nodes[0] = id
 			cur.labels[0] = X[0]
-			extend(&cur)
+			extend(&cur, lp, exist)
 		}
 		return out, nil
 	default:

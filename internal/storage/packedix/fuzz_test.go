@@ -8,8 +8,9 @@ import (
 
 // FuzzOpenPacked throws arbitrary bytes — seeded with a valid file and
 // targeted corruptions of it — at Open and the full probe surface. The
-// invariant: any input either opens and probes cleanly, or fails with a
-// typed ErrCorrupt. Never a panic, never a read outside the buffer (the
+// invariant: any input either opens and probes cleanly, every decoded node
+// id below Meta().Nodes, or fails with a typed ErrCorrupt. Never a panic,
+// never a read outside the buffer (the
 // fuzzer runs under the race/asan-adjacent bounds checks of the Go
 // runtime, so an over-read of the slice is a caught panic).
 func FuzzOpenPacked(f *testing.F) {
@@ -38,7 +39,7 @@ func FuzzOpenPacked(f *testing.F) {
 		}
 		defer file.Close()
 		if err := probeAll(file); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("probe failed with untyped error: %v", err)
+			t.Fatalf("probe: %v", err)
 		}
 	})
 }

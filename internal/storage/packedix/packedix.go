@@ -4,6 +4,12 @@
 // delta+varint-compressed posting blobs, and the per-node context tables —
 // written once by a single producer and opened read-only with mmap.
 //
+// The Writer never holds a posting as a record: Add encodes it at once onto
+// the byte run of its (sequence, bucket) pair, and WriteFile lays the runs
+// out back to back as the posting blobs. Blob offsets and bucket ends are
+// sums of run lengths, so the key tables are written before the postings
+// without a second copy of them.
+//
 // The layout is designed so the read path never materializes the index on
 // the heap: key tables are fixed-stride and binary-searched directly in the
 // mapping, postings decode into caller-owned scratch, and the context
@@ -59,14 +65,13 @@ package packedix
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // Version is the format version this package reads and writes.
@@ -111,25 +116,25 @@ type Meta struct {
 	EntriesPerLen []uint64
 }
 
-// rec is one posting during construction.
-type rec struct {
-	nodes []uint32
-	prle  float64
-	prn   float64
+// labelKey is a sequence's labels, zero-padded: the Writer's map key.
+type labelKey [maxPathNodes]uint16
+
+// run is one (sequence, bucket) pair's postings, encoded as they arrive:
+// enc holds exactly the bytes the bucket occupies in the sequence's blob.
+type run struct {
+	enc   []byte
+	count uint32
+	prev0 uint32 // node[0] of the last record, the next record's delta base
 }
 
-// seqAcc accumulates one sequence's postings per bucket, in arrival order.
-type seqAcc struct {
-	labels  []uint16
-	buckets [][]rec
-}
-
-// Writer accumulates postings and context tables in memory and emits the
-// packed file in one shot. There is exactly one producer (the offline build
-// or the compactor), so no concurrency support is needed.
+// Writer encodes postings as they arrive and emits the packed file in one
+// shot. Each (sequence, bucket) pair keeps one encoded run, so nothing is
+// held per posting beyond its bytes in the file. There is exactly one
+// producer (the offline build or the compactor), so no concurrency support
+// is needed.
 type Writer struct {
 	meta  Meta
-	byLen []map[string]*seqAcc // per path length, keyed by label bytes
+	byLen []map[labelKey][]run // per path length: one run per bucket
 
 	ctxLabels int
 	card      []int32
@@ -149,9 +154,9 @@ func NewWriter(m Meta) (*Writer, error) {
 	if m.NBuckets < 1 || m.NBuckets > maxBuckets {
 		return nil, fmt.Errorf("packedix: NBuckets %d out of range", m.NBuckets)
 	}
-	byLen := make([]map[string]*seqAcc, m.MaxLen+1)
+	byLen := make([]map[labelKey][]run, m.MaxLen+1)
 	for i := range byLen {
-		byLen[i] = make(map[string]*seqAcc)
+		byLen[i] = make(map[labelKey][]run)
 	}
 	m.Entries = 0
 	m.EntriesPerLen = make([]uint64, m.MaxLen+1)
@@ -167,8 +172,9 @@ func labelBytes(dst []byte, labels []uint16) []byte {
 }
 
 // Add records one posting: an oriented path of len(labels) nodes whose
-// canonical label sequence is labels, in probability bucket b. Postings of
-// one (sequence, bucket) are stored in arrival order, which the reader
+// canonical label sequence is labels, in probability bucket b. The posting
+// is encoded onto its (sequence, bucket) run at once. Postings of one
+// (sequence, bucket) are stored in arrival order, which the reader
 // preserves, so a scan's record order is the build's enumeration order.
 func (w *Writer) Add(labels []uint16, bucket int, nodes []uint32, prle, prn float64) error {
 	if len(labels) == 0 || len(labels)-1 > w.meta.MaxLen {
@@ -180,21 +186,42 @@ func (w *Writer) Add(labels []uint16, bucket int, nodes []uint32, prle, prn floa
 	if bucket < 0 || bucket >= w.meta.NBuckets {
 		return fmt.Errorf("packedix: bucket %d out of range [0,%d)", bucket, w.meta.NBuckets)
 	}
-	l := len(labels) - 1
-	key := string(labelBytes(make([]byte, 0, 2*len(labels)), labels))
-	acc := w.byLen[l][key]
-	if acc == nil {
-		acc = &seqAcc{
-			labels:  append([]uint16(nil), labels...),
-			buckets: make([][]rec, w.meta.NBuckets),
+	for i := range labels {
+		if int(labels[i]) >= w.meta.NLabels || uint64(nodes[i]) >= uint64(w.meta.Nodes) {
+			return fmt.Errorf("packedix: node %d label %d outside %d nodes/%d labels",
+				nodes[i], labels[i], w.meta.Nodes, w.meta.NLabels)
 		}
-		w.byLen[l][key] = acc
 	}
-	acc.buckets[bucket] = append(acc.buckets[bucket], rec{
-		nodes: append([]uint32(nil), nodes...),
-		prle:  prle,
-		prn:   prn,
-	})
+	l := len(labels) - 1
+	var key labelKey
+	copy(key[:], labels)
+	runs := w.byLen[l][key]
+	if runs == nil {
+		runs = make([]run, w.meta.NBuckets)
+		w.byLen[l][key] = runs
+	}
+	r := &runs[bucket]
+	flags := byte(0)
+	if prle == 1.0 {
+		flags |= 1
+	}
+	if prn == 1.0 {
+		flags |= 2
+	}
+	r.enc = append(r.enc, flags)
+	// The delta chain of node[0] restarts at each bucket boundary.
+	r.enc = putZigzag(r.enc, int64(nodes[0])-int64(r.prev0))
+	r.prev0 = nodes[0]
+	for i := 1; i < len(nodes); i++ {
+		r.enc = putZigzag(r.enc, int64(nodes[i])-int64(nodes[i-1]))
+	}
+	if flags&1 == 0 {
+		r.enc = binary.LittleEndian.AppendUint64(r.enc, math.Float64bits(prle))
+	}
+	if flags&2 == 0 {
+		r.enc = binary.LittleEndian.AppendUint64(r.enc, math.Float64bits(prn))
+	}
+	r.count++
 	w.meta.Entries++
 	w.meta.EntriesPerLen[l]++
 	return nil
@@ -212,59 +239,8 @@ func (w *Writer) SetContext(nLabels int, card []int32, ppu, fpu []float64) error
 	return nil
 }
 
-// NumSeqs returns the number of distinct sequences accumulated so far.
-func (w *Writer) NumSeqs() int {
-	n := 0
-	for _, m := range w.byLen {
-		n += len(m)
-	}
-	return n
-}
-
 func putZigzag(dst []byte, v int64) []byte {
 	return binary.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
-}
-
-// encodeSeqBlob emits one sequence's posting blob and returns the per-bucket
-// (count, endOff) pairs.
-func encodeSeqBlob(buf *bytes.Buffer, acc *seqAcc) (counts []uint32, ends []uint32, err error) {
-	counts = make([]uint32, len(acc.buckets))
-	ends = make([]uint32, len(acc.buckets))
-	var scratch [2 * maxPathNodes * binary.MaxVarintLen64]byte
-	start := buf.Len()
-	for b, recs := range acc.buckets {
-		var prev0 uint32 // the delta chain restarts at each bucket boundary
-		for _, r := range recs {
-			enc := scratch[:0]
-			flags := byte(0)
-			if r.prle == 1.0 {
-				flags |= 1
-			}
-			if r.prn == 1.0 {
-				flags |= 2
-			}
-			enc = append(enc, flags)
-			enc = putZigzag(enc, int64(r.nodes[0])-int64(prev0))
-			prev0 = r.nodes[0]
-			for i := 1; i < len(r.nodes); i++ {
-				enc = putZigzag(enc, int64(r.nodes[i])-int64(r.nodes[i-1]))
-			}
-			if flags&1 == 0 {
-				enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(r.prle))
-			}
-			if flags&2 == 0 {
-				enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(r.prn))
-			}
-			buf.Write(enc)
-		}
-		counts[b] = uint32(len(recs))
-		end := buf.Len() - start
-		if end > math.MaxUint32 {
-			return nil, nil, fmt.Errorf("packedix: sequence blob exceeds 4 GiB")
-		}
-		ends[b] = uint32(end)
-	}
-	return counts, ends, nil
 }
 
 // entryStride is the fixed key-table entry size for path length l.
@@ -281,31 +257,24 @@ func (w *Writer) WriteFile(path string) (int64, error) {
 	nb := w.meta.NBuckets
 	nLens := w.meta.MaxLen + 1
 
-	// Sort each length's sequences by label bytes and encode all blobs.
-	type tableEntry struct {
-		labels  []byte
-		blobOff uint64
-		counts  []uint32
-		ends    []uint32
-	}
-	tables := make([][]tableEntry, nLens)
-	var postings bytes.Buffer
-	for l := 0; l < nLens; l++ {
-		keys := make([]string, 0, len(w.byLen[l]))
-		for k := range w.byLen[l] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		tables[l] = make([]tableEntry, len(keys))
-		for i, k := range keys {
-			acc := w.byLen[l][k]
-			off := uint64(postings.Len())
-			counts, ends, err := encodeSeqBlob(&postings, acc)
-			if err != nil {
-				return 0, err
+	// Sort each length's sequences by label. A blob is its sequence's runs
+	// back to back, so blob offsets and bucket ends are sums of run lengths,
+	// known before a posting byte is written.
+	keys := make([][]labelKey, nLens)
+	var postingsLen uint64
+	for l := range keys {
+		for k, runs := range w.byLen[l] {
+			keys[l] = append(keys[l], k)
+			var blob uint64
+			for _, r := range runs {
+				blob += uint64(len(r.enc))
 			}
-			tables[l][i] = tableEntry{labels: []byte(k), blobOff: off, counts: counts, ends: ends}
+			if blob > math.MaxUint32 {
+				return 0, fmt.Errorf("packedix: sequence blob exceeds 4 GiB")
+			}
+			postingsLen += blob
 		}
+		slices.SortFunc(keys[l], func(a, b labelKey) int { return slices.Compare(a[:], b[:]) })
 	}
 
 	// Section offsets.
@@ -314,10 +283,9 @@ func (w *Writer) WriteFile(path string) (int64, error) {
 	tableOffs := make([]uint64, nLens)
 	for l := 0; l < nLens; l++ {
 		tableOffs[l] = off
-		off += uint64(len(tables[l]) * entryStride(l, nb))
+		off += uint64(len(keys[l]) * entryStride(l, nb))
 	}
 	postingsOff := off
-	postingsLen := uint64(postings.Len())
 	off += postingsLen
 	contextOff := (off + 7) &^ 7 // 8-aligned so the float tables can alias the mapping
 	cells := w.meta.Nodes * w.ctxLabels
@@ -361,7 +329,7 @@ func (w *Writer) WriteFile(path string) (int64, error) {
 	}
 	for l := 0; l < nLens; l++ {
 		wr64(tableOffs[l])
-		wr64(uint64(len(tables[l])))
+		wr64(uint64(len(keys[l])))
 		wr64(w.meta.EntriesPerLen[l])
 	}
 
@@ -371,19 +339,30 @@ func (w *Writer) WriteFile(path string) (int64, error) {
 		binary.LittleEndian.PutUint32(u32[:], v)
 		bw.Write(u32[:])
 	}
+	var lbl [2 * maxPathNodes]byte
+	var blobOff uint64
 	for l := 0; l < nLens; l++ {
-		for i := range tables[l] {
-			e := &tables[l][i]
-			bw.Write(e.labels)
-			wr64(e.blobOff)
-			for b := 0; b < nb; b++ {
-				wr32(e.counts[b])
-				wr32(e.ends[b])
+		for _, k := range keys[l] {
+			bw.Write(labelBytes(lbl[:0], k[:l+1]))
+			wr64(blobOff)
+			var end uint32
+			for _, r := range w.byLen[l][k] {
+				end += uint32(len(r.enc))
+				wr32(r.count)
+				wr32(end)
 			}
+			blobOff += uint64(end)
 		}
 	}
 
-	bw.Write(postings.Bytes())
+	// Posting blobs.
+	for l := 0; l < nLens; l++ {
+		for _, k := range keys[l] {
+			for _, r := range w.byLen[l][k] {
+				bw.Write(r.enc)
+			}
+		}
+	}
 	for pad := contextOff - off; pad > 0; pad-- {
 		bw.WriteByte(0)
 	}

@@ -3,6 +3,7 @@ package packedix
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -46,19 +47,19 @@ func samplePosts() []post {
 		{[]uint16{1}, 3, []uint32{2}, 0.5, 1},
 		{[]uint16{1, 2}, 0, []uint32{7, 3}, 0.25, 0.75},
 		{[]uint16{1, 2}, 0, []uint32{1, 9}, 1, 0.125},
-		{[]uint16{1, 2}, 4, []uint32{100000, 5}, 0.875, 1},
+		{[]uint16{1, 2}, 4, []uint32{100, 5}, 0.875, 1},
 		{[]uint16{2, 2, 3}, 2, []uint32{4, 4, 4}, 1, 1},
 		{[]uint16{0, 5, 0}, 1, []uint32{9, 0, 12}, 0.0625, 0.5},
 	}
 }
 
 func sampleMeta() Meta {
-	return Meta{MaxLen: 2, NLabels: 6, NBuckets: 5, Beta: 0.05, Gamma: 0.19, Nodes: 3, Edges: 2}
+	return Meta{MaxLen: 2, NLabels: 6, NBuckets: 5, Beta: 0.05, Gamma: 0.19, Nodes: 128, Edges: 2}
 }
 
 func sampleCtx() (int, []int32, []float64, []float64) {
 	nl := 6
-	cells := 3 * nl
+	cells := sampleMeta().Nodes * nl
 	card := make([]int32, cells)
 	ppu := make([]float64, cells)
 	fpu := make([]float64, cells)
@@ -80,7 +81,7 @@ func TestRoundTrip(t *testing.T) {
 	defer f.Close()
 
 	m := f.Meta()
-	if m.MaxLen != 2 || m.NLabels != 6 || m.NBuckets != 5 || m.Nodes != 3 || m.Edges != 2 {
+	if m.MaxLen != 2 || m.NLabels != 6 || m.NBuckets != 5 || m.Nodes != 128 || m.Edges != 2 {
 		t.Fatalf("meta round-trip: %+v", m)
 	}
 	if m.Beta != 0.05 || m.Gamma != 0.19 {
@@ -114,7 +115,7 @@ func TestRoundTrip(t *testing.T) {
 	want := []post{
 		{bucket: 0, nodes: []uint32{7, 3}, prle: 0.25, prn: 0.75},
 		{bucket: 0, nodes: []uint32{1, 9}, prle: 1, prn: 0.125},
-		{bucket: 4, nodes: []uint32{100000, 5}, prle: 0.875, prn: 1},
+		{bucket: 4, nodes: []uint32{100, 5}, prle: 0.875, prn: 1},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decode = %+v, want %+v", got, want)
@@ -194,6 +195,12 @@ func TestWriterValidation(t *testing.T) {
 	if err := w.Add([]uint16{1, 2}, 0, []uint32{1}, 1, 1); err == nil {
 		t.Fatal("Add with node/label mismatch accepted")
 	}
+	if err := w.Add([]uint16{1, 2}, 0, []uint32{2, 100000}, 1, 1); err == nil {
+		t.Fatal("Add with a node past Meta.Nodes accepted")
+	}
+	if err := w.Add([]uint16{1, 6}, 0, []uint32{1, 2}, 1, 1); err == nil {
+		t.Fatal("Add with a label past NLabels accepted")
+	}
 	if _, err := w.WriteFile(filepath.Join(t.TempDir(), FileName)); err == nil {
 		t.Fatal("WriteFile without context accepted")
 	}
@@ -248,12 +255,29 @@ func TestOpenCorrupt(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[off+8:], 1<<40)
 		return b
 	})
+
+	// Sequence [1 2]'s bucket 4 holds one record, (100, 5): a flags byte,
+	// then node[0] as the two-byte varint C8 01. Raising the high byte to 7F
+	// decodes node[0] as 8164, past the 128-node graph.
+	f, err := OpenBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := f.FindSeq([]uint16{1, 2})
+	at := binary.LittleEndian.Uint64(raw[72:]) + binary.LittleEndian.Uint64(s.entry[2*s.n:]) + uint64(s.end(3))
+	if raw[at+1] != 0xc8 || raw[at+2] != 0x01 {
+		t.Fatalf("bucket 4 starts % x, want flags c8 01", raw[at:at+3])
+	}
+	mutate("node-past-graph", func(b []byte) []byte { b[at+2] = 0x7f; return b })
 }
 
 // probeAll exercises every read path: all sequences, all buckets, context.
+// A decoded node id at or past Meta().Nodes is reported as an error that is
+// not ErrCorrupt: Decode must have refused it.
 func probeAll(f *File) error {
 	m := f.Meta()
 	var lbl []uint16
+	var escaped error
 	for l := 0; l <= m.MaxLen; l++ {
 		for i := 0; i < f.SeqsAtLen(l); i++ {
 			s := f.SeqAt(l, i)
@@ -261,8 +285,20 @@ func probeAll(f *File) error {
 			if _, ok := f.FindSeq(lbl); !ok {
 				return corruptf("sequence %v not found by its own key", lbl)
 			}
-			if err := s.Decode(0, func(int, []uint32, float64, float64) bool { return true }); err != nil {
+			err := s.Decode(0, func(_ int, nodes []uint32, _, _ float64) bool {
+				for _, n := range nodes {
+					if uint64(n) >= uint64(m.Nodes) {
+						escaped = fmt.Errorf("Decode returned node %d of a %d-node graph", n, m.Nodes)
+						return false
+					}
+				}
+				return true
+			})
+			if err != nil {
 				return err
+			}
+			if escaped != nil {
+				return escaped
 			}
 		}
 	}
@@ -274,7 +310,7 @@ func probeAll(f *File) error {
 // checks every sequence decodes back exactly, in storage order.
 func TestRandomizedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := Meta{MaxLen: 3, NLabels: 10, NBuckets: 8, Beta: 0.1, Gamma: 0.1125, Nodes: 50, Edges: 80}
+	m := Meta{MaxLen: 3, NLabels: 10, NBuckets: 8, Beta: 0.1, Gamma: 0.1125, Nodes: 4096, Edges: 80}
 	want := map[string][]post{}
 	var posts []post
 	for i := 0; i < 400; i++ {
@@ -283,7 +319,7 @@ func TestRandomizedRoundTrip(t *testing.T) {
 		nodes := make([]uint32, n)
 		for j := range labels {
 			labels[j] = uint16(rng.Intn(10))
-			nodes[j] = uint32(rng.Intn(1 << 20))
+			nodes[j] = uint32(rng.Intn(m.Nodes))
 		}
 		p := post{labels: labels, bucket: rng.Intn(8), nodes: nodes,
 			prle: math.Round(rng.Float64()*16) / 16, prn: math.Round(rng.Float64()*16) / 16}
@@ -292,7 +328,7 @@ func TestRandomizedRoundTrip(t *testing.T) {
 		want[key] = append(want[key], p)
 	}
 	nl := 10
-	cells := 50 * nl
+	cells := m.Nodes * nl
 	path := buildFile(t, m, posts, nl, make([]int32, cells), make([]float64, cells), make([]float64, cells))
 	f, err := Open(path)
 	if err != nil {

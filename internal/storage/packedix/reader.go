@@ -235,8 +235,9 @@ func (s Seq) end(b int) uint32 {
 // in storage order (bucket ascending, insertion order within a bucket). The
 // nodes slice passed to fn aliases scratch owned by Decode and is only
 // valid during the call; fn returns false to stop early. Every offset and
-// varint is bounds-checked against the blob, so a corrupt file yields
-// ErrCorrupt, never a panic or an out-of-bounds read.
+// varint is bounds-checked against the blob and every node id against the
+// header's node count, so a corrupt file yields ErrCorrupt, never a panic,
+// an out-of-bounds read or an id outside the graph.
 func (s Seq) Decode(fromBucket int, fn func(bucket int, nodes []uint32, prle, prn float64) bool) error {
 	f := s.f
 	nb := f.meta.NBuckets
@@ -253,6 +254,9 @@ func (s Seq) Decode(fromBucket int, fn func(bucket int, nodes []uint32, prle, pr
 	}
 	blob := f.posts[blobOff : blobOff+blobEnd]
 
+	// Node ids index graph columns downstream: one at or past the header's
+	// node count is corruption, not a path.
+	idLimit := min(int64(f.meta.Nodes), math.MaxUint32+1)
 	var nodes [maxPathNodes]uint32
 	prevEnd := uint32(0)
 	if fromBucket > 0 {
@@ -278,8 +282,8 @@ func (s Seq) Decode(fromBucket int, fn func(bucket int, nodes []uint32, prle, pr
 			}
 			p = p[w:]
 			v := int64(prev0) + d
-			if v < 0 || v > math.MaxUint32 {
-				return corruptf("node[0] delta overflows uint32 in bucket %d", b)
+			if v < 0 || v >= idLimit {
+				return corruptf("node[0] %d outside the %d-node graph in bucket %d", v, f.meta.Nodes, b)
 			}
 			nodes[0] = uint32(v)
 			prev0 = nodes[0]
@@ -290,8 +294,8 @@ func (s Seq) Decode(fromBucket int, fn func(bucket int, nodes []uint32, prle, pr
 				}
 				p = p[w:]
 				v := int64(nodes[i-1]) + d
-				if v < 0 || v > math.MaxUint32 {
-					return corruptf("node[%d] delta overflows uint32 in bucket %d", i, b)
+				if v < 0 || v >= idLimit {
+					return corruptf("node[%d] %d outside the %d-node graph in bucket %d", i, v, f.meta.Nodes, b)
 				}
 				nodes[i] = uint32(v)
 			}
