@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -44,9 +45,8 @@ func main() {
 		hedgeAfter  = flag.Duration("hedge-after", 0, "fixed hedge delay for buffered shard calls (0 = adaptive p99, negative disables)")
 		requireAll  = flag.Bool("require-all", false, "fail requests with 502 when any shard fails instead of answering partial:true")
 		healthEvery = flag.Duration("health-every", 2*time.Second, "replica health-poll interval (negative disables)")
-		traceFile   = flag.String("trace", "", "NDJSON per-request trace file (\"-\" = stderr); requests opt in with \"trace\":true")
-		traceAll    = flag.Bool("trace-all", false, "with -trace: trace every request, not only those asking")
-		traceSmp    = flag.Float64("trace-sample", 0, "span tracing: fraction of new root traces to sample (0 disables, 1 = all); spans land in the -trace file as {\"span\":...} lines and in GET /debug/trace/{id}")
+		traceFile   = flag.String("trace", "", "span export file (\"-\" = stderr), one {\"span\":...} NDJSON line per sampled span; enables tracing, so a request sent with a sampled traceparent is traced")
+		traceSmp    = flag.Float64("trace-sample", 0, "span tracing: fraction of new root traces to sample (0 = only those a sampled traceparent asks for, 1 = all); spans land in the -trace file and in GET /debug/trace/{id}")
 		pprofOn     = flag.String("pprof-addr", "", "serve net/http/pprof on this separate listen address (empty disables)")
 	)
 	shards := map[int][]string{}
@@ -97,24 +97,20 @@ func main() {
 		HedgeAfter:   *hedgeAfter,
 		RequireAll:   *requireAll,
 		HealthEvery:  *healthEvery,
-		TraceAll:     *traceAll,
 	}
+	var export io.Writer // nil keeps spans ring-only
 	if *traceFile == "-" {
-		ropt.TraceWriter = os.Stderr
+		export = os.Stderr
 	} else if *traceFile != "" {
 		tf, err := os.OpenFile(*traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer tf.Close()
-		ropt.TraceWriter = tf
+		export = tf
 	}
-	if *traceSmp > 0 {
-		ropt.Tracer = trace.New(trace.Config{
-			Service: "pegrouter",
-			Sample:  *traceSmp,
-			Export:  ropt.TraceWriter, // nil keeps spans ring-only
-		})
+	if export != nil || *traceSmp > 0 {
+		ropt.Tracer = trace.New(trace.Config{Service: "pegrouter", Sample: *traceSmp, Export: export})
 	}
 	if *pprofOn != "" {
 		go func() {

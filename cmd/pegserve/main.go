@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"net/http"
@@ -58,9 +59,8 @@ func main() {
 		alpha    = flag.Float64("alpha", 0.25, "default probability threshold α")
 		metrics  = flag.Bool("metrics", true, "expose GET /metrics (Prometheus text format)")
 		maxCost  = flag.Float64("max-cost", 0, "cost-based admission: reject queries whose calibrated plan-cost estimate exceeds this with 429 (0 disables)")
-		trace    = flag.String("trace", "", "NDJSON per-query trace file (\"-\" = stderr); requests opt in with \"trace\":true")
-		traceAll = flag.Bool("trace-all", false, "with -trace: trace every request, not only those asking")
-		traceSmp = flag.Float64("trace-sample", 0, "span tracing: fraction of new root traces to sample (0 disables, 1 = all); spans land in the -trace file as {\"span\":...} lines and in GET /debug/trace/{id}")
+		trace    = flag.String("trace", "", "span export file (\"-\" = stderr), one {\"span\":...} NDJSON line per sampled span; enables tracing, so a request sent with a sampled traceparent is traced")
+		traceSmp = flag.Float64("trace-sample", 0, "span tracing: fraction of new root traces to sample (0 = only those a sampled traceparent asks for, 1 = all); spans land in the -trace file and in GET /debug/trace/{id}")
 		pprofOn  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate listen address (empty disables)")
 		build    = flag.Bool("build", false, "build the index first if dir has none")
 		maxLen   = flag.Int("L", 3, "index path length when building")
@@ -84,23 +84,19 @@ func main() {
 	opt.CandCacheSize = *cands
 	opt.DisableMetrics = !*metrics
 	opt.MaxPlanCost = *maxCost
-	opt.TraceAll = *traceAll
+	var export io.Writer // nil keeps spans ring-only
 	if *trace == "-" {
-		opt.TraceWriter = os.Stderr
+		export = os.Stderr
 	} else if *trace != "" {
 		tf, err := os.OpenFile(*trace, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer tf.Close()
-		opt.TraceWriter = tf
+		export = tf
 	}
-	if *traceSmp > 0 {
-		opt.Tracer = ptrace.New(ptrace.Config{
-			Service: "pegserve",
-			Sample:  *traceSmp,
-			Export:  opt.TraceWriter, // nil keeps spans ring-only
-		})
+	if export != nil || *traceSmp > 0 {
+		opt.Tracer = ptrace.New(ptrace.Config{Service: "pegserve", Sample: *traceSmp, Export: export})
 	}
 	if *pprofOn != "" {
 		go func() {

@@ -69,13 +69,6 @@ type Options struct {
 	// and the failover/hedge cause), traceparent + deadline propagation to
 	// shards, and GET /debug/trace/{id} over the ring buffer.
 	Tracer *trace.Tracer
-	// TraceWriter receives one NDJSON request-trace line per finished
-	// request when tracing is selected (TraceAll, or the request's trace
-	// flag) — the same event shape pegserve writes, with trace_id, so
-	// router and shard trace lines correlate. Nil disables it.
-	TraceWriter io.Writer
-	// TraceAll traces every request instead of only those asking for it.
-	TraceAll bool
 }
 
 func (o *Options) normalize() {
@@ -146,8 +139,7 @@ type Router struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	met     *routerMetrics
-	traceMu sync.Mutex // serializes NDJSON trace lines onto TraceWriter
+	met *routerMetrics
 }
 
 // New builds a router over a loaded manifest and starts the replica health
@@ -509,73 +501,32 @@ func (r *Router) startRequest(w http.ResponseWriter, req *http.Request, endpoint
 	return ctx, st
 }
 
-// settle is the single terminal path of a routed request: metrics, the
-// root span, and — when tracing selects this request — one NDJSON trace
-// line in the same event shape pegserve writes.
+// settle is the single terminal path of a routed request: metrics and the
+// root span, which carries the request's shape and terminal state —
+// pegserve's root attributes plus the router-only partial and
+// shards_failed.
 func (r *Router) settle(st *reqState, outcome string, err error, matches int, failed []int) {
 	r.finish(st.endpoint, st.start, outcome)
-	if st.sp != nil {
-		st.sp.SetAttr("outcome", outcome)
-		if err != nil {
-			st.sp.SetAttr("error", err.Error())
-		}
-		if len(failed) > 0 {
-			st.sp.SetAttr("shards_failed", fmt.Sprint(failed))
-		}
-		st.sp.End()
-	}
-	if r.opt.TraceWriter == nil || !(r.opt.TraceAll || (st.mr != nil && st.mr.Trace)) {
+	if !st.sp.Sampled() {
 		return
 	}
-	ev := routerTraceEvent{
-		Time:           time.Now().UTC().Format(time.RFC3339Nano),
-		TraceID:        st.sp.TraceID(),
-		RequestID:      st.reqID,
-		Endpoint:       st.endpoint,
-		Outcome:        outcome,
-		DurationMicros: float64(time.Since(st.start).Nanoseconds()) / 1e3,
-		Matches:        matches,
-		ShardsFailed:   failed,
-		Partial:        outcome == "partial",
+	st.sp.SetAttr("outcome", outcome)
+	if err != nil {
+		st.sp.SetAttr("error", err.Error())
 	}
 	if st.mr != nil {
-		ev.Query, ev.Alpha, ev.Strategy, ev.Order, ev.Limit =
-			st.mr.Query, st.mr.Alpha, st.mr.Strategy, st.mr.Order, st.mr.Limit
+		st.mr.SetSpanAttrs(st.sp)
 	}
-	if err != nil {
-		ev.Error = err.Error()
+	if st.endpoint != "explain" {
+		st.sp.SetAttr("matches", strconv.Itoa(matches))
 	}
-	line, merr := json.Marshal(&ev)
-	if merr != nil {
-		return
+	if outcome == "partial" {
+		st.sp.SetAttr("partial", "true")
 	}
-	line = append(line, '\n')
-	r.traceMu.Lock()
-	_, _ = r.opt.TraceWriter.Write(line)
-	r.traceMu.Unlock()
-}
-
-// routerTraceEvent is the router's NDJSON request-trace line: the same
-// shape as pegserve's traceEvent (so one jq filter reads both logs) plus
-// the router-only partial/shards_failed fields. The shared trace_id is
-// what lets the cluster smoke correlate a router line with the shard
-// lines it fanned out to.
-type routerTraceEvent struct {
-	Time           string  `json:"ts"`
-	TraceID        string  `json:"trace_id,omitempty"`
-	RequestID      string  `json:"request_id,omitempty"`
-	Endpoint       string  `json:"endpoint"`
-	Outcome        string  `json:"outcome"`
-	DurationMicros float64 `json:"duration_us"`
-	Query          string  `json:"query,omitempty"`
-	Alpha          float64 `json:"alpha,omitempty"`
-	Strategy       string  `json:"strategy,omitempty"`
-	Order          string  `json:"order,omitempty"`
-	Limit          int     `json:"limit,omitempty"`
-	Error          string  `json:"error,omitempty"`
-	Matches        int     `json:"matches,omitempty"`
-	Partial        bool    `json:"partial,omitempty"`
-	ShardsFailed   []int   `json:"shards_failed,omitempty"`
+	if len(failed) > 0 {
+		st.sp.SetAttr("shards_failed", fmt.Sprint(failed))
+	}
+	st.sp.End()
 }
 
 // parseRequest decodes and pre-validates one match request at the router:
@@ -944,7 +895,7 @@ func (r *Router) handleDebugTrace(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if r.opt.Tracer == nil {
-		writeError(w, http.StatusNotFound, "span tracing disabled (start with -trace-sample > 0)")
+		writeError(w, http.StatusNotFound, "tracing disabled (start with -trace or -trace-sample)")
 		return
 	}
 	id := strings.TrimPrefix(req.URL.Path, "/debug/trace/")

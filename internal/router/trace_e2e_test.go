@@ -133,14 +133,11 @@ func spansBy(spans []trace.SpanData, pred func(trace.SpanData) bool) []trace.Spa
 // shard-side request + executor stage spans, with well-formed parent links.
 func TestTraceEndToEnd(t *testing.T) {
 	d := buildSynth(t)
-	var lines bytes.Buffer
 	rtTracer := trace.New(trace.Config{Service: "pegrouter", Sample: 1})
 	var slow *httptest.Server
 	rt, shardTracers := openTracedCluster(t, d, 2, Options{
-		Tracer:      rtTracer,
-		TraceWriter: &lines,
-		TraceAll:    true,
-		HedgeAfter:  10 * time.Millisecond,
+		Tracer:     rtTracer,
+		HedgeAfter: 10 * time.Millisecond,
 	}, func(replicas [][]string) [][]string {
 		replicas[0] = append([]string{deadReplicaURL(t)}, replicas[0]...)
 		// The slow primary outlives any plausible request: the hedge fires at
@@ -279,19 +276,11 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("debug/trace: HTTP %d, %d spans for %q", dresp.StatusCode, len(tr.Spans), tr.TraceID)
 	}
 
-	// NDJSON request-line parity: the router wrote one line for this request
-	// carrying the same trace id and the pegserve event shape.
-	var ev routerTraceEvent
-	found := false
-	sc := bufio.NewScanner(bytes.NewReader(lines.Bytes()))
-	for sc.Scan() {
-		if err := json.Unmarshal(sc.Bytes(), &ev); err == nil && ev.Endpoint == "match" {
-			found = true
-			break
-		}
-	}
-	if !found || ev.TraceID != tid || ev.Outcome != "ok" || ev.Query == "" || ev.DurationMicros <= 0 {
-		t.Fatalf("router trace line missing or malformed: %+v", ev)
+	// The root carries the request's shape and terminal state; a full
+	// answer is not partial.
+	if a := root.Attrs; a["outcome"] != "ok" || a["query"] != testQueries[0] || a["alpha"] != "0.05" ||
+		a["matches"] != fmt.Sprint(out.NumMatches) || a["partial"] != "" || a["shards_failed"] != "" {
+		t.Fatalf("router.match root attrs %v", a)
 	}
 }
 

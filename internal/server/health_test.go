@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/fixtures"
 	"repro/internal/pathindex"
+	"repro/internal/trace"
 )
 
 // TestReadinessLifecycle walks the unready → ready transition: a server
@@ -100,10 +100,10 @@ func TestReadinessLifecycle(t *testing.T) {
 
 // TestRequestIDPropagation checks the shard half of the correlation-id
 // contract: the header is echoed on success and error responses alike, and
-// lands in the NDJSON trace line.
+// lands on the request's root span.
 func TestRequestIDPropagation(t *testing.T) {
-	var trace bytes.Buffer
-	s, _ := testServer(t, Options{TraceWriter: &trace, TraceAll: true})
+	tr := trace.New(trace.Config{Sample: 1})
+	s, _ := testServer(t, Options{Tracer: tr})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -131,12 +131,17 @@ func TestRequestIDPropagation(t *testing.T) {
 		t.Fatalf("request id not echoed on error")
 	}
 
-	var ev traceEvent
-	line, _, _ := bytes.Cut(trace.Bytes(), []byte("\n"))
-	if err := json.Unmarshal(line, &ev); err != nil {
-		t.Fatalf("trace line: %v", err)
+	roots := 0
+	for _, sp := range tr.Dump(0) {
+		if sp.Name != "serve.match" {
+			continue
+		}
+		roots++
+		if sp.Attrs["request_id"] != "rid-123" {
+			t.Fatalf("%s root request_id %q (want rid-123)", sp.Attrs["outcome"], sp.Attrs["request_id"])
+		}
 	}
-	if ev.RequestID != "rid-123" {
-		t.Fatalf("trace line request_id %q (want rid-123)", ev.RequestID)
+	if roots != 2 {
+		t.Fatalf("%d serve.match roots recorded, want 2", roots)
 	}
 }

@@ -206,47 +206,6 @@ func TestStatsJSONSubMicrosecond(t *testing.T) {
 	}
 }
 
-// TestTraceLines checks the NDJSON trace: a request with trace:true emits
-// exactly one well-formed line, a request without it emits none.
-func TestTraceLines(t *testing.T) {
-	var buf bytes.Buffer
-	s, ts := testServerWithTrace(t, &buf)
-	_, _ = postJSON(t, ts.URL+"/match", &MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha})
-	if got := strings.Count(buf.String(), "\n"); got != 0 {
-		t.Fatalf("untraced request produced %d trace lines", got)
-	}
-	_, _ = postJSON(t, ts.URL+"/match", &MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha, Trace: true})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 || lines[0] == "" {
-		t.Fatalf("traced request produced %d trace lines, want 1", len(lines))
-	}
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("trace line is not JSON: %v (%s)", err, lines[0])
-	}
-	if ev["endpoint"] != "match" || ev["outcome"] != "ok" {
-		t.Errorf("trace line endpoint/outcome = %v/%v, want match/ok", ev["endpoint"], ev["outcome"])
-	}
-	if d, _ := ev["duration_us"].(float64); d <= 0 {
-		t.Errorf("trace duration_us = %v, want > 0", ev["duration_us"])
-	}
-	if q, _ := ev["query"].(string); q == "" {
-		t.Error("trace line missing query text")
-	}
-	checkAccounting(t, s)
-}
-
-func testServerWithTrace(t *testing.T, w *bytes.Buffer) (*Server, *httptest.Server) {
-	t.Helper()
-	s, _ := testServer(t, Options{Workers: 2})
-	// Re-create with the writer: testServer owns index lifecycle, so just
-	// flip the options on a dedicated instance sharing the same index.
-	s2 := New(s.cur.ix, Options{Workers: 2, TraceWriter: w})
-	ts := httptest.NewServer(s2.Handler())
-	t.Cleanup(ts.Close)
-	return s2, ts
-}
-
 // TestMetricsScrapeUnderLoad scrapes /metrics while matches and live ingest
 // run concurrently (meaningful under -race), then parses the final page:
 // every sample line must be "name{labels} value" with a float value and a

@@ -115,18 +115,13 @@ type Options struct {
 	// before it admits; result-cache hits bypass admission (serving a cached
 	// answer costs nothing). 0 disables admission.
 	MaxPlanCost float64
-	// TraceWriter receives one NDJSON traceEvent line per finished request
-	// when tracing is selected (TraceAll, or the request's trace flag). Nil
-	// disables tracing entirely.
-	TraceWriter io.Writer
-	// TraceAll traces every request instead of only those asking for it.
-	TraceAll bool
 	// Tracer enables span-structured distributed tracing: the server
 	// continues a traceparent context from the router (or opens a new root),
 	// emits child spans for admission, plan-cache lookup, planning, and
 	// every executor stage, and serves the ring buffer at
-	// GET /debug/trace/{id}. Nil disables span tracing; the NDJSON request
-	// tracer above is independent of it.
+	// GET /debug/trace/{id}. Each request's root span carries its shape and
+	// terminal state as attributes (see finishRequest). Nil disables
+	// tracing.
 	Tracer *trace.Tracer
 	// DisableMetrics leaves GET /metrics unregistered. The instruments still
 	// run (they are nanoseconds per request); only the scrape endpoint goes
@@ -225,8 +220,7 @@ type Server struct {
 	ingested     atomic.Uint64
 	ingestFailed atomic.Uint64
 
-	met     *serverMetrics
-	traceMu sync.Mutex // serializes NDJSON trace lines onto TraceWriter
+	met *serverMetrics
 }
 
 // New creates a server over an opened index (or any other index reader,
@@ -389,23 +383,34 @@ type MatchRequest struct {
 	// Order is "emit" (default: enumeration order, lowest latency) or
 	// "prob" (decreasing probability — top-K together with Limit).
 	Order string `json:"order,omitempty"`
-	// Trace asks the server to emit one NDJSON trace line for this request
-	// (requires the server to be configured with a trace writer). Not part
-	// of any cache key: a traced repeat of a cached query still records a
-	// line, marked cached.
-	Trace bool `json:"trace,omitempty"`
 
-	// requestID is the X-Request-ID header value, captured at decode time so
-	// trace lines carry it. Not part of the JSON body or any cache key.
-	requestID string
-	// traceID is the hex trace id of the request's span (when the server
-	// has a Tracer), stamped into NDJSON trace lines so flat request events
-	// and span waterfalls correlate.
-	traceID string
 	// deadlineMillis is the router's remaining per-shard budget from the
 	// X-Peg-Deadline-Ms header. Folded into the request timeout exactly
 	// like timeout_ms: it can lower the deadline, never raise it.
 	deadlineMillis int64
+}
+
+// SetSpanAttrs records the request's shape — query, α, strategy, order
+// and limit, each when set — on a sampled root span.
+func (req *MatchRequest) SetSpanAttrs(sp *trace.Span) {
+	if !sp.Sampled() {
+		return
+	}
+	if req.Query != "" {
+		sp.SetAttr("query", req.Query)
+	}
+	if req.Alpha != 0 {
+		sp.SetAttr("alpha", strconv.FormatFloat(req.Alpha, 'g', -1, 64))
+	}
+	if req.Strategy != "" {
+		sp.SetAttr("strategy", req.Strategy)
+	}
+	if req.Order != "" {
+		sp.SetAttr("order", req.Order)
+	}
+	if req.Limit != 0 {
+		sp.SetAttr("limit", strconv.Itoa(req.Limit))
+	}
 }
 
 // MatchEntry is one probabilistic match in a response.
@@ -605,7 +610,7 @@ func (s *Server) Handler() http.Handler {
 // RequestIDHeader carries the end-to-end request correlation id. The router
 // generates one per client request (unless the client sent its own) and fans
 // it out to every shard; shards accept it, echo it on the response, and
-// stamp it into their NDJSON trace lines.
+// record it as their root span's request_id.
 const RequestIDHeader = "X-Request-ID"
 
 // DeadlineHeader carries the router's remaining per-shard deadline budget
@@ -615,12 +620,10 @@ const RequestIDHeader = "X-Request-ID"
 // completion and polluting calibration and latency histograms.
 const DeadlineHeader = "X-Peg-Deadline-Ms"
 
-// captureHTTP records the propagation headers of one decoded request:
-// the correlation id and the router's remaining deadline budget. (The
-// traceparent context is read by startRequestSpan, which needs the
-// header map anyway.)
+// captureHTTP records the router's remaining deadline budget of one
+// decoded request. (The traceparent context and the correlation id are
+// read by startRequestSpan.)
 func (s *Server) captureHTTP(r *http.Request, req *MatchRequest) {
-	req.requestID = r.Header.Get(RequestIDHeader)
 	if v := r.Header.Get(DeadlineHeader); v != "" {
 		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
 			req.deadlineMillis = ms
@@ -630,9 +633,9 @@ func (s *Server) captureHTTP(r *http.Request, req *MatchRequest) {
 
 // startRequestSpan opens the server-side root span for one request,
 // continuing the remote traceparent context when one was propagated
-// (inheriting its sampling decision), and stamps the trace id into the
-// request for the NDJSON tracer.
-func (s *Server) startRequestSpan(r *http.Request, req *MatchRequest, name string) (context.Context, *trace.Span) {
+// (inheriting its sampling decision). A client asks for a trace of one
+// request by sending a sampled traceparent.
+func (s *Server) startRequestSpan(r *http.Request, name string) (context.Context, *trace.Span) {
 	ctx := r.Context()
 	if s.opt.Tracer == nil {
 		return ctx, nil
@@ -641,29 +644,32 @@ func (s *Server) startRequestSpan(r *http.Request, req *MatchRequest, name strin
 		ctx = trace.ContextWithRemote(ctx, sc)
 	}
 	ctx, sp := s.opt.Tracer.StartSpan(ctx, name)
-	if req != nil {
-		req.traceID = sp.TraceID()
-		if req.requestID != "" {
-			sp.SetAttr("request_id", req.requestID)
-		}
+	if id := r.Header.Get(RequestIDHeader); id != "" {
+		sp.SetAttr("request_id", id)
 	}
 	return ctx, sp
 }
 
-// endRequestSpan settles a root span with the request's terminal state.
-func endRequestSpan(sp *trace.Span, err error, res *MatchResponse) {
-	if sp == nil {
+// endRequestSpan settles a root span with the request's terminal state:
+// its outcome, its shape and, for a finished match, the result summary.
+// Attributes are only formatted for sampled spans. The per-stage
+// breakdown is the root's stage.* children.
+func endRequestSpan(sp *trace.Span, outcome string, req *MatchRequest, res *MatchResponse, err error) {
+	if !sp.Sampled() {
 		return
 	}
-	sp.SetAttr("outcome", outcomeOf(err))
+	sp.SetAttr("outcome", outcome)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	}
+	if req != nil {
+		req.SetSpanAttrs(sp)
+	}
 	if res != nil {
 		sp.SetAttr("matches", strconv.Itoa(res.NumMatches))
-		if res.Cached {
-			sp.SetAttr("cached", "true")
-		}
+		sp.SetAttr("cached", strconv.FormatBool(res.Cached))
+		sp.SetAttr("plan_cached", strconv.FormatBool(res.PlanCached))
+		sp.SetAttr("truncated", strconv.FormatBool(res.Truncated))
 	}
 	sp.End()
 }
@@ -682,7 +688,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.opt.Tracer == nil {
-		writeError(w, &httpError{status: http.StatusNotFound, msg: "span tracing disabled (start with -trace-sample > 0)"})
+		writeError(w, &httpError{status: http.StatusNotFound, msg: "tracing disabled (start with -trace or -trace-sample)"})
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
@@ -789,12 +795,11 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.captureHTTP(r, &req)
-	sctx, sp := s.startRequestSpan(r, &req, "serve.stream")
+	sctx, sp := s.startRequestSpan(r, "serve.stream")
 	s.requests.Add(1)
 	start := time.Now()
 	fail := func(err error) {
-		s.finishRequest("stream", start, &req, nil, err)
-		endRequestSpan(sp, err, nil)
+		s.finishRequest("stream", start, sp, &req, nil, err)
 		writeError(w, err)
 	}
 	si, release := s.acquireIndex()
@@ -868,14 +873,12 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		// away mid-stream. That is the client's choice, not a server fault:
 		// bill it as canceled, never failed.
 		gone := &httpError{status: 499, msg: "client closed connection mid-stream"}
-		s.finishRequest("stream", start, &req, nil, gone)
-		endRequestSpan(sp, gone, nil)
+		s.finishRequest("stream", start, sp, &req, nil, gone)
 		return
 	}
 	if matchErr != nil {
 		herr := matchError(matchErr)
-		s.finishRequest("stream", start, &req, nil, herr)
-		endRequestSpan(sp, herr, nil)
+		s.finishRequest("stream", start, sp, &req, nil, herr)
 		if n == 0 {
 			// Nothing on the wire yet: answer with a real HTTP status
 			// (writeError resets the Content-Type).
@@ -894,9 +897,8 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		st.Total += pl.PlanTime
 	}
 	stj := statsJSON(st)
-	s.finishRequest("stream", start, &req,
+	s.finishRequest("stream", start, sp, &req,
 		&MatchResponse{NumMatches: n, PlanCached: planCached, Truncated: st.Truncated, Stats: stj}, nil)
-	endRequestSpan(sp, nil, &MatchResponse{NumMatches: n})
 	_ = enc.Encode(&StreamEvent{Done: &StreamDone{
 		NumMatches: n,
 		Truncated:  st.Truncated,
@@ -939,12 +941,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.captureHTTP(r, &req)
-	sctx, sp := s.startRequestSpan(r, &req, "serve.explain")
+	sctx, sp := s.startRequestSpan(r, "serve.explain")
 	s.requests.Add(1)
 	start := time.Now()
 	fail := func(err error) {
-		s.finishRequest("explain", start, &req, nil, err)
-		endRequestSpan(sp, err, nil)
+		s.finishRequest("explain", start, sp, &req, nil, err)
 		writeError(w, err)
 	}
 	si, release := s.acquireIndex()
@@ -976,8 +977,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		fail(perr)
 		return
 	}
-	s.finishRequest("explain", start, &req, nil, nil)
-	endRequestSpan(sp, nil, nil)
+	s.finishRequest("explain", start, sp, &req, nil, nil)
 	writeJSON(w, http.StatusOK, &ExplainResponse{Plan: pl.Tree, Cached: cached, ReduceSkipped: pl.ReduceSkipped(p.order, p.limit), Links: plan.Links(p.order, p.limit)})
 }
 
@@ -992,12 +992,11 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.captureHTTP(r, &req)
-	ctx, sp := s.startRequestSpan(r, &req, "serve.match")
+	ctx, sp := s.startRequestSpan(r, "serve.match")
 	s.requests.Add(1)
 	start := time.Now()
 	res, err := s.evaluate(ctx, &req)
-	s.finishRequest("match", start, &req, res, err)
-	endRequestSpan(sp, err, res)
+	s.finishRequest("match", start, sp, &req, res, err)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -1015,20 +1014,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeError(err))
 		return
 	}
-	ctx, bsp := s.startRequestSpan(r, nil, "serve.batch")
+	ctx, bsp := s.startRequestSpan(r, "serve.batch")
 	for i := range req.Queries {
 		s.captureHTTP(r, &req.Queries[i])
-		req.Queries[i].traceID = bsp.TraceID()
 	}
-	if len(req.Queries) == 0 {
-		err := badRequest("empty batch")
-		endRequestSpan(bsp, err, nil)
-		writeError(w, err)
-		return
+	var err error
+	switch {
+	case len(req.Queries) == 0:
+		err = badRequest("empty batch")
+	case len(req.Queries) > maxBatchQueries:
+		err = badRequest("batch of %d exceeds the %d-query limit", len(req.Queries), maxBatchQueries)
 	}
-	if len(req.Queries) > maxBatchQueries {
-		err := badRequest("batch of %d exceeds the %d-query limit", len(req.Queries), maxBatchQueries)
-		endRequestSpan(bsp, err, nil)
+	if err != nil {
+		endRequestSpan(bsp, outcomeOf(err), nil, nil, err)
 		writeError(w, err)
 		return
 	}
@@ -1050,7 +1048,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				s.requests.Add(1)
 				start := time.Now()
 				res, err := s.evaluate(ctx, &req.Queries[i])
-				s.finishRequest("batch", start, &req.Queries[i], res, err)
+				s.finishRequest("batch", start, nil, &req.Queries[i], res, err)
 				if err != nil {
 					out.Results[i] = BatchItem{Error: err.Error()}
 					continue
@@ -1064,8 +1062,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	close(next)
 	wg.Wait()
-	bsp.SetAttr("items", strconv.Itoa(len(req.Queries)))
-	endRequestSpan(bsp, nil, nil)
+	if bsp.Sampled() {
+		bsp.SetAttr("items", strconv.Itoa(len(req.Queries)))
+	}
+	endRequestSpan(bsp, outcomeOK, nil, nil, nil)
 	writeJSON(w, http.StatusOK, &out)
 }
 
@@ -1530,12 +1530,13 @@ func outcomeOf(err error) string {
 	return outcomeFailed
 }
 
-// finishRequest settles the accounting for one request previously counted in
-// s.requests: exactly one outcome counter, the endpoint latency histogram,
-// the per-stage histograms for fresh (non-cached) executions, and — when
-// tracing selects this request — one NDJSON trace line. Handlers call it on
-// every terminal path, so the requests = Σ outcomes invariant cannot drift.
-func (s *Server) finishRequest(endpoint string, start time.Time, req *MatchRequest, res *MatchResponse, err error) {
+// finishRequest settles one request previously counted in s.requests:
+// exactly one outcome counter, the endpoint latency histogram, the
+// per-stage histograms for fresh (non-cached) executions, and the
+// request's root span sp (nil for a batch item, whose spans nest under
+// the batch root). Handlers call it on every terminal path, so the
+// requests = Σ outcomes invariant cannot drift.
+func (s *Server) finishRequest(endpoint string, start time.Time, sp *trace.Span, req *MatchRequest, res *MatchResponse, err error) {
 	outcome := outcomeOf(err)
 	switch outcome {
 	case outcomeOK:
@@ -1549,69 +1550,12 @@ func (s *Server) finishRequest(endpoint string, start time.Time, req *MatchReque
 	default:
 		s.failed.Add(1)
 	}
-	elapsed := time.Since(start)
 	s.met.requests.WithLabelValues(endpoint, outcome).Inc()
-	s.met.latency.WithLabelValue(endpoint).Observe(elapsed.Seconds())
+	s.met.latency.WithLabelValue(endpoint).Observe(time.Since(start).Seconds())
 	if res != nil && !res.Cached && res.Stats != nil {
 		s.met.observeStages(res.Stats)
 	}
-	if s.opt.TraceWriter != nil && (s.opt.TraceAll || (req != nil && req.Trace)) {
-		s.traceRequest(endpoint, elapsed, req, res, err, outcome)
-	}
-}
-
-// traceEvent is one NDJSON line of the structured per-query trace: the
-// request's shape, its terminal outcome, and (for executed matches) the full
-// stage breakdown — enough to replay or explain any individual slow query
-// after the fact.
-type traceEvent struct {
-	Time           string      `json:"ts"`
-	TraceID        string      `json:"trace_id,omitempty"`
-	RequestID      string      `json:"request_id,omitempty"`
-	Endpoint       string      `json:"endpoint"`
-	Outcome        string      `json:"outcome"`
-	DurationMicros float64     `json:"duration_us"`
-	Query          string      `json:"query,omitempty"`
-	Alpha          float64     `json:"alpha,omitempty"`
-	Strategy       string      `json:"strategy,omitempty"`
-	Order          string      `json:"order,omitempty"`
-	Limit          int         `json:"limit,omitempty"`
-	Error          string      `json:"error,omitempty"`
-	Matches        int         `json:"matches,omitempty"`
-	Cached         bool        `json:"cached,omitempty"`
-	PlanCached     bool        `json:"plan_cached,omitempty"`
-	Truncated      bool        `json:"truncated,omitempty"`
-	Stats          *MatchStats `json:"stats,omitempty"`
-}
-
-func (s *Server) traceRequest(endpoint string, elapsed time.Duration, req *MatchRequest, res *MatchResponse, err error, outcome string) {
-	ev := traceEvent{
-		Time:           time.Now().UTC().Format(time.RFC3339Nano),
-		Endpoint:       endpoint,
-		Outcome:        outcome,
-		DurationMicros: plan.Micros(elapsed),
-	}
-	if req != nil {
-		ev.TraceID = req.traceID
-		ev.RequestID = req.requestID
-		ev.Query, ev.Alpha, ev.Strategy, ev.Order, ev.Limit =
-			req.Query, req.Alpha, req.Strategy, req.Order, req.Limit
-	}
-	if err != nil {
-		ev.Error = err.Error()
-	}
-	if res != nil {
-		ev.Matches, ev.Cached, ev.PlanCached, ev.Truncated, ev.Stats =
-			res.NumMatches, res.Cached, res.PlanCached, res.Truncated, res.Stats
-	}
-	line, merr := json.Marshal(&ev)
-	if merr != nil {
-		return
-	}
-	line = append(line, '\n')
-	s.traceMu.Lock()
-	_, _ = s.opt.TraceWriter.Write(line)
-	s.traceMu.Unlock()
+	endRequestSpan(sp, outcome, req, res, err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -184,4 +186,89 @@ func getRaw(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
+}
+
+// TestRootSpanPerRequest: every counted request on /match, /match/stream
+// and /explain ends exactly one root span, whatever its outcome, and the
+// root carries the request's shape and terminal state — the outcome that
+// moved the accounting counters, the query and α, and for a finished
+// stream its plan-cache and truncation flags.
+func TestRootSpanPerRequest(t *testing.T) {
+	const badQuery = "node A nosuchlabel"
+	for _, endpoint := range []string{"/match", "/match/stream", "/explain"} {
+		for _, outcome := range []string{outcomeOK, outcomeFailed, outcomeCostRejected, outcomeShed, outcomeCanceled} {
+			t.Run(endpoint+"/"+outcome, func(t *testing.T) {
+				tr := trace.New(trace.Config{Sample: 1})
+				opt := Options{Workers: 1, QueueDepth: 1, Tracer: tr}
+				if outcome == outcomeCostRejected {
+					opt.MaxPlanCost = math.SmallestNonzeroFloat64
+				}
+				s, _ := testServer(t, opt)
+				req := MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha, Limit: 1}
+				ctx := context.Background()
+				switch outcome {
+				case outcomeFailed:
+					req.Query = badQuery
+				case outcomeShed, outcomeCanceled:
+					s.sem <- struct{}{} // wedge the only worker slot
+					defer func() { <-s.sem }()
+					if outcome == outcomeShed {
+						s.waiters.Add(1) // and the only queue slot
+						defer s.waiters.Add(-1)
+					} else {
+						c, cancel := context.WithCancel(ctx)
+						cancel()
+						ctx = c
+					}
+				}
+				body, _ := json.Marshal(&req)
+				hr := httptest.NewRequest(http.MethodPost, endpoint, bytes.NewReader(body)).WithContext(ctx)
+				s.Handler().ServeHTTP(httptest.NewRecorder(), hr)
+
+				// /explain is exempt from cost-based admission.
+				want := outcome
+				if endpoint == "/explain" && outcome == outcomeCostRejected {
+					want = outcomeOK
+				}
+				counters := map[string]uint64{
+					outcomeOK:           s.succeeded.Load(),
+					outcomeFailed:       s.failed.Load(),
+					outcomeCostRejected: s.costRejected.Load(),
+					outcomeShed:         s.rejected.Load(),
+					outcomeCanceled:     s.canceled.Load(),
+				}
+				for o, n := range counters {
+					if (o == want) != (n == 1) || n > 1 {
+						t.Errorf("counter %s = %d, want only %s to move", o, n, want)
+					}
+				}
+				checkAccounting(t, s)
+
+				var roots []trace.SpanData
+				for _, sp := range tr.Dump(0) {
+					if sp.ParentID == "" {
+						roots = append(roots, sp)
+					}
+				}
+				if len(roots) != 1 {
+					t.Fatalf("%d root spans recorded, want 1: %+v", len(roots), roots)
+				}
+				a := roots[0].Attrs
+				if a["outcome"] != want {
+					t.Errorf("root outcome %q, want %q", a["outcome"], want)
+				}
+				if a["query"] != req.Query || a["alpha"] == "" || a["limit"] != "1" {
+					t.Errorf("root attrs %v lack the request's query/alpha/limit", a)
+				}
+				if (want == outcomeOK) == (a["error"] != "") {
+					t.Errorf("root attrs %v: error set on outcome %s", a, want)
+				}
+				if endpoint == "/match/stream" && want == outcomeOK {
+					if a["plan_cached"] == "" || a["truncated"] == "" || a["matches"] != "1" {
+						t.Errorf("stream root attrs %v lack matches/plan_cached/truncated", a)
+					}
+				}
+			})
+		}
+	}
 }

@@ -1,8 +1,7 @@
 // Package trace is a dependency-free distributed-tracing kernel for the
 // serving tier: 128-bit trace ids, 64-bit span ids, W3C trace-context
 // (traceparent) propagation, head-based sampling, a bounded in-process
-// ring recorder backing GET /debug/trace/{id}, and NDJSON span export
-// that shares the TraceWriter plumbing the request tracer already uses.
+// ring recorder backing GET /debug/trace/{id}, and NDJSON span export.
 //
 // The design optimises for the disabled path: a nil *Tracer is a valid
 // tracer, every method on a nil *Span is a no-op, and the sampling
@@ -69,36 +68,46 @@ func Extract(h http.Header) (SpanContext, bool) {
 	return ParseTraceparent(h.Get(Header))
 }
 
-// ParseTraceparent parses a single traceparent value.
+// ParseTraceparent parses a single traceparent value. Every field is
+// lowercase hex, as the W3C spec requires: an uppercase id would be
+// re-injected lowercase and stop matching the caller's. Version 00 is
+// exactly 55 bytes; a later version may append dash-separated fields.
 func ParseTraceparent(v string) (SpanContext, bool) {
 	// version(2) - traceid(32) - spanid(16) - flags(2)
 	if len(v) < 55 || v[2] != '-' || v[35] != '-' || v[52] != '-' {
 		return SpanContext{}, false
 	}
-	if v[0:2] == "ff" {
+	ver := v[0:2]
+	if ver == "ff" || !lowerHex(ver) || !lowerHex(v[3:35]) || !lowerHex(v[36:52]) || !lowerHex(v[53:55]) {
 		return SpanContext{}, false
 	}
-	if len(v) > 55 && v[55] != '-' { // future versions may append fields
+	if len(v) > 55 && (ver == "00" || v[55] != '-') {
 		return SpanContext{}, false
 	}
 	var sc SpanContext
-	if _, err := hex.Decode(sc.TraceID[:], []byte(v[3:35])); err != nil {
+	_, _ = hex.Decode(sc.TraceID[:], []byte(v[3:35]))
+	_, _ = hex.Decode(sc.SpanID[:], []byte(v[36:52]))
+	if !sc.Valid() {
 		return SpanContext{}, false
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(v[36:52])); err != nil {
-		return SpanContext{}, false
-	}
-	flags, err := hex.DecodeString(v[53:55])
-	if err != nil || !sc.Valid() {
-		return SpanContext{}, false
-	}
+	var flags [1]byte
+	_, _ = hex.Decode(flags[:], []byte(v[53:55]))
 	sc.Sampled = flags[0]&1 == 1
 	return sc, true
 }
 
+// lowerHex reports whether s is made of lowercase hex digits only.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // SpanData is one finished span, as recorded in the ring and exported as
-// an NDJSON line ({"span": {...}}, so it can share a file with the
-// request tracer's flat event lines and still be filtered apart).
+// an NDJSON line ({"span": {...}}).
 type SpanData struct {
 	TraceID   string            `json:"trace_id"`
 	SpanID    string            `json:"span_id"`

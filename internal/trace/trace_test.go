@@ -29,19 +29,25 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceparents are values the W3C spec says to ignore.
+var malformedTraceparents = []string{
+	"",
+	"00",
+	"00-abc-def-01",
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // version ff reserved
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // bad flags
+	"00-4bf92f3577b34da6a3ce929d0e0e47XX-00f067aa0ba902b7-01", // bad hex
+	"00-4bf92f3577b34da6a3ce929d0e0e4736_00f067aa0ba902b7-01", // bad separator
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01extra",
+	"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",       // version not hex
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",       // uppercase ids
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", // version 00 is exactly 55 bytes
+}
+
 func TestTraceparentMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00",
-		"00-abc-def-01",
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // version ff reserved
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // bad flags
-		"00-4bf92f3577b34da6a3ce929d0e0e47XX-00f067aa0ba902b7-01", // bad hex
-		"00-4bf92f3577b34da6a3ce929d0e0e4736_00f067aa0ba902b7-01", // bad separator
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01extra",
-	}
+	bad := malformedTraceparents
 	for _, v := range bad {
 		if _, ok := ParseTraceparent(v); ok {
 			t.Errorf("ParseTraceparent(%q) accepted, want reject", v)
