@@ -17,8 +17,9 @@ import (
 )
 
 // DefaultCacheBudget bounds the total number of pruned candidates a Cache
-// retains across all entries when no explicit budget is given (~tens of MB
-// at the typical ~10 nodes/candidate).
+// retains across all entries when no explicit budget is given. A candidate of
+// a path of w ≤ L+1 nodes retains 4·w + 8 bytes (its entity ids and its Prn),
+// so the default holds 20 MiB at L = 2.
 const DefaultCacheBudget = 1 << 20
 
 // Cache maps (query fingerprint, α, path node sequence) to the pruned

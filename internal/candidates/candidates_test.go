@@ -2,7 +2,10 @@ package candidates
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/decompose"
@@ -63,9 +66,14 @@ func TestFindMotivating(t *testing.T) {
 	total := 0
 	for _, s := range sets {
 		total += s.Len()
+		stream := scanned(t, ix, s.Path.Labels, 0.2)
 		for i := 0; i < s.Len(); i++ {
-			nodes, pr := s.Row(i), s.Prle[i]*s.Prn[i]
-			if pr+1e-9 < 0.2 {
+			nodes := s.Row(i)
+			m, ok := stream[fmt.Sprint(nodes)]
+			if !ok || math.Float64bits(m.Prn) != math.Float64bits(s.Prn[i]) {
+				t.Errorf("candidate %v with Prn %v is not the scanned %+v", nodes, s.Prn[i], m)
+			}
+			if pr := m.Pr(); pr+1e-9 < 0.2 {
 				t.Errorf("candidate below threshold: %v %v", nodes, pr)
 			}
 			for x, u := range nodes {
@@ -83,6 +91,22 @@ func TestFindMotivating(t *testing.T) {
 	if stats.SSPath < stats.SSContext {
 		t.Errorf("pruning grew the search space: %v → %v", stats.SSPath, stats.SSContext)
 	}
+}
+
+// scanned is Scan's stream for the label sequence, keyed by fmt.Sprint of
+// the row's nodes: what a kept row's path probability is held to now that
+// Rows keeps only its Prn.
+func scanned(t *testing.T, ix pathindex.Reader, labels []prob.LabelID, alpha float64) map[string]pathindex.PathMatch {
+	t.Helper()
+	out := map[string]pathindex.PathMatch{}
+	err := ix.Scan(labels, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+		out[fmt.Sprint(nodes)] = pathindex.PathMatch{Nodes: slices.Clone(nodes), Prle: prle, Prn: prn}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // Pruning soundness: every node of every true match must survive node-level

@@ -14,8 +14,10 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/entity"
 	"repro/internal/gen"
+	"repro/internal/live"
 	"repro/internal/pathindex"
 	"repro/internal/query"
+	"repro/internal/refgraph"
 )
 
 func synthIx(t *testing.T, seed int64) (*entity.Graph, *pathindex.Index) {
@@ -35,7 +37,7 @@ func synthIx(t *testing.T, seed int64) (*entity.Graph, *pathindex.Index) {
 }
 
 // setsIdentical demands exact equality — candidate order, node assignment,
-// and float bits of Prle/Prn — between two Find outputs. The parallel
+// and float bits of Prn — between two Find outputs. The parallel
 // fan-out must be indistinguishable from the sequential walk.
 func setsIdentical(t *testing.T, label string, want, got []Set) {
 	t.Helper()
@@ -51,9 +53,9 @@ func setsIdentical(t *testing.T, label string, want, got []Set) {
 			t.Fatalf("%s: set %d has %d candidates, want %d", label, i, g.Len(), w.Len())
 		}
 		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-		if !slices.Equal(w.Nodes, g.Nodes) || !slices.EqualFunc(w.Prle, g.Prle, sameBits) || !slices.EqualFunc(w.Prn, g.Prn, sameBits) {
-			t.Fatalf("%s: set %d arenas differ:\n got %v %v %v\nwant %v %v %v",
-				label, i, g.Nodes, g.Prle, g.Prn, w.Nodes, w.Prle, w.Prn)
+		if !slices.Equal(w.Nodes, g.Nodes) || !slices.EqualFunc(w.Prn, g.Prn, sameBits) {
+			t.Fatalf("%s: set %d arenas differ:\n got %v %v\nwant %v %v",
+				label, i, g.Nodes, g.Prn, w.Nodes, w.Prn)
 		}
 	}
 }
@@ -75,7 +77,6 @@ func findBeforeScan(t *testing.T, ix pathindex.Reader, q *query.Query, dec *deco
 		for _, m := range matches {
 			if keepCandidate(ix.Graph(), nc, p, m.Nodes, m.Prle, m.Prn, alpha) {
 				sets[i].Nodes = append(sets[i].Nodes, m.Nodes...)
-				sets[i].Prle = append(sets[i].Prle, m.Prle)
 				sets[i].Prn = append(sets[i].Prn, m.Prn)
 			}
 		}
@@ -132,6 +133,107 @@ func TestFindParallelEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// arenaReaders returns a packed index and a live view with a dirty overlay
+// over the same seeded PGD, large enough that some paths keep several
+// hundred rows.
+func arenaReaders(t *testing.T, seed int64) map[string]pathindex.Reader {
+	t.Helper()
+	synth := func() *refgraph.PGD {
+		d, err := gen.Synthetic(gen.SynthOptions{
+			Refs: 300, EdgeFactor: 2, Labels: 3, UncertainFrac: 0.4,
+			Groups: 8, GroupSize: 3, PairsPerGroup: 2, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	g, err := entity.Build(synth(), entity.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := synth()
+	db, err := live.Create(context.Background(), t.TempDir(), d, live.Options{
+		Index:        pathindex.Options{MaxLen: 2, Beta: 0.05, Gamma: 0.1},
+		CompactEvery: -1, CompactDirtyFrac: -1, // the overlay stays
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	rng := rand.New(rand.NewSource(seed))
+	var ms []live.Mutation
+	for len(ms) < 6 {
+		if a, b := refgraph.RefID(rng.Intn(d.NumRefs())), refgraph.RefID(rng.Intn(d.NumRefs())); a != b {
+			ms = append(ms, live.Mutation{Op: live.OpAddEdge, A: a, B: b, P: 0.5 + 0.5*rng.Float64()})
+		}
+	}
+	if _, err := db.Apply(ms); err != nil {
+		t.Fatal(err)
+	}
+	if db.View().DirtyEntities() == 0 {
+		t.Fatal("live view carries no overlay")
+	}
+	return map[string]pathindex.Reader{"packed": buildIx(t, g, 2, 0.05), "live": db.View()}
+}
+
+// TestFindArenasExact: every Set Find returns holds its kept rows in arenas
+// of exactly their size — len == cap on Nodes and Prn, so what the candidate
+// cache and the k-partite graph retain is the rows and nothing more — with
+// the bytes of a Workers-1 run, at Workers 1 and 7, with no cache, a cold
+// one and the same one warm, over a packed index and a live view with a dirty
+// overlay (which bypasses the cache), α on both sides of β. Some path must
+// keep more rows than two survivor chunks hold, so the layout of several
+// chunks is what is checked.
+func TestFindArenasExact(t *testing.T) {
+	ctx := context.Background()
+	sets, most := 0, 0
+	for _, seed := range []int64{1, 2} {
+		for kind, ix := range arenaReaders(t, seed) {
+			rng := rand.New(rand.NewSource(seed * 71))
+			for qi := 0; qi < 3; qi++ {
+				q, err := gen.RandomQuery(rng, ix.Graph().NumLabels(), 2+rng.Intn(2), 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, alpha := range []float64{0.02, 0.1} { // β = 0.05 lies between
+					dec, err := decompose.Decompose(q, ix, decompose.Options{MaxLen: 2, Alpha: alpha})
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("seed %d %s q%d α=%v", seed, kind, qi, alpha)
+					want, _, err := Find(ctx, ix, q, dec, alpha, 1, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					for _, workers := range []int{1, 7} {
+						cache := NewCache(0)
+						for _, c := range []*Cache{nil, cache, cache} {
+							at := fmt.Sprintf("%s w=%d cache=%v", label, workers, c != nil)
+							got, _, err := Find(ctx, ix, q, dec, alpha, workers, c)
+							if err != nil {
+								t.Fatalf("%s: %v", at, err)
+							}
+							setsIdentical(t, at, want, got)
+							for i, s := range got {
+								if len(s.Nodes) != cap(s.Nodes) || len(s.Prn) != cap(s.Prn) {
+									t.Fatalf("%s: set %d arenas hold %d/%d node ids and %d/%d Prn (len/cap)",
+										at, i, len(s.Nodes), cap(s.Nodes), len(s.Prn), cap(s.Prn))
+								}
+								sets, most = sets+1, max(most, s.Len())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d sets checked, the largest of %d rows", sets, most)
+	if most <= 3*firstChunk {
+		t.Fatalf("no path kept more than %d rows: the layout of several chunks was never checked", 3*firstChunk)
 	}
 }
 

@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/candidates"
@@ -20,20 +22,26 @@ import (
 // plan, first match only by a declared Limit 1 (the join is idle and the
 // reduction skipped, everything allocated is posting scan, context prune and
 // k-partite build), α below β so the scan is the on-demand enumeration,
-// Workers 2 so paths and pairs run on two goroutines. After warm-up, 30 runs'
-// heap bytes must agree to 1 % — a buffer whose size depends on scheduling,
-// or recycled scratch whose hit rate depends on GC timing, breaks that — and
-// stay under a ceiling 2 % above what the plan allocates today, so a
-// reintroduced per-record or per-pair allocation fails here, not in the
-// benchmark. Two plans: the 4-cycle, where the candidate arenas and factor
-// columns dominate (0.57 MB; the materializing pipeline with its map-and-sort
-// link table took 2.70 MB), and a denser 6-node, 7-edge query (7 paths,
-// 13 000 links) whose many partition pairs make the per-pair key tables the
-// larger part (0.44 MB: a declared limit links by join key only). A third arm
-// runs the dense plan without a limit and stops it by its yield, so the eager
-// link pools, the per-worker link scratch, the reduction's perception vectors
-// and its per-round scratch are pinned too (0.90 MB) — and must exceed the
-// declared run by at least the vectors and the pools.
+// Workers 2 so paths and pairs run on two goroutines. After warm-up, at least
+// 27 of 30 runs' heap bytes must lie within 1 % of their median — a buffer
+// whose size depends on scheduling, or recycled scratch whose hit rate
+// depends on GC timing, moves most runs — and the median must stay under a
+// ceiling 2 % above what the plan allocates today, so a reintroduced
+// per-record or per-pair allocation fails here, not in the benchmark. The
+// rest of the runs may stray: the runtime allocates inside the window on its
+// own account — a goroutine's g (448 bytes) when the free ones sit on the
+// other P, the all-goroutines list growing by a few KB, a GC worker's sudog,
+// a scavenger timer — and one run in a few hundred gains 6 KB that way.
+// Two plans: the 4-cycle, where the candidate arenas dominate (0.30 MB; the
+// materializing pipeline with its map-and-sort link table took 2.70 MB), and
+// a denser 6-node, 7-edge query (7 paths, 13 000 links) whose many partition
+// pairs make the per-pair key tables the larger part (0.31 MB: a declared
+// limit links by join key only). A third arm runs the dense plan without a
+// limit and stops it by its yield, so the eager link pools and factor
+// columns, the per-worker link scratch, the reduction's perception vectors
+// and its per-round scratch are pinned too (0.83 MB) — and must exceed the
+// declared run by at least the vectors, the pools and the factor columns a
+// keyed graph fills only for the rows its join visits.
 func TestPreJoinAllocationIsACount(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 4000, Seed: 7})
 	if err != nil {
@@ -53,16 +61,16 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	most, least := map[string]uint64{}, map[string]uint64{} // bytes per run, by arm
+	median := map[string]uint64{} // bytes per run, by arm
 	for _, tc := range []struct {
 		name    string
 		q       *query.Query
 		limit   int    // 0: undeclared, the yield stops the run after one match
-		ceiling uint64 // bytes per run; see above
+		ceiling uint64 // median bytes per run; see above
 	}{
-		{"4-cycle", cycle, 1, 586_000},
-		{"6-node-7-edge", dense, 1, 453_000},
-		{"6-node-7-edge-reduced", dense, 0, 920_000},
+		{"4-cycle", cycle, 1, 309_300},
+		{"6-node-7-edge", dense, 1, 311_300},
+		{"6-node-7-edge-reduced", dense, 0, 843_800},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := core.Options{Alpha: 0.3, Workers: 2, Parallelism: 1, Limit: tc.limit}
@@ -89,19 +97,25 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				run() // warm-up: component marginal memos, lazily built tables
 			}
-			lo, hi := ^uint64(0), uint64(0)
-			for i := 0; i < 30; i++ {
-				n := run()
-				lo, hi = min(lo, n), max(hi, n)
+			runs := make([]uint64, 30)
+			for i := range runs {
+				runs[i] = run()
 			}
-			t.Logf("bytes per run: min %d max %d", lo, hi)
-			if float64(hi) > 1.01*float64(lo) {
-				t.Errorf("allocation does not repeat: %d..%d bytes per run (max/min %.4f > 1.01)", lo, hi, float64(hi)/float64(lo))
+			slices.Sort(runs)
+			med, within := runs[len(runs)/2], 0
+			for _, n := range runs {
+				if math.Abs(float64(n)-float64(med)) <= 0.01*float64(med) {
+					within++
+				}
 			}
-			if hi > tc.ceiling {
-				t.Errorf("%d bytes per run, ceiling %d", hi, tc.ceiling)
+			t.Logf("bytes per run: min %d median %d max %d, %d of %d within 1 %% of the median", runs[0], med, runs[len(runs)-1], within, len(runs))
+			if within < 27 {
+				t.Errorf("allocation does not repeat: %d of %d runs within 1 %% of the median %d bytes (%d..%d)", within, len(runs), med, runs[0], runs[len(runs)-1])
 			}
-			most[tc.name], least[tc.name] = hi, lo
+			if med > tc.ceiling {
+				t.Errorf("%d bytes per run, ceiling %d", med, tc.ceiling)
+			}
+			median[tc.name] = med
 		})
 	}
 
@@ -109,7 +123,9 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 	// same stream by its yield: the reduction's two perception-vector buffers
 	// (8 bytes × partitions per vertex each) and, since the declared run links
 	// by join key only, the two CSR pools of every joined pair — a→b with
-	// room for every key-matched pair, b→a one entry per link.
+	// room for every key-matched pair, b→a one entry per link — and the label
+	// and edge factor columns of every row, 8 bytes × (plen + plen−1), which
+	// the keyed graph fills only for the rows the join visits.
 	pl, err := core.Prepare(ctx, ix, dense, core.Options{Alpha: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -123,15 +139,16 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		t.Fatal(err)
 	}
 	pools := uint64(4 * (kpartite.BuildKeyed(g, pl.Dec, sets, 0.3).NumLinks() + eager.NumLinks()))
-	vectors := uint64(0)
+	vectors, columns := uint64(0), uint64(0)
 	for i := range sets {
 		vectors += uint64(2 * 8 * len(sets) * sets[i].Len())
+		columns += uint64(8 * (2*len(sets[i].Path.Nodes) - 1) * sets[i].Len())
 	}
-	declared, stopped := most["6-node-7-edge"], least["6-node-7-edge-reduced"]
-	t.Logf("declared Limit 1: %d bytes; stopped by the yield: %d; perception vectors %d, link pools %d", declared, stopped, vectors, pools)
-	if declared+vectors+pools > stopped {
-		t.Errorf("a declared Limit 1 run allocates %d bytes, one stopped by its yield %d: the %d bytes of perception vectors and %d of link pools are not both saved",
-			declared, stopped, vectors, pools)
+	declared, stopped := median["6-node-7-edge"], median["6-node-7-edge-reduced"]
+	t.Logf("declared Limit 1: %d bytes; stopped by the yield: %d; perception vectors %d, link pools %d, factor columns %d", declared, stopped, vectors, pools, columns)
+	if declared+vectors+pools+columns > stopped {
+		t.Errorf("a declared Limit 1 run allocates %d bytes, one stopped by its yield %d: the %d bytes of perception vectors, %d of link pools and %d of factor columns are not all saved",
+			declared, stopped, vectors, pools, columns)
 	}
 }
 
@@ -171,8 +188,8 @@ func TestCollectAllocationIsACount(t *testing.T) {
 		par     int
 		ceiling uint64 // bytes per run; see above
 	}{
-		{1, 3_521_000},
-		{2, 3_568_000},
+		{1, 3_384_000},
+		{2, 3_431_000},
 	} {
 		par := tc.par
 		opt := core.Options{Alpha: 0.3, Workers: 2, Parallelism: par}

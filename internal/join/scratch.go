@@ -257,10 +257,12 @@ func (s *scratch) apply(step, b, ci int) bool {
 	p := s.p
 	sp := &p.steps[step]
 	row := p.kg.Row(b, ci)
+	var lab, edge []float64
 	if p.kg.Keyed() { // its rows' factors are looked up on their first visit
-		p.kg.FillFactors(b, ci)
+		lab, edge = p.kg.FillFactors(b, ci)
+	} else {
+		lab, edge = p.kg.Factors(b, ci)
 	}
-	lab, edge := p.kg.Factors(b, ci)
 	for _, c := range sp.check {
 		if s.asn[c.qn] != row[c.pos] {
 			return false

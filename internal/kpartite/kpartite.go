@@ -10,10 +10,14 @@
 // candidate set's own arena, shared not copied, and therefore read-only here
 // (the candidate cache hands the same arena to other requests) — links are
 // CSR adjacency (offsets into one int32 edge pool per partition pair and
-// direction), and perception vectors are one flat float64 array per
-// partition with a double buffer for the bulk-synchronous message-passing
-// rounds. After Build/Reduce the graph is immutable and safe for any number
-// of concurrent readers; a BuildKeyed graph is the exception (FillFactors).
+// direction), each row's label and edge factors are looked up once into two
+// float64 columns per partition, and perception vectors are one flat float64
+// array per partition with a double buffer for the bulk-synchronous
+// message-passing rounds. After Build/Reduce the graph is immutable and safe
+// for any number of concurrent readers. A BuildKeyed graph is the exception:
+// it has no factor columns for all its rows, only a row→slot index and the
+// factors of the rows the join has visited, which FillFactors appends on a
+// row's first visit.
 package kpartite
 
 import (
@@ -85,11 +89,12 @@ type partition struct {
 	// lab[i*plen+pos] = PrLabel(row i's node at pos, label of path.Nodes[pos])
 	// and edge[i*elen+pos] = the probability of the GU edge between row
 	// i's nodes at pos and pos+1 given the two query labels in edgeKey
-	// orientation, 0 when GU has no such edge.
+	// orientation, 0 when GU has no such edge. On a keyed graph they hold
+	// only the rows FillFactors has visited, in visiting order: row i's
+	// factors are at slot slot[i]-1, and slot[i] is 0 until its first visit.
 	lab  []float64
 	edge []float64
-	// filled, on a keyed graph, marks the rows FillFactors has looked up.
-	filled []bool
+	slot []int32
 	// vec / nextVec are the flat perception vectors (n rows of k entries,
 	// row-major); nextVec is the write buffer of the current BSP round and
 	// the two are swapped at each round barrier. vecSet[i] records whether
@@ -207,13 +212,6 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 		n := sets[p].Len()
 		plen := len(sets[p].Path.Nodes)
 		elen := max(plen-1, 0)
-		// One arena for the three float columns Build computes; a keyed
-		// graph, never reduced, has no w1 and marks the rows it fills.
-		nw, filled := n, []bool(nil)
-		if keyed {
-			nw, filled = 0, make([]bool, n)
-		}
-		cols := make([]float64, nw+n*(plen+elen))
 		part := &partition{
 			set:    &sets[p],
 			n:      n,
@@ -222,11 +220,17 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 			nodes:  sets[p].Nodes,
 			alive:  make([]bool, n),
 			nAlive: n,
-			w1:     cols[:nw:nw],
 			w2:     sets[p].Prn,
-			lab:    cols[nw : nw+n*plen : nw+n*plen],
-			edge:   cols[nw+n*plen:],
-			filled: filled,
+		}
+		if keyed {
+			// Never reduced, so no w1; factors are filled on first visit.
+			part.slot = make([]int32, n)
+		} else {
+			// One arena for the three float columns Build computes.
+			cols := make([]float64, n*(1+plen+elen))
+			part.w1 = cols[:n:n]
+			part.lab = cols[n : n+n*plen : n+n*plen]
+			part.edge = cols[n+n*plen:]
 		}
 		for i := range part.alive {
 			part.alive[i] = true
@@ -276,14 +280,15 @@ func (kg *Graph) computeWeights() {
 			coverEdge[pos] = kg.dec.CoverEdge[edgeKey(path.Nodes[pos], path.Nodes[pos+1])] == p
 		}
 		for i := 0; i < part.n; i++ {
-			kg.fill(part, i)
+			lab, edge := part.lab[i*plen:(i+1)*plen], part.edge[i*elen:(i+1)*elen]
+			kg.fill(part, i, lab, edge)
 			w1 := 1.0
-			for pos, f := range part.lab[i*plen : (i+1)*plen] {
+			for pos, f := range lab {
 				if coverNode[pos] {
 					w1 *= f
 				}
 			}
-			for pos, f := range part.edge[i*elen : (i+1)*elen] {
+			for pos, f := range edge {
 				if coverEdge[pos] {
 					w1 *= f
 				}
@@ -293,14 +298,15 @@ func (kg *Graph) computeWeights() {
 	}
 }
 
-// fill looks the factors of row i of part up into its lab and edge rows.
-func (kg *Graph) fill(part *partition, i int) {
+// fill looks the factors of row i of part up into lab (plen entries) and
+// edge (elen entries).
+func (kg *Graph) fill(part *partition, i int, lab, edge []float64) {
 	path := part.set.Path
 	row := part.nodes[i*part.plen : (i+1)*part.plen]
 	for pos, v := range row {
-		part.lab[i*part.plen+pos] = kg.g.PrLabel(v, path.Labels[pos])
+		lab[pos] = kg.g.PrLabel(v, path.Labels[pos])
 	}
-	for pos := 0; pos < part.elen; pos++ {
+	for pos := range edge {
 		f := 0.0
 		if ep, ok := kg.g.EdgeBetween(row[pos], row[pos+1]); ok {
 			la, lb := path.Labels[pos], path.Labels[pos+1]
@@ -309,22 +315,30 @@ func (kg *Graph) fill(part *partition, i int) {
 			}
 			f = kg.g.PrEdge(ep, la, lb)
 		}
-		part.edge[i*part.elen+pos] = f
+		edge[pos] = f
 	}
 }
 
-// FillFactors makes Factors(p, i) valid on a keyed graph, which looks a row
-// up when the join first visits it: a join that stops at its limit reads a few
-// of thousands. It writes, so a keyed graph serves one enumerating goroutine.
-func (kg *Graph) FillFactors(p, i int) {
-	if part := kg.parts[p]; !part.filled[i] {
-		part.filled[i] = true
-		kg.fill(part, i)
+// FillFactors is Factors for a keyed graph, which looks a row up when the
+// join first visits it — a join that stops at its limit reads a few rows of
+// thousands — and stores only the rows it has looked up. It writes, so a
+// keyed graph serves one enumerating goroutine.
+func (kg *Graph) FillFactors(p, i int) (lab, edge []float64) {
+	part := kg.parts[p]
+	plen, elen := part.plen, part.elen
+	s := int(part.slot[i])
+	if s == 0 {
+		part.lab = append(part.lab, make([]float64, plen)...)
+		part.edge = append(part.edge, make([]float64, elen)...)
+		s = len(part.lab) / plen
+		part.slot[i] = int32(s)
+		kg.fill(part, i, part.lab[(s-1)*plen:], part.edge[(s-1)*elen:])
 	}
+	return part.lab[(s-1)*plen : s*plen], part.edge[(s-1)*elen : s*elen]
 }
 
 // Keyed reports whether kg came from BuildKeyed: Links are by join key only
-// and FillFactors must precede Factors.
+// and a row's factors come from FillFactors, not Factors.
 func (kg *Graph) Keyed() bool { return kg.keyed }
 
 func edgeKey(a, b query.NodeID) [2]query.NodeID {
@@ -660,6 +674,7 @@ func (kg *Graph) Row(p, i int) []entity.ID {
 // node at pos under its query node's label, edge[pos] the probability of the
 // edge between the nodes at pos and pos+1 under the query labels (0 when GU
 // has no such edge). Views into the partition's columns; not to be modified.
+// A keyed graph has no such columns: its rows' factors come from FillFactors.
 func (kg *Graph) Factors(p, i int) (lab, edge []float64) {
 	part := kg.parts[p]
 	return part.lab[i*part.plen : (i+1)*part.plen], part.edge[i*part.elen : (i+1)*part.elen]

@@ -317,8 +317,10 @@ func matchesLookup(t *testing.T, label string, kg *Graph, q *query.Query) (share
 // pair, a row's keyed links are strictly ascending and, filtered by the
 // look-up joinable (which also rejects a hash collision's differing join
 // node), exactly its eager links — a superset in the join's visiting order;
-// NumLinks counts them; a row's factors, filled on demand and again, are the
-// eager columns bit for bit; and the reduction refuses the graph. It returns
+// NumLinks counts them; the factors FillFactors returns for a row, on its
+// first visit and again, are the eager columns bit for bit, and the graph
+// stores one row of factors per row visited and none before; and the
+// reduction refuses the graph. It returns
 // how many keyed links the eager build filters.
 func keyedMatchesLookup(t *testing.T, label string, eager, keyed *Graph, ref *lookupRef) (extra int) {
 	t.Helper()
@@ -355,14 +357,21 @@ func keyedMatchesLookup(t *testing.T, label string, eager, keyed *Graph, ref *lo
 		if len(part.w1) != 0 {
 			t.Fatalf("%s: keyed partition %d carries %d w1 weights nothing reads", label, p, len(part.w1))
 		}
-		for i := 0; i < part.n; i++ {
+		if len(part.lab) != 0 || len(part.edge) != 0 {
+			t.Fatalf("%s: keyed partition %d holds %d label and %d edge factors before any visit", label, p, len(part.lab), len(part.edge))
+		}
+		// Rows are visited from the last: slots follow the visiting order,
+		// not the row order.
+		for i := part.n - 1; i >= 0; i-- {
 			for pass := 0; pass < 2; pass++ {
-				keyed.FillFactors(p, i)
-				lab, edge := keyed.Factors(p, i)
+				lab, edge := keyed.FillFactors(p, i)
 				wantLab, wantEdge := eager.Factors(p, i)
 				if !slices.EqualFunc(lab, wantLab, sameBits) || !slices.EqualFunc(edge, wantEdge, sameBits) {
 					t.Fatalf("%s: partition %d row %d filled on demand (pass %d): factors (%v, %v), Build's (%v, %v)", label, p, i, pass, lab, edge, wantLab, wantEdge)
 				}
+			}
+			if visited := part.n - i; len(part.lab) != visited*part.plen || len(part.edge) != visited*part.elen {
+				t.Fatalf("%s: keyed partition %d holds %d label and %d edge factors after %d rows were visited twice", label, p, len(part.lab), len(part.edge), visited)
 			}
 		}
 	}
