@@ -1,830 +1,118 @@
 // Command pegbench reproduces the paper's evaluation (Section 6) at
 // configurable scale, printing one paper-style table per figure.
 //
-// -perf instead runs the stream-vs-collect API microbenchmarks — plus the
-// planner rows: planner-overhead (cost of compiling a plan) and
-// plan-cache-hit / plan-cache-hit-limit1 (executing a pre-compiled plan,
-// i.e. what a server plan-cache hit runs), the metrics-observe row (the
-// serving tier's per-request metrics hot path), and the open-loop
-// multi-tenant serving scenarios from serve.go — and writes a
-// machine-readable BENCH_<date>.json (ns/op, allocs/op, matches/sec, and
-// serving rows with p50/p95/p99 plus the shed/canceled/cost-rejected
-// breakdown) so the serving-path perf trajectory is tracked across PRs.
-// -check additionally gates planner-overhead at <5% and metrics-observe at
-// <2% of match-collect ns/op.
-//
 // Usage:
 //
 //	pegbench                     # full suite at default (scaled-down) size
 //	pegbench -only fig7e,fig7f   # selected figures
 //	pegbench -main 2000 -sizes 500,1000,2000,4000
-//	pegbench -perf               # write BENCH_<date>.json
 package main
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
-	"net/http"
-
-	"repro/internal/candidates"
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/join"
-	"repro/internal/metrics"
-	"repro/internal/pathindex"
-	"repro/internal/prob"
-	"repro/internal/query"
-	"repro/internal/trace"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("pegbench: ")
-	cfg := harness.DefaultConfig()
-	var (
-		only       = flag.String("only", "", "comma-separated figure list (default: all)")
-		sizes      = flag.String("sizes", "", "comma-separated graph sizes (refs)")
-		offline    = flag.String("offline-sizes", "", "comma-separated offline grid sizes")
-		mainSz     = flag.Int("main", cfg.MainSize, "main graph size (the paper's 100k analog)")
-		qpp        = flag.Int("queries", cfg.QueriesPerPoint, "random queries averaged per point")
-		timeout    = flag.Duration("timeout", cfg.QueryTimeout, "per-query timeout")
-		seed       = flag.Int64("seed", cfg.Seed, "random seed")
-		perf       = flag.Bool("perf", false, "run the stream-vs-collect API microbenchmarks instead of the figures")
-		perfOut    = flag.String("perf-out", "", "perf JSON output path (default BENCH_<date>.json)")
-		check      = flag.String("check", "", "baseline BENCH_*.json to compare -perf results against; exits non-zero on regression")
-		threshold  = flag.Float64("check-threshold", 0.30, "allowed ns/op regression on gated rows vs the -check baseline")
-		allocLimit = flag.Float64("check-alloc-threshold", 0.50, "allowed allocs/op growth on collect/stream vs the -check baseline")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "pegbench:", err)
+		os.Exit(1)
+	}
+}
 
+// run prints the selected figures to stdout. Every argument is checked
+// before the harness creates its work directory, and the directory (which
+// holds every index the run builds) is removed before run returns, on the
+// error paths too.
+func run(args []string, stdout io.Writer) (err error) {
+	cfg := harness.DefaultConfig()
+	fs := flag.NewFlagSet("pegbench", flag.ContinueOnError)
+	var (
+		only    = fs.String("only", "", "comma-separated figure list (default: all)")
+		sizes   = fs.String("sizes", "", "comma-separated graph sizes (refs)")
+		offline = fs.String("offline-sizes", "", "comma-separated offline grid sizes")
+		mainSz  = fs.Int("main", cfg.MainSize, "main graph size (the paper's 100k analog)")
+		qpp     = fs.Int("queries", cfg.QueriesPerPoint, "random queries averaged per point")
+		timeout = fs.Duration("timeout", cfg.QueryTimeout, "per-query timeout")
+		seed    = fs.Int64("seed", cfg.Seed, "random seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *sizes != "" {
-		cfg.Sizes = parseInts(*sizes)
+		if cfg.Sizes, err = parseInts(*sizes); err != nil {
+			return err
+		}
 	}
 	if *offline != "" {
-		cfg.OfflineSizes = parseInts(*offline)
+		if cfg.OfflineSizes, err = parseInts(*offline); err != nil {
+			return err
+		}
 	}
 	cfg.MainSize = *mainSz
 	cfg.QueriesPerPoint = *qpp
 	cfg.QueryTimeout = *timeout
 	cfg.Seed = *seed
-
-	var baseline *perfFile
-	if *check != "" {
-		b, err := loadBaseline(*check)
-		if err != nil {
-			log.Fatal(err)
-		}
-		baseline = b
-		// Measure at the baseline's workload size or the comparison is
-		// meaningless.
-		cfg.MainSize = baseline.MainSize
+	figs, err := selectFigures(*only)
+	if err != nil {
+		return err
 	}
 
 	h, err := harness.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer h.Close()
-
-	if baseline != nil {
-		if err := runCheck(h, baseline, *threshold, *allocLimit); err != nil {
-			log.Fatal(err)
+	defer func() {
+		if cerr := h.Close(); err == nil {
+			err = cerr
 		}
-		return
-	}
-	if *perf {
-		out := *perfOut
-		if out == "" {
-			out = fmt.Sprintf("BENCH_%s.json", time.Now().Format("2006-01-02"))
-		}
-		if err := runPerf(h, out); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
+	}()
 	start := time.Now()
-	if *only == "" {
-		if err := h.RunAll(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		figs := h.Figures()
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			fn, ok := figs[name]
-			if !ok {
-				log.Fatalf("unknown figure %q", name)
-			}
-			if err := fn(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
+	for _, f := range figs {
+		if err := f.Run(h, stdout); err != nil {
+			return fmt.Errorf("%s: %w", f.Name, err)
 		}
 	}
-	fmt.Printf("total: %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// perfFile is the machine-readable benchmark record written by -perf; one
-// file per date, so the serving-path perf trajectory accumulates in the repo
-// and regressions are diffable across PRs.
-type perfFile struct {
-	Date       string      `json:"date"`
-	GoVersion  string      `json:"go_version"`
-	GOOS       string      `json:"goos"`
-	GOARCH     string      `json:"goarch"`
-	MainSize   int         `json:"main_size"`
-	Alpha      float64     `json:"alpha"`
-	QueryNodes int         `json:"query_nodes"`
-	QueryEdges int         `json:"query_edges"`
-	Benchmarks []perfBench `json:"benchmarks"`
-	// Serving holds the open-loop serving-tier scenarios (see serve.go);
-	// omitempty keeps older baselines parseable by -check.
-	Serving []servingRow `json:"serving,omitempty"`
-}
-
-// perfBench is one benchmark row of the perf record.
-type perfBench struct {
-	Name          string  `json:"name"`
-	NsPerOp       float64 `json:"ns_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	MatchesPerOp  int     `json:"matches_per_op"`
-	MatchesPerSec float64 `json:"matches_per_sec"`
-}
-
-// loadBaseline reads a previously committed -perf record.
-func loadBaseline(path string) (*perfFile, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("check baseline: %w", err)
-	}
-	var rec perfFile
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return nil, fmt.Errorf("check baseline %s: %w", path, err)
-	}
-	if rec.MainSize <= 0 || len(rec.Benchmarks) == 0 {
-		return nil, fmt.Errorf("check baseline %s: empty record", path)
-	}
-	return &rec, nil
-}
-
-// checkedBenchmarks are the serving-path rows whose ns/op the regression
-// gate watches: the bulk collect/stream shapes plus first-match latency and
-// top-K (all pinned to the sequential join so the measurement does not
-// depend on the runner's core count). The parallel rows are informational —
-// their wall clock is a function of the machine.
-var checkedBenchmarks = map[string]bool{
-	"match-collect":       true,
-	"match-stream":        true,
-	"match-stream-limit1": true,
-	"match-topk10-prob":   true,
-	"plan-cache-hit":      true,
-	// router-topk10 is the routed analog of match-topk10-prob: one request
-	// at a time through the 2-shard scatter-gather cluster (see router.go),
-	// so the fan-out/merge overhead is gated alongside the single-node rows.
-	"router-topk10": true,
-	// The packed-format read-path rows: raw Lookup throughput and the cold
-	// open + first probe a generation flip pays (also under an absolute
-	// budget — see checkOpenCold).
-	"lookup-packed":   true,
-	"index-open-cold": true,
-	// The candidate-cache pair: first-match latency with an empty cache
-	// (retrieval + prune + insert) versus a warmed one (hit path). Their
-	// within-run ratio is additionally gated by checkCandCacheSpeedup.
-	"first-match-cold": true,
-	"first-match-warm": true,
-	// candidates-parallel-p4 is the pre-join fan-out at a fixed width; like
-	// the gated join rows it is pinned to a deterministic worker count, and
-	// a faster runner only ever moves it below baseline.
-	"candidates-parallel-p4": true,
-}
-
-// plannerOverheadBudget caps planner-overhead ns/op as a fraction of
-// match-collect ns/op: planning a query must stay a rounding error next to
-// executing it, or the planner refactor is eating its own lunch.
-const plannerOverheadBudget = 0.05
-
-// allocCheckedBenchmarks are the rows whose allocs/op growth fails the gate:
-// the allocation-free join hot path must stay allocation-free, and steady
-// allocs/op is far less machine-sensitive than wall clock.
-// plan-cache-hit rides along so the cached-plan collect path cannot quietly
-// re-grow the duplicate-collector allocations it once paid (16.2MB/op before
-// the shared matchCollector, 7.3MB/op after).
-var allocCheckedBenchmarks = map[string]bool{
-	"match-collect":  true,
-	"match-stream":   true,
-	"plan-cache-hit": true,
-}
-
-// runCheck re-measures the perf rows and fails when a gated row's ns/op (or,
-// for collect/stream, allocs/op) regressed more than the threshold versus
-// the baseline — the CI smoke gate for the serving path.
-func runCheck(h *harness.Harness, baseline *perfFile, threshold, allocLimit float64) error {
-	rec, err := measurePerf(h)
-	if err != nil {
-		return err
-	}
-	base := make(map[string]perfBench, len(baseline.Benchmarks))
-	for _, row := range baseline.Benchmarks {
-		base[row.Name] = row
-	}
-	failed := 0
-	for _, row := range rec.Benchmarks {
-		b, ok := base[row.Name]
-		if !ok || b.NsPerOp <= 0 {
-			continue
-		}
-		ratio := row.NsPerOp/b.NsPerOp - 1
-		verdict := "ok"
-		if checkedBenchmarks[row.Name] && ratio > threshold {
-			verdict = "REGRESSION"
-			failed++
-		} else if !checkedBenchmarks[row.Name] {
-			verdict = "info"
-		}
-		fmt.Printf("check %-22s %12.0f ns/op vs baseline %12.0f (%+6.1f%%) %s\n",
-			row.Name, row.NsPerOp, b.NsPerOp, 100*ratio, verdict)
-		if allocCheckedBenchmarks[row.Name] && b.AllocsPerOp > 0 {
-			aratio := float64(row.AllocsPerOp)/float64(b.AllocsPerOp) - 1
-			averdict := "ok"
-			if aratio > allocLimit {
-				averdict = "REGRESSION"
-				failed++
-			}
-			fmt.Printf("check %-22s %12d allocs/op vs baseline %12d (%+6.1f%%) %s\n",
-				row.Name, row.AllocsPerOp, b.AllocsPerOp, 100*aratio, averdict)
-		}
-	}
-	if err := checkPlannerOverhead(rec); err != nil {
-		return err
-	}
-	if err := checkMetricsOverhead(rec); err != nil {
-		return err
-	}
-	if err := checkTraceOverhead(rec); err != nil {
-		return err
-	}
-	if err := checkOpenCold(rec); err != nil {
-		return err
-	}
-	if err := checkCandCacheSpeedup(rec); err != nil {
-		return err
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d benchmark row(s) regressed more than the threshold (ns/op %.0f%%, allocs/op %.0f%%) vs baseline (%s, main=%d)",
-			failed, 100*threshold, 100*allocLimit, baseline.Date, baseline.MainSize)
-	}
-	fmt.Printf("check passed vs baseline %s (ns/op threshold %.0f%%, allocs/op threshold %.0f%%)\n",
-		baseline.Date, 100*threshold, 100*allocLimit)
+	fmt.Fprintf(stdout, "total: %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// checkPlannerOverhead gates planner-overhead against match-collect on the
-// freshly measured rows (no baseline needed: the budget is a ratio within
-// one run, so it is machine-independent).
-func checkPlannerOverhead(rec *perfFile) error {
-	var planner, collect *perfBench
-	for i := range rec.Benchmarks {
-		switch rec.Benchmarks[i].Name {
-		case "planner-overhead":
-			planner = &rec.Benchmarks[i]
-		case "match-collect":
-			collect = &rec.Benchmarks[i]
+// selectFigures resolves the -only list, in the order given; empty selects
+// every figure in paper order.
+func selectFigures(only string) ([]harness.Figure, error) {
+	if only == "" {
+		return harness.Figures, nil
+	}
+	var out []harness.Figure
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(harness.Figures, func(f harness.Figure) bool { return f.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown figure %q", name)
 		}
+		out = append(out, harness.Figures[i])
 	}
-	if planner == nil || collect == nil || collect.NsPerOp <= 0 {
-		return fmt.Errorf("planner-overhead gate: rows missing from the measurement")
-	}
-	ratio := planner.NsPerOp / collect.NsPerOp
-	if ratio > plannerOverheadBudget {
-		return fmt.Errorf("planner overhead %0.f ns/op is %.1f%% of match-collect (%0.f ns/op); budget is %.0f%%",
-			planner.NsPerOp, 100*ratio, collect.NsPerOp, 100*plannerOverheadBudget)
-	}
-	fmt.Printf("check planner-overhead      %12.0f ns/op = %.2f%% of match-collect (budget %.0f%%) ok\n",
-		planner.NsPerOp, 100*ratio, 100*plannerOverheadBudget)
-	return nil
+	return out, nil
 }
 
-// metricsOverheadBudget caps metrics-observe ns/op as a fraction of
-// match-collect ns/op: the per-request metrics hot path (one counter, seven
-// histogram observations) must stay invisible next to executing a match.
-const metricsOverheadBudget = 0.02
-
-// checkMetricsOverhead gates metrics-observe against match-collect within
-// one run (a ratio, so machine-independent — same shape as the planner
-// gate).
-func checkMetricsOverhead(rec *perfFile) error {
-	var observe, collect *perfBench
-	for i := range rec.Benchmarks {
-		switch rec.Benchmarks[i].Name {
-		case "metrics-observe":
-			observe = &rec.Benchmarks[i]
-		case "match-collect":
-			collect = &rec.Benchmarks[i]
-		}
-	}
-	if observe == nil || collect == nil || collect.NsPerOp <= 0 {
-		return fmt.Errorf("metrics-overhead gate: rows missing from the measurement")
-	}
-	ratio := observe.NsPerOp / collect.NsPerOp
-	if ratio > metricsOverheadBudget {
-		return fmt.Errorf("metrics hot path %0.f ns/op is %.2f%% of match-collect (%0.f ns/op); budget is %.0f%%",
-			observe.NsPerOp, 100*ratio, collect.NsPerOp, 100*metricsOverheadBudget)
-	}
-	fmt.Printf("check metrics-observe       %12.0f ns/op = %.3f%% of match-collect (budget %.0f%%) ok\n",
-		observe.NsPerOp, 100*ratio, 100*metricsOverheadBudget)
-	return nil
-}
-
-// traceOverheadBudget caps trace-overhead ns/op as a fraction of
-// match-collect ns/op: a server built with tracing support but running with
-// it disabled (nil tracer, no sampled context) must pay under 1% next to
-// executing a match — the no-op span path is the price of having the
-// instrumentation compiled in at all.
-const traceOverheadBudget = 0.01
-
-// checkTraceOverhead gates trace-overhead against match-collect within one
-// run (a ratio, so machine-independent — same shape as the metrics gate).
-func checkTraceOverhead(rec *perfFile) error {
-	var overhead, collect *perfBench
-	for i := range rec.Benchmarks {
-		switch rec.Benchmarks[i].Name {
-		case "trace-overhead":
-			overhead = &rec.Benchmarks[i]
-		case "match-collect":
-			collect = &rec.Benchmarks[i]
-		}
-	}
-	if overhead == nil || collect == nil || collect.NsPerOp <= 0 {
-		return fmt.Errorf("trace-overhead gate: rows missing from the measurement")
-	}
-	ratio := overhead.NsPerOp / collect.NsPerOp
-	if ratio > traceOverheadBudget {
-		return fmt.Errorf("disabled-tracing span path %0.f ns/op is %.2f%% of match-collect (%0.f ns/op); budget is %.0f%%",
-			overhead.NsPerOp, 100*ratio, collect.NsPerOp, 100*traceOverheadBudget)
-	}
-	fmt.Printf("check trace-overhead        %12.0f ns/op = %.3f%% of match-collect (budget %.0f%%) ok\n",
-		overhead.NsPerOp, 100*ratio, 100*traceOverheadBudget)
-	return nil
-}
-
-// candCacheSpeedupFloor is the minimum cold/warm ratio for the first-match
-// pair: a warmed candidate cache must answer at least 2× faster than the
-// empty-cache path, or the cache is not earning the memory it holds. A ratio
-// within one run, so machine-independent — same shape as the planner gate.
-const candCacheSpeedupFloor = 2.0
-
-// checkCandCacheSpeedup gates first-match-warm against first-match-cold on
-// the freshly measured rows.
-func checkCandCacheSpeedup(rec *perfFile) error {
-	var cold, warm *perfBench
-	for i := range rec.Benchmarks {
-		switch rec.Benchmarks[i].Name {
-		case "first-match-cold":
-			cold = &rec.Benchmarks[i]
-		case "first-match-warm":
-			warm = &rec.Benchmarks[i]
-		}
-	}
-	if cold == nil || warm == nil || warm.NsPerOp <= 0 {
-		return fmt.Errorf("cand-cache speedup gate: rows missing from the measurement")
-	}
-	speedup := cold.NsPerOp / warm.NsPerOp
-	if speedup < candCacheSpeedupFloor {
-		return fmt.Errorf("first-match-warm %0.f ns/op is only %.2fx faster than first-match-cold (%0.f ns/op); floor is %.1fx",
-			warm.NsPerOp, speedup, cold.NsPerOp, candCacheSpeedupFloor)
-	}
-	fmt.Printf("check cand-cache-speedup    %12.2fx warm vs cold (floor %.1fx) ok\n",
-		speedup, candCacheSpeedupFloor)
-	return nil
-}
-
-// openColdBudgetNs is the absolute ceiling on index-open-cold: opening a
-// packed index (header validation + mmap) plus its first probe on the
-// standard workload must stay under 10ms, because a serving shard pays this
-// on every generation flip. Absolute rather than a ratio: the row is
-// dominated by fixed per-open work, not by match volume.
-const openColdBudgetNs = 10e6
-
-// checkOpenCold gates index-open-cold against the absolute budget on the
-// freshly measured rows.
-func checkOpenCold(rec *perfFile) error {
-	var cold *perfBench
-	for i := range rec.Benchmarks {
-		if rec.Benchmarks[i].Name == "index-open-cold" {
-			cold = &rec.Benchmarks[i]
-		}
-	}
-	if cold == nil || cold.NsPerOp <= 0 {
-		return fmt.Errorf("index-open-cold gate: row missing from the measurement")
-	}
-	if cold.NsPerOp > openColdBudgetNs {
-		return fmt.Errorf("index-open-cold %0.f ns/op exceeds the %0.fms budget", cold.NsPerOp, openColdBudgetNs/1e6)
-	}
-	fmt.Printf("check index-open-cold       %12.0f ns/op (budget %.0fms) ok\n", cold.NsPerOp, openColdBudgetNs/1e6)
-	return nil
-}
-
-// runPerf benchmarks the result-producing API shapes against each other on
-// the main synthetic workload — full collect, streamed consumption,
-// first-match (Limit 1), and top-K by probability — then runs the open-loop
-// serving scenarios, and writes everything to out as JSON.
-func runPerf(h *harness.Harness, out string) error {
-	rec, err := measurePerf(h)
-	if err != nil {
-		return err
-	}
-	rec.Serving, err = measureServing(h.Config().Seed)
-	if err != nil {
-		return err
-	}
-	routerServing, err := measureRouterServing(h.Config().Seed)
-	if err != nil {
-		return err
-	}
-	rec.Serving = append(rec.Serving, *routerServing)
-	for _, row := range rec.Serving {
-		fmt.Printf("serving %-20s %6.0f qps offered: %d req = %d ok + %d failed + %d canceled + %d shed + %d cost-rejected; p50=%.0fµs p95=%.0fµs p99=%.0fµs\n",
-			row.Scenario, row.OfferedQPS, row.Requests, row.Succeeded, row.Failed,
-			row.Canceled, row.Shed, row.CostRejected, row.P50Micros, row.P95Micros, row.P99Micros)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// measurePerf runs the API-shape microbenchmarks and returns the record.
-func measurePerf(h *harness.Harness) (*perfFile, error) {
-	const (
-		alpha      = 0.1
-		queryNodes = 5
-		queryEdges = 4
-	)
-	cfg := h.Config()
-	g, err := h.Graph(cfg.MainSize, 0.2)
-	if err != nil {
-		return nil, err
-	}
-	gkey := fmt.Sprintf("synth-%d-0.20", cfg.MainSize)
-	ix, err := h.Index(gkey, g, 3, 0.1)
-	if err != nil {
-		return nil, err
-	}
-	ixDir := h.IndexPath(gkey, 3, 0.1)
-	ctx := context.Background()
-	q, richness := harness.FindRichQuery(ix, queryNodes, queryEdges, alpha, cfg.Seed, 30)
-	if richness == 0 {
-		return nil, fmt.Errorf("perf: no viable query found")
-	}
-
-	// The gated rows pin Parallelism to 1 so the sequential serving
-	// path is measured identically on every machine; the -pN rows measure
-	// the morsel-parallel join (wall clock scales with cores, so they are
-	// recorded but not gated).
-	collect := func(par int) func() (int, error) {
-		return func() (int, error) {
-			res, err := core.Match(ctx, ix, q, core.Options{Alpha: alpha, Parallelism: par})
-			if err != nil {
-				return 0, err
-			}
-			return len(res.Matches), nil
-		}
-	}
-	// Live metric instruments for the metrics-observe row: same families and
-	// bucket layouts the server registers, observed the way finishRequest
-	// observes them.
-	benchRequests := metrics.NewCounterVec("bench_requests_total", "", "endpoint", "outcome")
-	benchLatency := metrics.NewHistogramVec("bench_request_duration_seconds", "", "endpoint",
-		metrics.ExpBuckets(1e-4, 4, 11))
-	benchStages := metrics.NewHistogramVec("bench_stage_duration_seconds", "", "stage",
-		metrics.ExpBuckets(1e-5, 4, 12))
-	benchStageNames := []string{"plan", "decompose", "candidates", "reduce", "join", "total"}
-	// plan-cache-hit executes a pre-compiled plan (what a server plan-cache
-	// hit runs): match-collect minus planner-overhead, measured directly.
-	prepared, err := core.Prepare(ctx, ix, q, core.Options{Alpha: alpha, Parallelism: 1})
-	if err != nil {
-		return nil, fmt.Errorf("prepare: %w", err)
-	}
-	// The first-match-cold/warm pair prices the candidate cache on a
-	// prune-heavy shape: a triangle over the densest indexed 3-label
-	// sequence. The in-path cycle check discards ~98% of path candidates
-	// there, so retrieval + context pruning — exactly the work the cache
-	// skips — dominates first-match latency; on join-heavy shapes the
-	// k-partite build over the survivors dominates instead and the cache's
-	// saving is real but proportionally small. Both rows execute the same
-	// prepared plan, so the pair isolates the cache, not the planner.
-	triSeq, err := densestSequence(ix, 3, alpha)
-	if err != nil {
-		return nil, err
-	}
-	triQ := query.New()
-	ta := triQ.AddNode(triSeq[0])
-	tb := triQ.AddNode(triSeq[1])
-	tc := triQ.AddNode(triSeq[2])
-	for _, e := range [][2]query.NodeID{{ta, tb}, {tb, tc}, {ta, tc}} {
-		if err := triQ.AddEdge(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("triangle query: %w", err)
-		}
-	}
-	preparedTri, err := core.Prepare(ctx, ix, triQ, core.Options{Alpha: alpha, Parallelism: 1})
-	if err != nil {
-		return nil, fmt.Errorf("prepare triangle: %w", err)
-	}
-	// warmCache backs the first-match-warm row; the row's initial (untimed)
-	// run populates it, so every benchmarked iteration is a pure hit.
-	warmCache := candidates.NewCache(0)
-	// lookup-packed probes a fixed, deterministic sample of the indexed label
-	// sequences (Sequences() is sorted) straight through Index.Lookup — the
-	// raw read path under the executor, where the packed format's zero-copy
-	// decode shows up undiluted by join work. index-open-cold prices a cold
-	// start — Open (header validation + mmap) plus the first probe — which the
-	// packed layout must keep in single-digit milliseconds since every
-	// generation flip on a serving shard pays it.
-	allSeqs := ix.Sequences()
-	if len(allSeqs) == 0 {
-		return nil, fmt.Errorf("perf: index has no sequences")
-	}
-	probeSeqs := allSeqs
-	if len(probeSeqs) > 64 {
-		sampled := make([][]prob.LabelID, 0, 64)
-		for i := 0; i < 64; i++ {
-			sampled = append(sampled, allSeqs[i*len(allSeqs)/64])
-		}
-		probeSeqs = sampled
-	}
-	openProbe := allSeqs[len(allSeqs)-1]
-	variants := []struct {
-		name string
-		run  func() (matches int, err error)
-	}{
-		{"match-collect", collect(1)},
-		{"planner-overhead", func() (int, error) {
-			_, err := core.Prepare(ctx, ix, q, core.Options{Alpha: alpha, Parallelism: 1})
-			return 0, err
-		}},
-		{"plan-cache-hit", func() (int, error) {
-			res, err := core.MatchPlan(ctx, ix, prepared, core.Options{Alpha: alpha, Parallelism: 1})
-			if err != nil {
-				return 0, err
-			}
-			return len(res.Matches), nil
-		}},
-		{"match-stream", func() (int, error) {
-			st, err := core.MatchStream(ctx, ix, q, core.Options{Alpha: alpha, Parallelism: 1},
-				func(join.Match) bool { return true })
-			return st.Matched, err
-		}},
-		{"match-stream-limit1", func() (int, error) {
-			st, err := core.MatchStream(ctx, ix, q, core.Options{Alpha: alpha, Limit: 1, Parallelism: 1},
-				func(join.Match) bool { return true })
-			return st.Matched, err
-		}},
-		// The same first-match shape on a cached plan: the limit1 pair is
-		// where the plan-cache saving is proportionally largest, since
-		// planning is a fixed cost per request while the join is cut short.
-		{"plan-cache-hit-limit1", func() (int, error) {
-			st, err := core.MatchStreamPlan(ctx, ix, prepared, core.Options{Alpha: alpha, Limit: 1, Parallelism: 1},
-				func(join.Match) bool { return true })
-			return st.Matched, err
-		}},
-		// Cold starts every op with an empty cache, so it pays per-path
-		// Lookup + context prune + cache insert; warm reuses one persistent
-		// cache (populated by the row's initial run), so pruned candidate
-		// sets come back by key and the op runs build + reduce + first join
-		// row only. checkCandCacheSpeedup holds warm to ≥2× within this
-		// run. Workers pinned to 1 like every gated row.
-		{"first-match-cold", func() (int, error) {
-			st, err := core.MatchStreamPlan(ctx, ix, preparedTri,
-				core.Options{Alpha: alpha, Limit: 1, Parallelism: 1, Workers: 1,
-					CandCache: candidates.NewCache(0)},
-				func(join.Match) bool { return true })
-			return st.Matched, err
-		}},
-		{"first-match-warm", func() (int, error) {
-			st, err := core.MatchStreamPlan(ctx, ix, preparedTri,
-				core.Options{Alpha: alpha, Limit: 1, Parallelism: 1, Workers: 1,
-					CandCache: warmCache},
-				func(join.Match) bool { return true })
-			return st.Matched, err
-		}},
-		// The pre-join candidate stage alone at a fixed fan-out width —
-		// per-path Lookup + context prune across 4 workers, no cache.
-		{"candidates-parallel-p4", func() (int, error) {
-			sets, _, err := candidates.Find(ctx, ix, q, prepared.Dec, alpha, 4, nil)
-			if err != nil {
-				return 0, err
-			}
-			n := 0
-			for _, s := range sets {
-				n += s.Len()
-			}
-			return n, nil
-		}},
-		{"match-topk10-prob", func() (int, error) {
-			st, err := core.MatchStream(ctx, ix, q,
-				core.Options{Alpha: alpha, Limit: 10, Order: core.OrderByProb, Parallelism: 1},
-				func(join.Match) bool { return true })
-			return st.Matched, err
-		}},
-		{"lookup-packed", func() (int, error) {
-			n := 0
-			for _, X := range probeSeqs {
-				ms, err := ix.Lookup(X, alpha)
-				if err != nil {
-					return 0, err
-				}
-				n += len(ms)
-			}
-			return n, nil
-		}},
-		{"index-open-cold", func() (int, error) {
-			cold, err := pathindex.Open(ixDir, g)
-			if err != nil {
-				return 0, err
-			}
-			ms, err := cold.Lookup(openProbe, alpha)
-			if err != nil {
-				cold.Close()
-				return 0, err
-			}
-			if err := cold.Close(); err != nil {
-				return 0, err
-			}
-			return len(ms), nil
-		}},
-		// metrics-observe replays the serving tier's full per-request metrics
-		// hot path (outcome counter, endpoint latency histogram, six stage
-		// histograms) against live instruments from internal/metrics — the
-		// cost /metrics support adds to every served request, gated by
-		// checkMetricsOverhead at <2% of match-collect.
-		{"metrics-observe", func() (int, error) {
-			benchRequests.WithLabelValues("match", "ok").Inc()
-			benchLatency.WithLabelValue("match").Observe(1.2e-3)
-			for _, st := range benchStageNames {
-				benchStages.WithLabelValue(st).Observe(3.4e-4)
-			}
-			return 0, nil
-		}},
-		// trace-overhead replays the span operations a request passes through
-		// on a server where tracing is compiled in but disabled (nil tracer,
-		// no remote context): traceparent extraction, root + child StartSpan,
-		// the executor's stage RecordSpans, and the terminal attrs — all
-		// no-ops that must stay under checkTraceOverhead's <1% of
-		// match-collect. The -sampled twin prices the same sequence with a
-		// live tracer recording every span (ring writes, id minting) and is
-		// informational.
-		{"trace-overhead", traceReplay(ctx, nil)},
-		{"trace-overhead-sampled", traceReplay(ctx, trace.New(trace.Config{Service: "bench", Sample: 1}))},
-		{"match-collect-p2", collect(2)},
-		{"match-collect-p4", collect(4)},
-		{"match-topk10-prob-p4", func() (int, error) {
-			st, err := core.MatchStream(ctx, ix, q,
-				core.Options{Alpha: alpha, Limit: 10, Order: core.OrderByProb, Parallelism: 4},
-				func(join.Match) bool { return true })
-			return st.Matched, err
-		}},
-	}
-
-	rec := perfFile{
-		Date:       time.Now().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		MainSize:   cfg.MainSize,
-		Alpha:      alpha,
-		QueryNodes: queryNodes,
-		QueryEdges: queryEdges,
-	}
-	for _, v := range variants {
-		matches, err := v.run()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		var benchErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := v.run(); err != nil {
-					benchErr = err
-					b.FailNow()
-				}
-			}
-		})
-		if benchErr != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, benchErr)
-		}
-		ns := float64(r.NsPerOp())
-		row := perfBench{
-			Name:         v.name,
-			NsPerOp:      ns,
-			AllocsPerOp:  r.AllocsPerOp(),
-			BytesPerOp:   r.AllocedBytesPerOp(),
-			MatchesPerOp: matches,
-		}
-		if ns > 0 {
-			row.MatchesPerSec = float64(matches) * 1e9 / ns
-		}
-		rec.Benchmarks = append(rec.Benchmarks, row)
-		fmt.Printf("%-22s %12.0f ns/op %8d allocs/op %6d matches %12.0f matches/s\n",
-			v.name, row.NsPerOp, row.AllocsPerOp, row.MatchesPerOp, row.MatchesPerSec)
-	}
-
-	// The cluster-tier row (its own small fixed-size workload — see
-	// router.go) rides in measurePerf rather than runPerf so -check gates it
-	// too.
-	routerRow, err := measureRouterPerf(cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	rec.Benchmarks = append(rec.Benchmarks, *routerRow)
-	fmt.Printf("%-22s %12.0f ns/op %8d allocs/op %6d matches %12.0f matches/s\n",
-		routerRow.Name, routerRow.NsPerOp, routerRow.AllocsPerOp, routerRow.MatchesPerOp, routerRow.MatchesPerSec)
-	return &rec, nil
-}
-
-// densestSequence returns the indexed label sequence of the given length
-// with the most path matches at alpha — a deterministic pick (Sequences()
-// is sorted) of the workload's heaviest posting list.
-func densestSequence(ix *pathindex.Index, length int, alpha float64) ([]prob.LabelID, error) {
-	var best []prob.LabelID
-	bestN := -1
-	for _, seq := range ix.Sequences() {
-		if len(seq) != length {
-			continue
-		}
-		ms, err := ix.Lookup(seq, alpha)
-		if err != nil {
-			return nil, err
-		}
-		if len(ms) > bestN {
-			bestN = len(ms)
-			best = seq
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("perf: no indexed sequence of length %d", length)
-	}
-	return best, nil
-}
-
-// traceReplay builds the trace-overhead benchmark body: one request's worth
-// of span traffic as the server shapes it — extract, a root request span
-// with attrs, an admission child, five stage RecordSpans, and the settled
-// root. With tr == nil every call is the no-op path the disabled-tracing
-// gate prices; with a sampling tracer the same sequence measures full
-// recording cost.
-func traceReplay(ctx context.Context, tr *trace.Tracer) func() (int, error) {
-	hdr := http.Header{}
-	stages := []string{"stage.plan", "stage.candidates", "stage.build", "stage.reduce", "stage.join"}
-	return func() (int, error) {
-		if sc, ok := trace.Extract(hdr); ok {
-			ctx = trace.ContextWithRemote(ctx, sc)
-		}
-		sctx, sp := tr.StartSpan(ctx, "serve.match")
-		sp.SetAttr("request_id", "bench")
-		_, asp := tr.StartSpan(sctx, "admission")
-		asp.SetAttr("outcome", "ok")
-		asp.End()
-		start := time.Now()
-		for _, st := range stages {
-			tr.RecordSpan(sctx, st, start, time.Microsecond, nil)
-		}
-		sp.SetAttr("outcome", "ok")
-		sp.End()
-		return 0, nil
-	}
-}
-
-func parseInts(s string) []int {
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
-			log.Fatalf("bad integer %q", f)
+			return nil, fmt.Errorf("bad integer %q", f)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }

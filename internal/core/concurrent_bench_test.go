@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -46,9 +45,8 @@ func benchIndex(b *testing.B) (*pathindex.Index, []*query.Query) {
 
 // BenchmarkMatchParallel measures aggregate match throughput with many
 // goroutines sharing one opened index — the serving scenario behind
-// cmd/pegserve. Run with -cpu=1,8 to see the scaling the de-serialized read
-// path buys; compare BenchmarkMatchGlobalLock for the seed's behavior, where
-// one mutex serialized every index probe.
+// cmd/pegserve. Run with -cpu=1,8 to see the scaling of the lock-free read
+// path.
 func BenchmarkMatchParallel(b *testing.B) {
 	ix, qs := benchIndex(b)
 	var qi atomic.Uint64
@@ -59,32 +57,6 @@ func BenchmarkMatchParallel(b *testing.B) {
 			if _, err := core.Match(context.Background(), ix, q, core.Options{
 				Alpha: 0.1, Workers: 1,
 			}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkMatchGlobalLock is the fully-serialized bound: identical
-// workload, one global mutex around each evaluation. The seed's index mutex
-// serialized only the index probes inside a match (see the pathindex
-// package's BenchmarkLookupGlobalLock for that exact before/after); this
-// bench brackets it from above, so together they bound the old behavior.
-func BenchmarkMatchGlobalLock(b *testing.B) {
-	ix, qs := benchIndex(b)
-	var mu sync.Mutex
-	var qi atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			q := qs[qi.Add(1)%uint64(len(qs))]
-			mu.Lock()
-			_, err := core.Match(context.Background(), ix, q, core.Options{
-				Alpha: 0.1, Workers: 1,
-			})
-			mu.Unlock()
-			if err != nil {
 				b.Error(err)
 				return
 			}

@@ -291,7 +291,7 @@ func FindQuerySeed(ix *pathindex.Index, nLabels, n, m int, alpha float64, base i
 // given threshold, together with that match count — the workload selector
 // for the stream-vs-collect benchmarks, where the gap only shows on
 // match-rich queries. Returns (nil, 0) when no scanned query matches at
-// all. Exported for reuse by the root benchmarks and cmd/pegbench -perf.
+// all. Exported for reuse by the root benchmarks.
 func FindRichQuery(ix *pathindex.Index, n, m int, alpha float64, base int64, tries int) (*query.Query, int) {
 	var best *query.Query
 	bestN := 0
@@ -503,45 +503,24 @@ func (h *Harness) RunSQL(w io.Writer) error {
 	return nil
 }
 
-// RunAll executes every figure in paper order.
-func (h *Harness) RunAll(w io.Writer) error {
-	steps := []struct {
-		name string
-		fn   func(io.Writer) error
-	}{
-		{"fig6ab", h.RunFig6ab},
-		{"fig6c", h.RunFig6c},
-		{"fig6d", h.RunFig6d},
-		{"fig6ef", h.RunFig6ef},
-		{"fig7ab", h.RunFig7ab},
-		{"fig7cd", h.RunFig7cd},
-		{"fig7e", h.RunFig7e},
-		{"fig7f", h.RunFig7f},
-		{"fig7g", h.RunFig7g},
-		{"fig7h", h.RunFig7h},
-		{"sql", h.RunSQL},
-	}
-	for _, s := range steps {
-		if err := s.fn(w); err != nil {
-			return fmt.Errorf("harness: %s: %w", s.name, err)
-		}
-	}
-	return nil
+// Figure is one table of the paper's evaluation.
+type Figure struct {
+	Name string
+	Run  func(*Harness, io.Writer) error
 }
 
-// Figures maps figure names to runners for cmd/pegbench's -only flag.
-func (h *Harness) Figures() map[string]func(io.Writer) error {
-	return map[string]func(io.Writer) error{
-		"fig6ab": h.RunFig6ab,
-		"fig6c":  h.RunFig6c,
-		"fig6d":  h.RunFig6d,
-		"fig6ef": h.RunFig6ef,
-		"fig7ab": h.RunFig7ab,
-		"fig7cd": h.RunFig7cd,
-		"fig7e":  h.RunFig7e,
-		"fig7f":  h.RunFig7f,
-		"fig7g":  h.RunFig7g,
-		"fig7h":  h.RunFig7h,
-		"sql":    h.RunSQL,
-	}
+// Figures lists every figure in paper order; cmd/pegbench runs them all or
+// the ones its -only flag names.
+var Figures = []Figure{
+	{"fig6ab", (*Harness).RunFig6ab},
+	{"fig6c", (*Harness).RunFig6c},
+	{"fig6d", (*Harness).RunFig6d},
+	{"fig6ef", (*Harness).RunFig6ef},
+	{"fig7ab", (*Harness).RunFig7ab},
+	{"fig7cd", (*Harness).RunFig7cd},
+	{"fig7e", (*Harness).RunFig7e},
+	{"fig7f", (*Harness).RunFig7f},
+	{"fig7g", (*Harness).RunFig7g},
+	{"fig7h", (*Harness).RunFig7h},
+	{"sql", (*Harness).RunSQL},
 }

@@ -172,12 +172,6 @@ func (h *Harness) Index(gkey string, g *entity.Graph, L int, beta float64) (*pat
 	return ix, nil
 }
 
-// IndexPath returns the on-disk directory Index built (or would build) the
-// keyed index into, for benchmarks that reopen the artifact cold.
-func (h *Harness) IndexPath(gkey string, L int, beta float64) string {
-	return filepath.Join(h.dir, fmt.Sprintf("%s-L%d-b%.2f", gkey, L, beta))
-}
-
 // BuildIndexUncached builds an index without caching (for offline-phase
 // timing) and closes it before returning its stats.
 func (h *Harness) BuildIndexUncached(g *entity.Graph, L int, beta float64, tag string) (pathindex.BuildStats, error) {
@@ -193,9 +187,6 @@ func (h *Harness) BuildIndexUncached(g *entity.Graph, L int, beta float64, tag s
 	os.RemoveAll(dir)
 	return st, nil
 }
-
-// Config returns the harness configuration.
-func (h *Harness) Config() Config { return h.cfg }
 
 // table prints an aligned table.
 type table struct {

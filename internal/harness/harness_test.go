@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -143,11 +144,12 @@ func TestRunPatterns(t *testing.T) {
 }
 
 func TestFiguresComplete(t *testing.T) {
-	h := newTestHarness(t)
-	figs := h.Figures()
-	for _, name := range []string{"fig6ab", "fig6c", "fig6d", "fig6ef", "fig7ab", "fig7cd", "fig7e", "fig7f", "fig7g", "fig7h", "sql"} {
-		if figs[name] == nil {
-			t.Errorf("figure %s missing", name)
-		}
+	var names []string
+	for _, f := range Figures {
+		names = append(names, f.Name)
+	}
+	want := []string{"fig6ab", "fig6c", "fig6d", "fig6ef", "fig7ab", "fig7cd", "fig7e", "fig7f", "fig7g", "fig7h", "sql"}
+	if !slices.Equal(names, want) {
+		t.Errorf("figures %v, want %v in paper order", names, want)
 	}
 }

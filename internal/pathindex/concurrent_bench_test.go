@@ -3,7 +3,6 @@ package pathindex
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -52,29 +51,6 @@ func BenchmarkLookupParallel(b *testing.B) {
 		for pb.Next() {
 			X := seqs[si.Add(1)%uint64(len(seqs))]
 			if _, err := ix.Lookup(X, 0.1); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkLookupGlobalLock reproduces the seed's probe path exactly: the
-// same scans behind one global mutex, which is what Index.mu used to do to
-// every concurrent query. The BenchmarkLookupParallel / GlobalLock ratio at
-// -cpu=8 is the probe-level speedup of the de-serialized read path.
-func BenchmarkLookupGlobalLock(b *testing.B) {
-	ix, seqs := benchLookupIndex(b)
-	var mu sync.Mutex
-	var si atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			X := seqs[si.Add(1)%uint64(len(seqs))]
-			mu.Lock()
-			_, err := ix.Lookup(X, 0.1)
-			mu.Unlock()
-			if err != nil {
 				b.Error(err)
 				return
 			}

@@ -180,10 +180,12 @@ var testQueries = []string{
 // TestRouterMatchesSingleNode is the central lossless-partition property:
 // over 2 and 3 shards, both decomposition strategies, collect and top-K and
 // both stream orders, the routed answer is byte-identical (mapping, Pr,
-// Prle, Prn, order) to the single-node answer.
+// Prle, Prn, order) to the single-node answer, and a routed top-K is whole
+// (not partial) with min(K, matches) entries.
 func TestRouterMatchesSingleNode(t *testing.T) {
 	d := buildSynth(t)
 	single := openServer(t, d)
+	matched := 0
 	for _, shards := range []int{2, 3} {
 		rt, _ := openCluster(t, d, shards, Options{})
 		routed := httptest.NewServer(rt.Handler())
@@ -204,15 +206,27 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 				if sres.NumMatches != rres.NumMatches {
 					t.Fatalf("num_matches: single %d, routed %d", sres.NumMatches, rres.NumMatches)
 				}
+				if sres.NumMatches > 0 {
+					matched++
+				}
 
 				// Top-K: same ranking and cut.
-				topReq := map[string]any{"query": q, "alpha": 0.05, "strategy": strategy, "order": "prob", "limit": 5}
+				const k = 5
+				topReq := map[string]any{"query": q, "alpha": 0.05, "strategy": strategy, "order": "prob", "limit": k}
 				_, sb = postMatch(t, single.URL, topReq)
 				sm, _ = matchesOf(t, sb)
 				_, rb = postMatch(t, routed.URL, topReq)
 				rm, _ = matchesOf(t, rb)
 				if !reflect.DeepEqual(sm, rm) {
 					t.Fatalf("shards=%d strategy=%s top-K mismatch for %q", shards, strategy, q)
+				}
+				var top MatchResponse
+				if err := json.Unmarshal(rb, &top); err != nil {
+					t.Fatal(err)
+				}
+				if top.Partial || len(rm) != min(k, sres.NumMatches) {
+					t.Fatalf("shards=%d strategy=%s top-%d for %q: partial=%v, %d matches of %d",
+						shards, strategy, k, q, top.Partial, len(rm), sres.NumMatches)
 				}
 
 				// Probability-ordered stream: exact global order from the
@@ -252,6 +266,9 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 				}
 			}
 		}
+	}
+	if matched == 0 {
+		t.Fatal("no test query matched: every comparison above was between empty answers")
 	}
 }
 

@@ -117,7 +117,10 @@ func TestBatchAccountingInvariant(t *testing.T) {
 // TestCostAdmission verifies the cost-based admission tier end to end: with
 // the budget placed between the plan costs of a cheap and an expensive
 // query, the cheap one is served and the expensive one gets 429 +
-// Retry-After, counted as cost_rejected (not shed, not failed).
+// Retry-After, counted as cost_rejected (not shed, not failed). Its two
+// servers share a process, so it also holds each server to a metrics
+// registry of its own: the second one's peg_requests_total starts at zero
+// after the first has served requests.
 func TestCostAdmission(t *testing.T) {
 	// A longer path over the same alphabet: strictly more stages to plan
 	// and join, hence a strictly larger cost estimate.
@@ -141,7 +144,27 @@ func TestCostAdmission(t *testing.T) {
 		t.Fatalf("expensive query cost %v not above cheap query cost %v", pricey, cheap)
 	}
 
+	requestsTotal := func(url string) float64 {
+		t.Helper()
+		_, page := getRaw(t, url+"/metrics")
+		sum := 0.0
+		for _, line := range strings.Split(string(page), "\n") {
+			if !strings.HasPrefix(line, "peg_requests_total{") {
+				continue
+			}
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			sum += v
+		}
+		return sum
+	}
+
 	s2, ts2 := testServer(t, Options{Workers: 2, MaxPlanCost: (cheap + pricey) / 2})
+	if first, second := requestsTotal(ts.URL), requestsTotal(ts2.URL); first != 2 || second != 0 {
+		t.Fatalf("peg_requests_total: first server %v (want 2), new second server %v (want 0)", first, second)
+	}
 	resp, body := postJSON(t, ts2.URL+"/match", &MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cheap query status = %d, want 200 (%s)", resp.StatusCode, body)
@@ -170,6 +193,9 @@ func TestCostAdmission(t *testing.T) {
 		t.Errorf("failed = %d, want 0", got)
 	}
 	checkAccounting(t, s2)
+	if got := requestsTotal(ts2.URL); got != 3 {
+		t.Errorf("second server peg_requests_total = %v, want 3", got)
+	}
 
 	// /stats reports the new counters.
 	r, err := http.Get(ts2.URL + "/stats")
