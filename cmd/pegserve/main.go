@@ -2,8 +2,10 @@
 // snapshot, opens (or builds) the path index, and answers /match,
 // /match/stream, and /match/batch queries concurrently with a bounded worker
 // pool and per-generation result, plan and candidate caches (-cache,
-// -plan-cache, -cand-cache). /match accepts limit and order fields for
-// top-K retrieval; /match/stream emits NDJSON match lines incrementally as
+// -plan-cache, -cand-cache). -workers is the server's one CPU budget: that
+// many requests evaluate at once, each on one core (library callers size a
+// run with core.Options.Workers and Parallelism instead). /match accepts
+// limit and order fields for top-K retrieval; /match/stream emits NDJSON match lines incrementally as
 // the join enumeration finds them.
 //
 // With -live the server runs read-write: -dir holds a live database
@@ -48,9 +50,7 @@ func main() {
 		pgdPath  = flag.String("pgd", "", "input PGD file (required unless -live resumes an existing database)")
 		dir      = flag.String("dir", "", "index directory — or live database directory with -live (required)")
 		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "concurrent match evaluations (0 = GOMAXPROCS)")
-		matchPar = flag.Int("match-parallelism", 1, "join workers per match evaluation (capped at -workers; 1 = sequential join)")
-		matchWk  = flag.Int("match-workers", 1, "pre-join stage workers per match evaluation — parallel candidate retrieval, k-partite build, reduction (1 = sequential)")
+		workers  = flag.Int("workers", 0, "concurrent match evaluations, each on one core: the server's one CPU budget (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "request queue depth before 503 (0 = 4×workers)")
 		cache    = flag.Int("cache", 1024, "result cache entries (negative disables)")
 		plans    = flag.Int("plan-cache", 256, "plan cache entries (negative disables); repeat queries skip decomposition and planning")
@@ -80,10 +80,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opt := serverOptions(*workers, *matchPar, *matchWk, *queue, *cache, *plans, *timeout, *alpha)
-	opt.CandCacheSize = *cands
-	opt.DisableMetrics = !*metrics
-	opt.MaxPlanCost = *maxCost
+	opt := peg.ServerOptions{
+		Workers:          *workers,
+		QueueDepth:       *queue,
+		CacheEntries:     *cache,
+		PlanCacheEntries: *plans,
+		CandCacheSize:    *cands,
+		RequestTimeout:   *timeout,
+		DefaultAlpha:     *alpha,
+		MaxPlanCost:      *maxCost,
+		DisableMetrics:   !*metrics,
+	}
 	var export io.Writer // nil keeps spans ring-only
 	if *trace == "-" {
 		export = os.Stderr
@@ -225,17 +232,4 @@ func loadPGD(path string) *peg.PGD {
 		log.Fatal(err)
 	}
 	return d
-}
-
-func serverOptions(workers, matchPar, matchWk, queue, cache, plans int, timeout time.Duration, alpha float64) peg.ServerOptions {
-	return peg.ServerOptions{
-		Workers:          workers,
-		MatchParallelism: matchPar,
-		MatchWorkers:     matchWk,
-		QueueDepth:       queue,
-		CacheEntries:     cache,
-		PlanCacheEntries: plans,
-		RequestTimeout:   timeout,
-		DefaultAlpha:     alpha,
-	}
 }

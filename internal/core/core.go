@@ -17,7 +17,6 @@ import (
 	"iter"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/candidates"
 	"repro/internal/decompose"
@@ -134,7 +133,7 @@ type Options struct {
 	// Parallelism is the number of join-enumeration workers of a retained
 	// run — Match/MatchPlan, and any OrderByProb stream — in the final match
 	// generation stage (Section 5.2.5): 0 or 1 = sequential on the calling
-	// goroutine, the same default the server applies. With more, the first
+	// goroutine, as the server runs every request. With more, the first
 	// join level is split into morsels consumed by the workers, each with
 	// its own allocation-free scratch state and its own store of what it
 	// found; the answer is bitwise the same at every value, and the time
@@ -261,7 +260,6 @@ func Explain(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Optio
 // decreasing probability — the same answer at any Parallelism. It is
 // Prepare followed by MatchPlan.
 func Match(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Options) (*Result, error) {
-	start := time.Now()
 	pl, err := Prepare(ctx, ix, q, opt)
 	if err != nil {
 		return nil, err
@@ -270,21 +268,25 @@ func Match(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Options
 	if err != nil {
 		return nil, err
 	}
-	billPlanning(&res.Stats, pl, start)
+	BillPlanning(&res.Stats, pl)
 	return res, nil
 }
 
-// billPlanning adds the planning that ran in this call to the run's stats;
-// a cached-plan execution (MatchPlan, MatchStreamPlan directly) reports
-// zero there.
-func billPlanning(st *Stats, pl *plan.Plan, start time.Time) {
+// BillPlanning adds the planning that ran for a run of pl to the run's
+// stats: the plan and decompose times, a leading "plan" stage row, and the
+// plan time in Total, so the stage times keep summing within it. Match and
+// MatchStream call it, and so does a caller that prepares through a plan
+// cache of its own, on a miss. A run of a cached plan (MatchPlan,
+// MatchStreamPlan directly) reports none of it: that is the work the cache
+// skips.
+func BillPlanning(st *Stats, pl *plan.Plan) {
 	st.PlanTime = pl.PlanTime
 	st.DecomposeTime = pl.DecomposeTime
 	st.Stages = append([]plan.StageStats{{
 		Name:   "plan",
 		Micros: plan.Micros(pl.PlanTime),
 	}}, st.Stages...)
-	st.Total = time.Since(start)
+	st.Total += pl.PlanTime
 }
 
 // MatchStream answers the same query as Match but drives a per-match yield
@@ -296,7 +298,6 @@ func billPlanning(st *Stats, pl *plan.Plan, start time.Time) {
 // happened; on error the partial results already yielded should be
 // discarded. It is Prepare followed by MatchStreamPlan.
 func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Options, yield func(join.Match) bool) (Stats, error) {
-	start := time.Now()
 	pl, err := Prepare(ctx, ix, q, opt)
 	if err != nil {
 		return Stats{}, err
@@ -305,7 +306,7 @@ func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt O
 	if err != nil {
 		return st, err
 	}
-	billPlanning(&st, pl, start)
+	BillPlanning(&st, pl)
 	return st, nil
 }
 

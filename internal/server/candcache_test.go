@@ -45,7 +45,7 @@ func streamOnce(t *testing.T, url string) string {
 // the second evaluation served from the candidate cache — the serving-tier
 // contract the CI smoke asserts through the real binary.
 func TestCandCacheServesRepeatShapes(t *testing.T) {
-	s, ts := testServer(t, Options{Workers: 2, MatchWorkers: 2})
+	s, ts := testServer(t, Options{Workers: 2})
 
 	first := streamOnce(t, ts.URL)
 	second := streamOnce(t, ts.URL)
@@ -89,8 +89,8 @@ func TestCandCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestCandCacheStressLiveSwap: parallel pre-join evaluations
-// (MatchWorkers > 1) race live ingest batches, each of which publishes a new
+// TestCandCacheStressLiveSwap: concurrent evaluations sharing the candidate
+// cache race live ingest batches, each of which publishes a new
 // generation — retiring the old candidate cache, whose counters are the
 // server's — while dirty views bypass caching entirely. The assertions are
 // (1) no request ever fails, (2) the final post-publish answer reflects the

@@ -53,7 +53,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"End-to-end request latency by endpoint.", "endpoint",
 			metrics.ExpBuckets(1e-4, 4, 11)),
 		stages: metrics.NewHistogramVec("peg_stage_duration_seconds",
-			"Executor stage latency (plan, decompose, candidates, reduce, join, total).",
+			"Stage latency of fresh executions: each stage row (plan on a plan-cache miss, candidates, build, reduce, join), plus decompose and total.",
 			"stage", metrics.ExpBuckets(1e-5, 4, 12)),
 		planCost: metrics.NewHistogram("peg_plan_cost",
 			"Calibrated planner cost estimate of admitted-or-rejected executions (cost-model units).",
@@ -215,25 +215,23 @@ func TraceCollectors(stats func() trace.Stats) []metrics.Collector {
 	}
 }
 
-// observeStages feeds one fresh (non-cached) execution's stage timings into
-// the stage histograms. Plan and decompose are zero on a plan-cache hit —
-// those stages did not run, so they are not observed.
+// observeStages feeds one fresh (non-cached) execution's stats into the
+// stage histograms: every stage row once under its own name, plus the
+// decomposition share of planning and the run's total. A plan-cache hit
+// has no plan row and zero decompose time — planning did not run, so it is
+// not observed.
 func (m *serverMetrics) observeStages(st *MatchStats) {
-	if st.PlanMicros > 0 {
-		m.stages.WithLabelValue("plan").Observe(st.PlanMicros / 1e6)
+	for i := range st.Stages {
+		sg := &st.Stages[i]
+		m.stages.WithLabelValue(sg.Name).Observe(sg.Micros / 1e6)
+		if sg.Name == "reduce" && sg.Skipped != "" {
+			m.skipped.Inc()
+		}
 	}
 	if st.DecomposeMicros > 0 {
 		m.stages.WithLabelValue("decompose").Observe(st.DecomposeMicros / 1e6)
 	}
-	m.stages.WithLabelValue("candidates").Observe(st.CandidateMicros / 1e6)
-	m.stages.WithLabelValue("reduce").Observe(st.ReduceMicros / 1e6)
-	m.stages.WithLabelValue("join").Observe(st.JoinMicros / 1e6)
 	m.stages.WithLabelValue("total").Observe(st.TotalMicros / 1e6)
-	for i := range st.Stages {
-		if st.Stages[i].Name == "reduce" && st.Stages[i].Skipped != "" {
-			m.skipped.Inc()
-		}
-	}
 }
 
 // liveCollector renders the live-database families from one Status() call

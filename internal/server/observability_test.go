@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixtures"
 	"repro/internal/plan"
+	"repro/internal/query"
 	"repro/internal/trace"
 )
 
@@ -210,6 +211,107 @@ func TestCostAdmission(t *testing.T) {
 	}
 	if st.CostRejected != 2 {
 		t.Errorf("/stats cost_rejected = %d, want 2", st.CostRejected)
+	}
+}
+
+// TestMalformedRequestsCounted: a request to /match, /match/stream or
+// /explain that fails before it reaches the served index — a body that does
+// not decode, a wrong method — is counted and settles as failed, on /stats
+// and on /metrics.
+func TestMalformedRequestsCounted(t *testing.T) {
+	s, ts := testServer(t, Options{Workers: 2})
+	for _, c := range []struct{ endpoint, label string }{
+		{"/match", "match"}, {"/match/stream", "stream"}, {"/explain", "explain"},
+	} {
+		before := s.failed.Load()
+		resp, err := http.Post(ts.URL+c.endpoint, "application/json", strings.NewReader("{garbage"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("garbage JSON to %s: status %d, want 400", c.endpoint, resp.StatusCode)
+		}
+		if resp, err = http.Get(ts.URL + c.endpoint); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("GET %s: status %d, want 405", c.endpoint, resp.StatusCode)
+		}
+		if got := s.failed.Load() - before; got != 2 {
+			t.Errorf("%s: failed moved by %d after a garbage body and a GET, want 2", c.endpoint, got)
+		}
+		_, page := getRaw(t, ts.URL+"/metrics")
+		if want := fmt.Sprintf("peg_requests_total{endpoint=%q,outcome=\"failed\"} 2", c.label); !strings.Contains(string(page), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	var st StatsResponse
+	if _, body := getRaw(t, ts.URL+"/stats"); json.Unmarshal(body, &st) != nil || st.Failed != 6 || st.Requests != 6 {
+		t.Errorf("/stats requests %d failed %d, want 6 and 6", st.Requests, st.Failed)
+	}
+	checkAccounting(t, s)
+}
+
+// TestServerBillsPlanningLikeCore: /match reports the stage rows
+// core.Match reports for the same query when it plans — a leading plan row,
+// then the executor's — and no plan row or plan_us when it reuses a cached
+// plan. Every row of the fresh run lands in peg_stage_duration_seconds under
+// its own name, build included, and plan is observed once.
+func TestServerBillsPlanningLikeCore(t *testing.T) {
+	s, ts := testServer(t, Options{CacheEntries: -1})
+	req := MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha}
+	names := func(rows []plan.StageStats) []string {
+		var out []string
+		for _, r := range rows {
+			out = append(out, r.Name)
+		}
+		return out
+	}
+	si, release := s.acquireIndex()
+	q, err := query.ParseString(req.Query, si.ix.Graph().Alphabet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := core.Match(context.Background(), si.ix, q, core.Options{Alpha: req.Alpha})
+	release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join(names(lib.Stats.Stages), ",")
+	if want != "plan,candidates,build,reduce,join" {
+		t.Fatalf("core.Match stages %s", want)
+	}
+
+	var miss, hit MatchResponse
+	for _, res := range []*MatchResponse{&miss, &hit} {
+		resp, body := postJSON(t, ts.URL+"/match", req)
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, res) != nil {
+			t.Fatalf("match: HTTP %d: %s", resp.StatusCode, body)
+		}
+	}
+	if miss.PlanCached || !hit.PlanCached {
+		t.Fatalf("plan_cached %v then %v, want a miss then a hit", miss.PlanCached, hit.PlanCached)
+	}
+	if got := strings.Join(names(miss.Stats.Stages), ","); got != want {
+		t.Errorf("plan-cache miss: /match stages %s, core.Match %s", got, want)
+	}
+	if miss.Stats.PlanMicros <= 0 || miss.Stats.Stages[0].Micros != miss.Stats.PlanMicros {
+		t.Errorf("plan-cache miss: plan_us %v, plan row %v", miss.Stats.PlanMicros, miss.Stats.Stages[0].Micros)
+	}
+	if got := strings.Join(names(hit.Stats.Stages), ","); got != "candidates,build,reduce,join" {
+		t.Errorf("plan-cache hit: /match stages %s, want no plan row", got)
+	}
+	if hit.Stats.PlanMicros != 0 {
+		t.Errorf("plan-cache hit: plan_us %v, want omitted", hit.Stats.PlanMicros)
+	}
+
+	_, page := getRaw(t, ts.URL+"/metrics")
+	for stage, n := range map[string]int{"plan": 1, "decompose": 1, "candidates": 2, "build": 2, "reduce": 2, "join": 2, "total": 2} {
+		if want := fmt.Sprintf("peg_stage_duration_seconds_count{stage=%q} %d", stage, n); !strings.Contains(string(page), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }
 

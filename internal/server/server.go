@@ -71,8 +71,10 @@ import (
 // Options configures a Server.
 type Options struct {
 	// Workers bounds how many match evaluations run concurrently
-	// (0 = GOMAXPROCS). This is the admission-control knob: the index itself
-	// imposes no reader limit.
+	// (0 = GOMAXPROCS), each on one core: the pool is the server's one CPU
+	// budget, so a request never fans out to take cores from the others.
+	// This is the admission-control knob: the index itself imposes no
+	// reader limit.
 	Workers int
 	// QueueDepth is how many requests may wait for a worker slot before the
 	// server sheds load with 503 (0 = 4×Workers).
@@ -84,18 +86,6 @@ type Options struct {
 	RequestTimeout time.Duration
 	// DefaultAlpha is used when a request omits alpha (0 = 0.25).
 	DefaultAlpha float64
-	// MatchWorkers is the intra-query stage parallelism handed to core.Match
-	// for candidate pruning and search-space reduction (0 = 1; the pool
-	// already provides inter-query parallelism, so oversubscribing cores per
-	// request is opt-in).
-	MatchWorkers int
-	// MatchParallelism is the per-request join parallelism
-	// (core.Options.Parallelism): how many morsel workers one match
-	// evaluation may fan out to (0 = 1, the sequential join). It is capped
-	// at Workers so a single request can never exceed the CPU budget the
-	// admission-control pool was sized for; under a saturated pool, total
-	// join workers are still bounded by Workers × MatchParallelism.
-	MatchParallelism int
 	// PlanCacheEntries sizes the LRU plan cache (0 = 256, negative
 	// disables). Cached plans are keyed by query fingerprint + α +
 	// strategy, so repeat queries — including /match/stream requests, which
@@ -147,15 +137,6 @@ func (o *Options) normalize() {
 	}
 	if o.DefaultAlpha <= 0 || o.DefaultAlpha > 1 {
 		o.DefaultAlpha = 0.25
-	}
-	if o.MatchWorkers <= 0 {
-		o.MatchWorkers = 1
-	}
-	if o.MatchParallelism <= 0 {
-		o.MatchParallelism = 1
-	}
-	if o.MatchParallelism > o.Workers {
-		o.MatchParallelism = o.Workers
 	}
 	if o.PlanCacheEntries == 0 {
 		o.PlanCacheEntries = 256
@@ -729,7 +710,7 @@ const maxIngestBatch = 4096
 // distinguishes "server runs read-only" from transient failures.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
+		writeError(w, errPostRequired)
 		return
 	}
 	db := s.liveDB()
@@ -779,63 +760,95 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &res)
 }
 
+// answerFunc is an endpoint's own part of the request path: it gets the
+// request pinned to a served generation, parsed and under its deadline,
+// and returns the response the request settles with (nil for /explain)
+// and reply, which writes the answer once the request has settled. With no
+// reply, serve writes the error, or else the response as JSON.
+type answerFunc func(ctx context.Context, si *servedIndex, p *matchParams) (res *MatchResponse, reply func(), err error)
+
+// errPostRequired answers an endpoint that takes a request body called
+// with any other method.
+var errPostRequired = &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"}
+
+// serve is the one request path of /match, /match/stream and /explain. It
+// counts the request before anything can fail — a wrong method or a body
+// that does not decode settles as failed like any other error — opens the
+// root span, decodes the body and hands it to answer through do. The
+// request settles exactly once, before its reply goes out, so a client
+// that has read the answer finds it counted.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, answer answerFunc) {
+	s.requests.Add(1)
+	start := time.Now()
+	ctx, sp := s.startRequestSpan(r, "serve."+endpoint)
+	var (
+		req   MatchRequest
+		res   *MatchResponse
+		reply func()
+		err   error
+	)
+	if r.Method != http.MethodPost {
+		err = errPostRequired
+	} else if derr := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); derr != nil {
+		err = decodeError(derr)
+	} else {
+		s.captureHTTP(r, &req)
+		res, reply, err = s.do(ctx, &req, answer)
+	}
+	s.finishRequest(endpoint, start, sp, &req, res, err)
+	switch {
+	case reply != nil:
+		reply()
+	case err != nil:
+		writeError(w, err)
+	default:
+		writeJSON(w, http.StatusOK, res)
+	}
+}
+
+// do pins the served generation, parses req against it and runs answer
+// under the request's deadline: the part of the request path a batch item
+// shares with the endpoints.
+func (s *Server) do(ctx context.Context, req *MatchRequest, answer answerFunc) (*MatchResponse, func(), error) {
+	si, release := s.acquireIndex()
+	defer release()
+	if si == nil {
+		return nil, nil, errNotReady
+	}
+	p, err := s.parseParams(si.ix, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The deadline starts before the queue so RequestTimeout caps the whole
+	// wall clock — a request stuck behind a saturated pool, or waiting on an
+	// identical in-flight request, times out rather than hanging for the
+	// wait plus a full match budget.
+	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req))
+	defer cancel()
+	return answer(ctx, si, p)
+}
+
 // handleMatchStream answers one match request as NDJSON: one StreamEvent
 // line per match, flushed as the join enumeration finds it, then a terminal
 // done (or error) line. Streaming responses bypass the result cache — the
 // point is first-match latency, which a buffered cache entry cannot
 // improve — but share the worker pool and admission control with /match.
 func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
-		return
-	}
-	var req MatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, decodeError(err))
-		return
-	}
-	s.captureHTTP(r, &req)
-	sctx, sp := s.startRequestSpan(r, "serve.stream")
-	s.requests.Add(1)
-	start := time.Now()
-	fail := func(err error) {
-		s.finishRequest("stream", start, sp, &req, nil, err)
-		writeError(w, err)
-	}
-	si, release := s.acquireIndex()
-	defer release()
-	if si == nil {
-		fail(errNotReady)
-		return
-	}
-	p, err := s.parseParams(si.ix, &req)
-	if err != nil {
-		fail(err)
-		return
-	}
+	s.serve(w, r, "stream", func(ctx context.Context, si *servedIndex, p *matchParams) (*MatchResponse, func(), error) {
+		return s.stream(ctx, w, si, p)
+	})
+}
 
-	ctx, cancel := context.WithTimeout(sctx, s.requestTimeout(&req))
-	defer cancel()
-	if err := s.acquireTraced(ctx); err != nil {
-		fail(err)
-		return
+// stream is /match/stream's part of the request path. Streams never hit
+// the result cache, so the plan cache is what a repeat streaming query
+// saves on, and every stream is a fresh execution that goes through
+// cost-based admission.
+func (s *Server) stream(ctx context.Context, w http.ResponseWriter, si *servedIndex, p *matchParams) (*MatchResponse, func(), error) {
+	pl, planCached, err := s.planned(ctx, si, p, true)
+	if err != nil {
+		return nil, nil, err
 	}
 	defer func() { <-s.sem }()
-
-	// Plan under the worker slot (a cache hit skips planning entirely);
-	// /match/stream bypasses the result cache, so the plan cache is what a
-	// repeat streaming query saves on.
-	pl, planCached, perr := s.plannedFor(ctx, si, p)
-	if perr != nil {
-		fail(perr)
-		return
-	}
-	// Streams never hit the result cache, so every stream is a fresh
-	// execution and goes through cost-based admission.
-	if aerr := s.admit(pl); aerr != nil {
-		fail(aerr)
-		return
-	}
 
 	// Bound every event write by the request deadline: a client that stops
 	// reading mid-stream blocks the handler inside a write, where the ctx
@@ -855,7 +868,7 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	clientGone := false
 	n := 0
 	execStart := time.Now()
-	st, matchErr := core.MatchStreamPlan(ctx, si.ix, pl, p.options(&s.opt, si), func(m join.Match) bool {
+	st, err := core.MatchStreamPlan(ctx, si.ix, pl, p.options(si), func(m join.Match) bool {
 		e := matchEntry(m)
 		if err := enc.Encode(&StreamEvent{Match: &e}); err != nil {
 			clientGone = true
@@ -867,46 +880,33 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		n++
 		return true
 	})
-	s.stageSpans(ctx, execStart, st.Stages)
-	if clientGone {
+	s.executed(ctx, execStart, &st, pl, planCached)
+	switch {
+	case clientGone:
 		// The event write failed because the client stopped reading or went
 		// away mid-stream. That is the client's choice, not a server fault:
-		// bill it as canceled, never failed.
-		gone := &httpError{status: 499, msg: "client closed connection mid-stream"}
-		s.finishRequest("stream", start, sp, &req, nil, gone)
-		return
-	}
-	if matchErr != nil {
-		herr := matchError(matchErr)
-		s.finishRequest("stream", start, sp, &req, nil, herr)
+		// bill it as canceled, never failed, and write nothing more.
+		return nil, func() {}, &httpError{status: 499, msg: "client closed connection mid-stream"}
+	case err != nil:
+		herr := matchError(err)
 		if n == 0 {
-			// Nothing on the wire yet: answer with a real HTTP status
+			// Nothing on the wire yet: serve answers with a real HTTP status
 			// (writeError resets the Content-Type).
-			writeError(w, herr)
-			return
+			return nil, nil, herr
 		}
-		_ = enc.Encode(&StreamEvent{Error: herr.msg})
-		return
+		return nil, func() { _ = enc.Encode(&StreamEvent{Error: herr.msg}) }, herr
 	}
-	if !planCached {
-		// Planning ran in this request; bill it in the terminal stats like
-		// /match does, Total included, so stream and buffered latencies —
-		// and plan-cache effectiveness — stay comparable.
-		st.PlanTime = pl.PlanTime
-		st.DecomposeTime = pl.DecomposeTime
-		st.Total += pl.PlanTime
-	}
-	stj := statsJSON(st)
-	s.finishRequest("stream", start, sp, &req,
-		&MatchResponse{NumMatches: n, PlanCached: planCached, Truncated: st.Truncated, Stats: stj}, nil)
-	_ = enc.Encode(&StreamEvent{Done: &StreamDone{
-		NumMatches: n,
-		Truncated:  st.Truncated,
-		Alpha:      p.alpha,
-		Strategy:   p.stratName,
-		PlanCached: planCached,
-		Stats:      stj,
-	}})
+	res := &MatchResponse{NumMatches: n, PlanCached: planCached, Truncated: st.Truncated, Stats: statsJSON(st)}
+	return res, func() {
+		_ = enc.Encode(&StreamEvent{Done: &StreamDone{
+			NumMatches: n,
+			Truncated:  st.Truncated,
+			Alpha:      p.alpha,
+			Strategy:   p.stratName,
+			PlanCached: planCached,
+			Stats:      res.Stats,
+		}})
+	}, nil
 }
 
 // ExplainResponse answers POST /explain: the plan tree the query would
@@ -931,82 +931,30 @@ type ExplainResponse struct {
 // do not change the plan — order and limit only decide whether a run of it
 // skips the reduction and links by key, which the response reports.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
-		return
-	}
-	var req MatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, decodeError(err))
-		return
-	}
-	s.captureHTTP(r, &req)
-	sctx, sp := s.startRequestSpan(r, "serve.explain")
-	s.requests.Add(1)
-	start := time.Now()
-	fail := func(err error) {
-		s.finishRequest("explain", start, sp, &req, nil, err)
-		writeError(w, err)
-	}
-	si, release := s.acquireIndex()
-	defer release()
-	if si == nil {
-		fail(errNotReady)
-		return
-	}
-	p, err := s.parseParams(si.ix, &req)
-	if err != nil {
-		fail(err)
-		return
-	}
-	// Planning enumerates every simple path of the query (exponential in
-	// query size), so /explain runs under the same admission control and
-	// request deadline as the compute endpoints — a burst of explains must
-	// not starve the match traffic the pool was sized for. It is NOT subject
-	// to cost-based admission: asking what a query would cost must stay
-	// answerable precisely when the answer is "too much".
-	ctx, cancel := context.WithTimeout(sctx, s.requestTimeout(&req))
-	defer cancel()
-	if err := s.acquireTraced(ctx); err != nil {
-		fail(err)
-		return
-	}
-	defer func() { <-s.sem }()
-	pl, cached, perr := s.plannedFor(ctx, si, p)
-	if perr != nil {
-		fail(perr)
-		return
-	}
-	s.finishRequest("explain", start, sp, &req, nil, nil)
-	writeJSON(w, http.StatusOK, &ExplainResponse{Plan: pl.Tree, Cached: cached, ReduceSkipped: pl.ReduceSkipped(p.order, p.limit), Links: plan.Links(p.order, p.limit)})
+	s.serve(w, r, "explain", func(ctx context.Context, si *servedIndex, p *matchParams) (*MatchResponse, func(), error) {
+		// Planning enumerates every simple path of the query (exponential in
+		// query size), so /explain plans under a worker slot and the request
+		// deadline like the compute endpoints — a burst of explains must not
+		// starve the match traffic the pool was sized for. It is NOT subject
+		// to cost-based admission: asking what a query would cost must stay
+		// answerable precisely when the answer is "too much".
+		pl, cached, err := s.planned(ctx, si, p, false)
+		if err != nil {
+			return nil, nil, err
+		}
+		<-s.sem
+		ex := &ExplainResponse{Plan: pl.Tree, Cached: cached, ReduceSkipped: pl.ReduceSkipped(p.order, p.limit), Links: plan.Links(p.order, p.limit)}
+		return nil, func() { writeJSON(w, http.StatusOK, ex) }, nil
+	})
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
-		return
-	}
-	var req MatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, decodeError(err))
-		return
-	}
-	s.captureHTTP(r, &req)
-	ctx, sp := s.startRequestSpan(r, "serve.match")
-	s.requests.Add(1)
-	start := time.Now()
-	res, err := s.evaluate(ctx, &req)
-	s.finishRequest("match", start, sp, &req, res, err)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	s.serve(w, r, "match", s.answer)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
+		writeError(w, errPostRequired)
 		return
 	}
 	var req BatchRequest
@@ -1030,9 +978,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Fan out through at most Workers goroutines: evaluate() also acquires
-	// the pool per item, so a batch respects the same admission control as
-	// loose requests and one batch cannot spawn unbounded work.
+	// Fan out through at most Workers goroutines: each item takes a worker
+	// slot like a loose /match, so a batch respects the same admission
+	// control as loose requests and one batch cannot spawn unbounded work.
 	out := BatchResponse{Results: make([]BatchItem, len(req.Queries))}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -1047,7 +995,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for i := range next {
 				s.requests.Add(1)
 				start := time.Now()
-				res, err := s.evaluate(ctx, &req.Queries[i])
+				res, _, err := s.do(ctx, &req.Queries[i], s.answer)
 				s.finishRequest("batch", start, nil, &req.Queries[i], res, err)
 				if err != nil {
 					out.Results[i] = BatchItem{Error: err.Error()}
@@ -1191,15 +1139,16 @@ type matchParams struct {
 
 // options maps the parsed request onto the core options for one evaluation
 // against one served generation (whose calibration receives the feedback
-// and whose candidate cache serves repeated query shapes).
-func (p *matchParams) options(opt *Options, si *servedIndex) core.Options {
+// and whose candidate cache serves repeated query shapes). Every stage runs
+// on one core: the worker pool, not the request, spends the server's CPU.
+func (p *matchParams) options(si *servedIndex) core.Options {
 	return core.Options{
 		Alpha:       p.alpha,
 		Strategy:    p.strat,
-		Workers:     opt.MatchWorkers,
+		Workers:     1,
 		Limit:       p.limit,
 		Order:       p.order,
-		Parallelism: opt.MatchParallelism,
+		Parallelism: 1,
 		Calibration: si.calib,
 		CandCache:   si.cands,
 	}
@@ -1223,12 +1172,16 @@ func (s *Server) requestTimeout(req *MatchRequest) time.Duration {
 	return timeout
 }
 
-// plannedFor returns the compiled plan for the request against one served
-// generation through its plan cache: a hit skips decomposition, cover
-// selection, and cost-model evaluation entirely. The boolean reports
-// whether the plan came from the cache (or from a concurrent identical
-// request's planning).
-func (s *Server) plannedFor(ctx context.Context, si *servedIndex, p *matchParams) (*plan.Plan, bool, error) {
+// planned takes a worker slot for the request and plans it against one
+// served generation through its plan cache — a hit skips decomposition,
+// cover selection and cost-model evaluation entirely — then, for a request
+// that will execute, runs cost-based admission. On success the caller holds
+// the slot and frees it with <-s.sem. The boolean reports whether the plan
+// came from the cache (or from a concurrent identical request's planning).
+func (s *Server) planned(ctx context.Context, si *servedIndex, p *matchParams, execute bool) (*plan.Plan, bool, error) {
+	if err := s.acquireTraced(ctx); err != nil {
+		return nil, false, err
+	}
 	traced := s.opt.Tracer != nil && trace.SpanFromContext(ctx).Sampled()
 	t0 := time.Now()
 	pl, hit, err := si.plans.Do(ctx, p.shape, func() (*plan.Plan, error) {
@@ -1236,19 +1189,39 @@ func (s *Server) plannedFor(ctx context.Context, si *servedIndex, p *matchParams
 			s.opt.Tracer.RecordSpan(ctx, "plan-cache", t0, time.Since(t0), map[string]string{"result": "miss"})
 		}
 		t1 := time.Now()
-		pl, err := core.Prepare(ctx, si.ix, p.q, p.options(&s.opt, si))
+		pl, err := core.Prepare(ctx, si.ix, p.q, p.options(si))
 		if traced {
 			s.opt.Tracer.RecordSpan(ctx, "plan", t1, time.Since(t1), nil)
 		}
 		return pl, err
 	})
 	if err != nil {
-		return nil, false, matchError(err)
-	}
-	if hit && traced {
+		err = matchError(err)
+	} else if hit && traced {
 		s.opt.Tracer.RecordSpan(ctx, "plan-cache", t0, time.Since(t0), map[string]string{"result": "hit"})
 	}
+	// Cost-based admission sits between planning and execution: a request
+	// that gets here missed or bypasses the result cache, so admitting it
+	// means paying the predicted cost for real.
+	if err == nil && execute {
+		err = s.admit(pl)
+	}
+	if err != nil {
+		<-s.sem
+		return nil, false, err
+	}
 	return pl, hit, nil
+}
+
+// executed records a run's stage rows as child spans and then bills the
+// planning this request ran, if it missed the plan cache: the stats carry
+// the plan row, while the trace already has the planning as the "plan" span
+// and gets no "stage.plan" span.
+func (s *Server) executed(ctx context.Context, execStart time.Time, st *core.Stats, pl *plan.Plan, planCached bool) {
+	s.stageSpans(ctx, execStart, st.Stages)
+	if !planCached {
+		core.BillPlanning(st, pl)
+	}
 }
 
 // acquireTraced takes a worker slot like acquire, recording the wait as an
@@ -1325,71 +1298,39 @@ func (s *Server) parseParams(ix pathindex.Reader, req *MatchRequest) (*matchPara
 	return p, nil
 }
 
-// evaluate runs one match request end to end: parse, then answer from the
-// generation's result cache, whose misses run compute.
-func (s *Server) evaluate(ctx context.Context, req *MatchRequest) (*MatchResponse, error) {
-	si, release := s.acquireIndex()
-	defer release()
-	if si == nil {
-		return nil, errNotReady
-	}
-	p, err := s.parseParams(si.ix, req)
-	if err != nil {
-		return nil, err
-	}
-	// The deadline starts before the queue so RequestTimeout caps the whole
-	// wall clock — a request stuck behind a saturated pool, or waiting on an
-	// identical in-flight request, times out rather than hanging for the
-	// wait plus a full match budget.
-	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req))
-	defer cancel()
+// answer is /match's part of the request path, and a batch item's: the
+// generation's result cache, whose misses run compute. It has no reply of
+// its own; serve writes the response.
+func (s *Server) answer(ctx context.Context, si *servedIndex, p *matchParams) (*MatchResponse, func(), error) {
 	// Concurrent identical cold requests share one computation: the first
 	// computes under a worker slot and the rest wait without taking one.
 	key := string(binary.AppendUvarint(append([]byte(p.shape), byte(p.order)), uint64(p.limit)))
 	res, hit, err := si.results.Do(ctx, key, func() (*MatchResponse, error) { return s.compute(ctx, si, p) })
 	if err != nil {
-		return nil, matchError(err)
+		return nil, nil, matchError(err)
 	}
 	if hit {
 		cached := *res
 		cached.Cached = true
-		return &cached, nil
+		return &cached, nil, nil
 	}
-	return res, nil
+	return res, nil, nil
 }
 
 // compute runs one match evaluation under a worker-pool slot: plan (or
 // reuse the cached plan), execute, convert.
 func (s *Server) compute(ctx context.Context, si *servedIndex, p *matchParams) (*MatchResponse, error) {
-	if err := s.acquireTraced(ctx); err != nil {
+	pl, planCached, err := s.planned(ctx, si, p, true)
+	if err != nil {
 		return nil, err
 	}
 	defer func() { <-s.sem }()
-
-	pl, planCached, err := s.plannedFor(ctx, si, p)
-	if err != nil {
-		return nil, err
-	}
-	// Cost-based admission sits between planning and execution: the request
-	// already got here past the result cache, so admitting it means paying
-	// the predicted cost for real.
-	if err := s.admit(pl); err != nil {
-		return nil, err
-	}
 	execStart := time.Now()
-	result, err := core.MatchPlan(ctx, si.ix, pl, p.options(&s.opt, si))
+	result, err := core.MatchPlan(ctx, si.ix, pl, p.options(si))
 	if err != nil {
 		return nil, matchError(err)
 	}
-	s.stageSpans(ctx, execStart, result.Stats.Stages)
-	if !planCached {
-		// Planning ran in this request; bill it in the stats — Total
-		// included, so the stage times keep summing within it (a plan-cache
-		// hit reports zero plan/decompose time, which is the point).
-		result.Stats.PlanTime = pl.PlanTime
-		result.Stats.DecomposeTime = pl.DecomposeTime
-		result.Stats.Total += pl.PlanTime
-	}
+	s.executed(ctx, execStart, &result.Stats, pl, planCached)
 
 	res := &MatchResponse{
 		NumMatches: len(result.Matches),

@@ -133,6 +133,11 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		names["plan"] != 1 || names["stage.candidates"] == 0 || names["stage.join"] == 0 {
 		t.Fatalf("span census %v missing expected request/planner/stage spans", names)
 	}
+	// The request billed its planning into the stats after the stage spans
+	// were recorded: the planner span is the trace of it, once.
+	if names["stage.plan"] != 0 {
+		t.Fatalf("span census %v: planning recorded as a stage span too", names)
+	}
 	if root.ParentID != clientSpan {
 		t.Fatalf("serve.match parented to %q, want the client span %q", root.ParentID, clientSpan)
 	}
