@@ -21,7 +21,6 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/decompose"
 	"repro/internal/join"
-	"repro/internal/kpartite"
 	"repro/internal/pathindex"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -352,45 +351,6 @@ func MatchPlan(ctx context.Context, ix pathindex.Reader, pl *plan.Plan, opt Opti
 		return nil, err
 	}
 	return &Result{Matches: ms, Stats: st}, nil
-}
-
-// ReductionStats isolates the joint search-space reduction for the Figure
-// 7(f) ablation: it runs decomposition, candidate generation, and k-partite
-// construction, then measures reduction by structure alone and the full
-// interleaved reduction.
-type ReductionStats struct {
-	SSBefore          float64
-	SSAfterStructure  float64
-	SSAfterUpperbound float64
-}
-
-// ProbeReduction runs the pipeline up to and including the joint reduction
-// and reports the per-method search-space sizes.
-func ProbeReduction(ctx context.Context, ix pathindex.Reader, q *query.Query, alpha float64, workers int) (ReductionStats, error) {
-	g := ix.Graph()
-	dec, err := decompose.Decompose(q, ix, decompose.Options{
-		MaxLen: ix.MaxLen(), Alpha: alpha, Mode: decompose.ModeOptimized,
-	})
-	if err != nil {
-		return ReductionStats{}, err
-	}
-	sets, _, err := candidates.Find(ctx, ix, q, dec, alpha, workers, nil)
-	if err != nil {
-		return ReductionStats{}, err
-	}
-	kg, err := kpartite.Build(ctx, g, q, dec, sets, alpha, workers)
-	if err != nil {
-		return ReductionStats{}, err
-	}
-	rst, err := kg.Reduce(ctx, workers)
-	if err != nil {
-		return ReductionStats{}, err
-	}
-	return ReductionStats{
-		SSBefore:          rst.SSBefore,
-		SSAfterStructure:  rst.SSAfterStructure,
-		SSAfterUpperbound: rst.SSAfterUpperbound,
-	}, nil
 }
 
 // MatchSeq is the Go-1.23 iterator form of MatchStream: it ranges over the

@@ -85,9 +85,9 @@ type Graph struct {
 	nl    int // |Σ|: the row length of labelP and the side of a CPT
 
 	// Adjacency: row v is adj[adjRow[v].lo:adjRow[v].hi], sorted by
-	// neighbour id. Build and Load lay the rows out back to back in id
-	// order; ApplyDelta writes each row it changes past the end of adj and
-	// repoints adjRow, so graphs along a delta chain share one adj array.
+	// neighbour id. Build lays the rows out back to back in id order;
+	// ApplyDelta writes each row it changes past the end of adj and repoints
+	// adjRow, so graphs along a delta chain share one adj array.
 	// cpts holds nl×nl probabilities per conditional edge, row-major,
 	// shared by the edge's two directions.
 	adjRow []span

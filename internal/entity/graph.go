@@ -216,7 +216,7 @@ func (g *Graph) Semantics() Semantics { return g.sem }
 // subset marginals are multiplied, in the order the components are first
 // seen. Duplicate ids are harmless. Returns 0 when two nodes share a
 // reference (they lie in one component, no configuration of which holds
-// both): the query stages' only overlap test, so Load checks it too. A component contributing a
+// both): the query stages' only overlap test. A component contributing a
 // single node multiplies that node's Exist — by construction MarginalAll of
 // its one-bit mask, bit for bit — without probing the component's memo; so
 // while every node is found alone in its component the product is taken as

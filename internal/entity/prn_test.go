@@ -1,7 +1,6 @@
 package entity
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -38,11 +37,10 @@ func prnByMemo(g *Graph, nodes []ID) float64 {
 	return p
 }
 
-// constructionPaths returns one seeded synthetic graph as each of the three
-// places that create nodes leaves it: built, incrementally maintained
-// (components shared with the old graph, entities appended) and reloaded from
-// a snapshot (Exist read back, not recomputed). appended reports how many
-// entities the delta added.
+// constructionPaths returns one seeded synthetic graph as each of the two
+// places that create nodes leaves it: built, and incrementally maintained
+// (components shared with the old graph, entities appended). appended
+// reports how many entities the delta added.
 func constructionPaths(t *testing.T, seed int64, rng *rand.Rand, opt BuildOptions) (graphs map[string]*Graph, appended int) {
 	t.Helper()
 	d, err := gen.Synthetic(gen.SynthOptions{
@@ -60,21 +58,13 @@ func constructionPaths(t *testing.T, seed int64, rng *rand.Rand, opt BuildOption
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := delta.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := Load(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Graph{"built": built, "delta": delta, "reloaded": reloaded}, delta.NumNodes() - built.NumNodes()
+	return map[string]*Graph{"built": built, "delta": delta}, delta.NumNodes() - built.NumNodes()
 }
 
 // TestPrnExistShortcutBitwise: Prn equals the all-memo path bit for bit on
 // random node sets — drawn so that components are often shared between
 // several nodes of a set, and with duplicates — over graphs that were built,
-// incrementally maintained, and reloaded from a snapshot.
+// and incrementally maintained.
 func TestPrnExistShortcutBitwise(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed * 17))

@@ -12,7 +12,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/gen"
+	"repro/internal/join"
 	"repro/internal/pathindex"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/sqlbase"
 )
@@ -375,12 +377,19 @@ func (h *Harness) RunFig7f(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			st, err := core.ProbeReduction(context.Background(), ix, q, 0.1, 0)
+			// The paper's default pipeline (the zero plan.Space) up to the
+			// reduction; the join stops at its first match.
+			ctx := context.Background()
+			pl, err := plan.NewPlanner(ix, nil).Plan(ctx, q, plan.Options{Alpha: 0.1})
 			if err != nil {
 				return err
 			}
-			rowST = append(rowST, fmtRatio(st.SSAfterStructure, st.SSBefore))
-			rowUP = append(rowUP, fmtRatio(st.SSAfterUpperbound, st.SSBefore))
+			st, err := plan.NewExecutor(ix, nil).Run(ctx, pl, plan.Exec{}, func(join.Match) bool { return false })
+			if err != nil {
+				return err
+			}
+			rowST = append(rowST, fmtRatio(st.SSAfterStructure, st.SSContext))
+			rowUP = append(rowUP, fmtRatio(st.SSFinal, st.SSContext))
 		}
 		t.add(rowST...)
 		t.add(rowUP...)

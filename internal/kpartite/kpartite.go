@@ -757,16 +757,6 @@ func (kg *Graph) Reduce(ctx context.Context, workers int) (Stats, error) {
 	return st, nil
 }
 
-// ReduceStructureOnly runs only the structural fixpoint (used by the
-// Figure 7(f) ablation).
-func (kg *Graph) ReduceStructureOnly() Stats {
-	st := Stats{SSBefore: kg.SearchSpace()}
-	kg.reduceStructure(nil)
-	st.SSAfterStructure = kg.SearchSpace()
-	st.SSAfterUpperbound = st.SSAfterStructure
-	return st
-}
-
 // reduceStructure kills vertices lacking a link into some required partition
 // until fixpoint, propagating removals with a worklist of (partition,
 // vertex) pairs. A vertex enters the list when it dies, so a list sized from

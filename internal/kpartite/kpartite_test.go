@@ -110,8 +110,13 @@ func TestReductionByStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := kg.ReduceStructureOnly()
-	if st.SSBefore != 2 || st.SSAfterStructure != 1 {
+	// Upper bounds kill nothing at W1 = W2 = 1, α = 0.1: every death is
+	// structural.
+	st, err := kg.Reduce(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SSBefore != 2 || st.SSAfterStructure != 1 || st.SSAfterUpperbound != 1 {
 		t.Errorf("ST: %v → %v, want 2 → 1", st.SSBefore, st.SSAfterStructure)
 	}
 	if kg.Alive(0, 1) {
@@ -138,7 +143,10 @@ func TestReductionByStructureCascades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := kg.ReduceStructureOnly()
+	st, err := kg.Reduce(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// P3's vertex has no link to P2 → dies; then P2's vertex loses its only
 	// P3 link → dies; then P1's vertex dies.
 	if st.SSAfterStructure != 0 {

@@ -381,7 +381,7 @@ func keyedMatchesLookup(t *testing.T, label string, eager, keyed *Graph, ref *lo
 				t.Fatalf("%s: the reduction ran over keyed links", label)
 			}
 		}()
-		keyed.ReduceStructureOnly()
+		keyed.Reduce(context.Background(), 1)
 	}()
 	return extra
 }

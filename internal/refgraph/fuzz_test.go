@@ -2,9 +2,11 @@ package refgraph
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/prob"
+	"repro/internal/storage/binio"
 )
 
 // seedSnapshot serializes a small but fully featured PGD (CPT edge, set,
@@ -38,6 +40,65 @@ func seedSnapshot(t *testing.T, edges string) []byte {
 	return buf.Bytes()
 }
 
+// countBombs are snapshots whose header promises a list far longer than the
+// bytes that follow: an alphabet of 2^31-1 labels, a reference with 2^31-1
+// label entries (48 bytes in all), and a set of 2^31-1 members.
+func countBombs() map[string][]byte {
+	const huge = 0x7fffffff
+	bomb := func(body func(w *binio.Writer)) []byte {
+		var buf bytes.Buffer
+		w := binio.NewWriter(&buf)
+		w.Str(magic)
+		w.U8(version)
+		w.Str("average")
+		w.Str("average")
+		body(w)
+		if err := w.Flush(); err != nil {
+			panic(err)
+		}
+		return buf.Bytes()
+	}
+	return map[string][]byte{
+		"labels": bomb(func(w *binio.Writer) { w.U32(huge) }),
+		"entries": bomb(func(w *binio.Writer) {
+			w.U32(1)
+			w.Str("a")
+			w.U32(1) // references
+			w.U32(huge)
+		}),
+		"members": bomb(func(w *binio.Writer) {
+			w.U32(1)
+			w.Str("a")
+			w.U32(0) // references
+			w.U32(0) // edges
+			w.U32(1) // sets
+			w.U32(huge)
+		}),
+	}
+}
+
+// TestLoadRejectsUnbackedCounts: Load sizes nothing from a count the input
+// has not backed, so each bomb is an error after a few bytes of allocation
+// rather than a multi-gigabyte request.
+func TestLoadRejectsUnbackedCounts(t *testing.T) {
+	bombs := countBombs()
+	if n := len(bombs["entries"]); n != 48 {
+		t.Fatalf("the entries bomb is %d bytes, want 48", n)
+	}
+	for name, data := range bombs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: Load accepted a %d-byte bomb", name, len(data))
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: Load allocated %d bytes for a %d-byte input", name, d, len(data))
+		}
+	}
+}
+
 // FuzzLoadPGD feeds arbitrary bytes to the snapshot loader: it must never
 // panic, and everything it accepts must round-trip — Save of the loaded PGD
 // must load again to an equivalent snapshot (same bytes on the second
@@ -48,6 +109,7 @@ func FuzzLoadPGD(f *testing.F) {
 	seedT := &testing.T{}
 	f.Add(seedSnapshot(seedT, "average"))
 	f.Add(seedSnapshot(seedT, "disjunct"))
+	f.Add(countBombs()["entries"])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Load(bytes.NewReader(data))

@@ -1,14 +1,12 @@
 package refgraph
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"repro/internal/prob"
+	"repro/internal/storage/binio"
 )
 
 // Binary snapshot format. A PGD file is the offline phase's input artifact
@@ -20,111 +18,31 @@ const (
 	version = 2
 )
 
-type binWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (b *binWriter) u8(v uint8) {
-	if b.err == nil {
-		b.err = b.w.WriteByte(v)
-	}
-}
-
-func (b *binWriter) u32(v uint32) {
-	if b.err == nil {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		_, b.err = b.w.Write(buf[:])
-	}
-}
-
-func (b *binWriter) f64(v float64) {
-	if b.err == nil {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		_, b.err = b.w.Write(buf[:])
-	}
-}
-
-func (b *binWriter) str(s string) {
-	b.u32(uint32(len(s)))
-	if b.err == nil {
-		_, b.err = b.w.WriteString(s)
-	}
-}
-
-type binReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (b *binReader) u8() uint8 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := b.r.ReadByte()
-	b.err = err
-	return v
-}
-
-func (b *binReader) u32() uint32 {
-	if b.err != nil {
-		return 0
-	}
-	var buf [4]byte
-	_, b.err = io.ReadFull(b.r, buf[:])
-	return binary.LittleEndian.Uint32(buf[:])
-}
-
-func (b *binReader) f64() float64 {
-	if b.err != nil {
-		return 0
-	}
-	var buf [8]byte
-	_, b.err = io.ReadFull(b.r, buf[:])
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-}
-
-func (b *binReader) str() string {
-	n := b.u32()
-	if b.err != nil {
-		return ""
-	}
-	if n > 1<<20 {
-		b.err = fmt.Errorf("refgraph: string length %d too large", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	_, b.err = io.ReadFull(b.r, buf)
-	return string(buf)
-}
-
 // Save writes the PGD as a versioned binary snapshot. The merge functions
 // are code and cannot be serialized; instead the header records their
 // registry identifiers (see SetNamedMerge) so Load can re-resolve them —
 // or fail loudly instead of silently restoring defaults when the PGD
 // carried unregistered custom functions.
 func (g *PGD) Save(w io.Writer) error {
-	bw := &binWriter{w: bufio.NewWriter(w)}
-	bw.str(magic)
-	bw.u8(version)
-	bw.str(g.mergeLabelName)
-	bw.str(g.mergeEdgeName)
+	bw := binio.NewWriter(w)
+	bw.Str(magic)
+	bw.U8(version)
+	bw.Str(g.mergeLabelName)
+	bw.Str(g.mergeEdgeName)
 
 	names := g.alphabet.Names()
-	bw.u32(uint32(len(names)))
+	bw.U32(uint32(len(names)))
 	for _, n := range names {
-		bw.str(n)
+		bw.Str(n)
 	}
 
-	bw.u32(uint32(len(g.labels)))
+	bw.U32(uint32(len(g.labels)))
 	for _, d := range g.labels {
 		es := d.Entries()
-		bw.u32(uint32(len(es)))
+		bw.U32(uint32(len(es)))
 		for _, e := range es {
-			bw.u32(uint32(e.Label))
-			bw.f64(e.P)
+			bw.U32(uint32(e.Label))
+			bw.F64(e.P)
 		}
 	}
 
@@ -140,29 +58,29 @@ func (g *PGD) Save(w io.Writer) error {
 		}
 		return keys[i].B < keys[j].B
 	})
-	bw.u32(uint32(len(keys)))
+	bw.U32(uint32(len(keys)))
 	for _, k := range keys {
 		e := g.edges[k]
-		bw.u32(uint32(k.A))
-		bw.u32(uint32(k.B))
-		bw.f64(e.P)
+		bw.U32(uint32(k.A))
+		bw.U32(uint32(k.B))
+		bw.F64(e.P)
 		if e.CPT != nil {
-			bw.u8(1)
+			bw.U8(1)
 			for _, p := range e.CPT {
-				bw.f64(p)
+				bw.F64(p)
 			}
 		} else {
-			bw.u8(0)
+			bw.U8(0)
 		}
 	}
 
-	bw.u32(uint32(len(g.sets)))
+	bw.U32(uint32(len(g.sets)))
 	for _, s := range g.sets {
-		bw.u32(uint32(len(s.Members)))
+		bw.U32(uint32(len(s.Members)))
 		for _, m := range s.Members {
-			bw.u32(uint32(m))
+			bw.U32(uint32(m))
 		}
-		bw.f64(s.P)
+		bw.F64(s.P)
 	}
 
 	refs := make([]RefID, 0, len(g.singletonPrior))
@@ -170,16 +88,16 @@ func (g *PGD) Save(w io.Writer) error {
 		refs = append(refs, r)
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	bw.u32(uint32(len(refs)))
+	bw.U32(uint32(len(refs)))
 	for _, r := range refs {
-		bw.u32(uint32(r))
-		bw.f64(g.singletonPrior[r])
+		bw.U32(uint32(r))
+		bw.F64(g.singletonPrior[r])
 	}
 
-	if bw.err != nil {
-		return fmt.Errorf("refgraph: save: %w", bw.err)
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("refgraph: save: %w", err)
 	}
-	return bw.w.Flush()
+	return nil
 }
 
 // Load reads a PGD binary snapshot written by Save. Version 2 snapshots
@@ -189,36 +107,39 @@ func (g *PGD) Save(w io.Writer) error {
 // restoring the defaults would silently change every merged probability.
 // Version 1 snapshots predate the header field and load with the defaults.
 func Load(r io.Reader) (*PGD, error) {
-	br := &binReader{r: bufio.NewReader(r)}
-	if m := br.str(); br.err == nil && m != magic {
+	br := binio.NewReader(r)
+	if m := br.Str(); br.Err() == nil && m != magic {
 		return nil, fmt.Errorf("refgraph: bad magic %q", m)
 	}
-	v := br.u8()
-	if br.err == nil && v != 1 && v != version {
+	v := br.U8()
+	if br.Err() == nil && v != 1 && v != version {
 		return nil, fmt.Errorf("refgraph: unsupported version %d", v)
 	}
 	mergeLabels, mergeEdges := "average", "average"
 	if v == version {
-		mergeLabels = br.str()
-		mergeEdges = br.str()
+		mergeLabels = br.Str()
+		mergeEdges = br.Str()
 	}
-	if br.err != nil {
-		return nil, fmt.Errorf("refgraph: load header: %w", br.err)
+	if br.Err() != nil {
+		return nil, fmt.Errorf("refgraph: load header: %w", br.Err())
 	}
 	if mergeLabels == prob.MergeCustom || mergeEdges == prob.MergeCustom {
 		return nil, fmt.Errorf("refgraph: snapshot was saved with unregistered custom merge functions; rebuild it with SetNamedMerge so the snapshot is self-describing")
 	}
 
-	nLabels := br.u32()
-	if br.err != nil {
-		return nil, fmt.Errorf("refgraph: load header: %w", br.err)
+	// Every count below is a claim of the input: a list grows by append as
+	// the bytes behind it arrive, and is sized up front only after its count
+	// has been checked against what bounds it.
+	nLabels := br.U32()
+	if br.Err() != nil {
+		return nil, fmt.Errorf("refgraph: load header: %w", br.Err())
 	}
-	names := make([]string, nLabels)
-	for i := range names {
-		names[i] = br.str()
+	var names []string
+	for i := uint32(0); i < nLabels && br.Err() == nil; i++ {
+		names = append(names, br.Str())
 	}
-	if br.err != nil {
-		return nil, fmt.Errorf("refgraph: load alphabet: %w", br.err)
+	if br.Err() != nil {
+		return nil, fmt.Errorf("refgraph: load alphabet: %w", br.Err())
 	}
 	alpha, err := prob.NewAlphabet(names...)
 	if err != nil {
@@ -229,15 +150,18 @@ func Load(r io.Reader) (*PGD, error) {
 		return nil, fmt.Errorf("refgraph: load merge functions: %w", err)
 	}
 
-	nRefs := br.u32()
-	for i := uint32(0); i < nRefs && br.err == nil; i++ {
-		nEnt := br.u32()
+	nRefs := br.U32()
+	for i := uint32(0); i < nRefs && br.Err() == nil; i++ {
+		nEnt := br.U32()
+		if br.Err() == nil && nEnt > uint32(alpha.Len()) {
+			return nil, fmt.Errorf("refgraph: load reference %d: %d label entries over %d labels", i, nEnt, alpha.Len())
+		}
 		entries := make([]prob.LabelProb, nEnt)
 		for j := range entries {
-			entries[j].Label = prob.LabelID(br.u32())
-			entries[j].P = br.f64()
+			entries[j].Label = prob.LabelID(br.U32())
+			entries[j].P = br.F64()
 		}
-		if br.err != nil {
+		if br.Err() != nil {
 			break
 		}
 		d, err := prob.NewDist(entries...)
@@ -247,19 +171,18 @@ func Load(r io.Reader) (*PGD, error) {
 		g.AddReference(d)
 	}
 
-	nEdges := br.u32()
+	nEdges := br.U32()
 	cptLen := alpha.Len() * alpha.Len()
-	for i := uint32(0); i < nEdges && br.err == nil; i++ {
-		a := RefID(br.u32())
-		b := RefID(br.u32())
-		e := EdgeDist{P: br.f64()}
-		if br.u8() == 1 {
-			e.CPT = make([]float64, cptLen)
-			for j := range e.CPT {
-				e.CPT[j] = br.f64()
+	for i := uint32(0); i < nEdges && br.Err() == nil; i++ {
+		a := RefID(br.U32())
+		b := RefID(br.U32())
+		e := EdgeDist{P: br.F64()}
+		if br.U8() == 1 {
+			for j := 0; j < cptLen && br.Err() == nil; j++ {
+				e.CPT = append(e.CPT, br.F64())
 			}
 		}
-		if br.err != nil {
+		if br.Err() != nil {
 			break
 		}
 		if err := g.AddEdge(a, b, e); err != nil {
@@ -267,15 +190,18 @@ func Load(r io.Reader) (*PGD, error) {
 		}
 	}
 
-	nSets := br.u32()
-	for i := uint32(0); i < nSets && br.err == nil; i++ {
-		nm := br.u32()
+	nSets := br.U32()
+	for i := uint32(0); i < nSets && br.Err() == nil; i++ {
+		nm := br.U32()
+		if br.Err() == nil && nm > uint32(g.NumRefs()) {
+			return nil, fmt.Errorf("refgraph: load set %d: %d members over %d references", i, nm, g.NumRefs())
+		}
 		members := make([]RefID, nm)
 		for j := range members {
-			members[j] = RefID(br.u32())
+			members[j] = RefID(br.U32())
 		}
-		p := br.f64()
-		if br.err != nil {
+		p := br.F64()
+		if br.Err() != nil {
 			break
 		}
 		if _, err := g.AddReferenceSet(members, p); err != nil {
@@ -283,11 +209,11 @@ func Load(r io.Reader) (*PGD, error) {
 		}
 	}
 
-	nPriors := br.u32()
-	for i := uint32(0); i < nPriors && br.err == nil; i++ {
-		r := RefID(br.u32())
-		p := br.f64()
-		if br.err != nil {
+	nPriors := br.U32()
+	for i := uint32(0); i < nPriors && br.Err() == nil; i++ {
+		r := RefID(br.U32())
+		p := br.F64()
+		if br.Err() != nil {
 			break
 		}
 		if err := g.SetSingletonPrior(r, p); err != nil {
@@ -295,8 +221,8 @@ func Load(r io.Reader) (*PGD, error) {
 		}
 	}
 
-	if br.err != nil {
-		return nil, fmt.Errorf("refgraph: load: %w", br.err)
+	if br.Err() != nil {
+		return nil, fmt.Errorf("refgraph: load: %w", br.Err())
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("refgraph: load: %w", err)

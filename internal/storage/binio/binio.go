@@ -1,6 +1,6 @@
 // Package binio provides small error-accumulating binary readers and
-// writers used by the snapshot formats (PGD and PEG files). All integers
-// are little-endian; strings and byte slices are length-prefixed.
+// writers: the one codec behind the PGD snapshot and the WAL. All integers
+// are little-endian; strings are length-prefixed.
 package binio
 
 import (
@@ -83,13 +83,6 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
 // Err returns the first error encountered.
 func (b *Reader) Err() error { return b.err }
-
-// Fail records an error from the caller's own validation.
-func (b *Reader) Fail(err error) {
-	if b.err == nil {
-		b.err = err
-	}
-}
 
 // U8 reads one byte.
 func (b *Reader) U8() uint8 {

@@ -60,24 +60,6 @@ func TestReaderErrorSticks(t *testing.T) {
 	}
 }
 
-func TestReaderFail(t *testing.T) {
-	r := NewReader(strings.NewReader("abcdefgh"))
-	r.Fail(errTest)
-	if r.Err() != errTest {
-		t.Error("Fail not recorded")
-	}
-	r.Fail(nil) // later calls don't clear
-	if r.Err() != errTest {
-		t.Error("error cleared")
-	}
-}
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }
-
 func TestOversizedString(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
