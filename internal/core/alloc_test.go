@@ -32,14 +32,15 @@ import (
 // own account — a goroutine's g (448 bytes) when the free ones sit on the
 // other P, the all-goroutines list growing by a few KB, a GC worker's sudog,
 // a scavenger timer — and one run in a few hundred gains 6 KB that way.
-// Two plans: the 4-cycle, where the candidate arenas dominate (0.30 MB; the
+// Two plans: the 4-cycle, where the candidate arenas dominate (0.24 MB; the
 // materializing pipeline with its map-and-sort link table took 2.70 MB), and
-// a denser 6-node, 7-edge query (7 paths, 13 000 links) whose many partition
-// pairs make the per-pair key tables the larger part (0.31 MB: a declared
-// limit links by join key only). A third arm runs the dense plan without a
+// a denser 6-node, 7-edge query (7 paths, 13 000 links) with many partition
+// pairs (0.22 MB: a declared limit links by join key only, one bucket table
+// per joined pair in the direction its join reads; a table and a key per row
+// in both directions took 0.31 MB). A third arm runs the dense plan without a
 // limit and stops it by its yield, so the eager link pools and factor
 // columns, the per-worker link scratch, the reduction's perception vectors
-// and its per-round scratch are pinned too (0.83 MB) — and must exceed the
+// and its per-round scratch are pinned too (0.82 MB) — and must exceed the
 // declared run by at least the vectors, the pools and the factor columns a
 // keyed graph fills only for the rows its join visits.
 func TestPreJoinAllocationIsACount(t *testing.T) {
@@ -68,8 +69,8 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		limit   int    // 0: undeclared, the yield stops the run after one match
 		ceiling uint64 // median bytes per run; see above
 	}{
-		{"4-cycle", cycle, 1, 309_300},
-		{"6-node-7-edge", dense, 1, 311_300},
+		{"4-cycle", cycle, 1, 245_700},
+		{"6-node-7-edge", dense, 1, 222_500},
 		{"6-node-7-edge-reduced", dense, 0, 843_800},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,7 +139,7 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pools := uint64(4 * (kpartite.BuildKeyed(g, pl.Dec, sets, 0.3).NumLinks() + eager.NumLinks()))
+	pools := uint64(4 * (kpartite.BuildKeyed(g, pl.Dec, sets, 0.3, join.Order(pl.Dec, pl.OrderMode)).NumLinks() + eager.NumLinks()))
 	vectors, columns := uint64(0), uint64(0)
 	for i := range sets {
 		vectors += uint64(2 * 8 * len(sets) * sets[i].Len())

@@ -2,6 +2,7 @@ package join
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -43,7 +44,20 @@ const (
 // The produced match set — every mapping with its Prle and Prn, each
 // multiplied in the same fixed order — does not depend on workers; only the
 // emission order across workers depends on scheduling.
+//
+// A keyed graph (kpartite.BuildKeyed) links only the directions the order it
+// was built for reads, and fills its factor rows as the join visits them: it
+// is enumerated in exactly that order, on one worker, and any other call is
+// an error.
 func Enumerate(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *kpartite.Graph, order []int, alpha float64, workers int, sink func(worker int, m Match) bool) error {
+	if kg.Keyed() {
+		if built := kg.KeyedOrder(); !slices.Equal(order, built) {
+			return fmt.Errorf("join: keyed graph built for order %v enumerated in order %v", built, order)
+		}
+		if workers > 1 {
+			return fmt.Errorf("join: keyed graph enumerated by %d workers; it serves one", workers)
+		}
+	}
 	if len(order) == 0 {
 		return nil
 	}

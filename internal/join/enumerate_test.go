@@ -26,6 +26,7 @@ import (
 type enumeration struct {
 	g     *entity.Graph
 	pl    *plan.Plan
+	sets  []candidates.Set
 	kg    *kpartite.Graph
 	order []int
 	want  []join.Match // internal/naive, sorted by mapping
@@ -75,7 +76,7 @@ func newEnumeration(t *testing.T) *enumeration {
 	if len(want) < 1000 {
 		t.Fatalf("workload too sparse: %d matches", len(want))
 	}
-	return &enumeration{g: g, pl: pl, kg: kg, order: join.Order(pl.Dec, pl.OrderMode), want: want}
+	return &enumeration{g: g, pl: pl, sets: sets, kg: kg, order: join.Order(pl.Dec, pl.OrderMode), want: want}
 }
 
 func sameMatches(t *testing.T, label string, want, got []join.Match) {
@@ -205,6 +206,47 @@ func TestEnumerateStops(t *testing.T) {
 	for i := range a {
 		if !slices.Equal(a[i].Mapping, b[i].Mapping) {
 			t.Fatalf("sequential emission order differs at match %d: %v then %v", i, a[i].Mapping, b[i].Mapping)
+		}
+	}
+}
+
+// TestEnumerateKeyedGraph: a keyed graph (kpartite.BuildKeyed) enumerated in
+// the order it was built for, on one worker, yields the oracle's whole
+// answer over its unfiltered links. It refuses, before a single match, the
+// reversed order, whose reads it did not link — enumerated anyway it would
+// find nothing — and two workers, which would race on the factor rows it
+// fills as the join visits them.
+func TestEnumerateKeyedGraph(t *testing.T) {
+	e := newEnumeration(t)
+	ctx := context.Background()
+	if len(e.order) < 2 {
+		t.Fatalf("join order %v: nothing to reverse", e.order)
+	}
+	keyed := kpartite.BuildKeyed(e.g, e.pl.Dec, e.sets, e.pl.Alpha, e.order)
+	var got []join.Match
+	if err := join.Enumerate(ctx, e.g, e.pl.Query, e.pl.Dec, keyed, e.order, e.pl.Alpha, 1, func(_ int, m join.Match) bool {
+		got = append(got, m.Clone())
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sameMatches(t, "keyed graph in its own order", e.want, got)
+
+	reversed := slices.Clone(e.order)
+	slices.Reverse(reversed)
+	for _, c := range []struct {
+		name    string
+		order   []int
+		workers int
+	}{{"reversed order", reversed, 1}, {"two workers", e.order, 2}} {
+		sunk := 0
+		err := join.Enumerate(ctx, e.g, e.pl.Query, e.pl.Dec, keyed, c.order, e.pl.Alpha, c.workers, func(int, join.Match) bool {
+			sunk++
+			return true
+		})
+		if err == nil || sunk > 0 {
+			t.Errorf("%s: keyed graph built for %v enumerated in %v on %d workers: error %v after %d matches, want an error before any",
+				c.name, e.order, c.order, c.workers, err, sunk)
 		}
 	}
 }

@@ -244,7 +244,9 @@ func (s *scratch) tryCandidate(step, b, ci int) error {
 // newly assigned ones, and the incremental label/edge and identity prefixes
 // with the partial-probability α prune (Section 5.2.5). The
 // factors are the ones the k-partite build looked up for the row (an absent
-// GU edge reads 0 and fails the step); each is also recorded under its query
+// GU edge reads 0 and fails the step), read only once the consistency checks
+// pass — so a keyed graph fills none for a row they reject, a hash collision
+// or a mismatch on another join node; each is also recorded under its query
 // node or query edge for emit. The identity prefix is multiplied by Exist(v)
 // per newly assigned node: Graph.Prn over entities in distinct components
 // multiplies 1.0 by exactly those factors in that order, so while no two
@@ -257,16 +259,16 @@ func (s *scratch) apply(step, b, ci int) bool {
 	p := s.p
 	sp := &p.steps[step]
 	row := p.kg.Row(b, ci)
+	for _, c := range sp.check {
+		if s.asn[c.qn] != row[c.pos] {
+			return false
+		}
+	}
 	var lab, edge []float64
 	if p.kg.Keyed() { // its rows' factors are looked up on their first visit
 		lab, edge = p.kg.FillFactors(b, ci)
 	} else {
 		lab, edge = p.kg.Factors(b, ci)
-	}
-	for _, c := range sp.check {
-		if s.asn[c.qn] != row[c.pos] {
-			return false
-		}
 	}
 	nAsn := 0
 	compMark := len(s.compUndo)

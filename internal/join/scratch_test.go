@@ -245,8 +245,8 @@ func TestKeyedJoinExhausts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keyed := kpartite.BuildKeyed(g, dec, sets, alpha)
 			order := Order(dec, OrderHeuristic)
+			keyed := kpartite.BuildKeyed(g, dec, sets, alpha, order)
 			eagerOps, found := attempts(newPlan(g, q, dec, eager, order, alpha))
 			if found > 0 || eager.NumLinks() == 0 {
 				continue

@@ -15,9 +15,12 @@
 // array per partition with a double buffer for the bulk-synchronous
 // message-passing rounds. After Build/Reduce the graph is immutable and safe
 // for any number of concurrent readers. A BuildKeyed graph is the exception:
-// it has no factor columns for all its rows, only a row→slot index and the
-// factors of the rows the join has visited, which FillFactors appends on a
-// row's first visit.
+// it is built for one join order and serves one enumeration in that order. It
+// links each joined pair only in the direction that order reads, as one
+// bucket table of the later partition's rows, and hashes the earlier
+// partition's row when Links is called. It has no factor columns for all its
+// rows, only a row→slot index and the factors of the rows the join has
+// visited, which FillFactors appends on a row's first visit.
 package kpartite
 
 import (
@@ -43,25 +46,35 @@ type Graph struct {
 
 	parts []*partition
 	// links[p][j] is the CSR adjacency from partition p into partition j;
-	// links[p][j].offs is nil unless j ∈ J(p).
+	// links[p][j].offs is nil unless j ∈ J(p) and, on a keyed graph, p
+	// comes before j in order.
 	links [][]linkSet
 	// joined[p] caches dec.Joined(p) so the reduction fixpoint does not
 	// recompute it every round.
 	joined [][]int
 	// vecReady reports that perception vectors were initialized by Reduce.
 	vecReady bool
-	// keyed reports that links are by join key only (BuildKeyed).
+	// keyed reports that links are by join key only (BuildKeyed), in the
+	// directions order reads.
 	keyed bool
+	order []int
 }
 
 // linkSet is one direction of a partition pair's links in CSR form: the
 // vertices of the target partition linked to vertex i are
-// pool[offs[i]:offs[i+1]], ascending. A keyed set (BuildKeyed) has one CSR row
-// per join-key bucket instead, and vertex i's bucket is keys[i].
+// pool[offs[i]:offs[i+1]], ascending. A keyed set — a lookup table T(b, a)
+// of Section 5.2.3, laid out by lookup — has one CSR row per join-key bucket
+// instead, and in place of a stored bucket per source row the source's join
+// key: its rows (nodes, plen) and their join positions pos, in predicate
+// order, from which bucket hashes vertex i's bucket when it is asked. pos is
+// nil on a CSR set.
 type linkSet struct {
-	offs []int32
-	pool []int32
-	keys []int32
+	offs  []int32
+	pool  []int32
+	nodes []entity.ID
+	plen  int
+	pos   []int32
+	shift uint8
 }
 
 func (ls *linkSet) row(i int) []int32 {
@@ -176,26 +189,47 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 }
 
 // BuildKeyed is Build for a run that neither reduces nor enumerates
-// exhaustively — an emit-order join that stops at a declared limit. Links are
-// by join key only: per joined pair both sides' join-position tuples hash into
-// one bucket space and each side is grouped by bucket once, O(|a| + |b|), so
-// Links(a, i, b) is every row of b under row i's key, ascending — the rows
+// exhaustively — an emit-order join in the given order (a permutation of the
+// partitions, retained) that stops at a declared limit. Links are by join key
+// only, and only in the direction that join reads: per joined pair, from the
+// partition earlier in order, q, into the later one, b. b's rows are grouped
+// by the bucket their join-position tuple hashes to, O(|b|), over
+// 2^⌈log₂ max(|q|, |b|)⌉ buckets, and Links(q, i, b) hashes row i of q the
+// same way at the call: every row of b under row i's key, ascending — the rows
 // Build links and the ones joinable filters, which the join's own prefix tests
-// reject again. No factor is looked up (FillFactors), and Reduce panics.
-func BuildKeyed(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, alpha float64) *Graph {
+// reject again. Links(b, j, q) is nil. What the pairs keep — each table's
+// offsets and pool and both sides' join positions — shares one exact-size
+// int32 arena. No factor is looked up (FillFactors), Reduce panics, and
+// join.Enumerate refuses another order or more than one worker.
+func BuildKeyed(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, alpha float64, order []int) *Graph {
 	kg, pairs, _ := newGraph(g, dec, sets, alpha, true)
-	for _, pair := range pairs {
-		a, b := pair[0], pair[1]
-		preds := dec.Preds(a, b)
-		pa, pb := kg.parts[a], kg.parts[b]
-		shift := 64
-		for n := 1; n < max(pa.n, pb.n); n <<= 1 {
-			shift--
+	kg.order = order
+	dir := func(pair [2]int) (q, b int) {
+		if slices.Index(order, pair[1]) < slices.Index(order, pair[0]) {
+			return pair[1], pair[0]
 		}
-		buckets := 1 << (64 - shift)
-		keysA := pa.joinKeys(make([]int32, pa.n), preds, true, shift)
-		keysB := pb.joinKeys(make([]int32, pb.n), preds, false, shift)
-		kg.links[a][b], kg.links[b][a] = grouped(buckets, keysA, keysB), grouped(buckets, keysB, keysA)
+		return pair[0], pair[1]
+	}
+	size := 0
+	for _, pair := range pairs {
+		q, b := dir(pair)
+		size += 1<<(64-bucketShift(max(kg.parts[q].n, kg.parts[b].n))) + 1 + kg.parts[b].n + 2*len(dec.Joins[pair])
+	}
+	arena := make([]int32, size)
+	take := func(n int) []int32 {
+		s := arena[:n:n]
+		arena = arena[n:]
+		return s
+	}
+	for _, pair := range pairs {
+		q, b := dir(pair)
+		pq, pb := kg.parts[q], kg.parts[b]
+		preds := dec.Joins[pair]
+		posQ, posB := joinPositions(take(len(preds))[:0], take(len(preds))[:0], preds, q == pair[0])
+		shift := bucketShift(max(pq.n, pb.n))
+		ls := &kg.links[q][b]
+		ls.offs, ls.pool = take(1<<(64-shift)+1), take(pb.n)
+		ls.lookup(pq, posQ, pb, posB, shift)
 	}
 	return kg
 }
@@ -207,7 +241,9 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 	kg = &Graph{g: g, dec: dec, alpha: alpha, keyed: keyed}
 	kg.parts = make([]*partition, k)
 	kg.links = make([][]linkSet, k)
-	kg.joined = make([][]int, k)
+	if !keyed {
+		kg.joined = make([][]int, k)
+	}
 	for p := 0; p < k; p++ {
 		n := sets[p].Len()
 		plen := len(sets[p].Path.Nodes)
@@ -237,7 +273,9 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 		}
 		kg.parts[p] = part
 		kg.links[p] = make([]linkSet, k)
-		kg.joined[p] = dec.Joined(p)
+		if !keyed { // the reduction's, which a keyed graph never runs
+			kg.joined[p] = dec.Joined(p)
+		}
 		maxN = max(maxN, n)
 	}
 	if !keyed {
@@ -341,6 +379,10 @@ func (kg *Graph) FillFactors(p, i int) (lab, edge []float64) {
 // and a row's factors come from FillFactors, not Factors.
 func (kg *Graph) Keyed() bool { return kg.keyed }
 
+// KeyedOrder returns the join order a BuildKeyed graph was built for, the one
+// order whose reads its links serve; nil for Build's graph.
+func (kg *Graph) KeyedOrder() []int { return kg.order }
+
 func edgeKey(a, b query.NodeID) [2]query.NodeID {
 	if a > b {
 		a, b = b, a
@@ -352,7 +394,7 @@ func edgeKey(a, b query.NodeID) [2]query.NodeID {
 // union entity list of the joinability test with each entity's identity
 // component, what probe computed for the row of pa in hand, the shape of the
 // pair being linked (which positions of which side supply the union's nodes
-// and edges), and the bucket keys and lookup table of linkPair, sized for
+// and edges), and pa's buckets and the lookup table of linkPair, sized for
 // the largest partition — so linking a pair allocates its two CSR outputs
 // and nothing else.
 type buildEval struct {
@@ -370,16 +412,18 @@ type buildEval struct {
 	// Per-pair shape, rebuilt by setPair. The union of the two paths is all
 	// of pa's nodes then pb's at newB, and pa's edges at edgesA then pb's at
 	// edgesB (an edge position is that of its first node); shared lists the
-	// (posA, posB) holding the same query node.
+	// (posA, posB) holding the same query node, and posA, posB the join
+	// positions of each side in predicate order.
 	pa, pb         *partition
 	shared         [][2]int32
 	newB           []int32
 	edgesA, edgesB []int32
 	edgeKeys       [][2]query.NodeID // setPair's dedup list
+	posA, posB     []int32
 
-	// linkPair's scratch: each side's bucket per row, and T(b, a).
-	keysA, keysB []int32
-	table        linkSet
+	// linkPair's scratch: pa's bucket per row, and T(b, a).
+	keysA []int32
+	table linkSet
 }
 
 // newBuildEval sizes the scratch for partitions of up to maxN rows: a table
@@ -389,16 +433,17 @@ func newBuildEval(g *entity.Graph, alpha float64, maxN int) *buildEval {
 		g:     g,
 		alpha: alpha,
 		keysA: make([]int32, maxN),
-		keysB: make([]int32, maxN),
 		table: linkSet{offs: make([]int32, 2*maxN+2), pool: make([]int32, maxN)},
 	}
 }
 
 // setPair precomputes which side and position supplies every node and every
-// deduplicated edge of the union of pa's and pb's paths — these depend only
-// on the pair, not on the candidates.
-func (be *buildEval) setPair(pa, pb *partition) {
+// deduplicated edge of the union of pa's and pb's paths, and each side's
+// join positions under preds — these depend only on the pair, not on the
+// candidates.
+func (be *buildEval) setPair(pa, pb *partition, preds []decompose.JoinPred) {
 	be.pa, be.pb = pa, pb
+	be.posA, be.posB = joinPositions(be.posA[:0], be.posB[:0], preds, true)
 	be.shared, be.newB = be.shared[:0], be.newB[:0]
 	be.edgesA, be.edgesB = be.edgesA[:0], be.edgesB[:0]
 	be.edgeKeys = be.edgeKeys[:0]
@@ -522,28 +567,20 @@ func (be *buildEval) joinable(i, j int) bool {
 // ≥ |b| buckets and group lays the row ids out bucket by bucket, ascending
 // within a bucket. Probing with a's rows in order therefore meets the
 // surviving (i, j) pairs already sorted, so the a→b CSR rows are written as
-// they are found and b→a is their counting transpose. Keys and table live in
-// the worker's scratch; the a→b pool is allocated once, for the number of
-// (i, j) the table pairs up — a count of the input, at least the link count.
+// they are found and b→a is their counting transpose. a's buckets and the
+// table live in the worker's scratch; the a→b pool is allocated once, for the
+// number of (i, j) the table pairs up — a count of the input, at least the
+// link count.
 func (kg *Graph) linkPair(be *buildEval, a, b int) {
-	preds := kg.dec.Preds(a, b)
 	pa, pb := kg.parts[a], kg.parts[b]
-	be.setPair(pa, pb)
-
-	// The top bits of the spread key pick one of 2^(64-shift) buckets.
-	shift := 64
-	for n := 1; n < pb.n; n <<= 1 {
-		shift--
-	}
-	keysB := pb.joinKeys(be.keysB[:pb.n], preds, false, shift)
+	be.setPair(pa, pb, kg.dec.Preds(a, b))
 	table := &be.table
-	table.group(1<<(64-shift), keysB)
+	table.lookup(pa, be.posA, pb, be.posB, bucketShift(pb.n))
 
 	keysA := be.keysA[:pa.n]
 	paired := 0
 	for i := range keysA {
-		row := pa.nodes[i*pa.plen : (i+1)*pa.plen]
-		keysA[i] = int32(joinHash(row, preds, true) >> shift)
+		keysA[i] = int32(table.bucket(i))
 		paired += len(table.row(int(keysA[i])))
 	}
 	ab := linkSet{offs: make([]int32, pa.n+1), pool: make([]int32, 0, paired)}
@@ -560,35 +597,41 @@ func (kg *Graph) linkPair(be *buildEval, a, b int) {
 	kg.links[a][b], kg.links[b][a] = ab, transpose(ab, pb.n)
 }
 
-// joinHash packs the row's nodes at the predicates' positions (PosA when
-// sideA, else PosB) into one integer — exactly for up to two predicates,
-// folded beyond — and spreads it over all 64 bits (Fibonacci hashing).
-func joinHash(row []entity.ID, preds []decompose.JoinPred, sideA bool) uint64 {
-	var key uint64
+// joinPositions appends to a and b the join positions of the two sides
+// under preds, in predicate order: a the PosA side's when sideA, else the
+// PosB side's.
+func joinPositions(a, b []int32, preds []decompose.JoinPred, sideA bool) ([]int32, []int32) {
 	for _, pr := range preds {
-		pos := pr.PosB
-		if sideA {
-			pos = pr.PosA
+		pa, pb := int32(pr.PosA), int32(pr.PosB)
+		if !sideA {
+			pa, pb = pb, pa
 		}
-		key = bits.RotateLeft64(key, 32) ^ uint64(uint32(row[pos]))
+		a, b = append(a, pa), append(b, pb)
 	}
-	return key * 0x9E3779B97F4A7C15
+	return a, b
 }
 
-// joinKeys sets keys[i] to row i's bucket, the top bits of its spread join key.
-func (part *partition) joinKeys(keys []int32, preds []decompose.JoinPred, sideA bool, shift int) []int32 {
-	for i := range keys {
-		keys[i] = int32(joinHash(part.nodes[i*part.plen:(i+1)*part.plen], preds, sideA) >> shift)
+// bucketShift is the shift whose top bits of a spread join key pick one of
+// 2^(64-shift) buckets: the least power of two ≥ n, at least one.
+func bucketShift(n int) uint8 {
+	shift := uint8(64)
+	for m := 1; m < n; m <<= 1 {
+		shift--
 	}
-	return keys
+	return shift
 }
 
-// grouped returns the keyed links of a side whose rows have the buckets in
-// keys into the side whose rows have those in target.
-func grouped(buckets int, keys, target []int32) linkSet {
-	ls := linkSet{offs: make([]int32, buckets+1), pool: make([]int32, len(target)), keys: keys}
-	ls.group(buckets, target)
-	return ls
+// bucket is row i's bucket under ls's join key: its nodes at pos packed into
+// one integer — exactly for up to two positions, folded beyond — spread over
+// all 64 bits (Fibonacci hashing), whose top bits pick the bucket. It is the
+// only join hash, and small enough that Links, which calls it on a keyed
+// set, stays inlinable.
+func (ls *linkSet) bucket(i int) int {
+	var key uint64
+	for _, x := range ls.pos {
+		key = bits.RotateLeft64(key, 32) ^ uint64(uint32(ls.nodes[i*ls.plen+int(x)]))
+	}
+	return int(key * 0x9E3779B97F4A7C15 >> ls.shift)
 }
 
 // counting starts a CSR of n rows whose row k will receive one entry per
@@ -596,15 +639,16 @@ func grouped(buckets int, keys, target []int32) linkSet {
 // fills, rewind finishes.
 func counting(n int, keys []int32) linkSet {
 	ls := linkSet{offs: make([]int32, n+1), pool: make([]int32, len(keys))}
-	ls.count(keys)
-	return ls
-}
-
-// count is counting over ls's own zeroed offsets.
-func (ls *linkSet) count(keys []int32) {
 	for _, k := range keys {
 		ls.offs[k+1]++
 	}
+	ls.prefixSum()
+	return ls
+}
+
+// prefixSum turns offs[k+1] = the entries row k is to receive into the offset
+// each row starts at.
+func (ls *linkSet) prefixSum() {
 	for k := 0; k+1 < len(ls.offs); k++ {
 		ls.offs[k+1] += ls.offs[k]
 	}
@@ -623,16 +667,26 @@ func (ls *linkSet) rewind() {
 	ls.offs[0] = 0
 }
 
-// group lays ls out, within the capacity it already has, as the CSR of n
-// rows whose row k lists, ascending, every index i with keys[i] == k.
-func (ls *linkSet) group(n int, keys []int32) {
-	ls.offs, ls.pool = ls.offs[:n+1], ls.pool[:len(keys)]
+// lookup lays ls out, within the capacity it already has, as the lookup
+// table T(b, a) keyed by a's join positions posA: the CSR of 2^(64-shift)
+// buckets whose row k lists, ascending, every row of b whose nodes at posB
+// (the same predicates, from b's side) hash to bucket k. b's rows are hashed
+// by the key's own code, pointed at b while they are counted and placed —
+// twice each, so no bucket is stored — and the key is then a's, for bucket
+// and Links to hash a's rows with.
+func (ls *linkSet) lookup(a *partition, posA []int32, b *partition, posB []int32, shift uint8) {
+	ls.nodes, ls.plen, ls.pos, ls.shift = b.nodes, b.plen, posB, shift
+	ls.offs, ls.pool = ls.offs[:1<<(64-shift)+1], ls.pool[:b.n]
 	clear(ls.offs)
-	ls.count(keys)
-	for i, k := range keys {
-		ls.put(k, int32(i))
+	for j := 0; j < b.n; j++ {
+		ls.offs[ls.bucket(j)+1]++
+	}
+	ls.prefixSum()
+	for j := 0; j < b.n; j++ {
+		ls.put(int32(ls.bucket(j)), int32(j))
 	}
 	ls.rewind()
+	ls.nodes, ls.plen, ls.pos = a.nodes, a.plen, posA
 }
 
 // transpose returns the reverse direction of ls over n target vertices: row
@@ -682,31 +736,36 @@ func (kg *Graph) Factors(p, i int) (lab, edge []float64) {
 
 // Links returns the vertices of partition j linked to vertex i of partition
 // p (including dead ones; filter with Alive), ascending. Nil when j ∉ J(p).
-// On a keyed graph these are the vertices under vertex i's join key.
+// On a keyed graph these are the vertices under vertex i's join key when p
+// comes before j in KeyedOrder, and nil otherwise.
 // The returned slice is a view into the shared edge pool and must not be
 // modified.
 func (kg *Graph) Links(p, i, j int) []int32 {
 	ls := &kg.links[p][j]
-	if ls.keys != nil {
-		i = int(ls.keys[i])
+	if ls.pos != nil {
+		i = ls.bucket(i)
 	}
-	return ls.row(i)
+	if ls.offs == nil { // ls.row, by hand: Links must stay inlinable
+		return nil
+	}
+	return ls.pool[ls.offs[i]:ls.offs[i+1]]
 }
 
 // NumLinks returns the number of join-candidate links stored (each linked
 // pair counted once) — the executor's observed size for the build stage. On
-// a keyed graph that is the key-matched row pairs, which Build would filter.
+// a keyed graph that is the key-matched row pairs, which Build would filter:
+// Σᵢ |Links(q, i, b)| over the directions it links.
 func (kg *Graph) NumLinks() int {
 	total := 0
 	for p := range kg.links {
 		for j := range kg.links[p] {
-			ls, back := &kg.links[p][j], &kg.links[j][p]
-			if ls.keys == nil {
-				total += len(ls.pool)
+			ls := &kg.links[p][j]
+			if ls.pos == nil {
+				total += len(ls.pool) // each link, in both directions
 				continue
 			}
-			for k := 0; p < j && k+1 < len(ls.offs); k++ { // both directions at once
-				total += 2 * int(ls.offs[k+1]-ls.offs[k]) * int(back.offs[k+1]-back.offs[k])
+			for i := 0; i < kg.parts[p].n; i++ {
+				total += 2 * len(ls.row(ls.bucket(i)))
 			}
 		}
 	}

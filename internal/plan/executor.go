@@ -174,12 +174,17 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	})
 
 	// Join-candidates / k-partite graph (Section 5.2.3), pairs fanned out
-	// across the same pool — or by key only, for a run that stops early.
+	// across the same pool — or by key only, for a run that stops early, in
+	// the one direction of each pair its join reads. Such a graph is never
+	// reduced, so its alive counts are the candidate counts and the adaptive
+	// order below is known before it is built.
 	t0 = time.Now()
 	links := Links(opt.Order, opt.Limit)
 	var kg *kpartite.Graph
+	var order []int
 	if links == "keyed" {
-		kg, workers = kpartite.BuildKeyed(g, pl.Dec, sets, pl.Alpha), 1 // O(rows), on this goroutine
+		order = execOrder(pl, func(p int) int { return sets[p].Len() })
+		kg, workers = kpartite.BuildKeyed(g, pl.Dec, sets, pl.Alpha, order), 1 // O(rows), on this goroutine
 	} else if kg, err = kpartite.Build(ctx, g, q, pl.Dec, sets, pl.Alpha, workers); err != nil {
 		return nil, st, err
 	}
@@ -212,15 +217,9 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 		EstRows: ssBefore, ObsRows: st.SSFinal, Pruned: int64(before - aliveTotal(kg)), Skipped: skipped,
 	})
 
-	// Adaptive join reorder: rerun the plan's order heuristic with the
-	// observed alive counts in place of the histogram estimates. The match
-	// set is order-invariant, so this is purely a cost move — and it uses
-	// real numbers where planning had only estimates.
-	obsCards := make([]float64, kg.NumPartitions())
-	for p := range obsCards {
-		obsCards[p] = float64(kg.AliveCount(p))
+	if order == nil {
+		order = execOrder(pl, kg.AliveCount)
 	}
-	order := join.OrderWithCards(pl.Dec, pl.OrderMode, obsCards)
 	st.ExecOrder = order
 
 	return &joinRun{g: g, pl: pl, kg: kg, order: order, start: start, t0: time.Now()}, st, nil
@@ -248,6 +247,18 @@ func (pl *Plan) ReduceSkipped(order ResultOrder, limit int) string {
 		return "limit"
 	}
 	return ""
+}
+
+// execOrder is the adaptive join reorder: the plan's order heuristic rerun
+// with the observed alive counts in place of the histogram estimates. The
+// match set is order-invariant, so this is purely a cost move — and it uses
+// real numbers where planning had only estimates.
+func execOrder(pl *Plan, alive func(p int) int) []int {
+	obsCards := make([]float64, len(pl.Dec.Paths))
+	for p := range obsCards {
+		obsCards[p] = float64(alive(p))
+	}
+	return join.OrderWithCards(pl.Dec, pl.OrderMode, obsCards)
 }
 
 func aliveTotal(kg *kpartite.Graph) int {
