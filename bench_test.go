@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -115,26 +114,7 @@ func BenchmarkMatchCollect(b *testing.B) {
 	q := streamBenchQuery(b, ix)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := runMatch(b, ix, q, core.Options{Alpha: 0.1, Parallelism: 1})
-		if i == 0 {
-			b.ReportMetric(float64(len(res.Matches)), "matches")
-		}
-	}
-}
-
-// BenchmarkMatchCollectParallel is the morsel-parallel join on the same
-// workload: Parallelism GOMAXPROCS fans the first join level out over that
-// many workers, each retaining its matches in its own store, so running
-// with -cpu 1,4 shows the scaling (identical results either way; at -cpu 1
-// it is the sequential path). The measured P = 1 vs P = GOMAXPROCS pairs on
-// the lib-tree-collect pool are in CHANGES.md (PR 16); this benchmark has
-// no gated row.
-func BenchmarkMatchCollectParallel(b *testing.B) {
-	ix := benchIndex(b, benchMain, 0.2, 3)
-	q := streamBenchQuery(b, ix)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := runMatch(b, ix, q, core.Options{Alpha: 0.1, Parallelism: runtime.GOMAXPROCS(0)})
+		res := runMatch(b, ix, q, core.Options{Alpha: 0.1})
 		if i == 0 {
 			b.ReportMetric(float64(len(res.Matches)), "matches")
 		}
@@ -148,7 +128,7 @@ func BenchmarkMatchStream(b *testing.B) {
 	q := streamBenchQuery(b, ix)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := core.MatchStream(context.Background(), ix, q, core.Options{Alpha: 0.1, Parallelism: 1},
+		st, err := core.MatchStream(context.Background(), ix, q, core.Options{Alpha: 0.1},
 			func(join.Match) bool { return true })
 		if err != nil {
 			b.Fatal(err)
@@ -167,7 +147,7 @@ func BenchmarkMatchLimit1(b *testing.B) {
 	q := streamBenchQuery(b, ix)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := core.MatchStream(context.Background(), ix, q, core.Options{Alpha: 0.1, Limit: 1, Parallelism: 1},
+		st, err := core.MatchStream(context.Background(), ix, q, core.Options{Alpha: 0.1, Limit: 1},
 			func(join.Match) bool { return true })
 		if err != nil {
 			b.Fatal(err)
@@ -186,7 +166,7 @@ func BenchmarkMatchTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := core.MatchStream(context.Background(), ix, q,
-			core.Options{Alpha: 0.1, Limit: 10, Order: core.OrderByProb, Parallelism: 1},
+			core.Options{Alpha: 0.1, Limit: 10, Order: core.OrderByProb},
 			func(join.Match) bool { return true })
 		if err != nil {
 			b.Fatal(err)

@@ -4,9 +4,9 @@
 // pool and per-generation result, plan and candidate caches (-cache,
 // -plan-cache, -cand-cache). -workers is the server's one CPU budget: that
 // many requests evaluate at once, each on one core (library callers size a
-// run with core.Options.Workers and Parallelism instead). /match accepts
-// limit and order fields for top-K retrieval; /match/stream emits NDJSON match lines incrementally as
-// the join enumeration finds them.
+// run with core.Options.Workers instead). /match accepts limit and order
+// fields for top-K retrieval; /match/stream emits NDJSON match lines
+// incrementally as the join enumeration finds them.
 //
 // With -live the server runs read-write: -dir holds a live database
 // (generation directories plus a CRC-protected mutation log) and POST

@@ -74,7 +74,7 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		{"6-node-7-edge-reduced", dense, 0, 843_800},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := core.Options{Alpha: 0.3, Workers: 2, Parallelism: 1, Limit: tc.limit}
+			opt := core.Options{Alpha: 0.3, Workers: 2, Limit: tc.limit}
 			pl, err := core.Prepare(ctx, ix, tc.q, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -155,21 +155,19 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 
 // TestCollectAllocationIsACount pins what a retained run allocates, which is
 // a count too: one prepared acyclic plan with some 30 000 matches, collected
-// by core.MatchPlan at Parallelism 1 and 2. The join workers copy each match
-// once into fixed-size store chunks and the merge allocates one list link
-// per row, one bucket table per store and one exact-size result, so after
-// warm-up 20 runs' heap bytes must agree to 2 % (at Parallelism 2 how the
-// matches split between the two stores moves a chunk or two and, when one
-// store gets nearly all of them, a bucket table) and a run must make fewer
-// mallocs than a tenth of its matches — a reintroduced per-match allocation
-// (an owned mapping, a boxed heap entry, a growing slice) fails here, not in
-// the benchmark. The bytes also have a ceiling 2 % above what a run
-// allocates today, and at Parallelism 1 one per match: above what the same
-// plan allocates to stream its first match when the stream does not declare
-// a limit (everything before the join, the reduction included), a match of
-// this 5-node plan costs 20 + 16 bytes of row, 40 of join.Match and
-// 4 of list link, so 84 leaves room for the bucket table and the last
-// chunk's spare rows and none for a second per-row buffer.
+// by core.MatchPlan. The join copies each match once into fixed-size store
+// chunks and the walk allocates one list link per row, one bucket table and
+// one exact-size result, so after warm-up 20 runs' heap bytes must agree to
+// 2 % and a run must make fewer mallocs than a tenth of its matches — a
+// reintroduced per-match allocation (an owned mapping, a boxed heap entry, a
+// growing slice) fails here, not in the benchmark. The bytes also have a
+// ceiling 2 % above what a run allocated when it was set, and one per
+// match: above what the same plan allocates to stream its first match
+// when the stream does not declare a limit (everything before the join, the
+// reduction included), a match of this 5-node plan costs 20 + 16 bytes of
+// row, 40 of join.Match and 4 of list link, so 84 leaves room for the bucket
+// table and the last chunk's spare rows and none for a second per-row
+// buffer.
 func TestCollectAllocationIsACount(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 4000, Seed: 7})
 	if err != nil {
@@ -185,90 +183,82 @@ func TestCollectAllocationIsACount(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, tc := range []struct {
-		par     int
-		ceiling uint64 // bytes per run; see above
-	}{
-		{1, 3_384_000},
-		{2, 3_431_000},
-	} {
-		par := tc.par
-		opt := core.Options{Alpha: 0.3, Workers: 2, Parallelism: par}
-		pl, err := core.Prepare(ctx, ix, q, opt)
+	const ceiling = 3_384_000 // bytes per run; see above
+	opt := core.Options{Alpha: 0.3, Workers: 2}
+	pl, err := core.Prepare(ctx, ix, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func() error) (bytes, mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := f()
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocated := func(f func() error) (bytes, mallocs uint64) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			err := f()
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	run := func() (bytes, mallocs uint64, matches int) {
+		bytes, mallocs = allocated(func() error {
+			res, err := core.MatchPlan(ctx, ix, pl, opt)
+			if err == nil {
+				matches = len(res.Matches)
 			}
-			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
-		}
-		run := func() (bytes, mallocs uint64, matches int) {
-			bytes, mallocs = allocated(func() error {
-				res, err := core.MatchPlan(ctx, ix, pl, opt)
-				if err == nil {
-					matches = len(res.Matches)
-				}
-				return err
-			})
-			return bytes, mallocs, matches
-		}
-		// Everything before the join, reduction included: a stream that does
-		// not say it will stop, stopped by its yield at the first match. One
-		// that declares Limit 1 skips the reduction and with it the two
-		// perception-vector buffers (8 bytes × partitions per vertex each).
-		preJoin := func(limit int) (uint64, core.Stats) {
-			first := opt
-			first.Limit = limit
-			var st core.Stats
-			bytes, _ := allocated(func() (err error) {
-				st, err = core.MatchStreamPlan(ctx, ix, pl, first, func(join.Match) bool { return false })
-				return err
-			})
-			return bytes, st
-		}
-		for i := 0; i < 3; i++ {
-			run() // warm-up: component marginal memos, lazily built tables
-		}
-		lo, hi, most, matches := ^uint64(0), uint64(0), uint64(0), 0
-		for i := 0; i < 20; i++ {
-			b, m, n := run()
-			lo, hi, most, matches = min(lo, b), max(hi, b), max(most, m), n
-		}
-		before, _ := preJoin(0)
-		limited, lst := preJoin(1)
-		sets, _, err := candidates.Find(ctx, ix, q, pl.Dec, opt.Alpha, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vectors := uint64(0)
-		for i := range sets {
-			vectors += uint64(2 * 8 * len(sets) * sets[i].Len())
-		}
-		if lst.ReductionRounds != 0 || limited+vectors > before {
-			t.Errorf("P=%d: a Limit 1 stream ran %d reduction rounds and allocated %d bytes, a stream stopped by its yield %d: the %d bytes of perception vectors are not saved",
-				par, lst.ReductionRounds, limited, before, vectors)
-		}
-		t.Logf("P=%d: %d matches, bytes per run min %d max %d (%d before the join), mallocs per run ≤ %d", par, matches, lo, hi, before, most)
-		if matches < 20_000 {
-			t.Fatalf("P=%d: plan has %d matches; too few to pin anything", par, matches)
-		}
-		if float64(hi) > 1.02*float64(lo) {
-			t.Errorf("P=%d: allocation does not repeat: %d..%d bytes per run (max/min %.4f > 1.02)", par, lo, hi, float64(hi)/float64(lo))
-		}
-		if hi > tc.ceiling {
-			t.Errorf("P=%d: %d bytes per run, ceiling %d", par, hi, tc.ceiling)
-		}
-		if perMatch := (float64(hi) - float64(before)) / float64(matches); par == 1 && perMatch > 84 {
-			t.Errorf("P=1: %.1f bytes per match above the %d allocated before the join, ceiling 84: something is kept per row that was not", perMatch, before)
-		}
-		if most >= uint64(matches/10) {
-			t.Errorf("P=%d: %d mallocs in a run of %d matches: something allocates per match", par, most, matches)
-		}
+			return err
+		})
+		return bytes, mallocs, matches
+	}
+	// Everything before the join, reduction included: a stream that does
+	// not say it will stop, stopped by its yield at the first match. One
+	// that declares Limit 1 skips the reduction and with it the two
+	// perception-vector buffers (8 bytes × partitions per vertex each).
+	preJoin := func(limit int) (uint64, core.Stats) {
+		first := opt
+		first.Limit = limit
+		var st core.Stats
+		bytes, _ := allocated(func() (err error) {
+			st, err = core.MatchStreamPlan(ctx, ix, pl, first, func(join.Match) bool { return false })
+			return err
+		})
+		return bytes, st
+	}
+	for i := 0; i < 3; i++ {
+		run() // warm-up: component marginal memos, lazily built tables
+	}
+	lo, hi, most, matches := ^uint64(0), uint64(0), uint64(0), 0
+	for i := 0; i < 20; i++ {
+		b, m, n := run()
+		lo, hi, most, matches = min(lo, b), max(hi, b), max(most, m), n
+	}
+	before, _ := preJoin(0)
+	limited, lst := preJoin(1)
+	sets, _, err := candidates.Find(ctx, ix, q, pl.Dec, opt.Alpha, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vectors := uint64(0)
+	for i := range sets {
+		vectors += uint64(2 * 8 * len(sets) * sets[i].Len())
+	}
+	if lst.ReductionRounds != 0 || limited+vectors > before {
+		t.Errorf("a Limit 1 stream ran %d reduction rounds and allocated %d bytes, a stream stopped by its yield %d: the %d bytes of perception vectors are not saved",
+			lst.ReductionRounds, limited, before, vectors)
+	}
+	t.Logf("%d matches, bytes per run min %d max %d (%d before the join), mallocs per run ≤ %d", matches, lo, hi, before, most)
+	if matches < 20_000 {
+		t.Fatalf("plan has %d matches; too few to pin anything", matches)
+	}
+	if float64(hi) > 1.02*float64(lo) {
+		t.Errorf("allocation does not repeat: %d..%d bytes per run (max/min %.4f > 1.02)", lo, hi, float64(hi)/float64(lo))
+	}
+	if hi > ceiling {
+		t.Errorf("%d bytes per run, ceiling %d", hi, ceiling)
+	}
+	if perMatch := (float64(hi) - float64(before)) / float64(matches); perMatch > 84 {
+		t.Errorf("%.1f bytes per match above the %d allocated before the join, ceiling 84: something is kept per row that was not", perMatch, before)
+	}
+	if most >= uint64(matches/10) {
+		t.Errorf("%d mallocs in a run of %d matches: something allocates per match", most, matches)
 	}
 }

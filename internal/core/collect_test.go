@@ -20,10 +20,10 @@ import (
 )
 
 // matchesIdentical demands exact equality — mapping, Prle, Prn (bitwise),
-// and order — between two result sets. A run at any worker count must be
-// indistinguishable from the oracle, not merely equal within a tolerance:
-// every match's probability components are multiplied in the same fixed
-// order whichever worker and join order found it.
+// and order — between two result sets. A run must be indistinguishable
+// from the oracle, not merely equal within a tolerance: every match's
+// probability components are multiplied in the same fixed order whichever
+// join order found it.
 func matchesIdentical(t *testing.T, label string, want, got []join.Match) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -55,7 +55,7 @@ func byProbOracle(ms []join.Match) []join.Match {
 	return out
 }
 
-// equivalencePGD is the seeded synthetic corpus of the parallel-equivalence
+// equivalencePGD is the seeded synthetic corpus of the equivalence
 // properties: 30 references, a handful of matches per query.
 func equivalencePGD(t *testing.T, seed int64) (*entity.Graph, pathindex.Reader) {
 	t.Helper()
@@ -66,8 +66,8 @@ func equivalencePGD(t *testing.T, seed int64) (*entity.Graph, pathindex.Reader) 
 }
 
 // richPGD is a corpus whose 4-node queries have thousands of matches, so a
-// store spans many chunks, a bounded one evicts, and every worker of 8 finds
-// some; richQuery is one such query (7 700 matches at α = 0.05).
+// store spans many chunks and a bounded one evicts; richQuery is one such
+// query (7 700 matches at α = 0.05).
 func richPGD(t *testing.T) (*entity.Graph, pathindex.Reader) {
 	t.Helper()
 	return buildPGD(t, gen.SynthOptions{Refs: 300, Labels: 3, Seed: 5})
@@ -95,17 +95,16 @@ func buildPGD(t *testing.T, opt gen.SynthOptions) (*entity.Graph, pathindex.Read
 	return g, buildIx(t, g, 2, 0.05)
 }
 
-// TestParallelCollectEquivalence is the retained-run correctness property:
-// on seeded random synthetic PGDs — small ones with a handful of matches and
-// one with thousands (K = 300) — core.Match at Parallelism 1, 2, 3 and 8 ×
-// Limit 0, 1 and K × both orders × both decomposition strategies is bitwise
-// (mapping, Float64bits of Prle and Prn, order) what internal/naive says it
-// must be: the whole set by mapping, or the best Limit by probability. An
-// emit-order Limit keeps whichever matches the sequential enumeration finds
-// first, so there the answer must be the same at every Parallelism and a
-// mapping-sorted part of the oracle's. The collect order is also held to
-// plan.SortMatches' on a shuffled copy.
-func TestParallelCollectEquivalence(t *testing.T) {
+// TestCollectEquivalence is the retained-run correctness property: on
+// seeded random synthetic PGDs — small ones with a handful of matches and
+// one with thousands (K = 300) — core.Match at Limit 0, 1 and K × both
+// orders × both decomposition strategies is bitwise (mapping, Float64bits
+// of Prle and Prn, order) what internal/naive says it must be: the whole
+// set by mapping, or the best Limit by probability. An emit-order Limit
+// keeps whichever matches the enumeration finds first, so there the answer
+// must be a mapping-sorted part of the oracle's. The collect order is also
+// held to plan.SortMatches' on a shuffled copy.
+func TestCollectEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 	if testing.Short() {
 		seeds = seeds[:2]
@@ -128,13 +127,13 @@ func TestParallelCollectEquivalence(t *testing.T) {
 	}
 	g, ix := richPGD(t)
 	if n, _ := checkCollect(t, "rich", ix, richQuery(t, g), 0.05, 300, 1); n < 5000 {
-		t.Fatalf("rich corpus has %d matches: too few to fill a store's chunks on every worker", n)
+		t.Fatalf("rich corpus has %d matches: too few to fill a store's chunks", n)
 	}
 }
 
 // checkCollect holds core.Match over one query to the oracle at every
-// Parallelism × Limit {0, 1, K} × order × strategy, and returns the
-// oracle's match count and how many matches emit-order Limits kept.
+// Limit {0, 1, K} × order × strategy, and returns the oracle's match count
+// and how many matches emit-order Limits kept.
 func checkCollect(t *testing.T, name string, ix pathindex.Reader, q *query.Query, alpha float64, K int, randSeed int64) (checked, cut int) {
 	t.Helper()
 	ctx := context.Background()
@@ -146,75 +145,68 @@ func checkCollect(t *testing.T, name string, ix pathindex.Reader, q *query.Query
 	rng := rand.New(rand.NewSource(randSeed))
 	for _, s := range []core.Strategy{core.StrategyOptimized, core.StrategyRandomDecomp} {
 		for _, limit := range []int{0, 1, K} {
-			var emitCut []join.Match // the emit-order Limit answer at Parallelism 1
-			for _, par := range []int{1, 2, 3, 8} {
-				label := fmt.Sprintf("%s %v limit %d P=%d", name, s, limit, par)
-				run := func(order core.ResultOrder) *core.Result {
-					res, err := core.Match(ctx, ix, q, core.Options{
-						Alpha: alpha, Strategy: s, Limit: limit, Order: order, Parallelism: par,
-						Rand: rand.New(rand.NewSource(randSeed)),
-					})
-					if err != nil {
-						t.Fatalf("%s %v: %v", label, order, err)
-					}
-					if res.Stats.Matched != len(res.Matches) {
-						t.Fatalf("%s %v: Matched %d, %d matches", label, order, res.Stats.Matched, len(res.Matches))
-					}
-					return res
+			label := fmt.Sprintf("%s %v limit %d", name, s, limit)
+			run := func(order core.ResultOrder) *core.Result {
+				res, err := core.Match(ctx, ix, q, core.Options{
+					Alpha: alpha, Strategy: s, Limit: limit, Order: order,
+					Rand: rand.New(rand.NewSource(randSeed)),
+				})
+				if err != nil {
+					t.Fatalf("%s %v: %v", label, order, err)
 				}
-
-				top := run(core.OrderByProb)
-				n := len(want)
-				if limit > 0 {
-					n = min(n, limit)
+				if res.Stats.Matched != len(res.Matches) {
+					t.Fatalf("%s %v: Matched %d, %d matches", label, order, res.Stats.Matched, len(res.Matches))
 				}
-				matchesIdentical(t, label+" prob vs naive", wantByProb[:n], top.Matches)
-				if wantTrunc := limit > 0 && len(want) > limit; top.Stats.Truncated != wantTrunc {
-					t.Fatalf("%s prob: Truncated %v, want %v", label, top.Stats.Truncated, wantTrunc)
-				}
-
-				all := run(core.OrderEmit)
-				if limit == 0 {
-					matchesIdentical(t, label+" emit vs naive", want, all.Matches)
-					shuffled := slices.Clone(all.Matches)
-					rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-					plan.SortMatches(shuffled)
-					matchesIdentical(t, label+" vs SortMatches", shuffled, all.Matches)
-					if all.Stats.Truncated {
-						t.Fatalf("%s emit: unlimited run flagged Truncated", label)
-					}
-					continue
-				}
-				if par == 1 {
-					emitCut = all.Matches
-					if len(emitCut) != n || all.Stats.Truncated != (len(want) >= limit) {
-						t.Fatalf("%s emit: %d matches Truncated %v, oracle has %d", label, len(emitCut), all.Stats.Truncated, len(want))
-					}
-					at := 0 // emitCut is a mapping-sorted subsequence of want
-					for _, m := range emitCut {
-						for at < len(want) && !slices.Equal(want[at].Mapping, m.Mapping) {
-							at++
-						}
-						if at == len(want) {
-							t.Fatalf("%s emit: %v is not in the oracle's answer, or out of order", label, m.Mapping)
-						}
-						matchesIdentical(t, label+" emit cut vs naive", want[at:at+1], []join.Match{m})
-					}
-					cut += len(emitCut)
-				}
-				matchesIdentical(t, label+" emit cut vs P=1", emitCut, all.Matches)
+				return res
 			}
+
+			top := run(core.OrderByProb)
+			n := len(want)
+			if limit > 0 {
+				n = min(n, limit)
+			}
+			matchesIdentical(t, label+" prob vs naive", wantByProb[:n], top.Matches)
+			if wantTrunc := limit > 0 && len(want) > limit; top.Stats.Truncated != wantTrunc {
+				t.Fatalf("%s prob: Truncated %v, want %v", label, top.Stats.Truncated, wantTrunc)
+			}
+
+			all := run(core.OrderEmit)
+			if limit == 0 {
+				matchesIdentical(t, label+" emit vs naive", want, all.Matches)
+				shuffled := slices.Clone(all.Matches)
+				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				plan.SortMatches(shuffled)
+				matchesIdentical(t, label+" vs SortMatches", shuffled, all.Matches)
+				if all.Stats.Truncated {
+					t.Fatalf("%s emit: unlimited run flagged Truncated", label)
+				}
+				continue
+			}
+			emitCut := all.Matches
+			if len(emitCut) != n || all.Stats.Truncated != (len(want) >= limit) {
+				t.Fatalf("%s emit: %d matches Truncated %v, oracle has %d", label, len(emitCut), all.Stats.Truncated, len(want))
+			}
+			at := 0 // emitCut is a mapping-sorted subsequence of want
+			for _, m := range emitCut {
+				for at < len(want) && !slices.Equal(want[at].Mapping, m.Mapping) {
+					at++
+				}
+				if at == len(want) {
+					t.Fatalf("%s emit: %v is not in the oracle's answer, or out of order", label, m.Mapping)
+				}
+				matchesIdentical(t, label+" emit cut vs naive", want[at:at+1], []join.Match{m})
+			}
+			cut += len(emitCut)
 		}
 	}
 	return len(want), cut
 }
 
-// TestParallelTopKEquivalence: an OrderByProb stream is deterministic under
-// parallelism — the merged per-worker stores reproduce, at Parallelism 1,
-// 2, 3 and 8 and Limit 0, 1 and K, the naive oracle's matches in decreasing
-// probability byte for byte, including the Truncated flag, and every yielded
-// match keeps its mapping after the run.
-func TestParallelTopKEquivalence(t *testing.T) {
+// TestTopKEquivalence: an OrderByProb stream reproduces, at Limit 0, 1 and
+// K, the naive oracle's matches in decreasing probability byte for byte,
+// including the Truncated flag, and every yielded match keeps its mapping
+// after the run.
+func TestTopKEquivalence(t *testing.T) {
 	const alpha, K = 0.05, 300
 	g, ix := richPGD(t)
 	q := richQuery(t, g)
@@ -231,29 +223,26 @@ func TestParallelTopKEquivalence(t *testing.T) {
 		if limit > 0 {
 			n = limit
 		}
-		for _, par := range []int{1, 2, 3, 8} {
-			var got []join.Match
-			st, err := core.MatchStream(context.Background(), ix, q, core.Options{
-				Alpha: alpha, Limit: limit, Order: core.OrderByProb, Parallelism: par,
-			}, func(m join.Match) bool {
-				got = append(got, m)
-				return true
-			})
-			if err != nil {
-				t.Fatalf("limit %d P=%d: %v", limit, par, err)
-			}
-			matchesIdentical(t, fmt.Sprintf("topk limit %d P=%d", limit, par), want[:n], got)
-			if st.Truncated != (limit > 0) || st.Matched != n {
-				t.Fatalf("limit %d P=%d: Truncated %v Matched %d, want %v %d", limit, par, st.Truncated, st.Matched, limit > 0, n)
-			}
+		var got []join.Match
+		st, err := core.MatchStream(context.Background(), ix, q, core.Options{
+			Alpha: alpha, Limit: limit, Order: core.OrderByProb,
+		}, func(m join.Match) bool {
+			got = append(got, m)
+			return true
+		})
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		matchesIdentical(t, fmt.Sprintf("topk limit %d", limit), want[:n], got)
+		if st.Truncated != (limit > 0) || st.Matched != n {
+			t.Fatalf("limit %d: Truncated %v Matched %d, want %v %d", limit, st.Truncated, st.Matched, limit > 0, n)
 		}
 	}
 }
 
-// TestEmitLimitIsDeterministic: an emit-order Limit used to keep whichever
-// match a worker pushed through the fan-in first. Emit-order runs now
-// enumerate on one worker whatever Parallelism says, so Limit 1 at
-// Parallelism 4 returns the same match every time, streamed or collected.
+// TestEmitLimitIsDeterministic: an emit-order Limit keeps the first match
+// the enumeration finds, so Limit 1 returns the same match every time,
+// streamed or collected.
 func TestEmitLimitIsDeterministic(t *testing.T) {
 	_, ix := equivalencePGD(t, 7)
 	q, err := gen.RandomQuery(rand.New(rand.NewSource(17)), ix.Graph().NumLabels(), 2, 2)
@@ -261,13 +250,13 @@ func TestEmitLimitIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	opt := core.Options{Alpha: 0.05, Limit: 1, Parallelism: 4}
-	seq, err := core.Match(ctx, ix, q, core.Options{Alpha: 0.05, Limit: 1, Parallelism: 1})
+	opt := core.Options{Alpha: 0.05, Limit: 1}
+	seq, err := core.Match(ctx, ix, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seq.Matches) != 1 {
-		t.Fatalf("sequential Limit 1 returned %d matches", len(seq.Matches))
+		t.Fatalf("Limit 1 returned %d matches", len(seq.Matches))
 	}
 	for i := 0; i < 50; i++ {
 		var streamed []join.Match
@@ -287,8 +276,7 @@ func TestEmitLimitIsDeterministic(t *testing.T) {
 }
 
 // TestParallelLimitStops: an OrderEmit stream with a Limit stops the
-// enumeration after exactly Limit yields and flags truncation, whatever
-// Parallelism asks for (emit-order streams enumerate on one worker).
+// enumeration after exactly Limit yields and flags truncation.
 func TestParallelLimitStops(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{
 		Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
@@ -307,7 +295,7 @@ func TestParallelLimitStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.Match(context.Background(), ix, q, core.Options{Alpha: 0.05, Parallelism: 4})
+	full, err := core.Match(context.Background(), ix, q, core.Options{Alpha: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +304,7 @@ func TestParallelLimitStops(t *testing.T) {
 	}
 	seen := 0
 	st, err := core.MatchStream(context.Background(), ix, q,
-		core.Options{Alpha: 0.05, Limit: 1, Parallelism: 4},
+		core.Options{Alpha: 0.05, Limit: 1},
 		func(join.Match) bool {
 			seen++
 			return true
@@ -333,8 +321,7 @@ func TestParallelLimitStops(t *testing.T) {
 }
 
 // TestParallelCancellationMidStream: cancelling the context from inside the
-// yield of a stream run with Parallelism 4 surfaces ctx.Err(). (Cancelling
-// a sink of the multi-worker enumerator itself is join.TestEnumerateStops.)
+// yield of a stream run on the synthetic corpus surfaces ctx.Err().
 func TestParallelCancellationMidStream(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{
 		Refs: 30, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
@@ -363,7 +350,7 @@ func TestParallelCancellationMidStream(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	_, err = core.MatchStream(ctx, ix, q, core.Options{Alpha: 0.05, Parallelism: 4},
+	_, err = core.MatchStream(ctx, ix, q, core.Options{Alpha: 0.05},
 		func(join.Match) bool {
 			seen++
 			cancel()
@@ -374,29 +361,5 @@ func TestParallelCancellationMidStream(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("yield never ran before cancellation")
-	}
-}
-
-// TestParallelismValidation: a negative Parallelism is rejected.
-func TestParallelismValidation(t *testing.T) {
-	d, err := gen.Synthetic(gen.SynthOptions{
-		Refs: 12, EdgeFactor: 2, Labels: 3, UncertainFrac: 0.3,
-		Groups: 1, GroupSize: 2, PairsPerGroup: 1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := entity.Build(d, entity.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := buildIx(t, g, 1, 0.05)
-	rng := rand.New(rand.NewSource(3))
-	q, err := gen.RandomQuery(rng, g.NumLabels(), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Match(context.Background(), ix, q, core.Options{Alpha: 0.5, Parallelism: -1}); err == nil {
-		t.Error("negative parallelism accepted")
 	}
 }

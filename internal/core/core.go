@@ -111,7 +111,9 @@ type Options struct {
 	Alpha float64
 	// Strategy selects the variant (default StrategyOptimized).
 	Strategy Strategy
-	// Workers bounds parallelism (0 = GOMAXPROCS).
+	// Workers bounds the parallelism of candidate pruning, the k-partite
+	// build and the reduction (0 = GOMAXPROCS) — a run's one CPU knob. The
+	// join (Section 5.2.5) enumerates on the calling goroutine.
 	Workers int
 	// MaxLen caps decomposition path length; 0 uses the index's L.
 	MaxLen int
@@ -129,18 +131,6 @@ type Options struct {
 	Limit int
 	// Order selects the emission order (OrderEmit or OrderByProb).
 	Order ResultOrder
-	// Parallelism is the number of join-enumeration workers of a retained
-	// run — Match/MatchPlan, and any OrderByProb stream — in the final match
-	// generation stage (Section 5.2.5): 0 or 1 = sequential on the calling
-	// goroutine, as the server runs every request. With more, the first
-	// join level is split into morsels consumed by the workers, each with
-	// its own allocation-free scratch state and its own store of what it
-	// found; the answer is bitwise the same at every value, and the time
-	// saved depends on the cores free when the query runs. An OrderEmit
-	// stream, and an OrderEmit Limit, always enumerate on one worker
-	// whatever Parallelism says: emission order, and which matches a Limit
-	// keeps, are deterministic.
-	Parallelism int
 	// Calibration, when set, corrects the planner's cardinality estimates
 	// with feedback from earlier executions against the same index and
 	// receives this run's observations. One Calibration belongs to one
@@ -194,20 +184,16 @@ func (o Options) Validate() error {
 	default:
 		return &OptionsError{Field: "Order", Reason: fmt.Sprintf("unknown result order %d", int(o.Order))}
 	}
-	if o.Parallelism < 0 {
-		return &OptionsError{Field: "Parallelism", Reason: fmt.Sprintf("negative parallelism %d", o.Parallelism)}
-	}
 	return nil
 }
 
 // exec maps the run-time knobs onto the executor's options.
 func (o Options) exec() plan.Exec {
 	return plan.Exec{
-		Workers:     o.Workers,
-		Limit:       o.Limit,
-		Order:       o.Order,
-		Parallelism: o.Parallelism,
-		CandCache:   o.CandCache,
+		Workers:   o.Workers,
+		Limit:     o.Limit,
+		Order:     o.Order,
+		CandCache: o.CandCache,
 	}
 }
 
@@ -256,8 +242,7 @@ func Explain(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Optio
 // (Definition 5) over the graph behind the given index: all matches M with
 // Pr(M) ≥ α, together with per-stage statistics. With Order == OrderEmit the
 // matches come sorted by mapping (then probability), with OrderByProb in
-// decreasing probability — the same answer at any Parallelism. It is
-// Prepare followed by MatchPlan.
+// decreasing probability. It is Prepare followed by MatchPlan.
 func Match(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Options) (*Result, error) {
 	pl, err := Prepare(ctx, ix, q, opt)
 	if err != nil {
@@ -312,7 +297,7 @@ func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt O
 // MatchStreamPlan executes a previously prepared plan, skipping query
 // validation, decomposition, and planning — the plan-cache hot path. The
 // streaming contract is exactly MatchStream's. Only the run-time knobs of
-// opt apply (Workers, Limit, Order, Parallelism, Calibration); Alpha and
+// opt apply (Workers, Limit, Order, Calibration); Alpha and
 // Strategy were compiled into the plan, so a disagreeing value is rejected
 // rather than silently ignored — a plan prepared at α=0.25 cannot be
 // mistaken for a run at α=0.9.
@@ -339,7 +324,7 @@ func (o Options) fits(pl *plan.Plan) error {
 
 // MatchPlan executes a previously prepared plan and returns the whole
 // answer, in Match's order, under MatchStreamPlan's rules for opt. The join
-// workers retain their matches in per-worker stores the executor merges
+// retains its matches in one store the executor walks in order
 // (plan.Executor.Collect), so nothing is streamed, re-copied or sorted
 // here.
 func MatchPlan(ctx context.Context, ix pathindex.Reader, pl *plan.Plan, opt Options) (*Result, error) {

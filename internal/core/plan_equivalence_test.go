@@ -198,7 +198,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"alpha-above-one", core.Options{Alpha: 1.5}, "Alpha"},
 		{"alpha-nan", core.Options{Alpha: math.NaN()}, "Alpha"},
 		{"limit-negative", core.Options{Alpha: 0.5, Limit: -1}, "Limit"},
-		{"parallelism-negative", core.Options{Alpha: 0.5, Parallelism: -2}, "Parallelism"},
 		{"workers-negative", core.Options{Alpha: 0.5, Workers: -1}, "Workers"},
 		{"maxlen-negative", core.Options{Alpha: 0.5, MaxLen: -3}, "MaxLen"},
 		{"strategy-unknown", core.Options{Alpha: 0.5, Strategy: core.Strategy(42)}, "Strategy"},

@@ -423,13 +423,3 @@ func (d *Decomposition) Preds(i, j int) []JoinPred {
 	}
 	return out
 }
-
-// SearchSpaceSize returns the product of estimated path cardinalities — the
-// SS0 objective the SET COVER minimizes.
-func (d *Decomposition) SearchSpaceSize() float64 {
-	ss := 1.0
-	for i := range d.Paths {
-		ss *= d.Paths[i].Card
-	}
-	return ss
-}

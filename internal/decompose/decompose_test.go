@@ -200,17 +200,6 @@ func TestRandomModeCovers(t *testing.T) {
 	}
 }
 
-func TestSearchSpaceSize(t *testing.T) {
-	q := triangle(t)
-	d, err := Decompose(q, fixedEst(7), Options{MaxLen: 1, Alpha: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.SearchSpaceSize(); got != 7*7*7 {
-		t.Errorf("SearchSpaceSize = %v", got)
-	}
-}
-
 func TestCostUsesDegreeAndDensity(t *testing.T) {
 	// Star query: center with 3 leaves. The 2-edge paths through the center
 	// have higher degree than single edges, lowering their cost.

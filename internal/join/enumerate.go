@@ -49,6 +49,11 @@ const (
 // was built for reads, and fills its factor rows as the join visits them: it
 // is enumerated in exactly that order, on one worker, and any other call is
 // an error.
+//
+// The library's executor (internal/plan) always runs one worker. More than
+// one — the morsel path — is reached only through FindMatchesParallel, whose
+// last non-test caller is the benchmark module's replay driver; the path
+// goes when that caller does.
 func Enumerate(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *kpartite.Graph, order []int, alpha float64, workers int, sink func(worker int, m Match) bool) error {
 	if kg.Keyed() {
 		if built := kg.KeyedOrder(); !slices.Equal(order, built) {

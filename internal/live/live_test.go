@@ -492,10 +492,12 @@ func TestCompaction(t *testing.T) {
 	sameMatchSets(t, "post-compaction", view.Graph(), got.Matches, oracle.Graph(), want.Matches)
 }
 
-// TestConcurrentIngestAndMatch is the -race stress: readers stream matches
+// TestConcurrentIngestAndMatch is the -race stress: readers query
 // continuously while a writer applies mutation batches and automatic
-// compactions publish new generations. Every query must succeed — the point
-// of the generation-swap design is zero read downtime.
+// compactions publish new generations — half stream in emit order, half
+// collect their top 5 by probability through the retained store. Every
+// query must succeed — the point of the generation-swap design is zero read
+// downtime.
 func TestConcurrentIngestAndMatch(t *testing.T) {
 	d := basePGD(t, 11)
 	opt := testOptions()
@@ -521,8 +523,14 @@ func TestConcurrentIngestAndMatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				_, err := core.MatchStream(context.Background(), db.View(), q,
-					core.Options{Alpha: 0.1}, func(join.Match) bool { return true })
+				var err error
+				if r%2 == 0 {
+					_, err = core.MatchStream(context.Background(), db.View(), q,
+						core.Options{Alpha: 0.1}, func(join.Match) bool { return true })
+				} else {
+					_, err = core.Match(context.Background(), db.View(), q,
+						core.Options{Alpha: 0.1, Order: core.OrderByProb, Limit: 5})
+				}
 				if err != nil {
 					errs <- err
 					return

@@ -456,10 +456,6 @@ func NewTextFamily(name, help, typ string, samples []string) *TextFamily {
 	return &TextFamily{name: name, help: help, typ: typ, samples: samples}
 }
 
-// Append adds more pre-rendered sample lines (e.g. the same family from
-// another replica).
-func (f *TextFamily) Append(samples ...string) { f.samples = append(f.samples, samples...) }
-
 // Name implements Collector.
 func (f *TextFamily) Name() string { return f.name }
 

@@ -15,21 +15,14 @@ import (
 // Exec configures one plan execution — the run-time knobs that do not
 // affect which plan is chosen.
 type Exec struct {
-	// Workers bounds stage parallelism for candidate pruning and the
-	// reduction (0 = GOMAXPROCS).
+	// Workers bounds stage parallelism for candidate pruning, the k-partite
+	// build and the reduction (0 = GOMAXPROCS). The join enumerates on the
+	// calling goroutine.
 	Workers int
 	// Limit caps the number of emitted matches (0 = unlimited).
 	Limit int
 	// Order selects the emission order (OrderEmit or OrderByProb).
 	Order ResultOrder
-	// Parallelism is the number of join-enumeration workers of a retained
-	// run — Collect, and Run under OrderByProb — each filling a store of its
-	// own (0 or 1 = sequential, on the calling goroutine). More than one is
-	// opt-in: the answer is the same, but how much faster it arrives depends
-	// on how many cores are free at that moment. Emit-order runs that
-	// stream, or that stop at Limit, always enumerate on one worker, so what
-	// they emit is deterministic.
-	Parallelism int
 	// CandCache, when non-nil, serves pruned per-path candidate sets for
 	// repeated query shapes. It must only be shared between executions over
 	// the same immutable index snapshot (the serving tier owns one per
@@ -60,7 +53,7 @@ func NewExecutor(ix pathindex.Reader, calib *Calibration) *Executor {
 // of the plan's histogram estimates: the match set is invariant under join
 // order, so this changes cost only (PlannedOrder and ExecOrder record both
 // sides). Returning false from yield stops the enumeration (not an error);
-// the semantics of Limit, Order, Parallelism, and cancellation are exactly
+// the semantics of Limit, Order, and cancellation are exactly
 // core.MatchStream's.
 func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.Match) bool) (Stats, error) {
 	jr, st, err := e.preJoin(ctx, pl, opt)
@@ -80,9 +73,9 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 			}
 		}
 	} else {
-		// Emit order is discovery order, which only one worker defines: the
-		// enumeration itself stops at Limit or when the consumer does.
-		err = jr.enumerate(ctx, 1, func(_ int, m join.Match) bool {
+		// Emit order is discovery order: the enumeration itself stops at
+		// Limit or when the consumer does.
+		err = jr.enumerate(ctx, func(_ int, m join.Match) bool {
 			st.Matched++
 			if !yield(m.Clone()) || (opt.Limit > 0 && st.Matched >= opt.Limit) {
 				st.Truncated = true
@@ -102,9 +95,8 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 // of streaming it: in decreasing probability, cut to the best Limit, under
 // OrderByProb; sorted by mapping (SortMatches' order) under OrderEmit, where
 // a Limit keeps the first Limit matches the sequential enumeration finds.
-// The matches are copied once, out of the join workers' scratch into
-// per-worker stores (see store.go), and the returned Mapping slices alias
-// those stores.
+// The matches are copied once, out of the join's scratch into a store (see
+// store.go), and the returned Mapping slices alias that store.
 func (e *Executor) Collect(ctx context.Context, pl *Plan, opt Exec) ([]join.Match, Stats, error) {
 	jr, st, err := e.preJoin(ctx, pl, opt)
 	if err != nil {
@@ -269,9 +261,10 @@ func aliveTotal(kg *kpartite.Graph) int {
 	return n
 }
 
-// enumerate is the final match generation (Section 5.2.5).
-func (r *joinRun) enumerate(ctx context.Context, workers int, sink func(worker int, m join.Match) bool) error {
-	return join.Enumerate(ctx, r.g, r.pl.Query, r.pl.Dec, r.kg, r.order, r.pl.Alpha, workers, sink)
+// enumerate is the final match generation (Section 5.2.5), on one worker:
+// the calling goroutine. A match the sink is lent is valid until it returns.
+func (r *joinRun) enumerate(ctx context.Context, sink func(worker int, m join.Match) bool) error {
+	return join.Enumerate(ctx, r.g, r.pl.Query, r.pl.Dec, r.kg, r.order, r.pl.Alpha, 1, sink)
 }
 
 // finish closes the join stage and the execution.
@@ -284,40 +277,30 @@ func (r *joinRun) finish(st *Stats) {
 	st.Total = time.Since(r.start)
 }
 
-// retain runs the join with every worker copying the matches it is lent
-// into a store of its own — no channel, lock or per-match allocation — then
-// has each store sort its rows and merges them into the answer. Under
-// OrderByProb with a Limit the stores are bounded heaps, so the run holds
-// O(workers × Limit) rows however many matches there are; because the
-// enumeration is exhaustive and the order total, the answer is the same at
-// any worker count. An emit-order Limit instead stops the enumeration, on
-// one worker so that which matches it keeps does not depend on scheduling.
+// retain runs the join copying the matches it is lent into one store — no
+// channel, lock or per-match allocation — then walks the store's order into
+// the answer. Under OrderByProb with a Limit the store is a bounded heap, so
+// the run holds O(Limit) rows however many matches there are. An emit-order
+// Limit instead stops the enumeration once it has that many.
 func (r *joinRun) retain(ctx context.Context, opt Exec, st *Stats) ([]join.Match, error) {
-	workers := max(1, opt.Parallelism)
 	keep, stopAt := 0, 0
 	switch {
 	case opt.Order == OrderByProb:
 		keep = opt.Limit
 	case opt.Limit > 0:
-		workers, stopAt = 1, opt.Limit
+		stopAt = opt.Limit
 	}
-	stores := make([]store, workers)
-	for i := range stores {
-		stores[i].init(r.pl.Query.NumNodes(), keep)
-	}
-	err := r.enumerate(ctx, workers, func(w int, m join.Match) bool {
-		stores[w].offer(m)
-		return stopAt == 0 || stores[w].n < stopAt
+	var s store
+	s.init(r.pl.Query.NumNodes(), keep)
+	err := r.enumerate(ctx, func(_ int, m join.Match) bool {
+		s.offer(m)
+		return stopAt == 0 || s.n < stopAt
 	})
 	if err != nil {
 		return nil, err
 	}
-	offered := 0
-	for i := range stores {
-		offered += stores[i].offered
-	}
-	ms := mergeStores(stores, opt.Order, keep)
+	ms := s.matches(opt.Order)
 	st.Matched = len(ms)
-	st.Truncated = (keep > 0 && offered > keep) || (stopAt > 0 && offered >= stopAt)
+	st.Truncated = (keep > 0 && s.offered > keep) || (stopAt > 0 && s.offered >= stopAt)
 	return ms, nil
 }

@@ -37,9 +37,9 @@ const (
 	OrderEmit ResultOrder = iota
 	// OrderByProb emits matches in decreasing probability (ties broken by
 	// mapping). The join must run to completion before the first emission,
-	// but with Limit > 0 each join worker retains only its top-Limit
-	// matches in a bounded min-heap, so memory stays O(workers × Limit)
-	// regardless of the match count.
+	// but with Limit > 0 the run retains only the top-Limit matches in a
+	// bounded min-heap, so memory stays O(Limit) regardless of the match
+	// count.
 	OrderByProb
 )
 

@@ -165,7 +165,7 @@ func TestExecutorRunRecordsStages(t *testing.T) {
 	}
 	ex := NewExecutor(ix, nil)
 	n := 0
-	st, err := ex.Run(context.Background(), pl, Exec{Parallelism: 1}, func(join.Match) bool { n++; return true })
+	st, err := ex.Run(context.Background(), pl, Exec{}, func(join.Match) bool { n++; return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCalibrationFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := NewExecutor(ix, calib)
-	if _, err := ex.Run(context.Background(), pl, Exec{Parallelism: 1}, func(join.Match) bool { return true }); err != nil {
+	if _, err := ex.Run(context.Background(), pl, Exec{}, func(join.Match) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	changed := false
@@ -261,7 +261,7 @@ func TestCalibrationConvergesOnCachedPlanReexecution(t *testing.T) {
 	}
 	ex := NewExecutor(ix, calib)
 	run := func() {
-		if _, err := ex.Run(context.Background(), pl, Exec{Parallelism: 1}, func(join.Match) bool { return true }); err != nil {
+		if _, err := ex.Run(context.Background(), pl, Exec{}, func(join.Match) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}

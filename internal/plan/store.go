@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/entity"
 	"repro/internal/join"
@@ -13,13 +12,13 @@ import (
 // storeChunkRows is the row count of one store chunk. A chunk is never
 // moved or grown once allocated, so rows can be aliased by the result; 256
 // rows keeps what a small result over-allocates (and what a retained result
-// pins beyond its own rows) to a few KiB per worker, and a 50 000-match
+// pins beyond its own rows) to a few KiB, and a 50 000-match
 // collect to ~200 chunks.
 const storeChunkRows = 256
 
-// store is what one join worker retains of the matches it is lent: row r
+// store is what a retained run keeps of the matches the join lends it: row r
 // lives in chunk r/storeChunkRows as `width` entity ids (row-major) beside
-// its Prle and Prn columns, copied out of the worker's scratch once and
+// its Prle and Prn columns, copied out of the join's scratch once and
 // never again — the result's Mapping slices alias the id chunks. With
 // limit == 0 every offer is kept; with limit > 0 the store is a bounded
 // min-heap over its first `limit` rows in OrderByProb's order: an offer is
@@ -32,8 +31,6 @@ type store struct {
 	lo, hi  entity.ID // least and greatest id copied in: the radix's key range
 	heap    []int32   // limit > 0: row ids, worst retained match at the root
 	offered int
-
-	_ [64]byte // stores of one run sit in one slice; keep workers' counters off each other's cache lines
 }
 
 type storeChunk struct {
@@ -233,118 +230,42 @@ func (s *store) byMapping() (first int32, next []int32) {
 	return first, next
 }
 
-// cursor walks one store's rows in a result order: down the list byMapping
-// threaded, or along the slice byProb sorted.
-type cursor struct {
-	s    *store
-	next []int32    // mapping order: the list
-	perm []int32    // probability order: the rows after r
-	r    int32      // the current row; -1 once past the last
-	head join.Match // s.at(r)
-	tied int        // mapping order: rows after r already ordered by settle
-}
-
-// open sorts the store's rows in order o and puts a cursor on the first.
-func (s *store) open(o ResultOrder) cursor {
-	c := cursor{s: s}
-	if o == OrderByProb {
-		c.perm = s.byProb()
-		c.advance()
-		return c
-	}
-	c.r, c.next = s.byMapping()
-	c.settle()
-	if c.r >= 0 {
-		c.head = s.at(c.r)
-	}
-	return c
-}
-
-// advance moves the cursor to the next row in its order.
-func (c *cursor) advance() {
-	switch {
-	case c.next != nil:
-		c.r = c.next[c.r]
-		if c.tied > 0 {
-			c.tied--
-		} else {
-			c.settle()
-		}
-	case len(c.perm) > 0:
-		c.r, c.perm = c.perm[0], c.perm[1:]
-	default:
-		c.r = -1
-	}
-	if c.r >= 0 {
-		c.head = c.s.at(c.r)
-	}
-}
-
-// settle finishes the mapping order where the radix left it open: when the
-// rows after r map as r does — no real answer has two, a mapping occurs once
-// — the run is put in decreasing probability, compareMatches' tie-break, and
-// relinked in place with r its first row.
-func (c *cursor) settle() {
-	if c.r < 0 {
-		return
-	}
-	s, ids := c.s, c.s.ids(c.r)
-	after := c.next[c.r]
-	if after < 0 || !slices.Equal(ids, s.ids(after)) {
-		return
-	}
-	run := []int32{c.r}
-	for ; after >= 0 && slices.Equal(ids, s.ids(after)); after = c.next[after] {
-		run = append(run, after)
-	}
-	slices.SortStableFunc(run, func(a, b int32) int { return comparePr(s.pr(a), s.pr(b)) })
-	for i, r := range run[1:] {
-		c.next[run[i]] = r
-	}
-	c.next[run[len(run)-1]] = after
-	c.r, c.tied = run[0], len(run)-1
-}
-
-// mergeStores sorts every store's rows in order o, each on its own
-// goroutine, and merges them into one exact-size slice of the first limit
-// matches (limit 0: all of them). The order is total over distinct matches
-// and no match is in two stores, so the result does not depend on which
-// worker found what. With one store the merge is a walk of its order.
-func mergeStores(stores []store, o ResultOrder, limit int) []join.Match {
-	cursors := make([]cursor, len(stores))
-	var wg sync.WaitGroup
-	for i := 1; i < len(stores); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cursors[i] = stores[i].open(o)
-		}()
-	}
-	cursors[0] = stores[0].open(o)
-	wg.Wait()
-
-	total := 0
-	for i := range stores {
-		total += stores[i].n
-	}
-	if limit > 0 {
-		total = min(total, limit)
-	}
-	if total == 0 {
+// matches returns the store's rows in order o as one exact-size slice whose
+// Mapping slices alias the chunks: down the slice byProb sorted, or the list
+// byMapping threaded. The radix leaves rows that map alike — no real answer
+// has two, a mapping occurs once — in row order; each such run is put in
+// decreasing probability, compareMatches' tie-break.
+func (s *store) matches(o ResultOrder) []join.Match {
+	if s.n == 0 {
 		return nil
 	}
-	out := make([]join.Match, total)
-	for k := range out {
-		best := &cursors[0]
-		for i := 1; i < len(cursors); i++ {
-			if c := &cursors[i]; c.r >= 0 && (best.r < 0 || compareMatches(o, c.head, best.head) < 0) {
-				best = c
-			}
+	out := make([]join.Match, 0, s.n)
+	if o == OrderByProb {
+		for _, r := range s.byProb() {
+			out = append(out, s.at(r))
 		}
-		out[k] = best.head
-		best.advance()
+		return out
 	}
+	first, next := s.byMapping()
+	run := 0 // out[run:] maps alike
+	for r := first; r >= 0; r = next[r] {
+		m := s.at(r)
+		if len(out) > run && !slices.Equal(m.Mapping, out[run].Mapping) {
+			settle(out[run:])
+			run = len(out)
+		}
+		out = append(out, m)
+	}
+	settle(out[run:])
 	return out
+}
+
+// settle puts a run of matches that map alike in decreasing probability,
+// keeping row order among equal probabilities.
+func settle(run []join.Match) {
+	if len(run) > 1 {
+		slices.SortStableFunc(run, func(a, b join.Match) int { return comparePr(a.Pr(), b.Pr()) })
+	}
 }
 
 // compareMatches orders two matches of one answer. OrderEmit is the collect

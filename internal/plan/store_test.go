@@ -103,13 +103,13 @@ func TestSortMatchesKeepsItsOrder(t *testing.T) {
 	}
 }
 
-// TestStoresMergeToTheSortedAnswer: matches dealt at random to 1–8 stores —
-// some left empty, some holding several chunks — and merged come out as the
+// TestStoresMergeToTheSortedAnswer: matches offered to one store — holding
+// none, one or several chunks — and walked in a result order come out as the
 // whole set in SortMatches' order (keep-all, OrderEmit), as the whole set in
 // decreasing probability (keep-all, OrderByProb), and as its best `limit`
-// (bounded stores: the heaps evict into reused rows and still hold every
-// global top-limit match) — whatever the deal was. The rows are borrowed
-// the way the join lends them: through one buffer overwritten per offer.
+// (a bounded store: the heap evicts into reused rows and still holds every
+// top-limit match). The rows are borrowed the way the join lends them:
+// through one buffer overwritten per offer.
 //
 // The mapping order is a radix sort held here to the comparison sort it
 // replaced, bit for bit: over every row count around a chunk boundary and
@@ -137,8 +137,8 @@ func TestStoresMergeToTheSortedAnswer(t *testing.T) {
 	}
 }
 
-// checkMerge deals ms to stores and holds every kind of merged answer to the
-// comparison-sorted one.
+// checkMerge offers ms to a store and holds every kind of answer walked out
+// of it to the comparison-sorted one.
 func checkMerge(t *testing.T, rng *rand.Rand, label string, ms []join.Match, width int) {
 	t.Helper()
 	byMap, byPr := slices.Clone(ms), slices.Clone(ms)
@@ -159,26 +159,20 @@ func checkMerge(t *testing.T, rng *rand.Rand, label string, ms []join.Match, wid
 		if tc.want == nil {
 			tc.want = byPr[:min(tc.limit, len(ms))]
 		}
-		stores := make([]store, 1+rng.Intn(8))
-		for i := range stores {
-			stores[i].init(width, tc.limit)
-		}
+		var s store
+		s.init(width, tc.limit)
 		lent := make([]entity.ID, width)
 		for _, m := range ms {
 			copy(lent, m.Mapping)
-			stores[rng.Intn(len(stores))].offer(join.Match{Mapping: lent, Prle: m.Prle, Prn: m.Prn})
+			s.offer(join.Match{Mapping: lent, Prle: m.Prle, Prn: m.Prn})
 		}
-		offered := 0
-		for i := range stores {
-			offered += stores[i].offered
-			if tc.limit > 0 && stores[i].n > tc.limit {
-				t.Fatalf("%s, %s: a store bounded at %d holds %d rows", label, tc.name, tc.limit, stores[i].n)
-			}
+		if tc.limit > 0 && s.n > tc.limit {
+			t.Fatalf("%s, %s: a store bounded at %d holds %d rows", label, tc.name, tc.limit, s.n)
 		}
-		got := mergeStores(stores, tc.order, tc.limit)
-		if offered != len(ms) || !equalMatches(tc.want, got) {
-			t.Fatalf("%s, %s: %d stores, %d matches, limit %d: merged answer differs from the sorted one (%d vs %d matches)",
-				label, tc.name, len(stores), len(ms), tc.limit, len(got), len(tc.want))
+		got := s.matches(tc.order)
+		if s.offered != len(ms) || !equalMatches(tc.want, got) {
+			t.Fatalf("%s, %s: %d matches, limit %d: walked answer differs from the sorted one (%d vs %d matches)",
+				label, tc.name, len(ms), tc.limit, len(got), len(tc.want))
 		}
 	}
 }

@@ -5,10 +5,7 @@
 // entity-level ones.
 package prob
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LabelID is the interned form of a node label. Labels are interned through
 // an Alphabet so that hot paths can use dense integer indices instead of
@@ -72,13 +69,5 @@ func (a *Alphabet) Name(id LabelID) string {
 func (a *Alphabet) Names() []string {
 	out := make([]string, len(a.names))
 	copy(out, a.names)
-	return out
-}
-
-// SortedNames returns all labels sorted lexicographically, independent of
-// intern order. Useful for deterministic output.
-func (a *Alphabet) SortedNames() []string {
-	out := a.Names()
-	sort.Strings(out)
 	return out
 }

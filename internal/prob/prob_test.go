@@ -45,14 +45,6 @@ func TestAlphabetErrors(t *testing.T) {
 	}
 }
 
-func TestAlphabetSortedNames(t *testing.T) {
-	a := MustAlphabet("z", "a", "m")
-	got := a.SortedNames()
-	if got[0] != "a" || got[1] != "m" || got[2] != "z" {
-		t.Errorf("SortedNames = %v", got)
-	}
-}
-
 func TestDistBasics(t *testing.T) {
 	d, err := NewDist(LabelProb{0, 0.25}, LabelProb{2, 0.75})
 	if err != nil {

@@ -140,18 +140,6 @@ func (q *Query) Validate(a *prob.Alphabet) error {
 	return nil
 }
 
-// NeighborLabelCount returns c(n,σ): the number of neighbors of n labeled σ
-// (the node-level query statistic of Section 5.2.2).
-func (q *Query) NeighborLabelCount(n NodeID, sigma prob.LabelID) int {
-	c := 0
-	for _, m := range q.adj[n] {
-		if q.labels[m] == sigma {
-			c++
-		}
-	}
-	return c
-}
-
 // NeighborLabelCounts returns c(n,·) as a dense slice indexed by label.
 func (q *Query) NeighborLabelCounts(n NodeID, nLabels int) []int {
 	out := make([]int, nLabels)

@@ -101,12 +101,6 @@ func TestNeighborLabelCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := q.NeighborLabelCount(ctr, 1); got != 2 {
-		t.Errorf("c(ctr,1) = %d", got)
-	}
-	if got := q.NeighborLabelCount(ctr, 0); got != 0 {
-		t.Errorf("c(ctr,0) = %d", got)
-	}
 	counts := q.NeighborLabelCounts(ctr, 3)
 	if counts[1] != 2 || counts[2] != 1 || counts[0] != 0 {
 		t.Errorf("counts = %v", counts)

@@ -226,9 +226,6 @@ func (g *PGD) NumRefs() int { return len(g.labels) }
 // RefLabel returns the label distribution of reference r.
 func (g *PGD) RefLabel(r RefID) prob.Dist { return g.labels[r] }
 
-// SetRefLabel replaces the label distribution of reference r.
-func (g *PGD) SetRefLabel(r RefID, d prob.Dist) { g.labels[r] = d }
-
 // AddEdge records an undirected reference edge with the given existence
 // distribution. Re-adding an existing edge overwrites it.
 func (g *PGD) AddEdge(a, b RefID, e EdgeDist) error {

@@ -1148,7 +1148,6 @@ func (p *matchParams) options(si *servedIndex) core.Options {
 		Workers:     1,
 		Limit:       p.limit,
 		Order:       p.order,
-		Parallelism: 1,
 		Calibration: si.calib,
 		CandCache:   si.cands,
 	}

@@ -42,15 +42,9 @@
 //		use(m)
 //	}
 //
-// A run that retains its answer — Match, MatchPlan and any OrderByProb
-// stream — can enumerate morsel-parallel: MatchOptions.Parallelism is the
-// number of join workers (0 or 1 = sequential, the default here and in the
-// server), each with allocation-free scratch state and a store of its own
-// for what it finds, and the answer is bitwise the same at every value. An
-// emit-order stream (and an emit-order Limit) always enumerates on one
-// worker, so what it emits is deterministic. Raise Parallelism for a single
-// result-heavy query on otherwise idle cores; leave it when serving many
-// concurrent queries.
+// Every run enumerates its join on the calling goroutine, so what it emits,
+// and which matches a Limit keeps, are deterministic; MatchOptions.Workers
+// spreads only the stages before the join.
 //
 // # Live ingest
 //
@@ -159,11 +153,9 @@ type (
 	// MatchRecord is a full query match with its probability components
 	// (mapping ψ plus Prle and Prn).
 	MatchRecord = join.Match
-	// MatchOptions configures a match run: threshold, strategy, the
-	// streaming knobs Limit and Order, and Parallelism (the join worker
-	// count of runs that retain their answer — Match, OrderByProb; 0 or 1 =
-	// sequential — with identical results at any value; emit-order streams
-	// always enumerate on one worker).
+	// MatchOptions configures a match run: threshold, strategy, Workers
+	// (the stages before the join; the join runs on the calling goroutine)
+	// and the streaming knobs Limit and Order.
 	MatchOptions = core.Options
 	// MatchResult bundles matches with per-stage statistics.
 	MatchResult = core.Result
@@ -207,8 +199,8 @@ type (
 
 	// Server is the concurrent HTTP/JSON query-serving front end.
 	Server = server.Server
-	// ServerOptions configures the server (worker pool, result cache,
-	// request timeout, per-request join parallelism).
+	// ServerOptions configures the server (worker pool, result, plan and
+	// candidate caches, request timeout, admission cost cap).
 	ServerOptions = server.Options
 	// MatchRequest is the JSON body of the server's /match and
 	// /match/stream endpoints.
