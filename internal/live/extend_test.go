@@ -384,19 +384,8 @@ func TestWalkScoresInDiscoveryOrder(t *testing.T) {
 					}
 					ov.scan(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
 						at := slices.IndexFunc(nodes, func(id entity.ID) bool { return ov.dirty[id] })
-						order := []entity.ID{nodes[at]}
-						wantPrle := g.PrLabel(nodes[at], X[at])
-						for i := at - 1; i >= 0; i-- {
-							e, _ := g.EdgeBetween(nodes[i], nodes[i+1])
-							wantPrle = wantPrle * g.PrEdge(e, X[i], X[i+1]) * g.PrLabel(nodes[i], X[i])
-							order = append(order, nodes[i])
-						}
-						for i := at + 1; i < len(nodes); i++ {
-							e, _ := g.EdgeBetween(nodes[i-1], nodes[i])
-							wantPrle = wantPrle * g.PrEdge(e, X[i-1], X[i]) * g.PrLabel(nodes[i], X[i])
-							order = append(order, nodes[i])
-						}
-						if wantPrn := g.Prn(order); math.Float64bits(prn) != math.Float64bits(wantPrn) || math.Float64bits(prle) != math.Float64bits(wantPrle) {
+						wantPrle, wantPrn, _ := scoreFromDirty(g, nodes, X, at)
+						if math.Float64bits(prn) != math.Float64bits(wantPrn) || math.Float64bits(prle) != math.Float64bits(wantPrle) {
 							t.Fatalf("semantics %d batch %d: path %v labelled %v at α=%v scores (%v, %v), want (%v, %v)",
 								sem, b, nodes, X, alpha, prle, prn, wantPrle, wantPrn)
 						}

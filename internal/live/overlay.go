@@ -27,8 +27,8 @@ const eps = 1e-12
 // Unlike the base index, which stores one canonical orientation per path and
 // reconstructs the other at lookup, the overlay stores both orientations
 // under their own label sequences: each oriented path is stored exactly
-// once, scored from its first dirty node (see walk), which also makes the
-// palindrome and reversal cases of Lookup fall out naturally.
+// once, scored from its first dirty node (see firstDirtyScore), which also
+// makes the palindrome and reversal cases of Lookup fall out naturally.
 //
 // An overlay is immutable once extend returns and safe for concurrent
 // readers. Consecutive overlays share the arena of every label sequence a
@@ -189,8 +189,8 @@ func extend(prev *overlay, g *entity.Graph, fresh []entity.ID, beta float64, max
 		}
 	}
 
-	w := &walk{g: g, anchorSet: isFresh, dirty: ov.dirty, thresh: beta, max: maxLen + 1}
-	w.emit = func(nodes []entity.ID, labels []prob.LabelID, prle, prn float64) {
+	walk := pathindex.NewWalker(g, beta, maxLen+1, nil, isFresh, func(nodes []entity.ID, labels []prob.LabelID, at int, prle, prn float64) bool {
+		prle, prn = firstDirtyScore(g, ov.dirty, nodes, labels, at, prle, prn)
 		k := makeKey(labels)
 		r := ov.entries[k]
 		switch {
@@ -212,12 +212,48 @@ func extend(prev *overlay, g *entity.Graph, fresh []entity.ID, beta float64, max
 		}
 		r.add(nodes, prle, prn)
 		ov.count++
-	}
+		return true
+	})
 	for _, v := range fresh {
-		w.anchor(v)
+		walk.Anchor(v)
+		ov.walked++
 	}
-	ov.walked = w.anchored
 	return ov
+}
+
+// firstDirtyScore returns the score a path is stored with: the one a walk
+// anchored at the path's first dirty node d multiplies — d's label factor,
+// then an edge and a label factor per node leftwards from d, then
+// rightwards, with Prn over the nodes in that same order. The walk that found
+// the path started at position at, and every node left of it lies outside
+// its anchor set; when that set is the whole dirty set, the anchor is the
+// first dirty node and the walk's running products are the score. During
+// incremental maintenance the anchor set is only the batch's fresh
+// entities, a dirty node may lie left of the anchor, and the path is scored
+// again from that node factor by factor in the walk's order — so what is
+// stored never depends on which batch found it.
+func firstDirtyScore(g *entity.Graph, dirty []bool, nodes []entity.ID, labels []prob.LabelID, at int, prle, prn float64) (float64, float64) {
+	d := slices.IndexFunc(nodes[:at], func(v entity.ID) bool { return dirty[v] })
+	if d < 0 {
+		return prle, prn
+	}
+	var order [maxNodes]entity.ID
+	order[0] = nodes[d]
+	k := 1
+	prle = g.PrLabel(nodes[d], labels[d])
+	for i := d - 1; i >= 0; i-- {
+		e, _ := g.EdgeBetween(nodes[i+1], nodes[i])
+		prle = prle * g.PrEdge(e, labels[i], labels[i+1]) * g.PrLabel(nodes[i], labels[i])
+		order[k] = nodes[i]
+		k++
+	}
+	for i := d + 1; i < len(nodes); i++ {
+		e, _ := g.EdgeBetween(nodes[i-1], nodes[i])
+		prle = prle * g.PrEdge(e, labels[i-1], labels[i]) * g.PrLabel(nodes[i], labels[i])
+		order[k] = nodes[i]
+		k++
+	}
+	return prle, g.Prn(order[:k])
 }
 
 // unionSorted merges two ascending id lists into a fresh ascending list
@@ -258,23 +294,15 @@ func (ov *overlay) scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) 
 		}
 		return
 	}
-	more := true // the walk has no early exit; a stopped fn is just not called again
-	w := &walk{
-		g:         ov.g,
-		anchorSet: ov.dirty,
-		dirty:     ov.dirty,
-		thresh:    alpha,
-		max:       len(X),
-		guide:     X,
-		emit: func(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) {
-			more = more && fn(nodes, prle, prn)
-		},
-	}
+	// The anchor set is the dirty set, so every path is found from its first
+	// dirty node and the walk's running products are its score.
+	walk := pathindex.NewWalker(ov.g, alpha, len(X), X, ov.dirty, func(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn float64) bool {
+		return fn(nodes, prle, prn)
+	})
 	for _, v := range ov.dirtyIDs {
-		if !more {
+		if !walk.Anchor(v) {
 			return
 		}
-		w.anchor(v)
 	}
 }
 
@@ -299,206 +327,4 @@ func (ov *overlay) cardinality(X []prob.LabelID, alpha float64) float64 {
 		}
 	}
 	return float64(n)
-}
-
-// walk enumerates oriented paths through anchor nodes, each exactly once:
-// the anchor is the path's first (leftmost) node of the anchor set, so the
-// left extension admits only nodes outside that set while the right
-// extension is free. With a guide the labels and length are fixed (lookup);
-// without, every label assignment above the threshold is enumerated (overlay
-// maintenance). Partial paths are pruned by probability — contiguous
-// subpaths always bound the full path's probability from above, exactly as
-// in the base index build.
-//
-// A path's score is defined from its first *dirty* node d: Prle multiplies
-// d's label factor, then an edge and a label factor per node leftwards from
-// d, then rightwards; Prn is entity.Graph.Prn over the nodes in that same
-// order. When the anchor set is the dirty set this is the order the walk
-// itself discovers the path in, and the running products are the score.
-// During incremental maintenance the anchor set is only the batch's fresh
-// entities, a dirty node may lie left of the anchor, and the emitted path is
-// scored again from that node — so what is stored never depends on which
-// batch found it.
-type walk struct {
-	g         *entity.Graph
-	anchorSet []bool // by entity id: the nodes anchor is called on
-	dirty     []bool // by entity id: the cumulative dirty set, ⊇ anchorSet
-	thresh    float64
-	max       int            // maximum (guide: exact) number of nodes
-	guide     []prob.LabelID // nil = free enumeration
-	emit      func(nodes []entity.ID, labels []prob.LabelID, prle, prn float64)
-
-	nodes  [maxNodes]entity.ID    // the path, oriented
-	labels [maxNodes]prob.LabelID // parallel to nodes
-	found  [maxNodes]entity.ID    // the path's nodes in discovery order
-	n      int
-	at     int // index of the anchor in nodes
-
-	anchored int // calls of anchor
-}
-
-// anchor starts paths at node u of the anchor set. In guided mode u is tried
-// at every position of the guide; the position index equals the number of
-// left nodes still to be added.
-func (w *walk) anchor(u entity.ID) {
-	w.anchored++
-	exist := w.g.Exist(u)
-	w.nodes[0], w.found[0], w.n, w.at = u, u, 1, 0
-	if w.guide != nil {
-		for i, l := range w.guide {
-			lp := w.g.PrLabel(u, l)
-			if lp == 0 || lp*exist+eps < w.thresh {
-				continue
-			}
-			w.labels[0] = l
-			w.left(lp, exist, i)
-		}
-		return
-	}
-	for l, lp := range w.g.LabelRow(u) {
-		if lp == 0 || lp*exist+eps < w.thresh {
-			continue
-		}
-		w.labels[0] = prob.LabelID(l)
-		w.left(lp, exist, w.max-1)
-	}
-}
-
-// left grows the path at its head with nodes outside the anchor set;
-// leftBudget is how many head extensions may still happen (guided: how many
-// must). Every left state hands over to the right phase.
-func (w *walk) left(prle, prn float64, leftBudget int) {
-	if w.guide == nil || leftBudget == 0 {
-		w.right(prle, prn)
-	}
-	if leftBudget == 0 || w.n == w.max {
-		return
-	}
-	head, headLabel := w.nodes[0], w.labels[0]
-	for _, nb := range w.g.Neighbors(head) {
-		v := nb.To
-		if w.anchorSet[v] || (w.guide != nil && !w.g.HasLabel(v, w.guide[leftBudget-1])) || w.contains(v) {
-			continue
-		}
-		prn2 := w.g.PrnExtend(w.found[:w.n], prn, v)
-		if prn2 == 0 {
-			continue
-		}
-		if w.guide != nil {
-			l := w.guide[leftBudget-1]
-			w.pushLeft(v, l, prle*w.g.PrEdge(nb, l, headLabel)*w.g.PrLabel(v, l), prn2, leftBudget-1)
-			continue
-		}
-		for l, lp := range w.g.LabelRow(v) {
-			if lp > 0 {
-				w.pushLeft(v, prob.LabelID(l), prle*w.g.PrEdge(nb, prob.LabelID(l), headLabel)*lp, prn2, leftBudget-1)
-			}
-		}
-	}
-}
-
-// pushLeft prepends v with label l when the extended path clears the
-// threshold, continues the left phase from it and restores the path.
-func (w *walk) pushLeft(v entity.ID, l prob.LabelID, prle, prn float64, leftBudget int) {
-	if prle*prn+eps < w.thresh {
-		return
-	}
-	copy(w.nodes[1:w.n+1], w.nodes[:w.n])
-	copy(w.labels[1:w.n+1], w.labels[:w.n])
-	w.nodes[0], w.labels[0], w.found[w.n] = v, l, v
-	w.n++
-	w.at++
-	w.left(prle, prn, leftBudget)
-	w.n--
-	w.at--
-	copy(w.nodes[:w.n], w.nodes[1:w.n+1])
-	copy(w.labels[:w.n], w.labels[1:w.n+1])
-}
-
-// right grows the path at its tail without a constraint on the node set and
-// emits every state (guided: only the full-length state).
-func (w *walk) right(prle, prn float64) {
-	if w.guide == nil || w.n == w.max {
-		w.emitPath(prle, prn)
-	}
-	if w.n == w.max {
-		return
-	}
-	tail, tailLabel := w.nodes[w.n-1], w.labels[w.n-1]
-	for _, nb := range w.g.Neighbors(tail) {
-		v := nb.To
-		if (w.guide != nil && !w.g.HasLabel(v, w.guide[w.n])) || w.contains(v) {
-			continue
-		}
-		prn2 := w.g.PrnExtend(w.found[:w.n], prn, v)
-		if prn2 == 0 {
-			continue
-		}
-		if w.guide != nil {
-			l := w.guide[w.n]
-			w.pushRight(v, l, prle*w.g.PrEdge(nb, tailLabel, l)*w.g.PrLabel(v, l), prn2)
-			continue
-		}
-		for l, lp := range w.g.LabelRow(v) {
-			if lp > 0 {
-				w.pushRight(v, prob.LabelID(l), prle*w.g.PrEdge(nb, tailLabel, prob.LabelID(l))*lp, prn2)
-			}
-		}
-	}
-}
-
-// pushRight is pushLeft for the tail.
-func (w *walk) pushRight(v entity.ID, l prob.LabelID, prle, prn float64) {
-	if prle*prn+eps < w.thresh {
-		return
-	}
-	w.nodes[w.n], w.labels[w.n], w.found[w.n] = v, l, v
-	w.n++
-	w.right(prle, prn)
-	w.n--
-}
-
-// emitPath hands the current path to emit, scored from its first dirty node:
-// the running products when that is the anchor, a second evaluation in the
-// defined order when a dirty node outside the anchor set precedes it.
-func (w *walk) emitPath(prle, prn float64) {
-	for d := 0; d < w.at; d++ {
-		if w.dirty[w.nodes[d]] {
-			prle, prn = w.scoreFrom(d)
-			break
-		}
-	}
-	w.emit(w.nodes[:w.n], w.labels[:w.n], prle, prn)
-}
-
-// scoreFrom evaluates the current path's score as a walk anchored at
-// position d computes it, factor by factor in the same order.
-func (w *walk) scoreFrom(d int) (prle, prn float64) {
-	g := w.g
-	var order [maxNodes]entity.ID
-	order[0] = w.nodes[d]
-	k := 1
-	prle = g.PrLabel(w.nodes[d], w.labels[d])
-	for i := d - 1; i >= 0; i-- {
-		e, _ := g.EdgeBetween(w.nodes[i+1], w.nodes[i])
-		prle = prle * g.PrEdge(e, w.labels[i], w.labels[i+1]) * g.PrLabel(w.nodes[i], w.labels[i])
-		order[k] = w.nodes[i]
-		k++
-	}
-	for i := d + 1; i < w.n; i++ {
-		e, _ := g.EdgeBetween(w.nodes[i-1], w.nodes[i])
-		prle = prle * g.PrEdge(e, w.labels[i-1], w.labels[i]) * g.PrLabel(w.nodes[i], w.labels[i])
-		order[k] = w.nodes[i]
-		k++
-	}
-	return prle, g.Prn(order[:k])
-}
-
-func (w *walk) contains(v entity.ID) bool {
-	for i := 0; i < w.n; i++ {
-		if w.nodes[i] == v {
-			return true
-		}
-	}
-	return false
 }

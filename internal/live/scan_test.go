@@ -5,17 +5,21 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/entity"
+	"repro/internal/gen"
 	"repro/internal/pathindex"
 	"repro/internal/prob"
+	"repro/internal/refgraph"
 )
 
 // lookupBeforeScan is View.Lookup as it stood before Scan existed, the
 // reference the streamed merge is held to: the base index's matches
 // (materialized) minus those touching a dirty entity, then the overlay's —
-// stored entries at or above β, a materializing on-demand walk below.
+// stored entries at or above β, a brute-force enumeration below (see
+// overlayBruteForce).
 func lookupBeforeScan(v *View, X []prob.LabelID, alpha float64) ([]pathindex.PathMatch, error) {
 	bm, err := v.base.Lookup(X, alpha)
 	if err != nil || v.ov == nil {
@@ -48,28 +52,109 @@ func lookupBeforeScan(v *View, X []prob.LabelID, alpha float64) ([]pathindex.Pat
 		}
 		return out, nil
 	}
-	w := &walk{
-		g: ov.g, anchorSet: ov.dirty, dirty: ov.dirty, thresh: alpha, max: len(X), guide: X,
-		emit: func(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) {
-			out = append(out, pathindex.PathMatch{Nodes: append([]entity.ID(nil), nodes...), Prle: prle, Prn: prn})
-		},
+	return append(out, overlayBruteForce(ov, X, alpha)...), nil
+}
+
+// overlayBruteForce is the overlay's share of PIndex(X, α) below β with no
+// walk and no pruning: every simple path of GU whose nodes carry the labels
+// X and one of which is dirty, scored from its first dirty node (see
+// scoreFromDirty), kept when it clears α. The paths come in the order a walk
+// anchored at that node discovers them: by the node, then its position on
+// the path, then the nodes leftwards of it, then rightwards.
+func overlayBruteForce(ov *overlay, X []prob.LabelID, alpha float64) []pathindex.PathMatch {
+	g := ov.g
+	type found struct {
+		m   pathindex.PathMatch
+		key []entity.ID
 	}
-	for u, d := range ov.dirty {
-		if d {
-			w.anchor(entity.ID(u))
+	var all []found
+	var path []entity.ID
+	var grow func()
+	grow = func() {
+		if len(path) == len(X) {
+			at := slices.IndexFunc(path, func(v entity.ID) bool { return ov.dirty[v] })
+			if at < 0 {
+				return
+			}
+			prle, prn, order := scoreFromDirty(g, path, X, at)
+			if prle*prn+eps < alpha {
+				return
+			}
+			key := append([]entity.ID{order[0], entity.ID(at)}, order[1:]...)
+			all = append(all, found{pathindex.PathMatch{Nodes: slices.Clone(path), Prle: prle, Prn: prn}, key})
+			return
+		}
+		next := make([]entity.ID, 0, g.NumNodes())
+		if len(path) == 0 {
+			for v := 0; v < g.NumNodes(); v++ {
+				next = append(next, entity.ID(v))
+			}
+		} else {
+			for _, nb := range g.Neighbors(path[len(path)-1]) {
+				next = append(next, nb.To)
+			}
+		}
+		for _, v := range next {
+			if g.PrLabel(v, X[len(path)]) > 0 && !slices.Contains(path, v) {
+				path = append(path, v)
+				grow()
+				path = path[:len(path)-1]
+			}
 		}
 	}
-	return out, nil
+	grow()
+	slices.SortFunc(all, func(a, b found) int { return slices.Compare(a.key, b.key) })
+	out := make([]pathindex.PathMatch, len(all))
+	for i, f := range all {
+		out[i] = f.m
+	}
+	return out
+}
+
+// scoreFromDirty is the score of the path nodes labelled X as the overlay
+// defines it from the dirty node at position at: Prle multiplies that
+// node's label factor and then one edge and one label factor per node,
+// leftwards from it and then rightwards; Prn is entity.Graph.Prn of the
+// nodes in that same order, which it returns as well.
+func scoreFromDirty(g *entity.Graph, nodes []entity.ID, X []prob.LabelID, at int) (prle, prn float64, order []entity.ID) {
+	order = []entity.ID{nodes[at]}
+	prle = g.PrLabel(nodes[at], X[at])
+	for i := at - 1; i >= 0; i-- {
+		e, _ := g.EdgeBetween(nodes[i], nodes[i+1])
+		prle = prle * g.PrEdge(e, X[i], X[i+1]) * g.PrLabel(nodes[i], X[i])
+		order = append(order, nodes[i])
+	}
+	for i := at + 1; i < len(nodes); i++ {
+		e, _ := g.EdgeBetween(nodes[i-1], nodes[i])
+		prle = prle * g.PrEdge(e, X[i-1], X[i]) * g.PrLabel(nodes[i], X[i])
+		order = append(order, nodes[i])
+	}
+	return prle, g.Prn(order), order
 }
 
 // TestViewScanEqualsLookupBeforeScan is the live half of the pre-join
 // equivalence property: on views carrying a dirty overlay, with α on both
 // sides of β, View.Scan's record stream and View.Lookup equal the
 // pre-change Lookup in order, nodes and float bits — and a scan stopped
-// inside the base half never reaches the overlay.
+// inside the base half never reaches the overlay. On the small corpora the
+// batches dirty nearly every entity; the larger one leaves most clean, so
+// below β the overlay streams paths whose first dirty node is at every
+// position of a three-node path, grown at the head by one and by two nodes.
 func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
-	for _, seed := range []int64{6, 7} {
-		db := createDB(t, basePGD(t, seed), testOptions())
+	large, err := gen.Synthetic(gen.SynthOptions{
+		Refs: 120, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
+		Groups: 4, GroupSize: 3, PairsPerGroup: 2, Seed: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstDirtyAt := make([]int, testMaxLen+1) // below-β overlay records of three nodes
+	for _, c := range []struct {
+		seed int64
+		pgd  *refgraph.PGD
+	}{{6, basePGD(t, 6)}, {7, basePGD(t, 7)}, {8, large}} {
+		seed := c.seed
+		db := createDB(t, c.pgd, testOptions())
 		rng := rand.New(rand.NewSource(seed * 29))
 		for applied := 0; applied < 2; {
 			var ms []Mutation
@@ -118,14 +203,15 @@ func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
 						}
 					}
 					for _, m := range want {
-						touchesDirty := false
-						for _, n := range m.Nodes {
-							touchesDirty = touchesDirty || v.ov.dirty[n]
-						}
-						if touchesDirty {
-							fromOverlay++
-						} else {
+						at := slices.IndexFunc(m.Nodes, func(n entity.ID) bool { return v.ov.dirty[n] })
+						switch {
+						case at < 0:
 							fromBase++
+						case alpha < testBeta && len(m.Nodes) == len(firstDirtyAt):
+							firstDirtyAt[at]++
+							fallthrough
+						default:
+							fromOverlay++
 						}
 					}
 					if len(want) > 1 {
@@ -151,4 +237,8 @@ func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
 			t.Fatalf("seed %d: %d base and %d overlay records probed; need both", seed, fromBase, fromOverlay)
 		}
 	}
+	if slices.Contains(firstDirtyAt, 0) {
+		t.Fatalf("below-β three-node overlay records by first dirty position: %v; need every position", firstDirtyAt)
+	}
+	t.Logf("below-β three-node overlay records by first dirty position: %v", firstDirtyAt)
 }

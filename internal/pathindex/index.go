@@ -208,117 +208,48 @@ func (ix *Index) Gamma() float64 { return ix.opt.Gamma }
 // MaxLen returns the maximum indexed path length L.
 func (ix *Index) MaxLen() int { return ix.opt.MaxLen }
 
-// opath is an oriented path under construction: a stack of nodes and their
-// labels that the build's walk and the on-demand DFS push and pop in place.
-type opath struct {
-	n      uint8
-	nodes  [maxNodes]entity.ID
-	labels [maxNodes]prob.LabelID
-}
-
-func (p *opath) contains(v entity.ID) bool {
-	for i := uint8(0); i < p.n; i++ {
-		if p.nodes[i] == v {
-			return true
-		}
-	}
-	return false
-}
-
 // buildPaths walks the oriented paths depth first from every (node, label)
-// pair that clears β, handing each path's canonical orientation to w as soon
-// as the walk reaches it (Section 5.1). A start's extensions are tried in
-// neighbour, then label order, so the paths of each length arrive in the
+// pair that clears β and adds each path's canonical orientation to w as
+// soon as the walk reaches it (Section 5.1): the one whose label sequence is
+// the smaller of the two readings and, when they are equal, whose first
+// node is the smaller. The walk reaches both orientations of every path of
+// two or more nodes; only this one is stored. A root's extensions are tried
+// in neighbour, then label order, so the paths of each length arrive in the
 // lexicographic order of their (node, label) pairs whatever L is: every
 // (sequence, bucket) receives its postings in that order, which fixes the
 // file's bytes.
 func (ix *Index) buildPaths(ctx context.Context, w *packedix.Writer) error {
 	ix.stats.EntriesPerLen = make([]uint64, ix.opt.MaxLen+1)
-	g := ix.g
-	var p opath
-	for v := 0; v < g.NumNodes(); v++ {
+	var err error
+	walk := NewWalker(ix.g, ix.opt.Beta, ix.opt.MaxLen+1, nil, nil, func(nodes []entity.ID, labels []prob.LabelID, _ int, prle, prn float64) bool {
+		n := len(nodes)
+		reversed, palin := orientation(labels)
+		if reversed || palin && n > 1 && nodes[0] > nodes[n-1] {
+			return true
+		}
+		var lbl [maxNodes]uint16
+		var nds [maxNodes]uint32
+		for i := range nodes {
+			lbl[i], nds[i] = uint16(labels[i]), uint32(nodes[i])
+		}
+		b := bucketOf(prle*prn, ix.opt.Beta, ix.opt.Gamma)
+		if err = w.Add(lbl[:n], int(b), nds[:n], prle, prn); err != nil {
+			return false
+		}
+		ix.stats.Entries++
+		ix.stats.EntriesPerLen[n-1]++
+		return true
+	})
+	for v := 0; v < ix.g.NumNodes(); v++ {
 		if v%1024 == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return err
 			}
 		}
-		exist := g.Exist(entity.ID(v))
-		for l, lp := range g.LabelRow(entity.ID(v)) {
-			if lp == 0 || lp*exist+1e-12 < ix.opt.Beta {
-				continue
-			}
-			p.n = 1
-			p.nodes[0], p.labels[0] = entity.ID(v), prob.LabelID(l)
-			if err := ix.walk(w, &p, lp, exist); err != nil {
-				return err
-			}
+		if !walk.Root(entity.ID(v)) {
+			return err
 		}
 	}
-	return nil
-}
-
-// walk stores p — whose probability components are prle0 and prn0 — and then
-// every extension of it by one edge at its tail that keeps the references
-// disjoint and clears β, depth first; p.n is restored before returning.
-func (ix *Index) walk(w *packedix.Writer, p *opath, prle0, prn0 float64) error {
-	if err := ix.store(w, p, prle0, prn0); err != nil {
-		return err
-	}
-	if int(p.n) > ix.opt.MaxLen {
-		return nil
-	}
-	g := ix.g
-	tail, tailLabel := p.nodes[p.n-1], p.labels[p.n-1]
-	for _, nb := range g.Neighbors(tail) {
-		if p.contains(nb.To) {
-			continue
-		}
-		// Prn of the extended node set: 0 when nb.To shares a reference with
-		// a node of the path.
-		prn := g.PrnExtend(p.nodes[:p.n], prn0, nb.To)
-		if prn == 0 {
-			continue
-		}
-		for l, lp := range g.LabelRow(nb.To) {
-			if lp == 0 {
-				continue
-			}
-			prle := prle0 * g.PrEdge(nb, tailLabel, prob.LabelID(l)) * lp
-			if prle*prn+1e-12 < ix.opt.Beta {
-				continue
-			}
-			p.nodes[p.n], p.labels[p.n] = nb.To, prob.LabelID(l)
-			p.n++
-			err := ix.walk(w, p, prle, prn)
-			p.n--
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// store adds p to w if p is the canonical orientation of its path: the one
-// whose label sequence is the smaller of the two readings and, when they are
-// equal, whose first node is the smaller. The walk reaches both orientations
-// of every path of two or more nodes; only this one is stored.
-func (ix *Index) store(w *packedix.Writer, p *opath, prle, prn float64) error {
-	reversed, palin := orientation(p.labels[:p.n])
-	if reversed || palin && p.n > 1 && p.nodes[0] > p.nodes[p.n-1] {
-		return nil
-	}
-	var lbl [maxNodes]uint16
-	var nds [maxNodes]uint32
-	for i := uint8(0); i < p.n; i++ {
-		lbl[i], nds[i] = uint16(p.labels[i]), uint32(p.nodes[i])
-	}
-	b := bucketOf(prle*prn, ix.opt.Beta, ix.opt.Gamma)
-	if err := w.Add(lbl[:p.n], int(b), nds[:p.n], prle, prn); err != nil {
-		return err
-	}
-	ix.stats.Entries++
-	ix.stats.EntriesPerLen[p.n-1]++
 	return nil
 }
 
@@ -368,6 +299,23 @@ func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 		(*obs)(float64(time.Since(t0).Nanoseconds()) / 1e3)
 	}
 	return err
+}
+
+// onDemand enumerates the paths labelled X with probability ≥ alpha
+// straight from the graph, for alpha below the construction threshold β
+// (footnote 1 of the paper): one guided walk from every entity carrying
+// X[0]. The records handed to fn alias the walk's path, so nothing is
+// allocated per edge or per match.
+func (ix *Index) onDemand(X []prob.LabelID, alpha float64, fn ScanFunc) {
+	g := ix.g
+	walk := NewWalker(g, alpha, len(X), X, nil, func(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn float64) bool {
+		return fn(nodes, prle, prn)
+	})
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.HasLabel(entity.ID(v), X[0]) && !walk.Root(entity.ID(v)) {
+			return
+		}
+	}
 }
 
 // findSeq looks up the key-table entry of X's canonical label sequence: X

@@ -11,6 +11,23 @@ import (
 	"repro/internal/prob"
 )
 
+// opath is the reference enumeration's path: a fixed-size node and label
+// stack, copied at every edge.
+type opath struct {
+	n      uint8
+	nodes  [maxNodes]entity.ID
+	labels [maxNodes]prob.LabelID
+}
+
+func (p *opath) contains(v entity.ID) bool {
+	for i := uint8(0); i < p.n; i++ {
+		if p.nodes[i] == v {
+			return true
+		}
+	}
+	return false
+}
+
 // lookupBeforeScan is Index.Lookup as it stood before Scan existed, kept here
 // only as the reference the streamed read path is held to: on-demand
 // enumeration that copies the path at every edge and allocates every match,

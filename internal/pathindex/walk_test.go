@@ -1,0 +1,92 @@
+package pathindex
+
+import (
+	"testing"
+
+	"repro/internal/entity"
+	"repro/internal/gen"
+	"repro/internal/prob"
+)
+
+// TestWalkStopsWhenEmitDoes: Root (guided and not) and Anchor (guided) end
+// the walk right after the callback returns false — no further call — and
+// report false, on the first, second, middle and last path of a walk.
+func TestWalkStopsWhenEmitDoes(t *testing.T) {
+	g := synthGraph(t, gen.SynthOptions{Refs: 200, Labels: 3, UncertainFrac: 0.5, Seed: 4})
+	anchors := make([]bool, g.NumNodes())
+	for v := range anchors {
+		anchors[v] = v%3 == 0
+	}
+	X := []prob.LabelID{0, 1, 0}
+	for _, c := range []struct {
+		name     string
+		guide    []prob.LabelID
+		maxNodes int
+		anchored bool
+	}{
+		{"Root guided", X, len(X), false},
+		{"Root unguided", nil, 3, false},
+		{"Anchor guided", X, len(X), true},
+	} {
+		// walk runs the whole loop of walks and reports the callbacks made
+		// and whether every walk ran to its end.
+		walk := func(stopAt int) (calls int, finished bool) {
+			w := NewWalker(g, 0.05, c.maxNodes, c.guide, anchors, func([]entity.ID, []prob.LabelID, int, float64, float64) bool {
+				calls++
+				return calls != stopAt
+			})
+			for v := 0; v < g.NumNodes(); v++ {
+				switch {
+				case !c.anchored:
+					if !w.Root(entity.ID(v)) {
+						return calls, false
+					}
+				case anchors[v]:
+					if !w.Anchor(entity.ID(v)) {
+						return calls, false
+					}
+				}
+			}
+			return calls, true
+		}
+		total, finished := walk(0)
+		if !finished || total < 10 {
+			t.Fatalf("%s: the full walk made %d calls (finished %v), want ≥ 10", c.name, total, finished)
+		}
+		for _, k := range []int{1, 2, total / 2, total} {
+			if calls, finished := walk(k); finished || calls != k {
+				t.Errorf("%s: a callback that stops on call %d of %d: %d calls, walk reported finished %v",
+					c.name, k, total, calls, finished)
+			}
+		}
+	}
+}
+
+// TestOnDemandScanAllocation: a Scan below β allocates a constant number of
+// objects — the walker and the closure that adapts fn to it — whatever the
+// walk visits: the same count at two α whose walks stream at least ten times
+// as many rows apart, so nothing is allocated per edge or per path.
+func TestOnDemandScanAllocation(t *testing.T) {
+	g := synthGraph(t, gen.SynthOptions{Refs: 1000, UncertainFrac: 0.5, Seed: 3})
+	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.5, Gamma: 0.1})
+	X := []prob.LabelID{0, 1, 0}
+	rows := 0
+	count := func([]entity.ID, float64, float64) bool { rows++; return true }
+	scan := func(alpha float64) (perCall float64, rowsPerCall int) {
+		rows = 0
+		if err := ix.Scan(X, alpha, count); err != nil {
+			t.Fatal(err)
+		}
+		rowsPerCall = rows
+		return testing.AllocsPerRun(20, func() { ix.Scan(X, alpha, count) }), rowsPerCall
+	}
+	few, fewRows := scan(0.3)
+	many, manyRows := scan(0.01)
+	t.Logf("on-demand Scan of %v: %v allocations for %d rows at α 0.3, %v for %d rows at α 0.01", X, few, fewRows, many, manyRows)
+	if fewRows == 0 || manyRows < 10*fewRows {
+		t.Fatalf("rows %d at α 0.3 and %d at α 0.01: need ≥ 1 and ≥ 10× apart", fewRows, manyRows)
+	}
+	if few != many || many > 2 {
+		t.Errorf("%v allocations per Scan at α 0.3, %v at α 0.01: want the same count, ≤ 2", few, many)
+	}
+}
