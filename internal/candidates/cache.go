@@ -18,8 +18,8 @@ import (
 
 // DefaultCacheBudget bounds the total number of pruned candidates a Cache
 // retains across all entries when no explicit budget is given. A candidate of
-// a path of w ≤ L+1 nodes retains 4·w + 8 bytes (its entity ids and its Prn),
-// so the default holds 20 MiB at L = 2.
+// a path of w ≤ L+1 nodes retains 4·w bytes (its entity ids), so the default
+// holds 12 MiB at L = 2.
 const DefaultCacheBudget = 1 << 20
 
 // Cache maps (query fingerprint, α, path node sequence) to the pruned

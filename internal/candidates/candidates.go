@@ -18,22 +18,22 @@ import (
 	"repro/internal/query"
 )
 
-// Rows holds the surviving matches of one path in two flat arenas of
-// exactly the kept rows (len == cap): row i is Nodes[i*w:(i+1)*w] — entity
-// nodes aligned with the positions of the path's w query nodes — with its
-// stored identity probability Prn[i]. The label/edge component is not kept:
-// the k-partite graph looks the factors up itself. Find lays the arenas out
-// once, on one goroutine, and never touches them again; from then on they
-// are immutable and shared without copying — by the Set handed to the
-// caller, by the candidate cache (hence across requests), and by the
-// k-partite graph built over the Set.
+// Rows holds the surviving matches of one path in one flat arena of exactly
+// the kept rows (len == cap): row i is Nodes[i*w:(i+1)*w], the entity nodes
+// aligned with the positions of the path's w query nodes. A row is its ids
+// and nothing else: the scanned Prle and Prn are read by the pruning test and
+// dropped, and the k-partite graph looks the factors and the identity
+// probability up itself. Find lays the arena out once, on one goroutine, and
+// never touches it again; from then on it is immutable and shared without
+// copying — by the Set handed to the caller, by the candidate cache (hence
+// across requests), and by the k-partite graph built over the Set.
 type Rows struct {
 	Nodes []entity.ID
-	Prn   []float64
+	n     int // rows in Nodes
 }
 
 // Len returns the number of rows.
-func (r *Rows) Len() int { return len(r.Prn) }
+func (r *Rows) Len() int { return r.n }
 
 // Set is the candidate list cn(P) for one decomposition path.
 type Set struct {
@@ -158,10 +158,10 @@ func (nc *NodeChecker) check(v entity.ID, n query.NodeID) bool {
 
 // Find runs the candidate generation stage for every decomposition path:
 // the path's posting scan (or on-demand enumeration, when α < β) streams
-// through the context tests and only survivors are copied, into chunks the
-// path's scan owns and then once into its exact-size arenas — so a path
-// allocates in proportion to what it keeps (two to three times its rows),
-// not to what the index returns. Paths are independent units, so with workers > 1
+// through the context tests and only survivors' ids are copied, into chunks
+// the path's scan owns and then once into its exact-size arena — so a path
+// allocates in proportion to what it keeps (two to three times its rows'
+// ids), not to what the index returns. Paths are independent units, so with workers > 1
 // they are fanned out across the pool (one goroutine per path; a path is
 // never split); results land in deterministic per-path slots and the Stats
 // products are accumulated in path order afterwards, so the output — float
@@ -298,14 +298,15 @@ const cancelCheckEvery = 1024
 const firstChunk = 64
 
 // scanPath streams PIndex(lQ(V_P), α) through the context tests, copying
-// the survivors into chunks of 64, 128, 256, … rows that this call owns, and
-// lays them out once, in scan order, into exact-size arenas. Chunks and
-// arenas are allocated on this goroutine only, so their sizes depend on the
-// survivor count and nothing else. initial counts every record scanned.
+// the survivors' entity ids into chunks of 64, 128, 256, … rows that this
+// call owns, and lays them out once, in scan order, into one exact-size
+// arena. Chunks and arena are allocated on this goroutine only, so their
+// sizes depend on the survivor count and nothing else. initial counts every
+// record scanned.
 func scanPath(ctx context.Context, ix pathindex.Reader, nc *NodeChecker, p *decompose.Path, alpha float64) (kept Rows, initial int, err error) {
 	g := ix.Graph()
 	w := len(p.Nodes)
-	var chunks []Rows // survivors in scan order; the last chunk is filling
+	var chunks [][]entity.ID // survivors in scan order; the last chunk is filling
 	var ctxErr error
 	err = ix.Scan(p.Labels, alpha, func(nodes []entity.ID, prle, prn float64) bool {
 		if initial%cancelCheckEvery == 0 {
@@ -315,12 +316,11 @@ func scanPath(ctx context.Context, ix pathindex.Reader, nc *NodeChecker, p *deco
 		}
 		initial++
 		if keepCandidate(g, nc, p, nodes, prle, prn, alpha) {
-			if k := len(chunks); k == 0 || chunks[k-1].Len() == cap(chunks[k-1].Prn) {
-				rows := firstChunk << k
-				chunks = append(chunks, Rows{Nodes: make([]entity.ID, 0, rows*w), Prn: make([]float64, 0, rows)})
+			if k := len(chunks); k == 0 || len(chunks[k-1]) == cap(chunks[k-1]) {
+				chunks = append(chunks, make([]entity.ID, 0, (firstChunk<<k)*w))
 			}
 			c := &chunks[len(chunks)-1]
-			c.Nodes, c.Prn = append(c.Nodes, nodes...), append(c.Prn, prn)
+			*c = append(*c, nodes...)
 		}
 		return true
 	})
@@ -330,13 +330,13 @@ func scanPath(ctx context.Context, ix pathindex.Reader, nc *NodeChecker, p *deco
 	if err != nil {
 		return Rows{}, 0, err
 	}
-	n := 0
+	size := 0
 	for _, c := range chunks {
-		n += c.Len()
+		size += len(c)
 	}
-	kept = Rows{Nodes: make([]entity.ID, 0, n*w), Prn: make([]float64, 0, n)}
+	kept = Rows{Nodes: make([]entity.ID, 0, size), n: size / w}
 	for _, c := range chunks {
-		kept.Nodes, kept.Prn = append(kept.Nodes, c.Nodes...), append(kept.Prn, c.Prn...)
+		kept.Nodes = append(kept.Nodes, c...)
 	}
 	return kept, initial, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,9 +37,9 @@ func synthIx(t *testing.T, seed int64) (*entity.Graph, *pathindex.Index) {
 	return g, buildIx(t, g, 2, 0.05)
 }
 
-// setsIdentical demands exact equality — candidate order, node assignment,
-// and float bits of Prn — between two Find outputs. The parallel
-// fan-out must be indistinguishable from the sequential walk.
+// setsIdentical demands exact equality — candidate order and node
+// assignment — between two Find outputs. The parallel fan-out must be
+// indistinguishable from the sequential walk.
 func setsIdentical(t *testing.T, label string, want, got []Set) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -52,10 +53,8 @@ func setsIdentical(t *testing.T, label string, want, got []Set) {
 		if w.Len() != g.Len() {
 			t.Fatalf("%s: set %d has %d candidates, want %d", label, i, g.Len(), w.Len())
 		}
-		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-		if !slices.Equal(w.Nodes, g.Nodes) || !slices.EqualFunc(w.Prn, g.Prn, sameBits) {
-			t.Fatalf("%s: set %d arenas differ:\n got %v %v\nwant %v %v",
-				label, i, g.Nodes, g.Prn, w.Nodes, w.Prn)
+		if !slices.Equal(w.Nodes, g.Nodes) {
+			t.Fatalf("%s: set %d arenas differ:\n got %v\nwant %v", label, i, g.Nodes, w.Nodes)
 		}
 	}
 }
@@ -77,7 +76,7 @@ func findBeforeScan(t *testing.T, ix pathindex.Reader, q *query.Query, dec *deco
 		for _, m := range matches {
 			if keepCandidate(ix.Graph(), nc, p, m.Nodes, m.Prle, m.Prn, alpha) {
 				sets[i].Nodes = append(sets[i].Nodes, m.Nodes...)
-				sets[i].Prn = append(sets[i].Prn, m.Prn)
+				sets[i].n++
 			}
 		}
 	}
@@ -141,11 +140,26 @@ func TestFindParallelEquivalence(t *testing.T) {
 // hundred rows.
 func arenaReaders(t *testing.T, seed int64) map[string]pathindex.Reader {
 	t.Helper()
+	return packedAndLive(t, gen.SynthOptions{
+		Refs: 300, EdgeFactor: 2, Labels: 3, UncertainFrac: 0.4,
+		Groups: 8, GroupSize: 3, PairsPerGroup: 2, Seed: seed,
+	}, 6, func(rng *rand.Rand, d *refgraph.PGD) (live.Mutation, bool) {
+		a, b := refgraph.RefID(rng.Intn(d.NumRefs())), refgraph.RefID(rng.Intn(d.NumRefs()))
+		if a == b {
+			return live.Mutation{}, false
+		}
+		return live.Mutation{Op: live.OpAddEdge, A: a, B: b, P: 0.5 + 0.5*rng.Float64()}, true
+	})
+}
+
+// packedAndLive returns a packed index (β 0.05, L 2) over the PGD opt
+// generates and a live view over the same PGD with a dirty overlay: one batch
+// of n mutations, each drawn by next until it reports one usable, seeded by
+// opt.Seed.
+func packedAndLive(t *testing.T, opt gen.SynthOptions, n int, next func(*rand.Rand, *refgraph.PGD) (live.Mutation, bool)) map[string]pathindex.Reader {
+	t.Helper()
 	synth := func() *refgraph.PGD {
-		d, err := gen.Synthetic(gen.SynthOptions{
-			Refs: 300, EdgeFactor: 2, Labels: 3, UncertainFrac: 0.4,
-			Groups: 8, GroupSize: 3, PairsPerGroup: 2, Seed: seed,
-		})
+		d, err := gen.Synthetic(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,11 +178,11 @@ func arenaReaders(t *testing.T, seed int64) map[string]pathindex.Reader {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(opt.Seed))
 	var ms []live.Mutation
-	for len(ms) < 6 {
-		if a, b := refgraph.RefID(rng.Intn(d.NumRefs())), refgraph.RefID(rng.Intn(d.NumRefs())); a != b {
-			ms = append(ms, live.Mutation{Op: live.OpAddEdge, A: a, B: b, P: 0.5 + 0.5*rng.Float64()})
+	for len(ms) < n {
+		if m, ok := next(rng, d); ok {
+			ms = append(ms, m)
 		}
 	}
 	if _, err := db.Apply(ms); err != nil {
@@ -180,19 +194,25 @@ func arenaReaders(t *testing.T, seed int64) map[string]pathindex.Reader {
 	return map[string]pathindex.Reader{"packed": buildIx(t, g, 2, 0.05), "live": db.View()}
 }
 
-// TestFindArenasExact: every Set Find returns holds its kept rows in arenas
-// of exactly their size — len == cap on Nodes and Prn, so what the candidate
+// TestFindArenasExact: every Set Find returns holds its kept rows in one
+// arena of exactly their ids — len == cap == rows·w, so what the candidate
 // cache and the k-partite graph retain is the rows and nothing more — with
 // the bytes of a Workers-1 run, at Workers 1 and 7, with no cache, a cold
 // one and the same one warm, over a packed index and a live view with a dirty
 // overlay (which bypasses the cache), α on both sides of β. Some path must
 // keep more rows than two survivor chunks hold, so the layout of several
-// chunks is what is checked.
+// chunks is what is checked. What a path's scanPath allocates beyond its scan
+// (the same Scan and context tests, keeping nothing) is held to its ids too:
+// the survivor chunks, the list of them and the arena, 4·w bytes a row
+// rounded as a reference allocation of as many ids is, and beyond that one
+// constant per reader (the scan callback and what it captures) — the same
+// for every path, whatever it keeps. A per-row float kept anywhere varies it.
 func TestFindArenasExact(t *testing.T) {
 	ctx := context.Background()
 	sets, most := 0, 0
 	for _, seed := range []int64{1, 2} {
 		for kind, ix := range arenaReaders(t, seed) {
+			overhead := int64(-1)
 			rng := rand.New(rand.NewSource(seed * 71))
 			for qi := 0; qi < 3; qi++ {
 				q, err := gen.RandomQuery(rng, ix.Graph().NumLabels(), 2+rng.Intn(2), 3)
@@ -209,6 +229,26 @@ func TestFindArenasExact(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
+					nc := NewNodeChecker(ix.Graph(), ix.Context(), q, alpha)
+					for i, s := range want {
+						p, w := s.Path, len(s.Path.Nodes)
+						path := heapBytes(func() { sinkRows, _, _ = scanPath(ctx, ix, nc, p, alpha) })
+						scan := heapBytes(func() {
+							ix.Scan(p.Labels, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+								keepCandidate(ix.Graph(), nc, p, nodes, prle, prn, alpha)
+								return true
+							})
+						})
+						ids := heapBytes(func() { idLayout(s.Len(), w) })
+						extra := int64(path) - int64(scan) - int64(ids)
+						if overhead < 0 {
+							overhead = extra
+						}
+						if extra != overhead {
+							t.Fatalf("%s: path %d keeps %d rows of %d ids in %d bytes beyond its scan's %d: %d of ids and %d more, where other paths had %d more",
+								label, i, s.Len(), w, path-scan, scan, ids, extra, overhead)
+						}
+					}
 					for _, workers := range []int{1, 7} {
 						cache := NewCache(0)
 						for _, c := range []*Cache{nil, cache, cache} {
@@ -219,9 +259,9 @@ func TestFindArenasExact(t *testing.T) {
 							}
 							setsIdentical(t, at, want, got)
 							for i, s := range got {
-								if len(s.Nodes) != cap(s.Nodes) || len(s.Prn) != cap(s.Prn) {
-									t.Fatalf("%s: set %d arenas hold %d/%d node ids and %d/%d Prn (len/cap)",
-										at, i, len(s.Nodes), cap(s.Nodes), len(s.Prn), cap(s.Prn))
+								if w := len(s.Path.Nodes); len(s.Nodes) != s.Len()*w || cap(s.Nodes) != s.Len()*w {
+									t.Fatalf("%s: set %d of %d rows of %d ids holds %d/%d node ids (len/cap)",
+										at, i, s.Len(), w, len(s.Nodes), cap(s.Nodes))
 								}
 								sets, most = sets+1, max(most, s.Len())
 							}
@@ -229,12 +269,46 @@ func TestFindArenasExact(t *testing.T) {
 					}
 				}
 			}
+			t.Logf("seed %d %s: scanPath allocates %d bytes beyond its scan and its ids", seed, kind, overhead)
+			if overhead > 8*firstChunk {
+				t.Errorf("seed %d %s: scanPath allocates %d bytes beyond its scan and its ids, more than a float for each row of its first chunk", seed, kind, overhead)
+			}
 		}
 	}
 	t.Logf("%d sets checked, the largest of %d rows", sets, most)
 	if most <= 3*firstChunk {
 		t.Fatalf("no path kept more than %d rows: the layout of several chunks was never checked", 3*firstChunk)
 	}
+}
+
+var (
+	sinkRows Rows
+	sinkIDs  [][]entity.ID
+)
+
+// heapBytes is the least TotalAlloc growth over five calls of f: a call the
+// runtime allocates inside of on its own account does not count.
+func heapBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// idLayout allocates what n rows of w ids take in scanPath's layout: chunks
+// of 64, 128, 256, … rows until they hold n, the list of them grown by
+// append, and one exact-size arena.
+func idLayout(n, w int) {
+	sinkIDs = nil
+	for k := 0; n > (firstChunk<<k)-firstChunk; k++ {
+		sinkIDs = append(sinkIDs, make([]entity.ID, 0, (firstChunk<<k)*w))
+	}
+	sinkRows = Rows{Nodes: make([]entity.ID, n*w)}
 }
 
 // TestFindCached: a second Find over the same (query, α, reader) is served

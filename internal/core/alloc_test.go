@@ -32,17 +32,18 @@ import (
 // own account — a goroutine's g (448 bytes) when the free ones sit on the
 // other P, the all-goroutines list growing by a few KB, a GC worker's sudog,
 // a scavenger timer — and one run in a few hundred gains 6 KB that way.
-// Two plans: the 4-cycle, where the candidate arenas dominate (0.24 MB; the
+// Two plans: the 4-cycle, where the candidate stage dominates (0.17 MB; the
 // materializing pipeline with its map-and-sort link table took 2.70 MB), and
 // a denser 6-node, 7-edge query (7 paths, 13 000 links) with many partition
-// pairs (0.22 MB: a declared limit links by join key only, one bucket table
+// pairs (0.16 MB: a declared limit links by join key only, one bucket table
 // per joined pair in the direction its join reads; a table and a key per row
 // in both directions took 0.31 MB). A third arm runs the dense plan without a
-// limit and stops it by its yield, so the eager link pools and factor
-// columns, the per-worker link scratch, the reduction's perception vectors
-// and its per-round scratch are pinned too (0.82 MB) — and must exceed the
-// declared run by at least the vectors, the pools and the factor columns a
-// keyed graph fills only for the rows its join visits.
+// limit and stops it by its yield, so the eager link pools and float columns,
+// the per-worker link scratch, the reduction's perception vectors and its
+// per-round scratch are pinned too (0.79 MB) — and must exceed the declared
+// run by at least the vectors, the pools and the columns a keyed graph has no
+// use for: the w2 it is never reduced by and the factors it fills only for
+// the rows its join visits.
 func TestPreJoinAllocationIsACount(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 4000, Seed: 7})
 	if err != nil {
@@ -69,9 +70,9 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		limit   int    // 0: undeclared, the yield stops the run after one match
 		ceiling uint64 // median bytes per run; see above
 	}{
-		{"4-cycle", cycle, 1, 245_700},
-		{"6-node-7-edge", dense, 1, 222_500},
-		{"6-node-7-edge-reduced", dense, 0, 843_800},
+		{"4-cycle", cycle, 1, 177_100},
+		{"6-node-7-edge", dense, 1, 162_400},
+		{"6-node-7-edge-reduced", dense, 0, 801_600},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := core.Options{Alpha: 0.3, Workers: 2, Limit: tc.limit}
@@ -124,9 +125,11 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 	// same stream by its yield: the reduction's two perception-vector buffers
 	// (8 bytes × partitions per vertex each) and, since the declared run links
 	// by join key only, the two CSR pools of every joined pair — a→b with
-	// room for every key-matched pair, b→a one entry per link — and the label
-	// and edge factor columns of every row, 8 bytes × (plen + plen−1), which
-	// the keyed graph fills only for the rows the join visits.
+	// room for every key-matched pair, b→a one entry per link — and the
+	// columns of every row the eager graph computes and the keyed one does
+	// not: w2 and the label and edge factors, 8 bytes × (1 + plen + plen−1),
+	// the factors of which the keyed graph fills only for the rows the join
+	// visits.
 	pl, err := core.Prepare(ctx, ix, dense, core.Options{Alpha: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -143,19 +146,19 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 	vectors, columns := uint64(0), uint64(0)
 	for i := range sets {
 		vectors += uint64(2 * 8 * len(sets) * sets[i].Len())
-		columns += uint64(8 * (2*len(sets[i].Path.Nodes) - 1) * sets[i].Len())
+		columns += uint64(8 * 2 * len(sets[i].Path.Nodes) * sets[i].Len())
 	}
 	declared, stopped := median["6-node-7-edge"], median["6-node-7-edge-reduced"]
-	t.Logf("declared Limit 1: %d bytes; stopped by the yield: %d; perception vectors %d, link pools %d, factor columns %d", declared, stopped, vectors, pools, columns)
+	t.Logf("declared Limit 1: %d bytes; stopped by the yield: %d; perception vectors %d, link pools %d, w2 and factor columns %d", declared, stopped, vectors, pools, columns)
 	if declared+vectors+pools+columns > stopped {
-		t.Errorf("a declared Limit 1 run allocates %d bytes, one stopped by its yield %d: the %d bytes of perception vectors, %d of link pools and %d of factor columns are not all saved",
+		t.Errorf("a declared Limit 1 run allocates %d bytes, one stopped by its yield %d: the %d bytes of perception vectors, %d of link pools and %d of w2 and factor columns are not all saved",
 			declared, stopped, vectors, pools, columns)
 	}
 }
 
 // TestCollectAllocationIsACount pins what a retained run allocates, which is
 // a count too: one prepared acyclic plan with some 30 000 matches, collected
-// by core.MatchPlan. The join copies each match once into fixed-size store
+// by core.MatchPlan (3.26 MB a run). The join copies each match once into fixed-size store
 // chunks and the walk allocates one list link per row, one bucket table and
 // one exact-size result, so after warm-up 20 runs' heap bytes must agree to
 // 2 % and a run must make fewer mallocs than a tenth of its matches — a

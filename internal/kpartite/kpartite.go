@@ -10,17 +10,18 @@
 // candidate set's own arena, shared not copied, and therefore read-only here
 // (the candidate cache hands the same arena to other requests) — links are
 // CSR adjacency (offsets into one int32 edge pool per partition pair and
-// direction), each row's label and edge factors are looked up once into two
-// float64 columns per partition, and perception vectors are one flat float64
-// array per partition with a double buffer for the bulk-synchronous
-// message-passing rounds. After Build/Reduce the graph is immutable and safe
+// direction), each row's two reduction weights (the exclusive cover product
+// w1 and the identity probability w2) and its label and edge factors are
+// computed once into float64 columns per partition, one arena for all four,
+// and perception vectors are one flat float64 array per partition with a
+// double buffer for the bulk-synchronous message-passing rounds. After Build/Reduce the graph is immutable and safe
 // for any number of concurrent readers. A BuildKeyed graph is the exception:
 // it is built for one join order and serves one enumeration in that order. It
 // links each joined pair only in the direction that order reads, as one
 // bucket table of the later partition's rows, and hashes the earlier
 // partition's row when Links is called. It has no factor columns for all its
 // rows, only a row→slot index and the factors of the rows the join has
-// visited, which FillFactors appends on a row's first visit.
+// visited, which FillFactors appends on a row's first visit, and no weights.
 package kpartite
 
 import (
@@ -90,13 +91,16 @@ type partition struct {
 	plen int // nodes per candidate row
 	elen int // edges per candidate row: plen-1
 	// nodes holds the candidate rows row-major: row i is
-	// nodes[i*plen : (i+1)*plen]. nodes and w2 are the candidate set's
-	// arenas (set.Nodes, set.Prn) and must not be written.
+	// nodes[i*plen : (i+1)*plen]. It is the candidate set's arena
+	// (set.Nodes) and must not be written.
 	nodes  []entity.ID
 	alive  []bool
 	nAlive int
-	w1     []float64
-	w2     []float64
+	// w1 and w2 are the two weights of the upper-bound reduction, row i's
+	// exclusive cover product and its identity probability Graph.Prn(row i);
+	// nil on a keyed graph, which is never reduced.
+	w1 []float64
+	w2 []float64
 	// lab and edge are the row factor columns fill fills, the only place a
 	// candidate row's probabilities are looked up:
 	// lab[i*plen+pos] = PrLabel(row i's node at pos, label of path.Nodes[pos])
@@ -256,17 +260,17 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 			nodes:  sets[p].Nodes,
 			alive:  make([]bool, n),
 			nAlive: n,
-			w2:     sets[p].Prn,
 		}
 		if keyed {
-			// Never reduced, so no w1; factors are filled on first visit.
+			// Never reduced, so no weights; factors are filled on first visit.
 			part.slot = make([]int32, n)
 		} else {
-			// One arena for the three float columns Build computes.
-			cols := make([]float64, n*(1+plen+elen))
+			// One arena for the four float columns Build computes.
+			cols := make([]float64, n*(2+plen+elen))
 			part.w1 = cols[:n:n]
-			part.lab = cols[n : n+n*plen : n+n*plen]
-			part.edge = cols[n+n*plen:]
+			part.w2 = cols[n : 2*n : 2*n]
+			part.lab = cols[2*n : 2*n+n*plen : 2*n+n*plen]
+			part.edge = cols[2*n+n*plen:]
 		}
 		for i := range part.alive {
 			part.alive[i] = true
@@ -301,9 +305,10 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 // computeWeights looks every row's probability factors up, once, into the
 // lab and edge columns (fill), and multiplies w1 (the exclusive node/edge
 // cover product: the covered label factors in position order, then the
-// covered edge factors) from them; w2 (the identity probability Prn) is the
-// candidate set's own column. A row with a missing GU edge gets factor 0
-// there, hence w1 = 0 when this partition covers that edge.
+// covered edge factors) from them; w2 is the row's identity probability
+// Graph.Prn, evaluated over the row in position order. A row with a missing
+// GU edge gets factor 0 there, hence w1 = 0 when this partition covers that
+// edge.
 func (kg *Graph) computeWeights() {
 	for p, part := range kg.parts {
 		path := part.set.Path
@@ -332,6 +337,7 @@ func (kg *Graph) computeWeights() {
 				}
 			}
 			part.w1[i] = w1
+			part.w2[i] = kg.g.Prn(part.nodes[i*plen : (i+1)*plen])
 		}
 	}
 }

@@ -266,7 +266,7 @@ func (ref *lookupRef) weights(p, i int) (w1 float64, lab, edge []float64) {
 }
 
 // matchesLookup holds the sequential build to the reference: every link set
-// and every float column, bit for bit. It returns the number of links
+// and every float column, bit for bit, w2 to Graph.Prn of the row. It returns the number of links
 // compared, split by how joinable had to come by the union's Prn: shared
 // counts the links whose two rows put two entities into one identity
 // component (Prn evaluated over the union), fresh the others (one Exist per
@@ -305,6 +305,9 @@ func matchesLookup(t *testing.T, label string, kg *Graph, q *query.Query) (share
 			w1, lab, edge := ref.weights(p, i)
 			if math.Float64bits(w1) != math.Float64bits(part.w1[i]) {
 				t.Fatalf("%s: partition %d w1[%d] = %v, looked up %v", label, p, i, part.w1[i], w1)
+			}
+			if w2 := kg.g.Prn(kg.Row(p, i)); math.Float64bits(w2) != math.Float64bits(part.w2[i]) {
+				t.Fatalf("%s: partition %d w2[%d] = %v, Graph.Prn of the row %v", label, p, i, part.w2[i], w2)
 			}
 			if !slices.EqualFunc(lab, part.lab[i*part.plen:(i+1)*part.plen], sameBits) || !slices.EqualFunc(edge, part.edge[i*elen:(i+1)*elen], sameBits) {
 				t.Fatalf("%s: partition %d row %d factor columns differ from the looked-up factors", label, p, i)
@@ -448,7 +451,7 @@ func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bit
 // and 8 are byte-identical to the single-threaded build, across both
 // decomposition strategies and α on both sides of β on seeded synthetic
 // graphs — and the single-threaded build's link sets, w1 and factor columns
-// are byte-identical to lookupRef's. The dense arm links enough references
+// are byte-identical to lookupRef's, and w2 to Graph.Prn of each row. The dense arm links enough references
 // that joinable's two ways to the union's Prn are both taken, and both must
 // have produced links. BuildKeyed over the same sets, for a shuffled join
 // order and for its reverse, is held to the same reference
