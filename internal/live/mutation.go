@@ -63,11 +63,9 @@ const (
 	walSetLinkage = 3
 )
 
-// encode serializes the mutation as a WAL record payload (label names are
-// stored as strings so records stay meaningful across generations).
-func (m *Mutation) encode() ([]byte, error) {
-	var buf bytes.Buffer
-	w := binio.NewWriter(&buf)
+// encode writes the mutation's WAL payload to w (label names are stored as
+// strings so records stay meaningful across generations).
+func (m *Mutation) encode(w *binio.Writer) error {
 	switch m.Op {
 	case OpAddRef:
 		w.U8(walAddRef)
@@ -93,12 +91,9 @@ func (m *Mutation) encode() ([]byte, error) {
 		}
 		w.F64(m.P)
 	default:
-		return nil, fmt.Errorf("live: unknown mutation op %q", m.Op)
+		return fmt.Errorf("live: unknown mutation op %q", m.Op)
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return w.Err()
 }
 
 // decodeMutation parses one WAL record payload.

@@ -1,10 +1,13 @@
 package live
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
+
+	"repro/internal/storage/binio"
 )
 
 // The write-ahead log is an append-only record log with its own framing: a
@@ -112,25 +115,33 @@ func openWAL(path string) (*wal, []Mutation, error) {
 }
 
 // encodeBatch serializes a mutation batch as one WAL record payload:
-// count ‖ (len ‖ mutation)×count.
+// count ‖ (len ‖ mutation)×count. Every mutation goes through one writer
+// into one buffer; each length prefix is written once its mutation is.
 func encodeBatch(ms []Mutation) ([]byte, error) {
-	var buf []byte
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(ms)))
-	buf = append(buf, n[:]...)
+	var buf bytes.Buffer
+	w := binio.NewWriter(&buf)
+	w.U32(uint32(len(ms)))
 	for i := range ms {
-		payload, err := ms[i].encode()
-		if err != nil {
+		w.U32(0)
+		if err := w.Flush(); err != nil {
 			return nil, err
 		}
-		binary.LittleEndian.PutUint32(n[:], uint32(len(payload)))
-		buf = append(buf, n[:]...)
-		buf = append(buf, payload...)
+		start := buf.Len()
+		if err := ms[i].encode(w); err != nil {
+			return nil, err
+		}
+		if err := w.Flush(); err != nil {
+			return nil, err
+		}
+		binary.LittleEndian.PutUint32(buf.Bytes()[start-4:], uint32(buf.Len()-start))
 	}
-	if len(buf) > walMaxPayload {
-		return nil, fmt.Errorf("live: wal batch of %d bytes too large", len(buf))
+	if err := w.Flush(); err != nil {
+		return nil, err
 	}
-	return buf, nil
+	if buf.Len() > walMaxPayload {
+		return nil, fmt.Errorf("live: wal batch of %d bytes too large", buf.Len())
+	}
+	return buf.Bytes(), nil
 }
 
 // decodeBatch parses one WAL record payload back into its mutation batch.
@@ -140,7 +151,9 @@ func decodeBatch(payload []byte) ([]Mutation, error) {
 	}
 	count := binary.LittleEndian.Uint32(payload)
 	payload = payload[4:]
-	ms := make([]Mutation, 0, count)
+	// A mutation takes at least its length prefix and tag: a count the
+	// payload cannot back must not size the allocation.
+	ms := make([]Mutation, 0, min(count, uint32(len(payload)/5)))
 	for i := uint32(0); i < count; i++ {
 		if len(payload) < 4 {
 			return nil, fmt.Errorf("live: wal batch truncated at mutation %d", i)

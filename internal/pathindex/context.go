@@ -2,7 +2,9 @@ package pathindex
 
 import (
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/entity"
 	"repro/internal/prob"
@@ -19,11 +21,21 @@ import (
 //
 // For label-conditioned edges (Section 5.3), the unknown endpoint label is
 // maximized over, exactly as the paper prescribes.
+//
+// A patched context is log-structured along the live chain, the way
+// entity.Graph keeps its adjacency: rowOf[v] names node v's row, and Patch
+// writes each recomputed row behind the end of tables the contexts of one
+// chain share. A built or opened context has no rowOf; node v's row is v.
 type Context struct {
 	nLabels int
-	card    []int32   // [node*nLabels + label]
-	ppu     []float64 // [node*nLabels + label]
-	fpu     []float64 // [node*nLabels + label]
+	rowOf   []int32   // nil, or [node] → row
+	card    []int32   // [row*nLabels + label]
+	ppu     []float64 // [row*nLabels + label]
+	fpu     []float64 // [row*nLabels + label]
+
+	// derived is set by the first Patch of this patched context: that one
+	// may append to the shared tables in place, a later one copies them.
+	derived atomic.Bool
 }
 
 // ComputeContext builds the context tables for all nodes, in parallel.
@@ -54,7 +66,7 @@ func ComputeContext(g *entity.Graph, workers int) *Context {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for v := lo; v < hi; v++ {
-				c.computeNode(g, entity.ID(v))
+				c.computeRow(g, entity.ID(v), v*nl)
 			}
 		}(lo, hi)
 	}
@@ -62,8 +74,8 @@ func ComputeContext(g *entity.Graph, workers int) *Context {
 	return c
 }
 
-func (c *Context) computeNode(g *entity.Graph, v entity.ID) {
-	base := int(v) * c.nLabels
+// computeRow fills the zeroed cells from base on with node v's row.
+func (c *Context) computeRow(g *entity.Graph, v entity.ID, base int) {
 	for _, nb := range g.Neighbors(v) {
 		// Edge probability with v's own label unknown: max over v's labels.
 		// For unconditional edges this is just the base probability.
@@ -103,44 +115,75 @@ func maxEdgeProbGivenNeighbor(g *entity.Graph, v entity.ID, nb entity.Neighbor, 
 	return m
 }
 
-// Patch returns a copy of c resized for g with the rows of the given nodes
-// recomputed against g; all other rows are carried over unchanged. A context
-// row depends only on the node's own adjacency (edge distributions and
-// neighbor label distributions), so after an incremental graph update it is
-// exact to patch just the nodes whose adjacency changed plus the appended
-// ones. The receiver is not modified.
+// Patch returns the context of g: the rows of the given (distinct) nodes
+// recomputed against g, every other row shared with c. A context row
+// depends only on the node's own adjacency (edge distributions and neighbor
+// label distributions), so after an incremental graph update it is exact to
+// patch just the nodes whose adjacency changed plus the appended ones; an
+// appended node the list leaves out reads a zero row.
+//
+// The result copies c's row index and appends its rows behind the end of
+// c's tables, where no reader of c looks; c itself is not modified. Only the
+// first context patched from c appends in place. A second one (a batch
+// retried after its first result was dropped) gets clipped tables, so its
+// first append copies, and so does the first patch of a built or opened
+// context, whose tables may be a read-only mapping: that copy is made once
+// per generation, not once per batch.
 func (c *Context) Patch(g *entity.Graph, nodes []entity.ID) *Context {
-	n := g.NumNodes()
-	nc := &Context{
-		nLabels: c.nLabels,
-		card:    make([]int32, n*c.nLabels),
-		ppu:     make([]float64, n*c.nLabels),
-		fpu:     make([]float64, n*c.nLabels),
+	nl, n := c.nLabels, g.NumNodes()
+	nc := &Context{nLabels: nl, rowOf: make([]int32, n), card: c.card, ppu: c.ppu, fpu: c.fpu}
+	if c.rowOf == nil || !c.derived.CompareAndSwap(false, true) {
+		nc.card, nc.ppu, nc.fpu = slices.Clip(c.card), slices.Clip(c.ppu), slices.Clip(c.fpu)
 	}
-	copy(nc.card, c.card)
-	copy(nc.ppu, c.ppu)
-	copy(nc.fpu, c.fpu)
-	for _, v := range nodes {
-		base := int(v) * c.nLabels
-		for i := base; i < base+c.nLabels; i++ {
-			nc.card[i], nc.ppu[i], nc.fpu[i] = 0, 0, 0
+	old := len(c.rowOf)
+	if c.rowOf == nil {
+		old = len(c.card) / nl
+		for v := range nc.rowOf[:old] {
+			nc.rowOf[v] = int32(v)
 		}
-		nc.computeNode(g, v)
+	} else {
+		copy(nc.rowOf, c.rowOf)
+	}
+	for v := old; v < n; v++ {
+		nc.rowOf[v] = nc.appendRow()
+	}
+	for _, v := range nodes {
+		if int(v) < old {
+			nc.rowOf[v] = nc.appendRow()
+		}
+		nc.computeRow(g, v, int(nc.rowOf[v])*nl)
 	}
 	return nc
 }
 
+// appendRow appends one zeroed row to the tables and returns its index.
+func (c *Context) appendRow() int32 {
+	r := int32(len(c.card) / c.nLabels)
+	c.card = append(c.card, make([]int32, c.nLabels)...)
+	c.ppu = append(c.ppu, make([]float64, c.nLabels)...)
+	c.fpu = append(c.fpu, make([]float64, c.nLabels)...)
+	return r
+}
+
+// row returns the index of node v's first cell.
+func (c *Context) row(v entity.ID) int {
+	if c.rowOf == nil {
+		return int(v) * c.nLabels
+	}
+	return int(c.rowOf[v]) * c.nLabels
+}
+
 // Card returns c(v,σ).
 func (c *Context) Card(v entity.ID, sigma prob.LabelID) int {
-	return int(c.card[int(v)*c.nLabels+int(sigma)])
+	return int(c.card[c.row(v)+int(sigma)])
 }
 
 // PPU returns ppu(v,σ).
 func (c *Context) PPU(v entity.ID, sigma prob.LabelID) float64 {
-	return c.ppu[int(v)*c.nLabels+int(sigma)]
+	return c.ppu[c.row(v)+int(sigma)]
 }
 
 // FPU returns fpu(v,σ).
 func (c *Context) FPU(v entity.ID, sigma prob.LabelID) float64 {
-	return c.fpu[int(v)*c.nLabels+int(sigma)]
+	return c.fpu[c.row(v)+int(sigma)]
 }
