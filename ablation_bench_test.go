@@ -7,7 +7,6 @@ package peg_test
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -88,7 +87,7 @@ func BenchmarkAblationJoinOrder(b *testing.B) {
 					strategy = core.StrategyRandomDecomp
 				}
 				runMatch(b, ix, q, core.Options{
-					Alpha: 0.7, Strategy: strategy, Rand: rand.New(rand.NewSource(9)),
+					Alpha: 0.7, Strategy: strategy, Seed: 9,
 				})
 			}
 		})

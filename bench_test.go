@@ -241,7 +241,7 @@ func BenchmarkFig6cQuerySize(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					runMatch(b, ix, q, core.Options{
 						Alpha: 0.7, Strategy: v.strategy,
-						Rand: rand.New(rand.NewSource(1)),
+						Seed: 1,
 					})
 				}
 			})
@@ -391,7 +391,7 @@ func BenchmarkFig7fReduction(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if st, err = plan.NewExecutor(ix, nil).Run(ctx, pl, plan.Exec{}, func(join.Match) bool { return false }); err != nil {
+					if st, err = plan.NewExecutor(ix).Run(ctx, pl, plan.Exec{}, func(join.Match) bool { return false }); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -58,7 +58,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		alpha    = flag.Float64("alpha", 0.25, "default probability threshold α")
 		metrics  = flag.Bool("metrics", true, "expose GET /metrics (Prometheus text format)")
-		maxCost  = flag.Float64("max-cost", 0, "cost-based admission: reject queries whose calibrated plan-cost estimate exceeds this with 429 (0 disables)")
+		maxCost  = flag.Float64("max-cost", 0, "cost-based admission: reject queries whose plan-cost estimate exceeds this with 429 (0 disables)")
 		trace    = flag.String("trace", "", "span export file (\"-\" = stderr), one {\"span\":...} NDJSON line per sampled span; enables tracing, so a request sent with a sampled traceparent is traced")
 		traceSmp = flag.Float64("trace-sample", 0, "span tracing: fraction of new root traces to sample (0 = only those a sampled traceparent asks for, 1 = all); spans land in the -trace file and in GET /debug/trace/{id}")
 		pprofOn  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate listen address (empty disables)")

@@ -50,8 +50,7 @@ func (s *Set) Row(i int) []entity.ID {
 }
 
 // Stats reports the search-space progression of Figure 7(e) plus the
-// per-path observed counts the executor feeds back into the planner's
-// calibration and adaptive join reorder.
+// per-path observed counts behind the executor's candidates stage row.
 type Stats struct {
 	// SSPath is the search space after index lookup only (product of
 	// initial candidate counts).

@@ -149,7 +149,7 @@ func checkCollect(t *testing.T, name string, ix pathindex.Reader, q *query.Query
 			run := func(order core.ResultOrder) *core.Result {
 				res, err := core.Match(ctx, ix, q, core.Options{
 					Alpha: alpha, Strategy: s, Limit: limit, Order: order,
-					Rand: rand.New(rand.NewSource(randSeed)),
+					Seed: randSeed,
 				})
 				if err != nil {
 					t.Fatalf("%s %v: %v", label, order, err)

@@ -71,7 +71,7 @@ func TestConcurrentMatchSharedIndex(t *testing.T) {
 	for i := range cells {
 		c := &cells[i]
 		res, err := core.Match(context.Background(), ix, c.q, core.Options{
-			Alpha: c.alpha, Strategy: c.strat, Rand: rand.New(rand.NewSource(c.seed)),
+			Alpha: c.alpha, Strategy: c.strat, Seed: c.seed,
 		})
 		if err != nil {
 			t.Fatalf("baseline cell %d: %v", i, err)
@@ -90,7 +90,7 @@ func TestConcurrentMatchSharedIndex(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c := &cells[rng.Intn(len(cells))]
 				res, err := core.Match(context.Background(), ix, c.q, core.Options{
-					Alpha: c.alpha, Strategy: c.strat, Rand: rand.New(rand.NewSource(c.seed)),
+					Alpha: c.alpha, Strategy: c.strat, Seed: c.seed,
 				})
 				if err != nil {
 					t.Errorf("goroutine %d iter %d: %v", w, i, err)

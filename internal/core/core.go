@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"math/rand"
 
 	"repro/internal/candidates"
 	"repro/internal/decompose"
@@ -34,7 +33,7 @@ type Strategy int
 const (
 	// StrategyOptimized is the full proposed approach: the planner
 	// enumerates decomposition mode × probe-reduction × join order and
-	// picks the cheapest candidate under the (calibrated) cost model.
+	// picks the cheapest candidate under the histogram cost model.
 	StrategyOptimized Strategy = iota
 	// StrategyRandomDecomp replaces SET COVER with random decomposition and
 	// orders joins by candidate count only.
@@ -115,15 +114,10 @@ type Options struct {
 	// build and the reduction (0 = GOMAXPROCS) — a run's one CPU knob. The
 	// join (Section 5.2.5) enumerates on the calling goroutine.
 	Workers int
-	// MaxLen caps decomposition path length; 0 uses the index's L.
-	MaxLen int
 	// Seed seeds the random decomposition baseline (0 = deterministic
 	// default). The seed actually used is recorded in the plan tree, so an
 	// EXPLAIN output or ablation run can be replayed exactly.
 	Seed int64
-	// Rand optionally seeds the random decomposition baseline from a
-	// caller-owned stream; the derived seed is still recorded.
-	Rand *rand.Rand
 	// Limit caps the number of emitted matches (0 = unlimited). With
 	// OrderEmit the join enumeration is aborted as soon as Limit matches
 	// were emitted; with OrderByProb it selects the top-Limit matches by
@@ -131,16 +125,11 @@ type Options struct {
 	Limit int
 	// Order selects the emission order (OrderEmit or OrderByProb).
 	Order ResultOrder
-	// Calibration, when set, corrects the planner's cardinality estimates
-	// with feedback from earlier executions against the same index and
-	// receives this run's observations. One Calibration belongs to one
-	// index generation (the server keeps one per served index).
-	Calibration *plan.Calibration
 	// CandCache, when set, serves pruned per-path candidate sets for
 	// repeated query shapes, skipping posting decode and context pruning on
-	// a hit. Like Calibration it belongs to one index generation: sharing
-	// it across different snapshots returns stale candidates. Live views
-	// with pending mutations bypass it automatically.
+	// a hit. It belongs to one index generation: sharing it across
+	// different snapshots returns stale candidates. Live views with
+	// pending mutations bypass it automatically.
 	CandCache *candidates.Cache
 }
 
@@ -173,9 +162,6 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return &OptionsError{Field: "Workers", Reason: fmt.Sprintf("negative worker count %d", o.Workers)}
 	}
-	if o.MaxLen < 0 {
-		return &OptionsError{Field: "MaxLen", Reason: fmt.Sprintf("negative path length %d", o.MaxLen)}
-	}
 	if o.Limit < 0 {
 		return &OptionsError{Field: "Limit", Reason: fmt.Sprintf("negative limit %d", o.Limit)}
 	}
@@ -204,12 +190,14 @@ type Result struct {
 }
 
 // Prepare runs the planner only: options are validated, the candidate plan
-// space for the strategy is enumerated against the (calibrated) cost model,
-// and the cheapest plan is compiled — decomposition included — without
-// executing anything. The returned plan is immutable; it may be executed
-// any number of times (MatchStreamPlan, MatchPlan), concurrently, which is
-// what the server's plan cache does to make repeat queries skip
-// decomposition and planning entirely.
+// space for the strategy is enumerated against the index's histogram cost
+// model, and the cheapest plan is compiled — decomposition included —
+// without executing anything. The plan is a function of the index, the query
+// and the options (α, strategy, seed) alone: no earlier run changes it. The
+// returned plan is immutable; it may be executed any number of times
+// (MatchStreamPlan, MatchPlan), concurrently, which is what the server's
+// plan cache does to make repeat queries skip decomposition and planning
+// entirely.
 func Prepare(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Options) (*plan.Plan, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -217,14 +205,11 @@ func Prepare(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Optio
 	if err := q.Validate(ix.Graph().Alphabet()); err != nil {
 		return nil, err
 	}
-	planner := plan.NewPlanner(ix, opt.Calibration)
-	return planner.Plan(ctx, q, plan.Options{
+	return plan.NewPlanner(ix, nil).Plan(ctx, q, plan.Options{
 		Alpha:    opt.Alpha,
-		MaxLen:   opt.MaxLen,
 		Strategy: opt.Strategy.Name(),
 		Space:    opt.Strategy.space(),
 		Seed:     opt.Seed,
-		Rand:     opt.Rand,
 	})
 }
 
@@ -297,7 +282,7 @@ func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt O
 // MatchStreamPlan executes a previously prepared plan, skipping query
 // validation, decomposition, and planning — the plan-cache hot path. The
 // streaming contract is exactly MatchStream's. Only the run-time knobs of
-// opt apply (Workers, Limit, Order, Calibration); Alpha and
+// opt apply (Workers, Limit, Order, CandCache); Alpha and
 // Strategy were compiled into the plan, so a disagreeing value is rejected
 // rather than silently ignored — a plan prepared at α=0.25 cannot be
 // mistaken for a run at α=0.9.
@@ -305,7 +290,7 @@ func MatchStreamPlan(ctx context.Context, ix pathindex.Reader, pl *plan.Plan, op
 	if err := opt.fits(pl); err != nil {
 		return Stats{}, err
 	}
-	return plan.NewExecutor(ix, opt.Calibration).Run(ctx, pl, opt.exec(), yield)
+	return plan.NewExecutor(ix).Run(ctx, pl, opt.exec(), yield)
 }
 
 // fits validates the options and checks them against a prepared plan.
@@ -331,7 +316,7 @@ func MatchPlan(ctx context.Context, ix pathindex.Reader, pl *plan.Plan, opt Opti
 	if err := opt.fits(pl); err != nil {
 		return nil, err
 	}
-	ms, st, err := plan.NewExecutor(ix, opt.Calibration).Collect(ctx, pl, opt.exec())
+	ms, st, err := plan.NewExecutor(ix).Collect(ctx, pl, opt.exec())
 	if err != nil {
 		return nil, err
 	}

@@ -119,7 +119,7 @@ func TestStrategiesAgree(t *testing.T) {
 	}
 	for _, s := range []core.Strategy{core.StrategyRandomDecomp, core.StrategyNoSSReduction} {
 		res, err := core.Match(context.Background(), ix, q, core.Options{
-			Alpha: 0.05, Strategy: s, Rand: rand.New(rand.NewSource(7)),
+			Alpha: 0.05, Strategy: s, Seed: 7,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -304,7 +304,7 @@ func TestPipelineMatchesNaive(t *testing.T) {
 			}
 			for _, s := range []core.Strategy{core.StrategyOptimized, core.StrategyRandomDecomp, core.StrategyNoSSReduction} {
 				res, err := core.Match(context.Background(), ix, q, core.Options{
-					Alpha: alpha, Strategy: s, Rand: rand.New(rand.NewSource(int64(trial))),
+					Alpha: alpha, Strategy: s, Seed: int64(trial),
 				})
 				if err != nil {
 					t.Fatalf("trial %d q %d %v: %v", trial, qi, s, err)

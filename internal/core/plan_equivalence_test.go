@@ -199,7 +199,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"alpha-nan", core.Options{Alpha: math.NaN()}, "Alpha"},
 		{"limit-negative", core.Options{Alpha: 0.5, Limit: -1}, "Limit"},
 		{"workers-negative", core.Options{Alpha: 0.5, Workers: -1}, "Workers"},
-		{"maxlen-negative", core.Options{Alpha: 0.5, MaxLen: -3}, "MaxLen"},
 		{"strategy-unknown", core.Options{Alpha: 0.5, Strategy: core.Strategy(42)}, "Strategy"},
 		{"order-unknown", core.Options{Alpha: 0.5, Order: core.ResultOrder(9)}, "Order"},
 	}

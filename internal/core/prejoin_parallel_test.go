@@ -187,7 +187,7 @@ func testPreJoinEquivalence(t *testing.T, synthOpt gen.SynthOptions, dense bool)
 						opts := func(w int, c *candidates.Cache) core.Options {
 							return core.Options{
 								Alpha: alpha, Strategy: s, Workers: w, CandCache: c,
-								Rand: rand.New(rand.NewSource(seed ^ int64(qi))),
+								Seed: seed ^ int64(qi),
 							}
 						}
 						pl, err := core.Prepare(ctx, ix, q, opts(1, nil))

@@ -64,7 +64,7 @@ func TestStrategyEquivalenceOnSyntheticPGDs(t *testing.T) {
 					res, err := core.Match(context.Background(), ix, q, core.Options{
 						Alpha:    alpha,
 						Strategy: s,
-						Rand:     rand.New(rand.NewSource(seed ^ int64(qi))),
+						Seed:     seed ^ int64(qi),
 					})
 					if err != nil {
 						t.Fatalf("seed %d q%d %v α=%v: Match: %v", seed, qi, s, alpha, err)

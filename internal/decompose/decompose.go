@@ -80,13 +80,9 @@ type Options struct {
 	MaxLen int     // L
 	Alpha  float64 // query threshold (for cardinality estimation)
 	Mode   Mode
-	// Seed seeds ModeRandom when Rand is nil (0 = the deterministic
-	// default). The seed actually used is recorded in Decomposition.Seed.
+	// Seed seeds ModeRandom (0 = the deterministic default). The seed
+	// actually used is recorded in Decomposition.Seed.
 	Seed int64
-	// Rand, when set, is drawn from to derive the ModeRandom seed, so a
-	// caller-supplied stream stays reproducible and the derived seed is
-	// still recorded.
-	Rand *rand.Rand
 }
 
 // String names the mode for plan trees and logs.
@@ -157,14 +153,10 @@ func Cover(q *query.Query, cands []Path, opt Options) (*Decomposition, error) {
 	case ModeOptimized:
 		chosen = greedyCover(q, cands)
 	case ModeRandom:
-		// Derive one concrete seed — from the caller's stream, the explicit
-		// option, or the deterministic default — and cover from a generator
-		// built on exactly that seed, so the recorded value reproduces the
-		// decomposition no matter how it was originally seeded.
+		// Cover from a generator built on exactly the recorded seed (the
+		// option, or the deterministic default), so the recorded value
+		// reproduces the decomposition.
 		seed = opt.Seed
-		if opt.Rand != nil {
-			seed = opt.Rand.Int63()
-		}
 		if seed == 0 {
 			seed = 1
 		}

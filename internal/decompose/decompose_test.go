@@ -1,7 +1,6 @@
 package decompose
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/prob"
@@ -190,11 +189,13 @@ func TestRandomModeCovers(t *testing.T) {
 	q := triangle(t)
 	for seed := int64(0); seed < 10; seed++ {
 		d, err := Decompose(q, fixedEst(10), Options{
-			MaxLen: 2, Alpha: 0.5, Mode: ModeRandom,
-			Rand: rand.New(rand.NewSource(seed)),
+			MaxLen: 2, Alpha: 0.5, Mode: ModeRandom, Seed: seed,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if seed != 0 && d.Seed != seed {
+			t.Fatalf("seed %d recorded as %d", seed, d.Seed)
 		}
 		coversAllEdges(t, q, d)
 	}

@@ -130,7 +130,7 @@ func (h *Harness) runOnlineGrid(w io.Writer, title string, specs []querySpec) er
 		row := []string{v.name}
 		for _, spec := range specs {
 			cell, _, _ := h.timeQuery(ix, specQuery(spec, g.NumLabels()), core.Options{
-				Alpha: 0.7, Strategy: v.strategy, Rand: rand.New(rand.NewSource(h.cfg.Seed)),
+				Alpha: 0.7, Strategy: v.strategy, Seed: rand.New(rand.NewSource(h.cfg.Seed)).Int63(),
 			})
 			row = append(row, cell)
 		}
@@ -384,7 +384,7 @@ func (h *Harness) RunFig7f(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			st, err := plan.NewExecutor(ix, nil).Run(ctx, pl, plan.Exec{}, func(join.Match) bool { return false })
+			st, err := plan.NewExecutor(ix).Run(ctx, pl, plan.Exec{}, func(join.Match) bool { return false })
 			if err != nil {
 				return err
 			}

@@ -191,7 +191,7 @@ func TestOverlayEquivalence(t *testing.T) {
 					for _, alpha := range []float64{0.02, 0.15} {
 						for _, strat := range []core.Strategy{core.StrategyOptimized, core.StrategyRandomDecomp} {
 							opt := core.Options{Alpha: alpha, Strategy: strat,
-								Rand: rand.New(rand.NewSource(seed ^ int64(qi)))}
+								Seed: seed ^ int64(qi)}
 							gotRes, err := core.Match(context.Background(), view, q, opt)
 							if err != nil {
 								t.Fatalf("live Match: %v", err)

@@ -30,25 +30,21 @@ type Exec struct {
 	CandCache *candidates.Cache
 }
 
-// Executor runs compiled plans against one index. It is stateless apart
-// from the optional calibration it feeds observations into, so one Executor
-// value may run any number of plans concurrently.
+// Executor runs compiled plans against one index. It is stateless, so one
+// Executor value may run any number of plans concurrently.
 type Executor struct {
-	ix    pathindex.Reader
-	calib *Calibration
+	ix pathindex.Reader
 }
 
-// NewExecutor returns an executor over the index. calib may be nil (no
-// feedback recorded).
-func NewExecutor(ix pathindex.Reader, calib *Calibration) *Executor {
-	return &Executor{ix: ix, calib: calib}
+// NewExecutor returns an executor over the index.
+func NewExecutor(ix pathindex.Reader) *Executor {
+	return &Executor{ix: ix}
 }
 
 // Run executes the plan in stages — candidate retrieval → k-partite build →
 // joint reduction → join — streaming matches into yield, each with a
 // Mapping of its own. Per-stage timings, estimated vs. observed
-// cardinalities, and prune counts land in Stats; observed/estimated
-// candidate ratios are fed back into the calibration. Before the join the
+// cardinalities, and prune counts land in Stats. Before the join the
 // executor re-orders the partitions using the observed alive counts instead
 // of the plan's histogram estimates: the match set is invariant under join
 // order, so this changes cost only (PlannedOrder and ExecOrder record both
@@ -148,16 +144,9 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	st.CandidateTime = time.Since(t0)
 	estTotal, obsTotal, pruned := 0.0, 0.0, int64(0)
 	for i := range pl.Dec.Paths {
-		dp := &pl.Dec.Paths[i]
-		estTotal += dp.Card
+		estTotal += pl.Dec.Paths[i].Card
 		obsTotal += float64(cstats.Initial[i])
 		pruned += int64(cstats.Initial[i] - cstats.Kept[i])
-		// Calibration compares against the raw (uncalibrated) estimate, so
-		// re-running a cached plan re-asserts the same target instead of
-		// compounding a correction on every execution.
-		if i < len(pl.RawCards) {
-			e.calib.Observe(len(dp.Labels), pl.RawCards[i], float64(cstats.Initial[i]))
-		}
 	}
 	st.Stages = append(st.Stages, StageStats{
 		Name: "candidates", Micros: Micros(st.CandidateTime), StartMicros: Micros(t0.Sub(start)),

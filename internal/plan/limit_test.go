@@ -83,7 +83,7 @@ func TestLimitedRunSkipsReduction(t *testing.T) {
 	reducing := Space{Modes: []decompose.Mode{decompose.ModeOptimized}, Reduce: []bool{true}, Orders: []join.OrderMode{join.OrderHeuristic}}
 	plain := reducing
 	plain.Reduce = []bool{false}
-	ex := NewExecutor(ix, nil)
+	ex := NewExecutor(ix)
 	stream := func(pl *Plan, opt Exec) ([]join.Match, Stats) {
 		t.Helper()
 		var ms []join.Match

@@ -1,14 +1,14 @@
 // Package plan turns the paper's fixed online pipeline (Section 5.2) into a
 // planner-driven engine. The Planner enumerates candidate plans —
 // decomposition mode × probe-reduction on/off × join-order heuristic —
-// against a cost model fed by the offline histograms (optionally corrected
-// by a per-index Calibration), and compiles the cheapest into an explicit
-// Plan value. The Executor runs a Plan in stages (candidate retrieval →
-// k-partite build → reduction → join), records per-stage timings, estimated
-// vs. observed cardinalities, and prune counts in Stats, adaptively
-// re-orders the join on the observed candidate counts (the result set is
-// invariant under join order — only cost changes), and feeds the
-// observed/estimated ratios back into the calibration.
+// against a cost model fed by the offline histograms, and compiles the
+// cheapest into an explicit Plan value: a plan is a function of the index,
+// the query and the options, never of the runs before it. The Executor runs
+// a Plan in stages (candidate retrieval → k-partite build → reduction →
+// join), records per-stage timings, estimated vs. observed cardinalities,
+// and prune counts in Stats, and adaptively re-orders the join on the
+// observed candidate counts (the result set is invariant under join order —
+// only cost changes).
 //
 // A Plan carries two faces: the compiled artifacts the Executor needs
 // (query, decomposition, resolved knobs) and a JSON-serializable Tree that
@@ -72,12 +72,6 @@ type Plan struct {
 	// records what the estimates said.
 	OrderMode join.OrderMode
 	Order     []int
-	// RawCards holds the UNCALIBRATED histogram cardinality estimate per
-	// decomposition path (Dec.Paths order). Dec.Paths[i].Card is the
-	// calibrated number planning ranked with; the raw value is what
-	// calibration feedback compares observations against, so re-executing
-	// a cached plan converges the factor instead of compounding it.
-	RawCards []float64
 	// Tree is the JSON-serializable plan tree.
 	Tree *Tree
 	// PlanTime is the planning wall clock (enumeration, covers, costing);
@@ -127,7 +121,7 @@ type PathNode struct {
 	QueryNodes []int `json:"query_nodes"`
 	// Labels is the label sequence, resolved to names.
 	Labels []string `json:"labels"`
-	// EstCard is the (calibrated) estimated candidate cardinality.
+	// EstCard is the histogram-estimated candidate cardinality.
 	EstCard float64 `json:"est_card"`
 	// Cost is the path's C(P, α) = Card / (degree · density).
 	Cost float64 `json:"cost"`

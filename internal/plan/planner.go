@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -52,39 +51,32 @@ func (s *Space) normalize() {
 type Options struct {
 	// Alpha is the query probability threshold α.
 	Alpha float64
-	// MaxLen caps decomposition path length; 0 uses the index's L.
-	MaxLen int
 	// Strategy is the requested strategy's name, recorded in the tree.
 	Strategy string
 	// Space is the candidate space (zero value = the paper's default
 	// single-point pipeline; use FullSpace for cost-based choice).
 	Space Space
-	// Seed seeds random decomposition candidates when Rand is nil.
+	// Seed seeds random decomposition candidates (0 = the deterministic
+	// default); the seed the cover drew is recorded in the plan.
 	Seed int64
-	// Rand, when set, seeds random decomposition candidates from the
-	// caller's stream (the derived seed is still recorded in the plan).
-	Rand *rand.Rand
 }
 
-// Planner enumerates and costs candidate plans for one index.
+// Planner enumerates and costs candidate plans for one index. Its estimates
+// are the index's histogram cardinalities, so a plan is a function of the
+// index, the query and the options alone.
 type Planner struct {
-	ix    pathindex.Reader
-	calib *Calibration
+	ix pathindex.Reader
 }
 
-// NewPlanner returns a planner over the index. calib may be nil (no
-// cardinality correction).
-func NewPlanner(ix pathindex.Reader, calib *Calibration) *Planner {
-	return &Planner{ix: ix, calib: calib}
-}
+// Calibration is empty and NewPlanner ignores it: it remains only as the
+// type of NewPlanner's second parameter, which the benchmark module still
+// passes as nil.
+type Calibration struct{}
 
-// estimator returns the cardinality estimator planning runs against —
-// calibrated when a Calibration is attached.
-func (p *Planner) estimator() decompose.CardEstimator {
-	if p.calib == nil {
-		return p.ix
-	}
-	return calibratedEstimator{base: p.ix, calib: p.calib}
+// NewPlanner returns a planner over the index. The second argument is
+// ignored (see Calibration).
+func NewPlanner(ix pathindex.Reader, _ *Calibration) *Planner {
+	return &Planner{ix: ix}
 }
 
 // Plan compiles the cheapest candidate plan for the query. The returned
@@ -117,12 +109,8 @@ func (p *Planner) Plan(ctx context.Context, q *query.Query, opt Options) (*Plan,
 func (p *Planner) Enumerate(ctx context.Context, q *query.Query, opt Options) ([]*Plan, error) {
 	start := time.Now()
 	opt.Space.normalize()
-	maxLen := opt.MaxLen
-	if maxLen <= 0 {
-		maxLen = p.ix.MaxLen()
-	}
-	est := p.estimator()
-	cands, err := decompose.Enumerate(ctx, q, est, maxLen, opt.Alpha)
+	maxLen := p.ix.MaxLen()
+	cands, err := decompose.Enumerate(ctx, q, p.ix, maxLen, opt.Alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +128,6 @@ func (p *Planner) Enumerate(ctx context.Context, q *query.Query, opt Options) ([
 			Alpha:  opt.Alpha,
 			Mode:   mode,
 			Seed:   opt.Seed,
-			Rand:   opt.Rand,
 		})
 		decomposeDur += time.Since(t0)
 		if err != nil {
@@ -149,14 +136,9 @@ func (p *Planner) Enumerate(ctx context.Context, q *query.Query, opt Options) ([
 			}
 			continue
 		}
-		// Everything that depends only on the decomposition — the raw
-		// (uncalibrated) cardinalities for calibration feedback and the
-		// tree's path nodes — is built once per mode and shared by all its
-		// candidates (the trees are immutable, sharing is safe).
-		rawCards := make([]float64, len(dec.Paths))
-		for i := range dec.Paths {
-			rawCards[i] = p.ix.Cardinality(dec.Paths[i].Labels, opt.Alpha)
-		}
+		// The tree's path nodes depend only on the decomposition: built once
+		// per mode and shared by all its candidates (the trees are immutable,
+		// sharing is safe).
 		pathNodes := p.pathNodes(dec)
 		for _, om := range opt.Space.Orders {
 			order := join.Order(dec, om)
@@ -169,7 +151,6 @@ func (p *Planner) Enumerate(ctx context.Context, q *query.Query, opt Options) ([
 					Reduce:    reduce,
 					OrderMode: om,
 					Order:     order,
-					RawCards:  rawCards,
 					Tree:      p.tree(canonical, opt, dec, pathNodes, om, order, reduce, cost),
 				})
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -112,10 +111,9 @@ func TestRandomSeedRecordedAndReproducible(t *testing.T) {
 		Reduce: []bool{true},
 		Orders: []join.OrderMode{join.OrderByCardinality},
 	}
-	// Seed derived from a caller-owned stream: still recorded.
+	// The deterministic default (Seed 0) is still recorded as a concrete seed.
 	pl, err := p.Plan(context.Background(), q, Options{
 		Alpha: 0.05, Strategy: "random-decomp", Space: space,
-		Rand: rand.New(rand.NewSource(77)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +161,7 @@ func TestExecutorRunRecordsStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(ix, nil)
+	ex := NewExecutor(ix)
 	n := 0
 	st, err := ex.Run(context.Background(), pl, Exec{}, func(join.Match) bool { n++; return true })
 	if err != nil {
@@ -189,123 +187,6 @@ func TestExecutorRunRecordsStages(t *testing.T) {
 	}
 	if st.Stages[3].ObsRows != float64(n) {
 		t.Fatalf("join stage observed %v rows, want %d", st.Stages[3].ObsRows, n)
-	}
-}
-
-// TestCalibrationFeedback: executing with a calibration attached must fold
-// the observed/estimated ratio into the factors, and the planner must apply
-// them to later estimates.
-func TestCalibrationFeedback(t *testing.T) {
-	ix, q := buildIx(t)
-	calib := NewCalibration()
-	p := NewPlanner(ix, calib)
-	pl, err := p.Plan(context.Background(), q, Options{Alpha: 0.05, Strategy: "optimized", Space: FullSpace()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(ix, calib)
-	if _, err := ex.Run(context.Background(), pl, Exec{}, func(join.Match) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	changed := false
-	for l := 1; l <= calibMaxLen; l++ {
-		if calib.Factor(l) != 1 {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Fatal("execution fed no observations back into the calibration")
-	}
-	// A later plan's estimates go through the learned factors: calibrated
-	// and uncalibrated planners must disagree on at least one estimate
-	// unless every factor round-tripped to exactly 1.
-	cal, err := p.Plan(context.Background(), q, Options{Alpha: 0.05, Strategy: "optimized", Space: FullSpace()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := NewPlanner(ix, nil).Plan(context.Background(), q, Options{Alpha: 0.05, Strategy: "optimized", Space: FullSpace()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	differs := false
-	for i := range cal.Tree.Paths {
-		if cal.Tree.Paths[i].EstCard != raw.Tree.Paths[i].EstCard {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Fatal("calibration had no effect on later estimates")
-	}
-}
-
-// TestCalibrationConvergesOnCachedPlanReexecution: re-executing the same
-// cached plan re-asserts the same observation; the factor must converge to
-// the implied target, not compound toward the clamp (the server re-executes
-// one popular cached plan arbitrarily many times).
-func TestCalibrationConvergesOnCachedPlanReexecution(t *testing.T) {
-	c := NewCalibration()
-	// Histogram said 100, index returns 200 → target factor 2.
-	for i := 0; i < 500; i++ {
-		c.Observe(3, 100, 200)
-	}
-	if f := c.Factor(3); math.Abs(f-2) > 1e-6 {
-		t.Fatalf("factor after 500 identical observations = %v, want convergence to 2", f)
-	}
-	// And an execution loop through the real executor: factors must be
-	// identical after the 2nd and the 20th run of the same plan.
-	ix, q := buildIx(t)
-	calib := NewCalibration()
-	pl, err := NewPlanner(ix, calib).Plan(context.Background(), q, Options{Alpha: 0.05, Strategy: "optimized", Space: FullSpace()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(ix, calib)
-	run := func() {
-		if _, err := ex.Run(context.Background(), pl, Exec{}, func(join.Match) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		run()
-	}
-	snapshot := make([]float64, calibMaxLen+1)
-	for l := range snapshot {
-		snapshot[l] = calib.Factor(l)
-	}
-	// Another 170 re-executions of the same cached plan: the factors must
-	// have converged (the old residual-compounding update would still be
-	// marching toward the 100x clamp here).
-	for i := 0; i < 170; i++ {
-		run()
-	}
-	for l := range snapshot {
-		f := calib.Factor(l)
-		if rel := math.Abs(f-snapshot[l]) / snapshot[l]; rel > 1e-2 {
-			t.Fatalf("factor[len=%d] still drifting across cached re-executions: %v → %v", l, snapshot[l], f)
-		}
-		if f >= calibClamp || f <= 1/calibClamp {
-			t.Fatalf("factor[len=%d] = %v rode to the clamp", l, f)
-		}
-	}
-}
-
-func TestCalibrationObserveClampAndConcurrency(t *testing.T) {
-	c := NewCalibration()
-	for i := 0; i < 1000; i++ {
-		c.Observe(3, 1, 1e12) // absurd underestimate, repeatedly
-	}
-	if f := c.Factor(3); f > calibClamp {
-		t.Fatalf("factor %v escaped the clamp %v", f, calibClamp)
-	}
-	c.Observe(0, 0, 10) // zero estimate must be ignored, not divide
-	c.Observe(2, math.NaN(), 10)
-	if f := c.Factor(2); f != 1 {
-		t.Fatalf("NaN observation moved the factor to %v", f)
-	}
-	var nilCal *Calibration
-	nilCal.Observe(1, 1, 1) // nil receiver is a no-op
-	if nilCal.Factor(1) != 1 {
-		t.Fatal("nil calibration factor != 1")
 	}
 }
 

@@ -98,6 +98,43 @@ func TestExplainGolden(t *testing.T) {
 	}
 }
 
+// TestPlanIgnoresHistory: a plan is a function of the index, the query and
+// the request's options — the queries the server ran before must not move
+// it. With the result and plan caches off, /explain of one query is taken
+// before and after a mix of /match runs (of other queries and of itself)
+// and must come back equal, estimates and costs included.
+func TestPlanIgnoresHistory(t *testing.T) {
+	_, ts := testServer(t, Options{PlanCacheEntries: -1, CacheEntries: -1})
+	req := MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha}
+	explain := func() string {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/explain", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain status %d: %s", resp.StatusCode, body)
+		}
+		return canonicalJSON(t, body)
+	}
+	before := explain()
+	mix := []MatchRequest{
+		{Query: "node A r\nnode B a\nedge A B\n", Alpha: 0.01},
+		{Query: "node A a\nnode B i\nedge A B\n", Alpha: 0.01},
+		{Query: "node A r\nnode B a\nnode C i\nedge A B\nedge B C\nedge A C\n", Alpha: 0.01},
+		{Query: "node A i\n", Alpha: 0.01},
+		{Query: motivatingQueryDSL, Alpha: 0.01},
+		req,
+	}
+	for round := 0; round < 5; round++ {
+		for _, m := range mix {
+			if resp, body := postJSON(t, ts.URL+"/match", m); resp.StatusCode != http.StatusOK {
+				t.Fatalf("match %q status %d: %s", m.Query, resp.StatusCode, body)
+			}
+		}
+	}
+	if after := explain(); after != before {
+		t.Fatalf("/explain moved after earlier runs:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
+
 // TestExplainMatchesExecutedPlan: the plan tree /explain returns must be
 // the tree a subsequent /match reports in its stats — with the plan cache
 // on, literally the same cached plan (the match run flags plan_cached).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/pathindex"
@@ -27,7 +26,7 @@ const (
 // serverMetrics holds the hot-path instruments (counters and histograms the
 // request path touches directly); everything that already has an
 // authoritative value elsewhere — cache tallies, pool occupancy, live-DB
-// state, calibration factors — is exported through scrape-time closures so
+// state — is exported through scrape-time closures so
 // serving never pays for bookkeeping it does not need.
 type serverMetrics struct {
 	reg *metrics.Registry
@@ -56,7 +55,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Stage latency of fresh executions: each stage row (plan on a plan-cache miss, candidates, build, reduce, join), plus decompose and total.",
 			"stage", metrics.ExpBuckets(1e-5, 4, 12)),
 		planCost: metrics.NewHistogram("peg_plan_cost",
-			"Calibrated planner cost estimate of admitted-or-rejected executions (cost-model units).",
+			"Planner cost estimate of admitted-or-rejected executions (cost-model units).",
 			metrics.ExpBuckets(1, 8, 12)),
 		skipped: metrics.NewCounter("peg_reduce_skipped_total",
 			"Executions that skipped the reduction their plan asked for: emit-order limit runs it could not pay for."),
@@ -114,24 +113,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 					return 0
 				}
 				return float64(si.graphBytes)
-			}),
-		metrics.NewMultiGaugeFunc("peg_calibration_factor",
-			"Learned cardinality correction per path length for the served generation (1 = histograms accurate).",
-			"path_len", func(emit func(string, float64)) {
-				si, release := s.acquireIndex()
-				defer release()
-				if si == nil { // scrape of an unready server
-					return
-				}
-				snap := si.calib.Snapshot()
-				lens := make([]int, 0, len(snap))
-				for l := range snap {
-					lens = append(lens, l)
-				}
-				sort.Ints(lens)
-				for _, l := range lens {
-					emit(fmt.Sprint(l), snap[l])
-				}
 			}),
 
 		metrics.NewGaugeFunc("peg_workers",

@@ -445,7 +445,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	for _, fam := range []string{
 		"peg_requests_total", "peg_request_duration_seconds", "peg_stage_duration_seconds",
 		"peg_plan_cost", "peg_admission_max_cost", "peg_result_cache_hits_total",
-		"peg_plan_cache_hits_total", "peg_workers", "peg_index_info", "peg_calibration_factor",
+		"peg_plan_cache_hits_total", "peg_workers", "peg_index_info",
 		"peg_live_mutation_lag", "peg_live_compactions_total", "peg_ingested_mutations_total",
 		"peg_index_mapped_bytes", "peg_index_probes_total",
 		"peg_index_posting_decode_micros", "peg_graph_bytes", "peg_reduce_skipped_total",

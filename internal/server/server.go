@@ -98,7 +98,7 @@ type Options struct {
 	// dirty overlay bypass it until the next publish.
 	CandCacheSize int
 	// MaxPlanCost is the cost-based admission budget: a query whose
-	// calibrated plan-cost estimate (plan.Tree.Cost.Total) exceeds it is
+	// plan-cost estimate (plan.Tree.Cost.Total) exceeds it is
 	// rejected with 429 + Retry-After before execution, counted as
 	// cost_rejected — distinct from the 503 shed of a saturated pool.
 	// Planning is tens of microseconds, so the server can afford to predict
@@ -145,14 +145,12 @@ func (o *Options) normalize() {
 
 // servedIndex is one generation of the served index with its in-flight
 // reference count, so a swap can drain readers before the old index is
-// closed. Each generation carries its own planner calibration and caches:
-// the observed/estimated cardinality feedback and every cached result, plan
-// and candidate set are only valid against the data they came from, so a
-// swap starts them all fresh and cache keys carry no generation.
+// closed. Each generation carries its own caches: every cached result, plan
+// and candidate set is only valid against the data it came from, so a swap
+// starts them all fresh and cache keys carry no generation.
 type servedIndex struct {
-	ix    pathindex.Reader
-	id    string
-	calib *plan.Calibration
+	ix pathindex.Reader
+	id string
 	// The generation's caches; nil when disabled.
 	results *lru.Cache[*MatchResponse]
 	plans   *lru.Cache[*plan.Plan]
@@ -289,7 +287,6 @@ func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
 	s.cur = &servedIndex{
 		ix:      ix,
 		id:      fmt.Sprintf("gen%d#%d", s.gen.Add(1), ix.Stats().Entries),
-		calib:   plan.NewCalibration(),
 		results: lru.New[*MatchResponse](s.opt.CacheEntries, nil, &s.resultCtrs),
 		plans:   lru.New[*plan.Plan](s.opt.PlanCacheEntries, nil, &s.planCtrs),
 		cands:   candidates.NewSharedCache(s.opt.CandCacheSize, &s.candCtrs),
@@ -598,7 +595,7 @@ const RequestIDHeader = "X-Request-ID"
 // in whole milliseconds. A shard folds it into its request timeout, so
 // work for an attempt the router has already given up on (timeout,
 // hedged-and-lost) is cancelled shard-side instead of running to
-// completion and polluting calibration and latency histograms.
+// completion and polluting the latency histograms.
 const DeadlineHeader = "X-Peg-Deadline-Ms"
 
 // captureHTTP records the router's remaining deadline budget of one
@@ -1138,18 +1135,17 @@ type matchParams struct {
 }
 
 // options maps the parsed request onto the core options for one evaluation
-// against one served generation (whose calibration receives the feedback
-// and whose candidate cache serves repeated query shapes). Every stage runs
+// against one served generation (whose candidate cache serves repeated
+// query shapes). Every stage runs
 // on one core: the worker pool, not the request, spends the server's CPU.
 func (p *matchParams) options(si *servedIndex) core.Options {
 	return core.Options{
-		Alpha:       p.alpha,
-		Strategy:    p.strat,
-		Workers:     1,
-		Limit:       p.limit,
-		Order:       p.order,
-		Calibration: si.calib,
-		CandCache:   si.cands,
+		Alpha:     p.alpha,
+		Strategy:  p.strat,
+		Workers:   1,
+		Limit:     p.limit,
+		Order:     p.order,
+		CandCache: si.cands,
 	}
 }
 
@@ -1422,7 +1418,7 @@ func (s *Server) acquire(ctx context.Context) error {
 }
 
 // admit is the cost-based admission check, run after planning and before
-// execution: the plan's calibrated total cost estimate is compared against
+// execution: the plan's total cost estimate is compared against
 // the configured budget, and a predicted-expensive query is turned away with
 // 429 + Retry-After without consuming executor time. Every planned execution
 // feeds the cost histogram, so the exported distribution shows where the

@@ -180,15 +180,11 @@ type (
 	// PlanStage is one executed stage's record in MatchStats.Stages:
 	// timing, estimated vs. observed cardinality, prune count.
 	PlanStage = plan.StageStats
-	// PlanCalibration corrects the planner's cardinality estimates with
-	// observed/estimated feedback from earlier executions against the same
-	// index (attach one per index via MatchOptions.Calibration).
-	PlanCalibration = plan.Calibration
 	// CandidateCache serves pruned per-path candidate sets for repeated
 	// query shapes, skipping posting decode and context pruning on a hit.
-	// Like PlanCalibration it belongs to one immutable index snapshot
-	// (attach via MatchOptions.CandCache); live views with pending
-	// mutations bypass it automatically.
+	// It belongs to one immutable index snapshot (attach via
+	// MatchOptions.CandCache); live views with pending mutations bypass it
+	// automatically.
 	CandidateCache = candidates.Cache
 	// CandidateCacheStats snapshots a CandidateCache's counters.
 	CandidateCacheStats = candidates.CacheStats
@@ -379,10 +375,6 @@ func PreparePlan(ctx context.Context, ix IndexReader, q *Query, opt MatchOptions
 func MatchPlan(ctx context.Context, ix IndexReader, pl *PreparedPlan, opt MatchOptions) (*MatchResult, error) {
 	return core.MatchPlan(ctx, ix, pl, opt)
 }
-
-// NewPlanCalibration returns an identity calibration to attach to
-// MatchOptions.Calibration for one index.
-func NewPlanCalibration() *PlanCalibration { return plan.NewCalibration() }
 
 // NewCandidateCache returns a candidate cache retaining at most budget
 // pruned path candidates in total (0 = the default budget) for one
