@@ -62,8 +62,9 @@ func (dl Delta) Merge(other Delta) Delta {
 // The second result lists the dirty entities: every entity whose label/edge
 // surroundings or identity marginals may differ from the old graph, plus all
 // new entities. Paths avoiding every dirty entity score identically in both
-// graphs.
-func ApplyDelta(old *Graph, d *refgraph.PGD, dl Delta, opt BuildOptions) (*Graph, []ID, error) {
+// graphs. The new graph keeps old's semantics; the BuildOptions argument is
+// not read.
+func ApplyDelta(old *Graph, d *refgraph.PGD, dl Delta, _ BuildOptions) (*Graph, []ID, error) {
 	if old.alpha != d.Alphabet() {
 		return nil, nil, fmt.Errorf("entity: delta PGD has a different alphabet")
 	}
@@ -108,7 +109,7 @@ func ApplyDelta(old *Graph, d *refgraph.PGD, dl Delta, opt BuildOptions) (*Graph
 	}
 	ng.rewriteRows(d, merge, changed)
 
-	dirty, err := ng.recomputeComponents(old, d, dl, opt)
+	dirty, err := ng.recomputeComponents(old, d, dl)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -256,7 +257,7 @@ func (g *Graph) rewriteRows(d *refgraph.PGD, merge prob.MergeFuncs, changed []en
 // with the old graph (keeping their memoized marginals) and renumbered in
 // their old order, the regrouped ones follow. Returns the entities whose
 // identity marginals were recomputed.
-func (ng *Graph) recomputeComponents(old *Graph, d *refgraph.PGD, dl Delta, opt BuildOptions) ([]ID, error) {
+func (ng *Graph) recomputeComponents(old *Graph, d *refgraph.PGD, dl Delta) ([]ID, error) {
 	nOld, n := ID(old.NumNodes()), ID(ng.NumNodes())
 	var dissolve []int32
 	for _, sid := range dl.SetProbs {
@@ -315,7 +316,7 @@ func (ng *Graph) recomputeComponents(old *Graph, d *refgraph.PGD, dl Delta, opt 
 	for e := nOld; e < n; e++ {
 		affected = append(affected, e)
 	}
-	return affected, ng.addComponents(d, affected, opt)
+	return affected, ng.addComponents(d, affected)
 }
 
 // entityOfSet finds the entity of PGD set sid among those containing the

@@ -7,7 +7,9 @@
 // existence probabilities with the PGD's merge functions, and precomputing
 // the identity components of the Markov network together with their legal
 // configuration distributions (the offline "component probabilities" step of
-// Section 5.1).
+// Section 5.1). A legal configuration is an exact cover of a component's
+// references by its member entities; Build lists the covers directly, so its
+// cost follows the number of configurations, not 2^members.
 //
 // Match probabilities decompose as Pr(M) = Prn(M) · Prle(M) (Eq. 11): Prn is
 // the identity-existence marginal computed per connected component, Prle the
@@ -15,12 +17,13 @@
 package entity
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/pgm"
 	"repro/internal/prob"
 	"repro/internal/refgraph"
 )
@@ -128,8 +131,6 @@ type Graph struct {
 type BuildOptions struct {
 	// Semantics selects the identity scoring; default SemanticsExample.
 	Semantics Semantics
-	// StateBudget caps per-component exact enumeration (0 = pgm default).
-	StateBudget int
 }
 
 // Build constructs the PEG from a PGD. The PGD is validated first.
@@ -157,7 +158,7 @@ func Build(d *refgraph.PGD, opt BuildOptions) (*Graph, error) {
 		all[i] = ID(i)
 	}
 	g.compHead = make([]int32, 0, len(all))
-	if err := g.addComponents(d, all, opt); err != nil {
+	if err := g.addComponents(d, all); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -382,7 +383,7 @@ func (g *Graph) fillAdjacency(pairs []entPair, nbs []Neighbor) {
 // addComponents groups ents — sorted, and closed under sharing a reference —
 // into identity components, appends them to the component columns in order
 // of first member and fills in their members' comp, compPos and exist.
-func (g *Graph) addComponents(d *refgraph.PGD, ents []ID, opt BuildOptions) error {
+func (g *Graph) addComponents(d *refgraph.PGD, ents []ID) error {
 	for _, members := range g.groupByRefs(ents) {
 		ci := int32(len(g.compHead))
 		if len(members) == 1 {
@@ -394,9 +395,9 @@ func (g *Graph) addComponents(d *refgraph.PGD, ents []ID, opt BuildOptions) erro
 			continue
 		}
 		if len(members) > 64 {
-			return fmt.Errorf("entity: identity component with %d entities exceeds the 64-entity limit", len(members))
+			return fmt.Errorf("entity: identity component of %d entities from entity %d exceeds the 64-entity limit", len(members), members[0])
 		}
-		cfgs, err := g.enumerateComponent(d, members, opt)
+		cfgs, err := g.enumerateComponent(d, members)
 		if err != nil {
 			return err
 		}
@@ -446,125 +447,119 @@ func (g *Graph) groupByRefs(ents []ID) [][]ID {
 	return out
 }
 
-// enumerateComponent scores the legal configurations of one identity
-// component using the PGM engine, under the configured semantics.
-func (g *Graph) enumerateComponent(d *refgraph.PGD, members []ID, opt BuildOptions) ([]Config, error) {
-	cards := make([]int, len(members))
-	for i := range cards {
-		cards[i] = 2
-	}
-	model, err := pgm.NewModel(cards)
-	if err != nil {
-		return nil, err
-	}
+// maxConfigs bounds the legal configurations of one identity component: a
+// component with more fails the build rather than hold them all.
+const maxConfigs = 1 << 22
 
-	// Collect the references appearing in the component and, per reference,
-	// the member variables of the entities containing it.
-	refVars := make(map[refgraph.RefID][]pgm.Var)
-	for pos, m := range members {
-		for _, r := range g.Refs(m) {
-			refVars[r] = append(refVars[r], pgm.Var(pos))
-		}
-	}
-	refIDs := make([]refgraph.RefID, 0, len(refVars))
-	for r := range refVars {
-		refIDs = append(refIDs, r)
-	}
-	slices.Sort(refIDs)
-
-	switch g.sem {
-	case SemanticsExample:
-		// Legality factor per reference: exactly one containing set exists.
-		for _, r := range refIDs {
-			vars := refVars[r]
-			if err := model.AddFactor(pgm.Factor{Vars: vars, Fn: exactlyOne}); err != nil {
-				return nil, err
-			}
-		}
-		// Prior factor per non-singleton member: p if exists, 1-p if not.
-		for pos, m := range members {
-			if g.set[m] < 0 {
-				continue
-			}
-			p := d.Set(g.set[m]).P
-			if err := model.AddFactor(pgm.Factor{Vars: []pgm.Var{pgm.Var(pos)}, Fn: bernoulli(p)}); err != nil {
-				return nil, err
-			}
-		}
-	case SemanticsFactor:
-		// Literal Definition 2: per reference r, fN over S_r values p_s(T)
-		// of the unique existing set, 0 unless exactly one exists.
-		for _, r := range refIDs {
-			vars := refVars[r]
-			probs := make([]float64, len(vars))
-			for i, v := range vars {
-				if m := members[v]; g.set[m] < 0 {
-					probs[i] = d.SingletonPrior(g.Refs(m)[0])
-				} else {
-					probs[i] = d.Set(g.set[m]).P
-				}
-			}
-			fn := func(vals []int) float64 {
-				chosen := -1
-				for i, v := range vals {
-					if v == 1 {
-						if chosen >= 0 {
-							return 0
-						}
-						chosen = i
-					}
-				}
-				if chosen < 0 {
-					return 0
-				}
-				return probs[chosen]
-			}
-			if err := model.AddFactor(pgm.Factor{Vars: vars, Fn: fn}); err != nil {
-				return nil, err
-			}
-		}
-	default:
+// enumerateComponent lists and weights the legal configurations of one
+// identity component under the graph's semantics. A legal configuration is
+// an exact cover of the component's references by its members: every
+// reference lies in exactly one existing member. Algorithm X finds them,
+// branching at the lowest uncovered reference over the members that hold it
+// and share no reference with those already chosen, so the cost is
+// proportional to the number of configurations.
+//
+// A weight multiplies the factors of Eq. 7 in a fixed order: under
+// SemanticsExample p or 1 − p for each non-singleton member in member
+// order, under SemanticsFactor the prior of the member covering each
+// reference in reference-id order. Zero weights are dropped, and the rest
+// are normalized by their sum taken in ascending mask order.
+func (g *Graph) enumerateComponent(d *refgraph.PGD, members []ID) ([]Config, error) {
+	if g.sem != SemanticsExample && g.sem != SemanticsFactor {
 		return nil, fmt.Errorf("entity: unknown semantics %d", g.sem)
 	}
+	// Number the component's references in id order. Each one's singleton
+	// is a member, so there are at most 64 and a set of them fits a word.
+	var refs []refgraph.RefID
+	for _, m := range members {
+		refs = append(refs, g.Refs(m)...)
+	}
+	slices.Sort(refs)
+	refs = slices.Compact(refs)
+	// holds[pos] is the references of member pos, cover[i] the members
+	// holding reference i, clash[pos] the members sharing a reference with
+	// member pos, itself included, and prior[pos] its p_s.
+	holds := make([]uint64, len(members))
+	clash := make([]uint64, len(members))
+	prior := make([]float64, len(members))
+	cover := make([]uint64, len(refs))
+	for pos, m := range members {
+		for _, r := range g.Refs(m) {
+			i, _ := slices.BinarySearch(refs, r)
+			holds[pos] |= 1 << i
+			cover[i] |= 1 << pos
+		}
+		if g.set[m] >= 0 {
+			prior[pos] = d.Set(g.set[m]).P
+		} else {
+			prior[pos] = d.SingletonPrior(g.Refs(m)[0])
+		}
+	}
+	for pos, h := range holds {
+		for ; h != 0; h &= h - 1 {
+			clash[pos] |= cover[bits.TrailingZeros64(h)]
+		}
+	}
 
-	vars := make([]pgm.Var, len(members))
-	for i := range vars {
-		vars[i] = pgm.Var(i)
-	}
-	dist, err := model.ComponentDist(vars, opt.StateBudget)
-	if err != nil {
-		return nil, fmt.Errorf("entity: component %v: %w", members, err)
-	}
-	cfgs := make([]Config, len(dist))
-	for i, a := range dist {
-		var mask uint64
-		for j, v := range a.Vals {
-			if v == 1 {
-				mask |= uint64(1) << uint(j)
+	// covers hands visit every exact cover that extends chosen, until visit
+	// returns false. The lowest uncovered reference's singleton is never
+	// banned, so every branch ends in a cover.
+	all := uint64(1)<<len(refs) - 1
+	var covers func(chosen, banned, covered uint64, visit func(uint64) bool) bool
+	covers = func(chosen, banned, covered uint64, visit func(uint64) bool) bool {
+		if covered == all {
+			return visit(chosen)
+		}
+		for opts := cover[bits.TrailingZeros64(^covered)] &^ banned; opts != 0; opts &= opts - 1 {
+			pos := bits.TrailingZeros64(opts)
+			if !covers(chosen|1<<pos, banned|clash[pos], covered|holds[pos], visit) {
+				return false
 			}
 		}
-		cfgs[i] = Config{Mask: mask, P: a.P}
+		return true
 	}
-	sort.Slice(cfgs, func(i, j int) bool { return cfgs[i].Mask < cfgs[j].Mask })
-	return cfgs, nil
-}
-
-func exactlyOne(vals []int) float64 {
+	// Count first: a component past the bound fails without holding its
+	// configurations, and the list below is allocated once.
 	n := 0
-	for _, v := range vals {
-		n += v
+	if !covers(0, 0, 0, func(uint64) bool { n++; return n <= maxConfigs }) {
+		return nil, fmt.Errorf("entity: identity component of %d entities from entity %d has more than %d legal configurations",
+			len(members), members[0], maxConfigs)
 	}
-	if n == 1 {
-		return 1
-	}
-	return 0
-}
-
-func bernoulli(p float64) func([]int) float64 {
-	return func(vals []int) float64 {
-		if vals[0] == 1 {
-			return p
+	cfgs := make([]Config, 0, n)
+	covers(0, 0, 0, func(mask uint64) bool {
+		w := 1.0
+		if g.sem == SemanticsExample {
+			for pos, m := range members {
+				if g.set[m] < 0 {
+					continue
+				}
+				if mask>>pos&1 != 0 {
+					w *= prior[pos]
+				} else {
+					w *= 1 - prior[pos]
+				}
+			}
+		} else {
+			for _, c := range cover {
+				w *= prior[bits.TrailingZeros64(c&mask)]
+			}
 		}
-		return 1 - p
+		if w > 0 {
+			cfgs = append(cfgs, Config{Mask: mask, P: w})
+		}
+		return true
+	})
+	slices.SortFunc(cfgs, func(a, b Config) int { return cmp.Compare(a.Mask, b.Mask) })
+	z := 0.0
+	for _, c := range cfgs {
+		z += c.P
 	}
+	if z == 0 {
+		return nil, fmt.Errorf("entity: identity component of %d entities from entity %d has no legal configuration of positive weight",
+			len(members), members[0])
+	}
+	for i := range cfgs {
+		cfgs[i].P /= z
+	}
+	return cfgs, nil
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -274,6 +275,20 @@ func TestApplyRollback(t *testing.T) {
 		t.Fatalf("oracle Match: %v", err)
 	}
 	sameMatchSets(t, "post-rollback", view.Graph(), got.Matches, oracle.Graph(), want.Matches)
+}
+
+// TestValidateRejectsNaN: a NaN edge or linkage probability is out of range,
+// though it passes a check written p < 0 || p > 1.
+func TestValidateRejectsNaN(t *testing.T) {
+	d := basePGD(t, 8)
+	for _, m := range []Mutation{
+		{Op: OpAddEdge, A: 0, B: 1, P: math.NaN()},
+		{Op: OpSetLinkage, Members: []refgraph.RefID{0, 1}, P: math.NaN()},
+	} {
+		if err := m.validate(d, 0); err == nil {
+			t.Errorf("%s with probability NaN validated", m.Op)
+		}
+	}
 }
 
 // TestWALRecovery closes a mutated database and reopens it: the replayed

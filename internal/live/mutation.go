@@ -181,14 +181,14 @@ func (m *Mutation) validate(d *refgraph.PGD, pendingRefs int) error {
 		if m.A == m.B {
 			return fmt.Errorf("live: self edge on reference %d", m.A)
 		}
-		if m.P < 0 || m.P > 1 {
+		if !(m.P >= 0 && m.P <= 1) {
 			return fmt.Errorf("live: edge probability %v out of range", m.P)
 		}
 		if n := d.Alphabet().Len(); len(m.CPT) != 0 && len(m.CPT) != n*n {
 			return fmt.Errorf("live: CPT has %d entries, want %d", len(m.CPT), n*n)
 		}
 	case OpSetLinkage:
-		if m.P < 0 || m.P > 1 {
+		if !(m.P >= 0 && m.P <= 1) {
 			return fmt.Errorf("live: linkage probability %v out of range", m.P)
 		}
 		seen := make(map[refgraph.RefID]bool, len(m.Members))

@@ -33,7 +33,7 @@ type Dist struct {
 func NewDist(entries ...LabelProb) (Dist, error) {
 	es := make([]LabelProb, 0, len(entries))
 	for _, e := range entries {
-		if e.P < 0 || e.P > 1+Eps {
+		if !(e.P >= 0 && e.P <= 1+Eps) {
 			return Dist{}, fmt.Errorf("prob: probability %v out of range for label %d", e.P, e.Label)
 		}
 		if e.P > 0 {

@@ -61,7 +61,7 @@ func (e EdgeDist) Max() float64 {
 }
 
 func (e EdgeDist) validate(nLabels int) error {
-	if e.P < 0 || e.P > 1 {
+	if !(e.P >= 0 && e.P <= 1) {
 		return fmt.Errorf("edge probability %v out of range", e.P)
 	}
 	if e.CPT != nil {
@@ -71,7 +71,7 @@ func (e EdgeDist) validate(nLabels int) error {
 		for i := 0; i < nLabels; i++ {
 			for j := 0; j <= i; j++ {
 				a, b := e.CPT[i*nLabels+j], e.CPT[j*nLabels+i]
-				if a < 0 || a > 1 {
+				if !(a >= 0 && a <= 1) {
 					return fmt.Errorf("CPT[%d,%d] = %v out of range", i, j, a)
 				}
 				if a != b {
@@ -268,7 +268,7 @@ func (g *PGD) Edges(fn func(k EdgeKey, e EdgeDist) bool) {
 // AddReferenceSet adds a non-singleton reference set with merge probability
 // p and returns its id. Members are deduplicated and sorted.
 func (g *PGD) AddReferenceSet(members []RefID, p float64) (SetID, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("refgraph: set probability %v out of range", p)
 	}
 	for _, r := range members {
@@ -298,7 +298,7 @@ func (g *PGD) SetSetProb(id SetID, p float64) error {
 	if id < 0 || int(id) >= len(g.sets) {
 		return fmt.Errorf("refgraph: unknown set %d", id)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("refgraph: set probability %v out of range", p)
 	}
 	g.sets[id].P = p
@@ -378,7 +378,7 @@ func (g *PGD) SetSingletonPrior(r RefID, p float64) error {
 	if err := g.checkRef(r); err != nil {
 		return err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("refgraph: singleton prior %v out of range", p)
 	}
 	g.singletonPrior[r] = p
@@ -427,7 +427,7 @@ func (g *PGD) Validate() error {
 		if len(s.Members) < 2 {
 			return fmt.Errorf("refgraph: set %d has %d members", i, len(s.Members))
 		}
-		if s.P < 0 || s.P > 1 {
+		if !(s.P >= 0 && s.P <= 1) {
 			return fmt.Errorf("refgraph: set %d probability %v out of range", i, s.P)
 		}
 	}

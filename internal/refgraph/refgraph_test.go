@@ -2,6 +2,7 @@ package refgraph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -216,5 +217,67 @@ func TestSaveLoadRandomized(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestNaNProbabilityRejected feeds NaN to every way a probability enters a
+// PGD: the mutators, Validate, and each probability of a saved snapshot. A
+// range check written p < 0 || p > 1 lets NaN through.
+func TestNaNProbabilityRejected(t *testing.T) {
+	nan := math.NaN()
+	// Each probability below is a distinct value, so its bytes mark its one
+	// place in the snapshot.
+	alpha := prob.MustAlphabet("a", "b")
+	d := New(alpha)
+	r0 := d.AddReference(prob.MustDist(prob.LabelProb{Label: 0, P: 0.3}, prob.LabelProb{Label: 1, P: 0.7}))
+	r1 := d.AddReference(prob.Point(1))
+	r2 := d.AddReference(prob.Point(0))
+	if err := d.AddEdge(r0, r1, EdgeDist{P: 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddEdge(r1, r2, EdgeDist{P: 0.5, CPT: []float64{0.125, 0.875, 0.875, 0.0625}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddReferenceSet([]RefID{r0, r2}, 0.375); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetSingletonPrior(r1, 0.625); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, add := range map[string]func(*PGD) error{
+		"AddEdge P":         func(g *PGD) error { return g.AddEdge(r0, r2, EdgeDist{P: nan}) },
+		"AddEdge CPT":       func(g *PGD) error { return g.AddEdge(r0, r2, EdgeDist{P: 0.5, CPT: []float64{0.5, nan, nan, 0.5}}) },
+		"AddReferenceSet":   func(g *PGD) error { _, err := g.AddReferenceSet([]RefID{r0, r1}, nan); return err },
+		"SetSetProb":        func(g *PGD) error { return g.SetSetProb(0, nan) },
+		"SetSingletonPrior": func(g *PGD) error { return g.SetSingletonPrior(r0, nan) },
+		"NewDist": func(*PGD) error {
+			_, err := prob.NewDist(prob.LabelProb{Label: 0, P: 1}, prob.LabelProb{Label: 1, P: nan})
+			return err
+		},
+		"Validate": func(g *PGD) error { g.sets[0].P = nan; return g.Validate() },
+	} {
+		if err := add(d.Clone()); err == nil {
+			t.Errorf("%s accepted NaN", name)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{0.3, 0.25, 0.125, 0.0625, 0.375, 0.625} {
+		raw := bytes.Clone(buf.Bytes())
+		var want, poison [8]byte
+		binary.LittleEndian.PutUint64(want[:], math.Float64bits(p))
+		binary.LittleEndian.PutUint64(poison[:], math.Float64bits(nan))
+		at := bytes.Index(raw, want[:])
+		if at < 0 || bytes.Index(raw[at+1:], want[:]) >= 0 {
+			t.Fatalf("probability %v is not in the snapshot exactly once", p)
+		}
+		copy(raw[at:], poison[:])
+		if _, err := Load(bytes.NewReader(raw)); err == nil {
+			t.Errorf("snapshot with probability %v replaced by NaN loaded", p)
+		}
 	}
 }

@@ -399,9 +399,13 @@ func (w *Writer) WriteFile(path string) (int64, error) {
 	}
 	// Fsync the directory so the rename itself survives a power loss (the
 	// same protocol the generation-flip manifests use).
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return 0, err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return 0, err
 	}
 	return int64(fileSize), nil
 }
