@@ -39,7 +39,10 @@ func (r *Rows) Len() int { return r.n }
 type Set struct {
 	Path *decompose.Path
 	Rows
-	Initial int // |PIndex(lQ(V_P), α)| before pruning
+	// Initial is |PIndex(lQ(V_P), α)|, the path's rows before pruning, as
+	// the reader's ScanCount reports it: not the rows this scan streamed,
+	// which below β leave out those the node-level test cuts from the walk.
+	Initial int
 }
 
 // Row returns the entity nodes of candidate i, aligned with the path's
@@ -58,8 +61,11 @@ type Stats struct {
 	// SSContext is the search space after node- and path-level context
 	// pruning.
 	SSContext float64
-	// Initial[i] is the observed |PIndex(lQ(V_Pi), α)| for decomposition
-	// path i — the number the offline histograms only estimated.
+	// Initial[i] is the exact |PIndex(lQ(V_Pi), α)| for decomposition
+	// path i — the number the offline histograms only estimated. Below β an
+	// index counts it once per (label sequence, α) in a generation, on the
+	// first unfiltered walk that runs to its end, and reports that count
+	// from then on while its walks skip what the node-level test rejects.
 	Initial []int
 	// Kept[i] is the candidate count for path i surviving context pruning.
 	Kept []int
@@ -132,19 +138,20 @@ func (nc *NodeChecker) check(v entity.ID, n query.NodeID) bool {
 	if lp+1e-12 < nc.alpha {
 		return false
 	}
+	row := nc.ctx.Row(v)
 	for sigma, need := range nc.counts[n] {
 		if need == 0 {
 			continue
 		}
 		s := prob.LabelID(sigma)
 		// (1) enough neighbors with label σ.
-		if nc.ctx.Card(v, s) < need {
+		if row.Card(s) < need {
 			return false
 		}
 		// (2) label probability times the σ-neighborhood upperbound raised
 		// to the required neighbor count must clear α.
 		bound := lp
-		f := nc.ctx.FPU(v, s)
+		f := row.FPU(s)
 		for i := 0; i < need; i++ {
 			bound *= f
 		}
@@ -300,20 +307,28 @@ const firstChunk = 64
 // the survivors' entity ids into chunks of 64, 128, 256, … rows that this
 // call owns, and lays them out once, in scan order, into one exact-size
 // arena. Chunks and arena are allocated on this goroutine only, so their
-// sizes depend on the survivor count and nothing else. initial counts every
-// record scanned.
+// sizes depend on the survivor count and nothing else. The reader is handed
+// the node-level test as its walk's filter: the rows it leaves out are rows
+// keepCandidate rejects, so the survivors and their order are those of the
+// whole scan. initial is |PIndex(lQ(V_P), α)|, as ScanCount reports it.
 func scanPath(ctx context.Context, ix pathindex.Reader, nc *NodeChecker, p *decompose.Path, alpha float64) (kept Rows, initial int, err error) {
 	g := ix.Graph()
 	w := len(p.Nodes)
 	var chunks [][]entity.ID // survivors in scan order; the last chunk is filling
-	var ctxErr error
-	err = ix.Scan(p.Labels, alpha, func(nodes []entity.ID, prle, prn float64) bool {
-		if initial%cancelCheckEvery == 0 {
-			if ctxErr = ctx.Err(); ctxErr != nil {
+	// The poll's state is one object: a lone counter would be a tiny
+	// allocation, whose bytes depend on what the reader allocates beside it.
+	var poll struct {
+		rows int // rows streamed
+		err  error
+	}
+	keep := func(v entity.ID, pos int) bool { return nc.OK(v, p.Nodes[pos]) }
+	initial, err = ix.ScanCount(ctx, p.Labels, alpha, keep, func(nodes []entity.ID, prle, prn float64) bool {
+		if poll.rows%cancelCheckEvery == 0 {
+			if poll.err = ctx.Err(); poll.err != nil {
 				return false
 			}
 		}
-		initial++
+		poll.rows++
 		if keepCandidate(g, nc, p, nodes, prle, prn, alpha) {
 			if k := len(chunks); k == 0 || len(chunks[k-1]) == cap(chunks[k-1]) {
 				chunks = append(chunks, make([]entity.ID, 0, (firstChunk<<k)*w))
@@ -324,7 +339,7 @@ func scanPath(ctx context.Context, ix pathindex.Reader, nc *NodeChecker, p *deco
 		return true
 	})
 	if err == nil {
-		err = ctxErr
+		err = poll.err
 	}
 	if err != nil {
 		return Rows{}, 0, err
@@ -388,18 +403,25 @@ func pathCyclesProb(g *entity.Graph, q *query.Query, p *decompose.Path, nodes []
 // tightest bound over its reverse path neighbors, combining one full
 // probability upperbound with partial upperbounds for the rest.
 func neighborhoodUpperbound(nc *NodeChecker, p *decompose.Path, nodes []entity.ID) float64 {
+	if len(p.Info.Neighbors) == 0 {
+		return 1
+	}
+	var rows [pathindex.MaxSupportedLen + 1]pathindex.ContextRow
+	for pos, v := range nodes {
+		rows[pos] = nc.ctx.Row(v)
+	}
 	pu := 1.0
 	for _, nb := range p.Info.Neighbors {
 		sigma := nc.q.Label(nb)
 		rv := p.Info.Reverse[nb]
 		best := -1.0
 		for _, nPos := range rv {
-			val := nc.ctx.FPU(nodes[nPos], sigma)
+			val := rows[nPos].FPU(sigma)
 			for _, oPos := range rv {
 				if oPos == nPos {
 					continue
 				}
-				val *= nc.ctx.PPU(nodes[oPos], sigma)
+				val *= rows[oPos].PPU(sigma)
 			}
 			if best < 0 || val < best {
 				best = val

@@ -202,7 +202,8 @@ func packedAndLive(t *testing.T, opt gen.SynthOptions, n int, next func(*rand.Ra
 // overlay (which bypasses the cache), α on both sides of β. Some path must
 // keep more rows than two survivor chunks hold, so the layout of several
 // chunks is what is checked. What a path's scanPath allocates beyond its scan
-// (the same Scan and context tests, keeping nothing) is held to its ids too:
+// (the same ScanCount, node filter and context tests, warm, keeping nothing)
+// is held to its ids too:
 // the survivor chunks, the list of them and the arena, 4·w bytes a row
 // rounded as a reference allocation of as many ids is, and beyond that one
 // constant per reader (the scan callback and what it captures) — the same
@@ -233,8 +234,9 @@ func TestFindArenasExact(t *testing.T) {
 					for i, s := range want {
 						p, w := s.Path, len(s.Path.Nodes)
 						path := heapBytes(func() { sinkRows, _, _ = scanPath(ctx, ix, nc, p, alpha) })
+						keep := func(v entity.ID, pos int) bool { return nc.OK(v, p.Nodes[pos]) }
 						scan := heapBytes(func() {
-							ix.Scan(p.Labels, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+							ix.ScanCount(ctx, p.Labels, alpha, keep, func(nodes []entity.ID, prle, prn float64) bool {
 								keepCandidate(ix.Graph(), nc, p, nodes, prle, prn, alpha)
 								return true
 							})

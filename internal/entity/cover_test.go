@@ -329,7 +329,7 @@ func TestApplyDeltaJoinsLargeComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng, _, err := ApplyDelta(g, d, Delta{NewSets: []refgraph.SetID{sid}}, BuildOptions{})
+	ng, _, err := ApplyDelta(g, d, Delta{NewSets: []refgraph.SetID{sid}})
 	if err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
 	}

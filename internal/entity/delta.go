@@ -62,9 +62,8 @@ func (dl Delta) Merge(other Delta) Delta {
 // The second result lists the dirty entities: every entity whose label/edge
 // surroundings or identity marginals may differ from the old graph, plus all
 // new entities. Paths avoiding every dirty entity score identically in both
-// graphs. The new graph keeps old's semantics; the BuildOptions argument is
-// not read.
-func ApplyDelta(old *Graph, d *refgraph.PGD, dl Delta, _ BuildOptions) (*Graph, []ID, error) {
+// graphs. The new graph keeps old's semantics.
+func ApplyDelta(old *Graph, d *refgraph.PGD, dl Delta) (*Graph, []ID, error) {
 	if old.alpha != d.Alphabet() {
 		return nil, nil, fmt.Errorf("entity: delta PGD has a different alphabet")
 	}

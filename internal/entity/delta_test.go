@@ -158,7 +158,7 @@ func TestApplyDeltaMatchesFullRebuild(t *testing.T) {
 			sharedAdj, sharedLabels := 0, 0
 			for step := 0; step < 60; step++ {
 				dl := applyRandomDelta(t, rng, d)
-				ng, dirty, err := ApplyDelta(g, d, dl, BuildOptions{})
+				ng, dirty, err := ApplyDelta(g, d, dl)
 				if err != nil {
 					t.Fatalf("step %d: ApplyDelta: %v", step, err)
 				}
@@ -207,20 +207,20 @@ func TestApplyDeltaTwiceFromOneBase(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	// One delta gives the base's successor spare capacity to fight over.
-	mid, _, err := ApplyDelta(base, d, applyRandomDelta(t, rng, d), BuildOptions{})
+	mid, _, err := ApplyDelta(base, d, applyRandomDelta(t, rng, d))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2 := d.Clone()
-	first, _, err := ApplyDelta(mid, d, applyRandomDelta(t, rng, d), BuildOptions{})
+	first, _, err := ApplyDelta(mid, d, applyRandomDelta(t, rng, d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := ApplyDelta(mid, d2, applyRandomDelta(t, rng, d2), BuildOptions{})
+	second, _, err := ApplyDelta(mid, d2, applyRandomDelta(t, rng, d2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	third, _, err := ApplyDelta(second, d2, applyRandomDelta(t, rng, d2), BuildOptions{})
+	third, _, err := ApplyDelta(second, d2, applyRandomDelta(t, rng, d2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestApplyDeltaUnderReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	inPlace := 0
 	for step := 0; step < 30; step++ {
-		ng, _, err := ApplyDelta(g, d, applyRandomDelta(t, rng, d), BuildOptions{})
+		ng, _, err := ApplyDelta(g, d, applyRandomDelta(t, rng, d))
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}

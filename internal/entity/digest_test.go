@@ -106,7 +106,7 @@ func TestGraphDigestUnchanged(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(5))
 			for b := 0; b < tc.batches; b++ {
-				if g, _, err = ApplyDelta(g, d, applyRandomDelta(t, rng, d), BuildOptions{}); err != nil {
+				if g, _, err = ApplyDelta(g, d, applyRandomDelta(t, rng, d)); err != nil {
 					t.Fatalf("ApplyDelta: %v", err)
 				}
 			}

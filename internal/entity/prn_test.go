@@ -54,7 +54,7 @@ func constructionPaths(t *testing.T, seed int64, rng *rand.Rand, opt BuildOption
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, _, err := ApplyDelta(built, d, applyRandomDelta(t, rng, d), opt)
+	delta, _, err := ApplyDelta(built, d, applyRandomDelta(t, rng, d))
 	if err != nil {
 		t.Fatal(err)
 	}

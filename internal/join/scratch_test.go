@@ -85,7 +85,7 @@ func TestIncrementalPrnEqualsPrn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			delta, _, err := entity.ApplyDelta(built, d, linkNeighbours(t, rand.New(rand.NewSource(seed)), d), opt)
+			delta, _, err := entity.ApplyDelta(built, d, linkNeighbours(t, rand.New(rand.NewSource(seed)), d))
 			if err != nil {
 				t.Fatal(err)
 			}

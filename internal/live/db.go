@@ -547,7 +547,7 @@ func (db *DB) applyLocked(ms []Mutation, logToWAL bool) (ApplyResult, error) {
 	}
 
 	cur := db.view.Load()
-	ng, dirtyNew, err := entity.ApplyDelta(cur.g, d, delta, db.opt.Build)
+	ng, dirtyNew, err := entity.ApplyDelta(cur.g, d, delta)
 	if err != nil {
 		rollback()
 		res.Refs, res.Sets = nil, nil
@@ -698,7 +698,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 	ctxTables := ix2.Context()
 	var ov *overlay
 	if !pendDelta.Empty() {
-		ng, dirtyNew, aerr := entity.ApplyDelta(g2, db.pgd, pendDelta, db.opt.Build)
+		ng, dirtyNew, aerr := entity.ApplyDelta(g2, db.pgd, pendDelta)
 		if aerr != nil {
 			db.mu.Unlock()
 			ix2.Close()

@@ -189,7 +189,7 @@ func extend(prev *overlay, g *entity.Graph, fresh []entity.ID, beta float64, max
 		}
 	}
 
-	walk := pathindex.NewWalker(g, beta, maxLen+1, nil, isFresh, func(nodes []entity.ID, labels []prob.LabelID, at int, prle, prn float64) bool {
+	walk := pathindex.NewWalker(g, beta, maxLen+1, nil, isFresh, nil, func(nodes []entity.ID, labels []prob.LabelID, at int, prle, prn float64) bool {
 		prle, prn = firstDirtyScore(g, ov.dirty, nodes, labels, at, prle, prn)
 		k := makeKey(labels)
 		r := ov.entries[k]
@@ -296,7 +296,7 @@ func (ov *overlay) scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) 
 	}
 	// The anchor set is the dirty set, so every path is found from its first
 	// dirty node and the walk's running products are its score.
-	walk := pathindex.NewWalker(ov.g, alpha, len(X), X, ov.dirty, func(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn float64) bool {
+	walk := pathindex.NewWalker(ov.g, alpha, len(X), X, ov.dirty, nil, func(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn float64) bool {
 		return fn(nodes, prle, prn)
 	})
 	for _, v := range ov.dirtyIDs {

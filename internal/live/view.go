@@ -1,6 +1,8 @@
 package live
 
 import (
+	"context"
+
 	"repro/internal/entity"
 	"repro/internal/pathindex"
 	"repro/internal/prob"
@@ -48,6 +50,17 @@ func (v *View) Scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) erro
 	}
 	v.ov.scan(X, alpha, fn)
 	return nil
+}
+
+// ScanCount is the base index's ScanCount while the view carries no
+// overlay. With one it is Scan, counting the rows it streams: the base
+// index's count memo holds counts of paths of the base graph, not of the
+// view's, so the view walks every row, unfiltered.
+func (v *View) ScanCount(ctx context.Context, X []prob.LabelID, alpha float64, keep pathindex.NodeFilter, fn pathindex.ScanFunc) (int, error) {
+	if v.ov == nil {
+		return v.base.ScanCount(ctx, X, alpha, keep, fn)
+	}
+	return pathindex.CountScan(v, X, alpha, fn)
 }
 
 // Lookup returns PIndex(X, α) as caller-owned memory.

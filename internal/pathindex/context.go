@@ -173,17 +173,30 @@ func (c *Context) row(v entity.ID) int {
 	return int(c.rowOf[v]) * c.nLabels
 }
 
-// Card returns c(v,σ).
-func (c *Context) Card(v entity.ID, sigma prob.LabelID) int {
-	return int(c.card[c.row(v)+int(sigma)])
+// ContextRow is one node's row of the context tables, resolved once for
+// reading several of its labels.
+type ContextRow struct {
+	c  *Context
+	at int // index of the row's first cell
 }
+
+// Row returns node v's row.
+func (c *Context) Row(v entity.ID) ContextRow { return ContextRow{c, c.row(v)} }
+
+// Card returns c(v,σ) of the row's node v.
+func (r ContextRow) Card(sigma prob.LabelID) int { return int(r.c.card[r.at+int(sigma)]) }
+
+// PPU returns ppu(v,σ) of the row's node v.
+func (r ContextRow) PPU(sigma prob.LabelID) float64 { return r.c.ppu[r.at+int(sigma)] }
+
+// FPU returns fpu(v,σ) of the row's node v.
+func (r ContextRow) FPU(sigma prob.LabelID) float64 { return r.c.fpu[r.at+int(sigma)] }
+
+// Card returns c(v,σ).
+func (c *Context) Card(v entity.ID, sigma prob.LabelID) int { return c.Row(v).Card(sigma) }
 
 // PPU returns ppu(v,σ).
-func (c *Context) PPU(v entity.ID, sigma prob.LabelID) float64 {
-	return c.ppu[c.row(v)+int(sigma)]
-}
+func (c *Context) PPU(v entity.ID, sigma prob.LabelID) float64 { return c.Row(v).PPU(sigma) }
 
 // FPU returns fpu(v,σ).
-func (c *Context) FPU(v entity.ID, sigma prob.LabelID) float64 {
-	return c.fpu[c.row(v)+int(sigma)]
-}
+func (c *Context) FPU(v entity.ID, sigma prob.LabelID) float64 { return c.Row(v).FPU(sigma) }

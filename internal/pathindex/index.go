@@ -2,6 +2,8 @@ package pathindex
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/entity"
+	"repro/internal/lru"
 	"repro/internal/prob"
 	"repro/internal/storage/packedix"
 )
@@ -66,15 +69,17 @@ type BuildStats struct {
 
 // Index is an opened path index: one packed.idx file (internal/storage/
 // packedix), mapped read-only. Once built or opened, every read method —
-// Scan, Lookup, Cardinality, Context, Stats — is safe for many concurrent
-// callers without locking: probes read the immutable mapping and write only
-// caller-owned scratch.
+// Scan, ScanCount, Lookup, Cardinality, Context, Stats — is safe for many
+// concurrent callers: probes read the immutable mapping and write only
+// caller-owned scratch, and ScanCount's memo of below-β counts is an
+// internal/lru cache.
 type Index struct {
 	opt    Options
 	g      *entity.Graph
 	packed *packedix.File
 	ctx    *Context
 	stats  BuildStats
+	counts *lru.Cache[int] // |PIndex(X, α)| below β, by countKey
 
 	probes atomic.Uint64                 // Scan calls answered
 	obs    atomic.Pointer[func(float64)] // posting-decode observer (µs)
@@ -105,7 +110,7 @@ func Build(ctx context.Context, g *entity.Graph, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{opt: opt, g: g}
+	ix := &Index{opt: opt, g: g, counts: newCountMemo()}
 
 	ctxStart := time.Now()
 	ix.ctx = ComputeContext(g, opt.Workers)
@@ -168,6 +173,7 @@ func Open(dir string, g *entity.Graph) (_ *Index, err error) {
 		g:      g,
 		packed: f,
 		ctx:    &Context{nLabels: nl, card: card, ppu: ppu, fpu: fpu},
+		counts: newCountMemo(),
 	}
 	ix.stats.Entries = m.Entries
 	ix.stats.EntriesPerLen = m.EntriesPerLen
@@ -221,7 +227,7 @@ func (ix *Index) MaxLen() int { return ix.opt.MaxLen }
 func (ix *Index) buildPaths(ctx context.Context, w *packedix.Writer) error {
 	ix.stats.EntriesPerLen = make([]uint64, ix.opt.MaxLen+1)
 	var err error
-	walk := NewWalker(ix.g, ix.opt.Beta, ix.opt.MaxLen+1, nil, nil, func(nodes []entity.ID, labels []prob.LabelID, _ int, prle, prn float64) bool {
+	walk := NewWalker(ix.g, ix.opt.Beta, ix.opt.MaxLen+1, nil, nil, nil, func(nodes []entity.ID, labels []prob.LabelID, _ int, prle, prn float64) bool {
 		n := len(nodes)
 		reversed, palin := orientation(labels)
 		if reversed || palin && n > 1 && nodes[0] > nodes[n-1] {
@@ -262,16 +268,12 @@ func (ix *Index) buildPaths(ctx context.Context, w *packedix.Writer) error {
 // a scan allocates nothing per record and nothing proportional to the
 // posting list. See ScanFunc for the aliasing contract.
 func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
-	if len(X) == 0 || len(X) > maxNodes {
-		return fmt.Errorf("pathindex: label sequence length %d out of range", len(X))
+	if err := ix.probe(X); err != nil {
+		return err
 	}
-	if len(X)-1 > ix.opt.MaxLen {
-		return fmt.Errorf("pathindex: sequence of %d labels exceeds indexed length L=%d", len(X), ix.opt.MaxLen)
-	}
-	ix.probes.Add(1)
 	if alpha < ix.opt.Beta {
-		ix.onDemand(X, alpha, fn)
-		return nil
+		_, err := ix.onDemand(context.TODO(), X, alpha, nil, fn)
+		return err
 	}
 	reversed, palin := orientation(X)
 	s, ok := ix.findSeq(X, reversed)
@@ -301,21 +303,106 @@ func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 	return err
 }
 
+// probe validates a scanned label sequence and counts the probe.
+func (ix *Index) probe(X []prob.LabelID) error {
+	if len(X) == 0 || len(X) > maxNodes {
+		return fmt.Errorf("pathindex: label sequence length %d out of range", len(X))
+	}
+	if len(X)-1 > ix.opt.MaxLen {
+		return fmt.Errorf("pathindex: sequence of %d labels exceeds indexed length L=%d", len(X), ix.opt.MaxLen)
+	}
+	ix.probes.Add(1)
+	return nil
+}
+
+// rootsPerPoll is how many entity ids an on-demand walk tries as roots
+// between two polls of its context.
+const rootsPerPoll = 64
+
 // onDemand enumerates the paths labelled X with probability ≥ alpha
 // straight from the graph, for alpha below the construction threshold β
 // (footnote 1 of the paper): one guided walk from every entity carrying
-// X[0]. The records handed to fn alias the walk's path, so nothing is
-// allocated per edge or per match.
-func (ix *Index) onDemand(X []prob.LabelID, alpha float64, fn ScanFunc) {
+// X[0], filtered by keep when it is not nil. The records handed to fn alias
+// the walk's path, so nothing is allocated per edge or per match. It reports
+// whether the walk ran to its end; it did not when fn stopped it or when ctx
+// ended, whose error it then returns.
+func (ix *Index) onDemand(ctx context.Context, X []prob.LabelID, alpha float64, keep NodeFilter, fn ScanFunc) (bool, error) {
 	g := ix.g
-	walk := NewWalker(g, alpha, len(X), X, nil, func(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn float64) bool {
+	walk := NewWalker(g, alpha, len(X), X, nil, keep, func(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn float64) bool {
 		return fn(nodes, prle, prn)
 	})
 	for v := 0; v < g.NumNodes(); v++ {
+		if v%rootsPerPoll == 0 {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+		}
 		if g.HasLabel(entity.ID(v), X[0]) && !walk.Root(entity.ID(v)) {
-			return
+			return false, nil
 		}
 	}
+	return true, nil
+}
+
+// countMemoEntries bounds the (label sequence, α) pairs whose below-β
+// count an Index remembers.
+const countMemoEntries = 1024
+
+func newCountMemo() *lru.Cache[int] { return lru.New[int](countMemoEntries, nil, nil) }
+
+// errStopped marks an on-demand walk its callback stopped: a partial count,
+// which the count memo must not store.
+var errStopped = errors.New("pathindex: scan stopped")
+
+// ScanCount streams Scan's rows, or a subsequence of them that holds every
+// row whose nodes keep accepts at their positions, into fn, and returns
+// |PIndex(X, α)|. At α ≥ β it is Scan, counting the records it decodes.
+// Below β the count comes from a memo of this generation's complete walks:
+// on a miss ScanCount walks unfiltered, streaming and counting every row,
+// and stores the count only if the walk ran to its end; on a hit it walks
+// filtered by keep, cutting every subtree through a node keep rejects.
+// Concurrent misses on one (X, α) walk once; the callers waiting on that
+// walk then walk filtered, so fn must not itself scan the same (X, α) of
+// this index. When fn stops a walk on a miss the count is that of the rows
+// streamed so far; when ctx ends first ScanCount returns its error.
+func (ix *Index) ScanCount(ctx context.Context, X []prob.LabelID, alpha float64, keep NodeFilter, fn ScanFunc) (int, error) {
+	if alpha >= ix.opt.Beta {
+		return CountScan(ix, X, alpha, fn)
+	}
+	if err := ix.probe(X); err != nil {
+		return 0, err
+	}
+	n, hit, err := ix.counts.Do(ctx, countKey(X, alpha), func() (int, error) {
+		n := 0
+		done, err := ix.onDemand(ctx, X, alpha, nil, func(nodes []entity.ID, prle, prn float64) bool {
+			n++
+			return fn(nodes, prle, prn)
+		})
+		if err == nil && !done {
+			err = errStopped
+		}
+		return n, err
+	})
+	switch {
+	case errors.Is(err, errStopped):
+		return n, nil
+	case err != nil:
+		return 0, err
+	case !hit:
+		return n, nil // this call's walk streamed every row
+	}
+	_, err = ix.onDemand(ctx, X, alpha, keep, fn)
+	return n, err
+}
+
+// countKey keys the count memo: X's length and labels, then α's bits.
+func countKey(X []prob.LabelID, alpha float64) string {
+	var buf [1 + maxNodes*binary.MaxVarintLen32 + 8]byte
+	b := append(buf[:0], byte(len(X)))
+	for _, l := range X {
+		b = binary.AppendUvarint(b, uint64(l))
+	}
+	return string(binary.LittleEndian.AppendUint64(b, math.Float64bits(alpha)))
 }
 
 // findSeq looks up the key-table entry of X's canonical label sequence: X

@@ -543,7 +543,7 @@ func TestCardinalityAllocatesNothing(t *testing.T) {
 // DFS over the graph, which never reads the index file.
 func bruteForce(ix *Index, X []prob.LabelID, alpha float64) []PathMatch {
 	var out []PathMatch
-	ix.onDemand(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+	ix.onDemand(context.Background(), X, alpha, nil, func(nodes []entity.ID, prle, prn float64) bool {
 		out = append(out, PathMatch{Nodes: append([]entity.ID(nil), nodes...), Prle: prle, Prn: prn})
 		return true
 	})

@@ -1,6 +1,8 @@
 package pathindex
 
 import (
+	"context"
+
 	"repro/internal/entity"
 	"repro/internal/prob"
 )
@@ -22,6 +24,14 @@ type Reader interface {
 	// materializing them; see ScanFunc for the aliasing contract. It
 	// returns nil when fn stopped the scan.
 	Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error
+	// ScanCount streams into fn the rows of Scan, in Scan's order, and
+	// returns |PIndex(X, α)|, the number of rows Scan streams. keep is
+	// advisory: a reader may leave out of the stream any row with a node
+	// that keep rejects at its position along X, and streams every other
+	// row. The count is exact when the scan runs to its end; when fn stops
+	// it, the count is at least the rows streamed. ScanCount returns ctx's
+	// error when it sees ctx end first.
+	ScanCount(ctx context.Context, X []prob.LabelID, alpha float64, keep NodeFilter, fn ScanFunc) (int, error)
 	// Lookup returns the same paths, in the same order, as caller-owned
 	// memory: Collect over Scan.
 	Lookup(X []prob.LabelID, alpha float64) ([]PathMatch, error)
@@ -41,6 +51,18 @@ type Reader interface {
 }
 
 var _ Reader = (*Index)(nil)
+
+// CountScan is r.Scan(X, α, fn) that also returns the number of rows it
+// streamed: ScanCount for a reader that keeps no count and applies no
+// filter.
+func CountScan(r Reader, X []prob.LabelID, alpha float64, fn ScanFunc) (int, error) {
+	n := 0
+	err := r.Scan(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
+		n++
+		return fn(nodes, prle, prn)
+	})
+	return n, err
+}
 
 // Collect materializes r.Scan(X, α) into caller-owned matches: the one
 // implementation of Lookup, shared by every Reader. All node slices view a

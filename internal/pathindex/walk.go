@@ -12,6 +12,12 @@ import (
 // modified. Returning false ends the walk.
 type WalkFunc func(nodes []entity.ID, labels []prob.LabelID, at int, prle, prn float64) bool
 
+// NodeFilter reports whether entity v may stand at position pos of a path
+// read along a guide. A guided walk asks it before it places a node, so a
+// node it rejects cuts the whole subtree the walk would grow through it
+// there.
+type NodeFilter func(v entity.ID, pos int) bool
+
 // Walker enumerates the labelled paths of the PEG whose probability
 // Prle·Prn clears a threshold, depth first, pushing and popping nodes on
 // one in-place path: the offline build of PIndex(X, β) (Section 5.1), the
@@ -29,14 +35,18 @@ type WalkFunc func(nodes []entity.ID, labels []prob.LabelID, at int, prle, prn f
 //
 // With a guide, only paths labelled by it are walked and only the full
 // length is handed to the callback; without, every label assignment of
-// every length up to the most nodes is. A Walker is not safe for concurrent
-// use.
+// every length up to the most nodes is. A guided walk may also carry a
+// NodeFilter, asked at the start node and at every extension: the paths it
+// hands over are then those whose every node the filter accepts at its
+// position, in the order the unfiltered walk hands them over. A Walker is
+// not safe for concurrent use.
 type Walker struct {
 	g       *entity.Graph
 	thresh  float64
 	max     int            // most (guided: exactly) nodes on a path
 	guide   []prob.LabelID // nil = every label assignment
 	anchors []bool         // by entity id: the nodes Anchor's head growth avoids
+	keep    NodeFilter     // nil, or the guided walk's node test
 	emit    WalkFunc
 
 	nodes  [maxNodes]entity.ID    // the path, in path order
@@ -49,9 +59,11 @@ type Walker struct {
 // with probability ≥ thresh (up to the 1e-12 tolerance every threshold
 // test shares). guide, when not nil, fixes the labels and the length
 // (maxNodes == len(guide)). anchors, by entity id, is the set Anchor
-// walks from; Root does not read it.
-func NewWalker(g *entity.Graph, thresh float64, maxNodes int, guide []prob.LabelID, anchors []bool, emit WalkFunc) *Walker {
-	return &Walker{g: g, thresh: thresh, max: maxNodes, guide: guide, anchors: anchors, emit: emit}
+// walks from; Root does not read it. keep, when not nil, filters the nodes
+// of a guided walk by their position on the guide; an unguided walk takes
+// nil.
+func NewWalker(g *entity.Graph, thresh float64, maxNodes int, guide []prob.LabelID, anchors []bool, keep NodeFilter, emit WalkFunc) *Walker {
+	return &Walker{g: g, thresh: thresh, max: maxNodes, guide: guide, anchors: anchors, keep: keep, emit: emit}
 }
 
 // Root walks the paths that start at v, growing them at the tail only. It
@@ -75,7 +87,7 @@ func (w *Walker) start(v entity.ID, heads int) bool {
 	w.nodes[0], w.found[0], w.n, w.at = v, v, 1, 0
 	if w.guide != nil {
 		for i, l := range w.guide[:heads+1] {
-			if lp := w.g.PrLabel(v, l); lp != 0 && w.clears(lp, exist) {
+			if lp := w.g.PrLabel(v, l); lp != 0 && w.clears(lp, exist) && w.admits(v, i) {
 				w.labels[0] = l
 				if i == 0 && !w.tail(lp, exist) || i > 0 && !w.head(lp, exist, i) {
 					return false
@@ -94,6 +106,9 @@ func (w *Walker) start(v entity.ID, heads int) bool {
 	}
 	return true
 }
+
+// admits is the node filter's answer for v at guide position pos.
+func (w *Walker) admits(v entity.ID, pos int) bool { return w.keep == nil || w.keep(v, pos) }
 
 // clears is the threshold test on a path's probability components.
 func (w *Walker) clears(prle, prn float64) bool { return prle*prn+1e-12 >= w.thresh }
@@ -129,7 +144,7 @@ func (w *Walker) head(prle, prn float64, heads int) bool {
 	}
 	for _, nb := range g.Neighbors(w.nodes[0]) {
 		v := nb.To
-		if w.anchors[v] || w.guide != nil && !g.HasLabel(v, lo) || w.contains(v) {
+		if w.anchors[v] || w.guide != nil && !g.HasLabel(v, lo) || w.contains(v) || !w.admits(v, heads-1) {
 			continue
 		}
 		prnV := g.PrnExtend(w.found[:n], prn, v)
@@ -184,7 +199,7 @@ func (w *Walker) tail(prle, prn float64) bool {
 		l := w.guide[n]
 		for _, nb := range g.Neighbors(w.nodes[n-1]) {
 			v := nb.To
-			if !g.HasLabel(v, l) || w.contains(v) {
+			if !g.HasLabel(v, l) || w.contains(v) || !w.admits(v, n) {
 				continue
 			}
 			prnV := g.PrnExtend(w.found[:n], prn, v)

@@ -1,6 +1,7 @@
 package pathindex
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/entity"
@@ -31,7 +32,7 @@ func TestWalkStopsWhenEmitDoes(t *testing.T) {
 		// walk runs the whole loop of walks and reports the callbacks made
 		// and whether every walk ran to its end.
 		walk := func(stopAt int) (calls int, finished bool) {
-			w := NewWalker(g, 0.05, c.maxNodes, c.guide, anchors, func([]entity.ID, []prob.LabelID, int, float64, float64) bool {
+			w := NewWalker(g, 0.05, c.maxNodes, c.guide, anchors, nil, func([]entity.ID, []prob.LabelID, int, float64, float64) bool {
 				calls++
 				return calls != stopAt
 			})
@@ -88,5 +89,63 @@ func TestOnDemandScanAllocation(t *testing.T) {
 	}
 	if few != many || many > 2 {
 		t.Errorf("%v allocations per Scan at α 0.3, %v at α 0.01: want the same count, ≤ 2", few, many)
+	}
+}
+
+// TestWalkFilterKeepsTheRest: a guided walk with a NodeFilter hands over
+// exactly the paths of the same walk without it whose every node the filter
+// accepts at its position on the guide — in the same order, with the same
+// start position and the same bits — from Root and from Anchor, which also
+// places nodes at the head. The filter depends on the position, so asking
+// it at a wrong one changes the paths; it must cut some and keep some.
+func TestWalkFilterKeepsTheRest(t *testing.T) {
+	g := synthGraph(t, gen.SynthOptions{Refs: 300, Labels: 3, UncertainFrac: 0.5, Seed: 6})
+	anchors := make([]bool, g.NumNodes())
+	for v := range anchors {
+		anchors[v] = v%3 == 0
+	}
+	keep := func(v entity.ID, pos int) bool { return (int(v)+pos)%4 != 0 }
+	type path struct {
+		nodes     [maxNodes]entity.ID
+		at        int
+		prle, prn float64
+	}
+	for _, X := range [][]prob.LabelID{{0, 1, 2}, {0, 1, 0}} {
+		for _, anchored := range []bool{false, true} {
+			walk := func(keep NodeFilter) []path {
+				var out []path
+				w := NewWalker(g, 0.02, len(X), X, anchors, keep, func(nodes []entity.ID, _ []prob.LabelID, at int, prle, prn float64) bool {
+					p := path{at: at, prle: prle, prn: prn}
+					copy(p.nodes[:], nodes)
+					out = append(out, p)
+					return true
+				})
+				for v := 0; v < g.NumNodes(); v++ {
+					if anchored && anchors[v] {
+						w.Anchor(entity.ID(v))
+					} else if !anchored {
+						w.Root(entity.ID(v))
+					}
+				}
+				return out
+			}
+			var want []path
+			for _, p := range walk(nil) {
+				ok := true
+				for pos, v := range p.nodes[:len(X)] {
+					ok = ok && keep(v, pos)
+				}
+				if ok {
+					want = append(want, p)
+				}
+			}
+			got := walk(keep)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("X %v anchored %v: the filtered walk hands over %d paths, the unfiltered walk %d that pass the filter", X, anchored, len(got), len(want))
+			}
+			if all := len(walk(nil)); len(want) == 0 || len(want) == all {
+				t.Fatalf("X %v anchored %v: the filter keeps %d of %d paths; want some cut and some kept", X, anchored, len(want), all)
+			}
+		}
 	}
 }
