@@ -53,9 +53,9 @@ func NewSharedCache(budget int, ctrs *lru.Counters) *Cache {
 }
 
 // pathKey keys one path's pruned set: the query's fingerprint fp (node
-// labels feed the NodeChecker thresholds and path label sequences; the edge
-// set, the neighbor label counts and each path's cycles, neighbors and
-// reverse positions), α's bits, and the path's query-node sequence. The
+// labels feed the node-level sets and path label sequences; the edge set,
+// the neighbor label counts and each path's cycles, neighbors and reverse
+// positions), α's bits, and the path's query-node sequence. The
 // node sequence (not just its label projection) is required: pruning
 // consults per-query-node context, so two label-identical paths through
 // different query nodes may keep different candidates.

@@ -14,7 +14,6 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/entity"
 	"repro/internal/pathindex"
-	"repro/internal/prob"
 	"repro/internal/query"
 )
 
@@ -77,89 +76,24 @@ type Stats struct {
 	CacheBypassed int
 }
 
-// NodeChecker memoizes the node-level candidacy test cn(n) of Section
-// 5.2.2. Safe for concurrent use without a lock: the memo holds two bits
-// (known, ok) per (query node, entity), and since the test is a pure
-// function of the pair, goroutines racing on one entry OR in the same bits.
-type NodeChecker struct {
-	g     *entity.Graph
-	ctx   *pathindex.Context
-	q     *query.Query
-	alpha float64
-	// counts[n] = c(n,·) dense by label.
-	counts [][]int
-
-	numEnt int
-	memo   []atomic.Uint64 // 32 two-bit entries a word, entry n*numEnt+v
+// nodeTest is the node-level candidacy test cn(n) of Section 5.2.2 for one
+// query at one α: the reader's set of every query node, read once, beside
+// the context tables the path-level tests consult.
+type nodeTest struct {
+	ctx  *pathindex.Context
+	q    *query.Query
+	sets []pathindex.NodeSet // by query node; shared with the reader
 }
 
-const (
-	memoKnown = 1 << iota
-	memoOK
-)
-
-// NewNodeChecker prepares the per-query-node statistics.
-func NewNodeChecker(g *entity.Graph, ctxInfo *pathindex.Context, q *query.Query, alpha float64) *NodeChecker {
-	nc := &NodeChecker{
-		g:      g,
-		ctx:    ctxInfo,
-		q:      q,
-		alpha:  alpha,
-		counts: make([][]int, q.NumNodes()),
-		numEnt: g.NumNodes(),
+// newNodeTest reads the set of every query node of q from ix.
+func newNodeTest(ix pathindex.Reader, q *query.Query, alpha float64) *nodeTest {
+	nl := ix.Graph().NumLabels()
+	nt := &nodeTest{ctx: ix.Context(), q: q, sets: make([]pathindex.NodeSet, q.NumNodes())}
+	for i := range nt.sets {
+		n := query.NodeID(i)
+		nt.sets[i] = ix.NodeSet(q.Label(n), q.NeighborLabelCounts(n, nl), alpha)
 	}
-	for n := 0; n < q.NumNodes(); n++ {
-		nc.counts[n] = q.NeighborLabelCounts(query.NodeID(n), g.NumLabels())
-	}
-	nc.memo = make([]atomic.Uint64, (q.NumNodes()*nc.numEnt+31)/32)
-	return nc
-}
-
-// OK reports whether entity v is a node-level candidate for query node n.
-func (nc *NodeChecker) OK(v entity.ID, n query.NodeID) bool {
-	e := int(n)*nc.numEnt + int(v)
-	word, shift := &nc.memo[e>>5], uint(e&31)*2
-	if bits := word.Load() >> shift; bits&memoKnown != 0 {
-		return bits&memoOK != 0
-	}
-	res := nc.check(v, n)
-	bits := uint64(memoKnown)
-	if res {
-		bits |= memoOK
-	}
-	word.Or(bits << shift)
-	return res
-}
-
-func (nc *NodeChecker) check(v entity.ID, n query.NodeID) bool {
-	// Label probability must clear the threshold on its own (the σ-loop
-	// below reduces to this when c(n,σ) = 0).
-	lp := nc.g.PrLabel(v, nc.q.Label(n))
-	if lp+1e-12 < nc.alpha {
-		return false
-	}
-	row := nc.ctx.Row(v)
-	for sigma, need := range nc.counts[n] {
-		if need == 0 {
-			continue
-		}
-		s := prob.LabelID(sigma)
-		// (1) enough neighbors with label σ.
-		if row.Card(s) < need {
-			return false
-		}
-		// (2) label probability times the σ-neighborhood upperbound raised
-		// to the required neighbor count must clear α.
-		bound := lp
-		f := row.FPU(s)
-		for i := 0; i < need; i++ {
-			bound *= f
-		}
-		if bound+1e-12 < nc.alpha {
-			return false
-		}
-	}
-	return true
+	return nt
 }
 
 // Find runs the candidate generation stage for every decomposition path:
@@ -183,11 +117,9 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The node-level memo is built by the first path that has to scan: a
-	// request served entirely from the candidate cache never pays for it.
-	checker := sync.OnceValue(func() *NodeChecker {
-		return NewNodeChecker(ix.Graph(), ix.Context(), q, alpha)
-	})
+	// The node-level sets are read by the first path that has to scan: a
+	// request served entirely from the candidate cache never reads them.
+	nodeLevel := sync.OnceValue(func() *nodeTest { return newNodeTest(ix, q, alpha) })
 
 	n := len(dec.Paths)
 	sets := make([]Set, n)
@@ -219,7 +151,7 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 	findPath := func(i int) error {
 		p := &dec.Paths[i]
 		compute := func() (pruned, error) {
-			rows, initial, err := scanPath(ctx, ix, checker(), p, alpha)
+			rows, initial, err := scanPath(ctx, ix, nodeLevel(), p, alpha)
 			return pruned{rows, initial}, err
 		}
 		var (
@@ -308,10 +240,11 @@ const firstChunk = 64
 // call owns, and lays them out once, in scan order, into one exact-size
 // arena. Chunks and arena are allocated on this goroutine only, so their
 // sizes depend on the survivor count and nothing else. The reader is handed
-// the node-level test as its walk's filter: the rows it leaves out are rows
-// keepCandidate rejects, so the survivors and their order are those of the
-// whole scan. initial is |PIndex(lQ(V_P), α)|, as ScanCount reports it.
-func scanPath(ctx context.Context, ix pathindex.Reader, nc *NodeChecker, p *decompose.Path, alpha float64) (kept Rows, initial int, err error) {
+// the node-level sets of the path's query nodes as its walk's filter: the
+// rows it leaves out are rows keepCandidate rejects, so the survivors and
+// their order are those of the whole scan. initial is |PIndex(lQ(V_P), α)|,
+// as ScanCount reports it.
+func scanPath(ctx context.Context, ix pathindex.Reader, nt *nodeTest, p *decompose.Path, alpha float64) (kept Rows, initial int, err error) {
 	g := ix.Graph()
 	w := len(p.Nodes)
 	var chunks [][]entity.ID // survivors in scan order; the last chunk is filling
@@ -321,15 +254,20 @@ func scanPath(ctx context.Context, ix pathindex.Reader, nc *NodeChecker, p *deco
 		rows int // rows streamed
 		err  error
 	}
-	keep := func(v entity.ID, pos int) bool { return nc.OK(v, p.Nodes[pos]) }
-	initial, err = ix.ScanCount(ctx, p.Labels, alpha, keep, func(nodes []entity.ID, prle, prn float64) bool {
+	// A filter of the longest path's size whatever w is, so what a path
+	// allocates beside its rows is the same for every path.
+	var keep [pathindex.MaxSupportedLen + 1]pathindex.NodeSet
+	for pos, n := range p.Nodes {
+		keep[pos] = nt.sets[n]
+	}
+	initial, err = ix.ScanCount(ctx, p.Labels, alpha, keep[:w], func(nodes []entity.ID, prle, prn float64) bool {
 		if poll.rows%cancelCheckEvery == 0 {
 			if poll.err = ctx.Err(); poll.err != nil {
 				return false
 			}
 		}
 		poll.rows++
-		if keepCandidate(g, nc, p, nodes, prle, prn, alpha) {
+		if keepCandidate(g, nt, p, nodes, prle, prn, alpha) {
 			if k := len(chunks); k == 0 || len(chunks[k-1]) == cap(chunks[k-1]) {
 				chunks = append(chunks, make([]entity.ID, 0, (firstChunk<<k)*w))
 			}
@@ -356,10 +294,10 @@ func scanPath(ctx context.Context, ix pathindex.Reader, nc *NodeChecker, p *deco
 }
 
 // keepCandidate applies the two path-level tests of Section 5.2.2.
-func keepCandidate(g *entity.Graph, nc *NodeChecker, p *decompose.Path, nodes []entity.ID, prle, prn, alpha float64) bool {
+func keepCandidate(g *entity.Graph, nt *nodeTest, p *decompose.Path, nodes []entity.ID, prle, prn, alpha float64) bool {
 	// (1) every node must be a node-level candidate for its query node.
 	for pos, v := range nodes {
-		if !nc.OK(v, p.Nodes[pos]) {
+		if !nt.sets[p.Nodes[pos]].Has(v) {
 			return false
 		}
 	}
@@ -368,7 +306,7 @@ func keepCandidate(g *entity.Graph, nc *NodeChecker, p *decompose.Path, nodes []
 	if bound+1e-12 < alpha {
 		return false
 	}
-	cpr := pathCyclesProb(g, nc.q, p, nodes)
+	cpr := pathCyclesProb(g, nt.q, p, nodes)
 	if cpr == 0 {
 		return false
 	}
@@ -376,7 +314,7 @@ func keepCandidate(g *entity.Graph, nc *NodeChecker, p *decompose.Path, nodes []
 	if bound+1e-12 < alpha {
 		return false
 	}
-	bound *= neighborhoodUpperbound(nc, p, nodes)
+	bound *= neighborhoodUpperbound(nt, p, nodes)
 	return bound+1e-12 >= alpha
 }
 
@@ -402,18 +340,18 @@ func pathCyclesProb(g *entity.Graph, q *query.Query, p *decompose.Path, nodes []
 // neighborhoodUpperbound is pu(Pu): for every path neighbor m' ∈ Γ(P), the
 // tightest bound over its reverse path neighbors, combining one full
 // probability upperbound with partial upperbounds for the rest.
-func neighborhoodUpperbound(nc *NodeChecker, p *decompose.Path, nodes []entity.ID) float64 {
+func neighborhoodUpperbound(nt *nodeTest, p *decompose.Path, nodes []entity.ID) float64 {
 	if len(p.Info.Neighbors) == 0 {
 		return 1
 	}
 	var rows [pathindex.MaxSupportedLen + 1]pathindex.ContextRow
 	for pos, v := range nodes {
-		rows[pos] = nc.ctx.Row(v)
+		rows[pos] = nt.ctx.Row(v)
 	}
 	pu := 1.0
-	for _, nb := range p.Info.Neighbors {
-		sigma := nc.q.Label(nb)
-		rv := p.Info.Reverse[nb]
+	for i, nb := range p.Info.Neighbors {
+		sigma := nt.q.Label(nb)
+		rv := p.Info.Reverse[i]
 		best := -1.0
 		for _, nPos := range rv {
 			val := rows[nPos].FPU(sigma)

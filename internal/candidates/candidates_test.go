@@ -212,18 +212,18 @@ func prnBitsInEveryOrder(g *entity.Graph, nodes []entity.ID) []uint64 {
 // Pruning soundness: every node of every true match must survive node-level
 // candidacy, and the matched paths must survive path-level pruning.
 func TestPruningSound(t *testing.T) {
-	g, ix, q := motivating(t)
-	nc := NewNodeChecker(g, ix.Context(), q, 0.2)
+	_, ix, q := motivating(t)
+	nt := newNodeTest(ix, q, 0.2)
 	// (s34, s2, s1) is the unique match at α=0.2.
 	match := []entity.ID{fixtures.S34, fixtures.S2, fixtures.S1}
 	for pos, v := range match {
-		if !nc.OK(v, query.NodeID(pos)) {
+		if !nt.sets[pos].Has(v) {
 			t.Errorf("node-level pruning rejected true match node %d at position %d", v, pos)
 		}
 	}
 }
 
-func TestNodeCheckerCardinality(t *testing.T) {
+func TestNodeSetCardinality(t *testing.T) {
 	// A query node with two b-neighbors only matches entities with ≥ 2
 	// b-labeled GU neighbors.
 	alpha := prob.MustAlphabet("a", "b")
@@ -254,15 +254,15 @@ func TestNodeCheckerCardinality(t *testing.T) {
 	if err := q.AddEdge(center, b2); err != nil {
 		t.Fatal(err)
 	}
-	nc := NewNodeChecker(g, ix.Context(), q, 0.5)
-	if !nc.OK(entity.ID(hub), center) {
+	nt := newNodeTest(ix, q, 0.5)
+	if !nt.sets[center].Has(entity.ID(hub)) {
 		t.Error("hub rejected despite sufficient b-neighbors")
 	}
-	if nc.OK(entity.ID(poor), center) {
+	if nt.sets[center].Has(entity.ID(poor)) {
 		t.Error("poor node accepted with c(v,b)=1 < c(n,b)=2")
 	}
-	// Memoization returns the same answer.
-	if !nc.OK(entity.ID(hub), center) {
+	// The memo returns the same answer.
+	if !newNodeTest(ix, q, 0.5).sets[center].Has(entity.ID(hub)) {
 		t.Error("memoized result differs")
 	}
 }

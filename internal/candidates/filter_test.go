@@ -21,8 +21,8 @@ import (
 // freshReaders returns, by kind, a constructor of readers over the PGD opt
 // generates (β 0.05, L 2), each with a cold count memo: a static index
 // opened again, and a clean and a dirty live view reopened from their
-// directories (the dirty one replays its one batch of mutations into the
-// overlay). A constructor closes the reader it made before.
+// directories (the dirty one replays its one batch of label, edge and set
+// mutations into the overlay). A constructor closes the reader it made before.
 func freshReaders(t *testing.T, opt gen.SynthOptions) map[string]func() pathindex.Reader {
 	t.Helper()
 	ctx := context.Background()
@@ -60,10 +60,23 @@ func freshReaders(t *testing.T, opt gen.SynthOptions) map[string]func() pathinde
 		}
 		rng := rand.New(rand.NewSource(opt.Seed))
 		var ms []live.Mutation
+		added := 0
 		for len(ms) < 12 {
 			a, b := refgraph.RefID(rng.Intn(d.NumRefs())), refgraph.RefID(rng.Intn(d.NumRefs()))
 			switch {
 			case a == b:
+			case len(ms)%4 == 3:
+				// A new reference with two labels, linked to a.
+				names := d.Alphabet()
+				l1, l2 := names.Name(prob.LabelID(rng.Intn(names.Len()))), names.Name(prob.LabelID(rng.Intn(names.Len())))
+				labels := []live.LabelP{{Label: l1, P: 1}}
+				if l1 != l2 {
+					p := 0.25 + 0.5*rng.Float64()
+					labels = []live.LabelP{{Label: l1, P: p}, {Label: l2, P: 1 - p}}
+				}
+				ms = append(ms, live.Mutation{Op: live.OpAddRef, Labels: labels},
+					live.Mutation{Op: live.OpAddEdge, A: refgraph.RefID(d.NumRefs() + added), B: a, P: 0.5 + 0.5*rng.Float64()})
+				added++
 			case len(ms)%3 == 2:
 				ms = append(ms, live.Mutation{Op: live.OpSetLinkage, Members: []refgraph.RefID{a, b}, P: 0.3 + 0.5*rng.Float64()})
 			default:
@@ -208,10 +221,9 @@ func TestFindWalkFilterDifferential(t *testing.T) {
 							t.Fatalf("%s: SSPath %v, want %v", at, st.SSPath, ssPath)
 						}
 					}
-					nc := NewNodeChecker(ix.Graph(), ix.Context(), q, alpha)
+					nt := newNodeTest(ix, q, alpha)
 					for _, s := range ref {
-						keep := func(v entity.ID, pos int) bool { return nc.OK(v, s.Path.Nodes[pos]) }
-						n, err := ix.ScanCount(ctx, s.Path.Labels, alpha, keep, func([]entity.ID, float64, float64) bool {
+						n, err := ix.ScanCount(ctx, s.Path.Labels, alpha, pathFilter(nt, s.Path), func([]entity.ID, float64, float64) bool {
 							streamed++
 							return true
 						})

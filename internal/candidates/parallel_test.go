@@ -64,7 +64,7 @@ func setsIdentical(t *testing.T, label string, want, got []Set) {
 // with Lookup, then prune the materialized matches.
 func findBeforeScan(t *testing.T, ix pathindex.Reader, q *query.Query, dec *decompose.Decomposition, alpha float64) []Set {
 	t.Helper()
-	nc := NewNodeChecker(ix.Graph(), ix.Context(), q, alpha)
+	nt := newNodeTest(ix, q, alpha)
 	sets := make([]Set, len(dec.Paths))
 	for i := range dec.Paths {
 		p := &dec.Paths[i]
@@ -74,7 +74,7 @@ func findBeforeScan(t *testing.T, ix pathindex.Reader, q *query.Query, dec *deco
 		}
 		sets[i] = Set{Path: p, Initial: len(matches)}
 		for _, m := range matches {
-			if keepCandidate(ix.Graph(), nc, p, m.Nodes, m.Prle, m.Prn, alpha) {
+			if keepCandidate(ix.Graph(), nt, p, m.Nodes, m.Prle, m.Prn, alpha) {
 				sets[i].Nodes = append(sets[i].Nodes, m.Nodes...)
 				sets[i].n++
 			}
@@ -230,14 +230,14 @@ func TestFindArenasExact(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					nc := NewNodeChecker(ix.Graph(), ix.Context(), q, alpha)
+					nt := newNodeTest(ix, q, alpha)
 					for i, s := range want {
 						p, w := s.Path, len(s.Path.Nodes)
-						path := heapBytes(func() { sinkRows, _, _ = scanPath(ctx, ix, nc, p, alpha) })
-						keep := func(v entity.ID, pos int) bool { return nc.OK(v, p.Nodes[pos]) }
+						path := heapBytes(func() { sinkRows, _, _ = scanPath(ctx, ix, nt, p, alpha) })
+						keep := pathFilter(nt, p)
 						scan := heapBytes(func() {
 							ix.ScanCount(ctx, p.Labels, alpha, keep, func(nodes []entity.ID, prle, prn float64) bool {
-								keepCandidate(ix.Graph(), nc, p, nodes, prle, prn, alpha)
+								keepCandidate(ix.Graph(), nt, p, nodes, prle, prn, alpha)
 								return true
 							})
 						})
@@ -454,40 +454,8 @@ func TestPruneCancelGranularity(t *testing.T) {
 	}
 }
 
-// TestNodeCheckerConcurrent hammers one NodeChecker from 8 goroutines, each
-// asking every (entity, query node) in its own rotation so that first writes
-// to a memo word collide: every answer — computed, raced or read back from
-// the two-bit memo — equals the pure test. Run under -race in CI.
-func TestNodeCheckerConcurrent(t *testing.T) {
-	g, ix := synthIx(t, 5)
-	q, err := gen.RandomQuery(rand.New(rand.NewSource(5)), g.NumLabels(), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := NewNodeChecker(g, ix.Context(), q, 0.05)
-	pairs := g.NumNodes() * q.NumNodes()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for round := 0; round < 2; round++ { // the second round is all memo hits
-				for i := 0; i < pairs; i++ {
-					e := (i + w*pairs/8) % pairs
-					v, n := entity.ID(e/q.NumNodes()), query.NodeID(e%q.NumNodes())
-					if got, want := nc.OK(v, n), nc.check(v, n); got != want {
-						t.Errorf("worker %d: OK(%d, %d) = %v, check says %v", w, v, n, got, want)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // contextCounter counts how often Find asks the reader for its context
-// statistics, which only building a NodeChecker does.
+// statistics, which only reading the node-level sets does.
 type contextCounter struct {
 	pathindex.Reader
 	calls atomic.Int32
@@ -498,7 +466,7 @@ func (c *contextCounter) Context() *pathindex.Context {
 	return c.Reader.Context()
 }
 
-// TestFindAllHitsBuildNoChecker: the node-level memo is built by the first
+// TestFindAllHitsBuildNoChecker: the node-level sets are read by the first
 // path that scans, once, and not at all by a request whose every path is a
 // candidate-cache hit (the server's stream path on a repeated shape).
 func TestFindAllHitsBuildNoChecker(t *testing.T) {
@@ -513,7 +481,7 @@ func TestFindAllHitsBuildNoChecker(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(dec.Paths) < 2 {
-		t.Fatalf("decomposition has %d paths; want several misses sharing one checker", len(dec.Paths))
+		t.Fatalf("decomposition has %d paths; want several misses sharing one read of the sets", len(dec.Paths))
 	}
 	ctx := context.Background()
 	cache := NewCache(0)
@@ -521,7 +489,7 @@ func TestFindAllHitsBuildNoChecker(t *testing.T) {
 		t.Fatalf("cold Find: misses %d err %v", st.CacheMisses, err)
 	}
 	if n := ix.calls.Load(); n != 1 {
-		t.Fatalf("cold Find built %d checkers, want 1", n)
+		t.Fatalf("cold Find read the node-level sets %d times, want 1", n)
 	}
 	hit := testing.AllocsPerRun(50, func() {
 		if _, st, err := Find(ctx, ix, q, dec, 0.1, 1, cache); err != nil || st.CacheHits != len(dec.Paths) {
@@ -529,14 +497,15 @@ func TestFindAllHitsBuildNoChecker(t *testing.T) {
 		}
 	})
 	if n := ix.calls.Load(); n != 1 {
-		t.Errorf("all-hit Finds built %d more checkers", n-1)
+		t.Errorf("all-hit Finds read the node-level sets %d more times", n-1)
 	}
 	// What an all-hit Find allocates is its result slots, the query's
-	// fingerprint and two allocations per path for the key: 16 + 2·paths today. A NodeChecker
-	// is 3 + NumNodes more (itself, the per-node label counts, the memo), so
-	// the allowance has no room for one.
-	checker := testing.AllocsPerRun(50, func() { NewNodeChecker(g, base.Context(), q, 0.1) })
+	// fingerprint and two allocations per path for the key: 16 + 2·paths
+	// today. Reading the node-level sets is more than one per query node
+	// (the per-node label counts, the memo keys, the AND of the factors),
+	// so the allowance has no room for it.
+	sets := testing.AllocsPerRun(50, func() { newNodeTest(base, q, 0.1) })
 	if allowance := float64(16 + 2*len(dec.Paths)); hit > allowance {
-		t.Errorf("all-hit Find makes %v allocations, allowance %v (a NodeChecker is %v)", hit, allowance, checker)
+		t.Errorf("all-hit Find makes %v allocations, allowance %v (reading the node-level sets is %v)", hit, allowance, sets)
 	}
 }

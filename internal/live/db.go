@@ -282,7 +282,7 @@ func Create(ctx context.Context, dir string, d *refgraph.PGD, opt Options) (*DB,
 		return nil, fmt.Errorf("live: manifest: %w", err)
 	}
 	db.pgd, db.baseIx, db.wal = pgd, ix, w
-	db.view.Store(&View{base: ix, g: g, ctx: ix.Context(), gen: 1})
+	db.view.Store(newView(ix, g, ix.Context(), nil, 1, 0))
 	db.publishLocked()
 	ok = true
 	return db, nil
@@ -351,7 +351,7 @@ func Open(dir string, opt Options) (*DB, error) {
 		return nil, err
 	}
 	db.pgd, db.baseIx, db.wal = pgd, ix, w
-	db.view.Store(&View{base: ix, g: g, ctx: ix.Context(), gen: man.Generation})
+	db.view.Store(newView(ix, g, ix.Context(), nil, man.Generation, 0))
 	if len(muts) > 0 {
 		db.mu.Lock()
 		_, aerr := db.applyLocked(muts, false)
@@ -568,7 +568,7 @@ func (db *DB) applyLocked(ms []Mutation, logToWAL bool) (ApplyResult, error) {
 	ov := extend(cur.ov, ng, dirtyNew, db.baseIx.Beta(), db.baseIx.MaxLen())
 	ctxTables := cur.ctx.Patch(ng, dirtyNew)
 	db.muts += uint64(len(ms))
-	view := &View{base: db.baseIx, g: ng, ctx: ctxTables, ov: ov, gen: db.gen, muts: db.muts}
+	view := newView(db.baseIx, ng, ctxTables, ov, db.gen, db.muts)
 	db.view.Store(view)
 	db.publishLocked()
 	if db.compacting {
@@ -723,7 +723,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 	oldWAL, oldGenDir, oldBase := db.wal, db.genDir(db.gen), db.baseIx
 	db.wal, db.gen, db.baseIx = newWAL, gen, ix2
 	db.muts = uint64(len(pending))
-	view := &View{base: ix2, g: newGraph, ctx: ctxTables, ov: ov, gen: gen, muts: db.muts}
+	view := newView(ix2, newGraph, ctxTables, ov, gen, db.muts)
 	db.view.Store(view)
 	db.publishLocked()
 	db.compacting = false

@@ -22,6 +22,21 @@ type View struct {
 	ov   *overlay           // nil when no mutations since the base build
 	gen  uint64             // base generation number
 	muts uint64             // mutations folded in since the base build
+
+	// sets memoises the node-level test over g for this view alone; nil
+	// when ov is, and then the base index's memo answers for the view.
+	sets *pathindex.NodeSets
+}
+
+// newView returns the view of base and the overlay ov over g and ctx. A
+// view with an overlay gets a node-level memo of its own, dropped with it:
+// its graph is not the base's, and the next batch's is not its.
+func newView(base *pathindex.Index, g *entity.Graph, ctx *pathindex.Context, ov *overlay, gen, muts uint64) *View {
+	v := &View{base: base, g: g, ctx: ctx, ov: ov, gen: gen, muts: muts}
+	if ov != nil {
+		v.sets = pathindex.NewNodeSets(g, ctx)
+	}
+	return v
 }
 
 var _ pathindex.Reader = (*View)(nil)
@@ -61,6 +76,16 @@ func (v *View) ScanCount(ctx context.Context, X []prob.LabelID, alpha float64, k
 		return v.base.ScanCount(ctx, X, alpha, keep, fn)
 	}
 	return pathindex.CountScan(v, X, alpha, fn)
+}
+
+// NodeSet is the node-level test's set over the view's graph: from the base
+// index's memo while the view carries no overlay, from the view's own
+// otherwise.
+func (v *View) NodeSet(l prob.LabelID, counts []int, alpha float64) pathindex.NodeSet {
+	if v.sets == nil {
+		return v.base.NodeSet(l, counts, alpha)
+	}
+	return v.sets.Of(l, counts, alpha)
 }
 
 // Lookup returns PIndex(X, α) as caller-owned memory.

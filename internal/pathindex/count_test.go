@@ -57,7 +57,7 @@ func TestScanCountStoresOnlyCompleteWalks(t *testing.T) {
 	if want < 100 {
 		t.Fatalf("%d paths: too few to stop a walk part way through", want)
 	}
-	rejectAll := func(entity.ID, int) bool { return false }
+	rejectAll := filterOf(g, X, func(entity.ID, int) bool { return false })
 	// scan runs ScanCount with the filter that rejects every node and a
 	// callback that stops after stop rows (0: never): a scan that streams
 	// rows walked unfiltered, one that streams none answered from the memo.
@@ -128,7 +128,7 @@ func TestScanCountAllocation(t *testing.T) {
 	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.5, Gamma: 0.1})
 	X := []prob.LabelID{0, 1, 0}
 	ctx := context.Background()
-	keep := func(v entity.ID, pos int) bool { return pos != 1 || v%5 != 0 }
+	keep := filterOf(g, X, func(v entity.ID, pos int) bool { return pos != 1 || v%5 != 0 })
 	rows := 0
 	count := func([]entity.ID, float64, float64) bool { rows++; return true }
 	scan := func(alpha float64) (perCall float64, rowsPerCall int) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -69,10 +70,10 @@ type BuildStats struct {
 
 // Index is an opened path index: one packed.idx file (internal/storage/
 // packedix), mapped read-only. Once built or opened, every read method —
-// Scan, ScanCount, Lookup, Cardinality, Context, Stats — is safe for many
-// concurrent callers: probes read the immutable mapping and write only
-// caller-owned scratch, and ScanCount's memo of below-β counts is an
-// internal/lru cache.
+// Scan, ScanCount, NodeSet, Lookup, Cardinality, Context, Stats — is safe
+// for many concurrent callers: probes read the immutable mapping and write
+// only caller-owned scratch, and ScanCount's memo of below-β counts and
+// NodeSet's memo of factor sets are internal/lru caches.
 type Index struct {
 	opt    Options
 	g      *entity.Graph
@@ -80,6 +81,7 @@ type Index struct {
 	ctx    *Context
 	stats  BuildStats
 	counts *lru.Cache[int] // |PIndex(X, α)| below β, by countKey
+	sets   *NodeSets       // the node-level test's factor sets
 
 	probes atomic.Uint64                 // Scan calls answered
 	obs    atomic.Pointer[func(float64)] // posting-decode observer (µs)
@@ -115,6 +117,7 @@ func Build(ctx context.Context, g *entity.Graph, opt Options) (*Index, error) {
 	ctxStart := time.Now()
 	ix.ctx = ComputeContext(g, opt.Workers)
 	ix.stats.ContextTime = time.Since(ctxStart)
+	ix.sets = NewNodeSets(g, ix.ctx)
 
 	if err := ix.buildPaths(ctx, w); err != nil {
 		return nil, err
@@ -175,6 +178,7 @@ func Open(dir string, g *entity.Graph) (_ *Index, err error) {
 		ctx:    &Context{nLabels: nl, card: card, ppu: ppu, fpu: fpu},
 		counts: newCountMemo(),
 	}
+	ix.sets = NewNodeSets(g, ix.ctx)
 	ix.stats.Entries = m.Entries
 	ix.stats.EntriesPerLen = m.EntriesPerLen
 	ix.stats.Sequences = f.NumSeqs()
@@ -201,6 +205,13 @@ func (ix *Index) Stats() BuildStats { return ix.stats }
 
 // Context returns the node context information tables.
 func (ix *Index) Context() *Context { return ix.ctx }
+
+// NodeSet returns the entities that pass the node-level test for a query
+// node labelled l with neighbour-label counts counts, at α (see NodeSets).
+// The set is shared: the caller must not modify it.
+func (ix *Index) NodeSet(l prob.LabelID, counts []int, alpha float64) NodeSet {
+	return ix.sets.Of(l, counts, alpha)
+}
 
 // Graph returns the entity graph the index was built over.
 func (ix *Index) Graph() *entity.Graph { return ix.g }
@@ -316,21 +327,35 @@ func (ix *Index) probe(X []prob.LabelID) error {
 }
 
 // rootsPerPoll is how many entity ids an on-demand walk tries as roots
-// between two polls of its context.
+// between two polls of its context: one word of a NodeSet.
 const rootsPerPoll = 64
 
 // onDemand enumerates the paths labelled X with probability ≥ alpha
 // straight from the graph, for alpha below the construction threshold β
 // (footnote 1 of the paper): one guided walk from every entity carrying
-// X[0], filtered by keep when it is not nil. The records handed to fn alias
-// the walk's path, so nothing is allocated per edge or per match. It reports
-// whether the walk ran to its end; it did not when fn stopped it or when ctx
-// ended, whose error it then returns.
+// X[0], or, filtered by keep when it is not nil, from every entity of
+// keep[0] in ascending id order. The records handed to fn alias the walk's
+// path, so nothing is allocated per edge or per match. It reports whether
+// the walk ran to its end; it did not when fn stopped it or when ctx ended,
+// whose error it then returns.
 func (ix *Index) onDemand(ctx context.Context, X []prob.LabelID, alpha float64, keep NodeFilter, fn ScanFunc) (bool, error) {
 	g := ix.g
 	walk := NewWalker(g, alpha, len(X), X, nil, keep, func(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn float64) bool {
 		return fn(nodes, prle, prn)
 	})
+	if keep != nil {
+		for i, word := range keep[0] {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+			for ; word != 0; word &= word - 1 {
+				if !walk.Root(entity.ID(i*rootsPerPoll + bits.TrailingZeros64(word))) {
+					return false, nil
+				}
+			}
+		}
+		return true, nil
+	}
 	for v := 0; v < g.NumNodes(); v++ {
 		if v%rootsPerPoll == 0 {
 			if err := ctx.Err(); err != nil {
@@ -355,15 +380,15 @@ func newCountMemo() *lru.Cache[int] { return lru.New[int](countMemoEntries, nil,
 var errStopped = errors.New("pathindex: scan stopped")
 
 // ScanCount streams Scan's rows, or a subsequence of them that holds every
-// row whose nodes keep accepts at their positions, into fn, and returns
+// row whose nodes are in keep's sets at their positions, into fn, and returns
 // |PIndex(X, α)|. At α ≥ β it is Scan, counting the records it decodes.
 // Below β the count comes from a memo of this generation's complete walks:
 // on a miss ScanCount walks unfiltered, streaming and counting every row,
 // and stores the count only if the walk ran to its end; on a hit it walks
-// filtered by keep, cutting every subtree through a node keep rejects.
-// Concurrent misses on one (X, α) walk once; the callers waiting on that
-// walk then walk filtered, so fn must not itself scan the same (X, α) of
-// this index. When fn stops a walk on a miss the count is that of the rows
+// filtered by keep, cutting every subtree through a node outside keep's
+// set at its position. Concurrent misses on one (X, α) walk once; the
+// callers waiting on that walk then walk filtered, so fn must not itself
+// scan the same (X, α) of this index. When fn stops a walk on a miss the count is that of the rows
 // streamed so far; when ctx ends first ScanCount returns its error.
 func (ix *Index) ScanCount(ctx context.Context, X []prob.LabelID, alpha float64, keep NodeFilter, fn ScanFunc) (int, error) {
 	if alpha >= ix.opt.Beta {

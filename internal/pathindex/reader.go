@@ -25,13 +25,20 @@ type Reader interface {
 	// returns nil when fn stopped the scan.
 	Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error
 	// ScanCount streams into fn the rows of Scan, in Scan's order, and
-	// returns |PIndex(X, α)|, the number of rows Scan streams. keep is
-	// advisory: a reader may leave out of the stream any row with a node
-	// that keep rejects at its position along X, and streams every other
-	// row. The count is exact when the scan runs to its end; when fn stops
+	// returns |PIndex(X, α)|, the number of rows Scan streams. keep,
+	// nil or one set for each position of X, is advisory: a reader may
+	// leave out of the stream any row with a node outside keep's set at its
+	// position, and streams every other row. The count is exact when the scan runs to its end; when fn stops
 	// it, the count is at least the rows streamed. ScanCount returns ctx's
 	// error when it sees ctx end first.
 	ScanCount(ctx context.Context, X []prob.LabelID, alpha float64, keep NodeFilter, fn ScanFunc) (int, error)
+	// NodeSet returns the entities of Graph() that pass the node-level
+	// test of Section 5.2.2 for a query node labelled l whose
+	// neighbour-label counts, by label id, are counts, at α: a set that
+	// holds only entities carrying l, shared and not to be modified. A
+	// reader answers it from a memo it owns, valid for Graph() and
+	// Context().
+	NodeSet(l prob.LabelID, counts []int, alpha float64) NodeSet
 	// Lookup returns the same paths, in the same order, as caller-owned
 	// memory: Collect over Scan.
 	Lookup(X []prob.LabelID, alpha float64) ([]PathMatch, error)

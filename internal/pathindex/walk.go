@@ -12,11 +12,12 @@ import (
 // modified. Returning false ends the walk.
 type WalkFunc func(nodes []entity.ID, labels []prob.LabelID, at int, prle, prn float64) bool
 
-// NodeFilter reports whether entity v may stand at position pos of a path
-// read along a guide. A guided walk asks it before it places a node, so a
-// node it rejects cuts the whole subtree the walk would grow through it
-// there.
-type NodeFilter func(v entity.ID, pos int) bool
+// NodeFilter holds, for each position pos of a guide, the entities that may
+// stand at pos on a path read along it; the set at pos holds only entities
+// carrying the guide's label there. A guided walk reads it before it places
+// a node, so a node outside the set cuts the whole subtree the walk would
+// grow through it there.
+type NodeFilter []NodeSet
 
 // Walker enumerates the labelled paths of the PEG whose probability
 // Prle·Prn clears a threshold, depth first, pushing and popping nodes on
@@ -36,8 +37,8 @@ type NodeFilter func(v entity.ID, pos int) bool
 // With a guide, only paths labelled by it are walked and only the full
 // length is handed to the callback; without, every label assignment of
 // every length up to the most nodes is. A guided walk may also carry a
-// NodeFilter, asked at the start node and at every extension: the paths it
-// hands over are then those whose every node the filter accepts at its
+// NodeFilter, read at the start node and at every extension: the paths it
+// hands over are then those whose every node is in the filter's set at its
 // position, in the order the unfiltered walk hands them over. A Walker is
 // not safe for concurrent use.
 type Walker struct {
@@ -46,7 +47,7 @@ type Walker struct {
 	max     int            // most (guided: exactly) nodes on a path
 	guide   []prob.LabelID // nil = every label assignment
 	anchors []bool         // by entity id: the nodes Anchor's head growth avoids
-	keep    NodeFilter     // nil, or the guided walk's node test
+	keep    NodeFilter     // nil, or the guided walk's node sets
 	emit    WalkFunc
 
 	nodes  [maxNodes]entity.ID    // the path, in path order
@@ -108,7 +109,7 @@ func (w *Walker) start(v entity.ID, heads int) bool {
 }
 
 // admits is the node filter's answer for v at guide position pos.
-func (w *Walker) admits(v entity.ID, pos int) bool { return w.keep == nil || w.keep(v, pos) }
+func (w *Walker) admits(v entity.ID, pos int) bool { return w.keep == nil || w.keep[pos].Has(v) }
 
 // clears is the threshold test on a path's probability components.
 func (w *Walker) clears(prle, prn float64) bool { return prle*prn+1e-12 >= w.thresh }
@@ -194,12 +195,17 @@ func (w *Walker) tail(prle, prn float64) bool {
 	g, last := w.g, w.labels[n-1]
 	if w.guide != nil {
 		// The on-demand scan's inner loop, kept apart from the label loop
-		// below: one label, whose bit decides most neighbours before
-		// anything else about them is read.
+		// below: one label, whose bit — or, filtered, the node set's bit,
+		// which implies it — decides most neighbours before anything else
+		// about them is read.
 		l := w.guide[n]
+		var keep NodeSet
+		if w.keep != nil {
+			keep = w.keep[n]
+		}
 		for _, nb := range g.Neighbors(w.nodes[n-1]) {
 			v := nb.To
-			if !g.HasLabel(v, l) || w.contains(v) || !w.admits(v, n) {
+			if keep != nil && !keep.Has(v) || keep == nil && !g.HasLabel(v, l) || w.contains(v) {
 				continue
 			}
 			prnV := g.PrnExtend(w.found[:n], prn, v)

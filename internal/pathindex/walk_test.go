@@ -92,25 +92,42 @@ func TestOnDemandScanAllocation(t *testing.T) {
 	}
 }
 
+// filterOf is the NodeFilter along X whose set at pos holds the entities
+// carrying X[pos] that accept(v, pos) accepts.
+func filterOf(g *entity.Graph, X []prob.LabelID, accept func(v entity.ID, pos int) bool) NodeFilter {
+	keep := make(NodeFilter, len(X))
+	for pos, l := range X {
+		keep[pos] = newNodeSet(g.NumNodes())
+		for v := range entity.ID(g.NumNodes()) {
+			if g.HasLabel(v, l) && accept(v, pos) {
+				keep[pos].add(v)
+			}
+		}
+	}
+	return keep
+}
+
 // TestWalkFilterKeepsTheRest: a guided walk with a NodeFilter hands over
-// exactly the paths of the same walk without it whose every node the filter
-// accepts at its position on the guide — in the same order, with the same
-// start position and the same bits — from Root and from Anchor, which also
-// places nodes at the head. The filter depends on the position, so asking
-// it at a wrong one changes the paths; it must cut some and keep some.
+// exactly the paths of the same walk without it whose every node is in the
+// filter's set at its position on the guide — in the same order, with the
+// same start position and the same bits — from Root and from Anchor, which
+// also places nodes at the head. The sets differ by position, so reading
+// one at a wrong position changes the paths; the filter must cut some and
+// keep some.
 func TestWalkFilterKeepsTheRest(t *testing.T) {
 	g := synthGraph(t, gen.SynthOptions{Refs: 300, Labels: 3, UncertainFrac: 0.5, Seed: 6})
 	anchors := make([]bool, g.NumNodes())
 	for v := range anchors {
 		anchors[v] = v%3 == 0
 	}
-	keep := func(v entity.ID, pos int) bool { return (int(v)+pos)%4 != 0 }
+	accept := func(v entity.ID, pos int) bool { return (int(v)+pos)%4 != 0 }
 	type path struct {
 		nodes     [maxNodes]entity.ID
 		at        int
 		prle, prn float64
 	}
 	for _, X := range [][]prob.LabelID{{0, 1, 2}, {0, 1, 0}} {
+		keep := filterOf(g, X, accept)
 		for _, anchored := range []bool{false, true} {
 			walk := func(keep NodeFilter) []path {
 				var out []path
@@ -133,7 +150,7 @@ func TestWalkFilterKeepsTheRest(t *testing.T) {
 			for _, p := range walk(nil) {
 				ok := true
 				for pos, v := range p.nodes[:len(X)] {
-					ok = ok && keep(v, pos)
+					ok = ok && accept(v, pos)
 				}
 				if ok {
 					want = append(want, p)

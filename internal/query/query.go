@@ -158,9 +158,9 @@ type PathInfo struct {
 	Density float64
 	// Neighbors is Γ(P): query nodes off the path adjacent to it, sorted.
 	Neighbors []NodeID
-	// Reverse maps each m ∈ Γ(P) to rv(P,m): the positions on the path
-	// adjacent to m, ascending.
-	Reverse map[NodeID][]int
+	// Reverse is parallel to Neighbors: Reverse[i] is rv(P,m) for
+	// m = Neighbors[i], the positions on the path adjacent to m, ascending.
+	Reverse [][]int
 	// Cycles lists the path cycle chords as position pairs (i,j), i+2 ≤ j,
 	// where (P[i], P[j]) ∈ EQ. Each chord appears exactly once.
 	Cycles [][2]int
@@ -181,7 +181,8 @@ func (q *Query) PathStats(path []NodeID) (PathInfo, error) {
 	if len(on) != len(path) {
 		return PathInfo{}, fmt.Errorf("query: path repeats a node")
 	}
-	info := PathInfo{Reverse: make(map[NodeID][]int)}
+	var info PathInfo
+	rev := make(map[NodeID][]int)
 
 	deg := 0
 	for _, n := range path {
@@ -201,7 +202,7 @@ func (q *Query) PathStats(path []NodeID) (PathInfo, error) {
 					}
 				}
 			} else {
-				info.Reverse[m] = append(info.Reverse[m], i)
+				rev[m] = append(rev[m], i)
 			}
 		}
 	}
@@ -211,10 +212,14 @@ func (q *Query) PathStats(path []NodeID) (PathInfo, error) {
 	} else {
 		info.Density = 1
 	}
-	for m := range info.Reverse {
+	for m := range rev {
 		info.Neighbors = append(info.Neighbors, m)
 	}
 	sort.Slice(info.Neighbors, func(i, j int) bool { return info.Neighbors[i] < info.Neighbors[j] })
+	info.Reverse = make([][]int, len(info.Neighbors))
+	for i, m := range info.Neighbors {
+		info.Reverse[i] = rev[m]
+	}
 	sort.Slice(info.Cycles, func(i, j int) bool {
 		if info.Cycles[i][0] != info.Cycles[j][0] {
 			return info.Cycles[i][0] < info.Cycles[j][0]

@@ -133,13 +133,13 @@ func TestPathStatsFigure4(t *testing.T) {
 		t.Errorf("density = %v, want %v", info.Density, want)
 	}
 	// Γ(P) = {5, 6}; rv(P,5) = positions of nodes 3 and 4; rv(P,6) = node 4.
-	if len(info.Neighbors) != 2 || info.Neighbors[0] != n[5] || info.Neighbors[1] != n[6] {
-		t.Errorf("Γ(P) = %v", info.Neighbors)
+	if len(info.Neighbors) != 2 || info.Neighbors[0] != n[5] || info.Neighbors[1] != n[6] || len(info.Reverse) != 2 {
+		t.Fatalf("Γ(P) = %v with %d reverse lists", info.Neighbors, len(info.Reverse))
 	}
-	if rv := info.Reverse[n[5]]; len(rv) != 2 || rv[0] != 2 || rv[1] != 3 {
+	if rv := info.Reverse[0]; len(rv) != 2 || rv[0] != 2 || rv[1] != 3 {
 		t.Errorf("rv(P,5) = %v, want [2 3]", rv)
 	}
-	if rv := info.Reverse[n[6]]; len(rv) != 1 || rv[0] != 3 {
+	if rv := info.Reverse[1]; len(rv) != 1 || rv[0] != 3 {
 		t.Errorf("rv(P,6) = %v, want [3]", rv)
 	}
 	// One chord: 1-3 → positions (0,2).
@@ -186,7 +186,10 @@ func TestReverseNeighborsMultiplePositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rv := info.Reverse[m]; len(rv) != 2 || rv[0] != 0 || rv[1] != 2 {
+	if len(info.Neighbors) != 1 || info.Neighbors[0] != m || len(info.Reverse) != 1 {
+		t.Fatalf("Γ(P) = %v with %d reverse lists, want [%d] with 1", info.Neighbors, len(info.Reverse), m)
+	}
+	if rv := info.Reverse[0]; len(rv) != 2 || rv[0] != 0 || rv[1] != 2 {
 		t.Errorf("rv(P,m) = %v, want [0 2]", rv)
 	}
 }
