@@ -32,18 +32,20 @@ import (
 // own account — a goroutine's g (448 bytes) when the free ones sit on the
 // other P, the all-goroutines list growing by a few KB, a GC worker's sudog,
 // a scavenger timer — and one run in a few hundred gains 6 KB that way.
-// Two plans: the 4-cycle, where the candidate stage dominates (0.17 MB; the
-// materializing pipeline with its map-and-sort link table took 2.70 MB), and
-// a denser 6-node, 7-edge query (7 paths, 13 000 links) with many partition
-// pairs (0.16 MB: a declared limit links by join key only, one bucket table
-// per joined pair in the direction its join reads; a table and a key per row
-// in both directions took 0.31 MB). A third arm runs the dense plan without a
+// Two plans: the 4-cycle (0.04 MB, 0.05 MB under the race detector, whose
+// ceiling it is; the materializing pipeline with its map-and-sort link
+// table took 2.70 MB, and candidates for every path with join-key bucket
+// tables 0.17 MB), and a denser 6-node, 7-edge query (7 paths, 13 000
+// links) with many partition pairs (0.05 MB, 0.06 MB under the race
+// detector; 0.16 MB with bucket tables). A declared limit materialises the first path of its join
+// order and walks the others one join key at a time, as its join asks. A
+// third arm runs the dense plan without a
 // limit and stops it by its yield, so the eager link pools and float columns,
 // the per-worker link scratch, the reduction's perception vectors and its
 // per-round scratch are pinned too (0.79 MB) — and must exceed the declared
-// run by at least the vectors, the pools and the columns a keyed graph has no
-// use for: the w2 it is never reduced by and the factors it fills only for
-// the rows its join visits.
+// run by at least the vectors, the pools and the columns a walked graph has
+// no use for: the w2 it is never reduced by and the factors of the rows it
+// never walks.
 func TestPreJoinAllocationIsACount(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 4000, Seed: 7})
 	if err != nil {
@@ -70,8 +72,8 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		limit   int    // 0: undeclared, the yield stops the run after one match
 		ceiling uint64 // median bytes per run; see above
 	}{
-		{"4-cycle", cycle, 1, 177_100},
-		{"6-node-7-edge", dense, 1, 162_400},
+		{"4-cycle", cycle, 1, 51_600},
+		{"6-node-7-edge", dense, 1, 64_400},
 		{"6-node-7-edge-reduced", dense, 0, 801_600},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,13 +125,14 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 
 	// What declaring the limit saves the dense plan, against stopping the
 	// same stream by its yield: the reduction's two perception-vector buffers
-	// (8 bytes × partitions per vertex each) and, since the declared run links
-	// by join key only, the two CSR pools of every joined pair — a→b with
-	// room for every key-matched pair, b→a one entry per link — and the
-	// columns of every row the eager graph computes and the keyed one does
-	// not: w2 and the label and edge factors, 8 bytes × (1 + plen + plen−1),
-	// the factors of which the keyed graph fills only for the rows the join
-	// visits.
+	// (8 bytes × partitions per vertex each) and, since the declared run
+	// builds no links, the two CSR pools of every joined pair — a→b with
+	// room for every key-matched pair, b→a one entry per link, so at least
+	// 4 bytes twice per link — and the columns of every row the eager graph
+	// computes and the walked one does not: w2 and the label and edge
+	// factors, 8 bytes × (1 + plen + plen−1), the factors of which the walked
+	// graph looks up only for its first path and the rows its key walks
+	// keep.
 	pl, err := core.Prepare(ctx, ix, dense, core.Options{Alpha: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +145,7 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pools := uint64(4 * (kpartite.BuildKeyed(g, pl.Dec, sets, 0.3, join.Order(pl.Dec, pl.OrderMode)).NumLinks() + eager.NumLinks()))
+	pools := uint64(8 * eager.NumLinks())
 	vectors, columns := uint64(0), uint64(0)
 	for i := range sets {
 		vectors += uint64(2 * 8 * len(sets) * sets[i].Len())

@@ -2,7 +2,6 @@ package join
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,24 +44,17 @@ const (
 // multiplied in the same fixed order — does not depend on workers; only the
 // emission order across workers depends on scheduling.
 //
-// A keyed graph (kpartite.BuildKeyed) links only the directions the order it
-// was built for reads, and fills its factor rows as the join visits them: it
-// is enumerated in exactly that order, on one worker, and any other call is
-// an error.
+// A walked graph (kpartite.Walked) has no links: every step reads its
+// partition's rows for the join key the prefix has bound at the positions
+// earlier steps assigned (kpartite.Graph.Walk), the first step with an empty
+// key. Walk writes, so such a graph is enumerated on the calling goroutine,
+// whatever workers says.
 //
 // The library's executor (internal/plan) always runs one worker. More than
 // one — the morsel path — is reached only through FindMatchesParallel, whose
 // last non-test caller is the benchmark module's replay driver; the path
 // goes when that caller does.
 func Enumerate(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *kpartite.Graph, order []int, alpha float64, workers int, sink func(worker int, m Match) bool) error {
-	if kg.Keyed() {
-		if built := kg.KeyedOrder(); !slices.Equal(order, built) {
-			return fmt.Errorf("join: keyed graph built for order %v enumerated in order %v", built, order)
-		}
-		if workers > 1 {
-			return fmt.Errorf("join: keyed graph enumerated by %d workers; it serves one", workers)
-		}
-	}
 	if len(order) == 0 {
 		return nil
 	}
@@ -70,9 +62,13 @@ func Enumerate(ctx context.Context, g *entity.Graph, q *query.Query, dec *decomp
 	if !p.covers {
 		return nil // a query node no path assigns: nothing can be a full match
 	}
-	total := kg.NumCandidates(order[0])
-	workers = max(1, min(workers, total))
-	morsel := min(max(total/(workers*morselPerWorker), 1), maxMorsel)
+	lo, total := 0, kg.NumCandidates(order[0])
+	if kg.IsWalked() {
+		lo, total = kg.Walk(order[0], nil, nil)
+		workers = 1
+	}
+	workers = max(1, min(workers, total-lo))
+	morsel := min(max((total-lo)/(workers*morselPerWorker), 1), maxMorsel)
 
 	var (
 		next atomic.Int64 // morsel dispatch counter
@@ -80,7 +76,7 @@ func Enumerate(ctx context.Context, g *entity.Graph, q *query.Query, dec *decomp
 	)
 	errs := make([]error, workers)
 	work := func(w int) {
-		errs[w] = newScratch(p, ctx, w, sink, &stop).drain(&next, morsel, total)
+		errs[w] = newScratch(p, ctx, w, sink, &stop).drain(&next, morsel, lo, total)
 	}
 	if workers == 1 {
 		work(0)

@@ -24,6 +24,7 @@ import (
 // enumeration is everything join.Enumerate takes, built the way the
 // executor builds it, plus the oracle's answer.
 type enumeration struct {
+	ix    pathindex.Reader
 	g     *entity.Graph
 	pl    *plan.Plan
 	sets  []candidates.Set
@@ -76,7 +77,7 @@ func newEnumeration(t *testing.T) *enumeration {
 	if len(want) < 1000 {
 		t.Fatalf("workload too sparse: %d matches", len(want))
 	}
-	return &enumeration{g: g, pl: pl, sets: sets, kg: kg, order: join.Order(pl.Dec, pl.OrderMode), want: want}
+	return &enumeration{ix: ix, g: g, pl: pl, sets: sets, kg: kg, order: join.Order(pl.Dec, pl.OrderMode), want: want}
 }
 
 func sameMatches(t *testing.T, label string, want, got []join.Match) {
@@ -210,43 +211,44 @@ func TestEnumerateStops(t *testing.T) {
 	}
 }
 
-// TestEnumerateKeyedGraph: a keyed graph (kpartite.BuildKeyed) enumerated in
-// the order it was built for, on one worker, yields the oracle's whole
-// answer over its unfiltered links. It refuses, before a single match, the
-// reversed order, whose reads it did not link — enumerated anyway it would
-// find nothing — and two workers, which would race on the factor rows it
-// fills as the join visits them.
+// TestEnumerateKeyedGraph: a walked graph (kpartite.Walked, whose join
+// reads every partition but the first one join key at a time) yields the
+// oracle's whole answer in the order of its first partition, and in the
+// reversed order, whose first step walks its partition with an empty key.
+// Asked for two workers, it enumerates on one: the same answer, every match
+// from worker 0.
 func TestEnumerateKeyedGraph(t *testing.T) {
 	e := newEnumeration(t)
 	ctx := context.Background()
 	if len(e.order) < 2 {
 		t.Fatalf("join order %v: nothing to reverse", e.order)
 	}
-	keyed := kpartite.BuildKeyed(e.g, e.pl.Dec, e.sets, e.pl.Alpha, e.order)
-	var got []join.Match
-	if err := join.Enumerate(ctx, e.g, e.pl.Query, e.pl.Dec, keyed, e.order, e.pl.Alpha, 1, func(_ int, m join.Match) bool {
-		got = append(got, m.Clone())
-		return true
-	}); err != nil {
+	initial, err := candidates.Counts(ctx, e.ix, e.pl.Dec, e.pl.Alpha)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sameMatches(t, "keyed graph in its own order", e.want, got)
-
 	reversed := slices.Clone(e.order)
 	slices.Reverse(reversed)
 	for _, c := range []struct {
 		name    string
 		order   []int
 		workers int
-	}{{"reversed order", reversed, 1}, {"two workers", e.order, 2}} {
-		sunk := 0
-		err := join.Enumerate(ctx, e.g, e.pl.Query, e.pl.Dec, keyed, c.order, e.pl.Alpha, c.workers, func(int, join.Match) bool {
-			sunk++
-			return true
-		})
-		if err == nil || sunk > 0 {
-			t.Errorf("%s: keyed graph built for %v enumerated in %v on %d workers: error %v after %d matches, want an error before any",
-				c.name, e.order, c.order, c.workers, err, sunk)
+	}{{"its own order", e.order, 1}, {"reversed order", reversed, 1}, {"two workers", e.order, 2}} {
+		sets, kw, _, err := candidates.FindFirst(ctx, e.ix, e.pl.Query, e.pl.Dec, e.pl.Alpha, initial, e.order[0], nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		walked := kpartite.Walked(e.g, e.pl.Dec, sets, e.order[0], kw)
+		var got []join.Match
+		if err := join.Enumerate(ctx, e.g, e.pl.Query, e.pl.Dec, walked, c.order, e.pl.Alpha, c.workers, func(w int, m join.Match) bool {
+			if w != 0 {
+				t.Fatalf("%s: a match from worker %d", c.name, w)
+			}
+			got = append(got, m.Clone())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sameMatches(t, "walked graph, "+c.name, e.want, got)
 	}
 }

@@ -57,6 +57,9 @@ type stepPlan struct {
 	assign []stepAssign
 	check  []stepCheck
 	edges  []stepEdge
+	// keyPos lists check's positions: on a walked graph the step's
+	// candidates are its partition's rows under the entities bound there.
+	keyPos []int32
 }
 
 // plan is the immutable shared state of one enumeration run.
@@ -97,6 +100,7 @@ func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *
 		for pos, qn := range path.Nodes {
 			if covered[qn] {
 				sp.check = append(sp.check, stepCheck{pos: int32(pos), qn: qn})
+				sp.keyPos = append(sp.keyPos, int32(pos))
 			} else {
 				covered[qn] = true
 				sp.assign = append(sp.assign, stepAssign{pos: int32(pos), qn: qn})
@@ -157,7 +161,8 @@ type scratch struct {
 	compMark  []int32 // compUndo length before each step
 	sharedAt  []int32
 
-	isect [][]int32 // per-step link-intersection buffers
+	isect [][]int32   // per-step link-intersection buffers
+	key   []entity.ID // a walked step's join key, by check position
 
 	ops int // per-worker extension counter for ctx-cancellation checks
 }
@@ -184,6 +189,7 @@ func newScratch(p *plan, ctx context.Context, worker int, sink func(int, Match) 
 		sharedAt:  make([]int32, len(p.order)+1),
 
 		isect: make([][]int32, len(p.order)),
+		key:   make([]entity.ID, 0, p.numQ),
 	}
 	for i := range s.asn {
 		s.asn[i] = -1
@@ -192,13 +198,14 @@ func newScratch(p *plan, ctx context.Context, worker int, sink func(int, Match) 
 	return s
 }
 
-// drain claims morsels of the first partition's total candidates until none
-// are left or the run is stopped, driving each alive seed depth-first
-// through the whole join order. An error stops the other workers too.
-func (s *scratch) drain(next *atomic.Int64, morsel, total int) error {
+// drain claims morsels of the first partition's candidates [from, total)
+// until none are left or the run is stopped, driving each alive seed
+// depth-first through the whole join order. An error stops the other
+// workers too.
+func (s *scratch) drain(next *atomic.Int64, morsel, from, total int) error {
 	first := s.p.order[0]
 	for !s.stop.Load() {
-		lo := int(next.Add(1)-1) * morsel
+		lo := from + int(next.Add(1)-1)*morsel
 		if lo >= total {
 			break
 		}
@@ -242,13 +249,12 @@ func (s *scratch) tryCandidate(step, b, ci int) error {
 // apply installs candidate ci of partition b into the scratch: consistency
 // checks on already-assigned query nodes, injectivity and component bits for
 // newly assigned ones, and the incremental label/edge and identity prefixes
-// with the partial-probability α prune (Section 5.2.5). The
-// factors are the ones the k-partite build looked up for the row (an absent
-// GU edge reads 0 and fails the step), read only once the consistency checks
-// pass — so a keyed graph fills none for a row they reject, a hash collision
-// or a mismatch on another join node; each is also recorded under its query
-// node or query edge for emit. The identity prefix is multiplied by Exist(v)
-// per newly assigned node: Graph.Prn over entities in distinct components
+// with the partial-probability α prune (Section 5.2.5). The factors are the
+// ones the k-partite graph looked up for the row (an absent GU edge reads 0
+// and fails the step), read once the consistency checks pass; each is also
+// recorded under its query node or query edge for emit. The identity prefix
+// is multiplied by Exist(v) per newly assigned node: Graph.Prn over entities
+// in distinct components
 // multiplies 1.0 by exactly those factors in that order, so while no two
 // assigned entities share a component the prefix is Prn(s.nodes) bit for bit
 // and Prn is called only otherwise — which is also the only case in which two
@@ -264,12 +270,7 @@ func (s *scratch) apply(step, b, ci int) bool {
 			return false
 		}
 	}
-	var lab, edge []float64
-	if p.kg.Keyed() { // its rows' factors are looked up on their first visit
-		lab, edge = p.kg.FillFactors(b, ci)
-	} else {
-		lab, edge = p.kg.Factors(b, ci)
-	}
+	lab, edge := p.kg.Factors(b, ci)
 	nAsn := 0
 	compMark := len(s.compUndo)
 	pr, prn, shared := s.prleAt[step], s.prnAt[step], s.sharedAt[step]
@@ -352,7 +353,9 @@ func (s *scratch) undo(step int) {
 
 // descend enumerates the candidates of the given step against the current
 // partial: the intersection of the link lists from every joined chosen
-// vertex, or the whole partition when the step has no join predicates.
+// vertex, or the whole partition when the step has no join predicates — or,
+// on a walked graph, the partition's rows under the entities the partial
+// has bound at the step's checked positions.
 func (s *scratch) descend(step int) error {
 	p := s.p
 	if step == len(p.order) {
@@ -361,9 +364,9 @@ func (s *scratch) descend(step int) error {
 	}
 	sp := &p.steps[step]
 	b := sp.part
-	if len(sp.joins) == 0 {
-		n := p.kg.NumCandidates(b)
-		for ci := 0; ci < n; ci++ {
+	if p.kg.IsWalked() || len(sp.joins) == 0 {
+		lo, n := s.rows(sp)
+		for ci := lo; ci < n; ci++ {
 			if s.stop.Load() {
 				return nil
 			}
@@ -399,6 +402,21 @@ func (s *scratch) descend(step int) error {
 		}
 	}
 	return nil
+}
+
+// rows returns the step's candidates when they are a range of its
+// partition: on a walked graph the rows [lo, hi) under the join key the
+// partial has bound, on Build's graph every row.
+func (s *scratch) rows(sp *stepPlan) (lo, hi int) {
+	kg := s.p.kg
+	if !kg.IsWalked() {
+		return 0, kg.NumCandidates(sp.part)
+	}
+	s.key = s.key[:0]
+	for _, c := range sp.check {
+		s.key = append(s.key, s.asn[c.qn])
+	}
+	return kg.Walk(sp.part, sp.keyPos, s.key)
 }
 
 // emit finalizes the complete assignment. The exact Prle multiplies the

@@ -2,9 +2,11 @@ package join
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/kpartite"
 	"repro/internal/pathindex"
+	"repro/internal/query"
 	"repro/internal/refgraph"
 )
 
@@ -177,7 +180,7 @@ func TestIncrementalPrnEqualsPrn(t *testing.T) {
 							return emitted != cut
 						}, &stop)
 						var next atomic.Int64
-						if err := s.drain(&next, 8, total); err != nil {
+						if err := s.drain(&next, 8, 0, total); err != nil {
 							t.Fatal(err)
 						}
 						assertClean(t, s, "after a drain")
@@ -193,13 +196,15 @@ func TestIncrementalPrnEqualsPrn(t *testing.T) {
 	}
 }
 
-// TestKeyedJoinExhausts: over keyed links (kpartite.BuildKeyed) a join that
-// has nothing to find ends having emitted nothing, with its scratch clean,
-// and what the unfiltered links cost it is bounded: every candidate the eager
-// build's joinable would have filtered fails apply on the spot, so the keyed
-// join makes at most the eager join's extension attempts divided by the share
-// of key-matched pairs that are links. Queries are taken at thresholds above
-// their best match; the ones whose partitions are still linked count.
+// TestKeyedJoinExhausts is the no-match control of key-walked joins: over a
+// walked graph (kpartite.Walked) a join whose first partition has rows but
+// which has nothing to find ends having emitted nothing, with its scratch
+// clean. It asks every partition for the rows of each key at most once: the
+// walks of a partition are exactly the distinct keys the join's prefixes
+// bound at its checked positions, counted here by a walk of its own over
+// the same graph; and a partition holds exactly the rows its walks kept,
+// each under one key. A second drain over the same graph walks nothing. Queries are taken at thresholds
+// above their best match; the ones whose first partition is not empty count.
 func TestKeyedJoinExhausts(t *testing.T) {
 	ctx := context.Background()
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 300, EdgeFactor: 4, Labels: 3, UncertainFrac: 0.4, Seed: 5})
@@ -215,18 +220,66 @@ func TestKeyedJoinExhausts(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	attempts := func(p *plan) (ops, emitted int) {
+	drain := func(p *plan) (walks []int, emitted int) {
 		var stop atomic.Bool
 		var next atomic.Int64
 		s := newScratch(p, ctx, 0, func(int, Match) bool { emitted++; return true }, &stop)
-		if err := s.drain(&next, 8, p.kg.NumCandidates(p.order[0])); err != nil {
+		lo, hi := p.kg.Walk(p.order[0], nil, nil)
+		if err := s.drain(&next, 8, lo, hi); err != nil {
 			t.Fatal(err)
 		}
 		assertClean(t, s, "after the drain")
-		return s.ops, emitted
+		for b := 0; b < p.kg.NumPartitions(); b++ {
+			w, _ := p.kg.Walks(b)
+			walks = append(walks, w)
+		}
+		return walks, emitted
+	}
+	// keys lists, by partition, the distinct join keys the prefixes of p's
+	// order bind at each step's checked positions, and the rows under them.
+	keys := func(p *plan) []map[string][2]int {
+		out := make([]map[string][2]int, len(p.order))
+		for b := range out {
+			out[b] = map[string][2]int{}
+		}
+		var stop atomic.Bool
+		s := newScratch(p, ctx, 0, func(int, Match) bool { return true }, &stop)
+		var walk func(step int)
+		walk = func(step int) {
+			if step == len(p.order) {
+				return
+			}
+			sp := &p.steps[step]
+			var key []entity.ID
+			for _, c := range sp.check {
+				key = append(key, s.asn[c.qn])
+			}
+			lo, hi := p.kg.Walk(sp.part, sp.keyPos, key)
+			out[sp.part][fmt.Sprint(sp.keyPos, key)] = [2]int{lo, hi}
+			for ci := lo; ci < hi; ci++ {
+				if s.apply(step, sp.part, ci) {
+					walk(step + 1)
+					s.undo(step)
+				}
+			}
+		}
+		walk(0)
+		assertClean(t, s, "after the key walk")
+		return out
+	}
+	walked := func(dec *decompose.Decomposition, q *query.Query, alpha float64, order []int) *kpartite.Graph {
+		initial, err := candidates.Counts(ctx, ix, dec, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets, kw, _, err := candidates.FindFirst(ctx, ix, q, dec, alpha, initial, order[0], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kpartite.Walked(g, dec, sets, order[0], kw)
 	}
 	rng := rand.New(rand.NewSource(11))
-	linked := 0
+	matchless, walksTotal := 0, 0
 	for qi := 0; qi < 12; qi++ {
 		q, err := gen.RandomQuery(rng, g.NumLabels(), 4, 4+qi%2)
 		if err != nil {
@@ -237,34 +290,41 @@ func TestKeyedJoinExhausts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sets, _, err := candidates.Find(ctx, ix, q, dec, alpha, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eager, err := kpartite.Build(ctx, g, q, dec, sets, alpha, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
 			order := Order(dec, OrderHeuristic)
-			keyed := kpartite.BuildKeyed(g, dec, sets, alpha, order)
-			eagerOps, found := attempts(newPlan(g, q, dec, eager, order, alpha))
-			if found > 0 || eager.NumLinks() == 0 {
+			p := newPlan(g, q, dec, walked(dec, q, alpha, order), order, alpha)
+			walks, found := drain(p)
+			if found > 0 || p.kg.NumCandidates(order[0]) == 0 {
 				continue
 			}
-			linked++
-			keyedOps, found := attempts(newPlan(g, q, dec, keyed, order, alpha))
-			if found != 0 {
-				t.Fatalf("query %d α=%v: %d matches over keyed links, none over eager ones", qi, alpha, found)
+			matchless++
+			want := keys(newPlan(g, q, dec, walked(dec, q, alpha, order), order, alpha))
+			for b, w := range walks {
+				at := fmt.Sprintf("query %d α=%v partition %d", qi, alpha, b)
+				if b == order[0] {
+					if w != 0 {
+						t.Fatalf("%s: the first partition was walked %d times", at, w)
+					}
+					continue
+				}
+				if w != len(want[b]) {
+					t.Fatalf("%s: %d key walks, the join's prefixes bind %d distinct keys", at, w, len(want[b]))
+				}
+				spans, kept := 0, 0
+				for _, span := range want[b] {
+					spans += span[1] - span[0]
+				}
+				if _, kept = p.kg.Walks(b); w > 0 && kept != spans || kept != p.kg.NumCandidates(b) {
+					t.Fatalf("%s: the walks kept %d rows, the partition holds %d, its keys' rows are %d", at, kept, p.kg.NumCandidates(b), spans)
+				}
+				walksTotal += w
 			}
-			// keyedOps ≤ eagerOps ÷ (links ÷ key-matched pairs), in integers.
-			if keyedOps*eager.NumLinks() > eagerOps*keyed.NumLinks() {
-				t.Errorf("query %d α=%v: %d extension attempts over keyed links, %d over eager ones, with %d of %d key-matched pairs linked",
-					qi, alpha, keyedOps, eagerOps, eager.NumLinks(), keyed.NumLinks())
+			if again, _ := drain(p); !slices.Equal(again, walks) {
+				t.Fatalf("query %d α=%v: a second drain over the same graph brought the walks from %v to %v", qi, alpha, walks, again)
 			}
-			t.Logf("query %d α=%v: %d attempts keyed, %d eager, %d of %d pairs linked", qi, alpha, keyedOps, eagerOps, eager.NumLinks(), keyed.NumLinks())
 		}
 	}
-	if linked == 0 {
-		t.Fatal("no query was matchless over linked partitions")
+	t.Logf("%d matchless runs over a non-empty first partition, %d key walks", matchless, walksTotal)
+	if matchless == 0 || walksTotal == 0 {
+		t.Fatal("no query was matchless over a non-empty first partition, or none walked a key")
 	}
 }

@@ -15,13 +15,10 @@
 // computed once into float64 columns per partition, one arena for all four,
 // and perception vectors are one flat float64 array per partition with a
 // double buffer for the bulk-synchronous message-passing rounds. After Build/Reduce the graph is immutable and safe
-// for any number of concurrent readers. A BuildKeyed graph is the exception:
-// it is built for one join order and serves one enumeration in that order. It
-// links each joined pair only in the direction that order reads, as one
-// bucket table of the later partition's rows, and hashes the earlier
-// partition's row when Links is called. It has no factor columns for all its
-// rows, only a row→slot index and the factors of the rows the join has
-// visited, which FillFactors appends on a row's first visit, and no weights.
+// for any number of concurrent readers. A Walked graph is the exception: it
+// serves one enumeration, whose join asks it for a partition's rows one join
+// key at a time, and it walks, stores and looks the factors up of a key's
+// rows on the first request. It has no links and no weights.
 package kpartite
 
 import (
@@ -36,6 +33,7 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/decompose"
 	"repro/internal/entity"
+	"repro/internal/pathindex"
 	"repro/internal/query"
 )
 
@@ -47,28 +45,23 @@ type Graph struct {
 
 	parts []*partition
 	// links[p][j] is the CSR adjacency from partition p into partition j;
-	// links[p][j].offs is nil unless j ∈ J(p) and, on a keyed graph, p
-	// comes before j in order.
+	// links[p][j].offs is nil unless j ∈ J(p). A walked graph has none.
 	links [][]linkSet
 	// joined[p] caches dec.Joined(p) so the reduction fixpoint does not
 	// recompute it every round.
 	joined [][]int
 	// vecReady reports that perception vectors were initialized by Reduce.
 	vecReady bool
-	// keyed reports that links are by join key only (BuildKeyed), in the
-	// directions order reads.
-	keyed bool
-	order []int
+	// walks produces a walked graph's rows by key; nil on Build's graph.
+	walks *candidates.KeyWalks
 }
 
 // linkSet is one direction of a partition pair's links in CSR form: the
 // vertices of the target partition linked to vertex i are
-// pool[offs[i]:offs[i+1]], ascending. A keyed set — a lookup table T(b, a)
-// of Section 5.2.3, laid out by lookup — has one CSR row per join-key bucket
-// instead, and in place of a stored bucket per source row the source's join
-// key: its rows (nodes, plen) and their join positions pos, in predicate
-// order, from which bucket hashes vertex i's bucket when it is asked. pos is
-// nil on a CSR set.
+// pool[offs[i]:offs[i+1]], ascending. The lookup table T(b, a) of Section
+// 5.2.3 that linkPair builds has one CSR row per join-key bucket instead,
+// and the key it is probed with: the probing side's rows (nodes, plen), its
+// join positions pos in predicate order, and the bucket shift.
 type linkSet struct {
 	offs  []int32
 	pool  []int32
@@ -92,13 +85,15 @@ type partition struct {
 	elen int // edges per candidate row: plen-1
 	// nodes holds the candidate rows row-major: row i is
 	// nodes[i*plen : (i+1)*plen]. It is the candidate set's arena
-	// (set.Nodes) and must not be written.
+	// (set.Nodes) and must not be written. On a walked graph Walk appends
+	// each key's rows to it — past the set's arena, whose length is its
+	// capacity, so the arena itself is never written.
 	nodes  []entity.ID
 	alive  []bool
 	nAlive int
 	// w1 and w2 are the two weights of the upper-bound reduction, row i's
 	// exclusive cover product and its identity probability Graph.Prn(row i);
-	// nil on a keyed graph, which is never reduced.
+	// nil on a walked graph, which is never reduced.
 	w1 []float64
 	w2 []float64
 	// lab and edge are the row factor columns fill fills, the only place a
@@ -106,12 +101,13 @@ type partition struct {
 	// lab[i*plen+pos] = PrLabel(row i's node at pos, label of path.Nodes[pos])
 	// and edge[i*elen+pos] = the probability of the GU edge between row
 	// i's nodes at pos and pos+1 given the two query labels in edgeKey
-	// orientation, 0 when GU has no such edge. On a keyed graph they hold
-	// only the rows FillFactors has visited, in visiting order: row i's
-	// factors are at slot slot[i]-1, and slot[i] is 0 until its first visit.
+	// orientation, 0 when GU has no such edge.
 	lab  []float64
 	edge []float64
-	slot []int32
+	// keys, on a walked graph, maps each join key asked for to the rows
+	// [lo, hi) it walked; walks counts the walks, which kept n rows.
+	keys  map[walkKey][2]int32
+	walks int
 	// vec / nextVec are the flat perception vectors (n rows of k entries,
 	// row-major); nextVec is the write buffer of the current BSP round and
 	// the two are swapped at each round barrier. vecSet[i] records whether
@@ -145,7 +141,7 @@ type Stats struct {
 // arenas become the partitions' rows. q is not read: dec's paths carry their
 // labels.
 func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.Decomposition, sets []candidates.Set, alpha float64, workers int) (*Graph, error) {
-	kg, pairs, maxN := newGraph(g, dec, sets, alpha, false)
+	kg, pairs, maxN := newGraph(g, dec, sets, alpha)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -192,62 +188,14 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 	return kg, nil
 }
 
-// BuildKeyed is Build for a run that neither reduces nor enumerates
-// exhaustively — an emit-order join in the given order (a permutation of the
-// partitions, retained) that stops at a declared limit. Links are by join key
-// only, and only in the direction that join reads: per joined pair, from the
-// partition earlier in order, q, into the later one, b. b's rows are grouped
-// by the bucket their join-position tuple hashes to, O(|b|), over
-// 2^⌈log₂ max(|q|, |b|)⌉ buckets, and Links(q, i, b) hashes row i of q the
-// same way at the call: every row of b under row i's key, ascending — the rows
-// Build links and the ones joinable filters, which the join's own prefix tests
-// reject again. Links(b, j, q) is nil. What the pairs keep — each table's
-// offsets and pool and both sides' join positions — shares one exact-size
-// int32 arena. No factor is looked up (FillFactors), Reduce panics, and
-// join.Enumerate refuses another order or more than one worker.
-func BuildKeyed(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, alpha float64, order []int) *Graph {
-	kg, pairs, _ := newGraph(g, dec, sets, alpha, true)
-	kg.order = order
-	dir := func(pair [2]int) (q, b int) {
-		if slices.Index(order, pair[1]) < slices.Index(order, pair[0]) {
-			return pair[1], pair[0]
-		}
-		return pair[0], pair[1]
-	}
-	size := 0
-	for _, pair := range pairs {
-		q, b := dir(pair)
-		size += 1<<(64-bucketShift(max(kg.parts[q].n, kg.parts[b].n))) + 1 + kg.parts[b].n + 2*len(dec.Joins[pair])
-	}
-	arena := make([]int32, size)
-	take := func(n int) []int32 {
-		s := arena[:n:n]
-		arena = arena[n:]
-		return s
-	}
-	for _, pair := range pairs {
-		q, b := dir(pair)
-		pq, pb := kg.parts[q], kg.parts[b]
-		preds := dec.Joins[pair]
-		posQ, posB := joinPositions(take(len(preds))[:0], take(len(preds))[:0], preds, q == pair[0])
-		shift := bucketShift(max(pq.n, pb.n))
-		ls := &kg.links[q][b]
-		ls.offs, ls.pool = take(1<<(64-shift)+1), take(pb.n)
-		ls.lookup(pq, posQ, pb, posB, shift)
-	}
-	return kg
-}
-
 // newGraph lays out the partitions over the candidate sets' arenas, with
-// their weights unless keyed, and lists the joined pairs in linking order.
-func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, alpha float64, keyed bool) (kg *Graph, pairs [][2]int, maxN int) {
+// their weights, and lists the joined pairs in linking order.
+func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, alpha float64) (kg *Graph, pairs [][2]int, maxN int) {
 	k := len(sets)
-	kg = &Graph{g: g, dec: dec, alpha: alpha, keyed: keyed}
+	kg = &Graph{g: g, dec: dec, alpha: alpha}
 	kg.parts = make([]*partition, k)
 	kg.links = make([][]linkSet, k)
-	if !keyed {
-		kg.joined = make([][]int, k)
-	}
+	kg.joined = make([][]int, k)
 	for p := 0; p < k; p++ {
 		n := sets[p].Len()
 		plen := len(sets[p].Path.Nodes)
@@ -261,30 +209,21 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 			alive:  make([]bool, n),
 			nAlive: n,
 		}
-		if keyed {
-			// Never reduced, so no weights; factors are filled on first visit.
-			part.slot = make([]int32, n)
-		} else {
-			// One arena for the four float columns Build computes.
-			cols := make([]float64, n*(2+plen+elen))
-			part.w1 = cols[:n:n]
-			part.w2 = cols[n : 2*n : 2*n]
-			part.lab = cols[2*n : 2*n+n*plen : 2*n+n*plen]
-			part.edge = cols[2*n+n*plen:]
-		}
+		// One arena for the four float columns Build computes.
+		cols := make([]float64, n*(2+plen+elen))
+		part.w1 = cols[:n:n]
+		part.w2 = cols[n : 2*n : 2*n]
+		part.lab = cols[2*n : 2*n+n*plen : 2*n+n*plen]
+		part.edge = cols[2*n+n*plen:]
 		for i := range part.alive {
 			part.alive[i] = true
 		}
 		kg.parts[p] = part
 		kg.links[p] = make([]linkSet, k)
-		if !keyed { // the reduction's, which a keyed graph never runs
-			kg.joined[p] = dec.Joined(p)
-		}
+		kg.joined[p] = dec.Joined(p)
 		maxN = max(maxN, n)
 	}
-	if !keyed {
-		kg.computeWeights()
-	}
+	kg.computeWeights()
 
 	// Deterministic pair order (the map iteration order would do for
 	// correctness — slots are disjoint — but a sorted work list keeps the
@@ -324,7 +263,7 @@ func (kg *Graph) computeWeights() {
 		}
 		for i := 0; i < part.n; i++ {
 			lab, edge := part.lab[i*plen:(i+1)*plen], part.edge[i*elen:(i+1)*elen]
-			kg.fill(part, i, lab, edge)
+			fill(kg.g, part, i, lab, edge)
 			w1 := 1.0
 			for pos, f := range lab {
 				if coverNode[pos] {
@@ -344,50 +283,106 @@ func (kg *Graph) computeWeights() {
 
 // fill looks the factors of row i of part up into lab (plen entries) and
 // edge (elen entries).
-func (kg *Graph) fill(part *partition, i int, lab, edge []float64) {
+func fill(g *entity.Graph, part *partition, i int, lab, edge []float64) {
 	path := part.set.Path
 	row := part.nodes[i*part.plen : (i+1)*part.plen]
 	for pos, v := range row {
-		lab[pos] = kg.g.PrLabel(v, path.Labels[pos])
+		lab[pos] = g.PrLabel(v, path.Labels[pos])
 	}
-	for pos := range edge {
+	for pos := range edge[:part.elen] {
 		f := 0.0
-		if ep, ok := kg.g.EdgeBetween(row[pos], row[pos+1]); ok {
+		if ep, ok := g.EdgeBetween(row[pos], row[pos+1]); ok {
 			la, lb := path.Labels[pos], path.Labels[pos+1]
 			if path.Nodes[pos] > path.Nodes[pos+1] { // edgeKey orientation
 				la, lb = lb, la
 			}
-			f = kg.g.PrEdge(ep, la, lb)
+			f = g.PrEdge(ep, la, lb)
 		}
 		edge[pos] = f
 	}
 }
 
-// FillFactors is Factors for a keyed graph, which looks a row up when the
-// join first visits it — a join that stops at its limit reads a few rows of
-// thousands — and stores only the rows it has looked up. It writes, so a
-// keyed graph serves one enumerating goroutine.
-func (kg *Graph) FillFactors(p, i int) (lab, edge []float64) {
-	part := kg.parts[p]
-	plen, elen := part.plen, part.elen
-	s := int(part.slot[i])
-	if s == 0 {
-		part.lab = append(part.lab, make([]float64, plen)...)
-		part.edge = append(part.edge, make([]float64, elen)...)
-		s = len(part.lab) / plen
-		part.slot[i] = int32(s)
-		kg.fill(part, i, part.lab[(s-1)*plen:], part.edge[(s-1)*elen:])
+// Walked returns the k-partite graph of a run that stops at a declared
+// limit and so neither reduces nor enumerates exhaustively: partition first
+// holds the rows of sets[first], with every row's factors, and every other
+// partition starts empty and gets its rows per join key from walks, on the
+// join's first request for that key (Walk). The other sets are read for
+// their Path alone. It has no links and no weights, Reduce panics, and it
+// serves one enumerating goroutine, since Walk writes.
+func Walked(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, first int, walks *candidates.KeyWalks) *Graph {
+	kg := &Graph{g: g, dec: dec, walks: walks}
+	kg.parts = make([]*partition, len(sets))
+	for p := range sets {
+		plen := len(sets[p].Path.Nodes)
+		part := &partition{set: &sets[p], plen: plen, elen: max(plen-1, 0), keys: map[walkKey][2]int32{}}
+		kg.parts[p] = part
+		if p == first {
+			part.nodes = sets[p].Nodes
+			part.appendRows(g, 0)
+			part.keys[walkKey{}] = [2]int32{0, int32(part.n)}
+		}
 	}
-	return part.lab[(s-1)*plen : s*plen], part.edge[(s-1)*elen : s*elen]
+	return kg
 }
 
-// Keyed reports whether kg came from BuildKeyed: Links are by join key only
-// and a row's factors come from FillFactors, not Factors.
-func (kg *Graph) Keyed() bool { return kg.keyed }
+// walkKey is a join key of a walked partition: the mask of the positions it
+// fixes and their entities, in position order.
+type walkKey struct {
+	mask uint8
+	ents [pathindex.MaxSupportedLen + 1]entity.ID
+}
 
-// KeyedOrder returns the join order a BuildKeyed graph was built for, the one
-// order whose reads its links serve; nil for Build's graph.
-func (kg *Graph) KeyedOrder() []int { return kg.order }
+// Walk returns the rows [lo, hi) of partition p of a walked graph that
+// carry key[k] at position pos[k] for every k (pos ascending): the rows
+// the key walk kept, in ascending order of their ids, position by
+// position, all alive. It walks a key once, on its first request; an
+// empty key is every row of the partition's path, and on the first
+// partition those are its set's rows, in the set's order.
+func (kg *Graph) Walk(p int, pos []int32, key []entity.ID) (lo, hi int) {
+	part := kg.parts[p]
+	var k walkKey
+	for i, x := range pos {
+		k.mask |= 1 << x
+		k.ents[i] = key[i]
+	}
+	if span, ok := part.keys[k]; ok {
+		return int(span[0]), int(span[1])
+	}
+	lo = part.n
+	part.nodes = kg.walks.Rows(part.nodes, p, pos, key)
+	part.appendRows(kg.g, lo)
+	part.walks++
+	part.keys[k] = [2]int32{int32(lo), int32(part.n)}
+	return lo, part.n
+}
+
+// appendRows takes the rows of nodes from row lo on into the partition:
+// alive, with their factors looked up.
+func (part *partition) appendRows(g *entity.Graph, lo int) {
+	n := len(part.nodes) / part.plen
+	part.lab = slices.Grow(part.lab, (n-lo)*part.plen)[:n*part.plen]
+	part.edge = slices.Grow(part.edge, (n-lo)*part.elen)[:n*part.elen]
+	for i := lo; i < n; i++ {
+		fill(g, part, i, part.lab[i*part.plen:], part.edge[i*part.elen:])
+		part.alive = append(part.alive, true)
+	}
+	part.n, part.nAlive = n, n
+}
+
+// Walks reports, for partition p of a walked graph, how many key walks ran
+// and how many rows they kept; 0, 0 for a partition that was not walked,
+// such as the first, and on Build's graph.
+func (kg *Graph) Walks(p int) (walks, rows int) {
+	part := kg.parts[p]
+	if part.walks == 0 {
+		return 0, 0
+	}
+	return part.walks, part.n
+}
+
+// IsWalked reports whether kg came from Walked: the join reads a
+// partition's rows by key through Walk, not through Links.
+func (kg *Graph) IsWalked() bool { return kg.walks != nil }
 
 func edgeKey(a, b query.NodeID) [2]query.NodeID {
 	if a > b {
@@ -630,8 +625,7 @@ func bucketShift(n int) uint8 {
 // bucket is row i's bucket under ls's join key: its nodes at pos packed into
 // one integer — exactly for up to two positions, folded beyond — spread over
 // all 64 bits (Fibonacci hashing), whose top bits pick the bucket. It is the
-// only join hash, and small enough that Links, which calls it on a keyed
-// set, stays inlinable.
+// only join hash.
 func (ls *linkSet) bucket(i int) int {
 	var key uint64
 	for _, x := range ls.pos {
@@ -679,7 +673,7 @@ func (ls *linkSet) rewind() {
 // (the same predicates, from b's side) hash to bucket k. b's rows are hashed
 // by the key's own code, pointed at b while they are counted and placed —
 // twice each, so no bucket is stored — and the key is then a's, for bucket
-// and Links to hash a's rows with.
+// to hash a's rows with.
 func (ls *linkSet) lookup(a *partition, posA []int32, b *partition, posB []int32, shift uint8) {
 	ls.nodes, ls.plen, ls.pos, ls.shift = b.nodes, b.plen, posB, shift
 	ls.offs, ls.pool = ls.offs[:1<<(64-shift)+1], ls.pool[:b.n]
@@ -734,7 +728,6 @@ func (kg *Graph) Row(p, i int) []entity.ID {
 // node at pos under its query node's label, edge[pos] the probability of the
 // edge between the nodes at pos and pos+1 under the query labels (0 when GU
 // has no such edge). Views into the partition's columns; not to be modified.
-// A keyed graph has no such columns: its rows' factors come from FillFactors.
 func (kg *Graph) Factors(p, i int) (lab, edge []float64) {
 	part := kg.parts[p]
 	return part.lab[i*part.plen : (i+1)*part.plen], part.edge[i*part.elen : (i+1)*part.elen]
@@ -742,37 +735,19 @@ func (kg *Graph) Factors(p, i int) (lab, edge []float64) {
 
 // Links returns the vertices of partition j linked to vertex i of partition
 // p (including dead ones; filter with Alive), ascending. Nil when j ∉ J(p).
-// On a keyed graph these are the vertices under vertex i's join key when p
-// comes before j in KeyedOrder, and nil otherwise.
-// The returned slice is a view into the shared edge pool and must not be
+// A walked graph has no links: its rows are read by key, through Walk. The
+// returned slice is a view into the shared edge pool and must not be
 // modified.
-func (kg *Graph) Links(p, i, j int) []int32 {
-	ls := &kg.links[p][j]
-	if ls.pos != nil {
-		i = ls.bucket(i)
-	}
-	if ls.offs == nil { // ls.row, by hand: Links must stay inlinable
-		return nil
-	}
-	return ls.pool[ls.offs[i]:ls.offs[i+1]]
-}
+func (kg *Graph) Links(p, i, j int) []int32 { return kg.links[p][j].row(i) }
 
 // NumLinks returns the number of join-candidate links stored (each linked
-// pair counted once) — the executor's observed size for the build stage. On
-// a keyed graph that is the key-matched row pairs, which Build would filter:
-// Σᵢ |Links(q, i, b)| over the directions it links.
+// pair counted once) — the executor's observed size for the build stage; 0
+// on a walked graph.
 func (kg *Graph) NumLinks() int {
 	total := 0
 	for p := range kg.links {
 		for j := range kg.links[p] {
-			ls := &kg.links[p][j]
-			if ls.pos == nil {
-				total += len(ls.pool) // each link, in both directions
-				continue
-			}
-			for i := 0; i < kg.parts[p].n; i++ {
-				total += 2 * len(ls.row(ls.bucket(i)))
-			}
+			total += len(kg.links[p][j].pool) // each link, in both directions
 		}
 	}
 	return total / 2
@@ -828,8 +803,8 @@ func (kg *Graph) Reduce(ctx context.Context, workers int) (Stats, error) {
 // the alive total never grows: pass nil to have it allocated, and the
 // returned (empty) list to the later rounds of the same reduction.
 func (kg *Graph) reduceStructure(work [][2]int32) [][2]int32 {
-	if kg.keyed {
-		panic("kpartite: reduction over keyed links")
+	if kg.IsWalked() {
+		panic("kpartite: reduction over a walked graph")
 	}
 	if work == nil {
 		total := 0

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -317,134 +315,6 @@ func matchesLookup(t *testing.T, label string, kg *Graph, q *query.Query) (share
 	return shared, fresh
 }
 
-// keyedMatchesLookup holds BuildKeyed, built for order, to the same
-// reference through the eager graph matchesLookup has just checked. Of every
-// joined pair it links only the direction order reads, from the earlier
-// partition q into the later b, and the other is nil. The keyed links of a
-// row of q are the rows of b in its bucket, ascending, with the buckets
-// computed here from the hash's definition for both sides; filtered by the look-up
-// joinable (which also rejects a hash collision's differing join node) they
-// are exactly its eager links — a superset in the join's visiting order.
-// NumLinks is the key-matched pair count Σₖ |q's rows in k|·|b's rows in k|,
-// counted here from both sides. FillFactors is called as the join's apply
-// calls it, only for the linked rows that agree with the row of q on every
-// join predicate, and the graph must then store one factor row per row that
-// passed that check; visited again and, from the last, with every other row,
-// the factors are the eager columns bit for bit and each row is stored once.
-// The reduction refuses the graph. It returns how many keyed links the eager
-// build filters.
-func keyedMatchesLookup(t *testing.T, label string, eager, keyed *Graph, order []int, ref *lookupRef) (extra int) {
-	t.Helper()
-	if eager.Keyed() || !keyed.Keyed() || eager.KeyedOrder() != nil || !slices.Equal(keyed.KeyedOrder(), order) {
-		t.Fatalf("%s: Keyed() = %v, %v and KeyedOrder() = %v, %v on the eager and keyed graphs, built for %v",
-			label, eager.Keyed(), keyed.Keyed(), eager.KeyedOrder(), keyed.KeyedOrder(), order)
-	}
-	for p, part := range keyed.parts {
-		if len(part.w1) != 0 {
-			t.Fatalf("%s: keyed partition %d carries %d w1 weights nothing reads", label, p, len(part.w1))
-		}
-		if len(part.lab) != 0 || len(part.edge) != 0 {
-			t.Fatalf("%s: keyed partition %d holds %d label and %d edge factors before any visit", label, p, len(part.lab), len(part.edge))
-		}
-	}
-	matched := 0
-	passed := make([]map[int32]bool, len(keyed.parts)) // rows that passed the check, by partition
-	for pair := range eager.dec.Joins {
-		q, b := pair[0], pair[1]
-		if slices.Index(order, b) < slices.Index(order, q) {
-			q, b = b, q
-		}
-		if passed[b] == nil {
-			passed[b] = map[int32]bool{}
-		}
-		for j := 0; j < keyed.parts[b].n; j++ {
-			if got := keyed.Links(b, j, q); got != nil {
-				t.Fatalf("%s: order %v reads %d from %d, but keyed Links(%d,%d,%d) = %v", label, order, b, q, b, j, q, got)
-			}
-		}
-		preds := eager.dec.Preds(q, b)
-		pq, pb := keyed.parts[q], keyed.parts[b]
-		buckets := 1
-		for buckets < max(pq.n, pb.n) {
-			buckets <<= 1
-		}
-		bucketOf := func(row []entity.ID, sideA bool) int {
-			var key uint64
-			for _, pr := range preds {
-				pos := pr.PosB
-				if sideA {
-					pos = pr.PosA
-				}
-				key = key<<32 | key>>32 ^ uint64(uint32(row[pos]))
-			}
-			return int(key * 0x9E3779B97F4A7C15 >> (64 - bits.TrailingZeros(uint(buckets))))
-		}
-		byBucket := make([][]int32, buckets)
-		for j := 0; j < pb.n; j++ {
-			k := bucketOf(keyed.Row(b, j), false)
-			byBucket[k] = append(byBucket[k], int32(j))
-		}
-		for i := 0; i < pq.n; i++ {
-			rowQ := keyed.Row(q, i)
-			bucket := keyed.Links(q, i, b)
-			if want := byBucket[bucketOf(rowQ, true)]; !slices.Equal(bucket, want) {
-				t.Fatalf("%s: keyed Links(%d,%d,%d) = %v, the rows of its bucket are %v", label, q, i, b, bucket, want)
-			}
-			matched += len(bucket)
-			var kept []int32
-			for _, j := range bucket {
-				rowB := keyed.Row(b, int(j))
-				if ref.joinable(pq.set.Path, pb.set.Path, rowQ, rowB) {
-					kept = append(kept, j)
-				}
-				if !slices.ContainsFunc(preds, func(pr decompose.JoinPred) bool { return rowQ[pr.PosA] != rowB[pr.PosB] }) {
-					keyed.FillFactors(b, int(j))
-					passed[b][j] = true
-				}
-			}
-			if !slices.Equal(kept, eager.Links(q, i, b)) {
-				t.Fatalf("%s: keyed Links(%d,%d,%d) = %v keeps %v under joinable, the eager links are %v", label, q, i, b, bucket, kept, eager.Links(q, i, b))
-			}
-			extra += len(bucket) - len(kept)
-		}
-	}
-	if got := keyed.NumLinks(); got != matched || got < eager.NumLinks() {
-		t.Fatalf("%s: keyed NumLinks = %d, want the %d key-matched pairs (eager links: %d)", label, got, matched, eager.NumLinks())
-	}
-	for p, part := range keyed.parts {
-		stored := len(passed[p])
-		if len(part.lab) != stored*part.plen || len(part.edge) != stored*part.elen {
-			t.Fatalf("%s: keyed partition %d holds %d label and %d edge factors after %d rows passed the check", label, p, len(part.lab), len(part.edge), stored)
-		}
-		// Rows are visited from the last: slots follow the visiting order,
-		// not the row order.
-		for i := part.n - 1; i >= 0; i-- {
-			for pass := 0; pass < 2; pass++ {
-				lab, edge := keyed.FillFactors(p, i)
-				wantLab, wantEdge := eager.Factors(p, i)
-				if !slices.EqualFunc(lab, wantLab, sameBits) || !slices.EqualFunc(edge, wantEdge, sameBits) {
-					t.Fatalf("%s: partition %d row %d filled on demand (pass %d): factors (%v, %v), Build's (%v, %v)", label, p, i, pass, lab, edge, wantLab, wantEdge)
-				}
-			}
-			if !passed[p][int32(i)] {
-				stored++
-			}
-			if len(part.lab) != stored*part.plen || len(part.edge) != stored*part.elen {
-				t.Fatalf("%s: keyed partition %d holds %d label and %d edge factors after %d rows were visited twice", label, p, len(part.lab), len(part.edge), stored)
-			}
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: the reduction ran over keyed links", label)
-			}
-		}()
-		keyed.Reduce(context.Background(), 1)
-	}()
-	return extra
-}
-
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // TestBuildParallelEquivalence: the k-partite arenas built at workers 2, 4,
@@ -453,9 +323,7 @@ func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bit
 // graphs — and the single-threaded build's link sets, w1 and factor columns
 // are byte-identical to lookupRef's, and w2 to Graph.Prn of each row. The dense arm links enough references
 // that joinable's two ways to the union's Prn are both taken, and both must
-// have produced links. BuildKeyed over the same sets, for a shuffled join
-// order and for its reverse, is held to the same reference
-// (keyedMatchesLookup), and must have linked rows the eager build filters.
+// have produced links.
 func TestBuildParallelEquivalence(t *testing.T) {
 	for _, arm := range []struct {
 		name  string
@@ -466,7 +334,7 @@ func TestBuildParallelEquivalence(t *testing.T) {
 		{"dense-linkage", gen.SynthOptions{Refs: 60, EdgeFactor: 4, Labels: 2, UncertainFrac: 0.5, Groups: 12, GroupSize: 4, PairsPerGroup: 3}, true},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			shared, fresh, extra := 0, 0, 0
+			shared, fresh := 0, 0
 			for _, seed := range []int64{1, 2, 3} {
 				arm.opt.Seed = seed
 				d, err := gen.Synthetic(arm.opt)
@@ -489,7 +357,6 @@ func TestBuildParallelEquivalence(t *testing.T) {
 				t.Cleanup(func() { ix.Close() })
 
 				rng := rand.New(rand.NewSource(seed * 977))
-				orders := rand.New(rand.NewSource(seed))
 				for qi := 0; qi < 3; qi++ {
 					q, err := gen.RandomQuery(rng, g.NumLabels(), 2+rng.Intn(2), 3)
 					if err != nil {
@@ -514,14 +381,6 @@ func TestBuildParallelEquivalence(t *testing.T) {
 							label := fmt.Sprintf("seed %d q%d mode %d α=%v", seed, qi, mode, alpha)
 							sh, fr := matchesLookup(t, label, seq, q)
 							shared, fresh = shared+sh, fresh+fr
-							// A shuffled join order and its reverse read every
-							// joined pair once in each direction.
-							order := orders.Perm(len(sets))
-							for range 2 {
-								extra += keyedMatchesLookup(t, fmt.Sprintf("%s order %v", label, order), seq, BuildKeyed(g, dec, sets, alpha, order), order, newLookupRef(seq, q))
-								order = slices.Clone(order)
-								slices.Reverse(order)
-							}
 							for _, workers := range []int{2, 4, 8} {
 								got, err := Build(context.Background(), g, q, dec, sets, alpha, workers)
 								if err != nil {
@@ -533,9 +392,9 @@ func TestBuildParallelEquivalence(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d links over a shared component, %d over new components only, %d more by key alone", shared, fresh, extra)
-			if shared+fresh == 0 || extra == 0 {
-				t.Error("no query produced a link, or none the eager build filters; the comparison was vacuous")
+			t.Logf("%d links over a shared component, %d over new components only", shared, fresh)
+			if shared+fresh == 0 {
+				t.Error("no query produced a link; the comparison was vacuous")
 			}
 			if arm.dense && (shared == 0 || fresh == 0) {
 				t.Errorf("%d links over a shared component and %d over new components only: one way to the union's Prn was never taken", shared, fresh)
@@ -554,87 +413,4 @@ func linkedShare(g *entity.Graph) float64 {
 		}
 	}
 	return float64(linked) / float64(g.NumNodes())
-}
-
-// Allocation sinks: what a measured call builds is stored here so that it is
-// allocated on the heap, as it is when a caller keeps it.
-var (
-	sinkGraph *Graph
-	sinkArena []int32
-)
-
-// TestBuildKeyedAllocation pins what BuildKeyed allocates beyond the
-// partitions and link-set rows newGraph lays out for any graph: one int32
-// arena of exactly Σ over the joined pairs, each in the one direction the
-// join order reads (from q into b), of buckets + 1 + |b| + 2·|preds| entries
-// — the table's offsets and pool and both sides' join positions, buckets
-// being 2^⌈log₂ max(|q|, |b|)⌉ — and nothing else: no bucket of a row of q
-// and no table for the direction the join does not read. Heap bytes are
-// taken as the least of five runs, since the runtime now and then allocates
-// on its own account inside the window.
-func TestBuildKeyedAllocation(t *testing.T) {
-	ctx := context.Background()
-	d, err := gen.Synthetic(gen.SynthOptions{Refs: 2000, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := entity.Build(d, entity.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := pathindex.Build(ctx, g, pathindex.Options{MaxLen: 2, Beta: 0.5, Gamma: 0.1, Dir: filepath.Join(t.TempDir(), "ix")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ix.Close() })
-	q, err := gen.RandomQuery(rand.New(rand.NewSource(2)), g.NumLabels(), 6, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const alpha = 0.3
-	dec, err := decompose.Decompose(q, ix, decompose.Options{MaxLen: 2, Alpha: alpha})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets, _, err := candidates.Find(ctx, ix, q, dec, alpha, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := rand.New(rand.NewSource(1)).Perm(len(sets))
-
-	heapBytes := func(f func()) uint64 {
-		least := uint64(math.MaxUint64)
-		for range 5 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			f()
-			runtime.ReadMemStats(&after)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
-		return least
-	}
-	entries, rows := 0, 0
-	for pair, preds := range dec.Joins {
-		q, b := pair[0], pair[1]
-		if slices.Index(order, b) < slices.Index(order, q) {
-			q, b = b, q
-		}
-		buckets := 1
-		for buckets < max(sets[q].Len(), sets[b].Len()) {
-			buckets <<= 1
-		}
-		entries += buckets + 1 + sets[b].Len() + 2*len(preds)
-		rows += sets[b].Len()
-	}
-	keyed := heapBytes(func() { sinkGraph = BuildKeyed(g, dec, sets, alpha, order) })
-	partitions := heapBytes(func() { sinkGraph, _, _ = newGraph(g, dec, sets, alpha, true) })
-	arena := heapBytes(func() { sinkArena = make([]int32, entries) })
-	t.Logf("%d joined pairs: BuildKeyed %d bytes = partitions %d + tables %d (an arena of %d int32 entries, %d of them rows of b)",
-		len(dec.Joins), keyed, partitions, keyed-partitions, entries, rows)
-	if len(dec.Joins) < 5 || rows < 1000 {
-		t.Fatalf("%d joined pairs over %d rows: too small to pin anything", len(dec.Joins), rows)
-	}
-	if keyed != partitions+arena {
-		t.Errorf("BuildKeyed allocates %d bytes, want the %d of its partitions and the %d of one %d-entry arena", keyed, partitions, arena, entries)
-	}
 }

@@ -152,3 +152,35 @@ func TestScanCountAllocation(t *testing.T) {
 		t.Errorf("%v allocations per warm ScanCount at α 0.3, %v at α 0.01: want the same count, ≤ 3", few, many)
 	}
 }
+
+// TestScanCountAlone: ScanCount with no callback is the count alone. Below
+// β, on a cold memo it walks unfiltered, counts |PIndex(X, α)| and stores
+// it, so a filtered scan after it is a hit that streams nothing through a
+// filter rejecting every node; on a warm memo it answers without a walk —
+// under a context that reports Canceled at its first poll it still returns
+// the count. At α ≥ β it counts the rows Scan streams.
+func TestScanCountAlone(t *testing.T) {
+	g := synthGraph(t, gen.SynthOptions{Refs: 600, UncertainFrac: 0.5, Seed: 5})
+	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.5, Gamma: 0.1})
+	X := []prob.LabelID{0, 1, 0}
+	const alpha = 0.1
+	want := len(bruteForce(ix, X, alpha))
+	if n, err := ix.ScanCount(context.Background(), X, alpha, nil, nil); err != nil || n != want {
+		t.Fatalf("a cold count alone: %d, err %v; want %d", n, err, want)
+	}
+	rows := 0
+	rejectAll := filterOf(g, X, func(entity.ID, int) bool { return false })
+	if n, err := ix.ScanCount(context.Background(), X, alpha, rejectAll, func([]entity.ID, float64, float64) bool { rows++; return true }); err != nil || n != want || rows != 0 {
+		t.Fatalf("the scan after a count alone: count %d, %d rows, err %v; want a hit counting %d that streams none", n, rows, err, want)
+	}
+	if n, err := ix.ScanCount(&pollsCtx{Context: context.Background()}, X, alpha, nil, nil); err != nil || n != want {
+		t.Fatalf("a warm count alone under a context that ends at its first poll: %d, err %v; want %d without a walk", n, err, want)
+	}
+	above, err := CountScan(ix, X, 0.6, func([]entity.ID, float64, float64) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ix.ScanCount(context.Background(), X, 0.6, nil, nil); err != nil || n != above || above == 0 {
+		t.Fatalf("a count alone above β: %d, err %v; Scan streams %d rows", n, err, above)
+	}
+}

@@ -389,7 +389,8 @@ var errStopped = errors.New("pathindex: scan stopped")
 // set at its position. Concurrent misses on one (X, α) walk once; the
 // callers waiting on that walk then walk filtered, so fn must not itself
 // scan the same (X, α) of this index. When fn stops a walk on a miss the count is that of the rows
-// streamed so far; when ctx ends first ScanCount returns its error.
+// streamed so far; when ctx ends first ScanCount returns its error. A nil fn
+// asks for the count alone: a warm memo answers it without a walk.
 func (ix *Index) ScanCount(ctx context.Context, X []prob.LabelID, alpha float64, keep NodeFilter, fn ScanFunc) (int, error) {
 	if alpha >= ix.opt.Beta {
 		return CountScan(ix, X, alpha, fn)
@@ -401,7 +402,7 @@ func (ix *Index) ScanCount(ctx context.Context, X []prob.LabelID, alpha float64,
 		n := 0
 		done, err := ix.onDemand(ctx, X, alpha, nil, func(nodes []entity.ID, prle, prn float64) bool {
 			n++
-			return fn(nodes, prle, prn)
+			return fn == nil || fn(nodes, prle, prn)
 		})
 		if err == nil && !done {
 			err = errStopped
@@ -413,8 +414,8 @@ func (ix *Index) ScanCount(ctx context.Context, X []prob.LabelID, alpha float64,
 		return n, nil
 	case err != nil:
 		return 0, err
-	case !hit:
-		return n, nil // this call's walk streamed every row
+	case !hit || fn == nil:
+		return n, nil // this call's walk streamed every row, or none is asked for
 	}
 	_, err = ix.onDemand(ctx, X, alpha, keep, fn)
 	return n, err

@@ -30,7 +30,9 @@ type Reader interface {
 	// leave out of the stream any row with a node outside keep's set at its
 	// position, and streams every other row. The count is exact when the scan runs to its end; when fn stops
 	// it, the count is at least the rows streamed. ScanCount returns ctx's
-	// error when it sees ctx end first.
+	// error when it sees ctx end first. A nil fn asks for the count alone:
+	// no row is streamed, and a reader that keeps the count answers without
+	// reading a row.
 	ScanCount(ctx context.Context, X []prob.LabelID, alpha float64, keep NodeFilter, fn ScanFunc) (int, error)
 	// NodeSet returns the entities of Graph() that pass the node-level
 	// test of Section 5.2.2 for a query node labelled l whose
@@ -61,12 +63,12 @@ var _ Reader = (*Index)(nil)
 
 // CountScan is r.Scan(X, α, fn) that also returns the number of rows it
 // streamed: ScanCount for a reader that keeps no count and applies no
-// filter.
+// filter. A nil fn counts the rows and takes none.
 func CountScan(r Reader, X []prob.LabelID, alpha float64, fn ScanFunc) (int, error) {
 	n := 0
 	err := r.Scan(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
 		n++
-		return fn(nodes, prle, prn)
+		return fn == nil || fn(nodes, prle, prn)
 	})
 	return n, err
 }

@@ -60,7 +60,7 @@ type Walker struct {
 // with probability ≥ thresh (up to the 1e-12 tolerance every threshold
 // test shares). guide, when not nil, fixes the labels and the length
 // (maxNodes == len(guide)). anchors, by entity id, is the set Anchor
-// walks from; Root does not read it. keep, when not nil, filters the nodes
+// walks from; Root does not read it, and At takes nil. keep, when not nil, filters the nodes
 // of a guided walk by their position on the guide; an unguided walk takes
 // nil.
 func NewWalker(g *entity.Graph, thresh float64, maxNodes int, guide []prob.LabelID, anchors []bool, keep NodeFilter, emit WalkFunc) *Walker {
@@ -69,27 +69,35 @@ func NewWalker(g *entity.Graph, thresh float64, maxNodes int, guide []prob.Label
 
 // Root walks the paths that start at v, growing them at the tail only. It
 // reports false once the callback ended the walk.
-func (w *Walker) Root(v entity.ID) bool { return w.start(v, 0) }
+func (w *Walker) Root(v entity.ID) bool { return w.start(v, 0, 0) }
 
 // Anchor walks the paths whose first node of the anchor set is v, each
 // exactly once: it grows them at both ends, the head only with nodes
 // outside the anchor set. Guided, v is tried at every position of the
 // guide. It reports false once the callback ended the walk.
-func (w *Walker) Anchor(v entity.ID) bool { return w.start(v, w.max-1) }
+func (w *Walker) Anchor(v entity.ID) bool { return w.start(v, 0, w.max-1) }
 
-// start walks from v with up to heads head extensions (guided: v's
-// position on the guide is the number it needs, and it is tried at the
-// first heads+1 positions).
-func (w *Walker) start(v entity.ID, heads int) bool {
+// At walks the guided paths that carry v at guide position pos, each
+// exactly once: it grows the head to pos nodes, then the tail. Its walker
+// takes no anchor set. The paths are those of Root's walk from every start
+// node that carry v at pos, in another order, and each one's Prle and Prn
+// are multiplied in the order At adds its nodes. It reports false once the
+// callback ended the walk.
+func (w *Walker) At(v entity.ID, pos int) bool { return w.start(v, pos, pos) }
+
+// start walks from v with up to hi head extensions (guided: v's position
+// on the guide is the number it needs, and it is tried at positions lo to
+// hi).
+func (w *Walker) start(v entity.ID, lo, hi int) bool {
 	exist := w.g.Exist(v)
 	if exist == 0 {
 		return true
 	}
 	w.nodes[0], w.found[0], w.n, w.at = v, v, 1, 0
 	if w.guide != nil {
-		for i, l := range w.guide[:heads+1] {
-			if lp := w.g.PrLabel(v, l); lp != 0 && w.clears(lp, exist) && w.admits(v, i) {
-				w.labels[0] = l
+		for i := lo; i <= hi; i++ {
+			if lp := w.g.PrLabel(v, w.guide[i]); lp != 0 && w.clears(lp, exist) && w.admits(v, i) {
+				w.labels[0] = w.guide[i]
 				if i == 0 && !w.tail(lp, exist) || i > 0 && !w.head(lp, exist, i) {
 					return false
 				}
@@ -100,7 +108,7 @@ func (w *Walker) start(v entity.ID, heads int) bool {
 	for l, lp := range w.g.LabelRow(v) {
 		if lp != 0 && w.clears(lp, exist) {
 			w.labels[0] = prob.LabelID(l)
-			if heads == 0 && !w.tail(lp, exist) || heads > 0 && !w.head(lp, exist, heads) {
+			if hi == 0 && !w.tail(lp, exist) || hi > 0 && !w.head(lp, exist, hi) {
 				return false
 			}
 		}
@@ -145,7 +153,7 @@ func (w *Walker) head(prle, prn float64, heads int) bool {
 	}
 	for _, nb := range g.Neighbors(w.nodes[0]) {
 		v := nb.To
-		if w.anchors[v] || w.guide != nil && !g.HasLabel(v, lo) || w.contains(v) || !w.admits(v, heads-1) {
+		if w.anchors != nil && w.anchors[v] || w.guide != nil && !g.HasLabel(v, lo) || w.contains(v) || !w.admits(v, heads-1) {
 			continue
 		}
 		prnV := g.PrnExtend(w.found[:n], prn, v)

@@ -1,6 +1,7 @@
 package pathindex
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -164,5 +165,67 @@ func TestWalkFilterKeepsTheRest(t *testing.T) {
 				t.Fatalf("X %v anchored %v: the filter keeps %d of %d paths; want some cut and some kept", X, anchored, len(want), all)
 			}
 		}
+	}
+}
+
+// TestWalkAtFixesOnePosition: for every guide position pos and entity v,
+// At(v, pos) hands over exactly the paths of the filtered Root walk from
+// every start node that carry v at pos, each once, with the same start
+// node at pos and a probability equal to the root walk's up to the order
+// its factors were multiplied in. The guides include a repeated label, so
+// v can stand at more than one position of one path's labels.
+func TestWalkAtFixesOnePosition(t *testing.T) {
+	g := synthGraph(t, gen.SynthOptions{Refs: 300, Labels: 3, UncertainFrac: 0.5, Seed: 6})
+	accept := func(v entity.ID, pos int) bool { return (int(v)+pos)%5 != 0 }
+	type row [maxNodes]entity.ID
+	walked := 0
+	for _, X := range [][]prob.LabelID{{0, 1, 2}, {0, 1, 0}, {1, 0, 1, 2}} {
+		keep := filterOf(g, X, accept)
+		byRow := map[row]float64{} // the root walk's rows, with Prle·Prn
+		var cur map[row]float64
+		var at int
+		w := NewWalker(g, 0.02, len(X), X, nil, keep, func(nodes []entity.ID, _ []prob.LabelID, pos int, prle, prn float64) bool {
+			var r row
+			copy(r[:], nodes)
+			if _, dup := cur[r]; dup {
+				t.Fatalf("X %v: row %v handed over twice", X, nodes)
+			}
+			if pos != at {
+				t.Fatalf("X %v: row %v starts at position %d, want %d", X, nodes, pos, at)
+			}
+			cur[r] = prle * prn
+			return true
+		})
+		cur, at = byRow, 0
+		for v := range entity.ID(g.NumNodes()) {
+			w.Root(v)
+		}
+		if len(byRow) < 10 {
+			t.Fatalf("X %v: the root walk hands over %d rows; too few to compare", X, len(byRow))
+		}
+		for pos := range X {
+			for v := range entity.ID(g.NumNodes()) {
+				got := map[row]float64{}
+				cur, at = got, pos
+				w.At(v, pos)
+				want := 0
+				for r, pr := range byRow {
+					if r[pos] != v {
+						continue
+					}
+					want++
+					if gpr, ok := got[r]; !ok || math.Abs(gpr-pr) > 1e-12*pr {
+						t.Fatalf("X %v: At(%d, %d) hands over %v with Prle·Prn %v (present %v), the root walk %v", X, v, pos, r, gpr, ok, pr)
+					}
+				}
+				if len(got) != want {
+					t.Fatalf("X %v: At(%d, %d) hands over %d rows, the root walk has %d with %d at %d", X, v, pos, len(got), want, v, pos)
+				}
+				walked += len(got)
+			}
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no walk handed over a row")
 	}
 }

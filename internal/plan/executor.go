@@ -133,9 +133,31 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	}
 
 	// Candidate retrieval with context pruning (Section 5.2.2), fanned out
-	// per path, optionally served from the generation's candidate cache.
+	// per path, optionally served from the generation's candidate cache — or,
+	// for a run that stops early, every path's count and the candidates of
+	// the first path of the join order those counts give. Such a run is never
+	// reduced, so its order is known before anything is built, and its join
+	// walks every later path's candidates one join key at a time.
 	t0 := time.Now()
-	sets, cstats, err := candidates.Find(ctx, e.ix, q, pl.Dec, pl.Alpha, workers, opt.CandCache)
+	links := Links(opt.Order, opt.Limit)
+	var (
+		sets   []candidates.Set
+		cstats candidates.Stats
+		walks  *candidates.KeyWalks
+		order  []int
+		err    error
+	)
+	if links == "keyed" {
+		var initial []int
+		if initial, err = candidates.Counts(ctx, e.ix, pl.Dec, pl.Alpha); err != nil {
+			return nil, st, err
+		}
+		order = execOrder(pl, func(p int) int { return initial[p] })
+		sets, walks, cstats, err = candidates.FindFirst(ctx, e.ix, q, pl.Dec, pl.Alpha, initial, order[0], opt.CandCache)
+		workers = 1
+	} else {
+		sets, cstats, err = candidates.Find(ctx, e.ix, q, pl.Dec, pl.Alpha, workers, opt.CandCache)
+	}
 	if err != nil {
 		return nil, st, err
 	}
@@ -146,7 +168,9 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	for i := range pl.Dec.Paths {
 		estTotal += pl.Dec.Paths[i].Card
 		obsTotal += float64(cstats.Initial[i])
-		pruned += int64(cstats.Initial[i] - cstats.Kept[i])
+		if walks == nil || i == order[0] { // the only paths scanned whole
+			pruned += int64(cstats.Initial[i] - cstats.Kept[i])
+		}
 	}
 	st.Stages = append(st.Stages, StageStats{
 		Name: "candidates", Micros: Micros(st.CandidateTime), StartMicros: Micros(t0.Sub(start)),
@@ -155,17 +179,12 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	})
 
 	// Join-candidates / k-partite graph (Section 5.2.3), pairs fanned out
-	// across the same pool — or by key only, for a run that stops early, in
-	// the one direction of each pair its join reads. Such a graph is never
-	// reduced, so its alive counts are the candidate counts and the adaptive
-	// order below is known before it is built.
+	// across the same pool — or, for a run that stops early, the first
+	// path's rows alone, the others left to the join's key walks.
 	t0 = time.Now()
-	links := Links(opt.Order, opt.Limit)
 	var kg *kpartite.Graph
-	var order []int
-	if links == "keyed" {
-		order = execOrder(pl, func(p int) int { return sets[p].Len() })
-		kg, workers = kpartite.BuildKeyed(g, pl.Dec, sets, pl.Alpha, order), 1 // O(rows), on this goroutine
+	if walks != nil {
+		kg = kpartite.Walked(g, pl.Dec, sets, order[0], walks)
 	} else if kg, err = kpartite.Build(ctx, g, q, pl.Dec, sets, pl.Alpha, workers); err != nil {
 		return nil, st, err
 	}
@@ -207,10 +226,11 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 }
 
 // Links says which join-candidate links a run in the given order and limit
-// builds: "keyed" (kpartite.BuildKeyed) for an emit-order run that stops after
-// limit matches, "" — kpartite.Build's filtered CSR — for one that enumerates
+// builds: "keyed" for an emit-order run that stops after limit matches —
+// kpartite.Walked, whose join walks every path but the first one join key at
+// a time — and "" — kpartite.Build's filtered CSR — for one that enumerates
 // exhaustively. The one rule for what a declared limit changes before the
-// join: such a run neither filters its links nor reduces (ReduceSkipped).
+// join: such a run neither links nor reduces (ReduceSkipped).
 func Links(order ResultOrder, limit int) string {
 	if order == OrderEmit && limit > 0 {
 		return "keyed"
@@ -256,9 +276,29 @@ func (r *joinRun) enumerate(ctx context.Context, sink func(worker int, m join.Ma
 	return join.Enumerate(ctx, r.g, r.pl.Query, r.pl.Dec, r.kg, r.order, r.pl.Alpha, 1, sink)
 }
 
-// finish closes the join stage and the execution.
+// finish closes the join stage and the execution. On a walked graph it
+// also settles what only the join knew: how many key walks ran and how many
+// rows they kept, on the candidates row, and the search space of the rows
+// the run held, on the reduce row and in Stats.
 func (r *joinRun) finish(st *Stats) {
 	st.JoinTime = time.Since(r.t0)
+	if r.kg.IsWalked() {
+		walks, kept := 0, 0
+		for p := 0; p < r.kg.NumPartitions(); p++ {
+			w, n := r.kg.Walks(p)
+			walks, kept = walks+w, kept+n
+		}
+		ss := r.kg.SearchSpace()
+		st.SSContext, st.SSAfterStructure, st.SSFinal = ss, ss, ss
+		for i := range st.Stages {
+			switch sg := &st.Stages[i]; sg.Name {
+			case "candidates":
+				sg.KeyWalks, sg.KeyRows = walks, kept
+			case "reduce":
+				sg.EstRows, sg.ObsRows = ss, ss
+			}
+		}
+	}
 	st.Stages = append(st.Stages, StageStats{
 		Name: "join", Micros: Micros(st.JoinTime), StartMicros: Micros(r.t0.Sub(r.start)),
 		EstRows: st.SSFinal, ObsRows: float64(st.Matched),

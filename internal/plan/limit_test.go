@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/candidates"
@@ -51,19 +52,20 @@ func matchKey(m join.Match) string {
 
 // TestLimitedRunSkipsReduction: an emit-order run that declares it stops
 // after Limit matches skips the plan's reduction — the reduce row says so,
-// with zero rounds and the unreduced search space — and every match it emits
-// is one of the full answer's with the same probability bits. A run that
-// enumerates everything (Limit 0, OrderByProb with a limit) reduces as the
-// plan says; one whose plan has no reduction reports no skip.
+// with zero rounds and nothing pruned from the search space of the rows the
+// run held — and every match it emits is one of the full answer's with the
+// same probability bits. A run that enumerates everything (Limit 0,
+// OrderByProb with a limit) reduces as the plan says; one whose plan has no
+// reduction reports no skip.
 //
-// Such a run also links by join key only (the build row says "keyed", and
-// counts at least the eager build's links), whether or not its plan reduces:
-// at every K from 1 to one past the answer (sampled past 32 when the answer
-// is long), what it streams is the first K
-// matches, bit for bit, of the stream that declares nothing over a plan that
-// does not reduce — eager links, the same unreduced join order — and what it
-// collects is those K sorted. With nothing to find it exhausts and returns
-// nothing, untruncated.
+// Such a run also builds no links and walks every path but the first one
+// join key at a time (the build row says "keyed", with no links), whether
+// or not its plan reduces: its join order is a function of the paths'
+// counts, not of Limit, so at every K from 1 to one past the answer
+// (sampled past 32 when the answer is long), what it streams is the first K
+// matches, bit for bit, of the run that declares a limit past the answer —
+// which is the whole answer — and what it collects is those K sorted. With
+// nothing to find it exhausts and returns nothing, untruncated.
 func TestLimitedRunSkipsReduction(t *testing.T) {
 	ctx := context.Background()
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 300, EdgeFactor: 4, Labels: 3, UncertainFrac: 0.4, Seed: 5})
@@ -120,7 +122,6 @@ func TestLimitedRunSkipsReduction(t *testing.T) {
 		for _, m := range full {
 			in[matchKey(m)] = true
 		}
-		unreduced := reduceStage(t, fst).EstRows // the search space entering the reduction
 
 		// Emit-order limits: streamed and collected.
 		for _, limit := range []int{1, 5} {
@@ -145,9 +146,9 @@ func TestLimitedRunSkipsReduction(t *testing.T) {
 				limited++
 				sg := reduceStage(t, run.st)
 				if sg.Skipped != "limit" || run.st.ReductionRounds != 0 || sg.Pruned != 0 ||
-					sg.ObsRows != unreduced || run.st.SSFinal != unreduced {
-					t.Fatalf("%s: skipped reduce row %+v, %d rounds, SSFinal %v, unreduced search space %v",
-						at, sg, run.st.ReductionRounds, run.st.SSFinal, unreduced)
+					sg.ObsRows != sg.EstRows || run.st.SSFinal != run.st.SSContext || run.st.SSFinal != sg.ObsRows {
+					t.Fatalf("%s: skipped reduce row %+v, %d rounds, SSContext %v, SSFinal %v",
+						at, sg, run.st.ReductionRounds, run.st.SSContext, run.st.SSFinal)
 				}
 			}
 		}
@@ -195,14 +196,16 @@ func TestLimitedRunSkipsReduction(t *testing.T) {
 			t.Fatalf("%s: no-reduction plan: reduce row %+v, %d rounds, matches %v", label, sg, st.ReductionRounds, ms)
 		}
 
-		// Keyed links: every declared K is a prefix of the undeclared,
-		// unreduced stream over eager links.
-		emitted, est := stream(npl, Exec{})
-		eager := stage(t, est, "build")
-		if eager.Links != "" || len(emitted) != len(full) {
-			t.Fatalf("%s: undeclared stream: build row %+v, %d of %d matches", label, eager, len(emitted), len(full))
-		}
+		// Key walks: every declared K is a prefix of the declared run that
+		// finds the whole answer, over either plan.
 		cache := candidates.NewCache(0) // the candidates are the same at every K
+		emitted, est := stream(pl, Exec{Limit: len(full) + 1, CandCache: cache})
+		if len(emitted) != len(full) {
+			t.Fatalf("%s: a limit past the answer streams %d of %d matches", label, len(emitted), len(full))
+		}
+		if ns, _ := stream(npl, Exec{Limit: len(full) + 1, CandCache: cache}); len(ns) != len(full) {
+			t.Fatalf("%s: no-reduction plan, limit past the answer: %d of %d matches", label, len(ns), len(full))
+		}
 		for k := 1; k <= len(emitted)+1; k++ {
 			// Every K of a short answer; of a long one the first 32, one in
 			// len/32 after them, and the last two and one past.
@@ -214,8 +217,8 @@ func TestLimitedRunSkipsReduction(t *testing.T) {
 				at := fmt.Sprintf("%s: %s plan, limit %d", label, name, k)
 				ms, st := stream(p, Exec{Limit: k, CandCache: cache})
 				sameSequence(t, at+" streamed", want, ms)
-				if sg := stage(t, st, "build"); sg.Links != "keyed" || sg.ObsRows < eager.ObsRows || st.Truncated != (k <= len(emitted)) {
-					t.Fatalf("%s: build row %+v (eager links: %v), truncated %v", at, sg, eager.ObsRows, st.Truncated)
+				if sg := stage(t, st, "build"); sg.Links != "keyed" || sg.ObsRows != 0 || st.Truncated != (k <= len(emitted)) || !slices.Equal(st.ExecOrder, est.ExecOrder) {
+					t.Fatalf("%s: build row %+v, truncated %v, join order %v (past the answer: %v)", at, sg, st.Truncated, st.ExecOrder, est.ExecOrder)
 				}
 				cs, _, err := ex.Collect(ctx, p, Exec{Limit: k, CandCache: cache})
 				if err != nil {

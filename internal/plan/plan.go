@@ -171,9 +171,16 @@ type StageStats struct {
 	// did not run: "limit" for an emit-order run that stops after Limit
 	// matches (Plan.ReduceSkipped).
 	Skipped string `json:"skipped,omitempty"`
-	// Links, on the build row, is "keyed" when the run linked by join key
-	// only (Links); ObsRows then counts key-matched pairs.
+	// Links, on the build row, is "keyed" when the run built no links and
+	// its join walked every path but the first one join key at a time
+	// (Links); ObsRows, the links built, is then 0.
 	Links string `json:"links,omitempty"`
+	// KeyWalks and KeyRows, on the candidates row of such a run, count the
+	// key walks its join ran and the rows they kept (pathindex.Walker.At
+	// walks filtered by the node-level sets, kept by the path-level tests);
+	// Pruned there counts the first path's pruned rows alone.
+	KeyWalks int `json:"key_walks,omitempty"`
+	KeyRows  int `json:"key_rows,omitempty"`
 	// Workers is the parallelism the stage actually ran with (omitted for
 	// inherently sequential stages).
 	Workers int `json:"workers,omitempty"`

@@ -1255,6 +1255,10 @@ func (s *Server) stageSpans(ctx context.Context, execStart time.Time, stages []p
 		if sg.Links != "" {
 			attrs["links"] = sg.Links
 		}
+		if sg.KeyWalks != 0 {
+			attrs["key_walks"] = strconv.Itoa(sg.KeyWalks)
+			attrs["key_rows"] = strconv.Itoa(sg.KeyRows)
+		}
 		s.opt.Tracer.RecordSpan(ctx, "stage."+sg.Name,
 			execStart.Add(time.Duration(sg.StartMicros*1e3)),
 			time.Duration(sg.Micros*1e3), attrs)
