@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/refgraph"
+	"repro/internal/storage"
 )
 
 func main() {
@@ -65,14 +66,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := d.Save(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := storage.WriteFile(storage.OS, *out, d.Save); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s: %d references, %d edges, %d reference sets, labels %v\n",

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/pathindex"
 	"repro/internal/prob"
 	"repro/internal/refgraph"
+	"repro/internal/storage"
 )
 
 // ErrClosed reports an operation on a closed database — retryable only by
@@ -116,6 +118,7 @@ type Status struct {
 // map.
 type DB struct {
 	dir string
+	fs  storage.FS
 	opt Options
 
 	view atomic.Pointer[View]
@@ -178,63 +181,24 @@ func lockDir(dir string) (*os.File, error) {
 	return f, nil
 }
 
-// writeManifest flips the current-generation pointer crash-safely: the tmp
-// file is fsynced before the rename and the directory after it, so a power
-// loss leaves either the old or the new manifest — never a torn or
-// unpersisted one — and the WAL acknowledged under the named generation
-// stays reachable.
-func writeManifest(dir string, gen uint64) error {
-	b, err := json.Marshal(manifest{Generation: gen})
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-func writeSnapshot(path string, d *refgraph.PGD) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// writeManifest flips the current-generation pointer through
+// storage.WriteFile: a power loss leaves either the old or the new
+// manifest, and the WAL acknowledged under the named generation stays
+// reachable.
+func writeManifest(fs storage.FS, dir string, gen uint64) error {
+	return storage.WriteFile(fs, filepath.Join(dir, manifestName), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(manifest{Generation: gen})
+	})
 }
 
 // Create initializes a live database directory from a PGD: generation 1 is
 // built (snapshot + entity graph + path index) and an empty mutation log is
 // created. The PGD is cloned; the caller's copy stays independent.
 func Create(ctx context.Context, dir string, d *refgraph.PGD, opt Options) (*DB, error) {
+	return create(ctx, storage.OS, dir, d, opt)
+}
+
+func create(ctx context.Context, fs storage.FS, dir string, d *refgraph.PGD, opt Options) (*DB, error) {
 	opt.normalize()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
@@ -252,13 +216,13 @@ func Create(ctx context.Context, dir string, d *refgraph.PGD, opt Options) (*DB,
 			lock.Close()
 		}
 	}()
-	db := &DB{dir: dir, opt: opt, gen: 1, lock: lock}
+	db := &DB{dir: dir, fs: fs, opt: opt, gen: 1, lock: lock}
 	pgd := d.Clone()
 	genDir := db.genDir(1)
 	if err := os.MkdirAll(genDir, 0o755); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if err := writeSnapshot(filepath.Join(genDir, snapName), pgd); err != nil {
+	if err := storage.WriteFile(fs, filepath.Join(genDir, snapName), pgd.Save); err != nil {
 		return nil, fmt.Errorf("live: snapshot: %w", err)
 	}
 	g, err := entity.Build(pgd, opt.Build)
@@ -271,12 +235,12 @@ func Create(ctx context.Context, dir string, d *refgraph.PGD, opt Options) (*DB,
 	if err != nil {
 		return nil, err
 	}
-	w, err := createWAL(db.walPath(1))
+	w, err := createWAL(fs, db.walPath(1), nil)
 	if err != nil {
 		ix.Close()
 		return nil, err
 	}
-	if err := writeManifest(dir, 1); err != nil {
+	if err := writeManifest(fs, dir, 1); err != nil {
 		w.Close()
 		ix.Close()
 		return nil, fmt.Errorf("live: manifest: %w", err)
@@ -315,7 +279,7 @@ func Open(dir string, opt Options) (*DB, error) {
 	if err := json.Unmarshal(mb, &man); err != nil {
 		return nil, fmt.Errorf("live: corrupt manifest: %w", err)
 	}
-	db := &DB{dir: dir, opt: opt, gen: man.Generation, lock: lock}
+	db := &DB{dir: dir, fs: storage.OS, opt: opt, gen: man.Generation, lock: lock}
 	genDir := db.genDir(man.Generation)
 	sf, err := os.Open(filepath.Join(genDir, snapName))
 	if err != nil {
@@ -345,7 +309,7 @@ func Open(dir string, opt Options) (*DB, error) {
 		}
 	}
 	db.opt.Index.MaxLen, db.opt.Index.Beta, db.opt.Index.Gamma = ix.MaxLen(), ix.Beta(), ix.Gamma()
-	w, muts, err := openWAL(db.walPath(man.Generation))
+	w, muts, err := openWAL(db.fs, db.walPath(man.Generation))
 	if err != nil {
 		ix.Close()
 		return nil, err
@@ -638,6 +602,10 @@ func (db *DB) Compact(ctx context.Context) error {
 		db.mu.Unlock()
 		return errors.New("live: compaction already running")
 	}
+	if db.wal.broken != nil {
+		db.mu.Unlock()
+		return db.wal.broken
+	}
 	clone, gen := db.startCompactionLocked()
 	// Registered under db.mu (like the background path) so Close's wg.Wait
 	// cannot return — and release the directory lock — while this
@@ -662,8 +630,10 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 			db.compacting = false
 			db.sinceSnapMuts, db.sinceSnapDelta = nil, entity.Delta{}
 			db.mu.Unlock()
-			os.RemoveAll(genDir)
-			os.Remove(db.walPath(gen))
+			if !errors.Is(err, storage.ErrRenamed) {
+				os.RemoveAll(genDir)
+				db.fs.Remove(db.walPath(gen))
+			}
 		}
 	}()
 
@@ -671,7 +641,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 	if err = os.MkdirAll(genDir, 0o755); err != nil {
 		return fmt.Errorf("live: %w", err)
 	}
-	if err = writeSnapshot(filepath.Join(genDir, snapName), clone); err != nil {
+	if err = storage.WriteFile(db.fs, filepath.Join(genDir, snapName), clone.Save); err != nil {
 		return fmt.Errorf("live: snapshot: %w", err)
 	}
 	g2, err := entity.Build(clone, db.opt.Build)
@@ -708,17 +678,21 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 		ov = extend(nil, newGraph, dirtyNew, ix2.Beta(), ix2.MaxLen())
 		ctxTables = ix2.Context().Patch(newGraph, dirtyNew)
 	}
-	newWAL, werr := writeWAL(db.walPath(gen), pending)
+	newWAL, werr := createWAL(db.fs, db.walPath(gen), pending)
 	if werr != nil {
 		db.mu.Unlock()
 		ix2.Close()
 		return werr
 	}
-	if merr := writeManifest(db.dir, gen); merr != nil {
+	if merr := writeManifest(db.fs, db.dir, gen); merr != nil {
+		merr = fmt.Errorf("live: manifest: %w", merr)
+		if errors.Is(merr, storage.ErrRenamed) {
+			db.wal.broken = fmt.Errorf("%w; reopen the database", merr)
+		}
 		db.mu.Unlock()
 		newWAL.Close()
 		ix2.Close()
-		return fmt.Errorf("live: manifest: %w", merr)
+		return merr
 	}
 	oldWAL, oldGenDir, oldBase := db.wal, db.genDir(db.gen), db.baseIx
 	db.wal, db.gen, db.baseIx = newWAL, gen, ix2
@@ -740,7 +714,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 	db.mu.Unlock()
 
 	oldWAL.Close()
-	os.Remove(oldWAL.path)
+	db.fs.Remove(oldWAL.path)
 	if pub != nil {
 		pub.DrainObsolete()
 		oldBase.Close()

@@ -3,10 +3,12 @@ package live
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 
+	"repro/internal/storage"
 	"repro/internal/storage/binio"
 )
 
@@ -26,39 +28,50 @@ const (
 )
 
 type wal struct {
-	f    *os.File
+	f    storage.File
 	path string
 	// size is the known-good end of the log: everything below it is
 	// acknowledged, everything above is garbage from a failed append. A
 	// failed append truncates back to it so torn bytes can never sit in
 	// front of (and at recovery swallow) later acknowledged records.
 	size int64
-	// broken is set when even the rollback truncate failed; the log can no
-	// longer guarantee its invariant and refuses further appends.
-	broken bool
+	// broken is set when the log refuses further appends: even the rollback
+	// truncate failed, so it can no longer guarantee its invariant, or the
+	// generation flip meant to retire it failed after its rename, so a power
+	// cut may leave either this log or the new one named by MANIFEST.json.
+	broken error
 }
 
-// createWAL creates a fresh, empty log (truncating any previous file).
-func createWAL(path string) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// createWAL creates a log (truncating any previous file) holding ms as its
+// first batch, if any: compaction rotates the tail of the old log into the
+// new generation's this way.
+func createWAL(fs storage.FS, path string, ms []Mutation) (*wal, error) {
+	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("live: wal: %w", err)
 	}
-	if _, err := f.Write([]byte(walMagic)); err != nil {
+	if _, err = f.Write([]byte(walMagic)); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("live: wal: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("live: wal: %w", err)
+	w := &wal{f: f, path: path, size: int64(len(walMagic))}
+	if len(ms) > 0 {
+		if err := w.append(ms); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
-	return &wal{f: f, path: path, size: int64(len(walMagic))}, nil
+	return w, nil
 }
 
 // openWAL opens an existing log, replaying its mutations and truncating any
-// corrupt tail. The file position is left at the end for appending.
-func openWAL(path string) (*wal, []Mutation, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+// corrupt tail. Both it and createWAL open the file O_APPEND, so every
+// write lands at the end, also after a rollback truncate.
+func openWAL(fs storage.FS, path string) (*wal, []Mutation, error) {
+	f, err := fs.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("live: wal: %w", err)
 	}
@@ -106,10 +119,6 @@ func openWAL(path string) (*wal, []Mutation, error) {
 			f.Close()
 			return nil, nil, fmt.Errorf("live: wal: truncate corrupt tail: %w", err)
 		}
-	}
-	if _, err := f.Seek(off, 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("live: wal: %w", err)
 	}
 	return &wal{f: f, path: path, size: off}, muts, nil
 }
@@ -183,8 +192,8 @@ func decodeBatch(payload []byte) ([]Mutation, error) {
 // acknowledged batches), and a fully written but unacknowledged record must
 // not replay (the client was told the batch failed).
 func (w *wal) append(ms []Mutation) error {
-	if w.broken {
-		return fmt.Errorf("live: wal unusable after failed rollback")
+	if w.broken != nil {
+		return w.broken
 	}
 	payload, err := encodeBatch(ms)
 	if err != nil {
@@ -198,9 +207,7 @@ func (w *wal) append(ms []Mutation) error {
 	buf = append(buf, payload...)
 	fail := func(op string, err error) error {
 		if w.f.Truncate(w.size) != nil {
-			w.broken = true
-		} else if _, serr := w.f.Seek(w.size, 0); serr != nil {
-			w.broken = true
+			w.broken = errors.New("live: wal unusable after failed rollback")
 		}
 		return fmt.Errorf("live: wal %s: %w", op, err)
 	}
@@ -212,23 +219,6 @@ func (w *wal) append(ms []Mutation) error {
 	}
 	w.size += int64(len(buf))
 	return nil
-}
-
-// writeWAL creates a log at path pre-populated with the given mutations
-// (used by compaction to rotate the tail of the old log into the new
-// generation's log).
-func writeWAL(path string, ms []Mutation) (*wal, error) {
-	w, err := createWAL(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(ms) > 0 {
-		if err := w.append(ms); err != nil {
-			w.Close()
-			return nil, err
-		}
-	}
-	return w, nil
 }
 
 // Close syncs and closes the log.

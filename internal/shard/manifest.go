@@ -1,8 +1,8 @@
 // Manifest catalog: the cluster tier's shard → generation → files map.
 //
 // The manifest is the shard-level analogue of the live database's
-// MANIFEST.json generation pointer, and uses the same crash-safe flip
-// protocol (tmp file + fsync + rename + directory sync): a shard
+// MANIFEST.json generation pointer, and flips through the same
+// storage.WriteFile (tmp file + fsync + rename + directory sync): a shard
 // re-publishing a fresh generation atomically replaces its entry, so a
 // router reloading the catalog sees either the old or the new generation of
 // every shard — never a torn mix.
@@ -11,8 +11,12 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+
+	"repro/internal/storage"
 )
 
 // ManifestName is the catalog file inside a sharded build directory.
@@ -87,8 +91,16 @@ func (m *Manifest) validate() error {
 	if len(m.Labels) == 0 {
 		return fmt.Errorf("manifest has an empty alphabet")
 	}
-	seenRef := make(map[int32]int, m.TotalRefs)
-	seenSet := make(map[int32]int, m.TotalSets)
+	// The maps are sized by the lists the input holds, not by the totals it
+	// declares: a count nothing backs must not size an allocation (a
+	// negative or unbacked total fails the count check at the end).
+	var nRefs, nSets int
+	for _, e := range m.Entries {
+		nRefs += len(e.Refs)
+		nSets += len(e.Sets)
+	}
+	seenRef := make(map[int32]int, nRefs)
+	seenSet := make(map[int32]int, nSets)
 	for i, e := range m.Entries {
 		if e.Shard != i {
 			return fmt.Errorf("entry %d names shard %d (entries must be dense and ordered)", i, e.Shard)
@@ -130,42 +142,22 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// WriteManifest flips the catalog crash-safely: the tmp file is fsynced
-// before the rename and the directory after it, so a power loss leaves
-// either the previous or the new catalog — never a torn or unpersisted one.
+// WriteManifest flips the catalog through storage.WriteFile, so a power
+// loss leaves either the previous or the new catalog — never a torn or
+// unpersisted one.
 func WriteManifest(dir string, m *Manifest) error {
+	return writeManifest(storage.OS, dir, m)
+}
+
+func writeManifest(fs storage.FS, dir string, m *Manifest) error {
 	if err := m.validate(); err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, ManifestName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return storage.WriteFile(fs, filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
+	})
 }
 
 // PublishEntry is the shard publication protocol: it reloads the catalog,
@@ -174,6 +166,10 @@ func WriteManifest(dir string, m *Manifest) error {
 // or a publish changing the shard's ownership (ref/set lists) is rejected —
 // re-partitioning requires a fresh build, not a flip.
 func PublishEntry(dir string, e Entry) error {
+	return publishEntry(storage.OS, dir, e)
+}
+
+func publishEntry(fs storage.FS, dir string, e Entry) error {
 	m, err := LoadManifest(dir)
 	if err != nil {
 		return err
@@ -186,23 +182,11 @@ func PublishEntry(dir string, e Entry) error {
 		return fmt.Errorf("shard: publish for shard %d does not advance generation (%d -> %d)",
 			e.Shard, cur.Generation, e.Generation)
 	}
-	if !int32SlicesEqual(e.Refs, cur.Refs) || !int32SlicesEqual(e.Sets, cur.Sets) {
+	if !slices.Equal(e.Refs, cur.Refs) || !slices.Equal(e.Sets, cur.Sets) {
 		return fmt.Errorf("shard: publish for shard %d changes its ref/set ownership; re-partition instead", e.Shard)
 	}
 	*cur = e
-	return WriteManifest(dir, m)
-}
-
-func int32SlicesEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return writeManifest(fs, dir, m)
 }
 
 // IDMap translates one shard's local entity ids into the global id space.

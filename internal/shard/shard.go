@@ -32,6 +32,7 @@ import (
 	"repro/internal/pathindex"
 	"repro/internal/prob"
 	"repro/internal/refgraph"
+	"repro/internal/storage"
 )
 
 // Options configures a sharded build.
@@ -300,7 +301,7 @@ func Build(ctx context.Context, d *refgraph.PGD, dir string, opt Options) (*Mani
 		if err := os.MkdirAll(filepath.Join(dir, genDir), 0o755); err != nil {
 			return nil, err
 		}
-		if err := writeSnapshot(filepath.Join(dir, e.PGD), sd); err != nil {
+		if err := storage.WriteFile(storage.OS, filepath.Join(dir, e.PGD), sd.Save); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		g, err := entity.Build(sd, opt.Build)
@@ -322,21 +323,4 @@ func Build(ctx context.Context, d *refgraph.PGD, dir string, opt Options) (*Mani
 		return nil, err
 	}
 	return m, nil
-}
-
-// writeSnapshot persists one shard PGD durably.
-func writeSnapshot(path string, d *refgraph.PGD) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

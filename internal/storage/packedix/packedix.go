@@ -68,10 +68,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
+
+	"repro/internal/storage"
 )
 
 // Version is the format version this package reads and writes.
@@ -248,8 +249,8 @@ func entryStride(l, nBuckets int) int {
 	return 2*(l+1) + 8 + 8*nBuckets
 }
 
-// WriteFile assembles and writes the packed file: tmp + fsync + rename, so
-// a crash leaves either no file or a complete one. Returns the file size.
+// WriteFile assembles and writes the packed file through storage.WriteFile,
+// so a crash leaves either no file or a complete one. Returns the file size.
 func (w *Writer) WriteFile(path string) (int64, error) {
 	if !w.hasCtx {
 		return 0, fmt.Errorf("packedix: context tables not set")
@@ -294,117 +295,93 @@ func (w *Writer) WriteFile(path string) (int64, error) {
 	contextLen := 8 + cardLen + ctxPad + uint64(16*cells) // nLabels u32 + pad u32 first
 	fileSize := contextOff + contextLen
 
-	f, err := os.Create(path + ".tmp")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(path + ".tmp")
-	bw := bufio.NewWriterSize(f, 1<<20)
+	err := storage.WriteFile(storage.OS, path, func(f io.Writer) error {
+		bw := bufio.NewWriterSize(f, 1<<20)
 
-	// Header.
-	hdr := make([]byte, headerSize)
-	copy(hdr, "PEGX")
-	binary.LittleEndian.PutUint16(hdr[4:], Version)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(w.meta.MaxLen))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(w.meta.NLabels))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(nb))
-	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(w.meta.Beta))
-	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(w.meta.Gamma))
-	binary.LittleEndian.PutUint64(hdr[40:], uint64(w.meta.Nodes))
-	binary.LittleEndian.PutUint64(hdr[48:], uint64(w.meta.Edges))
-	binary.LittleEndian.PutUint64(hdr[56:], w.meta.Entries)
-	binary.LittleEndian.PutUint64(hdr[64:], seqTablesOff)
-	binary.LittleEndian.PutUint64(hdr[72:], postingsOff)
-	binary.LittleEndian.PutUint64(hdr[80:], postingsLen)
-	binary.LittleEndian.PutUint64(hdr[88:], contextOff)
-	binary.LittleEndian.PutUint64(hdr[96:], contextLen)
-	binary.LittleEndian.PutUint64(hdr[104:], fileSize)
-	bw.Write(hdr)
+		// Header.
+		hdr := make([]byte, headerSize)
+		copy(hdr, "PEGX")
+		binary.LittleEndian.PutUint16(hdr[4:], Version)
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(w.meta.MaxLen))
+		binary.LittleEndian.PutUint32(hdr[12:], uint32(w.meta.NLabels))
+		binary.LittleEndian.PutUint32(hdr[16:], uint32(nb))
+		binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(w.meta.Beta))
+		binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(w.meta.Gamma))
+		binary.LittleEndian.PutUint64(hdr[40:], uint64(w.meta.Nodes))
+		binary.LittleEndian.PutUint64(hdr[48:], uint64(w.meta.Edges))
+		binary.LittleEndian.PutUint64(hdr[56:], w.meta.Entries)
+		binary.LittleEndian.PutUint64(hdr[64:], seqTablesOff)
+		binary.LittleEndian.PutUint64(hdr[72:], postingsOff)
+		binary.LittleEndian.PutUint64(hdr[80:], postingsLen)
+		binary.LittleEndian.PutUint64(hdr[88:], contextOff)
+		binary.LittleEndian.PutUint64(hdr[96:], contextLen)
+		binary.LittleEndian.PutUint64(hdr[104:], fileSize)
+		bw.Write(hdr)
 
-	// Descriptor table.
-	var u64 [8]byte
-	wr64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		bw.Write(u64[:])
-	}
-	for l := 0; l < nLens; l++ {
-		wr64(tableOffs[l])
-		wr64(uint64(len(keys[l])))
-		wr64(w.meta.EntriesPerLen[l])
-	}
-
-	// Key tables.
-	var u32 [4]byte
-	wr32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		bw.Write(u32[:])
-	}
-	var lbl [2 * maxPathNodes]byte
-	var blobOff uint64
-	for l := 0; l < nLens; l++ {
-		for _, k := range keys[l] {
-			bw.Write(labelBytes(lbl[:0], k[:l+1]))
-			wr64(blobOff)
-			var end uint32
-			for _, r := range w.byLen[l][k] {
-				end += uint32(len(r.enc))
-				wr32(r.count)
-				wr32(end)
-			}
-			blobOff += uint64(end)
+		// Descriptor table.
+		var u64 [8]byte
+		wr64 := func(v uint64) {
+			binary.LittleEndian.PutUint64(u64[:], v)
+			bw.Write(u64[:])
 		}
-	}
+		for l := 0; l < nLens; l++ {
+			wr64(tableOffs[l])
+			wr64(uint64(len(keys[l])))
+			wr64(w.meta.EntriesPerLen[l])
+		}
 
-	// Posting blobs.
-	for l := 0; l < nLens; l++ {
-		for _, k := range keys[l] {
-			for _, r := range w.byLen[l][k] {
-				bw.Write(r.enc)
+		// Key tables.
+		var u32 [4]byte
+		wr32 := func(v uint32) {
+			binary.LittleEndian.PutUint32(u32[:], v)
+			bw.Write(u32[:])
+		}
+		var lbl [2 * maxPathNodes]byte
+		var blobOff uint64
+		for l := 0; l < nLens; l++ {
+			for _, k := range keys[l] {
+				bw.Write(labelBytes(lbl[:0], k[:l+1]))
+				wr64(blobOff)
+				var end uint32
+				for _, r := range w.byLen[l][k] {
+					end += uint32(len(r.enc))
+					wr32(r.count)
+					wr32(end)
+				}
+				blobOff += uint64(end)
 			}
 		}
-	}
-	for pad := contextOff - off; pad > 0; pad-- {
-		bw.WriteByte(0)
-	}
 
-	// Context section.
-	wr32(uint32(w.ctxLabels))
-	wr32(0)
-	for _, v := range w.card {
-		wr32(uint32(v))
-	}
-	for pad := ctxPad; pad > 0; pad-- {
-		bw.WriteByte(0)
-	}
-	for _, v := range w.ppu {
-		wr64(math.Float64bits(v))
-	}
-	for _, v := range w.fpu {
-		wr64(math.Float64bits(v))
-	}
+		// Posting blobs.
+		for l := 0; l < nLens; l++ {
+			for _, k := range keys[l] {
+				for _, r := range w.byLen[l][k] {
+					bw.Write(r.enc)
+				}
+			}
+		}
+		for pad := contextOff - off; pad > 0; pad-- {
+			bw.WriteByte(0)
+		}
 
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(path+".tmp", path); err != nil {
-		return 0, err
-	}
-	// Fsync the directory so the rename itself survives a power loss (the
-	// same protocol the generation-flip manifests use).
-	d, err := os.Open(filepath.Dir(path))
+		// Context section.
+		wr32(uint32(w.ctxLabels))
+		wr32(0)
+		for _, v := range w.card {
+			wr32(uint32(v))
+		}
+		for pad := ctxPad; pad > 0; pad-- {
+			bw.WriteByte(0)
+		}
+		for _, v := range w.ppu {
+			wr64(math.Float64bits(v))
+		}
+		for _, v := range w.fpu {
+			wr64(math.Float64bits(v))
+		}
+		return bw.Flush()
+	})
 	if err != nil {
-		return 0, err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
 		return 0, err
 	}
 	return int64(fileSize), nil
