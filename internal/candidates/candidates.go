@@ -130,9 +130,16 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 		Kept:      make([]int, n),
 	}
 
-	cache, fp := usable(ix, q, cache, n)
-	if cache == nil && fp != "" {
-		stats.CacheBypassed = n
+	if cache != nil {
+		if m, ok := ix.(mutating); ok && m.Mutations() > 0 {
+			cache.Bypass(n)
+			stats.CacheBypassed = n
+			cache = nil
+		}
+	}
+	var fp string
+	if cache != nil {
+		fp = query.Fingerprint(q)
 	}
 
 	pathWorkers := workers
@@ -143,11 +150,22 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 	hits := make([]bool, n)
 	findOne := func(i int) error {
 		p := &dec.Paths[i]
-		c, hit, err := findPath(ctx, ix, nodeLevel, p, alpha, cache, fp)
+		compute := func() (pruned, error) {
+			rows, initial, err := scanPath(ctx, ix, nodeLevel(), p, alpha)
+			return pruned{rows, initial}, err
+		}
+		var (
+			c   pruned
+			err error
+		)
+		if cache != nil {
+			c, hits[i], err = cache.Do(ctx, pathKey(fp, alpha, p), compute)
+		} else {
+			c, err = compute()
+		}
 		if err != nil {
 			return err
 		}
-		hits[i] = hit
 		sets[i] = Set{Path: p, Rows: c.rows, Initial: c.initial}
 		stats.Initial[i] = c.initial
 		stats.Kept[i] = c.rows.Len()
@@ -207,36 +225,6 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 		stats.CacheMisses = n - stats.CacheHits
 	}
 	return sets, stats, nil
-}
-
-// usable returns the cache a run over ix may read for the n paths of q, and
-// q's fingerprint, the first half of its keys: cache itself, or nil when
-// there is none or ix carries mutations, which the key does not cover. Such
-// a bypass is counted on the cache, and fp is then still set.
-func usable(ix pathindex.Reader, q *query.Query, cache *Cache, n int) (_ *Cache, fp string) {
-	if cache == nil {
-		return nil, ""
-	}
-	fp = query.Fingerprint(q)
-	if m, ok := ix.(mutating); ok && m.Mutations() > 0 {
-		cache.Bypass(n)
-		return nil, fp
-	}
-	return cache, fp
-}
-
-// findPath returns path p's pruned set, served from cache under fp's key
-// (hit says so) when cache is not nil, scanned otherwise.
-func findPath(ctx context.Context, ix pathindex.Reader, nt func() *nodeTest, p *decompose.Path, alpha float64, cache *Cache, fp string) (c pruned, hit bool, err error) {
-	compute := func() (pruned, error) {
-		rows, initial, err := scanPath(ctx, ix, nt(), p, alpha)
-		return pruned{rows, initial}, err
-	}
-	if cache == nil {
-		c, err = compute()
-		return c, false, err
-	}
-	return cache.Do(ctx, pathKey(fp, alpha, p), compute)
 }
 
 // cancelCheckEvery matches the join stage's polling convention: a path's

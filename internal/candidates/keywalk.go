@@ -28,49 +28,17 @@ func Counts(ctx context.Context, ix pathindex.Reader, dec *decompose.Decompositi
 	return initial, nil
 }
 
-// FindFirst is the candidate stage of a run that reads one path's
-// candidates whole and every other path's one join key at a time
-// (kpartite.Walked): Find for path first alone, served from cache as Find
-// would serve it, given every path's |PIndex(lQ(V_P), α)| in initial
-// (Counts). The other Sets carry their Path and Initial and no rows, and
-// their Stats.Kept is 0: kw walks their rows per key, on the join's
-// request. The cache counters count path first alone.
-func FindFirst(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompose.Decomposition, alpha float64, initial []int, first int, cache *Cache) (sets []Set, kw *KeyWalks, st Stats, err error) {
-	nt := newNodeTest(ix, q, alpha)
-	cache, fp := usable(ix, q, cache, 1)
-	c, hit, err := findPath(ctx, ix, func() *nodeTest { return nt }, &dec.Paths[first], alpha, cache, fp)
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
-	st = Stats{SSPath: 1, Initial: initial, Kept: make([]int, len(dec.Paths))}
-	sets = make([]Set, len(dec.Paths))
-	for i := range sets {
-		sets[i] = Set{Path: &dec.Paths[i], Initial: initial[i]}
-		st.SSPath *= float64(initial[i])
-	}
-	sets[first].Rows = c.rows
-	st.Kept[first] = c.rows.Len()
-	switch {
-	case hit:
-		st.CacheHits = 1
-	case cache != nil:
-		st.CacheMisses = 1
-	case fp != "":
-		st.CacheBypassed = 1
-	}
-	kw = &KeyWalks{g: ix.Graph(), nt: nt, dec: dec, alpha: alpha, walkers: make([]*pathindex.Walker, len(dec.Paths))}
-	return sets, kw, st, nil
-}
-
 // KeyWalks produces a decomposition's candidate rows one join key at a
 // time: the rows of a path that carry given entities at given positions
 // and pass the tests Find applies. A key's rows come from one
 // pathindex.Walker started at the key's first position with its entity,
 // filtered by the same node-level sets as Find's walk and kept by the same
 // keepCandidate. The walk multiplies each row's Prle and Prn in the order
-// it adds the nodes, which is not the root walk's: the path-level bound
-// keepCandidate tests is the same product up to float rounding. A
-// KeyWalks is not safe for concurrent use.
+// it adds the nodes. From a key at position 0 that is the root walk's, so
+// its rows and their order are, bit for bit, those of Find's on-demand walk
+// from the key's entity; from a later position it grows the head first,
+// and the path-level bound keepCandidate tests is the same product up to
+// float rounding. A KeyWalks is not safe for concurrent use.
 type KeyWalks struct {
 	g       *entity.Graph
 	nt      *nodeTest
@@ -86,12 +54,25 @@ type KeyWalks struct {
 	sort rowOrder
 }
 
+// NewKeyWalks returns the key walks of dec's paths over ix at α, filtered
+// by the node-level sets of q's nodes, which it reads once.
+func NewKeyWalks(ix pathindex.Reader, q *query.Query, dec *decompose.Decomposition, alpha float64) *KeyWalks {
+	return &KeyWalks{g: ix.Graph(), nt: newNodeTest(ix, q, alpha), dec: dec, alpha: alpha, walkers: make([]*pathindex.Walker, len(dec.Paths))}
+}
+
+// Roots returns the node-level set of path i's first query node: the
+// entities a row of path i may start with, whose walks below β Find's
+// on-demand enumeration runs in ascending id. It is the reader's, not to be
+// modified.
+func (kw *KeyWalks) Roots(i int) pathindex.NodeSet { return kw.nt.sets[kw.dec.Paths[i].Nodes[0]] }
+
 // Rows appends to dst the kept rows of path i that carry key[k] at
 // position pos[k] for every k, and returns it. The appended rows are in
 // ascending order of their entity ids, position by position: since every
-// adjacency list is sorted, that is the order of Find's on-demand walk. An
-// empty key walks the whole path from every node-level candidate of its
-// first position.
+// adjacency list is sorted, that is the order of a walk that grows the tail
+// alone, from position 0, and a walk from a later position is sorted into
+// it. An empty key walks the whole path from every node-level candidate of
+// its first position.
 func (kw *KeyWalks) Rows(dst []entity.ID, i int, pos []int32, key []entity.ID) []entity.ID {
 	p := &kw.dec.Paths[i]
 	w := kw.walkers[i]
@@ -115,9 +96,11 @@ func (kw *KeyWalks) Rows(dst []entity.ID, i int, pos []int32, key []entity.ID) [
 		}
 	}
 	dst, kw.rows = kw.rows, nil
-	kw.sort = rowOrder{nodes: dst[from:], w: len(p.Nodes)}
-	sort.Sort(&kw.sort)
-	kw.sort.nodes = nil
+	if len(pos) > 0 && pos[0] > 0 {
+		kw.sort = rowOrder{nodes: dst[from:], w: len(p.Nodes)}
+		sort.Sort(&kw.sort)
+		kw.sort.nodes = nil
+	}
 	return dst
 }
 

@@ -32,14 +32,16 @@ import (
 // own account — a goroutine's g (448 bytes) when the free ones sit on the
 // other P, the all-goroutines list growing by a few KB, a GC worker's sudog,
 // a scavenger timer — and one run in a few hundred gains 6 KB that way.
-// Two plans: the 4-cycle (0.04 MB, 0.05 MB under the race detector, whose
+// Two plans: the 4-cycle (10.5 KB, 11.3 KB under the race detector, whose
 // ceiling it is; the materializing pipeline with its map-and-sort link
-// table took 2.70 MB, and candidates for every path with join-key bucket
-// tables 0.17 MB), and a denser 6-node, 7-edge query (7 paths, 13 000
-// links) with many partition pairs (0.05 MB, 0.06 MB under the race
-// detector; 0.16 MB with bucket tables). A declared limit materialises the first path of its join
-// order and walks the others one join key at a time, as its join asks. A
-// third arm runs the dense plan without a
+// table took 2.70 MB, candidates for every path with join-key bucket
+// tables 0.17 MB, and the whole first path of the join order with the
+// others walked by key 0.05 MB), and a denser 6-node, 7-edge query (7
+// paths, 13 000 links) with many partition pairs (28.6 KB, 30.1 KB under
+// the race detector; 0.16 MB with bucket tables, 0.06 MB with the whole
+// first path). A declared limit materialises no path: it walks the first
+// path of its join order one root at a time and the others one join key at
+// a time, as its join asks. A third arm runs the dense plan without a
 // limit and stops it by its yield, so the eager link pools and float columns,
 // the per-worker link scratch, the reduction's perception vectors and its
 // per-round scratch are pinned too (0.79 MB) — and must exceed the declared
@@ -72,8 +74,8 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 		limit   int    // 0: undeclared, the yield stops the run after one match
 		ceiling uint64 // median bytes per run; see above
 	}{
-		{"4-cycle", cycle, 1, 51_600},
-		{"6-node-7-edge", dense, 1, 64_400},
+		{"4-cycle", cycle, 1, 11_500},
+		{"6-node-7-edge", dense, 1, 30_800},
 		{"6-node-7-edge-reduced", dense, 0, 801_600},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,8 +133,7 @@ func TestPreJoinAllocationIsACount(t *testing.T) {
 	// 4 bytes twice per link — and the columns of every row the eager graph
 	// computes and the walked one does not: w2 and the label and edge
 	// factors, 8 bytes × (1 + plen + plen−1), the factors of which the walked
-	// graph looks up only for its first path and the rows its key walks
-	// keep.
+	// graph looks up only for the rows its root and key walks keep.
 	pl, err := core.Prepare(ctx, ix, dense, core.Options{Alpha: 0.3})
 	if err != nil {
 		t.Fatal(err)

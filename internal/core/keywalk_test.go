@@ -17,15 +17,16 @@ import (
 	"repro/internal/pathindex"
 	"repro/internal/plan"
 	"repro/internal/prob"
+	"repro/internal/refgraph"
 )
 
 // walkReference is the stream a run of pl that declares an emit-order limit
 // must begin with, built without key walks: Find's candidate sets, every
-// one but the first of the join order sorted by its rows' entity ids,
-// position by position — the order a key walk hands a key's rows over in —
-// linked by kpartite.Build, unreduced, and enumerated by join.Enumerate in
-// the order the declared run takes from the paths' |PIndex(X, α)|. It also
-// returns that order.
+// one sorted by its rows' entity ids, position by position — the order the
+// root walks hand the first partition's rows over in, and a key walk a
+// key's — linked by kpartite.Build, unreduced, and enumerated by
+// join.Enumerate in the order the declared run takes from the paths'
+// |PIndex(X, α)|. It also returns that order.
 func walkReference(t *testing.T, ix pathindex.Reader, pl *plan.Plan) ([]join.Match, []int) {
 	t.Helper()
 	ctx := context.Background()
@@ -39,9 +40,7 @@ func walkReference(t *testing.T, ix pathindex.Reader, pl *plan.Plan) ([]join.Mat
 	}
 	order := join.OrderWithCards(pl.Dec, pl.OrderMode, cards)
 	for p := range sets {
-		if p != order[0] {
-			sortRows(sets[p].Nodes, len(sets[p].Path.Nodes))
-		}
+		sortRows(sets[p].Nodes, len(sets[p].Path.Nodes))
 	}
 	kg, err := kpartite.Build(ctx, ix.Graph(), pl.Query, pl.Dec, sets, pl.Alpha, 1)
 	if err != nil {
@@ -126,8 +125,8 @@ func keyWalkReaders(t *testing.T, synthOpt gen.SynthOptions) map[string]pathinde
 }
 
 // TestKeyWalkDifferential holds the runs that declare an emit-order limit,
-// whose joins walk every path but the first one join key at a time, to
-// walkReference: over a default and a dense-linkage corpus, random queries,
+// whose joins walk the first path one root at a time and every other one
+// join key at a time, to walkReference: over a default and a dense-linkage corpus, random queries,
 // α on both sides of β, a packed index and a clean and a dirty live view,
 // and Limit 1, 2 and 7, the stream is the reference's first Limit matches —
 // mappings, Prle and Prn bit for bit, and order — and the candidates row's
@@ -216,5 +215,97 @@ func TestKeyWalkDifferential(t *testing.T) {
 				t.Fatalf("%d matches compared, %d streams of more than one, %d key walks: the comparison was vacuous", compared, multi, walked)
 			}
 		})
+	}
+}
+
+// TestDeclaredLimitSameOnEveryReader: a run that declares an emit-order
+// limit walks every partition in ascending order of its rows' ids, so its
+// stream does not depend on the order a reader lays candidates out in. Over
+// one corpus, a packed index, a clean live view and a live view whose
+// overlay is dirty but leaves the graph's answers as they are — edges of
+// probability 0 between references outside every reference set, which no
+// path above α crosses — emit the same stream at every limit, mappings and
+// Float64bits of Prle and Prn, on both sides of β, running one plan.
+func TestDeclaredLimitSameOnEveryReader(t *testing.T) {
+	ctx := context.Background()
+	opt := gen.SynthOptions{Refs: 120, EdgeFactor: 3, Labels: 3, UncertainFrac: 0.4, Groups: 4, GroupSize: 3, PairsPerGroup: 2}
+	compared, multi := 0, 0
+	for _, seed := range []int64{1, 2} {
+		opt.Seed = seed
+		readers := keyWalkReaders(t, opt)
+		delete(readers, "live") // its mutations change the answers
+		d, err := gen.Synthetic(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := live.Create(ctx, t.TempDir(), d, live.Options{
+			Index: pathindex.Options{MaxLen: 2, Beta: prejoinBeta, Gamma: 0.1}, CompactEvery: -1, CompactDirtyFrac: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		inSet := map[refgraph.RefID]bool{}
+		for i := 0; i < d.NumSets(); i++ {
+			for _, r := range d.Set(refgraph.SetID(i)).Members {
+				inSet[r] = true
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var ms []live.Mutation
+		for len(ms) < 12 {
+			a, b := refgraph.RefID(rng.Intn(d.NumRefs())), refgraph.RefID(rng.Intn(d.NumRefs()))
+			if _, ok := d.Edge(a, b); a != b && !ok && !inSet[a] && !inSet[b] {
+				ms = append(ms, live.Mutation{Op: live.OpAddEdge, A: a, B: b, P: 0})
+			}
+		}
+		if _, err := db.Apply(ms); err != nil {
+			t.Fatal(err)
+		}
+		if db.View().DirtyEntities() == 0 {
+			t.Fatal("live view carries no overlay")
+		}
+		readers["dirty"] = db.View()
+		rngQ := rand.New(rand.NewSource(seed * 131))
+		for qi := 0; qi < 6; qi++ {
+			q, err := gen.RandomQuery(rngQ, readers["packed"].Graph().NumLabels(), 5, 4+qi%2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, alpha := range []float64{0.05, 0.3} { // β = 0.2 lies between
+				// One plan for every reader: the dirty view's histograms
+				// differ, and the plan it would choose with them.
+				pl, err := core.Prepare(ctx, readers["packed"], q, core.Options{Alpha: alpha})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, limit := range []int{1, 2, 7, 1 << 30} {
+					var want []join.Match
+					for _, kind := range []string{"packed", "clean", "dirty"} {
+						at := fmt.Sprintf("seed %d q%d α=%v limit %d %s", seed, qi, alpha, limit, kind)
+						var got []join.Match
+						if _, err := core.MatchStreamPlan(ctx, readers[kind], pl, core.Options{Alpha: alpha, Limit: limit}, func(m join.Match) bool {
+							got = append(got, m)
+							return true
+						}); err != nil {
+							t.Fatalf("%s: %v", at, err)
+						}
+						if kind == "packed" {
+							want = got
+							continue
+						}
+						matchesIdentical(t, at+" vs packed", want, got)
+					}
+					compared += len(want)
+					if len(want) > 1 {
+						multi++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d matches compared, %d streams of more than one", compared, multi)
+	if compared == 0 || multi == 0 {
+		t.Fatalf("%d matches compared, %d streams of more than one: the comparison was vacuous", compared, multi)
 	}
 }

@@ -132,8 +132,9 @@ func sameLinks(a, b *kpartite.Graph) error {
 //     at workers 1, 2, 4;
 //   - core.Match at every width and cache state returns identical matches,
 //     and those are bitwise the naive oracle's over the reader's graph;
-//   - a run that declares an emit-order Limit K, and so walks every path
-//     but the first one join key at a time, streams the first K matches of
+//   - a run that declares an emit-order Limit K, and so walks the first
+//     path one root at a time and every other one join key at a time,
+//     streams the first K matches of
 //     walkReference's enumeration over the eager links and collects those
 //     K, at every K (declaredLimitsArePrefixes).
 //
@@ -254,14 +255,14 @@ func testPreJoinEquivalence(t *testing.T, synthOpt gen.SynthOptions, dense bool)
 }
 
 // declaredLimitsArePrefixes holds the runs that declare an emit-order limit,
-// whose joins walk every path but the first one join key at a time, to
-// walkReference, the same join over the eager links with every later
-// partition in the order its key walks hand rows over — as a set, the
+// whose joins walk the first path one root at a time and every other one
+// join key at a time, to walkReference, the same join over the eager links
+// with every partition in the order its walks hand rows over — as a set, the
 // oracle's answer. For every K from 1 to one past that answer (sampled past
 // 32 when it is long), the stream that declares Limit K must emit its first
-// K matches bit for bit and say it built "keyed" links, and the collect with
-// Limit K must return those K sorted. It returns the number of prefixes
-// compared.
+// K matches bit for bit, say it built "keyed" links, and report no row
+// pruned and no candidate-cache outcome, and the collect with Limit K must
+// return those K sorted. It returns the number of prefixes compared.
 func declaredLimitsArePrefixes(t *testing.T, label string, ix pathindex.Reader, pl *plan.Plan, opt core.Options, want []join.Match) int {
 	t.Helper()
 	ctx := context.Background()
@@ -290,6 +291,11 @@ func declaredLimitsArePrefixes(t *testing.T, label string, ix pathindex.Reader, 
 		for _, sg := range st.Stages {
 			if sg.Name == "build" && (sg.Links != "keyed" || sg.ObsRows != 0) {
 				t.Fatalf("%s: build row %+v", at, sg)
+			}
+			// No path is scanned whole, nor read from the cache; the first
+			// is walked root by root, and a match holds a row of it.
+			if sg.Name == "candidates" && (sg.Pruned != 0 || sg.CacheHits+sg.CacheMisses+sg.CacheBypassed != 0 || len(got) > 0 && sg.KeyRows == 0) {
+				t.Fatalf("%s: candidates row %+v", at, sg)
 			}
 		}
 		res, err := core.MatchPlan(ctx, ix, pl, opt)

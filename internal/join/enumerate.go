@@ -44,11 +44,14 @@ const (
 // multiplied in the same fixed order — does not depend on workers; only the
 // emission order across workers depends on scheduling.
 //
-// A walked graph (kpartite.Walked) has no links: every step reads its
-// partition's rows for the join key the prefix has bound at the positions
-// earlier steps assigned (kpartite.Graph.Walk), the first step with an empty
-// key. Walk writes, so such a graph is enumerated on the calling goroutine,
-// whatever workers says.
+// A walked graph (kpartite.Walked) has no links. Its first step visits the
+// roots of the first partition in ascending id, reading each root's rows
+// (kpartite.Graph.WalkRoot) and driving them depth-first through the rest
+// of the order before it walks the next root; ctx is checked once per 64
+// roots. Every later step reads its partition's rows for the join key the
+// prefix has bound at the positions earlier steps assigned
+// (kpartite.Graph.Walk). The walks write, so such a graph is enumerated on
+// the calling goroutine, whatever workers says.
 //
 // The library's executor (internal/plan) always runs one worker. More than
 // one — the morsel path — is reached only through FindMatchesParallel, whose
@@ -62,21 +65,22 @@ func Enumerate(ctx context.Context, g *entity.Graph, q *query.Query, dec *decomp
 	if !p.covers {
 		return nil // a query node no path assigns: nothing can be a full match
 	}
-	lo, total := 0, kg.NumCandidates(order[0])
-	if kg.IsWalked() {
-		lo, total = kg.Walk(order[0], nil, nil)
-		workers = 1
-	}
-	workers = max(1, min(workers, total-lo))
-	morsel := min(max((total-lo)/(workers*morselPerWorker), 1), maxMorsel)
-
 	var (
 		next atomic.Int64 // morsel dispatch counter
 		stop atomic.Bool  // raised by a false sink, a ctx error, or a worker error
 	)
+	if kg.IsWalked() {
+		if err := newScratch(p, ctx, 0, sink, &stop).roots(); err != nil || stop.Load() {
+			return err
+		}
+		return ctx.Err()
+	}
+	total := kg.NumCandidates(order[0])
+	workers = max(1, min(workers, total))
+	morsel := min(max(total/(workers*morselPerWorker), 1), maxMorsel)
 	errs := make([]error, workers)
 	work := func(w int) {
-		errs[w] = newScratch(p, ctx, w, sink, &stop).drain(&next, morsel, lo, total)
+		errs[w] = newScratch(p, ctx, w, sink, &stop).drain(&next, morsel, total)
 	}
 	if workers == 1 {
 		work(0)

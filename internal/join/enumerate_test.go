@@ -212,9 +212,9 @@ func TestEnumerateStops(t *testing.T) {
 }
 
 // TestEnumerateKeyedGraph: a walked graph (kpartite.Walked, whose join
-// reads every partition but the first one join key at a time) yields the
-// oracle's whole answer in the order of its first partition, and in the
-// reversed order, whose first step walks its partition with an empty key.
+// reads its first partition one root at a time and every other one join key
+// at a time) yields the oracle's whole answer in its own order, and in the
+// reversed order, whose first step walks the roots of another partition.
 // Asked for two workers, it enumerates on one: the same answer, every match
 // from worker 0.
 func TestEnumerateKeyedGraph(t *testing.T) {
@@ -223,10 +223,6 @@ func TestEnumerateKeyedGraph(t *testing.T) {
 	if len(e.order) < 2 {
 		t.Fatalf("join order %v: nothing to reverse", e.order)
 	}
-	initial, err := candidates.Counts(ctx, e.ix, e.pl.Dec, e.pl.Alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reversed := slices.Clone(e.order)
 	slices.Reverse(reversed)
 	for _, c := range []struct {
@@ -234,11 +230,7 @@ func TestEnumerateKeyedGraph(t *testing.T) {
 		order   []int
 		workers int
 	}{{"its own order", e.order, 1}, {"reversed order", reversed, 1}, {"two workers", e.order, 2}} {
-		sets, kw, _, err := candidates.FindFirst(ctx, e.ix, e.pl.Query, e.pl.Dec, e.pl.Alpha, initial, e.order[0], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walked := kpartite.Walked(e.g, e.pl.Dec, sets, e.order[0], kw)
+		walked := kpartite.Walked(e.g, e.pl.Dec, candidates.NewKeyWalks(e.ix, e.pl.Query, e.pl.Dec, e.pl.Alpha))
 		var got []join.Match
 		if err := join.Enumerate(ctx, e.g, e.pl.Query, e.pl.Dec, walked, c.order, e.pl.Alpha, c.workers, func(w int, m join.Match) bool {
 			if w != 0 {
@@ -250,5 +242,63 @@ func TestEnumerateKeyedGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameMatches(t, "walked graph, "+c.name, e.want, got)
+	}
+}
+
+// TestKeyedJoinStopsAtItsRoot: over a walked graph a run that stops at its
+// K-th match visits the first partition's roots in ascending id and walks
+// none past the K-th match's: the roots its matches map the first path's
+// first query node to never decrease, its root walks are exactly the roots
+// up to the K-th match's, and its matches are the first K of the run that
+// stops at none.
+func TestKeyedJoinStopsAtItsRoot(t *testing.T) {
+	e := newEnumeration(t)
+	ctx := context.Background()
+	first := e.order[0]
+	rootNode := e.pl.Dec.Paths[first].Nodes[0]
+	run := func(k int) (*kpartite.Graph, []join.Match) {
+		kg := kpartite.Walked(e.g, e.pl.Dec, candidates.NewKeyWalks(e.ix, e.pl.Query, e.pl.Dec, e.pl.Alpha))
+		var ms []join.Match
+		if err := join.Enumerate(ctx, e.g, e.pl.Query, e.pl.Dec, kg, e.order, e.pl.Alpha, 1, func(_ int, m join.Match) bool {
+			ms = append(ms, m.Clone())
+			return k == 0 || len(ms) < k
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return kg, ms
+	}
+	_, all := run(0)
+	sameMatches(t, "walked graph, no limit", e.want, slices.Clone(all))
+	spanned := 0
+	for _, k := range []int{1, 2, 7, 50, 500} {
+		kg, ms := run(k)
+		if len(ms) != k {
+			t.Fatalf("limit %d: %d matches", k, len(ms))
+		}
+		roots := make([]entity.ID, k)
+		for i, m := range ms {
+			if !slices.Equal(m.Mapping, all[i].Mapping) || m.Prle != all[i].Prle || m.Prn != all[i].Prn {
+				t.Fatalf("limit %d: match %d is %+v, the unlimited run's %+v", k, i, m, all[i])
+			}
+			roots[i] = m.Mapping[rootNode]
+		}
+		if !slices.IsSorted(roots) {
+			t.Fatalf("limit %d: the matches' roots %v are not ascending", k, roots)
+		}
+		upTo := 0 // roots of the first partition up to the K-th match's
+		for v := range entity.ID(e.g.NumNodes()) {
+			if v <= roots[k-1] && kg.Roots(first).Has(v) {
+				upTo++
+			}
+		}
+		if walks, _ := kg.Walks(first); walks != upTo {
+			t.Fatalf("limit %d: %d root walks, %d roots up to the last match's root %d", k, walks, upTo, roots[k-1])
+		}
+		if roots[k-1] != roots[0] {
+			spanned++
+		}
+	}
+	if spanned == 0 {
+		t.Fatal("every limited run stopped at its first match's root: the root order was never exercised")
 	}
 }

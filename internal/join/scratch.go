@@ -2,6 +2,7 @@ package join
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -198,14 +199,14 @@ func newScratch(p *plan, ctx context.Context, worker int, sink func(int, Match) 
 	return s
 }
 
-// drain claims morsels of the first partition's candidates [from, total)
+// drain claims morsels of the first partition's candidates [0, total)
 // until none are left or the run is stopped, driving each alive seed
 // depth-first through the whole join order. An error stops the other
 // workers too.
-func (s *scratch) drain(next *atomic.Int64, morsel, from, total int) error {
+func (s *scratch) drain(next *atomic.Int64, morsel, total int) error {
 	first := s.p.order[0]
 	for !s.stop.Load() {
-		lo := from + int(next.Add(1)-1)*morsel
+		lo := int(next.Add(1)-1) * morsel
 		if lo >= total {
 			break
 		}
@@ -222,6 +223,28 @@ func (s *scratch) drain(next *atomic.Int64, morsel, from, total int) error {
 			if err := s.tryCandidate(0, first, ci); err != nil {
 				s.stop.Store(true)
 				return err
+			}
+		}
+	}
+	return nil
+}
+
+// roots is drain on a walked graph: it visits the first partition's roots
+// in ascending id, walks each one's rows and drives them depth-first
+// through the whole join order, until none are left or the run is stopped.
+// ctx is checked once per word of the root set, 64 roots.
+func (s *scratch) roots() error {
+	kg, first := s.p.kg, s.p.order[0]
+	for word, set := range kg.Roots(first) {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
+		for ; set != 0; set &= set - 1 {
+			n := kg.WalkRoot(first, entity.ID(word*64+bits.TrailingZeros64(set)))
+			for ci := range n {
+				if err := s.tryCandidate(0, first, ci); err != nil || s.stop.Load() {
+					return err
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -180,7 +181,7 @@ func TestIncrementalPrnEqualsPrn(t *testing.T) {
 							return emitted != cut
 						}, &stop)
 						var next atomic.Int64
-						if err := s.drain(&next, 8, 0, total); err != nil {
+						if err := s.drain(&next, 8, total); err != nil {
 							t.Fatal(err)
 						}
 						assertClean(t, s, "after a drain")
@@ -199,12 +200,15 @@ func TestIncrementalPrnEqualsPrn(t *testing.T) {
 // TestKeyedJoinExhausts is the no-match control of key-walked joins: over a
 // walked graph (kpartite.Walked) a join whose first partition has rows but
 // which has nothing to find ends having emitted nothing, with its scratch
-// clean. It asks every partition for the rows of each key at most once: the
-// walks of a partition are exactly the distinct keys the join's prefixes
-// bound at its checked positions, counted here by a walk of its own over
-// the same graph; and a partition holds exactly the rows its walks kept,
-// each under one key. A second drain over the same graph walks nothing. Queries are taken at thresholds
-// above their best match; the ones whose first partition is not empty count.
+// clean. It walks every root of the first partition once, and those walks
+// keep exactly the rows of the partition's empty key. It asks every other
+// partition for the rows of each key at most once: the walks of a partition
+// are exactly the distinct keys the join's prefixes bound at its checked
+// positions, counted here by a walk of its own over another graph; and a
+// partition holds exactly the rows its walks kept, each under one key. A
+// second run over the same graph walks every root again and no key. Queries
+// are taken at thresholds above their best match; the ones whose first
+// partition is not empty count.
 func TestKeyedJoinExhausts(t *testing.T) {
 	ctx := context.Background()
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 300, EdgeFactor: 4, Labels: 3, UncertainFrac: 0.4, Seed: 5})
@@ -222,10 +226,8 @@ func TestKeyedJoinExhausts(t *testing.T) {
 	t.Cleanup(func() { ix.Close() })
 	drain := func(p *plan) (walks []int, emitted int) {
 		var stop atomic.Bool
-		var next atomic.Int64
 		s := newScratch(p, ctx, 0, func(int, Match) bool { emitted++; return true }, &stop)
-		lo, hi := p.kg.Walk(p.order[0], nil, nil)
-		if err := s.drain(&next, 8, lo, hi); err != nil {
+		if err := s.roots(); err != nil {
 			t.Fatal(err)
 		}
 		assertClean(t, s, "after the drain")
@@ -267,16 +269,8 @@ func TestKeyedJoinExhausts(t *testing.T) {
 		assertClean(t, s, "after the key walk")
 		return out
 	}
-	walked := func(dec *decompose.Decomposition, q *query.Query, alpha float64, order []int) *kpartite.Graph {
-		initial, err := candidates.Counts(ctx, ix, dec, alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets, kw, _, err := candidates.FindFirst(ctx, ix, q, dec, alpha, initial, order[0], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kpartite.Walked(g, dec, sets, order[0], kw)
+	walked := func(dec *decompose.Decomposition, q *query.Query, alpha float64) *kpartite.Graph {
+		return kpartite.Walked(g, dec, candidates.NewKeyWalks(ix, q, dec, alpha))
 	}
 	rng := rand.New(rand.NewSource(11))
 	matchless, walksTotal := 0, 0
@@ -291,18 +285,24 @@ func TestKeyedJoinExhausts(t *testing.T) {
 				t.Fatal(err)
 			}
 			order := Order(dec, OrderHeuristic)
-			p := newPlan(g, q, dec, walked(dec, q, alpha, order), order, alpha)
+			p := newPlan(g, q, dec, walked(dec, q, alpha), order, alpha)
 			walks, found := drain(p)
-			if found > 0 || p.kg.NumCandidates(order[0]) == 0 {
+			if _, rows := p.kg.Walks(order[0]); found > 0 || rows == 0 {
 				continue
 			}
 			matchless++
-			want := keys(newPlan(g, q, dec, walked(dec, q, alpha, order), order, alpha))
+			want := keys(newPlan(g, q, dec, walked(dec, q, alpha), order, alpha))
 			for b, w := range walks {
 				at := fmt.Sprintf("query %d α=%v partition %d", qi, alpha, b)
 				if b == order[0] {
-					if w != 0 {
-						t.Fatalf("%s: the first partition was walked %d times", at, w)
+					roots := 0
+					for _, word := range p.kg.Roots(b) {
+						roots += bits.OnesCount64(word)
+					}
+					_, kept := p.kg.Walks(b)
+					span := want[b][fmt.Sprint([]int32(nil), []entity.ID(nil))]
+					if w != roots || kept != span[1]-span[0] {
+						t.Fatalf("%s: %d root walks keeping %d rows; %d roots, whose rows are %d", at, w, kept, roots, span[1]-span[0])
 					}
 					continue
 				}
@@ -318,8 +318,10 @@ func TestKeyedJoinExhausts(t *testing.T) {
 				}
 				walksTotal += w
 			}
-			if again, _ := drain(p); !slices.Equal(again, walks) {
-				t.Fatalf("query %d α=%v: a second drain over the same graph brought the walks from %v to %v", qi, alpha, walks, again)
+			again, _ := drain(p)
+			walks[order[0]] *= 2
+			if !slices.Equal(again, walks) {
+				t.Fatalf("query %d α=%v: a second drain over the same graph brought the walks to %v, want %v", qi, alpha, again, walks)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package kpartite
 import (
 	"fmt"
 
-	"repro/internal/candidates"
 	"repro/internal/decompose"
 )
 
@@ -45,12 +44,10 @@ func NewExplicit(parts [][]VertexSpec, joined [][2]int, links []LinkSpec, alpha 
 	kg.parts = make([]*partition, k)
 	kg.links = make([][]linkSet, k)
 	kg.joined = make([][]int, k)
-	sets := make([]candidates.Set, k)
 	for p := 0; p < k; p++ {
 		n := len(parts[p])
-		sets[p] = candidates.Set{Path: &dec.Paths[p]}
 		part := &partition{
-			set:    &sets[p],
+			path:   &dec.Paths[p],
 			n:      n,
 			plen:   0,
 			alive:  make([]bool, n),

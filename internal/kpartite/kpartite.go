@@ -16,9 +16,10 @@
 // and perception vectors are one flat float64 array per partition with a
 // double buffer for the bulk-synchronous message-passing rounds. After Build/Reduce the graph is immutable and safe
 // for any number of concurrent readers. A Walked graph is the exception: it
-// serves one enumeration, whose join asks it for a partition's rows one join
-// key at a time, and it walks, stores and looks the factors up of a key's
-// rows on the first request. It has no links and no weights.
+// serves one enumeration, whose join asks it for its first partition's rows
+// one root at a time and for every other partition's one join key at a
+// time, and it walks, stores and looks the factors up of a key's rows on the
+// first request. It has no links and no weights.
 package kpartite
 
 import (
@@ -53,7 +54,9 @@ type Graph struct {
 	// vecReady reports that perception vectors were initialized by Reduce.
 	vecReady bool
 	// walks produces a walked graph's rows by key; nil on Build's graph.
+	// root is WalkRoot's key.
 	walks *candidates.KeyWalks
+	root  [1]entity.ID
 }
 
 // linkSet is one direction of a partition pair's links in CSR form: the
@@ -79,15 +82,15 @@ func (ls *linkSet) row(i int) []int32 {
 }
 
 type partition struct {
-	set  *candidates.Set
+	path *decompose.Path
 	n    int // number of candidate vertices
 	plen int // nodes per candidate row
 	elen int // edges per candidate row: plen-1
 	// nodes holds the candidate rows row-major: row i is
-	// nodes[i*plen : (i+1)*plen]. It is the candidate set's arena
-	// (set.Nodes) and must not be written. On a walked graph Walk appends
-	// each key's rows to it — past the set's arena, whose length is its
-	// capacity, so the arena itself is never written.
+	// nodes[i*plen : (i+1)*plen]. On Build's graph it is the candidate
+	// set's arena (Set.Nodes) and must not be written. On a walked graph it
+	// is the graph's own: Walk appends each key's rows to it, and WalkRoot
+	// replaces it by a root's.
 	nodes  []entity.ID
 	alive  []bool
 	nAlive int
@@ -105,9 +108,11 @@ type partition struct {
 	lab  []float64
 	edge []float64
 	// keys, on a walked graph, maps each join key asked for to the rows
-	// [lo, hi) it walked; walks counts the walks, which kept n rows.
+	// [lo, hi) it walked; walks counts the walks, root walks included, and
+	// rows the rows they kept.
 	keys  map[walkKey][2]int32
 	walks int
+	rows  int
 	// vec / nextVec are the flat perception vectors (n rows of k entries,
 	// row-major); nextVec is the write buffer of the current BSP round and
 	// the two are swapped at each round barrier. vecSet[i] records whether
@@ -201,7 +206,7 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 		plen := len(sets[p].Path.Nodes)
 		elen := max(plen-1, 0)
 		part := &partition{
-			set:    &sets[p],
+			path:   sets[p].Path,
 			n:      n,
 			plen:   plen,
 			elen:   elen,
@@ -250,7 +255,7 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 // edge.
 func (kg *Graph) computeWeights() {
 	for p, part := range kg.parts {
-		path := part.set.Path
+		path := part.path
 		plen, elen := part.plen, part.elen
 		// What a position contributes depends on the path alone.
 		coverNode := make([]bool, plen)
@@ -284,7 +289,7 @@ func (kg *Graph) computeWeights() {
 // fill looks the factors of row i of part up into lab (plen entries) and
 // edge (elen entries).
 func fill(g *entity.Graph, part *partition, i int, lab, edge []float64) {
-	path := part.set.Path
+	path := part.path
 	row := part.nodes[i*part.plen : (i+1)*part.plen]
 	for pos, v := range row {
 		lab[pos] = g.PrLabel(v, path.Labels[pos])
@@ -303,24 +308,17 @@ func fill(g *entity.Graph, part *partition, i int, lab, edge []float64) {
 }
 
 // Walked returns the k-partite graph of a run that stops at a declared
-// limit and so neither reduces nor enumerates exhaustively: partition first
-// holds the rows of sets[first], with every row's factors, and every other
-// partition starts empty and gets its rows per join key from walks, on the
-// join's first request for that key (Walk). The other sets are read for
-// their Path alone. It has no links and no weights, Reduce panics, and it
-// serves one enumerating goroutine, since Walk writes.
-func Walked(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, first int, walks *candidates.KeyWalks) *Graph {
+// limit and so neither reduces nor enumerates exhaustively: every partition
+// starts empty and gets its rows from walks, the join's first partition one
+// root at a time (WalkRoot), every other per join key, on the join's first
+// request for that key (Walk). It has no links and no weights, Reduce
+// panics, and it serves one enumerating goroutine, since the walks write.
+func Walked(g *entity.Graph, dec *decompose.Decomposition, walks *candidates.KeyWalks) *Graph {
 	kg := &Graph{g: g, dec: dec, walks: walks}
-	kg.parts = make([]*partition, len(sets))
-	for p := range sets {
-		plen := len(sets[p].Path.Nodes)
-		part := &partition{set: &sets[p], plen: plen, elen: max(plen-1, 0), keys: map[walkKey][2]int32{}}
-		kg.parts[p] = part
-		if p == first {
-			part.nodes = sets[p].Nodes
-			part.appendRows(g, 0)
-			part.keys[walkKey{}] = [2]int32{0, int32(part.n)}
-		}
+	kg.parts = make([]*partition, len(dec.Paths))
+	for p := range kg.parts {
+		plen := len(dec.Paths[p].Nodes)
+		kg.parts[p] = &partition{path: &dec.Paths[p], plen: plen, elen: max(plen-1, 0), keys: map[walkKey][2]int32{}}
 	}
 	return kg
 }
@@ -336,8 +334,7 @@ type walkKey struct {
 // carry key[k] at position pos[k] for every k (pos ascending): the rows
 // the key walk kept, in ascending order of their ids, position by
 // position, all alive. It walks a key once, on its first request; an
-// empty key is every row of the partition's path, and on the first
-// partition those are its set's rows, in the set's order.
+// empty key is every row of the partition's path.
 func (kg *Graph) Walk(p int, pos []int32, key []entity.ID) (lo, hi int) {
 	part := kg.parts[p]
 	var k walkKey
@@ -352,8 +349,36 @@ func (kg *Graph) Walk(p int, pos []int32, key []entity.ID) (lo, hi int) {
 	part.nodes = kg.walks.Rows(part.nodes, p, pos, key)
 	part.appendRows(kg.g, lo)
 	part.walks++
+	part.rows += part.n - lo
 	part.keys[k] = [2]int32{int32(lo), int32(part.n)}
 	return lo, part.n
+}
+
+// rootPos is the key position of a root walk.
+var rootPos = []int32{0}
+
+// Roots returns the entities partition p's rows of a walked graph may
+// start with (candidates.KeyWalks.Roots). The join's first step asks
+// WalkRoot for each, in ascending id.
+func (kg *Graph) Roots(p int) pathindex.NodeSet { return kg.walks.Roots(p) }
+
+// WalkRoot replaces the rows of partition p of a walked graph with those
+// that carry v at position 0, walked from v, and returns their number n:
+// rows [0, n) are the rows of Find's on-demand walk from v, in its order,
+// all alive. The
+// join's first partition is read this way, each root once, so its rows need
+// no key memo, and one buffer serves every root: a row of the previous
+// root is not to be read after the call. A partition is read by WalkRoot or
+// by Walk, not both.
+func (kg *Graph) WalkRoot(p int, v entity.ID) int {
+	part := kg.parts[p]
+	kg.root[0] = v
+	part.nodes = kg.walks.Rows(part.nodes[:0], p, rootPos, kg.root[:])
+	part.lab, part.edge, part.alive = part.lab[:0], part.edge[:0], part.alive[:0]
+	part.appendRows(kg.g, 0)
+	part.walks++
+	part.rows += part.n
+	return part.n
 }
 
 // appendRows takes the rows of nodes from row lo on into the partition:
@@ -369,15 +394,12 @@ func (part *partition) appendRows(g *entity.Graph, lo int) {
 	part.n, part.nAlive = n, n
 }
 
-// Walks reports, for partition p of a walked graph, how many key walks ran
-// and how many rows they kept; 0, 0 for a partition that was not walked,
-// such as the first, and on Build's graph.
+// Walks reports, for partition p of a walked graph, how many key and root
+// walks ran and how many rows they kept; 0, 0 for a partition that was not
+// walked, and on Build's graph.
 func (kg *Graph) Walks(p int) (walks, rows int) {
 	part := kg.parts[p]
-	if part.walks == 0 {
-		return 0, 0
-	}
-	return part.walks, part.n
+	return part.walks, part.rows
 }
 
 // IsWalked reports whether kg came from Walked: the join reads a
@@ -448,7 +470,7 @@ func (be *buildEval) setPair(pa, pb *partition, preds []decompose.JoinPred) {
 	be.shared, be.newB = be.shared[:0], be.newB[:0]
 	be.edgesA, be.edgesB = be.edgesA[:0], be.edgesB[:0]
 	be.edgeKeys = be.edgeKeys[:0]
-	na, nb := pa.set.Path.Nodes, pb.set.Path.Nodes
+	na, nb := pa.path.Nodes, pb.path.Nodes
 	for posB, qn := range nb {
 		dup := false
 		for posA, on := range na {

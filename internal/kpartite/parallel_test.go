@@ -201,7 +201,7 @@ func (ref *lookupRef) links(a, b int) (ab, ba linkSet) {
 	for i := 0; i < pa.n; i++ {
 		rowA := pa.nodes[i*pa.plen : (i+1)*pa.plen]
 		for _, j := range table[key(rowA, true)] {
-			if ref.joinable(pa.set.Path, pb.set.Path, rowA, pb.nodes[int(j)*pb.plen:(int(j)+1)*pb.plen]) {
+			if ref.joinable(pa.path, pb.path, rowA, pb.nodes[int(j)*pb.plen:(int(j)+1)*pb.plen]) {
 				pairs = append(pairs, [2]int32{int32(i), j})
 			}
 		}
@@ -232,7 +232,7 @@ func (ref *lookupRef) links(a, b int) (ab, ba linkSet) {
 // orientation, 0 at the first missing edge.
 func (ref *lookupRef) weights(p, i int) (w1 float64, lab, edge []float64) {
 	kg := ref.kg
-	g, q, path, row := kg.g, ref.q, kg.parts[p].set.Path, kg.Row(p, i)
+	g, q, path, row := kg.g, ref.q, kg.parts[p].path, kg.Row(p, i)
 	w1 = 1.0
 	for pos, qn := range path.Nodes {
 		lab = append(lab, g.PrLabel(row[pos], q.Label(qn)))

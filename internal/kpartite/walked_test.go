@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -103,19 +104,9 @@ func newWalkFixture(t *testing.T, alpha float64) *walkFixture {
 	return f
 }
 
-// walked returns a fresh walked graph over the fixture with the given first
-// partition.
-func (f *walkFixture) walked(t *testing.T, first int) *kpartite.Graph {
-	t.Helper()
-	initial, err := candidates.Counts(context.Background(), f.ix, f.dec, f.alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets, kw, _, err := candidates.FindFirst(context.Background(), f.ix, f.q, f.dec, f.alpha, initial, first, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return kpartite.Walked(f.g, f.dec, sets, first, kw)
+// walked returns a fresh walked graph over the fixture.
+func (f *walkFixture) walked() *kpartite.Graph {
+	return kpartite.Walked(f.g, f.dec, candidates.NewKeyWalks(f.ix, f.q, f.dec, f.alpha))
 }
 
 // TestWalkReturnsKeyRows: on a walked graph, Walk(b, pos, key) returns the
@@ -123,8 +114,11 @@ func (f *walkFixture) walked(t *testing.T, first int) *kpartite.Graph {
 // them, no other, each once, in ascending order of their ids position by
 // position — and each row's factors are, bit for bit, the ones Build looks
 // up for the same row. A key asked for again is not walked again and
-// returns the same rows; an empty key is the whole set. The first partition
-// is its set as Find laid it out. Below and above β.
+// returns the same rows; an empty key is the whole set. The root walks of
+// a partition (WalkRoot for every root, in ascending id) return its set's
+// rows too: below β, where Find walks the same roots, its rows in its
+// order, with Build's factors row for row; above β the same rows in id
+// order. Below and above β.
 func TestWalkReturnsKeyRows(t *testing.T) {
 	ctx := context.Background()
 	for _, alpha := range []float64{0.3, 0.6} {
@@ -142,11 +136,47 @@ func TestWalkReturnsKeyRows(t *testing.T) {
 			}
 			return -1
 		}
-		first := 0
-		kg := f.walked(t, first)
-		if lo, hi := kg.Walk(first, nil, nil); lo != 0 || hi != f.sets[first].Len() || !slices.Equal(kg.Row(first, 0), f.sets[first].Row(0)) {
-			t.Fatalf("α=%v: the first partition's rows are [%d, %d), its set has %d", alpha, lo, hi, f.sets[first].Len())
+		sameFactors := func(at string, kg *kpartite.Graph, b, i, want int) {
+			t.Helper()
+			lab, edge := kg.Factors(b, i)
+			wlab, wedge := eager.Factors(b, want)
+			if !slices.EqualFunc(lab, wlab, sameBits) || !slices.EqualFunc(edge, wedge, sameBits) {
+				t.Fatalf("%s: row %v has factors %v %v, Build looked up %v %v", at, kg.Row(b, i), lab, edge, wlab, wedge)
+			}
 		}
+		roots := f.walked()
+		for b := range f.sets {
+			at := fmt.Sprintf("α=%v partition %d", alpha, b)
+			var want [][]entity.ID
+			for i := 0; i < f.sets[b].Len(); i++ {
+				want = append(want, f.sets[b].Row(i))
+			}
+			below := alpha < f.ix.Beta()
+			if !below {
+				slices.SortFunc(want, slices.Compare)
+			}
+			n, visited := 0, 0
+			for word, set := range roots.Roots(b) {
+				for ; set != 0; set &= set - 1 {
+					for i := range roots.WalkRoot(b, entity.ID(word*64+bits.TrailingZeros64(set))) {
+						if n == len(want) || !slices.Equal(roots.Row(b, i), want[n]) || !roots.Alive(b, i) {
+							t.Fatalf("%s: root walk row %d is %v, want row %d of %d", at, i, roots.Row(b, i), n, len(want))
+						}
+						if below {
+							sameFactors(at, roots, b, i, n)
+						} else {
+							sameFactors(at, roots, b, i, rowOf(b, want[n]))
+						}
+						n++
+					}
+					visited++
+				}
+			}
+			if walks, kept := roots.Walks(b); n != len(want) || walks != visited || kept != n {
+				t.Fatalf("%s: %d root walks keeping %d rows (%d counted), Find keeps %d, %d roots", at, walks, kept, n, len(want), visited)
+			}
+		}
+		kg := f.walked()
 		rows := 0
 		for _, k := range f.keys {
 			at := fmt.Sprintf("α=%v partition %d key %v at %v", alpha, k.part, k.ents, k.pos)
@@ -172,11 +202,7 @@ func TestWalkReturnsKeyRows(t *testing.T) {
 				if !slices.Equal(r, want[i-lo]) || !kg.Alive(k.part, i) {
 					t.Fatalf("%s: row %d is %v (alive %v), want %v", at, i-lo, r, kg.Alive(k.part, i), want[i-lo])
 				}
-				lab, edge := kg.Factors(k.part, i)
-				wlab, wedge := eager.Factors(k.part, rowOf(k.part, r))
-				if !slices.EqualFunc(lab, wlab, sameBits) || !slices.EqualFunc(edge, wedge, sameBits) {
-					t.Fatalf("%s: row %v has factors %v %v, Build looked up %v %v", at, r, lab, edge, wlab, wedge)
-				}
+				sameFactors(at, kg, k.part, i, rowOf(k.part, r))
 			}
 			if again, _ := kg.Walks(k.part); again != walks+1 {
 				t.Fatalf("%s: %d walks before the first request, %d after", at, walks, again)
@@ -190,9 +216,6 @@ func TestWalkReturnsKeyRows(t *testing.T) {
 			rows += hi - lo
 		}
 		for b := range f.sets {
-			if b == first {
-				continue
-			}
 			lo, hi := kg.Walk(b, nil, nil)
 			if hi-lo != f.sets[b].Len() {
 				t.Fatalf("α=%v partition %d: the empty key walks %d rows, Find keeps %d", alpha, b, hi-lo, f.sets[b].Len())
@@ -214,9 +237,10 @@ func TestWalkReturnsKeyRows(t *testing.T) {
 // allocated on the heap, as it is when a caller keeps it.
 var sinkGraph *kpartite.Graph
 
-// TestKeyWalkAllocation pins what key-walked partitions allocate. A key
-// asked for again allocates nothing. Walking every key of the fixture on a
-// fresh graph allocates the same bytes every time — within 1 %, since the
+// TestKeyWalkAllocation pins what key-walked partitions allocate, on a
+// walked graph whose every partition starts empty. A key asked for again
+// allocates nothing. Walking every key of the fixture on a fresh graph
+// allocates the same bytes every time — within 1 %, since the
 // runtime now and then allocates on its own account inside the window, so
 // the least of five runs is taken — and at most 4 times what
 // the rows it keeps need stored — 4 bytes an id, 8 a factor (label and
@@ -233,7 +257,7 @@ func TestKeyWalkAllocation(t *testing.T) {
 		}
 	}
 	cold := func() (bytes, mallocs uint64, kg *kpartite.Graph) {
-		kg = f.walked(t, 0)
+		kg = f.walked()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		walkAll(kg)

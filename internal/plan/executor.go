@@ -134,10 +134,10 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 
 	// Candidate retrieval with context pruning (Section 5.2.2), fanned out
 	// per path, optionally served from the generation's candidate cache — or,
-	// for a run that stops early, every path's count and the candidates of
-	// the first path of the join order those counts give. Such a run is never
-	// reduced, so its order is known before anything is built, and its join
-	// walks every later path's candidates one join key at a time.
+	// for a run that stops early, every path's count and no row. Such a run
+	// is never reduced, so the join order those counts give is known before
+	// anything is built, and its join walks the first path's candidates one
+	// root at a time and every later path's one join key at a time.
 	t0 := time.Now()
 	links := Links(opt.Order, opt.Limit)
 	var (
@@ -148,17 +148,17 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 		err    error
 	)
 	if links == "keyed" {
-		var initial []int
-		if initial, err = candidates.Counts(ctx, e.ix, pl.Dec, pl.Alpha); err != nil {
+		if cstats.Initial, err = candidates.Counts(ctx, e.ix, pl.Dec, pl.Alpha); err != nil {
 			return nil, st, err
 		}
-		order = execOrder(pl, func(p int) int { return initial[p] })
-		sets, walks, cstats, err = candidates.FindFirst(ctx, e.ix, q, pl.Dec, pl.Alpha, initial, order[0], opt.CandCache)
+		cstats.SSPath = 1
+		for _, n := range cstats.Initial {
+			cstats.SSPath *= float64(n)
+		}
+		order = execOrder(pl, func(p int) int { return cstats.Initial[p] })
+		walks = candidates.NewKeyWalks(e.ix, q, pl.Dec, pl.Alpha)
 		workers = 1
-	} else {
-		sets, cstats, err = candidates.Find(ctx, e.ix, q, pl.Dec, pl.Alpha, workers, opt.CandCache)
-	}
-	if err != nil {
+	} else if sets, cstats, err = candidates.Find(ctx, e.ix, q, pl.Dec, pl.Alpha, workers, opt.CandCache); err != nil {
 		return nil, st, err
 	}
 	st.SSPath = cstats.SSPath
@@ -168,7 +168,7 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	for i := range pl.Dec.Paths {
 		estTotal += pl.Dec.Paths[i].Card
 		obsTotal += float64(cstats.Initial[i])
-		if walks == nil || i == order[0] { // the only paths scanned whole
+		if walks == nil { // no path of a keyed run is scanned whole
 			pruned += int64(cstats.Initial[i] - cstats.Kept[i])
 		}
 	}
@@ -179,12 +179,12 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	})
 
 	// Join-candidates / k-partite graph (Section 5.2.3), pairs fanned out
-	// across the same pool — or, for a run that stops early, the first
-	// path's rows alone, the others left to the join's key walks.
+	// across the same pool — or, for a run that stops early, no row at all,
+	// every path left to the join's root and key walks.
 	t0 = time.Now()
 	var kg *kpartite.Graph
 	if walks != nil {
-		kg = kpartite.Walked(g, pl.Dec, sets, order[0], walks)
+		kg = kpartite.Walked(g, pl.Dec, walks)
 	} else if kg, err = kpartite.Build(ctx, g, q, pl.Dec, sets, pl.Alpha, workers); err != nil {
 		return nil, st, err
 	}
@@ -227,8 +227,9 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 
 // Links says which join-candidate links a run in the given order and limit
 // builds: "keyed" for an emit-order run that stops after limit matches —
-// kpartite.Walked, whose join walks every path but the first one join key at
-// a time — and "" — kpartite.Build's filtered CSR — for one that enumerates
+// kpartite.Walked, whose join walks the first path one root at a time and
+// every other one join key at a time — and "" — kpartite.Build's filtered
+// CSR — for one that enumerates
 // exhaustively. The one rule for what a declared limit changes before the
 // join: such a run neither links nor reduces (ReduceSkipped).
 func Links(order ResultOrder, limit int) string {
@@ -277,18 +278,17 @@ func (r *joinRun) enumerate(ctx context.Context, sink func(worker int, m join.Ma
 }
 
 // finish closes the join stage and the execution. On a walked graph it
-// also settles what only the join knew: how many key walks ran and how many
-// rows they kept, on the candidates row, and the search space of the rows
-// the run held, on the reduce row and in Stats.
+// also settles what only the join knew: how many root and key walks ran and
+// how many rows they kept, on the candidates row, and the search space of
+// the rows the run held, on the reduce row and in Stats.
 func (r *joinRun) finish(st *Stats) {
 	st.JoinTime = time.Since(r.t0)
 	if r.kg.IsWalked() {
-		walks, kept := 0, 0
+		walks, kept, ss := 0, 0, 1.0
 		for p := 0; p < r.kg.NumPartitions(); p++ {
 			w, n := r.kg.Walks(p)
-			walks, kept = walks+w, kept+n
+			walks, kept, ss = walks+w, kept+n, ss*float64(n)
 		}
-		ss := r.kg.SearchSpace()
 		st.SSContext, st.SSAfterStructure, st.SSFinal = ss, ss, ss
 		for i := range st.Stages {
 			switch sg := &st.Stages[i]; sg.Name {

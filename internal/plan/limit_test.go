@@ -58,8 +58,9 @@ func matchKey(m join.Match) string {
 // OrderByProb with a limit) reduces as the plan says; one whose plan has no
 // reduction reports no skip.
 //
-// Such a run also builds no links and walks every path but the first one
-// join key at a time (the build row says "keyed", with no links), whether
+// Such a run also builds no links and walks the first path one root at a
+// time and every other one join key at a time (the build row says "keyed",
+// with no links), whether
 // or not its plan reduces: its join order is a function of the paths'
 // counts, not of Limit, so at every K from 1 to one past the answer
 // (sampled past 32 when the answer is long), what it streams is the first K

@@ -172,13 +172,14 @@ type StageStats struct {
 	// matches (Plan.ReduceSkipped).
 	Skipped string `json:"skipped,omitempty"`
 	// Links, on the build row, is "keyed" when the run built no links and
-	// its join walked every path but the first one join key at a time
-	// (Links); ObsRows, the links built, is then 0.
+	// its join walked the first path one root at a time and every other
+	// one join key at a time (Links); ObsRows, the links built, is then 0.
 	Links string `json:"links,omitempty"`
 	// KeyWalks and KeyRows, on the candidates row of such a run, count the
-	// key walks its join ran and the rows they kept (pathindex.Walker.At
-	// walks filtered by the node-level sets, kept by the path-level tests);
-	// Pruned there counts the first path's pruned rows alone.
+	// root and key walks its join ran and the rows they kept
+	// (pathindex.Walker.At walks filtered by the node-level sets, kept by
+	// the path-level tests); Pruned and the cache counters there read 0,
+	// since no path is scanned whole.
 	KeyWalks int `json:"key_walks,omitempty"`
 	KeyRows  int `json:"key_rows,omitempty"`
 	// Workers is the parallelism the stage actually ran with (omitted for

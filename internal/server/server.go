@@ -919,7 +919,8 @@ type ExplainResponse struct {
 	// "limit" when its order and limit leave out the plan's reduction.
 	ReduceSkipped string `json:"reduce_skipped,omitempty"`
 	// Links is the build row's "links" of a run of this request: "keyed"
-	// when its order and limit make the build link by join key only.
+	// when its order and limit make the run build no links and walk its
+	// paths by root and join key.
 	Links string `json:"links,omitempty"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/pathindex"
 	"repro/internal/refgraph"
+	"repro/internal/storage"
 	"repro/internal/storage/crashfs"
 )
 
@@ -187,4 +189,74 @@ func FuzzLoadManifest(f *testing.F) {
 			t.Fatal("catalog changed through a round trip")
 		}
 	})
+}
+
+// syncLog is a storage.FS over the operating system's that records, for
+// every SyncDir, the subdirectories the synced directory held, and the
+// position in its calls of the rename that put the manifest in place.
+type syncLog struct {
+	storage.FS
+	synced   map[string]int // "dir\x00child" → the call that synced it
+	calls    int
+	manifest int // the manifest rename's call; 0 before it
+}
+
+func (l *syncLog) SyncDir(dir string) error {
+	l.calls++
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if key := dir + "\x00" + e.Name(); e.IsDir() && l.synced[key] == 0 {
+			l.synced[key] = l.calls
+		}
+	}
+	return l.FS.SyncDir(dir)
+}
+
+func (l *syncLog) Rename(oldpath, newpath string) error {
+	l.calls++
+	if filepath.Base(newpath) == ManifestName {
+		l.manifest = l.calls
+	}
+	return l.FS.Rename(oldpath, newpath)
+}
+
+// TestBuildSyncsItsDirectories: every directory Build makes — the catalog,
+// each shard's, each generation's and each index's — is in its parent when
+// that parent is synced, before the rename that puts the manifest in place,
+// so a power cut cannot keep a manifest naming a generation whose directory
+// entry it lost.
+func TestBuildSyncsItsDirectories(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "catalog")
+	l := &syncLog{FS: storage.OS, synced: map[string]int{}}
+	if _, err := build(context.Background(), l, synthPGD(t, 120, 2, 17), dir, Options{
+		Shards: 2,
+		Index:  pathindex.Options{MaxLen: 2, Beta: 0.01, Gamma: 0.05},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if l.manifest == 0 {
+		t.Fatal("the manifest was never renamed into place")
+	}
+	made := 0
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
+			return err
+		}
+		made++
+		at := l.synced[filepath.Dir(path)+"\x00"+e.Name()]
+		if at == 0 || at > l.manifest {
+			t.Errorf("%s: its parent was synced with it at call %d, the manifest renamed at call %d", path, at, l.manifest)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if made != 1+2*3 {
+		t.Fatalf("%d directories made, want the catalog and three a shard", made)
+	}
 }

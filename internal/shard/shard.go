@@ -22,6 +22,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -276,8 +277,14 @@ func extract(d *refgraph.PGD, refs []int32, refShard []int, s int) (*refgraph.PG
 // Build runs the full offline sharding pipeline into dir: partition, write
 // each shard's generation-1 PGD snapshot, build each shard's path index, and
 // flip the manifest catalog in last. A crash mid-build leaves no manifest
-// (or the previous one), so a router never sees a half-built catalog.
+// (or the previous one), so a router never sees a half-built catalog; every
+// directory it makes is synced into its parent before the flip, so one it
+// names survives a power cut.
 func Build(ctx context.Context, d *refgraph.PGD, dir string, opt Options) (*Manifest, error) {
+	return build(ctx, storage.OS, d, dir, opt)
+}
+
+func build(ctx context.Context, fs storage.FS, d *refgraph.PGD, dir string, opt Options) (*Manifest, error) {
 	if opt.Index.Dir != "" {
 		return nil, fmt.Errorf("shard: Options.Index.Dir must be empty (derived per shard)")
 	}
@@ -289,7 +296,7 @@ func Build(ctx context.Context, d *refgraph.PGD, dir string, opt Options) (*Mani
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirAll(fs, dir); err != nil {
 		return nil, err
 	}
 	for s, sd := range pgds {
@@ -298,10 +305,10 @@ func Build(ctx context.Context, d *refgraph.PGD, dir string, opt Options) (*Mani
 		genDir := filepath.Join(fmt.Sprintf("shard-%02d", s), fmt.Sprintf("gen-%06d", e.Generation))
 		e.PGD = filepath.Join(genDir, "pgd.snap")
 		e.IndexDir = filepath.Join(genDir, "index")
-		if err := os.MkdirAll(filepath.Join(dir, genDir), 0o755); err != nil {
+		if err := mkdirAll(fs, filepath.Join(dir, e.IndexDir)); err != nil {
 			return nil, err
 		}
-		if err := storage.WriteFile(storage.OS, filepath.Join(dir, e.PGD), sd.Save); err != nil {
+		if err := storage.WriteFile(fs, filepath.Join(dir, e.PGD), sd.Save); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		g, err := entity.Build(sd, opt.Build)
@@ -319,8 +326,30 @@ func Build(ctx context.Context, d *refgraph.PGD, dir string, opt Options) (*Mani
 		logf("shard %d: %d refs, %d sets, %d closures; index %d entries over %d sequences",
 			s, len(e.Refs), len(e.Sets), e.Closures, st.Entries, st.Sequences)
 	}
-	if err := WriteManifest(dir, m); err != nil {
+	if err := writeManifest(fs, dir, m); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// mkdirAll makes path and the parents it lacks, as os.MkdirAll does, and
+// then syncs the parent of every directory it made, so that the entries it
+// added survive a power cut.
+func mkdirAll(fs storage.FS, path string) error {
+	var made []string
+	for p := filepath.Clean(path); ; p = filepath.Dir(p) {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) || filepath.Dir(p) == p {
+			break
+		}
+		made = append(made, p)
+	}
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		return err
+	}
+	for _, p := range made {
+		if err := fs.SyncDir(filepath.Dir(p)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
