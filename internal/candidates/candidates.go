@@ -14,6 +14,7 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/entity"
 	"repro/internal/pathindex"
+	"repro/internal/prob"
 	"repro/internal/query"
 )
 
@@ -80,15 +81,17 @@ type Stats struct {
 // query at one α: the reader's set of every query node, read once, beside
 // the context tables the path-level tests consult.
 type nodeTest struct {
-	ctx  *pathindex.Context
-	q    *query.Query
-	sets []pathindex.NodeSet // by query node; shared with the reader
+	ctx   *pathindex.Context
+	q     *query.Query
+	sets  []pathindex.NodeSet // by query node; shared with the reader
+	floor float64             // prob.Floor(α, the factors of a match of q)
 }
 
 // newNodeTest reads the set of every query node of q from ix.
 func newNodeTest(ix pathindex.Reader, q *query.Query, alpha float64) *nodeTest {
 	nl := ix.Graph().NumLabels()
-	nt := &nodeTest{ctx: ix.Context(), q: q, sets: make([]pathindex.NodeSet, q.NumNodes())}
+	nt := &nodeTest{ctx: ix.Context(), q: q, sets: make([]pathindex.NodeSet, q.NumNodes()),
+		floor: prob.Floor(alpha, prob.Factors(q.NumNodes(), q.NumEdges()))}
 	for i := range nt.sets {
 		n := query.NodeID(i)
 		nt.sets[i] = ix.NodeSet(q.Label(n), q.NeighborLabelCounts(n, nl), alpha)
@@ -267,7 +270,7 @@ func scanPath(ctx context.Context, ix pathindex.Reader, nt *nodeTest, p *decompo
 			}
 		}
 		poll.rows++
-		if keepCandidate(g, nt, p, nodes, prle, prn, alpha) {
+		if keepCandidate(g, nt, p, nodes, prle, prn) {
 			if k := len(chunks); k == 0 || len(chunks[k-1]) == cap(chunks[k-1]) {
 				chunks = append(chunks, make([]entity.ID, 0, (firstChunk<<k)*w))
 			}
@@ -293,8 +296,9 @@ func scanPath(ctx context.Context, ix pathindex.Reader, nt *nodeTest, p *decompo
 	return kept, initial, nil
 }
 
-// keepCandidate applies the two path-level tests of Section 5.2.2.
-func keepCandidate(g *entity.Graph, nt *nodeTest, p *decompose.Path, nodes []entity.ID, prle, prn, alpha float64) bool {
+// keepCandidate applies the two path-level tests of Section 5.2.2, holding
+// each bound to the query's floor: prob.MayClear at α.
+func keepCandidate(g *entity.Graph, nt *nodeTest, p *decompose.Path, nodes []entity.ID, prle, prn float64) bool {
 	// (1) every node must be a node-level candidate for its query node.
 	for pos, v := range nodes {
 		if !nt.sets[p.Nodes[pos]].Has(v) {
@@ -303,19 +307,15 @@ func keepCandidate(g *entity.Graph, nt *nodeTest, p *decompose.Path, nodes []ent
 	}
 	// (2) (Prle·Prn) · pu · cpr ≥ α.
 	bound := prle * prn
-	if bound+1e-12 < alpha {
+	if bound < nt.floor {
 		return false
 	}
-	cpr := pathCyclesProb(g, nt.q, p, nodes)
-	if cpr == 0 {
-		return false
-	}
-	bound *= cpr
-	if bound+1e-12 < alpha {
+	bound *= pathCyclesProb(g, nt.q, p, nodes)
+	if bound < nt.floor {
 		return false
 	}
 	bound *= neighborhoodUpperbound(nt, p, nodes)
-	return bound+1e-12 >= alpha
+	return bound >= nt.floor
 }
 
 // pathCyclesProb is cpr(Pu): the product of existence probabilities of the

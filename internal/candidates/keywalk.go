@@ -112,7 +112,7 @@ func (kw *KeyWalks) keep(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn f
 			return true
 		}
 	}
-	if keepCandidate(kw.g, kw.nt, kw.p, nodes, prle, prn, kw.alpha) {
+	if keepCandidate(kw.g, kw.nt, kw.p, nodes, prle, prn) {
 		kw.rows = append(kw.rows, nodes...)
 	}
 	return true

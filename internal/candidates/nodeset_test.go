@@ -29,7 +29,7 @@ func pathFilter(nt *nodeTest, p *decompose.Path) pathindex.NodeFilter {
 // test became sets: the reference the node sets are held to.
 func cnRef(g *entity.Graph, c *pathindex.Context, q *query.Query, alpha float64, v entity.ID, n query.NodeID) bool {
 	lp := g.PrLabel(v, q.Label(n))
-	if lp+1e-12 < alpha {
+	if !prob.MayClear(lp, alpha, 1) {
 		return false
 	}
 	row := c.Row(v)
@@ -46,7 +46,7 @@ func cnRef(g *entity.Graph, c *pathindex.Context, q *query.Query, alpha float64,
 		for i := 0; i < need; i++ {
 			bound *= f
 		}
-		if bound+1e-12 < alpha {
+		if !prob.MayClear(bound, alpha, prob.Factors(1+need, need)) {
 			return false
 		}
 	}

@@ -74,7 +74,7 @@ func findBeforeScan(t *testing.T, ix pathindex.Reader, q *query.Query, dec *deco
 		}
 		sets[i] = Set{Path: p, Initial: len(matches)}
 		for _, m := range matches {
-			if keepCandidate(ix.Graph(), nt, p, m.Nodes, m.Prle, m.Prn, alpha) {
+			if keepCandidate(ix.Graph(), nt, p, m.Nodes, m.Prle, m.Prn) {
 				sets[i].Nodes = append(sets[i].Nodes, m.Nodes...)
 				sets[i].n++
 			}
@@ -237,7 +237,7 @@ func TestFindArenasExact(t *testing.T) {
 						keep := pathFilter(nt, p)
 						scan := heapBytes(func() {
 							ix.ScanCount(ctx, p.Labels, alpha, keep, func(nodes []entity.ID, prle, prn float64) bool {
-								keepCandidate(ix.Graph(), nt, p, nodes, prle, prn, alpha)
+								keepCandidate(ix.Graph(), nt, p, nodes, prle, prn)
 								return true
 							})
 						})

@@ -337,7 +337,7 @@ func TestEq11AgainstPossibleWorlds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range ms {
-			worldP, err := naive.WorldMatchProb(g, q, m.Mapping, 0)
+			worldP, err := naive.WorldMatchProb(g, q, m.Mapping)
 			if err != nil {
 				t.Skipf("world space too large: %v", err)
 			}

@@ -79,7 +79,7 @@ func bruteCount(g *entity.Graph, X []prob.LabelID, alpha float64) int {
 	grow = func(prle float64) {
 		n := len(nodes)
 		if n == len(X) {
-			if prle*g.Prn(nodes)+1e-12 >= alpha {
+			if prob.MayClear(prle*g.Prn(nodes), alpha, pathindex.PathFactors(len(X))) {
 				count++
 			}
 			return

@@ -59,12 +59,13 @@ func overlapping(g *entity.Graph, nodes []entity.ID) bool {
 	return false
 }
 
-// TestZeroMarginalRejectsAtAnyAlpha: α = 1e-13 is a valid threshold below the
-// 1e-12 tolerance every α test adds, so "prle·0 + 1e-12 ≥ α" holds for a row
-// whose identity marginal is 0. Reference overlap is decided by that marginal
-// alone, so it must be tested for 0 before α is: no path walked on demand, no
-// k-partite link and no match may hold two entities that share a reference,
-// and the answer is bitwise the oracle's, which checks references itself.
+// TestZeroMarginalRejectsAtAnyAlpha: α = 1e-13 is a valid threshold below
+// prob.Clears' 1e-12 tolerance, where "prle·0 + 1e-12 ≥ α" would hold for a
+// row whose identity marginal is 0. Reference overlap is decided by that
+// marginal alone, so prob.Clears and prob.MayClear must reject a zero product
+// whatever α: no path walked on demand, no k-partite link and no match may
+// hold two entities that share a reference, and the answer is bitwise the
+// oracle's, which checks references itself.
 func TestZeroMarginalRejectsAtAnyAlpha(t *testing.T) {
 	const alpha = 1e-13
 	ctx := context.Background()

@@ -69,6 +69,7 @@ type plan struct {
 	kg    *kpartite.Graph
 	order []int
 	alpha float64
+	floor float64 // prob.Floor(alpha, the query's factors): apply's prefix test
 
 	steps     []stepPlan
 	loose     []stepEdge // query edges no step covers: looked up at emit
@@ -80,6 +81,7 @@ type plan struct {
 
 func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *kpartite.Graph, order []int, alpha float64) *plan {
 	p := &plan{g: g, kg: kg, order: order, alpha: alpha, numQ: q.NumNodes(), numE: q.NumEdges()}
+	p.floor = prob.Floor(alpha, prob.Factors(p.numQ, p.numE))
 	qEdges := make([]stepEdge, 0, p.numE)
 	edgeIdx := make(map[[2]query.NodeID]int32, p.numE)
 	for i, e := range q.Edges() {
@@ -321,27 +323,18 @@ assign:
 		s.existF[a.qn] = exist
 		prn *= exist
 	}
-	if ok && pr == 0 {
-		ok = false
-	}
+	// Partial probability upper-bounds the final match probability: prune
+	// extensions that prob.MayClear rejects, a zero factor among them.
 	if ok {
 		for _, e := range sp.edges {
 			f := edge[e.pos]
 			s.edgeF[e.idx] = f
 			pr *= f
-			if pr == 0 {
-				ok = false
-				break
-			}
 		}
-	}
-	// Partial probability upper-bounds the final match probability: prune
-	// extensions already below α.
-	if ok {
 		if shared > 0 {
 			prn = p.g.Prn(s.nodes)
 		}
-		if prn == 0 || pr*prn+1e-12 < p.alpha {
+		if pr*prn < p.floor {
 			ok = false
 		}
 	}
@@ -450,8 +443,8 @@ func (s *scratch) rows(sp *stepPlan) (lo, hi int) {
 // here. Prn is Graph.Prn over the mapping in node order: when no two mapped
 // entities share a component that is 1.0 times every node's Exist in node
 // order, multiplied here from the factors apply recorded; otherwise Prn is
-// called. A match that clears α is handed to the sink with the scratch's
-// assignment array as its mapping.
+// called. A match whose product prob.Clears α is handed to the sink with
+// the scratch's assignment array as its mapping.
 func (s *scratch) emit() {
 	p := s.p
 	for _, e := range p.loose {
@@ -464,15 +457,9 @@ func (s *scratch) emit() {
 	prle := 1.0
 	for _, f := range s.nodeF {
 		prle *= f
-		if prle == 0 {
-			return
-		}
 	}
 	for _, f := range s.edgeF {
 		prle *= f
-		if prle == 0 {
-			return
-		}
 	}
 	prn := 1.0
 	if s.sharedAt[len(p.order)] == 0 {
@@ -482,7 +469,7 @@ func (s *scratch) emit() {
 	} else {
 		prn = p.g.Prn(s.asn)
 	}
-	if prn == 0 || prle*prn+1e-12 < p.alpha {
+	if !prob.Clears(prle*prn, p.alpha) {
 		return
 	}
 	if !s.sink(s.worker, Match{Mapping: s.asn, Prle: prle, Prn: prn}) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/decompose"
+	"repro/internal/prob"
 )
 
 // VertexSpec describes one vertex for NewExplicit: its two weights
@@ -40,7 +41,8 @@ func NewExplicit(parts [][]VertexSpec, joined [][2]int, links []LinkSpec, alpha 
 		}
 		dec.Joins[[2]int{a, b}] = []decompose.JoinPred{{}}
 	}
-	kg := &Graph{dec: dec, alpha: alpha}
+	// A vertex's bound multiplies w2 and one weight per partition.
+	kg := &Graph{dec: dec, floor: prob.Floor(alpha, k+1)}
 	kg.parts = make([]*partition, k)
 	kg.links = make([][]linkSet, k)
 	kg.joined = make([][]int, k)

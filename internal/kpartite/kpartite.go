@@ -35,6 +35,7 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/entity"
 	"repro/internal/pathindex"
+	"repro/internal/prob"
 	"repro/internal/query"
 )
 
@@ -42,7 +43,7 @@ import (
 type Graph struct {
 	g     *entity.Graph
 	dec   *decompose.Decomposition
-	alpha float64
+	floor float64 // prob.Floor(α, the factors of dec's query's matches)
 
 	parts []*partition
 	// links[p][j] is the CSR adjacency from partition p into partition j;
@@ -154,7 +155,7 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 		workers = len(pairs)
 	}
 	if workers <= 1 {
-		be := newBuildEval(g, alpha, maxN)
+		be := newBuildEval(g, kg.floor, maxN)
 		for _, pair := range pairs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -169,7 +170,7 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 	// on which worker happened to claim which pair.
 	evals := make([]*buildEval, workers)
 	for w := range evals {
-		evals[w] = newBuildEval(g, alpha, maxN)
+		evals[w] = newBuildEval(g, kg.floor, maxN)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -197,7 +198,7 @@ func Build(ctx context.Context, g *entity.Graph, q *query.Query, dec *decompose.
 // their weights, and lists the joined pairs in linking order.
 func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.Set, alpha float64) (kg *Graph, pairs [][2]int, maxN int) {
 	k := len(sets)
-	kg = &Graph{g: g, dec: dec, alpha: alpha}
+	kg = &Graph{g: g, dec: dec, floor: prob.Floor(alpha, prob.Factors(len(dec.CoverNode), len(dec.CoverEdge)))}
 	kg.parts = make([]*partition, k)
 	kg.links = make([][]linkSet, k)
 	kg.joined = make([][]int, k)
@@ -422,7 +423,7 @@ func edgeKey(a, b query.NodeID) [2]query.NodeID {
 // and nothing else.
 type buildEval struct {
 	g     *entity.Graph
-	alpha float64
+	floor float64 // the graph's
 
 	nodesBuf []entity.ID
 	compBuf  []int32 // compBuf[x] = Comp(nodesBuf[x])
@@ -451,10 +452,10 @@ type buildEval struct {
 
 // newBuildEval sizes the scratch for partitions of up to maxN rows: a table
 // over n rows has fewer than 2n buckets (at least one).
-func newBuildEval(g *entity.Graph, alpha float64, maxN int) *buildEval {
+func newBuildEval(g *entity.Graph, floor float64, maxN int) *buildEval {
 	return &buildEval{
 		g:     g,
-		alpha: alpha,
+		floor: floor,
 		keysA: make([]int32, maxN),
 		table: linkSet{offs: make([]int32, 2*maxN+2), pool: make([]int32, maxN)},
 	}
@@ -540,13 +541,13 @@ func (be *buildEval) probe(i int) bool {
 // joinable applies the filters of cn(P1, Pu1, P2) to row i of pa, which
 // probe has loaded, and row j of pb (setPair must have been called for the
 // pair): the join predicates, injectivity, refs(V_Pu1) ∩ refs(V_Pu2) = ∅
-// (shared join nodes excepted) and Pr(Pu1 ∘ Pu2) ≥ α. Identity is one test:
-// the union's Prn, carried forward from probe's, is 0 exactly when two of its
-// entities share a reference, and a zero marginal is rejected whatever α. The
-// probability is the product of the rows' cached factors in a fixed order —
-// pa's label factors, pb's new ones, pa's edge factors, pb's new ones — times
-// that Prn, which is the order and therefore the float bits of evaluating
-// the union assignment by look-up.
+// (shared join nodes excepted) and prob.MayClear of Pr(Pu1 ∘ Pu2) at α.
+// Identity is one test: the union's Prn, carried forward from probe's, is 0
+// exactly when two of its entities share a reference, and MayClear rejects a
+// zero bound whatever α. The probability is the product of the rows' cached
+// factors in a fixed order — pa's label factors, pb's new ones, pa's edge
+// factors, pb's new ones — times that Prn, which is the order and therefore
+// the float bits of evaluating the union assignment by look-up.
 func (be *buildEval) joinable(i, j int) bool {
 	pa, pb := be.pa, be.pb
 	rowB := pb.nodes[j*pb.plen : (j+1)*pb.plen]
@@ -566,9 +567,6 @@ func (be *buildEval) joinable(i, j int) bool {
 	if shared {
 		prn = be.g.Prn(be.nodesBuf)
 	}
-	if prn == 0 {
-		return false
-	}
 	prle := be.prleA
 	labB := pb.lab[j*pb.plen:]
 	for _, pos := range be.newB {
@@ -581,7 +579,7 @@ func (be *buildEval) joinable(i, j int) bool {
 	for _, pos := range be.edgesB {
 		prle *= edgeB[pos]
 	}
-	return prle*prn+1e-12 >= be.alpha
+	return prle*prn >= be.floor
 }
 
 // linkPair builds the links between partitions a and b via a lookup table
@@ -996,8 +994,10 @@ func (kg *Graph) updatePartition(p int) bool {
 	return changed
 }
 
-// pruneByBound kills vertices whose upperbound w2 · ∏ vec falls below α,
-// returning the number killed.
+// pruneByBound kills vertices whose upperbound w2 · ∏ vec prob.MayClear
+// rejects at α, returning the number killed. w2 is Prn over the row in
+// position order, which may differ in the last bits from the Prn a match
+// multiplies in node order; the floor's slack covers that.
 func (kg *Graph) pruneByBound() int {
 	killed := 0
 	k := len(kg.parts)
@@ -1010,7 +1010,7 @@ func (kg *Graph) pruneByBound() int {
 			for _, v := range part.vec[i*k : (i+1)*k] {
 				bound *= v
 			}
-			if bound+1e-12 < kg.alpha {
+			if bound < kg.floor {
 				part.alive[i] = false
 				part.nAlive--
 				killed++

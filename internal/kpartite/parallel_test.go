@@ -15,6 +15,7 @@ import (
 	"repro/internal/entity"
 	"repro/internal/gen"
 	"repro/internal/pathindex"
+	"repro/internal/prob"
 	"repro/internal/query"
 )
 
@@ -86,11 +87,12 @@ func graphsIdentical(t *testing.T, label string, want, got *Graph) {
 type lookupRef struct {
 	kg       *Graph
 	q        *query.Query
+	alpha    float64
 	asn      []entity.ID // per query node; -1 = unassigned
 	refWords []uint64
 }
 
-func newLookupRef(kg *Graph, q *query.Query) *lookupRef {
+func newLookupRef(kg *Graph, q *query.Query, alpha float64) *lookupRef {
 	maxRef := 0
 	for v := 0; v < kg.g.NumNodes(); v++ {
 		for _, r := range kg.g.Refs(entity.ID(v)) {
@@ -100,6 +102,7 @@ func newLookupRef(kg *Graph, q *query.Query) *lookupRef {
 	ref := &lookupRef{
 		kg:       kg,
 		q:        q,
+		alpha:    alpha,
 		asn:      make([]entity.ID, q.NumNodes()),
 		refWords: make([]uint64, maxRef/64+1),
 	}
@@ -171,7 +174,7 @@ func (ref *lookupRef) joinable(pa, pb *decompose.Path, rowA, rowB []entity.ID) b
 			}
 		}
 	}
-	return prle*g.Prn(nodes)+1e-12 >= ref.kg.alpha
+	return prob.MayClear(prle*g.Prn(nodes), ref.alpha, prob.Factors(q.NumNodes(), q.NumEdges()))
 }
 
 // links is the map-and-sort construction of both CSR directions of pair
@@ -269,9 +272,9 @@ func (ref *lookupRef) weights(p, i int) (w1 float64, lab, edge []float64) {
 // counts the links whose two rows put two entities into one identity
 // component (Prn evaluated over the union), fresh the others (one Exist per
 // node carried forward).
-func matchesLookup(t *testing.T, label string, kg *Graph, q *query.Query) (shared, fresh int) {
+func matchesLookup(t *testing.T, label string, kg *Graph, q *query.Query, alpha float64) (shared, fresh int) {
 	t.Helper()
-	ref := newLookupRef(kg, q)
+	ref := newLookupRef(kg, q, alpha)
 	for pair := range kg.dec.Joins {
 		a, b := pair[0], pair[1]
 		ab, ba := ref.links(a, b)
@@ -379,7 +382,7 @@ func TestBuildParallelEquivalence(t *testing.T) {
 								t.Fatal(err)
 							}
 							label := fmt.Sprintf("seed %d q%d mode %d α=%v", seed, qi, mode, alpha)
-							sh, fr := matchesLookup(t, label, seq, q)
+							sh, fr := matchesLookup(t, label, seq, q, alpha)
 							shared, fresh = shared+sh, fresh+fr
 							for _, workers := range []int{2, 4, 8} {
 								got, err := Build(context.Background(), g, q, dec, sets, alpha, workers)

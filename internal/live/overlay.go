@@ -12,11 +12,6 @@ import (
 // path.
 const maxNodes = pathindex.MaxSupportedLen + 1
 
-// eps mirrors the float tolerance used by pathindex build and lookup
-// threshold comparisons, so overlay decisions agree bit-for-bit with what a
-// from-scratch rebuild would store and return.
-const eps = 1e-12
-
 // overlay is the in-memory delta path index over the current entity graph:
 // exactly the paths (length ≤ maxLen edges, probability ≥ β) that touch at
 // least one dirty entity — the entities whose probability-relevant
@@ -274,10 +269,11 @@ func unionSorted(a, b []entity.ID) []entity.ID {
 }
 
 // scan streams the overlay's share of PIndex(X, α) into fn: dirty-touching
-// paths labeled X with probability ≥ α, oriented along X. Below β the stored
-// set is insufficient and the paths are enumerated on demand (mirroring the
-// base index's footnote-1 fallback), anchored at the dirty nodes. The nodes
-// handed to fn alias the overlay's storage or the walk's scratch.
+// paths labeled X whose probability prob.MayClear admits at α, oriented
+// along X. Below β the stored set is insufficient and the paths are
+// enumerated on demand (mirroring the base index's footnote-1 fallback),
+// anchored at the dirty nodes. The nodes handed to fn alias the overlay's
+// storage or the walk's scratch.
 func (ov *overlay) scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) {
 	if len(X) == 0 || len(X) > ov.maxLen+1 {
 		return
@@ -287,8 +283,9 @@ func (ov *overlay) scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) 
 		if r == nil {
 			return
 		}
+		floor := prob.Floor(alpha, pathindex.PathFactors(len(X)))
 		for i, prle := range r.prle {
-			if prle*r.prn[i]+eps >= alpha && !r.isDead(i) && !fn(r.row(i), prle, r.prn[i]) {
+			if prle*r.prn[i] >= floor && !r.isDead(i) && !fn(r.row(i), prle, r.prn[i]) {
 				return
 			}
 		}
@@ -306,9 +303,9 @@ func (ov *overlay) scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) 
 	}
 }
 
-// cardinality counts stored entries for X with probability ≥ alpha (exact,
-// the overlay is in memory). Below β it reports all stored entries, the same
-// floor the base histograms use.
+// cardinality counts stored entries for X whose probability prob.MayClear
+// admits at alpha (exact, the overlay is in memory). Below β it reports all
+// stored entries, the same floor the base histograms use.
 func (ov *overlay) cardinality(X []prob.LabelID, alpha float64) float64 {
 	if len(X) > maxNodes {
 		return 0
@@ -320,9 +317,9 @@ func (ov *overlay) cardinality(X []prob.LabelID, alpha float64) float64 {
 	if alpha <= ov.beta {
 		return float64(r.live)
 	}
-	n := 0
+	n, floor := 0, prob.Floor(alpha, pathindex.PathFactors(len(X)))
 	for i, prle := range r.prle {
-		if prle*r.prn[i]+eps >= alpha && !r.isDead(i) {
+		if prle*r.prn[i] >= floor && !r.isDead(i) {
 			n++
 		}
 	}

@@ -45,7 +45,7 @@ func lookupBeforeScan(v *View, X []prob.LabelID, alpha float64) ([]pathindex.Pat
 	if alpha >= ov.beta {
 		if r := ov.entries[makeKey(X)]; r != nil {
 			for i := 0; i < r.len(); i++ {
-				if m := (pathindex.PathMatch{Nodes: r.row(i), Prle: r.prle[i], Prn: r.prn[i]}); !r.isDead(i) && m.Pr()+eps >= alpha {
+				if m := (pathindex.PathMatch{Nodes: r.row(i), Prle: r.prle[i], Prn: r.prn[i]}); !r.isDead(i) && prob.MayClear(m.Pr(), alpha, pathindex.PathFactors(len(X))) {
 					out = append(out, m)
 				}
 			}
@@ -77,7 +77,7 @@ func overlayBruteForce(ov *overlay, X []prob.LabelID, alpha float64) []pathindex
 				return
 			}
 			prle, prn, order := scoreFromDirty(g, path, X, at)
-			if prle*prn+eps < alpha {
+			if !prob.MayClear(prle*prn, alpha, pathindex.PathFactors(len(X))) {
 				return
 			}
 			key := append([]entity.ID{order[0], entity.ID(at)}, order[1:]...)

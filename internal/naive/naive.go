@@ -41,11 +41,8 @@ func Matches(ctx context.Context, g *entity.Graph, q *query.Query, alpha float64
 		if step == n {
 			asn := entityAssignment(g, q, mapping)
 			prle := g.Prle(asn)
-			if prle == 0 {
-				return nil
-			}
 			prn := g.Prn(asn.Nodes)
-			if prle*prn+1e-12 < alpha {
+			if !prob.Clears(prle*prn, alpha) {
 				return nil
 			}
 			m := join.Match{Mapping: append([]entity.ID(nil), mapping...), Prle: prle, Prn: prn}
@@ -317,7 +314,7 @@ func enumEdges(g *entity.Graph, edges [][2]entity.ID, i int, p float64, w *World
 // WorldMatchProb sums, over all possible worlds, the probability of worlds
 // in which the given mapping is a match of q (Definition 4). Intended for
 // tiny graphs in tests.
-func WorldMatchProb(g *entity.Graph, q *query.Query, mapping []entity.ID, alphaUnused float64) (float64, error) {
+func WorldMatchProb(g *entity.Graph, q *query.Query, mapping []entity.ID) (float64, error) {
 	total := 0.0
 	err := EnumerateWorlds(g, func(w World) bool {
 		if mappingMatches(q, mapping, &w) {
@@ -362,11 +359,4 @@ func RefsLegal(g *entity.Graph, mapping []entity.ID) bool {
 		}
 	}
 	return true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

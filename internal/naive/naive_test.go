@@ -155,7 +155,7 @@ func TestWorldMatchProbAgainstEq11(t *testing.T) {
 	}
 	q := motivatingQuery(t, g)
 	for _, em := range fixtures.MotivatingMatches() {
-		got, err := WorldMatchProb(g, q, em.Nodes[:], 0)
+		got, err := WorldMatchProb(g, q, em.Nodes[:])
 		if err != nil {
 			t.Fatal(err)
 		}

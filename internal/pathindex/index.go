@@ -270,14 +270,15 @@ func (ix *Index) buildPaths(ctx context.Context, w *packedix.Writer) error {
 	return nil
 }
 
-// Scan streams PIndex(X, α): all paths whose label assignment is X with
-// probability ≥ α, oriented along X, in storage order. When α < β the index
-// is insufficient — it only stores paths of probability ≥ β — and is
-// bypassed entirely: the paths are enumerated on demand from the graph (the
-// paper's footnote 1). Otherwise the sequence's postings for buckets
-// ≥ bucket(α) are decoded straight from the mapping into one scratch row, so
-// a scan allocates nothing per record and nothing proportional to the
-// posting list. See ScanFunc for the aliasing contract.
+// Scan streams PIndex(X, α): all paths whose label assignment is X and
+// whose probability prob.MayClear admits at α, oriented along X, in storage
+// order. When α < β the index is insufficient — it only stores paths of
+// probability ≥ β — and is bypassed entirely: the paths are enumerated on
+// demand from the graph (the paper's footnote 1). Otherwise the sequence's
+// postings from the bucket of MayClear's floor on are decoded straight from
+// the mapping into one scratch row, so a scan allocates nothing per record
+// and nothing proportional to the posting list. See ScanFunc for the
+// aliasing contract.
 func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 	if err := ix.probe(X); err != nil {
 		return err
@@ -291,7 +292,8 @@ func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 	if !ok {
 		return nil
 	}
-	from := int(bucketOf(alpha, ix.opt.Beta, ix.opt.Gamma))
+	floor := prob.Floor(alpha, PathFactors(len(X)))
+	from := int(bucketOf(floor, ix.opt.Beta, ix.opt.Gamma))
 	obs := ix.obs.Load()
 	var t0 time.Time
 	if obs != nil {
@@ -299,8 +301,8 @@ func (ix *Index) Scan(X []prob.LabelID, alpha float64, fn ScanFunc) error {
 	}
 	var buf [maxNodes]entity.ID
 	err := s.Decode(from, func(_ int, nodes []uint32, prle, prn float64) bool {
-		if prle*prn+1e-12 < alpha {
-			return true // bucket floor below α: filter exactly
+		if prle*prn < floor {
+			return true // the first bucket reaches below the floor
 		}
 		row := buf[:len(nodes)]
 		for i, n := range nodes {

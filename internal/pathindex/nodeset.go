@@ -33,13 +33,14 @@ func (s NodeSet) add(v entity.ID) { s[v>>6] |= 1 << (v & 63) }
 //
 //	F(l, σ, k, α) = {v : l ∈ L(v), lp ≥ α, c(v,σ) ≥ k, lp·fpu(v,σ)^k ≥ α}
 //
-// with lp = Pr(v.l = l), k = c(n,σ) and both thresholds up to the
-// tolerance every threshold test shares; a node with no neighbours has the
-// set F(l, ·, 0, α), the label test alone. The factor sets are memoised in
-// an internal/lru cache of nodeSetMemoEntries sets, so every query of one
-// owner — an index, which is one generation, or a live view with an
-// overlay — after the first reads a factor as a bit. Every set holds only
-// entities carrying l. Safe for concurrent use.
+// with lp = Pr(v.l = l), k = c(n,σ) and each threshold prob.MayClear's for
+// the factors its bound stands for: lp's one, and a star's of 1+k nodes and
+// k edges. A node with no neighbours has the set F(l, ·, 0, α), the label
+// test alone. The factor sets are memoised in an internal/lru cache of
+// nodeSetMemoEntries sets, so every query of one owner — an index, which is
+// one generation, or a live view with an overlay — after the first reads a
+// factor as a bit. Every set holds only entities carrying l. Safe for
+// concurrent use.
 type NodeSets struct {
 	g    *entity.Graph
 	ctx  *Context
@@ -108,13 +109,14 @@ func (s *NodeSets) factor(l, sigma prob.LabelID, k int, alpha float64) NodeSet {
 func (s *NodeSets) compute(l, sigma prob.LabelID, k int, alpha float64) NodeSet {
 	g := s.g
 	set := newNodeSet(g.NumNodes())
+	labelFloor, floor := prob.Floor(alpha, 1), prob.Floor(alpha, prob.Factors(1+k, k))
 	for i := range g.NumNodes() {
 		v := entity.ID(i)
 		if !g.HasLabel(v, l) {
 			continue
 		}
 		lp := g.PrLabel(v, l)
-		if lp+1e-12 < alpha {
+		if lp < labelFloor {
 			continue
 		}
 		if k > 0 {
@@ -126,7 +128,7 @@ func (s *NodeSets) compute(l, sigma prob.LabelID, k int, alpha float64) NodeSet 
 			for range k {
 				bound *= f
 			}
-			if bound+1e-12 < alpha {
+			if bound < floor {
 				continue
 			}
 		}

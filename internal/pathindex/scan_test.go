@@ -90,7 +90,7 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 					continue
 				}
 				prle := prle0 * g.PrEdge(nb, p.labels[p.n-1], next) * lp
-				if prle*prn+1e-12 < alpha {
+				if !prob.MayClear(prle*prn, alpha, PathFactors(len(X))) {
 					continue
 				}
 				np := *p
@@ -107,7 +107,7 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 				continue
 			}
 			exist := g.Exist(id)
-			if lp*exist+1e-12 < alpha {
+			if !prob.MayClear(lp*exist, alpha, PathFactors(len(X))) {
 				continue
 			}
 			cur := opath{n: 1}
@@ -125,8 +125,8 @@ func lookupBeforeScan(ix *Index, X []prob.LabelID, alpha float64) ([]PathMatch, 
 		if !ok {
 			return nil, nil
 		}
-		err := s.Decode(int(bucketOf(alpha, ix.opt.Beta, ix.opt.Gamma)), func(_ int, nodes []uint32, prle, prn float64) bool {
-			if prle*prn+1e-12 < alpha {
+		err := s.Decode(int(bucketOf(prob.Floor(alpha, PathFactors(len(X))), ix.opt.Beta, ix.opt.Gamma)), func(_ int, nodes []uint32, prle, prn float64) bool {
+			if !prob.MayClear(prle*prn, alpha, PathFactors(len(X))) {
 				return true
 			}
 			m := PathMatch{Nodes: make([]entity.ID, len(nodes)), Prle: prle, Prn: prn}

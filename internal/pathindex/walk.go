@@ -43,7 +43,7 @@ type NodeFilter []NodeSet
 // not safe for concurrent use.
 type Walker struct {
 	g       *entity.Graph
-	thresh  float64
+	floor   float64        // prob.Floor(thresh, PathFactors(max))
 	max     int            // most (guided: exactly) nodes on a path
 	guide   []prob.LabelID // nil = every label assignment
 	anchors []bool         // by entity id: the nodes Anchor's head growth avoids
@@ -57,14 +57,14 @@ type Walker struct {
 }
 
 // NewWalker returns a walker over g for paths of at most maxNodes nodes
-// with probability ≥ thresh (up to the 1e-12 tolerance every threshold
-// test shares). guide, when not nil, fixes the labels and the length
-// (maxNodes == len(guide)). anchors, by entity id, is the set Anchor
-// walks from; Root does not read it, and At takes nil. keep, when not nil, filters the nodes
-// of a guided walk by their position on the guide; an unguided walk takes
-// nil.
+// whose every prefix prob.MayClear admits at thresh for PathFactors(maxNodes)
+// factors. guide, when not nil, fixes the labels and the length
+// (maxNodes == len(guide)). anchors, by entity id, is the set Anchor walks
+// from; Root does not read it, and At takes nil. keep, when not nil,
+// filters the nodes of a guided walk by their position on the guide; an
+// unguided walk takes nil.
 func NewWalker(g *entity.Graph, thresh float64, maxNodes int, guide []prob.LabelID, anchors []bool, keep NodeFilter, emit WalkFunc) *Walker {
-	return &Walker{g: g, thresh: thresh, max: maxNodes, guide: guide, anchors: anchors, keep: keep, emit: emit}
+	return &Walker{g: g, floor: prob.Floor(thresh, PathFactors(maxNodes)), max: maxNodes, guide: guide, anchors: anchors, keep: keep, emit: emit}
 }
 
 // Root walks the paths that start at v, growing them at the tail only. It
@@ -120,7 +120,11 @@ func (w *Walker) start(v entity.ID, lo, hi int) bool {
 func (w *Walker) admits(v entity.ID, pos int) bool { return w.keep == nil || w.keep[pos].Has(v) }
 
 // clears is the threshold test on a path's probability components.
-func (w *Walker) clears(prle, prn float64) bool { return prle*prn+1e-12 >= w.thresh }
+func (w *Walker) clears(prle, prn float64) bool { return prle*prn >= w.floor }
+
+// PathFactors is the most probability factors a path of the given number of
+// nodes multiplies: prob.Factors of a query that is that path.
+func PathFactors(nodes int) int { return prob.Factors(nodes, nodes-1) }
 
 // extension is the one extension step, for the edge nb between the path's
 // head or tail and the node it adds, whose labels read in path order are

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/entity"
 	"repro/internal/join"
+	"repro/internal/prob"
 	"repro/internal/query"
 	"repro/internal/refgraph"
 )
@@ -128,9 +129,6 @@ func (db *DB) finalRow(q *query.Query, mapping []entity.ID, alpha float64) (join
 	for i, v := range mapping {
 		nodes[i] = v
 		prle *= db.g.PrLabel(v, q.Label(query.NodeID(i)))
-		if prle == 0 {
-			return join.Match{}, false
-		}
 	}
 	for _, e := range q.Edges() {
 		ep, ok := db.g.EdgeBetween(mapping[e[0]], mapping[e[1]])
@@ -138,12 +136,9 @@ func (db *DB) finalRow(q *query.Query, mapping []entity.ID, alpha float64) (join
 			return join.Match{}, false
 		}
 		prle *= db.g.PrEdge(ep, q.Label(e[0]), q.Label(e[1]))
-		if prle == 0 {
-			return join.Match{}, false
-		}
 	}
 	prn := db.g.Prn(nodes)
-	if prle*prn+1e-12 < alpha {
+	if !prob.Clears(prle*prn, alpha) {
 		return join.Match{}, false
 	}
 	cp := make([]entity.ID, len(mapping))
