@@ -1,12 +1,13 @@
 // Command pegserve serves the online phase over HTTP: it loads a PGD
-// snapshot, opens (or builds) the path index, and answers /match,
-// /match/stream, and /match/batch queries concurrently with a bounded worker
-// pool and per-generation result, plan and candidate caches (-cache,
-// -plan-cache, -cand-cache). -workers is the server's one CPU budget: that
-// many requests evaluate at once, each on one core (library callers size a
-// run with core.Options.Workers instead). /match accepts limit and order
-// fields for top-K retrieval; /match/stream emits NDJSON match lines
-// incrementally as the join enumeration finds them.
+// snapshot, opens (or builds) the path index, and answers /match and
+// /match/stream queries concurrently with a bounded worker pool and
+// per-generation result, plan and candidate caches (-cache, -plan-cache,
+// -cand-cache). A request that omits alpha is answered at α = 0.25.
+// -workers is the server's one CPU budget: that many requests evaluate at
+// once, each on one core (library callers size a run with
+// core.Options.Workers instead). /match accepts limit and order fields for
+// top-K retrieval; /match/stream emits NDJSON match lines incrementally as
+// the join enumeration finds them.
 //
 // With -live the server runs read-write: -dir holds a live database
 // (generation directories plus a CRC-protected mutation log) and POST
@@ -56,8 +57,6 @@ func main() {
 		plans    = flag.Int("plan-cache", 256, "plan cache entries (negative disables); repeat queries skip decomposition and planning")
 		cands    = flag.Int("cand-cache", 0, "candidate cache: pruned path candidates retained per index generation (0 = default budget, negative disables); repeat query shapes skip posting decode and context pruning")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		alpha    = flag.Float64("alpha", 0.25, "default probability threshold α")
-		metrics  = flag.Bool("metrics", true, "expose GET /metrics (Prometheus text format)")
 		maxCost  = flag.Float64("max-cost", 0, "cost-based admission: reject queries whose plan-cost estimate exceeds this with 429 (0 disables)")
 		trace    = flag.String("trace", "", "span export file (\"-\" = stderr), one {\"span\":...} NDJSON line per sampled span; enables tracing, so a request sent with a sampled traceparent is traced")
 		traceSmp = flag.Float64("trace-sample", 0, "span tracing: fraction of new root traces to sample (0 = only those a sampled traceparent asks for, 1 = all); spans land in the -trace file and in GET /debug/trace/{id}")
@@ -87,9 +86,7 @@ func main() {
 		PlanCacheEntries: *plans,
 		CandCacheSize:    *cands,
 		RequestTimeout:   *timeout,
-		DefaultAlpha:     *alpha,
 		MaxPlanCost:      *maxCost,
-		DisableMetrics:   !*metrics,
 	}
 	var export io.Writer // nil keeps spans ring-only
 	if *trace == "-" {

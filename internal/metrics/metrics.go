@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -422,15 +421,6 @@ func (v *HistogramVec) Collect(w io.Writer) {
 	for _, h := range children {
 		h.collectSamples(w)
 	}
-}
-
-// SortedLabelValues returns the vec's label values, sorted — test helper.
-func (v *HistogramVec) SortedLabelValues() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := append([]string(nil), v.order...)
-	sort.Strings(out)
-	return out
 }
 
 // TextFamily is a pre-rendered family: a HELP/TYPE header plus sample

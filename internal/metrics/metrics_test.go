@@ -184,7 +184,7 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 		t.Errorf("counter = %d, want 4000", got)
 	}
 	total := uint64(0)
-	for _, s := range h.SortedLabelValues() {
+	for _, s := range h.order {
 		total += h.WithLabelValue(s).Count()
 	}
 	if total != 4000 {

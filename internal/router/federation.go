@@ -136,7 +136,7 @@ func (r *Router) handleMetricsCluster(w http.ResponseWriter, req *http.Request) 
 				errs[i] = err
 				return
 			}
-			resp, err := r.opt.Client.Do(req)
+			resp, err := r.client.Do(req)
 			if err != nil {
 				errs[i] = err
 				return

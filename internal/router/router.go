@@ -59,11 +59,6 @@ type Options struct {
 	// HealthEvery is the replica health-poll interval (0 = 2s, negative
 	// disables polling; replicas then stay in their initial healthy state).
 	HealthEvery time.Duration
-	// Client issues the shard calls (nil = a dedicated client with sane
-	// connection pooling).
-	Client *http.Client
-	// DisableMetrics leaves GET /metrics unregistered.
-	DisableMetrics bool
 	// Tracer enables span-structured distributed tracing: a root span per
 	// request, a child span per shard attempt (annotated with the replica
 	// and the failover/hedge cause), traceparent + deadline propagation to
@@ -77,12 +72,6 @@ func (o *Options) normalize() {
 	}
 	if o.HealthEvery == 0 {
 		o.HealthEvery = 2 * time.Second
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 }
 
@@ -138,6 +127,8 @@ type Router struct {
 	start    time.Time
 	stop     chan struct{}
 	stopOnce sync.Once
+	// client issues the shard calls, with its own connection pool.
+	client *http.Client
 
 	met *routerMetrics
 }
@@ -162,6 +153,10 @@ func New(m *shard.Manifest, opt Options) (*Router, error) {
 		lat:      make([]latRing, m.Shards),
 		start:    time.Now(),
 		stop:     make(chan struct{}),
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 	}
 	for s := 0; s < m.Shards; s++ {
 		if len(opt.Replicas[s]) == 0 {
@@ -216,7 +211,7 @@ func (r *Router) pollHealth() {
 					rep.healthy.Store(false)
 					return
 				}
-				resp, err := r.opt.Client.Do(req)
+				resp, err := r.client.Do(req)
 				if err != nil {
 					rep.healthy.Store(false)
 					return
@@ -342,7 +337,7 @@ func (r *Router) doOnce(ctx context.Context, s int, rep *replica, path string, b
 	propagate(ctx, asp, req.Header)
 	rep.inflight.Add(1)
 	start := time.Now()
-	resp, err := r.opt.Client.Do(req)
+	resp, err := r.client.Do(req)
 	elapsed := time.Since(start).Seconds()
 	rep.inflight.Add(-1)
 	r.lat[s].add(elapsed)
@@ -879,10 +874,8 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("/healthz", r.handleHealth)
 	mux.HandleFunc("/healthz/live", r.handleHealthLive)
 	mux.HandleFunc("/debug/trace/", r.handleDebugTrace)
-	if !r.opt.DisableMetrics {
-		mux.HandleFunc("/metrics", r.handleMetrics)
-		mux.HandleFunc("/metrics/cluster", r.handleMetricsCluster)
-	}
+	mux.HandleFunc("/metrics", r.handleMetrics)
+	mux.HandleFunc("/metrics/cluster", r.handleMetricsCluster)
 	return mux
 }
 

@@ -272,6 +272,45 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestRouterOmittedAlpha: a routed request that omits alpha is answered at
+// the one threshold every shard fills in, 0.25, and its matches are
+// byte-identical to the single-node answer at an explicit α of 0.25.
+func TestRouterOmittedAlpha(t *testing.T) {
+	d := buildSynth(t)
+	single := openServer(t, d)
+	rt, _ := openCluster(t, d, 2, Options{})
+	routed := httptest.NewServer(rt.Handler())
+	t.Cleanup(routed.Close)
+	type answer struct {
+		Matches json.RawMessage `json:"matches"`
+		Alpha   json.RawMessage `json:"alpha"`
+	}
+	matched := 0
+	for _, q := range testQueries {
+		var want, got answer
+		_, sb := postMatch(t, single.URL, map[string]any{"query": q, "alpha": 0.25})
+		_, rb := postMatch(t, routed.URL, map[string]any{"query": q})
+		if err := json.Unmarshal(sb, &want); err != nil {
+			t.Fatalf("single: %v\n%s", err, sb)
+		}
+		if err := json.Unmarshal(rb, &got); err != nil {
+			t.Fatalf("routed: %v\n%s", err, rb)
+		}
+		if string(got.Alpha) != "0.25" {
+			t.Errorf("%q without alpha: routed alpha %s, want 0.25", q, got.Alpha)
+		}
+		if !bytes.Equal(want.Matches, got.Matches) {
+			t.Errorf("%q without alpha: routed matches differ from the single node's at α 0.25:\nsingle %s\nrouted %s", q, want.Matches, got.Matches)
+		}
+		if string(want.Matches) != "[]" {
+			matched++
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no test query matched at α 0.25: every comparison above was between empty answers")
+	}
+}
+
 func sortEntries(ms []server.MatchEntry) {
 	for i := 1; i < len(ms); i++ {
 		for j := i; j > 0 && probBetter(&ms[j], &ms[j-1]); j-- {

@@ -75,7 +75,7 @@ func (r *Router) openShardStream(ctx context.Context, s int, body []byte, reqID 
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set(server.RequestIDHeader, reqID)
 		propagate(ctx, asp, req.Header)
-		resp, err := r.opt.Client.Do(req)
+		resp, err := r.client.Do(req)
 		shardLabel := fmt.Sprint(s)
 		if err != nil {
 			r.met.shardRequests.WithLabelValues(shardLabel, "error").Inc()

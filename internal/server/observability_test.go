@@ -91,26 +91,31 @@ func TestCanceledContextCountsCanceled(t *testing.T) {
 	checkAccounting(t, s)
 }
 
-// TestBatchAccountingInvariant mixes malformed and valid queries in one
-// batch and checks every item settles into exactly one outcome.
+// TestBatchAccountingInvariant sends a run of malformed and valid queries,
+// one /match request each, and checks every request settles into exactly
+// one outcome, in /stats and in /metrics alike.
 func TestBatchAccountingInvariant(t *testing.T) {
 	s, ts := testServer(t, Options{Workers: 2})
-	resp, body := postJSON(t, ts.URL+"/match/batch", &BatchRequest{Queries: []MatchRequest{
+	for _, req := range []MatchRequest{
 		{Query: "node A nosuchlabel"},
 		{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha},
 		{Query: "syntactically broken"},
-	}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status = %d (%s)", resp.StatusCode, body)
+	} {
+		postJSON(t, ts.URL+"/match", &req)
 	}
-	if got := s.requests.Load(); got != 3 {
-		t.Errorf("requests = %d, want 3", got)
+	var st StatsResponse
+	if _, body := getRaw(t, ts.URL+"/stats"); json.Unmarshal(body, &st) != nil ||
+		st.Requests != 3 || st.Succeeded != 1 || st.Failed != 2 {
+		t.Errorf("/stats requests %d succeeded %d failed %d, want 3, 1 and 2", st.Requests, st.Succeeded, st.Failed)
 	}
-	if got := s.succeeded.Load(); got != 1 {
-		t.Errorf("succeeded = %d, want 1", got)
-	}
-	if got := s.failed.Load(); got != 2 {
-		t.Errorf("failed = %d, want 2", got)
+	_, page := getRaw(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`peg_requests_total{endpoint="match",outcome="ok"} 1`,
+		`peg_requests_total{endpoint="match",outcome="failed"} 2`,
+	} {
+		if !strings.Contains(string(page), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 	checkAccounting(t, s)
 }

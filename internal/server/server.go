@@ -20,8 +20,6 @@
 //	POST /match/stream  one MatchRequest  → NDJSON stream of StreamEvent
 //	                    lines: matches flushed incrementally as the join
 //	                    finds them, then a terminal done/error line
-//	POST /match/batch   BatchRequest      → BatchResponse (items evaluated
-//	                    concurrently through the pool)
 //	POST /explain       one MatchRequest  → ExplainResponse: the plan tree
 //	                    the query would execute under, without executing it
 //	                    (shares the plan cache with the match endpoints)
@@ -84,8 +82,6 @@ type Options struct {
 	// RequestTimeout caps per-request wall clock (0 = 30s). A request may
 	// lower it via its timeout_ms field but never raise it.
 	RequestTimeout time.Duration
-	// DefaultAlpha is used when a request omits alpha (0 = 0.25).
-	DefaultAlpha float64
 	// PlanCacheEntries sizes the LRU plan cache (0 = 256, negative
 	// disables). Cached plans are keyed by query fingerprint + α +
 	// strategy, so repeat queries — including /match/stream requests, which
@@ -113,11 +109,6 @@ type Options struct {
 	// terminal state as attributes (see finishRequest). Nil disables
 	// tracing.
 	Tracer *trace.Tracer
-	// DisableMetrics leaves GET /metrics unregistered. The instruments still
-	// run (they are nanoseconds per request); only the scrape endpoint goes
-	// away, for deployments that must not expose internals on the serving
-	// port.
-	DisableMetrics bool
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -134,9 +125,6 @@ func (o *Options) normalize() {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
-	}
-	if o.DefaultAlpha <= 0 || o.DefaultAlpha > 1 {
-		o.DefaultAlpha = 0.25
 	}
 	if o.PlanCacheEntries == 0 {
 		o.PlanCacheEntries = 256
@@ -341,12 +329,11 @@ func (s *Server) acquireIndex() (si *servedIndex, release func()) {
 // still building or loading.
 var errNotReady = &httpError{status: http.StatusServiceUnavailable, msg: "index not ready"}
 
-// MatchRequest is the JSON body of /match, /match/stream, and one item of
-// /match/batch.
+// MatchRequest is the JSON body of /match, /match/stream and /explain.
 type MatchRequest struct {
 	// Query is the text DSL ("node NAME LABEL" / "edge A B" lines).
 	Query string `json:"query"`
-	// Alpha is the probability threshold α (0 = server default).
+	// Alpha is the probability threshold α (0 = defaultAlpha).
 	Alpha float64 `json:"alpha,omitempty"`
 	// Strategy is "optimized" (default), "random-decomp", or
 	// "no-ss-reduction".
@@ -361,11 +348,6 @@ type MatchRequest struct {
 	// Order is "emit" (default: enumeration order, lowest latency) or
 	// "prob" (decreasing probability — top-K together with Limit).
 	Order string `json:"order,omitempty"`
-
-	// deadlineMillis is the router's remaining per-shard budget from the
-	// X-Peg-Deadline-Ms header. Folded into the request timeout exactly
-	// like timeout_ms: it can lower the deadline, never raise it.
-	deadlineMillis int64
 }
 
 // SetSpanAttrs records the request's shape — query, α, strategy, order
@@ -467,22 +449,6 @@ type StreamDone struct {
 	Stats      *MatchStats `json:"stats,omitempty"`
 }
 
-// BatchRequest is the JSON body of /match/batch.
-type BatchRequest struct {
-	Queries []MatchRequest `json:"queries"`
-}
-
-// BatchItem is one result of a batch: a response or an error, never both.
-type BatchItem struct {
-	*MatchResponse
-	Error string `json:"error,omitempty"`
-}
-
-// BatchResponse answers /match/batch, results aligned with the request.
-type BatchResponse struct {
-	Results []BatchItem `json:"results"`
-}
-
 // StatsResponse answers /stats. The outcome counters partition Requests:
 // requests = succeeded + failed + canceled + rejected + cost_rejected.
 type StatsResponse struct {
@@ -551,29 +517,25 @@ var errSaturated = &httpError{
 	msg:    "server saturated: worker pool and queue full",
 }
 
-// maxBodyBytes caps request bodies; a batch of maximal queries stays well
-// under it.
+// maxBodyBytes caps request bodies: a match request or an /ingest batch.
 const maxBodyBytes = 8 << 20
 
-// maxBatchQueries caps one /match/batch request; larger workloads must
-// paginate so a single request cannot monopolize the pool.
-const maxBatchQueries = 256
+// defaultAlpha is the threshold of a request that omits alpha. It is a
+// constant, not an option, so every shard of a cluster fills in the same α.
+const defaultAlpha = 0.25
 
 // Handler returns the HTTP handler serving all endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/match", s.handleMatch)
 	mux.HandleFunc("/match/stream", s.handleMatchStream)
-	mux.HandleFunc("/match/batch", s.handleBatch)
 	mux.HandleFunc("/explain", s.handleExplain)
 	mux.HandleFunc("/ingest", s.handleIngest)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/healthz/live", s.handleHealthLive)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/debug/trace/", s.handleDebugTrace)
-	if !s.opt.DisableMetrics {
-		mux.HandleFunc("/metrics", s.handleMetrics)
-	}
+	mux.HandleFunc("/metrics", s.handleMetrics)
 	// Echo the caller's X-Request-ID onto every response — success, error,
 	// or stream — before any handler writes a status, so a request can be
 	// correlated across router, shard, and trace log by one id.
@@ -597,17 +559,6 @@ const RequestIDHeader = "X-Request-ID"
 // hedged-and-lost) is cancelled shard-side instead of running to
 // completion and polluting the latency histograms.
 const DeadlineHeader = "X-Peg-Deadline-Ms"
-
-// captureHTTP records the router's remaining deadline budget of one
-// decoded request. (The traceparent context and the correlation id are
-// read by startRequestSpan.)
-func (s *Server) captureHTTP(r *http.Request, req *MatchRequest) {
-	if v := r.Header.Get(DeadlineHeader); v != "" {
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			req.deadlineMillis = ms
-		}
-	}
-}
 
 // startRequestSpan opens the server-side root span for one request,
 // continuing the remote traceparent context when one was propagated
@@ -771,9 +722,11 @@ var errPostRequired = &httpError{status: http.StatusMethodNotAllowed, msg: "POST
 // serve is the one request path of /match, /match/stream and /explain. It
 // counts the request before anything can fail — a wrong method or a body
 // that does not decode settles as failed like any other error — opens the
-// root span, decodes the body and hands it to answer through do. The
-// request settles exactly once, before its reply goes out, so a client
-// that has read the answer finds it counted.
+// root span and decodes the body, then pins the served generation, parses
+// the request against it and runs answer under the request's deadline. The
+// generation is released before the reply goes out, and the request settles
+// exactly once before that, so a client that has read the answer finds it
+// counted.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, answer answerFunc) {
 	s.requests.Add(1)
 	start := time.Now()
@@ -788,9 +741,20 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, 
 		err = errPostRequired
 	} else if derr := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); derr != nil {
 		err = decodeError(derr)
+	} else if si, release := s.acquireIndex(); si == nil {
+		err = errNotReady
 	} else {
-		s.captureHTTP(r, &req)
-		res, reply, err = s.do(ctx, &req, answer)
+		var p *matchParams
+		if p, err = s.parseParams(si.ix, &req); err == nil {
+			// The deadline starts before the queue so RequestTimeout caps the
+			// whole wall clock — a request stuck behind a saturated pool, or
+			// waiting on an identical in-flight request, times out rather
+			// than hanging for the wait plus a full match budget.
+			actx, cancel := context.WithTimeout(ctx, s.requestTimeout(r, &req))
+			res, reply, err = answer(actx, si, p)
+			cancel()
+		}
+		release()
 	}
 	s.finishRequest(endpoint, start, sp, &req, res, err)
 	switch {
@@ -801,28 +765,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, 
 	default:
 		writeJSON(w, http.StatusOK, res)
 	}
-}
-
-// do pins the served generation, parses req against it and runs answer
-// under the request's deadline: the part of the request path a batch item
-// shares with the endpoints.
-func (s *Server) do(ctx context.Context, req *MatchRequest, answer answerFunc) (*MatchResponse, func(), error) {
-	si, release := s.acquireIndex()
-	defer release()
-	if si == nil {
-		return nil, nil, errNotReady
-	}
-	p, err := s.parseParams(si.ix, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The deadline starts before the queue so RequestTimeout caps the whole
-	// wall clock — a request stuck behind a saturated pool, or waiting on an
-	// identical in-flight request, times out rather than hanging for the
-	// wait plus a full match budget.
-	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req))
-	defer cancel()
-	return answer(ctx, si, p)
 }
 
 // handleMatchStream answers one match request as NDJSON: one StreamEvent
@@ -948,71 +890,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	s.serve(w, r, "match", s.answer)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, errPostRequired)
-		return
-	}
-	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, decodeError(err))
-		return
-	}
-	ctx, bsp := s.startRequestSpan(r, "serve.batch")
-	for i := range req.Queries {
-		s.captureHTTP(r, &req.Queries[i])
-	}
-	var err error
-	switch {
-	case len(req.Queries) == 0:
-		err = badRequest("empty batch")
-	case len(req.Queries) > maxBatchQueries:
-		err = badRequest("batch of %d exceeds the %d-query limit", len(req.Queries), maxBatchQueries)
-	}
-	if err != nil {
-		endRequestSpan(bsp, outcomeOf(err), nil, nil, err)
-		writeError(w, err)
-		return
-	}
-	// Fan out through at most Workers goroutines: each item takes a worker
-	// slot like a loose /match, so a batch respects the same admission
-	// control as loose requests and one batch cannot spawn unbounded work.
-	out := BatchResponse{Results: make([]BatchItem, len(req.Queries))}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	conc := s.opt.Workers
-	if conc > len(req.Queries) {
-		conc = len(req.Queries)
-	}
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				s.requests.Add(1)
-				start := time.Now()
-				res, _, err := s.do(ctx, &req.Queries[i], s.answer)
-				s.finishRequest("batch", start, nil, &req.Queries[i], res, err)
-				if err != nil {
-					out.Results[i] = BatchItem{Error: err.Error()}
-					continue
-				}
-				out.Results[i] = BatchItem{MatchResponse: res}
-			}
-		}()
-	}
-	for i := range req.Queries {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if bsp.Sampled() {
-		bsp.SetAttr("items", strconv.Itoa(len(req.Queries)))
-	}
-	endRequestSpan(bsp, outcomeOK, nil, nil, nil)
-	writeJSON(w, http.StatusOK, &out)
 }
 
 // HealthResponse is the body of GET /healthz (readiness) and
@@ -1152,8 +1029,8 @@ func (p *matchParams) options(si *servedIndex) core.Options {
 
 // requestTimeout derives one request's deadline: the server cap, lowerable
 // (never raisable) by the request's timeout_ms and by the router's
-// propagated X-Peg-Deadline-Ms budget.
-func (s *Server) requestTimeout(req *MatchRequest) time.Duration {
+// propagated X-Peg-Deadline-Ms budget; a malformed header is ignored.
+func (s *Server) requestTimeout(r *http.Request, req *MatchRequest) time.Duration {
 	timeout := s.opt.RequestTimeout
 	lower := func(ms int64) {
 		if ms <= 0 {
@@ -1164,7 +1041,11 @@ func (s *Server) requestTimeout(req *MatchRequest) time.Duration {
 		}
 	}
 	lower(req.TimeoutMillis)
-	lower(req.deadlineMillis)
+	if v := r.Header.Get(DeadlineHeader); v != "" { // ParseInt("") allocates its error
+		if ms, err := strconv.ParseInt(v, 10, 64); err == nil {
+			lower(ms)
+		}
+	}
 	return timeout
 }
 
@@ -1270,7 +1151,7 @@ func (s *Server) stageSpans(ctx context.Context, execStart time.Time, stages []p
 func (s *Server) parseParams(ix pathindex.Reader, req *MatchRequest) (*matchParams, error) {
 	p := &matchParams{alpha: req.Alpha, limit: req.Limit}
 	if p.alpha == 0 {
-		p.alpha = s.opt.DefaultAlpha
+		p.alpha = defaultAlpha
 	}
 	if p.alpha < 0 || p.alpha > 1 {
 		return nil, badRequest("alpha %v out of range (0,1]", p.alpha)
@@ -1298,9 +1179,9 @@ func (s *Server) parseParams(ix pathindex.Reader, req *MatchRequest) (*matchPara
 	return p, nil
 }
 
-// answer is /match's part of the request path, and a batch item's: the
-// generation's result cache, whose misses run compute. It has no reply of
-// its own; serve writes the response.
+// answer is /match's part of the request path: the generation's result
+// cache, whose misses run compute. It has no reply of its own; serve writes
+// the response.
 func (s *Server) answer(ctx context.Context, si *servedIndex, p *matchParams) (*MatchResponse, func(), error) {
 	// Concurrent identical cold requests share one computation: the first
 	// computes under a worker slot and the rest wait without taking one.
@@ -1474,8 +1355,7 @@ func outcomeOf(err error) string {
 // finishRequest settles one request previously counted in s.requests:
 // exactly one outcome counter, the endpoint latency histogram, the
 // per-stage histograms for fresh (non-cached) executions, and the
-// request's root span sp (nil for a batch item, whose spans nest under
-// the batch root). Handlers call it on every terminal path, so the
+// request's root span sp. serve calls it on every terminal path, so the
 // requests = Σ outcomes invariant cannot drift.
 func (s *Server) finishRequest(endpoint string, start time.Time, sp *trace.Span, req *MatchRequest, res *MatchResponse, err error) {
 	outcome := outcomeOf(err)

@@ -170,50 +170,11 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-func TestBatchEndpoint(t *testing.T) {
-	_, ts := testServer(t, Options{})
-	batch := BatchRequest{Queries: []MatchRequest{
-		{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha},
-		{Query: "node A a\n", Alpha: 0.5},
-		{Query: "bogus\n", Alpha: 0.2}, // per-item error, not a batch failure
-	}}
-	resp, body := postJSON(t, ts.URL+"/match/batch", batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var res BatchResponse
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(res.Results))
-	}
-	if res.Results[0].Error != "" || res.Results[0].NumMatches != 1 {
-		t.Errorf("item 0: %+v", res.Results[0])
-	}
-	if res.Results[1].Error != "" {
-		t.Errorf("item 1 errored: %s", res.Results[1].Error)
-	}
-	if res.Results[2].Error == "" {
-		t.Error("item 2 (bogus query) did not error")
-	}
-
-	// Oversized batches are rejected up front, not fanned out.
-	huge := BatchRequest{Queries: make([]MatchRequest, maxBatchQueries+1)}
-	for i := range huge.Queries {
-		huge.Queries[i] = MatchRequest{Query: motivatingQueryDSL, Alpha: 0.2}
-	}
-	resp, body = postJSON(t, ts.URL+"/match/batch", huge)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized batch: status %d, want 400 (%s)", resp.StatusCode, body)
-	}
-}
-
-// TestBatchConcurrentClients is the server-level concurrency stress: many
-// clients fire /match/batch at once (each batch fans out through the worker
-// pool), all against the same shared index. Under -race this exercises the
-// full stack — HTTP handlers, cache, pool, and the lock-free index reads.
-func TestBatchConcurrentClients(t *testing.T) {
+// TestConcurrentClients is the server-level concurrency stress: many
+// clients post the same four queries to /match at once, all against the
+// same shared index. Under -race this exercises the full stack — HTTP
+// handlers, cache, pool, and the lock-free index reads.
+func TestConcurrentClients(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 4, QueueDepth: 1024})
 	queries := []MatchRequest{
 		{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha},
@@ -229,32 +190,24 @@ func TestBatchConcurrentClients(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				b, _ := json.Marshal(BatchRequest{Queries: queries})
-				resp, err := http.Post(ts.URL+"/match/batch", "application/json", bytes.NewReader(b))
-				if err != nil {
-					t.Errorf("client %d: %v", c, err)
-					return
-				}
-				var res BatchResponse
-				err = json.NewDecoder(resp.Body).Decode(&res)
-				resp.Body.Close()
-				if err != nil {
-					t.Errorf("client %d: decode: %v", c, err)
-					return
-				}
-				if len(res.Results) != len(queries) {
-					t.Errorf("client %d: %d results", c, len(res.Results))
-					return
-				}
-				for i, item := range res.Results {
-					if item.Error != "" {
-						t.Errorf("client %d item %d: %s", c, i, item.Error)
+				for i, q := range queries {
+					b, _ := json.Marshal(q)
+					resp, err := http.Post(ts.URL+"/match", "application/json", bytes.NewReader(b))
+					if err != nil {
+						t.Errorf("client %d: %v", c, err)
 						return
 					}
-				}
-				if res.Results[0].NumMatches != 1 {
-					t.Errorf("client %d: item 0 gave %d matches, want 1", c, res.Results[0].NumMatches)
-					return
+					var res MatchResponse
+					err = json.NewDecoder(resp.Body).Decode(&res)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						t.Errorf("client %d query %d: status %d, decode: %v", c, i, resp.StatusCode, err)
+						return
+					}
+					if i == 0 && res.NumMatches != 1 {
+						t.Errorf("client %d: query 0 gave %d matches, want 1", c, res.NumMatches)
+						return
+					}
 				}
 			}
 		}(c)

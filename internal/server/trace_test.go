@@ -41,8 +41,7 @@ func TestDeadlineHeaderFolds(t *testing.T) {
 			hr.Header.Set(DeadlineHeader, tc.header)
 		}
 		req := &MatchRequest{TimeoutMillis: tc.bodyMS}
-		s.captureHTTP(hr, req)
-		if got := s.requestTimeout(req); got != tc.want {
+		if got := s.requestTimeout(hr, req); got != tc.want {
 			t.Errorf("header=%q timeout_ms=%d: requestTimeout = %v, want %v",
 				tc.header, tc.bodyMS, got, tc.want)
 		}

@@ -142,13 +142,9 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// WriteManifest flips the catalog through storage.WriteFile, so a power
+// writeManifest flips the catalog through storage.WriteFile, so a power
 // loss leaves either the previous or the new catalog — never a torn or
 // unpersisted one.
-func WriteManifest(dir string, m *Manifest) error {
-	return writeManifest(storage.OS, dir, m)
-}
-
 func writeManifest(fs storage.FS, dir string, m *Manifest) error {
 	if err := m.validate(); err != nil {
 		return fmt.Errorf("shard: %w", err)
