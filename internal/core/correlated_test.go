@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ import (
 
 // TestCorrelatedEdgesEndToEnd validates the Section 5.3 CPT path: on a
 // DBLP-style graph with label-conditioned edge probabilities, the optimized
-// pipeline must agree exactly with the brute-force matcher.
+// pipeline must agree bit for bit with the brute-force matcher.
 func TestCorrelatedEdgesEndToEnd(t *testing.T) {
 	d, err := gen.DBLP(gen.DBLPOptions{Authors: 60, Seed: 4})
 	if err != nil {
@@ -43,10 +44,7 @@ func TestCorrelatedEdgesEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !matchSetsEqual(want, res.Matches) {
-				t.Fatalf("trial %d α=%v: pipeline %d matches, naive %d",
-					trial, alpha, len(res.Matches), len(want))
-			}
+			matchesIdentical(t, fmt.Sprintf("trial %d α=%v", trial, alpha), want, res.Matches)
 		}
 	}
 }

@@ -9,102 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/gen"
-	"repro/internal/plan"
 )
-
-// TestPlanSpaceEquivalenceOnSyntheticPGDs is the plan-equivalence property:
-// every plan the planner can emit — the full candidate space of
-// decomposition mode × probe-reduction on/off × join-order heuristic — must
-// produce exactly the same match set as StrategyOptimized on seeded random
-// synthetic PGDs, with bitwise-equal Prle and Prn. Plans may only differ in
-// cost, never in the answer; this is what makes the planner's choice a pure
-// cost decision and cached plans safe to reuse.
-func TestPlanSpaceEquivalenceOnSyntheticPGDs(t *testing.T) {
-	seeds := []int64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		d, err := gen.Synthetic(gen.SynthOptions{
-			Refs:          30,
-			EdgeFactor:    2,
-			Labels:        4,
-			UncertainFrac: 0.4,
-			Groups:        2,
-			GroupSize:     3,
-			PairsPerGroup: 2,
-			Seed:          seed,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: Synthetic: %v", seed, err)
-		}
-		g, err := entity.Build(d, entity.BuildOptions{})
-		if err != nil {
-			t.Fatalf("seed %d: Build: %v", seed, err)
-		}
-		ix := buildIx(t, g, 2, 0.05)
-
-		rng := rand.New(rand.NewSource(seed * 131))
-		for qi := 0; qi < 3; qi++ {
-			q, err := gen.RandomQuery(rng, g.NumLabels(), 2+rng.Intn(2), 3)
-			if err != nil {
-				t.Fatalf("seed %d: RandomQuery: %v", seed, err)
-			}
-			for _, alpha := range []float64{0.1, 0.35} {
-				ref, err := core.Match(context.Background(), ix, q, core.Options{
-					Alpha: alpha, Strategy: core.StrategyOptimized,
-				})
-				if err != nil {
-					t.Fatalf("seed %d q%d α=%v: reference Match: %v", seed, qi, alpha, err)
-				}
-				planner := plan.NewPlanner(ix, nil)
-				plans, err := planner.Enumerate(context.Background(), q, plan.Options{
-					Alpha:    alpha,
-					Strategy: "optimized",
-					Space:    plan.FullSpace(),
-					Seed:     seed + int64(qi),
-				})
-				if err != nil {
-					t.Fatalf("seed %d q%d α=%v: Enumerate: %v", seed, qi, alpha, err)
-				}
-				if len(plans) < 4 {
-					t.Fatalf("seed %d q%d: only %d candidate plans", seed, qi, len(plans))
-				}
-				for pi, pl := range plans {
-					res, err := core.MatchPlan(context.Background(), ix, pl, core.Options{Alpha: alpha})
-					if err != nil {
-						t.Fatalf("seed %d q%d plan %d (%s/%s/reduce=%v) α=%v: %v",
-							seed, qi, pi, pl.Tree.DecomposeMode, pl.Tree.JoinOrderMode, pl.Reduce, alpha, err)
-					}
-					if len(res.Matches) != len(ref.Matches) {
-						t.Fatalf("seed %d q%d plan %d (%s/%s/reduce=%v) α=%v: %d matches, reference %d",
-							seed, qi, pi, pl.Tree.DecomposeMode, pl.Tree.JoinOrderMode, pl.Reduce,
-							alpha, len(res.Matches), len(ref.Matches))
-					}
-					// Both sides were sorted by the same deterministic order
-					// (mapping, then probability), so equality is
-					// elementwise — and the probabilities must be bitwise
-					// equal, not just close: every plan finalizes matches
-					// through the identical fixed-order recomputation.
-					for i := range res.Matches {
-						a, b := res.Matches[i], ref.Matches[i]
-						for k := range a.Mapping {
-							if a.Mapping[k] != b.Mapping[k] {
-								t.Fatalf("seed %d q%d plan %d match %d: mapping %v vs %v",
-									seed, qi, pi, i, a.Mapping, b.Mapping)
-							}
-						}
-						if math.Float64bits(a.Prle) != math.Float64bits(b.Prle) ||
-							math.Float64bits(a.Prn) != math.Float64bits(b.Prn) {
-							t.Fatalf("seed %d q%d plan %d match %d: probabilities not bitwise equal: (%v,%v) vs (%v,%v)",
-								seed, qi, pi, i, a.Prle, a.Prn, b.Prle, b.Prn)
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestStatsReportExecutedPlan: after a run, Stats must carry the very plan
 // tree Explain returns for the same query and options.

@@ -3,141 +3,14 @@ package core_test
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/join"
-	"repro/internal/naive"
+	"repro/internal/plan"
 )
-
-// probLess is the probability total order of OrderByProb, reimplemented for
-// the tests: higher Pr first, ties broken by mapping.
-func probLess(a, b join.Match) bool {
-	pa, pb := a.Pr(), b.Pr()
-	if pa != pb {
-		return pa > pb
-	}
-	for k := range a.Mapping {
-		if a.Mapping[k] != b.Mapping[k] {
-			return a.Mapping[k] < b.Mapping[k]
-		}
-	}
-	return false
-}
-
-// TestStreamEquivalence: the collect-all adapter and a manual MatchStream
-// collection must agree exactly, for both emission orders, on random PGDs.
-func TestStreamEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(4711))
-	for trial := 0; trial < 6; trial++ {
-		nLabels := rng.Intn(2) + 2
-		d := randomPGD(rng, nLabels, rng.Intn(12)+8)
-		g, err := entity.Build(d, entity.BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := buildIx(t, g, 2, 0.05)
-		q := randomConnectedQuery(rng, nLabels, rng.Intn(3)+2, rng.Intn(2))
-		for _, order := range []core.ResultOrder{core.OrderEmit, core.OrderByProb} {
-			opt := core.Options{Alpha: 0.1, Order: order}
-			res, err := core.Match(context.Background(), ix, q, opt)
-			if err != nil {
-				t.Fatalf("trial %d %v: Match: %v", trial, order, err)
-			}
-			var streamed []join.Match
-			st, err := core.MatchStream(context.Background(), ix, q, opt, func(m join.Match) bool {
-				streamed = append(streamed, m)
-				return true
-			})
-			if err != nil {
-				t.Fatalf("trial %d %v: MatchStream: %v", trial, order, err)
-			}
-			if !matchSetsEqual(res.Matches, streamed) {
-				t.Errorf("trial %d %v: stream %d matches, collect %d",
-					trial, order, len(streamed), len(res.Matches))
-			}
-			if st.Matched != len(streamed) {
-				t.Errorf("trial %d %v: Stats.Matched = %d, want %d", trial, order, st.Matched, len(streamed))
-			}
-			if st.Truncated {
-				t.Errorf("trial %d %v: unlimited run reported Truncated", trial, order)
-			}
-			if order == core.OrderByProb && !sort.SliceIsSorted(streamed, func(i, j int) bool {
-				return probLess(streamed[i], streamed[j])
-			}) {
-				t.Errorf("trial %d: OrderByProb stream not probability-sorted", trial)
-			}
-		}
-	}
-}
-
-// TestTopKMatchesBruteForce is the Limit=K property: for every K, the
-// limited OrderByProb run returns exactly the first K entries of the
-// probability-sorted brute-force match set.
-func TestTopKMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(90125))
-	trials := 10
-	if testing.Short() {
-		trials = 4
-	}
-	for trial := 0; trial < trials; trial++ {
-		nLabels := rng.Intn(2) + 2
-		d := randomPGD(rng, nLabels, rng.Intn(12)+8)
-		g, err := entity.Build(d, entity.BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := buildIx(t, g, 2, 0.05)
-		q := randomConnectedQuery(rng, nLabels, rng.Intn(3)+2, rng.Intn(2))
-		alpha := []float64{0.05, 0.2}[rng.Intn(2)]
-
-		want, err := naive.Matches(context.Background(), g, q, alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(want, func(i, j int) bool { return probLess(want[i], want[j]) })
-
-		for _, k := range []int{1, 2, 3, len(want), len(want) + 5} {
-			if k <= 0 {
-				continue
-			}
-			res, err := core.Match(context.Background(), ix, q, core.Options{
-				Alpha: alpha, Limit: k, Order: core.OrderByProb,
-			})
-			if err != nil {
-				t.Fatalf("trial %d K=%d: %v", trial, k, err)
-			}
-			wantK := want
-			if k < len(want) {
-				wantK = want[:k]
-			}
-			if len(res.Matches) != len(wantK) {
-				t.Fatalf("trial %d K=%d: got %d matches, want %d", trial, k, len(res.Matches), len(wantK))
-			}
-			for i, m := range res.Matches {
-				w := wantK[i]
-				if math.Abs(m.Pr()-w.Pr()) > 1e-9 {
-					t.Errorf("trial %d K=%d rank %d: Pr %v, want %v", trial, k, i, m.Pr(), w.Pr())
-				}
-				for j := range m.Mapping {
-					if m.Mapping[j] != w.Mapping[j] {
-						t.Errorf("trial %d K=%d rank %d: mapping %v, want %v", trial, k, i, m.Mapping, w.Mapping)
-						break
-					}
-				}
-			}
-			wantTrunc := k < len(want)
-			if res.Stats.Truncated != wantTrunc {
-				t.Errorf("trial %d K=%d: Truncated = %v, want %v (of %d)",
-					trial, k, res.Stats.Truncated, wantTrunc, len(want))
-			}
-		}
-	}
-}
 
 // TestLimitEmitStopsEnumeration: with OrderEmit, Limit=K yields exactly K
 // matches (when at least K exist), each a member of the unlimited match
@@ -263,9 +136,8 @@ func TestMatchSeq(t *testing.T) {
 		}
 		collected = append(collected, m)
 	}
-	if !matchSetsEqual(full.Matches, collected) {
-		t.Errorf("MatchSeq delivered %d matches, Match %d", len(collected), len(full.Matches))
-	}
+	plan.SortMatches(collected) // a stream's order is the enumeration's
+	matchesIdentical(t, "MatchSeq vs Match", full.Matches, collected)
 
 	if len(full.Matches) >= 2 {
 		n := 0

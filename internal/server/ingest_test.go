@@ -16,7 +16,7 @@ import (
 
 // liveServer builds a live database over the motivating example and a
 // server wired to it both ways (ingest → Apply, publish → swap).
-func liveServer(t *testing.T) (*Server, *live.DB, *httptest.Server) {
+func liveServer(t testing.TB) (*Server, *live.DB, *httptest.Server) {
 	t.Helper()
 	db, err := live.Create(context.Background(), t.TempDir(), fixtures.MotivatingPGD(), live.Options{
 		Index:        pathindex.Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1},
@@ -170,4 +170,55 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// FuzzIngest posts arbitrary bodies to /ingest as NDJSON, on a live
+// database whose compaction is off. No body may panic the server or draw a
+// 5xx; a rejected batch applies nothing, and an accepted one applies
+// exactly the mutations its body holds.
+func FuzzIngest(f *testing.F) {
+	for _, body := range []string{
+		`{"op":"add-edge","a":0,"b":2,"p":0.5}`,
+		`{"op":"set-linkage","members":[2,3],"p":0.5}` + "\n" + `{"op":"add-ref","labels":[{"label":"a","p":1}]}`,
+		`{"op":"add-edge","a":0,"b":1,"p":0.5,"cpt":[0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5]}`,
+		`{"op":"add-edge","a":0,"b":99,"p":0.5}`,
+		`{"op":"add-ref","labels":[{"label":"zz","p":1}]}`,
+		`{"op":"set-linkage","members":[1],"p":2}`,
+		`{"op":"drop"}`, `null`, `[]`, `{`, ``,
+	} {
+		f.Add([]byte(body))
+	}
+	s, db, _ := liveServer(f)
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := db.View().Mutations()
+		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		applied := db.View().Mutations() - before
+		if rec.Code >= 500 {
+			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			if applied != 0 {
+				t.Fatalf("%q: status %d, yet %d mutations applied", body, rec.Code, applied)
+			}
+			return
+		}
+		var res live.ApplyResult
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+			t.Fatalf("%q: decode the answer: %v", body, err)
+		}
+		n := 0
+		for dec := json.NewDecoder(bytes.NewReader(body)); ; n++ {
+			var m live.Mutation
+			if err := dec.Decode(&m); err != nil {
+				break
+			}
+		}
+		if res.Applied != n || applied != uint64(n) {
+			t.Fatalf("%q: %d mutations, applied %d, Mutations moved by %d", body, n, res.Applied, applied)
+		}
+	})
 }
