@@ -3,14 +3,123 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/join"
+	"repro/internal/naive"
 	"repro/internal/plan"
 )
+
+// byProbability orders naive's matches (sorted by mapping) the way
+// OrderByProb must: decreasing Pr, ties by mapping.
+func byProbability(ms []join.Match) []join.Match {
+	out := slices.Clone(ms)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Pr() > out[j].Pr() })
+	return out
+}
+
+// TestStreamEquivalence: the collect-all adapter and a manual MatchStream
+// collection return naive's answer bit for bit, for both emission orders,
+// on random PGDs with label-conditioned edges: the emit-order stream once
+// sorted by mapping, the OrderByProb stream and collect as delivered.
+func TestStreamEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(4711))
+	for trial := 0; trial < 6; trial++ {
+		nLabels := rng.Intn(2) + 2
+		d := randomPGD(rng, nLabels, rng.Intn(12)+8)
+		g, err := entity.Build(d, entity.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := buildIx(t, g, 2, 0.05)
+		q := randomConnectedQuery(rng, nLabels, rng.Intn(3)+2, rng.Intn(2))
+		want, err := naive.Matches(context.Background(), g, q, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, order := range []core.ResultOrder{core.OrderEmit, core.OrderByProb} {
+			at := fmt.Sprintf("trial %d %v", trial, order)
+			opt := core.Options{Alpha: 0.1, Order: order}
+			res, err := core.Match(context.Background(), ix, q, opt)
+			if err != nil {
+				t.Fatalf("%s: Match: %v", at, err)
+			}
+			var streamed []join.Match
+			st, err := core.MatchStream(context.Background(), ix, q, opt, func(m join.Match) bool {
+				streamed = append(streamed, m)
+				return true
+			})
+			if err != nil {
+				t.Fatalf("%s: MatchStream: %v", at, err)
+			}
+			if st.Matched != len(streamed) {
+				t.Errorf("%s: Stats.Matched = %d, want %d", at, st.Matched, len(streamed))
+			}
+			if st.Truncated {
+				t.Errorf("%s: unlimited run reported Truncated", at)
+			}
+			if order == core.OrderEmit {
+				plan.SortMatches(streamed)
+				matchesIdentical(t, at+" collect vs naive", want, res.Matches)
+				matchesIdentical(t, at+" stream vs naive", want, streamed)
+			} else {
+				matchesIdentical(t, at+" collect vs naive", byProbability(want), res.Matches)
+				matchesIdentical(t, at+" stream vs naive", byProbability(want), streamed)
+			}
+		}
+	}
+}
+
+// TestTopKMatchesBruteForce is the Limit=K property: for every K, the
+// limited OrderByProb run returns exactly the first K entries of the
+// probability-sorted brute-force match set, bit for bit.
+func TestTopKMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(90125))
+	trials := 10
+	if testing.Short() {
+		trials = 4
+	}
+	for trial := 0; trial < trials; trial++ {
+		nLabels := rng.Intn(2) + 2
+		d := randomPGD(rng, nLabels, rng.Intn(12)+8)
+		g, err := entity.Build(d, entity.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := buildIx(t, g, 2, 0.05)
+		q := randomConnectedQuery(rng, nLabels, rng.Intn(3)+2, rng.Intn(2))
+		alpha := []float64{0.05, 0.2}[rng.Intn(2)]
+
+		want, err := naive.Matches(context.Background(), g, q, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = byProbability(want)
+
+		for _, k := range []int{1, 2, 3, len(want), len(want) + 5} {
+			if k <= 0 {
+				continue
+			}
+			res, err := core.Match(context.Background(), ix, q, core.Options{
+				Alpha: alpha, Limit: k, Order: core.OrderByProb,
+			})
+			if err != nil {
+				t.Fatalf("trial %d K=%d: %v", trial, k, err)
+			}
+			matchesIdentical(t, fmt.Sprintf("trial %d K=%d", trial, k), want[:min(k, len(want))], res.Matches)
+			if wantTrunc := k < len(want); res.Stats.Truncated != wantTrunc {
+				t.Errorf("trial %d K=%d: Truncated = %v, want %v (of %d)",
+					trial, k, res.Stats.Truncated, wantTrunc, len(want))
+			}
+		}
+	}
+}
 
 // TestLimitEmitStopsEnumeration: with OrderEmit, Limit=K yields exactly K
 // matches (when at least K exist), each a member of the unlimited match

@@ -416,31 +416,45 @@ func declaredLimits(n int) []int {
 }
 
 // checkDeclared holds every declared emit-order limit K of a case to the
-// reference (expectKeyed), streamed and collected, for every strategy. A
-// reader whose answers are the packed index's (clean, zero) must emit the
-// packed index's stream at every K when it runs the packed index's plan:
-// a declared-limit run walks every partition in ascending order of its
+// reference (expectKeyed), streamed and collected, for every strategy.
+func checkDeclared(t *testing.T, c *Case) tally {
+	t.Helper()
+	return declaredOn(t, c, c.r)
+}
+
+// checkEveryReader holds a reader whose answers are the packed index's
+// (clean, zero) to the packed index's stream: running the packed index's
+// plan, it must emit the packed index's reference at every declared limit.
+// A declared-limit run walks every partition in ascending order of its
 // rows' ids, so its stream does not depend on how a reader lays its
 // candidates out.
-func checkDeclared(t *testing.T, c *Case) tally {
+func checkEveryReader(t *testing.T, c *Case) tally {
+	t.Helper()
+	if c.kind != clean && c.kind != zero {
+		return c.tally()
+	}
+	return declaredOn(t, c, c.co.readers[packed])
+}
+
+// declaredOn runs the case's reader, for every strategy, with the plan
+// prepared on r at every declared limit, and holds each run to r's
+// reference.
+func declaredOn(t *testing.T, c *Case, r pathindex.Reader) tally {
 	t.Helper()
 	n := c.tally()
 	for _, s := range strategies {
 		opt := c.opt(s)
-		on := []pathindex.Reader{c.r} // the reader each plan is prepared and referenced on
-		if c.kind == clean || c.kind == zero {
-			on = append(on, c.co.readers[packed])
-		}
-		for _, r := range on {
-			pl := c.prepare(t, r, opt)
-			ref := c.reference(t, r, pl)
-			for i, k := range declaredLimits(len(ref.matches)) {
-				opt.Limit = k
-				e := 2 + i%2 // MatchPlan and MatchStreamPlan in turn
-				at := fmt.Sprintf("%s %s %v declared limit %d of %d", c.label, entries[e], s, k, len(ref.matches))
-				got, st := c.run(t, c.r, e, pl, opt)
-				n.add(expectKeyed(t, at, ref, k, e == 2, got, st))
+		pl := c.prepare(t, r, opt)
+		ref := c.reference(t, r, pl)
+		for i, k := range declaredLimits(len(ref.matches)) {
+			opt.Limit = k
+			e := 2 + i%2 // MatchPlan and MatchStreamPlan in turn
+			at := fmt.Sprintf("%s %s %v declared limit %d of %d", c.label, entries[e], s, k, len(ref.matches))
+			if r != c.r {
+				at += " (the packed index's plan)"
 			}
+			got, st := c.run(t, c.r, e, pl, opt)
+			n.add(expectKeyed(t, at, ref, k, e == 2, got, st))
 		}
 	}
 	return n

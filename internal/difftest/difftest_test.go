@@ -45,6 +45,19 @@ func TestDeclaredLimits(t *testing.T) {
 	}
 }
 
+// TestDeclaredLimitSameOnEveryReader runs checkEveryReader on the linkage
+// arms.
+func TestDeclaredLimitSameOnEveryReader(t *testing.T) {
+	for _, a := range []*arm{&defaultLinkage, &denseLinkage} {
+		t.Run(a.name, func(t *testing.T) {
+			t.Parallel()
+			n := forEach(t, a, checkEveryReader)
+			t.Logf("%d cases, %d declared limits (%d of more than one match, %d key walks)", n.cases, n.prefixes, n.multi, n.keyWalks)
+			n.requireDeclared(t)
+		})
+	}
+}
+
 // TestPlanSpace runs checkPlans on the default-linkage arm.
 func TestPlanSpace(t *testing.T) {
 	n := forEach(t, &defaultLinkage, checkPlans)
