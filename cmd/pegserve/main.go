@@ -13,7 +13,7 @@
 // (generation directories plus a CRC-protected mutation log) and POST
 // /ingest accepts add-ref / add-edge / set-linkage mutations — single JSON
 // objects or NDJSON batches — which become visible to queries immediately
-// through the delta overlay and are folded into a fresh on-disk generation
+// through the live view and are folded into a fresh on-disk generation
 // by the background compactor.
 //
 // Usage:

@@ -7,7 +7,7 @@
 //  1. the (r, a, i) query answers with the merged-world match at Pr 0.2025,
 //  2. new linkage evidence weakens the {Christopher, Chris} merge
 //     probability from 0.8 to 0.3 — match probabilities shift immediately,
-//     served from the in-memory delta overlay with no index rebuild,
+//     served from the live view with no index rebuild,
 //  3. a freshly ingested reference (a new "C. Tucker" mention plus its
 //     edge) joins the match set, and
 //  4. a compaction folds everything into a new on-disk generation while
@@ -82,11 +82,11 @@ func main() {
 	res := ingest(base,
 		peg.Mutation{Op: peg.OpAddRef, Labels: []peg.MutationLabel{{Label: "i", P: 1}}},
 		peg.Mutation{Op: peg.OpAddEdge, A: beckyCastor, B: 4, P: 0.8})
-	fmt.Printf("   assigned reference ids %v (%d dirty entities in the overlay)\n",
+	fmt.Printf("   assigned reference ids %v (%d dirty entities)\n",
 		res.Refs, res.DirtyEntities)
 	match(base)
 
-	fmt.Println("== 4. compaction folds the overlay into generation 2")
+	fmt.Println("== 4. compaction folds the mutations into generation 2")
 	check(db.Compact(context.Background()))
 	st := db.Status()
 	fmt.Printf("   generation %d, %d pending mutations, %d dirty entities\n",

@@ -4,7 +4,7 @@
 // structure, path node sequence, α), so repeated query shapes can skip both
 // stages entirely. A Cache belongs to exactly one served generation and is
 // dropped with it, never invalidated in place. Readers that report
-// in-memory mutations (live views with a dirty overlay) bypass the cache
+// in-memory mutations (live views carrying mutations) bypass the cache
 // wholesale; see Find.
 package candidates
 
@@ -70,8 +70,8 @@ func pathKey(fp string, alpha float64, p *decompose.Path) string {
 }
 
 // mutating is implemented by readers whose answers can drift from their
-// backing index (live views carrying a dirty overlay). A non-zero count
-// makes Find bypass the cache: overlay state is not part of the key, and
+// backing index (live views carrying mutations). A non-zero count makes
+// Find bypass the cache: the mutations are not part of the key, and
 // the server's per-generation ownership only covers published immutable
 // snapshots.
 type mutating interface {

@@ -114,8 +114,8 @@ func newNodeTest(ix pathindex.Reader, q *query.Query, alpha float64) *nodeTest {
 // cache may be nil. A non-nil cache serves pruned per-path sets keyed by
 // (query structure, path node sequence, α) and is only sound against the
 // single immutable reader it was created for; readers reporting pending
-// mutations (live views with a dirty overlay) bypass it wholesale, since
-// overlay state is not part of the key.
+// mutations (live views) bypass it wholesale, since the mutations are not
+// part of the key.
 func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompose.Decomposition, alpha float64, workers int, cache *Cache) ([]Set, Stats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

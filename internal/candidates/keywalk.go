@@ -106,7 +106,7 @@ func (kw *KeyWalks) Rows(dst []entity.ID, i int, pos []int32, key []entity.ID) [
 
 // keep is the key walk's callback: a row that carries the rest of the key
 // and passes keepCandidate is appended to the output.
-func (kw *KeyWalks) keep(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn float64) bool {
+func (kw *KeyWalks) keep(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) bool {
 	for k, pos := range kw.pos[min(1, len(kw.pos)):] {
 		if nodes[pos] != kw.key[k+1] {
 			return true

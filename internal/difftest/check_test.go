@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -423,17 +424,25 @@ func checkDeclared(t *testing.T, c *Case) tally {
 }
 
 // checkEveryReader holds a reader whose answers are the packed index's
-// (clean, zero) to the packed index's stream: running the packed index's
-// plan, it must emit the packed index's reference at every declared limit.
-// A declared-limit run walks every partition in ascending order of its
-// rows' ids, so its stream does not depend on how a reader lays its
-// candidates out.
+// (clean, zero) to the packed index's plan and stream: for every strategy
+// core.Prepare on it returns the packed index's plan tree, and running the
+// packed index's plan, it must emit the packed index's reference at every
+// declared limit. A declared-limit run walks every partition in ascending
+// order of its rows' ids, so its stream does not depend on how a reader
+// lays its candidates out.
 func checkEveryReader(t *testing.T, c *Case) tally {
 	t.Helper()
 	if c.kind != clean && c.kind != zero {
 		return c.tally()
 	}
-	return declaredOn(t, c, c.co.readers[packed])
+	p := c.co.readers[packed]
+	for _, s := range strategies {
+		got, want := c.prepare(t, c.r, c.opt(s)).Tree, c.prepare(t, p, c.opt(s)).Tree
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %v: plan of %d paths costing %v, the packed index's %d paths costing %v", c.label, s, len(got.Paths), got.Cost.Total, len(want.Paths), want.Cost.Total)
+		}
+	}
+	return declaredOn(t, c, p)
 }
 
 // declaredOn runs the case's reader, for every strategy, with the plan

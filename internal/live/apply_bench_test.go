@@ -100,10 +100,10 @@ func shapedDB(tb testing.TB, refs, batches int) (*DB, *shapedWriter) {
 }
 
 // BenchmarkApplyBatch times one 8-mutation batch against a 2 000-reference
-// database that already carries 8, 128 or 512 uncompacted mutations: with
-// per-batch overlay maintenance ns/batch and B/batch stay near level across
-// the three (what still grows is the copy of the label sequences a batch
-// rewrites); with a per-batch rebuild they grow with the history. The
+// database that already carries 8, 128 or 512 uncompacted mutations: a
+// batch stores no paths, so ns/batch and B/batch stay near level across
+// the three (what still grows is the copy of the dirty set); with a
+// per-batch rebuild they grow with the history. The
 // database is recreated every four iterations so the carried history stays
 // within 32 mutations of the nominal one.
 func BenchmarkApplyBatch(b *testing.B) {

@@ -47,11 +47,13 @@ func TestPatchedContextEqualsRecompute(t *testing.T) {
 		if prev == nil {
 			return
 		}
-		// In reverse order, so that rows written over the first result's
-		// would change what it reads.
-		fresh := slices.Clone(v.ov.fresh)
-		slices.Reverse(fresh)
-		again := prev.Patch(v.Graph(), fresh)
+		// The view's whole dirty set holds the batch's entities and more,
+		// whose rows a patch recomputes to the same values. In reverse
+		// order, so that rows written over the first result's would change
+		// what it reads.
+		dirty := slices.Clone(v.dirtyIDs)
+		slices.Reverse(dirty)
+		again := prev.Patch(v.Graph(), dirty)
 		sameContext(t, label+" (patched again)", again, v.Graph())
 		sameContext(t, label+" (after patching again)", v.Context(), v.Graph())
 	}

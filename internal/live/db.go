@@ -82,7 +82,7 @@ type ApplyResult struct {
 	Generation uint64 `json:"generation"`
 	// Mutations counts all mutations since that generation was built.
 	Mutations uint64 `json:"mutations"`
-	// DirtyEntities is the current overlay's dirty entity count.
+	// DirtyEntities is the size of the published view's dirty set.
 	DirtyEntities int `json:"dirty_entities"`
 	// Compacting reports that a background compaction is running.
 	Compacting bool `json:"compacting"`
@@ -99,8 +99,6 @@ type Status struct {
 	Entities      int    `json:"entities"`
 	Compacting    bool   `json:"compacting"`
 	Compactions   uint64 `json:"compactions"`
-	// OverlayPaths is the number of paths the delta overlay stores.
-	OverlayPaths uint64 `json:"overlay_paths"`
 	// LastApplyNanos is the wall clock of the most recent accepted batch,
 	// validation to published view (WAL append included, time queued behind
 	// other writers excluded); zero before the first one.
@@ -362,7 +360,7 @@ func (db *DB) PGDSnapshot() *refgraph.PGD {
 	return db.pgd.Clone()
 }
 
-// Status reports generation, overlay, and compaction counters. The view is
+// Status reports generation, dirty-set and compaction counters. The view is
 // read under db.mu — view installs happen under the same lock — so the
 // per-view fields (Generation, Mutations) and the compactor fields
 // (Compacting, Compactions) describe one moment: snapshotting the view
@@ -379,7 +377,6 @@ func (db *DB) Status() Status {
 		Entities:             v.g.NumNodes(),
 		Compacting:           db.compacting,
 		Compactions:          db.compactions,
-		OverlayPaths:         v.OverlayPaths(),
 		LastApplyNanos:       db.lastApplyNanos,
 		LastCompactionNanos:  db.lastCompactNanos,
 		TotalCompactionNanos: db.totalCompactNanos,
@@ -387,8 +384,8 @@ func (db *DB) Status() Status {
 }
 
 // Apply validates and applies one mutation batch atomically: either every
-// mutation lands (logged to the WAL, folded into the entity graph and
-// overlay, and published as a new view) or none does. Apply serializes
+// mutation lands (logged to the WAL, folded into the entity graph and the
+// dirty set, and published as a new view) or none does. Apply serializes
 // writers; readers are never blocked.
 func (db *DB) Apply(ms []Mutation) (ApplyResult, error) {
 	if len(ms) == 0 {
@@ -527,12 +524,11 @@ func (db *DB) applyLocked(ms []Mutation, logToWAL bool) (ApplyResult, error) {
 		}
 	}
 
-	// Install: the overlay extended by this batch's dirty entities, patched
+	// Install: the dirty set grown by this batch's dirty entities, patched
 	// context tables.
-	ov := extend(cur.ov, ng, dirtyNew, db.baseIx.Beta(), db.baseIx.MaxLen())
 	ctxTables := cur.ctx.Patch(ng, dirtyNew)
 	db.muts += uint64(len(ms))
-	view := newView(db.baseIx, ng, ctxTables, ov, db.gen, db.muts)
+	view := newView(db.baseIx, ng, ctxTables, unionSorted(cur.dirtyIDs, dirtyNew), db.gen, db.muts)
 	db.view.Store(view)
 	db.publishLocked()
 	if db.compacting {
@@ -555,8 +551,8 @@ func (db *DB) publishLocked() {
 	}
 }
 
-// maybeCompactLocked starts a background compaction once the overlay
-// crosses a threshold.
+// maybeCompactLocked starts a background compaction once the mutations or
+// the dirty set cross a threshold.
 func (db *DB) maybeCompactLocked() {
 	if db.compacting || db.closed {
 		return
@@ -589,9 +585,9 @@ func (db *DB) startCompactionLocked() (*refgraph.PGD, uint64) {
 	return db.pgd.Clone(), db.gen + 1
 }
 
-// Compact synchronously folds the overlay into a fresh on-disk generation
-// and publishes it. Returns an error if a background compaction is already
-// running.
+// Compact synchronously folds every mutation into a fresh on-disk
+// generation and publishes it. Returns an error if a background compaction
+// is already running.
 func (db *DB) Compact(ctx context.Context) error {
 	db.mu.Lock()
 	if db.closed {
@@ -666,7 +662,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 
 	newGraph := g2
 	ctxTables := ix2.Context()
-	var ov *overlay
+	var dirtyIDs []entity.ID
 	if !pendDelta.Empty() {
 		ng, dirtyNew, aerr := entity.ApplyDelta(g2, db.pgd, pendDelta)
 		if aerr != nil {
@@ -675,7 +671,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 			return aerr
 		}
 		newGraph = ng
-		ov = extend(nil, newGraph, dirtyNew, ix2.Beta(), ix2.MaxLen())
+		dirtyIDs = dirtyNew
 		ctxTables = ix2.Context().Patch(newGraph, dirtyNew)
 	}
 	newWAL, werr := createWAL(db.fs, db.walPath(gen), pending)
@@ -697,7 +693,7 @@ func (db *DB) compactFrom(ctx context.Context, clone *refgraph.PGD, gen uint64) 
 	oldWAL, oldGenDir, oldBase := db.wal, db.genDir(db.gen), db.baseIx
 	db.wal, db.gen, db.baseIx = newWAL, gen, ix2
 	db.muts = uint64(len(pending))
-	view := newView(ix2, newGraph, ctxTables, ov, gen, db.muts)
+	view := newView(ix2, newGraph, ctxTables, dirtyIDs, gen, db.muts)
 	db.view.Store(view)
 	db.publishLocked()
 	db.compacting = false

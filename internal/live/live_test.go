@@ -150,12 +150,11 @@ func sameMatchSets(t *testing.T, label string, gGot *entity.Graph, got []join.Ma
 	}
 }
 
-// TestOverlayEquivalence is the overlay-correctness property: for random
-// mutation sequences, query results through the live view (immutable base ⊕
-// delta overlay) must exactly equal results from a from-scratch rebuild on
-// the mutated PGD — across both decomposition strategies and for thresholds
-// on both sides of β (exercising the stored overlay and its on-demand
-// fallback).
+// TestOverlayEquivalence is the live view's correctness property: for
+// random mutation sequences, query results through the live view (immutable
+// base ∖ dirty ⊕ paths walked from the dirty set) must exactly equal
+// results from a from-scratch rebuild on the mutated PGD — across both
+// decomposition strategies and for thresholds on both sides of β.
 func TestOverlayEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -207,7 +206,7 @@ func TestOverlayEquivalence(t *testing.T) {
 							totalMatches += len(gotRes.Matches)
 							for _, m := range gotRes.Matches {
 								for _, v := range m.Mapping {
-									if view.ov != nil && view.ov.dirty[v] {
+									if view.dirty != nil && view.dirty[v] {
 										dirtyMatches++
 										break
 									}
@@ -221,7 +220,7 @@ func TestOverlayEquivalence(t *testing.T) {
 				t.Error("property ran on empty match sets only — workload too sparse to prove anything")
 			}
 			if dirtyMatches == 0 {
-				t.Error("no compared match touched a dirty entity — the overlay path went unexercised")
+				t.Error("no compared match touched a dirty entity — the walk from the dirty set went unexercised")
 			}
 			t.Logf("compared %d matches (%d through dirty entities)", totalMatches, dirtyMatches)
 		})
@@ -453,7 +452,7 @@ func TestViewStatsBytesIsIndexFile(t *testing.T) {
 	check("gen-000002")
 }
 
-// TestCompaction folds the overlay into a new generation and checks the
+// TestCompaction folds the mutations into a new generation and checks the
 // published view still answers exactly like a rebuild, that the directory
 // rotated, and that post-compaction mutations keep working.
 func TestCompaction(t *testing.T) {
@@ -600,8 +599,8 @@ func BenchmarkServeDuringIngest(b *testing.B) {
 		b.Fatalf("RandomQuery: %v", err)
 	}
 
-	// Seed the overlay so every measured query exercises the merged
-	// base ⊕ overlay path, then keep mutating concurrently.
+	// Seed a dirty set so every measured query exercises the merged
+	// base ∖ dirty ⊕ walk path, then keep mutating concurrently.
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 10; i++ {
 		db.Apply([]Mutation{randomMutation(rng, db.PGDSnapshot())})
@@ -616,7 +615,7 @@ func BenchmarkServeDuringIngest(b *testing.B) {
 			db.Apply([]Mutation{randomMutation(rng, db.PGDSnapshot())})
 			writes.Add(1)
 			if n%16 == 0 {
-				// Fold the overlay into a fresh on-disk generation while
+				// Fold the mutations into a fresh on-disk generation while
 				// queries are being timed: the swap must cost readers
 				// nothing.
 				db.Compact(context.Background())

@@ -4,10 +4,10 @@
 // time. Every mutation batch is appended to a CRC-protected write-ahead log,
 // folded into the entity graph incrementally (entity.ApplyDelta recomputes
 // only the identity components the batch touches), and surfaced to queries
-// through an in-memory delta overlay path index merged with the on-disk
-// base (View implements pathindex.Reader). A background compactor folds the
-// accumulated overlay into a fresh on-disk generation and atomically
-// republishes, so queries keep serving throughout — the paper's offline
+// by a View (a pathindex.Reader) that streams the on-disk base's paths
+// avoiding every dirty entity and walks the paths through them on demand.
+// A background compactor folds the accumulated mutations into a fresh
+// on-disk generation and atomically republishes, so queries keep serving throughout — the paper's offline
 // index (Section 5.1) becomes the immutable base layer of an LSM-style
 // read-write design.
 package live

@@ -11,7 +11,7 @@ import (
 )
 
 // TestNodeSetMemoScope: the node-level memo belongs to one graph. A clean
-// view answers from its base index's memo; a view with an overlay has a
+// view answers from its base index's memo; a view with mutations has a
 // memo of its own, empty when the view is published. So a set read from
 // view k is not served by view k+1 after a batch that changes it, and view
 // k keeps answering for its own graph. A compaction's generation starts
@@ -58,7 +58,7 @@ func TestNodeSetMemoScope(t *testing.T) {
 	}
 	v1 := link(leaves[1])
 	if v1.sets == nil || v1.sets.Len() != 0 {
-		t.Fatal("a view with an overlay is published without an empty memo of its own")
+		t.Fatal("a view with mutations is published without an empty memo of its own")
 	}
 	if !has(v1, two) || has(v1, three) {
 		t.Fatal("view 1: the hub's two b-labelled neighbours are not what its sets say")

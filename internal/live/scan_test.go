@@ -17,52 +17,30 @@ import (
 
 // lookupBeforeScan is View.Lookup as it stood before Scan existed, the
 // reference the streamed merge is held to: the base index's matches
-// (materialized) minus those touching a dirty entity, then the overlay's —
-// stored entries at or above β, a brute-force enumeration below (see
-// overlayBruteForce).
+// (materialized) minus those touching a dirty entity, then a brute-force
+// enumeration of the paths through one (see dirtyBruteForce).
 func lookupBeforeScan(v *View, X []prob.LabelID, alpha float64) ([]pathindex.PathMatch, error) {
 	bm, err := v.base.Lookup(X, alpha)
-	if err != nil || v.ov == nil {
+	if err != nil || v.dirty == nil {
 		return bm, err
 	}
 	var out []pathindex.PathMatch
 	for _, m := range bm {
-		clean := true
-		for _, n := range m.Nodes {
-			if v.ov.dirty[n] {
-				clean = false
-				break
-			}
-		}
-		if clean {
+		if !slices.ContainsFunc(m.Nodes, func(n entity.ID) bool { return v.dirty[n] }) {
 			out = append(out, m)
 		}
 	}
-	ov := v.ov
-	if len(X) == 0 || len(X) > ov.maxLen+1 {
-		return out, nil
-	}
-	if alpha >= ov.beta {
-		if r := ov.entries[makeKey(X)]; r != nil {
-			for i := 0; i < r.len(); i++ {
-				if m := (pathindex.PathMatch{Nodes: r.row(i), Prle: r.prle[i], Prn: r.prn[i]}); !r.isDead(i) && prob.MayClear(m.Pr(), alpha, pathindex.PathFactors(len(X))) {
-					out = append(out, m)
-				}
-			}
-		}
-		return out, nil
-	}
-	return append(out, overlayBruteForce(ov, X, alpha)...), nil
+	return append(out, dirtyBruteForce(v, X, alpha)...), nil
 }
 
-// overlayBruteForce is the overlay's share of PIndex(X, α) below β with no
-// walk and no pruning: every simple path of GU whose nodes carry the labels
-// X and one of which is dirty, scored from its first dirty node (see
-// scoreFromDirty), kept when it clears α. The paths come in the order a walk
-// anchored at that node discovers them: by the node, then its position on
-// the path, then the nodes leftwards of it, then rightwards.
-func overlayBruteForce(ov *overlay, X []prob.LabelID, alpha float64) []pathindex.PathMatch {
-	g := ov.g
+// dirtyBruteForce is the dirty share of a view's PIndex(X, α) with no walk
+// and no pruning: every simple path of GU whose nodes carry the labels X
+// and one of which is dirty, scored from its first dirty node (see
+// scoreFromDirty), kept when it clears α. The paths come in the order a
+// walk anchored at that node discovers them: by the node, then its
+// position on the path, then the nodes leftwards of it, then rightwards.
+func dirtyBruteForce(v *View, X []prob.LabelID, alpha float64) []pathindex.PathMatch {
+	g := v.g
 	type found struct {
 		m   pathindex.PathMatch
 		key []entity.ID
@@ -72,7 +50,7 @@ func overlayBruteForce(ov *overlay, X []prob.LabelID, alpha float64) []pathindex
 	var grow func()
 	grow = func() {
 		if len(path) == len(X) {
-			at := slices.IndexFunc(path, func(v entity.ID) bool { return ov.dirty[v] })
+			at := slices.IndexFunc(path, func(n entity.ID) bool { return v.dirty[n] })
 			if at < 0 {
 				return
 			}
@@ -86,17 +64,17 @@ func overlayBruteForce(ov *overlay, X []prob.LabelID, alpha float64) []pathindex
 		}
 		next := make([]entity.ID, 0, g.NumNodes())
 		if len(path) == 0 {
-			for v := 0; v < g.NumNodes(); v++ {
-				next = append(next, entity.ID(v))
+			for n := 0; n < g.NumNodes(); n++ {
+				next = append(next, entity.ID(n))
 			}
 		} else {
 			for _, nb := range g.Neighbors(path[len(path)-1]) {
 				next = append(next, nb.To)
 			}
 		}
-		for _, v := range next {
-			if g.PrLabel(v, X[len(path)]) > 0 && !slices.Contains(path, v) {
-				path = append(path, v)
+		for _, n := range next {
+			if g.PrLabel(n, X[len(path)]) > 0 && !slices.Contains(path, n) {
+				path = append(path, n)
 				grow()
 				path = path[:len(path)-1]
 			}
@@ -111,7 +89,7 @@ func overlayBruteForce(ov *overlay, X []prob.LabelID, alpha float64) []pathindex
 	return out
 }
 
-// scoreFromDirty is the score of the path nodes labelled X as the overlay
+// scoreFromDirty is the score of the path nodes labelled X as a view
 // defines it from the dirty node at position at: Prle multiplies that
 // node's label factor and then one edge and one label factor per node,
 // leftwards from it and then rightwards; Prn is entity.Graph.Prn of the
@@ -133,13 +111,14 @@ func scoreFromDirty(g *entity.Graph, nodes []entity.ID, X []prob.LabelID, at int
 }
 
 // TestViewScanEqualsLookupBeforeScan is the live half of the pre-join
-// equivalence property: on views carrying a dirty overlay, with α on both
+// equivalence property: on views carrying a dirty set, with α on both
 // sides of β, View.Scan's record stream and View.Lookup equal the
-// pre-change Lookup in order, nodes and float bits — and a scan stopped
-// inside the base half never reaches the overlay. On the small corpora the
-// batches dirty nearly every entity; the larger one leaves most clean, so
-// below β the overlay streams paths whose first dirty node is at every
-// position of a three-node path, grown at the head by one and by two nodes.
+// brute-force reference in order, nodes and float bits — and a scan
+// stopped inside the base half never reaches the walk. On the small
+// corpora the batches dirty nearly every entity; the larger one leaves most
+// clean, so below β the walk streams paths whose first dirty node is at
+// every position of a three-node path, grown at the head by one and by two
+// nodes.
 func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
 	large, err := gen.Synthetic(gen.SynthOptions{
 		Refs: 120, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
@@ -148,7 +127,7 @@ func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstDirtyAt := make([]int, testMaxLen+1) // below-β overlay records of three nodes
+	firstDirtyAt := make([]int, testMaxLen+1) // below-β walked records of three nodes
 	for _, c := range []struct {
 		seed int64
 		pgd  *refgraph.PGD
@@ -166,10 +145,10 @@ func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
 			}
 		}
 		v := db.View()
-		if v.ov == nil || v.DirtyEntities() == 0 {
-			t.Fatalf("seed %d: view carries no overlay", seed)
+		if v.DirtyEntities() == 0 {
+			t.Fatalf("seed %d: view carries no dirty entity", seed)
 		}
-		fromBase, fromOverlay := 0, 0
+		fromBase, fromWalk := 0, 0
 		var probe func(X []prob.LabelID)
 		probe = func(X []prob.LabelID) {
 			if len(X) > 0 {
@@ -203,7 +182,7 @@ func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
 						}
 					}
 					for _, m := range want {
-						at := slices.IndexFunc(m.Nodes, func(n entity.ID) bool { return v.ov.dirty[n] })
+						at := slices.IndexFunc(m.Nodes, func(n entity.ID) bool { return v.dirty[n] })
 						switch {
 						case at < 0:
 							fromBase++
@@ -211,7 +190,7 @@ func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
 							firstDirtyAt[at]++
 							fallthrough
 						default:
-							fromOverlay++
+							fromWalk++
 						}
 					}
 					if len(want) > 1 {
@@ -233,12 +212,12 @@ func TestViewScanEqualsLookupBeforeScan(t *testing.T) {
 			}
 		}
 		probe(nil)
-		if fromBase == 0 || fromOverlay == 0 {
-			t.Fatalf("seed %d: %d base and %d overlay records probed; need both", seed, fromBase, fromOverlay)
+		if fromBase == 0 || fromWalk == 0 {
+			t.Fatalf("seed %d: %d base and %d walked records probed; need both", seed, fromBase, fromWalk)
 		}
 	}
 	if slices.Contains(firstDirtyAt, 0) {
-		t.Fatalf("below-β three-node overlay records by first dirty position: %v; need every position", firstDirtyAt)
+		t.Fatalf("below-β three-node walked records by first dirty position: %v; need every position", firstDirtyAt)
 	}
-	t.Logf("below-β three-node overlay records by first dirty position: %v", firstDirtyAt)
+	t.Logf("below-β three-node walked records by first dirty position: %v", firstDirtyAt)
 }

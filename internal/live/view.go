@@ -9,48 +9,76 @@ import (
 )
 
 // View is one immutable snapshot of the live database: the on-disk base
-// index of the current generation merged with the in-memory delta overlay
-// that carries everything mutated since that generation was built. It
-// implements pathindex.Reader, so the whole online phase (core.MatchStream,
-// candidate pruning, the server) runs against it unchanged. A query holds
-// one View for its whole run and is never affected by concurrent mutations;
-// each mutation batch publishes a fresh View.
+// index of the current generation, the entity graph with every mutation
+// since that generation folded in, and the dirty set — the entities whose
+// probability-relevant surroundings those mutations changed. It implements
+// pathindex.Reader, so the whole online phase (core.MatchStream, candidate
+// pruning, the server) runs against it unchanged. A query holds one View
+// for its whole run and is never affected by concurrent mutations; each
+// mutation batch publishes a fresh View.
 type View struct {
 	base *pathindex.Index
 	g    *entity.Graph      // current entity graph (base graph + delta)
 	ctx  *pathindex.Context // context tables valid for g
-	ov   *overlay           // nil when no mutations since the base build
 	gen  uint64             // base generation number
 	muts uint64             // mutations folded in since the base build
 
+	// dirty marks the dirty set by entity id, nil while the view carries no
+	// mutation; dirtyIDs lists the set ascending.
+	dirty    []bool
+	dirtyIDs []entity.ID
+
 	// sets memoises the node-level test over g for this view alone; nil
-	// when ov is, and then the base index's memo answers for the view.
+	// when dirty is, and then the base index's memo answers for the view.
 	sets *pathindex.NodeSets
 }
 
-// newView returns the view of base and the overlay ov over g and ctx. A
-// view with an overlay gets a node-level memo of its own, dropped with it:
-// its graph is not the base's, and the next batch's is not its.
-func newView(base *pathindex.Index, g *entity.Graph, ctx *pathindex.Context, ov *overlay, gen, muts uint64) *View {
-	v := &View{base: base, g: g, ctx: ctx, ov: ov, gen: gen, muts: muts}
-	if ov != nil {
+// newView returns the view of base over g and ctx that carries muts
+// mutations, whose dirty set is dirtyIDs (ascending). A view with mutations
+// gets a node-level memo of its own, dropped with it: its graph is not the
+// base's, and the next batch's is not its.
+func newView(base *pathindex.Index, g *entity.Graph, ctx *pathindex.Context, dirtyIDs []entity.ID, gen, muts uint64) *View {
+	v := &View{base: base, g: g, ctx: ctx, gen: gen, muts: muts, dirtyIDs: dirtyIDs}
+	if muts > 0 {
+		v.dirty = make([]bool, g.NumNodes())
+		for _, id := range dirtyIDs {
+			v.dirty[id] = true
+		}
 		v.sets = pathindex.NewNodeSets(g, ctx)
 	}
 	return v
 }
 
+// unionSorted merges two ascending id lists into a fresh ascending list
+// without duplicates.
+func unionSorted(a, b []entity.ID) []entity.ID {
+	out := make([]entity.ID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] > b[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
 var _ pathindex.Reader = (*View)(nil)
 
-// Scan merges PIndex(X, α) from both layers: base entries that avoid every
-// dirty entity are still exact, and the overlay contributes exactly the
-// dirty-touching paths of the current graph — together they equal a
-// from-scratch index over the mutated graph. Base paths stream first, then
-// the overlay's.
+// Scan streams PIndex(X, α) over the view's graph: first the base entries
+// that avoid every dirty entity, which score the same in both graphs
+// (entity.ApplyDelta's dirty-set contract), then the paths through a dirty
+// entity, walked at α from the dirty set — together what a from-scratch
+// index over the mutated graph holds. The nodes handed to fn alias the base
+// index's or the walk's scratch.
 func (v *View) Scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) error {
-	if v.ov == nil {
+	if v.dirty == nil {
 		return v.base.Scan(X, alpha, fn)
 	}
-	stopped, dirty := false, v.ov.dirty
+	stopped, dirty := false, v.dirty
 	err := v.base.Scan(X, alpha, func(nodes []entity.ID, prle, prn float64) bool {
 		for _, n := range nodes {
 			if dirty[n] {
@@ -63,23 +91,32 @@ func (v *View) Scan(X []prob.LabelID, alpha float64, fn pathindex.ScanFunc) erro
 	if err != nil || stopped {
 		return err
 	}
-	v.ov.scan(X, alpha, fn)
+	// The anchor set is the dirty set, so every path is found once, from its
+	// first dirty node, and the walk's running products are its score.
+	walk := pathindex.NewWalker(v.g, alpha, len(X), X, dirty, nil, func(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) bool {
+		return fn(nodes, prle, prn)
+	})
+	for _, id := range v.dirtyIDs {
+		if !walk.Anchor(id) {
+			break
+		}
+	}
 	return nil
 }
 
 // ScanCount is the base index's ScanCount while the view carries no
-// overlay. With one it is Scan, counting the rows it streams: the base
+// mutation. With one it is Scan, counting the rows it streams: the base
 // index's count memo holds counts of paths of the base graph, not of the
 // view's, so the view walks every row, unfiltered.
 func (v *View) ScanCount(ctx context.Context, X []prob.LabelID, alpha float64, keep pathindex.NodeFilter, fn pathindex.ScanFunc) (int, error) {
-	if v.ov == nil {
+	if v.dirty == nil {
 		return v.base.ScanCount(ctx, X, alpha, keep, fn)
 	}
 	return pathindex.CountScan(v, X, alpha, fn)
 }
 
 // NodeSet is the node-level test's set over the view's graph: from the base
-// index's memo while the view carries no overlay, from the view's own
+// index's memo while the view carries no mutation, from the view's own
 // otherwise.
 func (v *View) NodeSet(l prob.LabelID, counts []int, alpha float64) pathindex.NodeSet {
 	if v.sets == nil {
@@ -93,15 +130,12 @@ func (v *View) Lookup(X []prob.LabelID, alpha float64) ([]pathindex.PathMatch, e
 	return pathindex.Collect(v, X, alpha)
 }
 
-// Cardinality estimates |PIndex(X, α)| as the base histogram estimate plus
-// the overlay's exact count. Base entries invalidated by mutations are still
-// counted — cardinalities only steer decomposition cost, never correctness.
+// Cardinality is the base index's estimate of |PIndex(X, α)|: a view
+// prices paths exactly as the generation it rides on, so its plans are
+// that generation's. Cardinalities only steer decomposition cost, never
+// correctness.
 func (v *View) Cardinality(X []prob.LabelID, alpha float64) float64 {
-	c := v.base.Cardinality(X, alpha)
-	if v.ov != nil {
-		c += v.ov.cardinality(X, alpha)
-	}
-	return c
+	return v.base.Cardinality(X, alpha)
 }
 
 // Context returns context tables valid for Graph(): the base tables patched
@@ -117,13 +151,9 @@ func (v *View) MaxLen() int { return v.base.MaxLen() }
 // Beta returns the base index's construction threshold β.
 func (v *View) Beta() float64 { return v.base.Beta() }
 
-// Stats returns the base build statistics with the overlay's entry count
-// folded into Entries.
-func (v *View) Stats() pathindex.BuildStats {
-	st := v.base.Stats()
-	st.Entries += v.OverlayPaths()
-	return st
-}
+// Stats returns the base index's build statistics: Entries counts the
+// entries the base stores, not the paths of the view's graph.
+func (v *View) Stats() pathindex.BuildStats { return v.base.Stats() }
 
 // IndexMetrics forwards the base index's read-path counters, so the
 // server's peg_index_* families work identically for live and static
@@ -136,22 +166,9 @@ func (v *View) SetPostingObserver(fn func(micros float64)) { v.base.SetPostingOb
 // Generation returns the base generation number of this view.
 func (v *View) Generation() uint64 { return v.gen }
 
-// Mutations returns how many mutations the overlay carries on top of the
-// base generation.
+// Mutations returns how many mutations the view carries on top of the base
+// generation.
 func (v *View) Mutations() uint64 { return v.muts }
 
-// DirtyEntities returns how many entities the overlay tracks as dirty.
-func (v *View) DirtyEntities() int {
-	if v.ov == nil {
-		return 0
-	}
-	return len(v.ov.dirtyIDs)
-}
-
-// OverlayPaths returns how many paths the overlay stores.
-func (v *View) OverlayPaths() uint64 {
-	if v.ov == nil {
-		return 0
-	}
-	return v.ov.count
-}
+// DirtyEntities returns the size of the view's dirty set.
+func (v *View) DirtyEntities() int { return len(v.dirtyIDs) }

@@ -238,7 +238,7 @@ func (ix *Index) MaxLen() int { return ix.opt.MaxLen }
 func (ix *Index) buildPaths(ctx context.Context, w *packedix.Writer) error {
 	ix.stats.EntriesPerLen = make([]uint64, ix.opt.MaxLen+1)
 	var err error
-	walk := NewWalker(ix.g, ix.opt.Beta, ix.opt.MaxLen+1, nil, nil, nil, func(nodes []entity.ID, labels []prob.LabelID, _ int, prle, prn float64) bool {
+	walk := NewWalker(ix.g, ix.opt.Beta, ix.opt.MaxLen+1, nil, nil, nil, func(nodes []entity.ID, labels []prob.LabelID, prle, prn float64) bool {
 		n := len(nodes)
 		reversed, palin := orientation(labels)
 		if reversed || palin && n > 1 && nodes[0] > nodes[n-1] {
@@ -342,7 +342,7 @@ const rootsPerPoll = 64
 // whose error it then returns.
 func (ix *Index) onDemand(ctx context.Context, X []prob.LabelID, alpha float64, keep NodeFilter, fn ScanFunc) (bool, error) {
 	g := ix.g
-	walk := NewWalker(g, alpha, len(X), X, nil, keep, func(nodes []entity.ID, _ []prob.LabelID, _ int, prle, prn float64) bool {
+	walk := NewWalker(g, alpha, len(X), X, nil, keep, func(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) bool {
 		return fn(nodes, prle, prn)
 	})
 	if keep != nil {

@@ -38,7 +38,7 @@ func (s NodeSet) add(v entity.ID) { s[v>>6] |= 1 << (v & 63) }
 // k edges. A node with no neighbours has the set F(l, ·, 0, α), the label
 // test alone. The factor sets are memoised in an internal/lru cache of
 // nodeSetMemoEntries sets, so every query of one owner — an index, which is
-// one generation, or a live view with an overlay — after the first reads a
+// one generation, or a live view with mutations — after the first reads a
 // factor as a bit. Every set holds only entities carrying l. Safe for
 // concurrent use.
 type NodeSets struct {

@@ -16,8 +16,8 @@ type ScanFunc func(nodes []entity.ID, prle, prn float64) bool
 // Reader is the query-time surface of a path index: everything the online
 // phase (decomposition, candidate generation, the server) needs from the
 // offline artifact. *Index implements it directly; internal/live implements
-// it as an immutable base index merged with an in-memory delta overlay, so
-// core.MatchStream sees one logical index either way.
+// it as an immutable base index merged with the paths walked from its dirty
+// entities, so core.MatchStream sees one logical index either way.
 type Reader interface {
 	// Scan streams PIndex(X, α) — all paths whose label assignment is X
 	// with probability ≥ α, oriented along X — into fn without

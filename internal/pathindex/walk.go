@@ -5,12 +5,11 @@ import (
 	"repro/internal/prob"
 )
 
-// WalkFunc receives one path of a walk: its nodes and labels in path order,
-// the position of the node the walk started from, and the two probability
-// components as the walk multiplied them. nodes and labels alias the
-// walker's scratch — valid only until the call returns, never to be
-// modified. Returning false ends the walk.
-type WalkFunc func(nodes []entity.ID, labels []prob.LabelID, at int, prle, prn float64) bool
+// WalkFunc receives one path of a walk: its nodes and labels in path order
+// and the two probability components as the walk multiplied them. nodes
+// and labels alias the walker's scratch — valid only until the call
+// returns, never to be modified. Returning false ends the walk.
+type WalkFunc func(nodes []entity.ID, labels []prob.LabelID, prle, prn float64) bool
 
 // NodeFilter holds, for each position pos of a guide, the entities that may
 // stand at pos on a path read along it; the set at pos holds only entities
@@ -22,9 +21,9 @@ type NodeFilter []NodeSet
 // Walker enumerates the labelled paths of the PEG whose probability
 // Prle·Prn clears a threshold, depth first, pushing and popping nodes on
 // one in-place path: the offline build of PIndex(X, β) (Section 5.1), the
-// on-demand enumeration below β (footnote 1) and the live overlay's
-// re-derivation all run it, so what they store and stream is multiplied by
-// one extension step in one order.
+// on-demand enumeration below β (footnote 1) and a live view's walk from
+// its dirty entities all run it, so what they store and stream is
+// multiplied by one extension step in one order.
 //
 // A path is reference-disjoint — a node sharing a reference with a path
 // node shares its identity component and the marginal over both is 0 — and
@@ -53,16 +52,16 @@ type Walker struct {
 	nodes  [maxNodes]entity.ID    // the path, in path order
 	labels [maxNodes]prob.LabelID // parallel to nodes
 	found  [maxNodes]entity.ID    // the path's nodes in discovery order
-	n, at  int                    // path length; position of the start node
+	n      int                    // path length
 }
 
 // NewWalker returns a walker over g for paths of at most maxNodes nodes
 // whose every prefix prob.MayClear admits at thresh for PathFactors(maxNodes)
 // factors. guide, when not nil, fixes the labels and the length
-// (maxNodes == len(guide)). anchors, by entity id, is the set Anchor walks
-// from; Root does not read it, and At takes nil. keep, when not nil,
-// filters the nodes of a guided walk by their position on the guide; an
-// unguided walk takes nil.
+// (maxNodes == len(guide)); an unguided walk only runs Root. anchors, by
+// entity id, is the set Anchor walks from; Root does not read it, and At
+// takes nil. keep, when not nil, filters the nodes of a guided walk by
+// their position on the guide; an unguided walk takes nil.
 func NewWalker(g *entity.Graph, thresh float64, maxNodes int, guide []prob.LabelID, anchors []bool, keep NodeFilter, emit WalkFunc) *Walker {
 	return &Walker{g: g, floor: prob.Floor(thresh, PathFactors(maxNodes)), max: maxNodes, guide: guide, anchors: anchors, keep: keep, emit: emit}
 }
@@ -71,10 +70,10 @@ func NewWalker(g *entity.Graph, thresh float64, maxNodes int, guide []prob.Label
 // reports false once the callback ended the walk.
 func (w *Walker) Root(v entity.ID) bool { return w.start(v, 0, 0) }
 
-// Anchor walks the paths whose first node of the anchor set is v, each
-// exactly once: it grows them at both ends, the head only with nodes
-// outside the anchor set. Guided, v is tried at every position of the
-// guide. It reports false once the callback ended the walk.
+// Anchor walks the guided paths whose first node of the anchor set is v,
+// each exactly once: v is tried at every position of the guide, and the
+// path grows at both ends, the head only with nodes outside the anchor
+// set. It reports false once the callback ended the walk.
 func (w *Walker) Anchor(v entity.ID) bool { return w.start(v, 0, w.max-1) }
 
 // At walks the guided paths that carry v at guide position pos, each
@@ -85,15 +84,14 @@ func (w *Walker) Anchor(v entity.ID) bool { return w.start(v, 0, w.max-1) }
 // callback ended the walk.
 func (w *Walker) At(v entity.ID, pos int) bool { return w.start(v, pos, pos) }
 
-// start walks from v with up to hi head extensions (guided: v's position
-// on the guide is the number it needs, and it is tried at positions lo to
-// hi).
+// start walks from v, guided at guide positions lo to hi (v's position is
+// the number of head extensions it needs), unguided at the tail only.
 func (w *Walker) start(v entity.ID, lo, hi int) bool {
 	exist := w.g.Exist(v)
 	if exist == 0 {
 		return true
 	}
-	w.nodes[0], w.found[0], w.n, w.at = v, v, 1, 0
+	w.nodes[0], w.found[0], w.n = v, v, 1
 	if w.guide != nil {
 		for i := lo; i <= hi; i++ {
 			if lp := w.g.PrLabel(v, w.guide[i]); lp != 0 && w.clears(lp, exist) && w.admits(v, i) {
@@ -108,7 +106,7 @@ func (w *Walker) start(v entity.ID, lo, hi int) bool {
 	for l, lp := range w.g.LabelRow(v) {
 		if lp != 0 && w.clears(lp, exist) {
 			w.labels[0] = prob.LabelID(l)
-			if hi == 0 && !w.tail(lp, exist) || hi > 0 && !w.head(lp, exist, hi) {
+			if !w.tail(lp, exist) {
 				return false
 			}
 		}
@@ -137,55 +135,38 @@ func (w *Walker) extension(nb entity.Neighbor, from, to prob.LabelID, lp, prle, 
 	return prle, w.clears(prle, prn)
 }
 
-// head walks on from the current path, whose probability components are
-// prle and prn and whose head may still grow by heads nodes (guided: must):
-// once the head needs no more nodes (unguided: at every state) it walks the
-// tail, and then it grows the head by one node outside the anchor set while
-// heads allow.
+// head grows the head of the current path of a guided walk, whose
+// probability components are prle and prn, by heads more nodes outside the
+// anchor set, each carrying its label on the guide, and then walks the
+// tail.
 func (w *Walker) head(prle, prn float64, heads int) bool {
-	if (w.guide == nil || heads == 0) && !w.tail(prle, prn) {
-		return false
-	}
 	if heads == 0 {
-		return true
+		return w.tail(prle, prn)
 	}
-	g, n, first := w.g, w.n, w.labels[0]
-	lo, hi := prob.LabelID(0), prob.LabelID(g.NumLabels())
-	if w.guide != nil {
-		lo = w.guide[heads-1]
-		hi = lo + 1
-	}
+	g, n, first, l := w.g, w.n, w.labels[0], w.guide[heads-1]
 	for _, nb := range g.Neighbors(w.nodes[0]) {
 		v := nb.To
-		if w.anchors != nil && w.anchors[v] || w.guide != nil && !g.HasLabel(v, lo) || w.contains(v) || !w.admits(v, heads-1) {
+		if w.anchors != nil && w.anchors[v] || !g.HasLabel(v, l) || w.contains(v) || !w.admits(v, heads-1) {
 			continue
 		}
 		prnV := g.PrnExtend(w.found[:n], prn, v)
 		if prnV == 0 {
 			continue
 		}
-		for i, lp := range g.LabelRow(v)[lo:hi] {
-			if lp == 0 {
-				continue
-			}
-			l := lo + prob.LabelID(i)
-			prleV, ok := w.extension(nb, l, first, lp, prle, prnV)
-			if !ok {
-				continue
-			}
-			copy(w.nodes[1:n+1], w.nodes[:n])
-			copy(w.labels[1:n+1], w.labels[:n])
-			w.nodes[0], w.labels[0], w.found[n] = v, l, v
-			w.n++
-			w.at++
-			more := w.head(prleV, prnV, heads-1)
-			w.n--
-			w.at--
-			copy(w.nodes[:n], w.nodes[1:n+1])
-			copy(w.labels[:n], w.labels[1:n+1])
-			if !more {
-				return false
-			}
+		prleV, ok := w.extension(nb, l, first, g.PrLabel(v, l), prle, prnV)
+		if !ok {
+			continue
+		}
+		copy(w.nodes[1:n+1], w.nodes[:n])
+		copy(w.labels[1:n+1], w.labels[:n])
+		w.nodes[0], w.labels[0], w.found[n] = v, l, v
+		w.n++
+		more := w.head(prleV, prnV, heads-1)
+		w.n--
+		copy(w.nodes[:n], w.nodes[1:n+1])
+		copy(w.labels[:n], w.labels[1:n+1])
+		if !more {
+			return false
 		}
 	}
 	return true
@@ -198,7 +179,7 @@ func (w *Walker) head(prle, prn float64, heads int) bool {
 // without a call of tail for it.
 func (w *Walker) tail(prle, prn float64) bool {
 	n := w.n
-	if (w.guide == nil || n == w.max) && !w.emit(w.nodes[:n], w.labels[:n], w.at, prle, prn) {
+	if (w.guide == nil || n == w.max) && !w.emit(w.nodes[:n], w.labels[:n], prle, prn) {
 		return false
 	}
 	if n == w.max {
@@ -232,7 +213,7 @@ func (w *Walker) tail(prle, prn float64) bool {
 			w.n++
 			var more bool
 			if w.n == w.max {
-				more = w.emit(w.nodes[:w.n], w.labels[:w.n], w.at, prleV, prnV)
+				more = w.emit(w.nodes[:w.n], w.labels[:w.n], prleV, prnV)
 			} else {
 				more = w.tail(prleV, prnV)
 			}
@@ -264,7 +245,7 @@ func (w *Walker) tail(prle, prn float64) bool {
 			w.n++
 			var more bool
 			if w.n == w.max {
-				more = w.emit(w.nodes[:w.n], w.labels[:w.n], w.at, prleV, prnV)
+				more = w.emit(w.nodes[:w.n], w.labels[:w.n], prleV, prnV)
 			} else {
 				more = w.tail(prleV, prnV)
 			}

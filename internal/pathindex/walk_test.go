@@ -33,7 +33,7 @@ func TestWalkStopsWhenEmitDoes(t *testing.T) {
 		// walk runs the whole loop of walks and reports the callbacks made
 		// and whether every walk ran to its end.
 		walk := func(stopAt int) (calls int, finished bool) {
-			w := NewWalker(g, 0.05, c.maxNodes, c.guide, anchors, nil, func([]entity.ID, []prob.LabelID, int, float64, float64) bool {
+			w := NewWalker(g, 0.05, c.maxNodes, c.guide, anchors, nil, func([]entity.ID, []prob.LabelID, float64, float64) bool {
 				calls++
 				return calls != stopAt
 			})
@@ -110,11 +110,10 @@ func filterOf(g *entity.Graph, X []prob.LabelID, accept func(v entity.ID, pos in
 
 // TestWalkFilterKeepsTheRest: a guided walk with a NodeFilter hands over
 // exactly the paths of the same walk without it whose every node is in the
-// filter's set at its position on the guide — in the same order, with the
-// same start position and the same bits — from Root and from Anchor, which
-// also places nodes at the head. The sets differ by position, so reading
-// one at a wrong position changes the paths; the filter must cut some and
-// keep some.
+// filter's set at its position on the guide — in the same order and with
+// the same bits — from Root and from Anchor, which also places nodes at the
+// head. The sets differ by position, so reading one at a wrong position
+// changes the paths; the filter must cut some and keep some.
 func TestWalkFilterKeepsTheRest(t *testing.T) {
 	g := synthGraph(t, gen.SynthOptions{Refs: 300, Labels: 3, UncertainFrac: 0.5, Seed: 6})
 	anchors := make([]bool, g.NumNodes())
@@ -124,7 +123,6 @@ func TestWalkFilterKeepsTheRest(t *testing.T) {
 	accept := func(v entity.ID, pos int) bool { return (int(v)+pos)%4 != 0 }
 	type path struct {
 		nodes     [maxNodes]entity.ID
-		at        int
 		prle, prn float64
 	}
 	for _, X := range [][]prob.LabelID{{0, 1, 2}, {0, 1, 0}} {
@@ -132,8 +130,8 @@ func TestWalkFilterKeepsTheRest(t *testing.T) {
 		for _, anchored := range []bool{false, true} {
 			walk := func(keep NodeFilter) []path {
 				var out []path
-				w := NewWalker(g, 0.02, len(X), X, anchors, keep, func(nodes []entity.ID, _ []prob.LabelID, at int, prle, prn float64) bool {
-					p := path{at: at, prle: prle, prn: prn}
+				w := NewWalker(g, 0.02, len(X), X, anchors, keep, func(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) bool {
+					p := path{prle: prle, prn: prn}
 					copy(p.nodes[:], nodes)
 					out = append(out, p)
 					return true
@@ -170,10 +168,10 @@ func TestWalkFilterKeepsTheRest(t *testing.T) {
 
 // TestWalkAtFixesOnePosition: for every guide position pos and entity v,
 // At(v, pos) hands over exactly the paths of the filtered Root walk from
-// every start node that carry v at pos, each once, with the same start
-// node at pos and a probability equal to the root walk's up to the order
-// its factors were multiplied in. The guides include a repeated label, so
-// v can stand at more than one position of one path's labels.
+// every start node that carry v at pos, each once, with a probability
+// equal to the root walk's up to the order its factors were multiplied
+// in. The guides include a repeated label, so v can stand at more than one
+// position of one path's labels.
 func TestWalkAtFixesOnePosition(t *testing.T) {
 	g := synthGraph(t, gen.SynthOptions{Refs: 300, Labels: 3, UncertainFrac: 0.5, Seed: 6})
 	accept := func(v entity.ID, pos int) bool { return (int(v)+pos)%5 != 0 }
@@ -183,20 +181,16 @@ func TestWalkAtFixesOnePosition(t *testing.T) {
 		keep := filterOf(g, X, accept)
 		byRow := map[row]float64{} // the root walk's rows, with Prle·Prn
 		var cur map[row]float64
-		var at int
-		w := NewWalker(g, 0.02, len(X), X, nil, keep, func(nodes []entity.ID, _ []prob.LabelID, pos int, prle, prn float64) bool {
+		w := NewWalker(g, 0.02, len(X), X, nil, keep, func(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) bool {
 			var r row
 			copy(r[:], nodes)
 			if _, dup := cur[r]; dup {
 				t.Fatalf("X %v: row %v handed over twice", X, nodes)
 			}
-			if pos != at {
-				t.Fatalf("X %v: row %v starts at position %d, want %d", X, nodes, pos, at)
-			}
 			cur[r] = prle * prn
 			return true
 		})
-		cur, at = byRow, 0
+		cur = byRow
 		for v := range entity.ID(g.NumNodes()) {
 			w.Root(v)
 		}
@@ -206,7 +200,7 @@ func TestWalkAtFixesOnePosition(t *testing.T) {
 		for pos := range X {
 			for v := range entity.ID(g.NumNodes()) {
 				got := map[row]float64{}
-				cur, at = got, pos
+				cur = got
 				w.At(v, pos)
 				want := 0
 				for r, pr := range byRow {

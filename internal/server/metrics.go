@@ -145,7 +145,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Candidate-cache misses (pruned sets computed and stored).",
 			func() float64 { _, _, c := s.cacheStats(); return float64(c.Misses) }),
 		metrics.NewCounterFunc("peg_candcache_bypass_total",
-			"Per-path evaluations that bypassed the candidate cache (live view with a dirty overlay).",
+			"Per-path evaluations that bypassed the candidate cache (live view carrying mutations).",
 			func() float64 { _, _, c := s.cacheStats(); return float64(c.Bypassed) }),
 		metrics.NewCounterFunc("peg_candcache_evictions_total",
 			"Candidate-cache entries evicted to stay under the budget.",
@@ -239,9 +239,8 @@ func (c *liveCollector) Collect(w io.Writer) {
 		v               float64
 	}{
 		{"peg_live_generation", "Current live view generation.", "gauge", float64(st.Generation)},
-		{"peg_live_mutation_lag", "Mutations in the delta overlay not yet compacted into the base index.", "gauge", float64(st.Mutations)},
-		{"peg_live_dirty_entities", "Entities whose index entries live in the delta overlay.", "gauge", float64(st.DirtyEntities)},
-		{"peg_live_overlay_paths", "Paths stored in the delta overlay.", "gauge", float64(st.OverlayPaths)},
+		{"peg_live_mutation_lag", "Mutations folded into the live view since its base index was built.", "gauge", float64(st.Mutations)},
+		{"peg_live_dirty_entities", "Entities the mutations dirtied since the base index was built; reads walk their paths on demand.", "gauge", float64(st.DirtyEntities)},
 		{"peg_live_entities", "Entities in the live graph.", "gauge", float64(st.Entities)},
 		{"peg_live_compacting", "1 while a background compaction is running.", "gauge", b(st.Compacting)},
 		{"peg_live_compactions_total", "Completed background compactions.", "counter", float64(st.Compactions)},

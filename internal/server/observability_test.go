@@ -345,8 +345,8 @@ func TestStatsJSONSubMicrosecond(t *testing.T) {
 // preceding # TYPE declaration, and the core families must be present.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
 	s, db, ts := liveServer(t)
-	if st := db.Status(); st.OverlayPaths != 0 || st.LastApplyNanos != 0 || s.met.liveApply.Count() != 0 {
-		t.Fatalf("before any /ingest: overlay paths %d, last apply %d ns, %d applies observed", st.OverlayPaths, st.LastApplyNanos, s.met.liveApply.Count())
+	if st := db.Status(); st.DirtyEntities != 0 || st.LastApplyNanos != 0 || s.met.liveApply.Count() != 0 {
+		t.Fatalf("before any /ingest: %d dirty entities, last apply %d ns, %d applies observed", st.DirtyEntities, st.LastApplyNanos, s.met.liveApply.Count())
 	}
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
@@ -470,15 +470,15 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	if values["peg_reduce_skipped_total"] <= 0 {
 		t.Errorf("peg_reduce_skipped_total = %v after 32 limit-1 streams over a reducing plan", values["peg_reduce_skipped_total"])
 	}
-	// "Why was this ingest slow?": the overlay's size and the apply clock
-	// moved with the ingests above, on /metrics and in the status /stats
-	// embeds.
-	if values["peg_live_overlay_paths"] <= 0 || values["peg_live_apply_seconds_count"] != 32 {
-		t.Errorf("after 32 /ingest batches: peg_live_overlay_paths = %v, peg_live_apply_seconds_count = %v",
-			values["peg_live_overlay_paths"], values["peg_live_apply_seconds_count"])
+	// "Why was this ingest slow?": the dirty set's size and the apply
+	// clock moved with the ingests above, on /metrics and in the status
+	// /stats embeds.
+	if values["peg_live_dirty_entities"] <= 0 || values["peg_live_apply_seconds_count"] != 32 {
+		t.Errorf("after 32 /ingest batches: peg_live_dirty_entities = %v, peg_live_apply_seconds_count = %v",
+			values["peg_live_dirty_entities"], values["peg_live_apply_seconds_count"])
 	}
-	if st := db.Status(); float64(st.OverlayPaths) != values["peg_live_overlay_paths"] || st.LastApplyNanos <= 0 {
-		t.Errorf("live status: overlay paths %d (scraped %v), last apply %d ns", st.OverlayPaths, values["peg_live_overlay_paths"], st.LastApplyNanos)
+	if st := db.Status(); float64(st.DirtyEntities) != values["peg_live_dirty_entities"] || st.LastApplyNanos <= 0 {
+		t.Errorf("live status: %d dirty entities (scraped %v), last apply %d ns", st.DirtyEntities, values["peg_live_dirty_entities"], st.LastApplyNanos)
 	}
 	// The served PEG's size is that of the generation published last, on
 	// /metrics and on /stats alike.

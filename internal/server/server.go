@@ -90,8 +90,8 @@ type Options struct {
 	// CandCacheSize bounds the candidate cache: the total number of pruned
 	// path candidates it may retain across entries
 	// (0 = candidates.DefaultCacheBudget, negative disables). Repeat query
-	// shapes skip posting decode and context pruning; live views with a
-	// dirty overlay bypass it until the next publish.
+	// shapes skip posting decode and context pruning; live views carrying
+	// mutations bypass it until the next publish.
 	CandCacheSize int
 	// MaxPlanCost is the cost-based admission budget: a query whose
 	// plan-cost estimate (plan.Tree.Cost.Total) exceeds it is
@@ -249,9 +249,10 @@ func (s *Server) DrainObsolete() {
 
 // pruneRetired drops every fully released generation from the retired list
 // and clears the slots past the new length, so a dropped generation (a live
-// view carries megabytes of overlay) is not kept reachable by the list's
-// backing array. Caller holds s.mu for writing, which excludes acquireIndex:
-// refs.Load() == 0 is then a stable "nobody can pin it anymore" fact.
+// view carries its own graph delta and context tables) is not kept
+// reachable by the list's backing array. Caller holds s.mu for writing,
+// which excludes acquireIndex: refs.Load() == 0 is then a stable "nobody
+// can pin it anymore" fact.
 func (s *Server) pruneRetired() {
 	kept := s.retired[:0]
 	for _, si := range s.retired {
@@ -290,7 +291,7 @@ func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
 	}
 	// Prune fully released generations right away: with live ingest every
 	// batch publishes, and without pruning the retired list would pin one
-	// whole view (context tables, overlay, graph delta) per batch until the
+	// whole view (context tables, dirty set, graph delta) per batch until the
 	// next compaction drains.
 	s.pruneRetired()
 	if old != nil {
@@ -654,7 +655,7 @@ const maxIngestBatch = 4096
 // handleIngest applies a batch of mutations. The body is one JSON mutation
 // object, a JSON stream of them, or NDJSON — one mutation per line — all
 // decoded the same way; the whole batch is applied atomically and the
-// response reports the assigned ids and overlay state. The 501 answer
+// response reports the assigned ids and dirty-set state. The 501 answer
 // distinguishes "server runs read-only" from transient failures.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

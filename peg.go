@@ -51,9 +51,9 @@
 // The offline artifacts above are immutable; a LiveDB makes the system
 // writable while queries keep serving. Mutations (AddRef / AddEdge /
 // SetLinkage evidence) are WAL-logged, folded into the entity graph
-// incrementally, and merged into query results through an in-memory delta
-// overlay; a background compactor folds everything into fresh on-disk
-// generations:
+// incrementally, and merged into query results by walking the paths
+// through the entities they dirtied; a background compactor folds
+// everything into fresh on-disk generations:
 //
 //	db, err := peg.CreateLive(ctx, dir, d, peg.LiveOptions{Index: peg.IndexOptions{MaxLen: 3, Beta: 0.1, Gamma: 0.1}})
 //	res, err := db.Apply([]peg.Mutation{{Op: peg.OpSetLinkage, Members: []peg.RefID{r3, r4}, P: 0.5}})
@@ -116,7 +116,8 @@ type (
 	// Index is the context-aware path index (offline phase artifact).
 	Index = pathindex.Index
 	// IndexReader is the query-time index surface: *Index implements it, and
-	// so does a live database view (base index ⊕ in-memory delta overlay).
+	// so does a live database view (base index ⊕ paths walked from its
+	// dirty entities).
 	// Match, MatchStream, MatchSeq, and NewServer accept any IndexReader.
 	IndexReader = pathindex.Reader
 	// IndexOptions configures index construction.
@@ -126,8 +127,8 @@ type (
 
 	// LiveDB is the writable database: a PGD plus serving state accepting
 	// mutations at query time, backed by a CRC-protected mutation log, an
-	// incremental entity-graph delta, an in-memory overlay index, and a
-	// background compactor publishing fresh on-disk generations.
+	// incremental entity-graph delta, a dirty set whose paths reads walk on
+	// demand, and a background compactor publishing fresh on-disk generations.
 	LiveDB = live.DB
 	// LiveOptions configures a live database (index parameters per
 	// generation, compaction thresholds, publisher).
@@ -135,7 +136,7 @@ type (
 	// LiveView is one immutable snapshot of a live database; it implements
 	// IndexReader.
 	LiveView = live.View
-	// LiveStatus summarizes a live database's generation and overlay state.
+	// LiveStatus summarizes a live database's generation and dirty-set state.
 	LiveStatus = live.Status
 	// Mutation is one write against a live database: add-ref, add-edge, or
 	// set-linkage (merge-probability evidence).
