@@ -1,6 +1,9 @@
 package decompose
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/prob"
@@ -227,5 +230,58 @@ func TestCostUsesDegreeAndDensity(t *testing.T) {
 		if len(d.Paths[i].Nodes) != 3 {
 			t.Errorf("path %d has %d nodes, want 3", i, len(d.Paths[i].Nodes))
 		}
+	}
+}
+
+// TestPermutationReplay: the permutation a random cover walks is math/rand's
+// Perm for its seed — replayed from the stored swap sequence for the default
+// seed, drawn afresh for any other — at every length up to 512, including
+// lengths that extend the stored sequence.
+func TestPermutationReplay(t *testing.T) {
+	for _, seed := range []int64{1, 2, -5, 1 << 40} {
+		for n := 0; n <= 512; n++ {
+			want := rand.New(rand.NewSource(seed)).Perm(n)
+			got := permutation(seed, n)
+			if len(got) != n {
+				t.Fatalf("seed %d n %d: length %d", seed, n, len(got))
+			}
+			for i := range want {
+				if int(got[i]) != want[i] {
+					t.Fatalf("seed %d n %d: permutation differs at %d: %v, want %v", seed, n, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPermutationReplayConcurrent reads and extends the stored sequence from
+// eight goroutines at once, starting empty; under the race detector this
+// checks its publication, and every reader must see math/rand's Perm.
+func TestPermutationReplayConcurrent(t *testing.T) {
+	defaultSwaps.mu.Lock()
+	defaultSwaps.rng, defaultSwaps.seq = nil, nil
+	defaultSwaps.mu.Unlock()
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := g; n <= 600; n += 8 {
+				got := permutation(defaultSeed, n)
+				want := rand.New(rand.NewSource(defaultSeed)).Perm(n)
+				for i := range want {
+					if int(got[i]) != want[i] {
+						errs <- fmt.Sprintf("goroutine %d n %d: differs at %d", g, n, i)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -12,11 +12,11 @@
 package join
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/decompose"
 	"repro/internal/entity"
-	"repro/internal/query"
 )
 
 // Match is a full query match: the mapping ψ from query nodes to entities
@@ -72,19 +72,24 @@ func OrderWithCards(dec *decompose.Decomposition, mode OrderMode, cards []float6
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ca, cb := card(order[a]), card(order[b])
-			if ca != cb {
-				return ca < cb
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(card(a), card(b)); c != 0 {
+				return c
 			}
-			return order[a] < order[b]
+			return a - b
 		})
 		return order
 	}
 
-	used := make([]bool, k)
-	inOrder := make(map[query.NodeID]bool)
-	var order []int
+	n := 0 // query nodes: one past the largest on any path
+	for p := range dec.Paths {
+		for _, v := range dec.Paths[p].Nodes {
+			n = max(n, int(v)+1)
+		}
+	}
+	used := make([]bool, k+n)
+	inOrder := used[k:]
+	order := make([]int, 0, k)
 	for len(order) < k {
 		best, bestOverlap, bestPreds := -1, -1, -1
 		bestCard := 0.0
@@ -100,7 +105,7 @@ func OrderWithCards(dec *decompose.Decomposition, mode OrderMode, cards []float6
 			}
 			preds := 0
 			for _, o := range order {
-				preds += len(dec.Preds(p, o))
+				preds += dec.NumPreds(p, o)
 			}
 			pcard := card(p)
 			better := false

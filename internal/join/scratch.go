@@ -95,7 +95,7 @@ func newPlan(g *entity.Graph, q *query.Query, dec *decompose.Decomposition, kg *
 		sp := &p.steps[s]
 		sp.part = b
 		for pos := 0; pos < s; pos++ {
-			if len(dec.Preds(order[pos], b)) > 0 {
+			if dec.NumPreds(order[pos], b) > 0 {
 				sp.joins = append(sp.joins, joined{order[pos], pos})
 			}
 		}

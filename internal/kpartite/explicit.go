@@ -1,7 +1,9 @@
 package kpartite
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/decompose"
 	"repro/internal/prob"
@@ -39,8 +41,14 @@ func NewExplicit(parts [][]VertexSpec, joined [][2]int, links []LinkSpec, alpha 
 		if a < 0 || b >= k || a == b {
 			return nil, fmt.Errorf("kpartite: bad joined pair %v", j)
 		}
-		dec.Joins[[2]int{a, b}] = []decompose.JoinPred{{}}
+		if _, dup := dec.Joins[[2]int{a, b}]; !dup {
+			dec.Joins[[2]int{a, b}] = []decompose.JoinPred{{}}
+			dec.Pairs = append(dec.Pairs, [2]int{a, b})
+		}
 	}
+	slices.SortFunc(dec.Pairs, func(x, y [2]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
 	// A vertex's bound multiplies w2 and one weight per partition.
 	kg := &Graph{dec: dec, floor: prob.Floor(alpha, k+1)}
 	kg.parts = make([]*partition, k)
@@ -81,7 +89,7 @@ func NewExplicit(parts [][]VertexSpec, joined [][2]int, links []LinkSpec, alpha 
 		}
 		perPair[[2]int{a, b}] = append(perPair[[2]int{a, b}], [2]int32{ia, ib})
 	}
-	for pair := range dec.Joins {
+	for _, pair := range dec.Pairs {
 		a, b := pair[0], pair[1]
 		ls := perPair[pair]
 		// Group a's vertices by b in input order; transposing that sorts the

@@ -27,7 +27,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -231,20 +230,10 @@ func newGraph(g *entity.Graph, dec *decompose.Decomposition, sets []candidates.S
 	}
 	kg.computeWeights()
 
-	// Deterministic pair order (the map iteration order would do for
-	// correctness — slots are disjoint — but a sorted work list keeps the
-	// sequential walk reproducible and the atomic hand-out stable).
-	pairs = make([][2]int, 0, len(dec.Joins))
-	for pair := range dec.Joins {
-		pairs = append(pairs, pair)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	return kg, pairs, maxN
+	// Ascending pair order (any order would do for correctness — slots are
+	// disjoint — but a sorted work list keeps the sequential walk
+	// reproducible and the atomic hand-out stable).
+	return kg, dec.Pairs, maxN
 }
 
 // computeWeights looks every row's probability factors up, once, into the

@@ -1,10 +1,11 @@
 package plan
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/decompose"
@@ -87,6 +88,9 @@ func (p *Planner) Plan(ctx context.Context, q *query.Query, opt Options) (*Plan,
 		return nil, err
 	}
 	best := plans[0]
+	if len(plans) > 1 {
+		best.Tree.Alternatives = make([]Alternative, 0, len(plans)-1)
+	}
 	for _, alt := range plans[1:] {
 		best.Tree.Alternatives = append(best.Tree.Alternatives, Alternative{
 			DecomposeMode: alt.Dec.Mode.String(),
@@ -117,7 +121,7 @@ func (p *Planner) Enumerate(ctx context.Context, q *query.Query, opt Options) ([
 	canonical := q.Format(p.ix.Graph().Alphabet())
 
 	var (
-		plans        []*Plan
+		plans        = make([]*Plan, 0, len(opt.Space.Modes)*len(opt.Space.Orders)*len(opt.Space.Reduce))
 		decomposeDur time.Duration
 		firstErr     error
 	)
@@ -162,8 +166,8 @@ func (p *Planner) Enumerate(ctx context.Context, q *query.Query, opt Options) ([
 		}
 		return nil, fmt.Errorf("plan: empty candidate space")
 	}
-	sort.SliceStable(plans, func(a, b int) bool {
-		return plans[a].Tree.Cost.Total < plans[b].Tree.Cost.Total
+	slices.SortStableFunc(plans, func(a, b *Plan) int {
+		return cmp.Compare(a.Tree.Cost.Total, b.Tree.Cost.Total)
 	})
 	planDur := time.Since(start)
 	for _, pl := range plans {
@@ -181,12 +185,16 @@ func (p *Planner) pathNodes(dec *decompose.Decomposition) []PathNode {
 	nodes := make([]PathNode, 0, len(dec.Paths))
 	for i := range dec.Paths {
 		dp := &dec.Paths[i]
-		node := PathNode{ID: dp.ID, EstCard: dp.Card, Cost: dp.Cost}
-		for _, n := range dp.Nodes {
-			node.QueryNodes = append(node.QueryNodes, int(n))
+		node := PathNode{
+			ID: dp.ID, EstCard: dp.Card, Cost: dp.Cost,
+			QueryNodes: make([]int, len(dp.Nodes)),
+			Labels:     make([]string, len(dp.Labels)),
 		}
-		for _, l := range dp.Labels {
-			node.Labels = append(node.Labels, alphabet.Name(l))
+		for x, n := range dp.Nodes {
+			node.QueryNodes[x] = int(n)
+		}
+		for x, l := range dp.Labels {
+			node.Labels[x] = alphabet.Name(l)
 		}
 		nodes = append(nodes, node)
 	}
@@ -254,20 +262,9 @@ func costOf(dec *decompose.Decomposition, order []int, reduce bool) Cost {
 	for i := 0; i < k; i++ {
 		c.Candidates += card(i)
 	}
-	// Deterministic pair iteration: map order must not leak into float
-	// summation order.
-	pairs := make([][2]int, 0, len(dec.Joins))
-	for pair := range dec.Joins {
-		pairs = append(pairs, pair)
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
+	// Ascending pair order: the float sums must not depend on map order.
 	linkVolume := 0.0
-	for _, pair := range pairs {
+	for _, pair := range dec.Pairs {
 		ca, cb := card(pair[0]), card(pair[1])
 		c.Build += ca + cb
 		linkVolume += math.Min(ca, cb)
@@ -284,7 +281,7 @@ func costOf(dec *decompose.Decomposition, order []int, reduce bool) Cost {
 	for s, b := range order {
 		preds := 0
 		for t := 0; t < s; t++ {
-			preds += len(dec.Preds(b, order[t]))
+			preds += dec.NumPreds(b, order[t])
 		}
 		stepCard := card(b) * survival
 		if s == 0 {

@@ -3,12 +3,15 @@ package plan
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/decompose"
 	"repro/internal/fixtures"
+	"repro/internal/gen"
 	"repro/internal/join"
 	"repro/internal/pathindex"
 	"repro/internal/query"
@@ -207,5 +210,37 @@ func TestCostModelPrefersReductionWhenJoinDominates(t *testing.T) {
 		if !pl.Reduce && c.Reduce != 0 {
 			t.Fatalf("no-reduce plan charges reduction cost %v", c.Reduce)
 		}
+	}
+}
+
+// TestPlanHonoursDeadline: the path enumeration checks ctx every 256 steps
+// of its walk, so a request deadline bounds planning. A 10-node, 20-edge
+// query at L 3 walks more than 256 steps: it plans with a live context and
+// returns context.Canceled with a cancelled one.
+func TestPlanHonoursDeadline(t *testing.T) {
+	g, err := fixtures.MotivatingGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := pathindex.Build(context.Background(), g, pathindex.Options{
+		MaxLen: 3, Beta: 0.02, Gamma: 0.1, Dir: filepath.Join(t.TempDir(), "ix"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	q, err := gen.RandomQuery(rand.New(rand.NewSource(1)), g.NumLabels(), 10, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlanner(ix, nil)
+	opt := Options{Alpha: 0.05, Strategy: "optimized", Space: FullSpace()}
+	if _, err := p.Plan(context.Background(), q, opt); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.Plan(ctx, q, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Plan under a cancelled context returned %v, want context.Canceled", err)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/prob"
@@ -80,21 +80,34 @@ func ParseString(s string, a *prob.Alphabet) (*Query, error) {
 	return Parse(strings.NewReader(s), a)
 }
 
-// Format renders the query in the DSL, with nodes named n0, n1, ….
+// Format renders the query in the DSL, with nodes named n0, n1, …, and the
+// edges in Edges order.
 func (q *Query) Format(a *prob.Alphabet) string {
 	var b strings.Builder
-	for i := 0; i < q.NumNodes(); i++ {
-		fmt.Fprintf(&b, "node n%d %s\n", i, a.Name(q.labels[i]))
+	size := 17 * q.nEdges // enough while node ids have at most four digits
+	for _, l := range q.labels {
+		size += 12 + len(a.Name(l))
 	}
-	edges := q.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
+	b.Grow(size)
+	var tmp [20]byte
+	num := func(v int) { b.Write(strconv.AppendInt(tmp[:0], int64(v), 10)) }
+	for i, l := range q.labels {
+		b.WriteString("node n")
+		num(i)
+		b.WriteByte(' ')
+		b.WriteString(a.Name(l))
+		b.WriteByte('\n')
+	}
+	for x, nbs := range q.adj {
+		for _, y := range nbs {
+			if NodeID(x) < y {
+				b.WriteString("edge n")
+				num(x)
+				b.WriteString(" n")
+				num(int(y))
+				b.WriteByte('\n')
+			}
 		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, e := range edges {
-		fmt.Fprintf(&b, "edge n%d n%d\n", e[0], e[1])
 	}
 	return b.String()
 }

@@ -5,7 +5,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/prob"
@@ -174,59 +176,74 @@ func (q *Query) PathStats(path []NodeID) (PathInfo, error) {
 			return PathInfo{}, fmt.Errorf("query: nodes %d,%d not adjacent", path[i], path[i+1])
 		}
 	}
-	on := make(map[NodeID]int, len(path))
 	for i, n := range path {
-		on[n] = i
-	}
-	if len(on) != len(path) {
-		return PathInfo{}, fmt.Errorf("query: path repeats a node")
+		if slices.Index(path[:i], n) >= 0 {
+			return PathInfo{}, fmt.Errorf("query: path repeats a node")
+		}
 	}
 	var info PathInfo
-	rev := make(map[NodeID][]int)
-
-	deg := 0
-	for _, n := range path {
-		deg += len(q.adj[n])
-	}
-	info.Degree = deg - 2*(len(path)-1)
-
-	// K: query edges among path nodes (path edges + chords).
-	k := 0
+	info.Degree, info.Density = q.PathDegreeDensity(path)
 	for i, n := range path {
 		for _, m := range q.adj[n] {
-			if j, ok := on[m]; ok {
-				if j > i {
-					k++
-					if j > i+1 {
-						info.Cycles = append(info.Cycles, [2]int{i, j})
-					}
-				}
-			} else {
-				rev[m] = append(rev[m], i)
+			if j := slices.Index(path, m); j > i+1 {
+				info.Cycles = append(info.Cycles, [2]int{i, j})
 			}
 		}
 	}
-	mNodes := len(path)
-	if mNodes > 1 {
-		info.Density = 2 * float64(k) / float64(mNodes*(mNodes-1))
-	} else {
-		info.Density = 1
-	}
-	for m := range rev {
-		info.Neighbors = append(info.Neighbors, m)
-	}
-	sort.Slice(info.Neighbors, func(i, j int) bool { return info.Neighbors[i] < info.Neighbors[j] })
-	info.Reverse = make([][]int, len(info.Neighbors))
-	for i, m := range info.Neighbors {
-		info.Reverse[i] = rev[m]
-	}
-	sort.Slice(info.Cycles, func(i, j int) bool {
-		if info.Cycles[i][0] != info.Cycles[j][0] {
-			return info.Cycles[i][0] < info.Cycles[j][0]
+	slices.SortFunc(info.Cycles, compareLex)
+	// The off-path neighbors as (node, position) pairs: sorted, each node's
+	// run of positions is its reverse-neighbor list. The path degree counts
+	// them and every chord twice.
+	off := make([][2]int, 0, info.Degree-2*len(info.Cycles))
+	for i, n := range path {
+		for _, m := range q.adj[n] {
+			if slices.Index(path, m) < 0 {
+				off = append(off, [2]int{int(m), i})
+			}
 		}
-		return info.Cycles[i][1] < info.Cycles[j][1]
-	})
+	}
+	slices.SortFunc(off, compareLex)
+	nb := 0
+	for x := range off {
+		if x == 0 || off[x][0] != off[x-1][0] {
+			nb++
+		}
+	}
+	rev := make([]int, len(off))
+	info.Reverse = make([][]int, 0, nb)
+	for x := 0; x < len(off); {
+		y := x
+		for ; y < len(off) && off[y][0] == off[x][0]; y++ {
+			rev[y] = off[y][1]
+		}
+		info.Neighbors = append(info.Neighbors, NodeID(off[x][0]))
+		info.Reverse = append(info.Reverse, rev[x:y:y])
+		x = y
+	}
 	return info, nil
+}
+
+func compareLex(a, b [2]int) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+}
+
+// PathDegreeDensity returns PathInfo's Degree and Density alone, without
+// building the rest.
+func (q *Query) PathDegreeDensity(path []NodeID) (degree int, density float64) {
+	k := 0 // query edges among path nodes: path edges and chords
+	for i, n := range path {
+		degree += len(q.adj[n])
+		for _, m := range q.adj[n] {
+			if slices.Index(path, m) > i {
+				k++
+			}
+		}
+	}
+	degree -= 2 * (len(path) - 1)
+	if m := len(path); m > 1 {
+		return degree, 2 * float64(k) / float64(m*(m-1))
+	}
+	return degree, 1
 }
 
 // Labels returns the label sequence of a node sequence.
