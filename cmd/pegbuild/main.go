@@ -6,14 +6,8 @@
 //
 //	pegbuild -pgd graph.pgd -dir ./index -L 3 -beta 0.1 -gamma 0.1
 //
-// The index is one packed.idx file under -dir, opened mmap'd by the readers.
-//
-// With -shards N it instead runs the cluster-tier build: the PGD is split
-// into N linkage-closure shards, each shard's PGD snapshot and path index
-// are written under -out, and a manifest catalog is published last —
-// the input for N pegserve processes fronted by pegrouter.
-//
-//	pegbuild -pgd graph.pgd -shards 2 -out ./cluster -L 3 -beta 0.1 -gamma 0.1
+// The index is one packed.idx file under -dir, opened mmap'd by pegquery
+// and pegserve.
 package main
 
 import (
@@ -25,8 +19,6 @@ import (
 	"os/signal"
 
 	peg "repro"
-	"repro/internal/pathindex"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -34,17 +26,14 @@ func main() {
 	log.SetPrefix("pegbuild: ")
 	var (
 		pgdPath = flag.String("pgd", "", "input PGD file (required)")
-		dir     = flag.String("dir", "", "output index directory (single-index mode)")
-		shards  = flag.Int("shards", 0, "partition into this many shards (cluster mode; requires -out)")
-		out     = flag.String("out", "", "output cluster directory (cluster mode)")
+		dir     = flag.String("dir", "", "output index directory (required)")
 		maxLen  = flag.Int("L", 3, "maximum indexed path length")
 		beta    = flag.Float64("beta", 0.1, "index construction threshold β")
 		gamma   = flag.Float64("gamma", 0.1, "index resolution γ")
 		workers = flag.Int("workers", 0, "goroutines computing the context tables (0 = GOMAXPROCS); the path walk is sequential")
 	)
 	flag.Parse()
-	cluster := *shards > 0
-	if *pgdPath == "" || (cluster && *out == "") || (!cluster && *dir == "") {
+	if *pgdPath == "" || *dir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -61,20 +50,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if cluster {
-		m, err := shard.Build(ctx, d, *out, shard.Options{
-			Shards: *shards,
-			Index:  pathindex.Options{MaxLen: *maxLen, Beta: *beta, Gamma: *gamma, Workers: *workers},
-			Logf:   func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("published %s/%s: %d shards over %d refs, %d sets\n",
-			*out, shard.ManifestName, m.Shards, m.TotalRefs, m.TotalSets)
-		return
-	}
 
 	g, err := peg.BuildGraph(d)
 	if err != nil {

@@ -30,7 +30,6 @@ func main() {
 		labels    = flag.Int("labels", 6, "alphabet size (synth)")
 		uncertain = flag.Float64("uncertain", 0.2, "uncertain fraction (synth)")
 		groups    = flag.Int("groups", 0, "reference groups k (synth; 0 = refs/1000)")
-		clusters  = flag.Int("clusters", 0, "disjoint sub-networks (synth; ≥2 makes the PGD shardable, 0/1 = one connected network)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		out       = flag.String("out", "", "output PGD file (required)")
 	)
@@ -52,7 +51,6 @@ func main() {
 			Labels:        *labels,
 			UncertainFrac: *uncertain,
 			Groups:        *groups,
-			Clusters:      *clusters,
 			Seed:          *seed,
 		})
 	case "dblp":

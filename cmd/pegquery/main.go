@@ -50,7 +50,7 @@ func main() {
 		explain   = flag.Bool("explain", false, "print the query plan as JSON and exit without executing")
 		seed      = flag.Int64("seed", 0, "random-decomposition seed (0 = deterministic default; the plan records the seed used)")
 		traceTree = flag.String("trace-tree", "", "render the cross-process span waterfall of this trace id and exit (needs -trace-from and/or -trace-file, not -pgd/-dir)")
-		traceFrom = flag.String("trace-from", "", "comma-separated base URLs whose GET /debug/trace/{id} to gather (router and shards)")
+		traceFrom = flag.String("trace-from", "", "comma-separated base URLs of pegserve processes whose GET /debug/trace/{id} to gather")
 		traceFile = flag.String("trace-file", "", "comma-separated NDJSON trace files holding {\"span\":...} lines")
 	)
 	flag.Parse()

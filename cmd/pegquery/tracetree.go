@@ -15,7 +15,7 @@ import (
 
 // runTraceTree renders the cross-process waterfall of one distributed
 // trace: spans are gathered from any mix of /debug/trace/{id} endpoints
-// (router and shards — each process holds only its own half) and NDJSON
+// (each process holds only the spans it recorded) and NDJSON
 // trace files ({"span":...} lines), merged by span id, and printed as an
 // indented tree with offsets relative to the earliest span.
 func runTraceTree(id, endpoints, files string) error {

@@ -111,7 +111,7 @@ func main() {
 
 	// Start serving before the index is loaded or built: the server begins
 	// unready (GET /healthz answers 503 ready:false, /healthz/live 200), so
-	// orchestrators and the cluster router can health-check the process
+	// orchestrators and load balancers can health-check the process
 	// through the whole first build instead of getting connection refused.
 	srv := peg.NewServer(nil, opt)
 	hs := &http.Server{

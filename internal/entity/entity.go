@@ -308,8 +308,7 @@ func (g *Graph) buildEdges(d *refgraph.PGD, merge prob.MergeFuncs) {
 	// several reference edges contribute to one entity pair, the merge
 	// function sees them in a fixed sequence, so two PGDs holding the same
 	// edges — however they were assembled — build bitwise-identical merged
-	// probabilities. The shard tier's byte-identical scatter-gather merge
-	// depends on this.
+	// probabilities.
 	type keyedEdge struct {
 		k refgraph.EdgeKey
 		e refgraph.EdgeDist

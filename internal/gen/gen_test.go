@@ -58,6 +58,11 @@ func TestSyntheticErrors(t *testing.T) {
 	if _, err := Synthetic(SynthOptions{Refs: 100, UncertainFrac: 1.5}); err == nil {
 		t.Error("bad uncertain fraction accepted")
 	}
+	// Fewer references than the default GroupSize of 4: the group draw
+	// could never find four distinct references.
+	if _, err := Synthetic(SynthOptions{Refs: 3}); err == nil {
+		t.Error("3-ref graph with GroupSize 4 accepted")
+	}
 }
 
 func TestSyntheticDeterministic(t *testing.T) {

@@ -26,14 +26,7 @@ type SynthOptions struct {
 	Groups        int     // k (0 → Refs/1000, min 1)
 	GroupSize     int     // s (0 → 4)
 	PairsPerGroup int     // r (0 → 4)
-	// Clusters splits the references into this many disjoint sub-networks:
-	// preferential attachment, edges, and reference sets all stay within one
-	// cluster, so the PGD decomposes into at least Clusters independent
-	// linkage closures — the workload shape the sharded tier partitions.
-	// 0 or 1 keeps the single connected network (byte-identical to the
-	// generator before the option existed).
-	Clusters int
-	Seed     int64
+	Seed          int64
 }
 
 func (o *SynthOptions) normalize() error {
@@ -64,15 +57,10 @@ func (o *SynthOptions) normalize() error {
 	if o.PairsPerGroup <= 0 {
 		o.PairsPerGroup = 4
 	}
-	if o.Clusters < 0 {
-		return fmt.Errorf("gen: negative Clusters %d", o.Clusters)
-	}
-	if o.Clusters <= 1 {
-		o.Clusters = 1
-	}
-	if o.Refs/o.Clusters < o.GroupSize {
-		return fmt.Errorf("gen: %d clusters leave fewer than GroupSize=%d refs per cluster (%d refs total)",
-			o.Clusters, o.GroupSize, o.Refs)
+	// The group draw below looks for GroupSize distinct references and
+	// would never finish with fewer.
+	if o.Refs < o.GroupSize {
+		return fmt.Errorf("gen: fewer references (%d) than GroupSize=%d", o.Refs, o.GroupSize)
 	}
 	return nil
 }
@@ -95,95 +83,77 @@ func Synthetic(opt SynthOptions) (*refgraph.PGD, error) {
 	alpha := SynthAlphabet(opt.Labels)
 	d := refgraph.New(alpha)
 
-	// Cluster ranges: contiguous reference-id blocks, remainder spread over
-	// the leading clusters. With Clusters == 1 the single block covers all
-	// refs and the RNG draw sequence is exactly the pre-option generator's.
-	bases := make([]int, opt.Clusters+1)
-	for c := 0; c < opt.Clusters; c++ {
-		n := opt.Refs / opt.Clusters
-		if c < opt.Refs%opt.Clusters {
-			n++
-		}
-		bases[c+1] = bases[c] + n
-	}
+	n := opt.Refs
 
-	for c := 0; c < opt.Clusters; c++ {
-		base, n := bases[c], bases[c+1]-bases[c]
-
-		// Node labels: uncertain references get a Zipf-weighted random
-		// distribution, the rest a deterministic random label.
-		for i := 0; i < n; i++ {
-			if rng.Float64() < opt.UncertainFrac {
-				d.AddReference(prob.ZipfDist(rng, opt.Labels))
-			} else {
-				d.AddReference(prob.Point(prob.LabelID(rng.Intn(opt.Labels))))
-			}
-		}
-
-		// Structure: preferential attachment with m = EdgeFactor edges per
-		// new node (the Barabási–Albert model cited by the paper), local
-		// indices offset by the cluster base.
-		m := int(opt.EdgeFactor + 0.5)
-		if m < 1 {
-			m = 1
-		}
-		addEdge := func(a, b int) {
-			e := refgraph.EdgeDist{P: 1}
-			if rng.Float64() < opt.UncertainFrac {
-				e.P = zipfEdgeProb(rng)
-			}
-			// AddEdge overwrites duplicates, keeping edge counts approximate
-			// like the paper's generator.
-			_ = d.AddEdge(refgraph.RefID(base+a), refgraph.RefID(base+b), e)
-		}
-		// degreeTargets holds one entry per edge endpoint for degree-biased
-		// sampling.
-		targets := make([]int, 0, n*2*m)
-		start := m
-		if start >= n {
-			start = 1
-		}
-		for i := 1; i <= start && i < n; i++ {
-			addEdge(i-1, i)
-			targets = append(targets, i-1, i)
-		}
-		for i := start + 1; i < n; i++ {
-			v := i
-			attached := make(map[int]bool, m)
-			for e := 0; e < m; e++ {
-				var to int
-				for tries := 0; ; tries++ {
-					to = targets[rng.Intn(len(targets))]
-					if to != v && !attached[to] {
-						break
-					}
-					if tries > 16 {
-						to = rng.Intn(i)
-						if to == v || attached[to] {
-							to = (v + 1 + rng.Intn(i)) % i
-						}
-						break
-					}
-				}
-				if to == v || attached[to] {
-					continue
-				}
-				attached[to] = true
-				addEdge(v, to)
-				targets = append(targets, v, to)
-			}
+	// Node labels: uncertain references get a Zipf-weighted random
+	// distribution, the rest a deterministic random label.
+	for i := 0; i < n; i++ {
+		if rng.Float64() < opt.UncertainFrac {
+			d.AddReference(prob.ZipfDist(rng, opt.Labels))
+		} else {
+			d.AddReference(prob.Point(prob.LabelID(rng.Intn(opt.Labels))))
 		}
 	}
 
-	// Reference sets: k groups of size s, r random pairs per group. Groups
-	// are assigned to clusters round-robin and drawn within the cluster so
-	// identity linkage never bridges two clusters.
+	// Structure: preferential attachment with m = EdgeFactor edges per
+	// new node (the Barabási–Albert model cited by the paper).
+	m := int(opt.EdgeFactor + 0.5)
+	if m < 1 {
+		m = 1
+	}
+	addEdge := func(a, b int) {
+		e := refgraph.EdgeDist{P: 1}
+		if rng.Float64() < opt.UncertainFrac {
+			e.P = zipfEdgeProb(rng)
+		}
+		// AddEdge overwrites duplicates, keeping edge counts approximate
+		// like the paper's generator.
+		_ = d.AddEdge(refgraph.RefID(a), refgraph.RefID(b), e)
+	}
+	// degreeTargets holds one entry per edge endpoint for degree-biased
+	// sampling.
+	targets := make([]int, 0, n*2*m)
+	start := m
+	if start >= n {
+		start = 1
+	}
+	for i := 1; i <= start && i < n; i++ {
+		addEdge(i-1, i)
+		targets = append(targets, i-1, i)
+	}
+	for i := start + 1; i < n; i++ {
+		v := i
+		attached := make(map[int]bool, m)
+		for e := 0; e < m; e++ {
+			var to int
+			for tries := 0; ; tries++ {
+				to = targets[rng.Intn(len(targets))]
+				if to != v && !attached[to] {
+					break
+				}
+				if tries > 16 {
+					to = rng.Intn(i)
+					if to == v || attached[to] {
+						to = (v + 1 + rng.Intn(i)) % i
+					}
+					break
+				}
+			}
+			if to == v || attached[to] {
+				continue
+			}
+			attached[to] = true
+			addEdge(v, to)
+			targets = append(targets, v, to)
+		}
+	}
+
+	// Reference sets: k groups of size s, r random pairs per group.
 	for gi := 0; gi < opt.Groups; gi++ {
-		base, n := bases[gi%opt.Clusters], bases[gi%opt.Clusters+1]-bases[gi%opt.Clusters]
 		group := make([]refgraph.RefID, 0, opt.GroupSize)
 		seen := make(map[refgraph.RefID]bool, opt.GroupSize)
 		for len(group) < opt.GroupSize {
-			r := refgraph.RefID(base + rng.Intn(n))
+			r := refgraph.RefID(rng.Intn(n))
 			if !seen[r] {
 				seen[r] = true
 				group = append(group, r)

@@ -223,30 +223,6 @@ func (g *GaugeFunc) Collect(w io.Writer) {
 	fmt.Fprintf(w, "%s %s\n", g.name, fmtValue(g.fn()))
 }
 
-// MultiGaugeFunc is a labeled gauge family enumerated at scrape time: fn
-// calls emit once per series. Emitting nothing emits an empty family (the
-// header still renders, so scrapers see the family exists).
-type MultiGaugeFunc struct {
-	name, help, label string
-	fn                func(emit func(labelValue string, v float64))
-}
-
-// NewMultiGaugeFunc returns a labeled scrape-time gauge family.
-func NewMultiGaugeFunc(name, help, label string, fn func(emit func(string, float64))) *MultiGaugeFunc {
-	return &MultiGaugeFunc{name: name, help: help, label: label, fn: fn}
-}
-
-// Name implements Collector.
-func (g *MultiGaugeFunc) Name() string { return g.name }
-
-// Collect implements Collector.
-func (g *MultiGaugeFunc) Collect(w io.Writer) {
-	header(w, g.name, g.help, "gauge")
-	g.fn(func(val string, v float64) {
-		fmt.Fprintf(w, "%s{%s=%q} %s\n", g.name, g.label, val, fmtValue(v))
-	})
-}
-
 // InfoGauge renders a constant-1 series carrying identity labels (the
 // Prometheus "info metric" idiom, e.g. the served index generation id).
 type InfoGauge struct {
@@ -420,40 +396,5 @@ func (v *HistogramVec) Collect(w io.Writer) {
 	v.mu.RUnlock()
 	for _, h := range children {
 		h.collectSamples(w)
-	}
-}
-
-// TextFamily is a pre-rendered family: a HELP/TYPE header plus sample
-// lines already in Prometheus text format. It is how the router's
-// /metrics/cluster federation re-exports families scraped from shard
-// replicas through an ordinary Registry — the scraper parses each
-// replica's page, injects shard/replica labels into the sample lines, and
-// registers one TextFamily per merged family.
-type TextFamily struct {
-	name, help, typ string
-	samples         []string
-}
-
-// NewTextFamily returns a pass-through family. typ defaults to "untyped";
-// each sample must be a complete text-format line without the newline.
-func NewTextFamily(name, help, typ string, samples []string) *TextFamily {
-	if typ == "" {
-		typ = "untyped"
-	}
-	if help == "" {
-		help = "federated family"
-	}
-	return &TextFamily{name: name, help: help, typ: typ, samples: samples}
-}
-
-// Name implements Collector.
-func (f *TextFamily) Name() string { return f.name }
-
-// Collect implements Collector.
-func (f *TextFamily) Collect(w io.Writer) {
-	header(w, f.name, f.help, f.typ)
-	for _, s := range f.samples {
-		io.WriteString(w, s)
-		io.WriteString(w, "\n")
 	}
 }

@@ -30,7 +30,7 @@ func TestSnapshotRecordsNamedMerge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	labels, edges := g2.MergeNames()
+	labels, edges := g2.mergeLabelName, g2.mergeEdgeName
 	if labels != "average" || edges != "disjunct" {
 		t.Fatalf("merge names (%q, %q), want (average, disjunct)", labels, edges)
 	}

@@ -209,10 +209,6 @@ func (g *PGD) SetNamedMerge(labels, edges string) error {
 // Merge returns the PGD's merge functions.
 func (g *PGD) Merge() prob.MergeFuncs { return g.merge }
 
-// MergeNames returns the identifiers of the installed label and edge merge
-// functions as recorded in snapshots.
-func (g *PGD) MergeNames() (labels, edges string) { return g.mergeLabelName, g.mergeEdgeName }
-
 // AddReference adds a reference with the given label distribution and
 // returns its id.
 func (g *PGD) AddReference(d prob.Dist) RefID {

@@ -98,8 +98,7 @@ func TestReadinessLifecycle(t *testing.T) {
 	}
 }
 
-// TestRequestIDPropagation checks the shard half of the correlation-id
-// contract: the header is echoed on success and error responses alike, and
+// TestRequestIDPropagation checks the server's correlation-id contract: the header is echoed on success and error responses alike, and
 // lands on the request's root span.
 func TestRequestIDPropagation(t *testing.T) {
 	tr := trace.New(trace.Config{Sample: 1})

@@ -164,16 +164,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 		&liveCollector{s: s},
 	)
-	m.reg.MustRegister(TraceCollectors(func() trace.Stats { return s.opt.Tracer.Stats() })...)
+	m.reg.MustRegister(traceCollectors(s.opt.Tracer)...)
 	return m
 }
 
-// TraceCollectors builds the peg_trace_* families over a tracer-stats
-// snapshot function. Shared with the router so both halves of the serving
-// tier export identical tracing telemetry; the families render zeros when
-// tracing is disabled (Stats on a nil tracer), keeping the page shape
-// stable.
-func TraceCollectors(stats func() trace.Stats) []metrics.Collector {
+// traceCollectors builds the peg_trace_* families over the tracer's
+// stats. The families render zeros when tracing is disabled (Stats on a
+// nil tracer), keeping the page shape stable.
+func traceCollectors(t *trace.Tracer) []metrics.Collector {
+	stats := t.Stats
 	return []metrics.Collector{
 		metrics.NewCounterFunc("peg_trace_spans_recorded_total",
 			"Finished spans recorded into the trace ring buffer.",

@@ -7,7 +7,7 @@ import (
 
 // PprofHandler returns a mux exposing the net/http/pprof endpoints under
 // /debug/pprof/. Profiling is opt-in and runs on its own listener (the
-// -pprof-addr flag on pegserve and pegrouter) so the profile surface is
+// -pprof-addr flag on pegserve) so the profile surface is
 // never reachable through the serving port and can be firewalled
 // separately; registration is explicit instead of the package's
 // DefaultServeMux side effect, which would leak the endpoints onto any

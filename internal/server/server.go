@@ -102,7 +102,7 @@ type Options struct {
 	// answer costs nothing). 0 disables admission.
 	MaxPlanCost float64
 	// Tracer enables span-structured distributed tracing: the server
-	// continues a traceparent context from the router (or opens a new root),
+	// continues a client's traceparent context (or opens a new root),
 	// emits child spans for admission, plan-cache lookup, planning, and
 	// every executor stage, and serves the ring buffer at
 	// GET /debug/trace/{id}. Each request's root span carries its shape and
@@ -164,7 +164,7 @@ type Server struct {
 	retired []*servedIndex // swapped-out generations not yet drained
 	gen     atomic.Uint64
 	// swapping counts in-flight index swaps; readiness is false while it is
-	// non-zero so a router health-checker never routes into a publish flip.
+	// non-zero so a health-checker never sends traffic into a publish flip.
 	swapping atomic.Int64
 
 	live *live.DB // nil unless live ingest is enabled
@@ -351,29 +351,6 @@ type MatchRequest struct {
 	Order string `json:"order,omitempty"`
 }
 
-// SetSpanAttrs records the request's shape — query, α, strategy, order
-// and limit, each when set — on a sampled root span.
-func (req *MatchRequest) SetSpanAttrs(sp *trace.Span) {
-	if !sp.Sampled() {
-		return
-	}
-	if req.Query != "" {
-		sp.SetAttr("query", req.Query)
-	}
-	if req.Alpha != 0 {
-		sp.SetAttr("alpha", strconv.FormatFloat(req.Alpha, 'g', -1, 64))
-	}
-	if req.Strategy != "" {
-		sp.SetAttr("strategy", req.Strategy)
-	}
-	if req.Order != "" {
-		sp.SetAttr("order", req.Order)
-	}
-	if req.Limit != 0 {
-		sp.SetAttr("limit", strconv.Itoa(req.Limit))
-	}
-}
-
 // MatchEntry is one probabilistic match in a response.
 type MatchEntry struct {
 	// Mapping lists the entity id matched to each query node, in query-node
@@ -521,8 +498,7 @@ var errSaturated = &httpError{
 // maxBodyBytes caps request bodies: a match request or an /ingest batch.
 const maxBodyBytes = 8 << 20
 
-// defaultAlpha is the threshold of a request that omits alpha. It is a
-// constant, not an option, so every shard of a cluster fills in the same α.
+// defaultAlpha is the threshold of a request that omits alpha.
 const defaultAlpha = 0.25
 
 // Handler returns the HTTP handler serving all endpoints.
@@ -539,7 +515,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	// Echo the caller's X-Request-ID onto every response — success, error,
 	// or stream — before any handler writes a status, so a request can be
-	// correlated across router, shard, and trace log by one id.
+	// correlated across client, server and trace log by one id.
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if id := r.Header.Get(RequestIDHeader); id != "" {
 			w.Header().Set(RequestIDHeader, id)
@@ -548,18 +524,10 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// RequestIDHeader carries the end-to-end request correlation id. The router
-// generates one per client request (unless the client sent its own) and fans
-// it out to every shard; shards accept it, echo it on the response, and
-// record it as their root span's request_id.
+// RequestIDHeader carries the end-to-end request correlation id. The server
+// accepts a client's, echoes it on the response, and records it as the
+// root span's request_id.
 const RequestIDHeader = "X-Request-ID"
-
-// DeadlineHeader carries the router's remaining per-shard deadline budget
-// in whole milliseconds. A shard folds it into its request timeout, so
-// work for an attempt the router has already given up on (timeout,
-// hedged-and-lost) is cancelled shard-side instead of running to
-// completion and polluting the latency histograms.
-const DeadlineHeader = "X-Peg-Deadline-Ms"
 
 // startRequestSpan opens the server-side root span for one request,
 // continuing the remote traceparent context when one was propagated
@@ -581,7 +549,8 @@ func (s *Server) startRequestSpan(r *http.Request, name string) (context.Context
 }
 
 // endRequestSpan settles a root span with the request's terminal state:
-// its outcome, its shape and, for a finished match, the result summary.
+// its outcome, its shape (query, α, strategy, order and limit, each when
+// set) and, for a finished match, the result summary.
 // Attributes are only formatted for sampled spans. The per-stage
 // breakdown is the root's stage.* children.
 func endRequestSpan(sp *trace.Span, outcome string, req *MatchRequest, res *MatchResponse, err error) {
@@ -593,7 +562,21 @@ func endRequestSpan(sp *trace.Span, outcome string, req *MatchRequest, res *Matc
 		sp.SetAttr("error", err.Error())
 	}
 	if req != nil {
-		req.SetSpanAttrs(sp)
+		if req.Query != "" {
+			sp.SetAttr("query", req.Query)
+		}
+		if req.Alpha != 0 {
+			sp.SetAttr("alpha", strconv.FormatFloat(req.Alpha, 'g', -1, 64))
+		}
+		if req.Strategy != "" {
+			sp.SetAttr("strategy", req.Strategy)
+		}
+		if req.Order != "" {
+			sp.SetAttr("order", req.Order)
+		}
+		if req.Limit != 0 {
+			sp.SetAttr("limit", strconv.Itoa(req.Limit))
+		}
 	}
 	if res != nil {
 		sp.SetAttr("matches", strconv.Itoa(res.NumMatches))
@@ -605,8 +588,7 @@ func endRequestSpan(sp *trace.Span, outcome string, req *MatchRequest, res *Matc
 }
 
 // TraceResponse answers GET /debug/trace/{id}: the spans the in-process
-// ring recorder still holds for one trace, oldest first. The router
-// serves the same shape for its half of the waterfall.
+// ring recorder still holds for one trace, oldest first.
 type TraceResponse struct {
 	TraceID string           `json:"trace_id"`
 	Spans   []trace.SpanData `json:"spans"`
@@ -751,7 +733,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, 
 			// whole wall clock — a request stuck behind a saturated pool, or
 			// waiting on an identical in-flight request, times out rather
 			// than hanging for the wait plus a full match budget.
-			actx, cancel := context.WithTimeout(ctx, s.requestTimeout(r, &req))
+			actx, cancel := context.WithTimeout(ctx, s.requestTimeout(&req))
 			res, reply, err = answer(actx, si, p)
 			cancel()
 		}
@@ -897,7 +879,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 // GET /healthz/live (liveness). Liveness reports only ok + uptime; the
 // readiness form adds the serving generation and index identity, and
 // answers 503 with ready:false while the first index build/load or a
-// publish swap is in flight — the signal a router health-checker keys on.
+// publish swap is in flight — the signal a load balancer's health-checker
+// keys on.
 type HealthResponse struct {
 	OK            bool    `json:"ok"`
 	Ready         bool    `json:"ready"`
@@ -912,7 +895,7 @@ type HealthResponse struct {
 }
 
 // handleHealth is the readiness probe: 200 only when an index is installed
-// and no swap is mid-flip, so a shard answering 200 here can serve a match
+// and no swap is mid-flip, so a server answering 200 here can serve a match
 // immediately.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	resp := &HealthResponse{
@@ -1029,25 +1012,14 @@ func (p *matchParams) options(si *servedIndex) core.Options {
 }
 
 // requestTimeout derives one request's deadline: the server cap, lowerable
-// (never raisable) by the request's timeout_ms and by the router's
-// propagated X-Peg-Deadline-Ms budget; a malformed header is ignored.
-func (s *Server) requestTimeout(r *http.Request, req *MatchRequest) time.Duration {
-	timeout := s.opt.RequestTimeout
-	lower := func(ms int64) {
-		if ms <= 0 {
-			return
-		}
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+// (never raisable) by the request's timeout_ms; a non-positive timeout_ms
+// leaves the cap. The comparison is in milliseconds, so a timeout_ms too
+// large for a Duration cannot overflow into an expired deadline.
+func (s *Server) requestTimeout(req *MatchRequest) time.Duration {
+	if ms := req.TimeoutMillis; ms > 0 && ms < s.opt.RequestTimeout.Milliseconds() {
+		return time.Duration(ms) * time.Millisecond
 	}
-	lower(req.TimeoutMillis)
-	if v := r.Header.Get(DeadlineHeader); v != "" { // ParseInt("") allocates its error
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil {
-			lower(ms)
-		}
-	}
-	return timeout
+	return s.opt.RequestTimeout
 }
 
 // planned takes a worker slot for the request and plans it against one
@@ -1161,10 +1133,10 @@ func (s *Server) parseParams(ix pathindex.Reader, req *MatchRequest) (*matchPara
 		return nil, badRequest("negative limit %d", p.limit)
 	}
 	var err error
-	if p.strat, p.stratName, err = ParseStrategy(req.Strategy); err != nil {
+	if p.strat, p.stratName, err = parseStrategy(req.Strategy); err != nil {
 		return nil, badRequest("%v", err)
 	}
-	if p.order, p.orderName, err = ParseOrder(req.Order); err != nil {
+	if p.order, p.orderName, err = parseOrder(req.Order); err != nil {
 		return nil, badRequest("%v", err)
 	}
 	if p.q, err = query.ParseString(req.Query, ix.Graph().Alphabet()); err != nil {
@@ -1397,9 +1369,9 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, he.status, map[string]string{"error": he.msg})
 }
 
-// ParseStrategy maps a request strategy name to the core constant, returning
+// parseStrategy maps a request strategy name to the core constant, returning
 // the normalized name. An empty name selects the optimized strategy.
-func ParseStrategy(name string) (core.Strategy, string, error) {
+func parseStrategy(name string) (core.Strategy, string, error) {
 	switch name {
 	case "", "optimized":
 		return core.StrategyOptimized, "optimized", nil
@@ -1411,9 +1383,9 @@ func ParseStrategy(name string) (core.Strategy, string, error) {
 	return 0, "", fmt.Errorf("unknown strategy %q", name)
 }
 
-// ParseOrder maps a request order name to the core constant, returning the
+// parseOrder maps a request order name to the core constant, returning the
 // normalized name. An empty name selects emission order.
-func ParseOrder(name string) (core.ResultOrder, string, error) {
+func parseOrder(name string) (core.ResultOrder, string, error) {
 	switch name {
 	case "", "emit":
 		return core.OrderEmit, "emit", nil

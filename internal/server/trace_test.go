@@ -15,56 +15,45 @@ import (
 	"repro/internal/trace"
 )
 
-// TestDeadlineHeaderFolds covers the router→shard deadline propagation: the
-// X-Peg-Deadline-Ms header lowers the request deadline exactly like the
-// body's timeout_ms, whichever is tighter, and malformed or non-positive
-// values are ignored.
-func TestDeadlineHeaderFolds(t *testing.T) {
+// TestTimeoutMillisFolds covers the body's timeout_ms: it lowers the
+// request deadline below the server cap, never raises it past the cap (not
+// even by overflowing a Duration), and non-positive values are ignored.
+func TestTimeoutMillisFolds(t *testing.T) {
 	s, _ := testServer(t, Options{Workers: 2, RequestTimeout: 30 * time.Second})
 
 	for _, tc := range []struct {
-		header string
 		bodyMS int64
 		want   time.Duration
 	}{
-		{"", 0, 30 * time.Second},         // neither: the server cap
-		{"50", 0, 50 * time.Millisecond},  // header lowers
-		{"50", 20, 20 * time.Millisecond}, // tighter body wins
-		{"20", 50, 20 * time.Millisecond}, // tighter header wins
-		{"60000000", 0, 30 * time.Second}, // header cannot raise past the cap
-		{"0", 0, 30 * time.Second},        // non-positive ignored
-		{"-5", 0, 30 * time.Second},
-		{"junk", 0, 30 * time.Second},
+		{0, 30 * time.Second},        // unset: the server cap
+		{50, 50 * time.Millisecond},  // lowers
+		{20, 20 * time.Millisecond},  // lowers
+		{60000000, 30 * time.Second}, // cannot raise past the cap
+		{30000, 30 * time.Second},    // exactly the cap
+		{-5, 30 * time.Second},       // non-positive ignored
+		{1 << 62, 30 * time.Second},  // too large for a Duration: still the cap
 	} {
-		hr := httptest.NewRequest(http.MethodPost, "/match", nil)
-		if tc.header != "" {
-			hr.Header.Set(DeadlineHeader, tc.header)
-		}
 		req := &MatchRequest{TimeoutMillis: tc.bodyMS}
-		if got := s.requestTimeout(hr, req); got != tc.want {
-			t.Errorf("header=%q timeout_ms=%d: requestTimeout = %v, want %v",
-				tc.header, tc.bodyMS, got, tc.want)
+		if got := s.requestTimeout(req); got != tc.want {
+			t.Errorf("timeout_ms=%d: requestTimeout = %v, want %v", tc.bodyMS, got, tc.want)
 		}
 	}
 }
 
-// TestDeadlineHeaderTimesOutWaiting drives the header end-to-end: with the
-// worker pool wedged, a request carrying a short propagated deadline gives
-// up in the admission queue with 504 instead of waiting out the server cap.
-func TestDeadlineHeaderTimesOutWaiting(t *testing.T) {
+// TestTimeoutMillisTimesOutWaiting drives timeout_ms end to end: with the
+// worker pool wedged, a request carrying a short timeout_ms gives up in
+// the admission queue with 504 instead of waiting out the server cap.
+func TestTimeoutMillisTimesOutWaiting(t *testing.T) {
 	s, ts := testServer(t, Options{Workers: 1})
 	s.sem <- struct{}{} // wedge the only worker slot
 	defer func() { <-s.sem }()
 
-	body, _ := json.Marshal(&MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha})
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/match", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	body, _ := json.Marshal(&MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha, TimeoutMillis: 50})
+	if !bytes.Contains(body, []byte(`"timeout_ms":50`)) {
+		t.Fatalf("request body %s does not carry timeout_ms", body)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(DeadlineHeader, "50")
 	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(ts.URL+"/match", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +62,12 @@ func TestDeadlineHeaderTimesOutWaiting(t *testing.T) {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("took %v; the propagated 50ms deadline did not fold in", waited)
+		t.Fatalf("took %v; the 50ms timeout_ms did not fold in", waited)
 	}
 	checkAccounting(t, s)
 }
 
-// TestDebugTraceEndpoint covers the shard half of the waterfall: a sampled
+// TestDebugTraceEndpoint covers the server's trace ring: a sampled
 // request leaves serve.match, admission, planner, and executor stage spans
 // in the ring, retrievable by trace id over GET /debug/trace/{id}, parented
 // under the remote context the client sent.

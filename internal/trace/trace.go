@@ -132,7 +132,7 @@ type Stats struct {
 
 // Config configures a Tracer.
 type Config struct {
-	Service  string    // attached to every span (e.g. "pegserve", "pegrouter")
+	Service  string    // attached to every span (e.g. "pegserve")
 	Sample   float64   // head-sampling probability for new roots, clamped to [0,1]
 	Export   io.Writer // optional NDJSON sink for finished spans
 	RingSize int       // finished spans retained for /debug/trace (0 = 4096)
@@ -241,13 +241,6 @@ func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {
 	return context.WithValue(ctx, remoteKey{}, sc)
 }
 
-// RemoteFromContext returns the remote context stored by
-// ContextWithRemote, if any.
-func RemoteFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(remoteKey{}).(SpanContext)
-	return sc, ok
-}
-
 // SpanFromContext returns the current span, or nil.
 func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(ctxKey{}).(*Span)
@@ -266,7 +259,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	if parent := SpanFromContext(ctx); parent != nil {
 		sp.sc = SpanContext{TraceID: parent.sc.TraceID, SpanID: t.newSpanID(), Sampled: parent.sc.Sampled}
 		sp.parent = parent.sc.SpanID
-	} else if rsc, ok := RemoteFromContext(ctx); ok {
+	} else if rsc, ok := ctx.Value(remoteKey{}).(SpanContext); ok {
 		sp.sc = SpanContext{TraceID: rsc.TraceID, SpanID: t.newSpanID(), Sampled: rsc.Sampled}
 		sp.parent = rsc.SpanID
 		t.inherited.Add(1)

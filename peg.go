@@ -389,5 +389,5 @@ func NewCandidateCache(budget int) *CandidateCache { return candidates.NewCache(
 func NewServer(ix IndexReader, opt ServerOptions) *Server { return server.New(ix, opt) }
 
 // PprofHandler exposes the net/http/pprof endpoints for an opt-in,
-// separately-listening profile server (pegserve/pegrouter -pprof-addr).
+// separately-listening profile server (pegserve -pprof-addr).
 func PprofHandler() http.Handler { return server.PprofHandler() }
