@@ -31,7 +31,9 @@ func Counts(ctx context.Context, ix pathindex.Reader, dec *decompose.Decompositi
 // KeyWalks produces a decomposition's candidate rows one join key at a
 // time: the rows of a path that carry given entities at given positions
 // and pass the tests Find applies. A key's rows come from one
-// pathindex.Walker started at the key's first position with its entity,
+// pathindex.Walker over the whole key (Walker.At), started at the key's
+// first position with its entity and reading only the key's entity at each
+// later position, so it builds no path that does not carry the key. It is
 // filtered by the same node-level sets as Find's walk and kept by the same
 // keepCandidate. The walk multiplies each row's Prle and Prn in the order
 // it adds the nodes. From a key at position 0 that is the root walk's, so
@@ -46,12 +48,11 @@ type KeyWalks struct {
 	alpha   float64
 	walkers []*pathindex.Walker // by path, made on the path's first walk
 
-	// The walk in progress: its path, key and output.
+	// The walk in progress: its path and output.
 	p    *decompose.Path
-	pos  []int32
-	key  []entity.ID
 	rows []entity.ID
 	sort rowOrder
+	root [1]entity.ID // an empty key's walk: the root in hand
 }
 
 // NewKeyWalks returns the key walks of dec's paths over ix at α, filtered
@@ -84,14 +85,15 @@ func (kw *KeyWalks) Rows(dst []entity.ID, i int, pos []int32, key []entity.ID) [
 		w = pathindex.NewWalker(kw.g, kw.alpha, len(p.Nodes), p.Labels, nil, keep, kw.keep)
 		kw.walkers[i] = w
 	}
-	kw.p, kw.pos, kw.key, kw.rows = p, pos, key, dst
+	kw.p, kw.rows = p, dst
 	from := len(dst)
 	if len(pos) > 0 {
-		w.At(key[0], int(pos[0]))
+		w.At(pos, key)
 	} else {
 		for word, set := range kw.nt.sets[p.Nodes[0]] {
 			for ; set != 0; set &= set - 1 {
-				w.At(entity.ID(word*64+bits.TrailingZeros64(set)), 0)
+				kw.root[0] = entity.ID(word*64 + bits.TrailingZeros64(set))
+				w.At(rootPos, kw.root[:])
 			}
 		}
 	}
@@ -104,14 +106,12 @@ func (kw *KeyWalks) Rows(dst []entity.ID, i int, pos []int32, key []entity.ID) [
 	return dst
 }
 
-// keep is the key walk's callback: a row that carries the rest of the key
-// and passes keepCandidate is appended to the output.
+// rootPos is the key position of a root walk.
+var rootPos = []int32{0}
+
+// keep is the key walk's callback: every row it is handed carries the key,
+// and one that passes keepCandidate is appended to the output.
 func (kw *KeyWalks) keep(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) bool {
-	for k, pos := range kw.pos[min(1, len(kw.pos)):] {
-		if nodes[pos] != kw.key[k+1] {
-			return true
-		}
-	}
 	if keepCandidate(kw.g, kw.nt, kw.p, nodes, prle, prn) {
 		kw.rows = append(kw.rows, nodes...)
 	}

@@ -144,10 +144,19 @@ func (g *Graph) Neighbors(v ID) []Neighbor { return g.adj[g.adjRow[v].lo:g.adjRo
 // Degree returns the number of GU neighbors of v.
 func (g *Graph) Degree(v ID) int { return int(g.adjRow[v].hi - g.adjRow[v].lo) }
 
-// EdgeBetween returns a's adjacency entry for b, if the edge exists: a
-// binary search of a's sorted adjacency, written out so the join's hottest
-// look-up pays no closure call per probe.
+// EdgeBetween returns a's adjacency entry for b, if the edge exists.
 func (g *Graph) EdgeBetween(a, b ID) (Neighbor, bool) {
+	if e := g.Edge(a, b); len(e) != 0 {
+		return e[0], true
+	}
+	return Neighbor{}, false
+}
+
+// Edge returns a's adjacency narrowed to its entry for b: that one entry
+// if the edge exists, else none. It is a binary search of a's sorted
+// adjacency, written out so the join's hottest look-up pays no closure
+// call per probe. The returned slice must not be modified.
+func (g *Graph) Edge(a, b ID) []Neighbor {
 	nbs := g.Neighbors(a)
 	lo, hi := 0, len(nbs)
 	for lo < hi {
@@ -159,9 +168,9 @@ func (g *Graph) EdgeBetween(a, b ID) (Neighbor, bool) {
 		}
 	}
 	if lo < len(nbs) && nbs[lo].To == b {
-		return nbs[lo], true
+		return nbs[lo : lo+1]
 	}
-	return Neighbor{}, false
+	return nil
 }
 
 // PrEdge returns the existence probability of the edge behind adjacency

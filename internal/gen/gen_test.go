@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/entity"
@@ -133,7 +134,7 @@ func TestRandomQuery(t *testing.T) {
 		if q.NumEdges() != wantM {
 			t.Errorf("q(%d,%d): edges = %d, want %d", spec.n, spec.m, q.NumEdges(), wantM)
 		}
-		if !q.Connected() {
+		if !connected(q) {
 			t.Errorf("q(%d,%d) disconnected", spec.n, spec.m)
 		}
 	}
@@ -181,7 +182,7 @@ func TestPatternQueries(t *testing.T) {
 		if q.NumNodes() != n || q.NumEdges() != e {
 			t.Errorf("%s: query (%d,%d)", p, q.NumNodes(), q.NumEdges())
 		}
-		if !q.Connected() {
+		if !connected(q) {
 			t.Errorf("%s disconnected", p)
 		}
 		// Uniform labels.
@@ -260,4 +261,22 @@ func TestIMDB(t *testing.T) {
 	if _, err := IMDB(IMDBOptions{Actors: 3}); err == nil {
 		t.Error("tiny IMDB accepted")
 	}
+}
+
+// connected reports whether q's nodes are all reachable from node 0.
+func connected(q *query.Query) bool {
+	seen := make([]bool, q.NumNodes())
+	stack := []query.NodeID{0}
+	seen[0] = true
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, u := range q.Neighbors(v) {
+			if !seen[u] {
+				seen[u] = true
+				stack = append(stack, u)
+			}
+		}
+	}
+	return !slices.Contains(seen, false)
 }

@@ -53,6 +53,9 @@ type Walker struct {
 	labels [maxNodes]prob.LabelID // parallel to nodes
 	found  [maxNodes]entity.ID    // the path's nodes in discovery order
 	n      int                    // path length
+
+	pin    uint8               // bit pos set: At's key fixes the tail's node at pos
+	pinned [maxNodes]entity.ID // by position: the entity a set pin bit fixes
 }
 
 // NewWalker returns a walker over g for paths of at most maxNodes nodes
@@ -76,13 +79,26 @@ func (w *Walker) Root(v entity.ID) bool { return w.start(v, 0, 0) }
 // set. It reports false once the callback ended the walk.
 func (w *Walker) Anchor(v entity.ID) bool { return w.start(v, 0, w.max-1) }
 
-// At walks the guided paths that carry v at guide position pos, each
-// exactly once: it grows the head to pos nodes, then the tail. Its walker
-// takes no anchor set. The paths are those of Root's walk from every start
-// node that carry v at pos, in another order, and each one's Prle and Prn
-// are multiplied in the order At adds its nodes. It reports false once the
+// At walks the guided paths that carry key[k] at guide position pos[k]
+// for every k, each exactly once; pos is ascending and not empty. It grows
+// the head to pos[0] nodes from key[0], then the tail, and at each later
+// position of the key the tail offers only that position's entity, through
+// its adjacency entry, to the tests it puts every neighbour through. Its
+// walker takes no anchor set. The paths are those of Root's walk from every
+// start node that carry the key, in another order, with Prle and Prn
+// multiplied in the order At adds the nodes: exactly the paths of the
+// one-position walk from key[0] at pos[0] that carry the rest of the key,
+// in that walk's order and with its bits. It reports false once the
 // callback ended the walk.
-func (w *Walker) At(v entity.ID, pos int) bool { return w.start(v, pos, pos) }
+func (w *Walker) At(pos []int32, key []entity.ID) bool {
+	for k := 1; k < len(pos); k++ {
+		w.pin |= 1 << pos[k]
+		w.pinned[pos[k]] = key[k]
+	}
+	more := w.start(key[0], int(pos[0]), int(pos[0]))
+	w.pin = 0
+	return more
+}
 
 // start walks from v, guided at guide positions lo to hi (v's position is
 // the number of head extensions it needs), unguided at the tail only.
@@ -190,13 +206,21 @@ func (w *Walker) tail(prle, prn float64) bool {
 		// The on-demand scan's inner loop, kept apart from the label loop
 		// below: one label, whose bit — or, filtered, the node set's bit,
 		// which implies it — decides most neighbours before anything else
-		// about them is read.
+		// about them is read. A position At's key pins offers one
+		// neighbour at most, its entity's adjacency entry, to the same
+		// tests.
 		l := w.guide[n]
 		var keep NodeSet
 		if w.keep != nil {
 			keep = w.keep[n]
 		}
-		for _, nb := range g.Neighbors(w.nodes[n-1]) {
+		var nbs []entity.Neighbor
+		if w.pin>>n&1 == 0 {
+			nbs = g.Neighbors(w.nodes[n-1])
+		} else {
+			nbs = g.Edge(w.nodes[n-1], w.pinned[n])
+		}
+		for _, nb := range nbs {
 			v := nb.To
 			if keep != nil && !keep.Has(v) || keep == nil && !g.HasLabel(v, l) || w.contains(v) {
 				continue

@@ -2,7 +2,9 @@ package pathindex
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/entity"
@@ -167,10 +169,10 @@ func TestWalkFilterKeepsTheRest(t *testing.T) {
 }
 
 // TestWalkAtFixesOnePosition: for every guide position pos and entity v,
-// At(v, pos) hands over exactly the paths of the filtered Root walk from
-// every start node that carry v at pos, each once, with a probability
-// equal to the root walk's up to the order its factors were multiplied
-// in. The guides include a repeated label, so v can stand at more than one
+// At with the one-position key (pos, v) hands over exactly the paths of
+// the filtered Root walk from every start node that carry v at pos, each
+// once, with a probability equal to the root walk's up to the order its
+// factors were multiplied in. The guides include a repeated label, so v can stand at more than one
 // position of one path's labels.
 func TestWalkAtFixesOnePosition(t *testing.T) {
 	g := synthGraph(t, gen.SynthOptions{Refs: 300, Labels: 3, UncertainFrac: 0.5, Seed: 6})
@@ -201,7 +203,7 @@ func TestWalkAtFixesOnePosition(t *testing.T) {
 			for v := range entity.ID(g.NumNodes()) {
 				got := map[row]float64{}
 				cur = got
-				w.At(v, pos)
+				w.At([]int32{int32(pos)}, []entity.ID{v})
 				want := 0
 				for r, pr := range byRow {
 					if r[pos] != v {
@@ -221,5 +223,120 @@ func TestWalkAtFixesOnePosition(t *testing.T) {
 	}
 	if walked == 0 {
 		t.Fatal("no walk handed over a row")
+	}
+}
+
+// TestWalkAtPinsTheKey: At with a key of one to three positions hands over
+// exactly the rows of the one-position walk from key[0] at pos[0] that carry
+// the rest of the key, in that walk's order and with bitwise-equal Prle and
+// Prn, and its callback sees no row that does not carry the key: a pinned
+// position reads one adjacency entry, so the walk builds no path it would
+// throw away. Guides of 2–4 nodes (L 1–3), α below and at β, every pos[0].
+// The later entities of a key are drawn from the rows of the unfiltered
+// walk, so some stand outside the filter's set at their position: a walk
+// that skipped the filter test at a pinned position would hand those over.
+func TestWalkAtPinsTheKey(t *testing.T) {
+	g := synthGraph(t, gen.SynthOptions{Refs: 300, Labels: 3, UncertainFrac: 0.5, Seed: 6})
+	rng := rand.New(rand.NewSource(7))
+	accept := func(v entity.ID, pos int) bool { return (int(v)+pos)%5 != 0 }
+	type row struct {
+		nodes     [maxNodes]entity.ID
+		prle, prn uint64
+	}
+	var out []row
+	collect := func(nodes []entity.ID, _ []prob.LabelID, prle, prn float64) bool {
+		r := row{prle: math.Float64bits(prle), prn: math.Float64bits(prn)}
+		copy(r.nodes[:], nodes)
+		out = append(out, r)
+		return true
+	}
+	walk := func(w *Walker, pos []int32, key []entity.ID) []row {
+		out = nil
+		w.At(pos, key)
+		return out
+	}
+	carries := func(r row, pos []int32, key []entity.ID) bool {
+		for k, p := range pos {
+			if r.nodes[p] != key[k] {
+				return false
+			}
+		}
+		return true
+	}
+	const beta = 0.05
+	var keys, multi, outside, unpinned, pinned int
+	for L := 1; L <= 3; L++ {
+		for range 2 {
+			X := make([]prob.LabelID, L+1)
+			for i := range X {
+				X[i] = prob.LabelID(rng.Intn(g.NumLabels()))
+			}
+			keep := filterOf(g, X, accept)
+			for _, alpha := range []float64{0.02, beta} {
+				filtered := NewWalker(g, alpha, len(X), X, nil, keep, collect)
+				open := NewWalker(g, alpha, len(X), X, nil, nil, collect)
+				for pos0 := range int32(len(X)) {
+					for v := range entity.ID(g.NumNodes()) {
+						one := []int32{pos0}
+						from := walk(open, one, []entity.ID{v})
+						if len(from) == 0 {
+							continue
+						}
+						want1 := walk(filtered, one, []entity.ID{v})
+						for range 3 {
+							// A key: v at pos0, then up to two later positions
+							// read off a row of the unfiltered walk, one time in
+							// four a random entity there instead.
+							r := from[rng.Intn(len(from))]
+							pos, key := []int32{pos0}, []entity.ID{v}
+							later := rng.Perm(len(X) - 1 - int(pos0))
+							later = later[:min(len(later), rng.Intn(3))]
+							slices.Sort(later)
+							for _, d := range later {
+								p := pos0 + 1 + int32(d)
+								e := r.nodes[p]
+								if rng.Intn(4) == 0 {
+									e = entity.ID(rng.Intn(g.NumNodes()))
+								}
+								pos, key = append(pos, p), append(key, e)
+							}
+							var want []row
+							for _, r := range want1 {
+								if carries(r, pos, key) {
+									want = append(want, r)
+								}
+							}
+							got := walk(filtered, pos, key)
+							for _, r := range got {
+								if !carries(r, pos, key) {
+									t.Fatalf("X %v α %v: At(%v, %v) hands over %v, which does not carry the key", X, alpha, pos, key, r.nodes[:len(X)])
+								}
+							}
+							if !slices.Equal(got, want) {
+								t.Fatalf("X %v α %v: At(%v, %v) hands over %d rows; want the %d rows of the walk from %d at %d that carry the key, in its order with its bits", X, alpha, pos, key, len(got), len(want), v, pos0)
+							}
+							keys++
+							if len(pos) > 1 {
+								multi++
+								unpinned += len(want1)
+								pinned += len(got)
+								cut := false
+								for k, p := range pos[1:] {
+									cut = cut || !accept(key[k+1], int(p))
+								}
+								if cut && len(walk(open, pos, key)) > 0 {
+									outside++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d keys, %d of several positions: their walks hand over %d rows, all kept, where the one-position walks hand over %d; %d keys pin an entity outside the filter on a row the unfiltered walk has",
+		keys, multi, pinned, unpinned, outside)
+	if multi < 1000 || pinned < 100 || outside < 20 || pinned*4 > unpinned {
+		t.Fatalf("%d keys of several positions, %d rows kept, %d pinning an entity outside the filter, %d rows handed over against %d: too few to tell", multi, pinned, outside, pinned, unpinned)
 	}
 }

@@ -104,31 +104,6 @@ func (q *Query) Edges() [][2]NodeID {
 	return out
 }
 
-// Connected reports whether the query graph is connected (single-node
-// queries are connected; the empty query is not).
-func (q *Query) Connected() bool {
-	n := len(q.labels)
-	if n == 0 {
-		return false
-	}
-	seen := make([]bool, n)
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range q.adj[v] {
-			if !seen[u] {
-				seen[u] = true
-				count++
-				stack = append(stack, u)
-			}
-		}
-	}
-	return count == n
-}
-
 // Validate checks structural sanity against an alphabet.
 func (q *Query) Validate(a *prob.Alphabet) error {
 	if len(q.labels) == 0 {

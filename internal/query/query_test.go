@@ -36,9 +36,6 @@ func TestBuildAndAccessors(t *testing.T) {
 	if len(edges) != 2 || edges[0] != [2]NodeID{a, b} {
 		t.Errorf("Edges = %v", edges)
 	}
-	if !q.Connected() {
-		t.Error("connected path reported disconnected")
-	}
 	labels := q.Labels([]NodeID{a, b, c})
 	if len(labels) != 3 || labels[1] != 1 {
 		t.Errorf("Labels = %v", labels)
@@ -60,21 +57,6 @@ func TestAddEdgeErrors(t *testing.T) {
 	}
 	if err := q.AddEdge(b, a); err == nil {
 		t.Error("duplicate edge accepted")
-	}
-}
-
-func TestConnected(t *testing.T) {
-	q := New()
-	if q.Connected() {
-		t.Error("empty query connected")
-	}
-	q.AddNode(0)
-	if !q.Connected() {
-		t.Error("single node not connected")
-	}
-	q.AddNode(1)
-	if q.Connected() {
-		t.Error("two isolated nodes connected")
 	}
 }
 
