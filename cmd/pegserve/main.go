@@ -1,8 +1,8 @@
 // Command pegserve serves the online phase over HTTP: it loads a PGD
 // snapshot, opens (or builds) the path index, and answers /match and
 // /match/stream queries concurrently with a bounded worker pool and
-// per-generation result, plan and candidate caches (-cache, -plan-cache,
-// -cand-cache). A request that omits alpha is answered at α = 0.25.
+// per-generation result and plan caches (-cache, -plan-cache). A request
+// that omits alpha is answered at α = 0.25.
 // -workers is the server's one CPU budget: that many requests evaluate at
 // once, each on one core (library callers size a run with
 // core.Options.Workers instead). /match accepts limit and order fields for
@@ -53,9 +53,8 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 0, "concurrent match evaluations, each on one core: the server's one CPU budget (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "request queue depth before 503 (0 = 4×workers)")
-		cache    = flag.Int("cache", 1024, "result cache entries (negative disables)")
-		plans    = flag.Int("plan-cache", 256, "plan cache entries (negative disables); repeat queries skip decomposition and planning")
-		cands    = flag.Int("cand-cache", 0, "candidate cache: pruned path candidates retained per index generation (0 = default budget, negative disables); repeat query shapes skip posting decode and context pruning")
+		cache    = flag.Int("cache", 0, "result cache entries (0 = 2048, negative disables)")
+		plans    = flag.Int("plan-cache", 0, "plan cache entries (0 = 256, negative disables); repeat queries skip decomposition and planning")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		maxCost  = flag.Float64("max-cost", 0, "cost-based admission: reject queries whose plan-cost estimate exceeds this with 429 (0 disables)")
 		trace    = flag.String("trace", "", "span export file (\"-\" = stderr), one {\"span\":...} NDJSON line per sampled span; enables tracing, so a request sent with a sampled traceparent is traced")
@@ -84,7 +83,6 @@ func main() {
 		QueueDepth:       *queue,
 		CacheEntries:     *cache,
 		PlanCacheEntries: *plans,
-		CandCacheSize:    *cands,
 		RequestTimeout:   *timeout,
 		MaxPlanCost:      *maxCost,
 	}

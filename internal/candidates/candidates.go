@@ -25,8 +25,8 @@ import (
 // dropped, and the k-partite graph looks the factors and the identity
 // probability up itself. Find lays the arena out once, on one goroutine, and
 // never touches it again; from then on it is immutable and shared without
-// copying — by the Set handed to the caller, by the candidate cache (hence
-// across requests), and by the k-partite graph built over the Set.
+// copying by the Set handed to the caller and by the k-partite graph built
+// over the Set.
 type Rows struct {
 	Nodes []entity.ID
 	n     int // rows in Nodes
@@ -69,13 +69,11 @@ type Stats struct {
 	Initial []int
 	// Kept[i] is the candidate count for path i surviving context pruning.
 	Kept []int
-	// CacheHits/CacheMisses/CacheBypassed count per-path candidate-cache
-	// outcomes for this call (hits include singleflight joins). All zero
-	// when no cache was supplied.
-	CacheHits     int
-	CacheMisses   int
-	CacheBypassed int
 }
+
+// Cache is empty and Find ignores it: it remains only as the type of Find's
+// last parameter, which the benchmark module still passes as nil.
+type Cache struct{}
 
 // nodeTest is the node-level candidacy test cn(n) of Section 5.2.2 for one
 // query at one α: the reader's set of every query node, read once, beside
@@ -109,20 +107,12 @@ func newNodeTest(ix pathindex.Reader, q *query.Query, alpha float64) *nodeTest {
 // never split); results land in deterministic per-path slots and the Stats
 // products are accumulated in path order afterwards, so the output — float
 // bits and buffer sizes included — is identical to the sequential walk at
-// any worker count.
-//
-// cache may be nil. A non-nil cache serves pruned per-path sets keyed by
-// (query structure, path node sequence, α) and is only sound against the
-// single immutable reader it was created for; readers reporting pending
-// mutations (live views) bypass it wholesale, since the mutations are not
-// part of the key.
-func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompose.Decomposition, alpha float64, workers int, cache *Cache) ([]Set, Stats, error) {
+// any worker count. The last argument is ignored (see Cache).
+func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompose.Decomposition, alpha float64, workers int, _ *Cache) ([]Set, Stats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The node-level sets are read by the first path that has to scan: a
-	// request served entirely from the candidate cache never reads them.
-	nodeLevel := sync.OnceValue(func() *nodeTest { return newNodeTest(ix, q, alpha) })
+	nt := newNodeTest(ix, q, alpha)
 
 	n := len(dec.Paths)
 	sets := make([]Set, n)
@@ -133,45 +123,16 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 		Kept:      make([]int, n),
 	}
 
-	if cache != nil {
-		if m, ok := ix.(mutating); ok && m.Mutations() > 0 {
-			cache.Bypass(n)
-			stats.CacheBypassed = n
-			cache = nil
-		}
-	}
-	var fp string
-	if cache != nil {
-		fp = query.Fingerprint(q)
-	}
-
-	pathWorkers := workers
-	if pathWorkers > n {
-		pathWorkers = n
-	}
-
-	hits := make([]bool, n)
+	pathWorkers := min(workers, n)
 	findOne := func(i int) error {
 		p := &dec.Paths[i]
-		compute := func() (pruned, error) {
-			rows, initial, err := scanPath(ctx, ix, nodeLevel(), p, alpha)
-			return pruned{rows, initial}, err
-		}
-		var (
-			c   pruned
-			err error
-		)
-		if cache != nil {
-			c, hits[i], err = cache.Do(ctx, pathKey(fp, alpha, p), compute)
-		} else {
-			c, err = compute()
-		}
+		rows, initial, err := scanPath(ctx, ix, nt, p, alpha)
 		if err != nil {
 			return err
 		}
-		sets[i] = Set{Path: p, Rows: c.rows, Initial: c.initial}
-		stats.Initial[i] = c.initial
-		stats.Kept[i] = c.rows.Len()
+		sets[i] = Set{Path: p, Rows: rows, Initial: initial}
+		stats.Initial[i] = initial
+		stats.Kept[i] = rows.Len()
 		return nil
 	}
 
@@ -215,17 +176,11 @@ func Find(ctx context.Context, ix pathindex.Reader, q *query.Query, dec *decompo
 		}
 	}
 
-	// Accumulate the search-space products and cache counters in path
-	// order so the float results are bitwise-stable across worker counts.
+	// Accumulate the search-space products in path order so the float
+	// results are bitwise-stable across worker counts.
 	for i := 0; i < n; i++ {
 		stats.SSPath *= float64(stats.Initial[i])
 		stats.SSContext *= float64(stats.Kept[i])
-		if hits[i] {
-			stats.CacheHits++
-		}
-	}
-	if cache != nil {
-		stats.CacheMisses = n - stats.CacheHits
 	}
 	return sets, stats, nil
 }

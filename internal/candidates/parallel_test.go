@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/decompose"
@@ -84,7 +83,7 @@ func findBeforeScan(t *testing.T, ix pathindex.Reader, q *query.Query, dec *deco
 }
 
 // TestFindParallelEquivalence is the pre-join determinism property: Find at
-// workers 2, 4, and 8 — with and without a candidate cache — produces
+// workers 2, 4, and 8 produces
 // bitwise-identical sets and Stats to the sequential walk, across both
 // decomposition strategies and α on both sides of β; and the sequential
 // walk's sets are bitwise those of materialize-then-prune.
@@ -112,21 +111,15 @@ func TestFindParallelEquivalence(t *testing.T) {
 					}
 					setsIdentical(t, label+" vs materialize-then-prune", findBeforeScan(t, ix, q, dec, alpha), seq)
 					for _, workers := range []int{2, 4, 8} {
-						for _, withCache := range []bool{false, true} {
-							var cache *Cache
-							if withCache {
-								cache = NewCache(0)
-							}
-							got, gotStats, err := Find(context.Background(), ix, q, dec, alpha, workers, cache)
-							if err != nil {
-								t.Fatalf("%s w=%d: %v", label, workers, err)
-							}
-							setsIdentical(t, fmt.Sprintf("%s w=%d cache=%v", label, workers, withCache), seq, got)
-							if math.Float64bits(seqStats.SSPath) != math.Float64bits(gotStats.SSPath) ||
-								math.Float64bits(seqStats.SSContext) != math.Float64bits(gotStats.SSContext) {
-								t.Fatalf("%s w=%d: stats (%v,%v), want (%v,%v)", label, workers,
-									gotStats.SSPath, gotStats.SSContext, seqStats.SSPath, seqStats.SSContext)
-							}
+						got, gotStats, err := Find(context.Background(), ix, q, dec, alpha, workers, nil)
+						if err != nil {
+							t.Fatalf("%s w=%d: %v", label, workers, err)
+						}
+						setsIdentical(t, fmt.Sprintf("%s w=%d", label, workers), seq, got)
+						if math.Float64bits(seqStats.SSPath) != math.Float64bits(gotStats.SSPath) ||
+							math.Float64bits(seqStats.SSContext) != math.Float64bits(gotStats.SSContext) {
+							t.Fatalf("%s w=%d: stats (%v,%v), want (%v,%v)", label, workers,
+								gotStats.SSPath, gotStats.SSContext, seqStats.SSPath, seqStats.SSContext)
 						}
 					}
 				}
@@ -195,13 +188,11 @@ func packedAndLive(t *testing.T, opt gen.SynthOptions, n int, next func(*rand.Ra
 }
 
 // TestFindArenasExact: every Set Find returns holds its kept rows in one
-// arena of exactly their ids — len == cap == rows·w, so what the candidate
-// cache and the k-partite graph retain is the rows and nothing more — with
-// the bytes of a Workers-1 run, at Workers 1 and 7, with no cache, a cold
-// one and the same one warm, over a packed index and a live view with a dirty
-// overlay (which bypasses the cache), α on both sides of β. Some path must
-// keep more rows than two survivor chunks hold, so the layout of several
-// chunks is what is checked. What a path's scanPath allocates beyond its scan
+// arena of exactly their ids — len == cap == rows·w, so what the k-partite
+// graph retains is the rows and nothing more — with the bytes of a Workers-1
+// run, at Workers 1 and 7, over a packed index and a live view with dirty
+// entities, α on both sides of β. Some path must keep more rows than two
+// survivor chunks hold, so the layout of several chunks is what is checked. What a path's scanPath allocates beyond its scan
 // (the same ScanCount, node filter and context tests, warm, keeping nothing)
 // is held to its ids too:
 // the survivor chunks, the list of them and the arena, 4·w bytes a row
@@ -252,21 +243,18 @@ func TestFindArenasExact(t *testing.T) {
 						}
 					}
 					for _, workers := range []int{1, 7} {
-						cache := NewCache(0)
-						for _, c := range []*Cache{nil, cache, cache} {
-							at := fmt.Sprintf("%s w=%d cache=%v", label, workers, c != nil)
-							got, _, err := Find(ctx, ix, q, dec, alpha, workers, c)
-							if err != nil {
-								t.Fatalf("%s: %v", at, err)
+						at := fmt.Sprintf("%s w=%d", label, workers)
+						got, _, err := Find(ctx, ix, q, dec, alpha, workers, nil)
+						if err != nil {
+							t.Fatalf("%s: %v", at, err)
+						}
+						setsIdentical(t, at, want, got)
+						for i, s := range got {
+							if w := len(s.Path.Nodes); len(s.Nodes) != s.Len()*w || cap(s.Nodes) != s.Len()*w {
+								t.Fatalf("%s: set %d of %d rows of %d ids holds %d/%d node ids (len/cap)",
+									at, i, s.Len(), w, len(s.Nodes), cap(s.Nodes))
 							}
-							setsIdentical(t, at, want, got)
-							for i, s := range got {
-								if w := len(s.Path.Nodes); len(s.Nodes) != s.Len()*w || cap(s.Nodes) != s.Len()*w {
-									t.Fatalf("%s: set %d of %d rows of %d ids holds %d/%d node ids (len/cap)",
-										at, i, s.Len(), w, len(s.Nodes), cap(s.Nodes))
-								}
-								sets, most = sets+1, max(most, s.Len())
-							}
+							sets, most = sets+1, max(most, s.Len())
 						}
 					}
 				}
@@ -311,94 +299,6 @@ func idLayout(n, w int) {
 		sinkIDs = append(sinkIDs, make([]entity.ID, 0, (firstChunk<<k)*w))
 	}
 	sinkRows = Rows{Nodes: make([]entity.ID, n*w)}
-}
-
-// TestFindCached: a second Find over the same (query, α, reader) is served
-// entirely from the cache — per-path hits — and returns identical sets.
-func TestFindCached(t *testing.T) {
-	g, ix := synthIx(t, 7)
-	rng := rand.New(rand.NewSource(7))
-	q, err := gen.RandomQuery(rng, g.NumLabels(), 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := decompose.Decompose(q, ix, decompose.Options{MaxLen: 2, Alpha: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewCache(0)
-	cold, coldStats, err := Find(context.Background(), ix, q, dec, 0.1, 2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldStats.CacheHits != 0 || coldStats.CacheMisses != len(dec.Paths) {
-		t.Fatalf("cold run: hits=%d misses=%d, want 0/%d",
-			coldStats.CacheHits, coldStats.CacheMisses, len(dec.Paths))
-	}
-	warm, warmStats, err := Find(context.Background(), ix, q, dec, 0.1, 2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.CacheHits != len(dec.Paths) || warmStats.CacheMisses != 0 {
-		t.Fatalf("warm run: hits=%d misses=%d, want %d/0",
-			warmStats.CacheHits, warmStats.CacheMisses, len(dec.Paths))
-	}
-	setsIdentical(t, "cached", cold, warm)
-	st := cache.Stats()
-	if st.Entries == 0 || st.Weight == 0 {
-		t.Fatalf("cache empty after use: %+v", st)
-	}
-	// A different α must not share entries.
-	_, s2, err := Find(context.Background(), ix, q, dec, 0.2, 2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.CacheHits != 0 {
-		t.Fatalf("α=0.2 run hit α=0.1 entries: %+v", s2)
-	}
-}
-
-// mutatingReader wraps a Reader and reports pending overlay mutations —
-// the shape live.View exposes. Find must bypass the cache for it.
-type mutatingReader struct {
-	pathindex.Reader
-	muts uint64
-}
-
-func (m *mutatingReader) Mutations() uint64 { return m.muts }
-
-func TestFindBypassesDirtyReader(t *testing.T) {
-	g, ix := synthIx(t, 9)
-	rng := rand.New(rand.NewSource(9))
-	q, err := gen.RandomQuery(rng, g.NumLabels(), 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := decompose.Decompose(q, ix, decompose.Options{MaxLen: 2, Alpha: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewCache(0)
-	dirty := &mutatingReader{Reader: ix, muts: 3}
-	_, st, err := Find(context.Background(), dirty, q, dec, 0.1, 2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CacheBypassed != len(dec.Paths) || st.CacheHits != 0 || st.CacheMisses != 0 {
-		t.Fatalf("dirty reader: %+v, want full bypass", st)
-	}
-	if cs := cache.Stats(); cs.Entries != 0 || cs.Bypassed != uint64(len(dec.Paths)) {
-		t.Fatalf("cache state after bypass: %+v", cs)
-	}
-	// The same reader with a drained overlay (post-compaction) caches again.
-	dirty.muts = 0
-	_, st, err = Find(context.Background(), dirty, q, dec, 0.1, 2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CacheMisses != len(dec.Paths) {
-		t.Fatalf("clean reader did not populate cache: %+v", st)
-	}
 }
 
 // countdownCtx reports Canceled after Err has been called n times — a
@@ -451,61 +351,5 @@ func TestFindCancelMidPrune(t *testing.T) {
 func TestPruneCancelGranularity(t *testing.T) {
 	if cancelCheckEvery != 1024 {
 		t.Fatalf("cancelCheckEvery = %d, want 1024", cancelCheckEvery)
-	}
-}
-
-// contextCounter counts how often Find asks the reader for its context
-// statistics, which only reading the node-level sets does.
-type contextCounter struct {
-	pathindex.Reader
-	calls atomic.Int32
-}
-
-func (c *contextCounter) Context() *pathindex.Context {
-	c.calls.Add(1)
-	return c.Reader.Context()
-}
-
-// TestFindAllHitsBuildNoChecker: the node-level sets are read by the first
-// path that scans, once, and not at all by a request whose every path is a
-// candidate-cache hit (the server's stream path on a repeated shape).
-func TestFindAllHitsBuildNoChecker(t *testing.T) {
-	g, base := synthIx(t, 7)
-	ix := &contextCounter{Reader: base}
-	q, err := gen.RandomQuery(rand.New(rand.NewSource(7)), g.NumLabels(), 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := decompose.Decompose(q, ix, decompose.Options{MaxLen: 2, Alpha: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec.Paths) < 2 {
-		t.Fatalf("decomposition has %d paths; want several misses sharing one read of the sets", len(dec.Paths))
-	}
-	ctx := context.Background()
-	cache := NewCache(0)
-	if _, st, err := Find(ctx, ix, q, dec, 0.1, 1, cache); err != nil || st.CacheMisses != len(dec.Paths) {
-		t.Fatalf("cold Find: misses %d err %v", st.CacheMisses, err)
-	}
-	if n := ix.calls.Load(); n != 1 {
-		t.Fatalf("cold Find read the node-level sets %d times, want 1", n)
-	}
-	hit := testing.AllocsPerRun(50, func() {
-		if _, st, err := Find(ctx, ix, q, dec, 0.1, 1, cache); err != nil || st.CacheHits != len(dec.Paths) {
-			t.Fatalf("warm Find: hits %d err %v", st.CacheHits, err)
-		}
-	})
-	if n := ix.calls.Load(); n != 1 {
-		t.Errorf("all-hit Finds read the node-level sets %d more times", n-1)
-	}
-	// What an all-hit Find allocates is its result slots, the query's
-	// fingerprint and two allocations per path for the key: 16 + 2·paths
-	// today. Reading the node-level sets is more than one per query node
-	// (the per-node label counts, the memo keys, the AND of the factors),
-	// so the allowance has no room for it.
-	sets := testing.AllocsPerRun(50, func() { newNodeTest(base, q, 0.1) })
-	if allowance := float64(16 + 2*len(dec.Paths)); hit > allowance {
-		t.Errorf("all-hit Find makes %v allocations, allowance %v (reading the node-level sets is %v)", hit, allowance, sets)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"iter"
 	"math"
 
-	"repro/internal/candidates"
 	"repro/internal/decompose"
 	"repro/internal/join"
 	"repro/internal/pathindex"
@@ -125,12 +124,6 @@ type Options struct {
 	Limit int
 	// Order selects the emission order (OrderEmit or OrderByProb).
 	Order ResultOrder
-	// CandCache, when set, serves pruned per-path candidate sets for
-	// repeated query shapes, skipping posting decode and context pruning on
-	// a hit. It belongs to one index generation: sharing it across
-	// different snapshots returns stale candidates. Live views with
-	// pending mutations bypass it automatically.
-	CandCache *candidates.Cache
 }
 
 // OptionsError reports an invalid Options field. It is returned by every
@@ -175,12 +168,7 @@ func (o Options) Validate() error {
 
 // exec maps the run-time knobs onto the executor's options.
 func (o Options) exec() plan.Exec {
-	return plan.Exec{
-		Workers:   o.Workers,
-		Limit:     o.Limit,
-		Order:     o.Order,
-		CandCache: o.CandCache,
-	}
+	return plan.Exec{Workers: o.Workers, Limit: o.Limit, Order: o.Order}
 }
 
 // Result is the outcome of a match run.
@@ -282,10 +270,9 @@ func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt O
 // MatchStreamPlan executes a previously prepared plan, skipping query
 // validation, decomposition, and planning — the plan-cache hot path. The
 // streaming contract is exactly MatchStream's. Only the run-time knobs of
-// opt apply (Workers, Limit, Order, CandCache); Alpha and
-// Strategy were compiled into the plan, so a disagreeing value is rejected
-// rather than silently ignored — a plan prepared at α=0.25 cannot be
-// mistaken for a run at α=0.9.
+// opt apply (Workers, Limit, Order); Alpha and Strategy were compiled into
+// the plan, so a disagreeing value is rejected rather than silently ignored
+// — a plan prepared at α=0.25 cannot be mistaken for a run at α=0.9.
 func MatchStreamPlan(ctx context.Context, ix pathindex.Reader, pl *plan.Plan, opt Options, yield func(join.Match) bool) (Stats, error) {
 	if err := opt.fits(pl); err != nil {
 		return Stats{}, err

@@ -189,10 +189,8 @@ func checkAnswers(t *testing.T, c *Case) tally {
 	}
 	byProb := byProbability(c.want)
 	n := c.tally()
-	cache := candidates.NewCache(0) // one per case: later runs read what earlier ones stored
 	for si, s := range strategies {
 		opt := c.opt(s)
-		opt.CandCache = cache
 		pl := c.prepare(t, c.r, opt)
 		var ref *reference
 		for li, limit := range []int{0, 1, c.co.arm.k} {
@@ -303,9 +301,9 @@ func (c *Case) reference(t *testing.T, r pathindex.Reader, pl *plan.Plan) *refer
 
 // expectKeyed holds a run that declared emit-order Limit limit to ref: a
 // stream emits ref's first limit matches, a collect returns them sorted.
-// The run built no links ("keyed"), scanned no path whole, neither read nor
-// filled the candidate cache, observed Σ |PIndex(X, α)| rows and their
-// product as SSPath, and joined in ref's order.
+// The run built no links ("keyed"), scanned no path whole, observed
+// Σ |PIndex(X, α)| rows and their product as SSPath, and joined in ref's
+// order.
 func expectKeyed(t *testing.T, at string, ref *reference, limit int, collected bool, got []join.Match, st plan.Stats) tally {
 	t.Helper()
 	want := ref.matches[:min(limit, len(ref.matches))]
@@ -325,7 +323,7 @@ func expectKeyed(t *testing.T, at string, ref *reference, limit int, collected b
 				t.Fatalf("%s: build row %+v", at, sg)
 			}
 		case "candidates":
-			if sg.Pruned != 0 || sg.CacheHits+sg.CacheMisses+sg.CacheBypassed != 0 || len(got) > 0 && sg.KeyRows == 0 {
+			if sg.Pruned != 0 || len(got) > 0 && sg.KeyRows == 0 {
 				t.Fatalf("%s: candidates row %+v", at, sg)
 			}
 			if sg.ObsRows != float64(ref.initial) {
@@ -343,9 +341,8 @@ func expectKeyed(t *testing.T, at string, ref *reference, limit int, collected b
 	return n
 }
 
-// checkWorkers holds the pre-join stages to one answer whatever their width
-// and cache state: for every strategy, candidates.Find at Workers 1, 2 and 4,
-// with and without a candidate cache shared across widths, returns the same
+// checkWorkers holds the pre-join stages to one answer whatever their width:
+// for every strategy, candidates.Find at Workers 1, 2 and 4 returns the same
 // rows, Initial, Kept, SSPath and SSContext; kpartite.Build over them the
 // same Links(p, i, j) at every width; and core.Match the oracle's answer.
 func checkWorkers(t *testing.T, c *Case) tally {
@@ -367,37 +364,34 @@ func checkWorkers(t *testing.T, c *Case) tally {
 		for _, k := range st1.Kept {
 			n.kept += k
 		}
-		cache := candidates.NewCache(0)
 		for _, w := range []int{1, 2, 4} {
-			for _, cc := range []*candidates.Cache{nil, cache} {
-				at := fmt.Sprintf("%s %v Workers %d cached %v", c.label, s, w, cc != nil)
-				sets, st, err := candidates.Find(ctx, c.r, c.q, pl.Dec, c.alpha, w, cc)
-				if err != nil {
-					t.Fatalf("%s: %v", at, err)
-				}
-				for i := range sets1 {
-					x, y := &sets1[i], &sets[i]
-					if x.Initial != y.Initial || !slices.Equal(x.Nodes, y.Nodes) {
-						t.Fatalf("%s: path %d: initial %d kept %d, want initial %d kept %d (or rows differ)", at, i, y.Initial, y.Len(), x.Initial, x.Len())
-					}
-				}
-				if !slices.Equal(st.Initial, st1.Initial) || !slices.Equal(st.Kept, st1.Kept) ||
-					!sameBits(st.SSPath, st1.SSPath) || !sameBits(st.SSContext, st1.SSContext) {
-					t.Fatalf("%s: stats %+v, want %+v", at, st, st1)
-				}
-				kg, err := kpartite.Build(ctx, g, c.q, pl.Dec, sets, c.alpha, w)
-				if err != nil {
-					t.Fatalf("%s: %v", at, err)
-				}
-				sameLinks(t, at, kg1, kg)
-				opt := c.opt(s)
-				opt.Workers, opt.CandCache = w, cc
-				res, err := core.Match(ctx, c.r, c.q, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", at, err)
-				}
-				identical(t, at+" vs naive", c.want, res.Matches)
+			at := fmt.Sprintf("%s %v Workers %d", c.label, s, w)
+			sets, st, err := candidates.Find(ctx, c.r, c.q, pl.Dec, c.alpha, w, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
 			}
+			for i := range sets1 {
+				x, y := &sets1[i], &sets[i]
+				if x.Initial != y.Initial || !slices.Equal(x.Nodes, y.Nodes) {
+					t.Fatalf("%s: path %d: initial %d kept %d, want initial %d kept %d (or rows differ)", at, i, y.Initial, y.Len(), x.Initial, x.Len())
+				}
+			}
+			if !slices.Equal(st.Initial, st1.Initial) || !slices.Equal(st.Kept, st1.Kept) ||
+				!sameBits(st.SSPath, st1.SSPath) || !sameBits(st.SSContext, st1.SSContext) {
+				t.Fatalf("%s: stats %+v, want %+v", at, st, st1)
+			}
+			kg, err := kpartite.Build(ctx, g, c.q, pl.Dec, sets, c.alpha, w)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			sameLinks(t, at, kg1, kg)
+			opt := c.opt(s)
+			opt.Workers = w
+			res, err := core.Match(ctx, c.r, c.q, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			identical(t, at+" vs naive", c.want, res.Matches)
 		}
 	}
 	return n

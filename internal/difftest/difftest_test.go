@@ -18,8 +18,8 @@ func TestAnswers(t *testing.T) {
 	}
 }
 
-// TestWorkersAndCache runs checkWorkers on the linkage arms.
-func TestWorkersAndCache(t *testing.T) {
+// TestWorkers runs checkWorkers on the linkage arms.
+func TestWorkers(t *testing.T) {
 	for _, a := range []*arm{&defaultLinkage, &denseLinkage} {
 		t.Run(a.name, func(t *testing.T) {
 			t.Parallel()

@@ -7,10 +7,9 @@
 // The graph is stored in flat arena-backed arrays so the reduction and the
 // downstream join enumeration walk contiguous memory: candidate rows live in
 // one entity-id array per partition (row-major, path-length stride) — the
-// candidate set's own arena, shared not copied, and therefore read-only here
-// (the candidate cache hands the same arena to other requests) — links are
-// CSR adjacency (offsets into one int32 edge pool per partition pair and
-// direction), each row's two reduction weights (the exclusive cover product
+// candidate set's own arena, shared not copied, and therefore read-only
+// here — links are CSR adjacency (offsets into one int32 edge pool per
+// partition pair and direction), each row's two reduction weights (the exclusive cover product
 // w1 and the identity probability w2) and its label and edge factors are
 // computed once into float64 columns per partition, one arena for all four,
 // and perception vectors are one flat float64 array per partition with a

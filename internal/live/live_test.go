@@ -467,7 +467,7 @@ func TestCompaction(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		db.Apply([]Mutation{randomMutation(rng, db.PGDSnapshot())})
 	}
-	if db.View().Mutations() == 0 {
+	if db.Status().Mutations == 0 {
 		t.Fatal("no mutation applied before compaction")
 	}
 	if err := db.Compact(context.Background()); err != nil {

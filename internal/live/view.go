@@ -166,9 +166,5 @@ func (v *View) SetPostingObserver(fn func(micros float64)) { v.base.SetPostingOb
 // Generation returns the base generation number of this view.
 func (v *View) Generation() uint64 { return v.gen }
 
-// Mutations returns how many mutations the view carries on top of the base
-// generation.
-func (v *View) Mutations() uint64 { return v.muts }
-
 // DirtyEntities returns the size of the view's dirty set.
 func (v *View) DirtyEntities() int { return len(v.dirtyIDs) }

@@ -1,9 +1,10 @@
-// Package lru is the serving tier's one cache mechanism: a mutex-guarded,
-// weight-bounded LRU from string keys to immutable values, in which
-// concurrent misses on one key share one computation (singleflight). The
-// result, plan and candidate caches are each one Cache per served index
+// Package lru is the repository's one cache mechanism: a mutex-guarded LRU
+// of a bounded number of entries from string keys to immutable values, in
+// which concurrent misses on one key share one computation (singleflight).
+// The server's result and plan caches are each one Cache per served index
 // generation, dropped with it; their Counters belong to the server and
 // outlive every generation, so the exported totals never go backwards.
+// pathindex memoises path counts and node-level sets in Caches of its own.
 package lru
 
 import (
@@ -19,38 +20,31 @@ type Counters struct {
 	Hits atomic.Uint64
 	// Misses counts computations run.
 	Misses atomic.Uint64
-	// Evictions counts entries dropped to stay within the budget.
-	Evictions atomic.Uint64
-	// Bypassed counts lookups the caller served without the cache (Bypass).
-	Bypassed atomic.Uint64
 }
 
 // Stats is a snapshot of a cache: its counters and its residency.
 type Stats struct {
-	Hits, Misses, Evictions, Bypassed uint64
-	// Entries is the number of resident entries, Weight their summed weight.
-	Entries, Weight int
+	Hits, Misses uint64
+	// Entries is the number of resident entries.
+	Entries int
 }
 
-// Cache is a weight-bounded LRU with singleflight misses. Safe for
-// concurrent use. A nil *Cache is a disabled cache: Do computes every call
-// and nothing is counted.
+// Cache is an LRU of at most size entries with singleflight misses. Safe
+// for concurrent use. A nil *Cache is a disabled cache: Do computes every
+// call and nothing is counted.
 type Cache[V any] struct {
-	budget int
-	weight func(V) int
-	ctrs   *Counters
+	size int
+	ctrs *Counters
 
 	mu      sync.Mutex
 	entries map[string]*entry[V]
 	flights map[string]*flight[V]
 	root    entry[V] // sentinel of the recency ring: root.next is the most recently used
-	total   int      // summed weight of the entries
 }
 
 type entry[V any] struct {
 	key        string
 	val        V
-	weight     int
 	prev, next *entry[V]
 }
 
@@ -60,20 +54,18 @@ type flight[V any] struct {
 	err  error
 }
 
-// New returns a cache whose entries weigh at most budget in total. weight
-// weighs a value; nil weighs every entry 1, so that budget counts entries.
-// The cache counts into ctrs, or into counters of its own when ctrs is nil.
-// A budget <= 0 disables caching: New returns nil.
-func New[V any](budget int, weight func(V) int, ctrs *Counters) *Cache[V] {
-	if budget <= 0 {
+// New returns a cache of at most size entries. The cache counts into ctrs,
+// or into counters of its own when ctrs is nil. A size <= 0 disables
+// caching: New returns nil.
+func New[V any](size int, ctrs *Counters) *Cache[V] {
+	if size <= 0 {
 		return nil
 	}
 	if ctrs == nil {
 		ctrs = new(Counters)
 	}
 	c := &Cache[V]{
-		budget:  budget,
-		weight:  weight,
+		size:    size,
 		ctrs:    ctrs,
 		entries: make(map[string]*entry[V]),
 		flights: make(map[string]*flight[V]),
@@ -134,44 +126,28 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)
 	}
 }
 
-// Bypass counts n lookups the caller served without the cache.
-func (c *Cache[V]) Bypass(n int) {
-	if c != nil {
-		c.ctrs.Bypassed.Add(uint64(n))
-	}
-}
-
 // Stats snapshots the counters the cache counts into and its residency.
 func (c *Cache[V]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
 	c.mu.Lock()
-	st := Stats{Entries: len(c.entries), Weight: c.total}
+	st := Stats{Entries: len(c.entries)}
 	c.mu.Unlock()
 	st.Hits, st.Misses = c.ctrs.Hits.Load(), c.ctrs.Misses.Load()
-	st.Evictions, st.Bypassed = c.ctrs.Evictions.Load(), c.ctrs.Bypassed.Load()
 	return st
 }
 
-// insert stores a new entry and evicts from the least recently used end
-// until the cache is back within budget. An entry heavier than the whole
-// budget is still admitted, alone: refusing the working set's largest member
-// would recompute it forever. Caller holds c.mu.
+// insert stores a new entry and, when that makes one too many, evicts the
+// least recently used. Caller holds c.mu.
 func (c *Cache[V]) insert(key string, v V) {
-	e := &entry[V]{key: key, val: v, weight: 1}
-	if c.weight != nil {
-		e.weight = c.weight(v)
-	}
+	e := &entry[V]{key: key, val: v}
 	c.entries[key] = e
 	c.pushFront(e)
-	c.total += e.weight
-	for c.total > c.budget && c.root.prev != e {
+	if len(c.entries) > c.size {
 		victim := c.root.prev
 		c.unlink(victim)
 		delete(c.entries, victim.key)
-		c.total -= victim.weight
-		c.ctrs.Evictions.Add(1)
 	}
 }
 

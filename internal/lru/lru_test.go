@@ -3,7 +3,6 @@ package lru
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -35,8 +34,8 @@ func mustNotCompute[V any](t *testing.T) func() (V, error) {
 	}
 }
 
-// TestCache is the suite of the one cache mechanism behind the result, plan
-// and candidate caches.
+// TestCache is the suite of the one cache mechanism behind the result and
+// plan caches.
 func TestCache(t *testing.T) {
 	bg := context.Background()
 	for _, tc := range []struct {
@@ -44,7 +43,7 @@ func TestCache(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"lru-eviction", func(t *testing.T) {
-			c := New[int](2, nil, nil)
+			c := New[int](2, nil)
 			c.Do(bg, "1", constant(1))
 			c.Do(bg, "2", constant(2))
 			c.Do(bg, "1", mustNotCompute[int](t)) // touch 1 so 2 is the victim
@@ -52,34 +51,16 @@ func TestCache(t *testing.T) {
 			if _, hit, _ := c.Do(bg, "2", constant(-2)); hit {
 				t.Error("LRU victim survived")
 			}
-			if st := c.Stats(); st.Evictions != 2 || st.Entries != 2 {
-				t.Errorf("after 4 inserts into 2 slots: %+v, want 2 evictions and 2 entries", st)
+			if st := c.Stats(); st.Entries != 2 {
+				t.Errorf("after 4 inserts into 2 slots: %+v, want 2 entries", st)
 			}
 			c.Do(bg, "3", mustNotCompute[int](t))
 			if _, hit, _ := c.Do(bg, "1", constant(-1)); hit {
 				t.Error("1 survived two newer entries")
 			}
 		}},
-		{"weight-budget", func(t *testing.T) {
-			c := New(4, func(v []int) int { return len(v) }, nil)
-			for i := 0; i < 64; i++ {
-				if _, hit, err := c.Do(bg, fmt.Sprint(i), constant(make([]int, 3))); hit || err != nil {
-					t.Fatalf("insert %d: hit=%v err=%v", i, hit, err)
-				}
-			}
-			if st := c.Stats(); st.Weight > 4 || st.Evictions == 0 {
-				t.Fatalf("budget 4: %+v", st)
-			}
-			c.Do(bg, "huge", constant(make([]int, 100)))
-			if v, hit, _ := c.Do(bg, "huge", mustNotCompute[[]int](t)); !hit || len(v) != 100 {
-				t.Fatal("oversized entry was not retained")
-			}
-			if st := c.Stats(); st.Entries != 1 || st.Weight != 100 {
-				t.Fatalf("oversized entry shares the cache: %+v", st)
-			}
-		}},
 		{"singleflight", func(t *testing.T) {
-			c := New[*int](8, nil, nil)
+			c := New[*int](8, nil)
 			release := make(chan struct{})
 			computes := 0
 			const callers = 16
@@ -115,7 +96,7 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"failed-leader-not-cached", func(t *testing.T) {
-			c := New[int](8, nil, nil)
+			c := New[int](8, nil)
 			fail := errors.New("leader's deadline")
 			started, release := make(chan struct{}), make(chan struct{})
 			leaderErr := make(chan error, 1)
@@ -155,7 +136,7 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"cancelled-waiter", func(t *testing.T) {
-			c := New[int](8, nil, nil)
+			c := New[int](8, nil)
 			started, release := make(chan struct{}), make(chan struct{})
 			leader := make(chan int, 1)
 			go func() {
@@ -188,9 +169,9 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"nil-cache", func(t *testing.T) {
-			c := New[int](0, nil, nil)
+			c := New[int](0, nil)
 			if c != nil {
-				t.Fatal("budget 0 made a cache")
+				t.Fatal("size 0 made a cache")
 			}
 			computes := 0
 			for i := 0; i < 3; i++ {
@@ -199,20 +180,18 @@ func TestCache(t *testing.T) {
 					t.Fatalf("call %d: %d hit=%v err=%v", i, v, hit, err)
 				}
 			}
-			c.Bypass(2)
 			if computes != 3 || c.Stats() != (Stats{}) {
 				t.Fatalf("%d computes, %+v", computes, c.Stats())
 			}
 		}},
 		{"shared-counters", func(t *testing.T) {
 			var ctrs Counters
-			old := New[int](8, nil, &ctrs)
+			old := New[int](8, &ctrs)
 			old.Do(bg, "k", constant(1))
 			old.Do(bg, "k", constant(1))
-			fresh := New[int](8, nil, &ctrs)
+			fresh := New[int](8, &ctrs)
 			fresh.Do(bg, "k", constant(1))
-			fresh.Bypass(3)
-			if st := fresh.Stats(); st.Hits != 1 || st.Misses != 2 || st.Bypassed != 3 || st.Entries != 1 {
+			if st := fresh.Stats(); st.Hits != 1 || st.Misses != 2 || st.Entries != 1 {
 				t.Fatalf("%+v, want the old cache's counts carried and only the fresh residency", st)
 			}
 		}},

@@ -375,7 +375,7 @@ func (ix *Index) onDemand(ctx context.Context, X []prob.LabelID, alpha float64, 
 // count an Index remembers.
 const countMemoEntries = 1024
 
-func newCountMemo() *lru.Cache[int] { return lru.New[int](countMemoEntries, nil, nil) }
+func newCountMemo() *lru.Cache[int] { return lru.New[int](countMemoEntries, nil) }
 
 // errStopped marks an on-demand walk its callback stopped: a partial count,
 // which the count memo must not store.

@@ -54,7 +54,7 @@ const nodeSetMemoEntries = 256
 // NewNodeSets returns an empty memo of the node-level test over g and ctx,
 // the context tables valid for g.
 func NewNodeSets(g *entity.Graph, ctx *Context) *NodeSets {
-	return &NodeSets{g: g, ctx: ctx, memo: lru.New[NodeSet](nodeSetMemoEntries, nil, nil)}
+	return &NodeSets{g: g, ctx: ctx, memo: lru.New[NodeSet](nodeSetMemoEntries, nil)}
 }
 
 // Of returns the entities that pass the node-level test for a query node

@@ -23,11 +23,6 @@ type Exec struct {
 	Limit int
 	// Order selects the emission order (OrderEmit or OrderByProb).
 	Order ResultOrder
-	// CandCache, when non-nil, serves pruned per-path candidate sets for
-	// repeated query shapes. It must only be shared between executions over
-	// the same immutable index snapshot (the serving tier owns one per
-	// generation); live views with pending mutations bypass it.
-	CandCache *candidates.Cache
 }
 
 // Executor runs compiled plans against one index. It is stateless, so one
@@ -133,11 +128,11 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	}
 
 	// Candidate retrieval with context pruning (Section 5.2.2), fanned out
-	// per path, optionally served from the generation's candidate cache — or,
-	// for a run that stops early, every path's count and no row. Such a run
-	// is never reduced, so the join order those counts give is known before
-	// anything is built, and its join walks the first path's candidates one
-	// root at a time and every later path's one join key at a time.
+	// per path — or, for a run that stops early, every path's count and no
+	// row. Such a run is never reduced, so the join order those counts give
+	// is known before anything is built, and its join walks the first path's
+	// candidates one root at a time and every later path's one join key at a
+	// time.
 	t0 := time.Now()
 	links := Links(opt.Order, opt.Limit)
 	var (
@@ -158,7 +153,7 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 		order = execOrder(pl, func(p int) int { return cstats.Initial[p] })
 		walks = candidates.NewKeyWalks(e.ix, q, pl.Dec, pl.Alpha)
 		workers = 1
-	} else if sets, cstats, err = candidates.Find(ctx, e.ix, q, pl.Dec, pl.Alpha, workers, opt.CandCache); err != nil {
+	} else if sets, cstats, err = candidates.Find(ctx, e.ix, q, pl.Dec, pl.Alpha, workers, nil); err != nil {
 		return nil, st, err
 	}
 	st.SSPath = cstats.SSPath
@@ -175,7 +170,6 @@ func (e *Executor) preJoin(ctx context.Context, pl *Plan, opt Exec) (*joinRun, S
 	st.Stages = append(st.Stages, StageStats{
 		Name: "candidates", Micros: Micros(st.CandidateTime), StartMicros: Micros(t0.Sub(start)),
 		EstRows: estTotal, ObsRows: obsTotal, Pruned: pruned, Workers: workers,
-		CacheHits: cstats.CacheHits, CacheMisses: cstats.CacheMisses, CacheBypassed: cstats.CacheBypassed,
 	})
 
 	// Join-candidates / k-partite graph (Section 5.2.3), pairs fanned out

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/candidates"
 	"repro/internal/decompose"
 	"repro/internal/entity"
 	"repro/internal/gen"
@@ -199,12 +198,11 @@ func TestLimitedRunSkipsReduction(t *testing.T) {
 
 		// Key walks: every declared K is a prefix of the declared run that
 		// finds the whole answer, over either plan.
-		cache := candidates.NewCache(0) // the candidates are the same at every K
-		emitted, est := stream(pl, Exec{Limit: len(full) + 1, CandCache: cache})
+		emitted, est := stream(pl, Exec{Limit: len(full) + 1})
 		if len(emitted) != len(full) {
 			t.Fatalf("%s: a limit past the answer streams %d of %d matches", label, len(emitted), len(full))
 		}
-		if ns, _ := stream(npl, Exec{Limit: len(full) + 1, CandCache: cache}); len(ns) != len(full) {
+		if ns, _ := stream(npl, Exec{Limit: len(full) + 1}); len(ns) != len(full) {
 			t.Fatalf("%s: no-reduction plan, limit past the answer: %d of %d matches", label, len(ns), len(full))
 		}
 		for k := 1; k <= len(emitted)+1; k++ {
@@ -216,12 +214,12 @@ func TestLimitedRunSkipsReduction(t *testing.T) {
 			want := emitted[:min(k, len(emitted))]
 			for name, p := range map[string]*Plan{"reducing": pl, "plain": npl} {
 				at := fmt.Sprintf("%s: %s plan, limit %d", label, name, k)
-				ms, st := stream(p, Exec{Limit: k, CandCache: cache})
+				ms, st := stream(p, Exec{Limit: k})
 				sameSequence(t, at+" streamed", want, ms)
 				if sg := stage(t, st, "build"); sg.Links != "keyed" || sg.ObsRows != 0 || st.Truncated != (k <= len(emitted)) || !slices.Equal(st.ExecOrder, est.ExecOrder) {
 					t.Fatalf("%s: build row %+v, truncated %v, join order %v (past the answer: %v)", at, sg, st.Truncated, st.ExecOrder, est.ExecOrder)
 				}
-				cs, _, err := ex.Collect(ctx, p, Exec{Limit: k, CandCache: cache})
+				cs, _, err := ex.Collect(ctx, p, Exec{Limit: k})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -178,18 +178,13 @@ type StageStats struct {
 	// KeyWalks and KeyRows, on the candidates row of such a run, count the
 	// root and key walks its join ran and the rows they kept
 	// (pathindex.Walker.At walks filtered by the node-level sets, kept by
-	// the path-level tests); Pruned and the cache counters there read 0,
-	// since no path is scanned whole.
+	// the path-level tests); Pruned there reads 0, since no path is scanned
+	// whole.
 	KeyWalks int `json:"key_walks,omitempty"`
 	KeyRows  int `json:"key_rows,omitempty"`
 	// Workers is the parallelism the stage actually ran with (omitted for
 	// inherently sequential stages).
 	Workers int `json:"workers,omitempty"`
-	// CacheHits/CacheMisses/CacheBypassed report candidate-cache outcomes
-	// for the candidates stage (absent when no cache is configured).
-	CacheHits     int `json:"cache_hits,omitempty"`
-	CacheMisses   int `json:"cache_misses,omitempty"`
-	CacheBypassed int `json:"cache_bypassed,omitempty"`
 }
 
 // Stats reports per-stage behaviour of one match run.

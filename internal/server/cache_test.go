@@ -13,7 +13,9 @@ import (
 	"repro/internal/lru"
 )
 
-func streamOnce(t *testing.T, url string) string {
+// streamOnce streams the motivating query and returns its match lines and
+// whether its done line reports a cached plan.
+func streamOnce(t *testing.T, url string) (string, bool) {
 	t.Helper()
 	body, _ := json.Marshal(MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha})
 	resp, err := http.Post(url+"/match/stream", "application/json", bytes.NewReader(body))
@@ -32,70 +34,54 @@ func streamOnce(t *testing.T, url string) string {
 	// timings, which legitimately differ between runs (the CI smoke
 	// applies the same jq filter before diffing).
 	var matches []string
+	var done *StreamDone
 	for _, line := range strings.Split(buf.String(), "\n") {
 		if strings.HasPrefix(line, `{"match"`) {
 			matches = append(matches, line)
+		} else if strings.HasPrefix(line, `{"done"`) {
+			var ev StreamEvent
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatal(err)
+			}
+			done = ev.Done
 		}
 	}
-	return strings.Join(matches, "\n")
+	if done == nil {
+		t.Fatalf("stream has no done line: %s", buf.String())
+	}
+	return strings.Join(matches, "\n"), done.PlanCached
 }
 
 // TestCandCacheServesRepeatShapes: the same query twice over the streaming
-// endpoint (which bypasses the result cache) answers byte-identically, with
-// the second evaluation served from the candidate cache — the serving-tier
+// endpoint (which bypasses the result cache) answers byte-identically, and
+// the second evaluation reuses the first one's plan — the serving-tier
 // contract the CI smoke asserts through the real binary.
 func TestCandCacheServesRepeatShapes(t *testing.T) {
-	s, ts := testServer(t, Options{Workers: 2})
+	_, ts := testServer(t, Options{Workers: 2})
 
-	first := streamOnce(t, ts.URL)
-	second := streamOnce(t, ts.URL)
+	first, cached := streamOnce(t, ts.URL)
+	if cached {
+		t.Fatal("the first stream reports a cached plan")
+	}
+	second, cached := streamOnce(t, ts.URL)
 	if first != second {
-		t.Fatalf("cache-served stream differs:\n%s\nvs\n%s", first, second)
+		t.Fatalf("repeat stream differs:\n%s\nvs\n%s", first, second)
 	}
 	if !strings.Contains(first, `"match"`) {
 		t.Fatalf("stream matched nothing: %s", first)
 	}
-	_, _, cst := s.cacheStats()
-	if cst.Hits == 0 {
-		t.Fatalf("no candidate-cache hits after a repeat shape: %+v", cst)
-	}
-	if cst.Misses == 0 || cst.Entries == 0 {
-		t.Fatalf("cold run did not populate the cache: %+v", cst)
-	}
-
-	// The counters surface on /stats.
-	resp, body := postJSON(t, ts.URL+"/stats", struct{}{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/stats status %d", resp.StatusCode)
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.CandCacheHits != cst.Hits || st.CandCacheEntries == 0 {
-		t.Fatalf("/stats cand-cache counters: %+v", st)
+	if !cached {
+		t.Fatal("the repeat stream did not reuse the cached plan")
 	}
 }
 
-// TestCandCacheDisabled: a negative CandCacheSize turns the cache off
-// without touching the match path.
-func TestCandCacheDisabled(t *testing.T) {
-	s, ts := testServer(t, Options{CandCacheSize: -1})
-	if streamOnce(t, ts.URL) != streamOnce(t, ts.URL) {
-		t.Fatal("repeat stream differs with cache disabled")
-	}
-	if _, _, cst := s.cacheStats(); cst.Hits != 0 || cst.Misses != 0 || cst.Entries != 0 {
-		t.Fatalf("disabled cache recorded activity: %+v", cst)
-	}
-}
-
-// TestCandCacheStressLiveSwap: concurrent evaluations sharing the candidate
-// cache race live ingest batches, each of which publishes a new
-// generation — retiring the old candidate cache, whose counters are the
-// server's — while dirty views bypass caching entirely. The assertions are
-// (1) no request ever fails, (2) the final post-publish answer reflects the
-// last write, and (3) the cache counters never go backwards.
-func TestCandCacheStressLiveSwap(t *testing.T) {
+// TestResultCacheStressLiveSwap: concurrent /match requests sharing the
+// result and plan caches race live ingest batches, each of which publishes
+// a new generation — retiring the old caches, whose counters are the
+// server's. The assertions are (1) no request ever fails, (2) the cache
+// counters never go backwards, and (3) the final post-publish answer
+// reflects the last write.
+func TestResultCacheStressLiveSwap(t *testing.T) {
 	s, _, ts := liveServer(t)
 
 	const (
@@ -123,13 +109,14 @@ func TestCandCacheStressLiveSwap(t *testing.T) {
 			}
 		}()
 	}
+	backwards := func(prev, cur lru.Stats) bool { return cur.Hits < prev.Hits || cur.Misses < prev.Misses }
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var prev lru.Stats
+		var prevR, prevP lru.Stats
 		for i := 0; i < ingests; i++ {
 			// Alternate the {r3,r4} linkage probability; every accepted batch
-			// publishes a fresh generation (new candidate cache).
+			// publishes a fresh generation (new result and plan caches).
 			p := 0.8
 			if i%2 == 0 {
 				p = 0.5
@@ -144,13 +131,13 @@ func TestCandCacheStressLiveSwap(t *testing.T) {
 				errs <- fmt.Errorf("ingest status %d", resp.StatusCode)
 			}
 			resp.Body.Close()
-			// Every swap gives the served generation a fresh cache; the
-			// counters it reports are the server's and never go backwards.
-			_, _, st := s.cacheStats()
-			if st.Hits < prev.Hits || st.Misses < prev.Misses || st.Bypassed < prev.Bypassed {
-				errs <- fmt.Errorf("cache counters went backwards across a swap: %+v then %+v", prev, st)
+			// Every swap gives the served generation fresh caches; the
+			// counters they report are the server's and never go backwards.
+			r, pl := s.cacheStats()
+			if backwards(prevR, r) || backwards(prevP, pl) {
+				errs <- fmt.Errorf("cache counters went backwards across a swap: result %+v then %+v, plan %+v then %+v", prevR, r, prevP, pl)
 			}
-			prev = st
+			prevR, prevP = r, pl
 		}
 	}()
 	wg.Wait()
@@ -159,15 +146,15 @@ func TestCandCacheStressLiveSwap(t *testing.T) {
 		t.Error(err)
 	}
 
-	_, _, cst := s.cacheStats()
+	r, pl := s.cacheStats()
 	// Re-reading after the storm must never observe a counter reset.
-	if _, _, again := s.cacheStats(); again.Hits < cst.Hits || again.Misses < cst.Misses {
-		t.Fatalf("cache counters went backwards: %+v then %+v", cst, again)
+	if r2, pl2 := s.cacheStats(); backwards(r, r2) || backwards(pl, pl2) {
+		t.Fatalf("cache counters went backwards: result %+v then %+v, plan %+v then %+v", r, r2, pl, pl2)
 	}
 	// The final ingest set p=0.8 (i=19 odd): the original match probability
 	// holds, and a fresh query must succeed against the last generation.
-	r := matchOnce(t, ts.URL, fixtures.MotivatingAlpha)
-	if r.NumMatches != 1 || abs(r.Matches[0].Pr-0.2025) > 1e-9 {
-		t.Fatalf("post-stress match: %+v", r)
+	res := matchOnce(t, ts.URL, fixtures.MotivatingAlpha)
+	if res.NumMatches != 1 || abs(res.Matches[0].Pr-0.2025) > 1e-9 {
+		t.Fatalf("post-stress match: %+v", res)
 	}
 }

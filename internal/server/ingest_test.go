@@ -191,12 +191,12 @@ func FuzzIngest(f *testing.F) {
 	s, db, _ := liveServer(f)
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		before := db.View().Mutations()
+		before := db.Status().Mutations
 		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/x-ndjson")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		applied := db.View().Mutations() - before
+		applied := db.Status().Mutations - before
 		if rec.Code >= 500 {
 			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body)
 		}

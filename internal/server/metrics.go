@@ -127,35 +127,17 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Plan-cost admission budget (0 = admission disabled).", func() float64 { return s.opt.MaxPlanCost }),
 
 		metrics.NewCounterFunc("peg_result_cache_hits_total",
-			"Result-cache hits.", func() float64 { r, _, _ := s.cacheStats(); return float64(r.Hits) }),
+			"Result-cache hits.", func() float64 { r, _ := s.cacheStats(); return float64(r.Hits) }),
 		metrics.NewCounterFunc("peg_result_cache_misses_total",
-			"Result-cache misses.", func() float64 { r, _, _ := s.cacheStats(); return float64(r.Misses) }),
+			"Result-cache misses.", func() float64 { r, _ := s.cacheStats(); return float64(r.Misses) }),
 		metrics.NewGaugeFunc("peg_result_cache_entries",
-			"Result-cache resident entries (current generation).", func() float64 { r, _, _ := s.cacheStats(); return float64(r.Entries) }),
+			"Result-cache resident entries (current generation).", func() float64 { r, _ := s.cacheStats(); return float64(r.Entries) }),
 		metrics.NewCounterFunc("peg_plan_cache_hits_total",
-			"Plan-cache hits (evaluations that skipped planning).", func() float64 { _, p, _ := s.cacheStats(); return float64(p.Hits) }),
+			"Plan-cache hits (evaluations that skipped planning).", func() float64 { _, p := s.cacheStats(); return float64(p.Hits) }),
 		metrics.NewCounterFunc("peg_plan_cache_misses_total",
-			"Plan-cache misses.", func() float64 { _, p, _ := s.cacheStats(); return float64(p.Misses) }),
+			"Plan-cache misses.", func() float64 { _, p := s.cacheStats(); return float64(p.Misses) }),
 		metrics.NewGaugeFunc("peg_plan_cache_entries",
-			"Plan-cache resident entries (current generation).", func() float64 { _, p, _ := s.cacheStats(); return float64(p.Entries) }),
-		metrics.NewCounterFunc("peg_candcache_hits_total",
-			"Candidate-cache hits: per-path evaluations that skipped posting decode and context pruning.",
-			func() float64 { _, _, c := s.cacheStats(); return float64(c.Hits) }),
-		metrics.NewCounterFunc("peg_candcache_misses_total",
-			"Candidate-cache misses (pruned sets computed and stored).",
-			func() float64 { _, _, c := s.cacheStats(); return float64(c.Misses) }),
-		metrics.NewCounterFunc("peg_candcache_bypass_total",
-			"Per-path evaluations that bypassed the candidate cache (live view carrying mutations).",
-			func() float64 { _, _, c := s.cacheStats(); return float64(c.Bypassed) }),
-		metrics.NewCounterFunc("peg_candcache_evictions_total",
-			"Candidate-cache entries evicted to stay under the budget.",
-			func() float64 { _, _, c := s.cacheStats(); return float64(c.Evictions) }),
-		metrics.NewGaugeFunc("peg_candcache_entries",
-			"Candidate-cache resident entries (current generation).",
-			func() float64 { _, _, c := s.cacheStats(); return float64(c.Entries) }),
-		metrics.NewGaugeFunc("peg_candcache_candidates",
-			"Pruned candidates retained by the candidate cache (current generation).",
-			func() float64 { _, _, c := s.cacheStats(); return float64(c.Weight) }),
+			"Plan-cache resident entries (current generation).", func() float64 { _, p := s.cacheStats(); return float64(p.Entries) }),
 
 		metrics.NewCounterFunc("peg_ingested_mutations_total",
 			"Mutations applied through /ingest.", func() float64 { return float64(s.ingested.Load()) }),

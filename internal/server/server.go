@@ -6,12 +6,11 @@
 // The design leans on the read path being lock-free for concurrent callers
 // (see pathindex.Index): requests never contend on the index itself, only on
 // the bounded worker pool that caps how many match evaluations run at once,
-// and on the served generation's three caches — one mechanism (package lru),
+// and on the served generation's two caches — one mechanism (package lru),
 // keyed by one query identity (query.Fingerprint): the result cache that
-// short-circuits repeated queries entirely, the plan cache that lets every
-// evaluation of a previously seen query (different limit/order, streaming,
-// after a result eviction) skip decomposition and planning, and the
-// candidate cache under both that skips posting decode and context pruning.
+// short-circuits repeated queries entirely, and the plan cache that lets
+// every evaluation of a previously seen query (different limit/order,
+// streaming, after a result eviction) skip decomposition and planning.
 //
 // Endpoints:
 //
@@ -55,7 +54,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/candidates"
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/live"
@@ -77,7 +75,7 @@ type Options struct {
 	// QueueDepth is how many requests may wait for a worker slot before the
 	// server sheds load with 503 (0 = 4×Workers).
 	QueueDepth int
-	// CacheEntries sizes the LRU result cache (0 = 1024, negative disables).
+	// CacheEntries sizes the LRU result cache (0 = 2048, negative disables).
 	CacheEntries int
 	// RequestTimeout caps per-request wall clock (0 = 30s). A request may
 	// lower it via its timeout_ms field but never raise it.
@@ -87,12 +85,6 @@ type Options struct {
 	// strategy, so repeat queries — including /match/stream requests, which
 	// bypass the result cache — skip decomposition and planning.
 	PlanCacheEntries int
-	// CandCacheSize bounds the candidate cache: the total number of pruned
-	// path candidates it may retain across entries
-	// (0 = candidates.DefaultCacheBudget, negative disables). Repeat query
-	// shapes skip posting decode and context pruning; live views carrying
-	// mutations bypass it until the next publish.
-	CandCacheSize int
 	// MaxPlanCost is the cost-based admission budget: a query whose
 	// plan-cost estimate (plan.Tree.Cost.Total) exceeds it is
 	// rejected with 429 + Retry-After before execution, counted as
@@ -121,7 +113,7 @@ func (o *Options) normalize() {
 		o.QueueDepth = 4 * o.Workers
 	}
 	if o.CacheEntries == 0 {
-		o.CacheEntries = 1024
+		o.CacheEntries = 2048
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -133,8 +125,8 @@ func (o *Options) normalize() {
 
 // servedIndex is one generation of the served index with its in-flight
 // reference count, so a swap can drain readers before the old index is
-// closed. Each generation carries its own caches: every cached result, plan
-// and candidate set is only valid against the data it came from, so a swap
+// closed. Each generation carries its own caches: every cached result and
+// plan is only valid against the data it came from, so a swap
 // starts them all fresh and cache keys carry no generation.
 type servedIndex struct {
 	ix pathindex.Reader
@@ -142,7 +134,6 @@ type servedIndex struct {
 	// The generation's caches; nil when disabled.
 	results *lru.Cache[*MatchResponse]
 	plans   *lru.Cache[*plan.Plan]
-	cands   *candidates.Cache
 	// graphBytes is the resident size of the generation's PEG, taken once
 	// at install.
 	graphBytes int64
@@ -171,9 +162,9 @@ type Server struct {
 
 	sem     chan struct{}
 	waiters atomic.Int64
-	// The counters of the result, plan and candidate caches outlive the
-	// generations whose caches count into them, so they never go backwards.
-	resultCtrs, planCtrs, candCtrs lru.Counters
+	// The counters of the result and plan caches outlive the generations
+	// whose caches count into them, so they never go backwards.
+	resultCtrs, planCtrs lru.Counters
 
 	// Request accounting: every request counted in requests settles into
 	// exactly one of succeeded / failed / canceled / rejected / costRejected
@@ -276,9 +267,8 @@ func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
 	s.cur = &servedIndex{
 		ix:      ix,
 		id:      fmt.Sprintf("gen%d#%d", s.gen.Add(1), ix.Stats().Entries),
-		results: lru.New[*MatchResponse](s.opt.CacheEntries, nil, &s.resultCtrs),
-		plans:   lru.New[*plan.Plan](s.opt.PlanCacheEntries, nil, &s.planCtrs),
-		cands:   candidates.NewSharedCache(s.opt.CandCacheSize, &s.candCtrs),
+		results: lru.New[*MatchResponse](s.opt.CacheEntries, &s.resultCtrs),
+		plans:   lru.New[*plan.Plan](s.opt.PlanCacheEntries, &s.planCtrs),
 
 		graphBytes: ix.Graph().Bytes(),
 	}
@@ -300,15 +290,15 @@ func (s *Server) setIndex(ix pathindex.Reader) *servedIndex {
 	return old
 }
 
-// cacheStats snapshots the result, plan and candidate caches: the
-// server's counters, with the served generation's residency.
-func (s *Server) cacheStats() (results, plans, cands lru.Stats) {
+// cacheStats snapshots the result and plan caches: the server's counters,
+// with the served generation's residency.
+func (s *Server) cacheStats() (results, plans lru.Stats) {
 	si, release := s.acquireIndex()
 	defer release()
 	if si != nil {
-		results, plans, cands = si.results.Stats(), si.plans.Stats(), si.cands.Stats()
+		results, plans = si.results.Stats(), si.plans.Stats()
 	}
-	return results, plans, cands
+	return results, plans
 }
 
 // acquireIndex pins the current index generation; callers must call
@@ -448,13 +438,11 @@ type StatsResponse struct {
 	PlanCacheHits    uint64 `json:"plan_cache_hits"`
 	PlanCacheMisses  uint64 `json:"plan_cache_misses"`
 	PlanCacheEntries int    `json:"plan_cache_entries"`
-	// Candidate-cache counters: hits are per-path evaluations served from
-	// the per-generation pruned-candidate cache (posting decode and context
-	// pruning skipped). Monotonic across generation swaps.
+	// The candidate-cache counters read 0: the server has no candidate
+	// cache. They remain for the benchmark module, which still reads them.
 	CandCacheHits     uint64 `json:"cand_cache_hits"`
 	CandCacheMisses   uint64 `json:"cand_cache_misses"`
 	CandCacheBypassed uint64 `json:"cand_cache_bypassed"`
-	CandCacheEntries  int    `json:"cand_cache_entries"`
 	Workers           int    `json:"workers"`
 	IndexEntries      uint64 `json:"index_entries"`
 	// GraphBytes is the resident size of the served generation's PEG.
@@ -790,7 +778,7 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, si *servedIn
 	clientGone := false
 	n := 0
 	execStart := time.Now()
-	st, err := core.MatchStreamPlan(ctx, si.ix, pl, p.options(si), func(m join.Match) bool {
+	st, err := core.MatchStreamPlan(ctx, si.ix, pl, p.options(), func(m join.Match) bool {
 		e := matchEntry(m)
 		if err := enc.Encode(&StreamEvent{Match: &e}); err != nil {
 			clientGone = true
@@ -943,7 +931,7 @@ func (s *Server) Ready() bool {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	rst, pst, cst := s.cacheStats()
+	rst, pst := s.cacheStats()
 	si, release := s.acquireIndex()
 	defer release()
 	var indexEntries uint64
@@ -952,27 +940,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		indexEntries, graphBytes = si.ix.Stats().Entries, si.graphBytes
 	}
 	resp := &StatsResponse{
-		Requests:          s.requests.Load(),
-		Succeeded:         s.succeeded.Load(),
-		Failed:            s.failed.Load(),
-		Canceled:          s.canceled.Load(),
-		Rejected:          s.rejected.Load(),
-		CostRejected:      s.costRejected.Load(),
-		CacheHits:         rst.Hits,
-		CacheMisses:       rst.Misses,
-		CacheEntries:      rst.Entries,
-		PlanCacheHits:     pst.Hits,
-		PlanCacheMisses:   pst.Misses,
-		PlanCacheEntries:  pst.Entries,
-		CandCacheHits:     cst.Hits,
-		CandCacheMisses:   cst.Misses,
-		CandCacheBypassed: cst.Bypassed,
-		CandCacheEntries:  cst.Entries,
-		Workers:           s.opt.Workers,
-		IndexEntries:      indexEntries,
-		GraphBytes:        graphBytes,
-		Ingested:          s.ingested.Load(),
-		IngestFailed:      s.ingestFailed.Load(),
+		Requests:         s.requests.Load(),
+		Succeeded:        s.succeeded.Load(),
+		Failed:           s.failed.Load(),
+		Canceled:         s.canceled.Load(),
+		Rejected:         s.rejected.Load(),
+		CostRejected:     s.costRejected.Load(),
+		CacheHits:        rst.Hits,
+		CacheMisses:      rst.Misses,
+		CacheEntries:     rst.Entries,
+		PlanCacheHits:    pst.Hits,
+		PlanCacheMisses:  pst.Misses,
+		PlanCacheEntries: pst.Entries,
+		Workers:          s.opt.Workers,
+		IndexEntries:     indexEntries,
+		GraphBytes:       graphBytes,
+		Ingested:         s.ingested.Load(),
+		IngestFailed:     s.ingestFailed.Load(),
 	}
 	if db := s.liveDB(); db != nil {
 		st := db.Status()
@@ -996,18 +980,16 @@ type matchParams struct {
 	limit     int
 }
 
-// options maps the parsed request onto the core options for one evaluation
-// against one served generation (whose candidate cache serves repeated
-// query shapes). Every stage runs
-// on one core: the worker pool, not the request, spends the server's CPU.
-func (p *matchParams) options(si *servedIndex) core.Options {
+// options maps the parsed request onto the core options for one
+// evaluation. Every stage runs on one core: the worker pool, not the
+// request, spends the server's CPU.
+func (p *matchParams) options() core.Options {
 	return core.Options{
-		Alpha:     p.alpha,
-		Strategy:  p.strat,
-		Workers:   1,
-		Limit:     p.limit,
-		Order:     p.order,
-		CandCache: si.cands,
+		Alpha:    p.alpha,
+		Strategy: p.strat,
+		Workers:  1,
+		Limit:    p.limit,
+		Order:    p.order,
 	}
 }
 
@@ -1039,7 +1021,7 @@ func (s *Server) planned(ctx context.Context, si *servedIndex, p *matchParams, e
 			s.opt.Tracer.RecordSpan(ctx, "plan-cache", t0, time.Since(t0), map[string]string{"result": "miss"})
 		}
 		t1 := time.Now()
-		pl, err := core.Prepare(ctx, si.ix, p.q, p.options(si))
+		pl, err := core.Prepare(ctx, si.ix, p.q, p.options())
 		if traced {
 			s.opt.Tracer.RecordSpan(ctx, "plan", t1, time.Since(t1), nil)
 		}
@@ -1180,7 +1162,7 @@ func (s *Server) compute(ctx context.Context, si *servedIndex, p *matchParams) (
 	}
 	defer func() { <-s.sem }()
 	execStart := time.Now()
-	result, err := core.MatchPlan(ctx, si.ix, pl, p.options(si))
+	result, err := core.MatchPlan(ctx, si.ix, pl, p.options())
 	if err != nil {
 		return nil, matchError(err)
 	}

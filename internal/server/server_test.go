@@ -118,7 +118,7 @@ func TestResultCacheHit(t *testing.T) {
 	if r1.NumMatches != r2.NumMatches {
 		t.Errorf("cached result differs: %d vs %d matches", r1.NumMatches, r2.NumMatches)
 	}
-	if rst, _, _ := s.cacheStats(); rst.Hits == 0 {
+	if rst, _ := s.cacheStats(); rst.Hits == 0 {
 		t.Error("cache recorded no hits")
 	}
 	// A different alpha must not hit.
@@ -376,15 +376,15 @@ func TestSetIndexInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestPublishDropsCaches: a swap drops the served generation's result, plan
-// and candidate caches together — every *_entries gauge reads 0 — while the
+// TestPublishDropsCaches: a swap drops the served generation's result and
+// plan caches together — every *_entries gauge reads 0 — while the
 // hit and miss counters, which belong to the server, carry on.
 func TestPublishDropsCaches(t *testing.T) {
 	s, ts := testServer(t, Options{})
 	req := MatchRequest{Query: motivatingQueryDSL, Alpha: fixtures.MotivatingAlpha}
 	postJSON(t, ts.URL+"/match", req)
 	postJSON(t, ts.URL+"/match", req) // a result-cache hit
-	streamOnce(t, ts.URL)             // plan- and candidate-cache hits
+	streamOnce(t, ts.URL)             // a plan-cache hit
 	scrape := func() map[string]float64 {
 		t.Helper()
 		_, body := getRaw(t, ts.URL+"/metrics")
@@ -400,9 +400,9 @@ func TestPublishDropsCaches(t *testing.T) {
 		}
 		return values
 	}
-	gauges := []string{"peg_result_cache_entries", "peg_plan_cache_entries", "peg_candcache_entries", "peg_candcache_candidates"}
+	gauges := []string{"peg_result_cache_entries", "peg_plan_cache_entries"}
 	var counters []string
-	for _, c := range []string{"peg_result_cache", "peg_plan_cache", "peg_candcache"} {
+	for _, c := range []string{"peg_result_cache", "peg_plan_cache"} {
 		counters = append(counters, c+"_hits_total", c+"_misses_total")
 	}
 	before := scrape()

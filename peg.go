@@ -68,7 +68,6 @@ import (
 	"iter"
 	"net/http"
 
-	"repro/internal/candidates"
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/join"
@@ -181,14 +180,6 @@ type (
 	// PlanStage is one executed stage's record in MatchStats.Stages:
 	// timing, estimated vs. observed cardinality, prune count.
 	PlanStage = plan.StageStats
-	// CandidateCache serves pruned per-path candidate sets for repeated
-	// query shapes, skipping posting decode and context pruning on a hit.
-	// It belongs to one immutable index snapshot (attach via
-	// MatchOptions.CandCache); live views with pending mutations bypass it
-	// automatically.
-	CandidateCache = candidates.Cache
-	// CandidateCacheStats snapshots a CandidateCache's counters.
-	CandidateCacheStats = candidates.CacheStats
 	// MatchOptionsError is the typed validation error Match* return for
 	// out-of-range options (NaN α, negative limit, unknown strategy...);
 	// the server maps it to HTTP 400.
@@ -196,8 +187,8 @@ type (
 
 	// Server is the concurrent HTTP/JSON query-serving front end.
 	Server = server.Server
-	// ServerOptions configures the server (worker pool, result, plan and
-	// candidate caches, request timeout, admission cost cap).
+	// ServerOptions configures the server (worker pool, result and plan
+	// caches, request timeout, admission cost cap).
 	ServerOptions = server.Options
 	// MatchRequest is the JSON body of the server's /match and
 	// /match/stream endpoints.
@@ -376,11 +367,6 @@ func PreparePlan(ctx context.Context, ix IndexReader, q *Query, opt MatchOptions
 func MatchPlan(ctx context.Context, ix IndexReader, pl *PreparedPlan, opt MatchOptions) (*MatchResult, error) {
 	return core.MatchPlan(ctx, ix, pl, opt)
 }
-
-// NewCandidateCache returns a candidate cache retaining at most budget
-// pruned path candidates in total (0 = the default budget) for one
-// immutable index snapshot; attach it via MatchOptions.CandCache.
-func NewCandidateCache(budget int) *CandidateCache { return candidates.NewCache(budget) }
 
 // NewServer wraps an opened index (or a live database view) in the
 // concurrent HTTP/JSON query server; mount NewServer(ix, opt).Handler() on
